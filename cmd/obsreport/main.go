@@ -3,8 +3,8 @@
 //
 // One snapshot gives the full instrument dump plus a per-tick phase
 // breakdown (the driver's build/query/update spans, the epoch
-// lifecycle spans, and the tuner's predicted-vs-observed residual when
-// both sides are present). Two snapshots are diffed: counter and
+// lifecycle spans with the bulk/replay apply-path split, and the
+// tuner's predicted-vs-observed residual when both sides are present). Two snapshots are diffed: counter and
 // histogram deltas describe exactly the interval between the captures,
 // which is how a steady-state rate is read off a long-running service.
 //
@@ -171,6 +171,12 @@ func writePhases(w io.Writer, snap *obs.Snapshot) {
 		}
 		fmt.Fprintf(tw, "  sum of phase means\t%s\t\t\n", ns(total))
 		tw.Flush()
+	}
+
+	// Apply-path split: how the epoch writers caught their shadows up
+	// (ticks recovered by a degradation rebuild count as neither).
+	if bulk, replay := snap.Counters["epoch.apply_bulk"], snap.Counters["epoch.apply_replay"]; bulk+replay > 0 {
+		fmt.Fprintf(w, "\nepoch apply path: %d bulk (land + one build), %d replay (per-move update)\n", bulk, replay)
 	}
 
 	// Tuner residual: what the cost model predicted for a tick vs what

@@ -32,6 +32,8 @@ func TestReportSingleSnapshot(t *testing.T) {
 
 	r.SetLabel("tune.choice", "csr/cps=64")
 	r.Counter("core.queries").Add(12345)
+	r.Counter("epoch.apply_bulk").Add(57)
+	r.Counter("epoch.apply_replay").Add(3)
 	r.Gauge("core.concurrent.violations").Set(0)
 	r.Gauge("tune.predicted_tick_ns").Set(3_000_000)
 	for _, phase := range []string{"core.tick.build_ns", "core.tick.query_ns", "core.tick.update_ns"} {
@@ -55,6 +57,7 @@ func TestReportSingleSnapshot(t *testing.T) {
 		"core.tick.build_ns",
 		"x8",
 		"tune residual:",
+		"epoch apply path: 57 bulk (land + one build), 3 replay (per-move update)",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("report missing %q:\n%s", want, got)

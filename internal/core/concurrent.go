@@ -100,7 +100,12 @@ type ConcurrentResult struct {
 	Hash    uint64
 
 	// QueryP50/P95/P99 are per-query latency percentiles measured while
-	// the update stream applies concurrently.
+	// the update stream applies concurrently. A query's latency is the
+	// interval between consecutive completion stamps on its reader
+	// worker (one monotonic clock read per query), so it covers claiming
+	// the querier, the probe, folding its results and the consistency
+	// bookkeeping; a worker's first query of a tick is measured from the
+	// worker's start.
 	QueryP50, QueryP95, QueryP99 time.Duration
 
 	// FailedTicks counts ticks whose batch exhausted the wrapper's
@@ -158,12 +163,85 @@ func epochAppendOf(x any, query func(r geom.Rect, emit func(id uint32)) (uint64,
 	}
 }
 
-// runConcurrent overlaps each tick's query drain with its update batch:
-// one updater goroutine calls ApplyBatch while reader workers claim
-// blocks of the querier stream through an atomic cursor. Per-query
-// latencies are collected for the percentile series, and every query's
-// (epoch, digest) observation is checked against the published oracle.
-func runConcurrent[M any](e *concurrentEngine[M], opts ConcurrentOptions) *ConcurrentResult {
+// epochLog is one reader's record of the distinct (epoch, digest)
+// observations it made on one publication: seen keeps the first digest
+// observed per epoch for the post-run check against the publish oracle,
+// and a same-epoch observation with a different digest is a violation
+// counted immediately. Nearly every query observes the epoch the
+// previous one did, so the last observation is checked before the map.
+type epochLog struct {
+	seen           map[uint64]uint64
+	lastEp, lastDg uint64
+	some           bool
+	bad            int64
+}
+
+func (l *epochLog) observe(ep, dg uint64) {
+	if !l.some || ep != l.lastEp {
+		first, ok := l.seen[ep]
+		if !ok {
+			first = dg
+			l.seen[ep] = dg
+		}
+		l.lastEp, l.lastDg, l.some = ep, first, true
+	}
+	if dg != l.lastDg {
+		l.bad++
+	}
+}
+
+// readerState is one query worker's state across the whole run, merged
+// by finishReaders. lat keeps exact latency samples up to
+// maxExactLatSamples and feeds the shared histogram beyond that
+// (bounded memory on long runs); logs holds one epochLog per
+// publication the engine has (one for a single-epoch index, one per
+// shard for a sharded engine); buf is the result buffer every query of
+// every tick reuses, so the steady state allocates nothing.
+type readerState struct {
+	lat   latRecorder
+	logs  []epochLog
+	buf   []uint32
+	pairs int64
+	hash  uint64
+}
+
+func newReaderStates(readers, publications, ticks int, latHist *obs.Histogram) []*readerState {
+	states := make([]*readerState, readers)
+	for w := range states {
+		st := &readerState{lat: latRecorder{hist: latHist}, logs: make([]epochLog, publications)}
+		for i := range st.logs {
+			st.logs[i].seen = make(map[uint64]uint64, ticks+1)
+		}
+		states[w] = st
+	}
+	return states
+}
+
+// finishReaders merges the readers into res and verifies every
+// observation against oracle, which holds per publication the digest of
+// every epoch it published (recorded by the single-threaded driver after
+// each tick, so publish/observe ordering cannot race).
+func finishReaders(res *ConcurrentResult, states []*readerState, oracle []map[uint64]uint64, latHist *obs.Histogram) {
+	recs := make([]*latRecorder, 0, len(states))
+	for _, st := range states {
+		res.Pairs += st.pairs
+		res.Hash += st.hash
+		for i := range st.logs {
+			res.Violations += st.logs[i].bad
+			for e, d := range st.logs[i].seen {
+				if want, ok := oracle[i][e]; !ok || want != d {
+					res.Violations++
+				}
+			}
+		}
+		recs = append(recs, &st.lat)
+	}
+	res.QueryP50, res.QueryP95, res.QueryP99 = latPercentiles(recs, latHist)
+}
+
+// concurrentSetup resolves the reader and tick counts shared by the two
+// concurrent drivers.
+func concurrentSetup(name string, ticks int, opts ConcurrentOptions) *ConcurrentResult {
 	readers := opts.Readers
 	if readers <= 0 {
 		readers = runtime.GOMAXPROCS(0) - 1
@@ -171,39 +249,25 @@ func runConcurrent[M any](e *concurrentEngine[M], opts ConcurrentOptions) *Concu
 	if readers < 1 {
 		readers = 1
 	}
-	ticks := e.ticks
 	if opts.Ticks > 0 && opts.Ticks < ticks {
 		ticks = opts.Ticks
 	}
-	res := &ConcurrentResult{Technique: e.name, Ticks: ticks, Readers: readers}
+	return &ConcurrentResult{Technique: name, Ticks: ticks, Readers: readers}
+}
+
+// runConcurrent overlaps each tick's query drain with its update batch:
+// one updater goroutine calls ApplyBatch while reader workers claim
+// blocks of the querier stream through an atomic cursor. Per-query
+// latencies are collected for the percentile series, and every query's
+// (epoch, digest) observation is checked against the published oracle.
+func runConcurrent[M any](e *concurrentEngine[M], opts ConcurrentOptions) *ConcurrentResult {
+	res := concurrentSetup(e.name, e.ticks, opts)
+	ticks, readers := res.Ticks, res.Readers
 	co := newConcObs(opts.Obs)
 	latHist := co.latHist()
+	states := newReaderStates(readers, 1, ticks, latHist)
 
-	// Per-reader state, merged after the run. lat keeps exact latency
-	// samples up to maxExactLatSamples and feeds the shared histogram
-	// beyond that (bounded memory on long runs). seen records every
-	// distinct (epoch, digest) observation; a same-epoch digest
-	// mismatch is a violation counted immediately.
-	type readerState struct {
-		lat   latRecorder
-		seen  map[uint64]uint64
-		pairs int64
-		hash  uint64
-		bad   int64
-	}
-	states := make([]*readerState, readers)
-	for w := range states {
-		states[w] = &readerState{
-			lat:  latRecorder{hist: latHist},
-			seen: make(map[uint64]uint64, ticks+1),
-		}
-	}
-
-	// oracle holds the digest of every published epoch, recorded by the
-	// (single-threaded) driver after each successful publish; readers
-	// are verified against it after the run, so publish/observe ordering
-	// cannot race.
-	oracle := make(map[uint64]uint64, ticks+1)
+	oracle := map[uint64]uint64{}
 	ep, dg := e.epochNow()
 	oracle[ep] = dg
 
@@ -234,10 +298,8 @@ func runConcurrent[M any](e *concurrentEngine[M], opts ConcurrentOptions) *Concu
 		for w := 0; w < readers; w++ {
 			st := states[w]
 			g.Go(func() {
-				// The result buffer lives per worker per tick and is
-				// reused across every query the worker drains, so the
-				// steady state allocates nothing on the hot path.
-				var buf []uint32
+				epochs := &st.logs[0]
+				st.lat.start()
 				for {
 					lo := int(cursor.Add(queryBlock)) - queryBlock
 					if lo >= len(queriers) {
@@ -248,20 +310,14 @@ func runConcurrent[M any](e *concurrentEngine[M], opts ConcurrentOptions) *Concu
 						hi = len(queriers)
 					}
 					for _, q := range queriers[lo:hi] {
-						r := e.queryRect(q)
-						qs := time.Now()
 						var qe, qd uint64
-						buf, qe, qd = e.queryAppend(r, buf[:0])
-						for _, id := range buf {
+						st.buf, qe, qd = e.queryAppend(e.queryRect(q), st.buf[:0])
+						for _, id := range st.buf {
 							st.pairs++
 							st.hash = MixPair(st.hash, q, id)
 						}
-						st.lat.record(time.Since(qs))
-						if prev, ok := st.seen[qe]; ok && prev != qd {
-							st.bad++
-						} else {
-							st.seen[qe] = qd
-						}
+						epochs.observe(qe, qd)
+						st.lat.lap()
 					}
 				}
 			})
@@ -289,19 +345,7 @@ func runConcurrent[M any](e *concurrentEngine[M], opts ConcurrentOptions) *Concu
 	}
 	res.Elapsed = time.Since(start)
 
-	recs := make([]*latRecorder, 0, readers)
-	for _, st := range states {
-		res.Pairs += st.pairs
-		res.Hash += st.hash
-		res.Violations += st.bad
-		for e, d := range st.seen {
-			if want, ok := oracle[e]; !ok || want != d {
-				res.Violations++
-			}
-		}
-		recs = append(recs, &st.lat)
-	}
-	res.QueryP50, res.QueryP95, res.QueryP99 = latPercentiles(recs, latHist)
+	finishReaders(res, states, []map[uint64]uint64{oracle}, latHist)
 	co.violations.Set(res.Violations)
 	res.Stats = e.stats()
 	return res

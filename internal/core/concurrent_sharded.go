@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -56,13 +55,6 @@ type ShardedEpochBoxIndex interface {
 	Stats() EpochStats
 }
 
-// shardEpochKey identifies one shard's published epoch in the oracle
-// and observation maps.
-type shardEpochKey struct {
-	shard int
-	epoch uint64
-}
-
 // shardedConcurrentEngine adapts one object class to the sharded
 // concurrent loop, mirroring concurrentEngine[M].
 type shardedConcurrentEngine[M any] struct {
@@ -103,41 +95,21 @@ func shardedEpochAppendOf(x any, query func(r geom.Rect, emit func(id uint32), o
 // A published and shard B exhausted retries is a valid engine state:
 // A's new epoch must be accepted, B's old epoch keeps serving.
 func runConcurrentSharded[M any](e *shardedConcurrentEngine[M], opts ConcurrentOptions) *ConcurrentResult {
-	readers := opts.Readers
-	if readers <= 0 {
-		readers = runtime.GOMAXPROCS(0) - 1
-	}
-	if readers < 1 {
-		readers = 1
-	}
-	ticks := e.ticks
-	if opts.Ticks > 0 && opts.Ticks < ticks {
-		ticks = opts.Ticks
-	}
-	res := &ConcurrentResult{Technique: e.name, Ticks: ticks, Readers: readers}
+	res := concurrentSetup(e.name, e.ticks, opts)
+	ticks, readers := res.Ticks, res.Readers
 	co := newConcObs(opts.Obs)
 	latHist := co.latHist()
+	shards := e.numShards()
+	states := newReaderStates(readers, shards, ticks, latHist)
 
-	type readerState struct {
-		lat   latRecorder
-		seen  map[shardEpochKey]uint64
-		pairs int64
-		hash  uint64
-		bad   int64
+	oracle := make([]map[uint64]uint64, shards)
+	for i := range oracle {
+		oracle[i] = map[uint64]uint64{}
 	}
-	states := make([]*readerState, readers)
-	for w := range states {
-		states[w] = &readerState{
-			lat:  latRecorder{hist: latHist},
-			seen: make(map[shardEpochKey]uint64, ticks+1),
-		}
-	}
-
-	oracle := make(map[shardEpochKey]uint64, ticks+1)
 	recordOracle := func() {
-		for i := 0; i < e.numShards(); i++ {
+		for i := range oracle {
 			ep, dg := e.shardEpoch(i)
-			oracle[shardEpochKey{i, ep}] = dg
+			oracle[i][ep] = dg
 		}
 	}
 	recordOracle()
@@ -169,17 +141,8 @@ func runConcurrentSharded[M any](e *shardedConcurrentEngine[M], opts ConcurrentO
 		for w := 0; w < readers; w++ {
 			st := states[w]
 			g.Go(func() {
-				// Per-worker reused result buffer: the hot path allocates
-				// nothing at steady state.
-				var buf []uint32
-				observe := func(shard int, ep, dg uint64) {
-					k := shardEpochKey{shard, ep}
-					if prev, ok := st.seen[k]; ok && prev != dg {
-						st.bad++
-					} else {
-						st.seen[k] = dg
-					}
-				}
+				observe := func(shard int, ep, dg uint64) { st.logs[shard].observe(ep, dg) }
+				st.lat.start()
 				for {
 					lo := int(cursor.Add(queryBlock)) - queryBlock
 					if lo >= len(queriers) {
@@ -190,14 +153,12 @@ func runConcurrentSharded[M any](e *shardedConcurrentEngine[M], opts ConcurrentO
 						hi = len(queriers)
 					}
 					for _, q := range queriers[lo:hi] {
-						r := e.queryRect(q)
-						qs := time.Now()
-						buf = e.queryAppend(r, buf[:0], observe)
-						for _, id := range buf {
+						st.buf = e.queryAppend(e.queryRect(q), st.buf[:0], observe)
+						for _, id := range st.buf {
 							st.pairs++
 							st.hash = MixPair(st.hash, q, id)
 						}
-						st.lat.record(time.Since(qs))
+						st.lat.lap()
 					}
 				}
 			})
@@ -224,19 +185,7 @@ func runConcurrentSharded[M any](e *shardedConcurrentEngine[M], opts ConcurrentO
 	}
 	res.Elapsed = time.Since(start)
 
-	recs := make([]*latRecorder, 0, readers)
-	for _, st := range states {
-		res.Pairs += st.pairs
-		res.Hash += st.hash
-		res.Violations += st.bad
-		for k, d := range st.seen {
-			if want, ok := oracle[k]; !ok || want != d {
-				res.Violations++
-			}
-		}
-		recs = append(recs, &st.lat)
-	}
-	res.QueryP50, res.QueryP95, res.QueryP99 = latPercentiles(recs, latHist)
+	finishReaders(res, states, oracle, latHist)
 	co.violations.Set(res.Violations)
 	res.Stats = e.stats()
 	return res

@@ -92,11 +92,28 @@ var maxExactLatSamples = 1 << 14
 
 // latRecorder is one reader's latency collection: every observation
 // feeds the shared histogram; the first maxExactLatSamples are also
-// retained exactly.
+// retained exactly. Observations come from a chain of completion
+// stamps (start, then one lap per query): a time.Now/time.Since pair
+// around each query is three vDSO clock reads, a lap is one.
 type latRecorder struct {
 	hist    *obs.Histogram
 	samples []time.Duration
 	dropped int64
+	base    time.Time
+	prev    time.Duration
+}
+
+// start opens a chain of stamps on the calling worker.
+func (l *latRecorder) start() {
+	l.base = time.Now()
+	l.prev = 0
+}
+
+// lap records the interval since the previous stamp of the chain.
+func (l *latRecorder) lap() {
+	now := time.Since(l.base)
+	l.record(now - l.prev)
+	l.prev = now
 }
 
 // record is called on the reader hot loop.

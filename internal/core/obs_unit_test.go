@@ -83,3 +83,68 @@ func TestLatRecorderExactPathUnderCap(t *testing.T) {
 			p50, p95, p99, exact[0], exact[1], exact[2])
 	}
 }
+
+// TestLatRecorderLapsPartitionTheChain pins the chained-stamp contract:
+// n laps after one start record n intervals that add up to the time
+// from start to the last lap, none negative.
+func TestLatRecorderLapsPartitionTheChain(t *testing.T) {
+	l := latRecorder{hist: obs.NewHistogram()}
+	l.start()
+	for i := 0; i < 100; i++ {
+		l.lap()
+	}
+	var sum time.Duration
+	for _, d := range l.samples {
+		if d < 0 {
+			t.Fatalf("negative lap %v", d)
+		}
+		sum += d
+	}
+	if len(l.samples) != 100 || sum != l.prev {
+		t.Fatalf("%d laps summing to %v, chain is at %v", len(l.samples), sum, l.prev)
+	}
+}
+
+// TestEpochLogMatchesPlainMap drives the last-observation fast path and
+// a plain map with the reference semantics through the same observation
+// stream (runs of one epoch, returns to older epochs, and same-epoch
+// digest mismatches) and demands the same violations and the same
+// first-digest table.
+func TestEpochLogMatchesPlainMap(t *testing.T) {
+	rng := xrand.New(3)
+	l := epochLog{seen: map[uint64]uint64{}}
+	ref := map[uint64]uint64{}
+	var refBad int64
+	ep := uint64(0)
+	for i := 0; i < 5000; i++ {
+		switch rng.Intn(10) {
+		case 0:
+			ep++
+		case 1:
+			if ep > 0 {
+				ep--
+			}
+		}
+		dg := ep * 31
+		if rng.Intn(50) == 0 {
+			dg++ // a blended read
+		}
+		l.observe(ep, dg)
+		if prev, ok := ref[ep]; ok && prev != dg {
+			refBad++
+		} else {
+			ref[ep] = dg
+		}
+	}
+	if refBad == 0 {
+		t.Fatal("stream produced no violations; the test is vacuous")
+	}
+	if l.bad != refBad || len(l.seen) != len(ref) {
+		t.Fatalf("bad %d (want %d), %d epochs seen (want %d)", l.bad, refBad, len(l.seen), len(ref))
+	}
+	for e, d := range ref {
+		if l.seen[e] != d {
+			t.Fatalf("epoch %d: first digest %x, want %x", e, l.seen[e], d)
+		}
+	}
+}

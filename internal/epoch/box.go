@@ -23,23 +23,18 @@ func NewBoxIndex(newInner func() core.BoxIndex, opts Options) *BoxIndex {
 	x.moveID = func(m geom.BoxMove) uint32 { return m.ID }
 	x.moveNew = func(m geom.BoxMove) geom.Rect { return m.New }
 	x.fold = FoldBoxMoves
-	x.probePresent = func(ops indexOps[geom.Rect], m geom.BoxMove) bool {
-		if ops.owns != nil && !ops.owns(m.New) {
-			// Region shard that is not the reference owner of the new
-			// rectangle: a self-query must NOT report the id from here
-			// (some other shard owns the reference point and reports it).
-			return !boxAt(ops, m.New, m.ID)
-		}
-		return boxAt(ops, m.New, m.ID)
+	x.probePresent = func(b *buffer[geom.Rect], m geom.BoxMove) bool {
+		// A region shard that is not the reference owner of the new
+		// rectangle must NOT report the id for a self-query (the shard
+		// owning the reference point does).
+		owned := b.ops.owns == nil || b.ops.owns(m.New)
+		return b.holds(m.New, m.ID) == owned
 	}
 	// Absence at the old rectangle is only assertable when old and new
 	// are disjoint: an intersecting query cannot distinguish "still
 	// stored at old" from "stored at new, which also intersects old".
-	x.probeAbsent = func(ops indexOps[geom.Rect], m geom.BoxMove) bool {
-		if m.Old.Intersects(m.New) {
-			return true
-		}
-		return !boxAt(ops, m.Old, m.ID)
+	x.probeAbsent = func(b *buffer[geom.Rect], m geom.BoxMove) bool {
+		return m.Old.Intersects(m.New) || !b.holds(m.Old, m.ID)
 	}
 	return x
 }
@@ -51,17 +46,6 @@ func NewBoxIndex(newInner func() core.BoxIndex, opts Options) *BoxIndex {
 // must condition presence on that ownership.
 type RectOwner interface {
 	OwnsRect(r geom.Rect) bool
-}
-
-// boxAt reports whether the index emits id for a query of rect r.
-func boxAt(ops indexOps[geom.Rect], r geom.Rect, id uint32) bool {
-	found := false
-	ops.query(r, func(got uint32) {
-		if got == id {
-			found = true
-		}
-	})
-	return found
 }
 
 func newBoxBuffer(idx core.BoxIndex, n int) *buffer[geom.Rect] {

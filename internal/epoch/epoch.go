@@ -22,8 +22,15 @@
 // one epoch is visible per query.
 //
 // Because publishing leaves the new shadow one batch behind the new
-// live, the writer carries the published batch and replays it into the
-// shadow at the start of the next tick (the catch-up protocol).
+// live, the writer carries the published batch and lands it in the
+// shadow ahead of the next tick's batch (the catch-up protocol). There
+// are two equally validated ways to land carry and batch. Replay feeds
+// them to the inner index move by move. Bulk assigns them into the
+// shadow's snapshot and runs one inner build — the paper's per-tick
+// rebuild, which at its default half-the-population batches is several
+// times cheaper than the replay and leaves the readers a freshly packed
+// layout. bulkPays picks between them from the pending move count and
+// the population alone; see README.md, "Replay vs bulk apply".
 //
 // # Consistency digests
 //
@@ -71,7 +78,20 @@ const (
 	defaultMaxBackoff = 20 * time.Millisecond
 	// maxProbes bounds the sampled membership probes per validation.
 	maxProbes = 16
+	// bulkShare decides how the shadow catches up (see bulkPays): once
+	// the pending moves (carry + batch) exceed 1/bulkShare of the
+	// population, landing them in the snapshot and running one inner
+	// build is cheaper than replaying them. Derived from the measured
+	// build-per-object and update-per-move costs; the crossover table is
+	// in README.md ("Replay vs bulk apply").
+	bulkShare = 6
 )
+
+// bulkPays is the whole apply-path policy: it sees the number of
+// pending moves and the population, nothing else.
+func bulkPays(pending, population int) bool {
+	return pending*bulkShare > population
+}
 
 // Options configures a wrapper. The zero value is production-ready:
 // no fault injection and the default retry/backoff policy.
@@ -138,6 +158,20 @@ type buffer[P any] struct {
 	// active counts pinned readers; the writer quiesces on it after a
 	// swap before reusing the buffer as shadow.
 	active atomic.Int64
+	// probe is the writer's result scratch for the membership probes
+	// (holds), touched only while the buffer is the shadow.
+	probe []uint32
+}
+
+// holds reports whether a query of r on the buffer's index returns id.
+func (b *buffer[P]) holds(r geom.Rect, id uint32) bool {
+	b.probe = b.ops.queryAppend(r, b.probe[:0])
+	for _, got := range b.probe {
+		if got == id {
+			return true
+		}
+	}
+	return false
 }
 
 // pub is the generic epoch publisher. P is the object geometry, M the
@@ -154,6 +188,12 @@ type pub[P any, M any] struct {
 	// failed tick left it in an unknown state): the next apply rebuilds.
 	dirty bool
 	opts  Options
+	// lastOf is validate's scratch, kept across ticks so a steady-state
+	// ApplyBatch allocates nothing. lastOf[id] is the index of id's
+	// final move in the batch under validation: written for every move,
+	// read only for probed ids (which the same batch wrote), so stale
+	// entries are never seen and it is never cleared.
+	lastOf []int32
 
 	// ins holds the lifecycle counters (always present, backing Stats)
 	// and the optional registry-shared series and phase spans (obs.go).
@@ -164,12 +204,12 @@ type pub[P any, M any] struct {
 	moveNew func(m M) P
 	// fold chains the epoch digest over one batch.
 	fold func(d uint64, moves []M) uint64
-	// probePresent queries ops for the id at its post-move geometry.
-	// probeAbsent reports whether the id is detectably gone from its
-	// pre-move geometry (false when the two overlap and absence cannot
-	// be asserted).
-	probePresent func(ops indexOps[P], m M) bool
-	probeAbsent  func(ops indexOps[P], m M) bool
+	// probePresent queries the buffer for the id at its post-move
+	// geometry. probeAbsent reports whether the id is detectably gone
+	// from its pre-move geometry (false when the two overlap and absence
+	// cannot be asserted).
+	probePresent func(b *buffer[P], m M) bool
+	probeAbsent  func(b *buffer[P], m M) bool
 }
 
 // build initializes both buffers from the snapshot (epoch 0). The
@@ -255,43 +295,57 @@ func (x *pub[P, M]) fire(site string, n int) int {
 	return n
 }
 
-// applyIncremental replays carry and applies the batch move by move,
-// keeping the buffer's index and snapshot coherent at every step. The
-// "apply" fault site fires once per batch; a torn fault truncates the
-// applied suffix (both index and snapshot, so the tear is only
-// detectable by validation — exactly the failure it simulates).
-func (x *pub[P, M]) applyIncremental(sh *buffer[P], moves []M) error {
+// applyReplay replays carry and applies the batch move by move, keeping
+// the buffer's index and snapshot coherent at every step. The "apply"
+// fault site fires once per batch; a torn fault truncates the applied
+// suffix (both index and snapshot, so the tear is only detectable by
+// validation — exactly the failure it simulates).
+func (x *pub[P, M]) applyReplay(sh *buffer[P], moves []M) error {
+	replay := func(ms []M) {
+		for _, m := range ms {
+			id := x.moveID(m)
+			sh.ops.update(id, sh.snap[id], x.moveNew(m))
+			sh.snap[id] = x.moveNew(m)
+		}
+	}
 	return x.contained(func() {
-		for _, m := range x.carry {
-			id := x.moveID(m)
-			old := sh.snap[id]
-			sh.ops.update(id, old, x.moveNew(m))
-			sh.snap[id] = x.moveNew(m)
-		}
-		n := x.fire("apply", len(moves))
-		for _, m := range moves[:n] {
-			id := x.moveID(m)
-			old := sh.snap[id]
-			sh.ops.update(id, old, x.moveNew(m))
-			sh.snap[id] = x.moveNew(m)
-		}
+		replay(x.carry)
+		replay(moves[:x.fire("apply", len(moves))])
 	})
 }
 
-// applyRebuild recovers the shadow from scratch: live snapshot plus the
-// pending batches folded in by plain assignment, then a full inner
-// build. The "build" fault site fires here.
+// landAndBuild folds carry and the batch into the shadow snapshot by
+// plain assignment and runs one full inner build, firing the given
+// fault site once per batch with applyReplay's torn semantics: the
+// truncated suffix never reaches the snapshot, the build is coherent
+// with what did, and only the validation probes can see the tear.
+func (x *pub[P, M]) landAndBuild(sh *buffer[P], site string, moves []M) {
+	land := func(ms []M) {
+		for _, m := range ms {
+			sh.snap[x.moveID(m)] = x.moveNew(m)
+		}
+	}
+	land(x.carry)
+	land(moves[:x.fire(site, len(moves))])
+	sh.ops.build(sh.snap)
+}
+
+// applyBulk is applyReplay's alternative for batches that are a large
+// share of the population (bulkPays): the shadow snapshot is already one
+// carry behind live, so landing carry and batch in it and rebuilding
+// reaches the same state without a per-move update. Same "apply" fault
+// site, same validation afterwards.
+func (x *pub[P, M]) applyBulk(sh *buffer[P], moves []M) error {
+	return x.contained(func() { x.landAndBuild(sh, "apply", moves) })
+}
+
+// applyRebuild recovers a shadow in an unknown state: the live snapshot
+// is copied over it first, then the pending batches land as in
+// applyBulk. The "build" fault site fires here.
 func (x *pub[P, M]) applyRebuild(sh, live *buffer[P], moves []M) error {
 	return x.contained(func() {
 		copy(sh.snap, live.snap)
-		for _, m := range x.carry {
-			sh.snap[x.moveID(m)] = x.moveNew(m)
-		}
-		n := x.fire("build", len(moves))
-		for _, m := range moves[:n] {
-			sh.snap[x.moveID(m)] = x.moveNew(m)
-		}
-		sh.ops.build(sh.snap)
+		x.landAndBuild(sh, "build", moves)
 	})
 }
 
@@ -313,9 +367,17 @@ func (x *pub[P, M]) validate(sh *buffer[P], moves []M) error {
 	// A merged or replayed batch may move the same id twice; only its
 	// final move describes the published position, so probes skip
 	// superseded moves.
-	lastOf := make(map[uint32]int, len(moves))
+	if len(x.lastOf) < len(sh.snap) {
+		x.lastOf = make([]int32, len(sh.snap))
+	}
+	lastOf := x.lastOf
 	for i, m := range moves {
-		lastOf[x.moveID(m)] = i
+		id := x.moveID(m)
+		if int(id) >= len(lastOf) {
+			// Only reachable past a torn apply, which never touched it.
+			return fmt.Errorf("epoch: move %d/%d names id %d, snapshot has %d", i, len(moves), id, len(sh.snap))
+		}
+		lastOf[id] = int32(i)
 	}
 	stride := 1
 	if len(moves) > maxProbes {
@@ -323,14 +385,14 @@ func (x *pub[P, M]) validate(sh *buffer[P], moves []M) error {
 	}
 	probe := func(i int) error {
 		m := moves[i]
-		if lastOf[x.moveID(m)] != i {
+		if int(lastOf[x.moveID(m)]) != i {
 			return nil
 		}
-		if !x.probePresent(sh.ops, m) {
+		if !x.probePresent(sh, m) {
 			return fmt.Errorf("epoch: move %d/%d (id %d) not found at its new position",
 				i, len(moves), x.moveID(m))
 		}
-		if !x.probeAbsent(sh.ops, m) {
+		if !x.probeAbsent(sh, m) {
 			return fmt.Errorf("epoch: move %d/%d (id %d) still present at its old position",
 				i, len(moves), x.moveID(m))
 		}
@@ -352,6 +414,13 @@ func (x *pub[P, M]) validate(sh *buffer[P], moves []M) error {
 // validate, publish, quiesce. On failure it degrades per the package
 // comment. Returns the published epoch.
 func (x *pub[P, M]) applyBatch(moves []M) (uint64, error) {
+	return x.applyBatchVia(moves, bulkPays)
+}
+
+// applyBatchVia is applyBatch with the apply-path policy as an argument,
+// so the package's differential tests and crossover benchmark can hold
+// the two paths against each other on one move stream.
+func (x *pub[P, M]) applyBatchVia(moves []M, bulk func(pending, population int) bool) (uint64, error) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	live := x.live.Load()
@@ -367,14 +436,19 @@ func (x *pub[P, M]) applyBatch(moves []M) (uint64, error) {
 		if !applied {
 			var err error
 			as := x.ins.reg.Enter(x.ins.apply)
-			if x.dirty {
+			switch {
+			case x.dirty:
 				err = x.applyRebuild(sh, live, moves)
-			} else {
-				err = x.applyIncremental(sh, moves)
-				// Whatever happens next, the shadow can no longer be
-				// caught up incrementally except by this tick's success.
-				x.dirty = true
+			case bulk(len(x.carry)+len(moves), len(sh.snap)):
+				x.ins.rBulk.Inc()
+				err = x.applyBulk(sh, moves)
+			default:
+				x.ins.rReplay.Inc()
+				err = x.applyReplay(sh, moves)
 			}
+			// Whatever happens next, the shadow can no longer be caught
+			// up from carry except by this tick's success.
+			x.dirty = true
 			x.ins.reg.Exit(as)
 			if err == nil {
 				vs := x.ins.reg.Enter(x.ins.validate)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/faultutil"
 	"repro/internal/geom"
 	"repro/internal/grid"
+	"repro/internal/obs"
 	"repro/internal/rtree"
 	"repro/internal/tune"
 	"repro/internal/xrand"
@@ -185,19 +186,30 @@ func TestEpochBoxMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// Batch sizes that keep every tick of a faultRound (1200 objects; carry
+// plus a batch merged after a failed tick included) on one side of
+// bulkPays.
+const (
+	replayBatch = 60
+	bulkBatch   = 400
+)
+
 // faultRound runs one wrapper through ticks with an armed injector and
 // verifies: no process crash (trivially), every successful tick's
 // queries exactly match the oracle, failed ticks keep serving the prior
 // oracle state, and the batch replays cleanly once the fault budget is
-// spent.
-func faultRound(t *testing.T, spec string, opts Options, wantDegraded, wantErr bool) Stats {
+// spent. The batch size picks the apply path under test, and the
+// apply-path counters must show that no tick took the other one.
+func faultRound(t *testing.T, spec string, opts Options, batch int, wantDegraded, wantErr bool) Stats {
 	t.Helper()
-	const n, batch = 1200, 250
+	const n = 1200
 	r := xrand.New(29)
 	oracle := randomPoints(r, n)
 	published := append([]geom.Point(nil), oracle...)
 	opts.Injector = faultutil.MustNew(5, spec)
 	x := NewIndex(pointFamilies(n)["csr"], opts)
+	reg := obs.New()
+	x.Instrument(reg)
 	x.Build(oracle)
 	wantDigest := SnapshotDigestPoints(oracle)
 
@@ -246,50 +258,95 @@ func faultRound(t *testing.T, spec string, opts Options, wantDegraded, wantErr b
 	if wantErr != sawErr {
 		t.Fatalf("spec %q: sawErr=%v, want %v (stats %+v)", spec, sawErr, wantErr, s)
 	}
+	bulk, replay := reg.Counter("epoch.apply_bulk").Value(), reg.Counter("epoch.apply_replay").Value()
+	if wantBulk := bulkPays(batch, n); (wantBulk && (bulk == 0 || replay != 0)) || (!wantBulk && (replay == 0 || bulk != 0)) {
+		t.Fatalf("spec %q batch %d: %d bulk and %d replay applies, want only bulk=%v", spec, batch, bulk, replay, wantBulk)
+	}
 	return s
 }
 
 // TestFaultMatrix injects every mode at every pipeline site and demands
 // graceful degradation: the wrapper keeps serving a valid epoch, the
 // inner invariants hold (validate runs CheckInvariants before every
-// publish), and the batch eventually lands.
+// publish), and the batch eventually lands. The batches stay on the
+// replay path; TestFaultMatrixBulk repeats the apply and swap cases on
+// the bulk path.
 func TestFaultMatrix(t *testing.T) {
 	t.Run("apply panic recovers in-tick", func(t *testing.T) {
-		s := faultRound(t, "apply:panic*1", Options{}, true, false)
+		s := faultRound(t, "apply:panic*1", Options{}, replayBatch, true, false)
 		if s.PanicsContained == 0 || s.Retries == 0 {
 			t.Fatalf("stats %+v", s)
 		}
 	})
 	t.Run("apply torn caught by probes", func(t *testing.T) {
-		faultRound(t, "apply:torn*1", Options{}, true, false)
+		faultRound(t, "apply:torn*1", Options{}, replayBatch, true, false)
 	})
 	t.Run("apply delay is harmless", func(t *testing.T) {
-		faultRound(t, "apply:delay:2ms*2", Options{}, false, false)
+		faultRound(t, "apply:delay:2ms*2", Options{}, replayBatch, false, false)
 	})
 	t.Run("swap panic retries publish", func(t *testing.T) {
-		s := faultRound(t, "swap:panic*1", Options{}, true, false)
+		s := faultRound(t, "swap:panic*1", Options{}, replayBatch, true, false)
 		if s.PanicsContained == 0 {
 			t.Fatalf("stats %+v", s)
 		}
 	})
 	t.Run("swap delay is harmless", func(t *testing.T) {
-		faultRound(t, "swap:delay:2ms*2", Options{}, false, false)
+		faultRound(t, "swap:delay:2ms*2", Options{}, replayBatch, false, false)
 	})
 	t.Run("rebuild panics too then recovers", func(t *testing.T) {
-		s := faultRound(t, "apply:panic*1, build:panic*1", Options{}, true, false)
+		s := faultRound(t, "apply:panic*1, build:panic*1", Options{}, replayBatch, true, false)
 		if s.PanicsContained < 2 {
 			t.Fatalf("stats %+v", s)
 		}
 	})
 	t.Run("torn rebuild caught then recovers", func(t *testing.T) {
-		faultRound(t, "apply:torn*1, build:torn*1", Options{}, true, false)
+		faultRound(t, "apply:torn*1, build:torn*1", Options{}, replayBatch, true, false)
 	})
 	t.Run("exhausted retries serve last good epoch", func(t *testing.T) {
 		// Tick 0 burns both attempts (incremental apply panics, the
 		// rebuild retry panics too) and fails outright; tick 1's merged
 		// batch spends the last build fault on its first attempt and
 		// lands on the retry.
-		s := faultRound(t, "apply:panic*1, build:panic*2", Options{MaxRetries: 1}, true, true)
+		s := faultRound(t, "apply:panic*1, build:panic*2", Options{MaxRetries: 1}, replayBatch, true, true)
+		if s.PanicsContained != 3 {
+			t.Fatalf("stats %+v", s)
+		}
+	})
+}
+
+// TestFaultMatrixBulk drives the same sites through batches large
+// enough for the bulk apply: a contained panic, a torn landing (the
+// build is coherent with the truncated snapshot, so only the last-move
+// probe can refuse it) and a failed swap each degrade the tick, recover
+// through applyRebuild or a publish retry, and never serve anything but
+// a published epoch (faultRound checks every query after every tick).
+func TestFaultMatrixBulk(t *testing.T) {
+	t.Run("apply panic", func(t *testing.T) {
+		s := faultRound(t, "apply:panic*1", Options{}, bulkBatch, true, false)
+		if s.PanicsContained != 1 || s.Retries != 1 {
+			t.Fatalf("stats %+v", s)
+		}
+	})
+	t.Run("apply torn", func(t *testing.T) {
+		s := faultRound(t, "apply:torn*1", Options{}, bulkBatch, true, false)
+		if s.PanicsContained != 0 || s.Retries != 1 {
+			t.Fatalf("a torn bulk apply must fail validation, not panic or publish: %+v", s)
+		}
+	})
+	t.Run("swap panic", func(t *testing.T) {
+		s := faultRound(t, "swap:panic*1", Options{}, bulkBatch, true, false)
+		if s.PanicsContained != 1 || s.Retries != 1 {
+			t.Fatalf("stats %+v", s)
+		}
+	})
+	t.Run("rebuild fails too", func(t *testing.T) {
+		s := faultRound(t, "apply:torn*1, build:panic*1", Options{}, bulkBatch, true, false)
+		if s.PanicsContained != 1 || s.Retries != 2 {
+			t.Fatalf("stats %+v", s)
+		}
+	})
+	t.Run("exhausted retries", func(t *testing.T) {
+		s := faultRound(t, "apply:panic*1, build:panic*2", Options{MaxRetries: 1}, bulkBatch, true, true)
 		if s.PanicsContained != 3 {
 			t.Fatalf("stats %+v", s)
 		}

@@ -15,12 +15,16 @@ import (
 // fault schedules, asserting the publication contract: every query's
 // digest matches exactly one published epoch's oracle digest, and that
 // epoch is one of the (at most two) epochs adjacent to the query's
-// execution window — never a blend, never an unpublished state.
+// execution window — never a blend, never an unpublished state. The
+// batch size also picks the apply path (bulkPays over 600 objects):
+// the corpus holds both sides of it, with and without faults.
 func FuzzEpochQueryDuringUpdate(f *testing.F) {
 	f.Add(uint64(1), uint16(64), uint8(6), false)
 	f.Add(uint64(42), uint16(200), uint8(10), false)
 	f.Add(uint64(7), uint16(1), uint8(3), true)
 	f.Add(uint64(99), uint16(500), uint8(8), true)
+	f.Add(uint64(5), uint16(600), uint8(12), true) // whole population per tick: bulk
+	f.Add(uint64(3), uint16(20), uint8(12), true)  // 1/15 pending: replay on every tick
 	f.Fuzz(func(t *testing.T, seed uint64, batch uint16, ticks uint8, injectFaults bool) {
 		const n, readers = 600, 3
 		if batch == 0 {

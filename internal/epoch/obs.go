@@ -21,6 +21,10 @@ type ins struct {
 	// Registry-shared lifecycle series.
 	rEpochs, rDegraded, rRetries, rPanics *obs.Counter
 
+	// Registry-only: ticks whose first apply attempt took the bulk
+	// (land + build) or the replay (per-move update) path.
+	rBulk, rReplay *obs.Counter
+
 	// Maintenance-phase spans of applyBatch.
 	apply, validate, publish, quiesce *obs.Histogram
 }
@@ -45,6 +49,8 @@ func (i *ins) bind(r *obs.Registry) {
 	i.rDegraded = r.Counter("epoch.degraded_ticks")
 	i.rRetries = r.Counter("epoch.publish_retries")
 	i.rPanics = r.Counter("epoch.panics_contained")
+	i.rBulk = r.Counter("epoch.apply_bulk")
+	i.rReplay = r.Counter("epoch.apply_replay")
 	i.apply = r.Histogram("epoch.apply_ns")
 	i.validate = r.Histogram("epoch.validate_ns")
 	i.publish = r.Histogram("epoch.publish_ns")

@@ -35,20 +35,14 @@ func NewIndex(newInner func() core.Index, opts Options) *Index {
 	x.moveID = func(m geom.Move) uint32 { return m.ID }
 	x.moveNew = func(m geom.Move) geom.Point { return m.New }
 	x.fold = FoldMoves
-	x.probePresent = func(ops indexOps[geom.Point], m geom.Move) bool {
-		if ops.owns != nil && !ops.owns(m.New) {
-			// The inner is a region shard that does not own the new
-			// position: the move is an emigration and the id must be GONE
-			// from this shard's query results at its new position.
-			return !pointAt(ops, m.New, m.ID)
-		}
-		return pointAt(ops, m.New, m.ID)
+	x.probePresent = func(b *buffer[geom.Point], m geom.Move) bool {
+		// A region shard that does not own the new position sees an
+		// emigration: the id must be GONE from its results there.
+		owned := b.ops.owns == nil || b.ops.owns(m.New)
+		return b.holds(m.New.Rect(), m.ID) == owned
 	}
-	x.probeAbsent = func(ops indexOps[geom.Point], m geom.Move) bool {
-		if m.Old == m.New {
-			return true
-		}
-		return !pointAt(ops, m.Old, m.ID)
+	x.probeAbsent = func(b *buffer[geom.Point], m geom.Move) bool {
+		return m.Old == m.New || !b.holds(m.Old.Rect(), m.ID)
 	}
 	return x
 }
@@ -59,18 +53,6 @@ func NewIndex(newInner func() core.Index, opts Options) *Index {
 // condition presence on ownership of the probed position.
 type PointOwner interface {
 	OwnsPoint(p geom.Point) bool
-}
-
-// pointAt reports whether the index emits id for an exact-point query
-// at p.
-func pointAt(ops indexOps[geom.Point], p geom.Point, id uint32) bool {
-	found := false
-	ops.query(p.Rect(), func(got uint32) {
-		if got == id {
-			found = true
-		}
-	})
-	return found
 }
 
 func newPointBuffer(idx core.Index, n int) *buffer[geom.Point] {

@@ -288,6 +288,8 @@ type Grid struct {
 	shardOff  [2][]uint32
 	// queries counts query-kernel entries (nil until Instrument).
 	queries *obs.Counter
+	// audit is CheckInvariants' reusable state (nil until first used).
+	audit *occupancy
 }
 
 // New constructs a grid for the given space. numPoints sizes the arenas;

@@ -23,6 +23,9 @@ import "fmt"
 // counts within segment capacity, slack/overflow accounting consistent
 // with the shared entry counter, and the inlined coordinate arena (CSRXY)
 // mirroring the base table slot for slot.
+//
+// The audit keeps its scratch on the grid (see occupancy), so like Build
+// and Update it is a single-caller operation.
 func (g *Grid) CheckInvariants() error {
 	if st := g.csr; st != nil {
 		if err := st.checkCSR(); err != nil {
@@ -30,41 +33,65 @@ func (g *Grid) CheckInvariants() error {
 		}
 	}
 	n := len(g.pts)
-	seen := make([]uint8, n)
-	total := 0
-	var err error
-	for c := 0; c < g.cells && err == nil; c++ {
-		c := c
-		g.st.scanCell(c, func(id uint32) {
-			total++
-			if err != nil {
-				return
-			}
-			if int(id) >= n {
-				err = fmt.Errorf("grid: cell %d holds id %d beyond snapshot size %d", c, id, n)
-				return
-			}
-			if seen[id] != 0 {
-				err = fmt.Errorf("grid: id %d stored in more than one cell", id)
-				return
-			}
-			seen[id] = 1
-			if want := g.cellIndexFor(g.pts[id]); want != c {
-				err = fmt.Errorf("grid: id %d at %v stored in cell %d, want %d",
-					id, g.pts[id], c, want)
-			}
-		})
+	a := g.audit
+	if a == nil {
+		a = &occupancy{g: g}
+		a.visit = a.visitID
+		g.audit = a
 	}
-	if err != nil {
-		return err
+	if cap(a.seen) < n {
+		a.seen = make([]uint8, n)
 	}
-	if total != n {
-		return fmt.Errorf("grid: %d entries stored, snapshot has %d", total, n)
+	a.seen = a.seen[:n]
+	clear(a.seen)
+	a.total, a.err = 0, nil
+	for a.cell = 0; a.cell < g.cells && a.err == nil; a.cell++ {
+		g.st.scanCell(a.cell, a.visit)
+	}
+	if a.err != nil {
+		return a.err
+	}
+	if a.total != n {
+		return fmt.Errorf("grid: %d entries stored, snapshot has %d", a.total, n)
 	}
 	if l := g.Len(); l != n {
 		return fmt.Errorf("grid: Len() = %d, snapshot has %d", l, n)
 	}
 	return nil
+}
+
+// occupancy is the state of one CheckInvariants pass. It lives on the
+// grid, with the cell visitor bound once as a method value, because the
+// epoch publisher audits the shadow before every publish: a fresh seen
+// table and one closure per cell were n bytes plus cps*cps heap objects
+// per tick of a running service.
+type occupancy struct {
+	g     *Grid
+	seen  []uint8
+	visit func(id uint32)
+	cell  int
+	total int
+	err   error
+}
+
+func (a *occupancy) visitID(id uint32) {
+	a.total++
+	if a.err != nil {
+		return
+	}
+	g, c := a.g, a.cell
+	if int(id) >= len(a.seen) {
+		a.err = fmt.Errorf("grid: cell %d holds id %d beyond snapshot size %d", c, id, len(a.seen))
+		return
+	}
+	if a.seen[id] != 0 {
+		a.err = fmt.Errorf("grid: id %d stored in more than one cell", id)
+		return
+	}
+	a.seen[id] = 1
+	if want := g.cellIndexFor(g.pts[id]); want != c {
+		a.err = fmt.Errorf("grid: id %d at %v stored in cell %d, want %d", id, g.pts[id], c, want)
+	}
 }
 
 // checkCSR audits the csrStore arena bookkeeping.

@@ -8,6 +8,7 @@ import (
 	"repro/internal/epoch"
 	"repro/internal/faultutil"
 	"repro/internal/geom"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -147,6 +148,39 @@ func TestShardConcurrentSharded(t *testing.T) {
 			}
 			if res.FailedTicks != 0 {
 				t.Fatalf("%d failed ticks without fault injection", res.FailedTicks)
+			}
+		})
+	}
+}
+
+// TestShardConcurrentInheritsApplyPaths checks that every region's
+// epoch wrapper picks its own apply path from its routed share of the
+// full snapshot: one region with every object updating rebuilds in
+// bulk, sixteen regions with one object in fifty updating replay, and
+// both stay consistent under the per-shard oracles.
+func TestShardConcurrentInheritsApplyPaths(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		side     int
+		updaters float64
+		bulk     bool
+	}{
+		{"bulk", 1, 1, true},
+		{"replay", 4, 0.02, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testPointConfig()
+			cfg.Updaters = tc.updaters
+			p := core.Params{Bounds: cfg.Bounds(), NumPoints: cfg.NumPoints, Shards: tc.side}
+			reg := obs.New()
+			res := core.RunConcurrentSharded(NewConcurrent(p, epoch.Options{}), workload.MustNewGenerator(cfg),
+				core.ConcurrentOptions{Readers: 2, Obs: reg})
+			if res.Violations != 0 || res.FailedTicks != 0 {
+				t.Fatalf("%d violations, %d failed ticks", res.Violations, res.FailedTicks)
+			}
+			bulk, replay := reg.Counter("epoch.apply_bulk").Value(), reg.Counter("epoch.apply_replay").Value()
+			if tc.bulk && (bulk == 0 || replay > 1) || !tc.bulk && (bulk != 0 || replay == 0) {
+				t.Fatalf("%d bulk and %d replay applies, want bulk=%v", bulk, replay, tc.bulk)
 			}
 		})
 	}
