@@ -47,22 +47,18 @@ func boxEngine(idx BoxIndex, src workload.BoxSource) *engine[geom.Rect] {
 		e.buildParallel = builder.BuildParallel
 	}
 	batcher, _ := idx.(BoxBatchUpdater)
-	var moves []geom.BoxMove
-	e.updatePhase = func(snap []geom.Rect, workers int) int {
-		batch := src.Updates()
-		if workers > 1 && batcher != nil && batcher.CanBatchUpdates(len(batch)) {
-			moves = moves[:0]
+	e.updatePhase = updatePhaseOf(src.Updates, src.ApplyUpdates,
+		func(moves []geom.BoxMove, batch []workload.BoxUpdate, snap []geom.Rect) []geom.BoxMove {
 			for _, u := range batch {
 				moves = append(moves, geom.BoxMove{ID: u.ID, Old: snap[u.ID], New: u.Rect})
 			}
-			batcher.UpdateBatch(moves, workers)
-		} else {
+			return moves
+		},
+		func(batch []workload.BoxUpdate, snap []geom.Rect) {
 			for _, u := range batch {
 				idx.Update(u.ID, snap[u.ID], u.Rect)
 			}
-		}
-		src.ApplyUpdates(batch)
-		return len(batch)
-	}
+		},
+		batcher)
 	return e
 }

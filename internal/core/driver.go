@@ -136,8 +136,9 @@ func ParamsFor(cfg workload.Config) Params {
 //  2. query: for every querier q, probe idx with the square query centred
 //     on q and fold all reported IDs into the result;
 //  3. update: fetch the tick's update batch, notify the index of each
-//     move, and apply the batch to the base table at the very end, so
-//     queries only ever saw the previous tick's state.
+//     move (in one UpdateBatch call when it is a BatchUpdater with a
+//     bulk path for the batch), and apply the batch to the base table at
+//     the very end, so queries only ever saw the previous tick's state.
 func Run(idx Index, src workload.Source, opts Options) *Result {
 	obs.Instrument(idx, opts.Obs)
 	return runTicks(pointEngine(idx, src), opts)
@@ -167,23 +168,19 @@ func pointEngine(idx Index, src workload.Source) *engine[geom.Point] {
 		e.buildParallel = builder.BuildParallel
 	}
 	batcher, _ := idx.(BatchUpdater)
-	var moves []geom.Move
-	e.updatePhase = func(snap []geom.Point, workers int) int {
-		batch := src.Updates()
-		if workers > 1 && batcher != nil && batcher.CanBatchUpdates(len(batch)) {
-			moves = moves[:0]
+	e.updatePhase = updatePhaseOf(src.Updates, src.ApplyUpdates,
+		func(moves []geom.Move, batch []workload.Update, snap []geom.Point) []geom.Move {
 			for _, u := range batch {
 				moves = append(moves, geom.Move{ID: u.ID, Old: snap[u.ID], New: u.Pos})
 			}
-			batcher.UpdateBatch(moves, workers)
-		} else {
+			return moves
+		},
+		func(batch []workload.Update, snap []geom.Point) {
 			for _, u := range batch {
 				idx.Update(u.ID, snap[u.ID], u.Pos)
 			}
-		}
-		src.ApplyUpdates(batch)
-		return len(batch)
-	}
+		},
+		batcher)
 	return e
 }
 

@@ -70,11 +70,40 @@ type engine[P any] struct {
 	// center maps an object's geometry to the point its queries are
 	// scheduled by (identity for points, MBR centre for boxes).
 	center func(p P) geom.Point
-	// updatePhase runs the whole update phase: fetch the tick's batch,
-	// notify the index of every move (batched across workers when the
-	// index supports it and workers > 1), and apply the batch to the
-	// base table. Returns the number of updates.
+	// updatePhase runs the whole update phase (see updatePhaseOf) and
+	// returns the number of updates.
 	updatePhase func(snap []P, workers int) int
+}
+
+// updatePhaseOf builds an engine's update phase: fetch the tick's batch,
+// tell the index of every move — in one UpdateBatch call when it has a
+// bulk path for a batch this size (batcher is nil when it has none), one
+// Update per move otherwise — and apply the batch to the base table at
+// the very end. The two loops over the batch are the geometry's own, so
+// neither pays a call per move: moveAll appends the batch's moves (each
+// update paired with the object's geometry in the snapshot), updateEach
+// calls Update for each.
+func updatePhaseOf[P, U, M any](
+	updates func() []U, apply func([]U),
+	moveAll func(moves []M, batch []U, snap []P) []M,
+	updateEach func(batch []U, snap []P),
+	batcher interface {
+		UpdateBatch(moves []M, workers int)
+		CanBatchUpdates(n int) bool
+	},
+) func(snap []P, workers int) int {
+	var moves []M
+	return func(snap []P, workers int) int {
+		batch := updates()
+		if batcher != nil && batcher.CanBatchUpdates(len(batch)) {
+			moves = moveAll(moves[:0], batch, snap)
+			batcher.UpdateBatch(moves, workers)
+		} else {
+			updateEach(batch, snap)
+		}
+		apply(batch)
+		return len(batch)
+	}
 }
 
 // clampTicks resolves the Options tick cap against the workload's count.
@@ -193,8 +222,8 @@ func runTicks[P any](e *engine[P], opts Options) *Result {
 //     contiguous blocks of that order through an atomic cursor: each
 //     worker sweeps the grid in cache-friendly Z-order while skew cannot
 //     idle anyone.
-//   - update: the update phase receives the worker count and batches
-//     across workers when the index supports it.
+//   - update: the update phase hands the worker count to the index's
+//     bulk path, when it has one.
 //
 // The order-independent result digest makes the outcome comparable with
 // sequential runs bit for bit.

@@ -59,15 +59,22 @@ type ParallelBuilder interface {
 }
 
 // BatchUpdater is an optional interface for indexes that can apply a whole
-// tick's update batch at once — typically by partitioning the moves by
-// target cell and fanning them out over workers. The batch contains at
-// most one move per object ID. The result must be indistinguishable from
-// calling Update(m.ID, m.Old, m.New) for each move in order.
+// tick's update batch at once. It is a bulk path first and a fan-out
+// second: every driver, the sequential ones included, hands the batch
+// over in one call whenever CanBatchUpdates says so, and an index that
+// sees all of a tick's moves together can do less work than one Update
+// per move (the CSR grids validate against their per-object cell labels
+// and re-scatter once many movers cross a cell); workers is how many
+// goroutines it may use on top of that, 1 from a sequential driver. The
+// batch contains at most one move per object ID. The result must be
+// indistinguishable from calling Update(m.ID, m.Old, m.New) for each
+// move in order.
 type BatchUpdater interface {
 	UpdateBatch(moves []geom.Move, workers int)
 	// CanBatchUpdates reports whether UpdateBatch would take a path
 	// that actually differs from per-move Update calls for a batch of n
-	// moves; drivers skip batch assembly when it returns false.
+	// moves at some worker count; drivers skip batch assembly when it
+	// returns false.
 	CanBatchUpdates(n int) bool
 }
 

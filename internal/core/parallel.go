@@ -9,8 +9,8 @@ import (
 // the tick out over the given number of worker goroutines (0 selects
 // GOMAXPROCS); see runTicksParallel for the schedule. Indexes
 // implementing ParallelBuilder build by sharded counting sort, and
-// BatchUpdater implementations apply each tick's update batch partitioned
-// by target cell across workers.
+// BatchUpdater implementations get the worker count for the bulk update
+// path Run already takes.
 func RunParallel(idx Index, src workload.Source, opts Options, workers int) *Result {
 	obs.Instrument(idx, opts.Obs)
 	return runTicksParallel(pointEngine(idx, src), opts, workers)

@@ -102,6 +102,42 @@ func TestRunParallelCSRFullWorkload(t *testing.T) {
 	}
 }
 
+// TestRunEveryoneMoves holds the bulk update path against the per-move
+// one where it matters most: every object moves every tick on gaussian
+// hotspots, so the CSR grids re-scatter each batch while the inline grid
+// removes and inserts each move. Sequential and parallel drivers, csr and
+// csrxy, must all report the brute-force digest.
+func TestRunEveryoneMoves(t *testing.T) {
+	cfg := workload.DefaultGaussian()
+	cfg.NumPoints = 6000
+	cfg.Ticks = 5
+	cfg.SpaceSize = 6000
+	cfg.Updaters = 1
+	cfg.Queriers = 0.1
+	trace, err := workload.Record(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Run(NewBruteForce(), workload.NewPlayer(trace), Options{})
+	if want.Updates != int64(cfg.NumPoints*cfg.Ticks) {
+		t.Fatalf("%d updates, want everyone every tick", want.Updates)
+	}
+	check := func(name string, res *Result) {
+		t.Helper()
+		if res.Pairs != want.Pairs || res.Hash != want.Hash || res.Updates != want.Updates {
+			t.Errorf("%s: (%d, %#x, %d updates), brute force (%d, %#x, %d)",
+				name, res.Pairs, res.Hash, res.Updates, want.Pairs, want.Hash, want.Updates)
+		}
+	}
+	for _, gc := range []grid.Config{grid.CPSTuned(), grid.CSR(), grid.CSRXY()} {
+		mk := func() Index { return grid.MustNew(gc, cfg.Bounds(), cfg.NumPoints) }
+		check(gc.Name+" Run", Run(mk(), workload.NewPlayer(trace), Options{}))
+		for _, workers := range []int{2, 4} {
+			check(gc.Name+" RunParallel", RunParallel(mk(), workload.NewPlayer(trace), Options{}, workers))
+		}
+	}
+}
+
 func TestRunParallelDefaultWorkers(t *testing.T) {
 	cfg := testConfig()
 	cfg.Ticks = 3

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/grid"
+	"repro/internal/workload"
 	"repro/internal/xrand"
 )
 
@@ -60,4 +62,44 @@ func TestBruteForceBoxesQueryAppendZeroAlloc(t *testing.T) {
 	b := NewBruteForceBoxes()
 	b.Build(boxes)
 	assertZeroAllocAppend(t, b.Name(), b.QueryAppend, zeroAllocRects(rng, 50, space, 200))
+}
+
+// The sequential driver's update phase takes the index's bulk path and
+// must not pay for it in garbage: once the move buffer and the grid's
+// scratch have grown, a tick's refresh + update phase allocates nothing.
+func TestSequentialUpdatePhaseZeroAlloc(t *testing.T) {
+	const runs = 20
+	cfg := workload.DefaultUniform()
+	cfg.NumPoints = 5000
+	cfg.SpaceSize = 6000
+	cfg.Updaters = 1
+	cfg.Ticks = runs + 3 // AllocsPerRun runs its function runs+1 times
+	trace, err := workload.Record(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gc := range []grid.Config{grid.CSR(), grid.CSRXY()} {
+		idx := grid.MustNew(gc, cfg.Bounds(), cfg.NumPoints)
+		e := pointEngine(idx, workload.NewPlayer(trace))
+		snap := make([]geom.Point, e.n)
+		e.refresh(snap, 0, len(snap))
+		e.build(snap)
+		tick := func() {
+			// No rebuild in between: the labels carry over, as they do
+			// for the epoch wrapper.
+			e.refresh(snap, 0, len(snap))
+			if e.updatePhase(snap, 1) != cfg.NumPoints {
+				t.Fatal("not everyone moved")
+			}
+		}
+		tick()
+		tick()
+		if allocs := testing.AllocsPerRun(runs, tick); allocs != 0 {
+			t.Errorf("%s: the update phase allocates %.1f times per tick at steady state, want 0", idx.Name(), allocs)
+		}
+		e.refresh(snap, 0, len(snap))
+		if err := idx.CheckInvariants(); err != nil {
+			t.Errorf("%s: %v", idx.Name(), err)
+		}
+	}
 }

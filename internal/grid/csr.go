@@ -1,8 +1,10 @@
 package grid
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/parutil"
@@ -18,18 +20,19 @@ import (
 // chain, no per-bucket header, no pointer chasing. The directory is two
 // plain arrays (starts, counts) instead of bucket references.
 //
-// The build is a two-pass counting sort: count per cell, exclusive prefix
-// sum, scatter. buildParallel shards the input across workers with
-// per-worker count arrays merged by the prefix sum, so the scatter writes
-// to disjoint ranges and the resulting arena is bit-identical to the
-// sequential build.
+// The build is a counting sort in two halves: label (map every point to
+// its cell, into cellOf, counting as it goes) and scatter (prefix sum,
+// then place every ID from its label). Both shard the input across
+// workers with per-worker count arrays merged by the prefix sum, so the
+// arena is bit-identical whatever the worker count.
 //
-// Between builds the layout supports in-place updates: a removal
-// swap-deletes within the cell's segment (leaving slack), an insertion
-// first reuses that slack and otherwise appends to a small per-cell
-// overflow slice. The framework rebuilds every tick, so overflow holds at
-// most one tick's worth of cross-cell moves and is cleared by the next
-// build.
+// The labels stay authoritative between builds: an update finds its
+// entry, and proves it exists, by one load of cellOf[id], never by
+// searching a cell. A single cell-crossing move swap-deletes within the
+// old segment (leaving slack) and lands in the new cell's slack or, failing
+// that, in a small per-cell overflow slice. A batch relabels its movers
+// and, when many cross, re-runs the scatter half from the labels alone
+// (updateBatch): no point is mapped again, overflow and slack are gone.
 type csrStore struct {
 	mapper cellMapper
 
@@ -51,8 +54,27 @@ type csrStore struct {
 	entries int
 	pts     []geom.Point
 
-	cellOf      []uint32   // build scratch: per-point cell index
-	shardCounts [][]uint32 // build scratch: per-worker count arrays
+	// cellOf[id] is the cell holding entry id: index state, written by
+	// the label half of the build and kept current by every update.
+	cellOf   []uint32
+	cursors  [][]uint32 // per-shard count, then scatter cursor, arrays of the sort; cursors[0] is counts
+	crossers []uint32   // updateBatch scratch: the cell-crossing moves, while few
+}
+
+// moverTag marks, in cellOf, an entry of the csrxy layout whose
+// coordinates a re-scatter takes from the batch, not from the base table
+// (see updateBatch). Cell indices and arena slots both stay below it.
+const moverTag = 1 << 31
+
+// rescatterShare is the whole batch-update policy (rescatterPays): once
+// the moves that touch the arena exceed 1/rescatterShare of the
+// population, re-running the scatter half of the build is cheaper than
+// relocating them one by one. README.md ("Updates") has the crossover
+// table behind it (BenchmarkCSRUpdateCrossover).
+const rescatterShare = 32
+
+func rescatterPays(touched, population int) bool {
+	return touched*rescatterShare > population
 }
 
 func newCSRStore(cells int, mapper cellMapper, numPoints int, withXY bool) *csrStore {
@@ -62,33 +84,24 @@ func newCSRStore(cells int, mapper cellMapper, numPoints int, withXY bool) *csrS
 		counts:   make([]uint32, cells),
 		overflow: make([][]uint32, cells),
 	}
+	st.cursors = [][]uint32{st.counts}
 	if withXY {
 		st.xy = make([]float32, 0, 2*numPoints)
 		st.overflowXY = make([][]float32, cells)
 	}
-	if numPoints > 0 {
-		st.ids = make([]uint32, 0, numPoints)
-		st.cellOf = make([]uint32, 0, numPoints)
-	}
+	st.ids = make([]uint32, 0, numPoints)
+	st.cellOf = make([]uint32, 0, numPoints)
 	return st
 }
 
-// reset supports the generic insertAt-driven build path of the store
-// interface: it empties every segment (capacity zero), so subsequent
-// insertAt calls land in overflow. Grid.Build never takes this path for
-// CSR — it calls build/buildParallel — but Update-only call sites and the
-// interface contract stay correct.
+// reset supports the insertAt-driven build of the store interface: every
+// segment gets capacity zero, so insertAt lands in overflow. Grid.Build
+// calls build instead.
 func (st *csrStore) reset(pts []geom.Point) {
-	for i := range st.starts {
-		st.starts[i] = 0
-	}
-	for i := range st.counts {
-		st.counts[i] = 0
-	}
-	st.clearOverflow()
-	st.ids = st.ids[:0]
+	clear(st.starts)
+	clear(st.counts)
+	st.prepare(pts)
 	st.entries = 0
-	st.pts = pts
 }
 
 func (st *csrStore) clearOverflow() {
@@ -104,154 +117,217 @@ func (st *csrStore) clearOverflow() {
 	}
 }
 
-// prepare sizes the arena and scratch for a bulk build over pts.
+// prepare sizes the arena and the labels for a bulk build over pts.
 func (st *csrStore) prepare(pts []geom.Point) {
-	st.pts = pts
-	st.entries = len(pts)
+	n := len(pts)
+	st.pts, st.entries = pts, n
 	st.clearOverflow()
-	if cap(st.ids) < len(pts) {
-		st.ids = make([]uint32, len(pts))
-	} else {
-		st.ids = st.ids[:len(pts)]
-	}
-	if cap(st.cellOf) < len(pts) {
-		st.cellOf = make([]uint32, len(pts))
-	} else {
-		st.cellOf = st.cellOf[:len(pts)]
-	}
+	st.ids = slices.Grow(st.ids[:0], n)[:n]
+	st.cellOf = slices.Grow(st.cellOf[:0], n)[:n]
 	if st.xy != nil {
-		if cap(st.xy) < 2*len(pts) {
-			st.xy = make([]float32, 2*len(pts))
-		} else {
-			st.xy = st.xy[:2*len(pts)]
-		}
+		st.xy = slices.Grow(st.xy[:0], 2*n)[:2*n]
 	}
 }
 
-// build is the sequential two-pass counting sort.
-func (st *csrStore) build(pts []geom.Point) {
+// build is the counting sort over pts, sharded into contiguous chunks of
+// the input when workers > 1 (0 selects GOMAXPROCS; small populations
+// stay on one). A cell's entries are in ascending ID order either way.
+func (st *csrStore) build(pts []geom.Point, workers int) {
 	st.prepare(pts)
-	counts := st.counts
-	for i := range counts {
-		counts[i] = 0
-	}
-	for i := range pts {
-		c := uint32(st.mapper.cellIndexFor(pts[i]))
-		st.cellOf[i] = c
-		counts[c]++
-	}
-	// Exclusive prefix sum into starts; counts becomes the scatter cursor.
-	var sum uint32
-	for c := range counts {
-		st.starts[c] = sum
-		sum += counts[c]
-		counts[c] = 0
-	}
-	st.starts[len(counts)] = sum
-	if st.xy != nil {
-		for i := range pts {
-			c := st.cellOf[i]
-			k := st.starts[c] + counts[c]
-			st.ids[k] = uint32(i)
-			st.xy[2*k] = pts[i].X
-			st.xy[2*k+1] = pts[i].Y
-			counts[c]++
-		}
-		return
-	}
-	for i := range pts {
-		c := st.cellOf[i]
-		st.ids[st.starts[c]+counts[c]] = uint32(i)
-		counts[c]++
-	}
+	shards := st.zeroCursors(workers)
+	st.eachShard(shards, (*csrStore).labelShard)
+	st.scatter(shards)
 }
 
-// buildParallel shards pts into contiguous chunks, one per worker: each
-// worker counts its chunk into a private count array, a sequential pass
-// turns the per-worker counts into per-worker scatter bases via the global
-// prefix sum, and each worker scatters its chunk into its disjoint ranges.
-// Within a cell, entries appear in ascending ID order — exactly the layout
-// the sequential build produces.
-func (st *csrStore) buildParallel(pts []geom.Point, workers int) {
+// rescatter is build without its label half: the cells come from cellOf
+// as the updates left it.
+func (st *csrStore) rescatter(workers int) {
+	st.clearOverflow()
+	shards := st.zeroCursors(workers)
+	st.eachShard(shards, (*csrStore).countShard)
+	st.scatter(shards)
+}
+
+// zeroCursors resolves the shard count for the population and zeroes
+// that many count arrays.
+func (st *csrStore) zeroCursors(workers int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers == 1 || len(pts) < minParallelBuild {
-		st.build(pts)
+	if len(st.cellOf) < minParallelBuild {
+		workers = 1
+	}
+	for len(st.cursors) < workers {
+		st.cursors = append(st.cursors, make([]uint32, len(st.counts)))
+	}
+	for _, sc := range st.cursors[:workers] {
+		clear(sc)
+	}
+	return workers
+}
+
+// eachShard runs one half of the sort over the ID range, inline on one
+// shard (no goroutine, no closure: Build allocates nothing).
+func (st *csrStore) eachShard(shards int, half func(st *csrStore, w, lo, hi int)) {
+	if shards == 1 {
+		half(st, 0, 0, len(st.cellOf))
 		return
 	}
-	st.prepare(pts)
-	cells := len(st.counts)
-	if len(st.shardCounts) < workers {
-		st.shardCounts = make([][]uint32, workers)
-	}
-	for w := 0; w < workers; w++ {
-		if len(st.shardCounts[w]) < cells {
-			st.shardCounts[w] = make([]uint32, cells)
-		} else {
-			sc := st.shardCounts[w][:cells]
-			for i := range sc {
-				sc[i] = 0
-			}
-		}
-	}
+	parutil.ForEachShard(len(st.cellOf), shards, func(w, lo, hi int) { half(st, w, lo, hi) })
+}
 
-	parutil.ForEachShard(len(pts), workers, func(w, lo, hi int) {
-		sc := st.shardCounts[w][:cells]
-		for i := lo; i < hi; i++ {
-			c := uint32(st.mapper.cellIndexFor(pts[i]))
-			st.cellOf[i] = c
-			sc[c]++
-		}
-	})
+func (st *csrStore) labelShard(w, lo, hi int) {
+	sc, pts, cellOf := st.cursors[w], st.pts, st.cellOf
+	for i := lo; i < hi; i++ {
+		c := uint32(st.mapper.cellIndexFor(pts[i]))
+		cellOf[i] = c
+		sc[c]++
+	}
+}
 
-	// Merge: global exclusive prefix sum across (cell, worker) in worker
-	// order, rewriting each shard count into that shard's scatter base.
+func (st *csrStore) countShard(w, lo, hi int) {
+	sc := st.cursors[w]
+	for _, c := range st.cellOf[lo:hi] {
+		sc[c&^moverTag]++
+	}
+}
+
+// scatter turns the per-shard counts into starts and per-shard bases (one
+// exclusive prefix sum across (cell, shard) in shard order) and places
+// every ID from its label, each shard into its own disjoint ranges.
+func (st *csrStore) scatter(shards int) {
 	var sum uint32
-	for c := 0; c < cells; c++ {
+	for c := range st.counts {
 		st.starts[c] = sum
-		for w := 0; w < workers; w++ {
-			n := st.shardCounts[w][c]
-			st.shardCounts[w][c] = sum
+		for _, sc := range st.cursors[:shards] {
+			n := sc[c]
+			sc[c] = sum
 			sum += n
 		}
 	}
-	st.starts[cells] = sum
-
-	parutil.ForEachShard(len(pts), workers, func(w, lo, hi int) {
-		sc := st.shardCounts[w][:cells]
-		if st.xy != nil {
-			for i := lo; i < hi; i++ {
-				c := st.cellOf[i]
-				k := sc[c]
-				st.ids[k] = uint32(i)
-				st.xy[2*k] = pts[i].X
-				st.xy[2*k+1] = pts[i].Y
-				sc[c] = k + 1
-			}
-			return
-		}
-		for i := lo; i < hi; i++ {
-			c := st.cellOf[i]
-			st.ids[sc[c]] = uint32(i)
-			sc[c]++
-		}
-	})
-
-	for c := 0; c < cells; c++ {
+	st.starts[len(st.counts)] = sum
+	st.eachShard(shards, (*csrStore).scatterShard)
+	for c := range st.counts {
 		st.counts[c] = st.starts[c+1] - st.starts[c]
 	}
 }
 
-func (st *csrStore) insertAt(c int, id uint32, p geom.Point) {
-	st.insertLocal(c, id, p)
-	st.entries++
+func (st *csrStore) scatterShard(w, lo, hi int) {
+	sc, cellOf, ids := st.cursors[w], st.cellOf, st.ids
+	if st.xy == nil {
+		for i := lo; i < hi; i++ {
+			c := cellOf[i]
+			ids[sc[c]] = uint32(i)
+			sc[c]++
+		}
+		return
+	}
+	pts, xy := st.pts, st.xy
+	for i := lo; i < hi; i++ {
+		c := cellOf[i]
+		k := sc[c&^moverTag]
+		sc[c&^moverTag] = k + 1
+		ids[k] = uint32(i)
+		xy[2*k], xy[2*k+1] = pts[i].X, pts[i].Y
+		if c&moverTag != 0 {
+			cellOf[i] = k // updateBatch patches the slot and restores the label
+		}
+	}
 }
 
-// insertLocal is insertAt without the shared entries counter; the batched
-// parallel update path calls it from per-cell-shard workers (a move nets
-// zero entries, so the counter needs no touch there).
-func (st *csrStore) insertLocal(c int, id uint32, p geom.Point) {
+func unknownEntry(id uint32, at geom.Point) {
+	panic(fmt.Sprintf("grid: update of unknown entry %d at %v", id, at))
+}
+
+// update is Grid.Update for the CSR layouts: the label both proves the
+// entry exists at old and finds it.
+func (st *csrStore) update(id uint32, old, new geom.Point) {
+	if int(id) >= len(st.cellOf) || st.cellOf[id] != uint32(st.mapper.cellIndexFor(old)) {
+		unknownEntry(id, old)
+	}
+	st.relocate(id, new)
+}
+
+// relocate moves entry id from its labelled cell to the cell of p. A
+// move within the cell leaves the ID arena alone; with coordinates
+// inlined it rewrites the entry's pair.
+func (st *csrStore) relocate(id uint32, p geom.Point) {
+	from, to := st.cellOf[id], uint32(st.mapper.cellIndexFor(p))
+	if from == to {
+		if st.xy != nil {
+			st.setXY(int(from), id, p)
+		}
+		return
+	}
+	if !st.removeAt(int(from), id) {
+		panic(fmt.Sprintf("grid/csr: entry %d is not in its labelled cell %d", id, from))
+	}
+	st.insertAt(int(to), id, p)
+}
+
+// updateBatch applies a batch of moves, at most one per entry, all of
+// them validated against the labels before anything changes. Only movers
+// that touch the arena cost more than a relabel — for csr those crossing
+// a cell boundary, for csrxy all (a coordinate pair each) — and pays
+// decides from their number and the population whether they are relocated
+// one by one or the arena is re-scattered.
+func (st *csrStore) updateBatch(moves []geom.Move, workers int, pays func(touched, population int) bool) {
+	cellOf, tag := st.cellOf, uint32(0)
+	if st.xy != nil {
+		tag = moverTag
+	}
+	for i := range moves {
+		m := &moves[i]
+		if int(m.ID) >= len(cellOf) || cellOf[m.ID] != uint32(st.mapper.cellIndexFor(m.Old)) {
+			unknownEntry(m.ID, m.Old)
+		}
+	}
+	touching, rescattered := st.crossers[:0], false
+	for i := range moves {
+		m := &moves[i]
+		if tag == 0 && cellOf[m.ID] == uint32(st.mapper.cellIndexFor(m.New)) {
+			continue
+		}
+		touching = append(touching, uint32(i))
+		if !pays(len(touching), len(cellOf)) {
+			continue
+		}
+		// Too many to relocate: label them and, with no further test, the
+		// rest of the batch, and re-scatter.
+		for _, j := range touching {
+			cellOf[moves[j].ID] = tag | uint32(st.mapper.cellIndexFor(moves[j].New))
+		}
+		for _, m := range moves[i+1:] {
+			cellOf[m.ID] = tag | uint32(st.mapper.cellIndexFor(m.New))
+		}
+		st.rescatter(workers)
+		rescattered = true
+		break
+	}
+	st.crossers = touching[:0]
+	if !rescattered {
+		for _, j := range touching {
+			st.relocate(moves[j].ID, moves[j].New)
+		}
+	} else if tag != 0 {
+		// The caller's snapshot is stale for the movers until its next
+		// refresh, so the re-scatter's coordinates for them come from the
+		// batch: scatterShard left each tagged entry's slot in place of
+		// its label; write the new pair there and restore the label.
+		for i := range moves {
+			m := &moves[i]
+			k := cellOf[m.ID]
+			st.xy[2*k], st.xy[2*k+1] = m.New.X, m.New.Y
+			cellOf[m.ID] = uint32(st.mapper.cellIndexFor(m.New))
+		}
+	}
+}
+
+// insertAt appends entry id to cell c — into the segment's slack or,
+// failing that, the cell's overflow — and labels it.
+func (st *csrStore) insertAt(c int, id uint32, p geom.Point) {
+	st.cellOf[id] = uint32(c)
+	st.entries++
 	base, n := st.starts[c], st.counts[c]
 	if base+n < st.starts[c+1] {
 		st.ids[base+n] = id
@@ -268,18 +344,9 @@ func (st *csrStore) insertLocal(c int, id uint32, p geom.Point) {
 	}
 }
 
+// removeAt swap-deletes entry id from cell c, refilling a segment hole
+// from the cell's overflow first.
 func (st *csrStore) removeAt(c int, id uint32) bool {
-	if !st.removeLocal(c, id) {
-		return false
-	}
-	st.entries--
-	return true
-}
-
-// removeLocal is removeAt without the shared entries counter (see
-// insertLocal). It only touches cell-c state, so distinct cells may be
-// processed concurrently.
-func (st *csrStore) removeLocal(c int, id uint32) bool {
 	base, n := st.starts[c], st.counts[c]
 	seg := st.ids[base : base+n]
 	for j, v := range seg {
@@ -288,7 +355,6 @@ func (st *csrStore) removeLocal(c int, id uint32) bool {
 		}
 		hole := 2 * (base + uint32(j))
 		if of := st.overflow[c]; len(of) > 0 {
-			// Refill the hole from overflow to keep the dense segment full.
 			seg[j] = of[len(of)-1]
 			st.overflow[c] = of[:len(of)-1]
 			if st.xy != nil {
@@ -306,6 +372,7 @@ func (st *csrStore) removeLocal(c int, id uint32) bool {
 			}
 			st.counts[c] = n - 1
 		}
+		st.entries--
 		return true
 	}
 	of := st.overflow[c]
@@ -321,9 +388,23 @@ func (st *csrStore) removeLocal(c int, id uint32) bool {
 			oxy[2*j+1] = oxy[len(oxy)-1]
 			st.overflowXY[c] = oxy[:len(oxy)-2]
 		}
+		st.entries--
 		return true
 	}
 	return false
+}
+
+// setXY rewrites the coordinate pair of entry id of cell c in place.
+func (st *csrStore) setXY(c int, id uint32, p geom.Point) {
+	base := st.starts[c]
+	if j := slices.Index(st.ids[base:base+st.counts[c]], id); j >= 0 {
+		k := 2 * (base + uint32(j))
+		st.xy[k], st.xy[k+1] = p.X, p.Y
+	} else if j := slices.Index(st.overflow[c], id); j >= 0 {
+		st.overflowXY[c][2*j], st.overflowXY[c][2*j+1] = p.X, p.Y
+	} else {
+		panic(fmt.Sprintf("grid/csr: entry %d is not in its labelled cell %d", id, c))
+	}
 }
 
 func (st *csrStore) scanCell(c int, emit func(id uint32)) {
@@ -443,17 +524,17 @@ func (st *csrStore) cellCount(c int) int {
 func (st *csrStore) totalEntries() int { return st.entries }
 
 // memoryBytes counts the directory (starts + counts + the per-cell
-// overflow slice headers, 24 bytes each), the ID arena, the retained
-// build scratch, and overflow capacity — everything the store keeps
+// overflow slice headers, 24 bytes each), the ID arena, the labels, the
+// retained scratch, and overflow capacity — everything the store keeps
 // alive between ticks. The xy variant adds its coordinate arena and the
 // overflow coordinate mirror.
 func (st *csrStore) memoryBytes() int64 {
-	total := int64(len(st.starts)+len(st.counts)+cap(st.ids)+cap(st.cellOf)) * 4
+	total := int64(len(st.starts)+len(st.counts)+cap(st.ids)+cap(st.cellOf)+cap(st.crossers)) * 4
 	total += int64(len(st.overflow)) * 24
 	for _, of := range st.overflow {
 		total += int64(cap(of)) * 4
 	}
-	for _, sc := range st.shardCounts {
+	for _, sc := range st.cursors[1:] {
 		total += int64(cap(sc)) * 4
 	}
 	if st.xy != nil {

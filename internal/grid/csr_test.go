@@ -1,8 +1,9 @@
 package grid
 
 // White-box tests of the CSR (contiguous counting-sort) backend: parallel
-// build determinism, the slack/overflow update mechanics, the batched
-// parallel update path, and the Counter/MemoryBytes invariants.
+// build determinism, the slack/overflow update mechanics, and the
+// Counter/MemoryBytes invariants. The label-driven update paths are in
+// csr_update_test.go.
 
 import (
 	"testing"
@@ -106,72 +107,11 @@ func TestCSROverflowInsertAndRefill(t *testing.T) {
 	}
 }
 
-func TestCSRUpdateBatchMatchesSequential(t *testing.T) {
-	r := xrand.New(23)
-	pts := randomPoints(r, 8000, testBounds)
-	moves := make([]geom.Move, 0, 4000)
-	perm := r.Perm(len(pts))
-	for _, id := range perm[:4000] {
-		moves = append(moves, geom.Move{
-			ID:  uint32(id),
-			Old: pts[id],
-			New: geom.Pt(r.Range(0, 1000), r.Range(0, 1000)),
-		})
-	}
-	seq := MustNew(CSR(), testBounds, len(pts))
-	seq.Build(pts)
-	for _, m := range moves {
-		seq.Update(m.ID, m.Old, m.New)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		par := MustNew(CSR(), testBounds, len(pts))
-		par.Build(pts)
-		par.UpdateBatch(moves, workers)
-		if par.Len() != seq.Len() {
-			t.Fatalf("workers=%d: Len %d != %d", workers, par.Len(), seq.Len())
-		}
-		// Membership per cell must agree exactly.
-		ps, ss := csrOf(t, par), csrOf(t, seq)
-		for c := 0; c < par.cells; c++ {
-			got := map[uint32]bool{}
-			ps.scanCell(c, func(id uint32) { got[id] = true })
-			want := map[uint32]bool{}
-			ss.scanCell(c, func(id uint32) { want[id] = true })
-			if len(got) != len(want) {
-				t.Fatalf("workers=%d cell %d: %d entries, want %d", workers, c, len(got), len(want))
-			}
-			for id := range want {
-				if !got[id] {
-					t.Fatalf("workers=%d cell %d: missing %d", workers, c, id)
-				}
-			}
-		}
-	}
-}
-
-func TestCSRUpdateBatchUnknownEntryPanics(t *testing.T) {
-	pts := randomPoints(xrand.New(24), minParallelMoves*2, testBounds)
-	g := MustNew(CSR(), testBounds, len(pts))
-	g.Build(pts)
-	moves := make([]geom.Move, minParallelMoves)
-	for i := range moves {
-		moves[i] = geom.Move{ID: uint32(i), Old: pts[i], New: pts[i]}
-	}
-	// Corrupt one move's old position so the removal misses.
-	moves[7].ID = uint32(len(pts) + 5)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("UpdateBatch with unknown entry did not panic")
-		}
-	}()
-	g.UpdateBatch(moves, 4)
-}
-
 func TestCSRCounterAndMemoryInvariants(t *testing.T) {
 	// The ISSUE's invariant pair: Len() tracks every insert/remove, and
 	// MemoryBytes() equals the documented formula — directory
-	// (starts+counts) + ID arena + retained scratch + overflow capacity —
-	// and never shrinks below 4 bytes per live entry.
+	// (starts+counts) + ID arena + labels + retained scratch + overflow
+	// capacity — and never shrinks below 4 bytes per live entry.
 	r := xrand.New(25)
 	pts := randomPoints(r, 3000, testBounds)
 	g := MustNew(CSR(), testBounds, len(pts))
@@ -179,12 +119,12 @@ func TestCSRCounterAndMemoryInvariants(t *testing.T) {
 	cs := csrOf(t, g)
 
 	formula := func() int64 {
-		total := int64(len(cs.starts)+len(cs.counts)+cap(cs.ids)+cap(cs.cellOf)) * 4
+		total := int64(len(cs.starts)+len(cs.counts)+cap(cs.ids)+cap(cs.cellOf)+cap(cs.crossers)) * 4
 		total += int64(len(cs.overflow)) * 24 // per-cell overflow slice headers
 		for _, of := range cs.overflow {
 			total += int64(cap(of)) * 4
 		}
-		for _, sc := range cs.shardCounts {
+		for _, sc := range cs.cursors[1:] {
 			total += int64(cap(sc)) * 4
 		}
 		return total

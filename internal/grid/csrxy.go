@@ -15,10 +15,12 @@ import (
 // scatters x,y into a float32 arena parallel to the ID arena (slot k owns
 // xy[2k], xy[2k+1]), so a filtered cell is two sequential streams — IDs
 // and coordinates — with zero random access. Updates keep the arena
-// coherent (insertLocal/removeLocal move coordinate pairs alongside IDs,
-// overflow entries carry their coordinates in overflowXY), and the
-// sharded parallel build writes coordinates in the same disjoint ranges
-// as the IDs, preserving the bit-identical-arena guarantee.
+// coherent (insertAt/removeAt move coordinate pairs alongside IDs,
+// overflow entries carry their coordinates in overflowXY, a move within
+// a cell rewrites its pair in place, and a batch re-scatter takes the
+// movers' pairs from the batch), and the sharded build writes
+// coordinates in the same disjoint ranges as the IDs, preserving the
+// bit-identical-arena guarantee.
 //
 // The cost is the doubled arena (12 bytes per entry instead of 4) and
 // the loss of the secondary-index property: coordinates are duplicated

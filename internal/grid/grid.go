@@ -22,11 +22,9 @@ package grid
 import (
 	"fmt"
 	"runtime"
-	"sync/atomic"
 
 	"repro/internal/geom"
 	"repro/internal/obs"
-	"repro/internal/parutil"
 )
 
 // Layout selects the physical representation of cells and buckets.
@@ -281,11 +279,6 @@ type Grid struct {
 	// in Build/BuildParallel/UpdateBatch is a nil check in one place.
 	csr *csrStore
 	pts []geom.Point
-	// moveCells and shardOff are scratch for UpdateBatch: old/new cell
-	// per move plus the two per-shard offset tables, retained so
-	// steady-state ticks allocate nothing.
-	moveCells []uint32
-	shardOff  [2][]uint32
 	// queries counts query-kernel entries (nil until Instrument).
 	queries *obs.Counter
 	// audit is CheckInvariants' reusable state (nil until first used).
@@ -378,7 +371,7 @@ func (g *Grid) cellRect(cx, cy int) geom.Rect {
 func (g *Grid) Build(pts []geom.Point) {
 	g.pts = pts
 	if g.csr != nil {
-		g.csr.build(pts)
+		g.csr.build(pts, 1)
 		return
 	}
 	g.st.reset(pts)
@@ -404,7 +397,7 @@ func (g *Grid) BuildParallel(pts []geom.Point, workers int) {
 	}
 	if g.csr != nil {
 		g.pts = pts
-		g.csr.buildParallel(pts, workers)
+		g.csr.build(pts, workers)
 		return
 	}
 	if sb, ok := g.st.(spliceBuildStore); ok && workers > 1 && len(pts) >= minParallelBuild {
@@ -417,140 +410,40 @@ func (g *Grid) BuildParallel(pts []geom.Point, workers int) {
 
 // Update implements core.Index: the grid is maintained in place by
 // removing the entry from the cell of its old position and inserting it
-// into the cell of the new one — the cost of doing so is part of the
-// paper's Table 2 update column.
+// into the cell of the new one (the paper's Table 2 update column). The
+// CSR layouts find the entry by its label and leave a move within one
+// cell alone.
 func (g *Grid) Update(id uint32, old, new geom.Point) {
+	if g.csr != nil {
+		g.csr.update(id, old, new)
+		return
+	}
 	if !g.st.removeAt(g.cellIndexFor(old), id) {
-		// The entry must exist: Build inserted every ID and the workload
-		// issues at most one update per object per tick.
-		panic(fmt.Sprintf("grid: update of unknown entry %d at %v", id, old))
+		unknownEntry(id, old)
 	}
 	g.st.insertAt(g.cellIndexFor(new), id, new)
 }
 
-// minParallelMoves gates the sharded update path: below this batch size
-// the fork/join overhead exceeds the win.
+// minParallelMoves gates the box grids' sharded update paths: below this
+// batch size the fork/join overhead exceeds the win.
 const minParallelMoves = 2048
 
-// CanBatchUpdates implements core.BatchUpdater: only the CSR layout has
-// a batched path that differs from per-move Update calls, and only for
-// batches large enough to beat the fork/join overhead — drivers can
-// skip batch assembly otherwise.
-func (g *Grid) CanBatchUpdates(n int) bool {
-	return g.csr != nil && n >= minParallelMoves
-}
+// CanBatchUpdates implements core.BatchUpdater: the CSR layouts have a
+// bulk path at every batch size; the paper's layouts have none.
+func (g *Grid) CanBatchUpdates(n int) bool { return g.csr != nil }
 
-// UpdateBatch implements core.BatchUpdater. For the CSR layout it
-// partitions the batch by target cell and applies it with one worker per
-// cell shard: all removals first (sharded by old cell), a barrier, then
-// all insertions (sharded by new cell). Removals and insertions touch
-// only per-cell state in the CSR store, so shards never race. Every other
-// layout shares arenas and freelists across cells and falls back to the
-// sequential per-move path.
+// UpdateBatch implements core.BatchUpdater. The CSR layouts validate the
+// whole batch first, then relocate the few movers that cross a cell or
+// re-scatter the arena over workers (csrStore.updateBatch; 0 selects
+// GOMAXPROCS). Every other layout loops over Update.
 func (g *Grid) UpdateBatch(moves []geom.Move, workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	cs := g.csr
-	if cs == nil || workers == 1 || len(moves) < minParallelMoves {
-		for i := range moves {
-			g.Update(moves[i].ID, moves[i].Old, moves[i].New)
-		}
+	if g.csr != nil {
+		g.csr.updateBatch(moves, workers, rescatterPays)
 		return
 	}
-
-	// Scratch layout: per-move old/new cells, then per-shard move index
-	// lists for the two passes (bucketed by cell % workers so each
-	// worker touches only its own moves, not a filtered scan of all).
-	need := 4 * len(moves)
-	if cap(g.moveCells) < need {
-		g.moveCells = make([]uint32, need)
-	} else {
-		g.moveCells = g.moveCells[:need]
+	for i := range moves {
+		g.Update(moves[i].ID, moves[i].Old, moves[i].New)
 	}
-	oldCells := g.moveCells[:len(moves)]
-	newCells := g.moveCells[len(moves) : 2*len(moves)]
-	oldIdx := g.moveCells[2*len(moves) : 3*len(moves)]
-	newIdx := g.moveCells[3*len(moves):]
-
-	parutil.ForEachShard(len(moves), workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			oldCells[i] = uint32(g.mapper.cellIndexFor(moves[i].Old))
-			newCells[i] = uint32(g.mapper.cellIndexFor(moves[i].New))
-		}
-	})
-
-	// Counting-sort the move indices by owning shard (cell % workers),
-	// in batch order — worker w then processes the contiguous run
-	// oldIdx[oldOff[w]:oldOff[w+1]] in a deterministic order.
-	g.shardOff[0] = bucketByShard(oldCells, oldIdx, g.shardOff[0], workers)
-	g.shardOff[1] = bucketByShard(newCells, newIdx, g.shardOff[1], workers)
-	oldOff, newOff := g.shardOff[0], g.shardOff[1]
-
-	var missing atomic.Int64
-	missing.Store(-1)
-	var rg parutil.Group
-	for w := 0; w < workers; w++ {
-		w := w
-		rg.Go(func() {
-			for _, i := range oldIdx[oldOff[w]:oldOff[w+1]] {
-				if !cs.removeLocal(int(oldCells[i]), moves[i].ID) {
-					missing.CompareAndSwap(-1, int64(i))
-				}
-			}
-		})
-	}
-	rg.Wait()
-	if i := missing.Load(); i >= 0 {
-		// Same contract as Update: the entry must exist.
-		panic(fmt.Sprintf("grid: update of unknown entry %d at %v", moves[i].ID, moves[i].Old))
-	}
-
-	// Insertion pass, sharded by new cell. A move nets zero entries, so
-	// the shared counter is untouched throughout.
-	var ig parutil.Group
-	for w := 0; w < workers; w++ {
-		w := w
-		ig.Go(func() {
-			for _, i := range newIdx[newOff[w]:newOff[w+1]] {
-				cs.insertLocal(int(newCells[i]), moves[i].ID, moves[i].New)
-			}
-		})
-	}
-	ig.Wait()
-}
-
-// bucketByShard counting-sorts the indices of cells into idx, grouped by
-// shard (cell % workers) and in index order within each group, returning
-// the per-shard offsets (len workers+1) into idx. off is reused scratch;
-// the offset entries themselves serve as the scatter cursors (shifting
-// the table one slot left), undone by a final copy — no allocation in
-// steady state.
-func bucketByShard(cells, idx, off []uint32, workers int) []uint32 {
-	if cap(off) < workers+1 {
-		off = make([]uint32, workers+1)
-	} else {
-		off = off[:workers+1]
-	}
-	for w := range off {
-		off[w] = 0
-	}
-	for _, c := range cells {
-		off[int(c)%workers+1]++
-	}
-	for w := 0; w < workers; w++ {
-		off[w+1] += off[w]
-	}
-	for i, c := range cells {
-		s := int(c) % workers
-		idx[off[s]] = uint32(i)
-		off[s]++
-	}
-	// off[w] now holds end(w) == start(w+1); shift right to restore
-	// exclusive starts.
-	copy(off[1:], off[:workers])
-	off[0] = 0
-	return off
 }
 
 // Query implements core.Index, dispatching on the configured algorithm.

@@ -19,10 +19,11 @@ import "fmt"
 // For every layout it verifies global occupancy: each indexed ID is
 // stored in exactly one cell, that cell is the one its current base-table
 // position maps to, and the total matches Len(). For the CSR layouts it
-// additionally audits the arena bookkeeping: offsets monotone, live
-// counts within segment capacity, slack/overflow accounting consistent
-// with the shared entry counter, and the inlined coordinate arena (CSRXY)
-// mirroring the base table slot for slot.
+// additionally audits that every entry's label names the cell holding it
+// and the arena bookkeeping: offsets monotone, live counts within segment
+// capacity, slack/overflow accounting consistent with the shared entry
+// counter, and the inlined coordinate arena (CSRXY) mirroring the base
+// table slot for slot.
 //
 // The audit keeps its scratch on the grid (see occupancy), so like Build
 // and Update it is a single-caller operation.
@@ -91,6 +92,8 @@ func (a *occupancy) visitID(id uint32) {
 	a.seen[id] = 1
 	if want := g.cellIndexFor(g.pts[id]); want != c {
 		a.err = fmt.Errorf("grid: id %d at %v stored in cell %d, want %d", id, g.pts[id], c, want)
+	} else if cs := g.csr; cs != nil && cs.cellOf[id] != uint32(c) {
+		a.err = fmt.Errorf("grid/csr: id %d stored in cell %d, labelled %d", id, c, cs.cellOf[id])
 	}
 }
 

@@ -115,6 +115,42 @@ func TestSelectorRespondsToMix(t *testing.T) {
 	}
 }
 
+// TestCSRUpdatePricedAsBulkOnChurn pins the update term of the CSR point
+// families to what the grids now do with a tick's batch: when everyone
+// moves, a move costs its share of one re-scatter (a build's worth, so
+// never cheaper on a finer directory), far below the calibrated
+// relocation; when few move, it costs the relocation. The paper's inline
+// layout has no bulk path and keeps its constant.
+func TestCSRUpdatePricedAsBulkOnChurn(t *testing.T) {
+	m := Calibrate()
+	churn := Stats{N: 100_000, Space: geom.R(0, 0, 22_000, 22_000), Skew: 4, QuerySide: 100, Queriers: 0.02, Updaters: 1}
+	trickle := churn
+	trickle.Updaters = 0.01
+	for _, f := range []Family{PointCSR, PointCSRXY} {
+		relocate := m.c[f].update
+		prev := 0.0
+		for _, cps := range []int{32, 64, 128, 256} {
+			got, share := m.UpdateNs(f, churn, cps), m.BuildNs(f, churn, cps)/float64(churn.N)
+			if got != share || got >= relocate {
+				t.Errorf("%s/cps=%d, everyone moves: UpdateNs = %.1f, want the re-scatter share %.1f (relocation is %.1f)", f, cps, got, share, relocate)
+			}
+			if got < prev {
+				t.Errorf("%s/cps=%d: a finer directory made the bulk update cheaper (%.1f < %.1f)", f, cps, got, prev)
+			}
+			prev = got
+			if got := m.UpdateNs(f, trickle, cps); got != relocate {
+				t.Errorf("%s/cps=%d, 1%% move: UpdateNs = %.1f, want the relocation %.1f", f, cps, got, relocate)
+			}
+		}
+	}
+	if got := m.UpdateNs(PointInline, churn, 64); got != m.c[PointInline].update {
+		t.Errorf("inline: UpdateNs = %.1f, want its constant %.1f", got, m.c[PointInline].update)
+	}
+	if c := m.choosePoint(churn); c.Family == PointInline {
+		t.Errorf("everyone moves: picked %s; the CSR families' update is the cheaper one now", c)
+	}
+}
+
 func TestChoiceExplain(t *testing.T) {
 	c := ChooseBox(Stats{N: 1000, Space: geom.R(0, 0, 1000, 1000), MeanSide: 20, QuerySide: 50})
 	out := c.Explain()
