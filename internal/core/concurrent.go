@@ -34,18 +34,18 @@ type EpochStats struct {
 	PanicsContained uint64
 }
 
-// EpochIndex is the epoch-published point index contract the concurrent
-// driver runs against (implemented by epoch.Index). Queries are safe to
-// call concurrently with ApplyBatch; ApplyBatch itself is single-writer.
-type EpochIndex interface {
+// epochIndex is the epoch-published index contract the concurrent driver
+// runs against, over objects P moved by M. Queries are safe to call
+// concurrently with ApplyBatch; ApplyBatch itself is single-writer.
+type epochIndex[P, M any] interface {
 	Name() string
 	// Build initializes the wrapper over the snapshot and publishes
 	// epoch 0.
-	Build(pts []geom.Point)
+	Build(snap []P)
 	// ApplyBatch applies one tick of moves and publishes the next
 	// epoch. On error the batch was NOT applied: the previous epoch
 	// stays live and the caller may merge the batch into the next tick.
-	ApplyBatch(moves []geom.Move) (uint64, error)
+	ApplyBatch(moves []M) (uint64, error)
 	// Query probes the live epoch, returning the epoch number and
 	// consistency digest the query observed.
 	Query(r geom.Rect, emit func(id uint32)) (epoch, digest uint64)
@@ -54,16 +54,48 @@ type EpochIndex interface {
 	Stats() EpochStats
 }
 
+// EpochIndex is the point contract (implemented by epoch.Index).
+type EpochIndex epochIndex[geom.Point, geom.Move]
+
 // EpochBoxIndex is EpochIndex over rectangles (implemented by
 // epoch.BoxIndex).
-type EpochBoxIndex interface {
+type EpochBoxIndex epochIndex[geom.Rect, geom.BoxMove]
+
+// shardedEpochIndex is the contract of an engine composed of
+// independently published per-region epochs (internal/shard): a query
+// observes one (epoch, digest) pair PER SHARD it touches. Forcing such
+// an engine through the single-epoch contract would flag false
+// violations — shards legitimately publish at different times, including
+// ticks where only some shards had routed moves or one shard's publish
+// failed while the rest advanced.
+type shardedEpochIndex[P, M any] interface {
 	Name() string
-	Build(rects []geom.Rect)
-	ApplyBatch(moves []geom.BoxMove) (uint64, error)
-	Query(r geom.Rect, emit func(id uint32)) (epoch, digest uint64)
-	Epoch() (uint64, uint64)
+	// Build initializes every shard's wrapper over the snapshot and
+	// publishes each shard's epoch 0.
+	Build(snap []P)
+	// ApplyBatch routes one tick of moves to the affected shards and
+	// publishes them in parallel. A non-nil error means at least one
+	// shard failed to publish; the others may have advanced, and the
+	// caller merges the whole batch into the next tick (replay-safe).
+	ApplyBatch(moves []M) error
+	// Query fans out to the shards overlapping r, calling observe once
+	// per touched shard with the (epoch, digest) pair that shard's probe
+	// saw. The emitted id stream is duplicate-free across shards.
+	Query(r geom.Rect, emit func(id uint32), observe func(shard int, epoch, digest uint64))
+	// NumShards reports the shard count (valid after Build).
+	NumShards() int
+	// ShardEpoch returns shard i's live epoch number and digest.
+	ShardEpoch(i int) (uint64, uint64)
 	Stats() EpochStats
 }
+
+// ShardedEpochIndex is the region-sharded point engine contract
+// (implemented by shard.Concurrent).
+type ShardedEpochIndex shardedEpochIndex[geom.Point, geom.Move]
+
+// ShardedEpochBoxIndex is ShardedEpochIndex over rectangles (implemented
+// by shard.BoxConcurrent).
+type ShardedEpochBoxIndex shardedEpochIndex[geom.Rect, geom.BoxMove]
 
 // ConcurrentOptions tunes a RunConcurrent.
 type ConcurrentOptions struct {
@@ -126,8 +158,10 @@ func (r *ConcurrentResult) AvgTick() time.Duration {
 	return r.Elapsed / time.Duration(r.Ticks)
 }
 
-// concurrentEngine adapts one object class to the concurrent tick loop,
-// mirroring engine[P] for the stop-the-world drivers.
+// concurrentEngine is what the concurrent tick loop runs: one object
+// class's workload feed (pointFeed / boxFeed) bound to an engine of
+// N >= 1 independently published epochs (onePublication / perShard). A
+// single-epoch index is the one-publication case.
 type concurrentEngine[M any] struct {
 	name      string
 	ticks     int
@@ -140,27 +174,71 @@ type concurrentEngine[M any] struct {
 	// after the tick's queries have drained, preserving the framework's
 	// "queries read the previous tick's state" contract.
 	commitBatch func()
-	apply       func(moves []M) (uint64, error)
-	// queryAppend drains one query into the caller's reused buffer,
-	// returning the (epoch, digest) observation — the buffered kernel
-	// every reader worker runs (native via EpochQueryAppender, else the
-	// callback adapter built by epochAppendOf).
-	queryAppend func(r geom.Rect, buf []uint32) ([]uint32, uint64, uint64)
-	epochNow    func() (uint64, uint64)
-	stats       func() EpochStats
+
+	apply func(moves []M) error
+	// publications is how many epochs the engine publishes independently
+	// and epochOf returns publication i's live (epoch, digest).
+	publications int
+	epochOf      func(i int) (uint64, uint64)
+	// reader binds one reader worker's buffered query kernel: it drains
+	// one query into the caller's reused buffer and records the
+	// (epoch, digest) each touched publication showed in logs[i].
+	reader func(logs []epochLog) func(r geom.Rect, buf []uint32) []uint32
+	stats  func() EpochStats
 }
 
-// epochAppendOf returns the buffered query kernel of an epoch-published
-// index: the native QueryAppend when the wrapper implements
-// EpochQueryAppender, else an adapter over the callback Query.
-func epochAppendOf(x any, query func(r geom.Rect, emit func(id uint32)) (uint64, uint64)) func(r geom.Rect, buf []uint32) ([]uint32, uint64, uint64) {
-	if qa, ok := x.(EpochQueryAppender); ok {
-		return qa.QueryAppend
+// onePublication binds a single-epoch index: every query observes
+// publication 0, straight into its log.
+func onePublication[P, M any](e *concurrentEngine[M], x epochIndex[P, M]) {
+	e.apply = func(moves []M) error { _, err := x.ApplyBatch(moves); return err }
+	e.publications = 1
+	e.epochOf = func(int) (uint64, uint64) { return x.Epoch() }
+	qa, ok := x.(EpochQueryAppender)
+	if !ok {
+		qa = emitAppender(x.Query)
 	}
-	return func(r geom.Rect, buf []uint32) ([]uint32, uint64, uint64) {
-		ep, dg := query(r, func(id uint32) { buf = append(buf, id) })
-		return buf, ep, dg
+	e.reader = func(logs []epochLog) func(r geom.Rect, buf []uint32) []uint32 {
+		log := &logs[0]
+		return func(r geom.Rect, buf []uint32) []uint32 {
+			buf, ep, dg := qa.QueryAppend(r, buf)
+			log.observe(ep, dg)
+			return buf
+		}
 	}
+	e.stats = x.Stats
+}
+
+// emitAppender adapts an epoch index's callback Query to
+// EpochQueryAppender, for wrappers without the native capability.
+type emitAppender func(r geom.Rect, emit func(id uint32)) (uint64, uint64)
+
+func (q emitAppender) QueryAppend(r geom.Rect, buf []uint32) ([]uint32, uint64, uint64) {
+	ep, dg := q(r, func(id uint32) { buf = append(buf, id) })
+	return buf, ep, dg
+}
+
+// perShard binds a sharded engine: one publication per shard.
+func perShard[P, M any](e *concurrentEngine[M], x shardedEpochIndex[P, M]) {
+	e.apply = x.ApplyBatch
+	e.publications = x.NumShards()
+	e.epochOf = x.ShardEpoch
+	qa, ok := x.(ShardedEpochQueryAppender)
+	if !ok {
+		qa = shardedEmitAppender(x.Query)
+	}
+	e.reader = func(logs []epochLog) func(r geom.Rect, buf []uint32) []uint32 {
+		observe := func(shard int, ep, dg uint64) { logs[shard].observe(ep, dg) }
+		return func(r geom.Rect, buf []uint32) []uint32 { return qa.QueryAppend(r, buf, observe) }
+	}
+	e.stats = x.Stats
+}
+
+// shardedEmitAppender is emitAppender for ShardedEpochQueryAppender.
+type shardedEmitAppender func(r geom.Rect, emit func(id uint32), observe func(shard int, ep, dg uint64))
+
+func (q shardedEmitAppender) QueryAppend(r geom.Rect, buf []uint32, observe func(shard int, ep, dg uint64)) []uint32 {
+	q(r, func(id uint32) { buf = append(buf, id) }, observe)
+	return buf
 }
 
 // epochLog is one reader's record of the distinct (epoch, digest)
@@ -194,8 +272,7 @@ func (l *epochLog) observe(ep, dg uint64) {
 // by finishReaders. lat keeps exact latency samples up to
 // maxExactLatSamples and feeds the shared histogram beyond that
 // (bounded memory on long runs); logs holds one epochLog per
-// publication the engine has (one for a single-epoch index, one per
-// shard for a sharded engine); buf is the result buffer every query of
+// publication the engine has; buf is the result buffer every query of
 // every tick reuses, so the steady state allocates nothing.
 type readerState struct {
 	lat   latRecorder
@@ -239,9 +316,16 @@ func finishReaders(res *ConcurrentResult, states []*readerState, oracle []map[ui
 	res.QueryP50, res.QueryP95, res.QueryP99 = latPercentiles(recs, latHist)
 }
 
-// concurrentSetup resolves the reader and tick counts shared by the two
-// concurrent drivers.
-func concurrentSetup(name string, ticks int, opts ConcurrentOptions) *ConcurrentResult {
+// runConcurrent overlaps each tick's query drain with its update batch:
+// one updater goroutine calls ApplyBatch while reader workers claim
+// blocks of the querier stream through an atomic cursor. Per-query
+// latencies are collected for the percentile series, and every query's
+// per-publication (epoch, digest) observations are checked against the
+// publish oracle. The oracle records EVERY publication's live epoch
+// after EVERY tick — including failed ones, because a tick where shard A
+// published and shard B exhausted retries is a valid engine state: A's
+// new epoch must be accepted, B's old epoch keeps serving.
+func runConcurrent[M any](e *concurrentEngine[M], opts ConcurrentOptions) *ConcurrentResult {
 	readers := opts.Readers
 	if readers <= 0 {
 		readers = runtime.GOMAXPROCS(0) - 1
@@ -249,27 +333,26 @@ func concurrentSetup(name string, ticks int, opts ConcurrentOptions) *Concurrent
 	if readers < 1 {
 		readers = 1
 	}
+	ticks := e.ticks
 	if opts.Ticks > 0 && opts.Ticks < ticks {
 		ticks = opts.Ticks
 	}
-	return &ConcurrentResult{Technique: name, Ticks: ticks, Readers: readers}
-}
-
-// runConcurrent overlaps each tick's query drain with its update batch:
-// one updater goroutine calls ApplyBatch while reader workers claim
-// blocks of the querier stream through an atomic cursor. Per-query
-// latencies are collected for the percentile series, and every query's
-// (epoch, digest) observation is checked against the published oracle.
-func runConcurrent[M any](e *concurrentEngine[M], opts ConcurrentOptions) *ConcurrentResult {
-	res := concurrentSetup(e.name, e.ticks, opts)
-	ticks, readers := res.Ticks, res.Readers
+	res := &ConcurrentResult{Technique: e.name, Ticks: ticks, Readers: readers}
 	co := newConcObs(opts.Obs)
 	latHist := co.latHist()
-	states := newReaderStates(readers, 1, ticks, latHist)
+	states := newReaderStates(readers, e.publications, ticks, latHist)
 
-	oracle := map[uint64]uint64{}
-	ep, dg := e.epochNow()
-	oracle[ep] = dg
+	oracle := make([]map[uint64]uint64, e.publications)
+	for i := range oracle {
+		oracle[i] = map[uint64]uint64{}
+	}
+	recordOracle := func() {
+		for i := range oracle {
+			ep, dg := e.epochOf(i)
+			oracle[i][ep] = dg
+		}
+	}
+	recordOracle()
 
 	var pending []M
 	start := time.Now()
@@ -288,7 +371,7 @@ func runConcurrent[M any](e *concurrentEngine[M], opts ConcurrentOptions) *Concu
 		mv := moves
 		updDone := parutil.GoErr(func() error {
 			sp := co.reg.Enter(co.apply)
-			_, err := e.apply(mv)
+			err := e.apply(mv)
 			co.reg.Exit(sp)
 			return err
 		})
@@ -298,7 +381,7 @@ func runConcurrent[M any](e *concurrentEngine[M], opts ConcurrentOptions) *Concu
 		for w := 0; w < readers; w++ {
 			st := states[w]
 			g.Go(func() {
-				epochs := &st.logs[0]
+				queryAppend := e.reader(st.logs)
 				st.lat.start()
 				for {
 					lo := int(cursor.Add(queryBlock)) - queryBlock
@@ -310,13 +393,11 @@ func runConcurrent[M any](e *concurrentEngine[M], opts ConcurrentOptions) *Concu
 						hi = len(queriers)
 					}
 					for _, q := range queriers[lo:hi] {
-						var qe, qd uint64
-						st.buf, qe, qd = e.queryAppend(e.queryRect(q), st.buf[:0])
+						st.buf = queryAppend(e.queryRect(q), st.buf[:0])
 						for _, id := range st.buf {
 							st.pairs++
 							st.hash = MixPair(st.hash, q, id)
 						}
-						epochs.observe(qe, qd)
 						st.lat.lap()
 					}
 				}
@@ -333,9 +414,8 @@ func runConcurrent[M any](e *concurrentEngine[M], opts ConcurrentOptions) *Concu
 			pending = append([]M(nil), moves...)
 		} else {
 			pending = nil
-			ep, dg := e.epochNow()
-			oracle[ep] = dg
 		}
+		recordOracle()
 		res.Queries += int64(len(queriers))
 		res.Updates += int64(len(batch))
 		co.ticks.Inc()
@@ -345,29 +425,21 @@ func runConcurrent[M any](e *concurrentEngine[M], opts ConcurrentOptions) *Concu
 	}
 	res.Elapsed = time.Since(start)
 
-	finishReaders(res, states, []map[uint64]uint64{oracle}, latHist)
+	finishReaders(res, states, oracle, latHist)
 	co.violations.Set(res.Violations)
 	res.Stats = e.stats()
 	return res
 }
 
-// RunConcurrent executes the iterated spatial join of an epoch-published
-// point index over src with queries and updates overlapped per tick.
-// The index is built once from the initial snapshot (epoch 0) and then
-// maintained incrementally — the service-mode regime the epoch wrapper
-// exists for — rather than rebuilt per tick.
-func RunConcurrent(x EpochIndex, src workload.Source, opts ConcurrentOptions) *ConcurrentResult {
-	obs.Instrument(x, opts.Obs)
-	cfg := src.Config()
+// pointFeed binds a point workload to the loop: the snapshot the index
+// is built over, and an engine whose feed half is filled in.
+func pointFeed(src workload.Source) ([]geom.Point, *concurrentEngine[geom.Move]) {
 	snap := make([]geom.Point, len(src.Objects()))
 	refreshSnapshot(snap, src.Objects())
-	x.Build(snap)
-
 	var batch []workload.Update
 	var moves []geom.Move
-	e := &concurrentEngine[geom.Move]{
-		name:      x.Name(),
-		ticks:     cfg.Ticks,
+	return snap, &concurrentEngine[geom.Move]{
+		ticks:     src.Config().Ticks,
 		queriers:  src.Queriers,
 		queryRect: src.QueryRect,
 		fetchBatch: func() []geom.Move {
@@ -384,27 +456,17 @@ func RunConcurrent(x EpochIndex, src workload.Source, opts ConcurrentOptions) *C
 				snap[u.ID] = u.Pos
 			}
 		},
-		apply:       x.ApplyBatch,
-		queryAppend: epochAppendOf(x, x.Query),
-		epochNow:    x.Epoch,
-		stats:       x.Stats,
 	}
-	return runConcurrent(e, opts)
 }
 
-// RunBoxesConcurrent is RunConcurrent for epoch-published box indexes.
-func RunBoxesConcurrent(x EpochBoxIndex, src workload.BoxSource, opts ConcurrentOptions) *ConcurrentResult {
-	obs.Instrument(x, opts.Obs)
-	cfg := src.Config()
+// boxFeed is pointFeed for box workloads.
+func boxFeed(src workload.BoxSource) ([]geom.Rect, *concurrentEngine[geom.BoxMove]) {
 	snap := make([]geom.Rect, src.NumBoxes())
 	src.RefreshRects(snap, 0, len(snap))
-	x.Build(snap)
-
 	var batch []workload.BoxUpdate
 	var moves []geom.BoxMove
-	e := &concurrentEngine[geom.BoxMove]{
-		name:      x.Name(),
-		ticks:     cfg.Ticks,
+	return snap, &concurrentEngine[geom.BoxMove]{
+		ticks:     src.Config().Ticks,
 		queriers:  src.Queriers,
 		queryRect: src.QueryRect,
 		fetchBatch: func() []geom.BoxMove {
@@ -421,10 +483,54 @@ func RunBoxesConcurrent(x EpochBoxIndex, src workload.BoxSource, opts Concurrent
 				snap[u.ID] = u.Rect
 			}
 		},
-		apply:       x.ApplyBatch,
-		queryAppend: epochAppendOf(x, x.Query),
-		epochNow:    x.Epoch,
-		stats:       x.Stats,
 	}
+}
+
+// runEpoch builds a single-epoch index from its initial snapshot
+// (epoch 0) and runs the loop over it: the index is then maintained
+// incrementally — the service-mode regime the epoch wrapper exists for —
+// rather than rebuilt per tick.
+func runEpoch[P, M any](x epochIndex[P, M], snap []P, e *concurrentEngine[M], opts ConcurrentOptions) *ConcurrentResult {
+	obs.Instrument(x, opts.Obs)
+	x.Build(snap)
+	e.name = x.Name()
+	onePublication(e, x)
 	return runConcurrent(e, opts)
+}
+
+// runSharded is runEpoch for a per-region-epoch engine.
+func runSharded[P, M any](x shardedEpochIndex[P, M], snap []P, e *concurrentEngine[M], opts ConcurrentOptions) *ConcurrentResult {
+	obs.Instrument(x, opts.Obs)
+	x.Build(snap)
+	e.name = x.Name()
+	perShard(e, x)
+	return runConcurrent(e, opts)
+}
+
+// RunConcurrent executes the iterated spatial join of an epoch-published
+// point index over src with queries and updates overlapped per tick.
+func RunConcurrent(x EpochIndex, src workload.Source, opts ConcurrentOptions) *ConcurrentResult {
+	snap, e := pointFeed(src)
+	return runEpoch(x, snap, e, opts)
+}
+
+// RunBoxesConcurrent is RunConcurrent for epoch-published box indexes.
+func RunBoxesConcurrent(x EpochBoxIndex, src workload.BoxSource, opts ConcurrentOptions) *ConcurrentResult {
+	snap, e := boxFeed(src)
+	return runEpoch(x, snap, e, opts)
+}
+
+// RunConcurrentSharded is RunConcurrent for a region-sharded
+// epoch-published point engine, validating each query's per-shard
+// (epoch, digest) observations against per-shard publish oracles.
+func RunConcurrentSharded(x ShardedEpochIndex, src workload.Source, opts ConcurrentOptions) *ConcurrentResult {
+	snap, e := pointFeed(src)
+	return runSharded(x, snap, e, opts)
+}
+
+// RunBoxesConcurrentSharded is RunConcurrentSharded for region-sharded
+// epoch-published box engines.
+func RunBoxesConcurrentSharded(x ShardedEpochBoxIndex, src workload.BoxSource, opts ConcurrentOptions) *ConcurrentResult {
+	snap, e := boxFeed(src)
+	return runSharded(x, snap, e, opts)
 }

@@ -21,6 +21,7 @@ package grid
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 
 	"repro/internal/geom"
@@ -262,6 +263,35 @@ func (m cellMapper) cellIndexFor(p geom.Point) int {
 	return m.axisCell(p.Y-m.minY)*m.cps + m.axisCell(p.X-m.minX)
 }
 
+// edges returns one axis' cps+1 cell edge coordinates, exact with respect
+// to axisCell: edge c is the least float32 the mapper sends to cell c, so
+// every entry of cell c lies in [edges[c], edges[c+1]) and the walk's
+// containment and intersection tests can never disagree with where the
+// mapper put a point. min + c*cellSize alone is off by an ulp on either
+// side whenever the cell width is not float32-exact (cps=48 on a 22000
+// space, say), which made the walk skip, or copy whole, a cell holding a
+// point within an ulp of its edge. The outer edges are the space's own:
+// the mapper clamps everything beyond them into the border cells.
+func (m cellMapper) edges(min, max, cellSize float32) []float32 {
+	e := make([]float32, m.cps+1)
+	e[0] = min
+	for c := 1; c < m.cps; c++ {
+		x := min + float32(c)*cellSize
+		for m.axisCell(x-min) >= c {
+			x = math.Nextafter32(x, float32(math.Inf(-1)))
+		}
+		for m.axisCell(x-min) < c {
+			x = math.Nextafter32(x, float32(math.Inf(1)))
+		}
+		e[c] = x
+	}
+	e[m.cps] = min + float32(m.cps)*cellSize
+	if e[m.cps] < max {
+		e[m.cps] = max
+	}
+	return e
+}
+
 // Grid is a uniform grid over a fixed square space. It implements
 // core.Index.
 type Grid struct {
@@ -270,9 +300,9 @@ type Grid struct {
 	cellSize float32
 	cells    int
 	mapper   cellMapper
-	// xs and ys hold the cps+1 cell edge coordinates per axis, computed
-	// once at construction so the query loops never recompute
-	// MinX + cx*cellSize per cell.
+	// xs and ys hold the cps+1 cell edge coordinates per axis
+	// (cellMapper.edges), computed once at construction so the query loops
+	// do two loads per cell and no arithmetic.
 	xs, ys []float32
 	st     store
 	// csr aliases st when the layout is CSR, so the bulk-path dispatch
@@ -309,12 +339,8 @@ func New(cfg Config, bounds geom.Rect, numPoints int) (*Grid, error) {
 		invCell: 1 / g.cellSize,
 		cps:     cfg.CPS,
 	}
-	g.xs = make([]float32, cfg.CPS+1)
-	g.ys = make([]float32, cfg.CPS+1)
-	for i := 0; i <= cfg.CPS; i++ {
-		g.xs[i] = bounds.MinX + float32(i)*g.cellSize
-		g.ys[i] = bounds.MinY + float32(i)*g.cellSize
-	}
+	g.xs = g.mapper.edges(bounds.MinX, bounds.MaxX, g.cellSize)
+	g.ys = g.mapper.edges(bounds.MinY, bounds.MaxY, g.cellSize)
 	switch cfg.Layout {
 	case LayoutLinked:
 		g.st = newLinkedStore(g.cells, cfg.BS, numPoints)

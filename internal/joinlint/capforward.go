@@ -43,39 +43,9 @@ var capContracts = []capContract{
 }
 
 func runCapForward(p *Pass) {
-	core := findCore(p.Pkg)
-	if core == nil {
-		return // package out of the index ecosystem
-	}
-	ifaces := coreInterfaces(core)
-	if len(ifaces) == 0 {
-		return
-	}
-	// innerIfaces are the contracts whose presence in a field marks a
-	// type as a wrapper.
-	var innerIfaces []*types.Interface
-	for _, c := range capContracts {
-		if i := ifaces[c.name]; i != nil {
-			innerIfaces = append(innerIfaces, i)
-		}
-	}
-	scope := p.Pkg.Scope()
-	for _, name := range scope.Names() {
-		obj, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok || !obj.Exported() || obj.IsAlias() {
-			continue
-		}
-		named, ok := obj.Type().(*types.Named)
-		if !ok {
-			continue
-		}
-		if _, isStruct := named.Underlying().(*types.Struct); !isStruct {
-			continue
-		}
-		if !storesInnerIndex(named, innerIfaces, make(map[types.Type]bool), 0) {
-			continue
-		}
-		ptr := types.NewPointer(named)
+	wrappers, ifaces := capWrappers(p.Pkg)
+	for _, obj := range wrappers {
+		ptr := types.NewPointer(obj.Type())
 		for _, c := range capContracts {
 			trigger := ifaces[c.name]
 			if trigger == nil || !types.Implements(ptr, trigger) {
@@ -89,11 +59,51 @@ func runCapForward(p *Pass) {
 				if !types.Implements(ptr, cap) {
 					p.Reportf(obj.Pos(),
 						"%s satisfies core.%s and stores an inner index, but does not forward core.%s (%s): wrappers must forward every optional capability so layering never silently drops the buffered/parallel paths",
-						name, c.name, req, methodNames(cap))
+						obj.Name(), c.name, req, methodNames(cap))
 				}
 			}
 		}
 	}
+}
+
+// capWrappers returns the types of pkg the analyzer holds to the
+// forwarding contract — exported named struct types (aliases excluded)
+// that store an inner index — and core's contract and capability
+// interfaces by name. Both are empty for a package outside the index
+// ecosystem.
+func capWrappers(pkg *types.Package) ([]*types.TypeName, map[string]*types.Interface) {
+	core := findCore(pkg)
+	if core == nil {
+		return nil, nil
+	}
+	ifaces := coreInterfaces(core)
+	// innerIfaces are the contracts whose presence in a field marks a
+	// type as a wrapper.
+	var innerIfaces []*types.Interface
+	for _, c := range capContracts {
+		if i := ifaces[c.name]; i != nil {
+			innerIfaces = append(innerIfaces, i)
+		}
+	}
+	var wrappers []*types.TypeName
+	scope := pkg.Scope()
+	for _, name := range scope.Names() {
+		obj, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || !obj.Exported() || obj.IsAlias() {
+			continue
+		}
+		named, ok := obj.Type().(*types.Named)
+		if !ok {
+			continue
+		}
+		if _, isStruct := named.Underlying().(*types.Struct); !isStruct {
+			continue
+		}
+		if storesInnerIndex(named, innerIfaces, make(map[types.Type]bool), 0) {
+			wrappers = append(wrappers, obj)
+		}
+	}
+	return wrappers, ifaces
 }
 
 // findCore returns the core package's *types.Package: the analyzed

@@ -3,6 +3,7 @@ package joinlint
 import (
 	"fmt"
 	"go/ast"
+	"go/types"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -109,6 +110,36 @@ func TestCapForwardFlagsMissingQueryAppend(t *testing.T) {
 		}
 	}
 	t.Fatalf("capforward did not flag BrokenWrap for missing core.QueryAppender; got %d diagnostics: %v", len(diags), diags)
+}
+
+// TestCapForwardVisitsShardEngines pins that the shard engines stay in
+// the analyzer's sight now that they are thin named structs over one
+// generic router: a type alias would be skipped, and an embedding the
+// inner-index search cannot see through would silently exempt them.
+func TestCapForwardVisitsShardEngines(t *testing.T) {
+	root, err := ModuleRoot("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := NewLoader().Load(root, "./internal/shard")
+	if err != nil || len(pkgs) != 1 {
+		t.Fatalf("loading internal/shard: %d packages, %v", len(pkgs), err)
+	}
+	wrappers, ifaces := capWrappers(pkgs[0].Pkg)
+	for name, contract := range map[string]string{
+		"Index": "Index", "BoxIndex": "BoxIndex",
+		"Concurrent": "ShardedEpochIndex", "BoxConcurrent": "ShardedEpochBoxIndex",
+	} {
+		found := false
+		for _, w := range wrappers {
+			if w.Name() == name {
+				found = types.Implements(types.NewPointer(w.Type()), ifaces[contract])
+			}
+		}
+		if !found {
+			t.Errorf("capforward does not hold shard.%s to core.%s's capabilities", name, contract)
+		}
+	}
 }
 
 // TestRealTreeIsClean is the in-repo contract: the production packages

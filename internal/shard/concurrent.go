@@ -8,7 +8,6 @@ import (
 	"repro/internal/epoch"
 	"repro/internal/geom"
 	"repro/internal/obs"
-	"repro/internal/tune"
 )
 
 // The epoch compositions satisfy the sharded concurrent driver's
@@ -20,149 +19,150 @@ var (
 	_ core.ShardedEpochQueryAppender = (*BoxConcurrent)(nil)
 )
 
-// Concurrent is the region-sharded engine for the concurrent
+// publication is one region's epoch wrapper: epoch.Index over points,
+// epoch.BoxIndex over MBRs.
+type publication[P any, M any] interface {
+	Build(all []P)
+	ApplyBatch(moves []M) (uint64, error)
+	Query(r geom.Rect, emit func(id uint32)) (epoch, digest uint64)
+	QueryAppend(r geom.Rect, buf []uint32) ([]uint32, uint64, uint64)
+	Epoch() (uint64, uint64)
+	Stats() epoch.Stats
+	Instrument(r *obs.Registry)
+}
+
+// conc is the region-sharded engine for the concurrent
 // (queries-during-updates) regime: every region is wrapped in its own
-// epoch.Index publication, so shards validate, publish, and degrade
+// epoch publication, so shards validate, publish, and degrade
 // independently — an injected fault poisons one region's publish while
 // the other shards keep advancing, and the per-shard publish barrier
-// replaces one global stop-the-world swap. Queries fan out exactly like
-// the stop-the-world router and report each shard's (epoch, digest)
-// observation for the driver's per-shard oracle check; per-shard
-// digests fold into one composite via epoch.CompositeDigest.
-type Concurrent struct {
-	hints  core.WorkloadHints
-	opts   epoch.Options
-	side   int
-	lat    lattice
-	shards []*epoch.Index
-	reg    *obs.Registry
-	ins    instruments
-
-	batches [][]geom.Move
+// replaces one global stop-the-world swap. It embeds the same routing as
+// the stop-the-world router: queries walk the same lattice span and
+// report each shard's (epoch, digest) observation for the driver's
+// per-shard oracle check, moves route by the same union of spans, and
+// replicated geometries dedup inside each region's standalone Query.
+type conc[P comparable, M moveOf[P]] struct {
+	routing[P, M]
+	opts epoch.Options
+	// publish wraps a region factory in the geometry's epoch wrapper.
+	publish func(newRegion func() *region[P], opts epoch.Options) publication[P, M]
+	shards  []publication[P, M]
+	reg     *obs.Registry
 	errs    []error
-	bounds  geom.Rect
+}
+
+// Concurrent is the per-region-epoch composition over points.
+type Concurrent struct {
+	conc[geom.Point, geom.Move]
+}
+
+// BoxConcurrent is the per-region-epoch composition over MBRs.
+type BoxConcurrent struct {
+	conc[geom.Rect, geom.BoxMove]
 }
 
 // NewConcurrent builds the sharded epoch composition. side comes from
 // p.Shards; 0 defers to the tune shard-count ladder at Build.
 func NewConcurrent(p core.Params, opts epoch.Options) *Concurrent {
-	tune.Calibrate()
-	return &Concurrent{hints: p.Hints, opts: opts, side: p.Shards, bounds: p.Bounds}
+	return &Concurrent{conc[geom.Point, geom.Move]{
+		routing: newRouting[geom.Point, geom.Move](pointGeo, p, p.Shards),
+		opts:    opts,
+		publish: func(newRegion func() *region[geom.Point], opts epoch.Options) publication[geom.Point, geom.Move] {
+			return epoch.NewIndex(func() core.Index { return newRegion() }, opts)
+		},
+	}}
+}
+
+// NewBoxConcurrent builds the sharded box epoch composition. side comes
+// from p.Shards; 0 defers to the tune shard-count ladder at Build.
+func NewBoxConcurrent(p core.Params, opts epoch.Options) *BoxConcurrent {
+	return &BoxConcurrent{conc[geom.Rect, geom.BoxMove]{
+		routing: newRouting[geom.Rect, geom.BoxMove](boxGeo, p, p.Shards),
+		opts:    opts,
+		publish: func(newRegion func() *region[geom.Rect], opts epoch.Options) publication[geom.Rect, geom.BoxMove] {
+			return epoch.NewBoxIndex(func() core.BoxIndex { return newRegion() }, opts)
+		},
+	}}
 }
 
 // Name implements core.ShardedEpochIndex.
-func (x *Concurrent) Name() string {
-	if x.side < 1 {
-		return "epoch(shard[auto])"
-	}
-	return "epoch(" + regionName(x.side) + ")"
-}
+func (x *conc[P, M]) Name() string { return "epoch(" + x.name() + ")" }
 
 // NumShards implements core.ShardedEpochIndex (valid after Build).
-func (x *Concurrent) NumShards() int { return len(x.shards) }
+func (x *conc[P, M]) NumShards() int { return len(x.shards) }
 
 // Build implements core.ShardedEpochIndex: each region's epoch wrapper
 // builds over the FULL snapshot (the region self-scans for its
 // members), in parallel across shards.
-func (x *Concurrent) Build(pts []geom.Point) {
-	if x.shards == nil {
-		if x.side < 1 {
-			st := tune.SamplePoints(pts, x.bounds, x.hints)
-			x.side = tune.ChooseShardSide(st, runtime.GOMAXPROCS(0))
+func (x *conc[P, M]) Build(all []P) {
+	if x.settle(all) {
+		x.shards = make([]publication[P, M], len(x.batches))
+		for i := range x.shards {
+			x.shards[i] = x.publish(func() *region[P] { return newRegion(&x.env, i) }, x.opts)
+			x.shards[i].Instrument(x.reg)
 		}
-		x.lat = newLattice(x.bounds, x.side)
-		x.ins.side.Set(int64(x.side))
-		x.shards = make([]*epoch.Index, x.side*x.side)
-		for cy := 0; cy < x.side; cy++ {
-			for cx := 0; cx < x.side; cx++ {
-				cx, cy := cx, cy
-				sh := epoch.NewIndex(func() core.Index {
-					return newPointRegion(&x.lat, cx, cy, x.hints, &x.ins)
-				}, x.opts)
-				sh.Instrument(x.reg)
-				x.shards[cy*x.side+cx] = sh
-			}
-		}
-		x.batches = make([][]geom.Move, len(x.shards))
 		x.errs = make([]error, len(x.shards))
 	}
 	forEachStealing(len(x.shards), runtime.GOMAXPROCS(0), func(i int) {
-		x.shards[i].Build(pts)
+		x.shards[i].Build(all)
 	})
 }
 
 // ApplyBatch implements core.ShardedEpochIndex: moves route to the
-// shards owning their old and new positions (a migration reaches both),
-// then the affected shards apply and publish in parallel. A shard with
-// no routed moves skips the tick entirely — its live epoch stays valid.
-// On error the OTHER shards still published; the driver records every
-// shard's epoch after every tick and merges the whole batch into the
-// next tick, which is safe because regions treat replayed moves as
-// no-ops (the id table, not the passed old position, is the authority).
-func (x *Concurrent) ApplyBatch(moves []geom.Move) error {
-	for i := range x.batches {
-		x.batches[i] = x.batches[i][:0]
-	}
-	for _, m := range moves {
-		s1 := x.lat.idOf(m.Old.X, m.Old.Y)
-		s2 := x.lat.idOf(m.New.X, m.New.Y)
-		x.batches[s1] = append(x.batches[s1], m)
-		if s2 != s1 {
-			x.batches[s2] = append(x.batches[s2], m)
-		}
-	}
+// shards they concern, then the affected shards apply and publish in
+// parallel. A shard with no routed moves skips the tick entirely — its
+// live epoch stays valid. On error the OTHER shards still published;
+// the driver records every shard's epoch after every tick and merges
+// the whole batch into the next tick, which is safe because regions
+// treat replayed moves as no-ops (the id table, not the passed old
+// geometry, is the authority).
+func (x *conc[P, M]) ApplyBatch(moves []M) error {
+	x.route(moves)
 	forEachStealing(len(x.shards), runtime.GOMAXPROCS(0), func(i int) {
-		if len(x.batches[i]) == 0 {
-			x.errs[i] = nil
-			return
+		x.errs[i] = nil
+		if len(x.batches[i]) > 0 {
+			_, x.errs[i] = x.shards[i].ApplyBatch(x.batches[i])
 		}
-		_, x.errs[i] = x.shards[i].ApplyBatch(x.batches[i])
 	})
 	return errors.Join(x.errs...)
 }
 
 // Query implements core.ShardedEpochIndex: fan out to the overlapped
 // regions, reporting each shard's (epoch, digest) observation. Shard
-// results are disjoint by ownership, so the merged stream is
-// duplicate-free.
-func (x *Concurrent) Query(r geom.Rect, emit func(id uint32), observe func(shard int, epoch, digest uint64)) {
-	x0, y0, x1, y1 := x.lat.spanOf(r)
-	x.ins.fanout.Record(int64((x1 - x0 + 1) * (y1 - y0 + 1)))
-	for cy := y0; cy <= y1; cy++ {
-		row := cy * x.lat.side
-		for cx := x0; cx <= x1; cx++ {
-			sid := row + cx
-			ep, dg := x.shards[sid].Query(r, emit)
-			observe(sid, ep, dg)
-		}
+// results are disjoint (by membership, or by boundary ownership where
+// replicas straddle shards), so the merged stream is duplicate-free.
+func (x *conc[P, M]) Query(r geom.Rect, emit func(id uint32), observe func(shard int, epoch, digest uint64)) {
+	s := x.lat.spanOf(r)
+	x.ins.fanout.Record(int64(s.cells()))
+	for w := s.walk(); w.more(); w = w.next() {
+		sid := x.lat.id(w.cx, w.cy)
+		ep, dg := x.shards[sid].Query(r, emit)
+		observe(sid, ep, dg)
 	}
 }
 
 // QueryAppend implements core.ShardedEpochQueryAppender: the buffered
 // fan-out. Each shard's contribution appends under that shard's epoch
 // pin, with its (epoch, digest) observation reported through observe.
-func (x *Concurrent) QueryAppend(r geom.Rect, buf []uint32, observe func(shard int, epoch, digest uint64)) []uint32 {
-	x0, y0, x1, y1 := x.lat.spanOf(r)
-	x.ins.fanout.Record(int64((x1 - x0 + 1) * (y1 - y0 + 1)))
-	for cy := y0; cy <= y1; cy++ {
-		row := cy * x.lat.side
-		for cx := x0; cx <= x1; cx++ {
-			sid := row + cx
-			var ep, dg uint64
-			buf, ep, dg = x.shards[sid].QueryAppend(r, buf)
-			observe(sid, ep, dg)
-		}
+func (x *conc[P, M]) QueryAppend(r geom.Rect, buf []uint32, observe func(shard int, epoch, digest uint64)) []uint32 {
+	s := x.lat.spanOf(r)
+	x.ins.fanout.Record(int64(s.cells()))
+	for w := s.walk(); w.more(); w = w.next() {
+		sid := x.lat.id(w.cx, w.cy)
+		var ep, dg uint64
+		buf, ep, dg = x.shards[sid].QueryAppend(r, buf)
+		observe(sid, ep, dg)
 	}
 	return buf
 }
 
 // ShardEpoch implements core.ShardedEpochIndex: shard i's live epoch
 // number and digest.
-func (x *Concurrent) ShardEpoch(i int) (uint64, uint64) { return x.shards[i].Epoch() }
+func (x *conc[P, M]) ShardEpoch(i int) (uint64, uint64) { return x.shards[i].Epoch() }
 
 // Composite folds the live per-shard digests into one engine-level
 // digest (position-salted, so swapped shard states change it).
-func (x *Concurrent) Composite() uint64 {
+func (x *conc[P, M]) Composite() uint64 {
 	parts := make([]uint64, len(x.shards))
 	for i, sh := range x.shards {
 		_, parts[i] = sh.Epoch()
@@ -172,176 +172,7 @@ func (x *Concurrent) Composite() uint64 {
 
 // Stats implements core.ShardedEpochIndex: lifecycle counters summed
 // across shards.
-func (x *Concurrent) Stats() core.EpochStats {
-	var t core.EpochStats
-	for _, sh := range x.shards {
-		s := sh.Stats()
-		t.Epochs += s.Epochs
-		t.Degraded += s.Degraded
-		t.Retries += s.Retries
-		t.PanicsContained += s.PanicsContained
-	}
-	return t
-}
-
-// BoxConcurrent is Concurrent over rectangles: per-region
-// epoch.BoxIndex publications with replica routing (a move reaches
-// every shard in the union of its old and new spans) and
-// boundary-ownership dedup inside each region's standalone Query.
-type BoxConcurrent struct {
-	hints  core.WorkloadHints
-	opts   epoch.Options
-	side   int
-	lat    lattice
-	shards []*epoch.BoxIndex
-	reg    *obs.Registry
-	ins    instruments
-
-	batches [][]geom.BoxMove
-	errs    []error
-	bounds  geom.Rect
-}
-
-// NewBoxConcurrent builds the sharded box epoch composition. side comes
-// from p.Shards; 0 defers to the tune shard-count ladder at Build.
-func NewBoxConcurrent(p core.Params, opts epoch.Options) *BoxConcurrent {
-	tune.Calibrate()
-	return &BoxConcurrent{hints: p.Hints, opts: opts, side: p.Shards, bounds: p.Bounds}
-}
-
-// Name implements core.ShardedEpochBoxIndex.
-func (x *BoxConcurrent) Name() string {
-	if x.side < 1 {
-		return "epoch(boxshard[auto])"
-	}
-	return "epoch(box" + regionName(x.side) + ")"
-}
-
-// NumShards implements core.ShardedEpochBoxIndex (valid after Build).
-func (x *BoxConcurrent) NumShards() int { return len(x.shards) }
-
-// Build implements core.ShardedEpochBoxIndex.
-func (x *BoxConcurrent) Build(rects []geom.Rect) {
-	if x.shards == nil {
-		if x.side < 1 {
-			st := tune.SampleBoxes(rects, x.bounds, x.hints)
-			x.side = tune.ChooseShardSide(st, runtime.GOMAXPROCS(0))
-		}
-		x.lat = newLattice(x.bounds, x.side)
-		x.ins.side.Set(int64(x.side))
-		x.shards = make([]*epoch.BoxIndex, x.side*x.side)
-		for cy := 0; cy < x.side; cy++ {
-			for cx := 0; cx < x.side; cx++ {
-				cx, cy := cx, cy
-				sh := epoch.NewBoxIndex(func() core.BoxIndex {
-					return newBoxRegion(&x.lat, cx, cy, x.hints, &x.ins)
-				}, x.opts)
-				sh.Instrument(x.reg)
-				x.shards[cy*x.side+cx] = sh
-			}
-		}
-		x.batches = make([][]geom.BoxMove, len(x.shards))
-		x.errs = make([]error, len(x.shards))
-	}
-	forEachStealing(len(x.shards), runtime.GOMAXPROCS(0), func(i int) {
-		x.shards[i].Build(rects)
-	})
-}
-
-// ApplyBatch implements core.ShardedEpochBoxIndex; semantics match
-// Concurrent.ApplyBatch with span-union routing.
-func (x *BoxConcurrent) ApplyBatch(moves []geom.BoxMove) error {
-	for i := range x.batches {
-		x.batches[i] = x.batches[i][:0]
-	}
-	side := x.lat.side
-	for _, m := range moves {
-		ox0, oy0, ox1, oy1 := x.lat.spanOf(m.Old)
-		nx0, ny0, nx1, ny1 := x.lat.spanOf(m.New)
-		ux0, uy0, ux1, uy1 := ox0, oy0, ox1, oy1
-		if nx0 < ux0 {
-			ux0 = nx0
-		}
-		if ny0 < uy0 {
-			uy0 = ny0
-		}
-		if nx1 > ux1 {
-			ux1 = nx1
-		}
-		if ny1 > uy1 {
-			uy1 = ny1
-		}
-		for cy := uy0; cy <= uy1; cy++ {
-			inOldY := cy >= oy0 && cy <= oy1
-			inNewY := cy >= ny0 && cy <= ny1
-			row := cy * side
-			for cx := ux0; cx <= ux1; cx++ {
-				inOld := inOldY && cx >= ox0 && cx <= ox1
-				inNew := inNewY && cx >= nx0 && cx <= nx1
-				if inOld || inNew {
-					x.batches[row+cx] = append(x.batches[row+cx], m)
-				}
-			}
-		}
-	}
-	forEachStealing(len(x.shards), runtime.GOMAXPROCS(0), func(i int) {
-		if len(x.batches[i]) == 0 {
-			x.errs[i] = nil
-			return
-		}
-		_, x.errs[i] = x.shards[i].ApplyBatch(x.batches[i])
-	})
-	return errors.Join(x.errs...)
-}
-
-// Query implements core.ShardedEpochBoxIndex. Every region dedups by
-// boundary ownership (replicas straddling shards report from exactly
-// one), so the merged stream is duplicate-free.
-func (x *BoxConcurrent) Query(r geom.Rect, emit func(id uint32), observe func(shard int, epoch, digest uint64)) {
-	x0, y0, x1, y1 := x.lat.spanOf(r)
-	x.ins.fanout.Record(int64((x1 - x0 + 1) * (y1 - y0 + 1)))
-	for cy := y0; cy <= y1; cy++ {
-		row := cy * x.lat.side
-		for cx := x0; cx <= x1; cx++ {
-			sid := row + cx
-			ep, dg := x.shards[sid].Query(r, emit)
-			observe(sid, ep, dg)
-		}
-	}
-}
-
-// QueryAppend implements core.ShardedEpochQueryAppender (see
-// Concurrent.QueryAppend; regions dedup by boundary ownership).
-func (x *BoxConcurrent) QueryAppend(r geom.Rect, buf []uint32, observe func(shard int, epoch, digest uint64)) []uint32 {
-	x0, y0, x1, y1 := x.lat.spanOf(r)
-	x.ins.fanout.Record(int64((x1 - x0 + 1) * (y1 - y0 + 1)))
-	for cy := y0; cy <= y1; cy++ {
-		row := cy * x.lat.side
-		for cx := x0; cx <= x1; cx++ {
-			sid := row + cx
-			var ep, dg uint64
-			buf, ep, dg = x.shards[sid].QueryAppend(r, buf)
-			observe(sid, ep, dg)
-		}
-	}
-	return buf
-}
-
-// ShardEpoch implements core.ShardedEpochBoxIndex.
-func (x *BoxConcurrent) ShardEpoch(i int) (uint64, uint64) { return x.shards[i].Epoch() }
-
-// Composite folds the live per-shard digests into one engine-level
-// digest.
-func (x *BoxConcurrent) Composite() uint64 {
-	parts := make([]uint64, len(x.shards))
-	for i, sh := range x.shards {
-		_, parts[i] = sh.Epoch()
-	}
-	return epoch.CompositeDigest(parts)
-}
-
-// Stats implements core.ShardedEpochBoxIndex.
-func (x *BoxConcurrent) Stats() core.EpochStats {
+func (x *conc[P, M]) Stats() core.EpochStats {
 	var t core.EpochStats
 	for _, sh := range x.shards {
 		s := sh.Stats()

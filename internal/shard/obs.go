@@ -2,10 +2,10 @@ package shard
 
 import "repro/internal/obs"
 
-// instruments is the shard engines' instrument set. Each router
-// (Index, BoxIndex, Concurrent, BoxConcurrent) owns one value and
-// every region holds a pointer to its router's set, so per-region
-// events aggregate into engine-level series. All fields stay nil until
+// instruments is the shard engines' instrument set. Each engine
+// (Index, BoxIndex, Concurrent, BoxConcurrent) owns one value in its
+// env, which every region points at, so per-region events aggregate
+// into engine-level series. All fields stay nil until
 // Instrument binds a registry — every record below is then a nil-check
 // no-op, per the internal/obs hot-path contract.
 type instruments struct {
@@ -34,17 +34,8 @@ func (i *instruments) bind(r *obs.Registry) {
 }
 
 // Instrument implements obs.Instrumentable for the stop-the-world
-// point router.
-func (x *Index) Instrument(r *obs.Registry) {
-	x.ins.bind(r)
-	if x.side >= 1 {
-		x.ins.side.Set(int64(x.side))
-	}
-}
-
-// Instrument implements obs.Instrumentable for the stop-the-world box
-// router.
-func (x *BoxIndex) Instrument(r *obs.Registry) {
+// routers.
+func (x *router[P, M]) Instrument(r *obs.Registry) {
 	x.ins.bind(r)
 	if x.side >= 1 {
 		x.ins.side.Set(int64(x.side))
@@ -52,21 +43,11 @@ func (x *BoxIndex) Instrument(r *obs.Registry) {
 }
 
 // Instrument implements obs.Instrumentable for the sharded epoch
-// composition: the router binds its own fan-out/migration series and
+// compositions: the engine binds its own fan-out/migration series and
 // keeps the registry to hand to each per-region epoch wrapper at
 // Build, so the wrappers' lifecycle events aggregate into the shared
 // "epoch.*" series.
-func (x *Concurrent) Instrument(r *obs.Registry) {
-	x.reg = r
-	x.ins.bind(r)
-	for _, sh := range x.shards {
-		sh.Instrument(r)
-	}
-}
-
-// Instrument implements obs.Instrumentable for the sharded box epoch
-// composition.
-func (x *BoxConcurrent) Instrument(r *obs.Registry) {
+func (x *conc[P, M]) Instrument(r *obs.Registry) {
 	x.reg = r
 	x.ins.bind(r)
 	for _, sh := range x.shards {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/epoch"
 	"repro/internal/faultutil"
 	"repro/internal/geom"
+	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/workload"
 )
@@ -396,5 +397,133 @@ func TestShardBatchMatchesSequential(t *testing.T) {
 			{MinX: 100, MinY: 100, MaxX: 700, MaxY: 700},
 			cfg.Bounds(),
 		}, b.Query, a.Query)
+	}
+}
+
+// TestShardConcurrentNoSpuriousDegradation pins the clean-run contract
+// at the scale where it used to break: with no injector armed, a
+// degraded tick or a retry means some layer under the epoch validator
+// answered a membership probe wrongly. It did — grid.Grid's cell-edge
+// tables disagreed with its cell mapper by an ulp at cps=48 (what tune
+// picks for a quarter of this space), and the validator's degenerate
+// probe of a point within an ulp of an edge missed it on tick 209.
+func TestShardConcurrentNoSpuriousDegradation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("600 ticks over 20000 points")
+	}
+	cfg := workload.DefaultUniform()
+	cfg.NumPoints = 20000
+	cfg.Ticks = 600
+	p := core.ParamsFor(cfg)
+	p.Shards = 2
+	x := NewConcurrent(p, epoch.Options{})
+	res := core.RunConcurrentSharded(x, workload.MustNewGenerator(cfg), core.ConcurrentOptions{Readers: 1})
+	if res.Stats.Degraded != 0 || res.Stats.Retries != 0 || res.FailedTicks != 0 || res.Violations != 0 {
+		t.Fatalf("clean run: %d degraded ticks, %d retries, %d failed ticks, %d violations",
+			res.Stats.Degraded, res.Stats.Retries, res.FailedTicks, res.Violations)
+	}
+}
+
+// TestSingleEpochIsOnePublication runs one stream through the two
+// binders of the one concurrent loop — a single epoch.Index (publication
+// 0) and a one-region shard.Concurrent (one publication per shard, of
+// which there is one) — and demands the same accounting from both, clean
+// and with one tick's retries exhausted: the batch is carried, every
+// publication's oracle is recorded after every tick including the failed
+// one, and both finish consistent.
+func TestSingleEpochIsOnePublication(t *testing.T) {
+	cfg := testPointConfig()
+	p := core.Params{Bounds: cfg.Bounds(), NumPoints: cfg.NumPoints, Shards: 1}
+	for _, tc := range []struct {
+		name   string
+		faults string
+		failed int
+	}{
+		{"clean", "", 0},
+		{"exhausted", "apply:panic*1, build:panic*2", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := func() epoch.Options {
+				if tc.faults == "" {
+					return epoch.Options{}
+				}
+				return epoch.Options{Injector: faultutil.MustNew(5, tc.faults), MaxRetries: 1}
+			}
+			single := core.RunConcurrent(
+				epoch.NewIndex(func() core.Index { return grid.MustNew(grid.CSR(), cfg.Bounds(), cfg.NumPoints) }, opts()),
+				workload.MustNewGenerator(cfg), core.ConcurrentOptions{Readers: 2})
+			sharded := core.RunConcurrentSharded(NewConcurrent(p, opts()),
+				workload.MustNewGenerator(cfg), core.ConcurrentOptions{Readers: 2})
+			for _, res := range []*core.ConcurrentResult{single, sharded} {
+				if res.Violations != 0 {
+					t.Errorf("%s: %d violations", res.Technique, res.Violations)
+				}
+				if res.FailedTicks != tc.failed {
+					t.Errorf("%s: %d failed ticks, want %d", res.Technique, res.FailedTicks, tc.failed)
+				}
+				if got, want := res.Stats.Epochs+uint64(res.FailedTicks), uint64(cfg.Ticks); got != want {
+					t.Errorf("%s: %d epochs + %d failed ticks, want %d ticks (the failed batch was not carried)",
+						res.Technique, res.Stats.Epochs, res.FailedTicks, want)
+				}
+			}
+			if single.Queries != sharded.Queries || single.Updates != sharded.Updates {
+				t.Errorf("single %d queries / %d updates, one-region sharded %d / %d",
+					single.Queries, single.Updates, sharded.Queries, sharded.Updates)
+			}
+		})
+	}
+}
+
+// TestPointIsDegenerateBox is the metamorphic check that the shared
+// router treats points as the one-replica class of boxes: zero-extent
+// MBRs through BoxIndex must report exactly what the same positions
+// report through Index, at every shard count, whether the moves arrive
+// one by one or as a routed batch.
+func TestPointIsDegenerateBox(t *testing.T) {
+	cfg := testPointConfig()
+	p := core.Params{Bounds: cfg.Bounds(), NumPoints: cfg.NumPoints}
+	for _, side := range []int{1, 2, 4} {
+		for _, workers := range []int{0, 1, 4} { // 0: per-move Update
+			t.Run(fmt.Sprintf("side=%d/workers=%d", side, workers), func(t *testing.T) {
+				src := workload.MustNewGenerator(cfg)
+				pts := src.Positions(nil)
+				rects := make([]geom.Rect, len(pts))
+				for i, pt := range pts {
+					rects[i] = pt.Rect()
+				}
+				px, bx := New(p, side), NewBox(p, side)
+				px.Build(pts)
+				bx.Build(rects)
+				for tick := 0; tick < 4; tick++ {
+					queries := queryRects(src.Queriers(), src.QueryRect)
+					assertSameEmissions(t, queries, bx.Query, px.Query)
+					assertKernelsAgree(t, "degenerate boxes", px.Query, bx.QueryAppend, queries)
+					ups := src.Updates()
+					moves := make([]geom.Move, len(ups))
+					boxMoves := make([]geom.BoxMove, len(ups))
+					for i, u := range ups {
+						moves[i] = geom.Move{ID: u.ID, Old: pts[u.ID], New: u.Pos}
+						boxMoves[i] = geom.BoxMove{ID: u.ID, Old: pts[u.ID].Rect(), New: u.Pos.Rect()}
+						pts[u.ID] = u.Pos
+					}
+					if workers > 0 {
+						px.UpdateBatch(moves, workers)
+						bx.UpdateBatch(boxMoves, workers)
+					} else {
+						for i := range moves {
+							px.Update(moves[i].ID, moves[i].Old, moves[i].New)
+							bx.Update(boxMoves[i].ID, boxMoves[i].Old, boxMoves[i].New)
+						}
+					}
+					src.ApplyUpdates(ups)
+					if err := bx.CheckInvariants(); err != nil {
+						t.Fatalf("tick %d: %v", tick, err)
+					}
+					if px.Len() != bx.Len() {
+						t.Fatalf("tick %d: %d points but %d zero-extent replicas", tick, px.Len(), bx.Len())
+					}
+				}
+			})
+		}
 	}
 }
