@@ -151,7 +151,7 @@ var phaseSets = []struct {
 // present in the snapshot, plus the tuner residual when the prediction
 // and the observed tick are both there.
 func writePhases(w io.Writer, snap *obs.Snapshot) {
-	for _, set := range phaseSets {
+	for i, set := range phaseSets {
 		var have []string
 		for _, p := range set.phases {
 			if hs, ok := snap.Histograms[p]; ok && hs.Count > 0 {
@@ -171,6 +171,15 @@ func writePhases(w io.Writer, snap *obs.Snapshot) {
 		}
 		fmt.Fprintf(tw, "  sum of phase means\t%s\t\t\n", ns(total))
 		tw.Flush()
+		// The tick loops say which order their last query phase probed in
+		// (the sequential driver's measured choice, internal/core/README.md).
+		if v, ok := snap.Gauges["core.tick.cell_ordered"]; ok && i == 0 {
+			order := "querier order"
+			if v != 0 {
+				order = "cell order"
+			}
+			fmt.Fprintf(w, "  query phase probed in %s (core.tick.cell_ordered = %d)\n", order, v)
+		}
 	}
 
 	// Apply-path split: how the epoch writers caught their shadows up

@@ -36,6 +36,7 @@ func TestReportSingleSnapshot(t *testing.T) {
 	r.Counter("epoch.apply_replay").Add(3)
 	r.Gauge("core.concurrent.violations").Set(0)
 	r.Gauge("tune.predicted_tick_ns").Set(3_000_000)
+	r.Gauge("core.tick.cell_ordered").Set(1)
 	for _, phase := range []string{"core.tick.build_ns", "core.tick.query_ns", "core.tick.update_ns"} {
 		h := r.Histogram(phase)
 		for i := 0; i < 8; i++ {
@@ -56,6 +57,7 @@ func TestReportSingleSnapshot(t *testing.T) {
 		"tick phases (stop-the-world driver)",
 		"core.tick.build_ns",
 		"x8",
+		"query phase probed in cell order (core.tick.cell_ordered = 1)",
 		"tune residual:",
 		"epoch apply path: 57 bulk (land + one build), 3 replay (per-move update)",
 	} {

@@ -21,6 +21,10 @@ type tickObs struct {
 	build, query, update    *obs.Histogram
 	ticks, queries, updates *obs.Counter
 	pairs                   *obs.Counter
+	// cellOrdered is 1 when the last tick's query phase probed in cell
+	// order, 0 when in querier order (engine.go, cellSchedule): past the
+	// sequential driver's trial ticks it reads the run's measured choice.
+	cellOrdered *obs.Gauge
 }
 
 func newTickObs(r *obs.Registry) tickObs {
@@ -32,17 +36,24 @@ func newTickObs(r *obs.Registry) tickObs {
 		queries: r.Counter("core.queries"),
 		updates: r.Counter("core.updates"),
 		pairs:   r.Counter("core.pairs"),
+
+		cellOrdered: r.Gauge("core.tick.cell_ordered"),
 	}
 }
 
 // tick folds one completed tick's phase times and counts in.
-func (o *tickObs) tick(pt PhaseTimes, queries, updates int64) {
+func (o *tickObs) tick(pt PhaseTimes, queries, updates int64, cellOrdered bool) {
 	o.build.Record(int64(pt.Build))
 	o.query.Record(int64(pt.Query))
 	o.update.Record(int64(pt.Update))
 	o.ticks.Inc()
 	o.queries.Add(queries)
 	o.updates.Add(updates)
+	var ordered int64
+	if cellOrdered {
+		ordered = 1
+	}
+	o.cellOrdered.Set(ordered)
 }
 
 // concObs is the concurrent drivers' instrument set.

@@ -29,11 +29,12 @@ type QueryAppender interface {
 }
 
 // BatchQuerier is the multi-query capability: one call answers a whole
-// batch of range queries into a single CSR-shaped result. Callers pass
-// Morton-ordered batches (the drivers' query schedule already is), so
-// consecutive queries touch neighbouring cells while they are
-// cache-resident — the per-query kernel setup amortizes across the run
-// instead of re-touching cold cells query-major.
+// batch of range queries, in the caller's order, into a single CSR-shaped
+// result. The order is where a batch can pay: when consecutive queries
+// touch neighbouring cells those are still cache-resident. Both tick
+// loops hand over cell-ordered batches while their query schedule is on
+// (runTicksParallel always; runTicks when it measures that the order
+// pays, see its comment); the RunConcurrent* readers do not order theirs.
 type BatchQuerier interface {
 	// QueryBatch answers rects[i] for every i, reusing offsets and buf
 	// as scratch. It returns (offsets, buf) with len(offsets) ==
@@ -73,8 +74,8 @@ func QueryBatchOf(idx any, query func(r geom.Rect, emit func(id uint32))) func(r
 
 // AppendBatch is the canonical QueryBatch construction from a buffered
 // kernel: answer the rects in order, recording a CSR offset after each.
-// Families whose batch kernel is "the append kernel, amortized by the
-// caller's Morton order" implement QueryBatch with this.
+// Families whose batch kernel is "the append kernel, in the caller's
+// order" implement QueryBatch with this.
 func AppendBatch(qa func(r geom.Rect, buf []uint32) []uint32, rects []geom.Rect, offsets, buf []uint32) ([]uint32, []uint32) {
 	offsets = append(offsets[:0], 0)
 	buf = buf[:0]

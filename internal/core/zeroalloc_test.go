@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/grid"
+	"repro/internal/obs"
 	"repro/internal/workload"
 	"repro/internal/xrand"
 )
@@ -100,6 +101,60 @@ func TestSequentialUpdatePhaseZeroAlloc(t *testing.T) {
 		e.refresh(snap, 0, len(snap))
 		if err := idx.CheckInvariants(); err != nil {
 			t.Errorf("%s: %v", idx.Name(), err)
+		}
+	}
+}
+
+// The query schedule both tick loops share orders a tick's queriers in
+// buffers sized once per driver call: what it returns is a permutation of
+// the queriers, non-decreasing in scheduling code, and producing it
+// allocates nothing. The instruments the loops record into allocate
+// nothing either, with a registry and without.
+func TestCellScheduleZeroAlloc(t *testing.T) {
+	cfg := workload.DefaultUniform()
+	cfg.NumPoints = 5000
+	cfg.SpaceSize = 6000
+	src := workload.MustNewGenerator(cfg)
+	e := pointEngine(NewBruteForce(), src)
+	snap := make([]geom.Point, e.n)
+	e.refresh(snap, 0, len(snap))
+	queriers := e.queriers()
+	if len(queriers) < cfg.NumPoints/4 {
+		t.Fatalf("only %d queriers", len(queriers))
+	}
+	sched := newCellSchedule(e)
+	order := sched.order(snap, queriers)
+
+	seen := make(map[uint32]int, len(queriers))
+	for _, q := range queriers {
+		seen[q]++
+	}
+	for i, q := range order {
+		seen[q]--
+		if i > 0 && sched.codes[order[i-1]] > sched.codes[q] {
+			t.Fatalf("order[%d]: code %d after %d", i, sched.codes[q], sched.codes[order[i-1]])
+		}
+	}
+	for q, n := range seen {
+		if n != 0 {
+			t.Fatalf("querier %d appears %+d times too few in the order", q, n)
+		}
+	}
+	if len(order) != len(queriers) {
+		t.Fatalf("%d of %d queriers ordered", len(order), len(queriers))
+	}
+
+	if allocs := testing.AllocsPerRun(20, func() { sched.order(snap, queriers) }); allocs != 0 {
+		t.Errorf("ordering a tick's queriers allocates %.1f times, want 0", allocs)
+	}
+	for name, reg := range map[string]*obs.Registry{"enabled": obs.New(), "nil": nil} {
+		to := newTickObs(reg)
+		ordered := false
+		if allocs := testing.AllocsPerRun(100, func() {
+			ordered = !ordered
+			to.tick(PhaseTimes{Build: 1, Query: 2, Update: 3}, 10, 5, ordered)
+		}); allocs != 0 {
+			t.Errorf("%s registry: recording a tick allocates %.1f times, want 0", name, allocs)
 		}
 	}
 }

@@ -355,8 +355,8 @@ func (bg *BoxGrid) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 	return buf
 }
 
-// QueryBatch implements core.BatchQuerier (append kernel over the
-// caller's Morton-ordered batch; see Grid.QueryBatch).
+// QueryBatch implements core.BatchQuerier (append kernel in the
+// caller's order; see Grid.QueryBatch).
 func (bg *BoxGrid) QueryBatch(rects []geom.Rect, offsets, buf []uint32) ([]uint32, []uint32) {
 	offsets = append(offsets[:0], 0)
 	buf = buf[:0]

@@ -560,12 +560,22 @@ func (bg *BoxGrid2L) Query(r geom.Rect, emit func(id uint32)) {
 	}
 }
 
-// QueryAppend implements core.QueryAppender: the Query kernel with the
-// per-class emit loops appending into buf. The payoff is the interior
-// cell: its class-A run is a guaranteed-hit contiguous slice of the ID
-// arena, so the whole sub-span lands in buf as one bulk copy with no
-// per-element test or call — the true-hit fast path this layout's class
-// partition was built for.
+// QueryAppend implements core.QueryAppender: Query's result, appended
+// into buf. The payoff is the interior cell: its class-A run is a
+// guaranteed-hit contiguous slice of the ID arena, so the whole sub-span
+// lands in buf as one bulk copy with no per-element test or call — the
+// true-hit fast path this layout's class partition was built for.
+//
+// In a boundary cell the classes that can pass there are tested as one
+// contiguous run under class A's window wherever they are adjacent in
+// the arena: the whole segment A‖B‖C‖D in the query's corner cell, A‖B
+// in the rest of its first column, A and then C in the rest of its
+// first row, A alone elsewhere. Against Query's per-class predicates
+// this adds MinX <= hiX for B and D and MinY <= hiY for C and D; both
+// are decided by the monotonicity the type comment relies on (such a
+// replica's span starts in an earlier column / row than this cell, the
+// query's far edge lies in this cell or a later one), so the result is
+// Query's, for a prologue and a reservation per run instead of per class.
 //
 //joinlint:hotpath
 func (bg *BoxGrid2L) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
@@ -595,6 +605,9 @@ func (bg *BoxGrid2L) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 				// bulk copy, zero predicates.
 				buf = append(buf, bg.ids[a0:aEnd]...)
 			} else {
+				// Class A's window: the query's edges on the sides where
+				// this cell is on the span's boundary, ±inf sentinels ("no
+				// test needed") on the others.
 				loX, hiX := float32(-boxInf), float32(boxInf)
 				if firstCol {
 					loX = r.MinX
@@ -602,19 +615,16 @@ func (bg *BoxGrid2L) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 				if lastCol {
 					hiX = r.MaxX
 				}
-				// Every class predicate is the 4-term window test with ±inf
-				// sentinels on the edges it does not need (class B never
-				// tests MinX <= hiX, so hiX = +inf there, and so on) — one
-				// branchless kernel serves all four classes.
-				buf = bg.appendMasked(a0, aEnd, loX, hiX, loY, hiY, buf)
-				if firstCol {
-					buf = bg.appendMasked(aEnd, bg.ends[c2+1], r.MinX, boxInf, loY, hiY, buf)
+				end := aEnd
+				switch {
+				case firstCol && firstRow:
+					end = bg.ends[half+c2+1] // A‖B‖C‖D
+				case firstCol:
+					end = bg.ends[c2+1] // A‖B
 				}
-				if firstRow {
-					buf = bg.appendMasked(bg.ends[c2+1], bg.ends[half+c2], loX, hiX, r.MinY, boxInf, buf)
-				}
-				if firstCol && firstRow {
-					buf = bg.appendMasked(bg.ends[half+c2], bg.ends[half+c2+1], r.MinX, boxInf, r.MinY, boxInf, buf)
+				buf = bg.appendMasked(a0, end, loX, hiX, loY, hiY, buf)
+				if firstRow && !firstCol {
+					buf = bg.appendMasked(bg.ends[c2+1], bg.ends[half+c2], loX, hiX, loY, hiY, buf) // C
 				}
 			}
 			if of := bg.overflow[c]; len(of) != 0 {
@@ -659,8 +669,8 @@ func (bg *BoxGrid2L) appendMasked(lo, hi uint32, loX, hiX, loY, hiY float32, buf
 	return buf[:k]
 }
 
-// QueryBatch implements core.BatchQuerier (append kernel over the
-// caller's Morton-ordered batch; see Grid.QueryBatch).
+// QueryBatch implements core.BatchQuerier (append kernel in the
+// caller's order; see Grid.QueryBatch).
 func (bg *BoxGrid2L) QueryBatch(rects []geom.Rect, offsets, buf []uint32) ([]uint32, []uint32) {
 	offsets = append(offsets[:0], 0)
 	buf = buf[:0]
@@ -673,21 +683,34 @@ func (bg *BoxGrid2L) QueryBatch(rects []geom.Rect, offsets, buf []uint32) ([]uin
 
 // Update implements core.BoxIndex: remove the replica from every cell of
 // its old span and insert it into every cell of the new one, maintaining
-// the class partition in place.
+// the class partition in place. A move that keeps its span keeps every
+// replica's cell and class, so only the inlined coordinates are rewritten
+// where they lie.
 func (bg *BoxGrid2L) Update(id uint32, old, new geom.Rect) {
 	os := bg.spans[id]
 	ns := bg.mapper.spanOf(new)
 	cps := bg.cps
+	same := ns == os
 	for cy := int(os.y0); cy <= int(os.y1); cy++ {
 		base := cy * cps
 		for cx := int(os.x0); cx <= int(os.x1); cx++ {
-			if !bg.removeLocal(base+cx, classAt(os, cx, cy), id) {
+			k := classAt(os, cx, cy)
+			var ok bool
+			if same {
+				ok = bg.rewriteLocal(base+cx, k, id, new)
+			} else {
+				ok = bg.removeLocal(base+cx, k, id)
+			}
+			if !ok {
 				// The replica must exist: Build placed one in every span
 				// cell and the workload issues at most one update per
 				// object per tick.
 				panic(fmt.Sprintf("grid: box update of unknown entry %d at %v", id, old))
 			}
 		}
+	}
+	if same {
+		return
 	}
 	bg.spans[id] = ns
 	for cy := int(ns.y0); cy <= int(ns.y1); cy++ {
@@ -696,6 +719,35 @@ func (bg *BoxGrid2L) Update(id uint32, old, new geom.Rect) {
 			bg.insertLocal(base+cx, classAt(ns, cx, cy), id, new)
 		}
 	}
+}
+
+// classRun returns the arena bounds of class run k of cell c.
+func (bg *BoxGrid2L) classRun(c, k int) (lo, hi uint32) {
+	lo = bg.starts[c]
+	if k > 0 {
+		lo = bg.ends[bg.endIdx(c, k-1)]
+	}
+	return lo, bg.ends[bg.endIdx(c, k)]
+}
+
+// rewriteLocal overwrites the inlined coordinates of id's replica in
+// class run k of cell c (or in the cell's overflow) with r, reporting
+// whether the replica was present. It only touches cell-c state.
+func (bg *BoxGrid2L) rewriteLocal(c, k int, id uint32, r geom.Rect) bool {
+	lo, hi := bg.classRun(c, k)
+	for p := lo; p < hi; p++ {
+		if bg.ids[p] == id {
+			bg.rcts[p] = r
+			return true
+		}
+	}
+	for j, v := range bg.overflow[c] {
+		if v == id {
+			bg.overflowR[c][j] = r
+			return true
+		}
+	}
+	return false
 }
 
 // insertLocal adds one replica of (id, r) to class run k of cell c. With
@@ -731,11 +783,8 @@ func (bg *BoxGrid2L) insertLocal(c, k int, id uint32, r geom.Rect) {
 // fills the hole left in the run below — so every class run stays
 // contiguous. It only touches cell-c state.
 func (bg *BoxGrid2L) removeLocal(c, k int, id uint32) bool {
-	lo := bg.starts[c]
-	if k > 0 {
-		lo = bg.ends[bg.endIdx(c, k-1)]
-	}
-	for p := lo; p < bg.ends[bg.endIdx(c, k)]; p++ {
+	lo, hi := bg.classRun(c, k)
+	for p := lo; p < hi; p++ {
 		if bg.ids[p] != id {
 			continue
 		}

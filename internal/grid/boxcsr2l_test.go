@@ -2,6 +2,7 @@ package grid
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"repro/internal/geom"
@@ -173,6 +174,153 @@ func TestBoxGrid2LClassPartitionProperty(t *testing.T) {
 			}
 			bg.rects = moved
 			checkClassPartition(t, bg)
+
+			// A move inside the same cell span rewrites the replicas'
+			// coordinates where they lie: same partition, fresh rects.
+			jittered, sameSpan := jitterBoxes(rng, bg, moved)
+			if sameSpan == 0 {
+				t.Fatal("no same-span move generated")
+			}
+			bg.rects = jittered
+			checkClassPartition(t, bg)
+		})
+	}
+}
+
+// jitterBoxes shifts about half of the population by up to three units
+// per axis through bg.Update and returns the moved population with the
+// number of moves that kept their cell span (Update's in-place path).
+func jitterBoxes(rng *xrand.Rand, bg *BoxGrid2L, rects []geom.Rect) (moved []geom.Rect, sameSpan int) {
+	moved = append([]geom.Rect(nil), rects...)
+	for i, r := range rects {
+		if rng.Bool(0.5) {
+			continue
+		}
+		dx, dy := rng.Range(-3, 3), rng.Range(-3, 3)
+		nr := geom.Rect{MinX: r.MinX + dx, MinY: r.MinY + dy, MaxX: r.MaxX + dx, MaxY: r.MaxY + dy}
+		if bg.mapper.spanOf(nr) == bg.spans[i] {
+			sameSpan++
+		}
+		bg.Update(uint32(i), r, nr)
+		moved[i] = nr
+	}
+	return moved, sameSpan
+}
+
+// TestBoxGrid2LMergedRunsProperty holds the buffered kernel, which tests
+// the class runs of a boundary cell together under class A's window,
+// against the per-class emit kernel and the brute-force oracle, as exact
+// ID lists (a class tested in a cell where it cannot pass the
+// reference-cell criterion shows as a duplicate). The inputs are the ones
+// where the merged windows differ from the per-class ones: query spans of
+// one cell, one row and one column (first and last boundary coincide),
+// query and object edges lying exactly on cell edges, and a grid whose
+// cells hold overflow entries after cross-span and same-span updates.
+func TestBoxGrid2LMergedRunsProperty(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		bounds geom.Rect
+		cps    int
+	}{
+		{"exact cell width", geom.R(0, 0, 1024, 1024), 16},
+		{"inexact cell width, offset origin", geom.R(110, 110, 1110, 1110), 13},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := xrand.New(41)
+			bounds, cps := tc.bounds, tc.cps
+			cell := bounds.Width() / float32(cps)
+			// snap moves a coordinate onto the nearest cell edge.
+			snap := func(v, origin float32) float32 {
+				return origin + cell*float32(int((v-origin)/cell+0.5))
+			}
+			snapSome := func(r geom.Rect) geom.Rect {
+				for _, e := range []struct {
+					v      *float32
+					origin float32
+				}{{&r.MinX, bounds.MinX}, {&r.MinY, bounds.MinY}, {&r.MaxX, bounds.MinX}, {&r.MaxY, bounds.MinY}} {
+					if rng.Bool(0.5) {
+						*e.v = snap(*e.v, e.origin)
+					}
+				}
+				r.MaxX, r.MaxY = max(r.MinX, r.MaxX), max(r.MinY, r.MaxY)
+				return r
+			}
+
+			rects := randomBoxes(rng, 900, bounds, 0, 3*cell)
+			for i := range rects {
+				if i%3 == 0 {
+					rects[i] = snapSome(rects[i])
+				}
+			}
+			bg := MustNewBoxGrid2L(cps, bounds, len(rects))
+			bg.Build(rects)
+			// Herd a third of the population into one corner of the space
+			// (no slack there: overflow), then jitter everyone in place.
+			for i := 0; i < len(rects); i += 3 {
+				c := geom.Pt(bounds.MinX+rng.Range(0, 3*cell), bounds.MinY+rng.Range(0, 3*cell))
+				nr := geom.Rect{MinX: c.X, MinY: c.Y, MaxX: c.X + rects[i].Width(), MaxY: c.Y + rects[i].Height()}
+				bg.Update(uint32(i), rects[i], nr)
+				rects[i] = nr
+			}
+			rects, sameSpan := jitterBoxes(rng, bg, rects)
+			overflowed := 0
+			for _, of := range bg.overflow {
+				overflowed += len(of)
+			}
+			if overflowed == 0 || sameSpan == 0 {
+				t.Fatalf("%d overflow entries, %d same-span moves: the test lost its inputs", overflowed, sameSpan)
+			}
+			bg.rects = rects
+			checkClassPartition(t, bg)
+
+			// Query shapes: anywhere; inside one cell; one row (wide and
+			// flat); one column (narrow and tall); each also with edges
+			// snapped onto cell edges.
+			var queries []geom.Rect
+			for i := 0; i < 400; i++ {
+				c := geom.Pt(rng.Range(bounds.MinX, bounds.MaxX), rng.Range(bounds.MinY, bounds.MaxY))
+				w, h := rng.Range(0, 4*cell), rng.Range(0, 4*cell)
+				switch i % 4 {
+				case 1:
+					w, h = rng.Range(0, cell/2), rng.Range(0, cell/2)
+				case 2:
+					h = rng.Range(0, cell/2)
+				case 3:
+					w = rng.Range(0, cell/2)
+				}
+				q := geom.Rect{MinX: c.X - w/2, MinY: c.Y - h/2, MaxX: c.X + w/2, MaxY: c.Y + h/2}
+				if i%8 >= 4 {
+					q = snapSome(q)
+				}
+				queries = append(queries, q)
+			}
+			queries = append(queries, testQueries(rng, 20, bounds)...)
+
+			var oneCell, oneRow, oneCol int
+			var buf []uint32
+			for _, q := range queries {
+				s := bg.mapper.spanOf(q)
+				switch {
+				case s.x0 == s.x1 && s.y0 == s.y1:
+					oneCell++
+				case s.y0 == s.y1:
+					oneRow++
+				case s.x0 == s.x1:
+					oneCol++
+				}
+				want := bruteBoxQuery(rects, q)
+				if got := collectQuery(t, bg, q); !equalIDs(got, want) {
+					t.Fatalf("Query %v (span %v): %d ids, oracle %d", q, s, len(got), len(want))
+				}
+				buf = bg.QueryAppend(q, buf[:0])
+				sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
+				if !equalIDs(buf, want) {
+					t.Fatalf("QueryAppend %v (span %v): %v, oracle %v", q, s, buf, want)
+				}
+			}
+			if oneCell < 20 || oneRow < 20 || oneCol < 20 {
+				t.Fatalf("query spans: %d one-cell, %d one-row, %d one-column; the shapes were not generated", oneCell, oneRow, oneCol)
+			}
 		})
 	}
 }

@@ -572,8 +572,9 @@ func (g *Grid) scanCellRangeAppend(r geom.Rect, xmin, xmax, ymin, ymax int, buf 
 }
 
 // QueryBatch implements core.BatchQuerier. The batch kernel is the
-// append kernel answered in caller order: the drivers hand over
-// Morton-sorted batches, so consecutive queries revisit the same cell
+// append kernel answered in caller order: when the batch is cell-ordered
+// (the tick loops' query schedule, core/engine.go; the concurrent
+// readers' batches are not) consecutive queries revisit the same cell
 // rows while their segments are cache-resident.
 func (g *Grid) QueryBatch(rects []geom.Rect, offsets, buf []uint32) ([]uint32, []uint32) {
 	offsets = append(offsets[:0], 0)

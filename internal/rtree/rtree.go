@@ -366,9 +366,9 @@ func (t *Tree) queryRecAppend(ni int32, r geom.Rect, buf []uint32) []uint32 {
 	return buf
 }
 
-// QueryBatch implements core.BatchQuerier (sequential append kernel;
-// batching pays off through the caller's Morton ordering, which keeps
-// consecutive traversals on overlapping node paths).
+// QueryBatch implements core.BatchQuerier (sequential append kernel; a
+// batch pays off when the caller cell-orders it, which keeps consecutive
+// traversals on overlapping node paths).
 func (t *Tree) QueryBatch(rects []geom.Rect, offsets, buf []uint32) ([]uint32, []uint32) {
 	offsets = append(offsets[:0], 0)
 	buf = buf[:0]

@@ -294,8 +294,8 @@ func (x *router[P, M]) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 	return buf
 }
 
-// QueryBatch implements core.BatchQuerier (sequential append kernel
-// over the caller's Morton-ordered batch).
+// QueryBatch implements core.BatchQuerier (sequential append kernel in
+// the caller's order).
 func (x *router[P, M]) QueryBatch(rects []geom.Rect, offsets, buf []uint32) ([]uint32, []uint32) {
 	return core.AppendBatch(x.QueryAppend, rects, offsets, buf)
 }
