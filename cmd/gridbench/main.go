@@ -323,7 +323,7 @@ func run(args []string) error {
 					return err
 				}
 				g.Build(pts)
-				if got := pointDigest(g, pts, queriers, wcfg.QuerySize); got != wantDigest {
+				if got := emitDigest(g, pts, pointCenter, queriers, wcfg.QuerySize); got != wantDigest {
 					return fmt.Errorf("layout %s at cps=%d diverges from the brute-force oracle (digest %#x, want %#x)",
 						c.name, cps, got, wantDigest)
 				}
@@ -342,11 +342,11 @@ func run(args []string) error {
 				// update phase churns bucket order). This paired measurement
 				// is the emit-vs-append comparison the CI gate tracks.
 				g.Build(pts)
-				if got := pointAppendDigest(g, pts, queriers, wcfg.QuerySize); got != wantDigest {
+				if got := appendDigest(g, pts, pointCenter, queriers, wcfg.QuerySize); got != wantDigest {
 					return fmt.Errorf("layout %s at cps=%d: buffered kernel diverges from the brute-force oracle (digest %#x, want %#x)",
 						c.name, cps, got, wantDigest)
 				}
-				emitNs, appendNs := measureQueryKernels(g, pts, queriers, wcfg.QuerySize, *iters)
+				emitNs, appendNs := measureQueryKernels(g, pts, pointCenter, queriers, wcfg.QuerySize, *iters)
 				rep.Results = append(rep.Results, opResult{Layout: c.name, CPS: cps, Op: "query-emit", NsPerOp: emitNs})
 				rep.Results = append(rep.Results, opResult{Layout: c.name, CPS: cps, Op: "query-append", NsPerOp: appendNs})
 				rep.BufferedSpeedup[fmt.Sprintf("%s/cps=%d", c.name, cps)] = emitNs / appendNs
@@ -369,7 +369,7 @@ func run(args []string) error {
 		// regret vs the best contender of the static matrix above.
 		auto := tune.NewAuto(core.ParamsFor(wcfg))
 		auto.Build(pts)
-		if got := pointDigest(auto, pts, queriers, wcfg.QuerySize); got != wantDigest {
+		if got := emitDigest(auto, pts, pointCenter, queriers, wcfg.QuerySize); got != wantDigest {
 			return fmt.Errorf("auto layout diverges from the brute-force oracle (digest %#x, want %#x)", got, wantDigest)
 		}
 		choice, _ := auto.Choice()
@@ -473,7 +473,7 @@ func run(args []string) error {
 			{"boxrtree", rtree.MustNewBoxTree(rtree.DefaultFanout)},
 		} {
 			bc.index.Build(rects)
-			if got := boxDigest(bc.index, rects, boxQueriers, bcfg.QuerySize); got != wantDigest {
+			if got := emitDigest(bc.index, rects, geom.Rect.Center, boxQueriers, bcfg.QuerySize); got != wantDigest {
 				return fmt.Errorf("box technique %s diverges from the brute-force oracle (digest %#x, want %#x)",
 					bc.name, got, wantDigest)
 			}
@@ -492,16 +492,16 @@ func run(args []string) error {
 			}
 			if bc.name == "boxrtree" {
 				bc.index.Build(rects)
-				if got := boxAppendDigest(bc.index, rects, boxQueriers, bcfg.QuerySize); got != wantDigest {
+				if got := appendDigest(bc.index, rects, geom.Rect.Center, boxQueriers, bcfg.QuerySize); got != wantDigest {
 					return fmt.Errorf("boxrtree: buffered kernel diverges from the brute-force oracle (digest %#x, want %#x)",
 						got, wantDigest)
 				}
-				emitNs, appendNs := measureBoxQueryKernels(bc.index, rects, boxQueriers, bcfg.QuerySize, *iters)
+				emitNs, appendNs := measureQueryKernels(bc.index, rects, geom.Rect.Center, boxQueriers, bcfg.QuerySize, *iters)
 				rep.Results = append(rep.Results, opResult{Layout: bc.name, Op: "query-emit", NsPerOp: emitNs})
 				rep.Results = append(rep.Results, opResult{Layout: bc.name, Op: "query-append", NsPerOp: appendNs})
 				rep.BufferedSpeedup[fmt.Sprintf("boxrtree/fanout=%d", rtree.DefaultFanout)] = emitNs / appendNs
 				for _, ext := range qexts {
-					ns := measureBoxQueries(bc.index, rects, boxQueriers, float32(ext), *iters)
+					ns := measureQueries(bc.index, rects, geom.Rect.Center, boxQueriers, float32(ext), *iters)
 					rep.Results = append(rep.Results, opResult{
 						Layout: bc.name, Op: "query", NsPerOp: ns, Qext: ext,
 					})
@@ -515,7 +515,7 @@ func run(args []string) error {
 			contenders := boxContenders(cps, bcfg.Bounds(), len(rects))
 			for _, bc := range contenders {
 				bc.index.Build(rects)
-				if got := boxDigest(bc.index, rects, boxQueriers, bcfg.QuerySize); got != wantDigest {
+				if got := emitDigest(bc.index, rects, geom.Rect.Center, boxQueriers, bcfg.QuerySize); got != wantDigest {
 					return fmt.Errorf("box layout %s at cps=%d diverges from the brute-force oracle (digest %#x, want %#x)",
 						bc.name, cps, got, wantDigest)
 				}
@@ -533,18 +533,18 @@ func run(args []string) error {
 				// order, possible overflow — that a steady-state tick query
 				// never sees), digest-gated like the callback kernel.
 				bc.index.Build(rects)
-				if got := boxAppendDigest(bc.index, rects, boxQueriers, bcfg.QuerySize); got != wantDigest {
+				if got := appendDigest(bc.index, rects, geom.Rect.Center, boxQueriers, bcfg.QuerySize); got != wantDigest {
 					return fmt.Errorf("box layout %s at cps=%d: buffered kernel diverges from the brute-force oracle (digest %#x, want %#x)",
 						bc.name, cps, got, wantDigest)
 				}
-				emitNs, appendNs := measureBoxQueryKernels(bc.index, rects, boxQueriers, bcfg.QuerySize, *iters)
+				emitNs, appendNs := measureQueryKernels(bc.index, rects, geom.Rect.Center, boxQueriers, bcfg.QuerySize, *iters)
 				rep.Results = append(rep.Results, opResult{Layout: bc.name, CPS: cps, Op: "query-emit", NsPerOp: emitNs})
 				rep.Results = append(rep.Results, opResult{Layout: bc.name, CPS: cps, Op: "query-append", NsPerOp: appendNs})
 				rep.BufferedSpeedup[fmt.Sprintf("%s/cps=%d", bc.name, cps)] = emitNs / appendNs
 				// The query-extent sweep: one window-join series per
 				// extent, over the same fresh build.
 				for _, ext := range qexts {
-					ns := measureBoxQueries(bc.index, rects, boxQueriers, float32(ext), *iters)
+					ns := measureQueries(bc.index, rects, geom.Rect.Center, boxQueriers, float32(ext), *iters)
 					rep.Results = append(rep.Results, opResult{
 						Layout: bc.name, CPS: cps, Op: "query", NsPerOp: ns, Qext: ext,
 					})
@@ -571,7 +571,7 @@ func run(args []string) error {
 		// regret vs the best static of the matrix above.
 		auto := tune.NewAutoBox(core.ParamsFor(bcfg.Config))
 		auto.Build(rects)
-		if got := boxDigest(auto, rects, boxQueriers, bcfg.QuerySize); got != wantDigest {
+		if got := emitDigest(auto, rects, geom.Rect.Center, boxQueriers, bcfg.QuerySize); got != wantDigest {
 			return fmt.Errorf("boxauto diverges from the brute-force oracle (digest %#x, want %#x)", got, wantDigest)
 		}
 		choice, _ := auto.Choice()
@@ -827,7 +827,7 @@ func runAutoRegret(rep *report, points int, seed uint64, iters int) error {
 
 		for _, c := range contenders {
 			c.index.Build(rects)
-			if got := boxDigest(c.index, rects, queriers, wl.cfg.QuerySize); got != wantDigest {
+			if got := emitDigest(c.index, rects, geom.Rect.Center, queriers, wl.cfg.QuerySize); got != wantDigest {
 				return fmt.Errorf("%s on %s diverges from the brute-force oracle (digest %#x, want %#x)",
 					c.key, wl.key, got, wantDigest)
 			}
@@ -864,103 +864,88 @@ func runAutoRegret(rep *report, points int, seed uint64, iters int) error {
 	return nil
 }
 
-// runShardedPoint measures the sharded series for points: the
+// contender is one index of the sharded series, by display name.
+type contender[P any] struct {
+	name string
+	idx  core.IndexOf[P]
+}
+
+// pointCenter is where a point's query window is centred (an MBR's is
+// geom.Rect.Center).
+func pointCenter(p geom.Point) geom.Point { return p }
+
+// runSharded measures the sharded series for one object class: the
 // region-sharded router against the unsharded contenders the main
 // matrix found competitive, every one under the identical parallel tick
 // model (parallel build when supported, queries striped across the
 // worker pool, batched updates when supported) at the same worker
 // count. Every contender — sharded included — passes the oracle digest
 // gate plus an explicit duplicate-emission count before being timed.
-func runShardedPoint(rep *report, wcfg workload.Config, pts []geom.Point, queriers []uint32, updates []workload.Update, iters, side, workers int, wantDigest uint64) error {
+func runSharded[P, M any](rep *report, class, shardedLayout string, contenders []contender[P], sh interface {
+	core.IndexOf[P]
+	Side() int
+}, snap []P, center func(P) geom.Point, queriers []uint32, moves, back []M, update func(idx core.IndexOf[P], m M),
+	querySize float32, iters, workers int, wantDigest uint64) error {
 	if rep.ShardedSpeedup == nil {
 		rep.ShardedSpeedup = map[string]float64{}
 	}
+	best := math.Inf(1)
+	for _, c := range contenders {
+		c.idx.Build(snap)
+		if got := emitDigest(c.idx, snap, center, queriers, querySize); got != wantDigest {
+			return fmt.Errorf("sharded series contender %s diverges from the brute-force oracle (digest %#x, want %#x)",
+				c.name, got, wantDigest)
+		}
+		row := measureParallelTick(c.idx, snap, center, queriers, moves, back, update, querySize, iters, workers)
+		row.Layout = c.name
+		rep.Sharded = append(rep.Sharded, row)
+		if row.TickNs < best {
+			best = row.TickNs
+		}
+	}
+	sh.Build(snap)
+	dups := countDuplicates(sh, snap, center, queriers, querySize)
+	if got := emitDigest(sh, snap, center, queriers, querySize); got != wantDigest || dups != 0 {
+		return fmt.Errorf("sharded %s engine diverges from the brute-force oracle (digest %#x, want %#x; %d duplicate emissions)",
+			class, got, wantDigest, dups)
+	}
+	row := measureParallelTick(sh, snap, center, queriers, moves, back, update, querySize, iters, workers)
+	row.Layout = shardedLayout
+	row.Side = sh.Side()
+	rep.Sharded = append(rep.Sharded, row)
+	rep.ShardedSpeedup[fmt.Sprintf("%s/tick@%dw", class, workers)] = best / row.TickNs
+	return nil
+}
+
+// runShardedPoint binds runSharded to the point workload.
+func runShardedPoint(rep *report, wcfg workload.Config, pts []geom.Point, queriers []uint32, updates []workload.Update, iters, side, workers int, wantDigest uint64) error {
 	params := core.ParamsFor(wcfg)
 	params.Shards = side
 	mkGrid := func(layout grid.Layout) core.Index {
 		return grid.MustNew(grid.Config{Layout: layout, Scan: grid.ScanRange, BS: grid.RefactoredBS, CPS: 64}, wcfg.Bounds(), len(pts))
 	}
-	contenders := []struct {
-		name string
-		idx  core.Index
-	}{
+	moves, back := pointMoves(pts, updates)
+	return runSharded(rep, "point", "sharded", []contender[geom.Point]{
 		{"csr/cps=64", mkGrid(grid.LayoutCSR)},
 		{"csrxy/cps=64", mkGrid(grid.LayoutCSRXY)},
 		{"auto", tune.NewAuto(params)},
-	}
-	moves, back := pointMoves(pts, updates)
-	best := math.Inf(1)
-	for _, c := range contenders {
-		c.idx.Build(pts)
-		if got := pointDigest(c.idx, pts, queriers, wcfg.QuerySize); got != wantDigest {
-			return fmt.Errorf("sharded series contender %s diverges from the brute-force oracle (digest %#x, want %#x)",
-				c.name, got, wantDigest)
-		}
-		row := measureParallelTick(c.idx, pts, queriers, moves, back, wcfg.QuerySize, iters, workers)
-		row.Layout = c.name
-		rep.Sharded = append(rep.Sharded, row)
-		if row.TickNs < best {
-			best = row.TickNs
-		}
-	}
-	sh := shard.NewAuto(params)
-	sh.Build(pts)
-	dups := countPointDuplicates(sh, pts, queriers, wcfg.QuerySize)
-	if got := pointDigest(sh, pts, queriers, wcfg.QuerySize); got != wantDigest || dups != 0 {
-		return fmt.Errorf("sharded point engine diverges from the brute-force oracle (digest %#x, want %#x; %d duplicate emissions)",
-			got, wantDigest, dups)
-	}
-	row := measureParallelTick(sh, pts, queriers, moves, back, wcfg.QuerySize, iters, workers)
-	row.Layout = "sharded"
-	row.Side = sh.Side()
-	rep.Sharded = append(rep.Sharded, row)
-	rep.ShardedSpeedup[fmt.Sprintf("point/tick@%dw", workers)] = best / row.TickNs
-	return nil
+	}, shard.NewAuto(params), pts, pointCenter, queriers, moves, back,
+		func(idx core.Index, m geom.Move) { idx.Update(m.ID, m.Old, m.New) },
+		wcfg.QuerySize, iters, workers, wantDigest)
 }
 
-// runShardedBox is runShardedPoint over the MBR workload.
+// runShardedBox binds runSharded to the MBR workload.
 func runShardedBox(rep *report, bcfg workload.BoxConfig, rects []geom.Rect, queriers []uint32, updates []workload.BoxUpdate, iters, side, workers int, wantDigest uint64) error {
-	if rep.ShardedSpeedup == nil {
-		rep.ShardedSpeedup = map[string]float64{}
-	}
 	params := core.ParamsFor(bcfg.Config)
 	params.Shards = side
-	contenders := []struct {
-		name string
-		idx  core.BoxIndex
-	}{
+	moves, back := boxMoves(rects, updates)
+	return runSharded(rep, "box", "boxsharded", []contender[geom.Rect]{
 		{"boxcsr2l/cps=64", grid.MustNewBoxGrid2L(64, bcfg.Bounds(), len(rects))},
 		{fmt.Sprintf("boxrtree/fanout=%d", rtree.DefaultFanout), rtree.MustNewBoxTree(rtree.DefaultFanout)},
 		{"boxauto", tune.NewAutoBox(params)},
-	}
-	moves, back := boxMoves(rects, updates)
-	best := math.Inf(1)
-	for _, c := range contenders {
-		c.idx.Build(rects)
-		if got := boxDigest(c.idx, rects, queriers, bcfg.QuerySize); got != wantDigest {
-			return fmt.Errorf("sharded series contender %s diverges from the brute-force oracle (digest %#x, want %#x)",
-				c.name, got, wantDigest)
-		}
-		row := measureBoxParallelTick(c.idx, rects, queriers, moves, back, bcfg.QuerySize, iters, workers)
-		row.Layout = c.name
-		rep.Sharded = append(rep.Sharded, row)
-		if row.TickNs < best {
-			best = row.TickNs
-		}
-	}
-	sh := shard.NewAutoBox(params)
-	sh.Build(rects)
-	dups := countBoxDuplicates(sh, rects, queriers, bcfg.QuerySize)
-	if got := boxDigest(sh, rects, queriers, bcfg.QuerySize); got != wantDigest || dups != 0 {
-		return fmt.Errorf("sharded box engine diverges from the brute-force oracle (digest %#x, want %#x; %d duplicate emissions)",
-			got, wantDigest, dups)
-	}
-	row := measureBoxParallelTick(sh, rects, queriers, moves, back, bcfg.QuerySize, iters, workers)
-	row.Layout = "boxsharded"
-	row.Side = sh.Side()
-	rep.Sharded = append(rep.Sharded, row)
-	rep.ShardedSpeedup[fmt.Sprintf("box/tick@%dw", workers)] = best / row.TickNs
-	return nil
+	}, shard.NewAutoBox(params), rects, geom.Rect.Center, queriers, moves, back,
+		func(idx core.BoxIndex, m geom.BoxMove) { idx.Update(m.ID, m.Old, m.New) },
+		bcfg.QuerySize, iters, workers, wantDigest)
 }
 
 // pointMoves converts one tick's updates into there-and-back move
@@ -988,15 +973,16 @@ func boxMoves(rects []geom.Rect, updates []workload.BoxUpdate) (moves, back []ge
 // bulk path when offered — exactly the phases RunParallel overlaps per
 // tick, so TickNs compares engines on the throughput the sharded router
 // is built for.
-func measureParallelTick(idx core.Index, pts []geom.Point, queriers []uint32, moves, back []geom.Move, querySize float32, iters, workers int) shardedRow {
-	idx.Build(pts) // warm arenas
+func measureParallelTick[P, M any](idx core.IndexOf[P], snap []P, center func(P) geom.Point, queriers []uint32,
+	moves, back []M, update func(idx core.IndexOf[P], m M), querySize float32, iters, workers int) shardedRow {
+	idx.Build(snap) // warm arenas
 
 	start := time.Now()
 	for i := 0; i < iters; i++ {
-		if pb, ok := idx.(core.ParallelBuilder); ok {
-			pb.BuildParallel(pts, workers)
+		if pb, ok := idx.(core.ParallelBuilderOf[P]); ok {
+			pb.BuildParallel(snap, workers)
 		} else {
-			idx.Build(pts)
+			idx.Build(snap)
 		}
 	}
 	buildNs := float64(time.Since(start).Nanoseconds()) / float64(iters)
@@ -1018,7 +1004,7 @@ func measureParallelTick(idx core.Index, pts []geom.Point, queriers []uint32, mo
 						hi = len(queriers)
 					}
 					for _, q := range queriers[lo:hi] {
-						idx.Query(geom.Square(pts[q], querySize), emit)
+						idx.Query(geom.Square(center(snap[q]), querySize), emit)
 					}
 				}
 				if sink < 0 {
@@ -1034,7 +1020,7 @@ func measureParallelTick(idx core.Index, pts []geom.Point, queriers []uint32, mo
 	}
 	queryNs := float64(time.Since(start).Nanoseconds()) / float64(iters*len(queriers))
 
-	bu, hasBatch := idx.(core.BatchUpdater)
+	bu, hasBatch := idx.(core.BatchUpdaterOf[M])
 	start = time.Now()
 	for i := 0; i < iters; i++ {
 		if hasBatch && bu.CanBatchUpdates(len(moves)) {
@@ -1042,10 +1028,10 @@ func measureParallelTick(idx core.Index, pts []geom.Point, queriers []uint32, mo
 			bu.UpdateBatch(back, workers)
 		} else {
 			for _, m := range moves {
-				idx.Update(m.ID, m.Old, m.New)
+				update(idx, m)
 			}
 			for _, m := range back {
-				idx.Update(m.ID, m.Old, m.New)
+				update(idx, m)
 			}
 		}
 	}
@@ -1060,102 +1046,14 @@ func measureParallelTick(idx core.Index, pts []geom.Point, queriers []uint32, mo
 	}
 }
 
-// measureBoxParallelTick is measureParallelTick for box indexes.
-func measureBoxParallelTick(idx core.BoxIndex, rects []geom.Rect, queriers []uint32, moves, back []geom.BoxMove, querySize float32, iters, workers int) shardedRow {
-	idx.Build(rects)
-
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		if pb, ok := idx.(core.BoxParallelBuilder); ok {
-			pb.BuildParallel(rects, workers)
-		} else {
-			idx.Build(rects)
-		}
-	}
-	buildNs := float64(time.Since(start).Nanoseconds()) / float64(iters)
-
-	queryTick := func() {
-		var cursor atomic.Int64
-		var g parutil.Group
-		for w := 0; w < workers; w++ {
-			g.Go(func() {
-				sink := 0
-				emit := func(uint32) { sink++ }
-				for {
-					lo := int(cursor.Add(64)) - 64
-					if lo >= len(queriers) {
-						break
-					}
-					hi := lo + 64
-					if hi > len(queriers) {
-						hi = len(queriers)
-					}
-					for _, q := range queriers[lo:hi] {
-						idx.Query(geom.Square(rects[q].Center(), querySize), emit)
-					}
-				}
-				if sink < 0 {
-					panic("unreachable")
-				}
-			})
-		}
-		g.Wait()
-	}
-	start = time.Now()
-	for i := 0; i < iters; i++ {
-		queryTick()
-	}
-	queryNs := float64(time.Since(start).Nanoseconds()) / float64(iters*len(queriers))
-
-	bu, hasBatch := idx.(core.BoxBatchUpdater)
-	start = time.Now()
-	for i := 0; i < iters; i++ {
-		if hasBatch && bu.CanBatchUpdates(len(moves)) {
-			bu.UpdateBatch(moves, workers)
-			bu.UpdateBatch(back, workers)
-		} else {
-			for _, m := range moves {
-				idx.Update(m.ID, m.Old, m.New)
-			}
-			for _, m := range back {
-				idx.Update(m.ID, m.Old, m.New)
-			}
-		}
-	}
-	updateNs := float64(time.Since(start).Nanoseconds()) / float64(2*iters*len(moves))
-
-	return shardedRow{
-		Workers:  workers,
-		BuildNs:  buildNs,
-		QueryNs:  queryNs,
-		UpdateNs: updateNs,
-		TickNs:   buildNs + float64(len(queriers))*queryNs + float64(len(moves))*updateNs,
-	}
-}
-
-// countPointDuplicates counts excess emissions across the digest pass:
-// a correct engine reports every (querier, id) pair at most once.
-func countPointDuplicates(idx core.Index, pts []geom.Point, queriers []uint32, querySize float32) int {
+// countDuplicates counts excess emissions across the digest pass: a
+// correct engine reports every (querier, id) pair at most once.
+func countDuplicates[P any](idx core.IndexOf[P], snap []P, center func(P) geom.Point, queriers []uint32, querySize float32) int {
 	dups := 0
 	seen := map[uint32]int{}
 	for _, q := range queriers {
 		clear(seen)
-		idx.Query(geom.Square(pts[q], querySize), func(id uint32) { seen[id]++ })
-		for _, c := range seen {
-			if c > 1 {
-				dups += c - 1
-			}
-		}
-	}
-	return dups
-}
-
-func countBoxDuplicates(idx core.BoxIndex, rects []geom.Rect, queriers []uint32, querySize float32) int {
-	dups := 0
-	seen := map[uint32]int{}
-	for _, q := range queriers {
-		clear(seen)
-		idx.Query(geom.Square(rects[q].Center(), querySize), func(id uint32) { seen[id]++ })
+		idx.Query(geom.Square(center(snap[q]), querySize), func(id uint32) { seen[id]++ })
 		for _, c := range seen {
 			if c > 1 {
 				dups += c - 1
@@ -1212,29 +1110,15 @@ func brutePointDigest(pts []geom.Point, queriers []uint32, querySize float32) ui
 	return h
 }
 
-// pointAppendDigest folds the buffered kernel's results with the exact
-// digest construction of pointDigest, so emit and append are provably
+// appendDigest folds the buffered kernel's results with the exact
+// digest construction of emitDigest, so emit and append are provably
 // answering identically before their timings are compared.
-func pointAppendDigest(g core.Index, pts []geom.Point, queriers []uint32, querySize float32) uint64 {
-	qa := core.QueryAppendOf(g, g.Query)
+func appendDigest[P any](idx core.IndexOf[P], snap []P, center func(P) geom.Point, queriers []uint32, querySize float32) uint64 {
+	qa := core.QueryAppendOf(idx, idx.Query)
 	var h uint64
 	var buf []uint32
 	for _, q := range queriers {
-		buf = qa(geom.Square(pts[q], querySize), buf[:0])
-		for _, id := range buf {
-			h = core.MixPair(h, q, id)
-		}
-	}
-	return h
-}
-
-// boxAppendDigest is pointAppendDigest for box indexes.
-func boxAppendDigest(bg core.BoxIndex, rects []geom.Rect, queriers []uint32, querySize float32) uint64 {
-	qa := core.QueryAppendOf(bg, bg.Query)
-	var h uint64
-	var buf []uint32
-	for _, q := range queriers {
-		buf = qa(geom.Square(rects[q].Center(), querySize), buf[:0])
+		buf = qa(geom.Square(center(snap[q]), querySize), buf[:0])
 		for _, id := range buf {
 			h = core.MixPair(h, q, id)
 		}
@@ -1254,7 +1138,7 @@ var benchSink uint64
 // drains it (QueryAppend into a reused buffer, then an inline fold loop
 // that keeps the accumulators in registers). Returns ns per query for
 // each; the caller digest-gates both kernels separately.
-func measureQueryKernels(g core.Index, pts []geom.Point, queriers []uint32, querySize float32, iters int) (emitNs, appendNs float64) {
+func measureQueryKernels[P any](idx core.IndexOf[P], snap []P, center func(P) geom.Point, queriers []uint32, querySize float32, iters int) (emitNs, appendNs float64) {
 	var pairs int64
 	var hash uint64
 	var emitQ uint32
@@ -1266,17 +1150,17 @@ func measureQueryKernels(g core.Index, pts []geom.Point, queriers []uint32, quer
 	for i := 0; i < iters; i++ {
 		for _, q := range queriers {
 			emitQ = q
-			g.Query(geom.Square(pts[q], querySize), emit)
+			idx.Query(geom.Square(center(snap[q]), querySize), emit)
 		}
 	}
 	emitNs = float64(time.Since(start).Nanoseconds()) / float64(iters*len(queriers))
 
-	qa := core.QueryAppendOf(g, g.Query)
+	qa := core.QueryAppendOf(idx, idx.Query)
 	var buf []uint32
 	start = time.Now()
 	for i := 0; i < iters; i++ {
 		for _, q := range queriers {
-			buf = qa(geom.Square(pts[q], querySize), buf[:0])
+			buf = qa(geom.Square(center(snap[q]), querySize), buf[:0])
 			for _, id := range buf {
 				pairs++
 				hash = core.MixPair(hash, q, id)
@@ -1288,45 +1172,12 @@ func measureQueryKernels(g core.Index, pts []geom.Point, queriers []uint32, quer
 	return emitNs, appendNs
 }
 
-// measureBoxQueryKernels is measureQueryKernels for box indexes.
-func measureBoxQueryKernels(bg core.BoxIndex, rects []geom.Rect, queriers []uint32, querySize float32, iters int) (emitNs, appendNs float64) {
-	var pairs int64
-	var hash uint64
-	var emitQ uint32
-	emit := func(id uint32) {
-		pairs++
-		hash = core.MixPair(hash, emitQ, id)
-	}
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		for _, q := range queriers {
-			emitQ = q
-			bg.Query(geom.Square(rects[q].Center(), querySize), emit)
-		}
-	}
-	emitNs = float64(time.Since(start).Nanoseconds()) / float64(iters*len(queriers))
-
-	qa := core.QueryAppendOf(bg, bg.Query)
-	var buf []uint32
-	start = time.Now()
-	for i := 0; i < iters; i++ {
-		for _, q := range queriers {
-			buf = qa(geom.Square(rects[q].Center(), querySize), buf[:0])
-			for _, id := range buf {
-				pairs++
-				hash = core.MixPair(hash, q, id)
-			}
-		}
-	}
-	appendNs = float64(time.Since(start).Nanoseconds()) / float64(iters*len(queriers))
-	benchSink += hash + uint64(pairs)
-	return emitNs, appendNs
-}
-
-func pointDigest(g core.Index, pts []geom.Point, queriers []uint32, querySize float32) uint64 {
+// emitDigest folds the callback kernel's results of every querier's
+// window with the driver's digest construction.
+func emitDigest[P any](idx core.IndexOf[P], snap []P, center func(P) geom.Point, queriers []uint32, querySize float32) uint64 {
 	var h uint64
 	for _, q := range queriers {
-		g.Query(geom.Square(pts[q], querySize), func(id uint32) {
+		idx.Query(geom.Square(center(snap[q]), querySize), func(id uint32) {
 			h = core.MixPair(h, q, id)
 		})
 	}
@@ -1348,16 +1199,6 @@ func bruteBoxDigest(rects []geom.Rect, queriers []uint32, querySize float32) uin
 	return h
 }
 
-func boxDigest(bg core.BoxIndex, rects []geom.Rect, queriers []uint32, querySize float32) uint64 {
-	var h uint64
-	for _, q := range queriers {
-		bg.Query(geom.Square(rects[q].Center(), querySize), func(id uint32) {
-			h = core.MixPair(h, q, id)
-		})
-	}
-	return h
-}
-
 // measure times the three phases the way the driver's tick does: build
 // over the snapshot, one query per querier, one move per updater (and
 // back, so the population is iteration-invariant). Returned map keys are
@@ -1373,15 +1214,7 @@ func measure(g core.Index, pts []geom.Point, queriers []uint32, updates []worklo
 	}
 	buildNs := float64(time.Since(start).Nanoseconds()) / float64(iters)
 
-	sink := 0
-	emit := func(uint32) { sink++ }
-	start = time.Now()
-	for i := 0; i < iters; i++ {
-		for _, q := range queriers {
-			g.Query(geom.Square(pts[q], querySize), emit)
-		}
-	}
-	queryNs := float64(time.Since(start).Nanoseconds()) / float64(iters*len(queriers))
+	queryNs := measureQueries(g, pts, pointCenter, queriers, querySize, iters)
 
 	start = time.Now()
 	for i := 0; i < iters; i++ {
@@ -1393,9 +1226,6 @@ func measure(g core.Index, pts []geom.Point, queriers []uint32, updates []worklo
 	// Each inner step performs two updates (there and back).
 	updateNs := float64(time.Since(start).Nanoseconds()) / float64(2*iters*len(updates))
 
-	if sink < 0 {
-		panic("unreachable")
-	}
 	return map[string]float64{"build": buildNs, "query": queryNs, "update": updateNs}
 }
 
@@ -1411,7 +1241,7 @@ func measureBox(bg core.BoxIndex, rects []geom.Rect, queriers []uint32, updates 
 	}
 	buildNs := float64(time.Since(start).Nanoseconds()) / float64(iters)
 
-	queryNs := measureBoxQueries(bg, rects, queriers, querySize, iters)
+	queryNs := measureQueries(bg, rects, geom.Rect.Center, queriers, querySize, iters)
 
 	start = time.Now()
 	for i := 0; i < iters; i++ {
@@ -1425,15 +1255,15 @@ func measureBox(bg core.BoxIndex, rects []geom.Rect, queriers []uint32, updates 
 	return map[string]float64{"build": buildNs, "query": queryNs, "update": updateNs}
 }
 
-// measureBoxQueries times the query phase alone at the given window
-// extent over a freshly built grid.
-func measureBoxQueries(bg core.BoxIndex, rects []geom.Rect, queriers []uint32, querySize float32, iters int) float64 {
+// measureQueries times the query phase alone at the given window
+// extent over a freshly built index.
+func measureQueries[P any](idx core.IndexOf[P], snap []P, center func(P) geom.Point, queriers []uint32, querySize float32, iters int) float64 {
 	sink := 0
 	emit := func(uint32) { sink++ }
 	start := time.Now()
 	for i := 0; i < iters; i++ {
 		for _, q := range queriers {
-			bg.Query(geom.Square(rects[q].Center(), querySize), emit)
+			idx.Query(geom.Square(center(snap[q]), querySize), emit)
 		}
 	}
 	if sink < 0 {

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/memsim"
@@ -60,7 +59,7 @@ func run(args []string) error {
 		l1KB       = fs.Int("l1-kb", 32, "L1d size in KiB")
 		l2KB       = fs.Int("l2-kb", 256, "L2 size in KiB")
 		l3MB       = fs.Int("l3-mb", 8, "L3 size in MiB")
-		kernelKey  = fs.String("querykernel", "auto", "query kernel for the host replay ("+bench.QueryKernelKeys()+"): emit = per-result callback, append = buffered, batch = multi-query")
+		kernelKey  = fs.String("querykernel", "auto", "query kernel for the host replay ("+core.QueryKernelKeys+"): emit = per-result callback, append = buffered, batch = multi-query")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -68,7 +67,7 @@ func run(args []string) error {
 	if *scale <= 0 || *scale > 1 {
 		return fmt.Errorf("scale must be in (0,1], got %g", *scale)
 	}
-	kernel, kerr := bench.ParseQueryKernel(*kernelKey)
+	kernel, kerr := core.ParseQueryKernel(*kernelKey)
 	if kerr != nil {
 		return kerr
 	}

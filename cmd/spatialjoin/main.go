@@ -45,7 +45,7 @@ func run(args []string) error {
 		extent       = fs.String("extent", "uniform", "box only: MBR side distribution, uniform or gaussian")
 		minSide      = fs.Float64("min-side", workload.DefaultMinSide, "box only: minimum MBR side length")
 		maxSide      = fs.Float64("max-side", workload.DefaultMaxSide, "box only: maximum MBR side length")
-		techniqueKey = fs.String("technique", "grid-tuned", "technique key (see -list)")
+		techniqueKey = fs.String("technique", "", "technique key (see -list; default grid-tuned, or boxgrid-2l with -objects box)")
 		compare      = fs.String("compare", "", "comma-separated technique keys to race on one workload (or \"all\")")
 		list         = fs.Bool("list", false, "list available techniques and exit")
 		kind         = fs.String("workload", "uniform", "workload kind: uniform, gaussian or simulation")
@@ -144,25 +144,9 @@ func run(args []string) error {
 			*parallel || *workers > 1, *workers, *perTick, *concurrent, *readers, *shards, reg)
 	}
 
-	var techs []bench.NamedTechnique
-	if *compare != "" {
-		if *compare == "all" {
-			techs = bench.Techniques()
-		} else {
-			for _, key := range strings.Split(*compare, ",") {
-				t, err := bench.TechniqueByKey(strings.TrimSpace(key))
-				if err != nil {
-					return err
-				}
-				techs = append(techs, t)
-			}
-		}
-	} else {
-		t, err := bench.TechniqueByKey(*techniqueKey)
-		if err != nil {
-			return err
-		}
-		techs = []bench.NamedTechnique{t}
+	techs, err := pickTechniques(*compare, *techniqueKey, "grid-tuned", bench.Techniques, bench.TechniqueByKey)
+	if err != nil {
+		return err
 	}
 
 	var trace *workload.Trace
@@ -246,6 +230,31 @@ func run(args []string) error {
 	})
 }
 
+// pickTechniques resolves -compare ("all" or a comma-separated key
+// list) or, without it, the single -technique key against one object
+// class's lineup; an empty key selects that class's default. A key of
+// the other class is an error like any unknown key.
+func pickTechniques[T any](compare, key, defaultKey string, all func() []T, byKey func(string) (T, error)) ([]T, error) {
+	if compare == "all" {
+		return all(), nil
+	}
+	keys := []string{key}
+	if compare != "" {
+		keys = strings.Split(compare, ",")
+	} else if key == "" {
+		keys[0] = defaultKey
+	}
+	var techs []T
+	for _, k := range keys {
+		t, err := byKey(strings.TrimSpace(k))
+		if err != nil {
+			return nil, err
+		}
+		techs = append(techs, t)
+	}
+	return techs, nil
+}
+
 // raceReport runs n techniques through run (which returns the result and
 // the technique's CLI key) and prints either the single-technique
 // breakdown or the comparison table, enforcing that every technique
@@ -313,30 +322,9 @@ func reportConcurrent(res *core.ConcurrentResult) error {
 // Each technique gets a fresh generator from the same configuration, so
 // all runs see the byte-identical stream.
 func runBoxMode(bcfg workload.BoxConfig, techniqueKey, compare string, parallel bool, workers int, perTick bool, concurrent bool, readers int, shards int, reg *obs.Registry) error {
-	var techs []bench.NamedBoxTechnique
-	if compare != "" {
-		if compare == "all" {
-			techs = bench.BoxTechniques()
-		} else {
-			for _, key := range strings.Split(compare, ",") {
-				t, err := bench.BoxTechniqueByKey(strings.TrimSpace(key))
-				if err != nil {
-					return err
-				}
-				techs = append(techs, t)
-			}
-		}
-	} else {
-		if techniqueKey == "grid-tuned" {
-			// The point default has no box counterpart; default to the
-			// rectangle grid.
-			techniqueKey = "boxgrid-csr"
-		}
-		t, err := bench.BoxTechniqueByKey(techniqueKey)
-		if err != nil {
-			return err
-		}
-		techs = []bench.NamedBoxTechnique{t}
+	techs, err := pickTechniques(compare, techniqueKey, "boxgrid-2l", bench.BoxTechniques, bench.BoxTechniqueByKey)
+	if err != nil {
+		return err
 	}
 
 	fmt.Printf("workload  : %s boxes (%s extents %g-%g), %d objects, %d ticks, %.0f%% queriers, %.0f%% updaters\n",

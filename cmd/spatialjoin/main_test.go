@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/workload"
@@ -172,6 +173,47 @@ func TestBoxModeList(t *testing.T) {
 	}
 }
 
+// stdoutOf runs the CLI and returns what it printed.
+func stdoutOf(t *testing.T, args ...string) (string, error) {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stdout
+	os.Stdout = f
+	runErr := run(args)
+	os.Stdout = saved
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), runErr
+}
+
+// The -technique default follows the object class: the paper's tuned
+// grid for points, the two-layer box grid (the ladder's box winner) for
+// boxes — never a silent rewrite of a key the user typed.
+func TestTechniqueDefaultPerObjectClass(t *testing.T) {
+	small := []string{"-points", "300", "-ticks", "2", "-space", "1500"}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{nil, "technique : +cps tuned"},
+		{[]string{"-objects", "box"}, "technique : boxgrid-2l("},
+	} {
+		out, err := stdoutOf(t, append(tc.args, small...)...)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		if !strings.Contains(out, tc.want) {
+			t.Errorf("%v: output lacks %q:\n%s", tc.args, tc.want, out)
+		}
+	}
+}
+
 func TestBoxModeRejects(t *testing.T) {
 	if err := run([]string{"-objects", "box", "-trace", "w.sjtr"}); err == nil {
 		t.Fatal("box mode accepted a point trace")
@@ -184,6 +226,11 @@ func TestBoxModeRejects(t *testing.T) {
 	}
 	if err := run([]string{"-objects", "box", "-technique", "rtree", "-points", "10", "-ticks", "2"}); err == nil {
 		t.Fatal("point technique accepted in box mode")
+	}
+	// The point default is a point key like any other when typed.
+	err := run([]string{"-objects", "box", "-technique", "grid-tuned", "-points", "10", "-ticks", "2"})
+	if err == nil || !strings.Contains(err.Error(), `unknown box technique "grid-tuned" (have: `) {
+		t.Fatalf("explicit -technique grid-tuned in box mode: got %v, want the unknown-box-technique error", err)
 	}
 }
 

@@ -71,13 +71,13 @@ func run(args []string) error {
 		cps        = fs.Int("cps", grid.OriginalCPS, "fixed cells per side (when varying bs or qext)")
 		scale      = fs.Float64("scale", 0.1, "tick-count scale in (0,1]")
 		seed       = fs.Uint64("seed", 1, "workload random seed")
-		kernelKey  = fs.String("querykernel", "auto", "query kernel for the tick driver ("+bench.QueryKernelKeys()+"): emit = per-result callback, append = buffered, batch = multi-query")
+		kernelKey  = fs.String("querykernel", "auto", "query kernel for the tick driver ("+core.QueryKernelKeys+"): emit = per-result callback, append = buffered, batch = multi-query")
 		csv        = fs.Bool("csv", false, "emit CSV instead of an aligned table")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	kernel, kerr := bench.ParseQueryKernel(*kernelKey)
+	kernel, kerr := core.ParseQueryKernel(*kernelKey)
 	if kerr != nil {
 		return kerr
 	}

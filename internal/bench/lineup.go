@@ -8,6 +8,7 @@ import (
 	"repro/internal/binsearch"
 	"repro/internal/core"
 	"repro/internal/crtree"
+	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/kdtrie"
 	"repro/internal/rtree"
@@ -15,13 +16,20 @@ import (
 	"repro/internal/tune"
 )
 
-// NamedTechnique couples a CLI-addressable key with a description and an
-// index factory, for the command-line tools.
-type NamedTechnique struct {
+// namedTechnique couples a CLI-addressable key with a description and an
+// index factory over geometry P, for the command-line tools.
+type namedTechnique[P any] struct {
 	Key         string
 	Description string
-	Make        core.Factory
+	Make        core.FactoryOf[P]
 }
+
+// NamedTechnique is an entry of the point lineup, NamedBoxTechnique of
+// the box-join (MBR) lineup.
+type (
+	NamedTechnique    = namedTechnique[geom.Point]
+	NamedBoxTechnique = namedTechnique[geom.Rect]
+)
 
 var namedTechniques = []NamedTechnique{
 	{
@@ -122,13 +130,6 @@ func gridFactory(preset func() grid.Config) core.Factory {
 	}
 }
 
-// NamedBoxTechnique is NamedTechnique for the box-join (MBR) lineup.
-type NamedBoxTechnique struct {
-	Key         string
-	Description string
-	Make        core.BoxFactory
-}
-
 var namedBoxTechniques = []NamedBoxTechnique{
 	{
 		Key:         "boxbrute",
@@ -200,17 +201,6 @@ func ParsePointLayout(key string) (grid.Layout, error) {
 	}
 }
 
-// QueryKernelKeys lists the -querykernel keys ParseQueryKernel accepts.
-func QueryKernelKeys() string { return "auto, emit, append, batch" }
-
-// ParseQueryKernel maps a -querykernel key to the tick driver's query
-// kernel (core.Options.Kernel). The command-line tools (sweep,
-// profilegrid) all parse the flag through here so the spellings stay in
-// one place; the mapping itself lives in core next to the kernels.
-func ParseQueryKernel(key string) (core.QueryKernel, error) {
-	return core.ParseQueryKernel(key)
-}
-
 // ParseScan maps a -scan key to the query algorithm.
 func ParseScan(key string) (grid.Scan, error) {
 	switch key {
@@ -274,47 +264,39 @@ func NewBoxLayout(key string, param int, p core.Params) (core.BoxIndex, error) {
 	}
 }
 
-// BoxTechniques returns every CLI-addressable box technique, sorted by
-// key.
-func BoxTechniques() []NamedBoxTechnique {
-	out := make([]NamedBoxTechnique, len(namedBoxTechniques))
-	copy(out, namedBoxTechniques)
+// sortedByKey returns a copy of a lineup, sorted by key.
+func sortedByKey[P any](lineup []namedTechnique[P]) []namedTechnique[P] {
+	out := append([]namedTechnique[P](nil), lineup...)
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
 
-// BoxTechniqueByKey resolves a CLI key to its box factory.
-func BoxTechniqueByKey(key string) (NamedBoxTechnique, error) {
-	for _, t := range namedBoxTechniques {
+// byKey resolves a CLI key in a lineup; what names the lineup in the
+// error ("technique", "box technique").
+func byKey[P any](lineup []namedTechnique[P], what, key string) (namedTechnique[P], error) {
+	keys := make([]string, 0, len(lineup))
+	for _, t := range lineup {
 		if t.Key == key {
 			return t, nil
 		}
-	}
-	keys := make([]string, 0, len(namedBoxTechniques))
-	for _, t := range namedBoxTechniques {
 		keys = append(keys, t.Key)
 	}
-	return NamedBoxTechnique{}, fmt.Errorf("unknown box technique %q (have: %s)", key, strings.Join(keys, ", "))
+	return namedTechnique[P]{}, fmt.Errorf("unknown %s %q (have: %s)", what, key, strings.Join(keys, ", "))
 }
 
 // Techniques returns every CLI-addressable technique, sorted by key.
-func Techniques() []NamedTechnique {
-	out := make([]NamedTechnique, len(namedTechniques))
-	copy(out, namedTechniques)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
+func Techniques() []NamedTechnique { return sortedByKey(namedTechniques) }
 
 // TechniqueByKey resolves a CLI key to its factory.
 func TechniqueByKey(key string) (NamedTechnique, error) {
-	for _, t := range namedTechniques {
-		if t.Key == key {
-			return t, nil
-		}
-	}
-	keys := make([]string, 0, len(namedTechniques))
-	for _, t := range namedTechniques {
-		keys = append(keys, t.Key)
-	}
-	return NamedTechnique{}, fmt.Errorf("unknown technique %q (have: %s)", key, strings.Join(keys, ", "))
+	return byKey(namedTechniques, "technique", key)
+}
+
+// BoxTechniques returns every CLI-addressable box technique, sorted by
+// key.
+func BoxTechniques() []NamedBoxTechnique { return sortedByKey(namedBoxTechniques) }
+
+// BoxTechniqueByKey resolves a CLI key to its box factory.
+func BoxTechniqueByKey(key string) (NamedBoxTechnique, error) {
+	return byKey(namedBoxTechniques, "box technique", key)
 }

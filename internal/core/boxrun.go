@@ -25,27 +25,11 @@ func RunBoxesParallel(idx BoxIndex, src workload.BoxSource, opts Options, worker
 	return runTicksParallel(boxEngine(idx, src), opts, workers)
 }
 
-// boxEngine binds a box index and an MBR workload into the generic tick
-// engine.
+// boxEngine is pointEngine for a box index over an MBR workload.
 func boxEngine(idx BoxIndex, src workload.BoxSource) *engine[geom.Rect] {
-	cfg := src.Config()
-	e := &engine[geom.Rect]{
-		name:        idx.Name(),
-		ticks:       cfg.Ticks,
-		n:           src.NumBoxes(),
-		bounds:      cfg.Bounds(),
-		refresh:     src.RefreshRects,
-		build:       idx.Build,
-		query:       idx.Query,
-		queryAppend: QueryAppendOf(idx, idx.Query),
-		queryBatch:  QueryBatchOf(idx, idx.Query),
-		queriers:    src.Queriers,
-		queryRect:   src.QueryRect,
-		center:      geom.Rect.Center,
-	}
-	if builder, ok := idx.(BoxParallelBuilder); ok {
-		e.buildParallel = builder.BuildParallel
-	}
+	e := newEngine(idx, src, src.NumBoxes())
+	e.refresh = src.RefreshRects
+	e.center = geom.Rect.Center
 	batcher, _ := idx.(BoxBatchUpdater)
 	e.updatePhase = updatePhaseOf(src.Updates, src.ApplyUpdates,
 		func(moves []geom.BoxMove, batch []workload.BoxUpdate, snap []geom.Rect) []geom.BoxMove {

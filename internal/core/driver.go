@@ -145,28 +145,13 @@ func Run(idx Index, src workload.Source, opts Options) *Result {
 }
 
 // pointEngine binds a point index and a point workload into the generic
-// tick engine.
+// tick engine: newEngine's index half plus the source half below.
 func pointEngine(idx Index, src workload.Source) *engine[geom.Point] {
-	cfg := src.Config()
-	e := &engine[geom.Point]{
-		name:   idx.Name(),
-		ticks:  cfg.Ticks,
-		n:      len(src.Objects()),
-		bounds: cfg.Bounds(),
-		refresh: func(dst []geom.Point, lo, hi int) {
-			refreshSnapshot(dst[lo:hi], src.Objects()[lo:hi])
-		},
-		build:       idx.Build,
-		query:       idx.Query,
-		queryAppend: QueryAppendOf(idx, idx.Query),
-		queryBatch:  QueryBatchOf(idx, idx.Query),
-		queriers:    src.Queriers,
-		queryRect:   src.QueryRect,
-		center:      func(p geom.Point) geom.Point { return p },
+	e := newEngine(idx, src, len(src.Objects()))
+	e.refresh = func(dst []geom.Point, lo, hi int) {
+		refreshSnapshot(dst[lo:hi], src.Objects()[lo:hi])
 	}
-	if builder, ok := idx.(ParallelBuilder); ok {
-		e.buildParallel = builder.BuildParallel
-	}
+	e.center = func(p geom.Point) geom.Point { return p }
 	batcher, _ := idx.(BatchUpdater)
 	e.updatePhase = updatePhaseOf(src.Updates, src.ApplyUpdates,
 		func(moves []geom.Move, batch []workload.Update, snap []geom.Point) []geom.Move {

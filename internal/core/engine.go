@@ -8,6 +8,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/parutil"
 	"repro/internal/sortutil"
+	"repro/internal/workload"
 )
 
 // This file holds the tick engine: the framework's three-phase loop,
@@ -76,6 +77,39 @@ type engine[P any] struct {
 	updatePhase func(snap []P, workers int) int
 }
 
+// tickFeed is the part of a tick's workload that workload.Source and
+// workload.BoxSource spell the same way.
+type tickFeed interface {
+	Config() workload.Config
+	Queriers() []uint32
+	QueryRect(id uint32) geom.Rect
+}
+
+// newEngine binds the index half of an engine — everything the tick
+// loop asks of an IndexOf[P], resolved once — and the shared part of the
+// feed over n objects. pointEngine and boxEngine add what the two source
+// shapes spell differently: the snapshot refresh, the scheduling centre
+// and the update phase.
+func newEngine[P any](idx IndexOf[P], src tickFeed, n int) *engine[P] {
+	cfg := src.Config()
+	e := &engine[P]{
+		name:        idx.Name(),
+		ticks:       cfg.Ticks,
+		n:           n,
+		bounds:      cfg.Bounds(),
+		build:       idx.Build,
+		query:       idx.Query,
+		queryAppend: QueryAppendOf(idx, idx.Query),
+		queryBatch:  QueryBatchOf(idx, idx.Query),
+		queriers:    src.Queriers,
+		queryRect:   src.QueryRect,
+	}
+	if builder, ok := idx.(ParallelBuilderOf[P]); ok {
+		e.buildParallel = builder.BuildParallel
+	}
+	return e
+}
+
 // updatePhaseOf builds an engine's update phase: fetch the tick's batch,
 // tell the index of every move — in one UpdateBatch call when it has a
 // bulk path for a batch this size (batcher is nil when it has none), one
@@ -88,10 +122,7 @@ func updatePhaseOf[P, U, M any](
 	updates func() []U, apply func([]U),
 	moveAll func(moves []M, batch []U, snap []P) []M,
 	updateEach func(batch []U, snap []P),
-	batcher interface {
-		UpdateBatch(moves []M, workers int)
-		CanBatchUpdates(n int) bool
-	},
+	batcher BatchUpdaterOf[M],
 ) func(snap []P, workers int) int {
 	var moves []M
 	return func(snap []P, workers int) int {

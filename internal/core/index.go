@@ -9,8 +9,14 @@
 // index once per querier, and updates are batched and applied at the end
 // of the tick so all queries observe the state as of the previous tick.
 //
+// The sequential contract is declared once below, generically over the
+// object geometry P and the move record M (IndexOf, ParallelBuilderOf,
+// BatchUpdaterOf, FactoryOf); Index / BoxIndex and the other per-geometry
+// names are aliases of its point and box instantiations, so a wrapper or
+// driver written over P serves both.
+//
 // Queries run through one of three kernels (querykernel.go): the classic
-// per-result callback (Index.Query), the buffered append
+// per-result callback (IndexOf.Query), the buffered append
 // (QueryAppender.QueryAppend, zero allocations per query at steady
 // state), and the CSR-shaped batch (BatchQuerier.QueryBatch). The
 // buffered kernels are optional capabilities detected via QueryAppendOf
@@ -22,23 +28,55 @@ package core
 
 import "repro/internal/geom"
 
-// Index is the contract every spatial join technique implements.
+// IndexOf is the contract every spatial join technique implements,
+// stated once over the object geometry P: geom.Point for the paper's
+// point workloads (Index), geom.Rect for the MBR workloads of the
+// non-point extension (BoxIndex). A point is the degenerate, one-cell
+// rectangle of the same contract; what the geometry widens is only what
+// "matches" means in Query.
 //
 // The framework follows the secondary-index assumption of the original
 // study: indexes store object IDs (or pointers to ID-holding entries) and
 // read coordinates from the base snapshot passed to Build; they never own
 // or update the base data.
-type Index interface {
+//
+// Input contract: every position (every MBR corner) handed to Build and
+// Update is finite and lies inside the Params.Bounds the index was
+// constructed for. Outside it no call panics, and beyond that:
+//
+//   - An object out of bounds, or at an infinite coordinate, gets
+//     unspecified results itself (the space-partitioning families clamp it
+//     into an edge cell and report it wholesale when the cell is
+//     contained, where BruteForce would not), but CheckInvariants stays
+//     nil and the in-contract objects of the same build are still
+//     reported exactly.
+//   - A NaN coordinate makes the whole build unspecified: it poisons the
+//     MBRs of the tree families, which then miss in-contract neighbours;
+//     the audits of the layouts that inline coordinates compare their
+//     copies with != and report the NaN itself; and Query and
+//     QueryAppend of one index may disagree on whether it matches (the
+//     sign-bit filters of the append kernels admit NaN, Point.In does
+//     not).
+//
+// internal/bench's TestInputContractPoints / TestInputContractBoxes
+// assert exactly this over both lineups.
+type IndexOf[P any] interface {
 	// Name identifies the technique in reports.
 	Name() string
 
-	// Build (re)constructs the index over the snapshot pts, where object
-	// i is at pts[i]. The slice remains valid and unchanged until the next
-	// Build call, so implementations may retain it.
-	Build(pts []geom.Point)
+	// Build (re)constructs the index over the snapshot, where object i
+	// has geometry snap[i] (its position, or its MBR). The slice remains
+	// valid and unchanged until the next Build call, so implementations
+	// may retain it.
+	Build(snap []P)
 
-	// Query reports the ID of every object whose position lies in r, in
-	// unspecified order, by calling emit once per match.
+	// Query reports the ID of every object whose geometry matches r — a
+	// point lying in r, an MBR intersecting r (closed rectangles, so
+	// touching edges match) — in unspecified order, by calling emit
+	// EXACTLY ONCE per matching object. Duplicate-free emission is part
+	// of the contract: techniques that replicate objects across
+	// partitions must deduplicate internally (e.g. by the reference-point
+	// method) rather than leave it to the caller.
 	Query(r geom.Rect, emit func(id uint32))
 
 	// Update informs the index that object id moved from old to new
@@ -47,30 +85,46 @@ type Index interface {
 	// structures (the grids) relocate the entry. Coordinates visible
 	// through the snapshot are refreshed by the driver before the next
 	// Build.
-	Update(id uint32, old, new geom.Point)
+	Update(id uint32, old, new P)
 }
 
-// ParallelBuilder is an optional interface for indexes whose Build can
-// shard the snapshot across worker goroutines. RunParallel uses it when
-// present; the result must be indistinguishable from Build(pts) to every
-// subsequent Query/Update call. workers <= 0 selects GOMAXPROCS.
-type ParallelBuilder interface {
-	BuildParallel(pts []geom.Point, workers int)
+// Index is the point contract, BoxIndex the contract over extended
+// objects (rectangles/MBRs): the two instantiations of IndexOf.
+type (
+	Index    = IndexOf[geom.Point]
+	BoxIndex = IndexOf[geom.Rect]
+)
+
+// ParallelBuilderOf is an optional interface for indexes whose Build can
+// shard the snapshot across worker goroutines. RunParallel and
+// RunBoxesParallel use it when present; the result must be
+// indistinguishable from Build(snap) to every subsequent Query/Update
+// call. workers <= 0 selects GOMAXPROCS.
+type ParallelBuilderOf[P any] interface {
+	BuildParallel(snap []P, workers int)
 }
 
-// BatchUpdater is an optional interface for indexes that can apply a whole
-// tick's update batch at once. It is a bulk path first and a fan-out
-// second: every driver, the sequential ones included, hands the batch
-// over in one call whenever CanBatchUpdates says so, and an index that
-// sees all of a tick's moves together can do less work than one Update
-// per move (the CSR grids validate against their per-object cell labels
-// and re-scatter once many movers cross a cell); workers is how many
-// goroutines it may use on top of that, 1 from a sequential driver. The
-// batch contains at most one move per object ID. The result must be
+// ParallelBuilder and BoxParallelBuilder are ParallelBuilderOf for point
+// and box indexes.
+type (
+	ParallelBuilder    = ParallelBuilderOf[geom.Point]
+	BoxParallelBuilder = ParallelBuilderOf[geom.Rect]
+)
+
+// BatchUpdaterOf is an optional interface for indexes that can apply a
+// whole tick's update batch at once, over the move record M (geom.Move
+// for points, geom.BoxMove for MBRs). It is a bulk path first and a
+// fan-out second: every driver, the sequential ones included, hands the
+// batch over in one call whenever CanBatchUpdates says so, and an index
+// that sees all of a tick's moves together can do less work than one
+// Update per move (the CSR grids validate against their per-object cell
+// labels and re-scatter once many movers cross a cell); workers is how
+// many goroutines it may use on top of that, 1 from a sequential driver.
+// The batch contains at most one move per object ID. The result must be
 // indistinguishable from calling Update(m.ID, m.Old, m.New) for each
 // move in order.
-type BatchUpdater interface {
-	UpdateBatch(moves []geom.Move, workers int)
+type BatchUpdaterOf[M any] interface {
+	UpdateBatch(moves []M, workers int)
 	// CanBatchUpdates reports whether UpdateBatch would take a path
 	// that actually differs from per-move Update calls for a batch of n
 	// moves at some worker count; drivers skip batch assembly when it
@@ -78,55 +132,12 @@ type BatchUpdater interface {
 	CanBatchUpdates(n int) bool
 }
 
-// BoxIndex is the contract spatial join techniques over extended objects
-// (rectangles/MBRs) implement. It mirrors Index with the object geometry
-// widened from a point to an axis-aligned rectangle: the snapshot is one
-// MBR per object, and a range query reports every object whose MBR
-// intersects the query rectangle.
-//
-// The same secondary-index assumption applies: implementations store
-// object IDs and read extents from the snapshot passed to Build.
-type BoxIndex interface {
-	// Name identifies the technique in reports.
-	Name() string
-
-	// Build (re)constructs the index over the snapshot rects, where
-	// object i has MBR rects[i]. The slice remains valid and unchanged
-	// until the next Build call, so implementations may retain it.
-	Build(rects []geom.Rect)
-
-	// Query reports the ID of every object whose MBR intersects r
-	// (closed rectangles, so touching edges match), in unspecified
-	// order, by calling emit EXACTLY ONCE per matching object.
-	// Duplicate-free emission is part of the contract: techniques that
-	// replicate objects across partitions must deduplicate internally
-	// (e.g. by the reference-point method) rather than leave it to the
-	// caller.
-	Query(r geom.Rect, emit func(id uint32))
-
-	// Update informs the index that object id's MBR moved from old to
-	// new during the update phase.
-	Update(id uint32, old, new geom.Rect)
-}
-
-// BoxParallelBuilder is ParallelBuilder for box indexes: an optional
-// sharded Build whose result must be indistinguishable from Build(rects)
-// to every subsequent Query/Update call. workers <= 0 selects GOMAXPROCS.
-type BoxParallelBuilder interface {
-	BuildParallel(rects []geom.Rect, workers int)
-}
-
-// BoxBatchUpdater is BatchUpdater for box indexes: an optional bulk path
-// applying a whole tick's MBR moves at once. The batch contains at most
-// one move per object ID and the result must be indistinguishable from
-// calling Update(m.ID, m.Old, m.New) for each move in order.
-type BoxBatchUpdater interface {
-	UpdateBatch(moves []geom.BoxMove, workers int)
-	// CanBatchUpdates reports whether UpdateBatch would take a path that
-	// actually differs from per-move Update calls for a batch of n
-	// moves; drivers skip batch assembly when it returns false.
-	CanBatchUpdates(n int) bool
-}
+// BatchUpdater and BoxBatchUpdater are BatchUpdaterOf for point and box
+// indexes.
+type (
+	BatchUpdater    = BatchUpdaterOf[geom.Move]
+	BoxBatchUpdater = BatchUpdaterOf[geom.BoxMove]
+)
 
 // Counter is an optional interface for indexes that can report their
 // cardinality, used by invariant checks in tests.
@@ -189,9 +200,12 @@ type Params struct {
 	Shards int
 }
 
-// Factory constructs a fresh index instance for the given parameters.
-type Factory func(p Params) Index
+// FactoryOf constructs a fresh index instance over geometry P for the
+// given parameters.
+type FactoryOf[P any] func(p Params) IndexOf[P]
 
-// BoxFactory constructs a fresh box index instance for the given
-// parameters.
-type BoxFactory func(p Params) BoxIndex
+// Factory and BoxFactory are FactoryOf for point and box indexes.
+type (
+	Factory    = FactoryOf[geom.Point]
+	BoxFactory = FactoryOf[geom.Rect]
+)

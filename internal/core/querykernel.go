@@ -10,7 +10,7 @@ import (
 // every index family implements natively so the hot query path appends
 // result IDs into a caller-reused buffer instead of paying a
 // non-inlinable indirect call per result (the emit closure of
-// Index.Query / BoxIndex.Query). The capability-detection helpers below
+// IndexOf.Query). The capability-detection helpers below
 // let drivers and wrappers bind the fastest kernel an index offers and
 // fall back to a callback adapter otherwise, so layering (epoch, shard,
 // tune) never silently changes results — only speed.
@@ -115,6 +115,10 @@ func (k QueryKernel) String() string {
 	}
 }
 
+// QueryKernelKeys lists the -querykernel spellings ParseQueryKernel
+// accepts, for flag help texts.
+const QueryKernelKeys = "auto, emit, append, batch"
+
 // ParseQueryKernel parses a -querykernel flag value.
 func ParseQueryKernel(s string) (QueryKernel, error) {
 	switch s {
@@ -127,7 +131,7 @@ func ParseQueryKernel(s string) (QueryKernel, error) {
 	case "batch":
 		return KernelBatch, nil
 	}
-	return KernelAuto, fmt.Errorf("unknown query kernel %q (want auto, emit, append, or batch)", s)
+	return KernelAuto, fmt.Errorf("unknown query kernel %q (have %s)", s, QueryKernelKeys)
 }
 
 // EpochQueryAppender is QueryAppender for epoch-published indexes, whose

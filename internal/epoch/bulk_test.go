@@ -72,26 +72,26 @@ func TestApplyPathBoundary(t *testing.T) {
 
 // halfRegion is a minimal region-sharded inner: it indexes only the
 // points it owns (the left half of the space), as internal/shard's
-// regions do, so the wrapper's probes must go through PointOwner.
+// regions do, so the wrapper's probes must go through Owner.
 type halfRegion struct {
 	pos    []geom.Point
 	member []bool
 }
 
-func (h *halfRegion) Name() string                { return "half" }
-func (h *halfRegion) OwnsPoint(p geom.Point) bool { return p.X < 500 }
+func (h *halfRegion) Name() string           { return "half" }
+func (h *halfRegion) Owns(p geom.Point) bool { return p.X < 500 }
 
 func (h *halfRegion) Build(all []geom.Point) {
 	h.pos = append(h.pos[:0], all...)
 	h.member = make([]bool, len(all))
 	for i, p := range all {
-		h.member[i] = h.OwnsPoint(p)
+		h.member[i] = h.Owns(p)
 	}
 }
 
 func (h *halfRegion) Update(id uint32, _, new geom.Point) {
 	h.pos[id] = new
-	h.member[id] = h.OwnsPoint(new)
+	h.member[id] = h.Owns(new)
 }
 
 func (h *halfRegion) Query(r geom.Rect, emit func(id uint32)) {
@@ -118,8 +118,8 @@ func pathTwins[P any, M any](t *testing.T, replay, bulk *pub[P, M], ticks [][]M,
 		if err1 != nil || err2 != nil {
 			t.Fatalf("tick %d: replay err %v, bulk err %v", tick, err1, err2)
 		}
-		_, d1 := replay.epochNow()
-		_, d2 := bulk.epochNow()
+		_, d1 := replay.Epoch()
+		_, d2 := bulk.Epoch()
 		if e1 != e2 || d1 != d2 {
 			t.Fatalf("tick %d: replay published (%d, %x), bulk (%d, %x)", tick, e1, d1, e2, d2)
 		}
@@ -129,7 +129,7 @@ func pathTwins[P any, M any](t *testing.T, replay, bulk *pub[P, M], ticks [][]M,
 			exp := want(rect)
 			for name, x := range map[string]*pub[P, M]{"replay": replay, "bulk": bulk} {
 				got := map[uint32]bool{}
-				buf, _, _ := x.queryAppend(rect, nil)
+				buf, _, _ := x.QueryAppend(rect, nil)
 				for _, id := range buf {
 					if got[id] {
 						t.Fatalf("tick %d %s: id %d reported twice", tick, name, id)
@@ -147,7 +147,7 @@ func pathTwins[P any, M any](t *testing.T, replay, bulk *pub[P, M], ticks [][]M,
 			}
 		}
 	}
-	if s1, s2 := replay.stats(), bulk.stats(); s1 != s2 || s1.Epochs != uint64(len(ticks)) || s1.Degraded != 0 {
+	if s1, s2 := replay.Stats(), bulk.Stats(); s1 != s2 || s1.Epochs != uint64(len(ticks)) || s1.Degraded != 0 {
 		t.Fatalf("stats diverge or degraded: replay %+v, bulk %+v", s1, s2)
 	}
 }
@@ -185,7 +185,7 @@ func TestReplayAndBulkAgreePoints(t *testing.T) {
 
 			owns := func(geom.Point) bool { return true }
 			if name == "region" {
-				owns = (&halfRegion{}).OwnsPoint
+				owns = (&halfRegion{}).Owns
 			}
 			pathTwins(t, &a.pub, &b.pub, ticks,
 				func(tick int) { applyOracle(oracle, ticks[tick]) },

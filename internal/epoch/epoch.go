@@ -128,33 +128,18 @@ func (o Options) withDefaults() Options {
 // core.EpochBoxIndex without core importing this package.
 type Stats = core.EpochStats
 
-// indexOps is the closure vtable the concrete wrappers build around an
-// inner core.Index or core.BoxIndex, erasing the interface difference
-// so the publication machinery exists once.
-type indexOps[P any] struct {
-	name   func() string
-	build  func(snap []P)
-	update func(id uint32, old, new P)
-	query  func(r geom.Rect, emit func(id uint32))
-	// queryAppend is the buffered query kernel (core.QueryAppendOf over
-	// the inner index: native when the inner supports it).
-	queryAppend func(r geom.Rect, buf []uint32) []uint32
-	length      func() int
-	// check is the inner CheckInvariants, nil when unsupported.
-	check func() error
-	// owns is non-nil for region-sharded inners (PointOwner/RectOwner):
-	// the index reports only the objects whose geometry it owns, so the
-	// membership probes condition presence on ownership.
-	owns func(p P) bool
-}
-
 // buffer is one of the two publication targets: an inner index plus the
 // private snapshot it filters against, stamped with its epoch.
 type buffer[P any] struct {
-	ops    indexOps[P]
-	snap   []P
-	epoch  uint64
-	digest uint64
+	idx core.IndexOf[P]
+	// queryAppend is the inner's buffered query kernel, resolved once
+	// when the buffer is made (core.QueryAppendOf: native when the inner
+	// supports it), so a reader's query is one indirect call and never a
+	// capability probe.
+	queryAppend func(r geom.Rect, buf []uint32) []uint32
+	snap        []P
+	epoch       uint64
+	digest      uint64
 	// active counts pinned readers; the writer quiesces on it after a
 	// swap before reusing the buffer as shadow.
 	active atomic.Int64
@@ -163,9 +148,33 @@ type buffer[P any] struct {
 	probe []uint32
 }
 
+// newBuffer wraps a fresh inner index around a private copy of snap, so
+// the caller's slice is never aliased by a published epoch.
+func newBuffer[P any](idx core.IndexOf[P], snap []P) *buffer[P] {
+	b := &buffer[P]{idx: idx, queryAppend: core.QueryAppendOf(idx, idx.Query), snap: make([]P, len(snap))}
+	copy(b.snap, snap)
+	return b
+}
+
+// length is the inner's cardinality (the snapshot's, for an inner that
+// cannot count).
+func (b *buffer[P]) length() int {
+	if c, ok := b.idx.(core.Counter); ok {
+		return c.Len()
+	}
+	return len(b.snap)
+}
+
+// owns reports whether the inner reports an object with geometry p:
+// always, unless it is a region shard (Owner).
+func (b *buffer[P]) owns(p P) bool {
+	o, ok := b.idx.(Owner[P])
+	return !ok || o.Owns(p)
+}
+
 // holds reports whether a query of r on the buffer's index returns id.
 func (b *buffer[P]) holds(r geom.Rect, id uint32) bool {
-	b.probe = b.ops.queryAppend(r, b.probe[:0])
+	b.probe = b.queryAppend(r, b.probe[:0])
 	for _, got := range b.probe {
 		if got == id {
 			return true
@@ -199,28 +208,38 @@ type pub[P any, M any] struct {
 	// and the optional registry-shared series and phase spans (obs.go).
 	ins ins
 
-	// Geometry-specific hooks bound by the concrete constructors.
-	moveID  func(m M) uint32
-	moveNew func(m M) P
-	// fold chains the epoch digest over one batch.
-	fold func(d uint64, moves []M) uint64
-	// probePresent queries the buffer for the id at its post-move
-	// geometry. probeAbsent reports whether the id is detectably gone
-	// from its pre-move geometry (false when the two overlap and absence
-	// cannot be asserted).
-	probePresent func(b *buffer[P], m M) bool
-	probeAbsent  func(b *buffer[P], m M) bool
+	// geo is the object geometry's hooks and newInner the wrapped
+	// family's factory, both bound by the concrete constructors.
+	geo      *geo[P, M]
+	newInner func() core.IndexOf[P]
 }
 
-// build initializes both buffers from the snapshot (epoch 0). The
-// concrete Build methods copy pts into each buffer's private snapshot
-// and pass the two prepared buffers here.
-func (x *pub[P, M]) build(a, b *buffer[P], digest uint64) {
+// init binds a zero publisher to its geometry and inner factory.
+func (x *pub[P, M]) init(g *geo[P, M], newInner func() core.IndexOf[P], opts Options) {
+	x.geo = g
+	x.newInner = newInner
+	x.opts = opts.withDefaults()
+	x.ins = newIns()
+}
+
+// Name reports the wrapped family ("epoch(...)" around the inner name,
+// once a Build has instantiated it).
+func (x *pub[P, M]) Name() string {
+	if b := x.live.Load(); b != nil {
+		return "epoch(" + b.idx.Name() + ")"
+	}
+	return "epoch"
+}
+
+// Build initializes both buffers from the snapshot — each a fresh inner
+// index over its own private copy — and publishes epoch 0.
+func (x *pub[P, M]) Build(snap []P) {
+	a, b := newBuffer(x.newInner(), snap), newBuffer(x.newInner(), snap)
+	digest := x.geo.digest(snap)
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	a.ops.build(a.snap)
-	b.ops.build(b.snap)
-	a.epoch, b.epoch = 0, 0
+	a.idx.Build(a.snap)
+	b.idx.Build(b.snap)
 	a.digest, b.digest = digest, digest
 	x.shadow = b
 	x.carry = nil
@@ -243,30 +262,40 @@ func (x *pub[P, M]) pin() *buffer[P] {
 	}
 }
 
-// query drains one query on the live epoch, returning the epoch number
-// and digest it observed. Lock-free against the writer.
-func (x *pub[P, M]) query(r geom.Rect, emit func(id uint32)) (uint64, uint64) {
+// Query implements core.EpochIndex / core.EpochBoxIndex: one lock-free
+// probe on the live epoch, returning the epoch number and consistency
+// digest it observed.
+func (x *pub[P, M]) Query(r geom.Rect, emit func(id uint32)) (uint64, uint64) {
 	b := x.pin()
 	if b == nil {
 		return 0, 0
 	}
 	defer b.active.Add(-1)
-	b.ops.query(r, emit)
+	b.idx.Query(r, emit)
 	return b.epoch, b.digest
 }
 
-// queryAppend drains one buffered query on the live epoch, returning the
-// appended buffer plus the epoch number and digest it observed. The
-// entire inner scan runs under one pin, so the buffer's contents are a
-// consistent view of a single epoch.
-func (x *pub[P, M]) queryAppend(r geom.Rect, buf []uint32) ([]uint32, uint64, uint64) {
+// QueryAppend implements core.EpochQueryAppender: the buffered variant
+// of Query. The entire inner scan runs under one pin, so buf holds a
+// consistent single-epoch result set.
+func (x *pub[P, M]) QueryAppend(r geom.Rect, buf []uint32) ([]uint32, uint64, uint64) {
 	b := x.pin()
 	if b == nil {
 		return buf, 0, 0
 	}
 	defer b.active.Add(-1)
-	buf = b.ops.queryAppend(r, buf)
+	buf = b.queryAppend(r, buf)
 	return buf, b.epoch, b.digest
+}
+
+// Len implements core.Counter for the live epoch.
+func (x *pub[P, M]) Len() int {
+	b := x.pin()
+	if b == nil {
+		return 0
+	}
+	defer b.active.Add(-1)
+	return b.length()
 }
 
 // contained runs fn, converting a panic (including re-panicked worker
@@ -303,9 +332,9 @@ func (x *pub[P, M]) fire(site string, n int) int {
 func (x *pub[P, M]) applyReplay(sh *buffer[P], moves []M) error {
 	replay := func(ms []M) {
 		for _, m := range ms {
-			id := x.moveID(m)
-			sh.ops.update(id, sh.snap[id], x.moveNew(m))
-			sh.snap[id] = x.moveNew(m)
+			id, _, to := x.geo.move(m)
+			sh.idx.Update(id, sh.snap[id], to)
+			sh.snap[id] = to
 		}
 	}
 	return x.contained(func() {
@@ -322,12 +351,13 @@ func (x *pub[P, M]) applyReplay(sh *buffer[P], moves []M) error {
 func (x *pub[P, M]) landAndBuild(sh *buffer[P], site string, moves []M) {
 	land := func(ms []M) {
 		for _, m := range ms {
-			sh.snap[x.moveID(m)] = x.moveNew(m)
+			id, _, to := x.geo.move(m)
+			sh.snap[id] = to
 		}
 	}
 	land(x.carry)
 	land(moves[:x.fire(site, len(moves))])
-	sh.ops.build(sh.snap)
+	sh.idx.Build(sh.snap)
 }
 
 // applyBulk is applyReplay's alternative for batches that are a large
@@ -353,11 +383,11 @@ func (x *pub[P, M]) applyRebuild(sh, live *buffer[P], moves []M) error {
 // structure's own invariants, and sampled membership probes over the
 // batch (first, last, and a stride through the middle).
 func (x *pub[P, M]) validate(sh *buffer[P], moves []M) error {
-	if got, want := sh.ops.length(), len(sh.snap); got != want {
+	if got, want := sh.length(), len(sh.snap); got != want {
 		return fmt.Errorf("epoch: shadow holds %d entries, snapshot has %d", got, want)
 	}
-	if sh.ops.check != nil {
-		if err := sh.ops.check(); err != nil {
+	if ic, ok := sh.idx.(core.InvariantChecker); ok {
+		if err := ic.CheckInvariants(); err != nil {
 			return fmt.Errorf("epoch: shadow invariants: %w", err)
 		}
 	}
@@ -372,7 +402,7 @@ func (x *pub[P, M]) validate(sh *buffer[P], moves []M) error {
 	}
 	lastOf := x.lastOf
 	for i, m := range moves {
-		id := x.moveID(m)
+		id, _, _ := x.geo.move(m)
 		if int(id) >= len(lastOf) {
 			// Only reachable past a torn apply, which never touched it.
 			return fmt.Errorf("epoch: move %d/%d names id %d, snapshot has %d", i, len(moves), id, len(sh.snap))
@@ -384,17 +414,24 @@ func (x *pub[P, M]) validate(sh *buffer[P], moves []M) error {
 		stride = len(moves) / maxProbes
 	}
 	probe := func(i int) error {
-		m := moves[i]
-		if int(lastOf[x.moveID(m)]) != i {
+		id, old, to := x.geo.move(moves[i])
+		if int(lastOf[id]) != i {
 			return nil
 		}
-		if !x.probePresent(sh, m) {
-			return fmt.Errorf("epoch: move %d/%d (id %d) not found at its new position",
-				i, len(moves), x.moveID(m))
+		was, now := x.geo.window(old), x.geo.window(to)
+		// Presence is conditioned on ownership: a region shard that does
+		// not own the new geometry sees an emigration (a point left its
+		// region; the reference point of an MBR's self-query is another
+		// shard's), and the id must be GONE from its results there.
+		if sh.holds(now, id) != sh.owns(to) {
+			return fmt.Errorf("epoch: move %d/%d (id %d) not found at its new position", i, len(moves), id)
 		}
-		if !x.probeAbsent(sh, m) {
-			return fmt.Errorf("epoch: move %d/%d (id %d) still present at its old position",
-				i, len(moves), x.moveID(m))
+		// Absence at the old geometry is only assertable when old and new
+		// are disjoint (for a point: differ): an intersecting query cannot
+		// distinguish "still stored at old" from "stored at new, which
+		// also intersects old".
+		if !was.Intersects(now) && sh.holds(was, id) {
+			return fmt.Errorf("epoch: move %d/%d (id %d) still present at its old position", i, len(moves), id)
 		}
 		return nil
 	}
@@ -410,14 +447,18 @@ func (x *pub[P, M]) validate(sh *buffer[P], moves []M) error {
 	return nil
 }
 
-// applyBatch is the writer tick: catch up the shadow, apply the batch,
-// validate, publish, quiesce. On failure it degrades per the package
-// comment. Returns the published epoch.
-func (x *pub[P, M]) applyBatch(moves []M) (uint64, error) {
+// ApplyBatch is the writer tick: catch up the shadow, apply the batch,
+// validate, publish, quiesce, returning the published epoch. On failure
+// it degrades per the package comment, and on error the batch is NOT
+// applied: the last good epoch keeps serving, and the caller may merge
+// the batch into the next tick's ApplyBatch (the wrapper sources each
+// move's old geometry from its own snapshot, so merged batches replay
+// safely).
+func (x *pub[P, M]) ApplyBatch(moves []M) (uint64, error) {
 	return x.applyBatchVia(moves, bulkPays)
 }
 
-// applyBatchVia is applyBatch with the apply-path policy as an argument,
+// applyBatchVia is ApplyBatch with the apply-path policy as an argument,
 // so the package's differential tests and crossover benchmark can hold
 // the two paths against each other on one move stream.
 func (x *pub[P, M]) applyBatchVia(moves []M, bulk func(pending, population int) bool) (uint64, error) {
@@ -466,7 +507,7 @@ func (x *pub[P, M]) applyBatchVia(moves []M, bulk func(pending, population int) 
 			err := x.contained(func() { x.fire("swap", 0) })
 			if err == nil {
 				sh.epoch = live.epoch + 1
-				sh.digest = x.fold(live.digest, moves)
+				sh.digest = x.geo.fold(live.digest, moves)
 				x.live.Store(sh)
 			}
 			x.ins.reg.Exit(ps)
@@ -501,8 +542,8 @@ func (x *pub[P, M]) applyBatchVia(moves []M, bulk func(pending, population int) 
 	}
 }
 
-// stats returns a snapshot of the lifecycle counters.
-func (x *pub[P, M]) stats() Stats {
+// Stats returns a snapshot of the lifecycle counters.
+func (x *pub[P, M]) Stats() Stats {
 	return Stats{
 		Epochs:          uint64(x.ins.epochs.Value()),
 		Degraded:        uint64(x.ins.degraded.Value()),
@@ -511,8 +552,8 @@ func (x *pub[P, M]) stats() Stats {
 	}
 }
 
-// epochNow returns the live epoch number and digest.
-func (x *pub[P, M]) epochNow() (uint64, uint64) {
+// Epoch returns the live epoch number and digest.
+func (x *pub[P, M]) Epoch() (uint64, uint64) {
 	b := x.live.Load()
 	if b == nil {
 		return 0, 0

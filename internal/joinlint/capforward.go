@@ -32,10 +32,12 @@ type capContract struct {
 
 // capContracts maps each contract to its obligatory capabilities; the
 // names resolve against core's scope at analysis time so the analyzer
-// and the contract can never drift apart.
+// and the contract can never drift apart. A generic name (IndexOf,
+// ParallelBuilderOf, BatchUpdaterOf) stands for every instantiation: a
+// wrapper is held to it at the type argument its own methods name (see
+// instanceFor), so the point and the box engine are one row.
 var capContracts = []capContract{
-	{"Index", []string{"QueryAppender", "BatchQuerier", "ParallelBuilder", "BatchUpdater"}},
-	{"BoxIndex", []string{"QueryAppender", "BatchQuerier", "BoxParallelBuilder", "BoxBatchUpdater"}},
+	{"IndexOf", []string{"QueryAppender", "BatchQuerier", "ParallelBuilderOf", "BatchUpdaterOf"}},
 	{"EpochIndex", []string{"EpochQueryAppender"}},
 	{"EpochBoxIndex", []string{"EpochQueryAppender"}},
 	{"ShardedEpochIndex", []string{"ShardedEpochQueryAppender"}},
@@ -47,31 +49,102 @@ func runCapForward(p *Pass) {
 	for _, obj := range wrappers {
 		ptr := types.NewPointer(obj.Type())
 		for _, c := range capContracts {
-			trigger := ifaces[c.name]
-			if trigger == nil || !types.Implements(ptr, trigger) {
+			contract, geometry := instanceFor(ptr, ifaces[c.name])
+			if !implements(ptr, contract) {
 				continue
 			}
 			for _, req := range c.required {
-				cap := ifaces[req]
-				if cap == nil {
+				if ifaces[req] == nil {
 					continue
 				}
-				if !types.Implements(ptr, cap) {
-					p.Reportf(obj.Pos(),
-						"%s satisfies core.%s and stores an inner index, but does not forward core.%s (%s): wrappers must forward every optional capability so layering never silently drops the buffered/parallel paths",
-						obj.Name(), c.name, req, methodNames(cap))
+				if cap, over := instanceFor(ptr, ifaces[req]); implements(ptr, cap) && carries(over, geometry) {
+					continue
 				}
+				p.Reportf(obj.Pos(),
+					"%s satisfies %s and stores an inner index, but does not forward core.%s (%s): wrappers must forward every optional capability so layering never silently drops the buffered/parallel paths",
+					obj.Name(), types.TypeString(contract, (*types.Package).Name), req, methodNames(ifaces[req]))
 			}
 		}
 	}
 }
 
+// implements reports whether t satisfies the interface type iface (nil:
+// no).
+func implements(t, iface types.Type) bool {
+	return iface != nil && types.Implements(t, iface.Underlying().(*types.Interface))
+}
+
+// instanceFor returns the interface t has to satisfy to satisfy the
+// contract or capability iface, and the type argument it was
+// instantiated at (nil for a plain interface, which is returned as it
+// is). A generic interface has one type parameter, named by the slice a
+// method takes — Build(snap []P), BuildParallel(snap []P, ...),
+// UpdateBatch(moves []M, ...) — so the argument is read off t's own
+// method of that name; nil, nil when t has no such method.
+func instanceFor(t types.Type, iface types.Type) (types.Type, types.Type) {
+	named, _ := iface.(*types.Named)
+	if named == nil || named.TypeParams().Len() == 0 {
+		return iface, nil
+	}
+	method, at := namingParam(named)
+	own := types.NewMethodSet(t).Lookup(nil, method)
+	if own == nil {
+		return nil, nil
+	}
+	params := own.Type().(*types.Signature).Params()
+	if at >= params.Len() {
+		return nil, nil
+	}
+	sl, ok := params.At(at).Type().(*types.Slice)
+	if !ok {
+		return nil, nil
+	}
+	inst, err := types.Instantiate(nil, named, []types.Type{sl.Elem()}, false)
+	if err != nil {
+		return nil, nil
+	}
+	return inst, sl.Elem()
+}
+
+// namingParam returns the method of the generic interface, and the
+// position of its parameter, whose slice element is the type parameter.
+func namingParam(generic *types.Named) (method string, at int) {
+	tp := generic.TypeParams().At(0)
+	iface := generic.Underlying().(*types.Interface)
+	for m := 0; m < iface.NumMethods(); m++ {
+		params := iface.Method(m).Type().(*types.Signature).Params()
+		for i := 0; i < params.Len(); i++ {
+			if sl, ok := params.At(i).Type().(*types.Slice); ok && sl.Elem() == types.Type(tp) {
+				return iface.Method(m).Name(), i
+			}
+		}
+	}
+	return "", 0
+}
+
+// carries reports whether a capability instantiated over `over` serves
+// a contract instantiated over `geometry`: the same type (BuildParallel
+// takes the snapshot Build takes), or a record with a field of it (a
+// move of that geometry). Trivially true when either is not generic.
+func carries(over, geometry types.Type) bool {
+	if over == nil || geometry == nil || types.Identical(over, geometry) {
+		return true
+	}
+	st, _ := over.Underlying().(*types.Struct)
+	for i := 0; st != nil && i < st.NumFields(); i++ {
+		if types.Identical(st.Field(i).Type(), geometry) {
+			return true
+		}
+	}
+	return false
+}
+
 // capWrappers returns the types of pkg the analyzer holds to the
 // forwarding contract — exported named struct types (aliases excluded)
 // that store an inner index — and core's contract and capability
-// interfaces by name. Both are empty for a package outside the index
-// ecosystem.
-func capWrappers(pkg *types.Package) ([]*types.TypeName, map[string]*types.Interface) {
+// interfaces by name (generic ones uninstantiated). Both are empty for
+// a package outside the index ecosystem.
+func capWrappers(pkg *types.Package) ([]*types.TypeName, map[string]types.Type) {
 	core := findCore(pkg)
 	if core == nil {
 		return nil, nil
@@ -79,7 +152,7 @@ func capWrappers(pkg *types.Package) ([]*types.TypeName, map[string]*types.Inter
 	ifaces := coreInterfaces(core)
 	// innerIfaces are the contracts whose presence in a field marks a
 	// type as a wrapper.
-	var innerIfaces []*types.Interface
+	var innerIfaces []types.Type
 	for _, c := range capContracts {
 		if i := ifaces[c.name]; i != nil {
 			innerIfaces = append(innerIfaces, i)
@@ -122,12 +195,12 @@ func findCore(pkg *types.Package) *types.Package {
 
 // coreInterfaces resolves every contract and capability name used by
 // capContracts in core's scope.
-func coreInterfaces(core *types.Package) map[string]*types.Interface {
-	ifaces := make(map[string]*types.Interface)
+func coreInterfaces(core *types.Package) map[string]types.Type {
+	ifaces := make(map[string]types.Type)
 	add := func(name string) {
 		if obj := core.Scope().Lookup(name); obj != nil {
-			if i, ok := obj.Type().Underlying().(*types.Interface); ok {
-				ifaces[name] = i
+			if _, ok := obj.Type().Underlying().(*types.Interface); ok {
+				ifaces[name] = obj.Type()
 			}
 		}
 	}
@@ -146,7 +219,7 @@ func coreInterfaces(core *types.Package) map[string]*types.Interface {
 // epoch wrapper uses), or — recursively, up to 4 structs deep — a
 // field of a struct type that does (the shard engine stores regions
 // that each hold their tuned inner index).
-func storesInnerIndex(t types.Type, contracts []*types.Interface, visited map[types.Type]bool, depth int) bool {
+func storesInnerIndex(t types.Type, contracts []types.Type, visited map[types.Type]bool, depth int) bool {
 	if depth > 4 || visited[t] {
 		return false
 	}
@@ -198,22 +271,24 @@ func unwrapElem(t types.Type) types.Type {
 
 // isIndexLike reports whether t satisfies any of the index contracts
 // (checking both t and *t for named non-interface types).
-func isIndexLike(t types.Type, contracts []*types.Interface) bool {
-	for _, c := range contracts {
-		if types.Implements(t, c) {
-			return true
-		}
-		if _, isIface := t.Underlying().(*types.Interface); !isIface {
-			if types.Implements(types.NewPointer(t), c) {
+func isIndexLike(t types.Type, contracts []types.Type) bool {
+	satisfies := func(t types.Type) bool {
+		for _, c := range contracts {
+			if inst, _ := instanceFor(t, c); implements(t, inst) {
 				return true
 			}
 		}
+		return false
 	}
-	return false
+	if _, isIface := t.Underlying().(*types.Interface); isIface {
+		return satisfies(t)
+	}
+	return satisfies(t) || satisfies(types.NewPointer(t))
 }
 
 // methodNames lists an interface's method names for diagnostics.
-func methodNames(i *types.Interface) string {
+func methodNames(t types.Type) string {
+	i := t.Underlying().(*types.Interface)
 	s := ""
 	for m := 0; m < i.NumMethods(); m++ {
 		if m > 0 {

@@ -127,13 +127,15 @@ func TestCapForwardVisitsShardEngines(t *testing.T) {
 	}
 	wrappers, ifaces := capWrappers(pkgs[0].Pkg)
 	for name, contract := range map[string]string{
-		"Index": "Index", "BoxIndex": "BoxIndex",
+		"Index": "IndexOf", "BoxIndex": "IndexOf",
 		"Concurrent": "ShardedEpochIndex", "BoxConcurrent": "ShardedEpochBoxIndex",
 	} {
 		found := false
 		for _, w := range wrappers {
 			if w.Name() == name {
-				found = types.Implements(types.NewPointer(w.Type()), ifaces[contract])
+				ptr := types.NewPointer(w.Type())
+				inst, _ := instanceFor(ptr, ifaces[contract])
+				found = implements(ptr, inst)
 			}
 		}
 		if !found {

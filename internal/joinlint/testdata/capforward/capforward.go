@@ -11,7 +11,7 @@ import (
 
 // BrokenWrap satisfies core.Index and stores an inner index but
 // forwards no optional capability: the analyzer must demand all four.
-type BrokenWrap struct { // want `BrokenWrap satisfies core\.Index .* core\.QueryAppender` `BrokenWrap satisfies core\.Index .* core\.BatchQuerier` `BrokenWrap satisfies core\.Index .* core\.ParallelBuilder` `BrokenWrap satisfies core\.Index .* core\.BatchUpdater`
+type BrokenWrap struct { // want `BrokenWrap satisfies core\.IndexOf\[geom\.Point\] .* core\.QueryAppender` `BrokenWrap satisfies core\.IndexOf\[geom\.Point\] .* core\.BatchQuerier` `BrokenWrap satisfies core\.IndexOf\[geom\.Point\] .* core\.ParallelBuilderOf` `BrokenWrap satisfies core\.IndexOf\[geom\.Point\] .* core\.BatchUpdaterOf`
 	inner core.Index
 }
 
@@ -43,7 +43,7 @@ func (w *GoodWrap) UpdateBatch(moves []geom.Move, workers int)  {}
 // FactoryWrap hides the inner index behind a factory func field (the
 // epoch wrapper's erasure pattern); the analyzer must still see it as a
 // wrapper. It forwards everything except QueryAppend.
-type FactoryWrap struct { // want `FactoryWrap satisfies core\.Index .* core\.QueryAppender`
+type FactoryWrap struct { // want `FactoryWrap satisfies core\.IndexOf\[geom\.Point\] .* core\.QueryAppender`
 	newInner func() core.Index
 }
 
@@ -66,7 +66,7 @@ type nestedRegion struct {
 
 // NestedWrap must be recognised as a wrapper through the nested region
 // struct. It forwards everything except QueryAppend.
-type NestedWrap struct { // want `NestedWrap satisfies core\.Index .* core\.QueryAppender`
+type NestedWrap struct { // want `NestedWrap satisfies core\.IndexOf\[geom\.Point\] .* core\.QueryAppender`
 	regs []nestedRegion
 }
 
@@ -80,6 +80,51 @@ func (w *NestedWrap) QueryBatch(rects []geom.Rect, offsets, buf []uint32) ([]uin
 func (w *NestedWrap) BuildParallel(pts []geom.Point, workers int) {}
 func (w *NestedWrap) CanBatchUpdates(n int) bool                  { return false }
 func (w *NestedWrap) UpdateBatch(moves []geom.Move, workers int)  {}
+
+// forward is a generic forwarding struct over the object geometry P
+// moved by M (the shape of tune.auto, epoch.pub and shard.router): it
+// stores the inner index and forwards everything except BuildParallel.
+type forward[P, M any] struct {
+	inner core.IndexOf[P]
+	app   func(r geom.Rect, buf []uint32) []uint32
+}
+
+func (w *forward[P, M]) Name() string                         { return "forward" }
+func (w *forward[P, M]) Build(snap []P)                       { w.inner.Build(snap) }
+func (w *forward[P, M]) Query(r geom.Rect, emit func(uint32)) { w.inner.Query(r, emit) }
+func (w *forward[P, M]) Update(id uint32, old, new P)         { w.inner.Update(id, old, new) }
+func (w *forward[P, M]) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
+	return w.app(r, buf)
+}
+func (w *forward[P, M]) QueryBatch(rects []geom.Rect, offsets, buf []uint32) ([]uint32, []uint32) {
+	return core.AppendBatch(w.app, rects, offsets, buf)
+}
+func (w *forward[P, M]) CanBatchUpdates(n int) bool         { return false }
+func (w *forward[P, M]) UpdateBatch(moves []M, workers int) {}
+
+// EmbeddedBoxWrap is a named wrapper that embeds the generic forwarding
+// struct at the box instantiation: the analyzer must see through the
+// embedding (inner index and promoted methods both) and demand the one
+// capability the embedded struct drops, at the box instantiation.
+type EmbeddedBoxWrap struct { // want `EmbeddedBoxWrap satisfies core\.IndexOf\[geom\.Rect\] .* core\.ParallelBuilderOf \(BuildParallel\)`
+	forward[geom.Rect, geom.BoxMove]
+}
+
+// EmbeddedWrap embeds the same struct at the point instantiation and
+// supplies the missing capability itself: clean.
+type EmbeddedWrap struct {
+	forward[geom.Point, geom.Move]
+}
+
+func (w *EmbeddedWrap) BuildParallel(pts []geom.Point, workers int) { w.inner.Build(pts) }
+
+// CrossedWrap forwards a batch-update path, but over the moves of the
+// other geometry: no driver's BatchUpdater probe would ever find it.
+type CrossedWrap struct { // want `CrossedWrap satisfies core\.IndexOf\[geom\.Point\] .* core\.BatchUpdaterOf`
+	forward[geom.Point, geom.BoxMove]
+}
+
+func (w *CrossedWrap) BuildParallel(pts []geom.Point, workers int) { w.inner.Build(pts) }
 
 // Standalone satisfies core.Index but stores no inner index — not a
 // wrapper, so missing capabilities are fine (it may genuinely not have
@@ -110,5 +155,9 @@ var (
 	_ core.Index = (*FactoryWrap)(nil)
 	_ core.Index = (*NestedWrap)(nil)
 	_ core.Index = (*Standalone)(nil)
+	_ core.Index = (*EmbeddedWrap)(nil)
+	_ core.Index = (*CrossedWrap)(nil)
 	_ core.Index = (*brokenUnexported)(nil)
+
+	_ core.BoxIndex = (*EmbeddedBoxWrap)(nil)
 )

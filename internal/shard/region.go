@@ -5,6 +5,7 @@ import (
 	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/epoch"
 	"repro/internal/geom"
 	"repro/internal/tune"
 )
@@ -12,10 +13,11 @@ import (
 // Each region satisfies the contracts the epoch wrapper probes, for
 // either geometry.
 var (
-	_ core.Index            = (*region[geom.Point])(nil)
-	_ core.BoxIndex         = (*region[geom.Rect])(nil)
-	_ core.InvariantChecker = (*region[geom.Point])(nil)
-	_ core.QueryAppender    = (*region[geom.Point])(nil)
+	_ core.Index             = (*region[geom.Point])(nil)
+	_ core.BoxIndex          = (*region[geom.Rect])(nil)
+	_ core.InvariantChecker  = (*region[geom.Point])(nil)
+	_ core.QueryAppender     = (*region[geom.Point])(nil)
+	_ epoch.Owner[geom.Rect] = (*region[geom.Rect])(nil)
 )
 
 // env is what an engine's regions share with it: the geometry, the
@@ -45,7 +47,7 @@ type region[P comparable] struct {
 	// The inner index and its buffered query kernel (native when the
 	// chosen family supports core.QueryAppender), bound at first build.
 	choice      tune.Choice
-	inner       inner[P]
+	inner       core.IndexOf[P]
 	innerAppend func(r geom.Rect, buf []uint32) []uint32
 
 	// lidOf maps global id -> local slot (NONE when not a member);
@@ -84,16 +86,14 @@ func (s *region[P]) Name() string {
 // region — the one membership rule, for routing, builds and audits.
 func (s *region[P]) holds(p P) bool { return s.geo.span(&s.lat, p).has(s.cx, s.cy) }
 
-// OwnsPoint implements epoch.PointOwner: whether this region reports an
-// object at position p.
-func (s *region[P]) OwnsPoint(p geom.Point) bool { return s.lat.idOf(p.X, p.Y) == s.sid }
-
-// OwnsRect implements epoch.RectOwner: whether this region is the
-// reporting owner for a self-query of r — the reference point of r∩r is
-// r's min corner. (Both owner probes are lattice questions, so the
-// generic region answers both; the epoch wrapper asks the one matching
-// its geometry.)
-func (s *region[P]) OwnsRect(r geom.Rect) bool { return s.lat.idOf(r.MinX, r.MinY) == s.sid }
+// Owns implements epoch.Owner: whether this region reports an object
+// with geometry p for a self-query — it holds the point, or it owns the
+// reference point of r∩r, which is r's min corner and so the first
+// region of r's span.
+func (s *region[P]) Owns(p P) bool {
+	sp := s.geo.span(&s.lat, p)
+	return sp.x0 == s.cx && sp.y0 == s.cy
+}
 
 // Build implements core.Index over a FULL snapshot: the region scans it
 // for members and indexes only those. The router avoids the per-region

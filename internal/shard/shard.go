@@ -197,15 +197,6 @@ func (l *lattice) regionFrame(cx, cy int) geom.Rect {
 	return r
 }
 
-// inner is a region's tuned index over local slot ids: core.Index when P
-// is a point, core.BoxIndex when it is an MBR.
-type inner[P any] interface {
-	Name() string
-	Build(all []P)
-	Query(r geom.Rect, emit func(id uint32))
-	Update(id uint32, old, new P)
-}
-
 // geo is everything the engine needs to know about an object geometry P;
 // the two values below are the whole difference between the point and
 // the box engine.
@@ -219,10 +210,11 @@ type geo[P comparable] struct {
 	// region frame's centre.
 	park func(c geom.Point) P
 	// sample, choose and build are the tune triple: statistics of a
-	// snapshot, the family picked from them, an instance of that family.
+	// snapshot, the family picked from them, an instance of that family
+	// (a region's inner index over local slot ids).
 	sample func(all []P, bounds geom.Rect, h core.WorkloadHints) tune.Stats
 	choose func(s tune.Stats) tune.Choice
-	build  func(c tune.Choice, p core.Params) inner[P]
+	build  func(c tune.Choice, p core.Params) core.IndexOf[P]
 	// refEmit and refAppend are the reference-point filters of the two
 	// query kernels (see refPoint). Non-nil exactly when objects
 	// replicate across regions; a geometry that spans one region has
@@ -242,7 +234,7 @@ var pointGeo = &geo[geom.Point]{
 	park:   func(c geom.Point) geom.Point { return c },
 	sample: tune.SamplePoints,
 	choose: tune.ChoosePoint,
-	build:  func(c tune.Choice, p core.Params) inner[geom.Point] { return c.NewPointIndex(p) },
+	build:  tune.Choice.NewPointIndex,
 }
 
 var boxGeo = &geo[geom.Rect]{
@@ -251,7 +243,7 @@ var boxGeo = &geo[geom.Rect]{
 	park:      geom.Point.Rect,
 	sample:    tune.SampleBoxes,
 	choose:    tune.ChooseBox,
-	build:     func(c tune.Choice, p core.Params) inner[geom.Rect] { return c.NewBoxIndex(p) },
+	build:     tune.Choice.NewBoxIndex,
 	refEmit:   refEmit,
 	refAppend: refAppend,
 }

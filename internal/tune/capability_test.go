@@ -115,3 +115,56 @@ func TestAutoBoxForwardsBufferedKernels(t *testing.T) {
 	rects := capabilityRects(gen.Queriers(), gen.QueryRect)
 	assertBufferedKernels(t, idx.Name(), idx.Query, qa.QueryAppend, qb.QueryBatch, rects)
 }
+
+// An adaptive index that has not seen a snapshot answers like every
+// unbuilt family: no results from any kernel, no panic — the same
+// pre-build state Len, MemoryBytes, CheckInvariants and CanBatchUpdates
+// always handled.
+func TestAutoAnswersEmptyBeforeFirstBuild(t *testing.T) {
+	p := core.Params{Bounds: geom.R(0, 0, 1000, 1000), NumPoints: 100}
+	auto, boxauto := NewAuto(p), NewAutoBox(p)
+	for _, tc := range []struct {
+		name string
+		idx  interface {
+			core.QueryAppender
+			core.BatchQuerier
+			core.Counter
+			core.MemoryReporter
+			core.InvariantChecker
+			Name() string
+			Query(r geom.Rect, emit func(id uint32))
+			CanBatchUpdates(n int) bool
+			Choice() (Choice, bool)
+		}
+		update func()
+	}{
+		{"auto", auto, func() {
+			auto.Update(3, geom.Pt(1, 1), geom.Pt(2, 2))
+			auto.UpdateBatch([]geom.Move{{ID: 3, Old: geom.Pt(1, 1), New: geom.Pt(2, 2)}}, 1)
+		}},
+		{"boxauto", boxauto, func() {
+			boxauto.Update(3, geom.R(1, 1, 2, 2), geom.R(2, 2, 3, 3))
+			boxauto.UpdateBatch([]geom.BoxMove{{ID: 3, Old: geom.R(1, 1, 2, 2), New: geom.R(2, 2, 3, 3)}}, 1)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			idx, all := tc.idx, geom.R(0, 0, 1000, 1000)
+			tc.update() // moves of objects it never indexed: ignored, as by any unbuilt family
+			idx.Query(all, func(id uint32) { t.Errorf("Query emitted %d", id) })
+			if buf := idx.QueryAppend(all, []uint32{7}); len(buf) != 1 || buf[0] != 7 {
+				t.Errorf("QueryAppend returned %v, want the caller's [7] untouched", buf)
+			}
+			offsets, buf := idx.QueryBatch([]geom.Rect{all, all}, nil, nil)
+			if len(offsets) != 3 || offsets[2] != 0 || len(buf) != 0 {
+				t.Errorf("QueryBatch returned offsets %v, %d ids; want [0 0 0], none", offsets, len(buf))
+			}
+			if _, chosen := idx.Choice(); chosen || idx.Name() != tc.name {
+				t.Errorf("unbuilt index reports a choice: %q", idx.Name())
+			}
+			if idx.Len() != 0 || idx.MemoryBytes() != 0 || idx.CanBatchUpdates(1<<20) || idx.CheckInvariants() != nil {
+				t.Errorf("unbuilt index: Len %d, MemoryBytes %d, CanBatchUpdates %v, CheckInvariants %v",
+					idx.Len(), idx.MemoryBytes(), idx.CanBatchUpdates(1<<20), idx.CheckInvariants())
+			}
+		})
+	}
+}

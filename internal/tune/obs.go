@@ -9,12 +9,10 @@ import "repro/internal/obs"
 // item compares against the observed core.tick.* series to compute
 // prediction residuals. Nothing here touches the delegating hot paths.
 
-// Instrument implements obs.Instrumentable. Call before Build (the
-// drivers do); the selection made at first build is then published.
-func (a *Auto) Instrument(r *obs.Registry) { a.reg = r }
-
-// Instrument implements obs.Instrumentable for the adaptive box index.
-func (a *AutoBox) Instrument(r *obs.Registry) { a.reg = r }
+// Instrument implements obs.Instrumentable (promoted to Auto and
+// AutoBox). Call before Build (the drivers do); the selection made at
+// first build is then published.
+func (a *auto[P, M]) Instrument(r *obs.Registry) { a.reg = r }
 
 // publishChoice records a freshly made selection: the decision label,
 // the winner's predicted tick cost, and a selection count (several
