@@ -443,3 +443,49 @@ func BenchmarkGridScanAlgorithms(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCSRQueryKernel times QueryAppend on the paper's default uniform
+// population, one query per iteration: the run path of a dense arena against
+// the per-cell walk of the same arena after loosen, with the queriers in ID
+// order and in cell order (the drivers' schedule), for both CSR layouts and
+// three window sizes. internal/grid/README.md, "Emit vs. buffer", carries
+// its table.
+func BenchmarkCSRQueryKernel(b *testing.B) {
+	wcfg := workload.DefaultUniform()
+	gen, err := workload.NewGenerator(wcfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pts := gen.Positions(nil)
+	queriers := gen.Queriers()
+	far := geom.Pt(wcfg.Bounds().MaxX, wcfg.Bounds().MaxY)
+	for _, cfg := range []Config{CSR(), CSRXY()} {
+		g := MustNew(cfg, wcfg.Bounds(), len(pts))
+		inCellOrder := append([]uint32(nil), queriers...)
+		sort.SliceStable(inCellOrder, func(i, j int) bool {
+			return g.cellIndexFor(pts[inCellOrder[i]]) < g.cellIndexFor(pts[inCellOrder[j]])
+		})
+		for _, state := range []string{"dense", "loose"} {
+			g.Build(pts)
+			if state == "loose" {
+				loosen(b, g, pts, 0, far)
+			}
+			for _, order := range []struct {
+				name string
+				ids  []uint32
+			}{{"id-order", queriers}, {"cell-order", inCellOrder}} {
+				for _, window := range []float32{100, 400, 1600} {
+					b.Run(fmt.Sprintf("%s/%s/%s/w=%g", cfg.Layout, state, order.name, window), func(b *testing.B) {
+						var buf []uint32
+						results := 0
+						for i := 0; i < b.N; i++ {
+							buf = g.QueryAppend(geom.Square(pts[order.ids[i%len(order.ids)]], window), buf[:0])
+							results += len(buf)
+						}
+						b.ReportMetric(float64(results)/float64(b.N), "results/query")
+					})
+				}
+			}
+		}
+	}
+}

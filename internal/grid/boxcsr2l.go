@@ -658,7 +658,7 @@ func (bg *BoxGrid2L) appendMasked(lo, hi uint32, loX, hiX, loY, hiY float32, buf
 	seg := bg.ids[lo:hi]
 	rcs := bg.rcts[lo:hi]
 	k := len(buf)
-	buf = append(buf, seg...) // reserve; survivors overwrite in place
+	buf = reserve(buf, seg) // survivors overwrite in place
 	for j, id := range seg {
 		rc := rcs[j]
 		m := math.Float32bits(rc.MaxX-loX) | math.Float32bits(hiX-rc.MinX) |

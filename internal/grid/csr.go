@@ -54,6 +54,14 @@ type csrStore struct {
 	entries int
 	pts     []geom.Point
 
+	// dense is the arena's state: true when scatter returns — every segment
+	// full, overflow empty, so starts[c]+counts[c] == starts[c+1] and any
+	// span of consecutive cells is one run of ids — and false from the
+	// first insertAt, removeAt or reset until the next scatter. byRange is
+	// the grid's ScanRange, fixed at construction. Together they select
+	// appendRow's run path.
+	dense, byRange bool
+
 	// cellOf[id] is the cell holding entry id: index state, written by
 	// the label half of the build and kept current by every update.
 	cellOf   []uint32
@@ -77,9 +85,10 @@ func rescatterPays(touched, population int) bool {
 	return touched*rescatterShare > population
 }
 
-func newCSRStore(cells int, mapper cellMapper, numPoints int, withXY bool) *csrStore {
+func newCSRStore(cells int, mapper cellMapper, numPoints int, withXY, byRange bool) *csrStore {
 	st := &csrStore{
 		mapper:   mapper,
+		byRange:  byRange,
 		starts:   make([]uint32, cells+1),
 		counts:   make([]uint32, cells),
 		overflow: make([][]uint32, cells),
@@ -101,7 +110,7 @@ func (st *csrStore) reset(pts []geom.Point) {
 	clear(st.starts)
 	clear(st.counts)
 	st.prepare(pts)
-	st.entries = 0
+	st.entries, st.dense = 0, false
 }
 
 func (st *csrStore) clearOverflow() {
@@ -210,6 +219,7 @@ func (st *csrStore) scatter(shards int) {
 	for c := range st.counts {
 		st.counts[c] = st.starts[c+1] - st.starts[c]
 	}
+	st.dense = true
 }
 
 func (st *csrStore) scatterShard(w, lo, hi int) {
@@ -328,6 +338,7 @@ func (st *csrStore) updateBatch(moves []geom.Move, workers int, pays func(touche
 func (st *csrStore) insertAt(c int, id uint32, p geom.Point) {
 	st.cellOf[id] = uint32(c)
 	st.entries++
+	st.dense = false
 	base, n := st.starts[c], st.counts[c]
 	if base+n < st.starts[c+1] {
 		st.ids[base+n] = id
@@ -347,6 +358,7 @@ func (st *csrStore) insertAt(c int, id uint32, p geom.Point) {
 // removeAt swap-deletes entry id from cell c, refilling a segment hole
 // from the cell's overflow first.
 func (st *csrStore) removeAt(c int, id uint32) bool {
+	st.dense = false
 	base, n := st.starts[c], st.counts[c]
 	seg := st.ids[base : base+n]
 	for j, v := range seg {
@@ -435,21 +447,51 @@ func (st *csrStore) filterCell(c int, r geom.Rect, emit func(id uint32)) {
 	}
 }
 
-// appendRow is the store's whole-row buffered kernel. Contained cells
-// append their dense segment whole (the true-hit fast path), and
-// CONSECUTIVE contained cells whose segments abut in the arena — always
-// the case on a fresh counting-sort build, where starts[c]+counts[c] ==
-// starts[c+1] — merge into a single copy, so a fully covered row costs
-// one memmove however many cells it spans. Boundary cells run the tight
-// test-and-append loop. Nothing here goes through an interface call or
-// a callback.
+// appendRow is the store's whole-row buffered kernel, and the one place
+// that chooses between its two shapes — by the arena's state, nothing else.
+//
+// On a dense arena (and under ScanRange: Algorithm 1 keeps its per-cell
+// walk) the cells of a directory row abut, so the row's span is a run of
+// the ID arena and the kernel pays per row, not per cell: a span with no
+// interior worth copying is ONE branchless filter over the whole run; a
+// y-contained span of three or more cells is filter(left cell), one bulk
+// copy of the interior cells, filter(right cell). The interior is copied
+// only under the exact containment predicates of the callback walk, and the
+// run is filtered only when r's x-extent is ordered, so a NaN or inverted
+// rectangle returns what Query returns: nothing.
 //
 //joinlint:hotpath
 //joinlint:bce
 func (st *csrStore) appendRow(r geom.Rect, base, xmin, xmax int, containsY bool, xs []float32, buf []uint32) []uint32 {
-	if st.xy != nil {
-		return st.appendRowXY(r, base, xmin, xmax, containsY, xs, buf)
+	if !st.dense || !st.byRange {
+		return st.appendCells(r, base, xmin, xmax, containsY, xs, buf)
 	}
+	if xmin > xmax {
+		return buf
+	}
+	row := st.starts[base+xmin : base+xmax+2] // the span's cell offsets, and its end
+	lo, hi := row[0], row[len(row)-1]
+	if containsY && len(row) > 3 && r.MinX <= xs[xmin+1] && xs[xmax] <= r.MaxX {
+		in0, in1 := row[1], row[len(row)-2]
+		buf = st.appendFilter(r, lo, in0, buf)
+		buf = append(buf, st.ids[in0:in1]...)
+		return st.appendFilter(r, in1, hi, buf)
+	}
+	if r.MinX <= r.MaxX {
+		buf = st.appendFilter(r, lo, hi, buf)
+	}
+	return buf
+}
+
+// appendCells is the row kernel of an arena that is not dense: contained
+// cells append their segment whole, CONSECUTIVE ones whose segments still
+// abut merging into a single copy, and boundary cells filter their segment
+// and their overflow. Nothing here goes through an interface call or a
+// callback.
+//
+//joinlint:hotpath
+//joinlint:bce
+func (st *csrStore) appendCells(r geom.Rect, base, xmin, xmax int, containsY bool, xs []float32, buf []uint32) []uint32 {
 	ids, starts, counts := st.ids, st.starts, st.counts
 	var runLo, runHi uint32
 	x0 := xs[xmin]
@@ -469,7 +511,15 @@ func (st *csrStore) appendRow(r geom.Rect, base, xmin, xmax int, containsY bool,
 				buf = append(buf, of...)
 			}
 		} else if x0 <= r.MaxX && r.MinX <= x1 {
-			buf = st.appendFilterCell(c, r, buf)
+			b := starts[c]
+			buf = st.appendFilter(r, b, b+counts[c], buf)
+			if of := st.overflow[c]; len(of) > 0 {
+				if st.xy != nil {
+					buf = appendFilterXY(of, st.overflowXY[c], r, buf)
+				} else {
+					buf = appendFilterPts(of, st.pts, r, buf)
+				}
+			}
 		}
 		x0 = x1
 	}
@@ -479,14 +529,22 @@ func (st *csrStore) appendRow(r geom.Rect, base, xmin, xmax int, containsY bool,
 	return buf
 }
 
-// appendFilterCell is the buffered boundary-cell filter, and the second
-// reason (after the contained-cell bulk copy) a buffered kernel beats a
-// callback one: it is branchless. Every candidate ID is stored into the
-// output unconditionally and the write cursor advances by the sign bit
-// of the containment test, so the boundary cells' maximally
-// unpredictable hit/miss pattern costs zero branch mispredictions. A
-// callback kernel cannot be compiled this way — invoking the callback
-// only for hits IS a data-dependent branch.
+// appendFilter test-and-appends the arena run ids[lo:hi] — one cell's
+// segment or a whole row's — against whichever table holds its coordinates.
+func (st *csrStore) appendFilter(r geom.Rect, lo, hi uint32, buf []uint32) []uint32 {
+	if st.xy != nil {
+		return appendFilterXY(st.ids[lo:hi], st.xy[2*lo:2*hi], r, buf)
+	}
+	return appendFilterPts(st.ids[lo:hi], st.pts, r, buf)
+}
+
+// appendFilterPts is the buffered filter, and the second reason (after the
+// bulk copy) a buffered kernel beats a callback one: it is branchless.
+// Every candidate ID is stored into the output unconditionally and the
+// write cursor advances by the sign bit of the containment test, so the
+// boundary's maximally unpredictable hit/miss pattern costs zero branch
+// mispredictions. A callback kernel cannot be compiled this way — invoking
+// the callback only for hits IS a data-dependent branch.
 //
 // The sign trick: p is inside r iff all four of p.X-r.MinX, r.MaxX-p.X,
 // p.Y-r.MinY, r.MaxY-p.Y are >= 0, i.e. iff the OR of their IEEE sign
@@ -495,12 +553,9 @@ func (st *csrStore) appendRow(r geom.Rect, base, xmin, xmax int, containsY bool,
 //
 //joinlint:hotpath
 //joinlint:bce
-func (st *csrStore) appendFilterCell(c int, r geom.Rect, buf []uint32) []uint32 {
-	b := st.starts[c]
-	seg := st.ids[b : b+st.counts[c]]
-	pts := st.pts
+func appendFilterPts(seg []uint32, pts []geom.Point, r geom.Rect, buf []uint32) []uint32 {
 	k := len(buf)
-	buf = append(buf, seg...) // reserve; survivors overwrite in place
+	buf = reserve(buf, seg)
 	for _, id := range seg {
 		p := pts[id]
 		m := math.Float32bits(p.X-r.MinX) | math.Float32bits(r.MaxX-p.X) |
@@ -508,11 +563,20 @@ func (st *csrStore) appendFilterCell(c int, r geom.Rect, buf []uint32) []uint32 
 		buf[k] = id
 		k += 1 - int(m>>31)
 	}
-	buf = buf[:k]
-	for _, id := range st.overflow[c] {
-		if pts[id].In(r) {
-			buf = append(buf, id)
-		}
+	return buf[:k]
+}
+
+// reserve returns buf extended to at least len(seg) slots past its length,
+// for a branchless filter of seg to overwrite and cut back. It grows
+// capacity only — at steady state a compare and a reslice, where
+// append(buf, seg...) was a memmove of data about to be overwritten — and
+// when capacity is short it copies the shortfall alone. (The unsigned
+// compare lets the compiler drop the slice check; free is never negative.)
+func reserve(buf, seg []uint32) []uint32 {
+	free := cap(buf) - len(buf)
+	buf = buf[:cap(buf)]
+	if uint(free) < uint(len(seg)) {
+		buf = append(buf, seg[free:]...)
 	}
 	return buf
 }

@@ -50,64 +50,22 @@ func (st *csrStore) filterCellXY(c int, r geom.Rect, emit func(id uint32)) {
 	}
 }
 
-// appendRowXY is csrStore.appendRow against the inlined coordinate
-// arena: contained cells merge into contiguous whole-segment copies
-// exactly as in the plain CSR row kernel (containment needs no
-// coordinates at all), and boundary cells filter against the xy streams
-// instead of the base table.
+// appendFilterXY is appendFilterPts over the two sequential streams: slot
+// j of seg owns xy[2j], xy[2j+1], so the loop never touches memory outside
+// the two arenas.
 //
 //joinlint:hotpath
 //joinlint:bce
-func (st *csrStore) appendRowXY(r geom.Rect, base, xmin, xmax int, containsY bool, xs []float32, buf []uint32) []uint32 {
-	ids, starts, counts := st.ids, st.starts, st.counts
-	var runLo, runHi uint32
-	x0 := xs[xmin]
-	for cx := xmin; cx <= xmax; cx++ {
-		x1 := xs[cx+1]
-		c := base + cx
-		if containsY && r.MinX <= x0 && x1 <= r.MaxX {
-			b := starts[c]
-			if runHi != b {
-				if runHi > runLo {
-					buf = append(buf, ids[runLo:runHi]...)
-				}
-				runLo = b
-			}
-			runHi = b + counts[c]
-			if of := st.overflow[c]; len(of) > 0 {
-				buf = append(buf, of...)
-			}
-		} else if x0 <= r.MaxX && r.MinX <= x1 {
-			b := starts[c]
-			n := counts[c]
-			seg := ids[b : b+n]
-			xy := st.xy[2*b : 2*(b+n)]
-			// Branchless compaction over the two sequential streams (see
-			// csrStore.appendFilterCell for the sign trick): with the
-			// coordinates inlined this loop never touches memory outside
-			// the two arenas and never mispredicts.
-			k := len(buf)
-			buf = append(buf, seg...) // reserve; survivors overwrite in place
-			for j, id := range seg {
-				x, y := xy[2*j], xy[2*j+1]
-				m := math.Float32bits(x-r.MinX) | math.Float32bits(r.MaxX-x) |
-					math.Float32bits(y-r.MinY) | math.Float32bits(r.MaxY-y)
-				buf[k] = id
-				k += 1 - int(m>>31)
-			}
-			buf = buf[:k]
-			oxy := st.overflowXY[c]
-			for j, id := range st.overflow[c] {
-				x, y := oxy[2*j], oxy[2*j+1]
-				if x >= r.MinX && x <= r.MaxX && y >= r.MinY && y <= r.MaxY {
-					buf = append(buf, id)
-				}
-			}
-		}
-		x0 = x1
+func appendFilterXY(seg []uint32, xy []float32, r geom.Rect, buf []uint32) []uint32 {
+	k := len(buf)
+	buf = reserve(buf, seg)
+	xy = xy[:2*len(seg)]
+	for j, id := range seg {
+		x, y := xy[2*j], xy[2*j+1]
+		m := math.Float32bits(x-r.MinX) | math.Float32bits(r.MaxX-x) |
+			math.Float32bits(y-r.MinY) | math.Float32bits(r.MaxY-y)
+		buf[k] = id
+		k += 1 - int(m>>31)
 	}
-	if runHi > runLo {
-		buf = append(buf, ids[runLo:runHi]...)
-	}
-	return buf
+	return buf[:k]
 }

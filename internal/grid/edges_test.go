@@ -68,31 +68,38 @@ func TestPointWithinUlpOfEdge(t *testing.T) {
 	}
 }
 
-// TestEdgeUlpNeighbourhood places a point within ±4 ulps of every
-// interior cell edge, on both axes, and probes it with a degenerate
-// window (the epoch validator's membership probe) and with windows one
-// cell wide on either side of it (so whole-cell copies are exercised
-// too), for every point layout and both kernels.
+// edgeProbes places a point within ±4 ulps of every interior cell edge of a
+// cps-per-side grid over bounds, on both axes, and probes each with a
+// degenerate window (the epoch validator's membership probe) and with
+// windows one cell wide on either side of it (so whole-cell copies are
+// exercised too).
+func edgeProbes(bounds geom.Rect, cps int) (pts []geom.Point, queries []geom.Rect) {
+	cell := bounds.Width() / float32(cps)
+	for c := 1; c < cps; c++ {
+		// Off-edge coordinate of each probe: mid-cell, varying with c.
+		mid := float32(c-1)*cell + cell/3
+		for d := -4; d <= 4; d++ {
+			pts = append(pts,
+				geom.Pt(nudge(bounds.MinX+float32(c)*cell, d), bounds.MinY+mid),
+				geom.Pt(bounds.MinX+mid, nudge(bounds.MinY+float32(c)*cell, d)))
+		}
+	}
+	queries = make([]geom.Rect, 0, 3*len(pts))
+	for _, p := range pts {
+		queries = append(queries, p.Rect(),
+			geom.R(p.X, p.Y, p.X+cell, p.Y+cell),
+			geom.R(p.X-cell, p.Y-cell, p.X, p.Y))
+	}
+	return pts, queries
+}
+
+// TestEdgeUlpNeighbourhood holds every point layout and both kernels to
+// brute force on edgeProbes. (TestCSRRunPathMatchesCellWalk repeats the
+// probes on a CSR arena that is not dense.)
 func TestEdgeUlpNeighbourhood(t *testing.T) {
 	for _, bounds := range []geom.Rect{geom.R(0, 0, 22000, 22000), geom.R(11000, 11000, 22000, 22000)} {
 		for _, cps := range []int{13, 48, 64, 96, 192} {
-			cell := bounds.Width() / float32(cps)
-			var pts []geom.Point
-			for c := 1; c < cps; c++ {
-				// Off-edge coordinate of each probe: mid-cell, varying with c.
-				mid := float32(c-1)*cell + cell/3
-				for d := -4; d <= 4; d++ {
-					pts = append(pts,
-						geom.Pt(nudge(bounds.MinX+float32(c)*cell, d), bounds.MinY+mid),
-						geom.Pt(bounds.MinX+mid, nudge(bounds.MinY+float32(c)*cell, d)))
-				}
-			}
-			queries := make([]geom.Rect, 0, 3*len(pts))
-			for _, p := range pts {
-				queries = append(queries, p.Rect(),
-					geom.R(p.X, p.Y, p.X+cell, p.Y+cell),
-					geom.R(p.X-cell, p.Y-cell, p.X, p.Y))
-			}
+			pts, queries := edgeProbes(bounds, cps)
 			for _, layout := range pointLayouts {
 				cfg := Config{Layout: layout, Scan: ScanRange, BS: RefactoredBS, CPS: cps}
 				t.Run(fmt.Sprintf("%v/cps=%d/%s", bounds, cps, layout), func(t *testing.T) {

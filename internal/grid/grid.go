@@ -353,10 +353,10 @@ func New(cfg Config, bounds geom.Rect, numPoints int) (*Grid, error) {
 		g.st = newIntrusiveStore(g.cells, numPoints)
 	case LayoutCSR:
 		// The CSR layout has no buckets either; BS is irrelevant to it.
-		g.csr = newCSRStore(g.cells, g.mapper, numPoints, false)
+		g.csr = newCSRStore(g.cells, g.mapper, numPoints, false, cfg.Scan == ScanRange)
 		g.st = g.csr
 	case LayoutCSRXY:
-		g.csr = newCSRStore(g.cells, g.mapper, numPoints, true)
+		g.csr = newCSRStore(g.cells, g.mapper, numPoints, true, cfg.Scan == ScanRange)
 		g.st = g.csr
 	}
 	return g, nil

@@ -233,7 +233,7 @@ func (st *inlineStore) appendCell(c int, buf []uint32) []uint32 {
 }
 
 // appendFilterCell is filterCell buffered, with branchless compaction
-// per bucket (see csrStore.appendFilterCell for the sign trick): each
+// per bucket (see appendFilterPts for the sign trick): each
 // bucket's ID slots are contiguous, so the bucket is reserved whole and
 // survivors overwrite it in place, cursor advanced by the sign bit of
 // the containment test.

@@ -22,7 +22,8 @@ import "fmt"
 // additionally audits that every entry's label names the cell holding it
 // and the arena bookkeeping: offsets monotone, live counts within segment
 // capacity, slack/overflow accounting consistent with the shared entry
-// counter, and the inlined coordinate arena (CSRXY) mirroring the base
+// counter, no slack and no overflow anywhere while the arena is flagged
+// dense, and the inlined coordinate arena (CSRXY) mirroring the base
 // table slot for slot.
 //
 // The audit keeps its scratch on the grid (see occupancy), so like Build
@@ -113,6 +114,10 @@ func (st *csrStore) checkCSR() error {
 		if st.counts[c] > capacity {
 			return fmt.Errorf("grid/csr: cell %d count %d exceeds segment capacity %d",
 				c, st.counts[c], capacity)
+		}
+		if st.dense && (st.counts[c] != capacity || len(st.overflow[c]) > 0) {
+			return fmt.Errorf("grid/csr: arena flagged dense, but cell %d fills %d of %d slots with %d overflow entries",
+				c, st.counts[c], capacity, len(st.overflow[c]))
 		}
 		if st.counts[c] < capacity && len(st.overflow[c]) > 0 {
 			return fmt.Errorf("grid/csr: cell %d has %d overflow entries with %d slack slots",

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -22,6 +23,14 @@ func FuzzQueryAppendBufferReuse(f *testing.F) {
 	f.Add(uint64(1), uint16(300), float32(0.3), float32(0.4), float32(0.2), uint8(0))
 	f.Add(uint64(7), uint16(1000), float32(0.0), float32(0.9), float32(0.8), uint8(4))
 	f.Add(uint64(42), uint16(50), float32(0.5), float32(0.5), float32(0.05), uint8(2))
+	// Outside the window contract — "whatever Query returns": a NaN corner
+	// and an inverted rectangle (negative side), on both CSR layouts.
+	nan := float32(math.NaN())
+	f.Add(uint64(3), uint16(600), nan, float32(0.5), float32(0.9), uint8(4))
+	f.Add(uint64(3), uint16(600), float32(0.5), nan, float32(0.9), uint8(5))
+	f.Add(uint64(5), uint16(600), float32(0.5), float32(0.5), nan, uint8(4))
+	f.Add(uint64(9), uint16(600), float32(0.5), float32(0.5), float32(-0.7), uint8(4))
+	f.Add(uint64(9), uint16(600), float32(0.4), float32(0.6), float32(-0.01), uint8(5))
 	f.Fuzz(func(t *testing.T, seed uint64, n uint16, qx, qy, qs float32, layoutPick uint8) {
 		if n == 0 {
 			n = 1
@@ -47,7 +56,12 @@ func FuzzQueryAppendBufferReuse(f *testing.F) {
 			}
 			return v
 		}
-		r := geom.Square(geom.Point{X: clampQ(qx) * space, Y: clampQ(qy) * space}, clampQ(qs)*space)
+		// A negative side keeps its sign: the window arrives inverted.
+		side := clampQ(qs) * space
+		if qs < 0 {
+			side = -side
+		}
+		r := geom.Square(geom.Point{X: clampQ(qx) * space, Y: clampQ(qy) * space}, side)
 
 		var want uint64
 		wantN := 0
@@ -74,7 +88,7 @@ func FuzzQueryAppendBufferReuse(f *testing.F) {
 
 		// Reuse the same backing array across a second, different query —
 		// stale survivors from the first pass must not leak through.
-		r2 := geom.Square(geom.Point{X: clampQ(qy) * space, Y: clampQ(qx) * space}, clampQ(qs)*space/2)
+		r2 := geom.Square(geom.Point{X: clampQ(qy) * space, Y: clampQ(qx) * space}, side/2)
 		var want2 uint64
 		wantN2 := 0
 		g.Query(r2, func(id uint32) { want2 = core.MixPair(want2, 0, id); wantN2++ })

@@ -57,6 +57,16 @@ func TestQueryAppendZeroAllocAllLayouts(t *testing.T) {
 		g := MustNew(Config{Layout: lay, Scan: ScanRange, BS: RefactoredBS, CPS: RefactoredCPS}, bounds, len(pts))
 		g.Build(pts)
 		assertZeroAllocAppend(t, g.Name(), g.QueryAppend, rects)
+		if g.csr == nil {
+			continue
+		}
+		// That was the run path of a dense arena; the per-cell walk of the
+		// same arena reserves cell by cell and must not allocate either.
+		if !g.csr.dense {
+			t.Fatalf("%s: arena not dense after Build", g.Name())
+		}
+		loosen(t, g, pts, 0, geom.Pt(bounds.MaxX, bounds.MaxY))
+		assertZeroAllocAppend(t, g.Name()+" (not dense)", g.QueryAppend, rects)
 	}
 }
 

@@ -452,7 +452,7 @@ func (t *BoxTree) appendLeafFiltered(nd *node, r geom.Rect, buf []uint32) []uint
 	seg := t.entries[nd.first : nd.first+nd.count]
 	rcs := t.entryRects[nd.first : nd.first+nd.count]
 	k := len(buf)
-	buf = append(buf, seg...) // reserve; survivors overwrite in place
+	buf = reserve(buf, seg) // survivors overwrite in place
 	for j, id := range seg {
 		rc := rcs[j]
 		m := math.Float32bits(rc.MaxX-r.MinX) | math.Float32bits(r.MaxX-rc.MinX) |

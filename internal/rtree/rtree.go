@@ -329,7 +329,7 @@ func (t *Tree) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 }
 
 // appendLeafFiltered is the buffered boundary-leaf filter, branchless
-// like the grid stores' (see csrStore.appendFilterCell for the sign
+// like the grid stores' (see grid's appendFilterPts for the sign
 // trick): every entry is stored unconditionally and the write cursor
 // advances by the sign bit of the containment test, so the
 // unpredictable hit/miss pattern of a partially covered leaf costs no
@@ -341,7 +341,7 @@ func (t *Tree) appendLeafFiltered(nd *node, r geom.Rect, buf []uint32) []uint32 
 	seg := t.entries[nd.first : nd.first+nd.count]
 	pts := t.pts
 	k := len(buf)
-	buf = append(buf, seg...) // reserve; survivors overwrite in place
+	buf = reserve(buf, seg) // survivors overwrite in place
 	for _, id := range seg {
 		p := pts[id]
 		m := math.Float32bits(p.X-r.MinX) | math.Float32bits(r.MaxX-p.X) |
@@ -350,6 +350,19 @@ func (t *Tree) appendLeafFiltered(nd *node, r geom.Rect, buf []uint32) []uint32 
 		k += 1 - int(m>>31)
 	}
 	return buf[:k]
+}
+
+// reserve returns buf extended to at least len(seg) slots past its length,
+// for a branchless filter of seg to overwrite and cut back: capacity grows,
+// nothing is copied but a shortfall (the grid package's reserve, restated
+// here because neither package imports the other).
+func reserve(buf, seg []uint32) []uint32 {
+	free := cap(buf) - len(buf)
+	buf = buf[:cap(buf)]
+	if uint(free) < uint(len(seg)) {
+		buf = append(buf, seg[free:]...)
+	}
+	return buf
 }
 
 //joinlint:hotpath
