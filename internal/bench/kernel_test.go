@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/grid"
 	"repro/internal/workload"
 )
 
@@ -85,6 +87,22 @@ func kernelDigests(idx interface {
 	return map[string]uint64{"emit": emitD, "append": appendD, "batch": batchD}
 }
 
+// finePointPresets are the presets behind lineup keys grid-tuned,
+// grid-csr and grid-csrxy at cps=256, four times finer than their tuned
+// cps=64: about one entry per cell, the granularity at which the
+// layouts' contiguity claims were made.
+func finePointPresets() []NamedTechnique {
+	var out []NamedTechnique
+	for key, preset := range map[string]func() grid.Config{"inline": grid.CPSTuned, "csr": grid.CSR, "csrxy": grid.CSRXY} {
+		cfg := preset()
+		cfg.CPS = 256
+		out = append(out, NamedTechnique{Key: key + "/cps=256", Make: func(p core.Params) core.Index {
+			return grid.MustNew(cfg, p.Bounds, p.NumPoints)
+		}})
+	}
+	return out
+}
+
 func TestKernelDigestMatrixPoints(t *testing.T) {
 	for wname, wcfg := range kernelPointWorkloads() {
 		gen, err := workload.NewGenerator(wcfg)
@@ -93,7 +111,7 @@ func TestKernelDigestMatrixPoints(t *testing.T) {
 		}
 		pts := gen.Positions(nil)
 		queriers, rects := kernelQueries(gen.Queriers(), gen.QueryRect)
-		p := core.Params{Bounds: wcfg.Bounds(), NumPoints: wcfg.NumPoints}
+		p := core.ParamsFor(wcfg)
 
 		// The brute-force oracle anchors the whole workload: every
 		// technique × kernel cell must land on this digest.
@@ -101,7 +119,7 @@ func TestKernelDigestMatrixPoints(t *testing.T) {
 		oracle.Build(pts)
 		want := kernelDigests(oracle, queriers, rects)["emit"]
 
-		for _, tech := range Techniques() {
+		for _, tech := range append(Techniques(), finePointPresets()...) {
 			idx := tech.Make(p)
 			idx.Build(pts)
 			for kernel, got := range kernelDigests(idx, queriers, rects) {
@@ -113,7 +131,11 @@ func TestKernelDigestMatrixPoints(t *testing.T) {
 	}
 }
 
-// kernelBoxWorkloads mirrors kernelPointWorkloads for the MBR lineup.
+// kernelBoxWorkloads mirrors kernelPointWorkloads for the MBR lineup,
+// adds the window-join extents either side of the default 400, and the
+// two mixes that pull the adaptive selector (lineup key boxauto, which
+// reads them through core.ParamsFor) away from its default decision:
+// many small queriers, and few queriers among many updaters.
 func kernelBoxWorkloads() map[string]workload.BoxConfig {
 	uniform := workload.DefaultUniformBoxes()
 	uniform.NumPoints = 2500
@@ -125,10 +147,36 @@ func kernelBoxWorkloads() map[string]workload.BoxConfig {
 	gauss.SpaceSize = 6000
 	gauss.Ticks = 1
 
-	coarse := uniform
-	coarse.QuerySize = 1200
+	out := map[string]workload.BoxConfig{"uniform": uniform, "gauss": gauss}
+	for _, qext := range []float32{200, 800, 1200, 1600} {
+		c := uniform
+		c.QuerySize = qext
+		out[fmt.Sprintf("qext=%g", qext)] = c
+	}
 
-	return map[string]workload.BoxConfig{"uniform": uniform, "gauss": gauss, "coarse": coarse}
+	queryHeavy := uniform
+	queryHeavy.Queriers, queryHeavy.Updaters = 0.9, 0.1
+	queryHeavy.MinSide, queryHeavy.MaxSide = 20, 80
+	out["queryheavy-smallext"] = queryHeavy
+
+	updateHeavy := uniform
+	updateHeavy.Queriers, updateHeavy.Updaters = 0.1, 0.9
+	out["updateheavy"] = updateHeavy
+
+	return out
+}
+
+// fineBoxPresets are the two box grids at cps=256, where an MBR of the
+// default extents is replicated into several cells.
+func fineBoxPresets() []NamedBoxTechnique {
+	return []NamedBoxTechnique{
+		{Key: "boxcsr/cps=256", Make: func(p core.Params) core.BoxIndex {
+			return grid.MustNewBoxGrid(256, p.Bounds, p.NumPoints)
+		}},
+		{Key: "boxcsr2l/cps=256", Make: func(p core.Params) core.BoxIndex {
+			return grid.MustNewBoxGrid2L(256, p.Bounds, p.NumPoints)
+		}},
+	}
 }
 
 func TestKernelDigestMatrixBoxes(t *testing.T) {
@@ -139,13 +187,13 @@ func TestKernelDigestMatrixBoxes(t *testing.T) {
 		}
 		boxes := gen.Rects(nil)
 		queriers, rects := kernelQueries(gen.Queriers(), gen.QueryRect)
-		p := core.Params{Bounds: wcfg.Bounds(), NumPoints: wcfg.NumPoints}
+		p := core.ParamsFor(wcfg.Config)
 
 		oracle := core.NewBruteForceBoxes()
 		oracle.Build(boxes)
 		want := kernelDigests(oracle, queriers, rects)["emit"]
 
-		for _, tech := range BoxTechniques() {
+		for _, tech := range append(BoxTechniques(), fineBoxPresets()...) {
 			idx := tech.Make(p)
 			idx.Build(boxes)
 			for kernel, got := range kernelDigests(idx, queriers, rects) {

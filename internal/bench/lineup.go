@@ -170,7 +170,7 @@ var namedBoxTechniques = []NamedBoxTechnique{
 }
 
 // Layout-key parsing and structure construction shared by the
-// command-line tools (spatialjoin, sweep, gridbench), so each layout —
+// command-line tools (spatialjoin, sweep), so each layout —
 // including "auto" — is registered exactly once.
 
 // PointLayoutKeys lists the -layout keys NewPointLayout accepts.

@@ -97,8 +97,9 @@ func (r *Result) String() string {
 // MixPair folds one (querier, found) pair into an order-independent
 // checksum: each pair is hashed individually and combined by addition, a
 // commutative monoid, so emission order cannot affect the digest.
-// Exported so out-of-driver oracle checks (cmd/gridbench) share the
-// exact digest construction rather than re-deriving it.
+// Exported so the digest tests of the packages above core (bench, epoch,
+// grid, rtree, shard, tune) share the exact digest construction rather
+// than re-deriving it.
 func MixPair(h uint64, querier, found uint32) uint64 {
 	v := uint64(querier)<<32 | uint64(found)
 	v ^= v >> 33

@@ -162,15 +162,12 @@ func NewBox(p core.Params, side int) *BoxIndex {
 	return &BoxIndex{newRouter[geom.Rect, geom.BoxMove](boxGeo, p, max(side, 1))}
 }
 
-// NewAutoBox constructs a sharded box engine whose region-grid side is
-// chosen by the tune shard-count ladder (p.Shards overrides).
-func NewAutoBox(p core.Params) *BoxIndex {
+// AutoBoxFactory is the core.BoxFactory of lineup key "boxshard-auto":
+// a sharded box engine whose region-grid side is chosen by the tune
+// shard-count ladder (p.Shards overrides).
+func AutoBoxFactory(p core.Params) core.BoxIndex {
 	return &BoxIndex{newRouter[geom.Rect, geom.BoxMove](boxGeo, p, p.Shards)}
 }
-
-// AutoBoxFactory is the core.BoxFactory for NewAutoBox (lineup key
-// "boxshard-auto").
-func AutoBoxFactory(p core.Params) core.BoxIndex { return NewAutoBox(p) }
 
 // Name implements core.Index.
 func (x *router[P, M]) Name() string { return x.name() }

@@ -56,8 +56,8 @@ type Choice struct {
 	Ranking []Alternative
 }
 
-// Param returns the tuned structural parameter of the chosen family.
-func (c Choice) Param() int {
+// param returns the tuned structural parameter of the chosen family.
+func (c Choice) param() int {
 	if c.Family == BoxRTree {
 		return c.Fanout
 	}
@@ -66,7 +66,7 @@ func (c Choice) Param() int {
 
 // String renders the decision ("boxcsr2l/cps=96").
 func (c Choice) String() string {
-	return Alternative{Family: c.Family, Param: c.Param()}.String()
+	return Alternative{Family: c.Family, Param: c.param()}.String()
 }
 
 // Explain renders the decision with its evidence: the sampled stats and

@@ -1,6 +1,6 @@
 // Package tune closes the loop the paper opens: *which* implementation
 // is right depends on the workload, so pick it per run from the workload
-// itself. The repo's benchmark trajectory (BENCH_grid.json) charts the
+// itself. The benchmark's traced ladder (grid.*, rtree.box.*) charts the
 // decision surface — classed grids beat the STR box R-tree on queries at
 // tuned granularities but pay replication and build tax, CSR-XY wins
 // only at coarse grids, inline buckets win update-dominated ticks — and
