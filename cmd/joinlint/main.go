@@ -1,7 +1,7 @@
 // Command joinlint is the project's static-analysis multichecker: the
 // four contract analyzers (capforward, containedgo, hotpath,
-// determinism) plus the two compiler-probe gates (escape, BCE) from
-// internal/joinlint, wired behind one CLI.
+// determinism) plus the three compiler-probe gates (escape, inline, BCE)
+// from internal/joinlint, wired behind one CLI.
 //
 // Analyze (the default):
 //
@@ -9,9 +9,10 @@
 //	go run ./cmd/joinlint -analyzers capforward,hotpath ./internal/grid
 //
 // Compiler-probe gates (the escape gate proves every
-// //joinlint:hotpath kernel allocation-free; the BCE gate pins the
-// //joinlint:bce loops' bounds-check counts against the checked-in
-// baseline):
+// //joinlint:hotpath kernel allocation-free and, from the same compiler
+// output, the inline gate every //joinlint:inline function inlinable; the
+// BCE gate pins the //joinlint:bce loops' bounds-check counts against the
+// checked-in baseline):
 //
 //	go run ./cmd/joinlint -escapes -bce ./...
 //	go run ./cmd/joinlint -escapes -bce -json ./...   # machine-readable summary
@@ -60,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("joinlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		escapes   = fs.Bool("escapes", false, "run the escape gate: every //joinlint:hotpath function must be free of heap escapes")
+		escapes   = fs.Bool("escapes", false, "run the escape gate: every //joinlint:hotpath function must be free of heap escapes; and the inline gate: every //joinlint:inline function must be reported inlinable")
 		bce       = fs.Bool("bce", false, "run the BCE gate: every //joinlint:bce function's bounds-check count must not exceed the baseline")
 		jsonOut   = fs.Bool("json", false, "with -escapes/-bce, print the machine-readable per-function probe summary to stdout")
 		baseline  = fs.String("bce-baseline", "internal/joinlint/bce_baseline.json", "BCE baseline file, relative to the module root")
@@ -142,13 +143,18 @@ func runGates(root string, patterns []string, escapes, bce, jsonOut bool, baseli
 		if len(errs) > 0 {
 			failed = true
 		} else {
-			hot := 0
-			for _, f := range report.Functions {
-				if f.Hotpath {
-					hot++
-				}
-			}
+			hot := countFuncs(report, func(f *joinlint.FuncProbe) bool { return f.Hotpath })
 			fmt.Fprintf(stderr, "escape gate: %d hotpath function(s) allocation-free\n", hot)
+		}
+		errs = joinlint.InlineGate(report)
+		for _, e := range errs {
+			fmt.Fprintln(stderr, e)
+		}
+		if len(errs) > 0 {
+			failed = true
+		} else {
+			inl := countFuncs(report, func(f *joinlint.FuncProbe) bool { return f.Inline })
+			fmt.Fprintf(stderr, "inline gate: %d inline function(s) inlinable\n", inl)
 		}
 	}
 	if bce {
@@ -174,7 +180,8 @@ func runGates(root string, patterns []string, escapes, bce, jsonOut bool, baseli
 			if len(errs) > 0 {
 				failed = true
 			} else {
-				fmt.Fprintf(stderr, "bce gate: %d function(s) at or below baseline\n", countBCE(report))
+				pinned := countFuncs(report, func(f *joinlint.FuncProbe) bool { return f.BCE })
+				fmt.Fprintf(stderr, "bce gate: %d function(s) at or below baseline\n", pinned)
 			}
 		}
 	}
@@ -184,10 +191,11 @@ func runGates(root string, patterns []string, escapes, bce, jsonOut bool, baseli
 	return 0
 }
 
-func countBCE(r *joinlint.ProbeReport) int {
+// countFuncs counts the report's functions carrying the picked annotation.
+func countFuncs(r *joinlint.ProbeReport, pick func(*joinlint.FuncProbe) bool) int {
 	n := 0
 	for _, f := range r.Functions {
-		if f.BCE {
+		if pick(f) {
 			n++
 		}
 	}

@@ -19,9 +19,12 @@ import (
 // timing, digesting, and the parallel schedule live here exactly once.
 
 // mortonBits is the per-axis resolution of the querier scheduling codes:
-// 256 x 256 is finer than any grid the study tunes to, so queriers that
-// sort together share cells, and a code fits 16 bits, so the radix sort
-// runs two of its four passes.
+// 256 x 256 is finer than the grids of cells the study's workloads tune to
+// (cps 64 to 192), so queriers that sort together share cells, and a code
+// fits 16 bits, so the radix sort runs two of its four passes. It is not
+// finer than the CSR layouts' column directory (256 columns to the row at
+// cps=64) and need not be: the order is for the rows and segments
+// consecutive queries revisit, which the columns subdivide without moving.
 const mortonBits = 8
 
 // queryBlock is the unit of the work-stealing querier schedule: workers

@@ -444,20 +444,40 @@ func BenchmarkGridScanAlgorithms(b *testing.B) {
 	}
 }
 
-// BenchmarkCSRQueryKernel times QueryAppend on the paper's default uniform
-// population, one query per iteration: the run path of a dense arena against
-// the per-cell walk of the same arena after loosen, with the queriers in ID
-// order and in cell order (the drivers' schedule), for both CSR layouts and
-// three window sizes. internal/grid/README.md, "Emit vs. buffer", carries
-// its table.
-func BenchmarkCSRQueryKernel(b *testing.B) {
+// kernelPopulation is the paper's default uniform population and its
+// queriers, the input of the two CSR kernel benchmarks.
+func kernelPopulation(b *testing.B) (workload.Config, []geom.Point, []uint32) {
 	wcfg := workload.DefaultUniform()
 	gen, err := workload.NewGenerator(wcfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pts := gen.Positions(nil)
-	queriers := gen.Queriers()
+	return wcfg, gen.Positions(nil), gen.Queriers()
+}
+
+// benchWindows times QueryAppend on g, one query per iteration: a square
+// window around each querier of ids in turn, at three window sizes.
+func benchWindows(b *testing.B, name string, g *Grid, pts []geom.Point, ids []uint32) {
+	for _, window := range []float32{100, 400, 1600} {
+		b.Run(fmt.Sprintf("%s/w=%g", name, window), func(b *testing.B) {
+			var buf []uint32
+			results := 0
+			for i := 0; i < b.N; i++ {
+				buf = g.QueryAppend(geom.Square(pts[ids[i%len(ids)]], window), buf[:0])
+				results += len(buf)
+			}
+			b.ReportMetric(float64(results)/float64(b.N), "results/query")
+		})
+	}
+}
+
+// BenchmarkCSRQueryKernel times QueryAppend on the paper's default uniform
+// population: the run path of a dense arena against the per-cell walk of the
+// same arena after loosen, with the queriers in ID order and in cell order
+// (the drivers' schedule), for both CSR layouts and three window sizes.
+// internal/grid/README.md, "Emit vs. buffer", carries its table.
+func BenchmarkCSRQueryKernel(b *testing.B) {
+	wcfg, pts, queriers := kernelPopulation(b)
 	far := geom.Pt(wcfg.Bounds().MaxX, wcfg.Bounds().MaxY)
 	for _, cfg := range []Config{CSR(), CSRXY()} {
 		g := MustNew(cfg, wcfg.Bounds(), len(pts))
@@ -470,22 +490,24 @@ func BenchmarkCSRQueryKernel(b *testing.B) {
 			if state == "loose" {
 				loosen(b, g, pts, 0, far)
 			}
-			for _, order := range []struct {
-				name string
-				ids  []uint32
-			}{{"id-order", queriers}, {"cell-order", inCellOrder}} {
-				for _, window := range []float32{100, 400, 1600} {
-					b.Run(fmt.Sprintf("%s/%s/%s/w=%g", cfg.Layout, state, order.name, window), func(b *testing.B) {
-						var buf []uint32
-						results := 0
-						for i := 0; i < b.N; i++ {
-							buf = g.QueryAppend(geom.Square(pts[order.ids[i%len(order.ids)]], window), buf[:0])
-							results += len(buf)
-						}
-						b.ReportMetric(float64(results)/float64(b.N), "results/query")
-					})
-				}
-			}
+			benchWindows(b, fmt.Sprintf("%s/%s/id-order", cfg.Layout, state), g, pts, queriers)
+			benchWindows(b, fmt.Sprintf("%s/%s/cell-order", cfg.Layout, state), g, pts, inCellOrder)
 		}
+	}
+}
+
+// BenchmarkCSRColumns is the evidence behind columnShift: the dense run
+// path of BenchmarkCSRQueryKernel (csr, cps=64, queriers in ID order) with
+// every cell cut into 1, 2, 4 and 8 columns. internal/grid/README.md,
+// "Columns are free", carries its table beside what the columns cost.
+func BenchmarkCSRColumns(b *testing.B) {
+	wcfg, pts, queriers := kernelPopulation(b)
+	for shift := uint(0); shift <= 3; shift++ {
+		g, err := newGrid(CSR(), wcfg.Bounds(), len(pts), shift)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g.Build(pts)
+		benchWindows(b, fmt.Sprintf("columns=%d", 1<<shift), g, pts, queriers)
 	}
 }

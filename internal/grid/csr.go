@@ -14,14 +14,23 @@ import (
 // compressed-sparse-row view of the grid. One counting-sort build places
 // every entry ID of cell c in the dense slice
 //
-//	ids[starts[c] : starts[c]+counts[c]]
+//	ids[starts[c<<shift] : starts[c<<shift]+counts[c]]
 //
 // so scanning a cell is a flat loop over contiguous memory — no bucket
 // chain, no per-bucket header, no pointer chasing. The directory is two
 // plain arrays (starts, counts) instead of bucket references.
 //
+// The sort key is finer than the cell in x: every cell is cut into
+// 1<<shift columns (columnShift) and the build orders a cell's entries by
+// column, with one offset per column in starts. Nothing mutable knows: a
+// cell is its first column's offset, its live count and its overflow, and
+// the first update that moves an entry out of column order drops the dense
+// state, with which the column offsets stop meaning anything until the next
+// scatter. What the columns buy is appendRow's run path, which ends a row's
+// run at the columns of the window instead of the edges of its cells.
+//
 // The build is a counting sort in two halves: label (map every point to
-// its cell, into cellOf, counting as it goes) and scatter (prefix sum,
+// its column, into cellOf, counting as it goes) and scatter (prefix sum,
 // then place every ID from its label). Both shard the input across
 // workers with per-worker count arrays merged by the prefix sum, so the
 // arena is bit-identical whatever the worker count.
@@ -34,9 +43,13 @@ import (
 // and, when many cross, re-runs the scatter half from the labels alone
 // (updateBatch): no point is mapped again, overflow and slack are gone.
 type csrStore struct {
-	mapper cellMapper
+	mapper columnMapper
+	shift  uint // a label's cell is label >> shift
 
-	starts []uint32 // len cells+1; segment capacity of c is starts[c+1]-starts[c]
+	// starts holds one offset per column, and the arena's end. Between
+	// scatters only every (1<<shift)th offset is read: cell c's segment
+	// begins at starts[c<<shift] and has capacity up to starts[(c+1)<<shift].
+	starts []uint32
 	counts []uint32 // live entries in each cell's dense segment
 	ids    []uint32 // one contiguous arena of entry IDs, len == len(pts) at build
 
@@ -55,23 +68,87 @@ type csrStore struct {
 	pts     []geom.Point
 
 	// dense is the arena's state: true when scatter returns — every segment
-	// full, overflow empty, so starts[c]+counts[c] == starts[c+1] and any
-	// span of consecutive cells is one run of ids — and false from the
-	// first insertAt, removeAt or reset until the next scatter. byRange is
-	// the grid's ScanRange, fixed at construction. Together they select
-	// appendRow's run path.
+	// full and in column order, overflow empty, so column f is exactly
+	// ids[starts[f]:starts[f+1]] and any span of consecutive columns is one
+	// run of ids — and false from the first insert, removeAt, reset or
+	// column-crossing relocate until the next scatter. byRange is the grid's
+	// ScanRange, fixed at construction. Together they select appendRow's
+	// run path.
 	dense, byRange bool
 
-	// cellOf[id] is the cell holding entry id: index state, written by
-	// the label half of the build and kept current by every update.
-	cellOf   []uint32
-	cursors  [][]uint32 // per-shard count, then scatter cursor, arrays of the sort; cursors[0] is counts
-	crossers []uint32   // updateBatch scratch: the cell-crossing moves, while few
+	// cellOf[id] is the label of entry id, the column of its position (and
+	// so, shifted, the cell holding it): index state, written by the label
+	// half of the build and kept current by every update.
+	cellOf []uint32
+	// cursors are the per-shard count, then scatter cursor, arrays of a sort
+	// over several shards, one slot per column. A sort on one shard keeps
+	// none: it counts and scatters through starts itself (eachShard).
+	cursors  [][]uint32
+	crossers []uint32 // updateBatch scratch: the arena-touching moves, while few
+}
+
+// columnShift is the one constant of the column directory: a CSR grid sorts
+// every cell into 1<<columnShift = 4 x-columns. Measured, not configured
+// (BenchmarkCSRColumns; README.md, "Columns are free"): 2 columns leave a
+// third of the gain behind, 8 add a tenth to it and double the offsets.
+const columnShift = 2
+
+// columnsOf returns m with its x axis cut 1<<shift times finer. Scaling by a
+// power of two is exact in float32, so the finer axis takes the same
+// product, rounded the same way, as m's: column>>shift IS m's cell for every
+// coordinate, to the ulp, and every (1<<shift)th column edge is a cell edge
+// (TestColumnsRefineCells). A count that is not a power of two would need
+// the cell derived from the column everywhere a Grid maps a point.
+func columnsOf(m cellMapper, shift uint) cellMapper {
+	m.invCell *= float32(int(1) << shift)
+	m.cps <<= shift
+	return m
+}
+
+// columnMapper is the CSR store's own point mapper, apart from cellMapper
+// because the box grids' span mapping is priced by that struct's width: a
+// grid's rows, and its x axis in columns. A label is the row's first column
+// plus the column of x, so label >> shift is the cell.
+type columnMapper struct {
+	minX, minY     float32
+	invRow, invCol float32
+	rows, cols     int // directory rows, and columns to the row
+}
+
+func newColumnMapper(rows, cols cellMapper) columnMapper {
+	return columnMapper{
+		minX: rows.minX, minY: rows.minY,
+		invRow: rows.invCell, invCol: cols.invCell,
+		rows: rows.cps, cols: cols.cps,
+	}
+}
+
+// axisIndex is cellMapper.axisCell after its product: clamped in float
+// space, for the reasons given there.
+func axisIndex(f float32, n int) int {
+	if !(f > 0) { // also catches NaN
+		return 0
+	}
+	if f >= float32(n) {
+		return n - 1
+	}
+	return int(f)
+}
+
+// labelOf maps a point to its label with one product per axis, the very
+// products of the cellMappers it was made from. labelShard and updateBatch
+// call it per point per tick: it costs what cellIndexFor costs only when
+// inlined, and through a pointer (six fields are two more than the compiler
+// keeps in registers; by value every call copied the mapper to the stack).
+//
+//joinlint:inline
+func (m *columnMapper) labelOf(p geom.Point) uint32 {
+	return uint32(axisIndex((p.Y-m.minY)*m.invRow, m.rows)*m.cols + axisIndex((p.X-m.minX)*m.invCol, m.cols))
 }
 
 // moverTag marks, in cellOf, an entry of the csrxy layout whose
 // coordinates a re-scatter takes from the batch, not from the base table
-// (see updateBatch). Cell indices and arena slots both stay below it.
+// (see updateBatch). Labels and arena slots both stay below it.
 const moverTag = 1 << 31
 
 // rescatterShare is the whole batch-update policy (rescatterPays): once
@@ -85,15 +162,15 @@ func rescatterPays(touched, population int) bool {
 	return touched*rescatterShare > population
 }
 
-func newCSRStore(cells int, mapper cellMapper, numPoints int, withXY, byRange bool) *csrStore {
+func newCSRStore(cells int, mapper columnMapper, shift uint, numPoints int, withXY, byRange bool) *csrStore {
 	st := &csrStore{
 		mapper:   mapper,
+		shift:    shift,
 		byRange:  byRange,
-		starts:   make([]uint32, cells+1),
+		starts:   make([]uint32, cells<<shift+1),
 		counts:   make([]uint32, cells),
 		overflow: make([][]uint32, cells),
 	}
-	st.cursors = [][]uint32{st.counts}
 	if withXY {
 		st.xy = make([]float32, 0, 2*numPoints)
 		st.overflowXY = make([][]float32, cells)
@@ -140,7 +217,7 @@ func (st *csrStore) prepare(pts []geom.Point) {
 
 // build is the counting sort over pts, sharded into contiguous chunks of
 // the input when workers > 1 (0 selects GOMAXPROCS; small populations
-// stay on one). A cell's entries are in ascending ID order either way.
+// stay on one). A column's entries are in ascending ID order either way.
 func (st *csrStore) build(pts []geom.Point, workers int) {
 	st.prepare(pts)
 	shards := st.zeroCursors(workers)
@@ -148,7 +225,7 @@ func (st *csrStore) build(pts []geom.Point, workers int) {
 	st.scatter(shards)
 }
 
-// rescatter is build without its label half: the cells come from cellOf
+// rescatter is build without its label half: the columns come from cellOf
 // as the updates left it.
 func (st *csrStore) rescatter(workers int) {
 	st.clearOverflow()
@@ -157,17 +234,18 @@ func (st *csrStore) rescatter(workers int) {
 	st.scatter(shards)
 }
 
-// zeroCursors resolves the shard count for the population and zeroes
-// that many count arrays.
+// zeroCursors resolves the shard count for the population and zeroes what
+// that many shards count into: starts for one, a cursor array each for more.
 func (st *csrStore) zeroCursors(workers int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if len(st.cellOf) < minParallelBuild {
-		workers = 1
+	if len(st.cellOf) < minParallelBuild || workers == 1 {
+		clear(st.starts)
+		return 1
 	}
 	for len(st.cursors) < workers {
-		st.cursors = append(st.cursors, make([]uint32, len(st.counts)))
+		st.cursors = append(st.cursors, make([]uint32, len(st.starts)-1))
 	}
 	for _, sc := range st.cursors[:workers] {
 		clear(sc)
@@ -175,74 +253,95 @@ func (st *csrStore) zeroCursors(workers int) int {
 	return workers
 }
 
-// eachShard runs one half of the sort over the ID range, inline on one
-// shard (no goroutine, no closure: Build allocates nothing).
-func (st *csrStore) eachShard(shards int, half func(st *csrStore, w, lo, hi int)) {
+// eachShard runs one half of the sort over the ID range, handing each
+// shard the array it counts into and then scatters through, indexed by
+// label. One shard runs inline (no goroutine, no closure: Build allocates
+// nothing) and on starts itself: the sort every sequential driver runs once
+// a tick keeps no column-sized array beside the offsets.
+func (st *csrStore) eachShard(shards int, half func(st *csrStore, sc []uint32, lo, hi int)) {
 	if shards == 1 {
-		half(st, 0, 0, len(st.cellOf))
+		half(st, st.starts, 0, len(st.cellOf))
 		return
 	}
-	parutil.ForEachShard(len(st.cellOf), shards, func(w, lo, hi int) { half(st, w, lo, hi) })
+	parutil.ForEachShard(len(st.cellOf), shards, func(w, lo, hi int) { half(st, st.cursors[w], lo, hi) })
 }
 
-func (st *csrStore) labelShard(w, lo, hi int) {
-	sc, pts, cellOf := st.cursors[w], st.pts, st.cellOf
+func (st *csrStore) labelShard(sc []uint32, lo, hi int) {
+	pts, cellOf := st.pts, st.cellOf
 	for i := lo; i < hi; i++ {
-		c := uint32(st.mapper.cellIndexFor(pts[i]))
-		cellOf[i] = c
-		sc[c]++
+		f := st.mapper.labelOf(pts[i])
+		cellOf[i] = f
+		sc[f]++
 	}
 }
 
-func (st *csrStore) countShard(w, lo, hi int) {
-	sc := st.cursors[w]
-	for _, c := range st.cellOf[lo:hi] {
-		sc[c&^moverTag]++
+func (st *csrStore) countShard(sc []uint32, lo, hi int) {
+	for _, f := range st.cellOf[lo:hi] {
+		sc[f&^moverTag]++
 	}
 }
 
-// scatter turns the per-shard counts into starts and per-shard bases (one
-// exclusive prefix sum across (cell, shard) in shard order) and places
-// every ID from its label, each shard into its own disjoint ranges.
+// scatter turns every count into the END of its range — one inclusive
+// prefix sum across (column, shard) in shard order — and places every ID
+// from its label, each shard walking its IDs downwards and its ends down
+// with them, into its own disjoint ranges. An end so walked down arrives at
+// the range's start: on one shard starts is left holding exactly the column
+// offsets, with no second array to hold cursors. The cells' counts are then
+// read off the offsets.
 func (st *csrStore) scatter(shards int) {
-	var sum uint32
-	for c := range st.counts {
-		st.starts[c] = sum
-		for _, sc := range st.cursors[:shards] {
-			n := sc[c]
-			sc[c] = sum
-			sum += n
+	starts := st.starts
+	if shards == 1 {
+		// The last slot counted nothing and ends up the arena's end.
+		for f := 1; f < len(starts); f++ {
+			starts[f] += starts[f-1]
 		}
+	} else {
+		var sum uint32
+		for f := range starts[:len(starts)-1] {
+			starts[f] = sum
+			for _, sc := range st.cursors[:shards] {
+				sum += sc[f]
+				sc[f] = sum
+			}
+		}
+		starts[len(starts)-1] = sum
 	}
-	st.starts[len(st.counts)] = sum
 	st.eachShard(shards, (*csrStore).scatterShard)
 	for c := range st.counts {
-		st.counts[c] = st.starts[c+1] - st.starts[c]
+		lo, end := st.segment(c)
+		st.counts[c] = end - lo
 	}
 	st.dense = true
 }
 
-func (st *csrStore) scatterShard(w, lo, hi int) {
-	sc, cellOf, ids := st.cursors[w], st.cellOf, st.ids
+func (st *csrStore) scatterShard(sc []uint32, lo, hi int) {
+	cellOf, ids := st.cellOf, st.ids
 	if st.xy == nil {
-		for i := lo; i < hi; i++ {
-			c := cellOf[i]
-			ids[sc[c]] = uint32(i)
-			sc[c]++
+		for i := hi - 1; i >= lo; i-- {
+			f := cellOf[i]
+			k := sc[f] - 1
+			sc[f] = k
+			ids[k] = uint32(i)
 		}
 		return
 	}
 	pts, xy := st.pts, st.xy
-	for i := lo; i < hi; i++ {
-		c := cellOf[i]
-		k := sc[c&^moverTag]
-		sc[c&^moverTag] = k + 1
+	for i := hi - 1; i >= lo; i-- {
+		f := cellOf[i]
+		k := sc[f&^moverTag] - 1
+		sc[f&^moverTag] = k
 		ids[k] = uint32(i)
 		xy[2*k], xy[2*k+1] = pts[i].X, pts[i].Y
-		if c&moverTag != 0 {
+		if f&moverTag != 0 {
 			cellOf[i] = k // updateBatch patches the slot and restores the label
 		}
 	}
+}
+
+// segment returns where cell c's segment begins and where its capacity
+// ends: the offset of its first column and of the next cell's.
+func (st *csrStore) segment(c int) (lo, end uint32) {
+	return st.starts[c<<st.shift], st.starts[(c+1)<<st.shift]
 }
 
 func unknownEntry(id uint32, at geom.Point) {
@@ -252,35 +351,44 @@ func unknownEntry(id uint32, at geom.Point) {
 // update is Grid.Update for the CSR layouts: the label both proves the
 // entry exists at old and finds it.
 func (st *csrStore) update(id uint32, old, new geom.Point) {
-	if int(id) >= len(st.cellOf) || st.cellOf[id] != uint32(st.mapper.cellIndexFor(old)) {
+	if int(id) >= len(st.cellOf) || st.cellOf[id] != st.mapper.labelOf(old) {
 		unknownEntry(id, old)
 	}
 	st.relocate(id, new)
 }
 
-// relocate moves entry id from its labelled cell to the cell of p. A
-// move within the cell leaves the ID arena alone; with coordinates
-// inlined it rewrites the entry's pair.
+// relocate moves entry id from its labelled cell to the cell of p. A move
+// within the cell leaves the ID arena alone — with coordinates inlined it
+// rewrites the entry's pair — but one that changes column leaves the entry
+// lying in its old column's stretch of the segment: no run may end inside
+// this cell any more.
 func (st *csrStore) relocate(id uint32, p geom.Point) {
-	from, to := st.cellOf[id], uint32(st.mapper.cellIndexFor(p))
-	if from == to {
+	from, to := st.cellOf[id], st.mapper.labelOf(p)
+	c := int(to >> st.shift)
+	if int(from>>st.shift) == c {
+		if from != to {
+			st.cellOf[id] = to
+			st.dense = false
+		}
 		if st.xy != nil {
-			st.setXY(int(from), id, p)
+			st.setXY(c, id, p)
 		}
 		return
 	}
-	if !st.removeAt(int(from), id) {
-		panic(fmt.Sprintf("grid/csr: entry %d is not in its labelled cell %d", id, from))
+	if !st.removeAt(int(from>>st.shift), id) {
+		panic(fmt.Sprintf("grid/csr: entry %d is not in its labelled cell %d", id, from>>st.shift))
 	}
-	st.insertAt(int(to), id, p)
+	st.insert(to, id, p)
 }
 
 // updateBatch applies a batch of moves, at most one per entry, all of
 // them validated against the labels before anything changes. Only movers
 // that touch the arena cost more than a relabel — for csr those crossing
-// a cell boundary, for csrxy all (a coordinate pair each) — and pays
-// decides from their number and the population whether they are relocated
-// one by one or the arena is re-scattered.
+// a column boundary (inside a cell the entry stays put, but the arena
+// leaves column order and with it the run path), for csrxy all (a
+// coordinate pair each) — and pays decides from their number and the
+// population whether they are relocated one by one or the arena is
+// re-scattered.
 func (st *csrStore) updateBatch(moves []geom.Move, workers int, pays func(touched, population int) bool) {
 	cellOf, tag := st.cellOf, uint32(0)
 	if st.xy != nil {
@@ -288,14 +396,14 @@ func (st *csrStore) updateBatch(moves []geom.Move, workers int, pays func(touche
 	}
 	for i := range moves {
 		m := &moves[i]
-		if int(m.ID) >= len(cellOf) || cellOf[m.ID] != uint32(st.mapper.cellIndexFor(m.Old)) {
+		if int(m.ID) >= len(cellOf) || cellOf[m.ID] != st.mapper.labelOf(m.Old) {
 			unknownEntry(m.ID, m.Old)
 		}
 	}
 	touching, rescattered := st.crossers[:0], false
 	for i := range moves {
 		m := &moves[i]
-		if tag == 0 && cellOf[m.ID] == uint32(st.mapper.cellIndexFor(m.New)) {
+		if tag == 0 && cellOf[m.ID] == st.mapper.labelOf(m.New) {
 			continue
 		}
 		touching = append(touching, uint32(i))
@@ -305,10 +413,10 @@ func (st *csrStore) updateBatch(moves []geom.Move, workers int, pays func(touche
 		// Too many to relocate: label them and, with no further test, the
 		// rest of the batch, and re-scatter.
 		for _, j := range touching {
-			cellOf[moves[j].ID] = tag | uint32(st.mapper.cellIndexFor(moves[j].New))
+			cellOf[moves[j].ID] = tag | st.mapper.labelOf(moves[j].New)
 		}
 		for _, m := range moves[i+1:] {
-			cellOf[m.ID] = tag | uint32(st.mapper.cellIndexFor(m.New))
+			cellOf[m.ID] = tag | st.mapper.labelOf(m.New)
 		}
 		st.rescatter(workers)
 		rescattered = true
@@ -328,19 +436,24 @@ func (st *csrStore) updateBatch(moves []geom.Move, workers int, pays func(touche
 			m := &moves[i]
 			k := cellOf[m.ID]
 			st.xy[2*k], st.xy[2*k+1] = m.New.X, m.New.Y
-			cellOf[m.ID] = uint32(st.mapper.cellIndexFor(m.New))
+			cellOf[m.ID] = st.mapper.labelOf(m.New)
 		}
 	}
 }
 
-// insertAt appends entry id to cell c — into the segment's slack or,
-// failing that, the cell's overflow — and labels it.
-func (st *csrStore) insertAt(c int, id uint32, p geom.Point) {
-	st.cellOf[id] = uint32(c)
+// insertAt implements store: p decides the cell, as it decides the label.
+func (st *csrStore) insertAt(c int, id uint32, p geom.Point) { st.insert(st.mapper.labelOf(p), id, p) }
+
+// insert labels entry id and appends it to the label's cell — into the
+// segment's slack or, failing that, the cell's overflow.
+func (st *csrStore) insert(label, id uint32, p geom.Point) {
+	c := int(label >> st.shift)
+	st.cellOf[id] = label
 	st.entries++
 	st.dense = false
-	base, n := st.starts[c], st.counts[c]
-	if base+n < st.starts[c+1] {
+	base, end := st.segment(c)
+	n := st.counts[c]
+	if base+n < end {
 		st.ids[base+n] = id
 		if st.xy != nil {
 			st.xy[2*(base+n)] = p.X
@@ -359,7 +472,7 @@ func (st *csrStore) insertAt(c int, id uint32, p geom.Point) {
 // from the cell's overflow first.
 func (st *csrStore) removeAt(c int, id uint32) bool {
 	st.dense = false
-	base, n := st.starts[c], st.counts[c]
+	base, n := st.starts[c<<st.shift], st.counts[c]
 	seg := st.ids[base : base+n]
 	for j, v := range seg {
 		if v != id {
@@ -408,7 +521,7 @@ func (st *csrStore) removeAt(c int, id uint32) bool {
 
 // setXY rewrites the coordinate pair of entry id of cell c in place.
 func (st *csrStore) setXY(c int, id uint32, p geom.Point) {
-	base := st.starts[c]
+	base := st.starts[c<<st.shift]
 	if j := slices.Index(st.ids[base:base+st.counts[c]], id); j >= 0 {
 		k := 2 * (base + uint32(j))
 		st.xy[k], st.xy[k+1] = p.X, p.Y
@@ -420,7 +533,7 @@ func (st *csrStore) setXY(c int, id uint32, p geom.Point) {
 }
 
 func (st *csrStore) scanCell(c int, emit func(id uint32)) {
-	base := st.starts[c]
+	base := st.starts[c<<st.shift]
 	for _, id := range st.ids[base : base+st.counts[c]] {
 		emit(id)
 	}
@@ -434,7 +547,7 @@ func (st *csrStore) filterCell(c int, r geom.Rect, emit func(id uint32)) {
 		st.filterCellXY(c, r, emit)
 		return
 	}
-	base := st.starts[c]
+	base := st.starts[c<<st.shift]
 	for _, id := range st.ids[base : base+st.counts[c]] {
 		if st.pts[id].In(r) {
 			emit(id)
@@ -449,15 +562,17 @@ func (st *csrStore) filterCell(c int, r geom.Rect, emit func(id uint32)) {
 
 // appendRow is the store's whole-row buffered kernel, and the one place
 // that chooses between its two shapes — by the arena's state, nothing else.
+// The grid hands a CSR store its x range and edge table in columns.
 //
 // On a dense arena (and under ScanRange: Algorithm 1 keeps its per-cell
-// walk) the cells of a directory row abut, so the row's span is a run of
-// the ID arena and the kernel pays per row, not per cell: a span with no
-// interior worth copying is ONE branchless filter over the whole run; a
-// y-contained span of three or more cells is filter(left cell), one bulk
-// copy of the interior cells, filter(right cell). The interior is copied
-// only under the exact containment predicates of the callback walk, and the
-// run is filtered only when r's x-extent is ordered, so a NaN or inverted
+// walk) the columns of a directory row abut, so the window's span is a run
+// of the ID arena that begins and ends within a column of the window, and
+// the kernel pays per row, not per cell: a span with no interior worth
+// copying is ONE branchless filter over the whole run; a y-contained span
+// of three or more columns is filter(left column), one bulk copy of the
+// interior columns, filter(right column). The interior is copied only under
+// the exact containment predicates of the callback walk, and the run is
+// filtered only when r's x-extent is ordered, so a NaN or inverted
 // rectangle returns what Query returns: nothing.
 //
 //joinlint:hotpath
@@ -469,7 +584,8 @@ func (st *csrStore) appendRow(r geom.Rect, base, xmin, xmax int, containsY bool,
 	if xmin > xmax {
 		return buf
 	}
-	row := st.starts[base+xmin : base+xmax+2] // the span's cell offsets, and its end
+	base <<= st.shift                         // the row's first column
+	row := st.starts[base+xmin : base+xmax+2] // the span's column offsets, and its end
 	lo, hi := row[0], row[len(row)-1]
 	if containsY && len(row) > 3 && r.MinX <= xs[xmin+1] && xs[xmax] <= r.MaxX {
 		in0, in1 := row[1], row[len(row)-2]
@@ -483,7 +599,8 @@ func (st *csrStore) appendRow(r geom.Rect, base, xmin, xmax int, containsY bool,
 	return buf
 }
 
-// appendCells is the row kernel of an arena that is not dense: contained
+// appendCells is the row kernel of an arena that is not dense, in whole
+// cells (the columns of xmin, xmax and xs are read a cell apart): contained
 // cells append their segment whole, CONSECUTIVE ones whose segments still
 // abut merging into a single copy, and boundary cells filter their segment
 // and their overflow. Nothing here goes through an interface call or a
@@ -492,14 +609,15 @@ func (st *csrStore) appendRow(r geom.Rect, base, xmin, xmax int, containsY bool,
 //joinlint:hotpath
 //joinlint:bce
 func (st *csrStore) appendCells(r geom.Rect, base, xmin, xmax int, containsY bool, xs []float32, buf []uint32) []uint32 {
-	ids, starts, counts := st.ids, st.starts, st.counts
+	ids, starts, counts, sh := st.ids, st.starts, st.counts, st.shift
+	xmin, xmax = xmin>>sh, xmax>>sh
 	var runLo, runHi uint32
-	x0 := xs[xmin]
+	x0 := xs[xmin<<sh]
 	for cx := xmin; cx <= xmax; cx++ {
-		x1 := xs[cx+1]
+		x1 := xs[(cx+1)<<sh]
 		c := base + cx
 		if containsY && r.MinX <= x0 && x1 <= r.MaxX {
-			b := starts[c]
+			b := starts[c<<sh]
 			if runHi != b {
 				if runHi > runLo {
 					buf = append(buf, ids[runLo:runHi]...)
@@ -511,7 +629,7 @@ func (st *csrStore) appendCells(r geom.Rect, base, xmin, xmax int, containsY boo
 				buf = append(buf, of...)
 			}
 		} else if x0 <= r.MaxX && r.MinX <= x1 {
-			b := starts[c]
+			b := starts[c<<sh]
 			buf = st.appendFilter(r, b, b+counts[c], buf)
 			if of := st.overflow[c]; len(of) > 0 {
 				if st.xy != nil {
@@ -587,9 +705,10 @@ func (st *csrStore) cellCount(c int) int {
 
 func (st *csrStore) totalEntries() int { return st.entries }
 
-// memoryBytes counts the directory (starts + counts + the per-cell
-// overflow slice headers, 24 bytes each), the ID arena, the labels, the
-// retained scratch, and overflow capacity — everything the store keeps
+// memoryBytes counts the directory (starts, one offset per column, + counts
+// + the per-cell overflow slice headers, 24 bytes each), the ID arena, the
+// labels, the retained scratch (the per-shard column cursors of a parallel
+// build among it), and overflow capacity — everything the store keeps
 // alive between ticks. The xy variant adds its coordinate arena and the
 // overflow coordinate mirror.
 func (st *csrStore) memoryBytes() int64 {
@@ -598,7 +717,7 @@ func (st *csrStore) memoryBytes() int64 {
 	for _, of := range st.overflow {
 		total += int64(cap(of)) * 4
 	}
-	for _, sc := range st.cursors[1:] {
+	for _, sc := range st.cursors {
 		total += int64(cap(sc)) * 4
 	}
 	if st.xy != nil {

@@ -26,7 +26,7 @@ func TestCSRParallelBuildBitIdentical(t *testing.T) {
 	pts := randomPoints(r, 20000, testBounds)
 	seq := MustNew(CSR(), testBounds, len(pts))
 	seq.Build(pts)
-	for _, workers := range []int{2, 3, 7, 16} {
+	for _, workers := range []int{1, 2, 3, 7, 16} {
 		par := MustNew(CSR(), testBounds, len(pts))
 		par.BuildParallel(pts, workers)
 		ss, ps := csrOf(t, seq), csrOf(t, par)
@@ -39,28 +39,28 @@ func TestCSRParallelBuildBitIdentical(t *testing.T) {
 					workers, i, ps.ids[i], ss.ids[i])
 			}
 		}
-		for c := range ss.starts {
-			if ss.starts[c] != ps.starts[c] {
-				t.Fatalf("workers=%d: starts diverge at cell %d", workers, c)
+		for f := range ss.starts {
+			if ss.starts[f] != ps.starts[f] {
+				t.Fatalf("workers=%d: starts diverge at column %d", workers, f)
 			}
 		}
 	}
 }
 
 func TestCSRSegmentsAreSortedByID(t *testing.T) {
-	// The counting sort is stable over ascending input IDs, so every cell
-	// segment must hold its IDs in ascending order — the property that
-	// makes sequential and parallel builds bit-identical.
+	// The counting sort is stable over ascending input IDs, so every column
+	// of every cell segment must hold its IDs in ascending order — the
+	// property that makes sequential and parallel builds bit-identical.
 	r := xrand.New(22)
 	pts := randomPoints(r, 5000, testBounds)
 	g := MustNew(CSR(), testBounds, len(pts))
 	g.Build(pts)
 	cs := csrOf(t, g)
-	for c := 0; c < g.cells; c++ {
-		seg := cs.ids[cs.starts[c] : cs.starts[c]+cs.counts[c]]
+	for f := 0; f < g.cells<<cs.shift; f++ {
+		seg := cs.ids[cs.starts[f]:cs.starts[f+1]]
 		for j := 1; j < len(seg); j++ {
 			if seg[j-1] >= seg[j] {
-				t.Fatalf("cell %d segment not ascending at %d: %v", c, j, seg)
+				t.Fatalf("column %d not ascending at %d: %v", f, j, seg)
 			}
 		}
 	}
@@ -124,7 +124,7 @@ func TestCSRCounterAndMemoryInvariants(t *testing.T) {
 		for _, of := range cs.overflow {
 			total += int64(cap(of)) * 4
 		}
-		for _, sc := range cs.cursors[1:] {
+		for _, sc := range cs.cursors {
 			total += int64(cap(sc)) * 4
 		}
 		return total

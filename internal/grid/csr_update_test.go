@@ -41,10 +41,11 @@ func hotspotPoints(r *xrand.Rand, n int) []geom.Point {
 	return pts
 }
 
-// batchShape is one population and one batch over it. rescatter says
-// which regime rescatterPays puts the batch in for the layout; a
-// re-scattered arena is a fresh build's byte for byte, and one with
-// crossers relocated is not (they leave slack behind).
+// batchShape is one population and one batch over it. crossers says
+// whether any move leaves its column; rescatter says which regime
+// rescatterPays puts the batch in for the layout. A re-scattered arena is a
+// fresh build's byte for byte, and one with crossers relocated is not (they
+// leave slack behind, or lie outside their column).
 type batchShape struct {
 	name      string
 	pts       []geom.Point
@@ -72,13 +73,12 @@ func batchShapes(g *Grid) []batchShape {
 	never := func(bool) bool { return false }
 	always := func(bool) bool { return true }
 
-	sameCell := make([]geom.Move, 0, updateN)
+	// The column's own centre: same column, new coordinates. A neighbouring
+	// column of the cell: same cell, and for csr nothing to move but a label.
+	sameColumn, sameCell := make([]geom.Move, 0, updateN), make([]geom.Move, 0, updateN)
 	for id, p := range uniform {
-		// The cell's own centre: same cell, new coordinates.
-		c := g.cellIndexFor(p)
-		cx, cy := c%g.cfg.CPS, c/g.cfg.CPS
-		to := geom.Pt((g.xs[cx]+g.xs[cx+1])/2, (g.ys[cy]+g.ys[cy+1])/2)
-		sameCell = append(sameCell, geom.Move{ID: uint32(id), Old: p, New: to})
+		sameColumn = append(sameColumn, geom.Move{ID: uint32(id), Old: p, New: columnRect(g, p).Center()})
+		sameCell = append(sameCell, geom.Move{ID: uint32(id), Old: p, New: otherColumn(g, p)})
 	}
 
 	hot := hotspotPoints(r, updateN)
@@ -91,7 +91,10 @@ func batchShapes(g *Grid) []batchShape {
 	return []batchShape{
 		{"empty", uniform, nil, false, never},
 		// No crosser, but the xy layout rewrites every pair.
-		{"same-cell", uniform, sameCell, false, func(xy bool) bool { return xy }},
+		{"same-column", uniform, sameColumn, false, func(xy bool) bool { return xy }},
+		// Column crossers inside their cells touch the arena like any other.
+		{"same-cell", uniform, sameCell, true, always},
+		{"same-cell below", uniform, sameCell[:limit], true, never},
 		{"below", uniform, crossing(uniform, limit), true, never},
 		{"above", uniform, crossing(uniform, limit+1), true, always},
 		{"everyone", uniform, crossing(uniform, updateN), true, always},

@@ -31,7 +31,7 @@ import (
 // containment predicate reads xy[2k], xy[2k+1] instead of pts[id], so the
 // base table is never touched.
 func (st *csrStore) filterCellXY(c int, r geom.Rect, emit func(id uint32)) {
-	base := st.starts[c]
+	base := st.starts[c<<st.shift]
 	n := st.counts[c]
 	ids := st.ids[base : base+n]
 	xy := st.xy[2*base : 2*(base+n)]

@@ -46,7 +46,7 @@ func TestCSRXYParallelBuildBitIdentical(t *testing.T) {
 	pts := randomPoints(r, 20000, testBounds)
 	seq := MustNew(CSRXY(), testBounds, len(pts))
 	seq.Build(pts)
-	for _, workers := range []int{2, 3, 7} {
+	for _, workers := range []int{1, 2, 3, 7} {
 		par := MustNew(CSRXY(), testBounds, len(pts))
 		par.BuildParallel(pts, workers)
 		ss, ps := csrOf(t, seq), csrOf(t, par)
@@ -82,8 +82,8 @@ func TestCSRXYUpdateKeepsCoordinatesCoherent(t *testing.T) {
 	}
 
 	for c := range cs.counts {
-		base, n := cs.starts[c], cs.counts[c]
-		for j := uint32(0); j < n; j++ {
+		base, _ := cs.segment(c)
+		for j, n := uint32(0), cs.counts[c]; j < n; j++ {
 			id := cs.ids[base+j]
 			x, y := cs.xy[2*(base+j)], cs.xy[2*(base+j)+1]
 			if x != pts[id].X || y != pts[id].Y {

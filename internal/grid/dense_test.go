@@ -31,6 +31,26 @@ func loosen(tb testing.TB, g *Grid, pts []geom.Point, id uint32, via geom.Point)
 	}
 }
 
+// columnRect returns the extent of the column holding p: its x-column of
+// its directory row.
+func columnRect(g *Grid, p geom.Point) geom.Rect {
+	f := int(g.csr.mapper.labelOf(p))
+	col, row := f%g.cols.cps, f/g.cols.cps
+	return geom.Rect{MinX: g.colXs[col], MinY: g.ys[row], MaxX: g.colXs[col+1], MaxY: g.ys[row+1]}
+}
+
+// otherColumn returns a point in the cell of p and in another column of it.
+func otherColumn(g *Grid, p geom.Point) geom.Point {
+	cr := columnRect(g, p)
+	for _, x := range []float32{cr.MaxX + cr.Width()/2, cr.MinX - cr.Width()/2} {
+		q := geom.Pt(x, p.Y)
+		if g.cellIndexFor(q) == g.cellIndexFor(p) && g.csr.mapper.labelOf(q) != g.csr.mapper.labelOf(p) {
+			return q
+		}
+	}
+	panic(fmt.Sprintf("no second column in the cell of %v", p))
+}
+
 func TestCSRDenseStateTransitions(t *testing.T) {
 	r := xrand.New(61)
 	for _, cfg := range []Config{CSR(), CSRXY()} {
@@ -50,15 +70,22 @@ func TestCSRDenseStateTransitions(t *testing.T) {
 			g.Build(pts)
 			expect(true, "Build")
 
-			// A move inside one cell: csr writes nothing; csrxy rewrites the
+			// A move inside one column: csr writes nothing; csrxy rewrites the
 			// pair where it lies. Neither opens a segment.
-			c := g.cellIndexFor(pts[0])
-			centre := g.cellRect(c%g.cfg.CPS, c/g.cfg.CPS).Center()
+			centre := columnRect(g, pts[0]).Center()
 			g.Update(0, pts[0], centre)
 			pts[0] = centre
-			expect(true, "a same-cell Update")
+			expect(true, "a same-column Update")
 
-			to := otherCell(r, g, pts[1])
+			// A move to another column of the same cell touches no segment
+			// either, but the entry now lies in the wrong column's stretch.
+			to := otherColumn(g, pts[0])
+			g.Update(0, pts[0], to)
+			pts[0] = to
+			expect(false, "a same-cell, column-crossing Update")
+			g.Build(pts)
+
+			to = otherCell(r, g, pts[1])
 			g.Update(1, pts[1], to)
 			pts[1] = to
 			expect(false, "one cell-crossing Update")
@@ -68,16 +95,15 @@ func TestCSRDenseStateTransitions(t *testing.T) {
 				expect(true, fmt.Sprintf("BuildParallel(%d)", workers))
 			}
 
+			// A batch leaves the arena dense unless it relocated an entry out
+			// of its column.
 			for _, shape := range batchShapes(g) {
-				if !shape.crossers {
-					continue
-				}
 				snap := slices.Clone(shape.pts)
 				g.Build(snap)
 				g.UpdateBatch(shape.moves, 1)
 				copy(snap, land(shape.pts, shape.moves))
 				rescattered := shape.rescatter(cs.xy != nil)
-				expect(rescattered, fmt.Sprintf("UpdateBatch %q (re-scatters: %v)", shape.name, rescattered))
+				expect(rescattered || !shape.crossers, fmt.Sprintf("UpdateBatch %q (re-scatters: %v)", shape.name, rescattered))
 			}
 
 			// The store interface's own build: every entry lands in overflow.
@@ -104,62 +130,109 @@ func TestCSRDenseStateTransitions(t *testing.T) {
 	}
 }
 
+// TestCheckCSRAuditsDenseFlag holds the audit to what the run path assumes
+// of an arena flagged dense: full segments, empty overflows, offsets
+// monotone column by column, and in every column's stretch exactly the
+// entries labelled with it.
 func TestCheckCSRAuditsDenseFlag(t *testing.T) {
 	pts := randomPoints(xrand.New(67), 500, testBounds)
 	g := MustNew(CSR(), testBounds, len(pts))
-	g.Build(pts)
-	to := otherCell(xrand.New(69), g, pts[1])
-	g.Update(1, pts[1], to)
-	pts[1] = to
-	if err := g.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	cs := g.csr
+	// twoColumns finds a cell with entries in two of its columns, and returns
+	// the second of the two columns.
+	twoColumns := func() int {
+		for c := range cs.counts {
+			for f := c<<cs.shift + 1; f < (c+1)<<cs.shift; f++ {
+				if cs.starts[f] > cs.starts[c<<cs.shift] && cs.starts[f+1] > cs.starts[f] {
+					return f
+				}
+			}
+		}
+		t.Fatal("no cell with two occupied columns")
+		return 0
 	}
-	g.csr.dense = true // a lie: entry 1 left slack behind and sits in an overflow
-	if err := g.CheckInvariants(); err == nil {
-		t.Fatal("dense flag over an arena with slack and overflow not detected")
+	for name, corrupt := range map[string]func(){
+		"slack and overflow": func() {
+			to := otherCell(xrand.New(69), g, pts[1])
+			g.Update(1, pts[1], to)
+			pts[1] = to
+			if err := g.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			cs.dense = true // a lie: entry 1 left slack behind and sits in an overflow
+		},
+		"an entry in another column's stretch": func() {
+			f := twoColumns()
+			a, b := cs.starts[f]-1, cs.starts[f]
+			cs.ids[a], cs.ids[b] = cs.ids[b], cs.ids[a]
+		},
+		"a column offset past the next": func() {
+			f := twoColumns()
+			cs.starts[f] = cs.starts[f+1] + 1
+		},
+		"a column offset one entry early": func() {
+			cs.starts[twoColumns()]--
+		},
+		"a label of another column of the cell": func() {
+			f := twoColumns()
+			cs.cellOf[cs.ids[cs.starts[f]]] = uint32(f - 1)
+		},
+	} {
+		g.Build(pts)
+		if err := g.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		corrupt()
+		if err := g.CheckInvariants(); err == nil {
+			t.Errorf("%s: not detected on an arena flagged dense", name)
+		}
 	}
 }
 
 // kernelWindows returns the query set of the differential test for g: the
-// span shapes the run path distinguishes, window edges on and one ulp
-// around cell edges, and the rectangles outside the input contract of a
-// well-formed window, for which the contract is "whatever Query returns".
+// span shapes the run path distinguishes, in columns and in cells, window
+// edges on and one ulp around column edges (in y, cell edges), and the
+// rectangles outside the input contract of a well-formed window, for which
+// the contract is "whatever Query returns".
 func kernelWindows(g *Grid) []geom.Rect {
-	cps, xs, ys := g.cfg.CPS, g.xs, g.ys
+	cps, cols, xs, ys := g.cfg.CPS, g.cols.cps, g.xs, g.ys
 	b := g.bounds
 	w := g.cellSize
 	type extent struct{ lo, hi float32 }
-	// spans lists, per axis, extents covering exactly 1, 2 and 3 cells
-	// (starting a third of the way in) and the whole axis.
-	spans := func(e []float32) []extent {
-		c := cps / 3
+	// spans lists extents covering exactly 1, 2 and 3 of an axis' n units of
+	// width u (starting a third of the way in) and the whole axis.
+	spans := func(e []float32, n int, u float32) []extent {
+		c := n / 3
 		return []extent{
-			{e[c] + w/4, e[c] + w/2},
-			{e[c] + w/4, e[c+1] + w/2},
-			{e[c] + w/4, e[c+2] + w/2},
-			{e[0], e[cps]},
+			{e[c] + u/4, e[c] + u/2},
+			{e[c] + u/4, e[c+1] + u/2},
+			{e[c] + u/4, e[c+2] + u/2},
+			{e[0], e[n]},
 		}
 	}
 	var out []geom.Rect
-	for _, x := range spans(xs) {
-		for _, y := range spans(ys) {
+	for _, x := range append(spans(g.colXs, cols, b.Width()/float32(cols)), spans(xs, cps, w)...) {
+		for _, y := range spans(ys, cps, w) {
 			out = append(out, geom.R(x.lo, y.lo, x.hi, y.hi))
 		}
 	}
-	// Edges snapped onto cell edges, and one ulp to either side, for spans
-	// of 2, 3 and 4 cells.
-	c := cps / 2
-	var snapped []extent
-	for _, k := range []int{1, 2, 3} {
-		for _, d0 := range []int{-1, 0, 1} {
-			for _, d1 := range []int{-1, 0, 1} {
-				snapped = append(snapped, extent{nudge(xs[c], d0), nudge(xs[c+k], d1)})
+	// Edges snapped onto unit edges, and one ulp to either side: in x from a
+	// column edge that is no cell edge, for spans of 2, 3, 4 and 6 columns
+	// (the last crosses a cell edge at four columns to the cell); in y from a
+	// cell edge, for spans of 2 and 3 rows.
+	snapped := func(e []float32, c int, ks ...int) (out []extent) {
+		for _, k := range ks {
+			for _, d0 := range []int{-1, 0, 1} {
+				for _, d1 := range []int{-1, 0, 1} {
+					out = append(out, extent{nudge(e[c], d0), nudge(e[c+k], d1)})
+				}
 			}
 		}
+		return out
 	}
-	for _, x := range snapped {
-		for _, y := range snapped {
-			// ys == xs on the square, origin-anchored spaces of this test.
+	c := cps / 2
+	for _, x := range snapped(g.colXs, cols/2+1, 1, 2, 3, 5) {
+		for _, y := range snapped(ys, c, 1, 2) {
 			out = append(out, geom.R(x.lo, y.lo, x.hi, y.hi))
 		}
 	}
@@ -209,18 +282,25 @@ func kernelWindows(g *Grid) []geom.Rect {
 // by the callback Query, and by brute force — and wants four identical
 // sorted ID lists, a dirty buffer prefix intact, and a buffer never sized
 // for more than the cells a window touches. In between it checks the arena
-// with one entry away from home (slack in one cell, overflow in another)
-// and with one entry removed through the store interface.
+// with one entry in another column of its cell (nothing moved, the column
+// order gone), with one entry away from home (slack in one cell, overflow
+// in another) and with one entry removed through the store interface. The
+// cell counts give 52, 192, 256 and 384 columns: all but the third of a
+// width float32 cannot hold exactly.
 func TestCSRRunPathMatchesCellWalk(t *testing.T) {
 	bounds := geom.R(0, 0, 22000, 22000)
 	prefix := []uint32{0xdeadbeef, 7}
 	for _, layout := range []Layout{LayoutCSR, LayoutCSRXY} {
-		for _, cps := range []int{13, 48, 64} {
+		for _, cps := range []int{13, 48, 64, 96} {
 			for _, scan := range []Scan{ScanRange, ScanFull} {
 				t.Run(fmt.Sprintf("%s/cps=%d/%s", layout, cps, scan), func(t *testing.T) {
 					g := MustNew(Config{Layout: layout, Scan: scan, BS: 1, CPS: cps}, bounds, 0)
 					r := xrand.New(uint64(71 + cps))
 					edgePts, edgeQueries := edgeProbes(bounds, cps)
+					// About fifty of the column edges; TestEdgeUlpNeighbourhood
+					// probes every one, on a dense arena.
+					colPts, colQueries := columnProbes(bounds, cps, g.cols.cps, 1+g.cols.cps/50)
+					edgePts, edgeQueries = append(edgePts, colPts...), append(edgeQueries, colQueries...)
 					windows := kernelWindows(g)
 
 					// One directory row holds the whole herd.
@@ -272,6 +352,20 @@ func TestCSRRunPathMatchesCellWalk(t *testing.T) {
 						if len(pts) == 0 {
 							continue
 						}
+
+						// One entry in another column of its cell: the walk's answers
+						// cannot change, the run path must stand down.
+						home, aside := pts[2], otherColumn(g, pts[2])
+						g.Update(2, home, aside)
+						pts[2] = aside
+						// A window on the entry alone: a run over its new column
+						// would not reach the stretch it still lies in.
+						pop.queries = append(pop.queries, aside.Rect())
+						check("one entry a column aside", none)
+						pop.queries = pop.queries[:len(pop.queries)-1]
+						g.Update(2, aside, home)
+						pts[2] = home
+						g.Build(pts)
 
 						// One entry away from home, far from most windows...
 						home, away := pts[0], geom.Pt(bounds.MaxX-1, bounds.MaxY-1)

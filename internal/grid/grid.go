@@ -225,7 +225,9 @@ type store interface {
 	// tested against xs) and test-and-appends otherwise. One interface
 	// call covers the whole row — the per-cell dispatch of the callback
 	// walk is the exact overhead the buffered kernel exists to kill, so
-	// it must not reappear here as a per-cell appendCell call.
+	// it must not reappear here as a per-cell appendCell call. base is the
+	// row's first cell; xmin, xmax and xs are in the units of Grid.cols,
+	// which are cells for every layout but the CSR ones.
 	appendRow(r geom.Rect, base, xmin, xmax int, containsY bool, xs []float32, buf []uint32) []uint32
 	cellCount(c int) int
 	memoryBytes() int64
@@ -241,6 +243,7 @@ type cellMapper struct {
 	cps        int
 }
 
+//joinlint:inline
 func (m cellMapper) axisCell(d float32) int {
 	// Clamp in float space BEFORE truncating: converting an out-of-range
 	// float to int is implementation-specific in Go (amd64 yields the
@@ -259,6 +262,8 @@ func (m cellMapper) axisCell(d float32) int {
 
 // cellIndexFor maps a point to its cell index, clamping coordinates that
 // fall on or outside the space boundary into the outermost cells.
+//
+//joinlint:inline
 func (m cellMapper) cellIndexFor(p geom.Point) int {
 	return m.axisCell(p.Y-m.minY)*m.cps + m.axisCell(p.X-m.minX)
 }
@@ -304,7 +309,12 @@ type Grid struct {
 	// (cellMapper.edges), computed once at construction so the query loops
 	// do two loads per cell and no arithmetic.
 	xs, ys []float32
-	st     store
+	// cols and colXs are the x axis as QueryAppend hands it to appendRow:
+	// the CSR layouts' columns (columnsOf) and their edges, mapper and xs
+	// for every other layout.
+	cols  cellMapper
+	colXs []float32
+	st    store
 	// csr aliases st when the layout is CSR, so the bulk-path dispatch
 	// in Build/BuildParallel/UpdateBatch is a nil check in one place.
 	csr *csrStore
@@ -318,6 +328,12 @@ type Grid struct {
 // New constructs a grid for the given space. numPoints sizes the arenas;
 // it is a hint, not a limit.
 func New(cfg Config, bounds geom.Rect, numPoints int) (*Grid, error) {
+	return newGrid(cfg, bounds, numPoints, columnShift)
+}
+
+// newGrid is New with the CSR layouts' columns per cell (1<<shift) open, for
+// the benchmark that backs columnShift.
+func newGrid(cfg Config, bounds geom.Rect, numPoints int, shift uint) (*Grid, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -341,6 +357,7 @@ func New(cfg Config, bounds geom.Rect, numPoints int) (*Grid, error) {
 	}
 	g.xs = g.mapper.edges(bounds.MinX, bounds.MaxX, g.cellSize)
 	g.ys = g.mapper.edges(bounds.MinY, bounds.MaxY, g.cellSize)
+	g.cols, g.colXs = g.mapper, g.xs
 	switch cfg.Layout {
 	case LayoutLinked:
 		g.st = newLinkedStore(g.cells, cfg.BS, numPoints)
@@ -351,12 +368,12 @@ func New(cfg Config, bounds geom.Rect, numPoints int) (*Grid, error) {
 	case LayoutIntrusive:
 		// The intrusive layout has no buckets; BS is irrelevant to it.
 		g.st = newIntrusiveStore(g.cells, numPoints)
-	case LayoutCSR:
-		// The CSR layout has no buckets either; BS is irrelevant to it.
-		g.csr = newCSRStore(g.cells, g.mapper, numPoints, false, cfg.Scan == ScanRange)
-		g.st = g.csr
-	case LayoutCSRXY:
-		g.csr = newCSRStore(g.cells, g.mapper, numPoints, true, cfg.Scan == ScanRange)
+	case LayoutCSR, LayoutCSRXY:
+		// The CSR layouts have no buckets either; BS is irrelevant to them.
+		g.cols = columnsOf(g.mapper, shift)
+		g.colXs = g.cols.edges(bounds.MinX, bounds.MaxX, g.cellSize/float32(int(1)<<shift))
+		g.csr = newCSRStore(g.cells, newColumnMapper(g.mapper, g.cols), shift, numPoints,
+			cfg.Layout == LayoutCSRXY, cfg.Scan == ScanRange)
 		g.st = g.csr
 	}
 	return g, nil
@@ -541,10 +558,10 @@ func (g *Grid) scanCellRange(r geom.Rect, xmin, xmax, ymin, ymax int, emit func(
 func (g *Grid) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 	g.queries.Inc()
 	if g.cfg.Scan == ScanFull {
-		return g.scanCellRangeAppend(r, 0, g.cfg.CPS-1, 0, g.cfg.CPS-1, buf)
+		return g.scanCellRangeAppend(r, 0, g.cols.cps-1, 0, g.cfg.CPS-1, buf)
 	}
-	xmin := g.axisCell(r.MinX - g.bounds.MinX)
-	xmax := g.axisCell(r.MaxX - g.bounds.MinX)
+	xmin := g.cols.axisCell(r.MinX - g.bounds.MinX)
+	xmax := g.cols.axisCell(r.MaxX - g.bounds.MinX)
 	ymin := g.axisCell(r.MinY - g.bounds.MinY)
 	ymax := g.axisCell(r.MaxY - g.bounds.MinY)
 	return g.scanCellRangeAppend(r, xmin, xmax, ymin, ymax, buf)
@@ -554,7 +571,7 @@ func (g *Grid) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 // the y-halves of the predicates are decided here, rows that cannot
 // overlap r are skipped, and each surviving row is handed to the store
 // in ONE interface call (the per-cell dispatch of the callback walk is
-// gone from the buffered path).
+// gone from the buffered path), its x range in the units of g.cols.
 //
 //joinlint:hotpath
 func (g *Grid) scanCellRangeAppend(r geom.Rect, xmin, xmax, ymin, ymax int, buf []uint32) []uint32 {
@@ -566,7 +583,7 @@ func (g *Grid) scanCellRangeAppend(r geom.Rect, xmin, xmax, ymin, ymax int, buf 
 		if !containsY && !(y0 <= r.MaxY && r.MinY <= y1) {
 			continue
 		}
-		buf = st.appendRow(r, cy*cps, xmin, xmax, containsY, g.xs, buf)
+		buf = st.appendRow(r, cy*cps, xmin, xmax, containsY, g.colXs, buf)
 	}
 	return buf
 }

@@ -19,12 +19,15 @@ import "fmt"
 // For every layout it verifies global occupancy: each indexed ID is
 // stored in exactly one cell, that cell is the one its current base-table
 // position maps to, and the total matches Len(). For the CSR layouts it
-// additionally audits that every entry's label names the cell holding it
-// and the arena bookkeeping: offsets monotone, live counts within segment
-// capacity, slack/overflow accounting consistent with the shared entry
-// counter, no slack and no overflow anywhere while the arena is flagged
-// dense, and the inlined coordinate arena (CSRXY) mirroring the base
-// table slot for slot.
+// additionally audits that every entry's label is the column of its
+// position, in the cell holding it, and the arena bookkeeping: offsets
+// monotone at every column (so a cell's columns tile its segment: both are
+// read off the same offsets), live counts within segment capacity,
+// slack/overflow accounting consistent with the shared entry counter; while
+// the arena is flagged dense, no slack and no overflow anywhere and every
+// column's stretch of the arena holding exactly the entries labelled with
+// it; and the inlined coordinate arena (CSRXY) mirroring the base table
+// slot for slot.
 //
 // The audit keeps its scratch on the grid (see occupancy), so like Build
 // and Update it is a single-caller operation.
@@ -91,26 +94,48 @@ func (a *occupancy) visitID(id uint32) {
 		return
 	}
 	a.seen[id] = 1
-	if want := g.cellIndexFor(g.pts[id]); want != c {
+	if cs := g.csr; cs != nil {
+		a.err = cs.checkEntry(id, c, uint32(a.total-1))
+	} else if want := g.cellIndexFor(g.pts[id]); want != c {
 		a.err = fmt.Errorf("grid: id %d at %v stored in cell %d, want %d", id, g.pts[id], c, want)
-	} else if cs := g.csr; cs != nil && cs.cellOf[id] != uint32(c) {
-		a.err = fmt.Errorf("grid/csr: id %d stored in cell %d, labelled %d", id, c, cs.cellOf[id])
 	}
+}
+
+// checkEntry audits entry id as the occupancy pass meets it, the nth it
+// visits, in cell c: its label is the column of its position, that column
+// is one of c's, and, while the arena is dense — when the pass walks the
+// arena front to back, so the nth visit is slot n — the slot lies in the
+// label's stretch.
+func (st *csrStore) checkEntry(id uint32, c int, n uint32) error {
+	label, want := st.cellOf[id], st.mapper.labelOf(st.pts[id])
+	if label != want || int(label>>st.shift) != c {
+		return fmt.Errorf("grid/csr: id %d at %v stored in cell %d, labelled column %d (cell %d), want column %d (cell %d)",
+			id, st.pts[id], c, label, label>>st.shift, want, want>>st.shift)
+	}
+	if st.dense && (n < st.starts[label] || n >= st.starts[label+1]) {
+		return fmt.Errorf("grid/csr: arena flagged dense, but id %d of column %d lies in slot %d, outside the column's [%d, %d)",
+			id, label, n, st.starts[label], st.starts[label+1])
+	}
+	return nil
 }
 
 // checkCSR audits the csrStore arena bookkeeping.
 func (st *csrStore) checkCSR() error {
 	cells := len(st.counts)
-	if len(st.starts) != cells+1 {
-		return fmt.Errorf("grid/csr: %d starts for %d cells", len(st.starts), cells)
+	columns := cells << st.shift
+	if len(st.starts) != columns+1 {
+		return fmt.Errorf("grid/csr: %d starts for %d columns", len(st.starts), columns)
+	}
+	for f := 0; f < columns; f++ {
+		if st.starts[f] > st.starts[f+1] {
+			return fmt.Errorf("grid/csr: starts not monotone at column %d (cell %d): %d > %d",
+				f, f>>st.shift, st.starts[f], st.starts[f+1])
+		}
 	}
 	live := 0
 	for c := 0; c < cells; c++ {
-		if st.starts[c] > st.starts[c+1] {
-			return fmt.Errorf("grid/csr: starts not monotone at cell %d: %d > %d",
-				c, st.starts[c], st.starts[c+1])
-		}
-		capacity := st.starts[c+1] - st.starts[c]
+		lo, end := st.segment(c)
+		capacity := end - lo
 		if st.counts[c] > capacity {
 			return fmt.Errorf("grid/csr: cell %d count %d exceeds segment capacity %d",
 				c, st.counts[c], capacity)
@@ -129,9 +154,9 @@ func (st *csrStore) checkCSR() error {
 				c, len(st.overflowXY[c]), len(st.overflow[c]))
 		}
 	}
-	if int(st.starts[cells]) > len(st.ids) {
+	if int(st.starts[columns]) > len(st.ids) {
 		return fmt.Errorf("grid/csr: arena end %d beyond ids length %d",
-			st.starts[cells], len(st.ids))
+			st.starts[columns], len(st.ids))
 	}
 	if live != st.entries {
 		return fmt.Errorf("grid/csr: %d live entries across cells, counter says %d",
@@ -143,7 +168,7 @@ func (st *csrStore) checkCSR() error {
 				len(st.xy), len(st.ids))
 		}
 		for c := 0; c < cells; c++ {
-			base := st.starts[c]
+			base := st.starts[c<<st.shift]
 			for k := base; k < base+st.counts[c]; k++ {
 				id := st.ids[k]
 				if p := st.pts[id]; st.xy[2*k] != p.X || st.xy[2*k+1] != p.Y {

@@ -56,7 +56,8 @@ func TestGridCheckInvariantsDetectsCorruption(t *testing.T) {
 		// Inflate a live count past its segment capacity.
 		for c := range g.csr.counts {
 			if g.csr.counts[c] > 0 {
-				g.csr.counts[c] = g.csr.starts[c+1] - g.csr.starts[c] + 1
+				lo, end := g.csr.segment(c)
+				g.csr.counts[c] = end - lo + 1
 				break
 			}
 		}

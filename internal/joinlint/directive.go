@@ -17,6 +17,9 @@ import (
 //	//joinlint:bce                — marks a function whose inner loops'
 //	                                bounds-check count the BCE gate pins
 //	                                against the checked-in baseline.
+//	//joinlint:inline             — marks a function the inline gate
+//	                                requires the compiler to report
+//	                                inlinable.
 //	//joinlint:deterministic      — marks a digest-feeding build/fold
 //	                                path for the determinism analyzer.
 //	//joinlint:uncontained <why>  — allows a raw go statement or bare
@@ -32,6 +35,7 @@ const directivePrefix = "//joinlint:"
 const (
 	dirHotPath       = "hotpath"
 	dirBCE           = "bce"
+	dirInline        = "inline"
 	dirDeterministic = "deterministic"
 	dirUncontained   = "uncontained"
 	dirAllow         = "allow"
@@ -39,7 +43,7 @@ const (
 
 // Directive is one parsed //joinlint: comment.
 type Directive struct {
-	Name string // "hotpath", "bce", "deterministic", "uncontained", "allow"
+	Name string // "hotpath", "bce", "inline", "deterministic", "uncontained", "allow"
 	Args string // everything after the name, trimmed
 	Pos  token.Position
 }

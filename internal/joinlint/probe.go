@@ -16,12 +16,16 @@ import (
 	"strings"
 )
 
-// This file holds the two compiler-probe gates. They do not inspect
+// This file holds the three compiler-probe gates. They do not inspect
 // the AST for violations: they ask the real compiler. The escape gate
 // parses `go build -gcflags=-m` and fails if any //joinlint:hotpath
 // function heap-allocates — proving the zero-alloc contract from the
 // compiler's own escape analysis, in agreement with (but without
-// running) the AllocsPerRun tests. The BCE gate parses
+// running) the AllocsPerRun tests. The inline gate reads the same output
+// and fails if any //joinlint:inline function is not reported "can
+// inline": the per-point mappers sit a few nodes under the inliner's
+// budget, and one more field selector turns each into a call with a
+// struct copy, once per point per tick. The BCE gate parses
 // `go build -gcflags=-d=ssa/check_bce` and pins the bounds-check count
 // of every //joinlint:bce function against a checked-in baseline, so a
 // refactor that quietly re-introduces a check into a hand-optimized
@@ -40,6 +44,10 @@ type FuncProbe struct {
 	EndLine   int    `json:"end_line"`
 	Hotpath   bool   `json:"hotpath"`
 	BCE       bool   `json:"bce"`
+	Inline    bool   `json:"inline"`
+	// CanInline records that the compiler reported the function "can
+	// inline" (set by the -m probe; meaningful for inline functions).
+	CanInline bool `json:"can_inline"`
 	// Escapes holds one "file:line: message" per heap escape the
 	// compiler reported inside the function (hotpath functions only).
 	Escapes []string `json:"escapes"`
@@ -103,6 +111,12 @@ func IsHeapEscape(d CompilerDiag) bool {
 		strings.HasPrefix(d.Message, "moved to heap:")
 }
 
+// isCanInline reports whether a -gcflags=-m diagnostic, which the compiler
+// puts on the line of the func keyword, declares that function inlinable.
+func isCanInline(d CompilerDiag) bool {
+	return strings.HasPrefix(d.Message, "can inline ")
+}
+
 // IsBoundsCheck reports whether a -d=ssa/check_bce diagnostic records a
 // retained bounds check ("Found IsInBounds" / "Found IsSliceInBounds").
 func IsBoundsCheck(d CompilerDiag) bool {
@@ -111,9 +125,9 @@ func IsBoundsCheck(d CompilerDiag) bool {
 
 // CollectAnnotated parses the packages matching patterns (no
 // type-checking — the probes only need positions) and returns a probe
-// entry for every function annotated //joinlint:hotpath or
-// //joinlint:bce, plus the sorted set of import paths carrying at
-// least one annotation. dir is the module root ("" for the working
+// entry for every function annotated //joinlint:hotpath,
+// //joinlint:bce or //joinlint:inline, plus the sorted set of import
+// paths carrying at least one annotation. dir is the module root ("" for the working
 // directory); File fields come back relative to it, matching the
 // compiler's diagnostic paths.
 func CollectAnnotated(dir string, patterns []string) ([]*FuncProbe, []string, error) {
@@ -149,7 +163,8 @@ func CollectAnnotated(dir string, patterns []string) ([]*FuncProbe, []string, er
 				}
 				_, hot := funcDirective(fset, ix, fn, dirHotPath)
 				_, bce := funcDirective(fset, ix, fn, dirBCE)
-				if !hot && !bce {
+				_, inl := funcDirective(fset, ix, fn, dirInline)
+				if !hot && !bce && !inl {
 					continue
 				}
 				rel, err := filepath.Rel(absDir, path)
@@ -164,6 +179,7 @@ func CollectAnnotated(dir string, patterns []string) ([]*FuncProbe, []string, er
 					EndLine:      fset.Position(fn.End()).Line,
 					Hotpath:      hot,
 					BCE:          bce,
+					Inline:       inl,
 					Escapes:      []string{},
 					BoundsChecks: []string{},
 				})
@@ -258,10 +274,18 @@ func Probe(dir string, patterns []string, escapes, bce bool) (*ProbeReport, erro
 		if err != nil {
 			return nil, err
 		}
-		attribute(funcs, ParseCompilerDiagnostics(out),
+		diags := ParseCompilerDiagnostics(out)
+		attribute(funcs, diags,
 			func(f *FuncProbe) bool { return f.Hotpath },
 			IsHeapEscape,
 			func(f *FuncProbe, s string) { f.Escapes = append(f.Escapes, s) })
+		for _, d := range diags {
+			for _, f := range funcs {
+				if f.Inline && isCanInline(d) && f.File == d.File && f.StartLine == d.Line {
+					f.CanInline = true
+				}
+			}
+		}
 	}
 	if bce {
 		out, err := runCompilerProbe(dir, "-d=ssa/check_bce", pkgs)
@@ -288,6 +312,20 @@ func EscapeGate(r *ProbeReport) []error {
 		}
 		errs = append(errs, fmt.Errorf("escape gate: %s %s heap-allocates (%d escapes):\n\t%s",
 			f.Package, f.Func, len(f.Escapes), strings.Join(f.Escapes, "\n\t")))
+	}
+	return errs
+}
+
+// InlineGate returns one error per //joinlint:inline function the compiler
+// did not report inlinable. It reads the escape probe's output, so it is
+// meaningful only on a report made with escapes on.
+func InlineGate(r *ProbeReport) []error {
+	var errs []error
+	for _, f := range r.Functions {
+		if f.Inline && !f.CanInline {
+			errs = append(errs, fmt.Errorf("inline gate: %s %s (%s:%d) is annotated //joinlint:inline, but the compiler does not report it \"can inline\"; go build -gcflags=-m=2 names its cost",
+				f.Package, f.Func, f.File, f.StartLine))
+		}
 	}
 	return errs
 }

@@ -112,6 +112,56 @@ func TestEscapeGateVerdicts(t *testing.T) {
 	}
 }
 
+func TestInlineGateVerdicts(t *testing.T) {
+	funcs := []*FuncProbe{
+		{Package: "p", Func: "slim", File: "internal/grid/grid.go", StartLine: 620, EndLine: 630, Inline: true},
+		{Package: "p", Func: "fat", File: "internal/grid/grid.go", StartLine: 640, EndLine: 650, Inline: true},
+		{Package: "p", Func: "hotOnly", File: "internal/grid/grid.go", StartLine: 660, EndLine: 670, Hotpath: true},
+	}
+	r := &ProbeReport{Functions: funcs}
+	if errs := InlineGate(r); len(errs) != 2 {
+		t.Fatalf("before the probe ran: %d errors, want one per annotated function: %v", len(errs), errs)
+	}
+	funcs[0].CanInline = true
+	errs := InlineGate(r)
+	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "fat") {
+		t.Fatalf("InlineGate = %v, want one error naming fat", errs)
+	}
+	for msg, want := range map[string]bool{
+		"can inline cellMapper.axisCell":                           true,
+		"inlining call to cellMapper.axisCell":                     false,
+		"cannot inline (*csrStore).relocate: function too complex": false,
+	} {
+		if got := isCanInline(CompilerDiag{Message: msg}); got != want {
+			t.Errorf("isCanInline(%q) = %v, want %v", msg, got, want)
+		}
+	}
+}
+
+// TestInlineGateFixture builds testdata/inline with the real compiler: the
+// gate passes the function inside the budget, fails the one over it, and
+// never sees the unannotated one.
+func TestInlineGateFixture(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the fixture with diagnostic flags; skipped in -short")
+	}
+	root, err := ModuleRoot("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := Probe(root, []string{"./internal/joinlint/testdata/inline"}, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Functions) != 2 {
+		t.Fatalf("collected %d functions, want the two annotated ones: %+v", len(report.Functions), report.Functions)
+	}
+	errs := InlineGate(report)
+	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "(mapper).fat") {
+		t.Fatalf("InlineGate = %v, want one error naming (mapper).fat", errs)
+	}
+}
+
 func TestBCEGateVerdicts(t *testing.T) {
 	r := &ProbeReport{Functions: []*FuncProbe{
 		{Package: "p", Func: "atBaseline", BCE: true, BoundsChecks: []string{"a", "b"}},
@@ -195,6 +245,15 @@ func TestCollectAnnotated(t *testing.T) {
 	if appendRow.StartLine <= 0 || appendRow.EndLine < appendRow.StartLine {
 		t.Errorf("bad line range %d-%d", appendRow.StartLine, appendRow.EndLine)
 	}
+	for _, key := range []string{
+		"repro/internal/grid.(cellMapper).axisCell",
+		"repro/internal/grid.(cellMapper).cellIndexFor",
+		"repro/internal/grid.(*columnMapper).labelOf",
+	} {
+		if f := byKey[key]; f == nil || !f.Inline {
+			t.Errorf("%s: not collected as //joinlint:inline (%+v)", key, f)
+		}
+	}
 	digest := byKey["repro/internal/epoch.FoldMoves"]
 	if digest != nil {
 		t.Errorf("FoldMoves is deterministic-only and must not be probe-collected, got %+v", digest)
@@ -212,7 +271,8 @@ func TestCollectAnnotated(t *testing.T) {
 
 // TestProbeGatesOnRealTree runs both compiler probes for real (cached
 // builds keep this fast after the first run) and asserts the in-repo
-// contract: hotpath kernels allocation-free, BCE counts at baseline.
+// contract: hotpath kernels allocation-free, the per-point mappers
+// inlinable, BCE counts at baseline.
 func TestProbeGatesOnRealTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("rebuilds annotated packages with diagnostic flags; skipped in -short")
@@ -229,6 +289,9 @@ func TestProbeGatesOnRealTree(t *testing.T) {
 		for _, e := range errs {
 			t.Error(e)
 		}
+	}
+	for _, e := range InlineGate(report) {
+		t.Error(e)
 	}
 	baseline, err := LoadBCEBaseline(filepath.Join(root, "internal", "joinlint", "bce_baseline.json"))
 	if err != nil {
