@@ -12,7 +12,6 @@ package bench
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/binsearch"
 	"repro/internal/core"
@@ -188,6 +187,3 @@ func runBreakdown(trace *workload.Trace, idx core.Index) (build, query, update f
 
 // fmtSecs renders seconds the way the paper's tables do.
 func fmtSecs(s float64) string { return fmt.Sprintf("%.4f", s) }
-
-// fmtDur renders a duration in seconds.
-func fmtDur(d time.Duration) string { return fmtSecs(d.Seconds()) }

@@ -41,12 +41,6 @@ func (b *BruteForce) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 	return buf
 }
 
-// QueryBatch implements BatchQuerier (the scan has no per-query setup
-// to amortize, so the batch kernel is the append kernel in a loop).
-func (b *BruteForce) QueryBatch(rects []geom.Rect, offsets, buf []uint32) ([]uint32, []uint32) {
-	return AppendBatch(b.QueryAppend, rects, offsets, buf)
-}
-
 // Update implements Index; the snapshot refresh covers it.
 func (b *BruteForce) Update(id uint32, old, new geom.Point) {}
 
@@ -89,11 +83,6 @@ func (b *BruteForceBoxes) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 		}
 	}
 	return buf
-}
-
-// QueryBatch implements BatchQuerier.
-func (b *BruteForceBoxes) QueryBatch(rects []geom.Rect, offsets, buf []uint32) ([]uint32, []uint32) {
-	return AppendBatch(b.QueryAppend, rects, offsets, buf)
 }
 
 // Update implements BoxIndex; the snapshot refresh covers it.

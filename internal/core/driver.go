@@ -22,9 +22,10 @@ type Options struct {
 	// counts and checksums). Forces the emit kernel.
 	CollectPairs func(querier, found uint32)
 	// Kernel selects the query kernel: the zero value (KernelAuto)
-	// drains queries through the buffered QueryAppend path, KernelEmit
-	// forces the classic per-result callback, KernelBatch the
-	// multi-query path. The result digest is identical across kernels.
+	// drains queries through the index's buffered QueryAppend when it
+	// has one and through the per-result callback otherwise; KernelEmit
+	// and KernelAppend force one or the other. The result digest is
+	// identical across kernels.
 	Kernel QueryKernel
 	// Obs, when non-nil, receives per-tick phase histograms and driver
 	// counters, and is offered to the index under test (obs.Instrument)

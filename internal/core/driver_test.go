@@ -260,3 +260,43 @@ func TestGridMaintainedInPlaceStaysConsistent(t *testing.T) {
 		}
 	}
 }
+
+// queryOnly is the minimal Index contract, as binsearch, crtree and
+// kdtrie implement it: a callback Query and no buffered kernel.
+type queryOnly struct{ bf *BruteForce }
+
+func (q queryOnly) Name() string                          { return "query only" }
+func (q queryOnly) Build(pts []geom.Point)                { q.bf.Build(pts) }
+func (q queryOnly) Query(r geom.Rect, emit func(uint32))  { q.bf.Query(r, emit) }
+func (q queryOnly) Update(id uint32, old, new geom.Point) {}
+
+// TestAutoKernelWithoutNativeAppend: under the default kernel an index
+// without a QueryAppend is drained through its callback, not through
+// QueryAppendOf's adapter, which allocates a closure and the buffer it
+// captures on every query.
+func TestAutoKernelWithoutNativeAppend(t *testing.T) {
+	cfg := testConfig()
+	trace, err := workload.Record(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := queryOnly{NewBruteForce()}
+	run := func(opts Options) *Result { return Run(idx, workload.NewPlayer(trace), opts) }
+
+	want := run(Options{Kernel: KernelEmit})
+	for _, k := range []QueryKernel{KernelAuto, KernelAppend} {
+		if got := run(Options{Kernel: k}); got.Pairs != want.Pairs || got.Hash != want.Hash {
+			t.Errorf("kernel %s: digest (%d, %#x), kernel emit (%d, %#x)", k, got.Pairs, got.Hash, want.Pairs, want.Hash)
+		}
+	}
+
+	// What a run allocates on top of a one-tick run is what its other
+	// ticks allocate: a constant, whatever the number of queries.
+	const extra = 4
+	one := testing.AllocsPerRun(5, func() { run(Options{Ticks: 1}) })
+	more := testing.AllocsPerRun(5, func() { run(Options{Ticks: 1 + extra}) })
+	queries := want.Queries / int64(want.Ticks)
+	if perTick := (more - one) / extra; queries < 100 || perTick > 8 {
+		t.Errorf("KernelAuto allocates %.1f times a tick over %d queries a tick, want O(1)", perTick, queries)
+	}
+}

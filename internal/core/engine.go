@@ -66,9 +66,11 @@ type engine[P any] struct {
 	// and queryBatch are the buffered kernels (bound through
 	// QueryAppendOf/QueryBatchOf, so they are never nil — native when
 	// the index implements the capability, adapted otherwise).
-	query       func(r geom.Rect, emit func(id uint32))
-	queryAppend func(r geom.Rect, buf []uint32) []uint32
-	queryBatch  func(rects []geom.Rect, offsets, buf []uint32) ([]uint32, []uint32)
+	// nativeAppend says which of the two queryAppend is.
+	query        func(r geom.Rect, emit func(id uint32))
+	queryAppend  func(r geom.Rect, buf []uint32) []uint32
+	queryBatch   func(rects []geom.Rect, offsets, buf []uint32) ([]uint32, []uint32)
+	nativeAppend bool
 	// queriers / queryRect expose the tick's query stream.
 	queriers  func() []uint32
 	queryRect func(q uint32) geom.Rect
@@ -107,10 +109,28 @@ func newEngine[P any](idx IndexOf[P], src tickFeed, n int) *engine[P] {
 		queriers:    src.Queriers,
 		queryRect:   src.QueryRect,
 	}
+	_, e.nativeAppend = idx.(QueryAppender)
 	if builder, ok := idx.(ParallelBuilderOf[P]); ok {
 		e.buildParallel = builder.BuildParallel
 	}
 	return e
+}
+
+// kernel resolves the query kernel both tick loops drain through. Pair
+// collection observes individual emissions in order, so it takes the
+// callback whatever was asked for; KernelAuto is the buffered append
+// when the index has a native one and the callback otherwise (the
+// adapter QueryAppendOf would bind allocates per query).
+func (e *engine[P]) kernel(opts Options) QueryKernel {
+	switch {
+	case opts.CollectPairs != nil:
+		return KernelEmit
+	case opts.Kernel != KernelAuto:
+		return opts.Kernel
+	case e.nativeAppend:
+		return KernelAppend
+	}
+	return KernelEmit
 }
 
 // updatePhaseOf builds an engine's update phase: fetch the tick's batch,
@@ -252,12 +272,7 @@ func runTicks[P any](e *engine[P], opts Options) *Result {
 
 	pairs := int64(0)
 	hash := uint64(0)
-	kernel := opts.Kernel
-	if opts.CollectPairs != nil {
-		// Pair collection observes individual emissions in order; it
-		// stays on the callback route regardless of the requested kernel.
-		kernel = KernelEmit
-	}
+	kernel := e.kernel(opts)
 	var emitQ uint32
 	emit := func(id uint32) {
 		pairs++
@@ -325,7 +340,7 @@ func runTicks[P any](e *engine[P], opts Options) *Result {
 					hash = MixPair(hash, q, id)
 				}
 			}
-		default: // KernelAuto, KernelAppend: the buffered drain
+		default: // KernelAppend: the buffered drain
 			for _, q := range queriers {
 				buf = e.queryAppend(e.queryRect(q), buf[:0])
 				for _, id := range buf {
@@ -395,6 +410,7 @@ func runTicksParallel[P any](e *engine[P], opts Options, workers int) *Result {
 	to := newTickObs(opts.Obs)
 	snapshot := make([]P, e.n)
 
+	kernel := e.kernel(opts)
 	sched := newCellSchedule(e)
 
 	parts := make([]padded, workers)
@@ -427,6 +443,11 @@ func runTicksParallel[P any](e *engine[P], opts Options, workers int) *Result {
 				// the buffers reach steady-state capacity within a tick.
 				var buf, offsets []uint32
 				var rects []geom.Rect
+				var emitQ uint32
+				emit := func(id uint32) {
+					pairs++
+					hash = MixPair(hash, emitQ, id)
+				}
 				for {
 					lo := int(cursor.Add(queryBlock)) - queryBlock
 					if lo >= len(order) {
@@ -437,14 +458,11 @@ func runTicksParallel[P any](e *engine[P], opts Options, workers int) *Result {
 						hi = len(order)
 					}
 					block := order[lo:hi]
-					switch opts.Kernel {
+					switch kernel {
 					case KernelEmit:
 						for _, q := range block {
-							r := e.queryRect(q)
-							e.query(r, func(id uint32) {
-								pairs++
-								hash = MixPair(hash, q, id)
-							})
+							emitQ = q
+							e.query(e.queryRect(q), emit)
 						}
 					case KernelBatch:
 						// A claimed block is a contiguous run of the
@@ -461,7 +479,7 @@ func runTicksParallel[P any](e *engine[P], opts Options, workers int) *Result {
 								hash = MixPair(hash, q, id)
 							}
 						}
-					default: // KernelAuto, KernelAppend
+					default: // KernelAppend
 						for _, q := range block {
 							buf = e.queryAppend(e.queryRect(q), buf[:0])
 							for _, id := range buf {

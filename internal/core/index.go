@@ -15,15 +15,14 @@
 // names are aliases of its point and box instantiations, so a wrapper or
 // driver written over P serves both.
 //
-// Queries run through one of three kernels (querykernel.go): the classic
-// per-result callback (IndexOf.Query), the buffered append
+// Queries run through one of two kernels (querykernel.go): the classic
+// per-result callback (IndexOf.Query) and the buffered append
 // (QueryAppender.QueryAppend, zero allocations per query at steady
-// state), and the CSR-shaped batch (BatchQuerier.QueryBatch). The
-// buffered kernels are optional capabilities detected via QueryAppendOf
-// / QueryBatchOf, so wrappers (epoch, shard, tune) forward them and
-// out-of-tree indexes fall back to a callback adapter; Options.Kernel
-// selects the kernel a driver run uses. All kernels must report
-// identical result sets — only speed may differ.
+// state). The buffered kernel is an optional capability detected via
+// QueryAppendOf, so wrappers (epoch, shard, tune) forward it and an
+// index without one falls back to a callback adapter; Options.Kernel
+// selects the kernel a driver run uses. Both must report identical
+// result sets — only speed may differ.
 package core
 
 import "repro/internal/geom"

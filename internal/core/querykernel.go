@@ -6,14 +6,22 @@ import (
 	"repro/internal/geom"
 )
 
-// This file defines the buffered query capabilities: optional interfaces
-// every index family implements natively so the hot query path appends
-// result IDs into a caller-reused buffer instead of paying a
-// non-inlinable indirect call per result (the emit closure of
-// IndexOf.Query). The capability-detection helpers below
-// let drivers and wrappers bind the fastest kernel an index offers and
-// fall back to a callback adapter otherwise, so layering (epoch, shard,
-// tune) never silently changes results — only speed.
+// This file defines the two query kernels: the paper's callback
+// (IndexOf.Query, one indirect call per result) and the buffered append
+// (QueryAppender, an optional capability: result IDs go into a
+// caller-reused buffer). QueryAppendOf lets drivers and wrappers bind
+// the buffered kernel of an index and fall back to an adapter over the
+// callback otherwise, so layering (epoch, shard, tune) never silently
+// changes results — only speed.
+//
+// A third, the batch kernel, was measured to tie or lose to the append
+// kernel in every family since it was written and has no implementation
+// left in this module: what remains of it — BatchQuerier, QueryBatchOf,
+// KernelBatch and the KernelBatch arms of runTicks / runTicksParallel —
+// is only what benchmark/ compiles against (its two *.query_batch_ns
+// series and its traced wrapper, the one BatchQuerier there is).
+// ROADMAP item 1(b) drops those series and deletes all of it in the
+// same diff.
 
 // QueryAppender is the buffered query capability, shared by point and
 // box indexes (the geometry difference lives in Build/Update, not in
@@ -28,13 +36,9 @@ type QueryAppender interface {
 	QueryAppend(r geom.Rect, buf []uint32) []uint32
 }
 
-// BatchQuerier is the multi-query capability: one call answers a whole
-// batch of range queries, in the caller's order, into a single CSR-shaped
-// result. The order is where a batch can pay: when consecutive queries
-// touch neighbouring cells those are still cache-resident. Both tick
-// loops hand over cell-ordered batches while their query schedule is on
-// (runTicksParallel always; runTicks when it measures that the order
-// pays, see its comment); the RunConcurrent* readers do not order theirs.
+// BatchQuerier answers a whole batch of range queries, in the caller's
+// order, into a single CSR-shaped result (see the file comment: honoured
+// for out-of-tree indexes, implemented by none in this module).
 type BatchQuerier interface {
 	// QueryBatch answers rects[i] for every i, reusing offsets and buf
 	// as scratch. It returns (offsets, buf) with len(offsets) ==
@@ -46,9 +50,11 @@ type BatchQuerier interface {
 // QueryAppendOf returns the buffered query kernel of idx: the native
 // QueryAppend when idx implements QueryAppender, else a fallback
 // adapter over the given callback query. The adapter is correct but
-// slow (it pays the indirect call per result and a closure allocation
-// per query); every in-tree family implements the capability natively,
-// so the fallback only covers out-of-tree indexes.
+// slow: it pays the indirect call per result and allocates its closure
+// and the buffer it captures on every query. The paper's baseline
+// contenders (binsearch, crtree, kdtrie) have no native kernel, which
+// is why the drivers resolve KernelAuto to the callback for them
+// (engine.kernel) instead of timing them through this.
 func QueryAppendOf(idx any, query func(r geom.Rect, emit func(id uint32))) func(r geom.Rect, buf []uint32) []uint32 {
 	if qa, ok := idx.(QueryAppender); ok {
 		return qa.QueryAppend
@@ -59,31 +65,23 @@ func QueryAppendOf(idx any, query func(r geom.Rect, emit func(id uint32))) func(
 	}
 }
 
-// QueryBatchOf returns the batch query kernel of idx: the native
-// QueryBatch when implemented, else the generic loop over the buffered
-// kernel from QueryAppendOf.
+// QueryBatchOf returns the batch query kernel of idx: its QueryBatch
+// when it is a BatchQuerier, else the buffered kernel from
+// QueryAppendOf answered in the caller's order, one offset per rect.
 func QueryBatchOf(idx any, query func(r geom.Rect, emit func(id uint32))) func(rects []geom.Rect, offsets, buf []uint32) ([]uint32, []uint32) {
 	if bq, ok := idx.(BatchQuerier); ok {
 		return bq.QueryBatch
 	}
 	qa := QueryAppendOf(idx, query)
 	return func(rects []geom.Rect, offsets, buf []uint32) ([]uint32, []uint32) {
-		return AppendBatch(qa, rects, offsets, buf)
+		offsets = append(offsets[:0], 0)
+		buf = buf[:0]
+		for _, r := range rects {
+			buf = qa(r, buf)
+			offsets = append(offsets, uint32(len(buf)))
+		}
+		return offsets, buf
 	}
-}
-
-// AppendBatch is the canonical QueryBatch construction from a buffered
-// kernel: answer the rects in order, recording a CSR offset after each.
-// Families whose batch kernel is "the append kernel, in the caller's
-// order" implement QueryBatch with this.
-func AppendBatch(qa func(r geom.Rect, buf []uint32) []uint32, rects []geom.Rect, offsets, buf []uint32) ([]uint32, []uint32) {
-	offsets = append(offsets[:0], 0)
-	buf = buf[:0]
-	for _, r := range rects {
-		buf = qa(r, buf)
-		offsets = append(offsets, uint32(len(buf)))
-	}
-	return offsets, buf
 }
 
 // QueryKernel selects which query kernel a driver uses.
@@ -91,13 +89,15 @@ type QueryKernel int
 
 const (
 	// KernelAuto picks the fastest kernel the index offers: the
-	// buffered append path (native or adapted). The default.
+	// buffered append path when it is a QueryAppender, the callback
+	// otherwise. The default.
 	KernelAuto QueryKernel = iota
 	// KernelEmit forces the classic per-result callback path.
 	KernelEmit
-	// KernelAppend forces the buffered QueryAppend path.
+	// KernelAppend forces the buffered QueryAppend path (adapted over
+	// the callback when the index has no native one).
 	KernelAppend
-	// KernelBatch forces the multi-query QueryBatch path.
+	// KernelBatch forces the QueryBatchOf path.
 	KernelBatch
 )
 

@@ -5,9 +5,11 @@ package core_test
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/rtree"
@@ -95,8 +97,33 @@ func TestDigestMatrixUnderEitherSchedule(t *testing.T) {
 					check(name+" RunBoxesParallel", core.RunBoxesParallel(idx, boxes(), opts, 3), bwant)
 				}
 			}
+			// An out-of-tree index with a batch kernel of its own: the one
+			// implementer of core.BatchQuerier left is benchmark's traced
+			// wrapper, in a module these tests do not see.
+			own := &ownBatch{BruteForce: core.NewBruteForce()}
+			opts := core.Options{Kernel: core.KernelBatch}
+			check("own batch Run", core.Run(own, workload.NewPlayer(trace), opts), want)
+			if got := own.calls.Swap(0); got != int64(cfg.Ticks) {
+				t.Errorf("Run under KernelBatch made %d QueryBatch calls over %d ticks, want one a tick", got, cfg.Ticks)
+			}
+			check("own batch RunParallel", core.RunParallel(own, workload.NewPlayer(trace), opts, 3), want)
+			if got := own.calls.Load(); got < int64(cfg.Ticks) {
+				t.Errorf("RunParallel under KernelBatch made %d QueryBatch calls over %d ticks, want at least one a tick", got, cfg.Ticks)
+			}
 		})
 	}
+}
+
+// ownBatch is the oracle with a QueryBatch of its own, which counts its
+// calls (from several workers under RunParallel).
+type ownBatch struct {
+	*core.BruteForce
+	calls atomic.Int64
+}
+
+func (b *ownBatch) QueryBatch(rects []geom.Rect, offsets, buf []uint32) ([]uint32, []uint32) {
+	b.calls.Add(1)
+	return core.QueryBatchOf(b.BruteForce, b.Query)(rects, offsets, buf)
 }
 
 // TestCollectPairsSeesQuerierOrder: pair collection observes emission

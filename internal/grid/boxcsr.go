@@ -355,18 +355,6 @@ func (bg *BoxGrid) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 	return buf
 }
 
-// QueryBatch implements core.BatchQuerier (append kernel in the
-// caller's order; see Grid.QueryBatch).
-func (bg *BoxGrid) QueryBatch(rects []geom.Rect, offsets, buf []uint32) ([]uint32, []uint32) {
-	offsets = append(offsets[:0], 0)
-	buf = buf[:0]
-	for _, r := range rects {
-		buf = bg.QueryAppend(r, buf)
-		offsets = append(offsets, uint32(len(buf)))
-	}
-	return offsets, buf
-}
-
 // refCell reports whether (cx, cy) is the reference cell for an object
 // with span s under a query whose span starts at (qx0, qy0): the first
 // cell the two spans share.

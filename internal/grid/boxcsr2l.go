@@ -669,18 +669,6 @@ func (bg *BoxGrid2L) appendMasked(lo, hi uint32, loX, hiX, loY, hiY float32, buf
 	return buf[:k]
 }
 
-// QueryBatch implements core.BatchQuerier (append kernel in the
-// caller's order; see Grid.QueryBatch).
-func (bg *BoxGrid2L) QueryBatch(rects []geom.Rect, offsets, buf []uint32) ([]uint32, []uint32) {
-	offsets = append(offsets[:0], 0)
-	buf = buf[:0]
-	for _, r := range rects {
-		buf = bg.QueryAppend(r, buf)
-		offsets = append(offsets, uint32(len(buf)))
-	}
-	return offsets, buf
-}
-
 // Update implements core.BoxIndex: remove the replica from every cell of
 // its old span and insert it into every cell of the new one, maintaining
 // the class partition in place. A move that keeps its span keeps every

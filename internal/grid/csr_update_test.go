@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/xrand"
 )
@@ -173,7 +174,7 @@ func TestCSRUpdateBatchMatchesSequential(t *testing.T) {
 					t.Fatalf("%s: arena identical to a fresh build = %v, want re-scatter = %v", ctx, same, want)
 				}
 				var buf, offsets []uint32
-				offsets, batch := g.QueryBatch(queries, offsets, nil)
+				offsets, batch := core.QueryBatchOf(g, g.Query)(queries, offsets, nil)
 				for qi, q := range queries {
 					want := bruteQuery(after, q)
 					sameSet(t, collect(g, q), want, ctx+" emit")

@@ -588,21 +588,6 @@ func (g *Grid) scanCellRangeAppend(r geom.Rect, xmin, xmax, ymin, ymax int, buf 
 	return buf
 }
 
-// QueryBatch implements core.BatchQuerier. The batch kernel is the
-// append kernel answered in caller order: when the batch is cell-ordered
-// (the tick loops' query schedule, core/engine.go; the concurrent
-// readers' batches are not) consecutive queries revisit the same cell
-// rows while their segments are cache-resident.
-func (g *Grid) QueryBatch(rects []geom.Rect, offsets, buf []uint32) ([]uint32, []uint32) {
-	offsets = append(offsets[:0], 0)
-	buf = buf[:0]
-	for _, r := range rects {
-		buf = g.QueryAppend(r, buf)
-		offsets = append(offsets, uint32(len(buf)))
-	}
-	return offsets, buf
-}
-
 // Len implements core.Counter.
 func (g *Grid) Len() int { return g.st.totalEntries() }
 

@@ -104,7 +104,7 @@ func FuzzQueryAppendBufferReuse(f *testing.F) {
 
 		// QueryBatch over both rects with recycled scratch must agree with
 		// the per-query kernels.
-		offsets, flat := g.QueryBatch([]geom.Rect{r, r2}, nil, buf[:0])
+		offsets, flat := core.QueryBatchOf(g, g.Query)([]geom.Rect{r, r2}, nil, buf[:0])
 		var b1, b2 uint64
 		for _, id := range flat[offsets[0]:offsets[1]] {
 			b1 = core.MixPair(b1, 0, id)

@@ -19,7 +19,7 @@ const corePath = "repro/internal/core"
 // wrappers, not just the ones with hand-written capability tests.
 var CapForward = &Analyzer{
 	Name: "capforward",
-	Doc:  "index wrappers must forward every optional capability (QueryAppender, BatchQuerier, ParallelBuilder, BatchUpdater, epoch-observing flavours)",
+	Doc:  "index wrappers must forward every optional capability (QueryAppender, ParallelBuilder, BatchUpdater, epoch-observing flavours)",
 	Run:  runCapForward,
 }
 
@@ -37,7 +37,7 @@ type capContract struct {
 // wrapper is held to it at the type argument its own methods name (see
 // instanceFor), so the point and the box engine are one row.
 var capContracts = []capContract{
-	{"IndexOf", []string{"QueryAppender", "BatchQuerier", "ParallelBuilderOf", "BatchUpdaterOf"}},
+	{"IndexOf", []string{"QueryAppender", "ParallelBuilderOf", "BatchUpdaterOf"}},
 	{"EpochIndex", []string{"EpochQueryAppender"}},
 	{"EpochBoxIndex", []string{"EpochQueryAppender"}},
 	{"ShardedEpochIndex", []string{"ShardedEpochQueryAppender"}},

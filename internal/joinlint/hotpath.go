@@ -6,8 +6,8 @@ import (
 )
 
 // HotPath checks the bodies of functions annotated //joinlint:hotpath —
-// the QueryAppend/QueryBatch kernels and their per-row helpers, where
-// the paper's order-of-magnitude wins live. The forbidden constructs
+// the QueryAppend kernels and their per-row helpers, where the paper's
+// order-of-magnitude wins live. The forbidden constructs
 // are the ones that silently re-introduce per-result indirection or
 // hidden allocation:
 //

@@ -5,8 +5,8 @@
 // family currently guards —
 //
 //   - capforward turns the per-wrapper capability tests (QueryAppend /
-//     QueryBatch / BuildParallel / UpdateBatch forwarding) into a
-//     compile-time guarantee for every future wrapper;
+//     BuildParallel / UpdateBatch forwarding) into a compile-time
+//     guarantee for every future wrapper;
 //   - containedgo keeps parallel sections routed through
 //     parutil.Group / ForEachShard / GoErr so a worker panic is
 //     contained instead of killing the process;

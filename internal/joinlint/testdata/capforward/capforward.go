@@ -10,8 +10,8 @@ import (
 )
 
 // BrokenWrap satisfies core.Index and stores an inner index but
-// forwards no optional capability: the analyzer must demand all four.
-type BrokenWrap struct { // want `BrokenWrap satisfies core\.IndexOf\[geom\.Point\] .* core\.QueryAppender` `BrokenWrap satisfies core\.IndexOf\[geom\.Point\] .* core\.BatchQuerier` `BrokenWrap satisfies core\.IndexOf\[geom\.Point\] .* core\.ParallelBuilderOf` `BrokenWrap satisfies core\.IndexOf\[geom\.Point\] .* core\.BatchUpdaterOf`
+// forwards no optional capability: the analyzer must demand all three.
+type BrokenWrap struct { // want `BrokenWrap satisfies core\.IndexOf\[geom\.Point\] .* core\.QueryAppender` `BrokenWrap satisfies core\.IndexOf\[geom\.Point\] .* core\.ParallelBuilderOf` `BrokenWrap satisfies core\.IndexOf\[geom\.Point\] .* core\.BatchUpdaterOf`
 	inner core.Index
 }
 
@@ -33,9 +33,6 @@ func (w *GoodWrap) Update(id uint32, old, new geom.Point) { w.inner.Update(id, o
 func (w *GoodWrap) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 	return w.app(r, buf)
 }
-func (w *GoodWrap) QueryBatch(rects []geom.Rect, offsets, buf []uint32) ([]uint32, []uint32) {
-	return core.AppendBatch(w.app, rects, offsets, buf)
-}
 func (w *GoodWrap) BuildParallel(pts []geom.Point, workers int) { w.inner.Build(pts) }
 func (w *GoodWrap) CanBatchUpdates(n int) bool                  { return false }
 func (w *GoodWrap) UpdateBatch(moves []geom.Move, workers int)  {}
@@ -47,13 +44,10 @@ type FactoryWrap struct { // want `FactoryWrap satisfies core\.IndexOf\[geom\.Po
 	newInner func() core.Index
 }
 
-func (w *FactoryWrap) Name() string                          { return "factory" }
-func (w *FactoryWrap) Build(pts []geom.Point)                {}
-func (w *FactoryWrap) Query(r geom.Rect, emit func(uint32))  {}
-func (w *FactoryWrap) Update(id uint32, old, new geom.Point) {}
-func (w *FactoryWrap) QueryBatch(rects []geom.Rect, offsets, buf []uint32) ([]uint32, []uint32) {
-	return offsets, buf
-}
+func (w *FactoryWrap) Name() string                                { return "factory" }
+func (w *FactoryWrap) Build(pts []geom.Point)                      {}
+func (w *FactoryWrap) Query(r geom.Rect, emit func(uint32))        {}
+func (w *FactoryWrap) Update(id uint32, old, new geom.Point)       {}
 func (w *FactoryWrap) BuildParallel(pts []geom.Point, workers int) {}
 func (w *FactoryWrap) CanBatchUpdates(n int) bool                  { return false }
 func (w *FactoryWrap) UpdateBatch(moves []geom.Move, workers int)  {}
@@ -70,13 +64,10 @@ type NestedWrap struct { // want `NestedWrap satisfies core\.IndexOf\[geom\.Poin
 	regs []nestedRegion
 }
 
-func (w *NestedWrap) Name() string                          { return "nested" }
-func (w *NestedWrap) Build(pts []geom.Point)                {}
-func (w *NestedWrap) Query(r geom.Rect, emit func(uint32))  {}
-func (w *NestedWrap) Update(id uint32, old, new geom.Point) {}
-func (w *NestedWrap) QueryBatch(rects []geom.Rect, offsets, buf []uint32) ([]uint32, []uint32) {
-	return offsets, buf
-}
+func (w *NestedWrap) Name() string                                { return "nested" }
+func (w *NestedWrap) Build(pts []geom.Point)                      {}
+func (w *NestedWrap) Query(r geom.Rect, emit func(uint32))        {}
+func (w *NestedWrap) Update(id uint32, old, new geom.Point)       {}
 func (w *NestedWrap) BuildParallel(pts []geom.Point, workers int) {}
 func (w *NestedWrap) CanBatchUpdates(n int) bool                  { return false }
 func (w *NestedWrap) UpdateBatch(moves []geom.Move, workers int)  {}
@@ -95,9 +86,6 @@ func (w *forward[P, M]) Query(r geom.Rect, emit func(uint32)) { w.inner.Query(r,
 func (w *forward[P, M]) Update(id uint32, old, new P)         { w.inner.Update(id, old, new) }
 func (w *forward[P, M]) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 	return w.app(r, buf)
-}
-func (w *forward[P, M]) QueryBatch(rects []geom.Rect, offsets, buf []uint32) ([]uint32, []uint32) {
-	return core.AppendBatch(w.app, rects, offsets, buf)
 }
 func (w *forward[P, M]) CanBatchUpdates(n int) bool         { return false }
 func (w *forward[P, M]) UpdateBatch(moves []M, workers int) {}

@@ -100,9 +100,6 @@ func (c *Cache) Access(line uint64) bool {
 	return false
 }
 
-// LineShift returns log2 of the line size.
-func (c *Cache) LineShift() uint { return c.lineShift }
-
 // Accesses returns the number of accesses so far.
 func (c *Cache) Accesses() uint64 { return c.accesses }
 

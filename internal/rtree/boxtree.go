@@ -477,18 +477,6 @@ func (t *BoxTree) queryRecAppend(ni int32, r geom.Rect, buf []uint32) []uint32 {
 	return buf
 }
 
-// QueryBatch implements core.BatchQuerier (sequential append kernel; see
-// Tree.QueryBatch).
-func (t *BoxTree) QueryBatch(rects []geom.Rect, offsets, buf []uint32) ([]uint32, []uint32) {
-	offsets = append(offsets[:0], 0)
-	buf = buf[:0]
-	for _, r := range rects {
-		buf = t.QueryAppend(r, buf)
-		offsets = append(offsets, uint32(len(buf)))
-	}
-	return offsets, buf
-}
-
 // refitNode recomputes node ni's exact MBR from its children (entry
 // rects for a leaf, child MBRs otherwise), reporting whether it changed.
 func (t *BoxTree) refitNode(ni int32) bool {

@@ -379,19 +379,6 @@ func (t *Tree) queryRecAppend(ni int32, r geom.Rect, buf []uint32) []uint32 {
 	return buf
 }
 
-// QueryBatch implements core.BatchQuerier (sequential append kernel; a
-// batch pays off when the caller cell-orders it, which keeps consecutive
-// traversals on overlapping node paths).
-func (t *Tree) QueryBatch(rects []geom.Rect, offsets, buf []uint32) ([]uint32, []uint32) {
-	offsets = append(offsets[:0], 0)
-	buf = buf[:0]
-	for _, r := range rects {
-		buf = t.QueryAppend(r, buf)
-		offsets = append(offsets, uint32(len(buf)))
-	}
-	return offsets, buf
-}
-
 // Update implements core.Index. Static category: the move is picked up by
 // the next per-tick rebuild from the refreshed snapshot; nothing to do
 // beyond the framework's base-table write.

@@ -23,9 +23,6 @@ func TestPointEngineCapabilities(t *testing.T) {
 	if _, ok := idx.(core.QueryAppender); !ok {
 		t.Fatalf("%T does not forward core.QueryAppender", idx)
 	}
-	if _, ok := idx.(core.BatchQuerier); !ok {
-		t.Fatalf("%T does not forward core.BatchQuerier", idx)
-	}
 
 	gen := workload.MustNewGenerator(cfg)
 	idx.Build(gen.Positions(nil))
@@ -40,9 +37,6 @@ func TestBoxEngineCapabilities(t *testing.T) {
 	var idx core.BoxIndex = NewBox(p, 2)
 	if _, ok := idx.(core.QueryAppender); !ok {
 		t.Fatalf("%T does not forward core.QueryAppender", idx)
-	}
-	if _, ok := idx.(core.BatchQuerier); !ok {
-		t.Fatalf("%T does not forward core.BatchQuerier", idx)
 	}
 
 	gen := workload.MustNewBoxGenerator(cfg)

@@ -23,7 +23,6 @@ var (
 	_ core.MemoryReporter     = (*Index)(nil)
 	_ core.InvariantChecker   = (*Index)(nil)
 	_ core.QueryAppender      = (*Index)(nil)
-	_ core.BatchQuerier       = (*Index)(nil)
 )
 
 // move is the shape geom.Move and geom.BoxMove share; a routed M
@@ -289,12 +288,6 @@ func (x *router[P, M]) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 		buf = x.regs[x.lat.id(w.cx, w.cy)].queryAppend(r, buf, dedup)
 	}
 	return buf
-}
-
-// QueryBatch implements core.BatchQuerier (sequential append kernel in
-// the caller's order).
-func (x *router[P, M]) QueryBatch(rects []geom.Rect, offsets, buf []uint32) ([]uint32, []uint32) {
-	return core.AppendBatch(x.QueryAppend, rects, offsets, buf)
 }
 
 // Update implements core.Index: every concerned region adjusts its

@@ -6,7 +6,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -50,9 +49,6 @@ func (a *Agg) Var() float64 {
 	}
 	return a.m2 / float64(a.n-1)
 }
-
-// Stddev returns the sample standard deviation.
-func (a *Agg) Stddev() float64 { return math.Sqrt(a.Var()) }
 
 // Min returns the smallest observation (0 when empty).
 func (a *Agg) Min() float64 {

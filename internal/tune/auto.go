@@ -92,7 +92,6 @@ var (
 	_ core.BoxParallelBuilder = (*AutoBox)(nil)
 	_ core.BoxBatchUpdater    = (*AutoBox)(nil)
 	_ core.QueryAppender      = (*Auto)(nil)
-	_ core.BatchQuerier       = (*Auto)(nil)
 )
 
 // NewAuto returns an adaptive point index for the given parameters. The
@@ -161,22 +160,15 @@ func (a *auto[P, M]) BuildParallel(snap []P, workers int) {
 func (a *auto[P, M]) Query(r geom.Rect, emit func(id uint32)) { a.inner.Query(r, emit) }
 
 // QueryAppend implements core.QueryAppender, delegating to the kernel
-// resolved at selection time (every in-tree family has a native one;
-// the callback adapter covers out-of-tree inners). The resolution does
-// NOT happen here: building the adapter closure per query would
-// heap-allocate on the hot path, which the escape gate forbids.
+// resolved at selection time (every family the selector chooses among
+// has a native one; the callback adapter covers any other inner). The
+// resolution does NOT happen here: building the adapter closure per
+// query would heap-allocate on the hot path, which the escape gate
+// forbids.
 //
 //joinlint:hotpath
 func (a *auto[P, M]) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 	return a.appendKernel(r, buf)
-}
-
-// QueryBatch implements core.BatchQuerier.
-func (a *auto[P, M]) QueryBatch(rects []geom.Rect, offsets, buf []uint32) ([]uint32, []uint32) {
-	if bq, ok := a.inner.(core.BatchQuerier); ok {
-		return bq.QueryBatch(rects, offsets, buf)
-	}
-	return core.AppendBatch(a.appendKernel, rects, offsets, buf)
 }
 
 // Update implements core.IndexOf.

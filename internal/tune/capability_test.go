@@ -86,13 +86,9 @@ func TestAutoForwardsBufferedKernels(t *testing.T) {
 	if !ok {
 		t.Fatalf("%T does not forward core.QueryAppender", idx)
 	}
-	qb, ok := idx.(core.BatchQuerier)
-	if !ok {
-		t.Fatalf("%T does not forward core.BatchQuerier", idx)
-	}
 	idx.Build(gen.Positions(nil))
 	rects := capabilityRects(gen.Queriers(), gen.QueryRect)
-	assertBufferedKernels(t, idx.Name(), idx.Query, qa.QueryAppend, qb.QueryBatch, rects)
+	assertBufferedKernels(t, idx.Name(), idx.Query, qa.QueryAppend, core.QueryBatchOf(idx, idx.Query), rects)
 }
 
 func TestAutoBoxForwardsBufferedKernels(t *testing.T) {
@@ -107,13 +103,9 @@ func TestAutoBoxForwardsBufferedKernels(t *testing.T) {
 	if !ok {
 		t.Fatalf("%T does not forward core.QueryAppender", idx)
 	}
-	qb, ok := idx.(core.BatchQuerier)
-	if !ok {
-		t.Fatalf("%T does not forward core.BatchQuerier", idx)
-	}
 	idx.Build(gen.Rects(nil))
 	rects := capabilityRects(gen.Queriers(), gen.QueryRect)
-	assertBufferedKernels(t, idx.Name(), idx.Query, qa.QueryAppend, qb.QueryBatch, rects)
+	assertBufferedKernels(t, idx.Name(), idx.Query, qa.QueryAppend, core.QueryBatchOf(idx, idx.Query), rects)
 }
 
 // An adaptive index that has not seen a snapshot answers like every
@@ -127,7 +119,6 @@ func TestAutoAnswersEmptyBeforeFirstBuild(t *testing.T) {
 		name string
 		idx  interface {
 			core.QueryAppender
-			core.BatchQuerier
 			core.Counter
 			core.MemoryReporter
 			core.InvariantChecker
@@ -154,7 +145,7 @@ func TestAutoAnswersEmptyBeforeFirstBuild(t *testing.T) {
 			if buf := idx.QueryAppend(all, []uint32{7}); len(buf) != 1 || buf[0] != 7 {
 				t.Errorf("QueryAppend returned %v, want the caller's [7] untouched", buf)
 			}
-			offsets, buf := idx.QueryBatch([]geom.Rect{all, all}, nil, nil)
+			offsets, buf := core.QueryBatchOf(idx, idx.Query)([]geom.Rect{all, all}, nil, nil)
 			if len(offsets) != 3 || offsets[2] != 0 || len(buf) != 0 {
 				t.Errorf("QueryBatch returned offsets %v, %d ids; want [0 0 0], none", offsets, len(buf))
 			}

@@ -256,24 +256,6 @@ func (m *Model) QueryNs(f Family, s Stats, p int) float64 {
 	}
 }
 
-// QueryCallbackNs is QueryNs priced for the per-result callback kernel
-// (-querykernel emit): the emitted term costs queryEmit instead of
-// queryEmitBuf.
-func (m *Model) QueryCallbackNs(f Family, s Stats, p int) float64 {
-	c := m.c[f]
-	switch f {
-	case BoxRTree:
-		nodes, cands := rtreeQueryShape(s, p)
-		return c.queryCell*nodes + c.queryCand*cands
-	case BoxCSR, BoxCSR2L:
-		cells, tested, emitted := gridQueryShape(s, p, replication(s, p))
-		return c.queryCell*cells + c.queryCand*tested + c.queryEmit*emitted
-	default:
-		cells, tested, emitted := gridQueryShape(s, p, 1)
-		return c.queryCell*cells + c.queryCand*tested + c.queryEmit*emitted
-	}
-}
-
 // UpdateNs predicts one in-place move. For the R-tree it includes the
 // amortized cost of the dirtiness-threshold rebuild (one rebuild per N
 // refits — see rtree.BoxTree), which is what prices it out of
