@@ -355,7 +355,7 @@ func (bg *BoxGrid2L) querySwitched(r geom.Rect, emit func(id uint32)) {
 				default:
 					class = 3
 				}
-				rc := bg.rcts[k]
+				rc := bg.rectAt(k)
 				switch class {
 				case 0:
 					if rc.MaxX >= loX && rc.MinX <= hiX && rc.MaxY >= loY && rc.MinY <= hiY {
@@ -424,6 +424,87 @@ func BenchmarkBoxClassDispatch(b *testing.B) {
 			bg.querySwitched(queries[i%len(queries)], func(uint32) { n++ })
 		}
 	})
+}
+
+// defaultBoxGrid builds the two-layer grid over the default box population
+// and returns it with the population and its queriers.
+func defaultBoxGrid() (*BoxGrid2L, []geom.Rect, []uint32) {
+	gen := workload.MustNewBoxGenerator(workload.DefaultUniformBoxes())
+	rects := gen.Rects(nil)
+	bg := MustNewBoxGrid2L(DefaultBoxCPS, gen.Config().Bounds(), len(rects))
+	bg.Build(rects)
+	return bg, rects, gen.Queriers()
+}
+
+// BenchmarkBoxQueryAppend times BoxGrid2L.QueryAppend on the default box
+// population (50 000 MBRs with sides in [50, 250], cps = 64, cell 343.75),
+// one window per iteration around each querier in turn, the queriers in ID
+// order (cache-cold, the ladder's order) and in cell order (the drivers'
+// schedule): w=100 spans one cell on an axis more often than not (the
+// four-edge kernel), w=400 is the benchmark's window (2.16 cells an axis:
+// two- and one-plane cells, hardly an interior one), w=1600 has interior
+// cells (bulk copies).
+func BenchmarkBoxQueryAppend(b *testing.B) {
+	bg, rects, queriers := defaultBoxGrid()
+	cellOf := func(id uint32) int {
+		s := bg.mapper.spanOf(rects[id].Center().Rect())
+		return int(s.y0)*bg.cps + int(s.x0)
+	}
+	inCellOrder := append([]uint32(nil), queriers...)
+	sort.SliceStable(inCellOrder, func(i, j int) bool { return cellOf(inCellOrder[i]) < cellOf(inCellOrder[j]) })
+	for _, order := range []struct {
+		name string
+		ids  []uint32
+	}{{"id-order", queriers}, {"cell-order", inCellOrder}} {
+		for _, window := range []float32{100, 400, 1600} {
+			b.Run(fmt.Sprintf("%s/w=%g", order.name, window), func(b *testing.B) {
+				var buf []uint32
+				results := 0
+				for i := 0; i < b.N; i++ {
+					buf = bg.QueryAppend(geom.Square(rects[order.ids[i%len(order.ids)]].Center(), window), buf[:0])
+					results += len(buf)
+				}
+				b.ReportMetric(float64(results)/float64(b.N), "results/query")
+			})
+		}
+	}
+}
+
+// BenchmarkBoxEdgeKernels times BoxGrid2L's three window kernels over the
+// same runs — every cell's whole segment of the default box population in
+// turn, about 25 replicas — against bounds through the cell's centre, so
+// each edge passes about half of them: what a candidate costs with four,
+// two and one plane read.
+func BenchmarkBoxEdgeKernels(b *testing.B) {
+	bg, _, _ := defaultBoxGrid()
+	for _, k := range []struct {
+		name string
+		run  func(lo, hi uint32, x, y float32, buf []uint32) []uint32
+	}{
+		{"four-edge", func(lo, hi uint32, x, y float32, buf []uint32) []uint32 {
+			return bg.appendMasked(lo, hi, x, -x-bg.cellSize, y, -y-bg.cellSize, buf)
+		}},
+		{"two-plane", func(lo, hi uint32, x, y float32, buf []uint32) []uint32 {
+			return bg.appendMasked2(lo, hi, bg.mx, x, bg.my, y, buf)
+		}},
+		{"one-plane", func(lo, hi uint32, x, y float32, buf []uint32) []uint32 {
+			return bg.appendMasked1(lo, hi, bg.mx, x, buf)
+		}},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			var buf []uint32
+			tested := 0
+			for i := 0; i < b.N; i++ {
+				c := i % bg.cells
+				lo, hi := bg.starts[c], bg.ends[bg.endIdx(c, 3)]
+				x := bg.bounds.MinX + (float32(c%bg.cps)+0.5)*bg.cellSize
+				y := bg.bounds.MinY + (float32(c/bg.cps)+0.5)*bg.cellSize
+				buf = k.run(lo, hi, x, y, buf[:0])
+				tested += int(hi - lo)
+			}
+			b.ReportMetric(float64(tested)/float64(b.N), "tested/op")
+		})
+	}
 }
 
 func BenchmarkGridScanAlgorithms(b *testing.B) {

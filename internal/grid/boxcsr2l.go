@@ -42,14 +42,14 @@ import (
 // decided for free whenever their cell coordinates differ. In a cell
 // interior to Q (not in its first/last row/column), class A needs NO
 // comparison at all — the emit loop copies IDs straight out of the
-// arena. On Q's boundary rows/columns the surviving comparisons are
-// evaluated against coordinates inlined in a rect arena parallel to the
-// ID arena (xlo,ylo,xhi,yhi next to each ID), so the base MBR table is
-// never dereferenced. Class D keeps a two-comparison max-corner test in
-// the corner cell: probe rectangles are not cell-aligned, so a rect
-// ending inside the corner cell can still miss the query by less than a
-// cell (the tile-to-tile join of the source paper can drop class D
-// outright only because there both sides are partitioned).
+// arena. On Q's boundary rows/columns the surviving comparisons read
+// coordinates inlined in four edge planes parallel to the ID arena (see
+// mx), each cell only the edges its place in Q leaves undecided, so the
+// base MBR table is never dereferenced. Class D keeps a two-comparison
+// max-corner test in the corner cell: probe rectangles are not
+// cell-aligned, so a rect ending inside the corner cell can still miss the
+// query by less than a cell (the tile-to-tile join of the source paper can
+// drop class D outright only because there both sides are partitioned).
 //
 // Updates maintain the class partition in place: removals cascade the
 // hole rightward through the class runs (one element move per run),
@@ -80,8 +80,12 @@ type BoxGrid2L struct {
 	// array (prefixClassedCursors pre-loads the run bases here, the
 	// scatter advances them to the run ends in place — no publish copy).
 	ends []uint32
-	ids  []uint32    // one contiguous arena of replicated entry IDs
-	rcts []geom.Rect // inlined coordinates, parallel to ids
+	ids  []uint32 // one contiguous arena of replicated entry IDs
+	// mx, my, nx, ny inline the coordinates, one plane per edge, parallel
+	// to ids: MaxX, MaxY, -MinX, -MinY. With the mins negated every window
+	// test is plane[k]-bound >= 0 (a min plane's bound is the negated query
+	// max): negation is exact, so (-a)-(-b) is b-a bit for bit.
+	mx, my, nx, ny []float32
 
 	overflow  [][]uint32    // per-cell post-build inserts that found no slack
 	overflowR [][]geom.Rect // their coordinates, parallel to overflow
@@ -133,8 +137,7 @@ func NewBoxGrid2L(cps int, bounds geom.Rect, numBoxes int) (*BoxGrid2L, error) {
 	bg.overflow = make([][]uint32, bg.cells)
 	bg.overflowR = make([][]geom.Rect, bg.cells)
 	if numBoxes > 0 {
-		bg.ids = make([]uint32, 0, 2*numBoxes)
-		bg.rcts = make([]geom.Rect, 0, 2*numBoxes)
+		bg.sizeArena(uint32(2 * numBoxes))
 		bg.spans = make([]cellSpan, 0, numBoxes)
 	}
 	return bg, nil
@@ -209,15 +212,26 @@ func resetCounts[C uint16 | uint32](buf []C, n int) []C {
 	return buf
 }
 
-// sizeArena grows the ID and coordinate arenas to hold total replicas.
+// sizeArena sizes the ID arena and the edge planes to hold total replicas.
 func (bg *BoxGrid2L) sizeArena(total uint32) {
-	if cap(bg.ids) < int(total) {
-		bg.ids = make([]uint32, total)
-		bg.rcts = make([]geom.Rect, total)
+	if n := int(total); cap(bg.ids) < n {
+		bg.ids = make([]uint32, n)
+		bg.mx, bg.my, bg.nx, bg.ny = make([]float32, n), make([]float32, n), make([]float32, n), make([]float32, n)
 	} else {
-		bg.ids = bg.ids[:total]
-		bg.rcts = bg.rcts[:total]
+		bg.ids = bg.ids[:n]
+		bg.mx, bg.my, bg.nx, bg.ny = bg.mx[:n], bg.my[:n], bg.nx[:n], bg.ny[:n]
 	}
+}
+
+// setRect inlines r at arena slot k.
+func (bg *BoxGrid2L) setRect(k uint32, r geom.Rect) {
+	bg.mx[k], bg.my[k], bg.nx[k], bg.ny[k] = r.MaxX, r.MaxY, -r.MinX, -r.MinY
+}
+
+// moveSlot copies arena slot src, ID and edges, over slot dst.
+func (bg *BoxGrid2L) moveSlot(dst, src uint32) {
+	bg.ids[dst] = bg.ids[src]
+	bg.mx[dst], bg.my[dst], bg.nx[dst], bg.ny[dst] = bg.mx[src], bg.my[src], bg.nx[src], bg.ny[src]
 }
 
 // countSpan adds one slot per (cell, class) of the span to the
@@ -255,7 +269,7 @@ func countSpan[C uint16 | uint32](fr, rr []C, s cellSpan, cps int) {
 // scatterSpan places one replica of id into every (cell, class) slot of
 // the span, advancing the absolute pair-major cursors in cur (the ends
 // array, pre-loaded with the run bases by prefixClassedCursors). Only
-// the 4-byte ID is scattered — the 16-byte coordinates are filled by a
+// the 4-byte ID is scattered — the 16 bytes of coordinates are filled by a
 // separate streaming pass (fillRects). Fusing the rect write into this
 // walk was re-measured for the build-tax fix and lost again, 1.5-1.6x
 // slower end to end at cps=256, both naively (the random 16-byte
@@ -287,14 +301,14 @@ func scatterSpan(fr, rr []uint32, s cellSpan, cps int, id uint32, ids []uint32) 
 	}
 }
 
-// fillRects inlines the coordinates of arena slots [lo, hi): a
-// sequential write of the rect arena against random reads of the base
-// table.
+// fillRects inlines the coordinates of arena slots [lo, hi): four
+// sequential write streams against random reads of the base table.
 func (bg *BoxGrid2L) fillRects(rects []geom.Rect, lo, hi int) {
 	ids := bg.ids[lo:hi]
-	rcts := bg.rcts[lo:hi]
+	mx, my, nx, ny := bg.mx[lo:hi], bg.my[lo:hi], bg.nx[lo:hi], bg.ny[lo:hi]
 	for k, id := range ids {
-		rcts[k] = rects[id]
+		r := &rects[id]
+		mx[k], my[k], nx[k], ny[k] = r.MaxX, r.MaxY, -r.MinX, -r.MinY
 	}
 }
 
@@ -338,8 +352,8 @@ func prefixClassedCursors[C uint16 | uint32](counts []C, starts, ends []uint32, 
 // segments and the class sub-spans; pass 2 replicates each ID into its
 // slots while a streaming third pass inlines the coordinates (measured
 // faster than fusing the 16-byte writes into the scatter — see
-// scatterSpan). Arenas are retained across builds, so steady-state
-// builds allocate nothing.
+// scatterSpan). Arenas are retained but sized exactly, so a replica total
+// that sets a new maximum — every few ticks of a moving stream — re-makes them.
 func (bg *BoxGrid2L) Build(rects []geom.Rect) {
 	bg.prepare(rects)
 	cps := bg.cps
@@ -456,14 +470,28 @@ func (bg *BoxGrid2L) BuildParallel(rects []geom.Rect, workers int) {
 	})
 }
 
-// boxInf bounds any finite float32 coordinate; comparisons against it
-// stand in for "no test needed on this edge".
+// boxInf bounds any finite float32 coordinate; a window bound of -boxInf
+// stands in for "no test needed on this edge" (every plane value passes).
 const boxInf = math.MaxFloat32
+
+// axisWindow returns class A's window on one axis, in plane form (see
+// mx): max >= lo and -min >= nhi, each the query's edge where the cell is
+// first / last in the query span and the sentinel where it is not.
+func axisWindow(first, last bool, qmin, qmax float32) (lo, nhi float32) {
+	lo, nhi = -boxInf, -boxInf
+	if first {
+		lo = qmin
+	}
+	if last {
+		nhi = -qmax
+	}
+	return lo, nhi
+}
 
 // Query implements core.BoxIndex: visit the cells overlapping r and
 // report every object whose MBR intersects r, exactly once, driving the
-// per-class emit loops described on the type. All predicates read the
-// inlined rect arena; the base table is never touched.
+// per-class emit loops described on the type. Each class reads only the
+// edge planes its predicate names; the base table is never touched.
 func (bg *BoxGrid2L) Query(r geom.Rect, emit func(id uint32)) {
 	bg.queries.Inc()
 	// The query's span comes from the same mapping as the stored class
@@ -476,13 +504,7 @@ func (bg *BoxGrid2L) Query(r geom.Rect, emit func(id uint32)) {
 	qy0, qy1 := int(q.y0), int(q.y1)
 	for cy := qy0; cy <= qy1; cy++ {
 		firstRow, lastRow := cy == qy0, cy == qy1
-		loY, hiY := float32(-boxInf), float32(boxInf)
-		if firstRow {
-			loY = r.MinY
-		}
-		if lastRow {
-			hiY = r.MaxY
-		}
+		loY, nhiY := axisWindow(firstRow, lastRow, r.MinY, r.MaxY)
 		base := cy * cps
 		for cx := qx0; cx <= qx1; cx++ {
 			c := base + cx
@@ -499,29 +521,21 @@ func (bg *BoxGrid2L) Query(r geom.Rect, emit func(id uint32)) {
 					emit(id)
 				}
 			} else {
-				loX, hiX := float32(-boxInf), float32(boxInf)
-				if firstCol {
-					loX = r.MinX
-				}
-				if lastCol {
-					hiX = r.MaxX
-				}
+				loX, nhiX := axisWindow(firstCol, lastCol, r.MinX, r.MaxX)
 				// Class A: dedup-free everywhere; only the query-boundary
 				// edges still need a comparison.
 				for k := a0; k < aEnd; k++ {
-					rc := bg.rcts[k]
-					if rc.MaxX >= loX && rc.MinX <= hiX && rc.MaxY >= loY && rc.MinY <= hiY {
+					if bg.mx[k] >= loX && bg.nx[k] >= nhiX && bg.my[k] >= loY && bg.ny[k] >= nhiY {
 						emit(bg.ids[k])
 					}
 				}
 				// Class B entered from the left: its reference cell under
-				// this query is in the first column, and rc.MinX <= r.MaxX
+				// this query is in the first column, and MinX <= r.MaxX
 				// holds by construction (the span started in an earlier
 				// column).
 				if firstCol {
 					for k := aEnd; k < bg.ends[c2+1]; k++ {
-						rc := bg.rcts[k]
-						if rc.MaxX >= r.MinX && rc.MaxY >= loY && rc.MinY <= hiY {
+						if bg.mx[k] >= loX && bg.my[k] >= loY && bg.ny[k] >= nhiY {
 							emit(bg.ids[k])
 						}
 					}
@@ -529,8 +543,7 @@ func (bg *BoxGrid2L) Query(r geom.Rect, emit func(id uint32)) {
 				// Class C entered from below: symmetric, first row only.
 				if firstRow {
 					for k := bg.ends[c2+1]; k < bg.ends[half+c2]; k++ {
-						rc := bg.rcts[k]
-						if rc.MaxY >= r.MinY && rc.MaxX >= loX && rc.MinX <= hiX {
+						if bg.my[k] >= loY && bg.mx[k] >= loX && bg.nx[k] >= nhiX {
 							emit(bg.ids[k])
 						}
 					}
@@ -539,8 +552,7 @@ func (bg *BoxGrid2L) Query(r geom.Rect, emit func(id uint32)) {
 				// the max-corner comparisons survive.
 				if firstCol && firstRow {
 					for k := bg.ends[half+c2]; k < bg.ends[half+c2+1]; k++ {
-						rc := bg.rcts[k]
-						if rc.MaxX >= r.MinX && rc.MaxY >= r.MinY {
+						if bg.mx[k] >= loX && bg.my[k] >= loY {
 							emit(bg.ids[k])
 						}
 					}
@@ -561,110 +573,180 @@ func (bg *BoxGrid2L) Query(r geom.Rect, emit func(id uint32)) {
 }
 
 // QueryAppend implements core.QueryAppender: Query's result, appended
-// into buf. The payoff is the interior cell: its class-A run is a
-// guaranteed-hit contiguous slice of the ID arena, so the whole sub-span
-// lands in buf as one bulk copy with no per-element test or call — the
-// true-hit fast path this layout's class partition was built for.
+// into buf. In a boundary cell the classes that can pass there are tested
+// as one contiguous run under class A's window wherever they are adjacent
+// in the arena: A‖B‖C‖D in the query's corner cell, A‖B in the rest of
+// its first column, A and then C in the rest of its first row, A alone
+// elsewhere. Against Query's per-class predicates this adds MinX <= hiX
+// for B and D and MinY <= hiY for C and D, both decided by the
+// monotonicity the type comment relies on (such a replica's span starts
+// in an earlier column / row than this cell), so the result is Query's.
 //
-// In a boundary cell the classes that can pass there are tested as one
-// contiguous run under class A's window wherever they are adjacent in
-// the arena: the whole segment A‖B‖C‖D in the query's corner cell, A‖B
-// in the rest of its first column, A and then C in the rest of its
-// first row, A alone elsewhere. Against Query's per-class predicates
-// this adds MinX <= hiX for B and D and MinY <= hiY for C and D; both
-// are decided by the monotonicity the type comment relies on (such a
-// replica's span starts in an earlier column / row than this cell, the
-// query's far edge lies in this cell or a later one), so the result is
-// Query's, for a prologue and a reservation per run instead of per class.
+// A span of two or more cells on both axes, walked here row by row, puts
+// a cell first or last on an axis, never both, so a run reads only the
+// edges its cell's place leaves undecided: an x and a y plane in the
+// span's four corners (appendMasked2), one plane along its sides
+// (appendMasked1), none inside, where class A is one bulk copy.
 //
 //joinlint:hotpath
 func (bg *BoxGrid2L) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 	bg.queries.Inc()
 	q := bg.mapper.spanOf(r)
-	cps := bg.cps
+	if q.x0 == q.x1 || q.y0 == q.y1 {
+		return bg.appendNarrow(r, q, buf)
+	}
 	half := 2 * bg.cells
-	qx0, qx1 := int(q.x0), int(q.x1)
-	qy0, qy1 := int(q.y0), int(q.y1)
-	for cy := qy0; cy <= qy1; cy++ {
-		firstRow, lastRow := cy == qy0, cy == qy1
-		loY, hiY := float32(-boxInf), float32(boxInf)
+	loX, nhiX := r.MinX, -r.MaxX
+	for cy := int(q.y0); cy <= int(q.y1); cy++ {
+		firstRow := cy == int(q.y0)
+		var py []float32 // the row's undecided y edge; none between the first and last row
+		var by float32
 		if firstRow {
-			loY = r.MinY
+			py, by = bg.my, r.MinY
+		} else if cy == int(q.y1) {
+			py, by = bg.ny, -r.MaxY
 		}
-		if lastRow {
-			hiY = r.MaxY
+		first := cy*bg.cps + int(q.x0)
+		c, last := first, first+int(q.x1-q.x0)
+		hi := bg.ends[2*c+1] // first column: A‖B, in the corner cell A‖B‖C‖D
+		if firstRow {
+			hi = bg.ends[half+2*c+1]
 		}
-		base := cy * cps
-		for cx := qx0; cx <= qx1; cx++ {
-			c := base + cx
-			c2 := 2 * c
-			a0, aEnd := bg.starts[c], bg.ends[c2]
-			firstCol, lastCol := cx == qx0, cx == qx1
-			if !firstCol && !lastCol && !firstRow && !lastRow {
-				// Interior cell: the entire class-A run is a hit — one
-				// bulk copy, zero predicates.
-				buf = append(buf, bg.ids[a0:aEnd]...)
-			} else {
-				// Class A's window: the query's edges on the sides where
-				// this cell is on the span's boundary, ±inf sentinels ("no
-				// test needed") on the others.
-				loX, hiX := float32(-boxInf), float32(boxInf)
-				if firstCol {
-					loX = r.MinX
-				}
-				if lastCol {
-					hiX = r.MaxX
-				}
-				end := aEnd
-				switch {
-				case firstCol && firstRow:
-					end = bg.ends[half+c2+1] // A‖B‖C‖D
-				case firstCol:
-					end = bg.ends[c2+1] // A‖B
-				}
-				buf = bg.appendMasked(a0, end, loX, hiX, loY, hiY, buf)
-				if firstRow && !firstCol {
-					buf = bg.appendMasked(bg.ends[c2+1], bg.ends[half+c2], loX, hiX, loY, hiY, buf) // C
-				}
+		if py == nil {
+			buf = bg.appendMasked1(bg.starts[c], hi, bg.mx, loX, buf)
+		} else {
+			buf = bg.appendMasked2(bg.starts[c], hi, bg.mx, loX, py, by, buf)
+		}
+		for c++; c < last; c++ { // middle columns: A, and C in the first row
+			if py == nil {
+				buf = append(buf, bg.ids[bg.starts[c]:bg.ends[2*c]]...)
+				continue
 			}
-			if of := bg.overflow[c]; len(of) != 0 {
-				ofr := bg.overflowR[c]
-				for j, id := range of {
-					if refCell(bg.spans[id], uint16(cx), uint16(cy), q.x0, q.y0) && ofr[j].Intersects(r) {
-						buf = append(buf, id)
-					}
-				}
+			buf = bg.appendMasked1(bg.starts[c], bg.ends[2*c], py, by, buf)
+			if firstRow {
+				buf = bg.appendMasked1(bg.ends[2*c+1], bg.ends[half+2*c], py, by, buf)
+			}
+		}
+		if py == nil { // last column: A, and C in the first row
+			buf = bg.appendMasked1(bg.starts[c], bg.ends[2*c], bg.nx, nhiX, buf)
+		} else {
+			buf = bg.appendMasked2(bg.starts[c], bg.ends[2*c], bg.nx, nhiX, py, by, buf)
+			if firstRow {
+				buf = bg.appendMasked2(bg.ends[2*c+1], bg.ends[half+2*c], bg.nx, nhiX, py, by, buf)
+			}
+		}
+		for c = first; c <= last; c++ {
+			if len(bg.overflow[c]) != 0 {
+				buf = bg.appendOverflow(c, r, q, buf)
 			}
 		}
 	}
 	return buf
 }
 
-// appendMasked appends every ID in ids[lo:hi] whose stored rect passes
-// the window test MaxX >= loX && MinX <= hiX && MaxY >= loY &&
-// MinY <= hiY, branchlessly: each candidate is stored unconditionally
-// and the write cursor advances by the OR of the four differences' IEEE
-// sign bits (all coordinates are finite and never -0, so diff >= 0 iff
-// the sign bit is clear; differences against the ±boxInf sentinels
-// saturate to ±Inf, which keeps the right sign). The boundary cells'
-// hit/miss pattern is maximally unpredictable, so removing the
-// per-element branch is worth far more than the redundant stores — and
-// it is a move only a buffered kernel can make, since calling an emit
-// callback for hits only is itself a data-dependent branch.
+// appendNarrow is QueryAppend for a span one cell wide or tall, where a
+// cell can be first and last on an axis at once: every run takes the full
+// window (appendMasked).
+//
+//joinlint:hotpath
+func (bg *BoxGrid2L) appendNarrow(r geom.Rect, q cellSpan, buf []uint32) []uint32 {
+	half := 2 * bg.cells
+	for cy := int(q.y0); cy <= int(q.y1); cy++ {
+		firstRow := cy == int(q.y0)
+		loY, nhiY := axisWindow(firstRow, cy == int(q.y1), r.MinY, r.MaxY)
+		for cx := int(q.x0); cx <= int(q.x1); cx++ {
+			firstCol := cx == int(q.x0)
+			loX, nhiX := axisWindow(firstCol, cx == int(q.x1), r.MinX, r.MaxX)
+			c := cy*bg.cps + cx
+			hi := bg.ends[2*c] // A
+			if firstCol && firstRow {
+				hi = bg.ends[half+2*c+1] // A‖B‖C‖D
+			} else if firstCol {
+				hi = bg.ends[2*c+1] // A‖B
+			}
+			buf = bg.appendMasked(bg.starts[c], hi, loX, nhiX, loY, nhiY, buf)
+			if firstRow && !firstCol {
+				buf = bg.appendMasked(bg.ends[2*c+1], bg.ends[half+2*c], loX, nhiX, loY, nhiY, buf) // C
+			}
+			if len(bg.overflow[c]) != 0 {
+				buf = bg.appendOverflow(c, r, q, buf)
+			}
+		}
+	}
+	return buf
+}
+
+// appendOverflow appends cell c's overflow entries (position encodes no
+// class) under the full reference-cell + intersection test.
+//
+//joinlint:hotpath
+func (bg *BoxGrid2L) appendOverflow(c int, r geom.Rect, q cellSpan, buf []uint32) []uint32 {
+	ofr := bg.overflowR[c]
+	cx, cy := uint16(c%bg.cps), uint16(c/bg.cps)
+	for j, id := range bg.overflow[c] {
+		if refCell(bg.spans[id], cx, cy, q.x0, q.y0) && ofr[j].Intersects(r) {
+			buf = append(buf, id)
+		}
+	}
+	return buf
+}
+
+// appendMasked appends every ID of arena slots [lo, hi) whose inlined rect
+// passes MaxX >= loX && -MinX >= nhiX && MaxY >= loY && -MinY >= nhiY,
+// branchlessly: each candidate is stored unconditionally and the write
+// cursor advances by the OR of the differences' IEEE sign bits (finite
+// coordinates, and a min of 0 stored as -0 subtracts like +0, so diff >=
+// 0 iff the sign bit is clear). A boundary cell's hit/miss pattern is
+// maximally unpredictable, so losing the per-element branch is worth far
+// more than the redundant stores — a move only a buffered kernel can
+// make: emitting hits only is itself such a branch.
 //
 //joinlint:hotpath
 //joinlint:bce
-func (bg *BoxGrid2L) appendMasked(lo, hi uint32, loX, hiX, loY, hiY float32, buf []uint32) []uint32 {
+func (bg *BoxGrid2L) appendMasked(lo, hi uint32, loX, nhiX, loY, nhiY float32, buf []uint32) []uint32 {
 	seg := bg.ids[lo:hi]
-	rcs := bg.rcts[lo:hi]
+	mx, nx, my, ny := bg.mx[lo:hi], bg.nx[lo:hi], bg.my[lo:hi], bg.ny[lo:hi]
 	k := len(buf)
 	buf = reserve(buf, seg) // survivors overwrite in place
 	for j, id := range seg {
-		rc := rcs[j]
-		m := math.Float32bits(rc.MaxX-loX) | math.Float32bits(hiX-rc.MinX) |
-			math.Float32bits(rc.MaxY-loY) | math.Float32bits(hiY-rc.MinY)
+		m := math.Float32bits(mx[j]-loX) | math.Float32bits(nx[j]-nhiX) |
+			math.Float32bits(my[j]-loY) | math.Float32bits(ny[j]-nhiY)
 		buf[k] = id
 		k += 1 - int(m>>31)
+	}
+	return buf[:k]
+}
+
+// appendMasked2 is appendMasked over two planes and their bounds: 12
+// bytes and two subtractions a candidate for the full window's 20 and four.
+//
+//joinlint:hotpath
+//joinlint:bce
+func (bg *BoxGrid2L) appendMasked2(lo, hi uint32, px []float32, bx float32, py []float32, by float32, buf []uint32) []uint32 {
+	seg := bg.ids[lo:hi]
+	px, py = px[lo:hi], py[lo:hi]
+	k := len(buf)
+	buf = reserve(buf, seg)
+	for j, id := range seg {
+		m := math.Float32bits(px[j]-bx) | math.Float32bits(py[j]-by)
+		buf[k] = id
+		k += 1 - int(m>>31)
+	}
+	return buf[:k]
+}
+
+// appendMasked1 is appendMasked over one plane and its bound.
+//
+//joinlint:hotpath
+//joinlint:bce
+func (bg *BoxGrid2L) appendMasked1(lo, hi uint32, p []float32, b float32, buf []uint32) []uint32 {
+	seg := bg.ids[lo:hi]
+	p = p[lo:hi]
+	k := len(buf)
+	buf = reserve(buf, seg)
+	for j, id := range seg {
+		buf[k] = id
+		k += 1 - int(math.Float32bits(p[j]-b)>>31)
 	}
 	return buf[:k]
 }
@@ -725,7 +807,7 @@ func (bg *BoxGrid2L) rewriteLocal(c, k int, id uint32, r geom.Rect) bool {
 	lo, hi := bg.classRun(c, k)
 	for p := lo; p < hi; p++ {
 		if bg.ids[p] == id {
-			bg.rcts[p] = r
+			bg.setRect(p, r)
 			return true
 		}
 	}
@@ -754,14 +836,13 @@ func (bg *BoxGrid2L) insertLocal(c, k int, id uint32, r geom.Rect) {
 		ej := bg.endIdx(c, j)
 		e := bg.ends[ej]
 		f := bg.ends[bg.endIdx(c, j-1)] // first slot of run j
-		bg.ids[e] = bg.ids[f]
-		bg.rcts[e] = bg.rcts[f]
+		bg.moveSlot(e, f)
 		bg.ends[ej] = e + 1
 	}
 	ek := bg.endIdx(c, k)
 	pos := bg.ends[ek]
 	bg.ids[pos] = id
-	bg.rcts[pos] = r
+	bg.setRect(pos, r)
 	bg.ends[ek] = pos + 1
 }
 
@@ -780,8 +861,7 @@ func (bg *BoxGrid2L) removeLocal(c, k int, id uint32) bool {
 		for j := k; j < 4; j++ {
 			ej := bg.endIdx(c, j)
 			last := bg.ends[ej] - 1
-			bg.ids[prev] = bg.ids[last]
-			bg.rcts[prev] = bg.rcts[last]
+			bg.moveSlot(prev, last)
 			bg.ends[ej] = last
 			prev = last
 		}
@@ -900,12 +980,12 @@ func (bg *BoxGrid2L) ClassCounts() [4]int {
 	return out
 }
 
-// MemoryBytes implements core.MemoryReporter: directory, both arenas,
-// span cache, overflow capacity, and retained build scratch.
+// MemoryBytes implements core.MemoryReporter: directory, ID arena and the
+// four edge planes, span cache, overflow capacity, and retained build scratch.
 func (bg *BoxGrid2L) MemoryBytes() int64 {
-	total := int64(len(bg.starts)+len(bg.ends)+cap(bg.ids)+cap(bg.counts4)) * 4
+	total := int64(len(bg.starts)+len(bg.ends)+cap(bg.counts4)) * 4
+	total += int64(cap(bg.ids)+cap(bg.mx)+cap(bg.my)+cap(bg.nx)+cap(bg.ny)) * 4
 	total += int64(cap(bg.counts16)) * 2
-	total += int64(cap(bg.rcts)) * 16
 	total += int64(cap(bg.spans)) * 8
 	total += int64(len(bg.overflow)) * 24
 	for _, of := range bg.overflow {

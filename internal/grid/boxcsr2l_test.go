@@ -2,6 +2,7 @@ package grid
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"testing"
 
@@ -101,8 +102,8 @@ func checkClassPartition(t *testing.T, bg *BoxGrid2L) {
 				if got := classAt(bg.spans[id], cx, cy); got != j {
 					t.Fatalf("cell %d: entry %d stored in class %d, classAt = %d", c, id, j, got)
 				}
-				if bg.rcts[p] != bg.rects[id] {
-					t.Fatalf("cell %d: entry %d inlined rect %v != snapshot %v", c, id, bg.rcts[p], bg.rects[id])
+				if got := bg.rectAt(p); got != bg.rects[id] {
+					t.Fatalf("cell %d: entry %d inlined rect %v != snapshot %v", c, id, got, bg.rects[id])
 				}
 				placed[id] = append(placed[id], slot{cx, cy, j})
 			}
@@ -350,7 +351,7 @@ func TestBoxGrid2LParallelBuildBitIdentical(t *testing.T) {
 			}
 		}
 		for i := range seq.ids {
-			if seq.ids[i] != par.ids[i] || seq.rcts[i] != par.rcts[i] {
+			if seq.ids[i] != par.ids[i] || seq.rectAt(uint32(i)) != par.rectAt(uint32(i)) {
 				t.Fatalf("workers=%d: arena differs at slot %d", workers, i)
 			}
 		}
@@ -543,4 +544,162 @@ func TestBoxGrid2LWideCountFallback(t *testing.T) {
 			t.Fatalf("wide-count build disagrees with boxcsr on query %v", q)
 		}
 	}
+}
+
+// TestBoxGrid2LEdgeKernelsProperty holds QueryAppend, which picks a kernel
+// by the cell's place in the query span, against Query and
+// the brute-force oracle as exact sorted ID lists, on the inputs where that
+// choice flips: spans of 1, 2 and 3 or more cells on each axis
+// independently, windows hanging over every side of the space, a query edge
+// bit-equal to a rect edge on each of the four sides (the difference is +0
+// and must pass), rects with a min of exactly 0 (stored as -0), rects
+// partly outside the space, exact (64) and inexact cell widths, and cells
+// holding overflow entries after cross-span updates.
+func TestBoxGrid2LEdgeKernelsProperty(t *testing.T) {
+	bounds := geom.R(0, 0, 1024, 1024)
+	for _, cps := range []int{13, 48, 64, 96} {
+		t.Run(fmt.Sprintf("cps=%d", cps), func(t *testing.T) {
+			rng := xrand.New(uint64(500 + cps))
+			cell := bounds.Width() / float32(cps)
+			// Two dense 8x8-cell patches, at the origin and at the far
+			// corner, each reaching a cell beyond the space on two sides.
+			patches := [2]geom.Rect{
+				geom.R(-cell, -cell, 8*cell, 8*cell),
+				geom.R(bounds.MaxX-8*cell, bounds.MaxY-8*cell, bounds.MaxX+cell, bounds.MaxY+cell),
+			}
+			var rects []geom.Rect
+			for _, p := range patches {
+				rects = append(rects, randomBoxes(rng, 700, p, 0, 2.5*cell)...)
+			}
+			for i := 0; i < 700; i += 7 {
+				rects[i].MinX, rects[i].MaxX = 0, max(rects[i].MaxX, 0)
+				rects[i+1].MinY, rects[i+1].MaxY = 0, max(rects[i+1].MaxY, 0)
+			}
+			bg := MustNewBoxGrid2L(cps, bounds, len(rects))
+			bg.Build(rects)
+			for k, id := range bg.ids {
+				// Rect 0 has a MinX and rect 1 a MinY of exactly 0.
+				if id == 0 && math.Float32bits(bg.nx[k]) != 1<<31 || id == 1 && math.Float32bits(bg.ny[k]) != 1<<31 {
+					t.Fatalf("slot %d: the zero min of rect %d is stored as %v / %v, want -0", k, id, bg.nx[k], bg.ny[k])
+				}
+			}
+			// Cross-span moves inside the patch: a built segment has no
+			// slack, so most of the arrivals overflow.
+			overflowed := 0
+			for i := 3; i < len(rects); i += 4 {
+				nr := randomBoxes(rng, 1, patches[i/700], 0, 2.5*cell)[0]
+				bg.Update(uint32(i), rects[i], nr)
+				rects[i] = nr
+			}
+			for _, of := range bg.overflow {
+				overflowed += len(of)
+			}
+			if overflowed == 0 {
+				t.Fatal("no overflow entries: the test lost its inputs")
+			}
+
+			// side draws a window side for a span of about 1, 2 or >= 3 cells.
+			side := func(class int) float32 {
+				switch class {
+				case 0:
+					return rng.Range(0, cell/4)
+				case 1:
+					return rng.Range(cell/2, cell)
+				}
+				return rng.Range(2*cell, 4*cell)
+			}
+			var queries []geom.Rect
+			var equalEdge []uint32 // per query: the rect its edge was copied from, or none
+			const none = ^uint32(0)
+			for pi, p := range patches {
+				for shape := 0; shape < 9; shape++ {
+					for i := 0; i < 40; i++ {
+						c := geom.Pt(rng.Range(p.MinX, p.MaxX), rng.Range(p.MinY, p.MaxY))
+						w, h := side(shape%3), side(shape/3)
+						queries = append(queries, geom.Rect{MinX: c.X - w/2, MinY: c.Y - h/2, MaxX: c.X + w/2, MaxY: c.Y + h/2})
+						equalEdge = append(equalEdge, none)
+					}
+				}
+				// One query edge copied from a rect's facing edge, the other
+				// axis laid over the rect.
+				for i := 0; i < 160; i++ {
+					id := uint32(pi*700 + rng.Intn(700))
+					tr := rects[id]
+					w, h := side(i/4%3), side(i/12%3)
+					q := geom.Rect{MinX: tr.MinX - w/2, MinY: tr.MinY - h/2, MaxX: tr.MinX + w/2, MaxY: tr.MinY + h/2}
+					switch i % 4 {
+					case 0:
+						q.MinX, q.MaxX = tr.MaxX, tr.MaxX+w
+					case 1:
+						q.MinX, q.MaxX = tr.MinX-w, tr.MinX
+					case 2:
+						q.MinY, q.MaxY = tr.MaxY, tr.MaxY+h
+					case 3:
+						q.MinY, q.MaxY = tr.MinY-h, tr.MinY
+					}
+					queries = append(queries, q)
+					equalEdge = append(equalEdge, id)
+				}
+			}
+
+			var shapes [3][3]int                       // span cells per axis: 1, 2, >= 3
+			var fourEdge, twoPlane, onePlane, bulk int // cells by the kernel their place selects
+			var clamped [4]int
+			var buf []uint32
+			for qi, q := range queries {
+				s := bg.mapper.spanOf(q)
+				nx, ny := int(s.x1-s.x0)+1, int(s.y1-s.y0)+1
+				shapes[min(nx, 3)-1][min(ny, 3)-1]++
+				if nx == 1 || ny == 1 {
+					fourEdge += nx * ny
+				} else {
+					twoPlane += 4
+					onePlane += 2*(nx-2) + 2*(ny-2)
+					bulk += (nx - 2) * (ny - 2)
+				}
+				for i, out := range [4]bool{q.MinX < bounds.MinX, q.MinY < bounds.MinY, q.MaxX > bounds.MaxX, q.MaxY > bounds.MaxY} {
+					if out {
+						clamped[i]++
+					}
+				}
+				want := bruteBoxQuery(rects, q)
+				if id := equalEdge[qi]; id != none && !containsID(want, id) {
+					t.Fatalf("query %v touches rect %d %v on an edge; the oracle misses it", q, id, rects[id])
+				}
+				if got := collectQuery(t, bg, q); !equalIDs(got, want) {
+					t.Fatalf("Query %v (span %v): %v, oracle %v", q, s, got, want)
+				}
+				buf = bg.QueryAppend(q, buf[:0])
+				sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
+				if !equalIDs(buf, want) {
+					t.Fatalf("QueryAppend %v (span %v): %v, oracle %v", q, s, buf, want)
+				}
+			}
+			bg.rects = rects
+			if err := bg.CheckInvariants(); err != nil {
+				t.Error(err)
+			}
+			for i, row := range shapes {
+				for j, n := range row {
+					if n < 20 {
+						t.Errorf("%d queries span %d x %d cells (3 = three or more), want >= 20", n, i+1, j+1)
+					}
+				}
+			}
+			if min(fourEdge, twoPlane, onePlane, bulk) < 20 {
+				t.Errorf("cells by kernel: %d four-edge, %d two-plane, %d one-plane, %d bulk copy; want >= 20 each",
+					fourEdge, twoPlane, onePlane, bulk)
+			}
+			for i, n := range clamped {
+				if n < 20 {
+					t.Errorf("%d windows hang over side %d of the space, want >= 20", n, i)
+				}
+			}
+		})
+	}
+}
+
+func containsID(sorted []uint32, id uint32) bool {
+	i := sort.Search(len(sorted), func(i int) bool { return sorted[i] >= id })
+	return i < len(sorted) && sorted[i] == id
 }

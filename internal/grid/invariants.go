@@ -1,6 +1,11 @@
 package grid
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+
+	"repro/internal/geom"
+)
 
 // This file exports structural self-audits on the grid families,
 // mirroring rtree's STR packing checker. They implement
@@ -255,7 +260,8 @@ func (bg *BoxGrid) CheckInvariants() error {
 // the class partition: within every cell the four class run ends satisfy
 // starts[c] <= A <= B <= C <= D <= starts[c+1] (the runs partition the
 // live prefix, slack follows D), each stored replica sits in the run of
-// its classAt, and the inlined rectangle arena mirrors the base table.
+// its classAt, and the four edge planes are as long as the ID arena and
+// reassemble, slot by slot, to the base table's rectangle.
 func (bg *BoxGrid2L) CheckInvariants() error {
 	cells := bg.cells
 	if len(bg.starts) != cells+1 {
@@ -268,6 +274,12 @@ func (bg *BoxGrid2L) CheckInvariants() error {
 		if bg.spans[i] != bg.mapper.spanOf(bg.rects[i]) {
 			return fmt.Errorf("boxgrid2l: cached span %v of object %d diverges from rect %v (span %v)",
 				bg.spans[i], i, bg.rects[i], bg.mapper.spanOf(bg.rects[i]))
+		}
+	}
+	for i, p := range bg.planes() {
+		if len(*p) != len(bg.ids) {
+			return fmt.Errorf("boxgrid2l: plane %s holds %d values for %d arena slots",
+				planeNames[i], len(*p), len(bg.ids))
 		}
 	}
 	replicas := make([]uint32, bg.boxes)
@@ -302,9 +314,8 @@ func (bg *BoxGrid2L) CheckInvariants() error {
 					return fmt.Errorf("boxgrid2l: id %d stored in class %d run of cell %d, classAt says %d",
 						id, j, c, got)
 				}
-				if bg.rcts[k] != bg.rects[id] {
-					return fmt.Errorf("boxgrid2l: slot %d rect %v diverges from base table %v for id %d",
-						k, bg.rcts[k], bg.rects[id], id)
+				if err := bg.checkSlotEdges(k, bg.rects[id]); err != nil {
+					return err
 				}
 				replicas[id]++
 			}
@@ -336,6 +347,33 @@ func (bg *BoxGrid2L) CheckInvariants() error {
 		want := uint32(int(s.x1)-int(s.x0)+1) * uint32(int(s.y1)-int(s.y0)+1)
 		if got != want {
 			return fmt.Errorf("boxgrid2l: id %d has %d replicas, span %v needs %d", id, got, s, want)
+		}
+	}
+	return nil
+}
+
+// planes lists the four edge planes, for the audit to treat them alike.
+func (bg *BoxGrid2L) planes() [4]*[]float32 {
+	return [4]*[]float32{&bg.mx, &bg.my, &bg.nx, &bg.ny}
+}
+
+// planeNames names the edge planes in planes() order.
+var planeNames = [4]string{"mx (MaxX)", "my (MaxY)", "nx (-MinX)", "ny (-MinY)"}
+
+// rectAt reassembles the rectangle inlined at arena slot k, bit for bit
+// (negation only flips the sign bit).
+func (bg *BoxGrid2L) rectAt(k uint32) geom.Rect {
+	return geom.Rect{MinX: -bg.nx[k], MinY: -bg.ny[k], MaxX: bg.mx[k], MaxY: bg.my[k]}
+}
+
+// checkSlotEdges audits arena slot k edge by edge against the rectangle it
+// must reassemble to, bit for bit, naming the plane that diverges.
+func (bg *BoxGrid2L) checkSlotEdges(k uint32, want geom.Rect) error {
+	got := bg.rectAt(k)
+	for i, e := range [4][2]float32{{got.MaxX, want.MaxX}, {got.MaxY, want.MaxY}, {got.MinX, want.MinX}, {got.MinY, want.MinY}} {
+		if math.Float32bits(e[0]) != math.Float32bits(e[1]) {
+			return fmt.Errorf("boxgrid2l: plane %s slot %d reassembles to %v, the base table has %v",
+				planeNames[i], k, e[0], e[1])
 		}
 	}
 	return nil

@@ -1,6 +1,8 @@
 package grid
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -158,4 +160,50 @@ func TestBoxGrid2LCheckInvariants(t *testing.T) {
 		bg.ends[bg.endIdx(c, 0)], bg.ends[bg.endIdx(c, 1)] = a, b
 		break
 	}
+}
+
+// TestBoxGrid2LCheckInvariantsAuditsEachPlane corrupts one value of one
+// edge plane at a time — after Build, and again after an Update cascade
+// has moved slots through every plane — and requires the audit to name
+// the plane and the slot; a plane of the wrong length is named too.
+func TestBoxGrid2LCheckInvariantsAuditsEachPlane(t *testing.T) {
+	r := xrand.New(23)
+	rects := randomBoxes(r, 600, testBounds, 0, 60)
+	bg := MustNewBoxGrid2L(32, testBounds, len(rects))
+	bg.Build(rects)
+	corruptEach := func(stage string) {
+		t.Helper()
+		if err := bg.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		// A live slot of the first non-empty cell.
+		c := 0
+		for bg.ends[bg.endIdx(c, 3)] == bg.starts[c] {
+			c++
+		}
+		k := bg.starts[c] + uint32(r.Intn(int(bg.ends[bg.endIdx(c, 3)]-bg.starts[c])))
+		for i, p := range bg.planes() {
+			name := strings.Fields(planeNames[i])[0]
+			was := (*p)[k]
+			(*p)[k] = math.Nextafter32(was, boxInf)
+			err := bg.CheckInvariants()
+			if err == nil || !strings.Contains(err.Error(), "plane "+name) || !strings.Contains(err.Error(), fmt.Sprintf("slot %d ", k)) {
+				t.Fatalf("%s: one ulp on plane %s slot %d: audit said %v", stage, name, k, err)
+			}
+			(*p)[k] = was
+			*p = (*p)[:len(*p)-1]
+			if err := bg.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "plane "+name) {
+				t.Fatalf("%s: plane %s one value short: audit said %v", stage, name, err)
+			}
+			*p = (*p)[:len(*p)+1]
+		}
+	}
+	corruptEach("after build")
+	for j := 0; j < 300; j++ {
+		id := uint32(r.Intn(len(rects)))
+		nr := randomBoxes(r, 1, testBounds, 0, 60)[0]
+		bg.Update(id, rects[id], nr)
+		rects[id] = nr
+	}
+	corruptEach("after updates")
 }
