@@ -88,6 +88,7 @@ func run(args []string) error {
 		wcfg.Ticks = 2
 	}
 	fmt.Fprintf(os.Stderr, "recording workload: %d points, %d ticks\n", wcfg.NumPoints, wcfg.Ticks)
+	fmt.Fprintf(os.Stderr, "kernels: %s\n", grid.KernelTier())
 	trace, err := workload.Record(wcfg)
 	if err != nil {
 		return err

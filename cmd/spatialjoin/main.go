@@ -26,6 +26,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/epoch"
+	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/internal/workload"
@@ -197,6 +198,7 @@ func run(args []string) error {
 	opts := core.Options{KeepPerTick: *perTick, Obs: reg}
 	fmt.Printf("workload  : %s, %d points, %d ticks, %.0f%% queriers, %.0f%% updaters\n",
 		wcfg.Kind, wcfg.NumPoints, wcfg.Ticks, wcfg.Queriers*100, wcfg.Updaters*100)
+	fmt.Printf("kernels   : %s\n", grid.KernelTier())
 
 	if *concurrent {
 		if len(techs) != 1 {
@@ -330,6 +332,7 @@ func runBoxMode(bcfg workload.BoxConfig, techniqueKey, compare string, parallel 
 	fmt.Printf("workload  : %s boxes (%s extents %g-%g), %d objects, %d ticks, %.0f%% queriers, %.0f%% updaters\n",
 		bcfg.Kind, bcfg.Extent, bcfg.MinSide, bcfg.MaxSide,
 		bcfg.NumPoints, bcfg.Ticks, bcfg.Queriers*100, bcfg.Updaters*100)
+	fmt.Printf("kernels   : %s\n", grid.KernelTier())
 
 	if concurrent {
 		if len(techs) != 1 {

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"testing"
 
@@ -504,6 +505,49 @@ func BenchmarkBoxEdgeKernels(b *testing.B) {
 			}
 			b.ReportMetric(float64(tested)/float64(b.N), "tested/op")
 		})
+	}
+}
+
+// BenchmarkFilterKernels prices a tested candidate of each branchless filter
+// on each tier: runs of 4 to 256 candidates taken in turn from a cache-warm
+// arena of uniform coordinates in [0, 100), against bounds that pass a half
+// and a tenth of them. It is the table that says whether any run is short
+// enough to be better left to the Go loop (README.md, "Vector kernels", has
+// it, and why the wrappers keep no cut-off).
+func BenchmarkFilterKernels(b *testing.B) {
+	const arenaLen = 4096
+	a := newFilterArena("bench", arenaLen, 1, func(rng *xrand.Rand) float32 { return rng.Float32() * 100 })
+	for _, f := range a.filters() {
+		for _, rate := range []float64{0.5, 0.1} {
+			// A point window [0,100] x [0,100*rate]; n independent planes each
+			// passing c >= bound with probability rate^(1/n).
+			r := geom.Rect{MaxX: 100, MaxY: float32(100 * rate)}
+			if f.planes > 0 {
+				bound := float32(100 * (1 - math.Pow(rate, 1/float64(f.planes))))
+				r = geom.Rect{MinX: bound, MinY: bound, MaxX: bound, MaxY: bound}
+			}
+			for _, n := range []int{4, 8, 16, 32, 64, 256} {
+				loop := func(b *testing.B) {
+					var buf []uint32
+					passed := 0
+					for i := 0; i < b.N; i++ {
+						lo := (i * n) % (arenaLen - n + 1)
+						buf = f.run(lo, lo+n, r, buf[:0])
+						passed += len(buf)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/candidate")
+					b.ReportMetric(float64(passed)/float64(b.N*n), "passed")
+				}
+				name := fmt.Sprintf("%s/pass=%g/n=%d", f.name, rate, n)
+				b.Run(name+"/scalar", func(b *testing.B) { scalarTier(func() { loop(b) }) })
+				b.Run(name+"/vector", func(b *testing.B) {
+					if !vectorKernels {
+						b.Skip("vector tier absent: " + missingTier)
+					}
+					loop(b)
+				})
+			}
+		}
 	}
 }
 

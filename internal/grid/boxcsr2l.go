@@ -701,6 +701,10 @@ func (bg *BoxGrid2L) appendOverflow(c int, r geom.Rect, q cellSpan, buf []uint32
 // more than the redundant stores — a move only a buffered kernel can
 // make: emitting hits only is itself such a branch.
 //
+// This loop, like those of appendMasked2 and appendMasked1, is the reference
+// and the portable tier; filterPlanes (filter_amd64.s) is the same test
+// over the first n of four planes, sixteen candidates at a time.
+//
 //joinlint:hotpath
 //joinlint:bce
 func (bg *BoxGrid2L) appendMasked(lo, hi uint32, loX, nhiX, loY, nhiY float32, buf []uint32) []uint32 {
@@ -708,6 +712,9 @@ func (bg *BoxGrid2L) appendMasked(lo, hi uint32, loX, nhiX, loY, nhiY float32, b
 	mx, nx, my, ny := bg.mx[lo:hi], bg.nx[lo:hi], bg.my[lo:hi], bg.ny[lo:hi]
 	k := len(buf)
 	buf = reserve(buf, seg) // survivors overwrite in place
+	if vectorKernels {
+		return buf[:k+filterPlanes(seg, buf[k:], 4, mx, loX, nx, nhiX, my, loY, ny, nhiY)]
+	}
 	for j, id := range seg {
 		m := math.Float32bits(mx[j]-loX) | math.Float32bits(nx[j]-nhiX) |
 			math.Float32bits(my[j]-loY) | math.Float32bits(ny[j]-nhiY)
@@ -727,6 +734,9 @@ func (bg *BoxGrid2L) appendMasked2(lo, hi uint32, px []float32, bx float32, py [
 	px, py = px[lo:hi], py[lo:hi]
 	k := len(buf)
 	buf = reserve(buf, seg)
+	if vectorKernels {
+		return buf[:k+filterPlanes(seg, buf[k:], 2, px, bx, py, by, nil, 0, nil, 0)]
+	}
 	for j, id := range seg {
 		m := math.Float32bits(px[j]-bx) | math.Float32bits(py[j]-by)
 		buf[k] = id
@@ -744,6 +754,9 @@ func (bg *BoxGrid2L) appendMasked1(lo, hi uint32, p []float32, b float32, buf []
 	p = p[lo:hi]
 	k := len(buf)
 	buf = reserve(buf, seg)
+	if vectorKernels {
+		return buf[:k+filterPlanes(seg, buf[k:], 1, p, b, nil, 0, nil, 0, nil, 0)]
+	}
 	for j, id := range seg {
 		buf[k] = id
 		k += 1 - int(math.Float32bits(p[j]-b)>>31)

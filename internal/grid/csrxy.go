@@ -52,7 +52,8 @@ func (st *csrStore) filterCellXY(c int, r geom.Rect, emit func(id uint32)) {
 
 // appendFilterXY is appendFilterPts over the two sequential streams: slot
 // j of seg owns xy[2j], xy[2j+1], so the loop never touches memory outside
-// the two arenas.
+// the two arenas. The loop is the reference; filterXY is its vector tier,
+// the one kernel on which the contiguous coordinate stream beats the gather.
 //
 //joinlint:hotpath
 //joinlint:bce
@@ -60,6 +61,9 @@ func appendFilterXY(seg []uint32, xy []float32, r geom.Rect, buf []uint32) []uin
 	k := len(buf)
 	buf = reserve(buf, seg)
 	xy = xy[:2*len(seg)]
+	if vectorKernels {
+		return buf[:k+filterXY(seg, xy, r, buf[k:])]
+	}
 	for j, id := range seg {
 		x, y := xy[2*j], xy[2*j+1]
 		m := math.Float32bits(x-r.MinX) | math.Float32bits(r.MaxX-x) |

@@ -389,6 +389,16 @@ func MustNew(cfg Config, bounds geom.Rect, numPoints int) *Grid {
 }
 
 // Name implements core.Index.
+// KernelTier names, for run headers, the tier this process runs the
+// branchless filters on: "avx512" (filter_amd64.s) or "generic" (their Go
+// loops). Two hosts that differ in it differ by a quarter on a query-bound tick.
+func KernelTier() string {
+	if vectorKernels {
+		return "avx512"
+	}
+	return "generic"
+}
+
 func (g *Grid) Name() string { return g.cfg.DisplayName() }
 
 // Config returns the grid's configuration.
