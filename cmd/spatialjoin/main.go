@@ -306,8 +306,8 @@ func raceReport(n int, perTick bool, run func(i int) (*core.Result, string)) err
 func reportConcurrent(res *core.ConcurrentResult) error {
 	fmt.Printf("technique : %s (concurrent, %d readers)\n", res.Technique, res.Readers)
 	fmt.Printf("avg/tick  : %.4fs wall over %d ticks\n", res.AvgTick().Seconds(), res.Ticks)
-	fmt.Printf("query lat : p50 %s  p95 %s  p99 %s  (under update load)\n",
-		res.QueryP50, res.QueryP95, res.QueryP99)
+	fmt.Printf("query lat : p50 %s  p95 %s  p99 %s  (under update load; %d of %d queries stamped)\n",
+		res.QueryP50, res.QueryP95, res.QueryP99, res.QuerySamples, res.Queries)
 	fmt.Printf("epochs    : %d published, %d degraded ticks, %d retries, %d panics contained, %d failed ticks\n",
 		res.Stats.Epochs, res.Stats.Degraded, res.Stats.Retries,
 		res.Stats.PanicsContained, res.FailedTicks)

@@ -117,9 +117,9 @@ type ConcurrentOptions struct {
 
 // ConcurrentResult aggregates a concurrent run. Join pairs and the hash
 // are reported for sanity but are NOT comparable across runs: a query
-// legitimately observes either of the two epochs adjacent to its
-// execution window, so the result depends on scheduling. The epoch
-// consistency contract is what is checked instead (Violations).
+// legitimately answers from either of the two epochs adjacent to its
+// block's execution window, so the result depends on scheduling. The
+// epoch consistency contract is what is checked instead (Violations).
 type ConcurrentResult struct {
 	Technique string
 	Ticks     int
@@ -132,13 +132,17 @@ type ConcurrentResult struct {
 	Hash    uint64
 
 	// QueryP50/P95/P99 are per-query latency percentiles measured while
-	// the update stream applies concurrently. A query's latency is the
-	// interval between consecutive completion stamps on its reader
-	// worker (one monotonic clock read per query), so it covers claiming
-	// the querier, the probe, folding its results and the consistency
-	// bookkeeping; a worker's first query of a tick is measured from the
-	// worker's start.
+	// the update stream applies concurrently, over a sample fixed by
+	// position: a run of latSample consecutive queries in every block of
+	// queryBlock queriers a reader claims (one query in eight on a long
+	// stream; sampleWindow places the run), QuerySamples of them in all.
+	// A sampled query's latency is the interval between consecutive
+	// completion stamps on its reader (one monotonic clock read per
+	// stamp), so it covers the probe and folding its results; the run's
+	// first is measured from a stamp taken just before it. Claiming the
+	// block and leasing the epoch, paid once per block, are in no sample.
 	QueryP50, QueryP95, QueryP99 time.Duration
+	QuerySamples                 int64
 
 	// FailedTicks counts ticks whose batch exhausted the wrapper's
 	// retries and carried over into the next tick.
@@ -180,33 +184,69 @@ type concurrentEngine[M any] struct {
 	// and epochOf returns publication i's live (epoch, digest).
 	publications int
 	epochOf      func(i int) (uint64, uint64)
-	// reader binds one reader worker's buffered query kernel: it drains
-	// one query into the caller's reused buffer and records the
-	// (epoch, digest) each touched publication showed in logs[i].
-	reader func(logs []epochLog) func(r geom.Rect, buf []uint32) []uint32
+	// leaser binds one reader worker's source of block leases, once per
+	// run: the queries under a lease it hands out go into the caller's
+	// reused buffer, and the (epoch, digest) each touched publication
+	// showed them is in logs[i] by the time the lease is released.
+	leaser func(logs []epochLog) EpochLeaser
 	stats  func() EpochStats
 }
 
 // onePublication binds a single-epoch index: every query observes
-// publication 0, straight into its log.
+// publication 0. An index that can lease its live epoch is leased once
+// per block; any other goes through the one-query adapter.
 func onePublication[P, M any](e *concurrentEngine[M], x epochIndex[P, M]) {
 	e.apply = func(moves []M) error { _, err := x.ApplyBatch(moves); return err }
 	e.publications = 1
 	e.epochOf = func(int) (uint64, uint64) { return x.Epoch() }
+	e.stats = x.Stats
+	if src, ok := x.(EpochLeaser); ok {
+		e.leaser = func(logs []epochLog) EpochLeaser { return &loggedLeaser{src: src, log: &logs[0]} }
+		return
+	}
 	qa, ok := x.(EpochQueryAppender)
 	if !ok {
 		qa = emitAppender(x.Query)
 	}
-	e.reader = func(logs []epochLog) func(r geom.Rect, buf []uint32) []uint32 {
+	e.leaser = func(logs []epochLog) EpochLeaser {
 		log := &logs[0]
-		return func(r geom.Rect, buf []uint32) []uint32 {
+		return queryLease(func(r geom.Rect, buf []uint32) []uint32 {
 			buf, ep, dg := qa.QueryAppend(r, buf)
 			log.observe(ep, dg)
 			return buf
-		}
+		})
 	}
-	e.stats = x.Stats
 }
+
+// loggedLeaser is one reader's view of a leasing index: each lease it
+// takes is observed into the reader's log, once. Every query under the
+// lease reads the same buffer, so one observation a block loses nothing.
+type loggedLeaser struct {
+	src EpochLeaser
+	log *epochLog
+}
+
+func (o *loggedLeaser) Lease() EpochLease {
+	l := o.src.Lease()
+	o.log.observe(l.Epoch())
+	return l
+}
+
+// queryLease adapts an engine that cannot lease a block — a sharded
+// engine, whose query fans out over N publications, or a decorator that
+// forwards EpochQueryAppender and no more — to the block drain: a lease
+// that pins nothing, under which every query pins, observes and unpins
+// for itself. The function is one reader's bound query.
+type queryLease func(r geom.Rect, buf []uint32) []uint32
+
+func (q queryLease) Lease() EpochLease { return q }
+
+func (q queryLease) QueryAppend(r geom.Rect, buf []uint32) []uint32 { return q(r, buf) }
+
+// Epoch is not read: the bound query has made the observations.
+func (q queryLease) Epoch() (uint64, uint64) { return 0, 0 }
+
+func (q queryLease) Release() {}
 
 // emitAppender adapts an epoch index's callback Query to
 // EpochQueryAppender, for wrappers without the native capability.
@@ -217,20 +257,21 @@ func (q emitAppender) QueryAppend(r geom.Rect, buf []uint32) ([]uint32, uint64, 
 	return buf, ep, dg
 }
 
-// perShard binds a sharded engine: one publication per shard.
+// perShard binds a sharded engine: one publication per shard, each
+// query observing the shards it touches.
 func perShard[P, M any](e *concurrentEngine[M], x shardedEpochIndex[P, M]) {
 	e.apply = x.ApplyBatch
 	e.publications = x.NumShards()
 	e.epochOf = x.ShardEpoch
+	e.stats = x.Stats
 	qa, ok := x.(ShardedEpochQueryAppender)
 	if !ok {
 		qa = shardedEmitAppender(x.Query)
 	}
-	e.reader = func(logs []epochLog) func(r geom.Rect, buf []uint32) []uint32 {
+	e.leaser = func(logs []epochLog) EpochLeaser {
 		observe := func(shard int, ep, dg uint64) { logs[shard].observe(ep, dg) }
-		return func(r geom.Rect, buf []uint32) []uint32 { return qa.QueryAppend(r, buf, observe) }
+		return queryLease(func(r geom.Rect, buf []uint32) []uint32 { return qa.QueryAppend(r, buf, observe) })
 	}
-	e.stats = x.Stats
 }
 
 // shardedEmitAppender is emitAppender for ShardedEpochQueryAppender.
@@ -268,30 +309,109 @@ func (l *epochLog) observe(ep, dg uint64) {
 	}
 }
 
-// readerState is one query worker's state across the whole run, merged
-// by finishReaders. lat keeps exact latency samples up to
-// maxExactLatSamples and feeds the shared histogram beyond that
-// (bounded memory on long runs); logs holds one epochLog per
-// publication the engine has; buf is the result buffer every query of
-// every tick reuses, so the steady state allocates nothing.
-type readerState struct {
-	lat   latRecorder
-	logs  []epochLog
-	buf   []uint32
-	pairs int64
-	hash  uint64
+// latSample is how many queries of a claimed block are stamped for the
+// latency series: latSample consecutive ones, so a block costs
+// latSample+1 clock reads and not queryBlock. Where the run sits in the
+// block rotates with the reader's block count (sampleWindow), because a
+// query's place in its block is not neutral — the first few after the
+// claim run measurably slower — and a sample that always took them read
+// a p99 a fifth above the stream's (TestConcurrentLatSampleTracksEveryQuery).
+// A var, not a const, only so a test can stamp every query.
+var latSample = 8
+
+// sampleWindow places the stamped run [from, from+n) of a reader's k-th
+// block of the given length: k steps it through the block latSample at a
+// time, so over queryBlock/latSample blocks every place is stamped once;
+// a short last block stamps its tail.
+func sampleWindow(k, length int) (from, n int) {
+	n = min(latSample, length)
+	return min(k*latSample%queryBlock, length-n), n
 }
 
-func newReaderStates(readers, publications, ticks int, latHist *obs.Histogram) []*readerState {
+// readerState is one query worker's state across the whole run, merged
+// by finishReaders. src is where it takes each block's lease, bound when
+// the reader is made; lat keeps exact latency samples up to
+// maxExactLatSamples and feeds the shared histogram beyond that (bounded
+// memory on long runs); logs holds one epochLog per publication the
+// engine has; buf is the result buffer every query of every tick reuses,
+// so the steady state allocates nothing.
+type readerState struct {
+	src    EpochLeaser
+	lat    latRecorder
+	logs   []epochLog
+	buf    []uint32
+	blocks int // served so far
+	pairs  int64
+	hash   uint64
+}
+
+func newReaderStates(readers, publications, ticks int, latHist *obs.Histogram, leaser func(logs []epochLog) EpochLeaser) []*readerState {
 	states := make([]*readerState, readers)
 	for w := range states {
 		st := &readerState{lat: latRecorder{hist: latHist}, logs: make([]epochLog, publications)}
 		for i := range st.logs {
 			st.logs[i].seen = make(map[uint64]uint64, ticks+1)
 		}
+		st.src = leaser(st.logs)
 		states[w] = st
 	}
 	return states
+}
+
+// serveBlock answers one claimed block of queriers under one lease,
+// released on the way out of a panicking query too: a reader that died
+// holding it would leave the writer spinning in quiesce.
+func (st *readerState) serveBlock(queryRect func(q uint32) geom.Rect, block []uint32) {
+	l := st.src.Lease()
+	defer l.Release()
+	st.drainBlock(l, queryRect, block)
+}
+
+// drainBlock is the join under a held lease: probe and fold every query,
+// stamp the completions of the block's sample window.
+//
+//joinlint:hotpath
+func (st *readerState) drainBlock(l EpochLease, queryRect func(q uint32) geom.Rect, block []uint32) {
+	from, n := sampleWindow(st.blocks, len(block))
+	st.blocks++
+	buf, hash := st.buf, st.hash
+	var pairs int
+	for i, q := range block {
+		if i == from {
+			st.lat.start()
+		}
+		buf = l.QueryAppend(queryRect(q), buf[:0])
+		for _, id := range buf {
+			hash = MixPair(hash, q, id)
+		}
+		pairs += len(buf)
+		if uint(i-from) < uint(n) {
+			st.lat.lap()
+		}
+	}
+	st.buf, st.hash = buf, hash
+	st.pairs += int64(pairs)
+}
+
+// drainTick runs the readers over one tick's querier stream. The block
+// is the unit of everything but the join: a reader claims queryBlock
+// queriers through the atomic cursor, leases the epoch once for them,
+// observes it once, and stamps a fixed sample of them (serveBlock).
+func drainTick(states []*readerState, queryRect func(q uint32) geom.Rect, queriers []uint32) {
+	var cursor atomic.Int64
+	var g parutil.Group
+	for _, st := range states {
+		g.Go(func() {
+			for {
+				lo := int(cursor.Add(queryBlock)) - queryBlock
+				if lo >= len(queriers) {
+					return
+				}
+				st.serveBlock(queryRect, queriers[lo:min(lo+queryBlock, len(queriers))])
+			}
+		})
+	}
+	g.Wait()
 }
 
 // finishReaders merges the readers into res and verifies every
@@ -312,19 +432,21 @@ func finishReaders(res *ConcurrentResult, states []*readerState, oracle []map[ui
 			}
 		}
 		recs = append(recs, &st.lat)
+		res.QuerySamples += st.lat.count()
 	}
 	res.QueryP50, res.QueryP95, res.QueryP99 = latPercentiles(recs, latHist)
 }
 
 // runConcurrent overlaps each tick's query drain with its update batch:
 // one updater goroutine calls ApplyBatch while reader workers claim
-// blocks of the querier stream through an atomic cursor. Per-query
-// latencies are collected for the percentile series, and every query's
-// per-publication (epoch, digest) observations are checked against the
-// publish oracle. The oracle records EVERY publication's live epoch
-// after EVERY tick — including failed ones, because a tick where shard A
-// published and shard B exhausted retries is a valid engine state: A's
-// new epoch must be accepted, B's old epoch keeps serving.
+// blocks of the querier stream through an atomic cursor (drainTick). A
+// sample of per-query latencies is collected for the percentile series,
+// and the (epoch, digest) every query answered from is checked, per
+// publication, against the publish oracle. The oracle records EVERY
+// publication's live epoch after EVERY tick — including failed ones,
+// because a tick where shard A published and shard B exhausted retries
+// is a valid engine state: A's new epoch must be accepted, B's old epoch
+// keeps serving.
 func runConcurrent[M any](e *concurrentEngine[M], opts ConcurrentOptions) *ConcurrentResult {
 	readers := opts.Readers
 	if readers <= 0 {
@@ -340,7 +462,7 @@ func runConcurrent[M any](e *concurrentEngine[M], opts ConcurrentOptions) *Concu
 	res := &ConcurrentResult{Technique: e.name, Ticks: ticks, Readers: readers}
 	co := newConcObs(opts.Obs)
 	latHist := co.latHist()
-	states := newReaderStates(readers, e.publications, ticks, latHist)
+	states := newReaderStates(readers, e.publications, ticks, latHist, e.leaser)
 
 	oracle := make([]map[uint64]uint64, e.publications)
 	for i := range oracle {
@@ -376,34 +498,7 @@ func runConcurrent[M any](e *concurrentEngine[M], opts ConcurrentOptions) *Concu
 			return err
 		})
 
-		var cursor atomic.Int64
-		var g parutil.Group
-		for w := 0; w < readers; w++ {
-			st := states[w]
-			g.Go(func() {
-				queryAppend := e.reader(st.logs)
-				st.lat.start()
-				for {
-					lo := int(cursor.Add(queryBlock)) - queryBlock
-					if lo >= len(queriers) {
-						break
-					}
-					hi := lo + queryBlock
-					if hi > len(queriers) {
-						hi = len(queriers)
-					}
-					for _, q := range queriers[lo:hi] {
-						st.buf = queryAppend(e.queryRect(q), st.buf[:0])
-						for _, id := range st.buf {
-							st.pairs++
-							st.hash = MixPair(st.hash, q, id)
-						}
-						st.lat.lap()
-					}
-				}
-			})
-		}
-		g.Wait()
+		drainTick(states, e.queryRect, queriers)
 		err := <-updDone
 		e.commitBatch()
 		if err != nil {

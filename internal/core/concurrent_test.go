@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/epoch"
 	"repro/internal/faultutil"
+	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/workload"
 )
@@ -159,5 +160,49 @@ func TestRunBoxesConcurrentContract(t *testing.T) {
 	}
 	if res.Pairs == 0 || res.Queries == 0 {
 		t.Fatalf("empty run: %+v", res)
+	}
+}
+
+// appendOnly is an epoch index behind a decorator that forwards the
+// buffered query and not the lease — the shape of benchmark/'s traced
+// wrapper — so the driver binds its one-query adapter.
+type appendOnly struct{ core.EpochIndex }
+
+func (a appendOnly) QueryAppend(r geom.Rect, buf []uint32) ([]uint32, uint64, uint64) {
+	return a.EpochIndex.(core.EpochQueryAppender).QueryAppend(r, buf)
+}
+
+// TestConcurrentBlockDrainZeroAlloc pins the reader's steady state: a
+// block served through a real epoch.Index — lease, observation, 64
+// queries, sampled stamps, release — allocates nothing once the result
+// buffer has grown and the exact-sample array is full, leased or
+// adapted. (It lives here and not in zeroalloc_test.go because that file
+// is in package core, which epoch imports.)
+func TestConcurrentBlockDrainZeroAlloc(t *testing.T) {
+	defer core.SetMaxExactLatSamples(128)()
+	cfg := concurrentTestConfig()
+	gen := workload.MustNewGenerator(cfg)
+	queriers := make([]uint32, cfg.NumPoints)
+	for i := range queriers {
+		queriers[i] = uint32(i)
+	}
+	x := newEpochGrid(cfg)
+	x.Build(gen.Positions(nil))
+	if _, ok := core.EpochIndex(appendOnly{x}).(core.EpochLeaser); ok {
+		t.Fatal("the decorator forwards the lease; the adapter is not under test")
+	}
+	for name, idx := range map[string]core.EpochIndex{"leased": x, "adapted": appendOnly{x}} {
+		serve := core.NewBlockServer(idx, gen.QueryRect)
+		lo := 0
+		block := func() {
+			serve(queriers[lo : lo+64])
+			lo = (lo + 64) % (len(queriers) - 64)
+		}
+		for i := 0; i < 40; i++ {
+			block()
+		}
+		if allocs := testing.AllocsPerRun(100, block); allocs != 0 {
+			t.Errorf("%s: serving a block allocates %.2f times at steady state, want 0", name, allocs)
+		}
 	}
 }

@@ -104,8 +104,10 @@ var maxExactLatSamples = 1 << 14
 // latRecorder is one reader's latency collection: every observation
 // feeds the shared histogram; the first maxExactLatSamples are also
 // retained exactly. Observations come from a chain of completion
-// stamps (start, then one lap per query): a time.Now/time.Since pair
-// around each query is three vDSO clock reads, a lap is one.
+// stamps (start, then one lap per stamped query): a time.Now/time.Since
+// pair around each query is three vDSO clock reads, a stamp is one. The
+// concurrent driver opens one chain per claimed block and laps a run of
+// latSample queries.
 type latRecorder struct {
 	hist    *obs.Histogram
 	samples []time.Duration
@@ -114,10 +116,13 @@ type latRecorder struct {
 	prev    time.Duration
 }
 
-// start opens a chain of stamps on the calling worker.
+// start opens a chain of stamps on the calling worker: one monotonic
+// read against the base the recorder's first start fixed.
 func (l *latRecorder) start() {
-	l.base = time.Now()
-	l.prev = 0
+	if l.base.IsZero() {
+		l.base = time.Now()
+	}
+	l.prev = time.Since(l.base)
 }
 
 // lap records the interval since the previous stamp of the chain.
@@ -126,6 +131,9 @@ func (l *latRecorder) lap() {
 	l.record(now - l.prev)
 	l.prev = now
 }
+
+// count is how many observations the recorder has taken.
+func (l *latRecorder) count() int64 { return int64(len(l.samples)) + l.dropped }
 
 // record is called on the reader hot loop.
 func (l *latRecorder) record(d time.Duration) {

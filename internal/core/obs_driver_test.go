@@ -83,25 +83,70 @@ func TestInstrumentedRunDigestIdentical(t *testing.T) {
 	}
 }
 
+// tickCounts records how many queriers each tick of a source issued.
+type tickCounts struct {
+	workload.Source
+	perTick []int
+}
+
+func (c *tickCounts) Queriers() []uint32 {
+	q := c.Source.Queriers()
+	c.perTick = append(c.perTick, len(q))
+	return q
+}
+
 // TestRunConcurrentInstrumented drives the epoch-published concurrent
-// loop with a registry: the per-query latency histogram must account
-// for every query, the epoch lifecycle series must match Stats(), and
-// the contract (violations == 0) must hold while instrumented.
+// loop with a registry: the per-query latency histogram must hold
+// exactly the position sample — the first LatSample queries of every
+// claimed block, a count that repeats bit for bit whatever the readers'
+// interleaving — and every query when every query is stamped, the
+// queries counter must count every query either way, the epoch lifecycle
+// series must match Stats(), and the contract (violations == 0) must
+// hold while instrumented.
 func TestRunConcurrentInstrumented(t *testing.T) {
+	for name, every := range map[string]bool{"sampled": false, "every": true} {
+		t.Run(name, func(t *testing.T) {
+			if every {
+				defer core.StampEveryQuery()()
+			}
+			instrumentedRun(t, every)
+		})
+	}
+}
+
+func instrumentedRun(t *testing.T, every bool) {
 	cfg := concurrentTestConfig()
-	src, err := workload.NewGenerator(cfg)
+	gen, err := workload.NewGenerator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	src := &tickCounts{Source: gen}
 	x := newEpochGrid(cfg)
 	reg := obs.New()
 	res := core.RunConcurrent(x, src, core.ConcurrentOptions{Readers: 3, Obs: reg})
 	if res.Violations != 0 || res.FailedTicks != 0 {
 		t.Fatalf("instrumented run broke the contract: %+v", res)
 	}
+	var stamped, queries int64
+	for _, n := range src.perTick {
+		stamped += int64(core.StampedQueries(n))
+		queries += int64(n)
+	}
+	if every && stamped != queries {
+		t.Fatalf("stamping every query should stamp %d, formula says %d", queries, stamped)
+	}
+	if !every && stamped*4 > queries {
+		t.Fatalf("the sample is %d of %d queries; the stream is too short to tell it from all of them", stamped, queries)
+	}
 	snap := reg.Snapshot()
-	if got := snap.Histograms["core.concurrent.query_ns"].Count; got != uint64(res.Queries) {
-		t.Fatalf("query_ns histogram holds %d observations, want %d", got, res.Queries)
+	if got := snap.Histograms["core.concurrent.query_ns"].Count; got != uint64(stamped) {
+		t.Fatalf("query_ns histogram holds %d observations, want %d of %d queries", got, stamped, queries)
+	}
+	if res.QuerySamples != stamped {
+		t.Fatalf("QuerySamples = %d, want %d", res.QuerySamples, stamped)
+	}
+	if got := snap.Counters["core.concurrent.queries"]; got != queries || res.Queries != queries {
+		t.Fatalf("queries counter %d, result %d, source issued %d", got, res.Queries, queries)
 	}
 	if got := snap.Histograms["core.concurrent.apply_ns"].Count; got != uint64(res.Ticks) {
 		t.Fatalf("apply_ns histogram holds %d observations, want %d ticks", got, res.Ticks)

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
 
+	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/stats"
+	"repro/internal/workload"
 	"repro/internal/xrand"
 )
 
@@ -85,23 +88,121 @@ func TestLatRecorderExactPathUnderCap(t *testing.T) {
 }
 
 // TestLatRecorderLapsPartitionTheChain pins the chained-stamp contract:
-// n laps after one start record n intervals that add up to the time
-// from start to the last lap, none negative.
+// n laps after a start record n intervals that add up to the time from
+// that start to the last lap, none negative — for the recorder's first
+// chain and for a later one, which the laps before it must not leak into.
 func TestLatRecorderLapsPartitionTheChain(t *testing.T) {
 	l := latRecorder{hist: obs.NewHistogram()}
-	l.start()
-	for i := 0; i < 100; i++ {
-		l.lap()
-	}
-	var sum time.Duration
-	for _, d := range l.samples {
-		if d < 0 {
-			t.Fatalf("negative lap %v", d)
+	for chain := 0; chain < 2; chain++ {
+		l.start()
+		opened, first := l.prev, len(l.samples)
+		for i := 0; i < 100; i++ {
+			l.lap()
 		}
-		sum += d
+		var sum time.Duration
+		for _, d := range l.samples[first:] {
+			if d < 0 {
+				t.Fatalf("negative lap %v", d)
+			}
+			sum += d
+		}
+		if len(l.samples) != first+100 || sum != l.prev-opened {
+			t.Fatalf("chain %d: %d laps summing to %v, chain ran %v", chain, len(l.samples)-first, sum, l.prev-opened)
+		}
 	}
-	if len(l.samples) != 100 || sum != l.prev {
-		t.Fatalf("%d laps summing to %v, chain is at %v", len(l.samples), sum, l.prev)
+	if l.count() != 200 {
+		t.Fatalf("count() = %d after 200 laps", l.count())
+	}
+}
+
+// TestConcurrentLatSampleTracksEveryQuery is the evidence behind
+// sampling by position, and behind rotating the position. Every query of
+// a stream is stamped (latSample = queryBlock) as the readers drain it in
+// claimed blocks, and the p50 and p99 over the stamps sampleWindow would
+// have taken with the production constant are held against the same
+// run's p50 and p99 over all of them: within one histogram bucket width,
+// at 1 and 3 readers. One run gives both figures, so host noise between
+// runs is not in the comparison; what is left is sampling error on a
+// timed run, so a reader count gets three attempts before it fails (one
+// attempt in eighty misses on the reference host, none of 400 series all
+// three). A window fixed on the first eight places of the block fails
+// it every time: its p99 reads 18-25 % over the stream's.
+func TestConcurrentLatSampleTracksEveryQuery(t *testing.T) {
+	sample, oldCap := latSample, maxExactLatSamples
+	maxExactLatSamples = 1 << 20
+	defer func() { latSample, maxExactLatSamples = sample, oldCap }()
+
+	const blocks, passes = 101, 24
+	cfg := workload.DefaultUniform()
+	cfg.NumPoints = blocks * queryBlock // full blocks only: a stamp's index says its place in its block
+	cfg.SpaceSize = 7800                // the default stream's density
+	gen := workload.MustNewGenerator(cfg)
+	g := grid.MustNew(grid.CSR(), cfg.Bounds(), cfg.NumPoints)
+	g.Build(gen.Positions(nil))
+	queriers := make([]uint32, cfg.NumPoints)
+	// One never-republished epoch, leased through the adapter: the
+	// stamps are the same code whatever the lease is.
+	leaser := func([]epochLog) EpochLeaser { return queryLease(g.QueryAppend) }
+
+	attempt := func(readers int) (diffs []string) {
+		states := newReaderStates(readers, 1, 1, obs.NewHistogram(), leaser)
+		served := make([]int, readers) // blocks each reader had drained before the pass
+		var all, sampled []float64
+		for pass := 0; pass <= passes; pass++ {
+			// A new cut of the stream into blocks every pass: which
+			// queries a window lands on must not repeat, or the sample is
+			// the same few queries over and over and reads their cost.
+			for i := range queriers {
+				queriers[i] = uint32((i + 9*pass) % len(queriers))
+			}
+			latSample = queryBlock
+			drainTick(states, gen.QueryRect, queriers)
+			latSample = sample // sampleWindow below is the production one
+			for w, st := range states {
+				// Every block is full, so a reader's i-th stamp of the pass
+				// is place i%queryBlock of its (i/queryBlock)-th block. Pass 0
+				// grows the arrays and is not read; each later pass rewrites
+				// the same few pages of stamps, so what is timed is the
+				// queries and not the recorder's walk through cold memory.
+				stamps := st.lat.samples
+				if pass == 0 {
+					stamps = nil
+				}
+				for i, d := range stamps {
+					all = append(all, float64(d))
+					if from, n := sampleWindow(served[w]+i/queryBlock, queryBlock); uint(i%queryBlock-from) < uint(n) {
+						sampled = append(sampled, float64(d))
+					}
+				}
+				served[w] += len(st.lat.samples) / queryBlock
+				st.lat.samples = st.lat.samples[:0]
+			}
+		}
+		if len(all) != passes*len(queriers) || len(sampled)*queryBlock != len(all)*sample {
+			t.Fatalf("%d stamps, %d of them sampled, over %d queries", len(all), len(sampled), passes*len(queriers))
+		}
+		qs := []float64{0.50, 0.99}
+		want, got := stats.Percentiles(all, qs...), stats.Percentiles(sampled, qs...)
+		for i, q := range qs {
+			lo, hi := obs.BucketBounds(histBucketOf(int64(want[i])))
+			if math.Abs(got[i]-want[i]) > float64(hi-lo) {
+				diffs = append(diffs, fmt.Sprintf("p%.0f: %.0f ns over the sample, %.0f ns over every query, bucket width %d",
+					q*100, got[i], want[i], hi-lo))
+			}
+		}
+		return diffs
+	}
+	for _, readers := range []int{1, 3} {
+		var diffs []string
+		for try := 0; try < 3; try++ {
+			if diffs = attempt(readers); len(diffs) == 0 {
+				break
+			}
+			t.Logf("%d readers, attempt %d: %v", readers, try+1, diffs)
+		}
+		if len(diffs) != 0 {
+			t.Errorf("%d readers: the position sample does not track the stream: %v", readers, diffs)
+		}
 	}
 }
 

@@ -140,6 +140,27 @@ type EpochQueryAppender interface {
 	QueryAppend(r geom.Rect, buf []uint32) ([]uint32, uint64, uint64)
 }
 
+// EpochLease is a read lease on one published epoch: every QueryAppend
+// under it answers from the same immutable buffer, the one Epoch names,
+// whatever the writer publishes meanwhile. The writer cannot reuse that
+// buffer until Release, so a lease is held for a bounded run of queries
+// (the concurrent driver's block), never parked; each goroutine takes
+// its own.
+type EpochLease interface {
+	QueryAppender
+	// Epoch returns the leased epoch's number and consistency digest.
+	Epoch() (epoch, digest uint64)
+	// Release ends the lease. Exactly once: the lease is dead afterwards.
+	Release()
+}
+
+// EpochLeaser is the lease capability of an epoch-published index: the
+// pin that EpochQueryAppender pays per query, paid once per run of
+// queries. Lease returns nil before Build.
+type EpochLeaser interface {
+	Lease() EpochLease
+}
+
 // ShardedEpochQueryAppender is QueryAppender for the per-shard
 // epoch-published engines: the buffered analogue of
 // ShardedEpochIndex.Query, reporting each touched shard's observation

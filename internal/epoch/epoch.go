@@ -21,6 +21,15 @@
 // buffer), so no query ever observes a buffer under mutation: exactly
 // one epoch is visible per query.
 //
+// A pin is a lease (Lease, core.EpochLease): it is held for one query by
+// Query, QueryAppend and Len, and for a run of queries by a caller that
+// has one — the concurrent driver leases once per block of 64 queriers.
+// Every query under a lease answers from the leased epoch, so a late one
+// may answer from the epoch before the live one — never an older one:
+// quiesce waits out every lease on the retired buffer, one block long in
+// that driver, before ApplyBatch returns. README.md, "Publication
+// protocol", has the numbers.
+//
 // Because publishing leaves the new shadow one batch behind the new
 // live, the writer carries the published batch and lands it in the
 // shadow ahead of the next tick's batch (the catch-up protocol). There
@@ -247,8 +256,11 @@ func (x *pub[P, M]) Build(snap []P) {
 	x.live.Store(a)
 }
 
-// pin acquires a read lease on the live buffer.
-func (x *pub[P, M]) pin() *buffer[P] {
+// lease pins the live buffer — announce on its active count, confirm it
+// is still live, retry onto the new one otherwise — and returns it, nil
+// before Build. It is the package's one pin: every read below, the
+// exported Lease included, is this followed by Release.
+func (x *pub[P, M]) lease() *buffer[P] {
 	for {
 		b := x.live.Load()
 		if b == nil {
@@ -262,39 +274,74 @@ func (x *pub[P, M]) pin() *buffer[P] {
 	}
 }
 
+// Lease implements core.EpochLeaser: a read lease on the live epoch, for
+// a caller with a run of queries to answer (the concurrent driver's
+// block of 64). The buffer itself is the lease, so taking one allocates
+// nothing. Until Release the writer's quiesce waits on it and the lease
+// keeps answering from its epoch while newer ones publish: hold it for
+// a bounded run, not across anything that blocks. Nil before Build.
+func (x *pub[P, M]) Lease() core.EpochLease {
+	if b := x.lease(); b != nil {
+		return b
+	}
+	return nil
+}
+
+// QueryAppend implements core.EpochLease: one probe of the leased
+// epoch, straight onto the inner's resolved kernel.
+//
+//joinlint:hotpath
+func (b *buffer[P]) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
+	return b.queryAppend(r, buf)
+}
+
+// Epoch implements core.EpochLease.
+func (b *buffer[P]) Epoch() (uint64, uint64) { return b.epoch, b.digest }
+
+// Release implements core.EpochLease. A release nothing is pinned for —
+// a second Release of the same lease, once the other readers have gone —
+// panics and puts the count back instead of leaving it negative, where
+// the writer's quiesce would spin on it for ever.
+func (b *buffer[P]) Release() {
+	if b.active.Add(-1) < 0 {
+		b.active.Add(1)
+		panic("epoch: Release of a lease that is not held")
+	}
+}
+
 // Query implements core.EpochIndex / core.EpochBoxIndex: one lock-free
-// probe on the live epoch, returning the epoch number and consistency
-// digest it observed.
+// probe on the live epoch — a one-query lease — returning the epoch
+// number and consistency digest it observed.
 func (x *pub[P, M]) Query(r geom.Rect, emit func(id uint32)) (uint64, uint64) {
-	b := x.pin()
+	b := x.lease()
 	if b == nil {
 		return 0, 0
 	}
-	defer b.active.Add(-1)
+	defer b.Release()
 	b.idx.Query(r, emit)
 	return b.epoch, b.digest
 }
 
 // QueryAppend implements core.EpochQueryAppender: the buffered variant
-// of Query. The entire inner scan runs under one pin, so buf holds a
+// of Query. The entire inner scan runs under one lease, so buf holds a
 // consistent single-epoch result set.
 func (x *pub[P, M]) QueryAppend(r geom.Rect, buf []uint32) ([]uint32, uint64, uint64) {
-	b := x.pin()
+	b := x.lease()
 	if b == nil {
 		return buf, 0, 0
 	}
-	defer b.active.Add(-1)
+	defer b.Release()
 	buf = b.queryAppend(r, buf)
 	return buf, b.epoch, b.digest
 }
 
 // Len implements core.Counter for the live epoch.
 func (x *pub[P, M]) Len() int {
-	b := x.pin()
+	b := x.lease()
 	if b == nil {
 		return 0
 	}
-	defer b.active.Add(-1)
+	defer b.Release()
 	return b.length()
 }
 

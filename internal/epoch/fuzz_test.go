@@ -6,16 +6,16 @@ import (
 	"testing"
 
 	"repro/internal/faultutil"
-	"repro/internal/geom"
 	"repro/internal/xrand"
 )
 
-// FuzzEpochQueryDuringUpdate interleaves query goroutines with
+// FuzzEpochQueryDuringUpdate interleaves reader goroutines with
 // ApplyBatch/swap cycles under fuzzer-chosen seeds, batch sizes, and
-// fault schedules, asserting the publication contract: every query's
-// digest matches exactly one published epoch's oracle digest, and that
-// epoch is one of the (at most two) epochs adjacent to the query's
-// execution window — never a blend, never an unpublished state. The
+// fault schedules, asserting the publication contract: every lease a
+// reader takes — for 1 to 64 queries (stressLease) — names exactly one
+// published epoch's oracle digest from its first query to its last, and
+// that epoch is one of the (at most two) epochs adjacent to the moment
+// the lease was taken — never a blend, never an unpublished state. The
 // batch size also picks the apply path (bulkPays over 600 objects):
 // the corpus holds both sides of it, with and without faults.
 func FuzzEpochQueryDuringUpdate(f *testing.F) {
@@ -70,34 +70,29 @@ func FuzzEpochQueryDuringUpdate(f *testing.F) {
 			go func() {
 				defer g.Done()
 				rr := xrand.New(seed ^ (uint64(w)+1)*0x9e3779b97f4a7c15)
+				var buf []uint32
 				for !stop.Load() {
-					// Epochs published strictly before the query began.
+					// Epochs published strictly before the lease was taken.
 					mu.Lock()
 					before := uint64(len(digests)) - 1
 					mu.Unlock()
-					rect := geom.Square(geom.Pt(
-						rr.Range(testBounds.MinX, testBounds.MaxX),
-						rr.Range(testBounds.MinY, testBounds.MaxY)), 50)
-					e, d := x.Query(rect, func(uint32) {})
+					e, d := stressLease(x, rr, 50, &buf)
 					want, _, ok := lookup(e)
 					if !ok || want != d {
-						errc <- "query digest does not match any published epoch"
+						errc <- "leased digest does not match any published epoch"
 						return
 					}
-					// The observed epoch must be adjacent to the query
-					// window: at most one epoch older than the newest
-					// published when the query began (the swap target),
-					// and no older than... any published epoch is legal
-					// if the writer lagged, but it can never EXCEED what
-					// the oracle has announced, and it can never regress
-					// below the epoch live when the query started minus
+					// The leased epoch must be adjacent to the moment of
+					// the lease: it can never EXCEED what the oracle has
+					// announced (checked above), and it can never regress
+					// below the epoch live when the lease was taken minus
 					// the one concurrent swap.
 					if e+1 < before {
 						// The pin protocol reads the CURRENT live buffer;
 						// with one writer, at most one publish can race
-						// the pin, so the query can lag the announced
+						// the pin, so the lease can lag the announced
 						// head by at most one epoch.
-						errc <- "query observed an epoch older than the adjacent pair"
+						errc <- "lease taken on an epoch older than the adjacent pair"
 						return
 					}
 				}

@@ -13,6 +13,8 @@ var (
 	_ core.Counter            = (*BoxIndex)(nil)
 	_ core.EpochQueryAppender = (*Index)(nil)
 	_ core.EpochQueryAppender = (*BoxIndex)(nil)
+	_ core.EpochLeaser        = (*Index)(nil)
+	_ core.EpochLeaser        = (*BoxIndex)(nil)
 )
 
 // Index is the epoch-published wrapper around a point index: queries

@@ -5,10 +5,31 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/faultutil"
 	"repro/internal/geom"
 	"repro/internal/xrand"
 )
+
+// stressLease is one turn of a stress reader: a lease held for 1 to 64
+// queries (64 is the concurrent driver's block; 1 is what Query and
+// QueryAppend take), returning the (epoch, digest) it named when taken.
+// It must name the same pair after its last query: the writer may not
+// restamp a buffer somebody holds.
+func stressLease(x core.EpochLeaser, rr *xrand.Rand, ext float32, buf *[]uint32) (uint64, uint64) {
+	l := x.Lease()
+	e, d := l.Epoch()
+	for k := 1 + rr.Intn(64); k > 0; k-- {
+		*buf = l.QueryAppend(geom.Square(geom.Pt(
+			rr.Range(testBounds.MinX, testBounds.MaxX),
+			rr.Range(testBounds.MinY, testBounds.MaxY)), ext), (*buf)[:0])
+	}
+	if e2, d2 := l.Epoch(); e2 != e || d2 != d {
+		d = ^d2 // no published epoch's digest: the caller's check fails
+	}
+	l.Release()
+	return e, d
+}
 
 // TestRaceStressPointFamilies drives concurrent readers against the
 // publish loop for every point family. Run under -race this is the
@@ -35,11 +56,9 @@ func TestRaceStressPointFamilies(t *testing.T) {
 				go func() {
 					defer g.Done()
 					rr := xrand.New(200 + uint64(w))
+					var buf []uint32
 					for !stop.Load() {
-						rect := geom.Square(geom.Pt(
-							rr.Range(testBounds.MinX, testBounds.MaxX),
-							rr.Range(testBounds.MinY, testBounds.MaxY)), 40)
-						e, d := x.Query(rect, func(uint32) {})
+						e, d := stressLease(x, rr, 40, &buf)
 						mu.Lock()
 						want, ok := digests[e]
 						mu.Unlock()
@@ -93,11 +112,9 @@ func TestRaceStressBoxFamilies(t *testing.T) {
 				go func() {
 					defer g.Done()
 					rr := xrand.New(300 + uint64(w))
+					var buf []uint32
 					for !stop.Load() {
-						rect := geom.Square(geom.Pt(
-							rr.Range(testBounds.MinX, testBounds.MaxX),
-							rr.Range(testBounds.MinY, testBounds.MaxY)), 60)
-						e, d := x.Query(rect, func(uint32) {})
+						e, d := stressLease(x, rr, 60, &buf)
 						mu.Lock()
 						want, ok := digests[e]
 						mu.Unlock()
@@ -154,11 +171,9 @@ func TestRaceStressUnderFaults(t *testing.T) {
 		go func() {
 			defer g.Done()
 			rr := xrand.New(400 + uint64(w))
+			var buf []uint32
 			for !stop.Load() {
-				rect := geom.Square(geom.Pt(
-					rr.Range(testBounds.MinX, testBounds.MaxX),
-					rr.Range(testBounds.MinY, testBounds.MaxY)), 40)
-				e, d := x.Query(rect, func(uint32) {})
+				e, d := stressLease(x, rr, 40, &buf)
 				mu.Lock()
 				want, ok := digests[e]
 				mu.Unlock()

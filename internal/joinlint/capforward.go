@@ -38,8 +38,8 @@ type capContract struct {
 // instanceFor), so the point and the box engine are one row.
 var capContracts = []capContract{
 	{"IndexOf", []string{"QueryAppender", "ParallelBuilderOf", "BatchUpdaterOf"}},
-	{"EpochIndex", []string{"EpochQueryAppender"}},
-	{"EpochBoxIndex", []string{"EpochQueryAppender"}},
+	{"EpochIndex", []string{"EpochQueryAppender", "EpochLeaser"}},
+	{"EpochBoxIndex", []string{"EpochQueryAppender", "EpochLeaser"}},
 	{"ShardedEpochIndex", []string{"ShardedEpochQueryAppender"}},
 	{"ShardedEpochBoxIndex", []string{"ShardedEpochQueryAppender"}},
 }

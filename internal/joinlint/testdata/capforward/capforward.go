@@ -149,3 +149,24 @@ var (
 
 	_ core.BoxIndex = (*EmbeddedBoxWrap)(nil)
 )
+
+// AppendOnlyEpoch decorates an epoch-published index and forwards the
+// buffered query but not the lease: the concurrent driver would drop to
+// a pin per query behind it, so the analyzer must demand EpochLeaser.
+type AppendOnlyEpoch struct { // want `AppendOnlyEpoch satisfies core\.EpochIndex .* core\.EpochLeaser`
+	inner core.EpochIndex
+}
+
+func (w *AppendOnlyEpoch) Name() string           { return "appendonly" }
+func (w *AppendOnlyEpoch) Build(pts []geom.Point) { w.inner.Build(pts) }
+func (w *AppendOnlyEpoch) ApplyBatch(moves []geom.Move) (uint64, error) {
+	return w.inner.ApplyBatch(moves)
+}
+func (w *AppendOnlyEpoch) Epoch() (uint64, uint64) { return w.inner.Epoch() }
+func (w *AppendOnlyEpoch) Stats() core.EpochStats  { return w.inner.Stats() }
+func (w *AppendOnlyEpoch) Query(r geom.Rect, emit func(uint32)) (uint64, uint64) {
+	return w.inner.Query(r, emit)
+}
+func (w *AppendOnlyEpoch) QueryAppend(r geom.Rect, buf []uint32) ([]uint32, uint64, uint64) {
+	return w.inner.(core.EpochQueryAppender).QueryAppend(r, buf)
+}
