@@ -13,7 +13,7 @@ import (
 // digest is directly comparable across BoxIndex implementations.
 func RunBoxes(idx BoxIndex, src workload.BoxSource, opts Options) *Result {
 	obs.Instrument(idx, opts.Obs)
-	return runTicks(boxEngine(idx, src), opts)
+	return runTicks(boxEngine(idx, src), opts, 1)
 }
 
 // RunBoxesParallel is RunParallel for box indexes: every phase of the
@@ -22,7 +22,7 @@ func RunBoxes(idx BoxIndex, src workload.BoxSource, opts Options) *Result {
 // centre. The result digest matches RunBoxes bit for bit.
 func RunBoxesParallel(idx BoxIndex, src workload.BoxSource, opts Options, workers int) *Result {
 	obs.Instrument(idx, opts.Obs)
-	return runTicksParallel(boxEngine(idx, src), opts, workers)
+	return runTicks(boxEngine(idx, src), opts, workers)
 }
 
 // boxEngine is pointEngine for a box index over an MBR workload.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/geom"
@@ -395,23 +394,12 @@ func (st *readerState) drainBlock(l EpochLease, queryRect func(q uint32) geom.Re
 
 // drainTick runs the readers over one tick's querier stream. The block
 // is the unit of everything but the join: a reader claims queryBlock
-// queriers through the atomic cursor, leases the epoch once for them,
-// observes it once, and stamps a fixed sample of them (serveBlock).
+// queriers (forEachBlock), leases the epoch once for them, observes it
+// once, and stamps a fixed sample of them (serveBlock).
 func drainTick(states []*readerState, queryRect func(q uint32) geom.Rect, queriers []uint32) {
-	var cursor atomic.Int64
-	var g parutil.Group
-	for _, st := range states {
-		g.Go(func() {
-			for {
-				lo := int(cursor.Add(queryBlock)) - queryBlock
-				if lo >= len(queriers) {
-					return
-				}
-				st.serveBlock(queryRect, queriers[lo:min(lo+queryBlock, len(queriers))])
-			}
-		})
-	}
-	g.Wait()
+	forEachBlock(len(queriers), len(states), func(w, lo, hi int) {
+		states[w].serveBlock(queryRect, queriers[lo:hi])
+	})
 }
 
 // finishReaders merges the readers into res and verifies every
@@ -455,10 +443,7 @@ func runConcurrent[M any](e *concurrentEngine[M], opts ConcurrentOptions) *Concu
 	if readers < 1 {
 		readers = 1
 	}
-	ticks := e.ticks
-	if opts.Ticks > 0 && opts.Ticks < ticks {
-		ticks = opts.Ticks
-	}
+	ticks := clampTicks(opts.Ticks, e.ticks)
 	res := &ConcurrentResult{Technique: e.name, Ticks: ticks, Readers: readers}
 	co := newConcObs(opts.Obs)
 	latHist := co.latHist()

@@ -24,8 +24,9 @@ type Options struct {
 	// Kernel selects the query kernel: the zero value (KernelAuto)
 	// drains queries through the index's buffered QueryAppend when it
 	// has one and through the per-result callback otherwise; KernelEmit
-	// and KernelAppend force one or the other. The result digest is
-	// identical across kernels.
+	// and KernelAppend force one or the other, and KernelBatch drains
+	// each tick (each claimed block, under several workers) through
+	// QueryBatchOf. The result digest is identical across kernels.
 	Kernel QueryKernel
 	// Obs, when non-nil, receives per-tick phase histograms and driver
 	// counters, and is offered to the index under test (obs.Instrument)
@@ -143,7 +144,18 @@ func ParamsFor(cfg workload.Config) Params {
 //     the very end, so queries only ever saw the previous tick's state.
 func Run(idx Index, src workload.Source, opts Options) *Result {
 	obs.Instrument(idx, opts.Obs)
-	return runTicks(pointEngine(idx, src), opts)
+	return runTicks(pointEngine(idx, src), opts, 1)
+}
+
+// RunParallel executes the iterated join like Run but fans every phase of
+// the tick out over the given number of worker goroutines (0 selects
+// GOMAXPROCS); see runTicks for the schedule. Indexes implementing
+// ParallelBuilder build by sharded counting sort, and BatchUpdater
+// implementations get the worker count for the bulk update path Run
+// already takes.
+func RunParallel(idx Index, src workload.Source, opts Options, workers int) *Result {
+	obs.Instrument(idx, opts.Obs)
+	return runTicks(pointEngine(idx, src), opts, workers)
 }
 
 // pointEngine binds a point index and a point workload into the generic

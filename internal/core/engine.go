@@ -11,13 +11,6 @@ import (
 	"repro/internal/workload"
 )
 
-// This file holds the tick engine: the framework's three-phase loop,
-// generic over the object class P — geom.Point for the paper's point
-// workloads, geom.Rect for the MBR workloads of the non-point extension.
-// Run/RunParallel and RunBoxes/RunBoxesParallel are thin adapters that
-// bind an (index, source) pair into an engine; the phase structure,
-// timing, digesting, and the parallel schedule live here exactly once.
-
 // mortonBits is the per-axis resolution of the querier scheduling codes:
 // 256 x 256 is finer than the grids of cells the study's workloads tune to
 // (cps 64 to 192), so queriers that sort together share cells, and a code
@@ -33,19 +26,32 @@ const mortonBits = 8
 // the load balanced under spatial skew.
 const queryBlock = 64
 
-// parallelRefreshMin gates the parallel snapshot refresh; below this the
+// forEachBlock serves [0, n) to the given number of worker goroutines in
+// blocks of queryBlock claimed through one atomic cursor: fn(w, lo, hi)
+// runs on worker w for each block it claims, a contiguous run of the
+// caller's order, and skew cannot idle anyone. It returns once every
+// block is served; a panicking fn surfaces as a *parutil.WorkerPanic
+// after the other workers have returned.
+func forEachBlock(n, workers int, fn func(w, lo, hi int)) {
+	var cursor atomic.Int64
+	var g parutil.Group
+	for w := 0; w < workers; w++ {
+		g.Go(func() {
+			for {
+				lo := int(cursor.Add(queryBlock)) - queryBlock
+				if lo >= n {
+					return
+				}
+				fn(w, lo, min(lo+queryBlock, n))
+			}
+		})
+	}
+	g.Wait()
+}
+
+// parallelRefreshMin gates the sharded snapshot refresh; below this the
 // copy is memory-bandwidth-trivial and goroutine fork/join dominates.
 const parallelRefreshMin = 1 << 14
-
-// padded keeps each worker's accumulator on its own cache line. Workers
-// accumulate into locals and write here once per tick, but without the
-// padding those final writes (and the main goroutine's reads) still
-// false-share 16-byte neighbours.
-type padded struct {
-	pairs int64
-	hash  uint64
-	_     [48]byte
-}
 
 // engine adapts one object class to the tick loop. Every hook is
 // mandatory except buildParallel (nil when the index has no sharded
@@ -57,7 +63,7 @@ type engine[P any] struct {
 	bounds geom.Rect // data space, for the Morton querier schedule
 
 	// refresh copies the current base-table geometry of objects
-	// [lo, hi) into dst[lo:hi]; the parallel driver calls it per shard.
+	// [lo, hi) into dst[lo:hi]; several workers call it per shard.
 	refresh func(dst []P, lo, hi int)
 	// build / buildParallel (re)construct the index over the snapshot.
 	build         func(snap []P)
@@ -116,7 +122,7 @@ func newEngine[P any](idx IndexOf[P], src tickFeed, n int) *engine[P] {
 	return e
 }
 
-// kernel resolves the query kernel both tick loops drain through. Pair
+// kernel resolves the query kernel the tick loop drains through. Pair
 // collection observes individual emissions in order, so it takes the
 // callback whatever was asked for; KernelAuto is the buffered append
 // when the index has a native one and the callback otherwise (the
@@ -161,13 +167,13 @@ func updatePhaseOf[P, U, M any](
 	}
 }
 
-// clampTicks resolves the Options tick cap against the workload's count.
-func (e *engine[P]) clampTicks(opts Options) int {
-	ticks := opts.Ticks
-	if ticks <= 0 || ticks > e.ticks {
-		ticks = e.ticks
+// clampTicks resolves a driver's tick cap against the workload's count:
+// 0, or more than the workload has, runs them all.
+func clampTicks(asked, configured int) int {
+	if asked <= 0 || asked > configured {
+		return configured
 	}
-	return ticks
+	return asked
 }
 
 // cellSchedule is the drivers' query schedule: a tick's queriers sorted
@@ -201,10 +207,10 @@ func (s *cellSchedule[P]) order(snapshot []P, queriers []uint32) []uint32 {
 	return s.sorted
 }
 
-// trialTicks is the length of runTicks' opening trial of the query
-// schedule: tick 0 is plain and ignored (arenas and result buffers are
-// still growing), then trialPairs pairs of adjacent ticks, the first of
-// each pair cell-ordered and the second plain.
+// trialTicks is the length of a one-worker run's opening trial of the
+// query schedule: tick 0 is plain and ignored (arenas and result buffers
+// are still growing), then trialPairs pairs of adjacent ticks, the first
+// of each pair cell-ordered and the second plain.
 const (
 	trialPairs = 4
 	trialTicks = 1 + 2*trialPairs
@@ -247,47 +253,60 @@ func cellOrderPays(nsPerQuerier []float64) bool {
 	return wins >= trialPairs-1
 }
 
-// runTicks is the sequential driver: per tick one build, one probe per
-// querier, one update phase, timed separately (the framework of Sowell et
-// al. that the paper's experiments run inside).
+// runTicks is the framework's three-phase loop (Sowell et al., the loop
+// the paper's experiments run inside), written once over the object class
+// P — geom.Point for the paper's point workloads, geom.Rect for the MBR
+// workloads of the non-point extension — and once over a worker count:
+// Run / RunBoxes bind an engine and pass one worker, RunParallel /
+// RunBoxesParallel pass theirs (0 selects GOMAXPROCS; CollectPairs, whose
+// callers observe emission order, forces one). Per tick, each phase timed
+// separately:
+//
+//   - build: refresh the snapshot from the base table — in parallel shards
+//     when there are several workers and the snapshot is large enough to
+//     pay for the fork — and build the index over it, by the sharded
+//     counting sort of an index that has one (the CSR grids) when there
+//     are several workers;
+//   - query: one probe per querier through the kernel engine.kernel
+//     resolves, folded by a drainer per worker. One worker drains the tick
+//     inline. Several claim blocks of it through forEachBlock: the index is
+//     immutable between build and the first update, so queriers partition
+//     trivially;
+//   - update: the update phase, which hands the worker count to the
+//     index's bulk path when it has one.
 //
 // The probes of a tick run in querier-ID order — at random over the space
 // — or in cell order (cellSchedule; the sort is timed inside the query
-// phase). Which is cheaper depends on whether the index outgrows the
-// cache, and the result digest is order-independent, so the driver
-// measures instead of asking: over the first trialTicks ticks it
-// alternates the two and records the query phase's time per querier, and
-// from then on the run is cell-ordered iff cellOrderPays says so. Nothing
-// but those timings enters the choice. Under CollectPairs, whose callers
-// observe emission order, every tick stays in querier order.
-func runTicks[P any](e *engine[P], opts Options) *Result {
-	ticks := e.clampTicks(opts)
+// phase). Several workers always order: they claim contiguous blocks of
+// the order, so the schedule is also what keeps a worker on one part of
+// the index. One worker measures instead of asking, because which order
+// is cheaper depends on whether the index outgrows the cache: over the
+// first trialTicks ticks it alternates the two and records the query
+// phase's time per querier, and from then on the run is cell-ordered iff
+// cellOrderPays says so. Nothing but those timings enters the choice.
+// Under CollectPairs every tick stays in querier order.
+//
+// The result digest is order-independent, so every worker count and
+// either order report the same (Pairs, Hash) bit for bit. More than one
+// worker is an extension beyond the paper, whose study is single-threaded.
+func runTicks[P any](e *engine[P], opts Options, workers int) *Result {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if opts.CollectPairs != nil {
+		workers = 1
+	}
+	ticks := clampTicks(opts.Ticks, e.ticks)
 	res := &Result{Technique: e.name, Ticks: ticks}
 	if opts.KeepPerTick {
 		res.PerTick = make([]PhaseTimes, 0, ticks)
 	}
 	to := newTickObs(opts.Obs)
-
 	snapshot := make([]P, e.n)
-
-	pairs := int64(0)
-	hash := uint64(0)
-	kernel := e.kernel(opts)
-	var emitQ uint32
-	emit := func(id uint32) {
-		pairs++
-		hash = MixPair(hash, emitQ, id)
+	drainers := make([]*drainer[P], workers)
+	for w := range drainers {
+		drainers[w] = newDrainer(e, opts)
 	}
-	if opts.CollectPairs != nil {
-		collect := opts.CollectPairs
-		emit = func(id uint32) {
-			pairs++
-			hash = MixPair(hash, emitQ, id)
-			collect(emitQ, id)
-		}
-	}
-	var buf, offsets []uint32
-	var rects []geom.Rect
 
 	var sched *cellSchedule[P]
 	if opts.CollectPairs == nil && querySchedule != scheduleNever {
@@ -300,13 +319,21 @@ func runTicks[P any](e *engine[P], opts Options) *Result {
 		var pt PhaseTimes
 
 		start := time.Now()
-		e.refresh(snapshot, 0, len(snapshot))
-		e.build(snapshot)
+		if workers > 1 && len(snapshot) >= parallelRefreshMin {
+			parutil.ForEachShard(len(snapshot), workers, func(_, lo, hi int) { e.refresh(snapshot, lo, hi) })
+		} else {
+			e.refresh(snapshot, 0, len(snapshot))
+		}
+		if workers > 1 && e.buildParallel != nil {
+			e.buildParallel(snapshot, workers)
+		} else {
+			e.build(snapshot)
+		}
 		pt.Build = time.Since(start)
 
 		if sched != nil {
 			switch {
-			case querySchedule == scheduleAlways:
+			case workers > 1, querySchedule == scheduleAlways:
 				cellOrdered = true
 			case t < trialTicks:
 				cellOrdered = t%2 == 1
@@ -322,32 +349,10 @@ func runTicks[P any](e *engine[P], opts Options) *Result {
 		if cellOrdered {
 			queriers = sched.order(snapshot, queriers)
 		}
-		switch kernel {
-		case KernelEmit:
-			for _, q := range queriers {
-				emitQ = q
-				e.query(e.queryRect(q), emit)
-			}
-		case KernelBatch:
-			rects = rects[:0]
-			for _, q := range queriers {
-				rects = append(rects, e.queryRect(q))
-			}
-			offsets, buf = e.queryBatch(rects, offsets, buf)
-			for i, q := range queriers {
-				for _, id := range buf[offsets[i]:offsets[i+1]] {
-					pairs++
-					hash = MixPair(hash, q, id)
-				}
-			}
-		default: // KernelAppend: the buffered drain
-			for _, q := range queriers {
-				buf = e.queryAppend(e.queryRect(q), buf[:0])
-				for _, id := range buf {
-					pairs++
-					hash = MixPair(hash, q, id)
-				}
-			}
+		if workers == 1 {
+			drainers[0].drain(queriers)
+		} else {
+			forEachBlock(len(queriers), workers, func(w, lo, hi int) { drainers[w].drain(queriers[lo:hi]) })
 		}
 		pt.Query = time.Since(start)
 		res.Queries += int64(len(queriers))
@@ -356,7 +361,7 @@ func runTicks[P any](e *engine[P], opts Options) *Result {
 		}
 
 		start = time.Now()
-		updates := int64(e.updatePhase(snapshot, 1))
+		updates := int64(e.updatePhase(snapshot, workers))
 		res.Updates += updates
 		pt.Update = time.Since(start)
 
@@ -366,164 +371,99 @@ func runTicks[P any](e *engine[P], opts Options) *Result {
 			res.PerTick = append(res.PerTick, pt)
 		}
 	}
-	res.Pairs = pairs
-	res.Hash = hash
-	to.pairs.Add(pairs)
-	return res
-}
-
-// runTicksParallel fans every phase of the tick out over worker
-// goroutines. This is an extension beyond the paper, whose study is
-// single-threaded.
-//
-//   - build: the snapshot refresh is copied in parallel shards, and
-//     indexes with a parallel build hook (the CSR grids) build by sharded
-//     counting sort; others build sequentially as in runTicks.
-//   - query: the static index is immutable between build and the first
-//     update, so queriers partition trivially. Queriers are sorted by the
-//     Morton code of their scheduling position and workers claim
-//     contiguous blocks of that order through an atomic cursor: each
-//     worker sweeps the grid in cache-friendly Z-order while skew cannot
-//     idle anyone.
-//   - update: the update phase hands the worker count to the index's
-//     bulk path, when it has one.
-//
-// The order-independent result digest makes the outcome comparable with
-// sequential runs bit for bit.
-func runTicksParallel[P any](e *engine[P], opts Options, workers int) *Result {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 {
-		return runTicks(e, opts)
-	}
-	if opts.CollectPairs != nil {
-		// Pair collection is inherently ordered; fall back to the
-		// sequential driver rather than interleave callbacks.
-		return runTicks(e, opts)
-	}
-	ticks := e.clampTicks(opts)
-	res := &Result{Technique: e.name, Ticks: ticks}
-	if opts.KeepPerTick {
-		res.PerTick = make([]PhaseTimes, 0, ticks)
-	}
-	to := newTickObs(opts.Obs)
-	snapshot := make([]P, e.n)
-
-	kernel := e.kernel(opts)
-	sched := newCellSchedule(e)
-
-	parts := make([]padded, workers)
-
-	for t := 0; t < ticks; t++ {
-		var pt PhaseTimes
-
-		start := time.Now()
-		parallelRefresh(e, snapshot, workers)
-		if e.buildParallel != nil {
-			e.buildParallel(snapshot, workers)
-		} else {
-			e.build(snapshot)
-		}
-		pt.Build = time.Since(start)
-
-		start = time.Now()
-		queriers := e.queriers()
-		order := sched.order(snapshot, queriers)
-
-		var cursor atomic.Int64
-		var g parutil.Group
-		for w := 0; w < workers; w++ {
-			w := w
-			g.Go(func() {
-				var pairs int64
-				var hash uint64
-				// Per-worker result buffers: each claimed block drains
-				// through the buffered kernel with no shared state, and
-				// the buffers reach steady-state capacity within a tick.
-				var buf, offsets []uint32
-				var rects []geom.Rect
-				var emitQ uint32
-				emit := func(id uint32) {
-					pairs++
-					hash = MixPair(hash, emitQ, id)
-				}
-				for {
-					lo := int(cursor.Add(queryBlock)) - queryBlock
-					if lo >= len(order) {
-						break
-					}
-					hi := lo + queryBlock
-					if hi > len(order) {
-						hi = len(order)
-					}
-					block := order[lo:hi]
-					switch kernel {
-					case KernelEmit:
-						for _, q := range block {
-							emitQ = q
-							e.query(e.queryRect(q), emit)
-						}
-					case KernelBatch:
-						// A claimed block is a contiguous run of the
-						// Morton order — exactly the batch shape the
-						// kernel wants.
-						rects = rects[:0]
-						for _, q := range block {
-							rects = append(rects, e.queryRect(q))
-						}
-						offsets, buf = e.queryBatch(rects, offsets, buf)
-						for i, q := range block {
-							for _, id := range buf[offsets[i]:offsets[i+1]] {
-								pairs++
-								hash = MixPair(hash, q, id)
-							}
-						}
-					default: // KernelAppend
-						for _, q := range block {
-							buf = e.queryAppend(e.queryRect(q), buf[:0])
-							for _, id := range buf {
-								pairs++
-								hash = MixPair(hash, q, id)
-							}
-						}
-					}
-				}
-				parts[w].pairs = pairs
-				parts[w].hash = hash
-			})
-		}
-		g.Wait()
-		pt.Query = time.Since(start)
-		res.Queries += int64(len(queriers))
-		for w := range parts {
-			res.Pairs += parts[w].pairs
-			res.Hash += parts[w].hash
-		}
-
-		start = time.Now()
-		updates := int64(e.updatePhase(snapshot, workers))
-		res.Updates += updates
-		pt.Update = time.Since(start)
-
-		to.tick(pt, int64(len(queriers)), updates, true)
-		res.Totals.add(pt)
-		if opts.KeepPerTick {
-			res.PerTick = append(res.PerTick, pt)
-		}
+	for _, d := range drainers {
+		res.Pairs += d.pairs
+		res.Hash += d.hash
 	}
 	to.pairs.Add(res.Pairs)
 	return res
 }
 
-// parallelRefresh is the snapshot refresh fanned out over contiguous
-// shards.
-func parallelRefresh[P any](e *engine[P], dst []P, workers int) {
-	if len(dst) < parallelRefreshMin || workers <= 1 {
-		e.refresh(dst, 0, len(dst))
-		return
+// drainer is one query worker's state across a run: the kernel it drains
+// through, the buffers every query reuses (they reach steady-state
+// capacity within a tick, so a drain allocates nothing), the callback
+// kernel's emit, bound once, and the worker's tally. Everything in it is
+// written by its worker alone — the tally per result under the callback —
+// and a multi-worker run's drainers are neighbours in memory, so a cache
+// line of padding ends it: no two workers write the same line.
+type drainer[P any] struct {
+	e            *engine[P]
+	kernel       QueryKernel
+	emit         func(id uint32)
+	buf, offsets []uint32
+	rects        []geom.Rect
+	tally
+	_ [64]byte
+}
+
+// tally is a worker's running digest, and q the querier whose results
+// the callback is reporting. fold is the callback kernel's emit, bound as
+// a method value: the compiler inlines MixPair into the bound method of
+// a plain type, and not into a closure that a generic function builds
+// inside another it is inlined into.
+type tally struct {
+	q     uint32
+	pairs int64
+	hash  uint64
+}
+
+func (t *tally) fold(id uint32) {
+	t.pairs++
+	t.hash = MixPair(t.hash, t.q, id)
+}
+
+func newDrainer[P any](e *engine[P], opts Options) *drainer[P] {
+	d := &drainer[P]{e: e, kernel: e.kernel(opts)}
+	d.emit = d.fold
+	if collect := opts.CollectPairs; collect != nil {
+		d.emit = func(id uint32) {
+			d.fold(id)
+			collect(d.q, id)
+		}
 	}
-	parutil.ForEachShard(len(dst), workers, func(_, lo, hi int) {
-		e.refresh(dst, lo, hi)
-	})
+	return d
+}
+
+// drain probes the index once per querier and folds every match into the
+// drainer's digest. The callback arm folds through emit; the buffered
+// arms fold into locals and write them back once per call.
+//
+//joinlint:hotpath
+func (d *drainer[P]) drain(queriers []uint32) {
+	e := d.e
+	switch d.kernel {
+	case KernelEmit:
+		for _, q := range queriers {
+			d.q = q
+			e.query(e.queryRect(q), d.emit)
+		}
+	case KernelBatch:
+		// The call is one batch: a whole tick on one worker, a claimed
+		// block — a contiguous run of the Morton order — on several.
+		rects := d.rects[:0]
+		for _, q := range queriers {
+			rects = append(rects, e.queryRect(q))
+		}
+		d.rects = rects
+		d.offsets, d.buf = e.queryBatch(rects, d.offsets, d.buf)
+		pairs, hash := d.pairs, d.hash
+		for i, q := range queriers {
+			ids := d.buf[d.offsets[i]:d.offsets[i+1]]
+			for _, id := range ids {
+				hash = MixPair(hash, q, id)
+			}
+			pairs += int64(len(ids))
+		}
+		d.pairs, d.hash = pairs, hash
+	default: // KernelAppend
+		buf, pairs, hash := d.buf, d.pairs, d.hash
+		for _, q := range queriers {
+			buf = e.queryAppend(e.queryRect(q), buf[:0])
+			for _, id := range buf {
+				hash = MixPair(hash, q, id)
+			}
+			pairs += int64(len(buf))
+		}
+		d.buf, d.pairs, d.hash = buf, pairs, hash
+	}
 }

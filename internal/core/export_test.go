@@ -39,10 +39,10 @@ func NewBlockServer(x EpochIndex, queryRect func(q uint32) geom.Rect) func(block
 	return func(block []uint32) { st.serveBlock(queryRect, block) }
 }
 
-// SetCellOrdered pins the sequential driver's query order — every tick
-// cell-ordered, or every tick in querier order — in place of the measured
-// choice, so tests can hold the digest under either. Returns a restore
-// func.
+// SetCellOrdered pins the tick loop's query order at every worker count —
+// every tick cell-ordered, or every tick in querier order — in place of
+// the one-worker measured choice and the multi-worker cell order, so
+// tests can hold the digest under either. Returns a restore func.
 func SetCellOrdered(on bool) (restore func()) {
 	old := querySchedule
 	querySchedule = scheduleNever

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/grid"
+	"repro/internal/parutil"
 	"repro/internal/workload"
 )
 
@@ -190,6 +192,63 @@ func TestRunParallelCollectPairsFallsBack(t *testing.T) {
 	}, 4)
 	if collected != res.Pairs {
 		t.Fatalf("collector saw %d of %d pairs", collected, res.Pairs)
+	}
+}
+
+// TestForEachBlockClaimsEachIndexOnce holds the block claim both parallel
+// query phases share: every index is served exactly once, in blocks
+// aligned to queryBlock and at most that long, each by a worker in range;
+// a block that panics surfaces as a *parutil.WorkerPanic, and only after
+// the sibling workers have served every other block.
+func TestForEachBlockClaimsEachIndexOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 1000} {
+		for _, workers := range []int{1, 2, 3, 8} {
+			served := make([]atomic.Int32, n)
+			forEachBlock(n, workers, func(w, lo, hi int) {
+				if w < 0 || w >= workers || lo%queryBlock != 0 || hi <= lo || hi-lo > queryBlock || hi > n {
+					t.Errorf("n=%d workers=%d: worker %d served [%d, %d)", n, workers, w, lo, hi)
+					return
+				}
+				for i := lo; i < hi; i++ {
+					served[i].Add(1)
+				}
+			})
+			for i := range served {
+				if got := served[i].Load(); got != 1 {
+					t.Fatalf("n=%d workers=%d: index %d served %d times", n, workers, i, got)
+				}
+			}
+		}
+	}
+
+	const n, bad = 1000, 3 * queryBlock
+	for _, workers := range []int{2, 3, 8} {
+		served := make([]atomic.Int32, n)
+		func() {
+			defer func() {
+				v := recover()
+				if p, ok := v.(*parutil.WorkerPanic); !ok || p.Value != "bad block" {
+					t.Fatalf("workers=%d: recovered %v, want a *parutil.WorkerPanic of the block's panic", workers, v)
+				}
+			}()
+			forEachBlock(n, workers, func(w, lo, hi int) {
+				if lo == bad {
+					panic("bad block")
+				}
+				for i := lo; i < hi; i++ {
+					served[i].Add(1)
+				}
+			})
+		}()
+		for i := range served {
+			want := int32(1)
+			if i/queryBlock == bad/queryBlock {
+				want = 0
+			}
+			if got := served[i].Load(); got != want {
+				t.Fatalf("workers=%d: index %d served %d times when the panic surfaced, want %d", workers, i, got, want)
+			}
+		}
 	}
 }
 

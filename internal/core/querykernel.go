@@ -17,8 +17,8 @@ import (
 // A third, the batch kernel, was measured to tie or lose to the append
 // kernel in every family since it was written and has no implementation
 // left in this module: what remains of it — BatchQuerier, QueryBatchOf,
-// KernelBatch and the KernelBatch arms of runTicks / runTicksParallel —
-// is only what benchmark/ compiles against (its two *.query_batch_ns
+// KernelBatch and the KernelBatch arm of drainer.drain — is only what
+// benchmark/ compiles against (its two *.query_batch_ns
 // series and its traced wrapper, the one BatchQuerier there is).
 // ROADMAP item 1(b) drops those series and deletes all of it in the
 // same diff.

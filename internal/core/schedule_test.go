@@ -1,6 +1,6 @@
 package core_test
 
-// The sequential driver's query schedule: the choice is a pure function
+// The tick loop's query schedule: the one-worker choice is a pure function
 // of the trial samples, and either order leaves every digest where it was.
 
 import (
@@ -42,9 +42,10 @@ func TestCellOrderPays(t *testing.T) {
 }
 
 // TestDigestMatrixUnderEitherSchedule runs the sequential-vs-parallel
-// digest matrix, every kernel, with the sequential driver's query order
-// pinned each way: the order-independent digest must not notice, and the
-// gauge must say which order ran.
+// digest matrix, every kernel, with the tick loop's query order pinned
+// each way — at one worker and at three: the order-independent digest
+// must not notice, and the gauge must say which order ran. One worker
+// through RunParallel is Run, counters and all.
 func TestDigestMatrixUnderEitherSchedule(t *testing.T) {
 	cfg := obsTestConfig()
 	cfg.Ticks = 12 // past the trial, so the unpinned reference runs decide too
@@ -63,6 +64,11 @@ func TestDigestMatrixUnderEitherSchedule(t *testing.T) {
 		t.Fatal("reference runs found no pairs")
 	}
 	kernels := []core.QueryKernel{core.KernelAuto, core.KernelEmit, core.KernelAppend, core.KernelBatch}
+	unpinned := obs.New()
+	core.RunParallel(grid.MustNew(grid.CSR(), cfg.Bounds(), cfg.NumPoints), workload.NewPlayer(trace), core.Options{Obs: unpinned}, 3)
+	if got := unpinned.Snapshot().Gauges["core.tick.cell_ordered"]; got != 1 {
+		t.Errorf("RunParallel with 3 workers and the order not pinned: core.tick.cell_ordered = %d, want 1", got)
+	}
 
 	for _, on := range []bool{true, false} {
 		t.Run(fmt.Sprintf("cellOrdered=%v", on), func(t *testing.T) {
@@ -74,6 +80,12 @@ func TestDigestMatrixUnderEitherSchedule(t *testing.T) {
 						name, got.Pairs, got.Hash, got.Queries, ref.Pairs, ref.Hash, ref.Queries)
 				}
 			}
+			checkOrder := func(name string, reg *obs.Registry) {
+				t.Helper()
+				if got := reg.Snapshot().Gauges["core.tick.cell_ordered"]; (got == 1) != on {
+					t.Errorf("%s: core.tick.cell_ordered = %d with the order pinned to %v", name, got, on)
+				}
+			}
 			for _, k := range kernels {
 				for _, gc := range []grid.Config{grid.CPSTuned(), grid.CSR(), grid.CSRXY()} {
 					reg := obs.New()
@@ -81,22 +93,39 @@ func TestDigestMatrixUnderEitherSchedule(t *testing.T) {
 					idx := grid.MustNew(gc, cfg.Bounds(), cfg.NumPoints)
 					name := fmt.Sprintf("%s/%s", idx.Name(), k)
 					check(name+" Run", core.Run(idx, workload.NewPlayer(trace), opts), want)
-					if got := reg.Snapshot().Gauges["core.tick.cell_ordered"]; (got == 1) != on {
-						t.Errorf("%s: core.tick.cell_ordered = %d with the order pinned to %v", name, got, on)
-					}
-					check(name+" RunParallel", core.RunParallel(idx, workload.NewPlayer(trace), core.Options{Kernel: k}, 3), want)
+					checkOrder(name+" Run", reg)
+					preg := obs.New()
+					check(name+" RunParallel", core.RunParallel(idx, workload.NewPlayer(trace), core.Options{Kernel: k, Obs: preg}, 3), want)
+					checkOrder(name+" RunParallel", preg)
 				}
 				for _, idx := range []core.BoxIndex{
 					grid.MustNewBoxGrid(16, bcfg.Bounds(), bcfg.NumPoints),
 					grid.MustNewBoxGrid2L(16, bcfg.Bounds(), bcfg.NumPoints),
 					rtree.MustNewBoxTree(rtree.DefaultFanout),
 				} {
-					opts := core.Options{Kernel: k}
 					name := fmt.Sprintf("%s/%s", idx.Name(), k)
-					check(name+" RunBoxes", core.RunBoxes(idx, boxes(), opts), bwant)
-					check(name+" RunBoxesParallel", core.RunBoxesParallel(idx, boxes(), opts, 3), bwant)
+					check(name+" RunBoxes", core.RunBoxes(idx, boxes(), core.Options{Kernel: k}), bwant)
+					preg := obs.New()
+					check(name+" RunBoxesParallel", core.RunBoxesParallel(idx, boxes(), core.Options{Kernel: k, Obs: preg}, 3), bwant)
+					checkOrder(name+" RunBoxesParallel", preg)
 				}
 			}
+			// One worker through RunParallel is the loop Run drives: the
+			// same results, ticks kept and counters.
+			seq, one := obs.New(), obs.New()
+			idx := grid.MustNew(grid.CSR(), cfg.Bounds(), cfg.NumPoints)
+			a := core.Run(idx, workload.NewPlayer(trace), core.Options{KeepPerTick: true, Obs: seq})
+			b := core.RunParallel(idx, workload.NewPlayer(trace), core.Options{KeepPerTick: true, Obs: one}, 1)
+			check("RunParallel(1)", b, a)
+			if b.Updates != a.Updates || len(b.PerTick) != len(a.PerTick) {
+				t.Errorf("RunParallel(1): %d updates over %d ticks kept, Run %d over %d", b.Updates, len(b.PerTick), a.Updates, len(a.PerTick))
+			}
+			for _, c := range []string{"core.ticks", "core.queries", "core.updates", "core.pairs"} {
+				if got, want := one.Snapshot().Counters[c], seq.Snapshot().Counters[c]; got != want {
+					t.Errorf("RunParallel(1): %s = %d, Run's %d", c, got, want)
+				}
+			}
+			checkOrder("RunParallel(1)", one)
 			// An out-of-tree index with a batch kernel of its own: the one
 			// implementer of core.BatchQuerier left is benchmark's traced
 			// wrapper, in a module these tests do not see.

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/binsearch"
 	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/obs"
@@ -105,7 +106,50 @@ func TestSequentialUpdatePhaseZeroAlloc(t *testing.T) {
 	}
 }
 
-// The query schedule both tick loops share orders a tick's queriers in
+// The query drain of a one-worker tick — the whole query phase of the
+// benchmark's three stop-the-world workloads — allocates nothing at
+// steady state under every kernel the tick loop can resolve: the result
+// buffers are the drainer's, and the callback kernel's emit is bound
+// once per run.
+func TestTickDrainZeroAlloc(t *testing.T) {
+	cfg := workload.DefaultUniform()
+	cfg.NumPoints = 5000
+	cfg.SpaceSize = 6000
+	bcfg := workload.DefaultUniformBoxes()
+	bcfg.NumPoints = 3000
+	bcfg.SpaceSize = 6000
+	for _, k := range []QueryKernel{KernelAppend, KernelEmit, KernelBatch} {
+		csr := grid.MustNew(grid.CSR(), cfg.Bounds(), cfg.NumPoints)
+		assertZeroAllocDrain(t, pointEngine(csr, workload.MustNewGenerator(cfg)), Options{Kernel: k})
+		box := grid.MustNewBoxGrid2L(16, bcfg.Bounds(), bcfg.NumPoints)
+		assertZeroAllocDrain(t, boxEngine(box, workload.MustNewBoxGenerator(bcfg)), Options{Kernel: k})
+	}
+	bs := pointEngine(binsearch.New(), workload.MustNewGenerator(cfg))
+	if k := bs.kernel(Options{}); k != KernelEmit {
+		t.Fatalf("binsearch has no native QueryAppend, yet KernelAuto resolves to %s", k)
+	}
+	assertZeroAllocDrain(t, bs, Options{})
+}
+
+func assertZeroAllocDrain[P any](t *testing.T, e *engine[P], opts Options) {
+	t.Helper()
+	snap := make([]P, e.n)
+	e.refresh(snap, 0, len(snap))
+	e.build(snap)
+	queriers := e.queriers()
+	d := newDrainer(e, opts)
+	d.drain(queriers)
+	d.drain(queriers)
+	if d.pairs == 0 {
+		t.Fatalf("%s: a tick's drain found no pairs", e.name)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { d.drain(queriers) }); allocs != 0 {
+		t.Errorf("%s under %s: draining a tick of %d queriers allocates %.1f times at steady state, want 0",
+			e.name, d.kernel, len(queriers), allocs)
+	}
+}
+
+// The query schedule the tick loop uses orders a tick's queriers in
 // buffers sized once per driver call: what it returns is a permutation of
 // the queriers, non-decreasing in scheduling code, and producing it
 // allocates nothing. The instruments the loops record into allocate
