@@ -18,11 +18,15 @@
 // Queries run through one of two kernels (querykernel.go): the classic
 // per-result callback (IndexOf.Query) and the buffered append
 // (QueryAppender.QueryAppend, zero allocations per query at steady
-// state). The buffered kernel is an optional capability detected via
-// QueryAppendOf, so wrappers (epoch, shard, tune) forward it and an
-// index without one falls back to a callback adapter; Options.Kernel
-// selects the kernel a driver run uses. Both must report identical
-// result sets — only speed may differ.
+// state). Each family implements its query once: the grids, the R-trees
+// and the shard engines natively as QueryAppend, with Query derived from
+// it (package callback), and the paper's baseline contenders (binsearch,
+// crtree, kdtrie) and the BruteForce oracles natively as Query. The
+// buffered kernel is an optional capability detected via QueryAppendOf,
+// so wrappers (epoch, shard, tune) forward it and an index without one
+// falls back to a callback adapter; Options.Kernel selects the kernel a
+// driver run uses. Both must report identical result sets — only speed
+// may differ.
 package core
 
 import "repro/internal/geom"
@@ -52,10 +56,9 @@ import "repro/internal/geom"
 //   - A NaN coordinate makes the whole build unspecified: it poisons the
 //     MBRs of the tree families, which then miss in-contract neighbours;
 //     the audits of the layouts that inline coordinates compare their
-//     copies with != and report the NaN itself; and Query and
-//     QueryAppend of one index may disagree on whether it matches (the
-//     sign-bit filters of the append kernels admit NaN, Point.In does
-//     not).
+//     copies with != and report the NaN itself; and two indexes may
+//     disagree on whether it matches (the sign-bit filters of the append
+//     kernels admit NaN, Point.In does not).
 //
 // internal/bench's TestInputContractPoints / TestInputContractBoxes
 // assert exactly this over both lineups.

@@ -9,10 +9,14 @@ import (
 // This file defines the two query kernels: the paper's callback
 // (IndexOf.Query, one indirect call per result) and the buffered append
 // (QueryAppender, an optional capability: result IDs go into a
-// caller-reused buffer). QueryAppendOf lets drivers and wrappers bind
-// the buffered kernel of an index and fall back to an adapter over the
-// callback otherwise, so layering (epoch, shard, tune) never silently
-// changes results — only speed.
+// caller-reused buffer). A family implements one of them: every family
+// with a native QueryAppend derives its Query from it through
+// callback.Query, so its two kernels cannot disagree, and the paper's
+// baseline contenders and the oracles implement the callback alone.
+// QueryAppendOf lets drivers and wrappers bind the buffered kernel of an
+// index and fall back to an adapter over the callback otherwise, so
+// layering (epoch, shard, tune) never silently changes results — only
+// speed.
 //
 // A third, the batch kernel, was measured to tie or lose to the append
 // kernel in every family since it was written and has no implementation

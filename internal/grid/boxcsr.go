@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync/atomic"
 
+	"repro/internal/callback"
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/parutil"
@@ -313,10 +314,13 @@ func (bg *BoxGrid) BuildParallel(rects []geom.Rect, workers int) {
 	}
 }
 
-// Query implements core.BoxIndex: visit the cells overlapping r and
-// report every object whose MBR intersects r, exactly once.
+// Query implements core.BoxIndex: QueryAppend's result, one emit per ID.
+func (bg *BoxGrid) Query(r geom.Rect, emit func(id uint32)) { callback.Query(bg, r, emit) }
+
+// QueryAppend implements core.QueryAppender: visit the cells overlapping
+// r and append every object whose MBR intersects r, exactly once.
 //
-// Per candidate id in cell (cx, cy) the reference-cell test emits only
+// Per candidate id in cell (cx, cy) the reference-cell test passes only
 // when (cx, cy) is the first cell shared by the query's span and the
 // object's span — max(query.x0, span.x0) and likewise for y — so an
 // object replicated across k visited cells passes in exactly one of
@@ -326,24 +330,10 @@ func (bg *BoxGrid) BuildParallel(rects []geom.Rect, workers int) {
 // cell fully covered by r can hold a replica whose rect misses r by an
 // ulp, so unlike the point grid no cell skips the filter — the contract
 // is digest-identical agreement with the brute-force oracle.
-func (bg *BoxGrid) Query(r geom.Rect, emit func(id uint32)) {
+func (bg *BoxGrid) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 	bg.queries.Inc()
 	// The query's span comes from the same mapping as the cached object
 	// spans — the dedup test depends on the two never diverging.
-	q := bg.spanOf(r)
-	cps := bg.cps
-	for cy := int(q.y0); cy <= int(q.y1); cy++ {
-		base := cy * cps
-		for cx := int(q.x0); cx <= int(q.x1); cx++ {
-			bg.emitCell(base+cx, uint16(cx), uint16(cy), q.x0, q.y0, r, emit)
-		}
-	}
-}
-
-// QueryAppend implements core.QueryAppender: the same span walk as
-// Query with the dedup-and-intersect loop appending into buf.
-func (bg *BoxGrid) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
-	bg.queries.Inc()
 	q := bg.spanOf(r)
 	cps := bg.cps
 	for cy := int(q.y0); cy <= int(q.y1); cy++ {
@@ -370,25 +360,10 @@ func refCell(s cellSpan, cx, cy, qx0, qy0 uint16) bool {
 	return cx == rx && cy == ry
 }
 
-// emitCell reports cell c's residents that pass the reference-cell dedup
-// and intersect r. The dedup test runs first: for replicated objects it
-// rejects all but one cell before any coordinate load.
-func (bg *BoxGrid) emitCell(c int, cx, cy, qx0, qy0 uint16, r geom.Rect, emit func(id uint32)) {
-	b := bg.starts[c]
-	for _, id := range bg.ids[b : b+bg.counts[c]] {
-		if refCell(bg.spans[id], cx, cy, qx0, qy0) && bg.rects[id].Intersects(r) {
-			emit(id)
-		}
-	}
-	for _, id := range bg.overflow[c] {
-		if refCell(bg.spans[id], cx, cy, qx0, qy0) && bg.rects[id].Intersects(r) {
-			emit(id)
-		}
-	}
-}
-
-// appendCell is emitCell buffered: the same dedup-then-intersect loop
-// over the dense segment and the overflow, appending survivors.
+// appendCell appends cell c's residents that pass the reference-cell dedup
+// and intersect r, over the dense segment and the overflow. The dedup test
+// runs first: for replicated objects it rejects all but one cell before
+// any coordinate load.
 func (bg *BoxGrid) appendCell(c int, cx, cy, qx0, qy0 uint16, r geom.Rect, buf []uint32) []uint32 {
 	b := bg.starts[c]
 	for _, id := range bg.ids[b : b+bg.counts[c]] {

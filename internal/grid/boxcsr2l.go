@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync/atomic"
 
+	"repro/internal/callback"
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/parutil"
@@ -41,7 +42,7 @@ import (
 // cell mapping, a comparison between a query edge and a rect edge is
 // decided for free whenever their cell coordinates differ. In a cell
 // interior to Q (not in its first/last row/column), class A needs NO
-// comparison at all — the emit loop copies IDs straight out of the
+// comparison at all — the kernel copies IDs straight out of the
 // arena. On Q's boundary rows/columns the surviving comparisons read
 // coordinates inlined in four edge planes parallel to the ID arena (see
 // mx), each cell only the edges its place in Q leaves undecided, so the
@@ -54,7 +55,7 @@ import (
 // Updates maintain the class partition in place: removals cascade the
 // hole rightward through the class runs (one element move per run),
 // insertions cascade slack leftward, both O(4); post-build inserts that
-// find no slack land in a per-cell overflow emitted with the full
+// find no slack land in a per-cell overflow tested with the full
 // reference-cell + intersection predicate.
 //
 // BoxGrid2L implements core.BoxIndex, core.BoxParallelBuilder,
@@ -94,7 +95,7 @@ type BoxGrid2L struct {
 	rects []geom.Rect // the retained snapshot
 
 	// spans caches each object's cell span (recomputed on Update): the
-	// overflow emit path deduplicates with it and updates know which
+	// overflow path deduplicates with it and updates know which
 	// cells and classes to edit.
 	spans []cellSpan
 
@@ -488,99 +489,38 @@ func axisWindow(first, last bool, qmin, qmax float32) (lo, nhi float32) {
 	return lo, nhi
 }
 
-// Query implements core.BoxIndex: visit the cells overlapping r and
-// report every object whose MBR intersects r, exactly once, driving the
-// per-class emit loops described on the type. Each class reads only the
-// edge planes its predicate names; the base table is never touched.
-func (bg *BoxGrid2L) Query(r geom.Rect, emit func(id uint32)) {
-	bg.queries.Inc()
-	// The query's span comes from the same mapping as the stored class
-	// partition — the per-class predicates depend on the two never
-	// diverging.
-	q := bg.mapper.spanOf(r)
-	cps := bg.cps
-	half := 2 * bg.cells
-	qx0, qx1 := int(q.x0), int(q.x1)
-	qy0, qy1 := int(q.y0), int(q.y1)
-	for cy := qy0; cy <= qy1; cy++ {
-		firstRow, lastRow := cy == qy0, cy == qy1
-		loY, nhiY := axisWindow(firstRow, lastRow, r.MinY, r.MaxY)
-		base := cy * cps
-		for cx := qx0; cx <= qx1; cx++ {
-			c := base + cx
-			c2 := 2 * c
-			a0, aEnd := bg.starts[c], bg.ends[c2]
-			firstCol, lastCol := cx == qx0, cx == qx1
-			if !firstCol && !lastCol && !firstRow && !lastRow {
-				// Cell interior to the query span: every class-A replica
-				// is a guaranteed hit (its reference corner lies in a cell
-				// the query fully covers on both axes), and no other class
-				// can pass the reference-cell criterion here — emit the A
-				// run verbatim, skip B/C/D without looking.
-				for _, id := range bg.ids[a0:aEnd] {
-					emit(id)
-				}
-			} else {
-				loX, nhiX := axisWindow(firstCol, lastCol, r.MinX, r.MaxX)
-				// Class A: dedup-free everywhere; only the query-boundary
-				// edges still need a comparison.
-				for k := a0; k < aEnd; k++ {
-					if bg.mx[k] >= loX && bg.nx[k] >= nhiX && bg.my[k] >= loY && bg.ny[k] >= nhiY {
-						emit(bg.ids[k])
-					}
-				}
-				// Class B entered from the left: its reference cell under
-				// this query is in the first column, and MinX <= r.MaxX
-				// holds by construction (the span started in an earlier
-				// column).
-				if firstCol {
-					for k := aEnd; k < bg.ends[c2+1]; k++ {
-						if bg.mx[k] >= loX && bg.my[k] >= loY && bg.ny[k] >= nhiY {
-							emit(bg.ids[k])
-						}
-					}
-				}
-				// Class C entered from below: symmetric, first row only.
-				if firstRow {
-					for k := bg.ends[c2+1]; k < bg.ends[half+c2]; k++ {
-						if bg.my[k] >= loY && bg.mx[k] >= loX && bg.nx[k] >= nhiX {
-							emit(bg.ids[k])
-						}
-					}
-				}
-				// Class D entered diagonally: corner cell only, and only
-				// the max-corner comparisons survive.
-				if firstCol && firstRow {
-					for k := bg.ends[half+c2]; k < bg.ends[half+c2+1]; k++ {
-						if bg.mx[k] >= loX && bg.my[k] >= loY {
-							emit(bg.ids[k])
-						}
-					}
-				}
-			}
-			// Overflow (post-build inserts): position encodes no class, so
-			// fall back to the full reference-cell + intersection test.
-			if of := bg.overflow[c]; len(of) != 0 {
-				ofr := bg.overflowR[c]
-				for j, id := range of {
-					if refCell(bg.spans[id], uint16(cx), uint16(cy), q.x0, q.y0) && ofr[j].Intersects(r) {
-						emit(id)
-					}
-				}
-			}
-		}
-	}
-}
+// Query implements core.BoxIndex: QueryAppend's result, one emit per ID.
+func (bg *BoxGrid2L) Query(r geom.Rect, emit func(id uint32)) { callback.Query(bg, r, emit) }
 
-// QueryAppend implements core.QueryAppender: Query's result, appended
-// into buf. In a boundary cell the classes that can pass there are tested
-// as one contiguous run under class A's window wherever they are adjacent
-// in the arena: A‖B‖C‖D in the query's corner cell, A‖B in the rest of
-// its first column, A and then C in the rest of its first row, A alone
-// elsewhere. Against Query's per-class predicates this adds MinX <= hiX
-// for B and D and MinY <= hiY for C and D, both decided by the
-// monotonicity the type comment relies on (such a replica's span starts
-// in an earlier column / row than this cell), so the result is Query's.
+// QueryAppend implements core.QueryAppender: visit the cells of r's span
+// and append every object whose MBR intersects r, exactly once, reading
+// only the edge planes each class's predicate names — never the base
+// table. The span comes from the same mapping as the stored class
+// partition; the per-class predicates depend on the two never diverging.
+// In cell (cx, cy) of the span, with the query's window on each axis taken
+// from its edge where the cell is first or last in the span (axisWindow):
+//
+//   - class A passes under the full window, and in a cell interior to the
+//     span (first or last on neither axis) is a guaranteed hit: its
+//     reference corner lies in a cell the query covers on both axes;
+//   - class B (entered from the left) can pass only in the first column,
+//     where its reference cell under this query lies, and needs no
+//     MinX <= r.MaxX test: its span started in an earlier column;
+//   - class C (entered from below) likewise, in the first row only,
+//     without MinY <= r.MaxY;
+//   - class D (entered diagonally) only in the corner cell, and only its
+//     max-corner comparisons survive;
+//   - overflow (post-build inserts) encodes no class, so it takes the full
+//     reference-cell and intersection test (appendOverflow).
+//
+// In a boundary cell the classes that can pass are tested as one
+// contiguous run under class A's window wherever they are adjacent in the
+// arena: A‖B‖C‖D in the span's corner cell, A‖B in the rest of its first
+// column, A and then C in the rest of its first row, A alone elsewhere.
+// The full window adds MinX <= hiX for B and D and MinY <= hiY for C and
+// D, tests the monotonicity of the cell mapping decides (such a replica's
+// span starts in an earlier column / row than this cell), so the result
+// is the per-class predicates'.
 //
 // A span of two or more cells on both axes, walked here row by row, puts
 // a cell first or last on an axis, never both, so a run reads only the

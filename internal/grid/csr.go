@@ -532,36 +532,15 @@ func (st *csrStore) setXY(c int, id uint32, p geom.Point) {
 	}
 }
 
-func (st *csrStore) scanCell(c int, emit func(id uint32)) {
+// appendCell implements store: the cell's segment, then its overflow.
+func (st *csrStore) appendCell(c int, buf []uint32) []uint32 {
 	base := st.starts[c<<st.shift]
-	for _, id := range st.ids[base : base+st.counts[c]] {
-		emit(id)
-	}
-	for _, id := range st.overflow[c] {
-		emit(id)
-	}
+	buf = append(buf, st.ids[base:base+st.counts[c]]...)
+	return append(buf, st.overflow[c]...)
 }
 
-func (st *csrStore) filterCell(c int, r geom.Rect, emit func(id uint32)) {
-	if st.xy != nil {
-		st.filterCellXY(c, r, emit)
-		return
-	}
-	base := st.starts[c<<st.shift]
-	for _, id := range st.ids[base : base+st.counts[c]] {
-		if st.pts[id].In(r) {
-			emit(id)
-		}
-	}
-	for _, id := range st.overflow[c] {
-		if st.pts[id].In(r) {
-			emit(id)
-		}
-	}
-}
-
-// appendRow is the store's whole-row buffered kernel, and the one place
-// that chooses between its two shapes — by the arena's state, nothing else.
+// appendRow is the store's whole-row kernel, and the one place that
+// chooses between its two shapes — by the arena's state, nothing else.
 // The grid hands a CSR store its x range and edge table in columns.
 //
 // On a dense arena (and under ScanRange: Algorithm 1 keeps its per-cell
@@ -571,17 +550,17 @@ func (st *csrStore) filterCell(c int, r geom.Rect, emit func(id uint32)) {
 // copying is ONE branchless filter over the whole run; a y-contained span
 // of three or more columns is filter(left column), one bulk copy of the
 // interior columns, filter(right column). The interior is copied only under
-// the exact containment predicates of the callback walk, and the run is
-// filtered only when r's x-extent is ordered, so a NaN or inverted
-// rectangle returns what Query returns: nothing.
+// the exact containment predicates of the per-cell walk, and the run is
+// filtered only when the row intersects r and r's x-extent is ordered, so
+// a NaN or inverted rectangle returns what the walk returns: nothing.
 //
 //joinlint:hotpath
 //joinlint:bce
-func (st *csrStore) appendRow(r geom.Rect, base, xmin, xmax int, containsY bool, xs []float32, buf []uint32) []uint32 {
+func (st *csrStore) appendRow(r geom.Rect, base, xmin, xmax int, containsY, intersectsY bool, xs []float32, buf []uint32) []uint32 {
 	if !st.dense || !st.byRange {
-		return st.appendCells(r, base, xmin, xmax, containsY, xs, buf)
+		return st.appendCells(r, base, xmin, xmax, containsY, intersectsY, xs, buf)
 	}
-	if xmin > xmax {
+	if xmin > xmax || !intersectsY {
 		return buf
 	}
 	base <<= st.shift                         // the row's first column
@@ -599,16 +578,16 @@ func (st *csrStore) appendRow(r geom.Rect, base, xmin, xmax int, containsY bool,
 	return buf
 }
 
-// appendCells is the row kernel of an arena that is not dense, in whole
-// cells (the columns of xmin, xmax and xs are read a cell apart): contained
-// cells append their segment whole, CONSECUTIVE ones whose segments still
-// abut merging into a single copy, and boundary cells filter their segment
-// and their overflow. Nothing here goes through an interface call or a
-// callback.
+// appendCells is the row kernel of an arena that is not dense, and of
+// Algorithm 1, in whole cells (the columns of xmin, xmax and xs are read a
+// cell apart): contained cells append their segment whole, CONSECUTIVE
+// ones whose segments still abut merging into a single copy, and boundary
+// cells filter their segment and their overflow. Nothing here goes through
+// an interface call or a callback.
 //
 //joinlint:hotpath
 //joinlint:bce
-func (st *csrStore) appendCells(r geom.Rect, base, xmin, xmax int, containsY bool, xs []float32, buf []uint32) []uint32 {
+func (st *csrStore) appendCells(r geom.Rect, base, xmin, xmax int, containsY, intersectsY bool, xs []float32, buf []uint32) []uint32 {
 	ids, starts, counts, sh := st.ids, st.starts, st.counts, st.shift
 	xmin, xmax = xmin>>sh, xmax>>sh
 	var runLo, runHi uint32
@@ -628,7 +607,7 @@ func (st *csrStore) appendCells(r geom.Rect, base, xmin, xmax int, containsY boo
 			if of := st.overflow[c]; len(of) > 0 {
 				buf = append(buf, of...)
 			}
-		} else if x0 <= r.MaxX && r.MinX <= x1 {
+		} else if intersectsY && x0 <= r.MaxX && r.MinX <= x1 {
 			b := starts[c<<sh]
 			buf = st.appendFilter(r, b, b+counts[c], buf)
 			if of := st.overflow[c]; len(of) > 0 {

@@ -84,9 +84,7 @@ func TestCSROverflowInsertAndRefill(t *testing.T) {
 	if got := g.CellCount(geom.Pt(10, 10)); got != 3 {
 		t.Fatalf("cell count = %d, want 3", got)
 	}
-	seen := map[uint32]bool{}
-	cs.scanCell(0, func(id uint32) { seen[id] = true })
-	if len(seen) != 3 {
+	if seen := cs.appendCell(0, nil); len(seen) != 3 {
 		t.Fatalf("scan saw %v", seen)
 	}
 

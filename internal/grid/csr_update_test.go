@@ -112,8 +112,7 @@ func land(pts []geom.Point, moves []geom.Move) []geom.Point {
 }
 
 func cellMembers(cs *csrStore, c int) []uint32 {
-	var ids []uint32
-	cs.scanCell(c, func(id uint32) { ids = append(ids, id) })
+	ids := cs.appendCell(c, nil)
 	slices.Sort(ids)
 	return ids
 }

@@ -27,29 +27,6 @@ import (
 // into the index, which is why the paper declines the refinement and why
 // it stays an opt-in layout here.
 
-// filterCellXY is filterCell against the inlined coordinate arena: the
-// containment predicate reads xy[2k], xy[2k+1] instead of pts[id], so the
-// base table is never touched.
-func (st *csrStore) filterCellXY(c int, r geom.Rect, emit func(id uint32)) {
-	base := st.starts[c<<st.shift]
-	n := st.counts[c]
-	ids := st.ids[base : base+n]
-	xy := st.xy[2*base : 2*(base+n)]
-	for j, id := range ids {
-		x, y := xy[2*j], xy[2*j+1]
-		if x >= r.MinX && x <= r.MaxX && y >= r.MinY && y <= r.MaxY {
-			emit(id)
-		}
-	}
-	oxy := st.overflowXY[c]
-	for j, id := range st.overflow[c] {
-		x, y := oxy[2*j], oxy[2*j+1]
-		if x >= r.MinX && x <= r.MaxX && y >= r.MinY && y <= r.MaxY {
-			emit(id)
-		}
-	}
-}
-
 // appendFilterXY is appendFilterPts over the two sequential streams: slot
 // j of seg owns xy[2j], xy[2j+1], so the loop never touches memory outside
 // the two arenas. The loop is the reference; filterXY is its vector tier,

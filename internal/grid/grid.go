@@ -24,6 +24,7 @@ import (
 	"math"
 	"runtime"
 
+	"repro/internal/callback"
 	"repro/internal/geom"
 	"repro/internal/obs"
 )
@@ -214,21 +215,20 @@ type store interface {
 	// removeAt deletes entry id from cell c, reporting whether it was
 	// present.
 	removeAt(c int, id uint32) bool
-	// scanCell invokes emit for all entries of cell c (no filtering).
-	scanCell(c int, emit func(id uint32))
-	// filterCell invokes emit for entries of cell c contained in r.
-	filterCell(c int, r geom.Rect, emit func(id uint32))
-	// appendRow is the buffered counterpart of one directory row of the
-	// scanCellRange walk: for every cell [base+xmin, base+xmax] it appends
-	// the cell's entries whole when the cell is contained in r (only
-	// possible when containsY holds; the x-halves of the predicate are
-	// tested against xs) and test-and-appends otherwise. One interface
-	// call covers the whole row — the per-cell dispatch of the callback
-	// walk is the exact overhead the buffered kernel exists to kill, so
-	// it must not reappear here as a per-cell appendCell call. base is the
-	// row's first cell; xmin, xmax and xs are in the units of Grid.cols,
-	// which are cells for every layout but the CSR ones.
-	appendRow(r geom.Rect, base, xmin, xmax int, containsY bool, xs []float32, buf []uint32) []uint32
+	// appendCell appends every entry of cell c, unfiltered: the audit's
+	// per-cell reader (CheckInvariants).
+	appendCell(c int, buf []uint32) []uint32
+	// appendRow is one directory row of Algorithm 1's cell body, the one
+	// query kernel: for every cell [base+xmin, base+xmax] it appends the
+	// cell's entries whole when the cell is contained in r (only possible
+	// when containsY holds; the x-halves of the predicates are tested
+	// against xs), test-and-appends them when the cell intersects r (only
+	// possible when intersectsY holds) and skips the cell otherwise. One
+	// interface call covers the whole row: a per-cell dispatch is the
+	// overhead the buffered kernel exists to kill. base is the row's first
+	// cell; xmin, xmax and xs are in the units of Grid.cols, which are
+	// cells for every layout but the CSR ones.
+	appendRow(r geom.Rect, base, xmin, xmax int, containsY, intersectsY bool, xs []float32, buf []uint32) []uint32
 	cellCount(c int) int
 	memoryBytes() int64
 	totalEntries() int
@@ -499,101 +499,50 @@ func (g *Grid) UpdateBatch(moves []geom.Move, workers int) {
 	}
 }
 
-// Query implements core.Index, dispatching on the configured algorithm.
-func (g *Grid) Query(r geom.Rect, emit func(id uint32)) {
-	g.queries.Inc()
-	switch g.cfg.Scan {
-	case ScanFull:
-		g.queryFullScan(r, emit)
-	default:
-		g.queryRangeScan(r, emit)
-	}
-}
+// Query implements core.Index: QueryAppend's result, one emit per ID.
+func (g *Grid) Query(r geom.Rect, emit func(id uint32)) { callback.Query(g, r, emit) }
 
-// queryFullScan is Algorithm 1: traverse all grid cells one by one; report
-// whole cells fully contained in r, filter cells that merely intersect it.
-func (g *Grid) queryFullScan(r geom.Rect, emit func(id uint32)) {
-	g.scanCellRange(r, 0, g.cfg.CPS-1, 0, g.cfg.CPS-1, emit)
-}
-
-// queryRangeScan is Algorithm 2: compute the overlapping cell range from
-// the query corners and run the Algorithm 1 cell body over that range
-// only.
-func (g *Grid) queryRangeScan(r geom.Rect, emit func(id uint32)) {
-	xmin := g.axisCell(r.MinX - g.bounds.MinX)
-	xmax := g.axisCell(r.MaxX - g.bounds.MinX)
-	ymin := g.axisCell(r.MinY - g.bounds.MinY)
-	ymax := g.axisCell(r.MaxY - g.bounds.MinY)
-	g.scanCellRange(r, xmin, xmax, ymin, ymax, emit)
-}
-
-// scanCellRange runs lines 4-10 of Algorithm 1 over the inclusive cell
-// range: report whole cells fully contained in r, filter cells that
-// merely intersect it. The intersection test matters even under Algorithm
-// 2: when the query rectangle lies (partly) outside the space, clamping
-// can place edge cells in the range that do not actually overlap r.
-//
-// Cell rectangles come from the precomputed edge tables, and the y-axis
-// halves of the containment and intersection predicates are hoisted out
-// of the inner loop, so the per-cell work is two x comparisons per
-// predicate and no arithmetic. Every cell in the range is still visited
-// — Algorithm 1's defining cost is the full directory traversal, so
-// rows that cannot intersect r must not be skipped wholesale.
-func (g *Grid) scanCellRange(r geom.Rect, xmin, xmax, ymin, ymax int, emit func(id uint32)) {
-	cps := g.cfg.CPS
-	for cy := ymin; cy <= ymax; cy++ {
-		y0, y1 := g.ys[cy], g.ys[cy+1]
-		containsY := r.MinY <= y0 && y1 <= r.MaxY
-		intersectsY := y0 <= r.MaxY && r.MinY <= y1
-		base := cy * cps
-		for cx := xmin; cx <= xmax; cx++ {
-			x0, x1 := g.xs[cx], g.xs[cx+1]
-			c := base + cx
-			if containsY && r.MinX <= x0 && x1 <= r.MaxX {
-				g.st.scanCell(c, emit)
-			} else if intersectsY && x0 <= r.MaxX && r.MinX <= x1 {
-				g.st.filterCell(c, r, emit)
-			}
-		}
-	}
-}
-
-// QueryAppend implements core.QueryAppender: the same cell walk as
-// Query with results appended to buf — contained cells become straight
-// sub-slice appends (a copy for the CSR layout's dense segments) and
-// filtered cells tight test-and-append loops, with no per-result
-// indirect call anywhere.
+// QueryAppend implements core.QueryAppender, the grid's one query
+// algorithm in both of the paper's forms: ScanFull (Algorithm 1) runs the
+// cell body over the whole directory, ScanRange (Algorithm 2) over the
+// cells the query corners span. Contained cells become straight sub-slice
+// appends (a copy for the CSR layout's dense segments) and filtered cells
+// tight test-and-append loops, with no per-result indirect call anywhere.
 //
 //joinlint:hotpath
 func (g *Grid) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 	g.queries.Inc()
 	if g.cfg.Scan == ScanFull {
-		return g.scanCellRangeAppend(r, 0, g.cols.cps-1, 0, g.cfg.CPS-1, buf)
+		return g.scanCellRange(r, 0, g.cols.cps-1, 0, g.cfg.CPS-1, buf)
 	}
 	xmin := g.cols.axisCell(r.MinX - g.bounds.MinX)
 	xmax := g.cols.axisCell(r.MaxX - g.bounds.MinX)
 	ymin := g.axisCell(r.MinY - g.bounds.MinY)
 	ymax := g.axisCell(r.MaxY - g.bounds.MinY)
-	return g.scanCellRangeAppend(r, xmin, xmax, ymin, ymax, buf)
+	return g.scanCellRange(r, xmin, xmax, ymin, ymax, buf)
 }
 
-// scanCellRangeAppend is scanCellRange with the buffered row kernel:
-// the y-halves of the predicates are decided here, rows that cannot
-// overlap r are skipped, and each surviving row is handed to the store
-// in ONE interface call (the per-cell dispatch of the callback walk is
-// gone from the buffered path), its x range in the units of g.cols.
+// scanCellRange runs lines 4-10 of Algorithm 1 over the inclusive cell
+// range: append whole cells fully contained in r, filter cells that merely
+// intersect it. The intersection test matters even under Algorithm 2:
+// when the query rectangle lies (partly) outside the space, clamping can
+// place edge cells in the range that do not actually overlap r.
+//
+// The y-halves of the predicates are decided here, from the precomputed
+// edge tables, and every row goes to the store in ONE interface call, its
+// x range in the units of g.cols. No row is skipped, even one that cannot
+// intersect r: Algorithm 1's defining cost is the full directory
+// traversal, so under ScanFull every cell gets its cell test.
 //
 //joinlint:hotpath
-func (g *Grid) scanCellRangeAppend(r geom.Rect, xmin, xmax, ymin, ymax int, buf []uint32) []uint32 {
+func (g *Grid) scanCellRange(r geom.Rect, xmin, xmax, ymin, ymax int, buf []uint32) []uint32 {
 	cps := g.cfg.CPS
 	st := g.st
 	for cy := ymin; cy <= ymax; cy++ {
 		y0, y1 := g.ys[cy], g.ys[cy+1]
 		containsY := r.MinY <= y0 && y1 <= r.MaxY
-		if !containsY && !(y0 <= r.MaxY && r.MinY <= y1) {
-			continue
-		}
-		buf = st.appendRow(r, cy*cps, xmin, xmax, containsY, g.colXs, buf)
+		intersectsY := y0 <= r.MaxY && r.MinY <= y1
+		buf = st.appendRow(r, cy*cps, xmin, xmax, containsY, intersectsY, g.colXs, buf)
 	}
 	return buf
 }

@@ -327,18 +327,54 @@ func TestMemoryGrowsWithPoints(t *testing.T) {
 	}
 }
 
+// cellCounter wraps a grid's store and counts the directory cells the
+// query kernel hands it: every cell of every row appendRow covers, each of
+// which the store puts through Algorithm 1's cell test.
+type cellCounter struct {
+	store
+	shift uint // a cell is 1<<shift of appendRow's x units (columns, for CSR)
+	cells int
+}
+
+func (cc *cellCounter) appendRow(r geom.Rect, base, xmin, xmax int, containsY, intersectsY bool, xs []float32, buf []uint32) []uint32 {
+	cc.cells += xmax>>cc.shift - xmin>>cc.shift + 1
+	return cc.store.appendRow(r, base, xmin, xmax, containsY, intersectsY, xs, buf)
+}
+
 func TestScanAlgorithmsAgree(t *testing.T) {
 	// Algorithm 1 and Algorithm 2 must return identical results on the
-	// same structure — the refactoring changes cost, not semantics.
+	// same structure — the refactoring changes cost, not semantics — and
+	// each must pay its own cost: Algorithm 1 tests all CPS² directory
+	// cells, Algorithm 2 only the cells the query's corners span.
 	r := xrand.New(23)
 	pts := randomPoints(r, 2000, testBounds)
-	full := MustNew(Config{Layout: LayoutInline, Scan: ScanFull, BS: 4, CPS: 13}, testBounds, len(pts))
-	rng := MustNew(Config{Layout: LayoutInline, Scan: ScanRange, BS: 4, CPS: 13}, testBounds, len(pts))
-	full.Build(pts)
-	rng.Build(pts)
-	for i := 0; i < 100; i++ {
-		q := geom.Square(geom.Pt(r.Range(0, 1000), r.Range(0, 1000)), r.Range(1, 250))
-		sameSet(t, collect(rng, q), collect(full, q), "query "+itoa(i))
+	queries := make([]geom.Rect, 100)
+	for i := range queries {
+		queries[i] = geom.Square(geom.Pt(r.Range(-100, 1100), r.Range(-100, 1100)), r.Range(1, 250))
+	}
+	for _, layout := range []Layout{LayoutLinked, LayoutInline, LayoutInlineXY, LayoutIntrusive, LayoutCSR, LayoutCSRXY} {
+		for _, scan := range []Scan{ScanFull, ScanRange} {
+			cfg := Config{Layout: layout, Scan: scan, BS: 4, CPS: 13}
+			g := MustNew(cfg, testBounds, len(pts))
+			g.Build(pts)
+			cc := &cellCounter{store: g.st}
+			if g.csr != nil {
+				cc.shift = columnShift
+			}
+			g.st = cc
+			for i, q := range queries {
+				cc.cells = 0
+				sameSet(t, collect(g, q), bruteQuery(pts, q), cfg.DisplayName()+" query "+itoa(i))
+				want := cfg.CPS * cfg.CPS
+				if scan == ScanRange {
+					s := g.mapper.spanOf(q)
+					want = int(s.x1-s.x0+1) * int(s.y1-s.y0+1)
+				}
+				if cc.cells != want {
+					t.Fatalf("%s query %d %v: %d cells visited, want %d", cfg.DisplayName(), i, q, cc.cells, want)
+				}
+			}
+		}
 	}
 }
 

@@ -159,61 +159,17 @@ func (st *inlineStore) removeAt(c int, id uint32) bool {
 	return false
 }
 
-func (st *inlineStore) scanCell(c int, emit func(id uint32)) {
-	for b := st.cells[c]; b != nilOff; b = st.arena[b] {
-		n := st.arena[b+1]
-		for j := uint32(0); j < n; j++ {
-			emit(st.arena[b+2+j])
-		}
-	}
-}
-
-func (st *inlineStore) filterCell(c int, r geom.Rect, emit func(id uint32)) {
-	if st.withXY {
-		st.filterCellXY(c, r, emit)
-		return
-	}
-	for b := st.cells[c]; b != nilOff; b = st.arena[b] {
-		n := st.arena[b+1]
-		for j := uint32(0); j < n; j++ {
-			id := st.arena[b+2+j]
-			if st.pts[id].In(r) {
-				emit(id)
-			}
-		}
-	}
-}
-
-// filterCellXY checks containment against the coordinates stored in the
-// bucket itself, avoiding the base-table dereference entirely (the
-// locality refinement of Section 3.1 that the paper declines).
-func (st *inlineStore) filterCellXY(c int, r geom.Rect, emit func(id uint32)) {
-	for b := st.cells[c]; b != nilOff; b = st.arena[b] {
-		n := st.arena[b+1]
-		xy := b + 2 + uint32(st.bs)
-		for j := uint32(0); j < n; j++ {
-			p := geom.Point{
-				X: math.Float32frombits(st.arena[xy+2*j]),
-				Y: math.Float32frombits(st.arena[xy+2*j+1]),
-			}
-			if p.In(r) {
-				emit(st.arena[b+2+j])
-			}
-		}
-	}
-}
-
-// appendRow is the whole-row buffered kernel of the store interface:
-// the per-cell dispatch happens here as direct (inlinable) calls on the
-// concrete store instead of interface calls per cell.
-func (st *inlineStore) appendRow(r geom.Rect, base, xmin, xmax int, containsY bool, xs []float32, buf []uint32) []uint32 {
+// appendRow is the whole-row kernel of the store interface: the per-cell
+// dispatch happens here as direct (inlinable) calls on the concrete store
+// instead of interface calls per cell.
+func (st *inlineStore) appendRow(r geom.Rect, base, xmin, xmax int, containsY, intersectsY bool, xs []float32, buf []uint32) []uint32 {
 	x0 := xs[xmin]
 	for cx := xmin; cx <= xmax; cx++ {
 		x1 := xs[cx+1]
 		c := base + cx
 		if containsY && r.MinX <= x0 && x1 <= r.MaxX {
 			buf = st.appendCell(c, buf)
-		} else if x0 <= r.MaxX && r.MinX <= x1 {
+		} else if intersectsY && x0 <= r.MaxX && r.MinX <= x1 {
 			buf = st.appendFilterCell(c, r, buf)
 		}
 		x0 = x1
@@ -221,9 +177,8 @@ func (st *inlineStore) appendRow(r geom.Rect, base, xmin, xmax int, containsY bo
 	return buf
 }
 
-// appendCell is scanCell buffered: each bucket's ID slots are one
-// contiguous sub-slice of the arena, so a full bucket appends as a
-// single copy.
+// appendCell implements store: each bucket's ID slots are one contiguous
+// sub-slice of the arena, so a full bucket appends as a single copy.
 func (st *inlineStore) appendCell(c int, buf []uint32) []uint32 {
 	for b := st.cells[c]; b != nilOff; b = st.arena[b] {
 		n := st.arena[b+1]
@@ -232,11 +187,13 @@ func (st *inlineStore) appendCell(c int, buf []uint32) []uint32 {
 	return buf
 }
 
-// appendFilterCell is filterCell buffered, with branchless compaction
-// per bucket (see appendFilterPts for the sign trick): each
-// bucket's ID slots are contiguous, so the bucket is reserved whole and
-// survivors overwrite it in place, cursor advanced by the sign bit of
-// the containment test.
+// appendFilterCell appends the entries of cell c contained in r, with
+// branchless compaction per bucket (see appendFilterPts for the sign
+// trick): each bucket's ID slots are contiguous, so the bucket is reserved
+// whole and survivors overwrite it in place, cursor advanced by the sign
+// bit of the containment test. LayoutInlineXY tests the coordinates stored
+// in the bucket itself, never dereferencing the base table (the locality
+// refinement of Section 3.1 that the paper declines).
 func (st *inlineStore) appendFilterCell(c int, r geom.Rect, buf []uint32) []uint32 {
 	if st.withXY {
 		for b := st.cells[c]; b != nilOff; b = st.arena[b] {

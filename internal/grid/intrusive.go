@@ -115,30 +115,16 @@ func (st *intrusiveStore) removeAt(c int, id uint32) bool {
 	return true
 }
 
-func (st *intrusiveStore) scanCell(c int, emit func(id uint32)) {
-	for id := st.cells[c]; id != nilID; id = st.nodes[id].next {
-		emit(uint32(id))
-	}
-}
-
-func (st *intrusiveStore) filterCell(c int, r geom.Rect, emit func(id uint32)) {
-	for id := st.cells[c]; id != nilID; id = st.nodes[id].next {
-		if st.pts[id].In(r) {
-			emit(uint32(id))
-		}
-	}
-}
-
-// appendRow is the whole-row buffered kernel of the store interface:
-// direct per-cell calls on the concrete store, no interface dispatch.
-func (st *intrusiveStore) appendRow(r geom.Rect, base, xmin, xmax int, containsY bool, xs []float32, buf []uint32) []uint32 {
+// appendRow is the whole-row kernel of the store interface: direct
+// per-cell calls on the concrete store, no interface dispatch.
+func (st *intrusiveStore) appendRow(r geom.Rect, base, xmin, xmax int, containsY, intersectsY bool, xs []float32, buf []uint32) []uint32 {
 	x0 := xs[xmin]
 	for cx := xmin; cx <= xmax; cx++ {
 		x1 := xs[cx+1]
 		c := base + cx
 		if containsY && r.MinX <= x0 && x1 <= r.MaxX {
 			buf = st.appendCell(c, buf)
-		} else if x0 <= r.MaxX && r.MinX <= x1 {
+		} else if intersectsY && x0 <= r.MaxX && r.MinX <= x1 {
 			buf = st.appendFilterCell(c, r, buf)
 		}
 		x0 = x1
@@ -146,7 +132,7 @@ func (st *intrusiveStore) appendRow(r geom.Rect, base, xmin, xmax int, containsY
 	return buf
 }
 
-// appendCell is scanCell buffered.
+// appendCell implements store.
 func (st *intrusiveStore) appendCell(c int, buf []uint32) []uint32 {
 	for id := st.cells[c]; id != nilID; id = st.nodes[id].next {
 		buf = append(buf, uint32(id))
@@ -154,7 +140,7 @@ func (st *intrusiveStore) appendCell(c int, buf []uint32) []uint32 {
 	return buf
 }
 
-// appendFilterCell is filterCell buffered.
+// appendFilterCell appends the entries of cell c contained in r.
 func (st *intrusiveStore) appendFilterCell(c int, r geom.Rect, buf []uint32) []uint32 {
 	for id := st.cells[c]; id != nilID; id = st.nodes[id].next {
 		if st.pts[id].In(r) {

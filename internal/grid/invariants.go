@@ -45,8 +45,7 @@ func (g *Grid) CheckInvariants() error {
 	n := len(g.pts)
 	a := g.audit
 	if a == nil {
-		a = &occupancy{g: g}
-		a.visit = a.visitID
+		a = &occupancy{}
 		g.audit = a
 	}
 	if cap(a.seen) < n {
@@ -54,15 +53,18 @@ func (g *Grid) CheckInvariants() error {
 	}
 	a.seen = a.seen[:n]
 	clear(a.seen)
-	a.total, a.err = 0, nil
-	for a.cell = 0; a.cell < g.cells && a.err == nil; a.cell++ {
-		g.st.scanCell(a.cell, a.visit)
+	total := 0
+	for c := 0; c < g.cells; c++ {
+		a.cell = g.st.appendCell(c, a.cell[:0])
+		for _, id := range a.cell {
+			if err := g.checkOccupant(a.seen, id, c, uint32(total)); err != nil {
+				return err
+			}
+			total++
+		}
 	}
-	if a.err != nil {
-		return a.err
-	}
-	if a.total != n {
-		return fmt.Errorf("grid: %d entries stored, snapshot has %d", a.total, n)
+	if total != n {
+		return fmt.Errorf("grid: %d entries stored, snapshot has %d", total, n)
 	}
 	if l := g.Len(); l != n {
 		return fmt.Errorf("grid: Len() = %d, snapshot has %d", l, n)
@@ -70,40 +72,31 @@ func (g *Grid) CheckInvariants() error {
 	return nil
 }
 
-// occupancy is the state of one CheckInvariants pass. It lives on the
-// grid, with the cell visitor bound once as a method value, because the
-// epoch publisher audits the shadow before every publish: a fresh seen
-// table and one closure per cell were n bytes plus cps*cps heap objects
-// per tick of a running service.
+// occupancy is the reusable scratch of CheckInvariants: the seen table and
+// the cell being audited. It lives on the grid because the epoch publisher
+// audits the shadow before every publish, and a fresh seen table was n
+// bytes per tick of a running service.
 type occupancy struct {
-	g     *Grid
-	seen  []uint8
-	visit func(id uint32)
-	cell  int
-	total int
-	err   error
+	seen []uint8
+	cell []uint32
 }
 
-func (a *occupancy) visitID(id uint32) {
-	a.total++
-	if a.err != nil {
-		return
+// checkOccupant audits entry id, the nth the pass meets, as found in cell c.
+func (g *Grid) checkOccupant(seen []uint8, id uint32, c int, n uint32) error {
+	if int(id) >= len(seen) {
+		return fmt.Errorf("grid: cell %d holds id %d beyond snapshot size %d", c, id, len(seen))
 	}
-	g, c := a.g, a.cell
-	if int(id) >= len(a.seen) {
-		a.err = fmt.Errorf("grid: cell %d holds id %d beyond snapshot size %d", c, id, len(a.seen))
-		return
+	if seen[id] != 0 {
+		return fmt.Errorf("grid: id %d stored in more than one cell", id)
 	}
-	if a.seen[id] != 0 {
-		a.err = fmt.Errorf("grid: id %d stored in more than one cell", id)
-		return
-	}
-	a.seen[id] = 1
+	seen[id] = 1
 	if cs := g.csr; cs != nil {
-		a.err = cs.checkEntry(id, c, uint32(a.total-1))
-	} else if want := g.cellIndexFor(g.pts[id]); want != c {
-		a.err = fmt.Errorf("grid: id %d at %v stored in cell %d, want %d", id, g.pts[id], c, want)
+		return cs.checkEntry(id, c, n)
 	}
+	if want := g.cellIndexFor(g.pts[id]); want != c {
+		return fmt.Errorf("grid: id %d at %v stored in cell %d, want %d", id, g.pts[id], c, want)
+	}
+	return nil
 }
 
 // checkEntry audits entry id as the occupancy pass meets it, the nth it

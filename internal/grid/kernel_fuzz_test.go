@@ -15,7 +15,7 @@ import (
 // recycled between calls. The properties checked:
 //
 //  1. QueryAppend only appends — buf[:len(buf)] is untouched.
-//  2. The appended set matches Query's emissions (order-insensitive
+//  2. The appended set matches the brute-force oracle's (order-insensitive
 //     digest), regardless of the incoming buffer's length or capacity.
 //  3. A buffer that has already been through other queries (aliasing
 //     the same backing array) never contaminates later results.
@@ -23,8 +23,8 @@ func FuzzQueryAppendBufferReuse(f *testing.F) {
 	f.Add(uint64(1), uint16(300), float32(0.3), float32(0.4), float32(0.2), uint8(0))
 	f.Add(uint64(7), uint16(1000), float32(0.0), float32(0.9), float32(0.8), uint8(4))
 	f.Add(uint64(42), uint16(50), float32(0.5), float32(0.5), float32(0.05), uint8(2))
-	// Outside the window contract — "whatever Query returns": a NaN corner
-	// and an inverted rectangle (negative side), on both CSR layouts.
+	// Outside the window contract: a NaN corner and an inverted rectangle
+	// (negative side), on both CSR layouts, where the oracle finds nothing.
 	nan := float32(math.NaN())
 	f.Add(uint64(3), uint16(600), nan, float32(0.5), float32(0.9), uint8(4))
 	f.Add(uint64(3), uint16(600), float32(0.5), nan, float32(0.9), uint8(5))
@@ -46,6 +46,8 @@ func FuzzQueryAppendBufferReuse(f *testing.F) {
 		}
 		g := MustNew(Config{Layout: lay, Scan: ScanRange, BS: 8, CPS: 16}, bounds, len(pts))
 		g.Build(pts)
+		oracle := core.NewBruteForce()
+		oracle.Build(pts)
 
 		clampQ := func(v float32) float32 {
 			if v < 0 {
@@ -65,7 +67,7 @@ func FuzzQueryAppendBufferReuse(f *testing.F) {
 
 		var want uint64
 		wantN := 0
-		g.Query(r, func(id uint32) { want = core.MixPair(want, 0, id); wantN++ })
+		oracle.Query(r, func(id uint32) { want = core.MixPair(want, 0, id); wantN++ })
 
 		// A dirty prefix the kernel must preserve verbatim.
 		prefix := []uint32{0xdeadbeef, 0xcafebabe, 7}
@@ -82,7 +84,7 @@ func FuzzQueryAppendBufferReuse(f *testing.F) {
 			got = core.MixPair(got, 0, id)
 		}
 		if got != want || len(buf)-len(prefix) != wantN {
-			t.Fatalf("%s: QueryAppend digest %x (%d ids), Query digest %x (%d ids)",
+			t.Fatalf("%s: QueryAppend digest %x (%d ids), oracle digest %x (%d ids)",
 				g.Name(), got, len(buf)-len(prefix), want, wantN)
 		}
 
@@ -91,14 +93,14 @@ func FuzzQueryAppendBufferReuse(f *testing.F) {
 		r2 := geom.Square(geom.Point{X: clampQ(qy) * space, Y: clampQ(qx) * space}, side/2)
 		var want2 uint64
 		wantN2 := 0
-		g.Query(r2, func(id uint32) { want2 = core.MixPair(want2, 0, id); wantN2++ })
+		oracle.Query(r2, func(id uint32) { want2 = core.MixPair(want2, 0, id); wantN2++ })
 		buf = g.QueryAppend(r2, buf[:0])
 		var got2 uint64
 		for _, id := range buf {
 			got2 = core.MixPair(got2, 0, id)
 		}
 		if got2 != want2 || len(buf) != wantN2 {
-			t.Fatalf("%s: reused-buffer QueryAppend digest %x (%d ids), Query digest %x (%d ids)",
+			t.Fatalf("%s: reused-buffer QueryAppend digest %x (%d ids), oracle digest %x (%d ids)",
 				g.Name(), got2, len(buf), want2, wantN2)
 		}
 

@@ -192,34 +192,16 @@ func (st *linkedStore) removeAt(c int, id uint32) bool {
 	return false
 }
 
-func (st *linkedStore) scanCell(c int, emit func(id uint32)) {
-	for b := st.cells[c].head; b != nil; b = b.next {
-		for n := b.head; n != nil; n = n.next {
-			emit(n.id)
-		}
-	}
-}
-
-func (st *linkedStore) filterCell(c int, r geom.Rect, emit func(id uint32)) {
-	for b := st.cells[c].head; b != nil; b = b.next {
-		for n := b.head; n != nil; n = n.next {
-			if n.ptr.In(r) {
-				emit(n.id)
-			}
-		}
-	}
-}
-
-// appendRow is the whole-row buffered kernel of the store interface:
-// direct per-cell calls on the concrete store, no interface dispatch.
-func (st *linkedStore) appendRow(r geom.Rect, base, xmin, xmax int, containsY bool, xs []float32, buf []uint32) []uint32 {
+// appendRow is the whole-row kernel of the store interface: direct
+// per-cell calls on the concrete store, no interface dispatch.
+func (st *linkedStore) appendRow(r geom.Rect, base, xmin, xmax int, containsY, intersectsY bool, xs []float32, buf []uint32) []uint32 {
 	x0 := xs[xmin]
 	for cx := xmin; cx <= xmax; cx++ {
 		x1 := xs[cx+1]
 		c := base + cx
 		if containsY && r.MinX <= x0 && x1 <= r.MaxX {
 			buf = st.appendCell(c, buf)
-		} else if x0 <= r.MaxX && r.MinX <= x1 {
+		} else if intersectsY && x0 <= r.MaxX && r.MinX <= x1 {
 			buf = st.appendFilterCell(c, r, buf)
 		}
 		x0 = x1
@@ -227,9 +209,8 @@ func (st *linkedStore) appendRow(r geom.Rect, base, xmin, xmax int, containsY bo
 	return buf
 }
 
-// appendCell is scanCell buffered. The node walk is unchanged — the
-// original structure's pointer chasing is the point of this layout —
-// only the per-result callback is gone.
+// appendCell implements store. The node walk is the original
+// structure's: its pointer chasing is the point of this layout.
 func (st *linkedStore) appendCell(c int, buf []uint32) []uint32 {
 	for b := st.cells[c].head; b != nil; b = b.next {
 		for n := b.head; n != nil; n = n.next {
@@ -239,7 +220,7 @@ func (st *linkedStore) appendCell(c int, buf []uint32) []uint32 {
 	return buf
 }
 
-// appendFilterCell is filterCell buffered.
+// appendFilterCell appends the entries of cell c contained in r.
 func (st *linkedStore) appendFilterCell(c int, r geom.Rect, buf []uint32) []uint32 {
 	for b := st.cells[c].head; b != nil; b = b.next {
 		for n := b.head; n != nil; n = n.next {

@@ -127,12 +127,10 @@ func TestInlineStoreXYRoundtrip(t *testing.T) {
 	for i := range pts {
 		st.insertAt(0, uint32(i), pts[i])
 	}
-	// filterCellXY reads coordinates from the bucket, not the base:
+	// The xy filter reads coordinates from the bucket, not the base:
 	// corrupt the base to prove it.
 	pts[0] = geom.Pt(999, 999)
-	found := map[uint32]bool{}
-	st.filterCell(0, geom.R(0, 0, 10, 10), func(id uint32) { found[id] = true })
-	if !found[0] || !found[1] || !found[2] {
+	if found := st.appendFilterCell(0, geom.R(0, 0, 10, 10), nil); len(found) != 3 {
 		t.Fatalf("xy filtering lost entries: %v", found)
 	}
 }
@@ -151,12 +149,12 @@ func TestLinkedStoreArenaExhaustionFallsBack(t *testing.T) {
 	}
 	seen := map[uint32]bool{}
 	for c := 0; c < 4; c++ {
-		st.scanCell(c, func(id uint32) {
+		for _, id := range st.appendCell(c, nil) {
 			if seen[id] {
 				t.Fatalf("duplicate %d", id)
 			}
 			seen[id] = true
-		})
+		}
 	}
 	if len(seen) != 100 {
 		t.Fatalf("scan found %d of 100", len(seen))
@@ -198,8 +196,7 @@ func TestLinkedStoreRemoveMiddleOfList(t *testing.T) {
 	if !st.removeAt(0, 2) {
 		t.Fatal("entry 2 not found")
 	}
-	var order []uint32
-	st.scanCell(0, func(id uint32) { order = append(order, id) })
+	order := st.appendCell(0, nil)
 	want := []uint32{4, 3, 1, 0}
 	if len(order) != len(want) {
 		t.Fatalf("order = %v", order)

@@ -24,6 +24,7 @@ import (
 	"math"
 	"runtime"
 
+	"repro/internal/callback"
 	"repro/internal/geom"
 	"repro/internal/parutil"
 	"repro/internal/sortutil"
@@ -338,74 +339,16 @@ func (t *BoxTree) BuildParallel(rects []geom.Rect, workers int) {
 	t.packUpper()
 }
 
-// Query implements core.BoxIndex with an explicit-stack traversal over
-// the inlined entry MBRs; the base table is never dereferenced. Leaves
-// whose MBR is contained in r report their run without per-entry tests
+// Query implements core.BoxIndex: QueryAppend's result, one emit per ID.
+func (t *BoxTree) Query(r geom.Rect, emit func(id uint32)) { callback.Query(t, r, emit) }
+
+// QueryAppend implements core.QueryAppender with an explicit-stack
+// traversal over the inlined entry MBRs, results appended into buf; the
+// base table is never dereferenced. A leaf whose MBR is contained in r
+// contributes its entry run as one bulk copy, without per-entry tests
 // (entry rects are covered by the leaf MBR, so all intersect r). Each
-// object lives in exactly one leaf, so emission is duplicate-free by
-// construction.
-func (t *BoxTree) Query(r geom.Rect, emit func(id uint32)) {
-	if t.root < 0 {
-		return
-	}
-	// Worst-case occupancy is height*(fanout-1)+1; 256 covers any
-	// realistic configuration (fanout <= 64, height <= 5).
-	var stack [256]int32
-	top := 0
-	stack[top] = t.root
-	top++
-	for top > 0 {
-		top--
-		nd := &t.nodes[stack[top]]
-		if nd.leaf {
-			if r.ContainsRect(nd.mbr) {
-				for _, id := range t.entries[nd.first : nd.first+nd.count] {
-					emit(id)
-				}
-			} else {
-				for k := nd.first; k < nd.first+nd.count; k++ {
-					if t.entryRects[k].Intersects(r) {
-						emit(t.entries[k])
-					}
-				}
-			}
-			continue
-		}
-		for c := nd.first; c < nd.first+nd.count; c++ {
-			if r.Intersects(t.nodes[c].mbr) {
-				if top == len(stack) {
-					// Beyond any realistic height*fanout; fall back to
-					// recursion rather than overflow.
-					t.queryRec(c, r, emit)
-					continue
-				}
-				stack[top] = c
-				top++
-			}
-		}
-	}
-}
-
-func (t *BoxTree) queryRec(ni int32, r geom.Rect, emit func(id uint32)) {
-	nd := &t.nodes[ni]
-	if nd.leaf {
-		for k := nd.first; k < nd.first+nd.count; k++ {
-			if t.entryRects[k].Intersects(r) {
-				emit(t.entries[k])
-			}
-		}
-		return
-	}
-	for c := nd.first; c < nd.first+nd.count; c++ {
-		if r.Intersects(t.nodes[c].mbr) {
-			t.queryRec(c, r, emit)
-		}
-	}
-}
-
-// QueryAppend implements core.QueryAppender: the explicit-stack
-// traversal of Query with results appended into buf. A leaf fully
-// contained in r contributes its entry run as one bulk copy.
+// object lives in exactly one leaf, so the result is duplicate-free by
+// construction. The stack is sized as in Tree.QueryAppend.
 //
 //joinlint:hotpath
 func (t *BoxTree) QueryAppend(r geom.Rect, buf []uint32) []uint32 {

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/callback"
 	"repro/internal/geom"
 	"repro/internal/sortutil"
 )
@@ -229,76 +230,21 @@ func strTileOrder(level []node, slabSize int, idx, keys, scratch []uint32, reord
 	copy(level, reorder[:count])
 }
 
-// Query implements core.Index with an explicit-stack traversal. Nodes
-// fully contained in r report their subtree without per-point tests.
-func (t *Tree) Query(r geom.Rect, emit func(id uint32)) {
-	if t.root < 0 {
-		return
-	}
-	// Worst-case occupancy is height*(fanout-1)+1; 256 covers any
-	// realistic configuration (fanout <= 64, height <= 5).
-	var stack [256]int32
-	top := 0
-	stack[top] = t.root
-	top++
-	for top > 0 {
-		top--
-		nd := &t.nodes[stack[top]]
-		if nd.leaf {
-			if r.ContainsRect(nd.mbr) {
-				for _, id := range t.entries[nd.first : nd.first+nd.count] {
-					emit(id)
-				}
-			} else {
-				for _, id := range t.entries[nd.first : nd.first+nd.count] {
-					if t.pts[id].In(r) {
-						emit(id)
-					}
-				}
-			}
-			continue
-		}
-		for c := nd.first; c < nd.first+nd.count; c++ {
-			if r.Intersects(t.nodes[c].mbr) {
-				if top == len(stack) {
-					// Beyond any realistic height*fanout; fall back to
-					// recursion rather than overflow.
-					t.queryRec(c, r, emit)
-					continue
-				}
-				stack[top] = c
-				top++
-			}
-		}
-	}
-}
+// Query implements core.Index: QueryAppend's result, one emit per ID.
+func (t *Tree) Query(r geom.Rect, emit func(id uint32)) { callback.Query(t, r, emit) }
 
-func (t *Tree) queryRec(ni int32, r geom.Rect, emit func(id uint32)) {
-	nd := &t.nodes[ni]
-	if nd.leaf {
-		for _, id := range t.entries[nd.first : nd.first+nd.count] {
-			if t.pts[id].In(r) {
-				emit(id)
-			}
-		}
-		return
-	}
-	for c := nd.first; c < nd.first+nd.count; c++ {
-		if r.Intersects(t.nodes[c].mbr) {
-			t.queryRec(c, r, emit)
-		}
-	}
-}
-
-// QueryAppend implements core.QueryAppender: the explicit-stack
-// traversal of Query with results appended into buf. A leaf fully
-// contained in r contributes its entry run as one bulk copy.
+// QueryAppend implements core.QueryAppender with an explicit-stack
+// traversal, results appended into buf. A leaf fully contained in r
+// contributes its entry run as one bulk copy, without per-point tests.
 //
 //joinlint:hotpath
 func (t *Tree) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 	if t.root < 0 {
 		return buf
 	}
+	// Worst-case occupancy is height*(fanout-1)+1; 256 covers any
+	// realistic configuration (fanout <= 64, height <= 5), and deeper
+	// trees fall back to recursion rather than overflow.
 	var stack [256]int32
 	top := 0
 	stack[top] = t.root

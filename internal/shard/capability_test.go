@@ -14,7 +14,7 @@ import (
 // to the per-result callback path — correct, but the exact slowdown
 // this PR removes. These tests pin the forwarding at runtime: the
 // engines must still satisfy the capabilities after construction, and
-// the forwarded kernels must report the same result sets as Query.
+// the forwarded kernels must report the brute-force oracle's result sets.
 
 func TestPointEngineCapabilities(t *testing.T) {
 	cfg := testPointConfig()
@@ -25,9 +25,12 @@ func TestPointEngineCapabilities(t *testing.T) {
 	}
 
 	gen := workload.MustNewGenerator(cfg)
-	idx.Build(gen.Positions(nil))
+	pts := gen.Positions(nil)
+	idx.Build(pts)
+	oracle := core.NewBruteForce()
+	oracle.Build(pts)
 	rects := queryRects(gen.Queriers(), gen.QueryRect)
-	assertKernelsAgree(t, "shard.Index", idx.Query, idx.(core.QueryAppender).QueryAppend, rects)
+	assertMatchesOracle(t, "shard.Index", oracle.QueryAppend, idx.(core.QueryAppender).QueryAppend, rects)
 	assertZeroAllocSteadyState(t, "shard.Index", idx.(core.QueryAppender).QueryAppend, rects)
 }
 
@@ -40,9 +43,12 @@ func TestBoxEngineCapabilities(t *testing.T) {
 	}
 
 	gen := workload.MustNewBoxGenerator(cfg)
-	idx.Build(gen.Rects(nil))
+	boxes := gen.Rects(nil)
+	idx.Build(boxes)
+	oracle := core.NewBruteForceBoxes()
+	oracle.Build(boxes)
 	rects := queryRects(gen.Queriers(), gen.QueryRect)
-	assertKernelsAgree(t, "shard.BoxIndex", idx.Query, idx.(core.QueryAppender).QueryAppend, rects)
+	assertMatchesOracle(t, "shard.BoxIndex", oracle.QueryAppend, idx.(core.QueryAppender).QueryAppend, rects)
 	assertZeroAllocSteadyState(t, "shard.BoxIndex", idx.(core.QueryAppender).QueryAppend, rects)
 }
 
@@ -59,15 +65,15 @@ func TestConcurrentEngineCapabilities(t *testing.T) {
 	}
 
 	gen := workload.MustNewGenerator(cfg)
-	c.Build(gen.Positions(nil))
+	pts := gen.Positions(nil)
+	c.Build(pts)
+	oracle := core.NewBruteForce()
+	oracle.Build(pts)
 	rects := queryRects(gen.Queriers(), gen.QueryRect)
-	emitQ := func(r geom.Rect, emit func(id uint32)) {
-		c.Query(r, emit, observeNop)
-	}
 	appendQ := func(r geom.Rect, buf []uint32) []uint32 {
 		return qa.QueryAppend(r, buf, observeNop)
 	}
-	assertKernelsAgree(t, "shard.Concurrent", emitQ, appendQ, rects)
+	assertMatchesOracle(t, "shard.Concurrent", oracle.QueryAppend, appendQ, rects)
 	assertZeroAllocSteadyState(t, "shard.Concurrent", appendQ, rects)
 }
 
@@ -81,15 +87,15 @@ func TestBoxConcurrentEngineCapabilities(t *testing.T) {
 	}
 
 	gen := workload.MustNewBoxGenerator(cfg)
-	c.Build(gen.Rects(nil))
+	boxes := gen.Rects(nil)
+	c.Build(boxes)
+	oracle := core.NewBruteForceBoxes()
+	oracle.Build(boxes)
 	rects := queryRects(gen.Queriers(), gen.QueryRect)
-	emitQ := func(r geom.Rect, emit func(id uint32)) {
-		c.Query(r, emit, observeNop)
-	}
 	appendQ := func(r geom.Rect, buf []uint32) []uint32 {
 		return qa.QueryAppend(r, buf, observeNop)
 	}
-	assertKernelsAgree(t, "shard.BoxConcurrent", emitQ, appendQ, rects)
+	assertMatchesOracle(t, "shard.BoxConcurrent", oracle.QueryAppend, appendQ, rects)
 	assertZeroAllocSteadyState(t, "shard.BoxConcurrent", appendQ, rects)
 }
 
@@ -103,28 +109,30 @@ func queryRects(queriers []uint32, rectOf func(id uint32) geom.Rect) []geom.Rect
 	return rects
 }
 
-// assertKernelsAgree folds both kernels' result sets into
-// order-insensitive digests and demands equality per query.
-func assertKernelsAgree(t *testing.T, name string,
-	query func(r geom.Rect, emit func(id uint32)),
-	queryAppend func(r geom.Rect, buf []uint32) []uint32,
+// assertMatchesOracle folds the kernel's and the oracle's result sets
+// into order-insensitive digests and demands equality per query.
+func assertMatchesOracle(t *testing.T, name string,
+	oracle, queryAppend func(r geom.Rect, buf []uint32) []uint32,
 	rects []geom.Rect) {
 	t.Helper()
-	var buf []uint32
+	var buf, want []uint32
 	for i, r := range rects {
-		var want uint64
-		wantN := 0
-		query(r, func(id uint32) { want = core.MixPair(want, 0, id); wantN++ })
+		want = oracle(r, want[:0])
 		buf = queryAppend(r, buf[:0])
-		var got uint64
-		for _, id := range buf {
-			got = core.MixPair(got, 0, id)
-		}
-		if got != want || len(buf) != wantN {
-			t.Fatalf("%s query %d: QueryAppend digest %x (%d ids), Query digest %x (%d ids)",
-				name, i, got, len(buf), want, wantN)
+		if got, wantD := digest(buf), digest(want); got != wantD || len(buf) != len(want) {
+			t.Fatalf("%s query %d: QueryAppend digest %x (%d ids), oracle digest %x (%d ids)",
+				name, i, got, len(buf), wantD, len(want))
 		}
 	}
+}
+
+// digest folds ids order-insensitively.
+func digest(ids []uint32) uint64 {
+	var d uint64
+	for _, id := range ids {
+		d = core.MixPair(d, 0, id)
+	}
+	return d
 }
 
 // assertZeroAllocSteadyState warms the reused buffer to the workload's

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"unsafe"
 
+	"repro/internal/callback"
 	"repro/internal/core"
 	"repro/internal/epoch"
 	"repro/internal/geom"
@@ -35,7 +36,7 @@ type env[P comparable] struct {
 // index over local slot ids. It holds every object whose span covers it
 // — exactly the points inside it, a replica of every MBR overlapping it
 // — and it also implements core.Index / core.BoxIndex standalone (Build
-// self-partitions a full snapshot, Query always dedups), which is the
+// self-partitions a full snapshot, its queries always dedup), which is the
 // form the epoch wrapper consumes in the concurrent composition.
 type region[P comparable] struct {
 	*env[P]
@@ -157,42 +158,25 @@ func (s *region[P]) lidFor(id uint32) uint32 {
 	return NONE
 }
 
-// Query implements core.Index standalone: dedup is on whenever the
-// geometry replicates, so a fan-out union over regions is exactly-once.
-// The router calls query with dedup off when the window cannot straddle
-// regions.
-func (s *region[P]) Query(r geom.Rect, emit func(id uint32)) {
-	s.query(r, emit, s.geo.replicates())
-}
+// Query implements core.Index standalone: QueryAppend's result, one emit
+// per ID.
+func (s *region[P]) Query(r geom.Rect, emit func(id uint32)) { callback.Query(s, r, emit) }
 
-// query is the callback kernel: the inner emits local slots, the region
-// translates to global ids and filters parked slots — and, under dedup,
-// replicas whose reference point another region owns.
-func (s *region[P]) query(r geom.Rect, emit func(id uint32), dedup bool) {
-	if dedup {
-		s.geo.refEmit(s, r, emit)
-		return
-	}
-	owner := s.owner
-	s.inner.Query(r, func(lid uint32) {
-		if g := owner[lid]; g != NONE {
-			emit(g)
-		}
-	})
-}
-
-// QueryAppend implements core.QueryAppender standalone (see Query).
+// QueryAppend implements core.QueryAppender standalone: dedup is on
+// whenever the geometry replicates, so a fan-out union over regions is
+// exactly-once. The router calls queryAppend with dedup off when the
+// window cannot straddle regions.
 //
 //joinlint:hotpath
 func (s *region[P]) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 	return s.queryAppend(r, buf, s.geo.replicates())
 }
 
-// queryAppend is the buffered kernel: the inner appends local slots to
-// the tail of buf, then the region compacts that tail in place —
+// queryAppend is the region's query kernel: the inner appends local slots
+// to the tail of buf, then the region compacts that tail in place —
 // translating slots to global ids and dropping parked slots (and, under
-// dedup, unowned replicas) — so the whole path does zero allocations
-// once buf has capacity.
+// dedup, replicas whose reference point another region owns) — so the
+// whole path does zero allocations once buf has capacity.
 //
 //joinlint:hotpath
 func (s *region[P]) queryAppend(r geom.Rect, buf []uint32, dedup bool) []uint32 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 
+	"repro/internal/callback"
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/parutil"
@@ -259,25 +260,17 @@ func (x *router[P, M]) buildWith(all []P, workers int) {
 	})
 }
 
-// Query implements core.Index: clip the window to the lattice span and
-// fan out to the overlapped regions. A single query touches few regions
-// (usually one), so the fan-out runs inline on the caller's goroutine —
-// batch parallelism comes from the driver striping queriers across
-// workers. Regions dedup only when the geometry replicates AND the
-// window straddles regions; otherwise their results are disjoint as
-// they stand.
-func (x *router[P, M]) Query(r geom.Rect, emit func(id uint32)) {
-	s := x.lat.spanOf(r)
-	x.ins.fanout.Record(int64(s.cells()))
-	dedup := x.geo.replicates() && s.cells() > 1
-	for w := s.walk(); w.more(); w = w.next() {
-		x.regs[x.lat.id(w.cx, w.cy)].query(r, emit, dedup)
-	}
-}
+// Query implements core.Index: QueryAppend's result, one emit per ID.
+func (x *router[P, M]) Query(r geom.Rect, emit func(id uint32)) { callback.Query(x, r, emit) }
 
-// QueryAppend implements core.QueryAppender: the buffered fan-out, with
-// the same dedup rule as Query. Region contributions are disjoint, so
-// concatenating them into one buffer needs no post-merge.
+// QueryAppend implements core.QueryAppender: clip the window to the
+// lattice span and fan out to the overlapped regions. A single query
+// touches few regions (usually one), so the fan-out runs inline on the
+// caller's goroutine — batch parallelism comes from the driver striping
+// queriers across workers. Regions dedup only when the geometry
+// replicates AND the window straddles regions; otherwise their results
+// are disjoint as they stand. Either way region contributions are
+// disjoint, so concatenating them into one buffer needs no post-merge.
 //
 //joinlint:hotpath
 func (x *router[P, M]) QueryAppend(r geom.Rect, buf []uint32) []uint32 {

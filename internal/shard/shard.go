@@ -215,11 +215,9 @@ type geo[P comparable] struct {
 	sample func(all []P, bounds geom.Rect, h core.WorkloadHints) tune.Stats
 	choose func(s tune.Stats) tune.Choice
 	build  func(c tune.Choice, p core.Params) core.IndexOf[P]
-	// refEmit and refAppend are the reference-point filters of the two
-	// query kernels (see refPoint). Non-nil exactly when objects
-	// replicate across regions; a geometry that spans one region has
-	// nothing to dedup and never runs them.
-	refEmit   func(s *region[P], r geom.Rect, emit func(id uint32))
+	// refAppend is the reference-point filter (see refPoint). Non-nil
+	// exactly when objects replicate across regions; a geometry that
+	// spans one region has nothing to dedup and never runs it.
 	refAppend func(s *region[P], r geom.Rect, buf []uint32, tail int) []uint32
 }
 
@@ -244,7 +242,6 @@ var boxGeo = &geo[geom.Rect]{
 	sample:    tune.SampleBoxes,
 	choose:    tune.ChooseBox,
 	build:     tune.Choice.NewBoxIndex,
-	refEmit:   refEmit,
 	refAppend: refAppend,
 }
 
@@ -264,32 +261,10 @@ func refPoint(r, b geom.Rect) (float32, float32) {
 	return x, y
 }
 
-// refEmit is the callback kernel's boundary-ownership filter: of the
-// inner's candidates, report the live ones whose reference point this
+// refAppend is the boundary-ownership filter: it compacts buf[tail:]
+// (local slots from the inner) in place through the owner and
+// reference-point tests, keeping the live ones whose reference point this
 // region owns.
-func refEmit(s *region[geom.Rect], r geom.Rect, emit func(id uint32)) {
-	owner, rects := s.owner, s.items
-	var filtered int64
-	s.inner.Query(r, func(lid uint32) {
-		g := owner[lid]
-		if g == NONE {
-			return
-		}
-		rx, ry := refPoint(r, rects[lid])
-		if s.lat.idOf(rx, ry) == s.sid {
-			emit(g)
-		} else {
-			filtered++
-		}
-	})
-	if filtered > 0 {
-		s.ins.dedupFiltered.Add(filtered)
-	}
-}
-
-// refAppend is the buffered kernel's boundary-ownership filter: it
-// compacts buf[tail:] (local slots from the inner) in place through the
-// owner and reference-point tests.
 //
 //joinlint:hotpath
 func refAppend(s *region[geom.Rect], r geom.Rect, buf []uint32, tail int) []uint32 {

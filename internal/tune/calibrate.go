@@ -213,7 +213,9 @@ func emptyQueryCells() float64 {
 }
 
 // gridProbes is the per-family probe set shared by the point and box
-// grid fitters. queryFine is only set for point families (box grids
+// grid fitters. Every query probe runs QueryAppend into a buffer reused
+// across rounds: the kernel the drivers run, on whichever filter tier the
+// process has. queryFine is only set for point families (box grids
 // cannot reach a cell-dominated populated probe: replication keeps
 // their realistic granularities candidate-dominated, so they fall back
 // to the empty-directory query fit).
@@ -221,14 +223,10 @@ type gridProbes struct {
 	emptyCoarse, emptyFine, emptyQuery *probe
 	build, query, queryCoarse, update  *probe
 	queryFine                          *probe
-	// queryBuffered replays the coarse-window probe through QueryAppend
-	// into a reused buffer: same shape, emission by append instead of
-	// callback, isolating the buffered emit constant.
-	queryBuffered *probe
 }
 
 func (g *gridProbes) all() []*probe {
-	ps := []*probe{g.emptyCoarse, g.emptyFine, g.emptyQuery, g.build, g.query, g.queryCoarse, g.queryBuffered, g.update}
+	ps := []*probe{g.emptyCoarse, g.emptyFine, g.emptyQuery, g.build, g.query, g.queryCoarse, g.update}
 	if g.queryFine != nil {
 		ps = append(ps, g.queryFine)
 	}
@@ -284,20 +282,11 @@ func (g *gridProbes) fit(s Stats, anchorCPS int, anchorQ float32, repl func(p in
 			}
 		}
 		c.queryEmit = emit
-		c.queryEmitBuf = fitResidual(g.queryBuffered.ns/calQueries,
-			eCells*c.queryCell+eTested*c.queryCand, eEmitted)
 	} else {
 		c.queryCand = fitResidual(g.query.ns/calQueries, qCells*c.queryCell, qTested)
 		qs.QuerySide = calCoarseQ
 		eCells, eTested, eEmitted := gridQueryShape(qs, anchorCPS, r)
 		c.queryEmit = fitResidual(g.queryCoarse.ns/calQueries, eCells*c.queryCell+eTested*c.queryCand, eEmitted)
-		c.queryEmitBuf = fitResidual(g.queryBuffered.ns/calQueries,
-			eCells*c.queryCell+eTested*c.queryCand, eEmitted)
-	}
-	// Bulk-copy emission can only be cheaper than the callback path; a
-	// noisy round must not invert the ordering the selector relies on.
-	if c.queryEmitBuf > c.queryEmit {
-		c.queryEmitBuf = c.queryEmit
 	}
 
 	c.update = g.update.ns / (2 * calMoves * updReplicas)
@@ -334,31 +323,25 @@ func pointProbes(sc *calScene, f Family) *gridProbes {
 	fine.Build(sc.pts)
 	upd.Build(sc.pts)
 	w := emptyQueryWindow()
-	nop := func(uint32) {}
-	var qbuf []uint32 // reused across rounds so the probe is allocation-free at steady state
+	var buf []uint32 // reused across rounds so the probes are allocation-free at steady state
 	return &gridProbes{
 		emptyCoarse: newProbe(func() { emptyCoarse.Build(none) }),
 		emptyFine:   newProbe(func() { emptyFine.Build(none) }),
-		emptyQuery:  newProbe(func() { emptyFine.Query(w, nop) }),
+		emptyQuery:  newProbe(func() { buf = emptyFine.QueryAppend(w, buf[:0]) }),
 		build:       newProbe(func() { anchor.Build(sc.pts) }),
 		query: newProbe(func() {
 			for _, p := range sc.probes {
-				anchor.Query(geom.Square(sc.pts[p], calPointAnchorQ), nop)
+				buf = anchor.QueryAppend(geom.Square(sc.pts[p], calPointAnchorQ), buf[:0])
 			}
 		}),
 		queryFine: newProbe(func() {
 			for _, p := range sc.probes[:calFineQueries] {
-				fine.Query(geom.Square(sc.pts[p], calPointAnchorQ), nop)
+				buf = fine.QueryAppend(geom.Square(sc.pts[p], calPointAnchorQ), buf[:0])
 			}
 		}),
 		queryCoarse: newProbe(func() {
 			for _, p := range sc.probes {
-				anchor.Query(geom.Square(sc.pts[p], calCoarseQ), nop)
-			}
-		}),
-		queryBuffered: newProbe(func() {
-			for _, p := range sc.probes {
-				qbuf = anchor.QueryAppend(geom.Square(sc.pts[p], calCoarseQ), qbuf[:0])
+				buf = anchor.QueryAppend(geom.Square(sc.pts[p], calCoarseQ), buf[:0])
 			}
 		}),
 		update: newProbe(func() {
@@ -370,7 +353,13 @@ func pointProbes(sc *calScene, f Family) *gridProbes {
 	}
 }
 
-func newBoxGrid(f Family, cps int, sc *calScene) core.BoxIndex {
+// boxGrid is what the box probes drive: a box grid and its native kernel.
+type boxGrid interface {
+	core.BoxIndex
+	core.QueryAppender
+}
+
+func newBoxGrid(f Family, cps int, sc *calScene) boxGrid {
 	if f == BoxCSR2L {
 		return grid.MustNewBoxGrid2L(cps, sc.bounds, len(sc.rects))
 	}
@@ -387,29 +376,20 @@ func boxProbes(sc *calScene, f Family) *gridProbes {
 	anchor.Build(sc.rects)
 	upd.Build(sc.rects)
 	w := emptyQueryWindow()
-	nop := func(uint32) {}
-	// Both box grids implement core.QueryAppender natively, so this
-	// resolves to the native buffered kernel.
-	anchorAppend := core.QueryAppendOf(anchor, anchor.Query)
-	var qbuf []uint32
+	var buf []uint32
 	return &gridProbes{
 		emptyCoarse: newProbe(func() { emptyCoarse.Build(none) }),
 		emptyFine:   newProbe(func() { emptyFine.Build(none) }),
-		emptyQuery:  newProbe(func() { emptyFine.Query(w, nop) }),
+		emptyQuery:  newProbe(func() { buf = emptyFine.QueryAppend(w, buf[:0]) }),
 		build:       newProbe(func() { anchor.Build(sc.rects) }),
 		query: newProbe(func() {
 			for _, p := range sc.probes {
-				anchor.Query(geom.Square(sc.rects[p].Center(), calQuerySide), nop)
+				buf = anchor.QueryAppend(geom.Square(sc.rects[p].Center(), calQuerySide), buf[:0])
 			}
 		}),
 		queryCoarse: newProbe(func() {
 			for _, p := range sc.probes {
-				anchor.Query(geom.Square(sc.rects[p].Center(), calCoarseQ), nop)
-			}
-		}),
-		queryBuffered: newProbe(func() {
-			for _, p := range sc.probes {
-				qbuf = anchorAppend(geom.Square(sc.rects[p].Center(), calCoarseQ), qbuf[:0])
+				buf = anchor.QueryAppend(geom.Square(sc.rects[p].Center(), calCoarseQ), buf[:0])
 			}
 		}),
 		update: newProbe(func() {
@@ -442,18 +422,18 @@ func newTreeProbes(sc *calScene) *treeProbes {
 	updTree := rtree.MustNewBoxTree(rtree.DefaultFanout)
 	low.Build(sc.rects)
 	high.Build(sc.rects)
-	nop := func(uint32) {}
+	var buf []uint32
 	return &treeProbes{
 		buildLow:  newProbe(func() { low.Build(sc.rects) }),
 		buildHigh: newProbe(func() { high.Build(sc.rects) }),
 		queryLow: newProbe(func() {
 			for _, p := range sc.probes {
-				low.Query(geom.Square(sc.rects[p].Center(), calQuerySide), nop)
+				buf = low.QueryAppend(geom.Square(sc.rects[p].Center(), calQuerySide), buf[:0])
 			}
 		}),
 		queryHigh: newProbe(func() {
 			for _, p := range sc.probes {
-				high.Query(geom.Square(sc.rects[p].Center(), calQuerySide), nop)
+				buf = high.QueryAppend(geom.Square(sc.rects[p].Center(), calQuerySide), buf[:0])
 			}
 		}),
 		update: newProbe(func() {
@@ -478,10 +458,9 @@ func (t *treeProbes) fit(s Stats) coeffs {
 	c.queryCell, c.queryCand = fit2(
 		t.queryLow.ns/calQueries, nLow, eLow,
 		t.queryHigh.ns/calQueries, nHigh, eHigh)
-	c.queryEmit = c.queryCand // every leaf candidate takes an intersection test
 	// The tree's query curve has no separate emitted term (QueryNs prices
-	// nodes + candidates), so the buffered constant just mirrors it.
-	c.queryEmitBuf = c.queryEmit
+	// nodes + candidates: every leaf candidate takes an intersection test).
+	c.queryEmit = c.queryCand
 
 	// Subtract the bulk load that resets the refit counter (predicted
 	// from the just-fitted build constants), then divide by move count

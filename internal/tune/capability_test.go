@@ -22,27 +22,31 @@ func capabilityRects(queriers []uint32, rectOf func(id uint32) geom.Rect) []geom
 	return rects
 }
 
+// digest folds ids order-insensitively.
+func digest(ids []uint32) uint64 {
+	var d uint64
+	for _, id := range ids {
+		d = core.MixPair(d, 0, id)
+	}
+	return d
+}
+
 func assertBufferedKernels(t *testing.T, name string,
-	query func(r geom.Rect, emit func(id uint32)),
-	queryAppend func(r geom.Rect, buf []uint32) []uint32,
+	oracle, queryAppend func(r geom.Rect, buf []uint32) []uint32,
 	queryBatch func(rects []geom.Rect, offsets, buf []uint32) ([]uint32, []uint32),
 	rects []geom.Rect) {
 	t.Helper()
 
-	// Per-query digest agreement between emit and append.
-	var buf []uint32
+	// Per-query digest agreement with the brute-force oracle.
+	var buf, want []uint32
+	wants := make([]uint64, len(rects))
 	for i, r := range rects {
-		var want uint64
-		wantN := 0
-		query(r, func(id uint32) { want = core.MixPair(want, 0, id); wantN++ })
+		want = oracle(r, want[:0])
+		wants[i] = digest(want)
 		buf = queryAppend(r, buf[:0])
-		var got uint64
-		for _, id := range buf {
-			got = core.MixPair(got, 0, id)
-		}
-		if got != want || len(buf) != wantN {
-			t.Fatalf("%s query %d: QueryAppend digest %x (%d ids), Query digest %x (%d ids)",
-				name, i, got, len(buf), want, wantN)
+		if got := digest(buf); got != wants[i] || len(buf) != len(want) {
+			t.Fatalf("%s query %d: QueryAppend digest %x (%d ids), oracle digest %x (%d ids)",
+				name, i, got, len(buf), wants[i], len(want))
 		}
 	}
 
@@ -51,15 +55,9 @@ func assertBufferedKernels(t *testing.T, name string,
 	if len(offsets) != len(rects)+1 {
 		t.Fatalf("%s: QueryBatch returned %d offsets for %d rects", name, len(offsets), len(rects))
 	}
-	for i, r := range rects {
-		var want uint64
-		query(r, func(id uint32) { want = core.MixPair(want, 0, id) })
-		var got uint64
-		for _, id := range flat[offsets[i]:offsets[i+1]] {
-			got = core.MixPair(got, 0, id)
-		}
-		if got != want {
-			t.Fatalf("%s batch slot %d: digest %x, want %x", name, i, got, want)
+	for i := range rects {
+		if got := digest(flat[offsets[i]:offsets[i+1]]); got != wants[i] {
+			t.Fatalf("%s batch slot %d: digest %x, want %x", name, i, got, wants[i])
 		}
 	}
 
@@ -86,9 +84,12 @@ func TestAutoForwardsBufferedKernels(t *testing.T) {
 	if !ok {
 		t.Fatalf("%T does not forward core.QueryAppender", idx)
 	}
-	idx.Build(gen.Positions(nil))
+	pts := gen.Positions(nil)
+	idx.Build(pts)
+	oracle := core.NewBruteForce()
+	oracle.Build(pts)
 	rects := capabilityRects(gen.Queriers(), gen.QueryRect)
-	assertBufferedKernels(t, idx.Name(), idx.Query, qa.QueryAppend, core.QueryBatchOf(idx, idx.Query), rects)
+	assertBufferedKernels(t, idx.Name(), oracle.QueryAppend, qa.QueryAppend, core.QueryBatchOf(idx, idx.Query), rects)
 }
 
 func TestAutoBoxForwardsBufferedKernels(t *testing.T) {
@@ -103,9 +104,12 @@ func TestAutoBoxForwardsBufferedKernels(t *testing.T) {
 	if !ok {
 		t.Fatalf("%T does not forward core.QueryAppender", idx)
 	}
-	idx.Build(gen.Rects(nil))
+	boxes := gen.Rects(nil)
+	idx.Build(boxes)
+	oracle := core.NewBruteForceBoxes()
+	oracle.Build(boxes)
 	rects := capabilityRects(gen.Queriers(), gen.QueryRect)
-	assertBufferedKernels(t, idx.Name(), idx.Query, qa.QueryAppend, core.QueryBatchOf(idx, idx.Query), rects)
+	assertBufferedKernels(t, idx.Name(), oracle.QueryAppend, qa.QueryAppend, core.QueryBatchOf(idx, idx.Query), rects)
 }
 
 // An adaptive index that has not seen a snapshot answers like every

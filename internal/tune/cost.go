@@ -71,15 +71,8 @@ type coeffs struct {
 	buildCell float64 // per directory cell swept per build (grids) / per node packed (tree)
 	queryCell float64 // per cell visited (grids) / per node visited (tree)
 	queryCand float64 // per TESTED candidate (boundary cells: containment / dedup test)
-	queryEmit float64 // per EMITTED candidate through the callback kernel (cells contained in the window: scan-and-emit, no per-candidate test for the layouts that can skip it)
-	// queryEmitBuf is queryEmit remeasured through the buffered
-	// QueryAppend kernel, where emission is a slice append (a bulk copy
-	// for contained cells) instead of an indirect call per result. The
-	// selector prices THIS constant — the engines drain buffered by
-	// default — while queryEmit keeps the callback price for the
-	// -querykernel emit path.
-	queryEmitBuf float64
-	update       float64 // per update primitive (replica edit / refit level)
+	queryEmit float64 // per EMITTED candidate (cells contained in the window: appended without a per-candidate test by the layouts that can skip it)
+	update    float64 // per update primitive (replica edit / refit level)
 }
 
 // Model is a calibrated cost model: closed-form curves over the sampled
@@ -238,9 +231,8 @@ func (m *Model) BuildNs(f Family, s Stats, p int) float64 {
 	}
 }
 
-// QueryNs predicts one range query of side s.QuerySide through the
-// BUFFERED kernel — the engines' default drain path — so the emitted
-// term is priced at queryEmitBuf.
+// QueryNs predicts one range query of side s.QuerySide through
+// QueryAppend, the kernel the calibration times and the drivers run.
 func (m *Model) QueryNs(f Family, s Stats, p int) float64 {
 	c := m.c[f]
 	switch f {
@@ -249,10 +241,10 @@ func (m *Model) QueryNs(f Family, s Stats, p int) float64 {
 		return c.queryCell*nodes + c.queryCand*cands
 	case BoxCSR, BoxCSR2L:
 		cells, tested, emitted := gridQueryShape(s, p, replication(s, p))
-		return c.queryCell*cells + c.queryCand*tested + c.queryEmitBuf*emitted
+		return c.queryCell*cells + c.queryCand*tested + c.queryEmit*emitted
 	default:
 		cells, tested, emitted := gridQueryShape(s, p, 1)
-		return c.queryCell*cells + c.queryCand*tested + c.queryEmitBuf*emitted
+		return c.queryCell*cells + c.queryCand*tested + c.queryEmit*emitted
 	}
 }
 
@@ -296,7 +288,7 @@ func (m *Model) TickNs(f Family, s Stats, p int) float64 {
 
 // Coeffs exposes one family's fitted constants (for tests and the
 // README's worked example).
-func (m *Model) Coeffs(f Family) (buildObj, buildCell, queryCell, queryCand, queryEmit, queryEmitBuf, update float64) {
+func (m *Model) Coeffs(f Family) (buildObj, buildCell, queryCell, queryCand, queryEmit, update float64) {
 	c := m.c[f]
-	return c.buildObj, c.buildCell, c.queryCell, c.queryCand, c.queryEmit, c.queryEmitBuf, c.update
+	return c.buildObj, c.buildCell, c.queryCell, c.queryCand, c.queryEmit, c.update
 }

@@ -103,8 +103,8 @@ func TestCalibrateIsCachedAndPositive(t *testing.T) {
 		t.Fatal("Calibrate not cached")
 	}
 	for f := Family(0); int(f) < numFamilies; f++ {
-		bo, bc, qc, qx, qe, qb, up := m1.Coeffs(f)
-		for _, v := range []float64{bo, bc, qc, qx, qe, qb, up} {
+		bo, bc, qc, qx, qe, up := m1.Coeffs(f)
+		for _, v := range []float64{bo, bc, qc, qx, qe, up} {
 			if !(v >= coeffFloorNs) || math.IsInf(v, 0) || math.IsNaN(v) {
 				t.Errorf("%s: coefficient %g below floor or non-finite", f, v)
 			}
