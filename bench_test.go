@@ -374,9 +374,11 @@ func BenchmarkParallelJoin(b *testing.B) {
 }
 
 // BenchmarkCSRTick compares whole ticks of the paper's winning inline
-// configuration against the CSR layout, sequentially and through the
-// fully parallel pipeline (sharded counting-sort build, Morton-scheduled
-// queries, cell-partitioned batched updates).
+// configuration against the CSR layout, sequentially under the paper's
+// protocol (benchTicks: callback queries, one Update per move) and
+// through the parallel driver (sharded counting-sort build,
+// Morton-scheduled queries, and no in-place updates: its next build
+// catches up).
 func BenchmarkCSRTick(b *testing.B) {
 	wcfg := defaultUniform()
 	trace := recordBench(b, wcfg)

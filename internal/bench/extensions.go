@@ -135,9 +135,12 @@ func runHandleAblation(cfg Config) (Artifact, error) {
 }
 
 // runCSRAblation measures the per-phase breakdown of the tuned inline
-// grid against the CSR layout, sequentially and with the fully parallel
-// tick pipeline (sharded build, Morton-scheduled queries, batched
-// updates), verifying all four runs agree on the join digest.
+// grid against the CSR layout, sequentially and with the parallel tick
+// pipeline (sharded build, Morton-scheduled queries), verifying all four
+// runs agree on the join digest. It runs the paper's update protocol
+// (MaintainInPlace), so the Update column compares the layouts' in-place
+// Update: CSR's label-driven relocation, which leaves a move within one
+// cell alone, against the inline buckets' remove + insert.
 func runCSRAblation(cfg Config) (Artifact, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -170,11 +173,12 @@ func runCSRAblation(cfg Config) (Artifact, error) {
 		if err != nil {
 			return nil, err
 		}
+		src := MaintainInPlace(g, workload.NewPlayer(trace))
 		var res *core.Result
 		if row.parallel {
-			res = core.RunParallel(g, workload.NewPlayer(trace), core.Options{}, 0)
+			res = core.RunParallel(g, src, core.Options{}, 0)
 		} else {
-			res = core.Run(g, workload.NewPlayer(trace), core.Options{})
+			res = core.Run(g, src, core.Options{})
 		}
 		if i == 0 {
 			refPairs, refHash = res.Pairs, res.Hash

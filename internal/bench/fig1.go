@@ -114,7 +114,7 @@ func gridTuningSweep(cfg Config, sw tuningSweep) (Artifact, error) {
 		if err != nil {
 			return nil, err
 		}
-		res := core.Run(g, workload.NewPlayer(trace), core.Options{})
+		res := core.Run(g, MaintainInPlace(g, workload.NewPlayer(trace)), core.Options{})
 		series.Xs = append(series.Xs, float64(x))
 		ys = append(ys, res.AvgTick().Seconds())
 	}

@@ -37,22 +37,7 @@ func runTable2(cfg Config) (Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := core.Params{Bounds: wcfg.Bounds(), NumPoints: wcfg.NumPoints}
-
-	rows := []struct {
-		name string
-		idx  core.Index
-	}{
-		{"R-Tree", rtree.MustNew(rtree.DefaultFanout)},
-		{"CR-Tree", crtree.MustNew(crtree.DefaultFanout)},
-		{"Lin. KD-Trie", kdtrie.MustNew(p.Bounds, kdtrie.DefaultBits)},
-		{"Simple Grid", grid.MustNew(grid.Original(), p.Bounds, p.NumPoints)},
-		{"+restructured", grid.MustNew(grid.Restructured(), p.Bounds, p.NumPoints)},
-		{"+querying", grid.MustNew(grid.Querying(), p.Bounds, p.NumPoints)},
-		{"+bs tuned", grid.MustNew(grid.BSTuned(), p.Bounds, p.NumPoints)},
-		{"+cps tuned", grid.MustNew(grid.CPSTuned(), p.Bounds, p.NumPoints)},
-	}
-
+	rows := table2Rows(core.Params{Bounds: wcfg.Bounds(), NumPoints: wcfg.NumPoints})
 	table := stats.NewTable(
 		"Breakdown: 50% queries and updates, 50K points",
 		"Method", "Build (s)", "Query (s)", "Update (s)",
@@ -69,6 +54,27 @@ func runTable2(cfg Config) (Artifact, error) {
 		table.AddRow(row.name, fmtSecs(build), fmtSecs(query), fmtSecs(update))
 	}
 	return table, nil
+}
+
+// table2Row is one method of Table 2.
+type table2Row struct {
+	name string
+	idx  core.Index
+}
+
+// table2Rows is Table 2's lineup: the three tree-style indexes, then the
+// Simple Grid ablation chain.
+func table2Rows(p core.Params) []table2Row {
+	return []table2Row{
+		{"R-Tree", rtree.MustNew(rtree.DefaultFanout)},
+		{"CR-Tree", crtree.MustNew(crtree.DefaultFanout)},
+		{"Lin. KD-Trie", kdtrie.MustNew(p.Bounds, kdtrie.DefaultBits)},
+		{"Simple Grid", grid.MustNew(grid.Original(), p.Bounds, p.NumPoints)},
+		{"+restructured", grid.MustNew(grid.Restructured(), p.Bounds, p.NumPoints)},
+		{"+querying", grid.MustNew(grid.Querying(), p.Bounds, p.NumPoints)},
+		{"+bs tuned", grid.MustNew(grid.BSTuned(), p.Bounds, p.NumPoints)},
+		{"+cps tuned", grid.MustNew(grid.CPSTuned(), p.Bounds, p.NumPoints)},
+	}
 }
 
 func errDigest(got, want string) error {

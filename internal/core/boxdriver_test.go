@@ -121,22 +121,3 @@ func TestBoxJoinDuplicateFreeEmission(t *testing.T) {
 			res.Pairs, res.Hash, ref.Pairs, ref.Hash)
 	}
 }
-
-// TestBoxBatchUpdaterEngaged confirms the parallel driver actually takes
-// the batched update path at realistic batch sizes (guarding against the
-// gate silently disabling it).
-func TestBoxBatchUpdaterEngaged(t *testing.T) {
-	cfg := testBoxConfig()
-	cfg.NumPoints = 6000
-	bg := grid.MustNewBoxGrid(32, cfg.Bounds(), cfg.NumPoints)
-	var batcher BoxBatchUpdater = bg
-	if !batcher.CanBatchUpdates(cfg.NumPoints / 2) {
-		t.Fatalf("CanBatchUpdates(%d) = false; parallel ticks would never batch", cfg.NumPoints/2)
-	}
-	ref := RunBoxes(NewBruteForceBoxes(), workload.MustNewBoxGenerator(cfg), Options{})
-	res := RunBoxesParallel(bg, workload.MustNewBoxGenerator(cfg), Options{}, 4)
-	if res.Pairs != ref.Pairs || res.Hash != ref.Hash {
-		t.Fatalf("batched parallel run digest (%d, %#x) disagrees with oracle (%d, %#x)",
-			res.Pairs, res.Hash, ref.Pairs, ref.Hash)
-	}
-}

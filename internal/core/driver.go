@@ -138,21 +138,21 @@ func ParamsFor(cfg workload.Config) Params {
 //     idx.Build over it;
 //  2. query: for every querier q, probe idx with the square query centred
 //     on q and fold all reported IDs into the result;
-//  3. update: fetch the tick's update batch, notify the index of each
-//     move (in one UpdateBatch call when it is a BatchUpdater with a
-//     bulk path for the batch), and apply the batch to the base table at
-//     the very end, so queries only ever saw the previous tick's state.
+//  3. update: fetch the tick's update batch and apply it to the base
+//     table at the very end, so queries only ever saw the previous tick's
+//     state. The index is not told of the moves: the next Build is its
+//     one maintenance a tick. The paper's protocol, which also moves
+//     every entry in place, is internal/bench's.
 func Run(idx Index, src workload.Source, opts Options) *Result {
 	obs.Instrument(idx, opts.Obs)
 	return runTicks(pointEngine(idx, src), opts, 1)
 }
 
-// RunParallel executes the iterated join like Run but fans every phase of
-// the tick out over the given number of worker goroutines (0 selects
-// GOMAXPROCS); see runTicks for the schedule. Indexes implementing
-// ParallelBuilder build by sharded counting sort, and BatchUpdater
-// implementations get the worker count for the bulk update path Run
-// already takes.
+// RunParallel executes the iterated join like Run but fans the snapshot
+// refresh, the build and the query phase out over the given number of
+// worker goroutines (0 selects GOMAXPROCS); see runTicks for the
+// schedule. Indexes implementing ParallelBuilder build by sharded
+// counting sort.
 func RunParallel(idx Index, src workload.Source, opts Options, workers int) *Result {
 	obs.Instrument(idx, opts.Obs)
 	return runTicks(pointEngine(idx, src), opts, workers)
@@ -166,20 +166,7 @@ func pointEngine(idx Index, src workload.Source) *engine[geom.Point] {
 		refreshSnapshot(dst[lo:hi], src.Objects()[lo:hi])
 	}
 	e.center = func(p geom.Point) geom.Point { return p }
-	batcher, _ := idx.(BatchUpdater)
-	e.updatePhase = updatePhaseOf(src.Updates, src.ApplyUpdates,
-		func(moves []geom.Move, batch []workload.Update, snap []geom.Point) []geom.Move {
-			for _, u := range batch {
-				moves = append(moves, geom.Move{ID: u.ID, Old: snap[u.ID], New: u.Pos})
-			}
-			return moves
-		},
-		func(batch []workload.Update, snap []geom.Point) {
-			for _, u := range batch {
-				idx.Update(u.ID, snap[u.ID], u.Pos)
-			}
-		},
-		batcher)
+	e.updatePhase = updatePhaseOf(src.Updates, src.ApplyUpdates)
 	return e
 }
 

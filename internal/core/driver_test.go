@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/binsearch"
@@ -242,22 +244,74 @@ func TestPhaseTimesTotal(t *testing.T) {
 	}
 }
 
-func TestGridMaintainedInPlaceStaysConsistent(t *testing.T) {
-	// The grids are the only techniques whose Update does real work; a
-	// long run with many updates must keep the structure's cardinality
-	// intact every tick.
+// counting forwards every capability the drivers discover on an index —
+// the buffered kernel, the sharded build, and the bulk update path, which
+// it offers at every batch size — and counts the maintenance calls.
+type counting[P, M any] struct {
+	IndexOf[P]
+	updates, batches atomic.Int64
+}
+
+func (c *counting[P, M]) Update(id uint32, old, new P) {
+	c.updates.Add(1)
+	c.IndexOf.Update(id, old, new)
+}
+
+func (c *counting[P, M]) CanBatchUpdates(int) bool { return true }
+
+func (c *counting[P, M]) UpdateBatch(moves []M, workers int) {
+	c.batches.Add(1)
+	c.IndexOf.(BatchUpdaterOf[M]).UpdateBatch(moves, workers)
+}
+
+func (c *counting[P, M]) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
+	return c.IndexOf.(QueryAppender).QueryAppend(r, buf)
+}
+
+func (c *counting[P, M]) BuildParallel(snap []P, workers int) {
+	c.IndexOf.(ParallelBuilderOf[P]).BuildParallel(snap, workers)
+}
+
+// TestDriversLeaveMaintenanceToBuild: the four stop-the-world drivers
+// apply a tick's batch to the base table only, so an index offering both
+// update paths at every batch size is never handed a move, and every
+// driver still reports the oracle's digest over the moving workload.
+func TestDriversLeaveMaintenanceToBuild(t *testing.T) {
 	cfg := testConfig()
-	cfg.Ticks = 30
 	trace, err := workload.Record(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, gc := range grid.AblationChain() {
-		g := grid.MustNew(gc, cfg.Bounds(), cfg.NumPoints)
-		Run(g, workload.NewPlayer(trace), Options{})
-		if g.Len() != cfg.NumPoints {
-			t.Fatalf("%s: %d entries after run, want %d", g.Name(), g.Len(), cfg.NumPoints)
+	bcfg := testBoxConfig()
+	want := Run(NewBruteForce(), workload.NewPlayer(trace), Options{})
+	bwant := RunBoxes(NewBruteForceBoxes(), workload.MustNewBoxGenerator(bcfg), Options{})
+	if want.Updates == 0 || bwant.Updates == 0 {
+		t.Fatal("reference runs moved nothing")
+	}
+	for _, workers := range []int{1, 3} {
+		idx := &counting[geom.Point, geom.Move]{IndexOf: grid.MustNew(grid.CSR(), cfg.Bounds(), cfg.NumPoints)}
+		box := &counting[geom.Rect, geom.BoxMove]{IndexOf: grid.MustNewBoxGrid2L(16, bcfg.Bounds(), bcfg.NumPoints)}
+		var res, bres *Result
+		if workers == 1 {
+			res = Run(idx, workload.NewPlayer(trace), Options{})
+			bres = RunBoxes(box, workload.MustNewBoxGenerator(bcfg), Options{})
+		} else {
+			res = RunParallel(idx, workload.NewPlayer(trace), Options{}, workers)
+			bres = RunBoxesParallel(box, workload.MustNewBoxGenerator(bcfg), Options{}, workers)
 		}
+		assertNoMaintenance(t, fmt.Sprintf("points, %d workers", workers), idx, res, want)
+		assertNoMaintenance(t, fmt.Sprintf("boxes, %d workers", workers), box, bres, bwant)
+	}
+}
+
+func assertNoMaintenance[P, M any](t *testing.T, name string, c *counting[P, M], got, want *Result) {
+	t.Helper()
+	if u, b := c.updates.Load(), c.batches.Load(); u != 0 || b != 0 {
+		t.Errorf("%s: the driver made %d Update and %d UpdateBatch calls, want none", name, u, b)
+	}
+	if got.Pairs != want.Pairs || got.Hash != want.Hash || got.Updates != want.Updates {
+		t.Errorf("%s: (%d, %#x, %d updates), oracle (%d, %#x, %d)",
+			name, got.Pairs, got.Hash, got.Updates, want.Pairs, want.Hash, want.Updates)
 	}
 }
 

@@ -85,7 +85,7 @@ type engine[P any] struct {
 	center func(p P) geom.Point
 	// updatePhase runs the whole update phase (see updatePhaseOf) and
 	// returns the number of updates.
-	updatePhase func(snap []P, workers int) int
+	updatePhase func() int
 }
 
 // tickFeed is the part of a tick's workload that workload.Source and
@@ -140,28 +140,13 @@ func (e *engine[P]) kernel(opts Options) QueryKernel {
 }
 
 // updatePhaseOf builds an engine's update phase: fetch the tick's batch,
-// tell the index of every move — in one UpdateBatch call when it has a
-// bulk path for a batch this size (batcher is nil when it has none), one
-// Update per move otherwise — and apply the batch to the base table at
-// the very end. The two loops over the batch are the geometry's own, so
-// neither pays a call per move: moveAll appends the batch's moves (each
-// update paired with the object's geometry in the snapshot), updateEach
-// calls Update for each.
-func updatePhaseOf[P, U, M any](
-	updates func() []U, apply func([]U),
-	moveAll func(moves []M, batch []U, snap []P) []M,
-	updateEach func(batch []U, snap []P),
-	batcher BatchUpdaterOf[M],
-) func(snap []P, workers int) int {
-	var moves []M
-	return func(snap []P, workers int) int {
+// apply it to the base table and return its length. The index is not
+// told: the next tick's build reads the refreshed snapshot, and no query
+// runs between this phase and that build, so keeping the index current
+// in place would be work no query can observe.
+func updatePhaseOf[U any](updates func() []U, apply func([]U)) func() int {
+	return func() int {
 		batch := updates()
-		if batcher != nil && batcher.CanBatchUpdates(len(batch)) {
-			moves = moveAll(moves[:0], batch, snap)
-			batcher.UpdateBatch(moves, workers)
-		} else {
-			updateEach(batch, snap)
-		}
 		apply(batch)
 		return len(batch)
 	}
@@ -270,10 +255,10 @@ func cellOrderPays(nsPerQuerier []float64) bool {
 //   - query: one probe per querier through the kernel engine.kernel
 //     resolves, folded by a drainer per worker. One worker drains the tick
 //     inline. Several claim blocks of it through forEachBlock: the index is
-//     immutable between build and the first update, so queriers partition
-//     trivially;
-//   - update: the update phase, which hands the worker count to the
-//     index's bulk path when it has one.
+//     immutable until the next build, so queriers partition trivially;
+//   - update: fetch the tick's batch and apply it to the base table. The
+//     index is maintained once a tick, by the next build; see
+//     updatePhaseOf.
 //
 // The probes of a tick run in querier-ID order — at random over the space
 // — or in cell order (cellSchedule; the sort is timed inside the query
@@ -361,7 +346,7 @@ func runTicks[P any](e *engine[P], opts Options, workers int) *Result {
 		}
 
 		start = time.Now()
-		updates := int64(e.updatePhase(snapshot, workers))
+		updates := int64(e.updatePhase())
 		res.Updates += updates
 		pt.Update = time.Since(start)
 

@@ -81,12 +81,14 @@ type IndexOf[P any] interface {
 	// method) rather than leave it to the caller.
 	Query(r geom.Rect, emit func(id uint32))
 
-	// Update informs the index that object id moved from old to new
-	// during the update phase. Techniques that are rebuilt from the
-	// snapshot every tick may simply buffer or ignore this; in-place
-	// structures (the grids) relocate the entry. Coordinates visible
-	// through the snapshot are refreshed by the driver before the next
-	// Build.
+	// Update informs the index that object id moved from old to new.
+	// Techniques that are rebuilt from the snapshot may simply ignore
+	// this; in-place structures (the grids) relocate the entry. The
+	// stop-the-world drivers never call it — their next Build rebuilds
+	// the index before any query could see the move. Its callers are the
+	// in-place maintainers: epoch's replay arm, shard's regions and
+	// internal/bench's paper protocol, which charges it to Table 2's
+	// update column.
 	Update(id uint32, old, new P)
 }
 
@@ -116,20 +118,19 @@ type (
 // BatchUpdaterOf is an optional interface for indexes that can apply a
 // whole tick's update batch at once, over the move record M (geom.Move
 // for points, geom.BoxMove for MBRs). It is a bulk path first and a
-// fan-out second: every driver, the sequential ones included, hands the
-// batch over in one call whenever CanBatchUpdates says so, and an index
-// that sees all of a tick's moves together can do less work than one
-// Update per move (the CSR grids validate against their per-object cell
-// labels and re-scatter once many movers cross a cell); workers is how
-// many goroutines it may use on top of that, 1 from a sequential driver.
-// The batch contains at most one move per object ID. The result must be
-// indistinguishable from calling Update(m.ID, m.Old, m.New) for each
-// move in order.
+// fan-out second: an index that sees all of a tick's moves together can
+// do less work than one Update per move (the CSR grids validate against
+// their per-object cell labels and re-scatter once many movers cross a
+// cell); workers is how many goroutines it may use on top of that. No
+// driver in this package calls it (see Update); the wrappers that
+// maintain an inner index in place forward it. The batch contains at
+// most one move per object ID. The result must be indistinguishable from
+// calling Update(m.ID, m.Old, m.New) for each move in order.
 type BatchUpdaterOf[M any] interface {
 	UpdateBatch(moves []M, workers int)
 	// CanBatchUpdates reports whether UpdateBatch would take a path
 	// that actually differs from per-move Update calls for a batch of n
-	// moves at some worker count; drivers skip batch assembly when it
+	// moves at some worker count; callers skip batch assembly when it
 	// returns false.
 	CanBatchUpdates(n int) bool
 }

@@ -33,8 +33,8 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 // TestRunParallelDigestMatrix is the ISSUE's digest-equality matrix:
 // Run and RunParallel must produce identical (Pairs, Hash) for every
 // grid layout × scan algorithm combination, including the CSR layout
-// whose build, query scheduling, and update phases all take the parallel
-// paths (ParallelBuilder, Morton-ordered scheduling, BatchUpdater).
+// whose build and query scheduling take the parallel paths
+// (ParallelBuilder, Morton-ordered scheduling).
 func TestRunParallelDigestMatrix(t *testing.T) {
 	cfg := testConfig()
 	trace, err := workload.Record(cfg)
@@ -75,10 +75,9 @@ func TestRunParallelDigestMatrix(t *testing.T) {
 	}
 }
 
-// TestRunParallelCSRFullWorkload forces the batched-update threshold: a
-// workload large enough that UpdateBatch takes its sharded parallel path,
-// compared against the sequential inline-layout reference — the ISSUE's
-// headline acceptance pairing.
+// TestRunParallelCSRFullWorkload runs a workload large enough for the CSR
+// grid's sharded build under four workers and compares it against the
+// sequential inline-layout reference.
 func TestRunParallelCSRFullWorkload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large workload")
@@ -104,11 +103,10 @@ func TestRunParallelCSRFullWorkload(t *testing.T) {
 	}
 }
 
-// TestRunEveryoneMoves holds the bulk update path against the per-move
-// one where it matters most: every object moves every tick on gaussian
-// hotspots, so the CSR grids re-scatter each batch while the inline grid
-// removes and inserts each move. Sequential and parallel drivers, csr and
-// csrxy, must all report the brute-force digest.
+// TestRunEveryoneMoves is the heaviest churn the drivers rebuild through:
+// every object moves every tick on gaussian hotspots. Sequential and
+// parallel drivers over the inline, csr and csrxy grids must all report
+// the brute-force digest.
 func TestRunEveryoneMoves(t *testing.T) {
 	cfg := workload.DefaultGaussian()
 	cfg.NumPoints = 6000

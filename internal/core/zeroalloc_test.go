@@ -66,42 +66,32 @@ func TestBruteForceBoxesQueryAppendZeroAlloc(t *testing.T) {
 	assertZeroAllocAppend(t, b.Name(), b.QueryAppend, zeroAllocRects(rng, 50, space, 200))
 }
 
-// The sequential driver's update phase takes the index's bulk path and
-// must not pay for it in garbage: once the move buffer and the grid's
-// scratch have grown, a tick's refresh + update phase allocates nothing.
-func TestSequentialUpdatePhaseZeroAlloc(t *testing.T) {
-	const runs = 20
+// A whole one-worker tick — refresh, build, query drain and update
+// phase — allocates nothing at steady state: the snapshot, the drainer's
+// buffers and the schedule's scratch are the run's, every Build reuses
+// the CSR arena, and the update phase only applies the batch to the base
+// table. So a run allocates exactly what a shorter run over the same
+// trace does, once both are past the schedule's trial.
+func TestOneWorkerTickZeroAlloc(t *testing.T) {
+	const warm, extra = trialTicks + 1, 4
 	cfg := workload.DefaultUniform()
 	cfg.NumPoints = 5000
 	cfg.SpaceSize = 6000
 	cfg.Updaters = 1
-	cfg.Ticks = runs + 3 // AllocsPerRun runs its function runs+1 times
+	cfg.Ticks = warm + extra
 	trace, err := workload.Record(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, gc := range []grid.Config{grid.CSR(), grid.CSRXY()} {
 		idx := grid.MustNew(gc, cfg.Bounds(), cfg.NumPoints)
-		e := pointEngine(idx, workload.NewPlayer(trace))
-		snap := make([]geom.Point, e.n)
-		e.refresh(snap, 0, len(snap))
-		e.build(snap)
-		tick := func() {
-			// No rebuild in between: the labels carry over, as they do
-			// for the epoch wrapper.
-			e.refresh(snap, 0, len(snap))
-			if e.updatePhase(snap, 1) != cfg.NumPoints {
-				t.Fatal("not everyone moved")
-			}
+		run := func(ticks int) func() {
+			return func() { Run(idx, workload.NewPlayer(trace), Options{Ticks: ticks}) }
 		}
-		tick()
-		tick()
-		if allocs := testing.AllocsPerRun(runs, tick); allocs != 0 {
-			t.Errorf("%s: the update phase allocates %.1f times per tick at steady state, want 0", idx.Name(), allocs)
-		}
-		e.refresh(snap, 0, len(snap))
-		if err := idx.CheckInvariants(); err != nil {
-			t.Errorf("%s: %v", idx.Name(), err)
+		short := testing.AllocsPerRun(3, run(warm))
+		long := testing.AllocsPerRun(3, run(warm+extra))
+		if long != short {
+			t.Errorf("%s: %d more ticks allocate %.1f times, want 0", idx.Name(), extra, long-short)
 		}
 	}
 }

@@ -463,9 +463,10 @@ func (g *Grid) BuildParallel(pts []geom.Point, workers int) {
 
 // Update implements core.Index: the grid is maintained in place by
 // removing the entry from the cell of its old position and inserting it
-// into the cell of the new one (the paper's Table 2 update column). The
-// CSR layouts find the entry by its label and leave a move within one
-// cell alone.
+// into the cell of the new one. That is the paper's Table 2 update
+// column, which internal/bench's paper protocol charges; the core drivers
+// rebuild instead and never call it. The CSR layouts find the entry by
+// its label and leave a move within one cell alone.
 func (g *Grid) Update(id uint32, old, new geom.Point) {
 	if g.csr != nil {
 		g.csr.update(id, old, new)

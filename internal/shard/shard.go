@@ -231,7 +231,7 @@ var pointGeo = &geo[geom.Point]{
 	},
 	park:   func(c geom.Point) geom.Point { return c },
 	sample: tune.SamplePoints,
-	choose: tune.ChoosePoint,
+	choose: tune.ChoosePointInPlace,
 	build:  tune.Choice.NewPointIndex,
 }
 
@@ -240,7 +240,7 @@ var boxGeo = &geo[geom.Rect]{
 	span:      (*lattice).spanOf,
 	park:      geom.Point.Rect,
 	sample:    tune.SampleBoxes,
-	choose:    tune.ChooseBox,
+	choose:    tune.ChooseBoxInPlace,
 	build:     tune.Choice.NewBoxIndex,
 	refAppend: refAppend,
 }

@@ -95,7 +95,8 @@ var (
 )
 
 // NewAuto returns an adaptive point index for the given parameters. The
-// hints in p seed the sampler with the query/update mix; zero hints
+// hints in p seed the sampler with the query mix (the selection prices
+// the drivers' tick, Model.TickNs, which has no update term); zero hints
 // fall back to the defaults documented on Stats.sanitize. Construction
 // runs the calibration (see newAuto).
 func NewAuto(p core.Params) *Auto {

@@ -278,12 +278,19 @@ func (m *Model) UpdateNs(f Family, s Stats, p int) float64 {
 	}
 }
 
-// TickNs predicts one full tick of the iterated join: one build, the
-// tick's queries, and the tick's updates, at the sampled mix.
+// TickNs predicts one tick of the stop-the-world drivers (core.Run and
+// its siblings): one build and the tick's queries. Those drivers hand
+// the index no move — the next Build is its one maintenance a tick — so
+// the tick's updates cost the index nothing.
 func (m *Model) TickNs(f Family, s Stats, p int) float64 {
-	queries := s.Queriers * float64(s.N)
-	updates := s.Updaters * float64(s.N)
-	return m.BuildNs(f, s, p) + queries*m.QueryNs(f, s, p) + updates*m.UpdateNs(f, s, p)
+	return m.BuildNs(f, s, p) + s.Queriers*float64(s.N)*m.QueryNs(f, s, p)
+}
+
+// InPlaceTickNs predicts one tick of an index that is also maintained
+// in place, one Update per move (a shard region, whose service mode
+// moves entries between builds): TickNs plus the tick's updates.
+func (m *Model) InPlaceTickNs(f Family, s Stats, p int) float64 {
+	return m.TickNs(f, s, p) + s.Updaters*float64(s.N)*m.UpdateNs(f, s, p)
 }
 
 // Coeffs exposes one family's fitted constants (for tests and the

@@ -105,13 +105,37 @@ func TestSelectorRespondsToMix(t *testing.T) {
 	updateHeavy := base
 	updateHeavy.Queriers, updateHeavy.Updaters = 0.0, 1.0
 
-	cq := m.chooseBox(queryHeavy)
-	cu := m.chooseBox(updateHeavy)
-	// Directional sanity, not an exact pick: an update-only workload must
-	// never be given a finer grid than a query-heavy one (finer grids
-	// only buy query time and cost replication on every move).
+	cq := choose(m, queryHeavy, boxFamilies, (*Model).InPlaceTickNs)
+	cu := choose(m, updateHeavy, boxFamilies, (*Model).InPlaceTickNs)
+	// Directional sanity, not an exact pick: maintained in place, an
+	// update-only workload must never be given a finer grid than a
+	// query-heavy one (finer grids only buy query time and cost
+	// replication on every move).
 	if cq.Family != BoxRTree && cu.Family != BoxRTree && cu.CPS > cq.CPS {
 		t.Errorf("update-heavy picked finer grid (%s) than query-heavy (%s)", cu, cq)
+	}
+}
+
+// TestStopTheWorldTickIgnoresMoves pins the two prices of a tick: the
+// stop-the-world drivers hand the index no move, so TickNs does not
+// depend on the update mix, and InPlaceTickNs adds every move's UpdateNs
+// on top of it.
+func TestStopTheWorldTickIgnoresMoves(t *testing.T) {
+	m := Calibrate()
+	still := Stats{N: 100_000, Space: geom.R(0, 0, 22_000, 22_000), Skew: 4, QuerySide: 100, Queriers: 0.02}
+	churn := still
+	churn.Updaters = 1
+	for _, f := range append(append([]Family{}, pointFamilies...), boxFamilies...) {
+		if a, b := m.TickNs(f, still, 64), m.TickNs(f, churn, 64); a != b {
+			t.Errorf("%s: TickNs %.0f with nobody moving, %.0f with everyone moving", f, a, b)
+		}
+		want := m.TickNs(f, churn, 64) + float64(churn.N)*m.UpdateNs(f, churn, 64)
+		if got := m.InPlaceTickNs(f, churn, 64); got != want {
+			t.Errorf("%s: InPlaceTickNs %.0f, want TickNs plus every move %.0f", f, got, want)
+		}
+	}
+	if a, b := m.choosePoint(still), m.choosePoint(churn); a.String() != b.String() {
+		t.Errorf("stop-the-world pick moved with the update mix: %s still, %s churning", a, b)
 	}
 }
 
@@ -146,7 +170,7 @@ func TestCSRUpdatePricedAsBulkOnChurn(t *testing.T) {
 	if got := m.UpdateNs(PointInline, churn, 64); got != m.c[PointInline].update {
 		t.Errorf("inline: UpdateNs = %.1f, want its constant %.1f", got, m.c[PointInline].update)
 	}
-	if c := m.choosePoint(churn); c.Family == PointInline {
+	if c := choose(m, churn, pointFamilies, (*Model).InPlaceTickNs); c.Family == PointInline {
 		t.Errorf("everyone moves: picked %s; the CSR families' update is the cheaper one now", c)
 	}
 }
