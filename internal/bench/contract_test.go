@@ -48,14 +48,13 @@ func contractQueries() []geom.Rect {
 	return qs
 }
 
-// contractRun drives one index through three ticks: build and queries,
-// then per-move updates, then a batch update, each followed by the next
-// build. snap holds the in-contract objects first, then the outsiders;
+// contractRun drives one index through two ticks: build and queries,
+// then per-move updates followed by the next build. snap holds the in-contract objects first, then the outsiders;
 // relocate draws a fresh in-contract geometry. exact is whether the
 // outsiders leave the in-contract results and the audit intact (false:
 // only the absence of panics is asserted).
-func contractRun[P, M any](t *testing.T, key string, exact bool, idx core.IndexOf[P], snap []P, inContract int,
-	matches func(p P, r geom.Rect) bool, relocate func(r *xrand.Rand) P, move func(id uint32, old, new P) M) {
+func contractRun[P any](t *testing.T, key string, exact bool, idx core.IndexOf[P], snap []P, inContract int,
+	matches func(p P, r geom.Rect) bool, relocate func(r *xrand.Rand) P) {
 	t.Helper()
 	defer func() {
 		if v := recover(); v != nil {
@@ -125,23 +124,6 @@ func contractRun[P, M any](t *testing.T, key string, exact bool, idx core.IndexO
 	copy(snap, next)
 	idx.Build(snap)
 	check("update")
-
-	if bu, ok := idx.(core.BatchUpdaterOf[M]); ok {
-		var moves []M
-		for id := 1; id < inContract; id += 2 {
-			next[id] = relocate(r)
-		}
-		for id := inContract; id+1 < n; id += 2 {
-			next[id], next[id+1] = snap[id+1], snap[id]
-		}
-		for id := range snap {
-			moves = append(moves, move(uint32(id), snap[id], next[id]))
-		}
-		bu.UpdateBatch(moves, 2)
-		copy(snap, next)
-		idx.Build(snap)
-		check("batch")
-	}
 }
 
 func TestInputContractPoints(t *testing.T) {
@@ -164,8 +146,7 @@ func TestInputContractPoints(t *testing.T) {
 		snap := append(append([]geom.Point(nil), inside...), outsiders...)
 		for _, tech := range Techniques() {
 			p := core.Params{Bounds: contractBounds, NumPoints: len(snap)}
-			contractRun(t, name+"/"+tech.Key, name != "nan", tech.Make(p), snap, len(inside), geom.Point.In, relocate,
-				func(id uint32, old, new geom.Point) geom.Move { return geom.Move{ID: id, Old: old, New: new} })
+			contractRun(t, name+"/"+tech.Key, name != "nan", tech.Make(p), snap, len(inside), geom.Point.In, relocate)
 		}
 	}
 }
@@ -197,8 +178,7 @@ func TestInputContractBoxes(t *testing.T) {
 		snap := append(append([]geom.Rect(nil), inside...), outsiders...)
 		for _, tech := range BoxTechniques() {
 			p := core.Params{Bounds: contractBounds, NumPoints: len(snap)}
-			contractRun(t, name+"/"+tech.Key, name != "nan", tech.Make(p), snap, len(inside), geom.Rect.Intersects, relocate,
-				func(id uint32, old, new geom.Rect) geom.BoxMove { return geom.BoxMove{ID: id, Old: old, New: new} })
+			contractRun(t, name+"/"+tech.Key, name != "nan", tech.Make(p), snap, len(inside), geom.Rect.Intersects, relocate)
 		}
 	}
 }

@@ -245,37 +245,29 @@ func TestPhaseTimesTotal(t *testing.T) {
 }
 
 // counting forwards every capability the drivers discover on an index —
-// the buffered kernel, the sharded build, and the bulk update path, which
-// it offers at every batch size — and counts the maintenance calls.
-type counting[P, M any] struct {
+// the buffered kernel and the sharded build — and counts Update calls.
+type counting[P any] struct {
 	IndexOf[P]
-	updates, batches atomic.Int64
+	updates atomic.Int64
 }
 
-func (c *counting[P, M]) Update(id uint32, old, new P) {
+func (c *counting[P]) Update(id uint32, old, new P) {
 	c.updates.Add(1)
 	c.IndexOf.Update(id, old, new)
 }
 
-func (c *counting[P, M]) CanBatchUpdates(int) bool { return true }
-
-func (c *counting[P, M]) UpdateBatch(moves []M, workers int) {
-	c.batches.Add(1)
-	c.IndexOf.(BatchUpdaterOf[M]).UpdateBatch(moves, workers)
-}
-
-func (c *counting[P, M]) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
+func (c *counting[P]) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 	return c.IndexOf.(QueryAppender).QueryAppend(r, buf)
 }
 
-func (c *counting[P, M]) BuildParallel(snap []P, workers int) {
+func (c *counting[P]) BuildParallel(snap []P, workers int) {
 	c.IndexOf.(ParallelBuilderOf[P]).BuildParallel(snap, workers)
 }
 
 // TestDriversLeaveMaintenanceToBuild: the four stop-the-world drivers
-// apply a tick's batch to the base table only, so an index offering both
-// update paths at every batch size is never handed a move, and every
-// driver still reports the oracle's digest over the moving workload.
+// apply a tick's batch to the base table only, so an index is never
+// handed a move, and every driver still reports the oracle's digest over
+// the moving workload.
 func TestDriversLeaveMaintenanceToBuild(t *testing.T) {
 	cfg := testConfig()
 	trace, err := workload.Record(cfg)
@@ -289,8 +281,8 @@ func TestDriversLeaveMaintenanceToBuild(t *testing.T) {
 		t.Fatal("reference runs moved nothing")
 	}
 	for _, workers := range []int{1, 3} {
-		idx := &counting[geom.Point, geom.Move]{IndexOf: grid.MustNew(grid.CSR(), cfg.Bounds(), cfg.NumPoints)}
-		box := &counting[geom.Rect, geom.BoxMove]{IndexOf: grid.MustNewBoxGrid2L(16, bcfg.Bounds(), bcfg.NumPoints)}
+		idx := &counting[geom.Point]{IndexOf: grid.MustNew(grid.CSR(), cfg.Bounds(), cfg.NumPoints)}
+		box := &counting[geom.Rect]{IndexOf: grid.MustNewBoxGrid2L(16, bcfg.Bounds(), bcfg.NumPoints)}
 		var res, bres *Result
 		if workers == 1 {
 			res = Run(idx, workload.NewPlayer(trace), Options{})
@@ -304,10 +296,10 @@ func TestDriversLeaveMaintenanceToBuild(t *testing.T) {
 	}
 }
 
-func assertNoMaintenance[P, M any](t *testing.T, name string, c *counting[P, M], got, want *Result) {
+func assertNoMaintenance[P any](t *testing.T, name string, c *counting[P], got, want *Result) {
 	t.Helper()
-	if u, b := c.updates.Load(), c.batches.Load(); u != 0 || b != 0 {
-		t.Errorf("%s: the driver made %d Update and %d UpdateBatch calls, want none", name, u, b)
+	if u := c.updates.Load(); u != 0 {
+		t.Errorf("%s: the driver made %d Update calls, want none", name, u)
 	}
 	if got.Pairs != want.Pairs || got.Hash != want.Hash || got.Updates != want.Updates {
 		t.Errorf("%s: (%d, %#x, %d updates), oracle (%d, %#x, %d)",

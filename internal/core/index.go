@@ -10,10 +10,9 @@
 // of the tick so all queries observe the state as of the previous tick.
 //
 // The sequential contract is declared once below, generically over the
-// object geometry P and the move record M (IndexOf, ParallelBuilderOf,
-// BatchUpdaterOf, FactoryOf); Index / BoxIndex and the other per-geometry
-// names are aliases of its point and box instantiations, so a wrapper or
-// driver written over P serves both.
+// object geometry P (IndexOf, ParallelBuilderOf, FactoryOf); Index /
+// BoxIndex and the other per-geometry names are aliases of its point and
+// box instantiations, so a wrapper or driver written over P serves both.
 //
 // Queries run through one of two kernels (querykernel.go): the classic
 // per-result callback (IndexOf.Query) and the buffered append
@@ -115,28 +114,17 @@ type (
 	BoxParallelBuilder = ParallelBuilderOf[geom.Rect]
 )
 
-// BatchUpdaterOf is an optional interface for indexes that can apply a
-// whole tick's update batch at once, over the move record M (geom.Move
-// for points, geom.BoxMove for MBRs). It is a bulk path first and a
-// fan-out second: an index that sees all of a tick's moves together can
-// do less work than one Update per move (the CSR grids validate against
-// their per-object cell labels and re-scatter once many movers cross a
-// cell); workers is how many goroutines it may use on top of that. No
-// driver in this package calls it (see Update); the wrappers that
-// maintain an inner index in place forward it. The batch contains at
-// most one move per object ID. The result must be indistinguishable from
-// calling Update(m.ID, m.Old, m.New) for each move in order.
+// BatchUpdaterOf is a batch form of Update over the move record M
+// (geom.Move, geom.BoxMove): the result must equal one Update per move in
+// order. It is implemented by no index in the tree; it is kept until a
+// benchmark issue removes the traced decorator's forwarding.
 type BatchUpdaterOf[M any] interface {
 	UpdateBatch(moves []M, workers int)
-	// CanBatchUpdates reports whether UpdateBatch would take a path
-	// that actually differs from per-move Update calls for a batch of n
-	// moves at some worker count; callers skip batch assembly when it
-	// returns false.
 	CanBatchUpdates(n int) bool
 }
 
-// BatchUpdater and BoxBatchUpdater are BatchUpdaterOf for point and box
-// indexes.
+// BatchUpdater and BoxBatchUpdater are BatchUpdaterOf for points and
+// boxes, kept for the same reason.
 type (
 	BatchUpdater    = BatchUpdaterOf[geom.Move]
 	BoxBatchUpdater = BatchUpdaterOf[geom.BoxMove]

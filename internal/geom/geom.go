@@ -41,9 +41,9 @@ func (p Point) Rect() Rect {
 }
 
 // Move describes one object relocation: the entry identified by ID leaves
-// position Old and arrives at position New. It is the unit of the batched
-// update path (core.BatchUpdater); it lives here so index packages can
-// implement that interface without importing the driver.
+// position Old and arrives at position New. It is the unit of a tick's
+// batch as the in-place maintainers receive it (epoch's ApplyBatch,
+// shard's route); it lives here so they need not import the driver.
 type Move struct {
 	ID  uint32
 	Old Point
@@ -51,8 +51,7 @@ type Move struct {
 }
 
 // BoxMove is Move for extended objects: the MBR identified by ID leaves
-// extent Old and arrives at extent New. It is the unit of the batched
-// box-update path (core.BoxBatchUpdater).
+// extent Old and arrives at extent New, the unit of a box tick's batch.
 type BoxMove struct {
 	ID  uint32
 	Old Rect

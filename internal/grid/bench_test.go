@@ -131,63 +131,6 @@ func BenchmarkCSRUpdate(b *testing.B) {
 	}
 }
 
-// crossingBatch returns a batch that moves every point: the given share
-// of them to the position of another point in a different cell (so the
-// target cells follow the population's own distribution), the rest
-// within their cell.
-func crossingBatch(g *Grid, pts []geom.Point, sharePct int, seed uint64) []geom.Move {
-	r := xrand.New(seed)
-	moves := make([]geom.Move, len(pts))
-	for i, p := range pts {
-		to := p
-		if r.Intn(100) < sharePct {
-			for g.cellIndexFor(to) == g.cellIndexFor(p) {
-				to = pts[r.Intn(len(pts))]
-			}
-		}
-		moves[i] = geom.Move{ID: uint32(i), Old: p, New: to}
-	}
-	return moves
-}
-
-func alwaysRelocate(int, int) bool  { return false }
-func alwaysRescatter(int, int) bool { return true }
-
-// BenchmarkCSRUpdateCrossover is the evidence behind rescatterShare: one
-// whole UpdateBatch on a fresh build (the drivers rebuild every tick),
-// every point moving and a given share of them crossing a cell, with the
-// path forced to relocate or to re-scatter, on the paper's default
-// uniform population and on the churn stream's gaussian hotspots at
-// cps=64. README.md ("Updates") records the table.
-func BenchmarkCSRUpdateCrossover(b *testing.B) {
-	hot := workload.DefaultGaussian()
-	hot.NumPoints = 100_000
-	for _, pop := range []struct {
-		name string
-		cfg  workload.Config
-	}{{"uniform50k", workload.DefaultUniform()}, {"hotspot100k", hot}} {
-		pts := workload.MustNewGenerator(pop.cfg).Positions(nil)
-		g := MustNew(CSR(), pop.cfg.Bounds(), len(pts))
-		for _, pct := range []int{1, 2, 5, 10, 20, 50, 100} {
-			moves := crossingBatch(g, pts, pct, uint64(pct))
-			for _, path := range []struct {
-				name string
-				pays func(int, int) bool
-			}{{"relocate", alwaysRelocate}, {"rescatter", alwaysRescatter}} {
-				b.Run(fmt.Sprintf("%s/crossing=%d%%/%s", pop.name, pct, path.name), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						b.StopTimer()
-						g.Build(pts)
-						b.StartTimer()
-						g.csr.updateBatch(moves, 1, path.pays)
-					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(moves)), "ns/move")
-				})
-			}
-		}
-	}
-}
-
 func BenchmarkGridBuild(b *testing.B) {
 	pts := benchPoints(50000)
 	for _, cfg := range benchLayouts() {

@@ -3,7 +3,6 @@ package grid
 import (
 	"fmt"
 	"runtime"
-	"sync/atomic"
 
 	"repro/internal/callback"
 	"repro/internal/geom"
@@ -33,7 +32,7 @@ import (
 // unspecified order.
 //
 // BoxGrid implements core.BoxIndex, core.BoxParallelBuilder,
-// core.BoxBatchUpdater, core.Counter, and core.MemoryReporter.
+// core.Counter, and core.MemoryReporter.
 type BoxGrid struct {
 	cps      int
 	cells    int
@@ -56,10 +55,6 @@ type BoxGrid struct {
 	spans []cellSpan
 
 	shardCounts [][]uint32 // build scratch: per-worker count arrays
-	moveSpans   []cellSpan // batch-update scratch: old/new spans per move
-	// pairs is the batch-update scratch: (cell, move) pairs counting-
-	// sorted by owning shard (see spanpairs.go).
-	pairs spanPairs
 	// queries counts query-kernel entries (nil until Instrument).
 	queries *obs.Counter
 }
@@ -409,8 +404,7 @@ func (bg *BoxGrid) Update(id uint32, old, new geom.Rect) {
 }
 
 // insertLocal adds one replica of id to cell c (slack first, then
-// overflow). It only touches cell-c state, so distinct cells may be
-// processed concurrently.
+// overflow).
 func (bg *BoxGrid) insertLocal(c int, id uint32) {
 	base, n := bg.starts[c], bg.counts[c]
 	if base+n < bg.starts[c+1] {
@@ -422,7 +416,7 @@ func (bg *BoxGrid) insertLocal(c int, id uint32) {
 }
 
 // removeLocal deletes one replica of id from cell c, reporting whether
-// it was present. It only touches cell-c state.
+// it was present.
 func (bg *BoxGrid) removeLocal(c int, id uint32) bool {
 	base, n := bg.starts[c], bg.counts[c]
 	seg := bg.ids[base : base+n]
@@ -451,72 +445,6 @@ func (bg *BoxGrid) removeLocal(c int, id uint32) bool {
 		return true
 	}
 	return false
-}
-
-// CanBatchUpdates implements core.BoxBatchUpdater: the sharded path pays
-// off only for batches large enough to beat the fork/join overhead.
-func (bg *BoxGrid) CanBatchUpdates(n int) bool { return n >= minParallelMoves }
-
-// UpdateBatch implements core.BoxBatchUpdater. A move touches every cell
-// of its old and new span, so the batch is expanded into (cell, move)
-// pairs counting-sorted by owning shard (cell % workers), the same
-// discipline as the point grid's bucketByShard: all removals first, a
-// barrier, then all insertions, each worker walking only its own pair
-// run. Per-cell state is never touched by two workers, a replica is
-// never inserted before the removal pass finished, and within a cell
-// pairs stay in batch order, so the result is indistinguishable from
-// per-move Update calls.
-func (bg *BoxGrid) UpdateBatch(moves []geom.BoxMove, workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 || len(moves) < minParallelMoves {
-		for i := range moves {
-			bg.Update(moves[i].ID, moves[i].Old, moves[i].New)
-		}
-		return
-	}
-
-	// Scratch layout: old span then new span per move. Old spans are
-	// snapshotted from the live table because nothing mutates until the
-	// spans of every move are fixed.
-	need := 2 * len(moves)
-	if cap(bg.moveSpans) < need {
-		bg.moveSpans = make([]cellSpan, need)
-	} else {
-		bg.moveSpans = bg.moveSpans[:need]
-	}
-	oldSpans := bg.moveSpans[:len(moves)]
-	newSpans := bg.moveSpans[len(moves):]
-	parutil.ForEachShard(len(moves), workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			oldSpans[i] = bg.spans[moves[i].ID]
-			newSpans[i] = bg.spanOf(moves[i].New)
-		}
-	})
-
-	var missing atomic.Int64
-	missing.Store(-1)
-	bg.pairs.run(oldSpans, bg.cps, workers, func(c int, i uint32) {
-		if !bg.removeLocal(c, moves[i].ID) {
-			missing.CompareAndSwap(-1, int64(i))
-		}
-	})
-	if i := missing.Load(); i >= 0 {
-		// Same contract as Update: the replica must exist.
-		panic(fmt.Sprintf("grid: box update of unknown entry %d at %v",
-			moves[i].ID, moves[i].Old))
-	}
-
-	// Record the new spans between the passes: reads are done, inserts
-	// have not started.
-	for i := range moves {
-		bg.spans[moves[i].ID] = newSpans[i]
-	}
-
-	bg.pairs.run(newSpans, bg.cps, workers, func(c int, i uint32) {
-		bg.insertLocal(c, moves[i].ID)
-	})
 }
 
 // Len implements core.Counter: the number of indexed objects, not
@@ -555,6 +483,5 @@ func (bg *BoxGrid) MemoryBytes() int64 {
 	for _, sc := range bg.shardCounts {
 		total += int64(cap(sc)) * 4
 	}
-	total += int64(cap(bg.moveSpans)) * 8
 	return total
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync/atomic"
 
 	"repro/internal/callback"
 	"repro/internal/geom"
@@ -59,7 +58,7 @@ import (
 // reference-cell + intersection predicate.
 //
 // BoxGrid2L implements core.BoxIndex, core.BoxParallelBuilder,
-// core.BoxBatchUpdater, core.Counter, and core.MemoryReporter, and is
+// core.Counter, and core.MemoryReporter, and is
 // digest-identical to BoxGrid and the brute-force oracle.
 type BoxGrid2L struct {
 	cps      int
@@ -109,8 +108,6 @@ type BoxGrid2L struct {
 	counts16    []uint16
 	counts4     []uint32   // full-width fallback for populations > 65535
 	shardCounts [][]uint32 // build scratch: per-worker count arrays
-	moveSpans   []cellSpan // batch-update scratch: old/new spans per move
-	pairs       spanPairs  // batch-update scratch: sharded (cell, move) pairs
 	// queries counts query-kernel entries (nil until Instrument).
 	queries *obs.Counter
 }
@@ -755,7 +752,7 @@ func (bg *BoxGrid2L) classRun(c, k int) (lo, hi uint32) {
 
 // rewriteLocal overwrites the inlined coordinates of id's replica in
 // class run k of cell c (or in the cell's overflow) with r, reporting
-// whether the replica was present. It only touches cell-c state.
+// whether the replica was present.
 func (bg *BoxGrid2L) rewriteLocal(c, k int, id uint32, r geom.Rect) bool {
 	lo, hi := bg.classRun(c, k)
 	for p := lo; p < hi; p++ {
@@ -777,8 +774,7 @@ func (bg *BoxGrid2L) rewriteLocal(c, k int, id uint32, r geom.Rect) bool {
 // slack at the segment end, the runs above k each donate their first
 // slot by moving it past their last (one element move per run) so the
 // freed slot lands at the end of run k; without slack the replica goes
-// to overflow. It only touches cell-c state, so distinct cells may be
-// processed concurrently.
+// to overflow.
 func (bg *BoxGrid2L) insertLocal(c, k int, id uint32, r geom.Rect) {
 	if bg.ends[bg.endIdx(c, 3)] >= bg.starts[c+1] {
 		bg.overflow[c] = append(bg.overflow[c], id)
@@ -803,7 +799,7 @@ func (bg *BoxGrid2L) insertLocal(c, k int, id uint32, r geom.Rect) {
 // from the cell's overflow), reporting whether it was present. The hole
 // cascades rightward through the runs above k — each run's last element
 // fills the hole left in the run below — so every class run stays
-// contiguous. It only touches cell-c state.
+// contiguous.
 func (bg *BoxGrid2L) removeLocal(c, k int, id uint32) bool {
 	lo, hi := bg.classRun(c, k)
 	for p := lo; p < hi; p++ {
@@ -833,67 +829,6 @@ func (bg *BoxGrid2L) removeLocal(c, k int, id uint32) bool {
 		return true
 	}
 	return false
-}
-
-// CanBatchUpdates implements core.BoxBatchUpdater: the sharded path pays
-// off only for batches large enough to beat the fork/join overhead.
-func (bg *BoxGrid2L) CanBatchUpdates(n int) bool { return n >= minParallelMoves }
-
-// UpdateBatch implements core.BoxBatchUpdater: the same sharded
-// (cell, move) discipline as BoxGrid.UpdateBatch — all removals first
-// (sharded by old-span cell), a barrier, then all insertions — with the
-// per-cell operations maintaining the class partition. Per-cell state is
-// never touched by two workers, so the result is indistinguishable from
-// per-move Update calls.
-func (bg *BoxGrid2L) UpdateBatch(moves []geom.BoxMove, workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 || len(moves) < minParallelMoves {
-		for i := range moves {
-			bg.Update(moves[i].ID, moves[i].Old, moves[i].New)
-		}
-		return
-	}
-
-	need := 2 * len(moves)
-	if cap(bg.moveSpans) < need {
-		bg.moveSpans = make([]cellSpan, need)
-	} else {
-		bg.moveSpans = bg.moveSpans[:need]
-	}
-	oldSpans := bg.moveSpans[:len(moves)]
-	newSpans := bg.moveSpans[len(moves):]
-	parutil.ForEachShard(len(moves), workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			oldSpans[i] = bg.spans[moves[i].ID]
-			newSpans[i] = bg.mapper.spanOf(moves[i].New)
-		}
-	})
-
-	cps := bg.cps
-	var missing atomic.Int64
-	missing.Store(-1)
-	bg.pairs.run(oldSpans, cps, workers, func(c int, i uint32) {
-		if !bg.removeLocal(c, classAt(oldSpans[i], c%cps, c/cps), moves[i].ID) {
-			missing.CompareAndSwap(-1, int64(i))
-		}
-	})
-	if i := missing.Load(); i >= 0 {
-		// Same contract as Update: the replica must exist.
-		panic(fmt.Sprintf("grid: box update of unknown entry %d at %v",
-			moves[i].ID, moves[i].Old))
-	}
-
-	// Record the new spans between the passes: reads are done, inserts
-	// have not started.
-	for i := range moves {
-		bg.spans[moves[i].ID] = newSpans[i]
-	}
-
-	bg.pairs.run(newSpans, cps, workers, func(c int, i uint32) {
-		bg.insertLocal(c, classAt(newSpans[i], c%cps, c/cps), moves[i].ID, moves[i].New)
-	})
 }
 
 // Len implements core.Counter: the number of indexed objects, not
@@ -951,6 +886,5 @@ func (bg *BoxGrid2L) MemoryBytes() int64 {
 	for _, sc := range bg.shardCounts {
 		total += int64(cap(sc)) * 4
 	}
-	total += int64(cap(bg.moveSpans)) * 8
 	return total
 }

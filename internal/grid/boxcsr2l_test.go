@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -13,7 +14,7 @@ import (
 // Tests for the two-layer class-partitioned rectangle grid: brute-force
 // agreement, the class-partition property (A∪B∪C∪D covers every cell
 // span exactly, pairwise disjoint), bit-identical parallel builds, and
-// class maintenance under in-place and batched updates.
+// class maintenance under in-place updates.
 
 func TestBoxGrid2LMatchesBruteForce(t *testing.T) {
 	bounds := geom.R(0, 0, 1000, 1000)
@@ -419,40 +420,6 @@ func TestBoxGrid2LOverflowPath(t *testing.T) {
 	}
 }
 
-func TestBoxGrid2LUpdateBatchMatchesSequentialUpdates(t *testing.T) {
-	bounds := geom.R(0, 0, 4000, 4000)
-	rng := xrand.New(31)
-	rects := randomBoxes(rng, 6000, bounds, 0, 200)
-
-	seq := MustNewBoxGrid2L(32, bounds, len(rects))
-	seq.Build(rects)
-	par := MustNewBoxGrid2L(32, bounds, len(rects))
-	par.Build(rects)
-
-	moved, moves := moveBoxes(rng, rects, 400)
-	if len(moves) < minParallelMoves {
-		t.Fatalf("only %d moves; need >= %d for the parallel path", len(moves), minParallelMoves)
-	}
-	for _, m := range moves {
-		seq.Update(m.ID, m.Old, m.New)
-	}
-	if !par.CanBatchUpdates(len(moves)) {
-		t.Fatalf("CanBatchUpdates(%d) = false", len(moves))
-	}
-	par.UpdateBatch(moves, 4)
-
-	seq.rects = moved
-	par.rects = moved
-	checkClassPartition(t, par)
-	for _, q := range testQueries(rng, 30, bounds) {
-		got := collectQuery(t, par, q)
-		want := collectQuery(t, seq, q)
-		if !equalIDs(got, want) {
-			t.Fatalf("batch vs sequential updates disagree on query %v", q)
-		}
-	}
-}
-
 func TestBoxGrid2LRejectsBadParameters(t *testing.T) {
 	bounds := geom.R(0, 0, 100, 100)
 	if _, err := NewBoxGrid2L(0, bounds, 10); err == nil {
@@ -486,26 +453,28 @@ func TestBoxGrid2LClassCounts(t *testing.T) {
 }
 
 // TestBoxGrid2LUnknownEntryPanics mirrors the BoxGrid contract on the
-// classed layout's batched path.
+// classed layout: an Update that finds no replica in a cell of the entry's
+// span panics, whether the move leaves the span or keeps it.
 func TestBoxGrid2LUnknownEntryPanics(t *testing.T) {
 	bounds := geom.R(0, 0, 1000, 1000)
-	rng := xrand.New(37)
-	rects := randomBoxes(rng, minParallelMoves*2, bounds, 0, 50)
-	bg := MustNewBoxGrid2L(16, bounds, len(rects))
-	bg.Build(rects)
-	moves := make([]geom.BoxMove, minParallelMoves)
-	for i := range moves {
-		moves[i] = geom.BoxMove{ID: uint32(i), Old: rects[i], New: rects[i]}
-	}
-	// Violate the at-most-one-move-per-ID contract: the second removal of
-	// the duplicated entry finds no replica left and must be reported.
-	moves[7] = moves[6]
-	defer func() {
-		if recover() == nil {
-			t.Fatal("UpdateBatch with duplicated entry did not panic")
+	rects := []geom.Rect{geom.R(10, 10, 20, 20), geom.R(500, 500, 510, 510)}
+	for _, to := range []geom.Rect{geom.R(700, 700, 710, 710), geom.R(11, 11, 21, 21)} {
+		bg := MustNewBoxGrid2L(16, bounds, len(rects))
+		bg.Build(rects)
+		s := bg.spans[0]
+		if !bg.removeLocal(int(s.y0)*bg.cps+int(s.x0), classAt(s, int(s.x0), int(s.y0)), 0) {
+			t.Fatal("entry 0 not in the first cell of its span")
 		}
-	}()
-	bg.UpdateBatch(moves, 4)
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "grid: box update of unknown entry 0 at ") {
+					t.Fatalf("to %v: recovered %q", to, msg)
+				}
+			}()
+			bg.Update(0, rects[0], to)
+		}()
+	}
 }
 
 func TestBoxGrid2LNameAndAccessors(t *testing.T) {

@@ -237,40 +237,6 @@ func TestBoxGridUpdateMatchesRebuild(t *testing.T) {
 	}
 }
 
-func TestBoxGridUpdateBatchMatchesSequentialUpdates(t *testing.T) {
-	bounds := geom.R(0, 0, 4000, 4000)
-	rng := xrand.New(31)
-	// Enough moves to clear the minParallelMoves gate.
-	rects := randomBoxes(rng, 6000, bounds, 0, 200)
-
-	seq := MustNewBoxGrid(32, bounds, len(rects))
-	seq.Build(rects)
-	par := MustNewBoxGrid(32, bounds, len(rects))
-	par.Build(rects)
-
-	moved, moves := moveBoxes(rng, rects, 400)
-	if len(moves) < minParallelMoves {
-		t.Fatalf("only %d moves; need >= %d for the parallel path", len(moves), minParallelMoves)
-	}
-	for _, m := range moves {
-		seq.Update(m.ID, m.Old, m.New)
-	}
-	if !par.CanBatchUpdates(len(moves)) {
-		t.Fatalf("CanBatchUpdates(%d) = false", len(moves))
-	}
-	par.UpdateBatch(moves, 4)
-
-	seq.rects = moved
-	par.rects = moved
-	for _, q := range testQueries(rng, 30, bounds) {
-		got := collectQuery(t, par, q)
-		want := collectQuery(t, seq, q)
-		if !equalIDs(got, want) {
-			t.Fatalf("batch vs sequential updates disagree on query %v", q)
-		}
-	}
-}
-
 func TestBoxGridRejectsBadParameters(t *testing.T) {
 	bounds := geom.R(0, 0, 100, 100)
 	if _, err := NewBoxGrid(0, bounds, 10); err == nil {

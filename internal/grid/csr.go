@@ -37,11 +37,9 @@ import (
 //
 // The labels stay authoritative between builds: an update finds its
 // entry, and proves it exists, by one load of cellOf[id], never by
-// searching a cell. A single cell-crossing move swap-deletes within the
-// old segment (leaving slack) and lands in the new cell's slack or, failing
-// that, in a small per-cell overflow slice. A batch relabels its movers
-// and, when many cross, re-runs the scatter half from the labels alone
-// (updateBatch): no point is mapped again, overflow and slack are gone.
+// searching a cell. A cell-crossing move swap-deletes within the old
+// segment (leaving slack) and lands in the new cell's slack or, failing
+// that, in a small per-cell overflow slice.
 type csrStore struct {
 	mapper columnMapper
 	shift  uint // a label's cell is label >> shift
@@ -83,8 +81,7 @@ type csrStore struct {
 	// cursors are the per-shard count, then scatter cursor, arrays of a sort
 	// over several shards, one slot per column. A sort on one shard keeps
 	// none: it counts and scatters through starts itself (eachShard).
-	cursors  [][]uint32
-	crossers []uint32 // updateBatch scratch: the arena-touching moves, while few
+	cursors [][]uint32
 }
 
 // columnShift is the one constant of the column directory: a CSR grid sorts
@@ -136,30 +133,14 @@ func axisIndex(f float32, n int) int {
 }
 
 // labelOf maps a point to its label with one product per axis, the very
-// products of the cellMappers it was made from. labelShard and updateBatch
-// call it per point per tick: it costs what cellIndexFor costs only when
+// products of the cellMappers it was made from. labelShard calls it per
+// point per tick: it costs what cellIndexFor costs only when
 // inlined, and through a pointer (six fields are two more than the compiler
 // keeps in registers; by value every call copied the mapper to the stack).
 //
 //joinlint:inline
 func (m *columnMapper) labelOf(p geom.Point) uint32 {
 	return uint32(axisIndex((p.Y-m.minY)*m.invRow, m.rows)*m.cols + axisIndex((p.X-m.minX)*m.invCol, m.cols))
-}
-
-// moverTag marks, in cellOf, an entry of the csrxy layout whose
-// coordinates a re-scatter takes from the batch, not from the base table
-// (see updateBatch). Labels and arena slots both stay below it.
-const moverTag = 1 << 31
-
-// rescatterShare is the whole batch-update policy (rescatterPays): once
-// the moves that touch the arena exceed 1/rescatterShare of the
-// population, re-running the scatter half of the build is cheaper than
-// relocating them one by one. README.md ("Updates") has the crossover
-// table behind it (BenchmarkCSRUpdateCrossover).
-const rescatterShare = 32
-
-func rescatterPays(touched, population int) bool {
-	return touched*rescatterShare > population
 }
 
 func newCSRStore(cells int, mapper columnMapper, shift uint, numPoints int, withXY, byRange bool) *csrStore {
@@ -225,15 +206,6 @@ func (st *csrStore) build(pts []geom.Point, workers int) {
 	st.scatter(shards)
 }
 
-// rescatter is build without its label half: the columns come from cellOf
-// as the updates left it.
-func (st *csrStore) rescatter(workers int) {
-	st.clearOverflow()
-	shards := st.zeroCursors(workers)
-	st.eachShard(shards, (*csrStore).countShard)
-	st.scatter(shards)
-}
-
 // zeroCursors resolves the shard count for the population and zeroes what
 // that many shards count into: starts for one, a cursor array each for more.
 func (st *csrStore) zeroCursors(workers int) int {
@@ -272,12 +244,6 @@ func (st *csrStore) labelShard(sc []uint32, lo, hi int) {
 		f := st.mapper.labelOf(pts[i])
 		cellOf[i] = f
 		sc[f]++
-	}
-}
-
-func (st *csrStore) countShard(sc []uint32, lo, hi int) {
-	for _, f := range st.cellOf[lo:hi] {
-		sc[f&^moverTag]++
 	}
 }
 
@@ -328,13 +294,10 @@ func (st *csrStore) scatterShard(sc []uint32, lo, hi int) {
 	pts, xy := st.pts, st.xy
 	for i := hi - 1; i >= lo; i-- {
 		f := cellOf[i]
-		k := sc[f&^moverTag] - 1
-		sc[f&^moverTag] = k
+		k := sc[f] - 1
+		sc[f] = k
 		ids[k] = uint32(i)
 		xy[2*k], xy[2*k+1] = pts[i].X, pts[i].Y
-		if f&moverTag != 0 {
-			cellOf[i] = k // updateBatch patches the slot and restores the label
-		}
 	}
 }
 
@@ -379,66 +342,6 @@ func (st *csrStore) relocate(id uint32, p geom.Point) {
 		panic(fmt.Sprintf("grid/csr: entry %d is not in its labelled cell %d", id, from>>st.shift))
 	}
 	st.insert(to, id, p)
-}
-
-// updateBatch applies a batch of moves, at most one per entry, all of
-// them validated against the labels before anything changes. Only movers
-// that touch the arena cost more than a relabel — for csr those crossing
-// a column boundary (inside a cell the entry stays put, but the arena
-// leaves column order and with it the run path), for csrxy all (a
-// coordinate pair each) — and pays decides from their number and the
-// population whether they are relocated one by one or the arena is
-// re-scattered.
-func (st *csrStore) updateBatch(moves []geom.Move, workers int, pays func(touched, population int) bool) {
-	cellOf, tag := st.cellOf, uint32(0)
-	if st.xy != nil {
-		tag = moverTag
-	}
-	for i := range moves {
-		m := &moves[i]
-		if int(m.ID) >= len(cellOf) || cellOf[m.ID] != st.mapper.labelOf(m.Old) {
-			unknownEntry(m.ID, m.Old)
-		}
-	}
-	touching, rescattered := st.crossers[:0], false
-	for i := range moves {
-		m := &moves[i]
-		if tag == 0 && cellOf[m.ID] == st.mapper.labelOf(m.New) {
-			continue
-		}
-		touching = append(touching, uint32(i))
-		if !pays(len(touching), len(cellOf)) {
-			continue
-		}
-		// Too many to relocate: label them and, with no further test, the
-		// rest of the batch, and re-scatter.
-		for _, j := range touching {
-			cellOf[moves[j].ID] = tag | st.mapper.labelOf(moves[j].New)
-		}
-		for _, m := range moves[i+1:] {
-			cellOf[m.ID] = tag | st.mapper.labelOf(m.New)
-		}
-		st.rescatter(workers)
-		rescattered = true
-		break
-	}
-	st.crossers = touching[:0]
-	if !rescattered {
-		for _, j := range touching {
-			st.relocate(moves[j].ID, moves[j].New)
-		}
-	} else if tag != 0 {
-		// The caller's snapshot is stale for the movers until its next
-		// refresh, so the re-scatter's coordinates for them come from the
-		// batch: scatterShard left each tagged entry's slot in place of
-		// its label; write the new pair there and restore the label.
-		for i := range moves {
-			m := &moves[i]
-			k := cellOf[m.ID]
-			st.xy[2*k], st.xy[2*k+1] = m.New.X, m.New.Y
-			cellOf[m.ID] = st.mapper.labelOf(m.New)
-		}
-	}
 }
 
 // insertAt implements store: p decides the cell, as it decides the label.
@@ -702,7 +605,7 @@ func (st *csrStore) totalEntries() int { return st.entries }
 // alive between ticks. The xy variant adds its coordinate arena and the
 // overflow coordinate mirror.
 func (st *csrStore) memoryBytes() int64 {
-	total := int64(len(st.starts)+len(st.counts)+cap(st.ids)+cap(st.cellOf)+cap(st.crossers)) * 4
+	total := int64(len(st.starts)+len(st.counts)+cap(st.ids)+cap(st.cellOf)) * 4
 	total += int64(len(st.overflow)) * 24
 	for _, of := range st.overflow {
 		total += int64(cap(of)) * 4

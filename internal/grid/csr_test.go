@@ -117,7 +117,7 @@ func TestCSRCounterAndMemoryInvariants(t *testing.T) {
 	cs := csrOf(t, g)
 
 	formula := func() int64 {
-		total := int64(len(cs.starts)+len(cs.counts)+cap(cs.ids)+cap(cs.cellOf)+cap(cs.crossers)) * 4
+		total := int64(len(cs.starts)+len(cs.counts)+cap(cs.ids)+cap(cs.cellOf)) * 4
 		total += int64(len(cs.overflow)) * 24 // per-cell overflow slice headers
 		for _, of := range cs.overflow {
 			total += int64(cap(of)) * 4

@@ -1,9 +1,8 @@
 package grid
 
-// Tests of the label-driven update paths of the CSR layouts: Update and
-// UpdateBatch held against each other and against brute force, the two
-// regimes of the batch (relocate, re-scatter) on both sides of
-// rescatterPays, and the validate-before-mutate contract.
+// Tests of the label-driven update path of the CSR layouts: per-move Update
+// held against brute force and a fresh build over every batch shape, and
+// the validate-before-mutate contract.
 
 import (
 	"fmt"
@@ -17,7 +16,7 @@ import (
 )
 
 // updateN is the population of the update tests: above minParallelBuild,
-// so that workers > 1 really shards the re-scatter.
+// so that workers > 1 really shards the build the updates start from.
 const updateN = 2 * minParallelBuild
 
 // otherCell returns a point of the space in a different cell than p.
@@ -42,17 +41,12 @@ func hotspotPoints(r *xrand.Rand, n int) []geom.Point {
 	return pts
 }
 
-// batchShape is one population and one batch over it. crossers says
-// whether any move leaves its column; rescatter says which regime
-// rescatterPays puts the batch in for the layout. A re-scattered arena is a
-// fresh build's byte for byte, and one with crossers relocated is not (they
-// leave slack behind, or lie outside their column).
+// batchShape is one population and one tick's moves over it, at most one
+// per entry.
 type batchShape struct {
-	name      string
-	pts       []geom.Point
-	moves     []geom.Move
-	crossers  bool
-	rescatter func(xy bool) bool
+	name  string
+	pts   []geom.Point
+	moves []geom.Move
 }
 
 func batchShapes(g *Grid) []batchShape {
@@ -66,13 +60,6 @@ func batchShapes(g *Grid) []batchShape {
 		}
 		return moves
 	}
-	// A batch of k crossers touches the arena k times in either layout.
-	limit := updateN / rescatterShare
-	if rescatterPays(limit, updateN) || !rescatterPays(limit+1, updateN) {
-		panic("updateN/rescatterShare is not the policy boundary")
-	}
-	never := func(bool) bool { return false }
-	always := func(bool) bool { return true }
 
 	// The column's own centre: same column, new coordinates. A neighbouring
 	// column of the cell: same cell, and for csr nothing to move but a label.
@@ -90,16 +77,11 @@ func batchShapes(g *Grid) []batchShape {
 		hotMoves = append(hotMoves, geom.Move{ID: uint32(id), Old: p, New: to})
 	}
 	return []batchShape{
-		{"empty", uniform, nil, false, never},
-		// No crosser, but the xy layout rewrites every pair.
-		{"same-column", uniform, sameColumn, false, func(xy bool) bool { return xy }},
-		// Column crossers inside their cells touch the arena like any other.
-		{"same-cell", uniform, sameCell, true, always},
-		{"same-cell below", uniform, sameCell[:limit], true, never},
-		{"below", uniform, crossing(uniform, limit), true, never},
-		{"above", uniform, crossing(uniform, limit+1), true, always},
-		{"everyone", uniform, crossing(uniform, updateN), true, always},
-		{"hotspots", hot, hotMoves, true, always},
+		{"same-column", uniform, sameColumn},
+		{"same-cell", uniform, sameCell},
+		{"crossing", uniform, crossing(uniform, updateN/32)},
+		{"everyone", uniform, crossing(uniform, updateN)},
+		{"hotspots", hot, hotMoves},
 	}
 }
 
@@ -117,60 +99,40 @@ func cellMembers(cs *csrStore, c int) []uint32 {
 	return ids
 }
 
-// sameArena reports whether two stores hold byte-identical directories
-// and arenas, with nothing in overflow.
-func sameArena(a, b *csrStore) bool {
-	for c := range a.overflow {
-		if len(a.overflow[c])+len(b.overflow[c]) != 0 {
-			return false
-		}
-	}
-	return slices.Equal(a.starts, b.starts) && slices.Equal(a.counts, b.counts) &&
-		slices.Equal(a.ids, b.ids) && slices.Equal(a.xy, b.xy) && slices.Equal(a.cellOf, b.cellOf)
-}
-
-func TestCSRUpdateBatchMatchesSequential(t *testing.T) {
+// TestCSRUpdateMatchesBruteForce applies every shape one Update a move,
+// on arenas built by one and by several workers, and holds the result
+// against a fresh build's cell membership and brute force on every query
+// form.
+func TestCSRUpdateMatchesBruteForce(t *testing.T) {
 	qr := xrand.New(29)
 	queries := make([]geom.Rect, 40)
 	for i := range queries {
 		queries[i] = geom.Square(geom.Pt(qr.Range(-20, 1020), qr.Range(-20, 1020)), qr.Range(1, 200))
 	}
 	for _, cfg := range []Config{CSR(), CSRXY()} {
-		xy := cfg.Layout == LayoutCSRXY
 		for _, sh := range batchShapes(MustNew(cfg, testBounds, 0)) {
 			after := land(sh.pts, sh.moves)
 			fresh := MustNew(cfg, testBounds, updateN)
 			fresh.Build(after)
-			seqSnap := slices.Clone(sh.pts)
-			seq := MustNew(cfg, testBounds, updateN)
-			seq.Build(seqSnap)
-			for _, m := range sh.moves {
-				seq.Update(m.ID, m.Old, m.New)
-			}
-			copy(seqSnap, after)
-			if err := seq.CheckInvariants(); err != nil {
-				t.Fatalf("%s/%s: per-move twin: %v", cfg.Name, sh.name, err)
-			}
-			for _, workers := range []int{1, 2, 4} {
+			for _, workers := range []int{1, 4} {
 				ctx := fmt.Sprintf("%s/%s/workers=%d", cfg.Name, sh.name, workers)
 				snap := slices.Clone(sh.pts)
 				g := MustNew(cfg, testBounds, updateN)
 				g.BuildParallel(snap, workers)
-				g.UpdateBatch(sh.moves, workers)
+				for _, m := range sh.moves {
+					g.Update(m.ID, m.Old, m.New)
+				}
 				copy(snap, after) // the caller's refresh
 				if err := g.CheckInvariants(); err != nil {
 					t.Fatalf("%s: %v", ctx, err)
 				}
-				if g.Len() != seq.Len() {
-					t.Fatalf("%s: Len %d, per-move twin %d", ctx, g.Len(), seq.Len())
+				if g.Len() != fresh.Len() {
+					t.Fatalf("%s: Len %d, fresh build %d", ctx, g.Len(), fresh.Len())
 				}
 				for c := 0; c < g.cells; c++ {
-					if got, want := cellMembers(g.csr, c), cellMembers(seq.csr, c); !slices.Equal(got, want) {
-						t.Fatalf("%s: cell %d holds %v, per-move twin %v", ctx, c, got, want)
+					if got, want := cellMembers(g.csr, c), cellMembers(fresh.csr, c); !slices.Equal(got, want) {
+						t.Fatalf("%s: cell %d holds %v, fresh build %v", ctx, c, got, want)
 					}
-				}
-				if same, want := sameArena(g.csr, fresh.csr), sh.rescatter(xy); same != want && (want || sh.crossers) {
-					t.Fatalf("%s: arena identical to a fresh build = %v, want re-scatter = %v", ctx, same, want)
 				}
 				var buf, offsets []uint32
 				offsets, batch := core.QueryBatchOf(g, g.Query)(queries, offsets, nil)
@@ -189,52 +151,6 @@ func TestCSRUpdateBatchMatchesSequential(t *testing.T) {
 						sameSet(t, got, want, ctx+" buffered")
 					}
 				}
-			}
-		}
-	}
-}
-
-func TestCSRUpdateAndUpdateBatchInterleave(t *testing.T) {
-	for _, cfg := range []Config{CSR(), CSRXY()} {
-		r := xrand.New(31)
-		pts := randomPoints(r, updateN, testBounds)
-		seqSnap, snap := slices.Clone(pts), slices.Clone(pts)
-		seq, g := MustNew(cfg, testBounds, updateN), MustNew(cfg, testBounds, updateN)
-		seq.Build(seqSnap)
-		g.Build(snap)
-		// One tick without a rebuild: single moves, a small batch
-		// (relocated), single moves, a large batch (re-scattered), single
-		// moves; every id at most once, as the epoch replay and the shard
-		// regions do it.
-		perm := r.Perm(updateN)
-		sizes := []int{50, 200, 50, updateN / 2, 50}
-		for step, size := range sizes {
-			moves := make([]geom.Move, 0, size)
-			for _, id := range perm[:size] {
-				to := geom.Pt(r.Range(0, 1000), r.Range(0, 1000))
-				moves = append(moves, geom.Move{ID: uint32(id), Old: snap[id], New: to})
-			}
-			perm = perm[size:]
-			for _, m := range moves {
-				seq.Update(m.ID, m.Old, m.New)
-				seqSnap[m.ID] = m.New
-			}
-			if step%2 == 1 {
-				g.UpdateBatch(moves, 1)
-			}
-			for _, m := range moves {
-				if step%2 == 0 {
-					g.Update(m.ID, m.Old, m.New)
-				}
-				snap[m.ID] = m.New
-			}
-			if err := g.CheckInvariants(); err != nil {
-				t.Fatalf("%s: after step %d: %v", cfg.Name, step, err)
-			}
-		}
-		for c := 0; c < g.cells; c++ {
-			if got, want := cellMembers(g.csr, c), cellMembers(seq.csr, c); !slices.Equal(got, want) {
-				t.Fatalf("%s: cell %d holds %v, per-move twin %v", cfg.Name, c, got, want)
 			}
 		}
 	}
@@ -270,7 +186,7 @@ func (f frozen) equal(g frozen) bool {
 		slices.EqualFunc(f.overflowXY, g.overflowXY, slices.Equal[[]float32])
 }
 
-func TestCSRUpdateBatchUnknownEntryPanics(t *testing.T) {
+func TestCSRUpdateUnknownEntryPanics(t *testing.T) {
 	for _, cfg := range []Config{CSR(), CSRXY()} {
 		r := xrand.New(24)
 		pts := randomPoints(r, updateN, testBounds)
@@ -289,35 +205,21 @@ func TestCSRUpdateBatchUnknownEntryPanics(t *testing.T) {
 			"wrong-old":    {ID: 7, Old: otherCell(r, g, pts[7]), New: pts[7]},
 		}
 		for name, m := range bad {
-			// The bad move comes last, behind enough crossers to re-scatter.
-			batch := make([]geom.Move, 0, updateN/2+1)
-			for id := 1000; id < 1000+updateN/2; id++ {
-				batch = append(batch, geom.Move{ID: uint32(id), Old: pts[id], New: otherCell(r, g, pts[id])})
-			}
-			batch = append(batch, m)
-			calls := map[string]func(){
-				"Update":              func() { g.Update(m.ID, m.Old, m.New) },
-				"UpdateBatch":         func() { g.UpdateBatch(batch, 1) },
-				"UpdateBatch/workers": func() { g.UpdateBatch(batch, 4) },
-				"UpdateBatch/small":   func() { g.UpdateBatch(batch[len(batch)-3:], 1) },
-			}
-			for call, fn := range calls {
-				before := freeze(g.csr)
-				func() {
-					defer func() {
-						msg, _ := recover().(string)
-						if !strings.HasPrefix(msg, fmt.Sprintf("grid: update of unknown entry %d at ", m.ID)) {
-							t.Fatalf("%s/%s/%s: recovered %q", cfg.Name, name, call, msg)
-						}
-					}()
-					fn()
+			before := freeze(g.csr)
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.HasPrefix(msg, fmt.Sprintf("grid: update of unknown entry %d at ", m.ID)) {
+						t.Fatalf("%s/%s: recovered %q", cfg.Name, name, msg)
+					}
 				}()
-				if !before.equal(freeze(g.csr)) {
-					t.Fatalf("%s/%s/%s: the refused call changed the grid", cfg.Name, name, call)
-				}
-				if err := g.CheckInvariants(); err != nil {
-					t.Fatalf("%s/%s/%s: %v", cfg.Name, name, call, err)
-				}
+				g.Update(m.ID, m.Old, m.New)
+			}()
+			if !before.equal(freeze(g.csr)) {
+				t.Fatalf("%s/%s: the refused call changed the grid", cfg.Name, name)
+			}
+			if err := g.CheckInvariants(); err != nil {
+				t.Fatalf("%s/%s: %v", cfg.Name, name, err)
 			}
 		}
 	}

@@ -17,8 +17,7 @@ import (
 // and coordinates — with zero random access. Updates keep the arena
 // coherent (insertAt/removeAt move coordinate pairs alongside IDs,
 // overflow entries carry their coordinates in overflowXY, a move within
-// a cell rewrites its pair in place, and a batch re-scatter takes the
-// movers' pairs from the batch), and the sharded build writes
+// a cell rewrites its pair in place), and the sharded build writes
 // coordinates in the same disjoint ranges as the IDs, preserving the
 // bit-identical-arena guarantee.
 //

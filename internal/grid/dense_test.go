@@ -95,17 +95,6 @@ func TestCSRDenseStateTransitions(t *testing.T) {
 				expect(true, fmt.Sprintf("BuildParallel(%d)", workers))
 			}
 
-			// A batch leaves the arena dense unless it relocated an entry out
-			// of its column.
-			for _, shape := range batchShapes(g) {
-				snap := slices.Clone(shape.pts)
-				g.Build(snap)
-				g.UpdateBatch(shape.moves, 1)
-				copy(snap, land(shape.pts, shape.moves))
-				rescattered := shape.rescatter(cs.xy != nil)
-				expect(rescattered || !shape.crossers, fmt.Sprintf("UpdateBatch %q (re-scatters: %v)", shape.name, rescattered))
-			}
-
 			// The store interface's own build: every entry lands in overflow.
 			g.Build(pts)
 			cs.reset(pts)

@@ -316,7 +316,7 @@ type Grid struct {
 	colXs []float32
 	st    store
 	// csr aliases st when the layout is CSR, so the bulk-path dispatch
-	// in Build/BuildParallel/UpdateBatch is a nil check in one place.
+	// in Build/BuildParallel/Update is a nil check in one place.
 	csr *csrStore
 	pts []geom.Point
 	// queries counts query-kernel entries (nil until Instrument).
@@ -388,7 +388,6 @@ func MustNew(cfg Config, bounds geom.Rect, numPoints int) *Grid {
 	return g
 }
 
-// Name implements core.Index.
 // KernelTier names, for run headers, the tier this process runs the
 // branchless filters on: "avx512" (filter_amd64.s) or "generic" (their Go
 // loops). Two hosts that differ in it differ by a quarter on a query-bound tick.
@@ -399,6 +398,7 @@ func KernelTier() string {
 	return "generic"
 }
 
+// Name implements core.Index.
 func (g *Grid) Name() string { return g.cfg.DisplayName() }
 
 // Config returns the grid's configuration.
@@ -476,28 +476,6 @@ func (g *Grid) Update(id uint32, old, new geom.Point) {
 		unknownEntry(id, old)
 	}
 	g.st.insertAt(g.cellIndexFor(new), id, new)
-}
-
-// minParallelMoves gates the box grids' sharded update paths: below this
-// batch size the fork/join overhead exceeds the win.
-const minParallelMoves = 2048
-
-// CanBatchUpdates implements core.BatchUpdater: the CSR layouts have a
-// bulk path at every batch size; the paper's layouts have none.
-func (g *Grid) CanBatchUpdates(n int) bool { return g.csr != nil }
-
-// UpdateBatch implements core.BatchUpdater. The CSR layouts validate the
-// whole batch first, then relocate the few movers that cross a cell or
-// re-scatter the arena over workers (csrStore.updateBatch; 0 selects
-// GOMAXPROCS). Every other layout loops over Update.
-func (g *Grid) UpdateBatch(moves []geom.Move, workers int) {
-	if g.csr != nil {
-		g.csr.updateBatch(moves, workers, rescatterPays)
-		return
-	}
-	for i := range moves {
-		g.Update(moves[i].ID, moves[i].Old, moves[i].New)
-	}
 }
 
 // Query implements core.Index: QueryAppend's result, one emit per ID.

@@ -17,7 +17,7 @@ import (
 //
 // The membership checks compare stored cells against the retained base
 // table, so they rely on the package contract that callers keep the
-// snapshot slice in sync with the moves they feed Update/UpdateBatch
+// snapshot slice in sync with the moves they feed Update
 // (the secondary-index assumption every query path already relies on).
 
 // CheckInvariants implements core.InvariantChecker for the point grid.

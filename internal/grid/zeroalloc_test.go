@@ -95,39 +95,3 @@ func TestBoxQueryAppendZeroAlloc(t *testing.T) {
 	bg2.Build(boxes)
 	assertZeroAllocAppend(t, bg2.Name(), bg2.QueryAppend, rects)
 }
-
-// UpdateBatch at one worker allocates nothing once its crosser scratch
-// and (for the relocate regime) the overflow slices have grown: neither
-// regime, on either CSR layout.
-func TestCSRUpdateBatchZeroAlloc(t *testing.T) {
-	gen, pts, _ := zeroAllocWorkload(t)
-	bounds := gen.Config().Bounds()
-	for _, cfg := range []Config{CSR(), CSRXY()} {
-		for _, regime := range []string{"relocate", "re-scatter"} {
-			g := MustNew(cfg, bounds, len(pts))
-			snap := append([]geom.Point(nil), pts...)
-			g.Build(snap)
-			there := crossingBatch(g, snap, 50, 9)
-			if regime == "relocate" {
-				// Few enough movers that csrxy, which counts them all,
-				// relocates too.
-				there = there[:len(there)/(2*rescatterShare)]
-			}
-			back := make([]geom.Move, len(there))
-			for i, m := range there {
-				back[i] = geom.Move{ID: m.ID, Old: m.New, New: m.Old}
-			}
-			tick := func() {
-				g.UpdateBatch(there, 1)
-				g.UpdateBatch(back, 1)
-			}
-			tick()
-			if allocs := testing.AllocsPerRun(20, tick); allocs != 0 {
-				t.Errorf("%s, %s: UpdateBatch allocates %.1f times per batch pair at steady state, want 0", g.Name(), regime, allocs)
-			}
-			if err := g.CheckInvariants(); err != nil {
-				t.Errorf("%s, %s: %v", g.Name(), regime, err)
-			}
-		}
-	}
-}

@@ -19,7 +19,7 @@ const corePath = "repro/internal/core"
 // wrappers, not just the ones with hand-written capability tests.
 var CapForward = &Analyzer{
 	Name: "capforward",
-	Doc:  "index wrappers must forward every optional capability (QueryAppender, ParallelBuilder, BatchUpdater, epoch-observing flavours)",
+	Doc:  "index wrappers must forward every optional capability (QueryAppender, ParallelBuilder, epoch-observing flavours)",
 	Run:  runCapForward,
 }
 
@@ -33,11 +33,11 @@ type capContract struct {
 // capContracts maps each contract to its obligatory capabilities; the
 // names resolve against core's scope at analysis time so the analyzer
 // and the contract can never drift apart. A generic name (IndexOf,
-// ParallelBuilderOf, BatchUpdaterOf) stands for every instantiation: a
+// ParallelBuilderOf) stands for every instantiation: a
 // wrapper is held to it at the type argument its own methods name (see
 // instanceFor), so the point and the box engine are one row.
 var capContracts = []capContract{
-	{"IndexOf", []string{"QueryAppender", "ParallelBuilderOf", "BatchUpdaterOf"}},
+	{"IndexOf", []string{"QueryAppender", "ParallelBuilderOf"}},
 	{"EpochIndex", []string{"EpochQueryAppender", "EpochLeaser"}},
 	{"EpochBoxIndex", []string{"EpochQueryAppender", "EpochLeaser"}},
 	{"ShardedEpochIndex", []string{"ShardedEpochQueryAppender"}},
@@ -78,8 +78,8 @@ func implements(t, iface types.Type) bool {
 // contract or capability iface, and the type argument it was
 // instantiated at (nil for a plain interface, which is returned as it
 // is). A generic interface has one type parameter, named by the slice a
-// method takes — Build(snap []P), BuildParallel(snap []P, ...),
-// UpdateBatch(moves []M, ...) — so the argument is read off t's own
+// method takes — Build(snap []P), BuildParallel(snap []P, ...) — so the
+// argument is read off t's own
 // method of that name; nil, nil when t has no such method.
 func instanceFor(t types.Type, iface types.Type) (types.Type, types.Type) {
 	named, _ := iface.(*types.Named)
@@ -124,19 +124,10 @@ func namingParam(generic *types.Named) (method string, at int) {
 
 // carries reports whether a capability instantiated over `over` serves
 // a contract instantiated over `geometry`: the same type (BuildParallel
-// takes the snapshot Build takes), or a record with a field of it (a
-// move of that geometry). Trivially true when either is not generic.
+// takes the snapshot Build takes). Trivially true when either is not
+// generic.
 func carries(over, geometry types.Type) bool {
-	if over == nil || geometry == nil || types.Identical(over, geometry) {
-		return true
-	}
-	st, _ := over.Underlying().(*types.Struct)
-	for i := 0; st != nil && i < st.NumFields(); i++ {
-		if types.Identical(st.Field(i).Type(), geometry) {
-			return true
-		}
-	}
-	return false
+	return over == nil || geometry == nil || types.Identical(over, geometry)
 }
 
 // capWrappers returns the types of pkg the analyzer holds to the

@@ -5,7 +5,7 @@
 // family currently guards —
 //
 //   - capforward turns the per-wrapper capability tests (QueryAppend /
-//     BuildParallel / UpdateBatch forwarding) into a compile-time
+//     BuildParallel forwarding) into a compile-time
 //     guarantee for every future wrapper;
 //   - containedgo keeps parallel sections routed through
 //     parutil.Group / ForEachShard / GoErr so a worker panic is

@@ -10,8 +10,8 @@ import (
 )
 
 // BrokenWrap satisfies core.Index and stores an inner index but
-// forwards no optional capability: the analyzer must demand all three.
-type BrokenWrap struct { // want `BrokenWrap satisfies core\.IndexOf\[geom\.Point\] .* core\.QueryAppender` `BrokenWrap satisfies core\.IndexOf\[geom\.Point\] .* core\.ParallelBuilderOf` `BrokenWrap satisfies core\.IndexOf\[geom\.Point\] .* core\.BatchUpdaterOf`
+// forwards no optional capability: the analyzer must demand both.
+type BrokenWrap struct { // want `BrokenWrap satisfies core\.IndexOf\[geom\.Point\] .* core\.QueryAppender` `BrokenWrap satisfies core\.IndexOf\[geom\.Point\] .* core\.ParallelBuilderOf`
 	inner core.Index
 }
 
@@ -34,8 +34,6 @@ func (w *GoodWrap) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 	return w.app(r, buf)
 }
 func (w *GoodWrap) BuildParallel(pts []geom.Point, workers int) { w.inner.Build(pts) }
-func (w *GoodWrap) CanBatchUpdates(n int) bool                  { return false }
-func (w *GoodWrap) UpdateBatch(moves []geom.Move, workers int)  {}
 
 // FactoryWrap hides the inner index behind a factory func field (the
 // epoch wrapper's erasure pattern); the analyzer must still see it as a
@@ -49,8 +47,6 @@ func (w *FactoryWrap) Build(pts []geom.Point)                      {}
 func (w *FactoryWrap) Query(r geom.Rect, emit func(uint32))        {}
 func (w *FactoryWrap) Update(id uint32, old, new geom.Point)       {}
 func (w *FactoryWrap) BuildParallel(pts []geom.Point, workers int) {}
-func (w *FactoryWrap) CanBatchUpdates(n int) bool                  { return false }
-func (w *FactoryWrap) UpdateBatch(moves []geom.Move, workers int)  {}
 
 // nestedRegion holds the inner index one struct level down (the shard
 // engine's shape).
@@ -69,50 +65,46 @@ func (w *NestedWrap) Build(pts []geom.Point)                      {}
 func (w *NestedWrap) Query(r geom.Rect, emit func(uint32))        {}
 func (w *NestedWrap) Update(id uint32, old, new geom.Point)       {}
 func (w *NestedWrap) BuildParallel(pts []geom.Point, workers int) {}
-func (w *NestedWrap) CanBatchUpdates(n int) bool                  { return false }
-func (w *NestedWrap) UpdateBatch(moves []geom.Move, workers int)  {}
 
 // forward is a generic forwarding struct over the object geometry P
-// moved by M (the shape of tune.auto, epoch.pub and shard.router): it
+// (the shape of tune.auto, epoch.pub and shard.router): it
 // stores the inner index and forwards everything except BuildParallel.
-type forward[P, M any] struct {
+type forward[P any] struct {
 	inner core.IndexOf[P]
 	app   func(r geom.Rect, buf []uint32) []uint32
 }
 
-func (w *forward[P, M]) Name() string                         { return "forward" }
-func (w *forward[P, M]) Build(snap []P)                       { w.inner.Build(snap) }
-func (w *forward[P, M]) Query(r geom.Rect, emit func(uint32)) { w.inner.Query(r, emit) }
-func (w *forward[P, M]) Update(id uint32, old, new P)         { w.inner.Update(id, old, new) }
-func (w *forward[P, M]) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
+func (w *forward[P]) Name() string                         { return "forward" }
+func (w *forward[P]) Build(snap []P)                       { w.inner.Build(snap) }
+func (w *forward[P]) Query(r geom.Rect, emit func(uint32)) { w.inner.Query(r, emit) }
+func (w *forward[P]) Update(id uint32, old, new P)         { w.inner.Update(id, old, new) }
+func (w *forward[P]) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 	return w.app(r, buf)
 }
-func (w *forward[P, M]) CanBatchUpdates(n int) bool         { return false }
-func (w *forward[P, M]) UpdateBatch(moves []M, workers int) {}
 
 // EmbeddedBoxWrap is a named wrapper that embeds the generic forwarding
 // struct at the box instantiation: the analyzer must see through the
 // embedding (inner index and promoted methods both) and demand the one
 // capability the embedded struct drops, at the box instantiation.
 type EmbeddedBoxWrap struct { // want `EmbeddedBoxWrap satisfies core\.IndexOf\[geom\.Rect\] .* core\.ParallelBuilderOf \(BuildParallel\)`
-	forward[geom.Rect, geom.BoxMove]
+	forward[geom.Rect]
 }
 
 // EmbeddedWrap embeds the same struct at the point instantiation and
 // supplies the missing capability itself: clean.
 type EmbeddedWrap struct {
-	forward[geom.Point, geom.Move]
+	forward[geom.Point]
 }
 
 func (w *EmbeddedWrap) BuildParallel(pts []geom.Point, workers int) { w.inner.Build(pts) }
 
-// CrossedWrap forwards a batch-update path, but over the moves of the
-// other geometry: no driver's BatchUpdater probe would ever find it.
-type CrossedWrap struct { // want `CrossedWrap satisfies core\.IndexOf\[geom\.Point\] .* core\.BatchUpdaterOf`
-	forward[geom.Point, geom.BoxMove]
+// CrossedWrap is a point wrapper whose parallel build takes the other
+// geometry's snapshot: no driver's ParallelBuilder probe would ever find it.
+type CrossedWrap struct { // want `CrossedWrap satisfies core\.IndexOf\[geom\.Point\] .* core\.ParallelBuilderOf`
+	forward[geom.Point]
 }
 
-func (w *CrossedWrap) BuildParallel(pts []geom.Point, workers int) { w.inner.Build(pts) }
+func (w *CrossedWrap) BuildParallel(rects []geom.Rect, workers int) {}
 
 // Standalone satisfies core.Index but stores no inner index — not a
 // wrapper, so missing capabilities are fine (it may genuinely not have

@@ -34,12 +34,9 @@ import (
 // the fork/join overhead beats the win.
 const minParallelBoxTreeBuild = 4096
 
-// minBoxTreeBatch gates the batched update path the same way.
-const minBoxTreeBatch = 2048
-
 // BoxTree is a static, STR bulk-loaded R-tree over an MBR snapshot. It
-// implements core.BoxIndex, core.BoxParallelBuilder, core.BoxBatchUpdater,
-// core.Counter, and core.MemoryReporter.
+// implements core.BoxIndex, core.BoxParallelBuilder, core.Counter, and
+// core.MemoryReporter.
 //
 // Between bulk loads the tree supports in-place moves by bottom-up MBR
 // refit: the moved entry's inlined rectangle is patched and the exact
@@ -82,7 +79,6 @@ type BoxTree struct {
 	levelNodes  []node
 	slabScratch [][]uint32  // per-worker slab-sort ping-pong buffers
 	curScratch  []geom.Rect // rebuild materialization of patched coords
-	dirtyNodes  []bool      // batched-refit worklist
 }
 
 // NewBoxTree returns a box tree with the given fanout (entries per node).
@@ -462,17 +458,13 @@ func (t *BoxTree) rebuildAt() int { return len(t.entries) }
 // rebuildFromEntries re-packs the tree from the patched entry
 // coordinates: the current MBR of every object is scattered back to an
 // ID-indexed scratch snapshot and bulk-loaded.
-func (t *BoxTree) rebuildFromEntries(workers int) {
+func (t *BoxTree) rebuildFromEntries() {
 	cur := resizeRects(t.curScratch, len(t.entries))
 	t.curScratch = cur
 	for k, id := range t.entries {
 		cur[id] = t.entryRects[k]
 	}
-	if workers > 1 {
-		t.BuildParallel(cur, workers)
-	} else {
-		t.Build(cur)
-	}
+	t.Build(cur)
 }
 
 // Update implements core.BoxIndex: patch the moved entry's inlined MBR
@@ -484,62 +476,7 @@ func (t *BoxTree) Update(id uint32, old, new geom.Rect) {
 	t.refitFrom(t.leafPos[int(k)/t.fanout])
 	t.refitted++
 	if t.refitted >= t.rebuildAt() {
-		t.rebuildFromEntries(1)
-	}
-}
-
-// CanBatchUpdates implements core.BoxBatchUpdater: the batched path pays
-// off only for batches large enough to beat its setup.
-func (t *BoxTree) CanBatchUpdates(n int) bool { return n >= minBoxTreeBatch }
-
-// UpdateBatch implements core.BoxBatchUpdater. Coordinate patches shard
-// across workers (slots are per-object, and a batch holds at most one
-// move per object). The refit then runs as one bottom-up sweep: dirty
-// leaves are marked, and nodes are recomputed in ascending node index
-// order — children always precede parents in the arena, so each node is
-// refit exactly once, after all its dirty children. MBRs are exact
-// recomputes, so the final tree is the same one per-move Update calls
-// produce. When the batch crosses the dirtiness threshold the refit is
-// skipped entirely in favour of a sharded rebuild from the patched
-// coordinates.
-func (t *BoxTree) UpdateBatch(moves []geom.BoxMove, workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 || len(moves) < minBoxTreeBatch {
-		for i := range moves {
-			t.Update(moves[i].ID, moves[i].Old, moves[i].New)
-		}
-		return
-	}
-	parutil.ForEachShard(len(moves), workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			t.entryRects[t.slots[moves[i].ID]] = moves[i].New
-		}
-	})
-	t.refitted += len(moves)
-	if t.refitted >= t.rebuildAt() {
-		t.rebuildFromEntries(workers)
-		return
-	}
-
-	if cap(t.dirtyNodes) < len(t.nodes) {
-		t.dirtyNodes = make([]bool, len(t.nodes))
-	}
-	dirty := t.dirtyNodes[:len(t.nodes)]
-	for i := range moves {
-		dirty[t.leafPos[int(t.slots[moves[i].ID])/t.fanout]] = true
-	}
-	for ni := range dirty {
-		if !dirty[ni] {
-			continue
-		}
-		dirty[ni] = false
-		if t.refitNode(int32(ni)) {
-			if p := t.parents[ni]; p >= 0 {
-				dirty[p] = true
-			}
-		}
+		t.rebuildFromEntries()
 	}
 }
 
@@ -557,7 +494,6 @@ func (t *BoxTree) MemoryBytes() int64 {
 	for _, s := range t.slabScratch {
 		total += int64(cap(s)) * 4
 	}
-	total += int64(cap(t.dirtyNodes))
 	return total
 }
 

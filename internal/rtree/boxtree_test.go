@@ -281,79 +281,6 @@ func TestBoxTreeRebuildFallbackEngages(t *testing.T) {
 	checkSTRInvariants(t, bt, cur)
 }
 
-func TestBoxTreeUpdateBatchMatchesSequentialUpdates(t *testing.T) {
-	bounds := geom.R(0, 0, 4000, 4000)
-	rng := xrand.New(31)
-	rects := randomBoxes(rng, 12000, bounds, 0, 200)
-
-	seq := MustNewBoxTree(16)
-	seq.Build(rects)
-	par := MustNewBoxTree(16)
-	par.Build(rects)
-
-	moved, moves := moveBoxes(rng, rects, 50)
-	// Keep the batch under the dirtiness threshold so the refit path
-	// (not the rebuild) is what's compared.
-	if len(moves) < minBoxTreeBatch {
-		t.Fatalf("only %d moves; need >= %d for the batched path", len(moves), minBoxTreeBatch)
-	}
-	if !par.CanBatchUpdates(len(moves)) {
-		t.Fatalf("CanBatchUpdates(%d) = false", len(moves))
-	}
-	for _, m := range moves {
-		seq.Update(m.ID, m.Old, m.New)
-	}
-	par.UpdateBatch(moves, 4)
-
-	for i := range seq.nodes {
-		if seq.nodes[i].mbr != par.nodes[i].mbr {
-			t.Fatalf("node %d MBR differs after batch vs sequential refit", i)
-		}
-	}
-	for _, q := range boxTestQueries(rng, 30, bounds) {
-		got := collectBoxQuery(t, par, q)
-		want := bruteBoxQuery(moved, q)
-		if !equalIDs(got, want) {
-			t.Fatalf("batch updates disagree with oracle on query %v", q)
-		}
-	}
-}
-
-// TestBoxTreeUpdateBatchRebuildFallback crosses the dirtiness threshold
-// in one batch and verifies the sharded rebuild path answers correctly.
-func TestBoxTreeUpdateBatchRebuildFallback(t *testing.T) {
-	bounds := geom.R(0, 0, 4000, 4000)
-	rng := xrand.New(37)
-	rects := randomBoxes(rng, 6000, bounds, 0, 200)
-	bt := MustNewBoxTree(16)
-	bt.Build(rects)
-
-	// Move every object: one batch >= the threshold.
-	moved := make([]geom.Rect, len(rects))
-	moves := make([]geom.BoxMove, len(rects))
-	for i := range rects {
-		dx, dy := rng.Range(-300, 300), rng.Range(-300, 300)
-		nr := geom.Rect{
-			MinX: rects[i].MinX + dx, MinY: rects[i].MinY + dy,
-			MaxX: rects[i].MaxX + dx, MaxY: rects[i].MaxY + dy,
-		}
-		moved[i] = nr
-		moves[i] = geom.BoxMove{ID: uint32(i), Old: rects[i], New: nr}
-	}
-	bt.UpdateBatch(moves, 4)
-	if bt.refitted != 0 {
-		t.Fatalf("full-population batch did not take the rebuild path (refitted=%d)", bt.refitted)
-	}
-	checkSTRInvariants(t, bt, moved)
-	for _, q := range boxTestQueries(rng, 30, bounds) {
-		got := collectBoxQuery(t, bt, q)
-		want := bruteBoxQuery(moved, q)
-		if !equalIDs(got, want) {
-			t.Fatalf("post-rebuild query %v: got %d ids, want %d", q, len(got), len(want))
-		}
-	}
-}
-
 func TestBoxTreeEmptyAndDegenerate(t *testing.T) {
 	bt := MustNewBoxTree(16)
 	bt.Build(nil)

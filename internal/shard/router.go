@@ -12,14 +12,12 @@ import (
 )
 
 // The routers satisfy the full optional-capability surface so the
-// drivers' parallel and batch paths engage.
+// drivers' parallel paths engage.
 var (
 	_ core.Index              = (*Index)(nil)
 	_ core.ParallelBuilder    = (*Index)(nil)
-	_ core.BatchUpdater       = (*Index)(nil)
 	_ core.BoxIndex           = (*BoxIndex)(nil)
 	_ core.BoxParallelBuilder = (*BoxIndex)(nil)
-	_ core.BoxBatchUpdater    = (*BoxIndex)(nil)
 	_ core.Counter            = (*Index)(nil)
 	_ core.MemoryReporter     = (*Index)(nil)
 	_ core.InvariantChecker   = (*Index)(nil)
@@ -287,30 +285,6 @@ func (x *router[P, M]) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 // membership (move in place, park, or revive — region.Update).
 func (x *router[P, M]) Update(id uint32, old, new P) {
 	x.concerned(old, new, func(sid int) { x.regs[sid].Update(id, old, new) })
-}
-
-// CanBatchUpdates implements core.BatchUpdater.
-func (x *router[P, M]) CanBatchUpdates(n int) bool {
-	return len(x.regs) > 1 && n >= 64
-}
-
-// UpdateBatch implements core.BatchUpdater: one routing pass partitions
-// the moves by concerned region, then regions apply their lists in
-// parallel. Each region sees exactly its own moves in batch order and
-// touches only private state, so the result is identical to per-move
-// Update application with no cross-shard locking.
-func (x *router[P, M]) UpdateBatch(moves []M, workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	x.route(moves)
-	forEachStealing(len(x.regs), workers, func(i int) {
-		reg := x.regs[i]
-		for _, m := range x.batches[i] {
-			mv := move[P](m)
-			reg.Update(mv.ID, mv.Old, mv.New)
-		}
-	})
 }
 
 // Len implements core.Counter: live members across regions (a

@@ -359,47 +359,6 @@ func TestShardMigrationAndGrowth(t *testing.T) {
 	}
 }
 
-// TestShardBatchMatchesSequential proves UpdateBatch (parallel,
-// two-phase routed) is indistinguishable from per-move Update calls.
-func TestShardBatchMatchesSequential(t *testing.T) {
-	cfg := testPointConfig()
-	p := core.Params{Bounds: cfg.Bounds(), NumPoints: cfg.NumPoints}
-	src := workload.MustNewGenerator(cfg)
-	pts := make([]geom.Point, cfg.NumPoints)
-	for i, o := range src.Objects() {
-		pts[i] = o.Pos
-	}
-	a := New(p, 4)
-	b := New(p, 4)
-	a.Build(pts)
-	b.Build(pts)
-	if !a.CanBatchUpdates(100) {
-		t.Fatal("sharded engine should take the batch path")
-	}
-	for tick := 0; tick < 5; tick++ {
-		ups := src.Updates()
-		moves := make([]geom.Move, len(ups))
-		for i, u := range ups {
-			moves[i] = geom.Move{ID: u.ID, Old: pts[u.ID], New: u.Pos}
-		}
-		for _, m := range moves {
-			a.Update(m.ID, m.Old, m.New)
-		}
-		b.UpdateBatch(moves, 4)
-		src.ApplyUpdates(ups)
-		for _, u := range ups {
-			pts[u.ID] = u.Pos
-		}
-		if err := b.CheckInvariants(); err != nil {
-			t.Fatalf("tick %d: %v", tick, err)
-		}
-		assertSameEmissions(t, []geom.Rect{
-			{MinX: 100, MinY: 100, MaxX: 700, MaxY: 700},
-			cfg.Bounds(),
-		}, b.Query, a.Query)
-	}
-}
-
 // TestShardConcurrentNoSpuriousDegradation pins the clean-run contract
 // at the scale where it used to break: with no injector armed, a
 // degraded tick or a retry means some layer under the epoch validator
@@ -483,7 +442,7 @@ func TestPointIsDegenerateBox(t *testing.T) {
 	cfg := testPointConfig()
 	p := core.Params{Bounds: cfg.Bounds(), NumPoints: cfg.NumPoints}
 	for _, side := range []int{1, 2, 4} {
-		for _, workers := range []int{0, 1, 4} { // 0: per-move Update
+		for _, workers := range []int{0, 1, 4} { // 0: Build, else BuildParallel
 			t.Run(fmt.Sprintf("side=%d/workers=%d", side, workers), func(t *testing.T) {
 				src := workload.MustNewGenerator(cfg)
 				pts := src.Positions(nil)
@@ -492,8 +451,13 @@ func TestPointIsDegenerateBox(t *testing.T) {
 					rects[i] = pt.Rect()
 				}
 				px, bx := New(p, side), NewBox(p, side)
-				px.Build(pts)
-				bx.Build(rects)
+				if workers == 0 {
+					px.Build(pts)
+					bx.Build(rects)
+				} else {
+					px.BuildParallel(pts, workers)
+					bx.BuildParallel(rects, workers)
+				}
 				for tick := 0; tick < 4; tick++ {
 					queries := queryRects(src.Queriers(), src.QueryRect)
 					assertSameEmissions(t, queries, bx.Query, px.Query)
@@ -506,14 +470,9 @@ func TestPointIsDegenerateBox(t *testing.T) {
 						boxMoves[i] = geom.BoxMove{ID: u.ID, Old: pts[u.ID].Rect(), New: u.Pos.Rect()}
 						pts[u.ID] = u.Pos
 					}
-					if workers > 0 {
-						px.UpdateBatch(moves, workers)
-						bx.UpdateBatch(boxMoves, workers)
-					} else {
-						for i := range moves {
-							px.Update(moves[i].ID, moves[i].Old, moves[i].New)
-							bx.Update(boxMoves[i].ID, boxMoves[i].Old, boxMoves[i].New)
-						}
+					for i := range moves {
+						px.Update(moves[i].ID, moves[i].Old, moves[i].New)
+						bx.Update(boxMoves[i].ID, boxMoves[i].Old, boxMoves[i].New)
 					}
 					src.ApplyUpdates(ups)
 					if err := bx.CheckInvariants(); err != nil {

@@ -34,16 +34,7 @@ func (unbuilt[P]) Query(geom.Rect, func(id uint32))               {}
 func (unbuilt[P]) QueryAppend(_ geom.Rect, buf []uint32) []uint32 { return buf }
 func (unbuilt[P]) Update(uint32, P, P)                            {}
 
-// moveOf is the {ID, Old, New} record shape geom.Move and geom.BoxMove
-// share, so UpdateBatch's per-move fallback can read a generic M.
-type moveOf[P any] interface {
-	~struct {
-		ID       uint32
-		Old, New P
-	}
-}
-
-// auto is the adaptive index over geometry P moved by M: a
+// auto is the adaptive index over geometry P: a
 // core.IndexOf[P] that defers choosing its structure until the first
 // Build, when it samples the actual snapshot, runs the calibrated
 // selector, and instantiates the winner. Every subsequent call
@@ -53,7 +44,7 @@ type moveOf[P any] interface {
 // The selection is made once per instance (the drivers construct a
 // fresh index per run, so one run = one decision; re-deciding mid-run
 // would re-pay the structure's warm-up on every drift of the sample).
-type auto[P any, M moveOf[P]] struct {
+type auto[P any] struct {
 	geo    *autoGeo[P]
 	params core.Params
 	inner  core.IndexOf[P]
@@ -71,26 +62,24 @@ type auto[P any, M moveOf[P]] struct {
 // newAuto forces the once-per-process calibration so its
 // microbenchmarks run OUTSIDE any timed region: drivers time Build,
 // and the first Build is where selection (but not calibration) happens.
-func newAuto[P any, M moveOf[P]](g *autoGeo[P], p core.Params) auto[P, M] {
+func newAuto[P any](g *autoGeo[P], p core.Params) auto[P] {
 	Calibrate()
-	return auto[P, M]{geo: g, params: p, inner: unbuilt[P]{}, appendKernel: unbuilt[P]{}.QueryAppend}
+	return auto[P]{geo: g, params: p, inner: unbuilt[P]{}, appendKernel: unbuilt[P]{}.QueryAppend}
 }
 
 // Auto is the adaptive point index, choosing among the point grid
 // layouts and their granularity on first Build.
-type Auto struct{ auto[geom.Point, geom.Move] }
+type Auto struct{ auto[geom.Point] }
 
 // AutoBox is Auto for extended objects: a core.BoxIndex choosing among
 // the box grid families and the STR R-tree on first Build.
-type AutoBox struct{ auto[geom.Rect, geom.BoxMove] }
+type AutoBox struct{ auto[geom.Rect] }
 
 var (
 	_ core.Index              = (*Auto)(nil)
 	_ core.ParallelBuilder    = (*Auto)(nil)
-	_ core.BatchUpdater       = (*Auto)(nil)
 	_ core.BoxIndex           = (*AutoBox)(nil)
 	_ core.BoxParallelBuilder = (*AutoBox)(nil)
-	_ core.BoxBatchUpdater    = (*AutoBox)(nil)
 	_ core.QueryAppender      = (*Auto)(nil)
 )
 
@@ -100,13 +89,13 @@ var (
 // fall back to the defaults documented on Stats.sanitize. Construction
 // runs the calibration (see newAuto).
 func NewAuto(p core.Params) *Auto {
-	return &Auto{newAuto[geom.Point, geom.Move](pointAuto, p)}
+	return &Auto{newAuto(pointAuto, p)}
 }
 
 // NewAutoBox returns an adaptive box index for the given parameters,
 // calibrated at construction like NewAuto.
 func NewAutoBox(p core.Params) *AutoBox {
-	return &AutoBox{newAuto[geom.Rect, geom.BoxMove](boxAuto, p)}
+	return &AutoBox{newAuto(boxAuto, p)}
 }
 
 // AutoFactory is the core.Factory of the adaptive point index — the
@@ -119,7 +108,7 @@ func AutoBoxFactory(p core.Params) core.BoxIndex { return NewAutoBox(p) }
 
 // Name implements core.IndexOf. Before the first Build it is just
 // "auto" / "boxauto"; afterwards it carries the decision.
-func (a *auto[P, M]) Name() string {
+func (a *auto[P]) Name() string {
 	if !a.chosen {
 		return a.geo.name
 	}
@@ -128,7 +117,7 @@ func (a *auto[P, M]) Name() string {
 
 // ensure samples the snapshot and instantiates the chosen structure on
 // the first build.
-func (a *auto[P, M]) ensure(snap []P) {
+func (a *auto[P]) ensure(snap []P) {
 	if a.chosen {
 		return
 	}
@@ -141,14 +130,14 @@ func (a *auto[P, M]) ensure(snap []P) {
 }
 
 // Build implements core.IndexOf.
-func (a *auto[P, M]) Build(snap []P) {
+func (a *auto[P]) Build(snap []P) {
 	a.ensure(snap)
 	a.inner.Build(snap)
 }
 
 // BuildParallel implements core.ParallelBuilderOf, delegating to the
 // chosen structure's sharded build when it has one.
-func (a *auto[P, M]) BuildParallel(snap []P, workers int) {
+func (a *auto[P]) BuildParallel(snap []P, workers int) {
 	a.ensure(snap)
 	if pb, ok := a.inner.(core.ParallelBuilderOf[P]); ok {
 		pb.BuildParallel(snap, workers)
@@ -158,7 +147,7 @@ func (a *auto[P, M]) BuildParallel(snap []P, workers int) {
 }
 
 // Query implements core.IndexOf.
-func (a *auto[P, M]) Query(r geom.Rect, emit func(id uint32)) { a.inner.Query(r, emit) }
+func (a *auto[P]) Query(r geom.Rect, emit func(id uint32)) { a.inner.Query(r, emit) }
 
 // QueryAppend implements core.QueryAppender, delegating to the kernel
 // resolved at selection time (every family the selector chooses among
@@ -168,36 +157,15 @@ func (a *auto[P, M]) Query(r geom.Rect, emit func(id uint32)) { a.inner.Query(r,
 // forbids.
 //
 //joinlint:hotpath
-func (a *auto[P, M]) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
+func (a *auto[P]) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 	return a.appendKernel(r, buf)
 }
 
 // Update implements core.IndexOf.
-func (a *auto[P, M]) Update(id uint32, old, new P) { a.inner.Update(id, old, new) }
-
-// CanBatchUpdates implements core.BatchUpdaterOf.
-func (a *auto[P, M]) CanBatchUpdates(n int) bool {
-	bu, ok := a.inner.(core.BatchUpdaterOf[M])
-	return ok && bu.CanBatchUpdates(n)
-}
-
-// UpdateBatch implements core.BatchUpdaterOf.
-func (a *auto[P, M]) UpdateBatch(moves []M, workers int) {
-	if bu, ok := a.inner.(core.BatchUpdaterOf[M]); ok {
-		bu.UpdateBatch(moves, workers)
-		return
-	}
-	for _, m := range moves {
-		mv := struct {
-			ID       uint32
-			Old, New P
-		}(m)
-		a.inner.Update(mv.ID, mv.Old, mv.New)
-	}
-}
+func (a *auto[P]) Update(id uint32, old, new P) { a.inner.Update(id, old, new) }
 
 // Len implements core.Counter (0 before the first build).
-func (a *auto[P, M]) Len() int {
+func (a *auto[P]) Len() int {
 	if c, ok := a.inner.(core.Counter); ok {
 		return c.Len()
 	}
@@ -205,7 +173,7 @@ func (a *auto[P, M]) Len() int {
 }
 
 // MemoryBytes implements core.MemoryReporter.
-func (a *auto[P, M]) MemoryBytes() int64 {
+func (a *auto[P]) MemoryBytes() int64 {
 	if r, ok := a.inner.(core.MemoryReporter); ok {
 		return r.MemoryBytes()
 	}
@@ -215,7 +183,7 @@ func (a *auto[P, M]) MemoryBytes() int64 {
 // CheckInvariants implements core.InvariantChecker, delegating to the
 // chosen structure's audit when it has one (nil before the first build:
 // an empty index has nothing to violate).
-func (a *auto[P, M]) CheckInvariants() error {
+func (a *auto[P]) CheckInvariants() error {
 	if ic, ok := a.inner.(core.InvariantChecker); ok {
 		return ic.CheckInvariants()
 	}
@@ -223,7 +191,7 @@ func (a *auto[P, M]) CheckInvariants() error {
 }
 
 // Choice returns the decision, and whether one has been made yet.
-func (a *auto[P, M]) Choice() (Choice, bool) { return a.choice, a.chosen }
+func (a *auto[P]) Choice() (Choice, bool) { return a.choice, a.chosen }
 
 // ReplicationFactor reports the chosen structure's replication (1
 // before the first build and for replication-free structures).

@@ -114,8 +114,7 @@ func TestAutoBoxForwardsBufferedKernels(t *testing.T) {
 
 // An adaptive index that has not seen a snapshot answers like every
 // unbuilt family: no results from any kernel, no panic — the same
-// pre-build state Len, MemoryBytes, CheckInvariants and CanBatchUpdates
-// always handled.
+// pre-build state Len, MemoryBytes and CheckInvariants always handled.
 func TestAutoAnswersEmptyBeforeFirstBuild(t *testing.T) {
 	p := core.Params{Bounds: geom.R(0, 0, 1000, 1000), NumPoints: 100}
 	auto, boxauto := NewAuto(p), NewAutoBox(p)
@@ -128,18 +127,15 @@ func TestAutoAnswersEmptyBeforeFirstBuild(t *testing.T) {
 			core.InvariantChecker
 			Name() string
 			Query(r geom.Rect, emit func(id uint32))
-			CanBatchUpdates(n int) bool
 			Choice() (Choice, bool)
 		}
 		update func()
 	}{
 		{"auto", auto, func() {
 			auto.Update(3, geom.Pt(1, 1), geom.Pt(2, 2))
-			auto.UpdateBatch([]geom.Move{{ID: 3, Old: geom.Pt(1, 1), New: geom.Pt(2, 2)}}, 1)
 		}},
 		{"boxauto", boxauto, func() {
 			boxauto.Update(3, geom.R(1, 1, 2, 2), geom.R(2, 2, 3, 3))
-			boxauto.UpdateBatch([]geom.BoxMove{{ID: 3, Old: geom.R(1, 1, 2, 2), New: geom.R(2, 2, 3, 3)}}, 1)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -156,9 +152,9 @@ func TestAutoAnswersEmptyBeforeFirstBuild(t *testing.T) {
 			if _, chosen := idx.Choice(); chosen || idx.Name() != tc.name {
 				t.Errorf("unbuilt index reports a choice: %q", idx.Name())
 			}
-			if idx.Len() != 0 || idx.MemoryBytes() != 0 || idx.CanBatchUpdates(1<<20) || idx.CheckInvariants() != nil {
-				t.Errorf("unbuilt index: Len %d, MemoryBytes %d, CanBatchUpdates %v, CheckInvariants %v",
-					idx.Len(), idx.MemoryBytes(), idx.CanBatchUpdates(1<<20), idx.CheckInvariants())
+			if idx.Len() != 0 || idx.MemoryBytes() != 0 || idx.CheckInvariants() != nil {
+				t.Errorf("unbuilt index: Len %d, MemoryBytes %d, CheckInvariants %v",
+					idx.Len(), idx.MemoryBytes(), idx.CheckInvariants())
 			}
 		})
 	}

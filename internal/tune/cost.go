@@ -251,12 +251,8 @@ func (m *Model) QueryNs(f Family, s Stats, p int) float64 {
 // UpdateNs predicts one in-place move. For the R-tree it includes the
 // amortized cost of the dirtiness-threshold rebuild (one rebuild per N
 // refits — see rtree.BoxTree), which is what prices it out of
-// update-dominated ticks. The CSR point grids take a tick's moves as one
-// batch and, once many of them cross a cell, re-scatter the arena instead
-// of relocating them one by one (grid.csrStore.updateBatch): a move then
-// costs the cheaper of the calibrated relocation and its share of one
-// build's worth of scatter — a share that grows with the directory, so a
-// churn-heavy mix is never promised cheaper updates from finer cells.
+// update-dominated ticks. Every other family relocates one entry (one
+// per replica for the box grids) at its calibrated constant.
 func (m *Model) UpdateNs(f Family, s Stats, p int) float64 {
 	c := m.c[f]
 	switch f {
@@ -268,11 +264,6 @@ func (m *Model) UpdateNs(f Family, s Stats, p int) float64 {
 		return c.update*rtreeHeight(s.N, p) + amortized
 	case BoxCSR, BoxCSR2L:
 		return c.update * replication(s, p)
-	case PointCSR, PointCSRXY:
-		if movers := s.Updaters * float64(s.N); movers > 0 {
-			return math.Min(c.update, m.BuildNs(f, s, p)/movers)
-		}
-		return c.update
 	default:
 		return c.update
 	}

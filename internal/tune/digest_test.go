@@ -147,9 +147,6 @@ func TestAutoNameCarriesDecision(t *testing.T) {
 	if a.Name() != "boxauto" {
 		t.Errorf("pre-build name = %q", a.Name())
 	}
-	if a.CanBatchUpdates(1 << 20) {
-		t.Error("CanBatchUpdates before any build")
-	}
 	gen := workload.MustNewBoxGenerator(cfg)
 	a.Build(gen.Rects(nil))
 	if _, ok := a.Choice(); !ok {

@@ -12,7 +12,7 @@ import "repro/internal/obs"
 // Instrument implements obs.Instrumentable (promoted to Auto and
 // AutoBox). Call before Build (the drivers do); the selection made at
 // first build is then published.
-func (a *auto[P, M]) Instrument(r *obs.Registry) { a.reg = r }
+func (a *auto[P]) Instrument(r *obs.Registry) { a.reg = r }
 
 // publishChoice records a freshly made selection: the decision label,
 // the winner's predicted tick cost, and a selection count (several
