@@ -32,12 +32,11 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
-		runIDs   = fs.String("run", "all", "comma-separated experiment IDs, \"all\" (paper artifacts) or \"extensions\"")
-		list     = fs.Bool("list", false, "list experiments and exit")
-		scale    = fs.Float64("scale", 0.1, "tick-count scale in (0,1]; 1.0 = paper parameters")
-		seed     = fs.Uint64("seed", 1, "workload random seed")
-		csvDir   = fs.String("csv-dir", "", "directory to write per-experiment CSVs into")
-		parallel = fs.Bool("parallel", false, "parallelize query phases (not paper-faithful)")
+		runIDs = fs.String("run", "all", "comma-separated experiment IDs, \"all\" (paper artifacts) or \"extensions\"")
+		list   = fs.Bool("list", false, "list experiments and exit")
+		scale  = fs.Float64("scale", 0.1, "tick-count scale in (0,1]; 1.0 = paper parameters")
+		seed   = fs.Uint64("seed", 1, "workload random seed")
+		csvDir = fs.String("csv-dir", "", "directory to write per-experiment CSVs into")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -53,7 +52,7 @@ func run(args []string) error {
 		return nil
 	}
 
-	cfg := bench.Config{Scale: *scale, Seed: *seed, Parallel: *parallel}
+	cfg := bench.Config{Scale: *scale, Seed: *seed}
 	if err := cfg.Validate(); err != nil {
 		return err
 	}

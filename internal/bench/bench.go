@@ -37,12 +37,6 @@ type Config struct {
 	// Seed feeds the workload generator; the paper's comparisons hold
 	// for any fixed seed.
 	Seed uint64
-	// Parallel switches the driver to RunParallel with GOMAXPROCS
-	// workers, parallelizing the snapshot refresh, the build of indexes
-	// with a parallel path, and the query phase; the in-place updates of
-	// the paper's protocol stay one Update per move. Off for
-	// paper-faithful single-threaded runs.
-	Parallel bool
 }
 
 // DefaultConfig runs quickly while preserving all data sizes.
@@ -186,7 +180,7 @@ func (s inPlace) ApplyUpdates(batch []workload.Update) {
 // update protocol, returning seconds in lineup order. All runs are
 // verified to produce the same join digest — an experiment whose
 // techniques disagree is aborted.
-func runAvgTick(wcfg workload.Config, lineup []technique, cfg Config) ([]float64, error) {
+func runAvgTick(wcfg workload.Config, lineup []technique) ([]float64, error) {
 	trace, err := workload.Record(wcfg)
 	if err != nil {
 		return nil, err
@@ -197,12 +191,7 @@ func runAvgTick(wcfg workload.Config, lineup []technique, cfg Config) ([]float64
 	for i, tech := range lineup {
 		idx := tech.make(core.Params{Bounds: wcfg.Bounds(), NumPoints: wcfg.NumPoints})
 		src := MaintainInPlace(idx, workload.NewPlayer(trace))
-		var res *core.Result
-		if cfg.Parallel {
-			res = core.RunParallel(idx, src, core.Options{}, 0)
-		} else {
-			res = core.Run(idx, src, core.Options{})
-		}
+		res := core.Run(idx, src, core.Options{})
 		if i == 0 {
 			refPairs, refHash = res.Pairs, res.Hash
 		} else if res.Pairs != refPairs || res.Hash != refHash {

@@ -38,7 +38,7 @@ func TestRunAvgTickCatchesWrongResults(t *testing.T) {
 		{"oracle", func(p core.Params) core.Index { return core.NewBruteForce() }},
 		{"lossy", func(p core.Params) core.Index { return &lossyIndex{inner: core.NewBruteForce()} }},
 	}
-	_, err := runAvgTick(wcfg, lineup, Config{Scale: 1, Seed: 1})
+	_, err := runAvgTick(wcfg, lineup)
 	if err == nil {
 		t.Fatal("lossy technique slipped past the digest check")
 	}

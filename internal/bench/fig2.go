@@ -135,7 +135,7 @@ func sweepExperiment(cfg Config, lineup []technique, sw sweep) (Artifact, error)
 		lines[i] = make([]float64, len(sw.xs))
 	}
 	for xi, x := range sw.xs {
-		secs, err := runAvgTick(sw.configure(x, cfg), lineup, cfg)
+		secs, err := runAvgTick(sw.configure(x, cfg), lineup)
 		if err != nil {
 			return nil, err
 		}

@@ -54,7 +54,7 @@ func forEachBlock(n, workers int, fn func(w, lo, hi int)) {
 const parallelRefreshMin = 1 << 14
 
 // engine adapts one object class to the tick loop. Every hook is
-// mandatory except buildParallel (nil when the index has no sharded
+// mandatory except buildSharded (nil when the index has no sharded
 // build).
 type engine[P any] struct {
 	name   string
@@ -65,9 +65,9 @@ type engine[P any] struct {
 	// refresh copies the current base-table geometry of objects
 	// [lo, hi) into dst[lo:hi]; several workers call it per shard.
 	refresh func(dst []P, lo, hi int)
-	// build / buildParallel (re)construct the index over the snapshot.
-	build         func(snap []P)
-	buildParallel func(snap []P, workers int)
+	// build / buildSharded (re)construct the index over the snapshot.
+	build        func(snap []P)
+	buildSharded func(snap []P, workers int)
 	// query probes the index once via the callback kernel; queryAppend
 	// and queryBatch are the buffered kernels (bound through
 	// QueryAppendOf/QueryBatchOf, so they are never nil — native when
@@ -117,7 +117,7 @@ func newEngine[P any](idx IndexOf[P], src tickFeed, n int) *engine[P] {
 	}
 	_, e.nativeAppend = idx.(QueryAppender)
 	if builder, ok := idx.(ParallelBuilderOf[P]); ok {
-		e.buildParallel = builder.BuildParallel
+		e.buildSharded = builder.BuildParallel
 	}
 	return e
 }
@@ -309,8 +309,8 @@ func runTicks[P any](e *engine[P], opts Options, workers int) *Result {
 		} else {
 			e.refresh(snapshot, 0, len(snapshot))
 		}
-		if workers > 1 && e.buildParallel != nil {
-			e.buildParallel(snapshot, workers)
+		if workers > 1 && e.buildSharded != nil {
+			e.buildSharded(snapshot, workers)
 		} else {
 			e.build(snapshot)
 		}

@@ -72,7 +72,9 @@ func TestBruteForceBoxesQueryAppendZeroAlloc(t *testing.T) {
 // buffers and the schedule's scratch are the run's, every Build reuses
 // the CSR arena, and the update phase only applies the batch to the base
 // table. So a run allocates exactly what a shorter run over the same
-// trace does, once both are past the schedule's trial.
+// trace does, once both are past the schedule's trial. The negative
+// control, a CSR grid whose Build allocates once, shows the pair still
+// counts a tick's allocation with the collector off.
 func TestOneWorkerTickZeroAlloc(t *testing.T) {
 	const warm, extra = trialTicks + 1, 4
 	cfg := workload.DefaultUniform()
@@ -88,17 +90,34 @@ func TestOneWorkerTickZeroAlloc(t *testing.T) {
 	// the runtime's own allocations (GOGC=off and GOGC=400 read 0), so the
 	// pair is taken with it off; a tick that allocates still fails.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	for _, gc := range []grid.Config{grid.CSR(), grid.CSRXY()} {
-		idx := grid.MustNew(gc, cfg.Bounds(), cfg.NumPoints)
+	moreTicks := func(idx Index) float64 {
 		run := func(ticks int) func() {
 			return func() { Run(idx, workload.NewPlayer(trace), Options{Ticks: ticks}) }
 		}
 		short := testing.AllocsPerRun(3, run(warm))
-		long := testing.AllocsPerRun(3, run(warm+extra))
-		if long != short {
-			t.Errorf("%s: %d more ticks allocate %.1f times, want 0", idx.Name(), extra, long-short)
+		return testing.AllocsPerRun(3, run(warm+extra)) - short
+	}
+	for _, gc := range []grid.Config{grid.CSR(), grid.CSRXY()} {
+		idx := grid.MustNew(gc, cfg.Bounds(), cfg.NumPoints)
+		if d := moreTicks(idx); d != 0 {
+			t.Errorf("%s: %d more ticks allocate %.1f times, want 0", idx.Name(), extra, d)
 		}
 	}
+	leaky := &allocatingBuild{Grid: grid.MustNew(grid.CSR(), cfg.Bounds(), cfg.NumPoints)}
+	if d := moreTicks(leaky); d < extra {
+		t.Errorf("negative control: %d more ticks of a Build that allocates read %.1f allocations, want >= %d", extra, d, extra)
+	}
+}
+
+// allocatingBuild is a CSR grid whose Build allocates once per call.
+type allocatingBuild struct {
+	*grid.Grid
+	garbage []byte
+}
+
+func (a *allocatingBuild) Build(pts []geom.Point) {
+	a.garbage = make([]byte, 64)
+	a.Grid.Build(pts)
 }
 
 // The query drain of a one-worker tick — the whole query phase of the

@@ -226,10 +226,6 @@ func (bg *BoxGrid) Build(rects []geom.Rect) {
 	}
 }
 
-// minParallelBoxBuild gates the sharded build; below this population the
-// fork/join overhead beats the win.
-const minParallelBoxBuild = 4096
-
 // BuildParallel implements core.BoxParallelBuilder: the sharded variant
 // of Build. Workers count their contiguous chunk of rects into private
 // count arrays, the global prefix sum turns them into per-worker scatter
@@ -240,7 +236,7 @@ func (bg *BoxGrid) BuildParallel(rects []geom.Rect, workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers == 1 || len(rects) < minParallelBoxBuild {
+	if workers == 1 || len(rects) < minParallelBuild {
 		bg.Build(rects)
 		return
 	}

@@ -403,7 +403,7 @@ func (bg *BoxGrid2L) BuildParallel(rects []geom.Rect, workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers == 1 || len(rects) < minParallelBoxBuild {
+	if workers == 1 || len(rects) < minParallelBuild {
 		bg.Build(rects)
 		return
 	}

@@ -1,6 +1,8 @@
 package grid
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -160,30 +162,38 @@ func TestBoxGridDuplicateFreeSpanningRects(t *testing.T) {
 }
 
 // TestBoxGridParallelBuildMatchesSequential verifies the sharded
-// counting-sort build produces an arena bit-identical to Build.
+// counting-sort build produces an arena bit-identical to Build on every
+// shardedBuildInputs population, with a clean audit and brute force's
+// answers.
 func TestBoxGridParallelBuildMatchesSequential(t *testing.T) {
 	bounds := geom.R(0, 0, 2000, 2000)
 	rng := xrand.New(11)
-	// Above the gate so the parallel path actually runs.
-	rects := randomBoxes(rng, 6000, bounds, 0, 150)
-
-	seq := MustNewBoxGrid(32, bounds, len(rects))
-	seq.Build(rects)
-	for _, workers := range []int{2, 3, 8} {
-		par := MustNewBoxGrid(32, bounds, len(rects))
-		par.BuildParallel(rects, workers)
-		if par.Replicas() != seq.Replicas() {
-			t.Fatalf("workers=%d: %d replicas, want %d", workers, par.Replicas(), seq.Replicas())
-		}
-		for c := range seq.counts {
-			if seq.counts[c] != par.counts[c] || seq.starts[c] != par.starts[c] {
-				t.Fatalf("workers=%d: cell %d segment differs", workers, c)
+	for _, in := range shardedBuildInputs(6000) {
+		rects := in.boxes(rng, bounds)
+		queries := testQueries(rng, 20, bounds)
+		seq := MustNewBoxGrid(32, bounds, len(rects))
+		seq.Build(rects)
+		for _, workers := range []int{1, 2, 3, 8} {
+			name := fmt.Sprintf("%s/workers=%d", in.name, workers)
+			par := MustNewBoxGrid(32, bounds, len(rects))
+			par.BuildParallel(rects, workers)
+			switch {
+			case par.Replicas() != seq.Replicas():
+				t.Fatalf("%s: %d replicas, want %d", name, par.Replicas(), seq.Replicas())
+			case !slices.Equal(par.starts, seq.starts) || !slices.Equal(par.counts, seq.counts):
+				t.Fatalf("%s: cell segments differ from Build's", name)
+			case !slices.Equal(par.ids, seq.ids):
+				t.Fatalf("%s: arena differs from Build's", name)
+			case !slices.Equal(par.spans, seq.spans):
+				t.Fatalf("%s: cached spans differ from Build's", name)
 			}
-		}
-		for i := range seq.ids {
-			if seq.ids[i] != par.ids[i] {
-				t.Fatalf("workers=%d: arena differs at slot %d: %d vs %d",
-					workers, i, par.ids[i], seq.ids[i])
+			if err := par.CheckInvariants(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for _, q := range queries {
+				if got, want := collectQuery(t, par, q), bruteBoxQuery(rects, q); !equalIDs(got, want) {
+					t.Fatalf("%s query %v: %d ids, want %d", name, q, len(got), len(want))
+				}
 			}
 		}
 	}

@@ -6,6 +6,8 @@ package grid
 // csr_update_test.go.
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -21,28 +23,40 @@ func csrOf(t testing.TB, g *Grid) *csrStore {
 	return cs
 }
 
-func TestCSRParallelBuildBitIdentical(t *testing.T) {
-	r := xrand.New(21)
-	pts := randomPoints(r, 20000, testBounds)
-	seq := MustNew(CSR(), testBounds, len(pts))
-	seq.Build(pts)
-	for _, workers := range []int{1, 2, 3, 7, 16} {
-		par := MustNew(CSR(), testBounds, len(pts))
-		par.BuildParallel(pts, workers)
-		ss, ps := csrOf(t, seq), csrOf(t, par)
-		if len(ss.ids) != len(ps.ids) {
-			t.Fatalf("workers=%d: arena length %d != %d", workers, len(ps.ids), len(ss.ids))
-		}
-		for i := range ss.ids {
-			if ss.ids[i] != ps.ids[i] {
-				t.Fatalf("workers=%d: arena diverges at %d: %d != %d",
-					workers, i, ps.ids[i], ss.ids[i])
+func TestCSRParallelBuildBitIdentical(t *testing.T) { testCSRBuildParallel(t, CSR(), 21) }
+
+// testCSRBuildParallel holds a CSR layout's sharded build to Build on
+// every shardedBuildInputs population: the same labels, offsets, ID arena
+// and coordinate arena, a clean audit, and brute force's answers.
+func testCSRBuildParallel(t *testing.T, cfg Config, seed uint64) {
+	rng := xrand.New(seed)
+	for _, in := range shardedBuildInputs(20000) {
+		pts := in.points(rng, testBounds)
+		queries := testQueries(rng, 20, testBounds)
+		seq := MustNew(cfg, testBounds, len(pts))
+		seq.Build(pts)
+		ss := csrOf(t, seq)
+		for _, workers := range []int{1, 2, 3, 8, 16} {
+			name := fmt.Sprintf("%s/%s/workers=%d", cfg.DisplayName(), in.name, workers)
+			par := MustNew(cfg, testBounds, len(pts))
+			par.BuildParallel(pts, workers)
+			ps := csrOf(t, par)
+			switch {
+			case !slices.Equal(ps.cellOf, ss.cellOf):
+				t.Fatalf("%s: labels differ from Build's", name)
+			case !slices.Equal(ps.starts, ss.starts) || !slices.Equal(ps.counts, ss.counts):
+				t.Fatalf("%s: offsets differ from Build's", name)
+			case !slices.Equal(ps.ids, ss.ids):
+				t.Fatalf("%s: ID arena differs from Build's", name)
+			case !slices.Equal(ps.xy, ss.xy):
+				t.Fatalf("%s: coordinate arena differs from Build's", name)
+			case ps.dense != ss.dense:
+				t.Fatalf("%s: dense %v, Build leaves %v", name, ps.dense, ss.dense)
 			}
-		}
-		for f := range ss.starts {
-			if ss.starts[f] != ps.starts[f] {
-				t.Fatalf("workers=%d: starts diverge at column %d", workers, f)
+			if err := par.CheckInvariants(); err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
+			assertKernelsMatchBrute(t, par, pts, queries)
 		}
 	}
 }

@@ -41,27 +41,7 @@ func TestCSRXYMatchesCSR(t *testing.T) {
 	}
 }
 
-func TestCSRXYParallelBuildBitIdentical(t *testing.T) {
-	r := xrand.New(43)
-	pts := randomPoints(r, 20000, testBounds)
-	seq := MustNew(CSRXY(), testBounds, len(pts))
-	seq.Build(pts)
-	for _, workers := range []int{1, 2, 3, 7} {
-		par := MustNew(CSRXY(), testBounds, len(pts))
-		par.BuildParallel(pts, workers)
-		ss, ps := csrOf(t, seq), csrOf(t, par)
-		for i := range ss.ids {
-			if ss.ids[i] != ps.ids[i] {
-				t.Fatalf("workers=%d: ID arena diverges at %d", workers, i)
-			}
-		}
-		for i := range ss.xy {
-			if ss.xy[i] != ps.xy[i] {
-				t.Fatalf("workers=%d: coordinate arena diverges at %d", workers, i)
-			}
-		}
-	}
-}
+func TestCSRXYParallelBuildBitIdentical(t *testing.T) { testCSRBuildParallel(t, CSRXY(), 43) }
 
 // TestCSRXYUpdateKeepsCoordinatesCoherent drives the slack/overflow
 // machinery (swap-deletes, overflow refill) and verifies the coordinate

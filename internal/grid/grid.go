@@ -22,7 +22,6 @@ package grid
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"repro/internal/callback"
 	"repro/internal/geom"
@@ -433,32 +432,21 @@ func (g *Grid) Build(pts []geom.Point) {
 	}
 }
 
-// minParallelBuild gates every sharded build path; below this population
-// the fork/join overhead beats the win.
+// minParallelBuild gates every sharded build (the CSR layouts' and both
+// box grids'); below this population the fork/join overhead beats the win.
 const minParallelBuild = 4096
 
-// BuildParallel implements core.ParallelBuilder across all layouts (0
-// workers selects GOMAXPROCS). The CSR layout builds by sharded counting
-// sort and produces an arena bit-identical to Build; the bucket layouts
-// (inline, linked, intrusive) build per-worker private chains spliced
-// per cell (see parbuild.go), indistinguishable to Query/Update though
-// chain order differs. Small populations fall back to the sequential
-// Build.
+// BuildParallel implements core.ParallelBuilder (0 workers selects
+// GOMAXPROCS). The CSR layouts build by sharded counting sort and produce
+// an arena bit-identical to Build. The bucket layouts (inline, linked,
+// intrusive) are the paper's single-threaded baselines: they Build.
 func (g *Grid) BuildParallel(pts []geom.Point, workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if g.csr != nil {
-		g.pts = pts
-		g.csr.build(pts, workers)
+	if g.csr == nil {
+		g.Build(pts)
 		return
 	}
-	if sb, ok := g.st.(spliceBuildStore); ok && workers > 1 && len(pts) >= minParallelBuild {
-		g.pts = pts
-		sb.buildParallel(pts, g.mapper, workers)
-		return
-	}
-	g.Build(pts)
+	g.pts = pts
+	g.csr.build(pts, workers)
 }
 
 // Update implements core.Index: the grid is maintained in place by

@@ -34,11 +34,6 @@ type inlineStore struct {
 	live     int    // buckets currently in use
 	entries  int
 	pts      []geom.Point
-
-	// Parallel-build scratch (see parbuild.go), retained across builds.
-	par      chainScratch
-	chains   []headTail32
-	slotBase []uint32
 }
 
 // nilOff terminates bucket chains and the freelist.

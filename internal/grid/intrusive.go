@@ -22,9 +22,6 @@ type intrusiveStore struct {
 	nodes   []iNode // arena indexed by object ID
 	entries int
 	pts     []geom.Point
-
-	// Parallel-build scratch (see parbuild.go), retained across builds.
-	chains []headTail32
 }
 
 // iNode is one intrusive list node. prev/next hold object IDs (-1 for

@@ -26,11 +26,6 @@ type linkedStore struct {
 	bucketFree  *linkedBucket
 	entries     int
 	pts         []geom.Point
-
-	// Parallel-build scratch (see parbuild.go), retained across builds.
-	par        chainScratch
-	chains     []chainPtrs
-	bucketBase []uint32
 }
 
 // linkedCell is the original 16-byte directory cell: the count (the

@@ -22,21 +22,14 @@ package rtree
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"repro/internal/callback"
 	"repro/internal/geom"
-	"repro/internal/parutil"
 	"repro/internal/sortutil"
 )
 
-// minParallelBoxTreeBuild gates the sharded build; below this population
-// the fork/join overhead beats the win.
-const minParallelBoxTreeBuild = 4096
-
 // BoxTree is a static, STR bulk-loaded R-tree over an MBR snapshot. It
-// implements core.BoxIndex, core.BoxParallelBuilder, core.Counter, and
-// core.MemoryReporter.
+// implements core.BoxIndex, core.Counter, and core.MemoryReporter.
 //
 // Between bulk loads the tree supports in-place moves by bottom-up MBR
 // refit: the moved entry's inlined rectangle is patched and the exact
@@ -77,7 +70,6 @@ type BoxTree struct {
 	scratchKeys []uint32
 	levelIdx    []uint32
 	levelNodes  []node
-	slabScratch [][]uint32  // per-worker slab-sort ping-pong buffers
 	curScratch  []geom.Rect // rebuild materialization of patched coords
 }
 
@@ -161,29 +153,11 @@ func (t *BoxTree) prepare(rects []geom.Rect) {
 	t.levelNodes = resizeNodes(t.levelNodes, t.leaves)
 }
 
-// fillKeysX/fillKeysY compute the STR sort key of objects [lo, hi):
-// the order-preserving uint32 image of the MBR centre coordinate. The
-// key of object i lands in scratchKeys[i] (ByKey32 keys are indexed by
-// ID, so the fill shards trivially).
-func (t *BoxTree) fillKeysX(rects []geom.Rect, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		t.entries[i] = uint32(i)
-		t.scratchKeys[i] = sortutil.Float32Key(rects[i].MinX + rects[i].MaxX)
-	}
-}
-
-func (t *BoxTree) fillKeysY(rects []geom.Rect, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		t.scratchKeys[i] = sortutil.Float32Key(rects[i].MinY + rects[i].MaxY)
-	}
-}
-
-// packLeaves packs leaf runs [lo, hi): one sweep per leaf inlines the
-// run's coordinates into the entry arena and accumulates the leaf MBR.
-// Distinct leaves touch disjoint state, so the parallel build shards it.
-func (t *BoxTree) packLeaves(rects []geom.Rect, lo, hi int) {
+// packLeaves packs the leaf runs: one sweep per leaf inlines the run's
+// coordinates into the entry arena and accumulates the leaf MBR.
+func (t *BoxTree) packLeaves(rects []geom.Rect) {
 	n := len(t.entries)
-	for l := lo; l < hi; l++ {
+	for l := 0; l < t.leaves; l++ {
 		s := l * t.fanout
 		e := s + t.fanout
 		if e > n {
@@ -200,17 +174,8 @@ func (t *BoxTree) packLeaves(rects []geom.Rect, lo, hi int) {
 	}
 }
 
-// fillSlots records the inverse permutation for entries [lo, hi).
-func (t *BoxTree) fillSlots(lo, hi int) {
-	for k := lo; k < hi; k++ {
-		t.slots[t.entries[k]] = uint32(k)
-	}
-}
-
 // packUpper tiles the upper levels over node centres until one node
-// remains, then indexes the (reordered) leaf level by entry run. Upper
-// levels hold ~n/fanout nodes, so this stays sequential even in the
-// sharded build.
+// remains, then indexes the (reordered) leaf level by entry run.
 func (t *BoxTree) packUpper() {
 	levelStart, levelCount := 0, t.leaves
 	next := t.leaves
@@ -257,15 +222,22 @@ func (t *BoxTree) packUpper() {
 }
 
 // Build implements core.BoxIndex with STR bulk loading over MBR centres.
+// The sort keys are the order-preserving uint32 images of the centre
+// coordinates, indexed by ID as ByKey32 expects.
 func (t *BoxTree) Build(rects []geom.Rect) {
 	t.prepare(rects)
 	n := len(rects)
 	if n == 0 {
 		return
 	}
-	t.fillKeysX(rects, 0, n)
+	for i, rc := range rects {
+		t.entries[i] = uint32(i)
+		t.scratchKeys[i] = sortutil.Float32Key(rc.MinX + rc.MaxX)
+	}
 	sortutil.ByKey32(t.entries, t.scratchKeys, t.scratchIDs)
-	t.fillKeysY(rects, 0, n)
+	for i, rc := range rects {
+		t.scratchKeys[i] = sortutil.Float32Key(rc.MinY + rc.MaxY)
+	}
 	slabSize := strSlabSize(n, t.fanout)
 	for start := 0; start < n; start += slabSize {
 		end := start + slabSize
@@ -274,64 +246,10 @@ func (t *BoxTree) Build(rects []geom.Rect) {
 		}
 		sortutil.ByKey32(t.entries[start:end], t.scratchKeys, t.scratchIDs)
 	}
-	t.packLeaves(rects, 0, t.leaves)
-	t.fillSlots(0, n)
-	t.packUpper()
-}
-
-// BuildParallel implements core.BoxParallelBuilder: the sharded variant
-// of Build. The key fills, the per-slab y-sorts (disjoint sub-ranges of
-// the x-sorted entry order, one ping-pong buffer per worker), the leaf
-// packing, and the inverse-permutation fill all shard; the global x
-// radix sort and the small upper levels stay sequential. Every sharded
-// stage writes the same values to the same slots as its sequential
-// counterpart, so the resulting tree is bit-identical to Build's.
-func (t *BoxTree) BuildParallel(rects []geom.Rect, workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	t.packLeaves(rects)
+	for k, id := range t.entries {
+		t.slots[id] = uint32(k)
 	}
-	if workers == 1 || len(rects) < minParallelBoxTreeBuild {
-		t.Build(rects)
-		return
-	}
-	t.prepare(rects)
-	n := len(rects)
-	parutil.ForEachShard(n, workers, func(_, lo, hi int) {
-		t.fillKeysX(rects, lo, hi)
-	})
-	sortutil.ByKey32(t.entries, t.scratchKeys, t.scratchIDs)
-	parutil.ForEachShard(n, workers, func(_, lo, hi int) {
-		t.fillKeysY(rects, lo, hi)
-	})
-
-	slabSize := strSlabSize(n, t.fanout)
-	nSlabs := (n + slabSize - 1) / slabSize
-	if len(t.slabScratch) < workers {
-		t.slabScratch = append(t.slabScratch, make([][]uint32, workers-len(t.slabScratch))...)
-	}
-	for w := 0; w < workers; w++ {
-		if cap(t.slabScratch[w]) < slabSize {
-			t.slabScratch[w] = make([]uint32, slabSize)
-		}
-	}
-	parutil.ForEachShard(nSlabs, workers, func(w, lo, hi int) {
-		scratch := t.slabScratch[w][:cap(t.slabScratch[w])]
-		for s := lo; s < hi; s++ {
-			a := s * slabSize
-			b := a + slabSize
-			if b > n {
-				b = n
-			}
-			sortutil.ByKey32(t.entries[a:b], t.scratchKeys, scratch)
-		}
-	})
-
-	parutil.ForEachShard(t.leaves, workers, func(_, lo, hi int) {
-		t.packLeaves(rects, lo, hi)
-	})
-	parutil.ForEachShard(n, workers, func(_, lo, hi int) {
-		t.fillSlots(lo, hi)
-	})
 	t.packUpper()
 }
 
@@ -491,9 +409,6 @@ func (t *BoxTree) MemoryBytes() int64 {
 	total += int64(cap(t.parents)+cap(t.leafPos)) * 4
 	total += int64(cap(t.scratchIDs)+cap(t.scratchKeys)+cap(t.levelIdx)) * 4
 	total += int64(cap(t.levelNodes)) * nodeBytes
-	for _, s := range t.slabScratch {
-		total += int64(cap(s)) * 4
-	}
 	return total
 }
 

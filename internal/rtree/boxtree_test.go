@@ -157,45 +157,6 @@ func TestBoxTreeSTRPackingInvariants(t *testing.T) {
 	}
 }
 
-func TestBoxTreeParallelBuildBitIdentical(t *testing.T) {
-	bounds := geom.R(0, 0, 4000, 4000)
-	rng := xrand.New(11)
-	// Above the gate so the parallel path actually runs.
-	rects := randomBoxes(rng, 6000, bounds, 0, 200)
-
-	seq := MustNewBoxTree(16)
-	seq.Build(rects)
-	for _, workers := range []int{2, 3, 8} {
-		par := MustNewBoxTree(16)
-		par.BuildParallel(rects, workers)
-		if len(par.nodes) != len(seq.nodes) {
-			t.Fatalf("workers=%d: %d nodes, want %d", workers, len(par.nodes), len(seq.nodes))
-		}
-		for i := range seq.nodes {
-			if seq.nodes[i] != par.nodes[i] || seq.parents[i] != par.parents[i] {
-				t.Fatalf("workers=%d: node %d differs: %+v vs %+v",
-					workers, i, par.nodes[i], seq.nodes[i])
-			}
-		}
-		for k := range seq.entries {
-			if seq.entries[k] != par.entries[k] || seq.entryRects[k] != par.entryRects[k] {
-				t.Fatalf("workers=%d: entry slot %d differs", workers, k)
-			}
-		}
-		for id := range seq.slots {
-			if seq.slots[id] != par.slots[id] {
-				t.Fatalf("workers=%d: slots[%d] = %d, want %d",
-					workers, id, par.slots[id], seq.slots[id])
-			}
-		}
-		for l := range seq.leafPos {
-			if seq.leafPos[l] != par.leafPos[l] {
-				t.Fatalf("workers=%d: leafPos[%d] differs", workers, l)
-			}
-		}
-	}
-}
-
 // moveBoxes returns a moved copy of rects: roughly half the objects
 // translated (and sometimes resized) by random offsets.
 func moveBoxes(r *xrand.Rand, rects []geom.Rect, maxShift float32) ([]geom.Rect, []geom.BoxMove) {
@@ -349,7 +310,7 @@ func FuzzBoxTreeMatchesOracle(f *testing.F) {
 
 		bt := MustNewBoxTree(fanout)
 		oracle := core.NewBruteForceBoxes()
-		bt.BuildParallel(rects, 1+int(seed%4))
+		bt.Build(rects)
 		oracle.Build(rects)
 
 		digest := func(idx core.BoxIndex, queriers []geom.Rect) (int, uint64) {

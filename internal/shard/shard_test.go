@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/workload"
+	"repro/internal/xrand"
 )
 
 func testPointConfig() workload.Config {
@@ -483,6 +485,71 @@ func TestPointIsDegenerateBox(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestBuildParallelIsBuildOnDegenerateInputs holds the router's sharded
+// build to its sequential one on the populations where sharding changes
+// shape: empty and single-object builds, both sides of the grids'
+// sharded-build gate (4096) and of the router's parallel routing (8192),
+// each spread over the space and crowded into one cell of one region, at
+// more workers than objects too. Both builds must answer every query in
+// the same order, agree with brute force, and pass the audit.
+func TestBuildParallelIsBuildOnDegenerateInputs(t *testing.T) {
+	bounds := geom.R(0, 0, 2000, 2000)
+	rng := xrand.New(9)
+	for _, n := range []int{0, 1, 4095, 4096, 4097, 8191, 8192, 8193} {
+		for _, oneCell := range []bool{false, true} {
+			space := bounds
+			if oneCell {
+				space = geom.R(1, 1, 3, 3)
+			}
+			pts := make([]geom.Point, n)
+			rects := make([]geom.Rect, n)
+			for i := range pts {
+				pts[i] = geom.Pt(rng.Range(space.MinX, space.MaxX), rng.Range(space.MinY, space.MaxY))
+				rects[i] = geom.Square(pts[i], rng.Range(0, space.Width()/8))
+			}
+			queries := []geom.Rect{bounds, geom.R(0, 0, 4, 4), geom.R(990, 990, 1010, 1010)}
+			for i := 0; i < 12; i++ {
+				queries = append(queries, geom.Square(geom.Pt(rng.Range(0, 2000), rng.Range(0, 2000)), rng.Range(1, 700)))
+			}
+			pointOracle, boxOracle := core.NewBruteForce(), core.NewBruteForceBoxes()
+			pointOracle.Build(pts)
+			boxOracle.Build(rects)
+			p := core.Params{Bounds: bounds, NumPoints: n}
+			px, bx := New(p, 2), NewBox(p, 2)
+			px.Build(pts)
+			bx.Build(rects)
+			for _, workers := range []int{1, 2, 8} {
+				name := fmt.Sprintf("n=%d/one-cell=%v/workers=%d", n, oneCell, workers)
+				ppar, bpar := New(p, 2), NewBox(p, 2)
+				ppar.BuildParallel(pts, workers)
+				bpar.BuildParallel(rects, workers)
+				assertSameAnswers(t, name+"/points", queries, px.QueryAppend, ppar.QueryAppend)
+				assertSameAnswers(t, name+"/boxes", queries, bx.QueryAppend, bpar.QueryAppend)
+				assertMatchesOracle(t, name+"/points", pointOracle.QueryAppend, ppar.QueryAppend, queries)
+				assertMatchesOracle(t, name+"/boxes", boxOracle.QueryAppend, bpar.QueryAppend, queries)
+				for _, ic := range []core.InvariantChecker{ppar, bpar} {
+					if err := ic.CheckInvariants(); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// assertSameAnswers demands that got answer every query with want's IDs
+// in want's order.
+func assertSameAnswers(t *testing.T, name string, queries []geom.Rect, want, got func(geom.Rect, []uint32) []uint32) {
+	t.Helper()
+	var w, g []uint32
+	for _, q := range queries {
+		w, g = want(q, w[:0]), got(q, g[:0])
+		if !slices.Equal(g, w) {
+			t.Fatalf("%s query %v: %d ids, Build's answer has %d (or another order)", name, q, len(g), len(w))
 		}
 	}
 }
