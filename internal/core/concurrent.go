@@ -366,8 +366,9 @@ func (st *readerState) serveBlock(queryRect func(q uint32) geom.Rect, block []ui
 	st.drainBlock(l, queryRect, block)
 }
 
-// drainBlock is the join under a held lease: probe and fold every query,
-// stamp the completions of the block's sample window.
+// drainBlock is the join under a held lease: probe every query and fold
+// its result with one foldIDs call, stamp the completions of the block's
+// sample window.
 //
 //joinlint:hotpath
 func (st *readerState) drainBlock(l EpochLease, queryRect func(q uint32) geom.Rect, block []uint32) {
@@ -380,9 +381,7 @@ func (st *readerState) drainBlock(l EpochLease, queryRect func(q uint32) geom.Re
 			st.lat.start()
 		}
 		buf = l.QueryAppend(queryRect(q), buf[:0])
-		for _, id := range buf {
-			hash = MixPair(hash, q, id)
-		}
+		hash = foldIDs(hash, q, buf)
 		pairs += len(buf)
 		if uint(i-from) < uint(n) {
 			st.lat.lap()

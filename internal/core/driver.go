@@ -58,10 +58,10 @@ type Result struct {
 	Totals    PhaseTimes
 	PerTick   []PhaseTimes
 
-	Pairs   int64 // join result cardinality over all ticks
-	Hash    uint64
-	Queries int64 // number of range queries issued
-	Updates int64 // number of updates applied
+	Pairs   int64  // join result cardinality over all ticks
+	Hash    uint64 // Σ MixPair(0, q, id) over every result pair, mod 2^64, on either tier
+	Queries int64  // number of range queries issued
+	Updates int64  // number of updates applied
 }
 
 // AvgTick returns the average wall time per tick (all phases), the
@@ -97,11 +97,15 @@ func (r *Result) String() string {
 }
 
 // MixPair folds one (querier, found) pair into an order-independent
-// checksum: each pair is hashed individually and combined by addition, a
-// commutative monoid, so emission order cannot affect the digest.
-// Exported so the digest tests of the packages above core (bench, epoch,
-// grid, rtree, shard, tune) share the exact digest construction rather
-// than re-deriving it.
+// checksum: each pair is hashed individually (murmur3's 64-bit finalizer
+// over querier<<32 | found) and combined by addition, a commutative
+// monoid, so emission order cannot affect the digest. It is the digest's
+// definition. The callback kernel's emit folds through it; the buffered
+// drains fold a query's whole result with foldIDs, which computes the same
+// sum eight pairs an instruction on the AVX-512 tier. Exported so the
+// digest tests of the packages above core (bench, epoch, grid, rtree,
+// shard, tune) share the exact digest construction rather than
+// re-deriving it.
 func MixPair(h uint64, querier, found uint32) uint64 {
 	v := uint64(querier)<<32 | uint64(found)
 	v ^= v >> 33

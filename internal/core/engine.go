@@ -385,7 +385,11 @@ type drainer[P any] struct {
 // the callback is reporting. fold is the callback kernel's emit, bound as
 // a method value: the compiler inlines MixPair into the bound method of
 // a plain type, and not into a closure that a generic function builds
-// inside another it is inlined into.
+// inside another it is inlined into. It folds one pair at a time through
+// MixPair itself, never foldIDs: the kernels that keep native callbacks
+// (binsearch, crtree, kdtrie) and pair collection digest on the scalar
+// definition, so a digest race between them and a buffered family
+// cross-checks the vector tier.
 type tally struct {
 	q     uint32
 	pairs int64
@@ -411,7 +415,8 @@ func newDrainer[P any](e *engine[P], opts Options) *drainer[P] {
 
 // drain probes the index once per querier and folds every match into the
 // drainer's digest. The callback arm folds through emit; the buffered
-// arms fold into locals and write them back once per call.
+// arms fold each query's result with one foldIDs call into locals and
+// write them back once per call.
 //
 //joinlint:hotpath
 func (d *drainer[P]) drain(queriers []uint32) {
@@ -434,9 +439,7 @@ func (d *drainer[P]) drain(queriers []uint32) {
 		pairs, hash := d.pairs, d.hash
 		for i, q := range queriers {
 			ids := d.buf[d.offsets[i]:d.offsets[i+1]]
-			for _, id := range ids {
-				hash = MixPair(hash, q, id)
-			}
+			hash = foldIDs(hash, q, ids)
 			pairs += int64(len(ids))
 		}
 		d.pairs, d.hash = pairs, hash
@@ -444,9 +447,7 @@ func (d *drainer[P]) drain(queriers []uint32) {
 		buf, pairs, hash := d.buf, d.pairs, d.hash
 		for _, q := range queriers {
 			buf = e.queryAppend(e.queryRect(q), buf[:0])
-			for _, id := range buf {
-				hash = MixPair(hash, q, id)
-			}
+			hash = foldIDs(hash, q, buf)
 			pairs += int64(len(buf))
 		}
 		d.buf, d.pairs, d.hash = buf, pairs, hash

@@ -2,15 +2,17 @@
 
 package grid
 
-import "repro/internal/geom"
+import (
+	"repro/internal/cpuid"
+	"repro/internal/geom"
+)
 
 // vectorKernels selects the AVX-512 tier of the four branchless filters
-// (filter_amd64.s): resolved once, here, from CPUID and XGETBV, and never
-// written again outside tests. Every other platform, and -tags purego, has
-// it a false constant (filter_generic.go) and runs the filters' Go loops.
-var vectorKernels = hasAVX512()
-
-func hasAVX512() bool
+// (filter_amd64.s): the module's one probe (internal/cpuid), read once
+// here and never written again outside tests. Every other platform, and
+// -tags purego, has it a false constant (filter_generic.go) and runs the
+// filters' Go loops.
+var vectorKernels = cpuid.AVX512
 
 // Each routine filters seg into dst[:len(seg)] and returns how many IDs
 // passed; filterPts returns -1 when an ID is not a safe index into pts.

@@ -61,36 +61,6 @@
 	ADDQ R9, AX; \
 	ADDQ $32, SI
 
-// func hasAVX512() bool
-//
-// AVX512F and AVX512VL (the point routines work on eight dwords), POPCNT,
-// and an OS that saves the SSE, AVX, opmask and both ZMM halves' state.
-TEXT ·hasAVX512(SB), NOSPLIT, $0-1
-	MOVB $0, ret+0(FP)
-	XORL AX, AX
-	CPUID
-	CMPL AX, $7
-	JB   no
-	MOVL $1, AX
-	CPUID
-	ANDL $(1<<27 | 1<<23), CX // OSXSAVE, POPCNT
-	CMPL CX, $(1<<27 | 1<<23)
-	JNE  no
-	XORL CX, CX
-	XGETBV
-	ANDL $0xE6, AX
-	CMPL AX, $0xE6
-	JNE  no
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	ANDL $(1<<31 | 1<<16), BX // AVX512VL, AVX512F
-	CMPL BX, $(1<<31 | 1<<16)
-	JNE  no
-	MOVB $1, ret+0(FP)
-no:
-	RET
-
 // func filterPts(seg []uint32, pts []geom.Point, r geom.Rect, dst []uint32) int
 //
 // appendFilterPts' loop, eight candidates a block. Returns how many passed,

@@ -387,9 +387,11 @@ func MustNew(cfg Config, bounds geom.Rect, numPoints int) *Grid {
 	return g
 }
 
-// KernelTier names, for run headers, the tier this process runs the
-// branchless filters on: "avx512" (filter_amd64.s) or "generic" (their Go
-// loops). Two hosts that differ in it differ by a quarter on a query-bound tick.
+// KernelTier names, for run headers, the tier this process runs its vector
+// kernels on — the branchless filters and core's digest fold, which read
+// one probe (internal/cpuid): "avx512" (filter_amd64.s, core's
+// fold_amd64.s) or "generic" (their Go loops). Two hosts that differ in it
+// differ by a quarter on a query-bound tick.
 func KernelTier() string {
 	if vectorKernels {
 		return "avx512"
