@@ -3,6 +3,7 @@ package grid
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -50,6 +51,31 @@ func csrContenders() []Config {
 	}
 }
 
+// churnGrid returns the benchmark's point_churn population — 100 000
+// gaussian points on the 22 000 space — and an unbuilt CSR grid over it at
+// the benchmark's cps=64.
+func churnGrid() (*Grid, []geom.Point) {
+	cfg := workload.DefaultGaussian()
+	cfg.NumPoints = 100_000
+	pts := workload.MustNewGenerator(cfg).Positions(nil)
+	return MustNew(Config{Layout: LayoutCSR, Scan: ScanRange, BS: 1, CPS: 64}, cfg.Bounds(), len(pts)), pts
+}
+
+// benchTiers runs loop as two sub-benchmarks, the Go loops' tier and the
+// vector tier (skipped where absent).
+func benchTiers(b *testing.B, name string, loop func(b *testing.B)) {
+	b.Run(name+"/scalar", func(b *testing.B) { scalarTier(func() { loop(b) }) })
+	b.Run(name+"/vector", func(b *testing.B) {
+		if !vectorKernels {
+			b.Skip("vector tier absent: " + missingTier)
+		}
+		loop(b)
+	})
+}
+
+// BenchmarkCSRBuild is the whole counting sort: 50 000 uniform points on
+// the test space for each contender, and the churn row, point_churn's
+// stream, on both tiers.
 func BenchmarkCSRBuild(b *testing.B) {
 	pts := benchPoints(50000)
 	for _, cfg := range csrContenders() {
@@ -61,6 +87,54 @@ func BenchmarkCSRBuild(b *testing.B) {
 			}
 		})
 	}
+	g, churn := churnGrid()
+	benchTiers(b, "churn/csr/cps=64", func(b *testing.B) {
+		for b.Loop() {
+			g.Build(churn)
+		}
+	})
+}
+
+// BenchmarkCSRBuildPhases splits the churn row of BenchmarkCSRBuild into
+// the sort's three passes, each on both tiers (only label has a vector
+// tier): label, the mapping pass into cellOf; count, the histogram of the
+// labels into starts; scatter, the prefix sum and placement, which starts
+// each iteration from a copy of the counts (a 64 kB copy, a hundredth of
+// the pass).
+func BenchmarkCSRBuildPhases(b *testing.B) {
+	g, pts := churnGrid()
+	st := g.csr
+	g.Build(pts)
+	count := func() {
+		clear(st.starts)
+		for _, f := range st.cellOf {
+			st.starts[f]++
+		}
+	}
+	count()
+	counts := slices.Clone(st.starts)
+	perPoint := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pts)), "ns/point")
+	}
+	benchTiers(b, "label", func(b *testing.B) {
+		for b.Loop() {
+			labelPoints(&st.mapper, pts, st.cellOf)
+		}
+		perPoint(b)
+	})
+	benchTiers(b, "count", func(b *testing.B) {
+		for b.Loop() {
+			count()
+		}
+		perPoint(b)
+	})
+	benchTiers(b, "scatter", func(b *testing.B) {
+		for b.Loop() {
+			copy(st.starts, counts)
+			st.scatter(1)
+		}
+		perPoint(b)
+	})
 }
 
 func BenchmarkCSRBuildParallel(b *testing.B) {
@@ -236,7 +310,9 @@ func BenchmarkBoxQuery(b *testing.B) {
 }
 
 // BenchmarkBoxBuild measures the class-refined counting sort against the
-// plain one (the acceptance bound: classed build within 1.2x).
+// plain one (the acceptance bound: classed build within 1.2x), and the span
+// pass alone on both tiers over the default box population (50 000 MBRs
+// with sides in [50, 250] on the 22 000 space) at cps=48.
 func BenchmarkBoxBuild(b *testing.B) {
 	rects := benchBoxes(50000)
 	for _, cps := range []int{64, 256} {
@@ -255,6 +331,16 @@ func BenchmarkBoxBuild(b *testing.B) {
 			}
 		})
 	}
+	gen := workload.MustNewBoxGenerator(workload.DefaultUniformBoxes())
+	boxes := gen.Rects(nil)
+	bg := MustNewBoxGrid2L(48, gen.Config().Bounds(), len(boxes))
+	spans := make([]cellSpan, len(boxes))
+	benchTiers(b, "span/default/cps=48", func(b *testing.B) {
+		for b.Loop() {
+			spanPass(&bg.mapper, boxes, spans)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(boxes)), "ns/rect")
+	})
 }
 
 // querySwitched is the un-hoisted reference the class-dispatch

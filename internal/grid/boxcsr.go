@@ -77,6 +77,20 @@ func (m cellMapper) spanOf(r geom.Rect) cellSpan {
 	}
 }
 
+// spanPass writes m.spanOf(rects[i]) to spans[i] for every rectangle:
+// spanRects, four rectangles an instruction, on the vector tier, and the
+// loop below, its definition, everywhere else.
+func spanPass(m *cellMapper, rects []geom.Rect, spans []cellSpan) {
+	spans = spans[:len(rects)]
+	if vectorKernels {
+		spanRects(rects, spans, m)
+		return
+	}
+	for i := range rects {
+		spans[i] = m.spanOf(rects[i])
+	}
+}
+
 // DefaultBoxCPS is the default granularity for box grids: the paper's
 // tuned point value, at which the default box workload replicates each
 // MBR into ~2 cells.
@@ -188,14 +202,13 @@ func (bg *BoxGrid) sizeArena(total uint32) {
 // builds, so steady-state builds allocate nothing.
 func (bg *BoxGrid) Build(rects []geom.Rect) {
 	bg.prepare(rects)
+	spanPass(&bg.mapper, rects, bg.spans)
 	counts := bg.counts
 	for i := range counts {
 		counts[i] = 0
 	}
 	cps := bg.cps
-	for i := range rects {
-		s := bg.spanOf(rects[i])
-		bg.spans[i] = s
+	for _, s := range bg.spans {
 		for cy := int(s.y0); cy <= int(s.y1); cy++ {
 			row := counts[cy*cps+int(s.x0) : cy*cps+int(s.x1)+1]
 			for j := range row {
@@ -259,9 +272,8 @@ func (bg *BoxGrid) BuildParallel(rects []geom.Rect, workers int) {
 
 	parutil.ForEachShard(len(rects), workers, func(w, lo, hi int) {
 		sc := bg.shardCounts[w][:cells]
-		for i := lo; i < hi; i++ {
-			s := bg.spanOf(rects[i])
-			bg.spans[i] = s
+		spanPass(&bg.mapper, rects[lo:hi], bg.spans[lo:hi])
+		for _, s := range bg.spans[lo:hi] {
 			for cy := int(s.y0); cy <= int(s.y1); cy++ {
 				row := sc[cy*cps+int(s.x0) : cy*cps+int(s.x1)+1]
 				for j := range row {

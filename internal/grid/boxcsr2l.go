@@ -264,6 +264,15 @@ func countSpan[C uint16 | uint32](fr, rr []C, s cellSpan, cps int) {
 	}
 }
 
+// countSpans is the count pass over a build's spans, countSpan for each.
+//
+//joinlint:bce
+func countSpans[C uint16 | uint32](fr, rr []C, spans []cellSpan, cps int) {
+	for _, s := range spans {
+		countSpan(fr, rr, s, cps)
+	}
+}
+
 // scatterSpan places one replica of id into every (cell, class) slot of
 // the span, advancing the absolute pair-major cursors in cur (the ends
 // array, pre-loaded with the run bases by prefixClassedCursors). Only
@@ -345,7 +354,8 @@ func prefixClassedCursors[C uint16 | uint32](counts []C, starts, ends []uint32, 
 }
 
 // Build implements core.BoxIndex: the class-refined two-pass counting
-// sort. Pass 1 counts one slot per (overlapped cell, class); the
+// sort. Pass 1 maps every rectangle to its span (spanPass) and counts one
+// slot per (overlapped cell, class) of it; the
 // exclusive prefix sum over the key cell*4+class fixes both the cell
 // segments and the class sub-spans; pass 2 replicates each ID into its
 // slots while a streaming third pass inlines the coordinates (measured
@@ -354,6 +364,7 @@ func prefixClassedCursors[C uint16 | uint32](counts []C, starts, ends []uint32, 
 // that sets a new maximum — every few ticks of a moving stream — re-makes them.
 func (bg *BoxGrid2L) Build(rects []geom.Rect) {
 	bg.prepare(rects)
+	spanPass(&bg.mapper, rects, bg.spans)
 	cps := bg.cps
 	cells := bg.cells
 	var sum uint32
@@ -363,21 +374,11 @@ func (bg *BoxGrid2L) Build(rects []geom.Rect) {
 	// cost over the unclassed one lives.
 	if len(rects) <= maxUint16Boxes {
 		bg.counts16 = resetCounts(bg.counts16, 4*cells)
-		fr, rr := bg.counts16[:2*cells:2*cells], bg.counts16[2*cells:]
-		for i := range rects {
-			s := bg.mapper.spanOf(rects[i])
-			bg.spans[i] = s
-			countSpan(fr, rr, s, cps)
-		}
+		countSpans(bg.counts16[:2*cells:2*cells], bg.counts16[2*cells:], bg.spans, cps)
 		sum = prefixClassedCursors(bg.counts16, bg.starts, bg.ends, cells)
 	} else {
 		bg.counts4 = resetCounts(bg.counts4, 4*cells)
-		fr, rr := bg.counts4[:2*cells:2*cells], bg.counts4[2*cells:]
-		for i := range rects {
-			s := bg.mapper.spanOf(rects[i])
-			bg.spans[i] = s
-			countSpan(fr, rr, s, cps)
-		}
+		countSpans(bg.counts4[:2*cells:2*cells], bg.counts4[2*cells:], bg.spans, cps)
 		sum = prefixClassedCursors(bg.counts4, bg.starts, bg.ends, cells)
 	}
 	bg.sizeArena(sum)
@@ -426,12 +427,8 @@ func (bg *BoxGrid2L) BuildParallel(rects []geom.Rect, workers int) {
 
 	parutil.ForEachShard(len(rects), workers, func(w, lo, hi int) {
 		sc := bg.shardCounts[w][:keys]
-		fr, rr := sc[:2*bg.cells:2*bg.cells], sc[2*bg.cells:]
-		for i := lo; i < hi; i++ {
-			s := bg.mapper.spanOf(rects[i])
-			bg.spans[i] = s
-			countSpan(fr, rr, s, cps)
-		}
+		spanPass(&bg.mapper, rects[lo:hi], bg.spans[lo:hi])
+		countSpans(sc[:2*bg.cells:2*bg.cells], sc[2*bg.cells:], bg.spans[lo:hi], cps)
 	})
 
 	// Merge: global exclusive prefix sum across (cell, class, worker) in

@@ -30,7 +30,7 @@ import (
 // run at the columns of the window instead of the edges of its cells.
 //
 // The build is a counting sort in two halves: label (map every point to
-// its column, into cellOf, counting as it goes) and scatter (prefix sum,
+// its column, into cellOf, then count the labels) and scatter (prefix sum,
 // then place every ID from its label). Both shard the input across
 // workers with per-worker count arrays merged by the prefix sum, so the
 // arena is bit-identical whatever the worker count.
@@ -120,8 +120,15 @@ func newColumnMapper(rows, cols cellMapper) columnMapper {
 	}
 }
 
-// axisIndex is cellMapper.axisCell after its product: clamped in float
-// space, for the reasons given there.
+// axisIndex is the one clamp of every float-to-cell mapping in the package
+// (cellMapper.axisCell, columnMapper.labelOf, and the vector tier's
+// labelPts and spanRects): the index of f in [0, n), clamped in float space
+// BEFORE truncating. Converting an out-of-range float to int is
+// implementation-specific in Go (amd64 yields the minimum int), so a
+// coordinate far past the boundary would otherwise clamp to the WRONG side
+// — inverting the cell span of an MBR whose other edge is in range. NaN,
+// -0 and every negative give 0, everything at or past n gives n-1, and
+// in-range values are unaffected.
 func axisIndex(f float32, n int) int {
 	if !(f > 0) { // also catches NaN
 		return 0
@@ -133,10 +140,12 @@ func axisIndex(f float32, n int) int {
 }
 
 // labelOf maps a point to its label with one product per axis, the very
-// products of the cellMappers it was made from. labelShard calls it per
-// point per tick: it costs what cellIndexFor costs only when
-// inlined, and through a pointer (six fields are two more than the compiler
-// keeps in registers; by value every call copied the mapper to the stack).
+// products of the cellMappers it was made from. It is the definition the
+// build's label pass keeps (labelPoints), the whole of that pass on the
+// scalar tier, and every update's mapping: it costs what cellIndexFor costs
+// only when inlined, and through a pointer (six fields are two more than
+// the compiler keeps in registers; by value every call copied the mapper
+// to the stack).
 //
 //joinlint:inline
 func (m *columnMapper) labelOf(p geom.Point) uint32 {
@@ -238,12 +247,29 @@ func (st *csrStore) eachShard(shards int, half func(st *csrStore, sc []uint32, l
 	parutil.ForEachShard(len(st.cellOf), shards, func(w, lo, hi int) { half(st, st.cursors[w], lo, hi) })
 }
 
+// labelShard is the label half of the sort over IDs [lo, hi): the mapping
+// pass, then the count.
+//
+//joinlint:bce
 func (st *csrStore) labelShard(sc []uint32, lo, hi int) {
-	pts, cellOf := st.pts, st.cellOf
-	for i := lo; i < hi; i++ {
-		f := st.mapper.labelOf(pts[i])
-		cellOf[i] = f
+	cellOf := st.cellOf[lo:hi]
+	labelPoints(&st.mapper, st.pts[lo:hi], cellOf)
+	for _, f := range cellOf {
 		sc[f]++
+	}
+}
+
+// labelPoints writes m.labelOf(pts[i]) to cellOf[i] for every point:
+// labelPts, eight points an instruction, on the vector tier, and the loop
+// below, its definition, everywhere else.
+func labelPoints(m *columnMapper, pts []geom.Point, cellOf []uint32) {
+	cellOf = cellOf[:len(pts)]
+	if vectorKernels {
+		labelPts(pts, cellOf, m)
+		return
+	}
+	for i, p := range pts {
+		cellOf[i] = m.labelOf(p)
 	}
 }
 

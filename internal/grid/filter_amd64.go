@@ -8,10 +8,10 @@ import (
 )
 
 // vectorKernels selects the AVX-512 tier of the four branchless filters
-// (filter_amd64.s): the module's one probe (internal/cpuid), read once
-// here and never written again outside tests. Every other platform, and
-// -tags purego, has it a false constant (filter_generic.go) and runs the
-// filters' Go loops.
+// (filter_amd64.s) and of the build's mapping pass (label_amd64.s): the
+// module's one probe (internal/cpuid), read once here and never written
+// again outside tests. Every other platform, and -tags purego, has it a
+// false constant (filter_generic.go) and runs the Go loops.
 var vectorKernels = cpuid.AVX512
 
 // Each routine filters seg into dst[:len(seg)] and returns how many IDs

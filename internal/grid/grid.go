@@ -178,6 +178,14 @@ func AblationChain() []Config {
 	return []Config{Original(), Restructured(), Querying(), BSTuned(), CPSTuned()}
 }
 
+// MaxCSRCPS is the finest granularity the CSR layouts accept. A label is
+// uint32(row*cols + column) over cps² << columnShift columns, and the vector
+// label kernel computes it in 32-bit lanes; at MaxCSRCPS the last label is
+// exactly 2^32-1, one cps more and labels wrap. (That grid's directory is
+// already tens of GB: the bound makes asking for more an error, not a
+// runtime abort.)
+const MaxCSRCPS = 1 << ((32 - columnShift) / 2)
+
 // Validate reports the first problem with the configuration, or nil.
 func (c Config) Validate() error {
 	switch {
@@ -185,6 +193,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("grid: bucket size must be positive, got %d", c.BS)
 	case c.CPS <= 0:
 		return fmt.Errorf("grid: cells per side must be positive, got %d", c.CPS)
+	case (c.Layout == LayoutCSR || c.Layout == LayoutCSRXY) && c.CPS > MaxCSRCPS:
+		return fmt.Errorf("grid: cells per side %d exceeds the CSR grid limit %d", c.CPS, MaxCSRCPS)
 	case c.Layout != LayoutLinked && c.Layout != LayoutInline &&
 		c.Layout != LayoutInlineXY && c.Layout != LayoutIntrusive &&
 		c.Layout != LayoutCSR && c.Layout != LayoutCSRXY:
@@ -242,22 +252,11 @@ type cellMapper struct {
 	cps        int
 }
 
+// axisCell maps an offset from the space's minimum to its cell on one
+// axis: one product, then axisIndex's clamp.
+//
 //joinlint:inline
-func (m cellMapper) axisCell(d float32) int {
-	// Clamp in float space BEFORE truncating: converting an out-of-range
-	// float to int is implementation-specific in Go (amd64 yields the
-	// minimum int), so a coordinate far past the boundary would otherwise
-	// clamp to the WRONG side — inverting the cell span of an MBR whose
-	// other edge is in range. In-range values are unaffected.
-	f := d * m.invCell
-	if !(f > 0) { // also catches NaN
-		return 0
-	}
-	if f >= float32(m.cps) {
-		return m.cps - 1
-	}
-	return int(f)
-}
+func (m cellMapper) axisCell(d float32) int { return axisIndex(d*m.invCell, m.cps) }
 
 // cellIndexFor maps a point to its cell index, clamping coordinates that
 // fall on or outside the space boundary into the outermost cells.
@@ -388,10 +387,11 @@ func MustNew(cfg Config, bounds geom.Rect, numPoints int) *Grid {
 }
 
 // KernelTier names, for run headers, the tier this process runs its vector
-// kernels on — the branchless filters and core's digest fold, which read
-// one probe (internal/cpuid): "avx512" (filter_amd64.s, core's
-// fold_amd64.s) or "generic" (their Go loops). Two hosts that differ in it
-// differ by a quarter on a query-bound tick.
+// kernels on — the branchless filters, the counting sorts' mapping pass and
+// core's digest fold, which read one probe (internal/cpuid): "avx512"
+// (filter_amd64.s, label_amd64.s, core's fold_amd64.s) or "generic" (their
+// Go loops). Two hosts that differ in it differ by a quarter on a
+// query-bound tick, and by a fifth on a build-bound one.
 func KernelTier() string {
 	if vectorKernels {
 		return "avx512"

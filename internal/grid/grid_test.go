@@ -2,6 +2,7 @@ package grid
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -312,6 +313,38 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(CPSTuned(), geom.R(0, 0, 0, 0), 10); err == nil {
 		t.Error("degenerate space accepted")
 	}
+}
+
+// TestCSRCPSBound: the CSR layouts take cps up to MaxCSRCPS, whose last
+// label is the largest uint32, and refuse one more with an error from
+// Validate and from New, before anything is allocated. The other layouts
+// have no such bound.
+func TestCSRCPSBound(t *testing.T) {
+	for _, layout := range []Layout{LayoutCSR, LayoutCSRXY} {
+		at := Config{Layout: layout, Scan: ScanRange, BS: 1, CPS: MaxCSRCPS}
+		if err := at.Validate(); err != nil {
+			t.Errorf("%v at cps=MaxCSRCPS rejected: %v", layout, err)
+		}
+		past := at
+		past.CPS++
+		if err := past.Validate(); err == nil {
+			t.Errorf("%v at cps=MaxCSRCPS+1 accepted", layout)
+		}
+		if _, err := New(past, testBounds, 10); err == nil {
+			t.Errorf("New accepted %v at cps=MaxCSRCPS+1", layout)
+		}
+	}
+	if err := (Config{Layout: LayoutInline, Scan: ScanRange, BS: 1, CPS: MaxCSRCPS + 1}).Validate(); err != nil {
+		t.Errorf("inline layout at cps=MaxCSRCPS+1 rejected: %v", err)
+	}
+	// The last column's label, computed as the kernels compute it.
+	rows := testMapper(MaxCSRCPS, geom.R(0, 0, MaxCSRCPS, MaxCSRCPS))
+	m := newColumnMapper(rows, columnsOf(rows, columnShift))
+	corner := []geom.Point{{X: MaxCSRCPS, Y: MaxCSRCPS}, {X: 1e30, Y: 1e30}}
+	if got := m.labelOf(corner[0]); got != math.MaxUint32 {
+		t.Errorf("last label at cps=MaxCSRCPS is %d, want %d", got, uint32(math.MaxUint32))
+	}
+	checkLabelTiers(t, "cps=MaxCSRCPS", &m, corner)
 }
 
 func TestPresetsMatchPaper(t *testing.T) {
