@@ -21,6 +21,9 @@ import (
 //     brute force reports none of them — but no call panics,
 //     CheckInvariants stays nil, and the in-contract objects of the same
 //     build are reported exactly, by both kernels, tick after tick.
+//   - Inverted (a min past its max): as out of bounds. The grids hold
+//     such an MBR in no cell, or, where its inverted edges share a cell,
+//     in the cells of its normalised span.
 //   - NaN: no call panics, and nothing else. A NaN poisons the MBRs of
 //     the tree families (rtree, crtree, boxrtree and whatever selects
 //     it), which then miss in-contract neighbours, and the audits of the
@@ -169,6 +172,12 @@ func TestInputContractBoxes(t *testing.T) {
 			geom.R(-300, -300, -200, -200), geom.R(-1e30, -1e30, 1e30, 1e30),
 			{MinX: 100, MinY: 100, MaxX: inf, MaxY: 200}, {MinX: -inf, MinY: -inf, MaxX: 50, MaxY: 60},
 			{MinX: -inf, MinY: -inf, MaxX: inf, MaxY: inf},
+		},
+		// Inverted across cells on x, on y and on both, and across the
+		// whole space on x.
+		"inverted": {
+			{MinX: 600, MinY: 100, MaxX: 400, MaxY: 120}, {MinX: 100, MinY: 600, MaxX: 120, MaxY: 400},
+			{MinX: 600, MinY: 600, MaxX: 400, MaxY: 400}, {MinX: 5000, MinY: 10, MaxX: -5000, MaxY: 20},
 		},
 		"nan": {
 			{MinX: nan, MinY: 5, MaxX: 50, MaxY: 60}, {MinX: 5, MinY: 5, MaxX: nan, MaxY: nan},

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -103,6 +104,53 @@ func finePointPresets() []NamedTechnique {
 	return out
 }
 
+// pastEdge is the least float32 above f.
+func pastEdge(f float32) float32 { return math.Nextafter32(f, float32(math.Inf(1))) }
+
+// edgeFractions place the far-edge objects along an edge, off round
+// numbers so that no window centred on one ends exactly on the far edge:
+// there a one-past object's cell lies inside the window, and the grids,
+// which clamp it into that cell, may report it where brute force does not.
+var edgeFractions = []float32{0.137, 0.5, 0.863}
+
+// farEdgePoints are points exactly on, and one ulp past, the space's far
+// edges MaxX and MaxY and its far corner: the inputs that reach the upper
+// clamp of the cell mappings (axisIndex and the vector tier's), which no
+// generated position does. One past the edge is outside the input
+// contract, so each is queried only by the windows centred on the far-edge
+// objects, which reach well beyond it, where every family reports exactly.
+func farEdgePoints(b geom.Rect) []geom.Point {
+	var out []geom.Point
+	for _, f := range edgeFractions {
+		x, y := b.MinX+f*b.Width(), b.MinY+f*b.Height()
+		out = append(out, geom.Pt(b.MaxX, y), geom.Pt(x, b.MaxY), geom.Pt(pastEdge(b.MaxX), y), geom.Pt(x, pastEdge(b.MaxY)))
+	}
+	return append(out, geom.Pt(b.MaxX, b.MaxY), geom.Pt(pastEdge(b.MaxX), pastEdge(b.MaxY)))
+}
+
+// farEdgeBoxes is farEdgePoints for MBRs: boxes ending on, and one ulp
+// past, each far edge, and degenerate boxes lying on it and past it.
+func farEdgeBoxes(b geom.Rect) []geom.Rect {
+	const side = 60
+	var out []geom.Rect
+	for _, p := range farEdgePoints(b) {
+		out = append(out, geom.Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y},
+			geom.Rect{MinX: p.X - side, MinY: p.Y - side, MaxX: p.X, MaxY: p.Y})
+	}
+	return out
+}
+
+// withFarEdgeQueries appends to a matrix's query set, for each far-edge
+// object, a window of side qsize on its centre, issued by the object
+// itself: the far-edge objects take the IDs from base on.
+func withFarEdgeQueries(queriers []uint32, rects []geom.Rect, base int, centres []geom.Point, qsize float32) ([]uint32, []geom.Rect) {
+	for i, c := range centres {
+		queriers = append(queriers, uint32(base+i))
+		rects = append(rects, geom.Square(c, qsize))
+	}
+	return queriers, rects
+}
+
 func TestKernelDigestMatrixPoints(t *testing.T) {
 	for wname, wcfg := range kernelPointWorkloads() {
 		gen, err := workload.NewGenerator(wcfg)
@@ -111,6 +159,9 @@ func TestKernelDigestMatrixPoints(t *testing.T) {
 		}
 		pts := gen.Positions(nil)
 		queriers, rects := kernelQueries(gen.Queriers(), gen.QueryRect)
+		far := farEdgePoints(wcfg.Bounds())
+		queriers, rects = withFarEdgeQueries(queriers, rects, len(pts), far, wcfg.QuerySize)
+		pts = append(pts, far...)
 		p := core.ParamsFor(wcfg)
 
 		// The brute-force oracle anchors the whole workload: every
@@ -187,6 +238,13 @@ func TestKernelDigestMatrixBoxes(t *testing.T) {
 		}
 		boxes := gen.Rects(nil)
 		queriers, rects := kernelQueries(gen.Queriers(), gen.QueryRect)
+		far := farEdgeBoxes(wcfg.Bounds())
+		centres := make([]geom.Point, len(far))
+		for i, r := range far {
+			centres[i] = r.Center()
+		}
+		queriers, rects = withFarEdgeQueries(queriers, rects, len(boxes), centres, wcfg.QuerySize)
+		boxes = append(boxes, far...)
 		p := core.ParamsFor(wcfg.Config)
 
 		oracle := core.NewBruteForceBoxes()

@@ -52,6 +52,12 @@ import "repro/internal/geom"
 //     contained, where BruteForce would not), but CheckInvariants stays
 //     nil and the in-contract objects of the same build are still
 //     reported exactly.
+//   - An inverted MBR (MinX > MaxX or MinY > MaxY) gets unspecified
+//     results itself and, like an out-of-bounds one, leaves the audit and
+//     the in-contract objects intact. The grids hold it in no cell: an
+//     inverted cell span has none. Only where the inverted edges fall in
+//     one cell is the span upright, and then it is held in those cells,
+//     the cells of its normalised span.
 //   - A NaN coordinate makes the whole build unspecified: it poisons the
 //     MBRs of the tree families, which then miss in-contract neighbours;
 //     the audits of the layouts that inline coordinates compare their

@@ -343,6 +343,61 @@ func BenchmarkBoxBuild(b *testing.B) {
 	})
 }
 
+// BenchmarkBoxBuildPhases splits both box grids' builds over the default
+// box population at cps=48, the benchmark's pick, into the sort's passes,
+// in ns a rect: span, the mapping pass (on the process's tier); count,
+// the histogram from zeroed scratch; prefix, the cursors; scatter, the
+// placement, which starts each iteration from a copy of the cursors; and
+// the classed grid's fill of the coordinate planes. At this granularity
+// every span is at most 2×2 cells, so count and scatter run the flat
+// kernels throughout; BenchmarkBoxBuild's cps=256 rows are the loops.
+func BenchmarkBoxBuildPhases(b *testing.B) {
+	gen := workload.MustNewBoxGenerator(workload.DefaultUniformBoxes())
+	boxes := gen.Rects(nil)
+	bounds := gen.Config().Bounds()
+	phase := func(name string, pass func()) {
+		b.Run(name, func(b *testing.B) {
+			for b.Loop() {
+				pass()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(boxes)), "ns/rect")
+		})
+	}
+
+	g := MustNewBoxGrid(48, bounds, len(boxes))
+	g.Build(boxes)
+	counts := slices.Clone(g.counts) // a dense build's live counts are its histogram
+	phase("boxcsr/span", func() { spanPass(&g.mapper, boxes, g.spans) })
+	phase("boxcsr/count", func() {
+		clear(g.counts)
+		g.countCells(g.counts, g.spans)
+	})
+	phase("boxcsr/prefix", func() {
+		copy(g.counts, counts)
+		prefixCursors(g.counts, g.starts)
+	})
+	cursors := slices.Clone(g.counts)
+	phase("boxcsr/scatter", func() {
+		copy(g.counts, cursors)
+		g.scatterCells(g.counts, g.spans, 0)
+	})
+
+	g2 := MustNewBoxGrid2L(48, bounds, len(boxes))
+	g2.Build(boxes)
+	phase("boxcsr2l/span", func() { spanPass(&g2.mapper, boxes, g2.spans) })
+	phase("boxcsr2l/count", func() {
+		g2.counts16 = resetCounts(g2.counts16, 4*g2.cells)
+		countClassed(g2.counts16, g2.spans, g2.cps, g2.slots)
+	})
+	phase("boxcsr2l/prefix", func() { prefixClassedCursors(g2.counts16, g2.starts, g2.ends, g2.cells) })
+	cursors = slices.Clone(g2.ends)
+	phase("boxcsr2l/scatter", func() {
+		copy(g2.ends, cursors)
+		g2.scatterClassed(g2.ends, g2.spans, 0)
+	})
+	phase("boxcsr2l/fill", func() { g2.fillRects(boxes, 0, len(g2.ids)) })
+}
+
 // querySwitched is the un-hoisted reference the class-dispatch
 // micro-bench compares against: one loop over each cell's whole segment
 // with a per-candidate class switch, instead of four tight sub-loops

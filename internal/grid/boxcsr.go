@@ -39,6 +39,7 @@ type BoxGrid struct {
 	bounds   geom.Rect
 	cellSize float32
 	mapper   cellMapper
+	slots    spanSlots // the flat build kernels' cell neighbours
 
 	starts []uint32 // len cells+1; segment capacity of c is starts[c+1]-starts[c]
 	counts []uint32 // live entries in each cell's dense segment
@@ -91,6 +92,85 @@ func spanPass(m *cellMapper, rects []geom.Rect, spans []cellSpan) {
 	}
 }
 
+// spanSlots places the count / cursor slots of a span of at most 2×2
+// cells for the straight-line build kernels (countFlat, scatterFlat):
+// the span's first cell (x0, y0) has slot (y0*cps+x0) << shift, and
+// its right, upper and diagonal neighbours lie b, c and d slots past
+// it. BoxGrid's slots are its cells; BoxGrid2L's are the pair-major
+// (cell, class) keys, where the neighbours hold the span's B, C and D
+// replicas.
+type spanSlots struct {
+	shift   uint
+	b, c, d int
+}
+
+// countFlat is the count pass's straight-line path. For each span of at
+// most two cells on either axis, in ID order, it makes four
+// unconditional adds: 1 into the first cell's slot, and into each
+// neighbour's slot 1 where the span covers it and 0 where it does not.
+// An absent neighbour's 0 goes to the first cell's slot, which is always
+// in range, so no add branches on the span's shape (at the default
+// granularity 1×1, 2×1, 1×2 and 2×2 spans are near coin flips, and
+// the loops' trip counts missed on them). It stops at the first wider
+// span and returns its index, and the loops (countSpan, BoxGrid's
+// countCells) count the rest. The width test is unsigned, so an
+// inverted span counts as wide.
+//
+//joinlint:bce
+func countFlat[C uint16 | uint32](counts []C, spans []cellSpan, cps int, l spanSlots) int {
+	for i, s := range spans {
+		dx, dy := uint(int(s.x1)-int(s.x0)), uint(int(s.y1)-int(s.y0))
+		if dx|dy > 1 {
+			return i
+		}
+		a := (int(s.y0)*cps + int(s.x0)) << l.shift
+		dd := dx & dy
+		counts[a]++
+		counts[a+(-int(dx)&l.b)] += C(dx)
+		counts[a+(-int(dy)&l.c)] += C(dy)
+		counts[a+(-int(dd)&l.d)] += C(dd)
+	}
+	return len(spans)
+}
+
+// scatterFlat is the scatter's straight-line path, countFlat's twin over
+// the absolute cursors cur: four unconditional cursor writes a span,
+// placing ids id, id+1, … . An absent neighbour is redirected to the
+// span's first-cell cursor, unadvanced: it rewrites the slot just
+// written there with the same ID, so the path needs no sink slot. It
+// stops where countFlat stops and returns that index, so every run
+// receives its IDs in ascending order, as the loops alone would place
+// them.
+//
+//joinlint:bce
+func scatterFlat(cur []uint32, spans []cellSpan, cps int, l spanSlots, id uint32, ids []uint32) int {
+	for i, s := range spans {
+		dx, dy := uint(int(s.x1)-int(s.x0)), uint(int(s.y1)-int(s.y0))
+		if dx|dy > 1 {
+			return i
+		}
+		a := (int(s.y0)*cps + int(s.x0)) << l.shift
+		dd := dx & dy
+		p := cur[a]
+		ids[p] = id
+		cur[a] = p + 1
+		j := a + (-int(dx) & l.b)
+		p = cur[j] + uint32(dx) - 1
+		ids[p] = id
+		cur[j] = p + 1
+		j = a + (-int(dy) & l.c)
+		p = cur[j] + uint32(dy) - 1
+		ids[p] = id
+		cur[j] = p + 1
+		j = a + (-int(dd) & l.d)
+		p = cur[j] + uint32(dd) - 1
+		ids[p] = id
+		cur[j] = p + 1
+		id++
+	}
+	return len(spans)
+}
+
 // DefaultBoxCPS is the default granularity for box grids: the paper's
 // tuned point value, at which the default box workload replicates each
 // MBR into ~2 cells.
@@ -138,6 +218,7 @@ func NewBoxGrid(cps int, bounds geom.Rect, numBoxes int) (*BoxGrid, error) {
 		invCell: 1 / bg.cellSize,
 		cps:     cps,
 	}
+	bg.slots = spanSlots{b: 1, c: cps, d: cps + 1}
 	bg.starts = make([]uint32, bg.cells+1)
 	bg.counts = make([]uint32, bg.cells)
 	bg.overflow = make([][]uint32, bg.cells)
@@ -197,18 +278,45 @@ func (bg *BoxGrid) sizeArena(total uint32) {
 
 // Build implements core.BoxIndex: the two-pass counting sort over cell
 // spans. Pass 1 computes every object's span and counts one slot per
-// overlapped cell; the exclusive prefix sum fixes the segments; pass 2
-// replicates each ID into all its cells. Arenas are retained across
-// builds, so steady-state builds allocate nothing.
+// overlapped cell (countCells); the exclusive prefix sum fixes the
+// segments and turns counts into absolute cursors; pass 2 replicates
+// each ID into all its cells (scatterCells), which leaves every cursor
+// at its segment's end. Arenas are retained across builds, so
+// steady-state builds allocate nothing.
 func (bg *BoxGrid) Build(rects []geom.Rect) {
 	bg.prepare(rects)
 	spanPass(&bg.mapper, rects, bg.spans)
-	counts := bg.counts
-	for i := range counts {
-		counts[i] = 0
+	clear(bg.counts)
+	bg.countCells(bg.counts, bg.spans)
+	bg.sizeArena(prefixCursors(bg.counts, bg.starts))
+	bg.scatterCells(bg.counts, bg.spans, 0)
+	bg.liveCounts()
+}
+
+// prefixCursors is the exclusive prefix sum of counts into starts (one
+// entry longer), turning each count into its cell's absolute scatter
+// cursor; it returns the total.
+func prefixCursors(counts, starts []uint32) uint32 {
+	var sum uint32
+	for c, n := range counts {
+		starts[c] = sum
+		counts[c] = sum
+		sum += n
 	}
+	starts[len(counts)] = sum
+	return sum
+}
+
+// countCells is the count pass over spans: countFlat while they are at
+// most 2×2 cells, then one slot per cell of each span left. An inverted
+// span has no cell.
+func (bg *BoxGrid) countCells(counts []uint32, spans []cellSpan) {
 	cps := bg.cps
-	for _, s := range bg.spans {
+	k := countFlat(counts, spans, cps, bg.slots)
+	for _, s := range spans[k:] {
+		if s.x1 < s.x0 {
+			continue
+		}
 		for cy := int(s.y0); cy <= int(s.y1); cy++ {
 			row := counts[cy*cps+int(s.x0) : cy*cps+int(s.x1)+1]
 			for j := range row {
@@ -216,33 +324,41 @@ func (bg *BoxGrid) Build(rects []geom.Rect) {
 			}
 		}
 	}
-	// Exclusive prefix sum into starts; counts becomes the scatter
-	// cursor.
-	var sum uint32
-	for c := range counts {
-		bg.starts[c] = sum
-		sum += counts[c]
-		counts[c] = 0
-	}
-	bg.starts[len(counts)] = sum
-	bg.sizeArena(sum)
-	for i := range rects {
-		s := bg.spans[i]
+}
+
+// scatterCells places IDs id, id+1, … of spans into every cell of their
+// span at the absolute cursors cur: scatterFlat while the spans are at
+// most 2×2 cells, the loops from where it stopped.
+func (bg *BoxGrid) scatterCells(cur []uint32, spans []cellSpan, id uint32) {
+	cps := bg.cps
+	k := scatterFlat(cur, spans, cps, bg.slots, id, bg.ids)
+	id += uint32(k)
+	for _, s := range spans[k:] {
 		for cy := int(s.y0); cy <= int(s.y1); cy++ {
 			base := cy * cps
 			for cx := int(s.x0); cx <= int(s.x1); cx++ {
 				c := base + cx
-				bg.ids[bg.starts[c]+counts[c]] = uint32(i)
-				counts[c]++
+				bg.ids[cur[c]] = id
+				cur[c]++
 			}
 		}
+		id++
+	}
+}
+
+// liveCounts sets every cell's live count to its segment's capacity: a
+// build leaves the arena dense.
+func (bg *BoxGrid) liveCounts() {
+	for c := range bg.counts {
+		bg.counts[c] = bg.starts[c+1] - bg.starts[c]
 	}
 }
 
 // BuildParallel implements core.BoxParallelBuilder: the sharded variant
 // of Build. Workers count their contiguous chunk of rects into private
 // count arrays, the global prefix sum turns them into per-worker scatter
-// bases, and each worker replicates its chunk into its disjoint ranges.
+// bases, and each worker replicates its chunk into its disjoint ranges,
+// each chunk taking the flat path up to its own first wide span.
 // Within a cell, entries appear in ascending ID order — exactly the
 // layout the sequential Build produces, so the arena is bit-identical.
 func (bg *BoxGrid) BuildParallel(rects []geom.Rect, workers int) {
@@ -255,7 +371,6 @@ func (bg *BoxGrid) BuildParallel(rects []geom.Rect, workers int) {
 	}
 	bg.prepare(rects)
 	cells := bg.cells
-	cps := bg.cps
 	if len(bg.shardCounts) < workers {
 		bg.shardCounts = make([][]uint32, workers)
 	}
@@ -263,24 +378,13 @@ func (bg *BoxGrid) BuildParallel(rects []geom.Rect, workers int) {
 		if len(bg.shardCounts[w]) < cells {
 			bg.shardCounts[w] = make([]uint32, cells)
 		} else {
-			sc := bg.shardCounts[w][:cells]
-			for i := range sc {
-				sc[i] = 0
-			}
+			clear(bg.shardCounts[w][:cells])
 		}
 	}
 
 	parutil.ForEachShard(len(rects), workers, func(w, lo, hi int) {
-		sc := bg.shardCounts[w][:cells]
 		spanPass(&bg.mapper, rects[lo:hi], bg.spans[lo:hi])
-		for _, s := range bg.spans[lo:hi] {
-			for cy := int(s.y0); cy <= int(s.y1); cy++ {
-				row := sc[cy*cps+int(s.x0) : cy*cps+int(s.x1)+1]
-				for j := range row {
-					row[j]++
-				}
-			}
-		}
+		bg.countCells(bg.shardCounts[w][:cells], bg.spans[lo:hi])
 	})
 
 	// Merge: global exclusive prefix sum across (cell, worker) in worker
@@ -298,23 +402,9 @@ func (bg *BoxGrid) BuildParallel(rects []geom.Rect, workers int) {
 	bg.sizeArena(sum)
 
 	parutil.ForEachShard(len(rects), workers, func(w, lo, hi int) {
-		sc := bg.shardCounts[w][:cells]
-		for i := lo; i < hi; i++ {
-			s := bg.spans[i]
-			for cy := int(s.y0); cy <= int(s.y1); cy++ {
-				base := cy * cps
-				for cx := int(s.x0); cx <= int(s.x1); cx++ {
-					c := base + cx
-					bg.ids[sc[c]] = uint32(i)
-					sc[c]++
-				}
-			}
-		}
+		bg.scatterCells(bg.shardCounts[w][:cells], bg.spans[lo:hi], uint32(lo))
 	})
-
-	for c := 0; c < cells; c++ {
-		bg.counts[c] = bg.starts[c+1] - bg.starts[c]
-	}
+	bg.liveCounts()
 }
 
 // Query implements core.BoxIndex: QueryAppend's result, one emit per ID.

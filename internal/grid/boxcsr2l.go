@@ -66,6 +66,7 @@ type BoxGrid2L struct {
 	bounds   geom.Rect
 	cellSize float32
 	mapper   cellMapper
+	slots    spanSlots // the flat build kernels' B, C and D keys
 
 	starts []uint32 // len cells+1; segment capacity of c is starts[c+1]-starts[c]
 	// ends holds the exclusive end of every class run in PAIR-MAJOR
@@ -130,6 +131,10 @@ func NewBoxGrid2L(cps int, bounds geom.Rect, numBoxes int) (*BoxGrid2L, error) {
 		invCell: 1 / bg.cellSize,
 		cps:     cps,
 	}
+	// Key 2c is cell c's A, 2c+3 the B of cell c+1, and C and D sit a
+	// row up in the second plane (endIdx).
+	rest := 2*bg.cells + 2*cps
+	bg.slots = spanSlots{shift: 1, b: 3, c: rest, d: rest + 3}
 	bg.starts = make([]uint32, bg.cells+1)
 	bg.ends = make([]uint32, 4*bg.cells)
 	bg.overflow = make([][]uint32, bg.cells)
@@ -248,6 +253,9 @@ func (bg *BoxGrid2L) moveSlot(dst, src uint32) {
 //joinlint:bce
 func countSpan[C uint16 | uint32](fr, rr []C, s cellSpan, cps int) {
 	w := 2 * (int(s.x1) - int(s.x0))
+	if w < 0 {
+		return // inverted: no cell
+	}
 	for cy := int(s.y0); cy <= int(s.y1); cy++ {
 		plane := rr
 		if cy == int(s.y0) {
@@ -264,12 +272,33 @@ func countSpan[C uint16 | uint32](fr, rr []C, s cellSpan, cps int) {
 	}
 }
 
-// countSpans is the count pass over a build's spans, countSpan for each.
+// countSpans is countSpan for each of spans.
 //
 //joinlint:bce
 func countSpans[C uint16 | uint32](fr, rr []C, spans []cellSpan, cps int) {
 	for _, s := range spans {
 		countSpan(fr, rr, s, cps)
+	}
+}
+
+// countClassed is the count pass over spans into the pair-major scratch
+// counts: countFlat while the spans are at most 2×2 cells, countSpans
+// from the first wider one.
+func countClassed[C uint16 | uint32](counts []C, spans []cellSpan, cps int, l spanSlots) {
+	k := countFlat(counts, spans, cps, l)
+	half := len(counts) / 2
+	countSpans(counts[:half:half], counts[half:], spans[k:], cps)
+}
+
+// scatterClassed places IDs id, id+1, … of spans at the absolute
+// pair-major cursors cur: scatterFlat while the spans are at most 2×2
+// cells, scatterSpan from the first wider one.
+func (bg *BoxGrid2L) scatterClassed(cur []uint32, spans []cellSpan, id uint32) {
+	k := scatterFlat(cur, spans, bg.cps, bg.slots, id, bg.ids)
+	half := 2 * bg.cells
+	fr, rr := cur[:half:half], cur[half:]
+	for i, s := range spans[k:] {
+		scatterSpan(fr, rr, s, bg.cps, id+uint32(k+i), bg.ids)
 	}
 }
 
@@ -289,6 +318,9 @@ func countSpans[C uint16 | uint32](fr, rr []C, spans []cellSpan, cps int) {
 //joinlint:bce
 func scatterSpan(fr, rr []uint32, s cellSpan, cps int, id uint32, ids []uint32) {
 	w := 2 * (int(s.x1) - int(s.x0))
+	if w < 0 {
+		return // inverted: no cell
+	}
 	for cy := int(s.y0); cy <= int(s.y1); cy++ {
 		plane := rr
 		if cy == int(s.y0) {
@@ -355,17 +387,17 @@ func prefixClassedCursors[C uint16 | uint32](counts []C, starts, ends []uint32, 
 
 // Build implements core.BoxIndex: the class-refined two-pass counting
 // sort. Pass 1 maps every rectangle to its span (spanPass) and counts one
-// slot per (overlapped cell, class) of it; the
+// slot per (overlapped cell, class) of it (countClassed); the
 // exclusive prefix sum over the key cell*4+class fixes both the cell
 // segments and the class sub-spans; pass 2 replicates each ID into its
-// slots while a streaming third pass inlines the coordinates (measured
-// faster than fusing the 16-byte writes into the scatter — see
-// scatterSpan). Arenas are retained but sized exactly, so a replica total
-// that sets a new maximum — every few ticks of a moving stream — re-makes them.
+// slots (scatterClassed) while a streaming third pass inlines the
+// coordinates (measured faster than fusing the 16-byte writes into the
+// scatter — see scatterSpan). Arenas are retained but sized exactly, so a
+// replica total that sets a new maximum — every few ticks of a moving
+// stream — re-makes them.
 func (bg *BoxGrid2L) Build(rects []geom.Rect) {
 	bg.prepare(rects)
 	spanPass(&bg.mapper, rects, bg.spans)
-	cps := bg.cps
 	cells := bg.cells
 	var sum uint32
 	// A (cell, class) count never exceeds the population, so small-enough
@@ -374,18 +406,15 @@ func (bg *BoxGrid2L) Build(rects []geom.Rect) {
 	// cost over the unclassed one lives.
 	if len(rects) <= maxUint16Boxes {
 		bg.counts16 = resetCounts(bg.counts16, 4*cells)
-		countSpans(bg.counts16[:2*cells:2*cells], bg.counts16[2*cells:], bg.spans, cps)
+		countClassed(bg.counts16, bg.spans, bg.cps, bg.slots)
 		sum = prefixClassedCursors(bg.counts16, bg.starts, bg.ends, cells)
 	} else {
 		bg.counts4 = resetCounts(bg.counts4, 4*cells)
-		countSpans(bg.counts4[:2*cells:2*cells], bg.counts4[2*cells:], bg.spans, cps)
+		countClassed(bg.counts4, bg.spans, bg.cps, bg.slots)
 		sum = prefixClassedCursors(bg.counts4, bg.starts, bg.ends, cells)
 	}
 	bg.sizeArena(sum)
-	efr, erest := bg.ends[:2*cells:2*cells], bg.ends[2*cells:]
-	for i := range rects {
-		scatterSpan(efr, erest, bg.spans[i], cps, uint32(i), bg.ids)
-	}
+	bg.scatterClassed(bg.ends, bg.spans, 0)
 	bg.fillRects(rects, 0, len(bg.ids))
 }
 
@@ -397,7 +426,8 @@ const maxUint16Boxes = 1<<16 - 1
 // of Build. Workers count their contiguous chunk of rects into private
 // (cell, class) count arrays, the global prefix sum over (key, worker)
 // turns them into per-worker scatter bases, and each worker replicates
-// its chunk into its disjoint ranges. Within a (cell, class) run,
+// its chunk into its disjoint ranges, each chunk taking the flat path up
+// to its own first wide span. Within a (cell, class) run,
 // entries appear in ascending ID order — exactly the layout the
 // sequential Build produces, so the arena is bit-identical.
 func (bg *BoxGrid2L) BuildParallel(rects []geom.Rect, workers int) {
@@ -409,7 +439,6 @@ func (bg *BoxGrid2L) BuildParallel(rects []geom.Rect, workers int) {
 		return
 	}
 	bg.prepare(rects)
-	cps := bg.cps
 	keys := 4 * bg.cells
 	if len(bg.shardCounts) < workers {
 		bg.shardCounts = make([][]uint32, workers)
@@ -418,17 +447,13 @@ func (bg *BoxGrid2L) BuildParallel(rects []geom.Rect, workers int) {
 		if len(bg.shardCounts[w]) < keys {
 			bg.shardCounts[w] = make([]uint32, keys)
 		} else {
-			sc := bg.shardCounts[w][:keys]
-			for i := range sc {
-				sc[i] = 0
-			}
+			clear(bg.shardCounts[w][:keys])
 		}
 	}
 
 	parutil.ForEachShard(len(rects), workers, func(w, lo, hi int) {
-		sc := bg.shardCounts[w][:keys]
 		spanPass(&bg.mapper, rects[lo:hi], bg.spans[lo:hi])
-		countSpans(sc[:2*bg.cells:2*bg.cells], sc[2*bg.cells:], bg.spans[lo:hi], cps)
+		countClassed(bg.shardCounts[w][:keys], bg.spans[lo:hi], bg.cps, bg.slots)
 	})
 
 	// Merge: global exclusive prefix sum across (cell, class, worker) in
@@ -452,11 +477,7 @@ func (bg *BoxGrid2L) BuildParallel(rects []geom.Rect, workers int) {
 	bg.sizeArena(sum)
 
 	parutil.ForEachShard(len(rects), workers, func(w, lo, hi int) {
-		sc := bg.shardCounts[w][:keys]
-		fr, rr := sc[:2*bg.cells:2*bg.cells], sc[2*bg.cells:]
-		for i := lo; i < hi; i++ {
-			scatterSpan(fr, rr, bg.spans[i], cps, uint32(i), bg.ids)
-		}
+		bg.scatterClassed(bg.shardCounts[w][:keys], bg.spans[lo:hi], uint32(lo))
 	})
 	// The coordinate fill shards over disjoint arena ranges, so it is
 	// bit-identical to the sequential fill by construction.

@@ -179,6 +179,16 @@ func (st *csrStore) checkCSR() error {
 	return nil
 }
 
+// spanCells is the number of cells of span s, and of replicas a build
+// gives its object: none for an inverted span (an MBR whose min and max
+// fall in different cells the wrong way round).
+func spanCells(s cellSpan) uint32 {
+	if s.x1 < s.x0 || s.y1 < s.y0 {
+		return 0
+	}
+	return uint32(int(s.x1)-int(s.x0)+1) * uint32(int(s.y1)-int(s.y0)+1)
+}
+
 // CheckInvariants implements core.InvariantChecker for the replicating
 // box grid: CSR offsets monotone, live counts within segment capacity,
 // overflow only on full segments, every cached span matching the current
@@ -239,8 +249,7 @@ func (bg *BoxGrid) CheckInvariants() error {
 	}
 	for id, got := range replicas {
 		s := bg.spans[id]
-		want := uint32(int(s.x1)-int(s.x0)+1) * uint32(int(s.y1)-int(s.y0)+1)
-		if got != want {
+		if want := spanCells(s); got != want {
 			return fmt.Errorf("boxgrid: id %d has %d replicas, span %v needs %d", id, got, s, want)
 		}
 	}
@@ -337,8 +346,7 @@ func (bg *BoxGrid2L) CheckInvariants() error {
 	}
 	for id, got := range replicas {
 		s := bg.spans[id]
-		want := uint32(int(s.x1)-int(s.x0)+1) * uint32(int(s.y1)-int(s.y0)+1)
-		if got != want {
+		if want := spanCells(s); got != want {
 			return fmt.Errorf("boxgrid2l: id %d has %d replicas, span %v needs %d", id, got, s, want)
 		}
 	}

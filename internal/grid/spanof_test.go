@@ -22,7 +22,7 @@ func testMapper(cps int, bounds geom.Rect) cellMapper {
 // including coordinates so large that the float -> int conversion in the
 // cell mapping would overflow — must clamp into the outermost cells with
 // x0 <= x1 and y0 <= y1. An inverted span would make Build index the
-// object into zero cells, and the next Update of it would panic.
+// object into zero cells, the fate only of an MBR inverted itself.
 func TestSpanOfClampsOutsideSpace(t *testing.T) {
 	bounds := geom.R(0, 0, 1000, 1000)
 	const cps = 16
