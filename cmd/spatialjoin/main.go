@@ -28,7 +28,6 @@ import (
 	"repro/internal/epoch"
 	"repro/internal/grid"
 	"repro/internal/obs"
-	"repro/internal/shard"
 	"repro/internal/workload"
 )
 
@@ -207,15 +206,13 @@ func run(args []string) error {
 		t := techs[0]
 		p := core.ParamsFor(wcfg)
 		p.Shards = *shards
-		if t.Key == "shard-auto" {
-			// The sharded engine gets per-region epoch publication rather
-			// than one stop-the-world wrapper around the whole router.
-			x := shard.NewConcurrent(p, epoch.Options{})
-			res := core.RunConcurrentSharded(x, workload.NewPlayer(trace), core.ConcurrentOptions{Readers: *readers, Obs: reg})
-			return reportConcurrent(res)
-		}
+		// The wrapper keeps its registry to itself: each inner index it
+		// builds is offered the run's registry here, so the shard.* and
+		// tune.* series reach the snapshot for every technique.
 		x := epoch.NewIndex(func() core.Index {
-			return t.Make(p)
+			idx := t.Make(p)
+			obs.Instrument(idx, reg)
+			return idx
 		}, epoch.Options{})
 		res := core.RunConcurrent(x, workload.NewPlayer(trace), core.ConcurrentOptions{Readers: *readers, Obs: reg})
 		return reportConcurrent(res)
@@ -301,8 +298,10 @@ func raceReport(n int, perTick bool, run func(i int) (*core.Result, string)) err
 }
 
 // reportConcurrent prints the service-mode run: latency percentiles
-// under update load plus the epoch lifecycle counters. A non-zero
-// violation count (a query observing an unpublished epoch) is an error.
+// under update load plus the epoch lifecycle counters. A query observing
+// an unpublished epoch is an error, and so — since this command arms no
+// fault injector — is any degraded or failed tick or publish retry: each
+// means some layer under the epoch validator answered wrongly.
 func reportConcurrent(res *core.ConcurrentResult) error {
 	fmt.Printf("technique : %s (concurrent, %d readers)\n", res.Technique, res.Readers)
 	fmt.Printf("avg/tick  : %.4fs wall over %d ticks\n", res.AvgTick().Seconds(), res.Ticks)
@@ -317,6 +316,10 @@ func reportConcurrent(res *core.ConcurrentResult) error {
 		return fmt.Errorf("%d queries observed an unpublished epoch", res.Violations)
 	}
 	fmt.Println("epoch consistency verified: every query observed exactly one published epoch")
+	if res.Stats.Degraded != 0 || res.Stats.Retries != 0 || res.FailedTicks != 0 {
+		return fmt.Errorf("clean run degraded: %d degraded ticks, %d retries, %d failed ticks",
+			res.Stats.Degraded, res.Stats.Retries, res.FailedTicks)
+	}
 	return nil
 }
 
@@ -341,14 +344,10 @@ func runBoxMode(bcfg workload.BoxConfig, techniqueKey, compare string, parallel 
 		t := techs[0]
 		p := core.ParamsFor(bcfg.Config)
 		p.Shards = shards
-		if t.Key == "boxshard-auto" {
-			x := shard.NewBoxConcurrent(p, epoch.Options{})
-			res := core.RunBoxesConcurrentSharded(x, workload.MustNewBoxGenerator(bcfg),
-				core.ConcurrentOptions{Readers: readers, Obs: reg})
-			return reportConcurrent(res)
-		}
 		x := epoch.NewBoxIndex(func() core.BoxIndex {
-			return t.Make(p)
+			idx := t.Make(p)
+			obs.Instrument(idx, reg)
+			return idx
 		}, epoch.Options{})
 		res := core.RunBoxesConcurrent(x, workload.MustNewBoxGenerator(bcfg),
 			core.ConcurrentOptions{Readers: readers, Obs: reg})

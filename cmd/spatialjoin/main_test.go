@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/workload"
 )
 
@@ -241,5 +242,37 @@ func TestSimulationWorkloadKind(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConcurrentShardedServiceMode runs both sharded techniques through
+// -concurrent, one epoch around the router, and wants the clean-run
+// report: no violation, and no degraded, retried or failed tick.
+func TestConcurrentShardedServiceMode(t *testing.T) {
+	for _, args := range [][]string{
+		{"-technique", "shard-auto", "-shards", "2", "-points", "2000", "-ticks", "4", "-space", "3000", "-concurrent"},
+		{"-objects", "box", "-technique", "boxshard-auto", "-shards", "2", "-points", "800", "-ticks", "3", "-space", "2000", "-concurrent"},
+	} {
+		if err := run(args); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+	}
+}
+
+// TestReportConcurrentRejectsDegradedRun pins that a clean service run
+// is checked, not just printed: the CLI arms no fault injector, so each
+// degraded tick, retry or failed tick is an error.
+func TestReportConcurrentRejectsDegradedRun(t *testing.T) {
+	if err := reportConcurrent(&core.ConcurrentResult{Ticks: 3}); err != nil {
+		t.Fatalf("clean run rejected: %v", err)
+	}
+	for _, res := range []*core.ConcurrentResult{
+		{Ticks: 3, Stats: core.EpochStats{Degraded: 1}},
+		{Ticks: 3, Stats: core.EpochStats{Retries: 1}},
+		{Ticks: 3, FailedTicks: 1},
+	} {
+		if err := reportConcurrent(res); err == nil {
+			t.Errorf("%+v accepted", res)
+		}
 	}
 }

@@ -60,42 +60,6 @@ type EpochIndex epochIndex[geom.Point, geom.Move]
 // epoch.BoxIndex).
 type EpochBoxIndex epochIndex[geom.Rect, geom.BoxMove]
 
-// shardedEpochIndex is the contract of an engine composed of
-// independently published per-region epochs (internal/shard): a query
-// observes one (epoch, digest) pair PER SHARD it touches. Forcing such
-// an engine through the single-epoch contract would flag false
-// violations — shards legitimately publish at different times, including
-// ticks where only some shards had routed moves or one shard's publish
-// failed while the rest advanced.
-type shardedEpochIndex[P, M any] interface {
-	Name() string
-	// Build initializes every shard's wrapper over the snapshot and
-	// publishes each shard's epoch 0.
-	Build(snap []P)
-	// ApplyBatch routes one tick of moves to the affected shards and
-	// publishes them in parallel. A non-nil error means at least one
-	// shard failed to publish; the others may have advanced, and the
-	// caller merges the whole batch into the next tick (replay-safe).
-	ApplyBatch(moves []M) error
-	// Query fans out to the shards overlapping r, calling observe once
-	// per touched shard with the (epoch, digest) pair that shard's probe
-	// saw. The emitted id stream is duplicate-free across shards.
-	Query(r geom.Rect, emit func(id uint32), observe func(shard int, epoch, digest uint64))
-	// NumShards reports the shard count (valid after Build).
-	NumShards() int
-	// ShardEpoch returns shard i's live epoch number and digest.
-	ShardEpoch(i int) (uint64, uint64)
-	Stats() EpochStats
-}
-
-// ShardedEpochIndex is the region-sharded point engine contract
-// (implemented by shard.Concurrent).
-type ShardedEpochIndex shardedEpochIndex[geom.Point, geom.Move]
-
-// ShardedEpochBoxIndex is ShardedEpochIndex over rectangles (implemented
-// by shard.BoxConcurrent).
-type ShardedEpochBoxIndex shardedEpochIndex[geom.Rect, geom.BoxMove]
-
 // ConcurrentOptions tunes a RunConcurrent.
 type ConcurrentOptions struct {
 	// Ticks caps the number of ticks executed; 0 means the workload's
@@ -107,10 +71,12 @@ type ConcurrentOptions struct {
 	Readers int
 	// Obs, when non-nil, receives the concurrent driver's instruments
 	// (per-query latency, apply/tick spans, violation gauge) and is
-	// offered to the epoch wrapper before Build, which adds the
-	// epoch/shard/tune series. Nil disables instrumentation; per-query
-	// latency percentiles are then still bounded-memory via a private
-	// histogram.
+	// offered to the epoch wrapper before Build, which adds the epoch
+	// series. The wrapper does not pass it on to the indexes it wraps:
+	// their series (shard.*, tune.*) appear only when the inner factory
+	// offers the registry to each index it makes, as cmd/spatialjoin's
+	// does. Nil disables instrumentation; per-query latency percentiles
+	// are then still bounded-memory via a private histogram.
 	Obs *obs.Registry
 }
 
@@ -161,12 +127,9 @@ func (r *ConcurrentResult) AvgTick() time.Duration {
 	return r.Elapsed / time.Duration(r.Ticks)
 }
 
-// concurrentEngine is what the concurrent tick loop runs: one object
-// class's workload feed (pointFeed / boxFeed) bound to an engine of
-// N >= 1 independently published epochs (onePublication / perShard). A
-// single-epoch index is the one-publication case.
-type concurrentEngine[M any] struct {
-	name      string
+// concurrentFeed is one object class's workload as the concurrent tick
+// loop consumes it (pointFeed / boxFeed).
+type concurrentFeed[M any] struct {
 	ticks     int
 	queriers  func() []uint32
 	queryRect func(q uint32) geom.Rect
@@ -177,44 +140,25 @@ type concurrentEngine[M any] struct {
 	// after the tick's queries have drained, preserving the framework's
 	// "queries read the previous tick's state" contract.
 	commitBatch func()
-
-	apply func(moves []M) error
-	// publications is how many epochs the engine publishes independently
-	// and epochOf returns publication i's live (epoch, digest).
-	publications int
-	epochOf      func(i int) (uint64, uint64)
-	// leaser binds one reader worker's source of block leases, once per
-	// run: the queries under a lease it hands out go into the caller's
-	// reused buffer, and the (epoch, digest) each touched publication
-	// showed them is in logs[i] by the time the lease is released.
-	leaser func(logs []epochLog) EpochLeaser
-	stats  func() EpochStats
 }
 
-// onePublication binds a single-epoch index: every query observes
-// publication 0. An index that can lease its live epoch is leased once
-// per block; any other goes through the one-query adapter.
-func onePublication[P, M any](e *concurrentEngine[M], x epochIndex[P, M]) {
-	e.apply = func(moves []M) error { _, err := x.ApplyBatch(moves); return err }
-	e.publications = 1
-	e.epochOf = func(int) (uint64, uint64) { return x.Epoch() }
-	e.stats = x.Stats
+// leaserFor binds one reader worker's source of block leases over x, once
+// per run: the (epoch, digest) each query answered from is in log by the
+// time its lease is released. An index that can lease its live epoch is
+// leased once per block; any other goes through the one-query adapter.
+func leaserFor[P, M any](x epochIndex[P, M], log *epochLog) EpochLeaser {
 	if src, ok := x.(EpochLeaser); ok {
-		e.leaser = func(logs []epochLog) EpochLeaser { return &loggedLeaser{src: src, log: &logs[0]} }
-		return
+		return &loggedLeaser{src: src, log: log}
 	}
 	qa, ok := x.(EpochQueryAppender)
 	if !ok {
 		qa = emitAppender(x.Query)
 	}
-	e.leaser = func(logs []epochLog) EpochLeaser {
-		log := &logs[0]
-		return queryLease(func(r geom.Rect, buf []uint32) []uint32 {
-			buf, ep, dg := qa.QueryAppend(r, buf)
-			log.observe(ep, dg)
-			return buf
-		})
-	}
+	return queryLease(func(r geom.Rect, buf []uint32) []uint32 {
+		buf, ep, dg := qa.QueryAppend(r, buf)
+		log.observe(ep, dg)
+		return buf
+	})
 }
 
 // loggedLeaser is one reader's view of a leasing index: each lease it
@@ -231,11 +175,10 @@ func (o *loggedLeaser) Lease() EpochLease {
 	return l
 }
 
-// queryLease adapts an engine that cannot lease a block — a sharded
-// engine, whose query fans out over N publications, or a decorator that
-// forwards EpochQueryAppender and no more — to the block drain: a lease
-// that pins nothing, under which every query pins, observes and unpins
-// for itself. The function is one reader's bound query.
+// queryLease adapts an index that cannot lease a block — a decorator
+// that forwards EpochQueryAppender and no more — to the block drain: a
+// lease that pins nothing, under which every query pins, observes and
+// unpins for itself. The function is one reader's bound query.
 type queryLease func(r geom.Rect, buf []uint32) []uint32
 
 func (q queryLease) Lease() EpochLease { return q }
@@ -256,36 +199,11 @@ func (q emitAppender) QueryAppend(r geom.Rect, buf []uint32) ([]uint32, uint64, 
 	return buf, ep, dg
 }
 
-// perShard binds a sharded engine: one publication per shard, each
-// query observing the shards it touches.
-func perShard[P, M any](e *concurrentEngine[M], x shardedEpochIndex[P, M]) {
-	e.apply = x.ApplyBatch
-	e.publications = x.NumShards()
-	e.epochOf = x.ShardEpoch
-	e.stats = x.Stats
-	qa, ok := x.(ShardedEpochQueryAppender)
-	if !ok {
-		qa = shardedEmitAppender(x.Query)
-	}
-	e.leaser = func(logs []epochLog) EpochLeaser {
-		observe := func(shard int, ep, dg uint64) { logs[shard].observe(ep, dg) }
-		return queryLease(func(r geom.Rect, buf []uint32) []uint32 { return qa.QueryAppend(r, buf, observe) })
-	}
-}
-
-// shardedEmitAppender is emitAppender for ShardedEpochQueryAppender.
-type shardedEmitAppender func(r geom.Rect, emit func(id uint32), observe func(shard int, ep, dg uint64))
-
-func (q shardedEmitAppender) QueryAppend(r geom.Rect, buf []uint32, observe func(shard int, ep, dg uint64)) []uint32 {
-	q(r, func(id uint32) { buf = append(buf, id) }, observe)
-	return buf
-}
-
 // epochLog is one reader's record of the distinct (epoch, digest)
-// observations it made on one publication: seen keeps the first digest
-// observed per epoch for the post-run check against the publish oracle,
-// and a same-epoch observation with a different digest is a violation
-// counted immediately. Nearly every query observes the epoch the
+// observations it made: seen keeps the first digest observed per epoch
+// for the post-run check against the publish oracle, and a same-epoch
+// observation with a different digest is a violation counted
+// immediately. Nearly every query observes the epoch the
 // previous one did, so the last observation is checked before the map.
 type epochLog struct {
 	seen           map[uint64]uint64
@@ -331,27 +249,24 @@ func sampleWindow(k, length int) (from, n int) {
 // by finishReaders. src is where it takes each block's lease, bound when
 // the reader is made; lat keeps exact latency samples up to
 // maxExactLatSamples and feeds the shared histogram beyond that (bounded
-// memory on long runs); logs holds one epochLog per publication the
-// engine has; buf is the result buffer every query of every tick reuses,
+// memory on long runs); log is its record of the epochs it observed;
+// buf is the result buffer every query of every tick reuses,
 // so the steady state allocates nothing.
 type readerState struct {
 	src    EpochLeaser
 	lat    latRecorder
-	logs   []epochLog
+	log    epochLog
 	buf    []uint32
 	blocks int // served so far
 	pairs  int64
 	hash   uint64
 }
 
-func newReaderStates(readers, publications, ticks int, latHist *obs.Histogram, leaser func(logs []epochLog) EpochLeaser) []*readerState {
+func newReaderStates(readers, ticks int, latHist *obs.Histogram, leaser func(log *epochLog) EpochLeaser) []*readerState {
 	states := make([]*readerState, readers)
 	for w := range states {
-		st := &readerState{lat: latRecorder{hist: latHist}, logs: make([]epochLog, publications)}
-		for i := range st.logs {
-			st.logs[i].seen = make(map[uint64]uint64, ticks+1)
-		}
-		st.src = leaser(st.logs)
+		st := &readerState{lat: latRecorder{hist: latHist}, log: epochLog{seen: make(map[uint64]uint64, ticks+1)}}
+		st.src = leaser(&st.log)
 		states[w] = st
 	}
 	return states
@@ -402,20 +317,18 @@ func drainTick(states []*readerState, queryRect func(q uint32) geom.Rect, querie
 }
 
 // finishReaders merges the readers into res and verifies every
-// observation against oracle, which holds per publication the digest of
-// every epoch it published (recorded by the single-threaded driver after
-// each tick, so publish/observe ordering cannot race).
-func finishReaders(res *ConcurrentResult, states []*readerState, oracle []map[uint64]uint64, latHist *obs.Histogram) {
+// observation against oracle, which holds the digest of every published
+// epoch (recorded by the single-threaded driver after each tick, so
+// publish/observe ordering cannot race).
+func finishReaders(res *ConcurrentResult, states []*readerState, oracle map[uint64]uint64, latHist *obs.Histogram) {
 	recs := make([]*latRecorder, 0, len(states))
 	for _, st := range states {
 		res.Pairs += st.pairs
 		res.Hash += st.hash
-		for i := range st.logs {
-			res.Violations += st.logs[i].bad
-			for e, d := range st.logs[i].seen {
-				if want, ok := oracle[i][e]; !ok || want != d {
-					res.Violations++
-				}
+		res.Violations += st.log.bad
+		for e, d := range st.log.seen {
+			if want, ok := oracle[e]; !ok || want != d {
+				res.Violations++
 			}
 		}
 		recs = append(recs, &st.lat)
@@ -424,17 +337,19 @@ func finishReaders(res *ConcurrentResult, states []*readerState, oracle []map[ui
 	res.QueryP50, res.QueryP95, res.QueryP99 = latPercentiles(recs, latHist)
 }
 
-// runConcurrent overlaps each tick's query drain with its update batch:
-// one updater goroutine calls ApplyBatch while reader workers claim
-// blocks of the querier stream through an atomic cursor (drainTick). A
-// sample of per-query latencies is collected for the percentile series,
-// and the (epoch, digest) every query answered from is checked, per
-// publication, against the publish oracle. The oracle records EVERY
-// publication's live epoch after EVERY tick — including failed ones,
-// because a tick where shard A published and shard B exhausted retries
-// is a valid engine state: A's new epoch must be accepted, B's old epoch
-// keeps serving.
-func runConcurrent[M any](e *concurrentEngine[M], opts ConcurrentOptions) *ConcurrentResult {
+// runConcurrent builds x over its initial snapshot (epoch 0) and
+// overlaps each tick's query drain with its update batch: one updater
+// goroutine calls ApplyBatch while reader workers claim blocks of the
+// querier stream through an atomic cursor (drainTick). The index is
+// thus maintained incrementally — the service-mode regime the epoch
+// wrapper exists for — rather than rebuilt per tick. A sample of
+// per-query latencies is collected for the percentile series, and the
+// (epoch, digest) every query answered from is checked against the
+// publish oracle, which records the live epoch after EVERY tick,
+// failed ones included.
+func runConcurrent[P, M any](x epochIndex[P, M], snap []P, e *concurrentFeed[M], opts ConcurrentOptions) *ConcurrentResult {
+	obs.Instrument(x, opts.Obs)
+	x.Build(snap)
 	readers := opts.Readers
 	if readers <= 0 {
 		readers = runtime.GOMAXPROCS(0) - 1
@@ -443,20 +358,15 @@ func runConcurrent[M any](e *concurrentEngine[M], opts ConcurrentOptions) *Concu
 		readers = 1
 	}
 	ticks := clampTicks(opts.Ticks, e.ticks)
-	res := &ConcurrentResult{Technique: e.name, Ticks: ticks, Readers: readers}
+	res := &ConcurrentResult{Technique: x.Name(), Ticks: ticks, Readers: readers}
 	co := newConcObs(opts.Obs)
 	latHist := co.latHist()
-	states := newReaderStates(readers, e.publications, ticks, latHist, e.leaser)
+	states := newReaderStates(readers, ticks, latHist, func(log *epochLog) EpochLeaser { return leaserFor(x, log) })
 
-	oracle := make([]map[uint64]uint64, e.publications)
-	for i := range oracle {
-		oracle[i] = map[uint64]uint64{}
-	}
+	oracle := map[uint64]uint64{}
 	recordOracle := func() {
-		for i := range oracle {
-			ep, dg := e.epochOf(i)
-			oracle[i][ep] = dg
-		}
+		ep, dg := x.Epoch()
+		oracle[ep] = dg
 	}
 	recordOracle()
 
@@ -477,7 +387,7 @@ func runConcurrent[M any](e *concurrentEngine[M], opts ConcurrentOptions) *Concu
 		mv := moves
 		updDone := parutil.GoErr(func() error {
 			sp := co.reg.Enter(co.apply)
-			err := e.apply(mv)
+			_, err := x.ApplyBatch(mv)
 			co.reg.Exit(sp)
 			return err
 		})
@@ -506,18 +416,18 @@ func runConcurrent[M any](e *concurrentEngine[M], opts ConcurrentOptions) *Concu
 
 	finishReaders(res, states, oracle, latHist)
 	co.violations.Set(res.Violations)
-	res.Stats = e.stats()
+	res.Stats = x.Stats()
 	return res
 }
 
 // pointFeed binds a point workload to the loop: the snapshot the index
-// is built over, and an engine whose feed half is filled in.
-func pointFeed(src workload.Source) ([]geom.Point, *concurrentEngine[geom.Move]) {
+// is built over, and the feed.
+func pointFeed(src workload.Source) ([]geom.Point, *concurrentFeed[geom.Move]) {
 	snap := make([]geom.Point, len(src.Objects()))
 	refreshSnapshot(snap, src.Objects())
 	var batch []workload.Update
 	var moves []geom.Move
-	return snap, &concurrentEngine[geom.Move]{
+	return snap, &concurrentFeed[geom.Move]{
 		ticks:     src.Config().Ticks,
 		queriers:  src.Queriers,
 		queryRect: src.QueryRect,
@@ -539,12 +449,12 @@ func pointFeed(src workload.Source) ([]geom.Point, *concurrentEngine[geom.Move])
 }
 
 // boxFeed is pointFeed for box workloads.
-func boxFeed(src workload.BoxSource) ([]geom.Rect, *concurrentEngine[geom.BoxMove]) {
+func boxFeed(src workload.BoxSource) ([]geom.Rect, *concurrentFeed[geom.BoxMove]) {
 	snap := make([]geom.Rect, src.NumBoxes())
 	src.RefreshRects(snap, 0, len(snap))
 	var batch []workload.BoxUpdate
 	var moves []geom.BoxMove
-	return snap, &concurrentEngine[geom.BoxMove]{
+	return snap, &concurrentFeed[geom.BoxMove]{
 		ticks:     src.Config().Ticks,
 		queriers:  src.Queriers,
 		queryRect: src.QueryRect,
@@ -565,51 +475,15 @@ func boxFeed(src workload.BoxSource) ([]geom.Rect, *concurrentEngine[geom.BoxMov
 	}
 }
 
-// runEpoch builds a single-epoch index from its initial snapshot
-// (epoch 0) and runs the loop over it: the index is then maintained
-// incrementally — the service-mode regime the epoch wrapper exists for —
-// rather than rebuilt per tick.
-func runEpoch[P, M any](x epochIndex[P, M], snap []P, e *concurrentEngine[M], opts ConcurrentOptions) *ConcurrentResult {
-	obs.Instrument(x, opts.Obs)
-	x.Build(snap)
-	e.name = x.Name()
-	onePublication(e, x)
-	return runConcurrent(e, opts)
-}
-
-// runSharded is runEpoch for a per-region-epoch engine.
-func runSharded[P, M any](x shardedEpochIndex[P, M], snap []P, e *concurrentEngine[M], opts ConcurrentOptions) *ConcurrentResult {
-	obs.Instrument(x, opts.Obs)
-	x.Build(snap)
-	e.name = x.Name()
-	perShard(e, x)
-	return runConcurrent(e, opts)
-}
-
 // RunConcurrent executes the iterated spatial join of an epoch-published
 // point index over src with queries and updates overlapped per tick.
 func RunConcurrent(x EpochIndex, src workload.Source, opts ConcurrentOptions) *ConcurrentResult {
 	snap, e := pointFeed(src)
-	return runEpoch(x, snap, e, opts)
+	return runConcurrent(x, snap, e, opts)
 }
 
 // RunBoxesConcurrent is RunConcurrent for epoch-published box indexes.
 func RunBoxesConcurrent(x EpochBoxIndex, src workload.BoxSource, opts ConcurrentOptions) *ConcurrentResult {
 	snap, e := boxFeed(src)
-	return runEpoch(x, snap, e, opts)
-}
-
-// RunConcurrentSharded is RunConcurrent for a region-sharded
-// epoch-published point engine, validating each query's per-shard
-// (epoch, digest) observations against per-shard publish oracles.
-func RunConcurrentSharded(x ShardedEpochIndex, src workload.Source, opts ConcurrentOptions) *ConcurrentResult {
-	snap, e := pointFeed(src)
-	return runSharded(x, snap, e, opts)
-}
-
-// RunBoxesConcurrentSharded is RunConcurrentSharded for region-sharded
-// epoch-published box engines.
-func RunBoxesConcurrentSharded(x ShardedEpochBoxIndex, src workload.BoxSource, opts ConcurrentOptions) *ConcurrentResult {
-	snap, e := boxFeed(src)
-	return runSharded(x, snap, e, opts)
+	return runConcurrent(x, snap, e, opts)
 }

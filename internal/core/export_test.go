@@ -33,9 +33,7 @@ func StampedQueries(n int) int {
 // RunConcurrent does once per reader, and returns its per-block entry
 // point: lease, observe, drain, release.
 func NewBlockServer(x EpochIndex, queryRect func(q uint32) geom.Rect) func(block []uint32) {
-	e := &concurrentEngine[geom.Move]{}
-	onePublication(e, x)
-	st := newReaderStates(1, 1, 1, obs.NewHistogram(), e.leaser)[0]
+	st := newReaderStates(1, 1, obs.NewHistogram(), func(log *epochLog) EpochLeaser { return leaserFor(x, log) })[0]
 	return func(block []uint32) { st.serveBlock(queryRect, block) }
 }
 

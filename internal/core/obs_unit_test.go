@@ -142,10 +142,10 @@ func TestConcurrentLatSampleTracksEveryQuery(t *testing.T) {
 	queriers := make([]uint32, cfg.NumPoints)
 	// One never-republished epoch, leased through the adapter: the
 	// stamps are the same code whatever the lease is.
-	leaser := func([]epochLog) EpochLeaser { return queryLease(g.QueryAppend) }
+	leaser := func(*epochLog) EpochLeaser { return queryLease(g.QueryAppend) }
 
 	attempt := func(readers int) (diffs []string) {
-		states := newReaderStates(readers, 1, 1, obs.NewHistogram(), leaser)
+		states := newReaderStates(readers, 1, obs.NewHistogram(), leaser)
 		served := make([]int, readers) // blocks each reader had drained before the pass
 		var all, sampled []float64
 		for pass := 0; pass <= passes; pass++ {

@@ -164,11 +164,3 @@ type EpochLease interface {
 type EpochLeaser interface {
 	Lease() EpochLease
 }
-
-// ShardedEpochQueryAppender is QueryAppender for the per-shard
-// epoch-published engines: the buffered analogue of
-// ShardedEpochIndex.Query, reporting each touched shard's observation
-// through observe.
-type ShardedEpochQueryAppender interface {
-	QueryAppend(r geom.Rect, buf []uint32, observe func(shard int, epoch, digest uint64)) []uint32
-}

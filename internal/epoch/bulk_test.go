@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/xrand"
@@ -70,38 +69,6 @@ func TestApplyPathBoundary(t *testing.T) {
 	}
 }
 
-// halfRegion is a minimal region-sharded inner: it indexes only the
-// points it owns (the left half of the space), as internal/shard's
-// regions do, so the wrapper's probes must go through Owner.
-type halfRegion struct {
-	pos    []geom.Point
-	member []bool
-}
-
-func (h *halfRegion) Name() string           { return "half" }
-func (h *halfRegion) Owns(p geom.Point) bool { return p.X < 500 }
-
-func (h *halfRegion) Build(all []geom.Point) {
-	h.pos = append(h.pos[:0], all...)
-	h.member = make([]bool, len(all))
-	for i, p := range all {
-		h.member[i] = h.Owns(p)
-	}
-}
-
-func (h *halfRegion) Update(id uint32, _, new geom.Point) {
-	h.pos[id] = new
-	h.member[id] = h.Owns(new)
-}
-
-func (h *halfRegion) Query(r geom.Rect, emit func(id uint32)) {
-	for i, p := range h.pos {
-		if h.member[i] && p.In(r) {
-			emit(uint32(i))
-		}
-	}
-}
-
 // pathTwins drives one move stream through two wrappers of the same
 // family, one forced down the replay path and one down the bulk path,
 // and demands they are indistinguishable: the same (epoch, digest)
@@ -160,9 +127,7 @@ func twinBatchSizes(n int) []int {
 
 func TestReplayAndBulkAgreePoints(t *testing.T) {
 	const n = 1500
-	families := pointFamilies(n)
-	families["region"] = func() core.Index { return &halfRegion{} }
-	for name, mk := range families {
+	for name, mk := range pointFamilies(n) {
 		t.Run(name, func(t *testing.T) {
 			r := xrand.New(83)
 			oracle := randomPoints(r, n)
@@ -183,16 +148,12 @@ func TestReplayAndBulkAgreePoints(t *testing.T) {
 				geom.Move{ID: 7, Old: geom.Pt(100, 100), New: geom.Pt(300, 700)})
 			ticks = append(ticks, merged)
 
-			owns := func(geom.Point) bool { return true }
-			if name == "region" {
-				owns = (&halfRegion{}).Owns
-			}
 			pathTwins(t, &a.pub, &b.pub, ticks,
 				func(tick int) { applyOracle(oracle, ticks[tick]) },
 				func(rect geom.Rect) map[uint32]bool {
 					exp := map[uint32]bool{}
 					for i, p := range oracle {
-						if owns(p) && p.In(rect) {
+						if p.In(rect) {
 							exp[uint32(i)] = true
 						}
 					}

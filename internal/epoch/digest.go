@@ -77,20 +77,3 @@ func FoldBoxMoves(d uint64, moves []geom.BoxMove) uint64 {
 	}
 	return d
 }
-
-// CompositeDigest folds a set of shard-local epoch digests into one
-// composite value, position-salted so permuting the shards changes the
-// result. A region-sharded engine (internal/shard) publishes each shard
-// independently — there is no single epoch whose digest covers the whole
-// engine — so its composite state is summarized by folding the live
-// per-shard digests in shard order. Deterministic given the per-shard
-// values, which are themselves deterministic given the routed batches.
-//
-//joinlint:deterministic
-func CompositeDigest(parts []uint64) uint64 {
-	d := uint64(len(parts))
-	for i, p := range parts {
-		d = mix64(d ^ (uint64(i) + 1) ^ p)
-	}
-	return d
-}

@@ -174,13 +174,6 @@ func (b *buffer[P]) length() int {
 	return len(b.snap)
 }
 
-// owns reports whether the inner reports an object with geometry p:
-// always, unless it is a region shard (Owner).
-func (b *buffer[P]) owns(p P) bool {
-	o, ok := b.idx.(Owner[P])
-	return !ok || o.Owns(p)
-}
-
 // holds reports whether a query of r on the buffer's index returns id.
 func (b *buffer[P]) holds(r geom.Rect, id uint32) bool {
 	b.probe = b.queryAppend(r, b.probe[:0])
@@ -466,11 +459,7 @@ func (x *pub[P, M]) validate(sh *buffer[P], moves []M) error {
 			return nil
 		}
 		was, now := x.geo.window(old), x.geo.window(to)
-		// Presence is conditioned on ownership: a region shard that does
-		// not own the new geometry sees an emigration (a point left its
-		// region; the reference point of an MBR's self-query is another
-		// shard's), and the id must be GONE from its results there.
-		if sh.holds(now, id) != sh.owns(to) {
+		if !sh.holds(now, id) {
 			return fmt.Errorf("epoch: move %d/%d (id %d) not found at its new position", i, len(moves), id)
 		}
 		// Absence at the old geometry is only assertable when old and new

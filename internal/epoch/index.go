@@ -31,16 +31,6 @@ type BoxIndex struct {
 	pub[geom.Rect, geom.BoxMove]
 }
 
-// Owner is implemented by region-sharded indexes (internal/shard): the
-// index reports only the objects whose geometry it owns — the points
-// inside its region; of the MBR replicas that exist in every overlapped
-// shard, only those whose self-query reference point (the rectangle's
-// min corner) falls in its region — so the wrapper's membership probes
-// must condition presence on that ownership.
-type Owner[P any] interface {
-	Owns(p P) bool
-}
-
 // geo is everything the publisher needs to know about an object
 // geometry P moved by M; the two values below are the whole difference
 // between Index and BoxIndex.

@@ -40,8 +40,6 @@ var capContracts = []capContract{
 	{"IndexOf", []string{"QueryAppender", "ParallelBuilderOf"}},
 	{"EpochIndex", []string{"EpochQueryAppender", "EpochLeaser"}},
 	{"EpochBoxIndex", []string{"EpochQueryAppender", "EpochLeaser"}},
-	{"ShardedEpochIndex", []string{"ShardedEpochQueryAppender"}},
-	{"ShardedEpochBoxIndex", []string{"ShardedEpochQueryAppender"}},
 }
 
 func runCapForward(p *Pass) {

@@ -126,10 +126,7 @@ func TestCapForwardVisitsShardEngines(t *testing.T) {
 		t.Fatalf("loading internal/shard: %d packages, %v", len(pkgs), err)
 	}
 	wrappers, ifaces := capWrappers(pkgs[0].Pkg)
-	for name, contract := range map[string]string{
-		"Index": "IndexOf", "BoxIndex": "IndexOf",
-		"Concurrent": "ShardedEpochIndex", "BoxConcurrent": "ShardedEpochBoxIndex",
-	} {
+	for name, contract := range map[string]string{"Index": "IndexOf", "BoxIndex": "IndexOf"} {
 		found := false
 		for _, w := range wrappers {
 			if w.Name() == name {

@@ -28,8 +28,8 @@
 // ("core.tick.build_ns", "epoch.epochs_published", "shard.query_fanout",
 // "tune.predicted_tick_ns"). Duration-valued instruments carry an _ns
 // suffix. Requesting a name twice returns the same instrument, so
-// independent components (e.g. the per-region epoch wrappers of a
-// sharded engine) aggregate into one series by construction.
+// independent components (e.g. the two inner indexes of one epoch
+// wrapper) aggregate into one series by construction.
 package obs
 
 import (

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/epoch"
 	"repro/internal/geom"
 	"repro/internal/workload"
 )
@@ -51,55 +50,6 @@ func TestBoxEngineCapabilities(t *testing.T) {
 	assertMatchesOracle(t, "shard.BoxIndex", oracle.QueryAppend, idx.(core.QueryAppender).QueryAppend, rects)
 	assertZeroAllocSteadyState(t, "shard.BoxIndex", idx.(core.QueryAppender).QueryAppend, rects)
 }
-
-// The concurrent engines report per-shard (epoch, digest) observations,
-// so their buffered kernel is the sharded-epoch flavour, not the plain
-// QueryAppender.
-func TestConcurrentEngineCapabilities(t *testing.T) {
-	cfg := testPointConfig()
-	p := core.Params{Bounds: cfg.Bounds(), NumPoints: cfg.NumPoints, Shards: 2}
-	var c core.ShardedEpochIndex = NewConcurrent(p, epoch.Options{})
-	qa, ok := c.(core.ShardedEpochQueryAppender)
-	if !ok {
-		t.Fatalf("%T does not forward core.ShardedEpochQueryAppender", c)
-	}
-
-	gen := workload.MustNewGenerator(cfg)
-	pts := gen.Positions(nil)
-	c.Build(pts)
-	oracle := core.NewBruteForce()
-	oracle.Build(pts)
-	rects := queryRects(gen.Queriers(), gen.QueryRect)
-	appendQ := func(r geom.Rect, buf []uint32) []uint32 {
-		return qa.QueryAppend(r, buf, observeNop)
-	}
-	assertMatchesOracle(t, "shard.Concurrent", oracle.QueryAppend, appendQ, rects)
-	assertZeroAllocSteadyState(t, "shard.Concurrent", appendQ, rects)
-}
-
-func TestBoxConcurrentEngineCapabilities(t *testing.T) {
-	cfg := testBoxConfig()
-	p := core.Params{Bounds: cfg.Bounds(), NumPoints: cfg.NumPoints, Shards: 2}
-	var c core.ShardedEpochBoxIndex = NewBoxConcurrent(p, epoch.Options{})
-	qa, ok := c.(core.ShardedEpochQueryAppender)
-	if !ok {
-		t.Fatalf("%T does not forward core.ShardedEpochQueryAppender", c)
-	}
-
-	gen := workload.MustNewBoxGenerator(cfg)
-	boxes := gen.Rects(nil)
-	c.Build(boxes)
-	oracle := core.NewBruteForceBoxes()
-	oracle.Build(boxes)
-	rects := queryRects(gen.Queriers(), gen.QueryRect)
-	appendQ := func(r geom.Rect, buf []uint32) []uint32 {
-		return qa.QueryAppend(r, buf, observeNop)
-	}
-	assertMatchesOracle(t, "shard.BoxConcurrent", oracle.QueryAppend, appendQ, rects)
-	assertZeroAllocSteadyState(t, "shard.BoxConcurrent", appendQ, rects)
-}
-
-func observeNop(shard int, epoch, digest uint64) {}
 
 func queryRects(queriers []uint32, rectOf func(id uint32) geom.Rect) []geom.Rect {
 	rects := make([]geom.Rect, len(queriers))

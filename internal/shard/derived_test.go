@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/callback"
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/grid"
@@ -24,7 +25,7 @@ type derived struct {
 
 // derivedFamilies builds every family that derives its Query: the six
 // point-grid layouts, both box grids, both R-trees, the two shard routers
-// and their regions. It lives in this package because shard is the one
+// and their regions' kernel. It lives in this package because shard is the one
 // that reaches all of them, its unexported regions included.
 func derivedFamilies(t *testing.T) []derived {
 	t.Helper()
@@ -65,22 +66,27 @@ func derivedFamilies(t *testing.T) []derived {
 	px, bx := New(pp, 2), NewBox(bp, 2)
 	point(px)
 	box(bx)
-	// A standalone region answers its own share of a window, so the four
-	// regions' answers together are the oracle's, each ID exactly once.
+	// Each region's kernel, deduplicating wherever the geometry
+	// replicates, answers its own share of a window, so the four regions'
+	// answers together are the oracle's, each ID exactly once.
 	out = append(out,
-		derived{"point regions", regionsQuery(px.regs), pOracle.QueryAppend, prects},
-		derived{"box regions", regionsQuery(bx.regs), bOracle.QueryAppend, brects})
+		derived{"point regions", (&regions[geom.Point]{px.regs}).Query, pOracle.QueryAppend, prects},
+		derived{"box regions", (&regions[geom.Rect]{bx.regs}).Query, bOracle.QueryAppend, brects})
 	return out
 }
 
-// regionsQuery queries every region standalone, one after the other.
-func regionsQuery[P comparable](regs []*region[P]) func(geom.Rect, func(uint32)) {
-	return func(r geom.Rect, emit func(uint32)) {
-		for _, s := range regs {
-			s.Query(r, emit)
-		}
+// regions queries every region of a router, one after the other, with
+// the dedup a window that straddles them needs.
+type regions[P comparable] struct{ regs []*region[P] }
+
+func (x *regions[P]) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
+	for _, s := range x.regs {
+		buf = s.queryAppend(r, buf, s.geo.replicates())
 	}
+	return buf
 }
+
+func (x *regions[P]) Query(r geom.Rect, emit func(uint32)) { callback.Query(x, r, emit) }
 
 // TestDerivedQueryMatchesOracle runs every derived Query from four
 // goroutines at once on one built index and wants each result to be the

@@ -3,11 +3,11 @@ package shard
 import "repro/internal/obs"
 
 // instruments is the shard engines' instrument set. Each engine
-// (Index, BoxIndex, Concurrent, BoxConcurrent) owns one value in its
-// env, which every region points at, so per-region events aggregate
-// into engine-level series. All fields stay nil until
-// Instrument binds a registry — every record below is then a nil-check
-// no-op, per the internal/obs hot-path contract.
+// (Index, BoxIndex) owns one value in its env, which every region
+// points at, so per-region events aggregate into engine-level series.
+// All fields stay nil until Instrument binds a registry — every record
+// below is then a nil-check no-op, per the internal/obs hot-path
+// contract.
 type instruments struct {
 	// fanout observes the number of regions each query touched.
 	fanout *obs.Histogram
@@ -33,24 +33,10 @@ func (i *instruments) bind(r *obs.Registry) {
 	i.side = r.Gauge("shard.side")
 }
 
-// Instrument implements obs.Instrumentable for the stop-the-world
-// routers.
-func (x *router[P, M]) Instrument(r *obs.Registry) {
+// Instrument implements obs.Instrumentable for the routers.
+func (x *router[P]) Instrument(r *obs.Registry) {
 	x.ins.bind(r)
 	if x.side >= 1 {
 		x.ins.side.Set(int64(x.side))
-	}
-}
-
-// Instrument implements obs.Instrumentable for the sharded epoch
-// compositions: the engine binds its own fan-out/migration series and
-// keeps the registry to hand to each per-region epoch wrapper at
-// Build, so the wrappers' lifecycle events aggregate into the shared
-// "epoch.*" series.
-func (x *conc[P, M]) Instrument(r *obs.Registry) {
-	x.reg = r
-	x.ins.bind(r)
-	for _, sh := range x.shards {
-		sh.Instrument(r)
 	}
 }

@@ -4,21 +4,9 @@ import (
 	"fmt"
 	"unsafe"
 
-	"repro/internal/callback"
 	"repro/internal/core"
-	"repro/internal/epoch"
 	"repro/internal/geom"
 	"repro/internal/tune"
-)
-
-// Each region satisfies the contracts the epoch wrapper probes, for
-// either geometry.
-var (
-	_ core.Index             = (*region[geom.Point])(nil)
-	_ core.BoxIndex          = (*region[geom.Rect])(nil)
-	_ core.InvariantChecker  = (*region[geom.Point])(nil)
-	_ core.QueryAppender     = (*region[geom.Point])(nil)
-	_ epoch.Owner[geom.Rect] = (*region[geom.Rect])(nil)
 )
 
 // env is what an engine's regions share with it: the geometry, the
@@ -34,10 +22,7 @@ type env[P comparable] struct {
 // region is one shard of the engine: a compacted local arena (object
 // geometry, owner ids, free list) in front of a tune-selected inner
 // index over local slot ids. It holds every object whose span covers it
-// — exactly the points inside it, a replica of every MBR overlapping it
-// — and it also implements core.Index / core.BoxIndex standalone (Build
-// self-partitions a full snapshot, its queries always dedup), which is the
-// form the epoch wrapper consumes in the concurrent composition.
+// — exactly the points inside it, a replica of every MBR overlapping it.
 type region[P comparable] struct {
 	*env[P]
 	cx, cy int32
@@ -54,12 +39,11 @@ type region[P comparable] struct {
 	// lidOf maps global id -> local slot (NONE when not a member);
 	// owner is the inverse (NONE for parked slots); items holds each
 	// slot's geometry (the park geometry for dead slots).
-	lidOf   []uint32
-	owner   []uint32
-	items   []P
-	free    []uint32
-	live    int
-	members []uint32 // build scratch
+	lidOf []uint32
+	owner []uint32
+	items []P
+	free  []uint32
+	live  int
 }
 
 func newRegion[P comparable](e *env[P], sid int) *region[P] {
@@ -75,38 +59,16 @@ func newRegion[P comparable](e *env[P], sid int) *region[P] {
 	}
 }
 
-// Name implements core.Index.
-func (s *region[P]) Name() string {
-	if s.inner != nil {
-		return fmt.Sprintf("region(%d,%d %s)", s.cx, s.cy, s.inner.Name())
-	}
-	return fmt.Sprintf("region(%d,%d)", s.cx, s.cy)
-}
-
 // holds reports whether an object with geometry p is a member of this
 // region — the one membership rule, for routing, builds and audits.
 func (s *region[P]) holds(p P) bool { return s.geo.span(&s.lat, p).has(s.cx, s.cy) }
 
-// Owns implements epoch.Owner: whether this region reports an object
-// with geometry p for a self-query — it holds the point, or it owns the
-// reference point of r∩r, which is r's min corner and so the first
-// region of r's span.
-func (s *region[P]) Owns(p P) bool {
+// owns reports whether this region is the one that counts an object
+// with geometry p: the region of the first cell of p's span — for a
+// point its only region, for an MBR the region of its min corner.
+func (s *region[P]) owns(p P) bool {
 	sp := s.geo.span(&s.lat, p)
 	return sp.x0 == s.cx && sp.y0 == s.cy
-}
-
-// Build implements core.Index over a FULL snapshot: the region scans it
-// for members and indexes only those. The router avoids the per-region
-// scan by routing once and calling buildMembers directly.
-func (s *region[P]) Build(all []P) {
-	s.members = s.members[:0]
-	for id := range all {
-		if s.holds(all[id]) {
-			s.members = append(s.members, uint32(id))
-		}
-	}
-	s.buildMembers(all, s.members)
 }
 
 // buildMembers (re)builds the region over the given member ids of the
@@ -158,20 +120,6 @@ func (s *region[P]) lidFor(id uint32) uint32 {
 	return NONE
 }
 
-// Query implements core.Index standalone: QueryAppend's result, one emit
-// per ID.
-func (s *region[P]) Query(r geom.Rect, emit func(id uint32)) { callback.Query(s, r, emit) }
-
-// QueryAppend implements core.QueryAppender standalone: dedup is on
-// whenever the geometry replicates, so a fan-out union over regions is
-// exactly-once. The router calls queryAppend with dedup off when the
-// window cannot straddle regions.
-//
-//joinlint:hotpath
-func (s *region[P]) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
-	return s.queryAppend(r, buf, s.geo.replicates())
-}
-
 // queryAppend is the region's query kernel: the inner appends local slots
 // to the tail of buf, then the region compacts that tail in place —
 // translating slots to global ids and dropping parked slots (and, under
@@ -196,9 +144,9 @@ func (s *region[P]) queryAppend(r geom.Rect, buf []uint32, dedup bool) []uint32 
 	return buf[:w]
 }
 
-// Update implements core.Index for any of the four membership cases;
-// the region's own tables are the authority, the passed old geometry is
-// only trusted by the router for routing.
+// Update handles a move for any of the four membership cases; the
+// region's own tables are the authority, the passed old geometry is only
+// trusted by the router for routing.
 func (s *region[P]) Update(id uint32, _, new P) {
 	lid := s.lidFor(id)
 	inNew := s.holds(new)
@@ -243,9 +191,10 @@ func (s *region[P]) grow() {
 	s.inner.Build(s.items)
 }
 
-// CheckInvariants implements core.InvariantChecker: arena/owner/free
-// accounting, the membership invariant (every live slot's geometry
-// spans this region), and the inner index's own invariants.
+// CheckInvariants audits the region for the router's CheckInvariants:
+// arena/owner/free accounting, the membership invariant (every live
+// slot's geometry spans this region), and the inner index's own
+// invariants.
 func (s *region[P]) CheckInvariants() error {
 	errf := func(format string, args ...any) error {
 		return fmt.Errorf("shard: region(%d,%d) "+format, append([]any{s.cx, s.cy}, args...)...)

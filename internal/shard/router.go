@@ -24,45 +24,32 @@ var (
 	_ core.QueryAppender      = (*Index)(nil)
 )
 
-// move is the shape geom.Move and geom.BoxMove share; a routed M
-// converts to it for field access at no cost.
-type move[P any] struct {
-	ID       uint32
-	Old, New P
-}
-
-type moveOf[P any] interface {
-	~struct {
-		ID  uint32
-		Old P
-		New P
-	}
-}
-
-// routing is the part of an engine that decides where things go: the
-// lattice (fixed at the first build) and the move routing. The
-// stop-the-world router below and the per-region-epoch composition
-// (concurrent.go) both embed it, so neither restates the other's
-// lattice arithmetic.
-type routing[P comparable, M moveOf[P]] struct {
+// router is the region-sharded engine: the lattice (fixed at the first
+// build) and the regions over it, behind the core.Index / core.BoxIndex
+// contract of its geometry. See the package comment for the ownership,
+// routing, and merge rules.
+type router[P comparable] struct {
 	env[P]
 	bounds geom.Rect
 	side   int // 0 until the ladder picks at first build (auto mode)
-	// batches is the per-region move routing scratch.
-	batches [][]M
+	regs   []*region[P]
+
+	members [][]uint32 // per-region build routing scratch
+	fanned  [][]uint32 // per-worker x per-region parallel routing scratch
 }
 
-// newRouting forces tune calibration so the per-shard family selection
+// newRouter forces tune calibration so the per-shard family selection
 // at first build stays outside any timed region.
-func newRouting[P comparable, M moveOf[P]](g *geo[P], p core.Params, side int) routing[P, M] {
+func newRouter[P comparable](g *geo[P], p core.Params, side int) router[P] {
 	tune.Calibrate()
-	return routing[P, M]{env: env[P]{geo: g, hints: p.Hints}, bounds: p.Bounds, side: side}
+	return router[P]{env: env[P]{geo: g, hints: p.Hints}, bounds: p.Bounds, side: side}
 }
 
 // Side returns the region-grid side (0 before an auto first build).
-func (x *routing[P, M]) Side() int { return x.side }
+func (x *router[P]) Side() int { return x.side }
 
-func (x *routing[P, M]) name() string {
+// Name implements core.Index.
+func (x *router[P]) Name() string {
 	if x.side < 1 {
 		return x.geo.prefix + "shard[auto]"
 	}
@@ -71,11 +58,10 @@ func (x *routing[P, M]) name() string {
 
 // settle fixes the lattice on the first snapshot, running the
 // shard-count ladder over it when the side was not requested
-// explicitly. It reports whether this call did the fixing, i.e. whether
-// the caller has regions to allocate.
-func (x *routing[P, M]) settle(all []P) bool {
-	if x.batches != nil {
-		return false
+// explicitly, and allocates the regions.
+func (x *router[P]) settle(all []P) {
+	if x.regs != nil {
+		return
 	}
 	if x.side < 1 {
 		st := x.geo.sample(all, x.bounds, x.hints)
@@ -83,15 +69,18 @@ func (x *routing[P, M]) settle(all []P) bool {
 	}
 	x.lat = newLattice(x.bounds, x.side)
 	x.ins.side.Set(int64(x.side))
-	x.batches = make([][]M, x.side*x.side)
-	return true
+	x.regs = make([]*region[P], x.side*x.side)
+	for i := range x.regs {
+		x.regs[i] = newRegion(&x.env, i)
+	}
+	x.members = make([][]uint32, len(x.regs))
 }
 
 // concerned calls visit for every region a move from old to new
 // concerns: those in the union of the two spans that hold the object
 // before or after (a point's move concerns its source and destination
 // regions; a box's every region it stops, keeps or starts overlapping).
-func (x *routing[P, M]) concerned(old, new P, visit func(sid int)) {
+func (x *router[P]) concerned(old, new P, visit func(sid int)) {
 	o, n := x.geo.span(&x.lat, old), x.geo.span(&x.lat, new)
 	for w := o.union(n).walk(); w.more(); w = w.next() {
 		if o.has(w.cx, w.cy) || n.has(w.cx, w.cy) {
@@ -100,55 +89,28 @@ func (x *routing[P, M]) concerned(old, new P, visit func(sid int)) {
 	}
 }
 
-// route partitions the moves by concerned region into x.batches, each
-// list in batch order.
-func (x *routing[P, M]) route(moves []M) {
-	for i := range x.batches {
-		x.batches[i] = x.batches[i][:0]
-	}
-	for _, m := range moves {
-		mv := move[P](m)
-		x.concerned(mv.Old, mv.New, func(sid int) { x.batches[sid] = append(x.batches[sid], m) })
-	}
-}
-
-// router is the stop-the-world engine: routing over side x side regions
-// behind the core.Index / core.BoxIndex contract of its geometry. See
-// the package comment for the ownership, routing, and merge rules.
-type router[P comparable, M moveOf[P]] struct {
-	routing[P, M]
-	regs []*region[P]
-
-	members [][]uint32 // per-region build routing scratch
-	fanned  [][]uint32 // per-worker x per-region parallel routing scratch
-}
-
-func newRouter[P comparable, M moveOf[P]](g *geo[P], p core.Params, side int) router[P, M] {
-	return router[P, M]{routing: newRouting[P, M](g, p, side)}
-}
-
 // Index is the region-sharded point engine.
 type Index struct {
-	router[geom.Point, geom.Move]
+	router[geom.Point]
 }
 
 // BoxIndex is the region-sharded box engine: replica-based membership
 // and boundary-ownership dedup.
 type BoxIndex struct {
-	router[geom.Rect, geom.BoxMove]
+	router[geom.Rect]
 }
 
 // New constructs a sharded point engine with an explicit region-grid
 // side (>= 1).
 func New(p core.Params, side int) *Index {
-	return &Index{newRouter[geom.Point, geom.Move](pointGeo, p, max(side, 1))}
+	return &Index{newRouter(pointGeo, p, max(side, 1))}
 }
 
 // NewAuto constructs a sharded point engine whose region-grid side is
 // chosen by the tune shard-count ladder: from p.Shards when set, else
 // from the first build snapshot's sampled statistics.
 func NewAuto(p core.Params) *Index {
-	return &Index{newRouter[geom.Point, geom.Move](pointGeo, p, p.Shards)}
+	return &Index{newRouter(pointGeo, p, p.Shards)}
 }
 
 // AutoFactory is the core.Factory for NewAuto (lineup key "shard-auto").
@@ -157,18 +119,15 @@ func AutoFactory(p core.Params) core.Index { return NewAuto(p) }
 // NewBox constructs a sharded box engine with an explicit region-grid
 // side (>= 1).
 func NewBox(p core.Params, side int) *BoxIndex {
-	return &BoxIndex{newRouter[geom.Rect, geom.BoxMove](boxGeo, p, max(side, 1))}
+	return &BoxIndex{newRouter(boxGeo, p, max(side, 1))}
 }
 
 // AutoBoxFactory is the core.BoxFactory of lineup key "boxshard-auto":
 // a sharded box engine whose region-grid side is chosen by the tune
 // shard-count ladder (p.Shards overrides).
 func AutoBoxFactory(p core.Params) core.BoxIndex {
-	return &BoxIndex{newRouter[geom.Rect, geom.BoxMove](boxGeo, p, p.Shards)}
+	return &BoxIndex{newRouter(boxGeo, p, p.Shards)}
 }
-
-// Name implements core.Index.
-func (x *router[P, M]) Name() string { return x.name() }
 
 // RegionInfo is one region's population and tuning choice, for
 // reporting.
@@ -181,7 +140,7 @@ type RegionInfo struct {
 
 // Regions returns per-region population and tuning choices (valid after
 // the first build).
-func (x *router[P, M]) Regions() []RegionInfo {
+func (x *router[P]) Regions() []RegionInfo {
 	out := make([]RegionInfo, 0, len(x.regs))
 	for _, s := range x.regs {
 		out = append(out, RegionInfo{CX: int(s.cx), CY: int(s.cy), Frame: s.frame, Live: s.live, Choice: s.choice})
@@ -192,12 +151,12 @@ func (x *router[P, M]) Regions() []RegionInfo {
 // Build implements core.Index: one routing pass partitions the snapshot
 // by region (an object is listed in every region of its span), then
 // each region builds its arena and inner index.
-func (x *router[P, M]) Build(all []P) { x.buildWith(all, 1) }
+func (x *router[P]) Build(all []P) { x.buildWith(all, 1) }
 
 // BuildParallel implements core.ParallelBuilder: regions are striped
 // across workers with work-stealing. Region builds are independent and
 // deterministic, so the result is identical to Build.
-func (x *router[P, M]) BuildParallel(all []P, workers int) {
+func (x *router[P]) BuildParallel(all []P, workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -206,7 +165,7 @@ func (x *router[P, M]) BuildParallel(all []P, workers int) {
 
 // spread appends each id in [lo, hi) to the list of every region of its
 // object's span.
-func (x *router[P, M]) spread(all []P, lo, hi int, lists [][]uint32) {
+func (x *router[P]) spread(all []P, lo, hi int, lists [][]uint32) {
 	for i := range lists {
 		lists[i] = lists[i][:0]
 	}
@@ -218,14 +177,8 @@ func (x *router[P, M]) spread(all []P, lo, hi int, lists [][]uint32) {
 	}
 }
 
-func (x *router[P, M]) buildWith(all []P, workers int) {
-	if x.settle(all) {
-		x.regs = make([]*region[P], len(x.batches))
-		for i := range x.regs {
-			x.regs[i] = newRegion(&x.env, i)
-		}
-		x.members = make([][]uint32, len(x.regs))
-	}
+func (x *router[P]) buildWith(all []P, workers int) {
+	x.settle(all)
 	nr := len(x.regs)
 	if workers <= 1 || nr == 1 || len(all) < 8192 {
 		x.spread(all, 0, len(all), x.members)
@@ -259,7 +212,7 @@ func (x *router[P, M]) buildWith(all []P, workers int) {
 }
 
 // Query implements core.Index: QueryAppend's result, one emit per ID.
-func (x *router[P, M]) Query(r geom.Rect, emit func(id uint32)) { callback.Query(x, r, emit) }
+func (x *router[P]) Query(r geom.Rect, emit func(id uint32)) { callback.Query(x, r, emit) }
 
 // QueryAppend implements core.QueryAppender: clip the window to the
 // lattice span and fan out to the overlapped regions. A single query
@@ -271,7 +224,7 @@ func (x *router[P, M]) Query(r geom.Rect, emit func(id uint32)) { callback.Query
 // disjoint, so concatenating them into one buffer needs no post-merge.
 //
 //joinlint:hotpath
-func (x *router[P, M]) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
+func (x *router[P]) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 	s := x.lat.spanOf(r)
 	x.ins.fanout.Record(int64(s.cells()))
 	dedup := x.geo.replicates() && s.cells() > 1
@@ -283,17 +236,21 @@ func (x *router[P, M]) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 
 // Update implements core.Index: every concerned region adjusts its
 // membership (move in place, park, or revive — region.Update).
-func (x *router[P, M]) Update(id uint32, old, new P) {
+func (x *router[P]) Update(id uint32, old, new P) {
 	x.concerned(old, new, func(sid int) { x.regs[sid].Update(id, old, new) })
 }
 
-// Len implements core.Counter: live members across regions (a
-// replicated object counts once per overlapped region, mirroring
-// BoxGrid's Len semantics of entries stored).
-func (x *router[P, M]) Len() int {
+// Len implements core.Counter: live objects, each counted once — in the
+// region that owns it (region.owns) — as the grids and R-trees count
+// objects and not the replicas they store.
+func (x *router[P]) Len() int {
 	n := 0
 	for _, s := range x.regs {
-		n += s.live
+		for lid, g := range s.owner {
+			if g != NONE && s.owns(s.items[lid]) {
+				n++
+			}
+		}
 	}
 	return n
 }
@@ -303,11 +260,15 @@ func (x *BoxIndex) ReplicationFactor() float64 {
 	if len(x.regs) == 0 || len(x.regs[0].lidOf) == 0 {
 		return 1
 	}
-	return float64(x.Len()) / float64(len(x.regs[0].lidOf))
+	replicas := 0
+	for _, s := range x.regs {
+		replicas += s.live
+	}
+	return float64(replicas) / float64(len(x.regs[0].lidOf))
 }
 
 // MemoryBytes implements core.MemoryReporter.
-func (x *router[P, M]) MemoryBytes() int64 {
+func (x *router[P]) MemoryBytes() int64 {
 	var b int64
 	for _, s := range x.regs {
 		b += s.memoryBytes()
@@ -319,7 +280,7 @@ func (x *router[P, M]) MemoryBytes() int64 {
 // invariants (which include that each member's span covers the region)
 // plus the global membership count — every id lives somewhere, and in
 // exactly one region unless the geometry replicates.
-func (x *router[P, M]) CheckInvariants() error {
+func (x *router[P]) CheckInvariants() error {
 	for _, s := range x.regs {
 		if err := s.CheckInvariants(); err != nil {
 			return err

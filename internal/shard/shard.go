@@ -9,12 +9,12 @@
 // # One router, two geometries
 //
 // The engine is written once, over the object geometry P (region[P],
-// router[P, M], conc[P, M]); Index / BoxIndex / Concurrent /
-// BoxConcurrent are named bindings of it. What differs per geometry is
-// the geo[P] value and nothing else: the lattice span of a P (one region
-// for a point, every overlapped region for an MBR), the degenerate
-// geometry dead slots park at, the tune sample/choose/construct triple,
-// and — for geometries that replicate — the reference-point filter.
+// router[P]); Index and BoxIndex are named bindings of it. What differs
+// per geometry is the geo[P] value and nothing else: the lattice span of
+// a P (one region for a point, every overlapped region for an MBR), the
+// degenerate geometry dead slots park at, the tune sample/choose/construct
+// triple, and — for geometries that replicate — the reference-point
+// filter.
 //
 // # Ownership and duplicate-free merge
 //
@@ -42,29 +42,23 @@
 // # Updates and cross-shard migration
 //
 // A move concerns every region in the union of its old and new spans
-// (routing.concerned — the one place that is decided). Where the object
+// (router.concerned — the one place that is decided). Where the object
 // stays a member the move delegates to the region's inner index; where
 // it leaves, the region parks the entry (relocating it to a reserved
 // in-region park position and clearing its owner, so queries filter it
 // out) and pushes the slot onto a free list; where it arrives, the
 // region revives a parked slot via a plain inner Update. All of it
-// touches only region-private state, so a batch routed by region applies
-// across shards in parallel with no locking — each region sees exactly
-// its own moves in batch order, making the parallel result identical to
-// per-move application. When a region's free list runs dry its arena
-// grows by a parked-slot slack and the inner index is rebuilt
-// (region-local, amortized).
+// touches only region-private state: when a region's free list runs dry
+// its arena grows by a parked-slot slack and only its own inner index is
+// rebuilt (region-local, amortized).
 //
-// # Epoch composition
+// # Service mode
 //
-// For the concurrent (queries-during-updates) regime each region is
-// wrapped in its own epoch publication, so shards publish independently
-// and concurrent reads scale with shard count instead of serializing on
-// one publish barrier. The composition routes and fans out through the
-// same lattice code as the stop-the-world router. Per-shard digests fold
-// into a composite via epoch.CompositeDigest; the concurrent driver
-// (core.RunConcurrentSharded) validates each query's per-shard
-// (epoch, digest) observations against per-shard publish oracles.
+// For the concurrent (queries-during-updates) regime the whole router is
+// one epoch.Index / epoch.BoxIndex inner, as any other index is: the
+// wrapper publishes, validates and degrades it through its ordinary
+// surface (Len, CheckInvariants, self-query probes), and
+// core.RunConcurrent / RunBoxesConcurrent drive it.
 package shard
 
 import (

@@ -9,7 +9,6 @@ import (
 	"repro/internal/epoch"
 	"repro/internal/faultutil"
 	"repro/internal/geom"
-	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/workload"
 	"repro/internal/xrand"
@@ -117,37 +116,64 @@ func TestShardAutoMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestShardConcurrentSharded runs the per-shard epoch composition under
-// the sharded concurrent driver: overlapped queries and updates, every
-// query's per-shard (epoch, digest) observations validated against
-// per-shard publish oracles. Any violation or failed tick is a bug.
+// pointService is sharded service mode over points, as spatialjoin
+// -concurrent runs it: one epoch wrapper around side x side routers, one
+// router per buffer, each appended to made when made is non-nil.
+func pointService(p core.Params, side int, opts epoch.Options, made *[]*Index) *epoch.Index {
+	return epoch.NewIndex(func() core.Index {
+		x := New(p, side)
+		if made != nil {
+			*made = append(*made, x)
+		}
+		return x
+	}, opts)
+}
+
+// boxService is pointService over MBRs.
+func boxService(p core.Params, side int, opts epoch.Options, made *[]*BoxIndex) *epoch.BoxIndex {
+	return epoch.NewBoxIndex(func() core.BoxIndex {
+		x := NewBox(p, side)
+		if made != nil {
+			*made = append(*made, x)
+		}
+		return x
+	}, opts)
+}
+
+// TestShardConcurrentSharded runs sharded service mode under the
+// concurrent driver: overlapped queries and updates, every query's
+// (epoch, digest) observation validated against the publish oracle. Any
+// violation or failed tick is a bug.
 func TestShardConcurrentSharded(t *testing.T) {
 	for _, side := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("point-side=%d", side), func(t *testing.T) {
 			cfg := testPointConfig()
 			p := core.Params{Bounds: cfg.Bounds(), NumPoints: cfg.NumPoints, Shards: side}
-			x := NewConcurrent(p, epoch.Options{})
-			res := core.RunConcurrentSharded(x, workload.MustNewGenerator(cfg), core.ConcurrentOptions{Readers: 3})
+			var made []*Index
+			x := pointService(p, side, epoch.Options{}, &made)
+			res := core.RunConcurrent(x, workload.MustNewGenerator(cfg), core.ConcurrentOptions{Readers: 3})
 			if res.Violations != 0 {
-				t.Fatalf("%d per-shard epoch violations", res.Violations)
+				t.Fatalf("%d epoch violations", res.Violations)
 			}
 			if res.FailedTicks != 0 {
 				t.Fatalf("%d failed ticks without fault injection", res.FailedTicks)
 			}
-			if x.NumShards() != side*side {
-				t.Fatalf("NumShards=%d want %d", x.NumShards(), side*side)
+			for _, r := range made {
+				if len(r.regs) != side*side {
+					t.Fatalf("%d regions, want %d", len(r.regs), side*side)
+				}
 			}
-			if x.Composite() == 0 {
-				t.Fatal("composite digest is zero")
+			if _, dg := x.Epoch(); dg == 0 {
+				t.Fatal("live epoch digest is zero")
 			}
 		})
 		t.Run(fmt.Sprintf("box-side=%d", side), func(t *testing.T) {
 			cfg := testBoxConfig()
 			p := core.Params{Bounds: cfg.Bounds(), NumPoints: cfg.NumPoints, Shards: side}
-			x := NewBoxConcurrent(p, epoch.Options{})
-			res := core.RunBoxesConcurrentSharded(x, workload.MustNewBoxGenerator(cfg), core.ConcurrentOptions{Readers: 3})
+			x := boxService(p, side, epoch.Options{}, nil)
+			res := core.RunBoxesConcurrent(x, workload.MustNewBoxGenerator(cfg), core.ConcurrentOptions{Readers: 3})
 			if res.Violations != 0 {
-				t.Fatalf("%d per-shard epoch violations", res.Violations)
+				t.Fatalf("%d epoch violations", res.Violations)
 			}
 			if res.FailedTicks != 0 {
 				t.Fatalf("%d failed ticks without fault injection", res.FailedTicks)
@@ -156,11 +182,36 @@ func TestShardConcurrentSharded(t *testing.T) {
 	}
 }
 
-// TestShardConcurrentInheritsApplyPaths checks that every region's
-// epoch wrapper picks its own apply path from its routed share of the
-// full snapshot: one region with every object updating rebuilds in
-// bulk, sixteen regions with one object in fifty updating replay, and
-// both stay consistent under the per-shard oracles.
+// TestBoxServicePublishesEveryTick pins the box router's count to what
+// the epoch wrapper's validator compares it with: Len counts each live
+// object once, as the box grids and the box R-tree do, so one epoch
+// around a box router publishes every tick. While Len counted replicas,
+// every publish failed the cardinality check and none went out.
+func TestBoxServicePublishesEveryTick(t *testing.T) {
+	cfg := testBoxConfig()
+	p := core.Params{Bounds: cfg.Bounds(), NumPoints: cfg.NumPoints}
+	res := core.RunBoxesConcurrent(boxService(p, 2, epoch.Options{}, nil), workload.MustNewBoxGenerator(cfg),
+		core.ConcurrentOptions{Readers: 2})
+	if res.Stats.Epochs != uint64(cfg.Ticks) || res.FailedTicks != 0 || res.Stats.Retries != 0 || res.Violations != 0 {
+		t.Fatalf("%d epochs over %d ticks: %d failed ticks, %d retries, %d violations",
+			res.Stats.Epochs, cfg.Ticks, res.FailedTicks, res.Stats.Retries, res.Violations)
+	}
+	snap := workload.MustNewBoxGenerator(cfg).Rects(nil)
+	x := NewBox(p, 2)
+	x.Build(snap)
+	if x.Len() != len(snap) {
+		t.Fatalf("Len %d, snapshot has %d", x.Len(), len(snap))
+	}
+	if rf := x.ReplicationFactor(); rf <= 1 {
+		t.Fatalf("replication factor %.3f: no MBR straddles a region border, the count is not tested", rf)
+	}
+}
+
+// TestShardConcurrentInheritsApplyPaths checks that the epoch wrapper
+// around a router picks its apply path from the whole population as it
+// does around any index: every object updating over one region rebuilds
+// in bulk, one object in fifty over sixteen regions replays, and both
+// stay consistent.
 func TestShardConcurrentInheritsApplyPaths(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -176,7 +227,7 @@ func TestShardConcurrentInheritsApplyPaths(t *testing.T) {
 			cfg.Updaters = tc.updaters
 			p := core.Params{Bounds: cfg.Bounds(), NumPoints: cfg.NumPoints, Shards: tc.side}
 			reg := obs.New()
-			res := core.RunConcurrentSharded(NewConcurrent(p, epoch.Options{}), workload.MustNewGenerator(cfg),
+			res := core.RunConcurrent(pointService(p, tc.side, epoch.Options{}, nil), workload.MustNewGenerator(cfg),
 				core.ConcurrentOptions{Readers: 2, Obs: reg})
 			if res.Violations != 0 || res.FailedTicks != 0 {
 				t.Fatalf("%d violations, %d failed ticks", res.Violations, res.FailedTicks)
@@ -190,25 +241,25 @@ func TestShardConcurrentInheritsApplyPaths(t *testing.T) {
 }
 
 // TestShardConcurrentContainsFaults proves the crash-containment story
-// composes: a fault injected into ONE region's publish pipeline degrades
-// that shard (carried batch, failed tick) while the composition keeps
-// serving and no per-shard consistency violation appears.
+// holds around a router: faults injected into the publish pipeline
+// degrade ticks (carried batch, failed tick) while the last good epoch
+// keeps serving and no consistency violation appears.
 func TestShardConcurrentContainsFaults(t *testing.T) {
 	cfg := testPointConfig()
 	p := core.Params{Bounds: cfg.Bounds(), NumPoints: cfg.NumPoints, Shards: 2}
-	x := NewConcurrent(p, epoch.Options{
+	x := pointService(p, 2, epoch.Options{
 		Injector:   faultutil.MustNew(7, "apply:panic*2, build:panic*2"),
 		MaxRetries: 1,
-	})
-	res := core.RunConcurrentSharded(x, workload.MustNewGenerator(cfg), core.ConcurrentOptions{Readers: 2})
+	}, nil)
+	res := core.RunConcurrent(x, workload.MustNewGenerator(cfg), core.ConcurrentOptions{Readers: 2})
 	if res.Violations != 0 {
-		t.Fatalf("%d violations under fault injection — degraded shards must still be consistent", res.Violations)
+		t.Fatalf("%d violations under fault injection — degraded ticks must still be consistent", res.Violations)
 	}
 	if res.FailedTicks == 0 {
 		t.Fatal("injector armed but no tick failed; containment path untested")
 	}
 	if s := x.Stats(); s.Degraded == 0 {
-		t.Fatalf("no shard recorded degradation: %+v", s)
+		t.Fatalf("no degradation recorded: %+v", s)
 	}
 }
 
@@ -377,61 +428,10 @@ func TestShardConcurrentNoSpuriousDegradation(t *testing.T) {
 	cfg.Ticks = 600
 	p := core.ParamsFor(cfg)
 	p.Shards = 2
-	x := NewConcurrent(p, epoch.Options{})
-	res := core.RunConcurrentSharded(x, workload.MustNewGenerator(cfg), core.ConcurrentOptions{Readers: 1})
+	res := core.RunConcurrent(pointService(p, 2, epoch.Options{}, nil), workload.MustNewGenerator(cfg), core.ConcurrentOptions{Readers: 1})
 	if res.Stats.Degraded != 0 || res.Stats.Retries != 0 || res.FailedTicks != 0 || res.Violations != 0 {
 		t.Fatalf("clean run: %d degraded ticks, %d retries, %d failed ticks, %d violations",
 			res.Stats.Degraded, res.Stats.Retries, res.FailedTicks, res.Violations)
-	}
-}
-
-// TestSingleEpochIsOnePublication runs one stream through the two
-// binders of the one concurrent loop — a single epoch.Index (publication
-// 0) and a one-region shard.Concurrent (one publication per shard, of
-// which there is one) — and demands the same accounting from both, clean
-// and with one tick's retries exhausted: the batch is carried, every
-// publication's oracle is recorded after every tick including the failed
-// one, and both finish consistent.
-func TestSingleEpochIsOnePublication(t *testing.T) {
-	cfg := testPointConfig()
-	p := core.Params{Bounds: cfg.Bounds(), NumPoints: cfg.NumPoints, Shards: 1}
-	for _, tc := range []struct {
-		name   string
-		faults string
-		failed int
-	}{
-		{"clean", "", 0},
-		{"exhausted", "apply:panic*1, build:panic*2", 1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			opts := func() epoch.Options {
-				if tc.faults == "" {
-					return epoch.Options{}
-				}
-				return epoch.Options{Injector: faultutil.MustNew(5, tc.faults), MaxRetries: 1}
-			}
-			single := core.RunConcurrent(
-				epoch.NewIndex(func() core.Index { return grid.MustNew(grid.CSR(), cfg.Bounds(), cfg.NumPoints) }, opts()),
-				workload.MustNewGenerator(cfg), core.ConcurrentOptions{Readers: 2})
-			sharded := core.RunConcurrentSharded(NewConcurrent(p, opts()),
-				workload.MustNewGenerator(cfg), core.ConcurrentOptions{Readers: 2})
-			for _, res := range []*core.ConcurrentResult{single, sharded} {
-				if res.Violations != 0 {
-					t.Errorf("%s: %d violations", res.Technique, res.Violations)
-				}
-				if res.FailedTicks != tc.failed {
-					t.Errorf("%s: %d failed ticks, want %d", res.Technique, res.FailedTicks, tc.failed)
-				}
-				if got, want := res.Stats.Epochs+uint64(res.FailedTicks), uint64(cfg.Ticks); got != want {
-					t.Errorf("%s: %d epochs + %d failed ticks, want %d ticks (the failed batch was not carried)",
-						res.Technique, res.Stats.Epochs, res.FailedTicks, want)
-				}
-			}
-			if single.Queries != sharded.Queries || single.Updates != sharded.Updates {
-				t.Errorf("single %d queries / %d updates, one-region sharded %d / %d",
-					single.Queries, single.Updates, sharded.Queries, sharded.Updates)
-			}
-		})
 	}
 }
 
