@@ -182,12 +182,6 @@ func writePhases(w io.Writer, snap *obs.Snapshot) {
 		}
 	}
 
-	// Apply-path split: how the epoch writers caught their shadows up
-	// (ticks recovered by a degradation rebuild count as neither).
-	if bulk, replay := snap.Counters["epoch.apply_bulk"], snap.Counters["epoch.apply_replay"]; bulk+replay > 0 {
-		fmt.Fprintf(w, "\nepoch apply path: %d bulk (land + one build), %d replay (per-move update)\n", bulk, replay)
-	}
-
 	// Tuner residual: what the cost model predicted for a tick vs what
 	// the driver's spans actually measured.
 	pred, ok := snap.Gauges["tune.predicted_tick_ns"]

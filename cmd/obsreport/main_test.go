@@ -32,8 +32,6 @@ func TestReportSingleSnapshot(t *testing.T) {
 
 	r.SetLabel("tune.choice", "csr/cps=64")
 	r.Counter("core.queries").Add(12345)
-	r.Counter("epoch.apply_bulk").Add(57)
-	r.Counter("epoch.apply_replay").Add(3)
 	r.Gauge("core.concurrent.violations").Set(0)
 	r.Gauge("tune.predicted_tick_ns").Set(3_000_000)
 	r.Gauge("core.tick.cell_ordered").Set(1)
@@ -59,7 +57,6 @@ func TestReportSingleSnapshot(t *testing.T) {
 		"x8",
 		"query phase probed in cell order (core.tick.cell_ordered = 1)",
 		"tune residual:",
-		"epoch apply path: 57 bulk (land + one build), 3 replay (per-move update)",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("report missing %q:\n%s", want, got)

@@ -259,6 +259,18 @@ func TestConcurrentShardedServiceMode(t *testing.T) {
 	}
 }
 
+// TestConcurrentStaticTechnique runs a static family (its Update a
+// no-op) through -concurrent at a small update share, where each batch
+// is a few percent of the population, and wants the clean-run report:
+// the epoch wrapper must catch the shadow up by a build, not by moves
+// the index ignores.
+func TestConcurrentStaticTechnique(t *testing.T) {
+	args := []string{"-technique", "rtree", "-concurrent", "-points", "4000", "-ticks", "4", "-space", "6000", "-updaters", "0.02"}
+	if err := run(args); err != nil {
+		t.Fatalf("%v: %v", args, err)
+	}
+}
+
 // TestReportConcurrentRejectsDegradedRun pins that a clean service run
 // is checked, not just printed: the CLI arms no fault injector, so each
 // degraded tick, retry or failed tick is an error.

@@ -152,7 +152,7 @@ var namedBoxTechniques = []NamedBoxTechnique{
 	},
 	{
 		Key:         "boxrtree",
-		Description: "STR bulk-loaded box R-tree (Leutenegger et al. 1997): overlap-free packing, no replication, bottom-up MBR refit updates",
+		Description: "STR bulk-loaded box R-tree (Leutenegger et al. 1997): overlap-free packing, no replication, rebuilt every tick",
 		Make: func(p core.Params) core.BoxIndex {
 			return rtree.MustNewBoxTree(rtree.DefaultFanout)
 		},

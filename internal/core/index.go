@@ -88,12 +88,15 @@ type IndexOf[P any] interface {
 
 	// Update informs the index that object id moved from old to new.
 	// Techniques that are rebuilt from the snapshot may simply ignore
-	// this; in-place structures (the grids) relocate the entry. The
-	// stop-the-world drivers never call it — their next Build rebuilds
-	// the index before any query could see the move. Its callers are the
-	// in-place maintainers: epoch's replay arm, shard's regions and
-	// internal/bench's paper protocol, which charges it to Table 2's
-	// update column.
+	// this; in-place structures (the point grids) relocate the entry.
+	// The static families ignore it: binsearch, both point R-trees
+	// (rtree.Tree, crtree), kdtrie, the box grids (grid.BoxGrid,
+	// grid.BoxGrid2L), the box R-tree (rtree.BoxTree), the shard routers
+	// and the brute-force oracles. No driver calls it — the next Build,
+	// the epoch wrapper's included, rebuilds the index before any query
+	// could see the move. Its callers are internal/bench's paper
+	// protocol (MaintainInPlace), which charges it to Table 2's update
+	// column, and two examples; each builds before it queries.
 	Update(id uint32, old, new P)
 }
 

@@ -1,0 +1,86 @@
+package epoch
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/geom"
+	"repro/internal/obs"
+	"repro/internal/xrand"
+)
+
+// TestSmallBatchesPublishClean drives every point family through ticks
+// whose batch is a small share of the population (100 moves of 20 000) —
+// the service regime where a shadow caught up move by move would hand a
+// static family (its Update a no-op) a stale index. Every tick must
+// publish on its first attempt, and every query must match brute force.
+func TestSmallBatchesPublishClean(t *testing.T) {
+	const n, ticks, batch = 20000, 10, 100
+	for name, mk := range pointFamilies(n) {
+		t.Run(name, func(t *testing.T) {
+			r := xrand.New(37)
+			oracle := randomPoints(r, n)
+			x := NewIndex(mk, Options{})
+			x.Build(oracle)
+			for tick := 0; tick < ticks; tick++ {
+				moves := randomMoves(r, oracle, batch)
+				if _, err := x.ApplyBatch(moves); err != nil {
+					t.Fatalf("tick %d: %v", tick, err)
+				}
+				applyOracle(oracle, moves)
+				rect := geom.Square(moves[len(moves)-1].New, 40)
+				got, _, _ := collectPoints(x, rect)
+				for i := range oracle {
+					if oracle[i].In(rect) != got[uint32(i)] {
+						t.Fatalf("tick %d: id %d membership mismatch in %v", tick, i, rect)
+					}
+				}
+			}
+			if s := x.Stats(); s.Epochs != ticks || s.Degraded != 0 || s.Retries != 0 {
+				t.Fatalf("clean small-batch run: %+v", s)
+			}
+		})
+	}
+}
+
+// TestApplyBatchDoesNotAllocate pins the steady-state writer tick at
+// zero allocations (csr inner, whose build and buffered query are
+// allocation-free): validate's id-indexed scratch and the probes' result
+// buffer are owned by the wrapper.
+func TestApplyBatchDoesNotAllocate(t *testing.T) {
+	const n = 4000
+	for _, k := range []int{n / 50, n / 2} {
+		t.Run(fmt.Sprintf("batch=%d", k), func(t *testing.T) {
+			r := xrand.New(97)
+			oracle := randomPoints(r, n)
+			x := NewIndex(pointFamilies(n)["csr"], Options{})
+			x.Instrument(obs.New())
+			x.Build(oracle)
+			// Two batches over the same ids, alternated, so every run
+			// moves points for real without generating inside the
+			// measured region.
+			there := randomMoves(r, oracle, k)
+			back := make([]geom.Move, len(there))
+			for i, m := range there {
+				back[i] = geom.Move{ID: m.ID, Old: m.New, New: m.Old}
+			}
+			tick := 0
+			step := func() {
+				moves := there
+				if tick%2 == 1 {
+					moves = back
+				}
+				tick++
+				if _, err := x.ApplyBatch(moves); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 6; i++ { // carry, scratch and arenas reach their size
+				step()
+			}
+			if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+				t.Errorf("ApplyBatch allocates %.1f times per tick at steady state, want 0", allocs)
+			}
+		})
+	}
+}

@@ -32,14 +32,12 @@
 //
 // Because publishing leaves the new shadow one batch behind the new
 // live, the writer carries the published batch and lands it in the
-// shadow ahead of the next tick's batch (the catch-up protocol). There
-// are two equally validated ways to land carry and batch. Replay feeds
-// them to the inner index move by move. Bulk assigns them into the
-// shadow's snapshot and runs one inner build — the paper's per-tick
-// rebuild, which at its default half-the-population batches is several
-// times cheaper than the replay and leaves the readers a freshly packed
-// layout. bulkPays picks between them from the pending move count and
-// the population alone; see README.md, "Replay vs bulk apply".
+// shadow ahead of the next tick's batch (the catch-up protocol). Carry
+// and batch are assigned into the shadow's snapshot and the inner index
+// is rebuilt once over it — the paper's per-tick rebuild, the one
+// maintenance of every driver — so readers always drain a freshly packed
+// layout, and a static family (one that ignores Update) is served like
+// any other. README.md, "Catch-up is one build", has the numbers.
 //
 // # Consistency digests
 //
@@ -87,20 +85,7 @@ const (
 	defaultMaxBackoff = 20 * time.Millisecond
 	// maxProbes bounds the sampled membership probes per validation.
 	maxProbes = 16
-	// bulkShare decides how the shadow catches up (see bulkPays): once
-	// the pending moves (carry + batch) exceed 1/bulkShare of the
-	// population, landing them in the snapshot and running one inner
-	// build is cheaper than replaying them. Derived from the measured
-	// build-per-object and update-per-move costs; the crossover table is
-	// in README.md ("Replay vs bulk apply").
-	bulkShare = 6
 )
-
-// bulkPays is the whole apply-path policy: it sees the number of
-// pending moves and the population, nothing else.
-func bulkPays(pending, population int) bool {
-	return pending*bulkShare > population
-}
 
 // Options configures a wrapper. The zero value is production-ready:
 // no fault injection and the default retry/backoff policy.
@@ -192,7 +177,7 @@ type pub[P any, M any] struct {
 	mu     sync.Mutex
 	live   atomic.Pointer[buffer[P]]
 	shadow *buffer[P]
-	// carry is the batch published in live but not yet replayed into
+	// carry is the batch published in live but not yet landed in the
 	// shadow (the catch-up protocol).
 	carry []M
 	// dirty marks the shadow unusable for incremental catch-up (a
@@ -364,30 +349,12 @@ func (x *pub[P, M]) fire(site string, n int) int {
 	return n
 }
 
-// applyReplay replays carry and applies the batch move by move, keeping
-// the buffer's index and snapshot coherent at every step. The "apply"
-// fault site fires once per batch; a torn fault truncates the applied
-// suffix (both index and snapshot, so the tear is only detectable by
-// validation — exactly the failure it simulates).
-func (x *pub[P, M]) applyReplay(sh *buffer[P], moves []M) error {
-	replay := func(ms []M) {
-		for _, m := range ms {
-			id, _, to := x.geo.move(m)
-			sh.idx.Update(id, sh.snap[id], to)
-			sh.snap[id] = to
-		}
-	}
-	return x.contained(func() {
-		replay(x.carry)
-		replay(moves[:x.fire("apply", len(moves))])
-	})
-}
-
 // landAndBuild folds carry and the batch into the shadow snapshot by
 // plain assignment and runs one full inner build, firing the given
-// fault site once per batch with applyReplay's torn semantics: the
+// fault site once per batch. A torn fault truncates the batch: the
 // truncated suffix never reaches the snapshot, the build is coherent
-// with what did, and only the validation probes can see the tear.
+// with what did, and only the validation probes can see the tear —
+// exactly the failure it simulates.
 func (x *pub[P, M]) landAndBuild(sh *buffer[P], site string, moves []M) {
 	land := func(ms []M) {
 		for _, m := range ms {
@@ -400,18 +367,16 @@ func (x *pub[P, M]) landAndBuild(sh *buffer[P], site string, moves []M) {
 	sh.idx.Build(sh.snap)
 }
 
-// applyBulk is applyReplay's alternative for batches that are a large
-// share of the population (bulkPays): the shadow snapshot is already one
-// carry behind live, so landing carry and batch in it and rebuilding
-// reaches the same state without a per-move update. Same "apply" fault
-// site, same validation afterwards.
-func (x *pub[P, M]) applyBulk(sh *buffer[P], moves []M) error {
+// apply catches the shadow up: it is one carry behind live, so landing
+// carry and batch in its snapshot and rebuilding reaches the state to
+// publish. The "apply" fault site fires here.
+func (x *pub[P, M]) apply(sh *buffer[P], moves []M) error {
 	return x.contained(func() { x.landAndBuild(sh, "apply", moves) })
 }
 
 // applyRebuild recovers a shadow in an unknown state: the live snapshot
-// is copied over it first, then the pending batches land as in
-// applyBulk. The "build" fault site fires here.
+// is copied over it first, then the pending batches land as in apply.
+// The "build" fault site fires here.
 func (x *pub[P, M]) applyRebuild(sh, live *buffer[P], moves []M) error {
 	return x.contained(func() {
 		copy(sh.snap, live.snap)
@@ -434,7 +399,7 @@ func (x *pub[P, M]) validate(sh *buffer[P], moves []M) error {
 	if len(moves) == 0 {
 		return nil
 	}
-	// A merged or replayed batch may move the same id twice; only its
+	// A merged batch may move the same id twice; only its
 	// final move describes the published position, so probes skip
 	// superseded moves.
 	if len(x.lastOf) < len(sh.snap) {
@@ -487,17 +452,9 @@ func (x *pub[P, M]) validate(sh *buffer[P], moves []M) error {
 // validate, publish, quiesce, returning the published epoch. On failure
 // it degrades per the package comment, and on error the batch is NOT
 // applied: the last good epoch keeps serving, and the caller may merge
-// the batch into the next tick's ApplyBatch (the wrapper sources each
-// move's old geometry from its own snapshot, so merged batches replay
-// safely).
+// the batch into the next tick's ApplyBatch (a move lands as its new
+// geometry, so a merged batch lands safely).
 func (x *pub[P, M]) ApplyBatch(moves []M) (uint64, error) {
-	return x.applyBatchVia(moves, bulkPays)
-}
-
-// applyBatchVia is ApplyBatch with the apply-path policy as an argument,
-// so the package's differential tests and crossover benchmark can hold
-// the two paths against each other on one move stream.
-func (x *pub[P, M]) applyBatchVia(moves []M, bulk func(pending, population int) bool) (uint64, error) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	live := x.live.Load()
@@ -513,15 +470,10 @@ func (x *pub[P, M]) applyBatchVia(moves []M, bulk func(pending, population int) 
 		if !applied {
 			var err error
 			as := x.ins.reg.Enter(x.ins.apply)
-			switch {
-			case x.dirty:
+			if x.dirty {
 				err = x.applyRebuild(sh, live, moves)
-			case bulk(len(x.carry)+len(moves), len(sh.snap)):
-				x.ins.rBulk.Inc()
-				err = x.applyBulk(sh, moves)
-			default:
-				x.ins.rReplay.Inc()
-				err = x.applyReplay(sh, moves)
+			} else {
+				err = x.apply(sh, moves)
 			}
 			// Whatever happens next, the shadow can no longer be caught
 			// up from carry except by this tick's success.

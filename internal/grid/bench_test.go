@@ -460,14 +460,6 @@ func (bg *BoxGrid2L) querySwitched(r geom.Rect, emit func(id uint32)) {
 					}
 				}
 			}
-			if of := bg.overflow[c]; len(of) != 0 {
-				ofr := bg.overflowR[c]
-				for j, id := range of {
-					if refCell(bg.spans[id], uint16(cx), uint16(cy), q.x0, q.y0) && ofr[j].Intersects(r) {
-						emit(id)
-					}
-				}
-			}
 		}
 	}
 }

@@ -17,8 +17,8 @@ import (
 // and from BuildParallel at every worker count, equal as arrays to the
 // arena the loops alone build.
 
-// boxArena is a box grid's arena as compared: starts, then BoxGrid's live
-// counts or BoxGrid2L's pair-major class run ends, then the IDs.
+// boxArena is a box grid's arena as compared: starts, then BoxGrid2L's
+// pair-major class run ends (none for BoxGrid), then the IDs.
 type boxArena struct {
 	starts, ends, ids []uint32
 }
@@ -31,7 +31,7 @@ func (a boxArena) diff(b boxArena) string {
 	for _, f := range []struct {
 		name string
 		x, y []uint32
-	}{{"starts", a.starts, b.starts}, {"ends/counts", a.ends, b.ends}, {"ids", a.ids, b.ids}} {
+	}{{"starts", a.starts, b.starts}, {"ends", a.ends, b.ends}, {"ids", a.ids, b.ids}} {
 		if len(f.x) != len(f.y) {
 			return fmt.Sprintf("%s: %d entries, reference %d", f.name, len(f.x), len(f.y))
 		}
@@ -76,7 +76,7 @@ func loopArenaBox(m cellMapper, rects []geom.Rect) boxArena {
 			}
 		}
 	}
-	return boxArena{starts, counts, ids}
+	return boxArena{starts, nil, ids}
 }
 
 // loopArena2L is BoxGrid2L's arena over rects built by countSpan and
@@ -119,7 +119,7 @@ func checkBoxBuilds(t *testing.T, name string, cps int, bounds geom.Rect, rects 
 			bg.BuildParallel(rects, workers)
 			bg2.BuildParallel(rects, workers)
 		}
-		if got := (boxArena{bg.starts, bg.counts, bg.ids}); !got.equal(wantBox) {
+		if got := (boxArena{bg.starts, nil, bg.ids}); !got.equal(wantBox) {
 			t.Fatalf("%s: boxcsr %s: %s", name, how, got.diff(wantBox))
 		}
 		if got := (boxArena{bg2.starts, bg2.ends, bg2.ids}); !got.equal(want2L) {
@@ -280,7 +280,7 @@ func FuzzBoxBuild(f *testing.F) {
 		m := testMapper(cps, boxFuzzBounds)
 		bg := MustNewBoxGrid(cps, boxFuzzBounds, len(rects))
 		bg.Build(rects)
-		if got, want := (boxArena{bg.starts, bg.counts, bg.ids}), loopArenaBox(m, rects); !got.equal(want) {
+		if got, want := (boxArena{bg.starts, nil, bg.ids}), loopArenaBox(m, rects); !got.equal(want) {
 			t.Fatalf("boxcsr cps=%d: %s", cps, got.diff(want))
 		}
 		bg2 := MustNewBoxGrid2L(cps, boxFuzzBounds, len(rects))

@@ -31,6 +31,9 @@ import (
 // post-pass: Query emits each intersecting object exactly once, in
 // unspecified order.
 //
+// BoxGrid is static: Build is its one maintenance, and Update is a no-op
+// (core.IndexOf allows it of a family rebuilt from the snapshot).
+//
 // BoxGrid implements core.BoxIndex, core.BoxParallelBuilder,
 // core.Counter, and core.MemoryReporter.
 type BoxGrid struct {
@@ -41,18 +44,15 @@ type BoxGrid struct {
 	mapper   cellMapper
 	slots    spanSlots // the flat build kernels' cell neighbours
 
-	starts []uint32 // len cells+1; segment capacity of c is starts[c+1]-starts[c]
-	counts []uint32 // live entries in each cell's dense segment
+	starts []uint32 // len cells+1; cell c's replicas are ids[starts[c]:starts[c+1]]
+	counts []uint32 // build scratch: per-cell counts, then scatter cursors
 	ids    []uint32 // one contiguous arena of replicated entry IDs
-
-	overflow [][]uint32 // per-cell post-build inserts that found no slack
 
 	boxes int         // number of indexed objects (not replicas)
 	rects []geom.Rect // the retained snapshot
 
-	// spans caches each object's cell span (recomputed on Update), so
-	// queries dedup without touching float coordinates and updates know
-	// which cells to edit.
+	// spans caches each object's cell span, so queries dedup without
+	// touching float coordinates.
 	spans []cellSpan
 
 	shardCounts [][]uint32 // build scratch: per-worker count arrays
@@ -221,7 +221,6 @@ func NewBoxGrid(cps int, bounds geom.Rect, numBoxes int) (*BoxGrid, error) {
 	bg.slots = spanSlots{b: 1, c: cps, d: cps + 1}
 	bg.starts = make([]uint32, bg.cells+1)
 	bg.counts = make([]uint32, bg.cells)
-	bg.overflow = make([][]uint32, bg.cells)
 	if numBoxes > 0 {
 		bg.ids = make([]uint32, 0, 2*numBoxes)
 		bg.spans = make([]cellSpan, 0, numBoxes)
@@ -255,11 +254,6 @@ func (bg *BoxGrid) spanOf(r geom.Rect) cellSpan { return bg.mapper.spanOf(r) }
 func (bg *BoxGrid) prepare(rects []geom.Rect) {
 	bg.rects = rects
 	bg.boxes = len(rects)
-	for c, of := range bg.overflow {
-		if len(of) > 0 {
-			bg.overflow[c] = of[:0]
-		}
-	}
 	if cap(bg.spans) < len(rects) {
 		bg.spans = make([]cellSpan, len(rects))
 	} else {
@@ -290,7 +284,6 @@ func (bg *BoxGrid) Build(rects []geom.Rect) {
 	bg.countCells(bg.counts, bg.spans)
 	bg.sizeArena(prefixCursors(bg.counts, bg.starts))
 	bg.scatterCells(bg.counts, bg.spans, 0)
-	bg.liveCounts()
 }
 
 // prefixCursors is the exclusive prefix sum of counts into starts (one
@@ -346,14 +339,6 @@ func (bg *BoxGrid) scatterCells(cur []uint32, spans []cellSpan, id uint32) {
 	}
 }
 
-// liveCounts sets every cell's live count to its segment's capacity: a
-// build leaves the arena dense.
-func (bg *BoxGrid) liveCounts() {
-	for c := range bg.counts {
-		bg.counts[c] = bg.starts[c+1] - bg.starts[c]
-	}
-}
-
 // BuildParallel implements core.BoxParallelBuilder: the sharded variant
 // of Build. Workers count their contiguous chunk of rects into private
 // count arrays, the global prefix sum turns them into per-worker scatter
@@ -404,7 +389,6 @@ func (bg *BoxGrid) BuildParallel(rects []geom.Rect, workers int) {
 	parutil.ForEachShard(len(rects), workers, func(w, lo, hi int) {
 		bg.scatterCells(bg.shardCounts[w][:cells], bg.spans[lo:hi], uint32(lo))
 	})
-	bg.liveCounts()
 }
 
 // Query implements core.BoxIndex: QueryAppend's result, one emit per ID.
@@ -454,17 +438,10 @@ func refCell(s cellSpan, cx, cy, qx0, qy0 uint16) bool {
 }
 
 // appendCell appends cell c's residents that pass the reference-cell dedup
-// and intersect r, over the dense segment and the overflow. The dedup test
-// runs first: for replicated objects it rejects all but one cell before
-// any coordinate load.
+// and intersect r. The dedup test runs first: for replicated objects it
+// rejects all but one cell before any coordinate load.
 func (bg *BoxGrid) appendCell(c int, cx, cy, qx0, qy0 uint16, r geom.Rect, buf []uint32) []uint32 {
-	b := bg.starts[c]
-	for _, id := range bg.ids[b : b+bg.counts[c]] {
-		if refCell(bg.spans[id], cx, cy, qx0, qy0) && bg.rects[id].Intersects(r) {
-			buf = append(buf, id)
-		}
-	}
-	for _, id := range bg.overflow[c] {
+	for _, id := range bg.ids[bg.starts[c]:bg.starts[c+1]] {
 		if refCell(bg.spans[id], cx, cy, qx0, qy0) && bg.rects[id].Intersects(r) {
 			buf = append(buf, id)
 		}
@@ -472,92 +449,17 @@ func (bg *BoxGrid) appendCell(c int, cx, cy, qx0, qy0 uint16, r geom.Rect, buf [
 	return buf
 }
 
-// Update implements core.BoxIndex: remove the entry from every cell of
-// its old span and insert it into every cell of the new one, reusing
-// segment slack first and falling back to the per-cell overflow — the
-// same maintenance discipline as the point CSR store, replicated across
-// the span.
-func (bg *BoxGrid) Update(id uint32, old, new geom.Rect) {
-	os := bg.spans[id]
-	ns := bg.spanOf(new)
-	cps := bg.cps
-	for cy := int(os.y0); cy <= int(os.y1); cy++ {
-		base := cy * cps
-		for cx := int(os.x0); cx <= int(os.x1); cx++ {
-			if !bg.removeLocal(base+cx, id) {
-				// The replica must exist: Build placed one in every
-				// span cell and the workload issues at most one update
-				// per object per tick.
-				panic(fmt.Sprintf("grid: box update of unknown entry %d at %v", id, old))
-			}
-		}
-	}
-	bg.spans[id] = ns
-	for cy := int(ns.y0); cy <= int(ns.y1); cy++ {
-		base := cy * cps
-		for cx := int(ns.x0); cx <= int(ns.x1); cx++ {
-			bg.insertLocal(base+cx, id)
-		}
-	}
-}
-
-// insertLocal adds one replica of id to cell c (slack first, then
-// overflow).
-func (bg *BoxGrid) insertLocal(c int, id uint32) {
-	base, n := bg.starts[c], bg.counts[c]
-	if base+n < bg.starts[c+1] {
-		bg.ids[base+n] = id
-		bg.counts[c] = n + 1
-		return
-	}
-	bg.overflow[c] = append(bg.overflow[c], id)
-}
-
-// removeLocal deletes one replica of id from cell c, reporting whether
-// it was present.
-func (bg *BoxGrid) removeLocal(c int, id uint32) bool {
-	base, n := bg.starts[c], bg.counts[c]
-	seg := bg.ids[base : base+n]
-	for j, v := range seg {
-		if v != id {
-			continue
-		}
-		if of := bg.overflow[c]; len(of) > 0 {
-			// Refill the hole from overflow to keep the dense segment
-			// full.
-			seg[j] = of[len(of)-1]
-			bg.overflow[c] = of[:len(of)-1]
-		} else {
-			seg[j] = seg[n-1]
-			bg.counts[c] = n - 1
-		}
-		return true
-	}
-	of := bg.overflow[c]
-	for j, v := range of {
-		if v != id {
-			continue
-		}
-		of[j] = of[len(of)-1]
-		bg.overflow[c] = of[:len(of)-1]
-		return true
-	}
-	return false
-}
+// Update implements core.BoxIndex as a no-op: the grid is static, and
+// the next Build picks the move up from the snapshot.
+func (bg *BoxGrid) Update(id uint32, old, new geom.Rect) {}
 
 // Len implements core.Counter: the number of indexed objects, not
 // replicas.
 func (bg *BoxGrid) Len() int { return bg.boxes }
 
-// Replicas returns the total number of (object, cell) entries currently
-// in the dense arena and overflow.
-func (bg *BoxGrid) Replicas() int {
-	total := 0
-	for c := range bg.counts {
-		total += int(bg.counts[c]) + len(bg.overflow[c])
-	}
-	return total
-}
+// Replicas returns the total number of (object, cell) entries in the
+// arena.
+func (bg *BoxGrid) Replicas() int { return int(bg.starts[bg.cells]) }
 
 // ReplicationFactor returns replicas per object — the space/dedup cost
 // of the cell size relative to the MBR extents (1.0 means no MBR spans
@@ -570,14 +472,10 @@ func (bg *BoxGrid) ReplicationFactor() float64 {
 }
 
 // MemoryBytes implements core.MemoryReporter: directory, arena, span
-// cache, overflow capacity, and retained build scratch.
+// cache, and retained build scratch.
 func (bg *BoxGrid) MemoryBytes() int64 {
 	total := int64(len(bg.starts)+len(bg.counts)+cap(bg.ids)) * 4
 	total += int64(cap(bg.spans)) * 8
-	total += int64(len(bg.overflow)) * 24
-	for _, of := range bg.overflow {
-		total += int64(cap(of)) * 4
-	}
 	for _, sc := range bg.shardCounts {
 		total += int64(cap(sc)) * 4
 	}

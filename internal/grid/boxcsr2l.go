@@ -51,11 +51,9 @@ import (
 // query by less than a cell (the tile-to-tile join of the source paper can
 // drop class D outright only because there both sides are partitioned).
 //
-// Updates maintain the class partition in place: removals cascade the
-// hole rightward through the class runs (one element move per run),
-// insertions cascade slack leftward, both O(4); post-build inserts that
-// find no slack land in a per-cell overflow tested with the full
-// reference-cell + intersection predicate.
+// BoxGrid2L is static: the class partition is the counting sort's, Build
+// is its one maintenance, and Update is a no-op (core.IndexOf allows it
+// of a family rebuilt from the snapshot).
 //
 // BoxGrid2L implements core.BoxIndex, core.BoxParallelBuilder,
 // core.Counter, and core.MemoryReporter, and is
@@ -74,8 +72,8 @@ type BoxGrid2L struct {
 	// classes per cell ([2c]=A, [2c+1]=B), the second half pairs the
 	// rest-row classes ([2cells+2c]=C, [2cells+2c+1]=D). The runs are
 	// contiguous in the arena in A,B,C,D order, so run j of cell c is
-	// [end(j-1), end(j)) with end(-1) = starts[c]; the live count is
-	// end(D)-starts[c] and slack lives between end(D) and starts[c+1].
+	// [end(j-1), end(j)) with end(-1) = starts[c] and end(D) =
+	// starts[c+1].
 	// The layout matches the build scratch so a span row touches one
 	// plane, and the sequential build uses ends AS the scatter cursor
 	// array (prefixClassedCursors pre-loads the run bases here, the
@@ -88,15 +86,10 @@ type BoxGrid2L struct {
 	// max): negation is exact, so (-a)-(-b) is b-a bit for bit.
 	mx, my, nx, ny []float32
 
-	overflow  [][]uint32    // per-cell post-build inserts that found no slack
-	overflowR [][]geom.Rect // their coordinates, parallel to overflow
-
 	boxes int         // number of indexed objects (not replicas)
 	rects []geom.Rect // the retained snapshot
 
-	// spans caches each object's cell span (recomputed on Update): the
-	// overflow path deduplicates with it and updates know which
-	// cells and classes to edit.
+	// spans is the build's per-object cell span, kept for the audit.
 	spans []cellSpan
 
 	// counts16/counts4 is the count-pass scratch in pair-major layout.
@@ -137,8 +130,6 @@ func NewBoxGrid2L(cps int, bounds geom.Rect, numBoxes int) (*BoxGrid2L, error) {
 	bg.slots = spanSlots{shift: 1, b: 3, c: rest, d: rest + 3}
 	bg.starts = make([]uint32, bg.cells+1)
 	bg.ends = make([]uint32, 4*bg.cells)
-	bg.overflow = make([][]uint32, bg.cells)
-	bg.overflowR = make([][]geom.Rect, bg.cells)
 	if numBoxes > 0 {
 		bg.sizeArena(uint32(2 * numBoxes))
 		bg.spans = make([]cellSpan, 0, numBoxes)
@@ -190,12 +181,6 @@ func (bg *BoxGrid2L) endIdx(c, j int) int {
 func (bg *BoxGrid2L) prepare(rects []geom.Rect) {
 	bg.rects = rects
 	bg.boxes = len(rects)
-	for c, of := range bg.overflow {
-		if len(of) > 0 {
-			bg.overflow[c] = of[:0]
-			bg.overflowR[c] = bg.overflowR[c][:0]
-		}
-	}
 	if cap(bg.spans) < len(rects) {
 		bg.spans = make([]cellSpan, len(rects))
 	} else {
@@ -224,17 +209,6 @@ func (bg *BoxGrid2L) sizeArena(total uint32) {
 		bg.ids = bg.ids[:n]
 		bg.mx, bg.my, bg.nx, bg.ny = bg.mx[:n], bg.my[:n], bg.nx[:n], bg.ny[:n]
 	}
-}
-
-// setRect inlines r at arena slot k.
-func (bg *BoxGrid2L) setRect(k uint32, r geom.Rect) {
-	bg.mx[k], bg.my[k], bg.nx[k], bg.ny[k] = r.MaxX, r.MaxY, -r.MinX, -r.MinY
-}
-
-// moveSlot copies arena slot src, ID and edges, over slot dst.
-func (bg *BoxGrid2L) moveSlot(dst, src uint32) {
-	bg.ids[dst] = bg.ids[src]
-	bg.mx[dst], bg.my[dst], bg.nx[dst], bg.ny[dst] = bg.mx[src], bg.my[src], bg.nx[src], bg.ny[src]
 }
 
 // countSpan adds one slot per (cell, class) of the span to the
@@ -524,9 +498,7 @@ func (bg *BoxGrid2L) Query(r geom.Rect, emit func(id uint32)) { callback.Query(b
 //   - class C (entered from below) likewise, in the first row only,
 //     without MinY <= r.MaxY;
 //   - class D (entered diagonally) only in the corner cell, and only its
-//     max-corner comparisons survive;
-//   - overflow (post-build inserts) encodes no class, so it takes the full
-//     reference-cell and intersection test (appendOverflow).
+//     max-corner comparisons survive.
 //
 // In a boundary cell the classes that can pass are tested as one
 // contiguous run under class A's window wherever they are adjacent in the
@@ -590,11 +562,6 @@ func (bg *BoxGrid2L) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 				buf = bg.appendMasked2(bg.ends[2*c+1], bg.ends[half+2*c], bg.nx, nhiX, py, by, buf)
 			}
 		}
-		for c = first; c <= last; c++ {
-			if len(bg.overflow[c]) != 0 {
-				buf = bg.appendOverflow(c, r, q, buf)
-			}
-		}
 	}
 	return buf
 }
@@ -623,24 +590,6 @@ func (bg *BoxGrid2L) appendNarrow(r geom.Rect, q cellSpan, buf []uint32) []uint3
 			if firstRow && !firstCol {
 				buf = bg.appendMasked(bg.ends[2*c+1], bg.ends[half+2*c], loX, nhiX, loY, nhiY, buf) // C
 			}
-			if len(bg.overflow[c]) != 0 {
-				buf = bg.appendOverflow(c, r, q, buf)
-			}
-		}
-	}
-	return buf
-}
-
-// appendOverflow appends cell c's overflow entries (position encodes no
-// class) under the full reference-cell + intersection test.
-//
-//joinlint:hotpath
-func (bg *BoxGrid2L) appendOverflow(c int, r geom.Rect, q cellSpan, buf []uint32) []uint32 {
-	ofr := bg.overflowR[c]
-	cx, cy := uint16(c%bg.cps), uint16(c/bg.cps)
-	for j, id := range bg.overflow[c] {
-		if refCell(bg.spans[id], cx, cy, q.x0, q.y0) && ofr[j].Intersects(r) {
-			buf = append(buf, id)
 		}
 	}
 	return buf
@@ -719,149 +668,17 @@ func (bg *BoxGrid2L) appendMasked1(lo, hi uint32, p []float32, b float32, buf []
 	return buf[:k]
 }
 
-// Update implements core.BoxIndex: remove the replica from every cell of
-// its old span and insert it into every cell of the new one, maintaining
-// the class partition in place. A move that keeps its span keeps every
-// replica's cell and class, so only the inlined coordinates are rewritten
-// where they lie.
-func (bg *BoxGrid2L) Update(id uint32, old, new geom.Rect) {
-	os := bg.spans[id]
-	ns := bg.mapper.spanOf(new)
-	cps := bg.cps
-	same := ns == os
-	for cy := int(os.y0); cy <= int(os.y1); cy++ {
-		base := cy * cps
-		for cx := int(os.x0); cx <= int(os.x1); cx++ {
-			k := classAt(os, cx, cy)
-			var ok bool
-			if same {
-				ok = bg.rewriteLocal(base+cx, k, id, new)
-			} else {
-				ok = bg.removeLocal(base+cx, k, id)
-			}
-			if !ok {
-				// The replica must exist: Build placed one in every span
-				// cell and the workload issues at most one update per
-				// object per tick.
-				panic(fmt.Sprintf("grid: box update of unknown entry %d at %v", id, old))
-			}
-		}
-	}
-	if same {
-		return
-	}
-	bg.spans[id] = ns
-	for cy := int(ns.y0); cy <= int(ns.y1); cy++ {
-		base := cy * cps
-		for cx := int(ns.x0); cx <= int(ns.x1); cx++ {
-			bg.insertLocal(base+cx, classAt(ns, cx, cy), id, new)
-		}
-	}
-}
-
-// classRun returns the arena bounds of class run k of cell c.
-func (bg *BoxGrid2L) classRun(c, k int) (lo, hi uint32) {
-	lo = bg.starts[c]
-	if k > 0 {
-		lo = bg.ends[bg.endIdx(c, k-1)]
-	}
-	return lo, bg.ends[bg.endIdx(c, k)]
-}
-
-// rewriteLocal overwrites the inlined coordinates of id's replica in
-// class run k of cell c (or in the cell's overflow) with r, reporting
-// whether the replica was present.
-func (bg *BoxGrid2L) rewriteLocal(c, k int, id uint32, r geom.Rect) bool {
-	lo, hi := bg.classRun(c, k)
-	for p := lo; p < hi; p++ {
-		if bg.ids[p] == id {
-			bg.setRect(p, r)
-			return true
-		}
-	}
-	for j, v := range bg.overflow[c] {
-		if v == id {
-			bg.overflowR[c][j] = r
-			return true
-		}
-	}
-	return false
-}
-
-// insertLocal adds one replica of (id, r) to class run k of cell c. With
-// slack at the segment end, the runs above k each donate their first
-// slot by moving it past their last (one element move per run) so the
-// freed slot lands at the end of run k; without slack the replica goes
-// to overflow.
-func (bg *BoxGrid2L) insertLocal(c, k int, id uint32, r geom.Rect) {
-	if bg.ends[bg.endIdx(c, 3)] >= bg.starts[c+1] {
-		bg.overflow[c] = append(bg.overflow[c], id)
-		bg.overflowR[c] = append(bg.overflowR[c], r)
-		return
-	}
-	for j := 3; j > k; j-- {
-		ej := bg.endIdx(c, j)
-		e := bg.ends[ej]
-		f := bg.ends[bg.endIdx(c, j-1)] // first slot of run j
-		bg.moveSlot(e, f)
-		bg.ends[ej] = e + 1
-	}
-	ek := bg.endIdx(c, k)
-	pos := bg.ends[ek]
-	bg.ids[pos] = id
-	bg.setRect(pos, r)
-	bg.ends[ek] = pos + 1
-}
-
-// removeLocal deletes one replica of id from class run k of cell c (or
-// from the cell's overflow), reporting whether it was present. The hole
-// cascades rightward through the runs above k — each run's last element
-// fills the hole left in the run below — so every class run stays
-// contiguous.
-func (bg *BoxGrid2L) removeLocal(c, k int, id uint32) bool {
-	lo, hi := bg.classRun(c, k)
-	for p := lo; p < hi; p++ {
-		if bg.ids[p] != id {
-			continue
-		}
-		prev := p
-		for j := k; j < 4; j++ {
-			ej := bg.endIdx(c, j)
-			last := bg.ends[ej] - 1
-			bg.moveSlot(prev, last)
-			bg.ends[ej] = last
-			prev = last
-		}
-		return true
-	}
-	of := bg.overflow[c]
-	for j, v := range of {
-		if v != id {
-			continue
-		}
-		ofr := bg.overflowR[c]
-		of[j] = of[len(of)-1]
-		ofr[j] = ofr[len(ofr)-1]
-		bg.overflow[c] = of[:len(of)-1]
-		bg.overflowR[c] = ofr[:len(ofr)-1]
-		return true
-	}
-	return false
-}
+// Update implements core.BoxIndex as a no-op: the grid is static, and
+// the next Build picks the move up from the snapshot.
+func (bg *BoxGrid2L) Update(id uint32, old, new geom.Rect) {}
 
 // Len implements core.Counter: the number of indexed objects, not
 // replicas.
 func (bg *BoxGrid2L) Len() int { return bg.boxes }
 
-// Replicas returns the total number of (object, cell) entries currently
-// in the dense arena and overflow.
-func (bg *BoxGrid2L) Replicas() int {
-	total := 0
-	for c := 0; c < bg.cells; c++ {
-		total += int(bg.ends[bg.endIdx(c, 3)]-bg.starts[c]) + len(bg.overflow[c])
-	}
-	return total
-}
+// Replicas returns the total number of (object, cell) entries in the
+// arena.
+func (bg *BoxGrid2L) Replicas() int { return int(bg.starts[bg.cells]) }
 
 // ReplicationFactor returns replicas per object.
 func (bg *BoxGrid2L) ReplicationFactor() float64 {
@@ -887,20 +704,12 @@ func (bg *BoxGrid2L) ClassCounts() [4]int {
 }
 
 // MemoryBytes implements core.MemoryReporter: directory, ID arena and the
-// four edge planes, span cache, overflow capacity, and retained build scratch.
+// four edge planes, span cache, and retained build scratch.
 func (bg *BoxGrid2L) MemoryBytes() int64 {
 	total := int64(len(bg.starts)+len(bg.ends)+cap(bg.counts4)) * 4
 	total += int64(cap(bg.ids)+cap(bg.mx)+cap(bg.my)+cap(bg.nx)+cap(bg.ny)) * 4
 	total += int64(cap(bg.counts16)) * 2
 	total += int64(cap(bg.spans)) * 8
-	total += int64(len(bg.overflow)) * 24
-	for _, of := range bg.overflow {
-		total += int64(cap(of)) * 4
-	}
-	total += int64(len(bg.overflowR)) * 24
-	for _, ofr := range bg.overflowR {
-		total += int64(cap(ofr)) * 16
-	}
 	for _, sc := range bg.shardCounts {
 		total += int64(cap(sc)) * 4
 	}

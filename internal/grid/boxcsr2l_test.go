@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -83,15 +82,15 @@ func TestBoxGrid2LAgreesWithBoxGrid(t *testing.T) {
 // cell span exactly — one class-A replica at the reference cell, class B
 // exactly along the rest of the first span row, class C along the rest
 // of the first span column, class D in the interior, nothing else and
-// nothing missing (overflow entries are accounted separately).
+// nothing missing.
 func checkClassPartition(t *testing.T, bg *BoxGrid2L) {
 	t.Helper()
 	type slot struct{ cx, cy, class int }
 	placed := make(map[uint32][]slot)
 	for c := 0; c < bg.cells; c++ {
 		lo := bg.starts[c]
-		if end3 := bg.ends[bg.endIdx(c, 3)]; end3 > bg.starts[c+1] {
-			t.Fatalf("cell %d: runs end at %d beyond segment capacity %d", c, end3, bg.starts[c+1])
+		if end3 := bg.ends[bg.endIdx(c, 3)]; end3 != bg.starts[c+1] {
+			t.Fatalf("cell %d: runs end at %d, the segment at %d", c, end3, bg.starts[c+1])
 		}
 		cx, cy := c%bg.cps, c/bg.cps
 		for j := 0; j < 4; j++ {
@@ -110,12 +109,6 @@ func checkClassPartition(t *testing.T, bg *BoxGrid2L) {
 				placed[id] = append(placed[id], slot{cx, cy, j})
 			}
 			lo = hi
-		}
-		for _, id := range bg.overflow[c] {
-			// Overflow carries no class; count it against the span with a
-			// class recomputed from position so the coverage check below
-			// still applies.
-			placed[id] = append(placed[id], slot{cx, cy, classAt(bg.spans[id], cx, cy)})
 		}
 	}
 	for id, slots := range placed {
@@ -170,44 +163,29 @@ func TestBoxGrid2LClassPartitionProperty(t *testing.T) {
 			bg.Build(rects)
 			checkClassPartition(t, bg)
 
-			// The partition must survive in-place maintenance too.
-			moved, moves := moveBoxes(rng, rects, 250)
-			for _, m := range moves {
-				bg.Update(m.ID, m.Old, m.New)
-			}
-			bg.rects = moved
+			// The partition must hold on a rebuild over moved objects,
+			// across spans and within them.
+			moved := moveBoxes(rng, rects, 250)
+			bg.Build(moved)
 			checkClassPartition(t, bg)
-
-			// A move inside the same cell span rewrites the replicas'
-			// coordinates where they lie: same partition, fresh rects.
-			jittered, sameSpan := jitterBoxes(rng, bg, moved)
-			if sameSpan == 0 {
-				t.Fatal("no same-span move generated")
-			}
-			bg.rects = jittered
+			bg.Build(jitterBoxes(rng, moved))
 			checkClassPartition(t, bg)
 		})
 	}
 }
 
-// jitterBoxes shifts about half of the population by up to three units
-// per axis through bg.Update and returns the moved population with the
-// number of moves that kept their cell span (Update's in-place path).
-func jitterBoxes(rng *xrand.Rand, bg *BoxGrid2L, rects []geom.Rect) (moved []geom.Rect, sameSpan int) {
-	moved = append([]geom.Rect(nil), rects...)
+// jitterBoxes returns rects with about half of them shifted by up to
+// three units per axis.
+func jitterBoxes(rng *xrand.Rand, rects []geom.Rect) []geom.Rect {
+	moved := append([]geom.Rect(nil), rects...)
 	for i, r := range rects {
 		if rng.Bool(0.5) {
 			continue
 		}
 		dx, dy := rng.Range(-3, 3), rng.Range(-3, 3)
-		nr := geom.Rect{MinX: r.MinX + dx, MinY: r.MinY + dy, MaxX: r.MaxX + dx, MaxY: r.MaxY + dy}
-		if bg.mapper.spanOf(nr) == bg.spans[i] {
-			sameSpan++
-		}
-		bg.Update(uint32(i), r, nr)
-		moved[i] = nr
+		moved[i] = geom.Rect{MinX: r.MinX + dx, MinY: r.MinY + dy, MaxX: r.MaxX + dx, MaxY: r.MaxY + dy}
 	}
-	return moved, sameSpan
+	return moved
 }
 
 // TestBoxGrid2LMergedRunsProperty holds the buffered kernel, which tests
@@ -217,8 +195,8 @@ func jitterBoxes(rng *xrand.Rand, bg *BoxGrid2L, rects []geom.Rect) (moved []geo
 // reference-cell criterion shows as a duplicate). The inputs are the ones
 // where the merged windows differ from the per-class ones: query spans of
 // one cell, one row and one column (first and last boundary coincide),
-// query and object edges lying exactly on cell edges, and a grid whose
-// cells hold overflow entries after cross-span and same-span updates.
+// query and object edges lying exactly on cell edges, and a third of the
+// population herded into one corner of the space.
 func TestBoxGrid2LMergedRunsProperty(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -255,25 +233,13 @@ func TestBoxGrid2LMergedRunsProperty(t *testing.T) {
 					rects[i] = snapSome(rects[i])
 				}
 			}
-			bg := MustNewBoxGrid2L(cps, bounds, len(rects))
-			bg.Build(rects)
-			// Herd a third of the population into one corner of the space
-			// (no slack there: overflow), then jitter everyone in place.
 			for i := 0; i < len(rects); i += 3 {
 				c := geom.Pt(bounds.MinX+rng.Range(0, 3*cell), bounds.MinY+rng.Range(0, 3*cell))
-				nr := geom.Rect{MinX: c.X, MinY: c.Y, MaxX: c.X + rects[i].Width(), MaxY: c.Y + rects[i].Height()}
-				bg.Update(uint32(i), rects[i], nr)
-				rects[i] = nr
+				rects[i] = geom.Rect{MinX: c.X, MinY: c.Y, MaxX: c.X + rects[i].Width(), MaxY: c.Y + rects[i].Height()}
 			}
-			rects, sameSpan := jitterBoxes(rng, bg, rects)
-			overflowed := 0
-			for _, of := range bg.overflow {
-				overflowed += len(of)
-			}
-			if overflowed == 0 || sameSpan == 0 {
-				t.Fatalf("%d overflow entries, %d same-span moves: the test lost its inputs", overflowed, sameSpan)
-			}
-			bg.rects = rects
+			rects = jitterBoxes(rng, rects)
+			bg := MustNewBoxGrid2L(cps, bounds, len(rects))
+			bg.Build(rects)
 			checkClassPartition(t, bg)
 
 			// Query shapes: anywhere; inside one cell; one row (wide and
@@ -368,67 +334,6 @@ func TestBoxGrid2LParallelBuildBitIdentical(t *testing.T) {
 	}
 }
 
-func TestBoxGrid2LUpdateMatchesRebuild(t *testing.T) {
-	bounds := geom.R(0, 0, 1000, 1000)
-	rng := xrand.New(23)
-	rects := randomBoxes(rng, 800, bounds, 0, 120)
-	bg := MustNewBoxGrid2L(16, bounds, len(rects))
-	bg.Build(rects)
-
-	moved, moves := moveBoxes(rng, rects, 200)
-	for _, m := range moves {
-		bg.Update(m.ID, m.Old, m.New)
-	}
-	// Unlike BoxGrid, queries read the inlined arena, which Update keeps
-	// fresh — no snapshot poke needed for the dense entries; the oracle
-	// runs over the moved population.
-	for _, q := range testQueries(rng, 40, bounds) {
-		got := collectQuery(t, bg, q)
-		want := bruteBoxQuery(moved, q)
-		if !equalIDs(got, want) {
-			t.Fatalf("after updates, query %v: got %d ids, want %d", q, len(got), len(want))
-		}
-	}
-	if bg.Len() != len(rects) {
-		t.Fatalf("Len = %d after updates, want %d", bg.Len(), len(rects))
-	}
-}
-
-// TestBoxGrid2LOverflowPath forces post-build inserts past the segment
-// capacity of a cell and verifies overflow entries keep emitting exactly
-// once with correct geometry, then drain on removal.
-func TestBoxGrid2LOverflowPath(t *testing.T) {
-	bounds := geom.R(0, 0, 100, 100)
-	bg := MustNewBoxGrid2L(2, bounds, 4) // 2x2 cells of side 50
-	rects := []geom.Rect{
-		geom.R(10, 10, 20, 20), // cell (0,0)
-		geom.R(60, 10, 70, 20), // cell (1,0)
-		geom.R(60, 60, 70, 70), // cell (1,1)
-	}
-	bg.Build(rects)
-	// Move everything into cell (0,0): capacity 1 there, so two inserts
-	// overflow.
-	updated := append([]geom.Rect(nil), rects...)
-	for id := uint32(1); id <= 2; id++ {
-		to := geom.R(5+float32(id), 5, 15+float32(id), 15)
-		bg.Update(id, rects[id], to)
-		updated[id] = to
-	}
-	if len(bg.overflow[0]) == 0 {
-		t.Fatal("expected overflow in cell 0")
-	}
-	got := collectQuery(t, bg, geom.R(0, 0, 30, 30))
-	if !equalIDs(got, []uint32{0, 1, 2}) {
-		t.Fatalf("overflow query returned %v", got)
-	}
-	// Remove an overflow resident and re-query.
-	bg.Update(2, updated[2], geom.R(60, 60, 70, 70))
-	got = collectQuery(t, bg, geom.R(0, 0, 30, 30))
-	if !equalIDs(got, []uint32{0, 1}) {
-		t.Fatalf("after draining overflow, query returned %v", got)
-	}
-}
-
 func TestBoxGrid2LRejectsBadParameters(t *testing.T) {
 	bounds := geom.R(0, 0, 100, 100)
 	if _, err := NewBoxGrid2L(0, bounds, 10); err == nil {
@@ -458,31 +363,6 @@ func TestBoxGrid2LClassCounts(t *testing.T) {
 	}
 	if f := bg.ReplicationFactor(); f != 3.5 {
 		t.Fatalf("replication factor = %g, want 3.5", f)
-	}
-}
-
-// TestBoxGrid2LUnknownEntryPanics mirrors the BoxGrid contract on the
-// classed layout: an Update that finds no replica in a cell of the entry's
-// span panics, whether the move leaves the span or keeps it.
-func TestBoxGrid2LUnknownEntryPanics(t *testing.T) {
-	bounds := geom.R(0, 0, 1000, 1000)
-	rects := []geom.Rect{geom.R(10, 10, 20, 20), geom.R(500, 500, 510, 510)}
-	for _, to := range []geom.Rect{geom.R(700, 700, 710, 710), geom.R(11, 11, 21, 21)} {
-		bg := MustNewBoxGrid2L(16, bounds, len(rects))
-		bg.Build(rects)
-		s := bg.spans[0]
-		if !bg.removeLocal(int(s.y0)*bg.cps+int(s.x0), classAt(s, int(s.x0), int(s.y0)), 0) {
-			t.Fatal("entry 0 not in the first cell of its span")
-		}
-		func() {
-			defer func() {
-				msg, _ := recover().(string)
-				if !strings.HasPrefix(msg, "grid: box update of unknown entry 0 at ") {
-					t.Fatalf("to %v: recovered %q", to, msg)
-				}
-			}()
-			bg.Update(0, rects[0], to)
-		}()
 	}
 }
 
@@ -531,8 +411,8 @@ func TestBoxGrid2LWideCountFallback(t *testing.T) {
 // independently, windows hanging over every side of the space, a query edge
 // bit-equal to a rect edge on each of the four sides (the difference is +0
 // and must pass), rects with a min of exactly 0 (stored as -0), rects
-// partly outside the space, exact (64) and inexact cell widths, and cells
-// holding overflow entries after cross-span updates.
+// partly outside the space, exact (64) and inexact cell widths, and a
+// rebuild after cross-span moves.
 func TestBoxGrid2LEdgeKernelsProperty(t *testing.T) {
 	bounds := geom.R(0, 0, 1024, 1024)
 	for _, cps := range []int{13, 48, 64, 96} {
@@ -561,20 +441,11 @@ func TestBoxGrid2LEdgeKernelsProperty(t *testing.T) {
 					t.Fatalf("slot %d: the zero min of rect %d is stored as %v / %v, want -0", k, id, bg.nx[k], bg.ny[k])
 				}
 			}
-			// Cross-span moves inside the patch: a built segment has no
-			// slack, so most of the arrivals overflow.
-			overflowed := 0
+			// Cross-span moves inside the patch, then the rebuild.
 			for i := 3; i < len(rects); i += 4 {
-				nr := randomBoxes(rng, 1, patches[i/700], 0, 2.5*cell)[0]
-				bg.Update(uint32(i), rects[i], nr)
-				rects[i] = nr
+				rects[i] = randomBoxes(rng, 1, patches[i/700], 0, 2.5*cell)[0]
 			}
-			for _, of := range bg.overflow {
-				overflowed += len(of)
-			}
-			if overflowed == 0 {
-				t.Fatal("no overflow entries: the test lost its inputs")
-			}
+			bg.Build(rects)
 
 			// side draws a window side for a span of about 1, 2 or >= 3 cells.
 			side := func(class int) float32 {

@@ -180,7 +180,7 @@ func TestBoxGridParallelBuildMatchesSequential(t *testing.T) {
 			switch {
 			case par.Replicas() != seq.Replicas():
 				t.Fatalf("%s: %d replicas, want %d", name, par.Replicas(), seq.Replicas())
-			case !slices.Equal(par.starts, seq.starts) || !slices.Equal(par.counts, seq.counts):
+			case !slices.Equal(par.starts, seq.starts):
 				t.Fatalf("%s: cell segments differ from Build's", name)
 			case !slices.Equal(par.ids, seq.ids):
 				t.Fatalf("%s: arena differs from Build's", name)
@@ -201,50 +201,20 @@ func TestBoxGridParallelBuildMatchesSequential(t *testing.T) {
 
 // moveBoxes returns a moved copy of rects: roughly half the objects
 // translated by random offsets (clipping-free: bounds are generous).
-func moveBoxes(r *xrand.Rand, rects []geom.Rect, maxShift float32) ([]geom.Rect, []geom.BoxMove) {
+func moveBoxes(r *xrand.Rand, rects []geom.Rect, maxShift float32) []geom.Rect {
 	out := append([]geom.Rect(nil), rects...)
-	var moves []geom.BoxMove
 	for i := range out {
 		if r.Bool(0.5) {
 			continue
 		}
 		dx := r.Range(-maxShift, maxShift)
 		dy := r.Range(-maxShift, maxShift)
-		nr := geom.Rect{
+		out[i] = geom.Rect{
 			MinX: out[i].MinX + dx, MinY: out[i].MinY + dy,
 			MaxX: out[i].MaxX + dx, MaxY: out[i].MaxY + dy,
 		}
-		moves = append(moves, geom.BoxMove{ID: uint32(i), Old: out[i], New: nr})
-		out[i] = nr
 	}
-	return out, moves
-}
-
-func TestBoxGridUpdateMatchesRebuild(t *testing.T) {
-	bounds := geom.R(0, 0, 1000, 1000)
-	rng := xrand.New(23)
-	rects := randomBoxes(rng, 800, bounds, 0, 120)
-	bg := MustNewBoxGrid(16, bounds, len(rects))
-	bg.Build(rects)
-
-	moved, moves := moveBoxes(rng, rects, 200)
-	for _, m := range moves {
-		bg.Update(m.ID, m.Old, m.New)
-	}
-	// The updated grid must answer queries over the moved population
-	// exactly like a fresh build would. Note Query reads extents from
-	// the retained snapshot, so hand it the moved one.
-	bg.rects = moved
-	for _, q := range testQueries(rng, 40, bounds) {
-		got := collectQuery(t, bg, q)
-		want := bruteBoxQuery(moved, q)
-		if !equalIDs(got, want) {
-			t.Fatalf("after updates, query %v: got %d ids, want %d", q, len(got), len(want))
-		}
-	}
-	if bg.Len() != len(rects) {
-		t.Fatalf("Len = %d after updates, want %d", bg.Len(), len(rects))
-	}
+	return out
 }
 
 func TestBoxGridRejectsBadParameters(t *testing.T) {

@@ -190,8 +190,7 @@ func spanCells(s cellSpan) uint32 {
 }
 
 // CheckInvariants implements core.InvariantChecker for the replicating
-// box grid: CSR offsets monotone, live counts within segment capacity,
-// overflow only on full segments, every cached span matching the current
+// box grid: CSR offsets monotone, every cached span matching the current
 // base-table rectangle, and every object holding exactly one replica in
 // each cell of its span and none elsewhere.
 func (bg *BoxGrid) CheckInvariants() error {
@@ -209,42 +208,21 @@ func (bg *BoxGrid) CheckInvariants() error {
 		}
 	}
 	replicas := make([]uint32, bg.boxes)
-	countReplica := func(c int, id uint32, from string) error {
-		if int(id) >= bg.boxes {
-			return fmt.Errorf("boxgrid: cell %d %s holds id %d beyond population %d", c, from, id, bg.boxes)
-		}
-		s := bg.spans[id]
-		cx, cy := c%bg.cps, c/bg.cps
-		if cx < int(s.x0) || cx > int(s.x1) || cy < int(s.y0) || cy > int(s.y1) {
-			return fmt.Errorf("boxgrid: id %d replicated into cell (%d,%d) outside its span %v", id, cx, cy, s)
-		}
-		replicas[id]++
-		return nil
-	}
 	for c := 0; c < cells; c++ {
 		if bg.starts[c] > bg.starts[c+1] {
 			return fmt.Errorf("boxgrid: starts not monotone at cell %d: %d > %d",
 				c, bg.starts[c], bg.starts[c+1])
 		}
-		capacity := bg.starts[c+1] - bg.starts[c]
-		if bg.counts[c] > capacity {
-			return fmt.Errorf("boxgrid: cell %d count %d exceeds segment capacity %d",
-				c, bg.counts[c], capacity)
-		}
-		if bg.counts[c] < capacity && len(bg.overflow[c]) > 0 {
-			return fmt.Errorf("boxgrid: cell %d has %d overflow entries with %d slack slots",
-				c, len(bg.overflow[c]), capacity-bg.counts[c])
-		}
-		base := bg.starts[c]
-		for _, id := range bg.ids[base : base+bg.counts[c]] {
-			if err := countReplica(c, id, "segment"); err != nil {
-				return err
+		cx, cy := c%bg.cps, c/bg.cps
+		for _, id := range bg.ids[bg.starts[c]:bg.starts[c+1]] {
+			if int(id) >= bg.boxes {
+				return fmt.Errorf("boxgrid: cell %d holds id %d beyond population %d", c, id, bg.boxes)
 			}
-		}
-		for _, id := range bg.overflow[c] {
-			if err := countReplica(c, id, "overflow"); err != nil {
-				return err
+			s := bg.spans[id]
+			if cx < int(s.x0) || cx > int(s.x1) || cy < int(s.y0) || cy > int(s.y1) {
+				return fmt.Errorf("boxgrid: id %d replicated into cell (%d,%d) outside its span %v", id, cx, cy, s)
 			}
+			replicas[id]++
 		}
 	}
 	for id, got := range replicas {
@@ -260,10 +238,10 @@ func (bg *BoxGrid) CheckInvariants() error {
 // class-partitioned box grid. On top of the BoxGrid checks (offsets
 // monotone, spans current, replica sets exactly tiling spans) it audits
 // the class partition: within every cell the four class run ends satisfy
-// starts[c] <= A <= B <= C <= D <= starts[c+1] (the runs partition the
-// live prefix, slack follows D), each stored replica sits in the run of
-// its classAt, and the four edge planes are as long as the ID arena and
-// reassemble, slot by slot, to the base table's rectangle.
+// starts[c] <= A <= B <= C <= D = starts[c+1] (the runs partition the
+// segment), each stored replica sits in the run of its classAt, and the
+// four edge planes are as long as the ID arena and reassemble, slot by
+// slot, to the base table's rectangle.
 func (bg *BoxGrid2L) CheckInvariants() error {
 	cells := bg.cells
 	if len(bg.starts) != cells+1 {
@@ -323,25 +301,9 @@ func (bg *BoxGrid2L) CheckInvariants() error {
 			}
 			lo = hi
 		}
-		if len(bg.overflowR[c]) != len(bg.overflow[c]) {
-			return fmt.Errorf("boxgrid2l: cell %d overflowR holds %d rects for %d ids",
-				c, len(bg.overflowR[c]), len(bg.overflow[c]))
-		}
-		for k, id := range bg.overflow[c] {
-			if int(id) >= bg.boxes {
-				return fmt.Errorf("boxgrid2l: cell %d overflow holds id %d beyond population %d",
-					c, id, bg.boxes)
-			}
-			s := bg.spans[id]
-			if cx < int(s.x0) || cx > int(s.x1) || cy < int(s.y0) || cy > int(s.y1) {
-				return fmt.Errorf("boxgrid2l: id %d overflowed into cell (%d,%d) outside its span %v",
-					id, cx, cy, s)
-			}
-			if bg.overflowR[c][k] != bg.rects[id] {
-				return fmt.Errorf("boxgrid2l: cell %d overflow rect %v diverges from base table %v for id %d",
-					c, bg.overflowR[c][k], bg.rects[id], id)
-			}
-			replicas[id]++
+		if lo != bg.starts[c+1] {
+			return fmt.Errorf("boxgrid2l: cell %d class D run ends at %d, its segment at %d",
+				c, lo, bg.starts[c+1])
 		}
 	}
 	for id, got := range replicas {

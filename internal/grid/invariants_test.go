@@ -99,34 +99,31 @@ func TestBoxGridCheckInvariants(t *testing.T) {
 		t.Fatalf("after build: %v", err)
 	}
 	for j := 0; j < 200; j++ {
-		id := uint32(r.Intn(len(rects)))
-		nr := randomBoxes(r, 1, testBounds, 0, 40)[0]
-		bg.Update(id, rects[id], nr)
-		rects[id] = nr
+		rects[r.Intn(len(rects))] = randomBoxes(r, 1, testBounds, 0, 40)[0]
 	}
+	bg.Build(rects)
 	if err := bg.CheckInvariants(); err != nil {
-		t.Fatalf("after updates: %v", err)
+		t.Fatalf("after a rebuild over moves: %v", err)
 	}
 
-	// Corruption: retarget a replica to an id whose span excludes the cell.
-	for c := 0; c < bg.cells; c++ {
-		base, n := bg.starts[c], bg.counts[c]
-		if n == 0 {
-			continue
-		}
-		id := bg.ids[base]
-		s := bg.spans[id]
-		if int(s.x1)-int(s.x0) == bg.cps-1 && int(s.y1)-int(s.y0) == bg.cps-1 {
-			continue // spans everything; pick another cell
-		}
-		// Duplicate the replica into the count: breaks the per-id tally.
-		bg.counts[c] = n - 1
-		if err := bg.CheckInvariants(); err == nil {
-			t.Fatal("dropped replica not detected")
-		}
-		bg.counts[c] = n
-		break
+	// Corruption: retarget the first replica to an id whose span excludes
+	// its cell.
+	c := 0
+	for bg.starts[c] == bg.starts[c+1] {
+		c++
 	}
+	k, cx, cy := bg.starts[c], c%bg.cps, c/bg.cps
+	was := bg.ids[k]
+	for id, s := range bg.spans {
+		if cx < int(s.x0) || cx > int(s.x1) || cy < int(s.y0) || cy > int(s.y1) {
+			bg.ids[k] = uint32(id)
+			break
+		}
+	}
+	if err := bg.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "outside its span") {
+		t.Fatalf("misplaced replica not detected: %v", err)
+	}
+	bg.ids[k] = was
 }
 
 func TestBoxGrid2LCheckInvariants(t *testing.T) {
@@ -138,13 +135,11 @@ func TestBoxGrid2LCheckInvariants(t *testing.T) {
 		t.Fatalf("after build: %v", err)
 	}
 	for j := 0; j < 200; j++ {
-		id := uint32(r.Intn(len(rects)))
-		nr := randomBoxes(r, 1, testBounds, 0, 40)[0]
-		bg.Update(id, rects[id], nr)
-		rects[id] = nr
+		rects[r.Intn(len(rects))] = randomBoxes(r, 1, testBounds, 0, 40)[0]
 	}
+	bg.Build(rects)
 	if err := bg.CheckInvariants(); err != nil {
-		t.Fatalf("after updates: %v", err)
+		t.Fatalf("after a rebuild over moves: %v", err)
 	}
 
 	// Corruption: swap two class run ends so the partition inverts.
@@ -163,9 +158,9 @@ func TestBoxGrid2LCheckInvariants(t *testing.T) {
 }
 
 // TestBoxGrid2LCheckInvariantsAuditsEachPlane corrupts one value of one
-// edge plane at a time — after Build, and again after an Update cascade
-// has moved slots through every plane — and requires the audit to name
-// the plane and the slot; a plane of the wrong length is named too.
+// edge plane at a time — after Build, and again after a rebuild over
+// moved rects — and requires the audit to name the plane and the slot; a
+// plane of the wrong length is named too.
 func TestBoxGrid2LCheckInvariantsAuditsEachPlane(t *testing.T) {
 	r := xrand.New(23)
 	rects := randomBoxes(r, 600, testBounds, 0, 60)
@@ -200,10 +195,8 @@ func TestBoxGrid2LCheckInvariantsAuditsEachPlane(t *testing.T) {
 	}
 	corruptEach("after build")
 	for j := 0; j < 300; j++ {
-		id := uint32(r.Intn(len(rects)))
-		nr := randomBoxes(r, 1, testBounds, 0, 60)[0]
-		bg.Update(id, rects[id], nr)
-		rects[id] = nr
+		rects[r.Intn(len(rects))] = randomBoxes(r, 1, testBounds, 0, 60)[0]
 	}
-	corruptEach("after updates")
+	bg.Build(rects)
+	corruptEach("after a rebuild over moves")
 }

@@ -98,7 +98,7 @@ func TestSpanOfMaxCPSRoundTrips(t *testing.T) {
 }
 
 // TestBoxGridSurvivesOutsideSpaceObjects drives the full index paths
-// (build, query, update) with objects far outside the space, the
+// (build, query, rebuild) with objects far outside the space, the
 // end-to-end form of the clamp regression.
 func TestBoxGridSurvivesOutsideSpaceObjects(t *testing.T) {
 	bounds := geom.R(0, 0, 1000, 1000)
@@ -116,7 +116,6 @@ func TestBoxGridSurvivesOutsideSpaceObjects(t *testing.T) {
 	type boxUnderTest interface {
 		boxQuerier
 		Build([]geom.Rect)
-		Update(id uint32, old, new geom.Rect)
 		Len() int
 	}
 	for _, mk := range []func() boxUnderTest{
@@ -141,27 +140,17 @@ func TestBoxGridSurvivesOutsideSpaceObjects(t *testing.T) {
 				t.Fatalf("query %v: got %v, want %v", q, got, want)
 			}
 		}
-		// Move an outside object back in and an inside one far out; the
-		// clamped spans must stay consistent so removal finds every
-		// replica. Queries read extents from the retained snapshot, so
-		// hand the structures the moved one (as the driver's refresh
-		// would).
+		// Move an outside object back in and an inside one far out, and
+		// rebuild: the clamped spans must place every replica again.
 		moved := append([]geom.Rect(nil), rects...)
-		bg.Update(1, rects[1], geom.R(300, 300, 350, 350))
 		moved[1] = geom.R(300, 300, 350, 350)
-		bg.Update(0, rects[0], geom.R(huge/2, -huge, huge, -huge/2))
 		moved[0] = geom.R(huge/2, -huge, huge, -huge/2)
-		switch g := bg.(type) {
-		case *BoxGrid:
-			g.rects = moved
-		case *BoxGrid2L:
-			g.rects = moved
-		}
+		bg.Build(moved)
 		for _, q := range queries {
 			got := collectQuery(t, bg, q)
 			want := bruteBoxQuery(moved, q)
 			if !equalIDs(got, want) {
-				t.Fatalf("post-update query %v: got %v, want %v", q, got, want)
+				t.Fatalf("post-rebuild query %v: got %v, want %v", q, got, want)
 			}
 		}
 	}

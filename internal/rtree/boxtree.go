@@ -15,8 +15,7 @@
 //
 // Leaf entry MBRs are inlined in an arena parallel to the entry IDs
 // (entryRects), so the query path never dereferences the base table —
-// the same discipline as the classed grid — and in-place updates can
-// patch coordinates without touching the retained snapshot.
+// the same discipline as the classed grid.
 package rtree
 
 import (
@@ -29,48 +28,32 @@ import (
 )
 
 // BoxTree is a static, STR bulk-loaded R-tree over an MBR snapshot. It
-// implements core.BoxIndex, core.Counter, and core.MemoryReporter.
-//
-// Between bulk loads the tree supports in-place moves by bottom-up MBR
-// refit: the moved entry's inlined rectangle is patched and the exact
-// MBRs of its leaf and ancestors are recomputed until one is unchanged.
-// Refits keep every node MBR an exact cover of its subtree, but they do
-// not re-pack, so sustained drift degrades the tiling; past a dirtiness
-// threshold (one refit per object since the last load) the tree rebuilds
-// itself from the patched coordinates instead.
+// implements core.BoxIndex, core.Counter, and core.MemoryReporter. Like
+// Tree, Build is its one maintenance and Update is a no-op (core.IndexOf
+// allows it of a family rebuilt from the snapshot).
 type BoxTree struct {
 	fanout int
 	rects  []geom.Rect // the retained snapshot
 
 	// entries is the permutation of object IDs in leaf order;
-	// entryRects inlines each entry's current MBR next to it, and slots
-	// is the inverse permutation (slots[id] = entry slot of id).
+	// entryRects inlines each entry's MBR next to it.
 	entries    []uint32
 	entryRects []geom.Rect
-	slots      []uint32
 
 	// nodes holds all tree nodes: the leaf level first (tile-reordered),
-	// then each upper level; root is the last node. parents[i] is the
-	// node index of i's parent (-1 for the root); leafPos[r] is the node
-	// index of the leaf owning entry run r (runs are fanout-sized, so
-	// run r covers entries [r*fanout, ...) — the level tiling reorders
-	// leaf nodes but never the entry arena).
-	nodes   []node
-	parents []int32
-	leafPos []int32
-	root    int32
-	leaves  int
-
-	// refitted counts in-place moves since the last bulk load — the
-	// dirtiness that triggers the rebuild fallback.
-	refitted int
+	// then each upper level; root is the last node. Leaf entry runs are
+	// fanout-sized, so the leaf owning entry run r covers entries
+	// [r*fanout, ...) — the level tiling reorders leaf nodes but never
+	// the entry arena.
+	nodes  []node
+	root   int32
+	leaves int
 
 	// build scratch, reused across ticks
 	scratchIDs  []uint32
 	scratchKeys []uint32
 	levelIdx    []uint32
 	levelNodes  []node
-	curScratch  []geom.Rect // rebuild materialization of patched coords
 }
 
 // NewBoxTree returns a box tree with the given fanout (entries per node).
@@ -125,11 +108,9 @@ func (t *BoxTree) MBR() geom.Rect {
 // steady-state builds allocate nothing.
 func (t *BoxTree) prepare(rects []geom.Rect) {
 	t.rects = rects
-	t.refitted = 0
 	n := len(rects)
 	t.entries = resizeU32(t.entries, n)
 	t.entryRects = resizeRects(t.entryRects, n)
-	t.slots = resizeU32(t.slots, n)
 	if n == 0 {
 		t.nodes = t.nodes[:0]
 		t.root = -1
@@ -145,8 +126,6 @@ func (t *BoxTree) prepare(rects []geom.Rect) {
 		}
 	}
 	t.nodes = resizeNodes(t.nodes, total)
-	t.parents = resizeI32(t.parents, total)
-	t.leafPos = resizeI32(t.leafPos, t.leaves)
 	t.scratchIDs = resizeU32(t.scratchIDs, n)
 	t.scratchKeys = resizeU32(t.scratchKeys, n)
 	t.levelIdx = resizeU32(t.levelIdx, t.leaves)
@@ -175,7 +154,7 @@ func (t *BoxTree) packLeaves(rects []geom.Rect) {
 }
 
 // packUpper tiles the upper levels over node centres until one node
-// remains, then indexes the (reordered) leaf level by entry run.
+// remains.
 func (t *BoxTree) packUpper() {
 	levelStart, levelCount := 0, t.leaves
 	next := t.leaves
@@ -183,18 +162,6 @@ func (t *BoxTree) packUpper() {
 		level := t.nodes[levelStart : levelStart+levelCount]
 		strTileOrder(level, strSlabSize(levelCount, t.fanout),
 			t.levelIdx, t.scratchKeys, t.scratchIDs, t.levelNodes)
-		// The reorder moved this level's records, so the parent links of
-		// the level BELOW (set when this level was emitted) point at the
-		// old positions; each record carries its child range, so one walk
-		// re-points them.
-		for p, nd := range level {
-			if nd.leaf {
-				break // leaf level: entries below, nothing to re-point
-			}
-			for c := nd.first; c < nd.first+nd.count; c++ {
-				t.parents[c] = int32(levelStart + p)
-			}
-		}
 		parent := next
 		for s := 0; s < levelCount; s += t.fanout {
 			e := s + t.fanout
@@ -206,19 +173,12 @@ func (t *BoxTree) packUpper() {
 				mbr = mbr.Union(nd.mbr)
 			}
 			t.nodes[parent] = node{mbr: mbr, first: int32(levelStart + s), count: int32(e - s)}
-			for c := s; c < e; c++ {
-				t.parents[levelStart+c] = int32(parent)
-			}
 			parent++
 		}
 		levelStart, levelCount = next, parent-next
 		next = parent
 	}
 	t.root = int32(levelStart)
-	t.parents[t.root] = -1
-	for p := 0; p < t.leaves; p++ {
-		t.leafPos[int(t.nodes[p].first)/t.fanout] = int32(p)
-	}
 }
 
 // Build implements core.BoxIndex with STR bulk loading over MBR centres.
@@ -247,9 +207,6 @@ func (t *BoxTree) Build(rects []geom.Rect) {
 		sortutil.ByKey32(t.entries[start:end], t.scratchKeys, t.scratchIDs)
 	}
 	t.packLeaves(rects)
-	for k, id := range t.entries {
-		t.slots[id] = uint32(k)
-	}
 	t.packUpper()
 }
 
@@ -334,89 +291,20 @@ func (t *BoxTree) queryRecAppend(ni int32, r geom.Rect, buf []uint32) []uint32 {
 	return buf
 }
 
-// refitNode recomputes node ni's exact MBR from its children (entry
-// rects for a leaf, child MBRs otherwise), reporting whether it changed.
-func (t *BoxTree) refitNode(ni int32) bool {
-	nd := &t.nodes[ni]
-	var mbr geom.Rect
-	if nd.leaf {
-		mbr = t.entryRects[nd.first]
-		for k := nd.first + 1; k < nd.first+nd.count; k++ {
-			mbr = mbr.Union(t.entryRects[k])
-		}
-	} else {
-		mbr = t.nodes[nd.first].mbr
-		for c := nd.first + 1; c < nd.first+nd.count; c++ {
-			mbr = mbr.Union(t.nodes[c].mbr)
-		}
-	}
-	if mbr == nd.mbr {
-		return false
-	}
-	nd.mbr = mbr
-	return true
-}
-
-// refitFrom recomputes exact MBRs from node ni up towards the root,
-// stopping at the first unchanged node (its ancestors are exact covers
-// of unchanged values, so they are still exact).
-func (t *BoxTree) refitFrom(ni int32) {
-	for ni >= 0 && t.refitNode(ni) {
-		ni = t.parents[ni]
-	}
-}
-
-// rebuildAt is the dirtiness threshold of the rebuild fallback: one
-// refit per object since the last bulk load. The per-tick driver
-// rebuilds every tick and never reaches it; sustained in-place update
-// cycles (no interleaved Build) re-pack once drift has eroded the
-// tiling.
-func (t *BoxTree) rebuildAt() int { return len(t.entries) }
-
-// rebuildFromEntries re-packs the tree from the patched entry
-// coordinates: the current MBR of every object is scattered back to an
-// ID-indexed scratch snapshot and bulk-loaded.
-func (t *BoxTree) rebuildFromEntries() {
-	cur := resizeRects(t.curScratch, len(t.entries))
-	t.curScratch = cur
-	for k, id := range t.entries {
-		cur[id] = t.entryRects[k]
-	}
-	t.Build(cur)
-}
-
-// Update implements core.BoxIndex: patch the moved entry's inlined MBR
-// and refit its leaf and ancestors bottom-up (O(fanout * height) exact
-// recomputes); past the dirtiness threshold, fall back to a rebuild.
-func (t *BoxTree) Update(id uint32, old, new geom.Rect) {
-	k := t.slots[id]
-	t.entryRects[k] = new
-	t.refitFrom(t.leafPos[int(k)/t.fanout])
-	t.refitted++
-	if t.refitted >= t.rebuildAt() {
-		t.rebuildFromEntries()
-	}
-}
+// Update implements core.BoxIndex. Static: the move is picked up by the
+// next Build from the snapshot.
+func (t *BoxTree) Update(id uint32, old, new geom.Rect) {}
 
 // MemoryBytes implements core.MemoryReporter: nodes, entry arena with
-// inlined coordinates, inverse permutation, parent/leaf indexes, and
-// retained scratch.
+// inlined coordinates, and retained scratch.
 func (t *BoxTree) MemoryBytes() int64 {
 	const nodeBytes = 28 // 4 float32 MBR + first + count + leaf flag, packed
 	total := int64(len(t.nodes)) * nodeBytes
-	total += int64(cap(t.entries)+cap(t.slots)) * 4
-	total += int64(cap(t.entryRects)+cap(t.curScratch)) * 16
-	total += int64(cap(t.parents)+cap(t.leafPos)) * 4
+	total += int64(cap(t.entries)) * 4
+	total += int64(cap(t.entryRects)) * 16
 	total += int64(cap(t.scratchIDs)+cap(t.scratchKeys)+cap(t.levelIdx)) * 4
 	total += int64(cap(t.levelNodes)) * nodeBytes
 	return total
-}
-
-func resizeI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
 }
 
 func resizeRects(s []geom.Rect, n int) []geom.Rect {

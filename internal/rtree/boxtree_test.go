@@ -132,8 +132,8 @@ func TestBoxTreeMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// checkSTRInvariants verifies the packing invariants of a bulk-loaded or
-// refit tree via the exported CheckInvariants audit, plus the
+// checkSTRInvariants verifies the packing invariants of a bulk-loaded
+// tree via the exported CheckInvariants audit, plus the
 // test-context fact the audit cannot know: the tree indexes exactly the
 // rects snapshot.
 func checkSTRInvariants(t *testing.T, bt *BoxTree, rects []geom.Rect) {
@@ -159,9 +159,8 @@ func TestBoxTreeSTRPackingInvariants(t *testing.T) {
 
 // moveBoxes returns a moved copy of rects: roughly half the objects
 // translated (and sometimes resized) by random offsets.
-func moveBoxes(r *xrand.Rand, rects []geom.Rect, maxShift float32) ([]geom.Rect, []geom.BoxMove) {
+func moveBoxes(r *xrand.Rand, rects []geom.Rect, maxShift float32) []geom.Rect {
 	out := append([]geom.Rect(nil), rects...)
-	var moves []geom.BoxMove
 	for i := range out {
 		if r.Bool(0.5) {
 			continue
@@ -169,77 +168,12 @@ func moveBoxes(r *xrand.Rand, rects []geom.Rect, maxShift float32) ([]geom.Rect,
 		dx := r.Range(-maxShift, maxShift)
 		dy := r.Range(-maxShift, maxShift)
 		grow := r.Range(0, maxShift/4)
-		nr := geom.Rect{
+		out[i] = geom.Rect{
 			MinX: out[i].MinX + dx, MinY: out[i].MinY + dy,
 			MaxX: out[i].MaxX + dx + grow, MaxY: out[i].MaxY + dy + grow,
 		}
-		moves = append(moves, geom.BoxMove{ID: uint32(i), Old: out[i], New: nr})
-		out[i] = nr
 	}
-	return out, moves
-}
-
-func TestBoxTreeUpdateMatchesRebuild(t *testing.T) {
-	bounds := geom.R(0, 0, 1000, 1000)
-	rng := xrand.New(23)
-	rects := randomBoxes(rng, 800, bounds, 0, 120)
-	bt := MustNewBoxTree(16)
-	bt.Build(rects)
-
-	moved, moves := moveBoxes(rng, rects, 200)
-	for _, m := range moves {
-		bt.Update(m.ID, m.Old, m.New)
-	}
-	// The refit tree must answer queries over the moved population
-	// exactly like a fresh build would.
-	for _, q := range boxTestQueries(rng, 40, bounds) {
-		got := collectBoxQuery(t, bt, q)
-		want := bruteBoxQuery(moved, q)
-		if !equalIDs(got, want) {
-			t.Fatalf("after updates, query %v: got %d ids, want %d", q, len(got), len(want))
-		}
-	}
-	checkSTRInvariants(t, bt, moved)
-	if bt.Len() != len(rects) {
-		t.Fatalf("Len = %d after updates, want %d", bt.Len(), len(rects))
-	}
-}
-
-// TestBoxTreeRebuildFallbackEngages drives enough update cycles without
-// an interleaved Build to cross the dirtiness threshold and verifies the
-// self-rebuild both happened and preserved correctness.
-func TestBoxTreeRebuildFallbackEngages(t *testing.T) {
-	bounds := geom.R(0, 0, 1000, 1000)
-	rng := xrand.New(29)
-	rects := randomBoxes(rng, 300, bounds, 0, 80)
-	bt := MustNewBoxTree(8)
-	bt.Build(rects)
-
-	cur := rects
-	rebuilt := false
-	for cycle := 0; cycle < 5; cycle++ {
-		moved, moves := moveBoxes(rng, cur, 150)
-		before := bt.refitted
-		for _, m := range moves {
-			bt.Update(m.ID, m.Old, m.New)
-		}
-		if bt.refitted < before {
-			rebuilt = true
-		}
-		cur = moved
-		for _, q := range boxTestQueries(rng, 15, bounds) {
-			got := collectBoxQuery(t, bt, q)
-			want := bruteBoxQuery(cur, q)
-			if !equalIDs(got, want) {
-				t.Fatalf("cycle %d: query %v: got %d ids, want %d", cycle, q, len(got), len(want))
-			}
-		}
-	}
-	if !rebuilt {
-		t.Fatalf("refitted reached %d over 5 half-population cycles without a rebuild (threshold %d)",
-			bt.refitted, bt.rebuildAt())
-	}
-	checkSTRInvariants(t, bt, cur)
+	return out
 }
 
 func TestBoxTreeEmptyAndDegenerate(t *testing.T) {
@@ -288,7 +222,7 @@ func TestBoxTreeHeightAndMemory(t *testing.T) {
 }
 
 // FuzzBoxTreeMatchesOracle drives BoxTree and the brute-force oracle
-// through fuzzer-chosen build -> query -> update -> query cycles and
+// through fuzzer-chosen build -> query -> move and rebuild -> query cycles and
 // fails on any digest divergence — the box-tree mirror of the grid's
 // oracle checks. Run as a plain test it covers the seed corpus;
 // `go test -fuzz=FuzzBoxTreeMatchesOracle ./internal/rtree` explores
@@ -331,23 +265,20 @@ func FuzzBoxTreeMatchesOracle(f *testing.F) {
 			wantPairs, wantHash := digest(oracle, queriers)
 			gotPairs, gotHash := digest(bt, queriers)
 			if gotPairs != wantPairs || gotHash != wantHash {
-				t.Fatalf("cycle %d pre-update: (%d, %#x), oracle (%d, %#x) [seed=%d n=%d fanout=%d]",
+				t.Fatalf("cycle %d pre-move: (%d, %#x), oracle (%d, %#x) [seed=%d n=%d fanout=%d]",
 					c, gotPairs, gotHash, wantPairs, wantHash, seed, n, fanout)
 			}
 
-			moved, moves := moveBoxes(rng, cur, 400)
-			for _, m := range moves {
-				bt.Update(m.ID, m.Old, m.New)
-			}
-			// The oracle reads the snapshot it retains; hand it the
-			// moved one (its Update is a no-op by design).
+			moved := moveBoxes(rng, cur, 400)
+			bt.Build(moved)
 			oracle.Build(moved)
+			checkSTRInvariants(t, bt, moved)
 			cur = moved
 
 			wantPairs, wantHash = digest(oracle, queriers)
 			gotPairs, gotHash = digest(bt, queriers)
 			if gotPairs != wantPairs || gotHash != wantHash {
-				t.Fatalf("cycle %d post-update: (%d, %#x), oracle (%d, %#x) [seed=%d n=%d fanout=%d]",
+				t.Fatalf("cycle %d post-rebuild: (%d, %#x), oracle (%d, %#x) [seed=%d n=%d fanout=%d]",
 					c, gotPairs, gotHash, wantPairs, wantHash, seed, n, fanout)
 			}
 		}

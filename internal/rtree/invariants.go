@@ -7,9 +7,8 @@ import "fmt"
 // publisher and the fault-injection harness can verify a tree before
 // publishing it. It checks that the root is the last node, every node
 // count is in (0, fanout], leaf entry runs start at fanout multiples and
-// tile the entry arena exactly once, the slots/entries permutations are
-// inverse, leafPos and parents agree with the arena layout, every parent
-// MBR covers its children, and the root has no parent.
+// tile the entry arena exactly once, and every node MBR covers its
+// children.
 func (t *BoxTree) CheckInvariants() error {
 	n := len(t.entries)
 	if n == 0 {
@@ -18,9 +17,8 @@ func (t *BoxTree) CheckInvariants() error {
 		}
 		return nil
 	}
-	if len(t.slots) != n || len(t.entryRects) != n {
-		return fmt.Errorf("rtree: %d entries but %d slots, %d entryRects",
-			n, len(t.slots), len(t.entryRects))
+	if len(t.entryRects) != n {
+		return fmt.Errorf("rtree: %d entries but %d entryRects", n, len(t.entryRects))
 	}
 	if int(t.root) != len(t.nodes)-1 {
 		return fmt.Errorf("rtree: root %d is not the last node (%d nodes)", t.root, len(t.nodes))
@@ -41,9 +39,6 @@ func (t *BoxTree) CheckInvariants() error {
 					return fmt.Errorf("rtree: node %d MBR %v does not cover child %d MBR %v",
 						ni, nd.mbr, c, t.nodes[c].mbr)
 				}
-				if t.parents[c] != int32(ni) {
-					return fmt.Errorf("rtree: child %d has parent %d, want %d", c, t.parents[c], ni)
-				}
 			}
 			continue
 		}
@@ -53,10 +48,6 @@ func (t *BoxTree) CheckInvariants() error {
 		}
 		if int(nd.first)%t.fanout != 0 {
 			return fmt.Errorf("rtree: leaf %d starts mid-run at entry %d", ni, nd.first)
-		}
-		if t.leafPos[int(nd.first)/t.fanout] != int32(ni) {
-			return fmt.Errorf("rtree: leafPos[%d] = %d, want %d",
-				int(nd.first)/t.fanout, t.leafPos[int(nd.first)/t.fanout], ni)
 		}
 		for k := nd.first; k < nd.first+nd.count; k++ {
 			if int(k) >= n {
@@ -70,9 +61,6 @@ func (t *BoxTree) CheckInvariants() error {
 				return fmt.Errorf("rtree: object %d appears in more than one leaf run", id)
 			}
 			covered[id] = 1
-			if t.slots[id] != uint32(k) {
-				return fmt.Errorf("rtree: slots[%d] = %d, want %d", id, t.slots[id], k)
-			}
 			if !nd.mbr.ContainsRect(t.entryRects[k]) {
 				return fmt.Errorf("rtree: leaf %d MBR %v does not cover entry %d rect %v",
 					ni, nd.mbr, id, t.entryRects[k])
@@ -86,9 +74,6 @@ func (t *BoxTree) CheckInvariants() error {
 		if c != 1 {
 			return fmt.Errorf("rtree: object %d missing from the leaf level", id)
 		}
-	}
-	if t.parents[t.root] != -1 {
-		return fmt.Errorf("rtree: root parent = %d, want -1", t.parents[t.root])
 	}
 	return nil
 }

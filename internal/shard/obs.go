@@ -15,9 +15,6 @@ type instruments struct {
 	// boundary-ownership test (a replica reporting from a region that
 	// does not own the intersection's reference point).
 	dedupFiltered *obs.Counter
-	// parked and revived count the two halves of cross-region
-	// migrations (source parks the slot, destination revives one).
-	parked, revived *obs.Counter
 	// side reports the region-grid side once the first build fixes it.
 	side *obs.Gauge
 }
@@ -28,8 +25,6 @@ func (i *instruments) bind(r *obs.Registry) {
 	}
 	i.fanout = r.Histogram("shard.query_fanout")
 	i.dedupFiltered = r.Counter("shard.dedup_filtered")
-	i.parked = r.Counter("shard.parked")
-	i.revived = r.Counter("shard.revived")
 	i.side = r.Gauge("shard.side")
 }
 

@@ -33,6 +33,7 @@ type router[P comparable] struct {
 	bounds geom.Rect
 	side   int // 0 until the ladder picks at first build (auto mode)
 	regs   []*region[P]
+	n      int // the population of the last build
 
 	members [][]uint32 // per-region build routing scratch
 	fanned  [][]uint32 // per-worker x per-region parallel routing scratch
@@ -74,19 +75,6 @@ func (x *router[P]) settle(all []P) {
 		x.regs[i] = newRegion(&x.env, i)
 	}
 	x.members = make([][]uint32, len(x.regs))
-}
-
-// concerned calls visit for every region a move from old to new
-// concerns: those in the union of the two spans that hold the object
-// before or after (a point's move concerns its source and destination
-// regions; a box's every region it stops, keeps or starts overlapping).
-func (x *router[P]) concerned(old, new P, visit func(sid int)) {
-	o, n := x.geo.span(&x.lat, old), x.geo.span(&x.lat, new)
-	for w := o.union(n).walk(); w.more(); w = w.next() {
-		if o.has(w.cx, w.cy) || n.has(w.cx, w.cy) {
-			visit(x.lat.id(w.cx, w.cy))
-		}
-	}
 }
 
 // Index is the region-sharded point engine.
@@ -143,7 +131,7 @@ type RegionInfo struct {
 func (x *router[P]) Regions() []RegionInfo {
 	out := make([]RegionInfo, 0, len(x.regs))
 	for _, s := range x.regs {
-		out = append(out, RegionInfo{CX: int(s.cx), CY: int(s.cy), Frame: s.frame, Live: s.live, Choice: s.choice})
+		out = append(out, RegionInfo{CX: int(s.cx), CY: int(s.cy), Frame: s.frame, Live: len(s.items), Choice: s.choice})
 	}
 	return out
 }
@@ -179,6 +167,7 @@ func (x *router[P]) spread(all []P, lo, hi int, lists [][]uint32) {
 
 func (x *router[P]) buildWith(all []P, workers int) {
 	x.settle(all)
+	x.n = len(all)
 	nr := len(x.regs)
 	if workers <= 1 || nr == 1 || len(all) < 8192 {
 		x.spread(all, 0, len(all), x.members)
@@ -234,20 +223,18 @@ func (x *router[P]) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 	return buf
 }
 
-// Update implements core.Index: every concerned region adjusts its
-// membership (move in place, park, or revive — region.Update).
-func (x *router[P]) Update(id uint32, old, new P) {
-	x.concerned(old, new, func(sid int) { x.regs[sid].Update(id, old, new) })
-}
+// Update implements core.Index as a no-op: the engine is static, and the
+// next Build routes the move from the snapshot.
+func (x *router[P]) Update(id uint32, old, new P) {}
 
-// Len implements core.Counter: live objects, each counted once — in the
+// Len implements core.Counter: objects, each counted once — in the
 // region that owns it (region.owns) — as the grids and R-trees count
 // objects and not the replicas they store.
 func (x *router[P]) Len() int {
 	n := 0
 	for _, s := range x.regs {
-		for lid, g := range s.owner {
-			if g != NONE && s.owns(s.items[lid]) {
+		for _, p := range s.items {
+			if s.owns(p) {
 				n++
 			}
 		}
@@ -255,16 +242,16 @@ func (x *router[P]) Len() int {
 	return n
 }
 
-// ReplicationFactor reports live replicas per object.
+// ReplicationFactor reports replicas per object.
 func (x *BoxIndex) ReplicationFactor() float64 {
-	if len(x.regs) == 0 || len(x.regs[0].lidOf) == 0 {
+	if x.n == 0 {
 		return 1
 	}
 	replicas := 0
 	for _, s := range x.regs {
-		replicas += s.live
+		replicas += len(s.items)
 	}
-	return float64(replicas) / float64(len(x.regs[0].lidOf))
+	return float64(replicas) / float64(x.n)
 }
 
 // MemoryBytes implements core.MemoryReporter.
@@ -286,18 +273,18 @@ func (x *router[P]) CheckInvariants() error {
 			return err
 		}
 	}
-	if len(x.regs) == 0 {
-		return nil
-	}
-	for id := range x.regs[0].lidOf {
-		holders := 0
-		for _, s := range x.regs {
-			if s.lidFor(uint32(id)) != NONE {
-				holders++
+	holders := make([]uint32, x.n)
+	for _, s := range x.regs {
+		for _, id := range s.owner {
+			if int(id) >= x.n {
+				return fmt.Errorf("shard: region(%d,%d) holds id %d beyond population %d", s.cx, s.cy, id, x.n)
 			}
+			holders[id]++
 		}
-		if holders == 0 || holders > 1 && !x.geo.replicates() {
-			return fmt.Errorf("shard: id %d is a member of %d regions", id, holders)
+	}
+	for id, h := range holders {
+		if h == 0 || h > 1 && !x.geo.replicates() {
+			return fmt.Errorf("shard: id %d is a member of %d regions", id, h)
 		}
 	}
 	return nil

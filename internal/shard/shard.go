@@ -12,9 +12,8 @@
 // router[P]); Index and BoxIndex are named bindings of it. What differs
 // per geometry is the geo[P] value and nothing else: the lattice span of
 // a P (one region for a point, every overlapped region for an MBR), the
-// degenerate geometry dead slots park at, the tune sample/choose/construct
-// triple, and — for geometries that replicate — the reference-point
-// filter.
+// tune sample/choose/construct triple, and — for geometries that
+// replicate — the reference-point filter.
 //
 // # Ownership and duplicate-free merge
 //
@@ -39,18 +38,13 @@
 // of any candidate intersection is inside the window and therefore
 // inside the region.
 //
-// # Updates and cross-shard migration
+// # Maintenance
 //
-// A move concerns every region in the union of its old and new spans
-// (router.concerned — the one place that is decided). Where the object
-// stays a member the move delegates to the region's inner index; where
-// it leaves, the region parks the entry (relocating it to a reserved
-// in-region park position and clearing its owner, so queries filter it
-// out) and pushes the slot onto a free list; where it arrives, the
-// region revives a parked slot via a plain inner Update. All of it
-// touches only region-private state: when a region's free list runs dry
-// its arena grows by a parked-slot slack and only its own inner index is
-// rebuilt (region-local, amortized).
+// The engine is static, like every family it picks: Build routes the
+// snapshot to the regions and rebuilds each over exactly its members, so
+// an object that crossed a region edge since the last build simply lands
+// in its new region's arena. Update is a no-op (core.IndexOf allows it of
+// a family rebuilt from the snapshot).
 //
 // # Service mode
 //
@@ -69,9 +63,6 @@ import (
 	"repro/internal/parutil"
 	"repro/internal/tune"
 )
-
-// NONE marks an empty slot mapping (no local id / no owner).
-const NONE = ^uint32(0)
 
 // lattice maps geometry to the side x side region grid. All membership,
 // routing, and dedup decisions go through this one mapping so they can
@@ -137,14 +128,8 @@ func (s span) has(cx, cy int32) bool {
 	return cx >= s.x0 && cx <= s.x1 && cy >= s.y0 && cy <= s.y1
 }
 
-// union is the smallest span covering both.
-func (s span) union(t span) span {
-	return span{min(s.x0, t.x0), min(s.y0, t.y0), max(s.x1, t.x1), max(s.y1, t.y1)}
-}
-
 // walk is the span fan-out, written once: a row-major cursor over a
-// span's regions. Every query kernel, the build routing and the move
-// routing iterate with
+// span's regions. Every query kernel and the build routing iterate with
 //
 //	for w := s.walk(); w.more(); w = w.next() { ... lat.id(w.cx, w.cy) ... }
 //
@@ -200,9 +185,6 @@ type geo[P comparable] struct {
 	prefix string
 	// span returns the regions p is a member of.
 	span func(l *lattice, p P) span
-	// park returns the degenerate geometry dead slots rest at, given the
-	// region frame's centre.
-	park func(c geom.Point) P
 	// sample, choose and build are the tune triple: statistics of a
 	// snapshot, the family picked from them, an instance of that family
 	// (a region's inner index over local slot ids).
@@ -223,18 +205,16 @@ var pointGeo = &geo[geom.Point]{
 		cx, cy := l.cellOf(p.X, p.Y)
 		return span{cx, cy, cx, cy}
 	},
-	park:   func(c geom.Point) geom.Point { return c },
 	sample: tune.SamplePoints,
-	choose: tune.ChoosePointInPlace,
+	choose: tune.ChoosePoint,
 	build:  tune.Choice.NewPointIndex,
 }
 
 var boxGeo = &geo[geom.Rect]{
 	prefix:    "box",
 	span:      (*lattice).spanOf,
-	park:      geom.Point.Rect,
 	sample:    tune.SampleBoxes,
-	choose:    tune.ChooseBoxInPlace,
+	choose:    tune.ChooseBox,
 	build:     tune.Choice.NewBoxIndex,
 	refAppend: refAppend,
 }
@@ -256,8 +236,8 @@ func refPoint(r, b geom.Rect) (float32, float32) {
 }
 
 // refAppend is the boundary-ownership filter: it compacts buf[tail:]
-// (local slots from the inner) in place through the owner and
-// reference-point tests, keeping the live ones whose reference point this
+// (local slots from the inner) in place through the reference-point
+// test, keeping, as global ids, the ones whose reference point this
 // region owns.
 //
 //joinlint:hotpath
@@ -266,13 +246,9 @@ func refAppend(s *region[geom.Rect], r geom.Rect, buf []uint32, tail int) []uint
 	w := tail
 	var filtered int64
 	for _, lid := range buf[tail:] {
-		g := owner[lid]
-		if g == NONE {
-			continue
-		}
 		rx, ry := refPoint(r, rects[lid])
 		if s.lat.idOf(rx, ry) == s.sid {
-			buf[w] = g
+			buf[w] = owner[lid]
 			w++
 		} else {
 			filtered++

@@ -9,7 +9,6 @@ import (
 	"repro/internal/epoch"
 	"repro/internal/faultutil"
 	"repro/internal/geom"
-	"repro/internal/obs"
 	"repro/internal/workload"
 	"repro/internal/xrand"
 )
@@ -207,34 +206,30 @@ func TestBoxServicePublishesEveryTick(t *testing.T) {
 	}
 }
 
-// TestShardConcurrentInheritsApplyPaths checks that the epoch wrapper
-// around a router picks its apply path from the whole population as it
-// does around any index: every object updating over one region rebuilds
-// in bulk, one object in fifty over sixteen regions replays, and both
-// stay consistent.
-func TestShardConcurrentInheritsApplyPaths(t *testing.T) {
+// TestShardConcurrentCatchesUpByBuild checks that the epoch wrapper
+// catches a router up by one build at any batch size, as it does any
+// index: every object moving over one region, and one object in fifty
+// over sixteen regions — a batch the static router would serve stale if
+// it were handed the moves — both publish every tick on the first
+// attempt and stay consistent.
+func TestShardConcurrentCatchesUpByBuild(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		side     int
 		updaters float64
-		bulk     bool
 	}{
-		{"bulk", 1, 1, true},
-		{"replay", 4, 0.02, false},
+		{"all-move-side=1", 1, 1},
+		{"few-move-side=4", 4, 0.02},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testPointConfig()
 			cfg.Updaters = tc.updaters
 			p := core.Params{Bounds: cfg.Bounds(), NumPoints: cfg.NumPoints, Shards: tc.side}
-			reg := obs.New()
 			res := core.RunConcurrent(pointService(p, tc.side, epoch.Options{}, nil), workload.MustNewGenerator(cfg),
-				core.ConcurrentOptions{Readers: 2, Obs: reg})
-			if res.Violations != 0 || res.FailedTicks != 0 {
-				t.Fatalf("%d violations, %d failed ticks", res.Violations, res.FailedTicks)
-			}
-			bulk, replay := reg.Counter("epoch.apply_bulk").Value(), reg.Counter("epoch.apply_replay").Value()
-			if tc.bulk && (bulk == 0 || replay > 1) || !tc.bulk && (bulk != 0 || replay == 0) {
-				t.Fatalf("%d bulk and %d replay applies, want bulk=%v", bulk, replay, tc.bulk)
+				core.ConcurrentOptions{Readers: 2})
+			if res.Violations != 0 || res.FailedTicks != 0 || res.Stats.Degraded != 0 || res.Stats.Retries != 0 {
+				t.Fatalf("%d violations, %d failed ticks, %d degraded, %d retries",
+					res.Violations, res.FailedTicks, res.Stats.Degraded, res.Stats.Retries)
 			}
 		})
 	}
@@ -352,10 +347,11 @@ func assertSameEmissions(t *testing.T, queries []geom.Rect, got, want func(geom.
 	}
 }
 
-// TestShardMigrationAndGrowth drives every object across region borders
-// repeatedly — far more immigration than the build-time slack — to
-// force region-local arena growth, checking invariants and query
-// equivalence throughout.
+// TestShardMigrationAndGrowth moves every object across region borders
+// repeatedly and rebuilds — herding the population into one corner
+// region and scattering it again, so that region's arena grows far past
+// its first build — checking invariants and query equivalence
+// throughout.
 func TestShardMigrationAndGrowth(t *testing.T) {
 	const space = 800
 	bounds := geom.Rect{MinX: 0, MinY: 0, MaxX: space, MaxY: space}
@@ -385,18 +381,15 @@ func TestShardMigrationAndGrowth(t *testing.T) {
 		return q
 	}
 	for round := 0; round < 6; round++ {
-		// Herd everything toward one corner region, then scatter — the
-		// corner region's arena must grow past its slack.
+		// Herd everything toward one corner region, then scatter.
 		for i := range pts {
-			var next geom.Point
 			if round%2 == 0 {
-				next = geom.Point{X: float32(i%17) * 3, Y: float32(i/17) * 3}
+				pts[i] = geom.Point{X: float32(i%17) * 3, Y: float32(i/17) * 3}
 			} else {
-				next = shift(pts[i], float32(round*97%space), float32(round*53%space))
+				pts[i] = shift(pts[i], float32(round*97%space), float32(round*53%space))
 			}
-			x.Update(uint32(i), pts[i], next)
-			pts[i] = next
 		}
+		x.Build(pts)
 		if err := x.CheckInvariants(); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -438,8 +431,8 @@ func TestShardConcurrentNoSpuriousDegradation(t *testing.T) {
 // TestPointIsDegenerateBox is the metamorphic check that the shared
 // router treats points as the one-replica class of boxes: zero-extent
 // MBRs through BoxIndex must report exactly what the same positions
-// report through Index, at every shard count, whether the moves arrive
-// one by one or as a routed batch.
+// report through Index, at every shard count, tick after tick of moves,
+// through Build and through BuildParallel.
 func TestPointIsDegenerateBox(t *testing.T) {
 	cfg := testPointConfig()
 	p := core.Params{Bounds: cfg.Bounds(), NumPoints: cfg.NumPoints}
@@ -453,28 +446,21 @@ func TestPointIsDegenerateBox(t *testing.T) {
 					rects[i] = pt.Rect()
 				}
 				px, bx := New(p, side), NewBox(p, side)
-				if workers == 0 {
-					px.Build(pts)
-					bx.Build(rects)
-				} else {
-					px.BuildParallel(pts, workers)
-					bx.BuildParallel(rects, workers)
-				}
 				for tick := 0; tick < 4; tick++ {
+					if workers == 0 {
+						px.Build(pts)
+						bx.Build(rects)
+					} else {
+						px.BuildParallel(pts, workers)
+						bx.BuildParallel(rects, workers)
+					}
 					queries := queryRects(src.Queriers(), src.QueryRect)
 					assertSameEmissions(t, queries, bx.Query, px.Query)
 					assertMatchesOracle(t, "degenerate boxes", px.QueryAppend, bx.QueryAppend, queries)
 					ups := src.Updates()
-					moves := make([]geom.Move, len(ups))
-					boxMoves := make([]geom.BoxMove, len(ups))
-					for i, u := range ups {
-						moves[i] = geom.Move{ID: u.ID, Old: pts[u.ID], New: u.Pos}
-						boxMoves[i] = geom.BoxMove{ID: u.ID, Old: pts[u.ID].Rect(), New: u.Pos.Rect()}
+					for _, u := range ups {
 						pts[u.ID] = u.Pos
-					}
-					for i := range moves {
-						px.Update(moves[i].ID, moves[i].Old, moves[i].New)
-						bx.Update(boxMoves[i].ID, boxMoves[i].Old, boxMoves[i].New)
+						rects[u.ID] = u.Pos.Rect()
 					}
 					src.ApplyUpdates(ups)
 					if err := bx.CheckInvariants(); err != nil {

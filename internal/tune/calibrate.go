@@ -20,7 +20,6 @@ const (
 	calObjects = 4096
 	calSpace   = 4096
 	calQueries = 256
-	calMoves   = 512
 	calSeed    = 0x7e57ca11b8a7e5
 	// calQuerySide is the box query anchor: one cell at the box anchor
 	// granularity, matching the paper's default selectivity regime.
@@ -59,7 +58,6 @@ const (
 	// cells at the anchor granularity, so most candidates sit in
 	// CONTAINED cells and the emit constant is identified.
 	calCoarseQ    = 1024
-	calUpdateCPS  = 32
 	calLowFanout  = 4
 	calHighFanout = 32
 	calReps       = 3
@@ -150,17 +148,15 @@ func fitResidual(t, known, units float64) float64 {
 }
 
 // calScene is the shared synthetic snapshot: points, their MBR
-// counterparts, query centres, and move targets.
+// counterparts, and query centres.
 type calScene struct {
 	bounds geom.Rect
 	pts    []geom.Point
 	rects  []geom.Rect
-	// probes indexes the objects queries centre on; movesTo holds the
-	// displaced position of each measured move (moved there and back).
-	probes  []int
-	movesTo []geom.Point
-	stats   Stats // sampled over pts (point families)
-	bstats  Stats // sampled over rects (box families)
+	// probes indexes the objects queries centre on.
+	probes []int
+	stats  Stats // sampled over pts (point families)
+	bstats Stats // sampled over rects (box families)
 }
 
 func newCalScene() *calScene {
@@ -180,22 +176,10 @@ func newCalScene() *calScene {
 	for i := range sc.probes {
 		sc.probes[i] = r.Intn(calObjects)
 	}
-	sc.movesTo = make([]geom.Point, calMoves)
-	for i := range sc.movesTo {
-		sc.movesTo[i] = geom.Pt(r.Range(0, calSpace), r.Range(0, calSpace))
-	}
 	hints := core.WorkloadHints{QuerySize: calQuerySide, Queriers: 0.5, Updaters: 0.5}
 	sc.stats = SamplePoints(sc.pts, sc.bounds, hints)
 	sc.bstats = SampleBoxes(sc.rects, sc.bounds, hints)
 	return sc
-}
-
-// moveRect displaces rect i of the scene to centre at p, keeping its
-// extents.
-func (sc *calScene) moveRect(i int, p geom.Point) geom.Rect {
-	r := sc.rects[i]
-	hw, hh := r.Width()/2, r.Height()/2
-	return geom.Rect{MinX: p.X - hw, MinY: p.Y - hh, MaxX: p.X + hw, MaxY: p.Y + hh}
 }
 
 // emptyQueryWindow is the half-space window the empty-grid query probes
@@ -221,12 +205,12 @@ func emptyQueryCells() float64 {
 // to the empty-directory query fit).
 type gridProbes struct {
 	emptyCoarse, emptyFine, emptyQuery *probe
-	build, query, queryCoarse, update  *probe
+	build, query, queryCoarse          *probe
 	queryFine                          *probe
 }
 
 func (g *gridProbes) all() []*probe {
-	ps := []*probe{g.emptyCoarse, g.emptyFine, g.emptyQuery, g.build, g.query, g.queryCoarse, g.update}
+	ps := []*probe{g.emptyCoarse, g.emptyFine, g.emptyQuery, g.build, g.query, g.queryCoarse}
 	if g.queryFine != nil {
 		ps = append(ps, g.queryFine)
 	}
@@ -236,9 +220,8 @@ func (g *gridProbes) all() []*probe {
 // fit derives the family's constants from the measured probes. s is the
 // calibration stats; repl evaluates the family's replication at a
 // granularity (constant 1 for points); anchorCPS/anchorQ locate the
-// populated anchors; updReplicas is the per-move primitive count at the
-// update anchor.
-func (g *gridProbes) fit(s Stats, anchorCPS int, anchorQ float32, repl func(p int) float64, updReplicas float64) coeffs {
+// populated anchors.
+func (g *gridProbes) fit(s Stats, anchorCPS int, anchorQ float32, repl func(p int) float64) coeffs {
 	var c coeffs
 	cells1 := float64(calEmptyCoarseCPS) * float64(calEmptyCoarseCPS)
 	cells2 := float64(calEmptyFineCPS) * float64(calEmptyFineCPS)
@@ -288,11 +271,6 @@ func (g *gridProbes) fit(s Stats, anchorCPS int, anchorQ float32, repl func(p in
 		eCells, eTested, eEmitted := gridQueryShape(qs, anchorCPS, r)
 		c.queryEmit = fitResidual(g.queryCoarse.ns/calQueries, eCells*c.queryCell+eTested*c.queryCand, eEmitted)
 	}
-
-	c.update = g.update.ns / (2 * calMoves * updReplicas)
-	if c.update < coeffFloorNs {
-		c.update = coeffFloorNs
-	}
 	return c
 }
 
@@ -309,19 +287,16 @@ func newPointGrid(f Family, cps int, sc *calScene) *grid.Grid {
 }
 
 // pointProbes assembles one point layout's probe set. The anchor grid
-// stays populated between rounds (its build probe repopulates it), the
-// empty grids stay empty, and the update probe moves every object there
-// and back, so every probe is state-restoring.
+// stays populated between rounds (its build probe repopulates it) and
+// the empty grids stay empty, so every probe is state-restoring.
 func pointProbes(sc *calScene, f Family) *gridProbes {
 	emptyCoarse := newPointGrid(f, calEmptyCoarseCPS, sc)
 	emptyFine := newPointGrid(f, calEmptyFineCPS, sc)
 	anchor := newPointGrid(f, calPointAnchorCPS, sc)
 	fine := newPointGrid(f, calPointFineCPS, sc)
-	upd := newPointGrid(f, calUpdateCPS, sc)
 	none := []geom.Point{}
 	anchor.Build(sc.pts)
 	fine.Build(sc.pts)
-	upd.Build(sc.pts)
 	w := emptyQueryWindow()
 	var buf []uint32 // reused across rounds so the probes are allocation-free at steady state
 	return &gridProbes{
@@ -342,12 +317,6 @@ func pointProbes(sc *calScene, f Family) *gridProbes {
 		queryCoarse: newProbe(func() {
 			for _, p := range sc.probes {
 				buf = anchor.QueryAppend(geom.Square(sc.pts[p], calCoarseQ), buf[:0])
-			}
-		}),
-		update: newProbe(func() {
-			for i, to := range sc.movesTo {
-				upd.Update(uint32(i), sc.pts[i], to)
-				upd.Update(uint32(i), to, sc.pts[i])
 			}
 		}),
 	}
@@ -371,10 +340,8 @@ func boxProbes(sc *calScene, f Family) *gridProbes {
 	emptyCoarse := newBoxGrid(f, calEmptyCoarseCPS, sc)
 	emptyFine := newBoxGrid(f, calEmptyFineCPS, sc)
 	anchor := newBoxGrid(f, calBoxAnchorCPS, sc)
-	upd := newBoxGrid(f, calUpdateCPS, sc)
 	none := []geom.Rect{}
 	anchor.Build(sc.rects)
-	upd.Build(sc.rects)
 	w := emptyQueryWindow()
 	var buf []uint32
 	return &gridProbes{
@@ -392,34 +359,23 @@ func boxProbes(sc *calScene, f Family) *gridProbes {
 				buf = anchor.QueryAppend(geom.Square(sc.rects[p].Center(), calCoarseQ), buf[:0])
 			}
 		}),
-		update: newProbe(func() {
-			for i, to := range sc.movesTo {
-				moved := sc.moveRect(i, to)
-				upd.Update(uint32(i), sc.rects[i], moved)
-				upd.Update(uint32(i), moved, sc.rects[i])
-			}
-		}),
 	}
 }
 
 // treeProbes is the STR box R-tree's probe set: the fanout pair is the
-// two-anchor axis for build and query, and the update probe includes a
-// fresh bulk load so the refit counter never crosses the rebuild
-// threshold mid-measurement.
+// two-anchor axis for build and query.
 type treeProbes struct {
 	buildLow, buildHigh *probe
 	queryLow, queryHigh *probe
-	update              *probe
 }
 
 func (t *treeProbes) all() []*probe {
-	return []*probe{t.buildLow, t.buildHigh, t.queryLow, t.queryHigh, t.update}
+	return []*probe{t.buildLow, t.buildHigh, t.queryLow, t.queryHigh}
 }
 
 func newTreeProbes(sc *calScene) *treeProbes {
 	low := rtree.MustNewBoxTree(calLowFanout)
 	high := rtree.MustNewBoxTree(calHighFanout)
-	updTree := rtree.MustNewBoxTree(rtree.DefaultFanout)
 	low.Build(sc.rects)
 	high.Build(sc.rects)
 	var buf []uint32
@@ -434,14 +390,6 @@ func newTreeProbes(sc *calScene) *treeProbes {
 		queryHigh: newProbe(func() {
 			for _, p := range sc.probes {
 				buf = high.QueryAppend(geom.Square(sc.rects[p].Center(), calQuerySide), buf[:0])
-			}
-		}),
-		update: newProbe(func() {
-			updTree.Build(sc.rects)
-			for i, to := range sc.movesTo {
-				moved := sc.moveRect(i, to)
-				updTree.Update(uint32(i), sc.rects[i], moved)
-				updTree.Update(uint32(i), moved, sc.rects[i])
 			}
 		}),
 	}
@@ -461,13 +409,6 @@ func (t *treeProbes) fit(s Stats) coeffs {
 	// The tree's query curve has no separate emitted term (QueryNs prices
 	// nodes + candidates: every leaf candidate takes an intersection test).
 	c.queryEmit = c.queryCand
-
-	// Subtract the bulk load that resets the refit counter (predicted
-	// from the just-fitted build constants), then divide by move count
-	// and refit path length.
-	tb := c.buildObj*n + c.buildCell*rtreeNodes(s.N, rtree.DefaultFanout)
-	height := rtreeHeight(s.N, rtree.DefaultFanout)
-	c.update = fitResidual(t.update.ns, tb, 2*calMoves*height)
 	return c
 }
 
@@ -496,11 +437,11 @@ func calibrate() *Model {
 	m := &Model{}
 	one := func(int) float64 { return 1 }
 	for _, f := range pointFamilies {
-		m.c[f] = pointSets[f].fit(sc.stats, calPointAnchorCPS, calPointAnchorQ, one, 1)
+		m.c[f] = pointSets[f].fit(sc.stats, calPointAnchorCPS, calPointAnchorQ, one)
 	}
 	boxRepl := func(p int) float64 { return replication(sc.bstats, p) }
 	for f, g := range boxSets {
-		m.c[f] = g.fit(sc.bstats, calBoxAnchorCPS, calQuerySide, boxRepl, boxRepl(calUpdateCPS))
+		m.c[f] = g.fit(sc.bstats, calBoxAnchorCPS, calQuerySide, boxRepl)
 	}
 	m.c[BoxRTree] = tree.fit(sc.bstats)
 	return m

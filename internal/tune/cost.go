@@ -72,7 +72,6 @@ type coeffs struct {
 	queryCell float64 // per cell visited (grids) / per node visited (tree)
 	queryCand float64 // per TESTED candidate (boundary cells: containment / dedup test)
 	queryEmit float64 // per EMITTED candidate (cells contained in the window: appended without a per-candidate test by the layouts that can skip it)
-	update    float64 // per update primitive (replica edit / refit level)
 }
 
 // Model is a calibrated cost model: closed-form curves over the sampled
@@ -199,18 +198,6 @@ func rtreeQueryShape(s Stats, fanout int) (nodes, cands float64) {
 	return nodes, cands
 }
 
-// rtreeHeight is the refit path length of an in-place move.
-func rtreeHeight(n, fanout int) float64 {
-	if n <= 0 {
-		return 1
-	}
-	h := 1.0
-	for count := ceilDiv(n, fanout); count > 1; count = ceilDiv(count, fanout) {
-		h++
-	}
-	return h
-}
-
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // --- predicted costs ---
@@ -248,45 +235,17 @@ func (m *Model) QueryNs(f Family, s Stats, p int) float64 {
 	}
 }
 
-// UpdateNs predicts one in-place move. For the R-tree it includes the
-// amortized cost of the dirtiness-threshold rebuild (one rebuild per N
-// refits — see rtree.BoxTree), which is what prices it out of
-// update-dominated ticks. Every other family relocates one entry (one
-// per replica for the box grids) at its calibrated constant.
-func (m *Model) UpdateNs(f Family, s Stats, p int) float64 {
-	c := m.c[f]
-	switch f {
-	case BoxRTree:
-		amortized := 0.0
-		if s.N > 0 {
-			amortized = m.BuildNs(f, s, p) / float64(s.N)
-		}
-		return c.update*rtreeHeight(s.N, p) + amortized
-	case BoxCSR, BoxCSR2L:
-		return c.update * replication(s, p)
-	default:
-		return c.update
-	}
-}
-
-// TickNs predicts one tick of the stop-the-world drivers (core.Run and
-// its siblings): one build and the tick's queries. Those drivers hand
-// the index no move — the next Build is its one maintenance a tick — so
-// the tick's updates cost the index nothing.
+// TickNs predicts one tick of a driver: one build and the tick's
+// queries. No driver hands the index a move — the next Build is its one
+// maintenance a tick, under the epoch wrapper too — so the tick's
+// updates cost the index nothing.
 func (m *Model) TickNs(f Family, s Stats, p int) float64 {
 	return m.BuildNs(f, s, p) + s.Queriers*float64(s.N)*m.QueryNs(f, s, p)
 }
 
-// InPlaceTickNs predicts one tick of an index that is also maintained
-// in place, one Update per move (a shard region, whose service mode
-// moves entries between builds): TickNs plus the tick's updates.
-func (m *Model) InPlaceTickNs(f Family, s Stats, p int) float64 {
-	return m.TickNs(f, s, p) + s.Updaters*float64(s.N)*m.UpdateNs(f, s, p)
-}
-
 // Coeffs exposes one family's fitted constants (for tests and the
 // README's worked example).
-func (m *Model) Coeffs(f Family) (buildObj, buildCell, queryCell, queryCand, queryEmit, update float64) {
+func (m *Model) Coeffs(f Family) (buildObj, buildCell, queryCell, queryCand, queryEmit float64) {
 	c := m.c[f]
-	return c.buildObj, c.buildCell, c.queryCell, c.queryCand, c.queryEmit, c.update
+	return c.buildObj, c.buildCell, c.queryCell, c.queryCand, c.queryEmit
 }

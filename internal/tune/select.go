@@ -92,9 +92,8 @@ func (c Choice) Explain() string {
 const pointDensityFloor = 2.0
 
 // choose sweeps the given families over their parameter ladders and
-// returns the argmin of the predicted per-tick cost tick (TickNs or
-// InPlaceTickNs).
-func choose(m *Model, s Stats, families []Family, tick func(*Model, Family, Stats, int) float64) Choice {
+// returns the argmin of the predicted per-tick cost (TickNs).
+func choose(m *Model, s Stats, families []Family) Choice {
 	s = s.sanitize()
 	maxPointCPS := int(math.Sqrt(float64(s.N) / pointDensityFloor))
 	if maxPointCPS < gridCPSLadder[0] {
@@ -113,7 +112,7 @@ func choose(m *Model, s Stats, families []Family, tick func(*Model, Family, Stat
 			if !f.IsBox() && p > maxPointCPS {
 				continue
 			}
-			t := tick(m, f, s, p)
+			t := m.TickNs(f, s, p)
 			if cur, ok := best[f]; !ok || t < cur.TickNs {
 				best[f] = Alternative{Family: f, Param: p, TickNs: t}
 			}
@@ -140,26 +139,16 @@ func choose(m *Model, s Stats, families []Family, tick func(*Model, Family, Stat
 }
 
 // ChoosePoint selects the point family + granularity for the sampled
-// workload using the process-wide calibration, priced as the
-// stop-the-world drivers run a tick (TickNs: the sampled update mix does
-// not enter).
+// workload using the process-wide calibration, priced as every driver
+// runs a tick (TickNs: the sampled update mix does not enter). The shard
+// engines' regions pick with it too.
 func ChoosePoint(s Stats) Choice { return Calibrate().choosePoint(s) }
 
 // ChooseBox is ChoosePoint for the box families.
 func ChooseBox(s Stats) Choice { return Calibrate().chooseBox(s) }
 
-// ChoosePointInPlace and ChooseBoxInPlace select for an index that is
-// also maintained in place (InPlaceTickNs): the shard engines' regions.
-func ChoosePointInPlace(s Stats) Choice {
-	return choose(Calibrate(), s, pointFamilies, (*Model).InPlaceTickNs)
-}
-
-func ChooseBoxInPlace(s Stats) Choice {
-	return choose(Calibrate(), s, boxFamilies, (*Model).InPlaceTickNs)
-}
-
-func (m *Model) choosePoint(s Stats) Choice { return choose(m, s, pointFamilies, (*Model).TickNs) }
-func (m *Model) chooseBox(s Stats) Choice   { return choose(m, s, boxFamilies, (*Model).TickNs) }
+func (m *Model) choosePoint(s Stats) Choice { return choose(m, s, pointFamilies) }
+func (m *Model) chooseBox(s Stats) Choice   { return choose(m, s, boxFamilies) }
 
 // NewPointIndex instantiates the chosen point structure.
 func (c Choice) NewPointIndex(p core.Params) core.Index {

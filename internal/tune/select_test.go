@@ -105,21 +105,18 @@ func TestSelectorRespondsToMix(t *testing.T) {
 	updateHeavy := base
 	updateHeavy.Queriers, updateHeavy.Updaters = 0.0, 1.0
 
-	cq := choose(m, queryHeavy, boxFamilies, (*Model).InPlaceTickNs)
-	cu := choose(m, updateHeavy, boxFamilies, (*Model).InPlaceTickNs)
-	// Directional sanity, not an exact pick: maintained in place, an
-	// update-only workload must never be given a finer grid than a
-	// query-heavy one (finer grids only buy query time and cost
-	// replication on every move).
+	cq := m.chooseBox(queryHeavy)
+	cu := m.chooseBox(updateHeavy)
+	// Directional sanity, not an exact pick: an update-only workload
+	// must never be given a finer grid than a query-heavy one (finer
+	// grids only buy query time and cost replication on every build).
 	if cq.Family != BoxRTree && cu.Family != BoxRTree && cu.CPS > cq.CPS {
 		t.Errorf("update-heavy picked finer grid (%s) than query-heavy (%s)", cu, cq)
 	}
 }
 
-// TestStopTheWorldTickIgnoresMoves pins the two prices of a tick: the
-// stop-the-world drivers hand the index no move, so TickNs does not
-// depend on the update mix, and InPlaceTickNs adds every move's UpdateNs
-// on top of it.
+// TestStopTheWorldTickIgnoresMoves pins the price of a tick: no driver
+// hands the index a move, so TickNs does not depend on the update mix.
 func TestStopTheWorldTickIgnoresMoves(t *testing.T) {
 	m := Calibrate()
 	still := Stats{N: 100_000, Space: geom.R(0, 0, 22_000, 22_000), Skew: 4, QuerySide: 100, Queriers: 0.02}
@@ -129,33 +126,9 @@ func TestStopTheWorldTickIgnoresMoves(t *testing.T) {
 		if a, b := m.TickNs(f, still, 64), m.TickNs(f, churn, 64); a != b {
 			t.Errorf("%s: TickNs %.0f with nobody moving, %.0f with everyone moving", f, a, b)
 		}
-		want := m.TickNs(f, churn, 64) + float64(churn.N)*m.UpdateNs(f, churn, 64)
-		if got := m.InPlaceTickNs(f, churn, 64); got != want {
-			t.Errorf("%s: InPlaceTickNs %.0f, want TickNs plus every move %.0f", f, got, want)
-		}
 	}
 	if a, b := m.choosePoint(still), m.choosePoint(churn); a.String() != b.String() {
 		t.Errorf("stop-the-world pick moved with the update mix: %s still, %s churning", a, b)
-	}
-}
-
-// TestCSRUpdatePricedAsRelocation pins the update term of the point grid
-// families to what their Update does, one relocation at the calibrated
-// constant, at every update mix and granularity: no caller hands them a
-// tick's moves as one batch, so no mix is priced as a re-scatter.
-func TestCSRUpdatePricedAsRelocation(t *testing.T) {
-	m := Calibrate()
-	churn := Stats{N: 100_000, Space: geom.R(0, 0, 22_000, 22_000), Skew: 4, QuerySide: 100, Queriers: 0.02, Updaters: 1}
-	for _, f := range []Family{PointCSR, PointCSRXY, PointInline} {
-		for _, updaters := range []float64{0, 0.01, 1} {
-			s := churn
-			s.Updaters = updaters
-			for _, cps := range []int{32, 64, 128, 256} {
-				if got, want := m.UpdateNs(f, s, cps), m.c[f].update; got != want {
-					t.Errorf("%s/cps=%d, %.0f%% move: UpdateNs = %.1f, want the relocation %.1f", f, cps, 100*updaters, got, want)
-				}
-			}
-		}
 	}
 }
 

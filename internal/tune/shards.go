@@ -3,7 +3,7 @@ package tune
 // The shard-count ladder: how many regions per axis the region-sharded
 // engine (internal/shard) should partition the space into. Sharding wins
 // by shrinking each shard's directory and arena to cache-resident sizes
-// and by letting builds/updates parallelize across independent shards,
+// and by letting builds parallelize across independent shards,
 // but every extra region a query's window straddles costs one more
 // fan-out probe — so the ladder is climbed only while both the per-shard
 // population stays worth indexing and the expected per-query fan-out

@@ -3,8 +3,7 @@
 // itself. The benchmark's traced ladder (grid.*, rtree.box.*) charts the
 // decision surface — classed grids beat the STR box R-tree on queries at
 // tuned granularities but pay replication and build tax, CSR-XY wins
-// only at coarse grids, inline buckets win update-dominated ticks — and
-// this package automates walking it:
+// only at coarse grids — and this package automates walking it:
 //
 //  1. a workload SAMPLER (this file) extracts, in one cheap pass over a
 //     strided sample of the snapshot, the statistics the decision
@@ -12,7 +11,7 @@
 //     MBR side), spatial skew, query-window selectivity, and the
 //     query:update mix;
 //  2. a calibrated COST MODEL (cost.go, calibrate.go): per-family
-//     closed-form cost curves for build, query, and update whose
+//     closed-form cost curves for build and query whose
 //     hardware constants are fitted once per process by tiny
 //     microbenchmarks — a few milliseconds of running the real
 //     structures over a small synthetic scene, the runtime analogue of

@@ -103,8 +103,8 @@ func TestCalibrateIsCachedAndPositive(t *testing.T) {
 		t.Fatal("Calibrate not cached")
 	}
 	for f := Family(0); int(f) < numFamilies; f++ {
-		bo, bc, qc, qx, qe, up := m1.Coeffs(f)
-		for _, v := range []float64{bo, bc, qc, qx, qe, up} {
+		bo, bc, qc, qx, qe := m1.Coeffs(f)
+		for _, v := range []float64{bo, bc, qc, qx, qe} {
 			if !(v >= coeffFloorNs) || math.IsInf(v, 0) || math.IsNaN(v) {
 				t.Errorf("%s: coefficient %g below floor or non-finite", f, v)
 			}
@@ -138,9 +138,6 @@ func TestShapeFunctions(t *testing.T) {
 	}
 	if n := rtreeNodes(4096, 4); n != 1024+256+64+16+4+1 {
 		t.Errorf("rtreeNodes(4096, 4) = %g, want 1365", n)
-	}
-	if h := rtreeHeight(4096, 4); h != 6 {
-		t.Errorf("rtreeHeight(4096, 4) = %g, want 6", h)
 	}
 	nodes, leafCands := rtreeQueryShape(s, 16)
 	if nodes < 1 || leafCands < 1 || leafCands > float64(s.N) {
