@@ -375,10 +375,10 @@ func BenchmarkParallelJoin(b *testing.B) {
 
 // BenchmarkCSRTick compares whole ticks of the paper's winning inline
 // configuration against the CSR layout, sequentially under the paper's
-// protocol (benchTicks: callback queries, one Update per move) and
-// through the parallel driver (sharded counting-sort build,
-// Morton-scheduled queries, and no in-place updates: its next build
-// catches up).
+// protocol (benchTicks: callback queries, one Update per move, which the
+// static CSR layout ignores) and through the parallel driver (sharded
+// counting-sort build, Morton-scheduled queries, and no in-place updates:
+// its next build catches up).
 func BenchmarkCSRTick(b *testing.B) {
 	wcfg := defaultUniform()
 	trace := recordBench(b, wcfg)

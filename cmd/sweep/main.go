@@ -45,6 +45,7 @@ import (
 	"repro/internal/rtree"
 	"repro/internal/shard"
 	"repro/internal/stats"
+	"repro/internal/tune"
 	"repro/internal/workload"
 )
 
@@ -149,13 +150,28 @@ func run(args []string) error {
 	if *step <= 0 || *from <= 0 || *to < *from {
 		return fmt.Errorf("invalid sweep range [%d, %d] step %d", *from, *to, *step)
 	}
+	sc, err := bench.ParseScan(*scan)
+	if err != nil {
+		return err
+	}
+	// gc is the swept grid, validated here, before any work: a layout the
+	// scan does not apply to is a flag error, not a failure mid-sweep.
+	var gc grid.Config
 	if *layout != "auto" && *vary != "shards" {
-		if _, err := bench.ParsePointLayout(*layout); err != nil {
+		lay, err := bench.ParsePointLayout(*layout)
+		if err != nil {
 			return err
 		}
-	}
-	if _, err := bench.ParseScan(*scan); err != nil {
-		return err
+		gc = grid.Config{Layout: lay, Scan: sc, BS: *bs, CPS: *cps}
+		switch *vary {
+		case "bs":
+			gc.BS = *from
+		case "cps":
+			gc.CPS = *from
+		}
+		if err := gc.Validate(); err != nil {
+			return err
+		}
 	}
 
 	wcfg := workload.DefaultUniform()
@@ -165,7 +181,6 @@ func run(args []string) error {
 		wcfg.Ticks = 2
 	}
 	var trace *workload.Trace
-	var err error
 	if *vary != "qext" {
 		// The qext sweep re-records per step (the query shape is part of
 		// the trace); parameter sweeps share one trace across steps.
@@ -186,12 +201,11 @@ func run(args []string) error {
 	var ys []float64
 	for x := *from; x <= *to; x += *step {
 		wc := wcfg
-		bsv, cpsv := *bs, *cps
 		switch *vary {
 		case "bs":
-			bsv = x
+			gc.BS = x
 		case "cps":
-			cpsv = x
+			gc.CPS = x
 		case "qext":
 			wc.QuerySize = float32(x)
 			if trace, err = workload.Record(wc); err != nil {
@@ -199,13 +213,15 @@ func run(args []string) error {
 			}
 		}
 		var idx core.Index
-		if *vary == "shards" {
+		switch {
+		case *vary == "shards":
 			// x is the region-grid side: the sharded engine with x^2
 			// regions, each inner index tuned per region (layout ignored).
 			idx = shard.New(core.ParamsFor(wc), x)
-		} else {
-			idx, err = bench.NewPointLayout(*layout, *scan, bsv, cpsv, core.ParamsFor(wc))
-			if err != nil {
+		case *layout == "auto":
+			idx = tune.NewAuto(core.ParamsFor(wc))
+		default:
+			if idx, err = grid.New(gc, wc.Bounds(), wc.NumPoints); err != nil {
 				return err
 			}
 		}

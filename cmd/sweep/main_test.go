@@ -19,6 +19,8 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"-objects", "box", "-vary", "cps", "-from", "9", "-to", "3"}, // inverted range
 		{"-objects", "box", "-vary", "cps", "-boxlayout", "quadtree"}, // unknown box layout
 		{"-vary", "cps", "-layout", "csr-xy", "-scan", "spiral"},      // csr-xy parses, scan does not
+		{"-vary", "cps", "-layout", "csr", "-scan", "full"},           // the CSR layouts answer by range scan only
+		{"-vary", "cps", "-layout", "csr-xy", "-scan", "full"},        // and so does csr-xy
 		{"-vary", "cps", "-layout", "auto"},                           // auto tunes cps itself
 		{"-vary", "bs", "-layout", "auto"},                            // auto tunes bs itself
 		{"-objects", "box", "-vary", "cps", "-boxlayout", "auto"},     // box auto tunes cps itself

@@ -140,9 +140,9 @@ func runHandleAblation(cfg Config) (Artifact, error) {
 // pipeline (Morton-scheduled queries; only the CSR build shards, the
 // inline buckets build sequentially), verifying all four runs agree on
 // the join digest. It runs the paper's update protocol
-// (MaintainInPlace), so the Update column compares the layouts' in-place
-// Update: CSR's label-driven relocation, which leaves a move within one
-// cell alone, against the inline buckets' remove + insert.
+// (MaintainInPlace), so the Update column prices the inline buckets'
+// remove + insert against the CSR rows' no-op call: the CSR layout is
+// static, as Table 2's R-tree row is, and the next Build sees the moves.
 func runCSRAblation(cfg Config) (Artifact, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

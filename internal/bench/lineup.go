@@ -173,15 +173,15 @@ var namedBoxTechniques = []NamedBoxTechnique{
 // command-line tools (spatialjoin, sweep), so each layout —
 // including "auto" — is registered exactly once.
 
-// PointLayoutKeys lists the -layout keys NewPointLayout accepts.
+// PointLayoutKeys lists the -layout keys: the grid layouts and "auto".
 func PointLayoutKeys() string {
 	return "linked, inline, inline-xy, intrusive, csr, csr-xy, auto"
 }
 
 // ParsePointLayout maps a -layout key to the grid layout. Both the
 // sweep spellings (inline-xy, csr-xy) and the bench-series spellings
-// (inlinexy, csrxy) are accepted. "auto" is NOT a grid layout; use
-// NewPointLayout for it.
+// (inlinexy, csrxy) are accepted. "auto" is NOT a grid layout: it names
+// tune.NewAuto.
 func ParsePointLayout(key string) (grid.Layout, error) {
 	switch key {
 	case "linked":
@@ -211,25 +211,6 @@ func ParseScan(key string) (grid.Scan, error) {
 	default:
 		return 0, fmt.Errorf("unknown scan %q (have full, range)", key)
 	}
-}
-
-// NewPointLayout constructs the point index a -layout key names: one of
-// the grid layouts at the given (scan, bs, cps), or the adaptive index
-// for "auto" (which tunes scan and cps itself and reads the workload
-// hints from p).
-func NewPointLayout(key, scan string, bs, cps int, p core.Params) (core.Index, error) {
-	if key == "auto" {
-		return tune.NewAuto(p), nil
-	}
-	lay, err := ParsePointLayout(key)
-	if err != nil {
-		return nil, err
-	}
-	sc, err := ParseScan(scan)
-	if err != nil {
-		return nil, err
-	}
-	return grid.New(grid.Config{Layout: lay, Scan: sc, BS: bs, CPS: cps}, p.Bounds, p.NumPoints)
 }
 
 // BoxLayoutKeys lists the -boxlayout keys NewBoxLayout accepts.

@@ -88,11 +88,13 @@ type IndexOf[P any] interface {
 
 	// Update informs the index that object id moved from old to new.
 	// Techniques that are rebuilt from the snapshot may simply ignore
-	// this; in-place structures (the point grids) relocate the entry.
-	// The static families ignore it: binsearch, both point R-trees
-	// (rtree.Tree, crtree), kdtrie, the box grids (grid.BoxGrid,
-	// grid.BoxGrid2L), the box R-tree (rtree.BoxTree), the shard routers
-	// and the brute-force oracles. No driver calls it — the next Build,
+	// this; the in-place families, the paper's bucket grids (grid's
+	// linked, inline, inline+xy and intrusive layouts), relocate the
+	// entry. The static families ignore it: binsearch, both point R-trees
+	// (rtree.Tree, crtree), kdtrie, the CSR point grids (grid's csr and
+	// csr+xy layouts), the box grids (grid.BoxGrid, grid.BoxGrid2L), the
+	// box R-tree (rtree.BoxTree), the shard routers and the brute-force
+	// oracles. No driver calls it — the next Build,
 	// the epoch wrapper's included, rebuilds the index before any query
 	// could see the move. Its callers are internal/bench's paper
 	// protocol (MaintainInPlace), which charges it to Table 2's update
@@ -155,8 +157,8 @@ type MemoryReporter interface {
 }
 
 // InvariantChecker is an optional interface for indexes that can audit
-// their own structural invariants (CSR offset monotonicity, class
-// sub-span partitioning, slack/overflow accounting, STR packing, ...).
+// their own structural invariants (CSR offset monotonicity, column
+// labels, class sub-span partitioning, STR packing, ...).
 // The epoch publisher calls it before publishing a shadow buffer, and the
 // fault-injection harness calls it after every injected fault to prove
 // containment. A nil return means the structure is internally consistent;

@@ -174,37 +174,6 @@ func BenchmarkCSRQuery(b *testing.B) {
 	}
 }
 
-func BenchmarkCSRUpdate(b *testing.B) {
-	pts := benchPoints(50000)
-	r := xrand.New(3)
-	// Rebuild every half-population of updates, mirroring the framework's
-	// one-tick update load between builds (the CSR slack/overflow design
-	// assumes that regime; unbounded churn without rebuilds would grow
-	// overflow beyond anything the driver produces).
-	const updatesPerBuild = 25000
-	for _, cfg := range csrContenders() {
-		b.Run(cfg.Name, func(b *testing.B) {
-			// Each config gets its own copy so earlier sub-benchmarks'
-			// moves cannot drift the data later configs measure on.
-			local := append([]geom.Point(nil), pts...)
-			g := MustNew(cfg, testBounds, len(local))
-			g.Build(local)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i > 0 && i%updatesPerBuild == 0 {
-					b.StopTimer()
-					g.Build(local)
-					b.StartTimer()
-				}
-				id := uint32(r.Intn(len(local)))
-				to := geom.Pt(r.Range(0, 1000), r.Range(0, 1000))
-				g.Update(id, local[id], to)
-				local[id] = to
-			}
-		})
-	}
-}
-
 func BenchmarkGridBuild(b *testing.B) {
 	pts := benchPoints(50000)
 	for _, cfg := range benchLayouts() {
@@ -672,33 +641,26 @@ func benchWindows(b *testing.B, name string, g *Grid, pts []geom.Point, ids []ui
 	}
 }
 
-// BenchmarkCSRQueryKernel times QueryAppend on the paper's default uniform
-// population: the run path of a dense arena against the per-cell walk of the
-// same arena after loosen, with the queriers in ID order and in cell order
-// (the drivers' schedule), for both CSR layouts and three window sizes.
-// internal/grid/README.md, "Emit vs. buffer", carries its table.
+// BenchmarkCSRQueryKernel times QueryAppend — the run path — on the
+// paper's default uniform population, with the queriers in ID order and in
+// cell order (the drivers' schedule), for both CSR layouts and three window
+// sizes. internal/grid/README.md, "Emit vs. buffer", carries its table.
 func BenchmarkCSRQueryKernel(b *testing.B) {
 	wcfg, pts, queriers := kernelPopulation(b)
-	far := geom.Pt(wcfg.Bounds().MaxX, wcfg.Bounds().MaxY)
 	for _, cfg := range []Config{CSR(), CSRXY()} {
 		g := MustNew(cfg, wcfg.Bounds(), len(pts))
+		g.Build(pts)
 		inCellOrder := append([]uint32(nil), queriers...)
 		sort.SliceStable(inCellOrder, func(i, j int) bool {
 			return g.cellIndexFor(pts[inCellOrder[i]]) < g.cellIndexFor(pts[inCellOrder[j]])
 		})
-		for _, state := range []string{"dense", "loose"} {
-			g.Build(pts)
-			if state == "loose" {
-				loosen(b, g, pts, 0, far)
-			}
-			benchWindows(b, fmt.Sprintf("%s/%s/id-order", cfg.Layout, state), g, pts, queriers)
-			benchWindows(b, fmt.Sprintf("%s/%s/cell-order", cfg.Layout, state), g, pts, inCellOrder)
-		}
+		benchWindows(b, fmt.Sprintf("%s/id-order", cfg.Layout), g, pts, queriers)
+		benchWindows(b, fmt.Sprintf("%s/cell-order", cfg.Layout), g, pts, inCellOrder)
 	}
 }
 
-// BenchmarkCSRColumns is the evidence behind columnShift: the dense run
-// path of BenchmarkCSRQueryKernel (csr, cps=64, queriers in ID order) with
+// BenchmarkCSRColumns is the evidence behind columnShift: the run path of
+// BenchmarkCSRQueryKernel (csr, cps=64, queriers in ID order) with
 // every cell cut into 1, 2, 4 and 8 columns. internal/grid/README.md,
 // "Columns are free", carries its table beside what the columns cost.
 func BenchmarkCSRColumns(b *testing.B) {

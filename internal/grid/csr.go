@@ -1,7 +1,6 @@
 package grid
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -14,19 +13,17 @@ import (
 // compressed-sparse-row view of the grid. One counting-sort build places
 // every entry ID of cell c in the dense slice
 //
-//	ids[starts[c<<shift] : starts[c<<shift]+counts[c]]
+//	ids[starts[c<<shift] : starts[(c+1)<<shift]]
 //
 // so scanning a cell is a flat loop over contiguous memory — no bucket
-// chain, no per-bucket header, no pointer chasing. The directory is two
-// plain arrays (starts, counts) instead of bucket references.
+// chain, no per-bucket header, no pointer chasing. The directory is one
+// plain array of offsets instead of bucket references.
 //
 // The sort key is finer than the cell in x: every cell is cut into
 // 1<<shift columns (columnShift) and the build orders a cell's entries by
-// column, with one offset per column in starts. Nothing mutable knows: a
-// cell is its first column's offset, its live count and its overflow, and
-// the first update that moves an entry out of column order drops the dense
-// state, with which the column offsets stop meaning anything until the next
-// scatter. What the columns buy is appendRow's run path, which ends a row's
+// column, with one offset per column in starts, so column f is exactly
+// ids[starts[f]:starts[f+1]] and any span of consecutive columns is one run
+// of ids. What the columns buy is appendRow's run path, which ends a row's
 // run at the columns of the window instead of the edges of its cells.
 //
 // The build is a counting sort in two halves: label (map every point to
@@ -35,21 +32,15 @@ import (
 // workers with per-worker count arrays merged by the prefix sum, so the
 // arena is bit-identical whatever the worker count.
 //
-// The labels stay authoritative between builds: an update finds its
-// entry, and proves it exists, by one load of cellOf[id], never by
-// searching a cell. A cell-crossing move swap-deletes within the old
-// segment (leaving slack) and lands in the new cell's slack or, failing
-// that, in a small per-cell overflow slice.
+// The store is static, like the box grids and the R-trees: Build is its one
+// maintenance, and between builds the arena is exactly what the last
+// scatter left (Grid.Update is a no-op for it).
 type csrStore struct {
 	mapper columnMapper
 	shift  uint // a label's cell is label >> shift
 
-	// starts holds one offset per column, and the arena's end. Between
-	// scatters only every (1<<shift)th offset is read: cell c's segment
-	// begins at starts[c<<shift] and has capacity up to starts[(c+1)<<shift].
-	starts []uint32
-	counts []uint32 // live entries in each cell's dense segment
-	ids    []uint32 // one contiguous arena of entry IDs, len == len(pts) at build
+	starts []uint32 // one offset per column, and the arena's end
+	ids    []uint32 // one contiguous arena of entry IDs, len == len(pts)
 
 	// xy, when non-nil, inlines each entry's coordinates next to its ID:
 	// slot k of the ID arena owns xy[2k] (x) and xy[2k+1] (y). Filtered
@@ -57,26 +48,11 @@ type csrStore struct {
 	// table (LayoutCSRXY; see csrxy.go).
 	xy []float32
 
-	overflow [][]uint32 // per-cell post-build inserts that found no slack
-	// overflowXY mirrors overflow with two float32 per entry when xy is
-	// enabled, so overflow entries filter arena-locally too.
-	overflowXY [][]float32
-
-	entries int
-	pts     []geom.Point
-
-	// dense is the arena's state: true when scatter returns — every segment
-	// full and in column order, overflow empty, so column f is exactly
-	// ids[starts[f]:starts[f+1]] and any span of consecutive columns is one
-	// run of ids — and false from the first insert, removeAt, reset or
-	// column-crossing relocate until the next scatter. byRange is the grid's
-	// ScanRange, fixed at construction. Together they select appendRow's
-	// run path.
-	dense, byRange bool
+	pts []geom.Point
 
 	// cellOf[id] is the label of entry id, the column of its position (and
-	// so, shifted, the cell holding it): index state, written by the label
-	// half of the build and kept current by every update.
+	// so, shifted, the cell holding it): build scratch, written by the label
+	// half of the sort and read by the scatter half (and by the audit).
 	cellOf []uint32
 	// cursors are the per-shard count, then scatter cursor, arrays of a sort
 	// over several shards, one slot per column. A sort on one shard keeps
@@ -141,9 +117,8 @@ func axisIndex(f float32, n int) int {
 
 // labelOf maps a point to its label with one product per axis, the very
 // products of the cellMappers it was made from. It is the definition the
-// build's label pass keeps (labelPoints), the whole of that pass on the
-// scalar tier, and every update's mapping: it costs what cellIndexFor costs
-// only when inlined, and through a pointer (six fields are two more than
+// build's label pass keeps (labelPoints) and the whole of that pass on the
+// scalar tier: it costs what cellIndexFor costs only when inlined, and through a pointer (six fields are two more than
 // the compiler keeps in registers; by value every call copied the mapper
 // to the stack).
 //
@@ -152,52 +127,24 @@ func (m *columnMapper) labelOf(p geom.Point) uint32 {
 	return uint32(axisIndex((p.Y-m.minY)*m.invRow, m.rows)*m.cols + axisIndex((p.X-m.minX)*m.invCol, m.cols))
 }
 
-func newCSRStore(cells int, mapper columnMapper, shift uint, numPoints int, withXY, byRange bool) *csrStore {
+func newCSRStore(cells int, mapper columnMapper, shift uint, numPoints int, withXY bool) *csrStore {
 	st := &csrStore{
-		mapper:   mapper,
-		shift:    shift,
-		byRange:  byRange,
-		starts:   make([]uint32, cells<<shift+1),
-		counts:   make([]uint32, cells),
-		overflow: make([][]uint32, cells),
+		mapper: mapper,
+		shift:  shift,
+		starts: make([]uint32, cells<<shift+1),
+		ids:    make([]uint32, 0, numPoints),
+		cellOf: make([]uint32, 0, numPoints),
 	}
 	if withXY {
 		st.xy = make([]float32, 0, 2*numPoints)
-		st.overflowXY = make([][]float32, cells)
 	}
-	st.ids = make([]uint32, 0, numPoints)
-	st.cellOf = make([]uint32, 0, numPoints)
 	return st
-}
-
-// reset supports the insertAt-driven build of the store interface: every
-// segment gets capacity zero, so insertAt lands in overflow. Grid.Build
-// calls build instead.
-func (st *csrStore) reset(pts []geom.Point) {
-	clear(st.starts)
-	clear(st.counts)
-	st.prepare(pts)
-	st.entries, st.dense = 0, false
-}
-
-func (st *csrStore) clearOverflow() {
-	for c, of := range st.overflow {
-		if len(of) > 0 {
-			st.overflow[c] = of[:0]
-		}
-	}
-	for c, oxy := range st.overflowXY {
-		if len(oxy) > 0 {
-			st.overflowXY[c] = oxy[:0]
-		}
-	}
 }
 
 // prepare sizes the arena and the labels for a bulk build over pts.
 func (st *csrStore) prepare(pts []geom.Point) {
 	n := len(pts)
-	st.pts, st.entries = pts, n
-	st.clearOverflow()
+	st.pts = pts
 	st.ids = slices.Grow(st.ids[:0], n)[:n]
 	st.cellOf = slices.Grow(st.cellOf[:0], n)[:n]
 	if st.xy != nil {
@@ -278,8 +225,7 @@ func labelPoints(m *columnMapper, pts []geom.Point, cellOf []uint32) {
 // from its label, each shard walking its IDs downwards and its ends down
 // with them, into its own disjoint ranges. An end so walked down arrives at
 // the range's start: on one shard starts is left holding exactly the column
-// offsets, with no second array to hold cursors. The cells' counts are then
-// read off the offsets.
+// offsets, with no second array to hold cursors.
 func (st *csrStore) scatter(shards int) {
 	starts := st.starts
 	if shards == 1 {
@@ -299,11 +245,6 @@ func (st *csrStore) scatter(shards int) {
 		starts[len(starts)-1] = sum
 	}
 	st.eachShard(shards, (*csrStore).scatterShard)
-	for c := range st.counts {
-		lo, end := st.segment(c)
-		st.counts[c] = end - lo
-	}
-	st.dense = true
 }
 
 func (st *csrStore) scatterShard(sc []uint32, lo, hi int) {
@@ -327,168 +268,33 @@ func (st *csrStore) scatterShard(sc []uint32, lo, hi int) {
 	}
 }
 
-// segment returns where cell c's segment begins and where its capacity
-// ends: the offset of its first column and of the next cell's.
+// segment returns where cell c's segment begins and ends: the offset of
+// its first column and of the next cell's.
 func (st *csrStore) segment(c int) (lo, end uint32) {
 	return st.starts[c<<st.shift], st.starts[(c+1)<<st.shift]
 }
 
-func unknownEntry(id uint32, at geom.Point) {
-	panic(fmt.Sprintf("grid: update of unknown entry %d at %v", id, at))
-}
-
-// update is Grid.Update for the CSR layouts: the label both proves the
-// entry exists at old and finds it.
-func (st *csrStore) update(id uint32, old, new geom.Point) {
-	if int(id) >= len(st.cellOf) || st.cellOf[id] != st.mapper.labelOf(old) {
-		unknownEntry(id, old)
-	}
-	st.relocate(id, new)
-}
-
-// relocate moves entry id from its labelled cell to the cell of p. A move
-// within the cell leaves the ID arena alone — with coordinates inlined it
-// rewrites the entry's pair — but one that changes column leaves the entry
-// lying in its old column's stretch of the segment: no run may end inside
-// this cell any more.
-func (st *csrStore) relocate(id uint32, p geom.Point) {
-	from, to := st.cellOf[id], st.mapper.labelOf(p)
-	c := int(to >> st.shift)
-	if int(from>>st.shift) == c {
-		if from != to {
-			st.cellOf[id] = to
-			st.dense = false
-		}
-		if st.xy != nil {
-			st.setXY(c, id, p)
-		}
-		return
-	}
-	if !st.removeAt(int(from>>st.shift), id) {
-		panic(fmt.Sprintf("grid/csr: entry %d is not in its labelled cell %d", id, from>>st.shift))
-	}
-	st.insert(to, id, p)
-}
-
-// insertAt implements store: p decides the cell, as it decides the label.
-func (st *csrStore) insertAt(c int, id uint32, p geom.Point) { st.insert(st.mapper.labelOf(p), id, p) }
-
-// insert labels entry id and appends it to the label's cell — into the
-// segment's slack or, failing that, the cell's overflow.
-func (st *csrStore) insert(label, id uint32, p geom.Point) {
-	c := int(label >> st.shift)
-	st.cellOf[id] = label
-	st.entries++
-	st.dense = false
-	base, end := st.segment(c)
-	n := st.counts[c]
-	if base+n < end {
-		st.ids[base+n] = id
-		if st.xy != nil {
-			st.xy[2*(base+n)] = p.X
-			st.xy[2*(base+n)+1] = p.Y
-		}
-		st.counts[c] = n + 1
-		return
-	}
-	st.overflow[c] = append(st.overflow[c], id)
-	if st.xy != nil {
-		st.overflowXY[c] = append(st.overflowXY[c], p.X, p.Y)
-	}
-}
-
-// removeAt swap-deletes entry id from cell c, refilling a segment hole
-// from the cell's overflow first.
-func (st *csrStore) removeAt(c int, id uint32) bool {
-	st.dense = false
-	base, n := st.starts[c<<st.shift], st.counts[c]
-	seg := st.ids[base : base+n]
-	for j, v := range seg {
-		if v != id {
-			continue
-		}
-		hole := 2 * (base + uint32(j))
-		if of := st.overflow[c]; len(of) > 0 {
-			seg[j] = of[len(of)-1]
-			st.overflow[c] = of[:len(of)-1]
-			if st.xy != nil {
-				oxy := st.overflowXY[c]
-				st.xy[hole] = oxy[len(oxy)-2]
-				st.xy[hole+1] = oxy[len(oxy)-1]
-				st.overflowXY[c] = oxy[:len(oxy)-2]
-			}
-		} else {
-			seg[j] = seg[n-1]
-			if st.xy != nil {
-				last := 2 * (base + n - 1)
-				st.xy[hole] = st.xy[last]
-				st.xy[hole+1] = st.xy[last+1]
-			}
-			st.counts[c] = n - 1
-		}
-		st.entries--
-		return true
-	}
-	of := st.overflow[c]
-	for j, v := range of {
-		if v != id {
-			continue
-		}
-		of[j] = of[len(of)-1]
-		st.overflow[c] = of[:len(of)-1]
-		if st.xy != nil {
-			oxy := st.overflowXY[c]
-			oxy[2*j] = oxy[len(oxy)-2]
-			oxy[2*j+1] = oxy[len(oxy)-1]
-			st.overflowXY[c] = oxy[:len(oxy)-2]
-		}
-		st.entries--
-		return true
-	}
-	return false
-}
-
-// setXY rewrites the coordinate pair of entry id of cell c in place.
-func (st *csrStore) setXY(c int, id uint32, p geom.Point) {
-	base := st.starts[c<<st.shift]
-	if j := slices.Index(st.ids[base:base+st.counts[c]], id); j >= 0 {
-		k := 2 * (base + uint32(j))
-		st.xy[k], st.xy[k+1] = p.X, p.Y
-	} else if j := slices.Index(st.overflow[c], id); j >= 0 {
-		st.overflowXY[c][2*j], st.overflowXY[c][2*j+1] = p.X, p.Y
-	} else {
-		panic(fmt.Sprintf("grid/csr: entry %d is not in its labelled cell %d", id, c))
-	}
-}
-
-// appendCell implements store: the cell's segment, then its overflow.
+// appendCell implements store: the cell's segment.
 func (st *csrStore) appendCell(c int, buf []uint32) []uint32 {
-	base := st.starts[c<<st.shift]
-	buf = append(buf, st.ids[base:base+st.counts[c]]...)
-	return append(buf, st.overflow[c]...)
+	lo, end := st.segment(c)
+	return append(buf, st.ids[lo:end]...)
 }
 
-// appendRow is the store's whole-row kernel, and the one place that
-// chooses between its two shapes — by the arena's state, nothing else.
-// The grid hands a CSR store its x range and edge table in columns.
-//
-// On a dense arena (and under ScanRange: Algorithm 1 keeps its per-cell
-// walk) the columns of a directory row abut, so the window's span is a run
-// of the ID arena that begins and ends within a column of the window, and
-// the kernel pays per row, not per cell: a span with no interior worth
-// copying is ONE branchless filter over the whole run; a y-contained span
-// of three or more columns is filter(left column), one bulk copy of the
-// interior columns, filter(right column). The interior is copied only under
-// the exact containment predicates of the per-cell walk, and the run is
-// filtered only when the row intersects r and r's x-extent is ordered, so
-// a NaN or inverted rectangle returns what the walk returns: nothing.
+// appendRow is the store's whole-row kernel. The grid hands a CSR store its
+// x range and edge table in columns, and the columns of a directory row
+// abut, so the window's span is a run of the ID arena that begins and ends
+// within a column of the window, and the kernel pays per row, not per cell:
+// a span with no interior worth copying is ONE branchless filter over the
+// whole run; a y-contained span of three or more columns is filter(left
+// column), one bulk copy of the interior columns, filter(right column). The
+// interior is copied only under the exact containment predicates of the
+// per-cell walk (Grid.scanCellRange), and the run is filtered only when the
+// row intersects r and r's x-extent is ordered, so a NaN or inverted
+// rectangle returns what the walk returns: nothing.
 //
 //joinlint:hotpath
 //joinlint:bce
 func (st *csrStore) appendRow(r geom.Rect, base, xmin, xmax int, containsY, intersectsY bool, xs []float32, buf []uint32) []uint32 {
-	if !st.dense || !st.byRange {
-		return st.appendCells(r, base, xmin, xmax, containsY, intersectsY, xs, buf)
-	}
 	if xmin > xmax || !intersectsY {
 		return buf
 	}
@@ -507,56 +313,8 @@ func (st *csrStore) appendRow(r geom.Rect, base, xmin, xmax int, containsY, inte
 	return buf
 }
 
-// appendCells is the row kernel of an arena that is not dense, and of
-// Algorithm 1, in whole cells (the columns of xmin, xmax and xs are read a
-// cell apart): contained cells append their segment whole, CONSECUTIVE
-// ones whose segments still abut merging into a single copy, and boundary
-// cells filter their segment and their overflow. Nothing here goes through
-// an interface call or a callback.
-//
-//joinlint:hotpath
-//joinlint:bce
-func (st *csrStore) appendCells(r geom.Rect, base, xmin, xmax int, containsY, intersectsY bool, xs []float32, buf []uint32) []uint32 {
-	ids, starts, counts, sh := st.ids, st.starts, st.counts, st.shift
-	xmin, xmax = xmin>>sh, xmax>>sh
-	var runLo, runHi uint32
-	x0 := xs[xmin<<sh]
-	for cx := xmin; cx <= xmax; cx++ {
-		x1 := xs[(cx+1)<<sh]
-		c := base + cx
-		if containsY && r.MinX <= x0 && x1 <= r.MaxX {
-			b := starts[c<<sh]
-			if runHi != b {
-				if runHi > runLo {
-					buf = append(buf, ids[runLo:runHi]...)
-				}
-				runLo = b
-			}
-			runHi = b + counts[c]
-			if of := st.overflow[c]; len(of) > 0 {
-				buf = append(buf, of...)
-			}
-		} else if intersectsY && x0 <= r.MaxX && r.MinX <= x1 {
-			b := starts[c<<sh]
-			buf = st.appendFilter(r, b, b+counts[c], buf)
-			if of := st.overflow[c]; len(of) > 0 {
-				if st.xy != nil {
-					buf = appendFilterXY(of, st.overflowXY[c], r, buf)
-				} else {
-					buf = appendFilterPts(of, st.pts, r, buf)
-				}
-			}
-		}
-		x0 = x1
-	}
-	if runHi > runLo {
-		buf = append(buf, ids[runLo:runHi]...)
-	}
-	return buf
-}
-
-// appendFilter test-and-appends the arena run ids[lo:hi] — one cell's
-// segment or a whole row's — against whichever table holds its coordinates.
+// appendFilter test-and-appends the arena run ids[lo:hi] — a column's
+// stretch or a whole row's — against whichever table holds its coordinates.
 func (st *csrStore) appendFilter(r geom.Rect, lo, hi uint32, buf []uint32) []uint32 {
 	if st.xy != nil {
 		return appendFilterXY(st.ids[lo:hi], st.xy[2*lo:2*hi], r, buf)
@@ -619,32 +377,20 @@ func reserve(buf, seg []uint32) []uint32 {
 }
 
 func (st *csrStore) cellCount(c int) int {
-	return int(st.counts[c]) + len(st.overflow[c])
+	lo, end := st.segment(c)
+	return int(end - lo)
 }
 
-func (st *csrStore) totalEntries() int { return st.entries }
+func (st *csrStore) totalEntries() int { return len(st.ids) }
 
-// memoryBytes counts the directory (starts, one offset per column, + counts
-// + the per-cell overflow slice headers, 24 bytes each), the ID arena, the
-// labels, the retained scratch (the per-shard column cursors of a parallel
-// build among it), and overflow capacity — everything the store keeps
-// alive between ticks. The xy variant adds its coordinate arena and the
-// overflow coordinate mirror.
+// memoryBytes counts the directory (starts, one offset per column), the ID
+// arena, the labels and the retained scratch (the per-shard column cursors
+// of a parallel build among it) — everything the store keeps alive between
+// ticks. The xy variant adds its coordinate arena.
 func (st *csrStore) memoryBytes() int64 {
-	total := int64(len(st.starts)+len(st.counts)+cap(st.ids)+cap(st.cellOf)) * 4
-	total += int64(len(st.overflow)) * 24
-	for _, of := range st.overflow {
-		total += int64(cap(of)) * 4
-	}
+	total := int64(len(st.starts)+cap(st.ids)+cap(st.cellOf)) * 4
 	for _, sc := range st.cursors {
 		total += int64(cap(sc)) * 4
 	}
-	if st.xy != nil {
-		total += int64(cap(st.xy)) * 4
-		total += int64(len(st.overflowXY)) * 24
-		for _, oxy := range st.overflowXY {
-			total += int64(cap(oxy)) * 4
-		}
-	}
-	return total
+	return total + int64(cap(st.xy))*4
 }

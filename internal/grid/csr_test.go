@@ -1,12 +1,12 @@
 package grid
 
 // White-box tests of the CSR (contiguous counting-sort) backend: parallel
-// build determinism, the slack/overflow update mechanics, and the
-// Counter/MemoryBytes invariants. The label-driven update paths are in
-// csr_update_test.go.
+// build determinism, the static contract (Update is a no-op), and the
+// Counter/MemoryBytes invariants.
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -44,14 +44,12 @@ func testCSRBuildParallel(t *testing.T, cfg Config, seed uint64) {
 			switch {
 			case !slices.Equal(ps.cellOf, ss.cellOf):
 				t.Fatalf("%s: labels differ from Build's", name)
-			case !slices.Equal(ps.starts, ss.starts) || !slices.Equal(ps.counts, ss.counts):
+			case !slices.Equal(ps.starts, ss.starts):
 				t.Fatalf("%s: offsets differ from Build's", name)
 			case !slices.Equal(ps.ids, ss.ids):
 				t.Fatalf("%s: ID arena differs from Build's", name)
 			case !slices.Equal(ps.xy, ss.xy):
 				t.Fatalf("%s: coordinate arena differs from Build's", name)
-			case ps.dense != ss.dense:
-				t.Fatalf("%s: dense %v, Build leaves %v", name, ps.dense, ss.dense)
 			}
 			if err := par.CheckInvariants(); err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -80,50 +78,65 @@ func TestCSRSegmentsAreSortedByID(t *testing.T) {
 	}
 }
 
-func TestCSROverflowInsertAndRefill(t *testing.T) {
-	// Build fixes segment capacities; an insert into a full cell must land
-	// in overflow, stay visible to scans, and be drained back into the
-	// segment by the next removal.
-	cfg := Config{Layout: LayoutCSR, Scan: ScanRange, BS: 1, CPS: 2}
-	g := MustNew(cfg, geom.R(0, 0, 100, 100), 4)
-	pts := []geom.Point{geom.Pt(10, 10), geom.Pt(20, 20), geom.Pt(80, 80)}
-	g.Build(pts) // cell 0 holds {0,1}, capacity 2; cell 3 holds {2}
-	cs := csrOf(t, g)
+// TestCSRUpdateIsNoOpUntilRebuild is the CSR layouts' static contract, as
+// rtree's TestUpdateIsNoOpUntilRebuild is the R-tree's: after Build, no
+// Update — real moves, a wrong old position, an out-of-range id, a NaN
+// position — touches the arena, Len, the audit or any answer over the
+// built snapshot. The next Build is what sees a move.
+func TestCSRUpdateIsNoOpUntilRebuild(t *testing.T) {
+	nan := float32(math.NaN())
+	for _, cfg := range []Config{CSR(), CSRXY()} {
+		t.Run(cfg.DisplayName(), func(t *testing.T) {
+			r := xrand.New(24)
+			pts := randomPoints(r, 2*minParallelBuild, testBounds)
+			queries := testQueries(r, 40, testBounds)
+			g := MustNew(cfg, testBounds, len(pts))
+			g.Build(pts)
+			cs := csrOf(t, g)
+			starts, ids, cellOf, xy := slices.Clone(cs.starts), slices.Clone(cs.ids), slices.Clone(cs.cellOf), slices.Clone(cs.xy)
 
-	// Move entry 2 into cell 0: no slack there, must overflow.
-	g.Update(2, geom.Pt(80, 80), geom.Pt(30, 30))
-	if len(cs.overflow[0]) != 1 || cs.overflow[0][0] != 2 {
-		t.Fatalf("overflow[0] = %v, want [2]", cs.overflow[0])
-	}
-	if got := g.CellCount(geom.Pt(10, 10)); got != 3 {
-		t.Fatalf("cell count = %d, want 3", got)
-	}
-	if seen := cs.appendCell(0, nil); len(seen) != 3 {
-		t.Fatalf("scan saw %v", seen)
-	}
-
-	// Removing a segment entry must refill the hole from overflow.
-	if !cs.removeAt(0, 1) {
-		t.Fatal("remove(1) failed")
-	}
-	if len(cs.overflow[0]) != 0 {
-		t.Fatalf("overflow not drained: %v", cs.overflow[0])
-	}
-	if cs.counts[0] != 2 {
-		t.Fatalf("segment count = %d, want 2", cs.counts[0])
-	}
-	// And the next build clears any remaining overflow state.
-	g.Build(pts)
-	if len(cs.overflow[0]) != 0 || g.Len() != 3 {
-		t.Fatal("build did not reset overflow")
+			moved := slices.Clone(pts)
+			realMoves := make([]geom.Move, 0, 300)
+			for _, id := range r.Perm(len(pts))[:cap(realMoves)] {
+				to := geom.Pt(r.Range(0, 1000), r.Range(0, 1000))
+				realMoves = append(realMoves, geom.Move{ID: uint32(id), Old: pts[id], New: to})
+				moved[id] = to
+			}
+			for _, c := range []struct {
+				name  string
+				moves []geom.Move
+			}{
+				{"real moves", realMoves},
+				{"wrong old", []geom.Move{{ID: 7, Old: geom.Pt(testBounds.MaxX-1, testBounds.MaxY-1), New: pts[7]}}},
+				{"out-of-range id", []geom.Move{{ID: uint32(len(pts)), Old: pts[0], New: pts[1]}}},
+				{"NaN position", []geom.Move{{ID: 3, Old: pts[3], New: geom.Pt(nan, nan)}}},
+			} {
+				for _, m := range c.moves {
+					g.Update(m.ID, m.Old, m.New)
+				}
+				switch {
+				case !slices.Equal(cs.starts, starts) || !slices.Equal(cs.ids, ids) ||
+					!slices.Equal(cs.cellOf, cellOf) || !slices.Equal(cs.xy, xy):
+					t.Fatalf("%s: Update changed the arena", c.name)
+				case g.Len() != len(pts):
+					t.Fatalf("%s: Len = %d, want %d", c.name, g.Len(), len(pts))
+				}
+				if err := g.CheckInvariants(); err != nil {
+					t.Fatalf("%s: %v", c.name, err)
+				}
+				assertKernelsMatchBrute(t, g, pts, queries)
+			}
+			g.Build(moved)
+			assertKernelsMatchBrute(t, g, moved, queries)
+		})
 	}
 }
 
 func TestCSRCounterAndMemoryInvariants(t *testing.T) {
-	// The ISSUE's invariant pair: Len() tracks every insert/remove, and
-	// MemoryBytes() equals the documented formula — directory
-	// (starts+counts) + ID arena + labels + retained scratch + overflow
-	// capacity — and never shrinks below 4 bytes per live entry.
+	// The invariant pair: Len() is the population of the last build, and
+	// MemoryBytes() equals the documented formula — directory (one offset
+	// per column) + ID arena + labels + retained scratch — and never
+	// shrinks below 4 bytes per live entry.
 	r := xrand.New(25)
 	pts := randomPoints(r, 3000, testBounds)
 	g := MustNew(CSR(), testBounds, len(pts))
@@ -131,11 +144,7 @@ func TestCSRCounterAndMemoryInvariants(t *testing.T) {
 	cs := csrOf(t, g)
 
 	formula := func() int64 {
-		total := int64(len(cs.starts)+len(cs.counts)+cap(cs.ids)+cap(cs.cellOf)) * 4
-		total += int64(len(cs.overflow)) * 24 // per-cell overflow slice headers
-		for _, of := range cs.overflow {
-			total += int64(cap(of)) * 4
-		}
+		total := int64(len(cs.starts)+cap(cs.ids)+cap(cs.cellOf)) * 4
 		for _, sc := range cs.cursors {
 			total += int64(cap(sc)) * 4
 		}
@@ -158,16 +167,14 @@ func TestCSRCounterAndMemoryInvariants(t *testing.T) {
 
 	check("after build", len(pts))
 	for i := 0; i < 500; i++ {
-		id := uint32(r.Intn(len(pts)))
-		to := geom.Pt(r.Range(0, 1000), r.Range(0, 1000))
-		g.Update(id, pts[id], to)
-		pts[id] = to
+		pts[r.Intn(len(pts))] = geom.Pt(r.Range(0, 1000), r.Range(0, 1000))
 	}
-	check("after updates", len(pts))
 	g.BuildParallel(pts, 4)
 	check("after parallel rebuild", len(pts))
+	g.Build(pts[:1000])
+	check("after a smaller rebuild", 1000)
 
-	// Cell counts must sum to Len in both representations.
+	// Cell counts must sum to Len.
 	total := 0
 	for c := 0; c < g.cells; c++ {
 		total += cs.cellCount(c)

@@ -1,13 +1,13 @@
 package grid
 
-// Tests of the label-driven update path of the CSR layouts: per-move Update
-// held against brute force and a fresh build over every batch shape, and
-// the validate-before-mutate contract.
+// Tests of the CSR layouts' static update contract over every batch shape:
+// Update leaves the arena as the build left it (dense, in column order,
+// coordinates as the build saw them), and the rebuild over the moved table
+// is what the next answers see.
 
 import (
 	"fmt"
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -16,7 +16,7 @@ import (
 )
 
 // updateN is the population of the update tests: above minParallelBuild,
-// so that workers > 1 really shards the build the updates start from.
+// so that workers > 1 really shards the builds.
 const updateN = 2 * minParallelBuild
 
 // otherCell returns a point of the space in a different cell than p.
@@ -27,6 +27,26 @@ func otherCell(r *xrand.Rand, g *Grid, p geom.Point) geom.Point {
 			return q
 		}
 	}
+}
+
+// columnRect returns the extent of the column holding p: its x-column of
+// its directory row.
+func columnRect(g *Grid, p geom.Point) geom.Rect {
+	f := int(g.csr.mapper.labelOf(p))
+	col, row := f%g.cols.cps, f/g.cols.cps
+	return geom.Rect{MinX: g.colXs[col], MinY: g.ys[row], MaxX: g.colXs[col+1], MaxY: g.ys[row+1]}
+}
+
+// otherColumn returns a point in the cell of p and in another column of it.
+func otherColumn(g *Grid, p geom.Point) geom.Point {
+	cr := columnRect(g, p)
+	for _, x := range []float32{cr.MaxX + cr.Width()/2, cr.MinX - cr.Width()/2} {
+		q := geom.Pt(x, p.Y)
+		if g.cellIndexFor(q) == g.cellIndexFor(p) && g.csr.mapper.labelOf(q) != g.csr.mapper.labelOf(p) {
+			return q
+		}
+	}
+	panic(fmt.Sprintf("no second column in the cell of %v", p))
 }
 
 // hotspotPoints clusters n points around a few centres, a quarter of a
@@ -62,7 +82,7 @@ func batchShapes(g *Grid) []batchShape {
 	}
 
 	// The column's own centre: same column, new coordinates. A neighbouring
-	// column of the cell: same cell, and for csr nothing to move but a label.
+	// column of the cell: same cell, another label.
 	sameColumn, sameCell := make([]geom.Move, 0, updateN), make([]geom.Move, 0, updateN)
 	for id, p := range uniform {
 		sameColumn = append(sameColumn, geom.Move{ID: uint32(id), Old: p, New: columnRect(g, p).Center()})
@@ -99,10 +119,50 @@ func cellMembers(cs *csrStore, c int) []uint32 {
 	return ids
 }
 
-// TestCSRUpdateMatchesBruteForce applies every shape one Update a move,
-// on arenas built by one and by several workers, and holds the result
-// against a fresh build's cell membership and brute force on every query
-// form.
+// arena is a deep copy of everything a build writes.
+type arena struct {
+	starts, ids, cellOf []uint32
+	xy                  []float32
+}
+
+func snapshotArena(cs *csrStore) arena {
+	return arena{slices.Clone(cs.starts), slices.Clone(cs.ids), slices.Clone(cs.cellOf), slices.Clone(cs.xy)}
+}
+
+func (a arena) equal(b arena) bool {
+	return slices.Equal(a.starts, b.starts) && slices.Equal(a.ids, b.ids) &&
+		slices.Equal(a.cellOf, b.cellOf) && slices.Equal(a.xy, b.xy)
+}
+
+// assertAnswers holds the emit, append and batch kernels of g against
+// brute force over pts for every query.
+func assertAnswers(t *testing.T, g *Grid, pts []geom.Point, queries []geom.Rect, ctx string) {
+	t.Helper()
+	var buf []uint32
+	offsets, batch := core.QueryBatchOf(g, g.Query)(queries, nil, nil)
+	for qi, q := range queries {
+		want := bruteQuery(pts, q)
+		sameSet(t, collect(g, q), want, ctx+" emit")
+		buf = g.QueryAppend(q, buf[:0])
+		for _, ids := range [][]uint32{buf, batch[offsets[qi]:offsets[qi+1]]} {
+			got := map[uint32]bool{}
+			for _, id := range ids {
+				got[id] = true
+			}
+			if len(got) != len(ids) {
+				t.Fatalf("%s: duplicate results", ctx)
+			}
+			sameSet(t, got, want, ctx+" buffered")
+		}
+	}
+}
+
+// TestCSRUpdateMatchesBruteForce applies every shape one Update a move, on
+// arenas built by one and by several workers. Update must leave the arena
+// bit for bit as the build left it, with brute force's answers over the
+// built snapshot; after the caller's refresh, the rebuild must hold a fresh
+// build's cell membership and brute force's answers over the moved table
+// on every query form.
 func TestCSRUpdateMatchesBruteForce(t *testing.T) {
 	qr := xrand.New(29)
 	queries := make([]geom.Rect, 40)
@@ -119,10 +179,20 @@ func TestCSRUpdateMatchesBruteForce(t *testing.T) {
 				snap := slices.Clone(sh.pts)
 				g := MustNew(cfg, testBounds, updateN)
 				g.BuildParallel(snap, workers)
+				built := snapshotArena(g.csr)
 				for _, m := range sh.moves {
 					g.Update(m.ID, m.Old, m.New)
 				}
+				if !built.equal(snapshotArena(g.csr)) {
+					t.Fatalf("%s: Update changed the arena", ctx)
+				}
+				if err := g.CheckInvariants(); err != nil {
+					t.Fatalf("%s: before the rebuild: %v", ctx, err)
+				}
+				assertAnswers(t, g, sh.pts, queries, ctx+" before the rebuild")
+
 				copy(snap, after) // the caller's refresh
+				g.BuildParallel(snap, workers)
 				if err := g.CheckInvariants(); err != nil {
 					t.Fatalf("%s: %v", ctx, err)
 				}
@@ -134,93 +204,83 @@ func TestCSRUpdateMatchesBruteForce(t *testing.T) {
 						t.Fatalf("%s: cell %d holds %v, fresh build %v", ctx, c, got, want)
 					}
 				}
-				var buf, offsets []uint32
-				offsets, batch := core.QueryBatchOf(g, g.Query)(queries, offsets, nil)
-				for qi, q := range queries {
-					want := bruteQuery(after, q)
-					sameSet(t, collect(g, q), want, ctx+" emit")
-					buf = g.QueryAppend(q, buf[:0])
-					for _, ids := range [][]uint32{buf, batch[offsets[qi]:offsets[qi+1]]} {
-						got := map[uint32]bool{}
-						for _, id := range ids {
-							got[id] = true
-						}
-						if len(got) != len(ids) {
-							t.Fatalf("%s: duplicate results", ctx)
-						}
-						sameSet(t, got, want, ctx+" buffered")
-					}
+				assertAnswers(t, g, after, queries, ctx)
+			}
+		}
+	}
+}
+
+// assertDense checks, without the audit, the one state a CSR arena has:
+// it begins at slot 0 and ends at len(ids) = Len, and every column's
+// stretch holds exactly the entries labelled with that column.
+func assertDense(t *testing.T, g *Grid, after string) {
+	t.Helper()
+	cs := g.csr
+	last := len(cs.starts) - 1
+	if cs.starts[0] != 0 || int(cs.starts[last]) != len(cs.ids) || len(cs.ids) != g.Len() {
+		t.Fatalf("after %s: arena [%d, %d) over %d ids, Len %d", after, cs.starts[0], cs.starts[last], len(cs.ids), g.Len())
+	}
+	for f := 0; f < last; f++ {
+		for k := cs.starts[f]; k < cs.starts[f+1]; k++ {
+			if id := cs.ids[k]; cs.cellOf[id] != uint32(f) {
+				t.Fatalf("after %s: slot %d of column %d holds id %d, labelled %d", after, k, f, id, cs.cellOf[id])
+			}
+		}
+	}
+	if err := g.CheckInvariants(); err != nil {
+		t.Fatalf("after %s: %v", after, err)
+	}
+}
+
+// TestCSRDenseStateTransitions walks the arena through every step that
+// would disorder a maintained one — a same-column, a column-crossing and a
+// cell-crossing Update, sequential and sharded rebuilds, a shrinking and
+// an empty rebuild — and wants it dense after each: the arena has no other
+// state.
+func TestCSRDenseStateTransitions(t *testing.T) {
+	r := xrand.New(61)
+	for _, cfg := range []Config{CSR(), CSRXY()} {
+		t.Run(cfg.DisplayName(), func(t *testing.T) {
+			pts := randomPoints(r, updateN, testBounds)
+			g := MustNew(cfg, testBounds, len(pts))
+			g.Build(pts)
+			assertDense(t, g, "Build")
+			built := snapshotArena(g.csr)
+
+			// Three moves, none written to the table yet: the arena is the
+			// build's, bit for bit.
+			moves := []geom.Move{
+				{ID: 0, Old: pts[0], New: columnRect(g, pts[0]).Center()},
+				{ID: 1, Old: pts[1], New: otherColumn(g, pts[1])},
+				{ID: 2, Old: pts[2], New: otherCell(r, g, pts[2])},
+			}
+			for _, m := range moves {
+				g.Update(m.ID, m.Old, m.New)
+				assertDense(t, g, fmt.Sprintf("an Update of id %d", m.ID))
+				if !built.equal(snapshotArena(g.csr)) {
+					t.Fatalf("an Update of id %d changed the arena", m.ID)
 				}
 			}
-		}
-	}
-}
 
-// frozen is a deep copy of everything an update may change.
-type frozen struct {
-	starts, counts, ids, cellOf []uint32
-	xy                          []float32
-	overflow                    [][]uint32
-	overflowXY                  [][]float32
-	entries                     int
-}
-
-func freeze(cs *csrStore) frozen {
-	f := frozen{
-		starts: slices.Clone(cs.starts), counts: slices.Clone(cs.counts), ids: slices.Clone(cs.ids),
-		cellOf: slices.Clone(cs.cellOf), xy: slices.Clone(cs.xy), entries: cs.entries,
-	}
-	for c := range cs.overflow {
-		f.overflow = append(f.overflow, slices.Clone(cs.overflow[c]))
-	}
-	for c := range cs.overflowXY {
-		f.overflowXY = append(f.overflowXY, slices.Clone(cs.overflowXY[c]))
-	}
-	return f
-}
-
-func (f frozen) equal(g frozen) bool {
-	return slices.Equal(f.starts, g.starts) && slices.Equal(f.counts, g.counts) && slices.Equal(f.ids, g.ids) &&
-		slices.Equal(f.cellOf, g.cellOf) && slices.Equal(f.xy, g.xy) && f.entries == g.entries &&
-		slices.EqualFunc(f.overflow, g.overflow, slices.Equal[[]uint32]) &&
-		slices.EqualFunc(f.overflowXY, g.overflowXY, slices.Equal[[]float32])
-}
-
-func TestCSRUpdateUnknownEntryPanics(t *testing.T) {
-	for _, cfg := range []Config{CSR(), CSRXY()} {
-		r := xrand.New(24)
-		pts := randomPoints(r, updateN, testBounds)
-		g := MustNew(cfg, testBounds, updateN)
-		g.Build(pts)
-		// Leave slack and overflow behind, so the frozen state is not a
-		// fresh build's.
-		for id := 0; id < 300; id++ {
-			to := otherCell(r, g, pts[id])
-			g.Update(uint32(id), pts[id], to)
-			pts[id] = to
-		}
-		bad := map[string]geom.Move{
-			"unknown":      {ID: 1 << 30, Old: pts[0], New: pts[1]},
-			"out-of-range": {ID: updateN, Old: pts[0], New: pts[1]},
-			"wrong-old":    {ID: 7, Old: otherCell(r, g, pts[7]), New: pts[7]},
-		}
-		for name, m := range bad {
-			before := freeze(g.csr)
-			func() {
-				defer func() {
-					msg, _ := recover().(string)
-					if !strings.HasPrefix(msg, fmt.Sprintf("grid: update of unknown entry %d at ", m.ID)) {
-						t.Fatalf("%s/%s: recovered %q", cfg.Name, name, msg)
-					}
-				}()
-				g.Update(m.ID, m.Old, m.New)
-			}()
-			if !before.equal(freeze(g.csr)) {
-				t.Fatalf("%s/%s: the refused call changed the grid", cfg.Name, name)
+			// Landed and rebuilt, each moved entry sits in its new column.
+			for _, m := range moves {
+				pts[m.ID] = m.New
 			}
-			if err := g.CheckInvariants(); err != nil {
-				t.Fatalf("%s/%s: %v", cfg.Name, name, err)
+			g.Build(pts)
+			assertDense(t, g, "the rebuild")
+			for _, m := range moves {
+				if got, want := g.csr.cellOf[m.ID], g.csr.mapper.labelOf(m.New); got != want {
+					t.Fatalf("id %d labelled %d after the rebuild, want %d", m.ID, got, want)
+				}
 			}
-		}
+			for _, workers := range []int{1, 2, 4} {
+				g.BuildParallel(pts, workers)
+				assertDense(t, g, fmt.Sprintf("BuildParallel(%d)", workers))
+			}
+			g.Build(pts[:len(pts)/3])
+			assertDense(t, g, "a shrinking Build")
+			g.Build(nil)
+			assertDense(t, g, "an empty Build")
+		})
 	}
 }

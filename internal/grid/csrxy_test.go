@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -8,8 +9,9 @@ import (
 )
 
 // Tests for the inlined-coordinate CSR layout: arena-local filtering,
-// bit-identical parallel builds (IDs and coordinates), and coordinate
-// coherence through the slack/overflow update mechanics.
+// bit-identical parallel builds (IDs and coordinates), coordinate
+// coherence across ticks of moves and rebuilds, and the footprint of the
+// coordinate arena.
 
 func TestCSRXYFiltersWithoutBaseTable(t *testing.T) {
 	// Corrupt the base table after the build: a layout that dereferences
@@ -43,46 +45,45 @@ func TestCSRXYMatchesCSR(t *testing.T) {
 
 func TestCSRXYParallelBuildBitIdentical(t *testing.T) { testCSRBuildParallel(t, CSRXY(), 43) }
 
-// TestCSRXYUpdateKeepsCoordinatesCoherent drives the slack/overflow
-// machinery (swap-deletes, overflow refill) and verifies the coordinate
-// arena tracks every move: each dense slot's coordinates must match the
-// live position of the ID it holds.
+// TestCSRXYUpdateKeepsCoordinatesCoherent drives ticks the way the
+// drivers do — 1000 moves through Update and the base table, then the
+// rebuild — and verifies the coordinate arena tracks them: until the
+// rebuild each slot holds the coordinates the build saw for the ID it
+// holds, after it the live position, and the structure answers exactly.
 func TestCSRXYUpdateKeepsCoordinatesCoherent(t *testing.T) {
 	r := xrand.New(47)
 	pts := randomPoints(r, 2000, testBounds)
 	g := MustNew(CSRXY(), testBounds, len(pts))
 	g.Build(pts)
 	cs := csrOf(t, g)
-
-	for i := 0; i < 3000; i++ {
-		id := uint32(r.Intn(len(pts)))
-		to := geom.Pt(r.Range(0, 1000), r.Range(0, 1000))
-		g.Update(id, pts[id], to)
-		pts[id] = to
-	}
-
-	for c := range cs.counts {
-		base, _ := cs.segment(c)
-		for j, n := uint32(0), cs.counts[c]; j < n; j++ {
-			id := cs.ids[base+j]
-			x, y := cs.xy[2*(base+j)], cs.xy[2*(base+j)+1]
-			if x != pts[id].X || y != pts[id].Y {
-				t.Fatalf("cell %d slot %d: entry %d coords (%g, %g), live (%g, %g)",
-					c, j, id, x, y, pts[id].X, pts[id].Y)
-			}
-		}
-		oxy := cs.overflowXY[c]
-		for j, id := range cs.overflow[c] {
-			if oxy[2*j] != pts[id].X || oxy[2*j+1] != pts[id].Y {
-				t.Fatalf("cell %d overflow %d: entry %d coords stale", c, j, id)
+	coherent := func(tick int, when string, with []geom.Point) {
+		t.Helper()
+		for k, id := range cs.ids {
+			if x, y := cs.xy[2*k], cs.xy[2*k+1]; x != with[id].X || y != with[id].Y {
+				t.Fatalf("tick %d, %s: slot %d: entry %d coords (%g, %g), want (%g, %g)",
+					tick, when, k, id, x, y, with[id].X, with[id].Y)
 			}
 		}
 	}
 
-	// And the structure still answers queries exactly.
-	for i := 0; i < 30; i++ {
-		q := geom.Square(geom.Pt(r.Range(0, 1000), r.Range(0, 1000)), r.Range(1, 200))
-		sameSet(t, collect(g, q), bruteQuery(pts, q), "post-update query")
+	for tick := 0; tick < 3; tick++ {
+		built := slices.Clone(pts)
+		for i := 0; i < 1000; i++ {
+			id := uint32(r.Intn(len(pts)))
+			to := geom.Pt(r.Range(0, 1000), r.Range(0, 1000))
+			g.Update(id, pts[id], to)
+			pts[id] = to
+		}
+		coherent(tick, "before the rebuild", built)
+		g.Build(pts)
+		coherent(tick, "after the rebuild", pts)
+		if err := g.CheckInvariants(); err != nil {
+			t.Fatalf("tick %d: %v", tick, err)
+		}
+		for i := 0; i < 30; i++ {
+			q := geom.Square(geom.Pt(r.Range(0, 1000), r.Range(0, 1000)), r.Range(1, 200))
+			sameSet(t, collect(g, q), bruteQuery(pts, q), "post-update query")
+		}
 	}
 }
 

@@ -120,8 +120,7 @@ func columnProbes(bounds geom.Rect, cps, cols, stride int) (pts []geom.Point, qu
 // TestEdgeUlpNeighbourhood holds every point layout and both kernels to
 // brute force on edgeProbes, and the CSR layouts on columnProbes as well: 52,
 // 192 and 384 columns are widths float32 cannot hold exactly, like the 13,
-// 48 and 96 cells they refine. (TestCSRRunPathMatchesCellWalk repeats the
-// probes on a CSR arena that is not dense.)
+// 48 and 96 cells they refine.
 func TestEdgeUlpNeighbourhood(t *testing.T) {
 	for _, bounds := range []geom.Rect{geom.R(0, 0, 22000, 22000), geom.R(11000, 11000, 22000, 22000)} {
 		for _, cps := range []int{13, 48, 64, 96, 192} {
@@ -144,8 +143,8 @@ func TestEdgeUlpNeighbourhood(t *testing.T) {
 	}
 }
 
-// TestColumnsRefineCells pins what lets everything outside the dense run
-// path ignore the columns: the column mapper and the cell mapper are one
+// TestColumnsRefineCells pins what lets everything outside the run path
+// ignore the columns: the column mapper and the cell mapper are one
 // function at two resolutions. At every column edge, a few ulps around it
 // and where the additive formula would have put it, column>>shift is the
 // cell the grid's own mapper names, as the store's label is (its own copy

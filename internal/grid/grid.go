@@ -52,9 +52,10 @@ const (
 	// LayoutCSR is the partition-based contiguous layout: a counting-sort
 	// build places each cell's entry IDs in one dense slice of a single
 	// arena (compressed-sparse-row), so cell scans are flat loops with no
-	// bucket chains. Builds shard across cores (see Grid.BuildParallel);
-	// in-place updates run on segment slack plus a small per-cell
-	// overflow. BS is irrelevant to this layout.
+	// bucket chains. Builds shard across cores (see Grid.BuildParallel).
+	// The layout is static: Build is its one maintenance, Update a no-op,
+	// and it answers by Algorithm 2 only (ScanRange). BS is irrelevant to
+	// this layout.
 	LayoutCSR
 	// LayoutCSRXY is LayoutCSR with each entry's coordinates scattered
 	// into a float32 arena parallel to the ID arena, so filtered cells
@@ -195,6 +196,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("grid: cells per side must be positive, got %d", c.CPS)
 	case (c.Layout == LayoutCSR || c.Layout == LayoutCSRXY) && c.CPS > MaxCSRCPS:
 		return fmt.Errorf("grid: cells per side %d exceeds the CSR grid limit %d", c.CPS, MaxCSRCPS)
+	case (c.Layout == LayoutCSR || c.Layout == LayoutCSRXY) && c.Scan == ScanFull:
+		return fmt.Errorf("grid: layout %s answers by range scan only: the full scan (Algorithm 1) is the paper's ablation of the bucket layouts", c.Layout)
 	case c.Layout != LayoutLinked && c.Layout != LayoutInline &&
 		c.Layout != LayoutInlineXY && c.Layout != LayoutIntrusive &&
 		c.Layout != LayoutCSR && c.Layout != LayoutCSRXY:
@@ -214,16 +217,8 @@ func (c Config) DisplayName() string {
 }
 
 // store is the layout-specific backend shared by both implementations.
-// The Grid owns the geometry (cell mapping); stores only manage buckets.
+// The Grid owns the geometry (cell mapping); stores only manage entries.
 type store interface {
-	// reset clears all cells and retains the snapshot for coordinate
-	// lookups during filtering.
-	reset(pts []geom.Point)
-	// insertAt adds entry id at point p to cell c.
-	insertAt(c int, id uint32, p geom.Point)
-	// removeAt deletes entry id from cell c, reporting whether it was
-	// present.
-	removeAt(c int, id uint32) bool
 	// appendCell appends every entry of cell c, unfiltered: the audit's
 	// per-cell reader (CheckInvariants).
 	appendCell(c int, buf []uint32) []uint32
@@ -241,6 +236,20 @@ type store interface {
 	cellCount(c int) int
 	memoryBytes() int64
 	totalEntries() int
+}
+
+// bucketStore is a store of the paper's bucket layouts (and the intrusive
+// one), built entry by entry and maintained in place.
+type bucketStore interface {
+	store
+	// reset clears all cells and retains the snapshot for coordinate
+	// lookups during filtering.
+	reset(pts []geom.Point)
+	// insertAt adds entry id at point p to cell c.
+	insertAt(c int, id uint32, p geom.Point)
+	// removeAt deletes entry id from cell c, reporting whether it was
+	// present.
+	removeAt(c int, id uint32) bool
 }
 
 // cellMapper maps points to cell indices. It is the part of the grid
@@ -313,10 +322,11 @@ type Grid struct {
 	cols  cellMapper
 	colXs []float32
 	st    store
-	// csr aliases st when the layout is CSR, so the bulk-path dispatch
-	// in Build/BuildParallel/Update is a nil check in one place.
-	csr *csrStore
-	pts []geom.Point
+	// Exactly one of buckets and csr aliases st, so the dispatch in
+	// Build/BuildParallel/Update is a nil check on csr.
+	buckets bucketStore
+	csr     *csrStore
+	pts     []geom.Point
 	// queries counts query-kernel entries (nil until Instrument).
 	queries *obs.Counter
 	// audit is CheckInvariants' reusable state (nil until first used).
@@ -358,22 +368,23 @@ func newGrid(cfg Config, bounds geom.Rect, numPoints int, shift uint) (*Grid, er
 	g.cols, g.colXs = g.mapper, g.xs
 	switch cfg.Layout {
 	case LayoutLinked:
-		g.st = newLinkedStore(g.cells, cfg.BS, numPoints)
+		g.buckets = newLinkedStore(g.cells, cfg.BS, numPoints)
 	case LayoutInline:
-		g.st = newInlineStore(g.cells, cfg.BS, numPoints, false)
+		g.buckets = newInlineStore(g.cells, cfg.BS, numPoints, false)
 	case LayoutInlineXY:
-		g.st = newInlineStore(g.cells, cfg.BS, numPoints, true)
+		g.buckets = newInlineStore(g.cells, cfg.BS, numPoints, true)
 	case LayoutIntrusive:
 		// The intrusive layout has no buckets; BS is irrelevant to it.
-		g.st = newIntrusiveStore(g.cells, numPoints)
+		g.buckets = newIntrusiveStore(g.cells, numPoints)
 	case LayoutCSR, LayoutCSRXY:
 		// The CSR layouts have no buckets either; BS is irrelevant to them.
 		g.cols = columnsOf(g.mapper, shift)
 		g.colXs = g.cols.edges(bounds.MinX, bounds.MaxX, g.cellSize/float32(int(1)<<shift))
-		g.csr = newCSRStore(g.cells, newColumnMapper(g.mapper, g.cols), shift, numPoints,
-			cfg.Layout == LayoutCSRXY, cfg.Scan == ScanRange)
+		g.csr = newCSRStore(g.cells, newColumnMapper(g.mapper, g.cols), shift, numPoints, cfg.Layout == LayoutCSRXY)
 		g.st = g.csr
+		return g, nil
 	}
+	g.st = g.buckets
 	return g, nil
 }
 
@@ -428,9 +439,9 @@ func (g *Grid) Build(pts []geom.Point) {
 		g.csr.build(pts, 1)
 		return
 	}
-	g.st.reset(pts)
+	g.buckets.reset(pts)
 	for i := range pts {
-		g.st.insertAt(g.cellIndexFor(pts[i]), uint32(i), pts[i])
+		g.buckets.insertAt(g.cellIndexFor(pts[i]), uint32(i), pts[i])
 	}
 }
 
@@ -451,21 +462,25 @@ func (g *Grid) BuildParallel(pts []geom.Point, workers int) {
 	g.csr.build(pts, workers)
 }
 
-// Update implements core.Index: the grid is maintained in place by
-// removing the entry from the cell of its old position and inserting it
-// into the cell of the new one. That is the paper's Table 2 update
-// column, which internal/bench's paper protocol charges; the core drivers
-// rebuild instead and never call it. The CSR layouts find the entry by
-// its label and leave a move within one cell alone.
+// Update implements core.Index. The paper's bucket layouts (and the
+// intrusive one) are maintained in place: the entry is removed from the
+// cell of its old position and inserted into the cell of the new one. That
+// is the paper's Table 2 update column, which internal/bench's paper
+// protocol charges; the core drivers rebuild instead and never call it.
+// The CSR layouts are static, like the box grids and the R-trees: Update
+// is a no-op for them, and the next Build is what sees the move.
 func (g *Grid) Update(id uint32, old, new geom.Point) {
 	if g.csr != nil {
-		g.csr.update(id, old, new)
 		return
 	}
-	if !g.st.removeAt(g.cellIndexFor(old), id) {
+	if !g.buckets.removeAt(g.cellIndexFor(old), id) {
 		unknownEntry(id, old)
 	}
-	g.st.insertAt(g.cellIndexFor(new), id, new)
+	g.buckets.insertAt(g.cellIndexFor(new), id, new)
+}
+
+func unknownEntry(id uint32, at geom.Point) {
+	panic(fmt.Sprintf("grid: update of unknown entry %d at %v", id, at))
 }
 
 // Query implements core.Index: QueryAppend's result, one emit per ID.
@@ -475,14 +490,14 @@ func (g *Grid) Query(r geom.Rect, emit func(id uint32)) { callback.Query(g, r, e
 // algorithm in both of the paper's forms: ScanFull (Algorithm 1) runs the
 // cell body over the whole directory, ScanRange (Algorithm 2) over the
 // cells the query corners span. Contained cells become straight sub-slice
-// appends (a copy for the CSR layout's dense segments) and filtered cells
+// appends (a copy for the CSR layouts' interior columns) and filtered cells
 // tight test-and-append loops, with no per-result indirect call anywhere.
 //
 //joinlint:hotpath
 func (g *Grid) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 	g.queries.Inc()
 	if g.cfg.Scan == ScanFull {
-		return g.scanCellRange(r, 0, g.cols.cps-1, 0, g.cfg.CPS-1, buf)
+		return g.scanCellRange(r, 0, g.cfg.CPS-1, 0, g.cfg.CPS-1, buf)
 	}
 	xmin := g.cols.axisCell(r.MinX - g.bounds.MinX)
 	xmax := g.cols.axisCell(r.MaxX - g.bounds.MinX)

@@ -13,7 +13,9 @@ import (
 var testBounds = geom.R(0, 0, 1000, 1000)
 
 // allConfigs covers the full ablation chain plus the inline-xy extension
-// and some off-preset shapes.
+// and some off-preset shapes. The CSR layouts are static: the tests that
+// move entries through Update rebuild them (g.csr != nil), where the bucket
+// layouts are maintained in place.
 func allConfigs() []Config {
 	cfgs := AblationChain()
 	cfgs = append(cfgs,
@@ -25,10 +27,8 @@ func allConfigs() []Config {
 		Config{Name: "intrusive-range", Layout: LayoutIntrusive, Scan: ScanRange, BS: 1, CPS: 16},
 		Config{Name: "intrusive-full", Layout: LayoutIntrusive, Scan: ScanFull, BS: 1, CPS: 16},
 		CSR(),
-		Config{Name: "csr-full", Layout: LayoutCSR, Scan: ScanFull, BS: 1, CPS: 16},
 		Config{Name: "csr-one-cell", Layout: LayoutCSR, Scan: ScanRange, BS: 1, CPS: 1},
 		CSRXY(),
-		Config{Name: "csr-xy-full", Layout: LayoutCSRXY, Scan: ScanFull, BS: 1, CPS: 16},
 	)
 	return cfgs
 }
@@ -217,6 +217,9 @@ func TestUpdateMovesEntries(t *testing.T) {
 				g.Update(id, moved[id], to)
 				moved[id] = to
 			}
+			if g.csr != nil {
+				g.Build(moved)
+			}
 			if g.Len() != len(pts) {
 				t.Fatalf("Len after updates = %d, want %d", g.Len(), len(pts))
 			}
@@ -286,6 +289,9 @@ func TestDuplicatePositions(t *testing.T) {
 		// driver does this at the start of the next tick); emulate it by
 		// writing through the retained snapshot before probing.
 		pts[7] = geom.Pt(900, 900)
+		if g.csr != nil {
+			g.Build(pts)
+		}
 		if got := collect(g, geom.Square(geom.Pt(900, 900), 2)); !got[7] || len(got) != 1 {
 			t.Fatalf("%s: moved entry not found alone, got %v", cfg.DisplayName(), got)
 		}
@@ -298,6 +304,9 @@ func TestConfigValidation(t *testing.T) {
 		{Layout: LayoutInline, Scan: ScanRange, BS: 4, CPS: 0},
 		{Layout: Layout(9), Scan: ScanRange, BS: 4, CPS: 4},
 		{Layout: LayoutInline, Scan: Scan(9), BS: 4, CPS: 4},
+		// The CSR layouts answer by Algorithm 2 only.
+		{Layout: LayoutCSR, Scan: ScanFull, BS: 1, CPS: 16},
+		{Layout: LayoutCSRXY, Scan: ScanFull, BS: 1, CPS: 16},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -430,6 +439,9 @@ func TestScanAlgorithmsAgree(t *testing.T) {
 	for _, layout := range []Layout{LayoutLinked, LayoutInline, LayoutInlineXY, LayoutIntrusive, LayoutCSR, LayoutCSRXY} {
 		for _, scan := range []Scan{ScanFull, ScanRange} {
 			cfg := Config{Layout: layout, Scan: scan, BS: 4, CPS: 13}
+			if scan == ScanFull && (layout == LayoutCSR || layout == LayoutCSRXY) {
+				continue // the CSR layouts answer by Algorithm 2 only (TestConfigValidation)
+			}
 			g := MustNew(cfg, testBounds, len(pts))
 			g.Build(pts)
 			cc := &cellCounter{store: g.st}

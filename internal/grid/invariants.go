@@ -24,21 +24,18 @@ import (
 // For every layout it verifies global occupancy: each indexed ID is
 // stored in exactly one cell, that cell is the one its current base-table
 // position maps to, and the total matches Len(). For the CSR layouts it
-// additionally audits that every entry's label is the column of its
-// position, in the cell holding it, and the arena bookkeeping: offsets
-// monotone at every column (so a cell's columns tile its segment: both are
-// read off the same offsets), live counts within segment capacity,
-// slack/overflow accounting consistent with the shared entry counter; while
-// the arena is flagged dense, no slack and no overflow anywhere and every
-// column's stretch of the arena holding exactly the entries labelled with
-// it; and the inlined coordinate arena (CSRXY) mirroring the base table
-// slot for slot.
+// additionally audits the arena as the build leaves it: offsets monotone
+// at every column (so a cell's columns tile its segment: both are read off
+// the same offsets), the arena beginning at slot 0 and ending at len(ids),
+// every entry's label the column of its position, every entry lying in its
+// label's stretch of the arena, and the inlined coordinate arena (CSRXY)
+// mirroring the base table slot for slot.
 //
 // The audit keeps its scratch on the grid (see occupancy), so like Build
 // and Update it is a single-caller operation.
 func (g *Grid) CheckInvariants() error {
 	if st := g.csr; st != nil {
-		if err := st.checkCSR(); err != nil {
+		if err := st.checkCSR(g.cells); err != nil {
 			return err
 		}
 	}
@@ -101,28 +98,31 @@ func (g *Grid) checkOccupant(seen []uint8, id uint32, c int, n uint32) error {
 
 // checkEntry audits entry id as the occupancy pass meets it, the nth it
 // visits, in cell c: its label is the column of its position, that column
-// is one of c's, and, while the arena is dense — when the pass walks the
-// arena front to back, so the nth visit is slot n — the slot lies in the
-// label's stretch.
+// is one of c's, and — the pass walks the arena front to back, so the nth
+// visit is slot n — the slot lies in the label's stretch.
 func (st *csrStore) checkEntry(id uint32, c int, n uint32) error {
 	label, want := st.cellOf[id], st.mapper.labelOf(st.pts[id])
 	if label != want || int(label>>st.shift) != c {
 		return fmt.Errorf("grid/csr: id %d at %v stored in cell %d, labelled column %d (cell %d), want column %d (cell %d)",
 			id, st.pts[id], c, label, label>>st.shift, want, want>>st.shift)
 	}
-	if st.dense && (n < st.starts[label] || n >= st.starts[label+1]) {
-		return fmt.Errorf("grid/csr: arena flagged dense, but id %d of column %d lies in slot %d, outside the column's [%d, %d)",
+	if n < st.starts[label] || n >= st.starts[label+1] {
+		return fmt.Errorf("grid/csr: id %d of column %d lies in slot %d, outside the column's [%d, %d)",
 			id, label, n, st.starts[label], st.starts[label+1])
 	}
 	return nil
 }
 
-// checkCSR audits the csrStore arena bookkeeping.
-func (st *csrStore) checkCSR() error {
-	cells := len(st.counts)
+// checkCSR audits the offsets and the coordinate arena of a CSR store of
+// cells cells.
+func (st *csrStore) checkCSR(cells int) error {
 	columns := cells << st.shift
 	if len(st.starts) != columns+1 {
 		return fmt.Errorf("grid/csr: %d starts for %d columns", len(st.starts), columns)
+	}
+	if st.starts[0] != 0 || int(st.starts[columns]) != len(st.ids) {
+		return fmt.Errorf("grid/csr: the arena begins at slot %d and ends at %d, want 0 and len(ids) = %d",
+			st.starts[0], st.starts[columns], len(st.ids))
 	}
 	for f := 0; f < columns; f++ {
 		if st.starts[f] > st.starts[f+1] {
@@ -130,50 +130,19 @@ func (st *csrStore) checkCSR() error {
 				f, f>>st.shift, st.starts[f], st.starts[f+1])
 		}
 	}
-	live := 0
-	for c := 0; c < cells; c++ {
-		lo, end := st.segment(c)
-		capacity := end - lo
-		if st.counts[c] > capacity {
-			return fmt.Errorf("grid/csr: cell %d count %d exceeds segment capacity %d",
-				c, st.counts[c], capacity)
-		}
-		if st.dense && (st.counts[c] != capacity || len(st.overflow[c]) > 0) {
-			return fmt.Errorf("grid/csr: arena flagged dense, but cell %d fills %d of %d slots with %d overflow entries",
-				c, st.counts[c], capacity, len(st.overflow[c]))
-		}
-		if st.counts[c] < capacity && len(st.overflow[c]) > 0 {
-			return fmt.Errorf("grid/csr: cell %d has %d overflow entries with %d slack slots",
-				c, len(st.overflow[c]), capacity-st.counts[c])
-		}
-		live += int(st.counts[c]) + len(st.overflow[c])
-		if st.overflowXY != nil && len(st.overflowXY[c]) != 2*len(st.overflow[c]) {
-			return fmt.Errorf("grid/csr: cell %d overflowXY holds %d floats for %d ids",
-				c, len(st.overflowXY[c]), len(st.overflow[c]))
-		}
+	if st.xy == nil {
+		return nil
 	}
-	if int(st.starts[columns]) > len(st.ids) {
-		return fmt.Errorf("grid/csr: arena end %d beyond ids length %d",
-			st.starts[columns], len(st.ids))
+	if len(st.xy) != 2*len(st.ids) {
+		return fmt.Errorf("grid/csr: xy arena holds %d floats for %d ids", len(st.xy), len(st.ids))
 	}
-	if live != st.entries {
-		return fmt.Errorf("grid/csr: %d live entries across cells, counter says %d",
-			live, st.entries)
-	}
-	if st.xy != nil {
-		if len(st.xy) != 2*len(st.ids) {
-			return fmt.Errorf("grid/csr: xy arena holds %d floats for %d ids",
-				len(st.xy), len(st.ids))
+	for k, id := range st.ids {
+		if int(id) >= len(st.pts) {
+			return fmt.Errorf("grid/csr: slot %d holds id %d beyond snapshot size %d", k, id, len(st.pts))
 		}
-		for c := 0; c < cells; c++ {
-			base := st.starts[c<<st.shift]
-			for k := base; k < base+st.counts[c]; k++ {
-				id := st.ids[k]
-				if p := st.pts[id]; st.xy[2*k] != p.X || st.xy[2*k+1] != p.Y {
-					return fmt.Errorf("grid/csr: slot %d coords (%g,%g) diverge from base table %v for id %d",
-						k, st.xy[2*k], st.xy[2*k+1], p, id)
-				}
-			}
+		if p := st.pts[id]; st.xy[2*k] != p.X || st.xy[2*k+1] != p.Y {
+			return fmt.Errorf("grid/csr: slot %d coords (%g,%g) diverge from base table %v for id %d",
+				k, st.xy[2*k], st.xy[2*k+1], p, id)
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package grid
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -39,6 +40,9 @@ func TestGridCheckInvariantsAcrossLayouts(t *testing.T) {
 				t.Fatalf("after build: %v", err)
 			}
 			moveSome(r, g, pts, 300)
+			if g.csr != nil {
+				g.Build(pts) // static: the rebuild is its one maintenance
+			}
 			if err := g.CheckInvariants(); err != nil {
 				t.Fatalf("after updates: %v", err)
 			}
@@ -46,38 +50,48 @@ func TestGridCheckInvariantsAcrossLayouts(t *testing.T) {
 	}
 }
 
+// corruption is one hand-made fault of a built CSR arena: corrupt is handed
+// the grid and the second of two adjacent occupied columns of one cell
+// (see twoColumns), and the audit must name the fault with want.
+type corruption struct {
+	name, want string
+	corrupt    func(g *Grid, f int)
+}
+
+// detectsCorruptions builds a CSR grid over pts for each case, checks the
+// audit passes, corrupts it and wants the audit to say c.want.
+func detectsCorruptions(t *testing.T, pts []geom.Point, cases []corruption) {
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			g := MustNew(CSR(), testBounds, len(pts))
+			g.Build(slices.Clone(pts))
+			if err := g.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			c.corrupt(g, twoColumns(t, g))
+			if err := g.CheckInvariants(); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("not detected: audit said %v, want %q", err, c.want)
+			}
+		})
+	}
+}
+
 // TestGridCheckInvariantsDetectsCorruption proves the audit is not a
-// rubber stamp: hand-corrupt CSR state and expect a named violation.
+// rubber stamp: hand-corrupt the bounds of the CSR arena, its coordinate
+// arena or the base table, and expect a named violation.
 func TestGridCheckInvariantsDetectsCorruption(t *testing.T) {
 	r := xrand.New(7)
 	pts := randomPoints(r, 500, testBounds)
-
-	t.Run("count exceeds capacity", func(t *testing.T) {
-		g := MustNew(CSR(), testBounds, len(pts))
-		g.Build(pts)
-		// Inflate a live count past its segment capacity.
-		for c := range g.csr.counts {
-			if g.csr.counts[c] > 0 {
-				lo, end := g.csr.segment(c)
-				g.csr.counts[c] = end - lo + 1
-				break
-			}
-		}
-		if err := g.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "capacity") {
-			t.Fatalf("corrupt count not detected: %v", err)
-		}
-	})
-
-	t.Run("misplaced entry", func(t *testing.T) {
-		g := MustNew(CSR(), testBounds, len(pts))
-		g.Build(pts)
-		// Move an object in the base table without telling the index.
-		pts2 := append([]geom.Point(nil), pts...)
-		g.Build(pts2)
-		pts2[0] = geom.Pt(testBounds.MaxX-1, testBounds.MaxY-1)
-		if err := g.CheckInvariants(); err == nil {
-			t.Fatal("stale cell placement not detected")
-		}
+	detectsCorruptions(t, pts, []corruption{
+		// The last cell's count, read off the offsets, reaches one slot past
+		// what the arena holds.
+		{"count exceeds capacity", "the arena begins", func(g *Grid, f int) { g.csr.starts[len(g.csr.starts)-1]++ }},
+		{"arena end one short", "the arena begins", func(g *Grid, f int) { g.csr.starts[len(g.csr.starts)-1]-- }},
+		{"arena start past slot 0", "the arena begins", func(g *Grid, f int) { g.csr.starts[0]++ }},
+		// An object moved in the base table without a rebuild.
+		{"misplaced entry", "stored in cell", func(g *Grid, f int) {
+			g.pts[g.csr.ids[g.csr.starts[f]]] = geom.Pt(testBounds.MaxX-1, testBounds.MaxY-1)
+		}},
 	})
 
 	t.Run("xy arena divergence", func(t *testing.T) {
@@ -88,6 +102,42 @@ func TestGridCheckInvariantsDetectsCorruption(t *testing.T) {
 			t.Fatalf("torn coordinate write not detected: %v", err)
 		}
 	})
+}
+
+// TestCheckCSRAuditsDenseFlag holds the audit to the one state the run path
+// assumes of every arena, with no flag to vouch for it: dense, offsets
+// monotone column by column, and in every column's stretch exactly the
+// entries labelled with it. Each corruption is made in a cell with entries
+// in two adjacent columns, where it leaves the cell's occupancy right, so
+// only the column clauses can see it.
+func TestCheckCSRAuditsDenseFlag(t *testing.T) {
+	pts := randomPoints(xrand.New(67), 500, testBounds)
+	detectsCorruptions(t, pts, []corruption{
+		{"column offset one entry early", "outside the column", func(g *Grid, f int) { g.csr.starts[f]-- }},
+		{"column offset past the next", "not monotone", func(g *Grid, f int) { g.csr.starts[f] = g.csr.starts[f+1] + 1 }},
+		{"id swapped across columns", "outside the column", func(g *Grid, f int) {
+			ids, k := g.csr.ids, g.csr.starts[f]
+			ids[k-1], ids[k] = ids[k], ids[k-1]
+		}},
+		{"label of another column of the cell", "labelled column", func(g *Grid, f int) {
+			g.csr.cellOf[g.csr.ids[g.csr.starts[f]]] = uint32(f - 1)
+		}},
+	})
+}
+
+// twoColumns finds a cell of g with entries in two adjacent columns, and
+// returns the second of the two.
+func twoColumns(t *testing.T, g *Grid) int {
+	cs := g.csr
+	for c := 0; c < g.cells; c++ {
+		for f := c<<cs.shift + 1; f < (c+1)<<cs.shift; f++ {
+			if cs.starts[f] > cs.starts[f-1] && cs.starts[f+1] > cs.starts[f] {
+				return f
+			}
+		}
+	}
+	t.Fatal("no cell with two adjacent occupied columns")
+	return 0
 }
 
 func TestBoxGridCheckInvariants(t *testing.T) {

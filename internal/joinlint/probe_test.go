@@ -128,9 +128,9 @@ func TestInlineGateVerdicts(t *testing.T) {
 		t.Fatalf("InlineGate = %v, want one error naming fat", errs)
 	}
 	for msg, want := range map[string]bool{
-		"can inline cellMapper.axisCell":                           true,
-		"inlining call to cellMapper.axisCell":                     false,
-		"cannot inline (*csrStore).relocate: function too complex": false,
+		"can inline cellMapper.axisCell":                          true,
+		"inlining call to cellMapper.axisCell":                    false,
+		"cannot inline (*csrStore).scatter: function too complex": false,
 	} {
 		if got := isCanInline(CompilerDiag{Message: msg}); got != want {
 			t.Errorf("isCanInline(%q) = %v, want %v", msg, got, want)
