@@ -56,31 +56,61 @@ func TestApplyBatchDoesNotAllocate(t *testing.T) {
 			x := NewIndex(pointFamilies(n)["csr"], Options{})
 			x.Instrument(obs.New())
 			x.Build(oracle)
-			// Two batches over the same ids, alternated, so every run
-			// moves points for real without generating inside the
-			// measured region.
 			there := randomMoves(r, oracle, k)
 			back := make([]geom.Move, len(there))
 			for i, m := range there {
 				back[i] = geom.Move{ID: m.ID, Old: m.New, New: m.Old}
 			}
-			tick := 0
-			step := func() {
-				moves := there
-				if tick%2 == 1 {
-					moves = back
-				}
-				tick++
-				if _, err := x.ApplyBatch(moves); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i := 0; i < 6; i++ { // carry, scratch and arenas reach their size
-				step()
-			}
-			if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
-				t.Errorf("ApplyBatch allocates %.1f times per tick at steady state, want 0", allocs)
-			}
+			pinSteadyTick(t, x.ApplyBatch, there, back)
 		})
+	}
+}
+
+// TestBoxApplyBatchDoesNotAllocate is TestApplyBatchDoesNotAllocate over
+// every inner box family: each one's audit keeps its id-indexed table on
+// its structure, so a box writer tick allocates nothing either.
+func TestBoxApplyBatchDoesNotAllocate(t *testing.T) {
+	const n = 4000
+	for name, mk := range boxFamilies(n) {
+		for _, k := range []int{n / 50, n / 2} {
+			t.Run(fmt.Sprintf("%s/batch=%d", name, k), func(t *testing.T) {
+				r := xrand.New(97)
+				oracle := randomBoxes(r, n)
+				x := NewBoxIndex(mk, Options{})
+				x.Instrument(obs.New())
+				x.Build(oracle)
+				there := randomBoxMoves(r, oracle, k)
+				back := make([]geom.BoxMove, len(there))
+				for i, m := range there {
+					back[i] = geom.BoxMove{ID: m.ID, Old: m.New, New: m.Old}
+				}
+				pinSteadyTick(t, x.ApplyBatch, there, back)
+			})
+		}
+	}
+}
+
+// pinSteadyTick applies two batches over the same ids, alternated, so
+// every tick moves objects for real without generating inside the
+// measured region, and wants the ticks past the warm-up to allocate
+// nothing.
+func pinSteadyTick[M any](t *testing.T, apply func([]M) (uint64, error), there, back []M) {
+	t.Helper()
+	tick := 0
+	step := func() {
+		moves := there
+		if tick%2 == 1 {
+			moves = back
+		}
+		tick++
+		if _, err := apply(moves); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 6; i++ { // carry, scratch and arenas reach their size
+		step()
+	}
+	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+		t.Errorf("ApplyBatch allocates %.1f times per tick at steady state, want 0", allocs)
 	}
 }

@@ -335,7 +335,10 @@ func BenchmarkBoxBuildPhases(b *testing.B) {
 
 	g := MustNewBoxGrid(48, bounds, len(boxes))
 	g.Build(boxes)
-	counts := slices.Clone(g.counts) // a dense build's live counts are its histogram
+	// Build leaves its cursors at the run ends: recount for the histogram.
+	clear(g.counts)
+	g.countCells(g.counts, g.spans)
+	counts := slices.Clone(g.counts)
 	phase("boxcsr/span", func() { spanPass(&g.mapper, boxes, g.spans) })
 	phase("boxcsr/count", func() {
 		clear(g.counts)
@@ -673,4 +676,48 @@ func BenchmarkCSRColumns(b *testing.B) {
 		g.Build(pts)
 		benchWindows(b, fmt.Sprintf("columns=%d", 1<<shift), g, pts, queriers)
 	}
+}
+
+// BenchmarkAudit prices the publish audit, CheckInvariants, against the
+// Build it audits, on both tiers, at the benchmark's sizes: the CSR grid at
+// cps=64 over 50 000 and 100 000 DefaultUniform points on the 22 000 space,
+// and BoxGrid2L at cps=48 over the 50 000 DefaultUniformBoxes rects.
+// internal/grid/README.md, "The audit", carries its table.
+func BenchmarkAudit(b *testing.B) {
+	for _, n := range []int{50_000, 100_000} {
+		cfg := workload.DefaultUniform()
+		cfg.NumPoints = n
+		pts := workload.MustNewGenerator(cfg).Positions(nil)
+		g := MustNew(Config{Layout: LayoutCSR, Scan: ScanRange, BS: 1, CPS: 64}, cfg.Bounds(), n)
+		auditRows(b, fmt.Sprintf("csr/cps=64/n=%d", n), func() { g.Build(pts) }, g.CheckInvariants)
+	}
+	gen := workload.MustNewBoxGenerator(workload.DefaultUniformBoxes())
+	rects := gen.Rects(nil)
+	bg := MustNewBoxGrid2L(48, gen.Config().Bounds(), len(rects))
+	auditRows(b, fmt.Sprintf("box2l/cps=48/n=%d", len(rects)), func() { bg.Build(rects) }, bg.CheckInvariants)
+}
+
+// auditRows times build and then audit, each on both tiers. Each timed
+// loop starts from a built index and one untimed call, so the scratch both
+// keep on the structure is sized and the allocations reported are the
+// steady state's.
+func auditRows(b *testing.B, name string, build func(), audit func() error) {
+	build()
+	benchTiers(b, name+"/build", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			build()
+		}
+	})
+	benchTiers(b, name+"/audit", func(b *testing.B) {
+		b.ReportAllocs()
+		if err := audit(); err != nil {
+			b.Fatal(err)
+		}
+		for b.Loop() {
+			if err := audit(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

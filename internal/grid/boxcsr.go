@@ -58,6 +58,8 @@ type BoxGrid struct {
 	shardCounts [][]uint32 // build scratch: per-worker count arrays
 	// queries counts query-kernel entries (nil until Instrument).
 	queries *obs.Counter
+	// replicas is CheckInvariants' per-object count (nil until first used).
+	replicas []uint32
 }
 
 // cellSpan is an inclusive cell range [x0,x1]x[y0,y1]. uint16 covers any

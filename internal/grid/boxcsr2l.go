@@ -104,6 +104,8 @@ type BoxGrid2L struct {
 	shardCounts [][]uint32 // build scratch: per-worker count arrays
 	// queries counts query-kernel entries (nil until Instrument).
 	queries *obs.Counter
+	// audit is CheckInvariants' reusable state (nil until first used).
+	audit *boxAudit
 }
 
 // NewBoxGrid2L constructs a class-partitioned box grid for the given

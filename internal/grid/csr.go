@@ -51,8 +51,10 @@ type csrStore struct {
 	pts []geom.Point
 
 	// cellOf[id] is the label of entry id, the column of its position (and
-	// so, shifted, the cell holding it): build scratch, written by the label
-	// half of the sort and read by the scatter half (and by the audit).
+	// so, shifted, the cell holding it). The label half of the sort writes it
+	// and the scatter half reads it, and it is kept between builds for the
+	// audit, which proves it current against a relabel of the snapshot and
+	// reads it once a slot for the stretch clause (csrStore.proven).
 	cellOf []uint32
 	// cursors are the per-shard count, then scatter cursor, arrays of a sort
 	// over several shards, one slot per column. A sort on one shard keeps

@@ -82,17 +82,7 @@ func detectsCorruptions(t *testing.T, pts []geom.Point, cases []corruption) {
 func TestGridCheckInvariantsDetectsCorruption(t *testing.T) {
 	r := xrand.New(7)
 	pts := randomPoints(r, 500, testBounds)
-	detectsCorruptions(t, pts, []corruption{
-		// The last cell's count, read off the offsets, reaches one slot past
-		// what the arena holds.
-		{"count exceeds capacity", "the arena begins", func(g *Grid, f int) { g.csr.starts[len(g.csr.starts)-1]++ }},
-		{"arena end one short", "the arena begins", func(g *Grid, f int) { g.csr.starts[len(g.csr.starts)-1]-- }},
-		{"arena start past slot 0", "the arena begins", func(g *Grid, f int) { g.csr.starts[0]++ }},
-		// An object moved in the base table without a rebuild.
-		{"misplaced entry", "stored in cell", func(g *Grid, f int) {
-			g.pts[g.csr.ids[g.csr.starts[f]]] = geom.Pt(testBounds.MaxX-1, testBounds.MaxY-1)
-		}},
-	})
+	detectsCorruptions(t, pts, arenaCorruptions)
 
 	t.Run("xy arena divergence", func(t *testing.T) {
 		g := MustNew(CSRXY(), testBounds, len(pts))
@@ -112,17 +102,35 @@ func TestGridCheckInvariantsDetectsCorruption(t *testing.T) {
 // only the column clauses can see it.
 func TestCheckCSRAuditsDenseFlag(t *testing.T) {
 	pts := randomPoints(xrand.New(67), 500, testBounds)
-	detectsCorruptions(t, pts, []corruption{
-		{"column offset one entry early", "outside the column", func(g *Grid, f int) { g.csr.starts[f]-- }},
-		{"column offset past the next", "not monotone", func(g *Grid, f int) { g.csr.starts[f] = g.csr.starts[f+1] + 1 }},
-		{"id swapped across columns", "outside the column", func(g *Grid, f int) {
-			ids, k := g.csr.ids, g.csr.starts[f]
-			ids[k-1], ids[k] = ids[k], ids[k-1]
-		}},
-		{"label of another column of the cell", "labelled column", func(g *Grid, f int) {
-			g.csr.cellOf[g.csr.ids[g.csr.starts[f]]] = uint32(f - 1)
-		}},
-	})
+	detectsCorruptions(t, pts, columnCorruptions)
+}
+
+// arenaCorruptions fault the bounds of a CSR arena or the base table
+// (TestGridCheckInvariantsDetectsCorruption).
+var arenaCorruptions = []corruption{
+	// The last cell's count, read off the offsets, reaches one slot past
+	// what the arena holds.
+	{"count exceeds capacity", "the arena begins", func(g *Grid, f int) { g.csr.starts[len(g.csr.starts)-1]++ }},
+	{"arena end one short", "the arena begins", func(g *Grid, f int) { g.csr.starts[len(g.csr.starts)-1]-- }},
+	{"arena start past slot 0", "the arena begins", func(g *Grid, f int) { g.csr.starts[0]++ }},
+	// An object moved in the base table without a rebuild.
+	{"misplaced entry", "stored in cell", func(g *Grid, f int) {
+		g.pts[g.csr.ids[g.csr.starts[f]]] = geom.Pt(testBounds.MaxX-1, testBounds.MaxY-1)
+	}},
+}
+
+// columnCorruptions fault the column clauses of a CSR arena alone
+// (TestCheckCSRAuditsDenseFlag).
+var columnCorruptions = []corruption{
+	{"column offset one entry early", "outside the column", func(g *Grid, f int) { g.csr.starts[f]-- }},
+	{"column offset past the next", "not monotone", func(g *Grid, f int) { g.csr.starts[f] = g.csr.starts[f+1] + 1 }},
+	{"id swapped across columns", "outside the column", func(g *Grid, f int) {
+		ids, k := g.csr.ids, g.csr.starts[f]
+		ids[k-1], ids[k] = ids[k], ids[k-1]
+	}},
+	{"label of another column of the cell", "labelled column", func(g *Grid, f int) {
+		g.csr.cellOf[g.csr.ids[g.csr.starts[f]]] = uint32(f - 1)
+	}},
 }
 
 // twoColumns finds a cell of g with entries in two adjacent columns, and

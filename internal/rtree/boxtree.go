@@ -54,6 +54,10 @@ type BoxTree struct {
 	scratchKeys []uint32
 	levelIdx    []uint32
 	levelNodes  []node
+
+	// covered is CheckInvariants' mark of each object a leaf run holds,
+	// reused across audits.
+	covered []uint8
 }
 
 // NewBoxTree returns a box tree with the given fanout (entries per node).

@@ -8,7 +8,8 @@ import "fmt"
 // publishing it. It checks that the root is the last node, every node
 // count is in (0, fanout], leaf entry runs start at fanout multiples and
 // tile the entry arena exactly once, and every node MBR covers its
-// children.
+// children. Its mark of each object a leaf run holds is kept on the tree,
+// since the epoch publisher audits before every publish.
 func (t *BoxTree) CheckInvariants() error {
 	n := len(t.entries)
 	if n == 0 {
@@ -23,7 +24,11 @@ func (t *BoxTree) CheckInvariants() error {
 	if int(t.root) != len(t.nodes)-1 {
 		return fmt.Errorf("rtree: root %d is not the last node (%d nodes)", t.root, len(t.nodes))
 	}
-	covered := make([]uint8, n)
+	if cap(t.covered) < n {
+		t.covered = make([]uint8, n)
+	}
+	covered := t.covered[:n]
+	clear(covered)
 	leafSeen := 0
 	for ni := range t.nodes {
 		nd := &t.nodes[ni]
