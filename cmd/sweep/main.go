@@ -10,12 +10,15 @@
 // window-join selectivity sweep).
 //
 // Both object classes accept the adaptive selector (-layout auto /
-// -boxlayout auto, backed by internal/tune): it samples each step's
-// workload, picks the family + tuning from the calibrated cost model,
-// and the sweep reports which structure it chose per step — the
-// natural harness for watching the selector walk the decision surface
-// as the query window (or mix) shifts. Because auto tunes its own
-// structural parameter, it only supports -vary qext.
+// -boxlayout auto, backed by internal/tune), and the sweep reports which
+// structure it chose per step. For points it is the CSR grid at the
+// paper's tuned occupancy, so its cps follows the population and not the
+// window: a -vary qext sweep logs the same auto(csr/cps=…) at every
+// step. For boxes it samples each step's workload and picks the two-layer
+// grid or the STR R-tree and its parameter from the calibrated cost
+// model — the harness for watching that selector walk the decision
+// surface as the query window (or mix) shifts. Because auto sets its own
+// structural parameter, it only supports -vary qext (and -vary shards).
 //
 // Sweeps drain queries through the engines' buffered kernel by default;
 // -querykernel emit|append|batch forces a specific kernel (emit is the

@@ -17,8 +17,8 @@
 //     exactly one leaf of a bulk-loaded packing.
 //
 //   - the adaptive selector (internal/tune): samples the corridors on
-//     its first build, prices every family with a calibrated cost
-//     model, and becomes whichever structure it predicts fastest —
+//     its first build, prices the two-layer grid and the R-tree with a
+//     calibrated cost model, and becomes whichever it predicts fastest —
 //     the example prints which one it picked and the statistics that
 //     drove the decision.
 //

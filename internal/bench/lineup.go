@@ -114,7 +114,7 @@ var namedTechniques = []NamedTechnique{
 	},
 	{
 		Key:         "auto",
-		Description: "adaptive: samples the first snapshot and picks inline/csr/csrxy + a tuned cps from a calibrated cost model (internal/tune)",
+		Description: "adaptive: the CSR grid at the paper's tuned occupancy, cps from the first snapshot's population (50 000 points at cps 64; internal/tune)",
 		Make:        tune.AutoFactory,
 	},
 	{
@@ -159,7 +159,7 @@ var namedBoxTechniques = []NamedBoxTechnique{
 	},
 	{
 		Key:         "boxauto",
-		Description: "adaptive: samples the first MBR snapshot and picks boxcsr/boxcsr2l/boxrtree + tuned cps or fanout from a calibrated cost model (internal/tune)",
+		Description: "adaptive: samples the first MBR snapshot and picks the two-layer grid or the STR R-tree + tuned cps or fanout from a calibrated cost model (internal/tune)",
 		Make:        tune.AutoBoxFactory,
 	},
 	{

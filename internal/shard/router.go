@@ -39,10 +39,7 @@ type router[P comparable] struct {
 	fanned  [][]uint32 // per-worker x per-region parallel routing scratch
 }
 
-// newRouter forces tune calibration so the per-shard family selection
-// at first build stays outside any timed region.
 func newRouter[P comparable](g *geo[P], p core.Params, side int) router[P] {
-	tune.Calibrate()
 	return router[P]{env: env[P]{geo: g, hints: p.Hints}, bounds: p.Bounds, side: side}
 }
 
@@ -107,14 +104,19 @@ func AutoFactory(p core.Params) core.Index { return NewAuto(p) }
 // NewBox constructs a sharded box engine with an explicit region-grid
 // side (>= 1).
 func NewBox(p core.Params, side int) *BoxIndex {
-	return &BoxIndex{newRouter(boxGeo, p, max(side, 1))}
+	return newBoxIndex(p, max(side, 1))
 }
 
 // AutoBoxFactory is the core.BoxFactory of lineup key "boxshard-auto":
 // a sharded box engine whose region-grid side is chosen by the tune
 // shard-count ladder (p.Shards overrides).
-func AutoBoxFactory(p core.Params) core.BoxIndex {
-	return &BoxIndex{newRouter(boxGeo, p, p.Shards)}
+func AutoBoxFactory(p core.Params) core.BoxIndex { return newBoxIndex(p, p.Shards) }
+
+// newBoxIndex forces tune's calibration, which the regions' box choice
+// reads, so it runs at construction and outside any timed region.
+func newBoxIndex(p core.Params, side int) *BoxIndex {
+	tune.Calibrate()
+	return &BoxIndex{newRouter(boxGeo, p, side)}
 }
 
 // RegionInfo is one region's population and tuning choice, for

@@ -36,8 +36,8 @@ func (unbuilt[P]) Update(uint32, P, P)                            {}
 
 // auto is the adaptive index over geometry P: a
 // core.IndexOf[P] that defers choosing its structure until the first
-// Build, when it samples the actual snapshot, runs the calibrated
-// selector, and instantiates the winner. Every subsequent call
+// Build, when it samples the actual snapshot, runs the selector, and
+// instantiates the winner. Every subsequent call
 // delegates, so its output is bit-identical to the chosen static family
 // by construction — the digest tests lean on exactly that.
 //
@@ -59,20 +59,17 @@ type auto[P any] struct {
 	appendKernel func(r geom.Rect, buf []uint32) []uint32
 }
 
-// newAuto forces the once-per-process calibration so its
-// microbenchmarks run OUTSIDE any timed region: drivers time Build,
-// and the first Build is where selection (but not calibration) happens.
 func newAuto[P any](g *autoGeo[P], p core.Params) auto[P] {
-	Calibrate()
 	return auto[P]{geo: g, params: p, inner: unbuilt[P]{}, appendKernel: unbuilt[P]{}.QueryAppend}
 }
 
-// Auto is the adaptive point index, choosing among the point grid
-// layouts and their granularity on first Build.
+// Auto is the adaptive point index: on first Build it takes the CSR grid
+// at the granularity of the point rule (ChoosePoint).
 type Auto struct{ auto[geom.Point] }
 
-// AutoBox is Auto for extended objects: a core.BoxIndex choosing among
-// the box grid families and the STR R-tree on first Build.
+// AutoBox is Auto for extended objects: a core.BoxIndex choosing
+// between the two-layer box grid and the STR R-tree on first Build, from
+// the calibrated cost model.
 type AutoBox struct{ auto[geom.Rect] }
 
 var (
@@ -84,17 +81,20 @@ var (
 )
 
 // NewAuto returns an adaptive point index for the given parameters. The
-// hints in p seed the sampler with the query mix (the selection prices
-// the drivers' tick, Model.TickNs, which has no update term); zero hints
-// fall back to the defaults documented on Stats.sanitize. Construction
-// runs the calibration (see newAuto).
+// point rule reads only the population, so it needs no calibration.
 func NewAuto(p core.Params) *Auto {
 	return &Auto{newAuto(pointAuto, p)}
 }
 
-// NewAutoBox returns an adaptive box index for the given parameters,
-// calibrated at construction like NewAuto.
+// NewAutoBox returns an adaptive box index for the given parameters. The
+// hints in p seed the sampler with the query mix (the selection prices
+// the drivers' tick, Model.TickNs, which has no update term); zero hints
+// fall back to the defaults documented on Stats.sanitize. Construction
+// forces the once-per-process calibration, so its microbenchmarks run
+// OUTSIDE any timed region: drivers time Build, and the first Build is
+// where selection (but not calibration) happens.
 func NewAutoBox(p core.Params) *AutoBox {
+	Calibrate()
 	return &AutoBox{newAuto(boxAuto, p)}
 }
 

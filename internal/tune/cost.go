@@ -5,45 +5,28 @@ import (
 	"math"
 )
 
-// Family enumerates the index families the selector chooses among: the
-// three point-grid layouts the repo benchmarks against each other, and
-// the three box structures (two grid variants and the STR R-tree — the
-// cross-family axis).
+// Family enumerates what the selector can pick: the CSR point grid, and
+// the two box structures the cost model prices against each other — the
+// two-layer classed grid and the STR R-tree (the cross-family axis).
 type Family int
 
 const (
-	// PointInline is the paper's tuned refactored grid (inline buckets):
-	// the update-cheapest point layout.
-	PointInline Family = iota
-	// PointCSR is the contiguous counting-sort layout: fastest
-	// build+query at tuned granularities.
-	PointCSR
-	// PointCSRXY is CSR with coordinates inlined next to the IDs: wins
-	// only at coarse grids, where filtered cells dominate.
-	PointCSRXY
-	// BoxCSR is the reference-point CSR rectangle grid.
-	BoxCSR
+	// PointCSR is the contiguous counting-sort point grid, at the
+	// granularity of the point rule (ChoosePoint); it has no model.
+	PointCSR Family = iota
 	// BoxCSR2L is the two-layer class-partitioned rectangle grid:
 	// fastest box queries at tuned granularities, higher build tax.
 	BoxCSR2L
 	// BoxRTree is the STR bulk-loaded box R-tree: replication-free,
 	// granularity-independent build.
 	BoxRTree
-
-	numFamilies int = iota
 )
 
 // String returns the family's lineup-facing name.
 func (f Family) String() string {
 	switch f {
-	case PointInline:
-		return "inline"
 	case PointCSR:
 		return "csr"
-	case PointCSRXY:
-		return "csrxy"
-	case BoxCSR:
-		return "boxcsr"
 	case BoxCSR2L:
 		return "boxcsr2l"
 	case BoxRTree:
@@ -53,31 +36,37 @@ func (f Family) String() string {
 	}
 }
 
-// IsBox reports whether the family indexes rectangles.
-func (f Family) IsBox() bool { return f >= BoxCSR }
-
-// pointFamilies and boxFamilies are the candidate sets the selector
-// sweeps.
-var (
-	pointFamilies = []Family{PointInline, PointCSR, PointCSRXY}
-	boxFamilies   = []Family{BoxCSR, BoxCSR2L, BoxRTree}
-)
+// boxFamilies is the candidate set ChooseBox sweeps.
+var boxFamilies = []Family{BoxCSR2L, BoxRTree}
 
 // coeffs are one family's fitted hardware constants, all in
 // nanoseconds per primitive. Shapes (below) count the primitives; a
 // predicted cost is always shape·coefficient summed over primitives.
 type coeffs struct {
-	buildObj  float64 // per object replica scattered (grids) / per record packed (tree)
-	buildCell float64 // per directory cell swept per build (grids) / per node packed (tree)
-	queryCell float64 // per cell visited (grids) / per node visited (tree)
-	queryCand float64 // per TESTED candidate (boundary cells: containment / dedup test)
-	queryEmit float64 // per EMITTED candidate (cells contained in the window: appended without a per-candidate test by the layouts that can skip it)
+	buildObj  float64 // per object replica scattered (grid) / per record packed (tree)
+	buildCell float64 // per directory cell swept per build (grid) / per node packed (tree)
+	queryCell float64 // per cell visited (grid) / per node visited (tree)
+	queryCand float64 // per TESTED candidate (boundary cells: containment test)
+	queryEmit float64 // per EMITTED candidate (cells contained in the window: appended without a per-candidate test)
 }
 
-// Model is a calibrated cost model: closed-form curves over the sampled
-// Stats with per-family constants fitted by Calibrate's microbenchmarks.
+// Model is a calibrated cost model of the two box families: closed-form
+// curves over the sampled Stats with constants fitted by Calibrate's
+// microbenchmarks.
 type Model struct {
-	c [numFamilies]coeffs
+	grid, tree coeffs
+}
+
+// of returns family f's constants. Only the box families are priced; the
+// point rule reads no model, so asking for a point family is a bug.
+func (m *Model) of(f Family) coeffs {
+	switch f {
+	case BoxCSR2L:
+		return m.grid
+	case BoxRTree:
+		return m.tree
+	}
+	panic(fmt.Sprintf("tune: no cost model for %s", f))
 }
 
 // --- shape functions: primitive counts, shared by prediction and fitting ---
@@ -92,8 +81,7 @@ func replication(s Stats, p int) float64 {
 }
 
 // gridBuildShape returns the two build primitive counts of a grid at
-// granularity p: replica scatters and directory-cell sweeps. repl is 1
-// for point grids.
+// granularity p: replica scatters and directory-cell sweeps.
 func gridBuildShape(s Stats, p int, repl float64) (obj, cells float64) {
 	return float64(s.N) * repl, float64(p) * float64(p)
 }
@@ -104,8 +92,7 @@ func gridBuildShape(s Stats, p int, repl float64) (obj, cells float64) {
 // entry takes a containment or dedup test), and candidates EMITTED (in
 // cells the window fully contains, which the grids scan without a
 // per-entry test — the term that makes fine grids cheap on coarse
-// windows, the two-layer classed grid most of all). repl is 1 for point
-// grids.
+// windows, the two-layer classed grid most of all).
 func gridQueryShape(s Stats, p int, repl float64) (cells, tested, emitted float64) {
 	side := float64(s.Space.Width())
 	cell := side / float64(p)
@@ -202,37 +189,27 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // --- predicted costs ---
 
-// BuildNs predicts one build over the full snapshot for family f at
+// BuildNs predicts one build over the full snapshot for box family f at
 // parameter p (grid cells-per-side, or R-tree fanout).
 func (m *Model) BuildNs(f Family, s Stats, p int) float64 {
-	c := m.c[f]
-	switch f {
-	case BoxRTree:
+	c := m.of(f)
+	if f == BoxRTree {
 		return c.buildObj*float64(s.N) + c.buildCell*rtreeNodes(s.N, p)
-	case BoxCSR, BoxCSR2L:
-		obj, cells := gridBuildShape(s, p, replication(s, p))
-		return c.buildObj*obj + c.buildCell*cells
-	default:
-		obj, cells := gridBuildShape(s, p, 1)
-		return c.buildObj*obj + c.buildCell*cells
 	}
+	obj, cells := gridBuildShape(s, p, replication(s, p))
+	return c.buildObj*obj + c.buildCell*cells
 }
 
 // QueryNs predicts one range query of side s.QuerySide through
 // QueryAppend, the kernel the calibration times and the drivers run.
 func (m *Model) QueryNs(f Family, s Stats, p int) float64 {
-	c := m.c[f]
-	switch f {
-	case BoxRTree:
+	c := m.of(f)
+	if f == BoxRTree {
 		nodes, cands := rtreeQueryShape(s, p)
 		return c.queryCell*nodes + c.queryCand*cands
-	case BoxCSR, BoxCSR2L:
-		cells, tested, emitted := gridQueryShape(s, p, replication(s, p))
-		return c.queryCell*cells + c.queryCand*tested + c.queryEmit*emitted
-	default:
-		cells, tested, emitted := gridQueryShape(s, p, 1)
-		return c.queryCell*cells + c.queryCand*tested + c.queryEmit*emitted
 	}
+	cells, tested, emitted := gridQueryShape(s, p, replication(s, p))
+	return c.queryCell*cells + c.queryCand*tested + c.queryEmit*emitted
 }
 
 // TickNs predicts one tick of a driver: one build and the tick's
@@ -243,9 +220,9 @@ func (m *Model) TickNs(f Family, s Stats, p int) float64 {
 	return m.BuildNs(f, s, p) + s.Queriers*float64(s.N)*m.QueryNs(f, s, p)
 }
 
-// Coeffs exposes one family's fitted constants (for tests and the
+// Coeffs exposes one box family's fitted constants (for tests and the
 // README's worked example).
 func (m *Model) Coeffs(f Family) (buildObj, buildCell, queryCell, queryCand, queryEmit float64) {
-	c := m.c[f]
+	c := m.of(f)
 	return c.buildObj, c.buildCell, c.queryCell, c.queryCand, c.queryEmit
 }

@@ -15,8 +15,8 @@ import (
 // cps values the decision surface actually bends across (the BENCH
 // sweeps show the optimum always lands inside this range); fanouts over
 // the cache-line-regime node sizes. Every value is valid by
-// construction: 1 ≤ cps ≤ grid.MaxBoxCPS and fanout ≥ 2, which the
-// selector property test pins down.
+// construction: 1 ≤ cps ≤ grid.MaxCSRCPS ≤ grid.MaxBoxCPS and fanout ≥ 2,
+// which the selector property test pins down.
 var (
 	gridCPSLadder = []int{8, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512}
 	fanoutLadder  = []int{4, 8, 16, 32, 64}
@@ -44,15 +44,16 @@ func (a Alternative) String() string {
 type Choice struct {
 	Family Family
 	// CPS is the tuned grid granularity (grid families; 0 otherwise),
-	// always in [1, grid.MaxBoxCPS].
+	// always on gridCPSLadder.
 	CPS int
 	// Fanout is the tuned node capacity (BoxRTree; 0 otherwise),
 	// always ≥ 2.
 	Fanout int
 	// Stats are the sampled statistics the decision was made from.
 	Stats Stats
-	// Ranking holds each candidate family's best (parameter, predicted
-	// tick cost), cheapest first.
+	// Ranking holds each candidate box family's best (parameter,
+	// predicted tick cost), cheapest first; empty for a point choice,
+	// which is a rule and not a price.
 	Ranking []Alternative
 }
 
@@ -70,57 +71,67 @@ func (c Choice) String() string {
 }
 
 // Explain renders the decision with its evidence: the sampled stats and
-// the predicted cost of every family's best candidate.
+// the predicted cost of every box family's best candidate, or the point
+// rule.
 func (c Choice) Explain() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "sampled: %s\n", c.Stats)
-	parts := make([]string, 0, len(c.Ranking))
-	for _, a := range c.Ranking {
-		parts = append(parts, fmt.Sprintf("%s %.3fms/tick", a, a.TickNs/1e6))
+	if c.Family == PointCSR {
+		fmt.Fprintf(&b, "rule: the paper's occupancy, n/cps² ≈ %d/%d²\n", paperPoints, grid.RefactoredCPS)
+	} else {
+		parts := make([]string, 0, len(c.Ranking))
+		for _, a := range c.Ranking {
+			parts = append(parts, fmt.Sprintf("%s %.3fms/tick", a, a.TickNs/1e6))
+		}
+		fmt.Fprintf(&b, "predicted: %s\n", strings.Join(parts, ", "))
 	}
-	fmt.Fprintf(&b, "predicted: %s\n", strings.Join(parts, ", "))
 	fmt.Fprintf(&b, "picked: %s", c)
 	return b.String()
 }
 
-// pointDensityFloor is the minimum expected objects per cell the point
-// ladder is allowed to reach. Below ~2 objects per cell, extra
-// granularity cannot shrink the candidate term (most candidates are
-// matches already) while directory sweep and cache costs keep growing —
-// a regime the small-scene calibration systematically underprices, so
-// the selector does not extrapolate into it.
-const pointDensityFloor = 2.0
+// paperPoints is the population of the paper's default workload, at
+// which its tuned grid has grid.RefactoredCPS cells per side (Figure 5b).
+const paperPoints = 50_000
 
-// choose sweeps the given families over their parameter ladders and
-// returns the argmin of the predicted per-tick cost (TickNs).
-func choose(m *Model, s Stats, families []Family) Choice {
+// ChoosePoint picks the point structure for the sampled workload: the CSR
+// grid at the paper's tuned occupancy, n/cps² = paperPoints/RefactoredCPS²
+// — the ladder value nearest RefactoredCPS·√(n/paperPoints). It reads no
+// calibration: the CSR tick is flat over cps 32–96 on windows of 100 to
+// 1600 units, and a fitted point model picked no faster (README §3). The
+// shard engines' regions pick with it too.
+func ChoosePoint(s Stats) Choice {
 	s = s.sanitize()
-	maxPointCPS := int(math.Sqrt(float64(s.N) / pointDensityFloor))
-	if maxPointCPS < gridCPSLadder[0] {
-		maxPointCPS = gridCPSLadder[0]
+	want := grid.RefactoredCPS * math.Sqrt(float64(s.N)/paperPoints)
+	cps := gridCPSLadder[0]
+	for _, p := range gridCPSLadder {
+		if math.Abs(float64(p)-want) < math.Abs(float64(cps)-want) {
+			cps = p
+		}
 	}
-	best := make(map[Family]Alternative, len(families))
-	for _, f := range families {
+	return Choice{Family: PointCSR, CPS: cps, Stats: s}
+}
+
+// ChooseBox selects the box family + parameter for the sampled workload
+// using the process-wide calibration: the argmin over both families'
+// ladders of the predicted per-tick cost, priced as every driver runs a
+// tick (TickNs: the sampled update mix does not enter).
+func ChooseBox(s Stats) Choice { return Calibrate().chooseBox(s) }
+
+func (m *Model) chooseBox(s Stats) Choice {
+	s = s.sanitize()
+	ranking := make([]Alternative, 0, len(boxFamilies))
+	for _, f := range boxFamilies {
 		ladder := gridCPSLadder
 		if f == BoxRTree {
 			ladder = fanoutLadder
 		}
-		for _, p := range ladder {
-			if f != BoxRTree && p > grid.MaxBoxCPS {
-				continue
-			}
-			if !f.IsBox() && p > maxPointCPS {
-				continue
-			}
-			t := m.TickNs(f, s, p)
-			if cur, ok := best[f]; !ok || t < cur.TickNs {
-				best[f] = Alternative{Family: f, Param: p, TickNs: t}
+		var best Alternative
+		for i, p := range ladder {
+			if t := m.TickNs(f, s, p); i == 0 || t < best.TickNs {
+				best = Alternative{Family: f, Param: p, TickNs: t}
 			}
 		}
-	}
-	ranking := make([]Alternative, 0, len(best))
-	for _, a := range best {
-		ranking = append(ranking, a)
+		ranking = append(ranking, best)
 	}
 	sort.Slice(ranking, func(i, j int) bool {
 		if ranking[i].TickNs != ranking[j].TickNs {
@@ -138,30 +149,11 @@ func choose(m *Model, s Stats, families []Family) Choice {
 	return c
 }
 
-// ChoosePoint selects the point family + granularity for the sampled
-// workload using the process-wide calibration, priced as every driver
-// runs a tick (TickNs: the sampled update mix does not enter). The shard
-// engines' regions pick with it too.
-func ChoosePoint(s Stats) Choice { return Calibrate().choosePoint(s) }
-
-// ChooseBox is ChoosePoint for the box families.
-func ChooseBox(s Stats) Choice { return Calibrate().chooseBox(s) }
-
-func (m *Model) choosePoint(s Stats) Choice { return choose(m, s, pointFamilies) }
-func (m *Model) chooseBox(s Stats) Choice   { return choose(m, s, boxFamilies) }
-
 // NewPointIndex instantiates the chosen point structure.
 func (c Choice) NewPointIndex(p core.Params) core.Index {
-	layout := grid.LayoutInline
-	switch c.Family {
-	case PointCSR:
-		layout = grid.LayoutCSR
-	case PointCSRXY:
-		layout = grid.LayoutCSRXY
-	}
 	cfg := grid.Config{
 		Name:   fmt.Sprintf("auto(%s)", c),
-		Layout: layout,
+		Layout: grid.LayoutCSR,
 		Scan:   grid.ScanRange,
 		BS:     grid.RefactoredBS,
 		CPS:    c.CPS,
@@ -171,12 +163,8 @@ func (c Choice) NewPointIndex(p core.Params) core.Index {
 
 // NewBoxIndex instantiates the chosen box structure.
 func (c Choice) NewBoxIndex(p core.Params) core.BoxIndex {
-	switch c.Family {
-	case BoxRTree:
+	if c.Family == BoxRTree {
 		return rtree.MustNewBoxTree(c.Fanout)
-	case BoxCSR2L:
-		return grid.MustNewBoxGrid2L(c.CPS, p.Bounds, p.NumPoints)
-	default:
-		return grid.MustNewBoxGrid(c.CPS, p.Bounds, p.NumPoints)
 	}
+	return grid.MustNewBoxGrid2L(c.CPS, p.Bounds, p.NumPoints)
 }

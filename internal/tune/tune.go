@@ -1,24 +1,23 @@
 // Package tune closes the loop the paper opens: *which* implementation
 // is right depends on the workload, so pick it per run from the workload
-// itself. The benchmark's traced ladder (grid.*, rtree.box.*) charts the
-// decision surface — classed grids beat the STR box R-tree on queries at
-// tuned granularities but pay replication and build tax, CSR-XY wins
-// only at coarse grids — and this package automates walking it:
+// itself. It prices only the decision a model has been shown to make:
 //
 //  1. a workload SAMPLER (this file) extracts, in one cheap pass over a
-//     strided sample of the snapshot, the statistics the decision
+//     strided sample of a box snapshot, the statistics the box decision
 //     surface depends on: population, extent distribution (mean / p95
 //     MBR side), spatial skew, query-window selectivity, and the
-//     query:update mix;
-//  2. a calibrated COST MODEL (cost.go, calibrate.go): per-family
-//     closed-form cost curves for build and query whose
-//     hardware constants are fitted once per process by tiny
-//     microbenchmarks — a few milliseconds of running the real
-//     structures over a small synthetic scene, the runtime analogue of
-//     how internal/memsim shadows grid and R-tree traversals;
-//  3. a SELECTOR (select.go) that sweeps the curves over candidate
-//     parameters and returns the family + tuning (grid cells-per-side,
-//     R-tree fanout) minimizing the predicted per-tick cost.
+//     query:update mix (a point snapshot gives its population and hints
+//     and is not visited);
+//  2. a calibrated COST MODEL (cost.go, calibrate.go) of the two box
+//     families — the two-layer classed grid (grid.BoxGrid2L) and the STR
+//     box R-tree — whose closed-form build and query curves have
+//     hardware constants fitted once per process by a few milliseconds
+//     of microbenchmarks over a small synthetic scene;
+//  3. a SELECTOR (select.go): ChooseBox sweeps the two curves over their
+//     ladders (grid cells-per-side, R-tree fanout) and returns the
+//     argmin of the predicted per-tick cost; ChoosePoint is a rule with
+//     no calibration behind it — the CSR point grid at the paper's tuned
+//     occupancy, 50 000 points at cps 64 (Figure 5b).
 //
 // The end-to-end entry points are the Auto / AutoBox indexes (auto.go):
 // drop-in core.Index / core.BoxIndex implementations that sample the
@@ -45,7 +44,7 @@ import (
 const sampleCap = 2048
 
 // skewBins is the per-axis resolution of the occupancy histogram behind
-// the skew factor.
+// the box skew factor.
 const skewBins = 16
 
 // Stats is what the sampler extracts from a snapshot — everything the
@@ -62,7 +61,8 @@ type Stats struct {
 	// expected factor by which object-centred queries see more
 	// candidates than under a uniform distribution (1 = uniform). It is
 	// the unbiased collision estimate K·Σ nᵢ(nᵢ−1)/(n(n−1)) over a
-	// K-bin occupancy histogram of the sampled centres.
+	// K-bin occupancy histogram of the sampled centres. 1 for point
+	// samples, which the point rule does not read.
 	Skew float64
 	// QuerySide is the side length of the square query windows.
 	QuerySide float32
@@ -70,7 +70,8 @@ type Stats struct {
 	// querying and updating — the query:update mix the adaptive-layout
 	// literature selects on.
 	Queriers, Updaters float64
-	// Sampled is how many objects the sampling pass actually visited.
+	// Sampled is how many objects the sampling pass actually visited
+	// (0 for point samples).
 	Sampled int
 }
 
@@ -125,19 +126,11 @@ func (s Stats) sanitize() Stats {
 	return s
 }
 
-// SamplePoints extracts workload statistics from a point snapshot in one
-// pass over at most sampleCap strided elements.
+// SamplePoints extracts the statistics the point rule reads — the
+// population, plus the space and the hints — without visiting the
+// snapshot.
 func SamplePoints(pts []geom.Point, bounds geom.Rect, h core.WorkloadHints) Stats {
-	s := statsFromHints(len(pts), bounds, h)
-	var hist [skewBins * skewBins]int
-	n := 0
-	forEachSampled(len(pts), func(i int) {
-		binOf(&hist, bounds, pts[i].X, pts[i].Y)
-		n++
-	})
-	s.Sampled = n
-	s.Skew = skewFactor(hist[:], n)
-	return s.sanitize()
+	return statsFromHints(len(pts), bounds, h).sanitize()
 }
 
 // SampleBoxes extracts workload statistics from an MBR snapshot in one
@@ -150,7 +143,11 @@ func SampleBoxes(rects []geom.Rect, bounds geom.Rect, h core.WorkloadHints) Stat
 	sides := make([]float32, 0, 2*sampleCap)
 	var sum float64
 	n := 0
-	forEachSampled(len(rects), func(i int) {
+	stride := 1
+	if len(rects) > sampleCap {
+		stride = ceilDiv(len(rects), sampleCap)
+	}
+	for i := 0; i < len(rects); i += stride {
 		r := rects[i]
 		w, ht := r.Width(), r.Height()
 		if w >= 0 && !math.IsNaN(float64(w)) {
@@ -164,7 +161,7 @@ func SampleBoxes(rects []geom.Rect, bounds geom.Rect, h core.WorkloadHints) Stat
 		c := r.Center()
 		binOf(&hist, bounds, c.X, c.Y)
 		n++
-	})
+	}
 	s.Sampled = n
 	s.Skew = skewFactor(hist[:], n)
 	if len(sides) > 0 {
@@ -190,21 +187,6 @@ func statsFromHints(n int, bounds geom.Rect, h core.WorkloadHints) Stats {
 		QuerySide: h.QuerySize,
 		Queriers:  h.Queriers,
 		Updaters:  h.Updaters,
-	}
-}
-
-// forEachSampled visits at most sampleCap indices of [0, n), evenly
-// strided.
-func forEachSampled(n int, visit func(i int)) {
-	if n <= 0 {
-		return
-	}
-	stride := 1
-	if n > sampleCap {
-		stride = (n + sampleCap - 1) / sampleCap
-	}
-	for i := 0; i < n; i += stride {
-		visit(i)
 	}
 }
 

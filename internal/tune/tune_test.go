@@ -51,15 +51,15 @@ func TestSampleEmptySanitizes(t *testing.T) {
 
 func TestSampleSkewSeparatesUniformFromClustered(t *testing.T) {
 	bounds := geom.R(0, 0, 1000, 1000)
-	uniform := make([]geom.Point, 1024)
-	clustered := make([]geom.Point, 1024)
+	uniform := make([]geom.Rect, 1024)
+	clustered := make([]geom.Rect, 1024)
 	for i := range uniform {
 		// Deterministic low-discrepancy fill.
-		uniform[i] = geom.Pt(float32((i*37)%1000), float32((i*61)%1000))
-		clustered[i] = geom.Pt(float32(i%10), float32((i/10)%10))
+		uniform[i] = geom.Square(geom.Pt(float32((i*37)%1000), float32((i*61)%1000)), 4)
+		clustered[i] = geom.Square(geom.Pt(float32(i%10), float32((i/10)%10)), 4)
 	}
-	su := SamplePoints(uniform, bounds, core.WorkloadHints{})
-	sc := SamplePoints(clustered, bounds, core.WorkloadHints{})
+	su := SampleBoxes(uniform, bounds, core.WorkloadHints{})
+	sc := SampleBoxes(clustered, bounds, core.WorkloadHints{})
 	if !(sc.Skew > 10*su.Skew) {
 		t.Errorf("skew does not separate: uniform %g, clustered %g", su.Skew, sc.Skew)
 	}
@@ -69,12 +69,12 @@ func TestSampleSkewSeparatesUniformFromClustered(t *testing.T) {
 }
 
 func TestSampleCapsWork(t *testing.T) {
-	pts := make([]geom.Point, 100_000)
-	s := SamplePoints(pts, geom.R(0, 0, 10, 10), core.WorkloadHints{})
-	if s.Sampled > 2*sampleCap {
-		t.Errorf("sampled %d of %d, cap is %d", s.Sampled, len(pts), sampleCap)
+	rects := make([]geom.Rect, 100_001)
+	s := SampleBoxes(rects, geom.R(0, 0, 10, 10), core.WorkloadHints{})
+	if s.Sampled > sampleCap || s.Sampled < sampleCap/2 {
+		t.Errorf("sampled %d of %d, cap is %d", s.Sampled, len(rects), sampleCap)
 	}
-	if s.N != len(pts) {
+	if s.N != len(rects) {
 		t.Errorf("N = %d", s.N)
 	}
 }
@@ -102,7 +102,7 @@ func TestCalibrateIsCachedAndPositive(t *testing.T) {
 	if m1 != m2 {
 		t.Fatal("Calibrate not cached")
 	}
-	for f := Family(0); int(f) < numFamilies; f++ {
+	for _, f := range boxFamilies {
 		bo, bc, qc, qx, qe := m1.Coeffs(f)
 		for _, v := range []float64{bo, bc, qc, qx, qe} {
 			if !(v >= coeffFloorNs) || math.IsInf(v, 0) || math.IsNaN(v) {
