@@ -63,7 +63,9 @@ import "repro/internal/geom"
 //     the audits of the layouts that inline coordinates compare their
 //     copies with != and report the NaN itself; and two indexes may
 //     disagree on whether it matches (the sign-bit filters of the append
-//     kernels admit NaN, Point.In does not).
+//     kernels admit a NaN of clear sign, Point.In does not, and the CSR
+//     grid's quantised filter, which puts NaN in the lowest quantum, drops
+//     it unless the window's lower quantum on that axis is 0 too).
 //
 // internal/bench's TestInputContractPoints / TestInputContractBoxes
 // assert exactly this over both lineups.

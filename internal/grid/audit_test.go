@@ -126,6 +126,17 @@ func twoInRun(t *testing.T, bg *BoxGrid2L) uint32 {
 	return 0
 }
 
+// differentQuanta returns two slots, drawn with r, whose quanta differ.
+func differentQuanta(t *testing.T, r *xrand.Rand, slots []csrSlot) (k, l int) {
+	for range 1000 {
+		if k, l = r.Intn(len(slots)), r.Intn(len(slots)); slots[k].q != slots[l].q {
+			return k, l
+		}
+	}
+	t.Fatal("no two slots with different quanta")
+	return 0, 0
+}
+
 // oneColumnPoints puts n points in the first column of the CSR grid at
 // testBounds, spread over every row.
 func oneColumnPoints(r *xrand.Rand, n int) []geom.Point {
@@ -177,12 +188,23 @@ func csrAgreement(t *testing.T) {
 	g.csr.xy[0]++
 	proven, err := gridAudits(g)
 	a.check("xy arena divergence", proven, err)
-	// A slot copied over its neighbour in the same column: only the once
-	// clause sees it.
+	// Two slots' quanta swapped: every entry stays in its column's stretch,
+	// and only the quanta clause sees it.
+	for _, seed := range []uint64{3, 5, 11} {
+		g := MustNew(CSR(), testBounds, len(clean["uniform"]))
+		g.Build(slices.Clone(clean["uniform"]))
+		slots := g.csr.slots
+		k, l := differentQuanta(t, xrand.New(seed), slots)
+		slots[k].q, slots[l].q = slots[l].q, slots[k].q
+		proven, err := gridAudits(g)
+		a.check(fmt.Sprintf("quanta of slots %d and %d swapped", k, l), proven, err)
+	}
+	// A slot, ID and quanta, copied over its neighbour in the same column:
+	// only the once clause sees it.
 	g = MustNew(CSR(), testBounds, len(clean["uniform"]))
 	g.Build(slices.Clone(clean["uniform"]))
 	k := twoInColumn(t, g.csr.starts)
-	g.csr.ids[k+1] = g.csr.ids[k]
+	g.csr.slots[k+1] = g.csr.slots[k]
 	proven, err = gridAudits(g)
 	a.check("id repeated in its column", proven, err)
 
@@ -197,12 +219,12 @@ func csrAgreement(t *testing.T) {
 			g.csr.starts[i] = editWord(r, g.csr.starts[i], len(pts))
 		}},
 		{"ids", CSR(), func(g *Grid) {
-			i := r.Intn(len(g.csr.ids))
-			g.csr.ids[i] = editWord(r, g.csr.ids[i], len(pts))
+			s := &g.csr.slots[r.Intn(len(g.csr.slots))]
+			s.id = editWord(r, s.id, len(pts))
 		}},
-		{"cellOf", CSR(), func(g *Grid) {
-			i := r.Intn(len(g.csr.cellOf))
-			g.csr.cellOf[i] = editWord(r, g.csr.cellOf[i], len(g.csr.starts))
+		{"q", CSR(), func(g *Grid) {
+			s := &g.csr.slots[r.Intn(len(g.csr.slots))]
+			s.q = editWord(r, s.q, quantSteps)
 		}},
 		{"pts", CSR(), func(g *Grid) {
 			p := &g.pts[r.Intn(len(g.pts))]

@@ -96,29 +96,35 @@ func BenchmarkCSRBuild(b *testing.B) {
 }
 
 // BenchmarkCSRBuildPhases splits the churn row of BenchmarkCSRBuild into
-// the sort's three passes, each on both tiers (only label has a vector
-// tier): label, the mapping pass into cellOf; count, the histogram of the
-// labels into starts; scatter, the prefix sum and placement, which starts
-// each iteration from a copy of the counts (a 64 kB copy, a hundredth of
-// the pass).
+// the sort's two halves, each on both tiers: count, the label pass a chunk at
+// a time and the histogram of the labels into starts; scatter, the prefix
+// sum, the second mapping pass — labels and quanta — and the placement of
+// every ID and its quanta, which starts each iteration from a copy of the
+// counts (a 64 kB copy, a hundredth of the pass). The label and quant rows
+// are the two mapping kernels alone, over the whole population.
 func BenchmarkCSRBuildPhases(b *testing.B) {
 	g, pts := churnGrid()
 	st := g.csr
 	g.Build(pts)
 	count := func() {
 		clear(st.starts)
-		for _, f := range st.cellOf {
-			st.starts[f]++
-		}
+		st.countShard(st.starts, 0, len(pts))
 	}
 	count()
 	counts := slices.Clone(st.starts)
+	labels, quanta := make([]uint32, len(pts)), make([]uint32, len(pts))
 	perPoint := func(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pts)), "ns/point")
 	}
 	benchTiers(b, "label", func(b *testing.B) {
 		for b.Loop() {
-			labelPoints(&st.mapper, pts, st.cellOf)
+			labelPoints(&st.mapper, pts, labels)
+		}
+		perPoint(b)
+	})
+	benchTiers(b, "quant", func(b *testing.B) {
+		for b.Loop() {
+			quantPoints(&st.mapper, pts, labels, quanta)
 		}
 		perPoint(b)
 	})

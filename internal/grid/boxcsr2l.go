@@ -617,7 +617,7 @@ func (bg *BoxGrid2L) appendMasked(lo, hi uint32, loX, nhiX, loY, nhiY float32, b
 	seg := bg.ids[lo:hi]
 	mx, nx, my, ny := bg.mx[lo:hi], bg.nx[lo:hi], bg.my[lo:hi], bg.ny[lo:hi]
 	k := len(buf)
-	buf = reserve(buf, seg) // survivors overwrite in place
+	buf = reserve(buf, len(seg)) // survivors overwrite in place
 	if vectorKernels {
 		return buf[:k+filterPlanes(seg, buf[k:], 4, mx, loX, nx, nhiX, my, loY, ny, nhiY)]
 	}
@@ -639,7 +639,7 @@ func (bg *BoxGrid2L) appendMasked2(lo, hi uint32, px []float32, bx float32, py [
 	seg := bg.ids[lo:hi]
 	px, py = px[lo:hi], py[lo:hi]
 	k := len(buf)
-	buf = reserve(buf, seg)
+	buf = reserve(buf, len(seg))
 	if vectorKernels {
 		return buf[:k+filterPlanes(seg, buf[k:], 2, px, bx, py, by, nil, 0, nil, 0)]
 	}
@@ -659,7 +659,7 @@ func (bg *BoxGrid2L) appendMasked1(lo, hi uint32, p []float32, b float32, buf []
 	seg := bg.ids[lo:hi]
 	p = p[lo:hi]
 	k := len(buf)
-	buf = reserve(buf, seg)
+	buf = reserve(buf, len(seg))
 	if vectorKernels {
 		return buf[:k+filterPlanes(seg, buf[k:], 1, p, b, nil, 0, nil, 0, nil, 0)]
 	}

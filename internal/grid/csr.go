@@ -11,9 +11,9 @@ import (
 
 // csrStore is the partition-based contiguous layout (LayoutCSR): a
 // compressed-sparse-row view of the grid. One counting-sort build places
-// every entry ID of cell c in the dense slice
+// every entry of cell c in the dense run of its arena
 //
-//	ids[starts[c<<shift] : starts[(c+1)<<shift]]
+//	slots[starts[c<<shift] : starts[(c+1)<<shift]]
 //
 // so scanning a cell is a flat loop over contiguous memory — no bucket
 // chain, no per-bucket header, no pointer chasing. The directory is one
@@ -22,15 +22,29 @@ import (
 // The sort key is finer than the cell in x: every cell is cut into
 // 1<<shift columns (columnShift) and the build orders a cell's entries by
 // column, with one offset per column in starts, so column f is exactly
-// ids[starts[f]:starts[f+1]] and any span of consecutive columns is one run
-// of ids. What the columns buy is appendRow's run path, which ends a row's
-// run at the columns of the window instead of the edges of its cells.
+// slots[starts[f]:starts[f+1]] and any span of consecutive columns is one
+// run of the arena. What the columns buy is appendRow's run path, which
+// ends a row's run at the columns of the window instead of the edges of its
+// cells.
 //
-// The build is a counting sort in two halves: label (map every point to
-// its column, into cellOf, then count the labels) and scatter (prefix sum,
-// then place every ID from its label). Both shard the input across
-// workers with per-worker count arrays merged by the prefix sum, so the
-// arena is bit-identical whatever the worker count.
+// Each slot of LayoutCSR's arena holds its entry's position in quanta
+// beside its ID (csrSlot; quantOf: 16 bits an axis over the whole space),
+// so the filter of a run reads one sequential stream and decides every slot
+// whose quanta lie strictly inside or outside the window's without touching
+// the base table; only a slot on a quantum of the window's edge is decided
+// by its exact position (appendFilterQ; README.md, "Quantised positions").
+// LayoutCSRXY keeps IDs alone, and the exact coordinates in an arena of
+// their own (csrxy.go).
+//
+// The build is a counting sort in two halves: count (map every point to its
+// column, its label, a chunk at a time, and count the labels) and scatter
+// (prefix sum, then map each chunk again, to labels and quanta, and place
+// every slot from its label). Both shard the input across workers with
+// per-worker count arrays merged by the prefix sum, so the arena is
+// bit-identical whatever the worker count. No label outlives the build: the
+// second mapping pass pays for the 4 bytes an entry that kept labels cost,
+// which the quanta now take, and the quanta ride in the scatter's one write
+// a point.
 //
 // The store is static, like the box grids and the R-trees: Build is its one
 // maintenance, and between builds the arena is exactly what the last
@@ -40,27 +54,29 @@ type csrStore struct {
 	shift  uint // a label's cell is label >> shift
 
 	starts []uint32 // one offset per column, and the arena's end
-	ids    []uint32 // one contiguous arena of entry IDs, len == len(pts)
 
-	// xy, when non-nil, inlines each entry's coordinates next to its ID:
-	// slot k of the ID arena owns xy[2k] (x) and xy[2k+1] (y). Filtered
-	// cells then test containment against this arena instead of the base
-	// table (LayoutCSRXY; see csrxy.go).
-	xy []float32
+	// The arena, len == len(pts): slots for LayoutCSR, ids and xy for
+	// LayoutCSRXY, which inlines slot k's coordinates at xy[2k] (x) and
+	// xy[2k+1] (y) so that filtered cells test containment against this
+	// arena instead of the base table (csrxy.go). xy is non-nil exactly
+	// for LayoutCSRXY.
+	slots []csrSlot
+	ids   []uint32
+	xy    []float32
 
 	pts []geom.Point
 
-	// cellOf[id] is the label of entry id, the column of its position (and
-	// so, shifted, the cell holding it). The label half of the sort writes it
-	// and the scatter half reads it, and it is kept between builds for the
-	// audit, which proves it current against a relabel of the snapshot and
-	// reads it once a slot for the stretch clause (csrStore.proven).
-	cellOf []uint32
 	// cursors are the per-shard count, then scatter cursor, arrays of a sort
 	// over several shards, one slot per column. A sort on one shard keeps
 	// none: it counts and scatters through starts itself (eachShard).
 	cursors [][]uint32
 }
+
+// csrSlot is one slot of LayoutCSR's arena: an entry's ID, and its
+// position in quanta, quantOf(pts[id]). Side by side they cost the scatter
+// one random write a point where two arenas cost two, and the filter reads
+// them as one stream.
+type csrSlot struct{ id, q uint32 }
 
 // columnShift is the one constant of the column directory: a CSR grid sorts
 // every cell into 1<<columnShift = 4 x-columns. Measured, not configured
@@ -82,18 +98,25 @@ func columnsOf(m cellMapper, shift uint) cellMapper {
 
 // columnMapper is the CSR store's own point mapper, apart from cellMapper
 // because the box grids' span mapping is priced by that struct's width: a
-// grid's rows, and its x axis in columns. A label is the row's first column
-// plus the column of x, so label >> shift is the cell.
+// grid's rows, its x axis in columns, and both axes in quanta. A label is
+// the row's first column plus the column of x, so label >> shift is the
+// cell.
 type columnMapper struct {
 	minX, minY     float32
 	invRow, invCol float32
-	rows, cols     int // directory rows, and columns to the row
+	invQ           float32 // quantSteps over the space's side
+	rows, cols     int     // directory rows, and columns to the row
 }
 
-func newColumnMapper(rows, cols cellMapper) columnMapper {
+// quantSteps is the number of quanta an axis of the space is cut into:
+// 16 bits, so that a slot's two quanta are one uint32 (quantOf).
+const quantSteps = 1 << 16
+
+func newColumnMapper(rows, cols cellMapper, side float32) columnMapper {
 	return columnMapper{
 		minX: rows.minX, minY: rows.minY,
 		invRow: rows.invCell, invCol: cols.invCell,
+		invQ: quantSteps / side,
 		rows: rows.cps, cols: cols.cps,
 	}
 }
@@ -119,38 +142,63 @@ func axisIndex(f float32, n int) int {
 
 // labelOf maps a point to its label with one product per axis, the very
 // products of the cellMappers it was made from. It is the definition the
-// build's label pass keeps (labelPoints) and the whole of that pass on the
-// scalar tier: it costs what cellIndexFor costs only when inlined, and through a pointer (six fields are two more than
-// the compiler keeps in registers; by value every call copied the mapper
-// to the stack).
+// build's mapping passes keep (labelPoints, quantPoints) and the whole of
+// them on the scalar tier: it costs what cellIndexFor costs only when
+// inlined, and through a pointer (the mapper has more fields than the
+// compiler keeps in registers; by value every call copied it to the stack).
 //
 //joinlint:inline
 func (m *columnMapper) labelOf(p geom.Point) uint32 {
 	return uint32(axisIndex((p.Y-m.minY)*m.invRow, m.rows)*m.cols + axisIndex((p.X-m.minX)*m.invCol, m.cols))
 }
 
+// quantOf maps a point to its quanta, x | y<<16: on each axis the offset
+// from the space's minimum — the subtraction labelOf makes — in quanta
+// (quantum). Every step is monotone, so a quantum above (below) a bound's
+// proves the coordinate above (below) the bound; only equal quanta leave
+// the order open. NaN maps to 0, as axisIndex maps it, and is the one value
+// the order does not hold for.
+//
+//joinlint:inline
+func (m *columnMapper) quantOf(p geom.Point) uint32 {
+	return m.quantum(p.X-m.minX) | m.quantum(p.Y-m.minY)<<16
+}
+
+// quantum maps an offset d from the space's minimum to its quantum: d times
+// quantSteps/side, under axisIndex's clamp to [0, quantSteps).
+//
+//joinlint:inline
+func (m *columnMapper) quantum(d float32) uint32 { return uint32(axisIndex(d*m.invQ, quantSteps)) }
+
+// quantWindow is a query window in quanta, as appendFilterQ compares them:
+// lo = quantOf(MinX, MinY), hi = quantOf(MaxX, MaxY). Grid.QueryAppend
+// makes one a query, from the corners' offsets it has at hand.
+type quantWindow struct{ lo, hi uint32 }
+
 func newCSRStore(cells int, mapper columnMapper, shift uint, numPoints int, withXY bool) *csrStore {
 	st := &csrStore{
 		mapper: mapper,
 		shift:  shift,
 		starts: make([]uint32, cells<<shift+1),
-		ids:    make([]uint32, 0, numPoints),
-		cellOf: make([]uint32, 0, numPoints),
 	}
 	if withXY {
+		st.ids = make([]uint32, 0, numPoints)
 		st.xy = make([]float32, 0, 2*numPoints)
+	} else {
+		st.slots = make([]csrSlot, 0, numPoints)
 	}
 	return st
 }
 
-// prepare sizes the arena and the labels for a bulk build over pts.
+// prepare sizes the arena for a bulk build over pts.
 func (st *csrStore) prepare(pts []geom.Point) {
 	n := len(pts)
 	st.pts = pts
-	st.ids = slices.Grow(st.ids[:0], n)[:n]
-	st.cellOf = slices.Grow(st.cellOf[:0], n)[:n]
 	if st.xy != nil {
+		st.ids = slices.Grow(st.ids[:0], n)[:n]
 		st.xy = slices.Grow(st.xy[:0], 2*n)[:2*n]
+	} else {
+		st.slots = slices.Grow(st.slots[:0], n)[:n]
 	}
 }
 
@@ -160,7 +208,7 @@ func (st *csrStore) prepare(pts []geom.Point) {
 func (st *csrStore) build(pts []geom.Point, workers int) {
 	st.prepare(pts)
 	shards := st.zeroCursors(workers)
-	st.eachShard(shards, (*csrStore).labelShard)
+	st.eachShard(shards, (*csrStore).countShard)
 	st.scatter(shards)
 }
 
@@ -170,7 +218,7 @@ func (st *csrStore) zeroCursors(workers int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if len(st.cellOf) < minParallelBuild || workers == 1 {
+	if len(st.pts) < minParallelBuild || workers == 1 {
 		clear(st.starts)
 		return 1
 	}
@@ -190,35 +238,56 @@ func (st *csrStore) zeroCursors(workers int) int {
 // a tick keeps no column-sized array beside the offsets.
 func (st *csrStore) eachShard(shards int, half func(st *csrStore, sc []uint32, lo, hi int)) {
 	if shards == 1 {
-		half(st, st.starts, 0, len(st.cellOf))
+		half(st, st.starts, 0, len(st.pts))
 		return
 	}
-	parutil.ForEachShard(len(st.cellOf), shards, func(w, lo, hi int) { half(st, st.cursors[w], lo, hi) })
+	parutil.ForEachShard(len(st.pts), shards, func(w, lo, hi int) { half(st, st.cursors[w], lo, hi) })
 }
 
-// labelShard is the label half of the sort over IDs [lo, hi): the mapping
-// pass, then the count.
+// sortChunk is how many points a half of the sort maps at a time, into
+// scratch on its own stack: its labels, and in the scatter their quanta.
+const sortChunk = 512
+
+// countShard is the count half of the sort over IDs [lo, hi): label a chunk,
+// then count it.
 //
 //joinlint:bce
-func (st *csrStore) labelShard(sc []uint32, lo, hi int) {
-	cellOf := st.cellOf[lo:hi]
-	labelPoints(&st.mapper, st.pts[lo:hi], cellOf)
-	for _, f := range cellOf {
-		sc[f]++
+func (st *csrStore) countShard(sc []uint32, lo, hi int) {
+	var buf [sortChunk]uint32
+	for pts := st.pts[lo:hi]; len(pts) > 0; {
+		labels := buf[:min(len(pts), sortChunk)]
+		labelPoints(&st.mapper, pts[:len(labels)], labels)
+		for _, f := range labels {
+			sc[f]++
+		}
+		pts = pts[len(labels):]
 	}
 }
 
-// labelPoints writes m.labelOf(pts[i]) to cellOf[i] for every point:
+// labelPoints writes m.labelOf(pts[i]) to labels[i] for every point:
 // labelPts, eight points an instruction, on the vector tier, and the loop
 // below, its definition, everywhere else.
-func labelPoints(m *columnMapper, pts []geom.Point, cellOf []uint32) {
-	cellOf = cellOf[:len(pts)]
+func labelPoints(m *columnMapper, pts []geom.Point, labels []uint32) {
+	labels = labels[:len(pts)]
 	if vectorKernels {
-		labelPts(pts, cellOf, m)
+		labelPts(pts, labels, m)
 		return
 	}
 	for i, p := range pts {
-		cellOf[i] = m.labelOf(p)
+		labels[i] = m.labelOf(p)
+	}
+}
+
+// quantPoints is labelPoints that also writes m.quantOf(pts[i]) to
+// quanta[i]: quantPts, one load of each point for both, on the vector tier.
+func quantPoints(m *columnMapper, pts []geom.Point, labels, quanta []uint32) {
+	labels, quanta = labels[:len(pts)], quanta[:len(pts)]
+	if vectorKernels {
+		quantPts(pts, labels, quanta, m)
+		return
+	}
+	for i, p := range pts {
+		labels[i], quanta[i] = m.labelOf(p), m.quantOf(p)
 	}
 }
 
@@ -249,24 +318,36 @@ func (st *csrStore) scatter(shards int) {
 	st.eachShard(shards, (*csrStore).scatterShard)
 }
 
+// scatterShard is the scatter half over IDs [lo, hi): the chunks from the
+// last down, each mapped again — to labels and quanta, or for the xy layout
+// to labels alone — and placed from its last ID down.
 func (st *csrStore) scatterShard(sc []uint32, lo, hi int) {
-	cellOf, ids := st.cellOf, st.ids
-	if st.xy == nil {
-		for i := hi - 1; i >= lo; i-- {
-			f := cellOf[i]
-			k := sc[f] - 1
-			sc[f] = k
-			ids[k] = uint32(i)
+	var labels, quanta [sortChunk]uint32
+	pts := st.pts
+	for hi > lo {
+		base := max(lo, hi-sortChunk)
+		chunk := pts[base:hi]
+		if st.xy == nil {
+			quantPoints(&st.mapper, chunk, labels[:], quanta[:])
+			slots := st.slots
+			for j := len(chunk) - 1; j >= 0; j-- {
+				f := labels[j]
+				k := sc[f] - 1
+				sc[f] = k
+				slots[k] = csrSlot{uint32(base + j), quanta[j]}
+			}
+		} else {
+			labelPoints(&st.mapper, chunk, labels[:])
+			ids, xy := st.ids, st.xy
+			for j := len(chunk) - 1; j >= 0; j-- {
+				f := labels[j]
+				k := sc[f] - 1
+				sc[f] = k
+				ids[k] = uint32(base + j)
+				xy[2*k], xy[2*k+1] = chunk[j].X, chunk[j].Y
+			}
 		}
-		return
-	}
-	pts, xy := st.pts, st.xy
-	for i := hi - 1; i >= lo; i-- {
-		f := cellOf[i]
-		k := sc[f] - 1
-		sc[f] = k
-		ids[k] = uint32(i)
-		xy[2*k], xy[2*k+1] = pts[i].X, pts[i].Y
+		hi = base
 	}
 }
 
@@ -279,7 +360,31 @@ func (st *csrStore) segment(c int) (lo, end uint32) {
 // appendCell implements store: the cell's segment.
 func (st *csrStore) appendCell(c int, buf []uint32) []uint32 {
 	lo, end := st.segment(c)
-	return append(buf, st.ids[lo:end]...)
+	return st.appendIDs(lo, end, buf)
+}
+
+// appendIDs appends the IDs of the arena's slots [lo, hi): one bulk copy
+// of the xy layout's ID arena, or the IDs read out of the slots, by
+// copySlotIDs, eight an instruction, on the vector tier.
+//
+//joinlint:bce
+func (st *csrStore) appendIDs(lo, hi uint32, buf []uint32) []uint32 {
+	if st.xy != nil {
+		return append(buf, st.ids[lo:hi]...)
+	}
+	slots := st.slots[lo:hi]
+	k := len(buf)
+	buf = reserve(buf, len(slots))[:k+len(slots)]
+	out := buf[k:]
+	out = out[:len(slots)]
+	if vectorKernels {
+		copySlotIDs(slots, out)
+		return buf
+	}
+	for j, s := range slots {
+		out[j] = s.id
+	}
+	return buf
 }
 
 // appendRow is the store's whole-row kernel. The grid hands a CSR store its
@@ -292,11 +397,12 @@ func (st *csrStore) appendCell(c int, buf []uint32) []uint32 {
 // interior is copied only under the exact containment predicates of the
 // per-cell walk (Grid.scanCellRange), and the run is filtered only when the
 // row intersects r and r's x-extent is ordered, so a NaN or inverted
-// rectangle returns what the walk returns: nothing.
+// rectangle returns what the walk returns: nothing. qw is r in quanta
+// (Grid.QueryAppend), which the filter of the quantised layout reads.
 //
 //joinlint:hotpath
 //joinlint:bce
-func (st *csrStore) appendRow(r geom.Rect, base, xmin, xmax int, containsY, intersectsY bool, xs []float32, buf []uint32) []uint32 {
+func (st *csrStore) appendRow(r geom.Rect, qw quantWindow, base, xmin, xmax int, containsY, intersectsY bool, xs []float32, buf []uint32) []uint32 {
 	if xmin > xmax || !intersectsY {
 		return buf
 	}
@@ -305,23 +411,83 @@ func (st *csrStore) appendRow(r geom.Rect, base, xmin, xmax int, containsY, inte
 	lo, hi := row[0], row[len(row)-1]
 	if containsY && len(row) > 3 && r.MinX <= xs[xmin+1] && xs[xmax] <= r.MaxX {
 		in0, in1 := row[1], row[len(row)-2]
-		buf = st.appendFilter(r, lo, in0, buf)
-		buf = append(buf, st.ids[in0:in1]...)
-		return st.appendFilter(r, in1, hi, buf)
+		buf = st.appendFilter(r, qw, lo, in0, buf)
+		buf = st.appendIDs(in0, in1, buf)
+		return st.appendFilter(r, qw, in1, hi, buf)
 	}
 	if r.MinX <= r.MaxX {
-		buf = st.appendFilter(r, lo, hi, buf)
+		buf = st.appendFilter(r, qw, lo, hi, buf)
 	}
 	return buf
 }
 
 // appendFilter test-and-appends the arena run ids[lo:hi] — a column's
-// stretch or a whole row's — against whichever table holds its coordinates.
-func (st *csrStore) appendFilter(r geom.Rect, lo, hi uint32, buf []uint32) []uint32 {
+// stretch or a whole row's — against whichever arena the layout keeps
+// beside the IDs.
+func (st *csrStore) appendFilter(r geom.Rect, qw quantWindow, lo, hi uint32, buf []uint32) []uint32 {
 	if st.xy != nil {
 		return appendFilterXY(st.ids[lo:hi], st.xy[2*lo:2*hi], r, buf)
 	}
-	return appendFilterPts(st.ids[lo:hi], st.pts, r, buf)
+	return st.appendFilterQ(lo, hi, qw, r, buf)
+}
+
+// appendFilterQ is the quantised layout's filter of the run slots[lo:hi],
+// w being r in quanta. A slot whose quanta lie strictly inside w's on both
+// axes is a hit and one outside them on either axis a miss, without a look
+// at its position: quantOf is monotone, so a quantum above the window's
+// lower bound proves the coordinate above r's, and so on. What is left, a
+// slot whose quantum equals a bound's and is otherwise inside, is a tie,
+// which the exact test of appendFilterPts decides against pts. At the
+// benchmark's 22 000 space a quantum is a third of a unit, and a 400-unit
+// window ties about one entry in eighteen queries. The answer is
+// appendFilterPts' answer, in the same order, for every position but NaN,
+// which quantises to 0 and is dropped by any window whose quanta start
+// above it, where the sign trick may pass it.
+//
+// filterQLoop is the reference, and the whole filter wherever vectorKernels
+// is false. Where it is true filterQ (filter_amd64.s) makes the same
+// decisions sixteen slots at a time, gathering the points of tied slots
+// alone — or returns a negative count when a tied slot holds an ID it may
+// not gather through, which leaves the run to the loop and its index panic.
+//
+//joinlint:hotpath
+func (st *csrStore) appendFilterQ(lo, hi uint32, w quantWindow, r geom.Rect, buf []uint32) []uint32 {
+	seg := st.slots[lo:hi]
+	k := len(buf)
+	buf = reserve(buf, len(seg))
+	if vectorKernels {
+		if n := filterQ(seg, st.pts, w, r, buf[k:]); n >= 0 {
+			return buf[:k+n]
+		}
+	}
+	return filterQLoop(seg, st.pts, w, r, buf, k)
+}
+
+// filterQLoop is appendFilterQ's definition: it filters the slots of seg
+// into buf from buf[k] on and returns buf cut after the last hit. Each slot
+// is decided without a branch but for a tie. buf must have room for
+// len(seg) IDs past k (reserve).
+//
+//joinlint:bce
+func filterQLoop(seg []csrSlot, pts []geom.Point, w quantWindow, r geom.Rect, buf []uint32, k int) []uint32 {
+	x0, y0 := int32(w.lo&0xffff), int32(w.lo>>16)
+	x1, y1 := int32(w.hi&0xffff), int32(w.hi>>16)
+	for _, s := range seg {
+		x, y := int32(s.q&0xffff), int32(s.q>>16)
+		d0, d1, d2, d3 := x-x0, x1-x, y-y0, y1-y
+		closed := d0 | d1 | d2 | d3                       // sign set: outside on some axis
+		open := (d0 - 1) | (d1 - 1) | (d2 - 1) | (d3 - 1) // sign clear: strictly inside
+		hit := 1 - int(uint32(open)>>31)
+		if closed >= 0 && open < 0 {
+			p := pts[s.id]
+			m := math.Float32bits(p.X-r.MinX) | math.Float32bits(r.MaxX-p.X) |
+				math.Float32bits(p.Y-r.MinY) | math.Float32bits(r.MaxY-p.Y)
+			hit = 1 - int(m>>31)
+		}
+		buf[k] = s.id
+		k += hit
+	}
+	return buf[:k]
 }
 
 // appendFilterPts is the buffered filter, and the second reason (after the
@@ -347,7 +513,7 @@ func (st *csrStore) appendFilter(r geom.Rect, lo, hi uint32, buf []uint32) []uin
 //joinlint:bce
 func appendFilterPts(seg []uint32, pts []geom.Point, r geom.Rect, buf []uint32) []uint32 {
 	k := len(buf)
-	buf = reserve(buf, seg)
+	buf = reserve(buf, len(seg))
 	if vectorKernels {
 		if n := filterPts(seg, pts, r, buf[k:]); n >= 0 {
 			return buf[:k+n]
@@ -363,19 +529,18 @@ func appendFilterPts(seg []uint32, pts []geom.Point, r geom.Rect, buf []uint32) 
 	return buf[:k]
 }
 
-// reserve returns buf extended to at least len(seg) slots past its length,
-// for a branchless filter of seg to overwrite and cut back. It grows
-// capacity only — at steady state a compare and a reslice, where
-// append(buf, seg...) was a memmove of data about to be overwritten — and
-// when capacity is short it copies the shortfall alone. (The unsigned
-// compare lets the compiler drop the slice check; free is never negative.)
-func reserve(buf, seg []uint32) []uint32 {
-	free := cap(buf) - len(buf)
-	buf = buf[:cap(buf)]
-	if uint(free) < uint(len(seg)) {
-		buf = append(buf, seg[free:]...)
+// reserve returns buf extended to at least n slots past its length, for a
+// branchless filter of a run of n candidates to overwrite and cut back. It
+// grows capacity only — at steady state a compare and a reslice, where
+// appending the run was a memmove of data about to be overwritten — and
+// when capacity is short it appends past it until there is room. (The
+// unsigned compare is a loop bound the compiler need not check.)
+func reserve(buf []uint32, n int) []uint32 {
+	k := len(buf)
+	for uint(cap(buf)-k) < uint(n) {
+		buf = append(buf[:cap(buf)], 0)
 	}
-	return buf
+	return buf[:cap(buf)]
 }
 
 func (st *csrStore) cellCount(c int) int {
@@ -383,16 +548,23 @@ func (st *csrStore) cellCount(c int) int {
 	return int(end - lo)
 }
 
-func (st *csrStore) totalEntries() int { return len(st.ids) }
+// totalEntries is the number of slots of the arena.
+func (st *csrStore) totalEntries() int {
+	if st.xy != nil {
+		return len(st.ids)
+	}
+	return len(st.slots)
+}
 
-// memoryBytes counts the directory (starts, one offset per column), the ID
-// arena, the labels and the retained scratch (the per-shard column cursors
-// of a parallel build among it) — everything the store keeps alive between
-// ticks. The xy variant adds its coordinate arena.
+// memoryBytes counts the directory (starts, one offset per column), the
+// arena — 8 bytes a slot, ID and quanta, or the xy variant's ID and
+// coordinates, 12 — and the retained scratch (the per-shard column cursors
+// of a parallel build among it): everything the store keeps alive between
+// ticks. A sequential build of LayoutCSR keeps (len(starts) + 2n)·4 bytes.
 func (st *csrStore) memoryBytes() int64 {
-	total := int64(len(st.starts)+cap(st.ids)+cap(st.cellOf)) * 4
+	total := int64(len(st.starts)+2*cap(st.slots)+cap(st.ids)+cap(st.xy)) * 4
 	for _, sc := range st.cursors {
 		total += int64(cap(sc)) * 4
 	}
-	return total + int64(cap(st.xy))*4
+	return total
 }

@@ -14,6 +14,9 @@ import (
 	"repro/internal/xrand"
 )
 
+// arenaIDs returns the IDs of a CSR store's arena, slot by slot.
+func arenaIDs(cs *csrStore) []uint32 { return cs.appendIDs(0, uint32(cs.totalEntries()), nil) }
+
 func csrOf(t testing.TB, g *Grid) *csrStore {
 	t.Helper()
 	cs, ok := g.st.(*csrStore)
@@ -26,8 +29,9 @@ func csrOf(t testing.TB, g *Grid) *csrStore {
 func TestCSRParallelBuildBitIdentical(t *testing.T) { testCSRBuildParallel(t, CSR(), 21) }
 
 // testCSRBuildParallel holds a CSR layout's sharded build to Build on
-// every shardedBuildInputs population: the same labels, offsets, ID arena
-// and coordinate arena, a clean audit, and brute force's answers.
+// every shardedBuildInputs population: the same offsets, slots (IDs and
+// quanta), ID and coordinate arenas, a clean audit, and brute force's
+// answers.
 func testCSRBuildParallel(t *testing.T, cfg Config, seed uint64) {
 	rng := xrand.New(seed)
 	for _, in := range shardedBuildInputs(20000) {
@@ -42,8 +46,8 @@ func testCSRBuildParallel(t *testing.T, cfg Config, seed uint64) {
 			par.BuildParallel(pts, workers)
 			ps := csrOf(t, par)
 			switch {
-			case !slices.Equal(ps.cellOf, ss.cellOf):
-				t.Fatalf("%s: labels differ from Build's", name)
+			case !slices.Equal(ps.slots, ss.slots):
+				t.Fatalf("%s: slots differ from Build's", name)
 			case !slices.Equal(ps.starts, ss.starts):
 				t.Fatalf("%s: offsets differ from Build's", name)
 			case !slices.Equal(ps.ids, ss.ids):
@@ -69,7 +73,7 @@ func TestCSRSegmentsAreSortedByID(t *testing.T) {
 	g.Build(pts)
 	cs := csrOf(t, g)
 	for f := 0; f < g.cells<<cs.shift; f++ {
-		seg := cs.ids[cs.starts[f]:cs.starts[f+1]]
+		seg := arenaIDs(cs)[cs.starts[f]:cs.starts[f+1]]
 		for j := 1; j < len(seg); j++ {
 			if seg[j-1] >= seg[j] {
 				t.Fatalf("column %d not ascending at %d: %v", f, j, seg)
@@ -93,7 +97,7 @@ func TestCSRUpdateIsNoOpUntilRebuild(t *testing.T) {
 			g := MustNew(cfg, testBounds, len(pts))
 			g.Build(pts)
 			cs := csrOf(t, g)
-			starts, ids, cellOf, xy := slices.Clone(cs.starts), slices.Clone(cs.ids), slices.Clone(cs.cellOf), slices.Clone(cs.xy)
+			starts, slots, ids, xy := slices.Clone(cs.starts), slices.Clone(cs.slots), slices.Clone(cs.ids), slices.Clone(cs.xy)
 
 			moved := slices.Clone(pts)
 			realMoves := make([]geom.Move, 0, 300)
@@ -116,7 +120,7 @@ func TestCSRUpdateIsNoOpUntilRebuild(t *testing.T) {
 				}
 				switch {
 				case !slices.Equal(cs.starts, starts) || !slices.Equal(cs.ids, ids) ||
-					!slices.Equal(cs.cellOf, cellOf) || !slices.Equal(cs.xy, xy):
+					!slices.Equal(cs.slots, slots) || !slices.Equal(cs.xy, xy):
 					t.Fatalf("%s: Update changed the arena", c.name)
 				case g.Len() != len(pts):
 					t.Fatalf("%s: Len = %d, want %d", c.name, g.Len(), len(pts))
@@ -135,7 +139,7 @@ func TestCSRUpdateIsNoOpUntilRebuild(t *testing.T) {
 func TestCSRCounterAndMemoryInvariants(t *testing.T) {
 	// The invariant pair: Len() is the population of the last build, and
 	// MemoryBytes() equals the documented formula — directory (one offset
-	// per column) + ID arena + labels + retained scratch — and never
+	// per column) + slots (ID and quanta) + retained scratch — and never
 	// shrinks below 4 bytes per live entry.
 	r := xrand.New(25)
 	pts := randomPoints(r, 3000, testBounds)
@@ -144,7 +148,7 @@ func TestCSRCounterAndMemoryInvariants(t *testing.T) {
 	cs := csrOf(t, g)
 
 	formula := func() int64 {
-		total := int64(len(cs.starts)+cap(cs.ids)+cap(cs.cellOf)) * 4
+		total := int64(len(cs.starts)+2*cap(cs.slots)) * 4
 		for _, sc := range cs.cursors {
 			total += int64(cap(sc)) * 4
 		}
@@ -181,5 +185,27 @@ func TestCSRCounterAndMemoryInvariants(t *testing.T) {
 	}
 	if total != g.Len() {
 		t.Fatalf("cell counts sum to %d, Len = %d", total, g.Len())
+	}
+}
+
+// TestCSRMemoryIsOffsetsIDsAndQuanta pins the memory trade of the quantised
+// arena: a sequential build of LayoutCSR keeps the offsets and the slots,
+// IDs and quanta, and nothing else, (len(starts) + 2n)·4 bytes, at the
+// benchmark's population and on a small one; the xy layout keeps its
+// coordinates in place of the quanta.
+func TestCSRMemoryIsOffsetsIDsAndQuanta(t *testing.T) {
+	for _, n := range []int{3000, 50_000} {
+		pts := randomPoints(xrand.New(26), n, testBounds)
+		g := MustNew(CSR(), testBounds, n)
+		g.Build(pts)
+		cs := csrOf(t, g)
+		if want := int64(len(cs.starts)+2*n) * 4; g.MemoryBytes() != want {
+			t.Errorf("n=%d: MemoryBytes = %d, want (len(starts) + 2n)·4 = %d", n, g.MemoryBytes(), want)
+		}
+		xy := MustNew(CSRXY(), testBounds, n)
+		xy.Build(pts)
+		if want := int64(len(cs.starts)+3*n) * 4; xy.MemoryBytes() != want {
+			t.Errorf("n=%d: csr+xy MemoryBytes = %d, want (len(starts) + 3n)·4 = %d", n, xy.MemoryBytes(), want)
+		}
 	}
 }

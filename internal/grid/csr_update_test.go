@@ -121,17 +121,18 @@ func cellMembers(cs *csrStore, c int) []uint32 {
 
 // arena is a deep copy of everything a build writes.
 type arena struct {
-	starts, ids, cellOf []uint32
-	xy                  []float32
+	starts, ids []uint32
+	slots       []csrSlot
+	xy          []float32
 }
 
 func snapshotArena(cs *csrStore) arena {
-	return arena{slices.Clone(cs.starts), slices.Clone(cs.ids), slices.Clone(cs.cellOf), slices.Clone(cs.xy)}
+	return arena{slices.Clone(cs.starts), slices.Clone(cs.ids), slices.Clone(cs.slots), slices.Clone(cs.xy)}
 }
 
 func (a arena) equal(b arena) bool {
 	return slices.Equal(a.starts, b.starts) && slices.Equal(a.ids, b.ids) &&
-		slices.Equal(a.cellOf, b.cellOf) && slices.Equal(a.xy, b.xy)
+		slices.Equal(a.slots, b.slots) && slices.Equal(a.xy, b.xy)
 }
 
 // assertAnswers holds the emit, append and batch kernels of g against
@@ -211,19 +212,25 @@ func TestCSRUpdateMatchesBruteForce(t *testing.T) {
 }
 
 // assertDense checks, without the audit, the one state a CSR arena has:
-// it begins at slot 0 and ends at len(ids) = Len, and every column's
-// stretch holds exactly the entries labelled with that column.
+// it begins at slot 0 and ends at len(ids) = Len, every column's stretch
+// holds exactly the entries whose positions map to that column, and the
+// quanta beside each are its position's.
 func assertDense(t *testing.T, g *Grid, after string) {
 	t.Helper()
 	cs := g.csr
+	ids := arenaIDs(cs)
 	last := len(cs.starts) - 1
-	if cs.starts[0] != 0 || int(cs.starts[last]) != len(cs.ids) || len(cs.ids) != g.Len() {
-		t.Fatalf("after %s: arena [%d, %d) over %d ids, Len %d", after, cs.starts[0], cs.starts[last], len(cs.ids), g.Len())
+	if cs.starts[0] != 0 || int(cs.starts[last]) != len(ids) || len(ids) != g.Len() {
+		t.Fatalf("after %s: arena [%d, %d) over %d ids, Len %d", after, cs.starts[0], cs.starts[last], len(ids), g.Len())
 	}
 	for f := 0; f < last; f++ {
 		for k := cs.starts[f]; k < cs.starts[f+1]; k++ {
-			if id := cs.ids[k]; cs.cellOf[id] != uint32(f) {
-				t.Fatalf("after %s: slot %d of column %d holds id %d, labelled %d", after, k, f, id, cs.cellOf[id])
+			id := ids[k]
+			if label := cs.mapper.labelOf(cs.pts[id]); label != uint32(f) {
+				t.Fatalf("after %s: slot %d of column %d holds id %d, at %v in column %d", after, k, f, id, cs.pts[id], label)
+			}
+			if cs.slots != nil && cs.slots[k].q != cs.mapper.quantOf(cs.pts[id]) {
+				t.Fatalf("after %s: slot %d holds quanta %#x, id %d at %v quantises to %#x", after, k, cs.slots[k].q, id, cs.pts[id], cs.mapper.quantOf(cs.pts[id]))
 			}
 		}
 	}
@@ -269,8 +276,13 @@ func TestCSRDenseStateTransitions(t *testing.T) {
 			g.Build(pts)
 			assertDense(t, g, "the rebuild")
 			for _, m := range moves {
-				if got, want := g.csr.cellOf[m.ID], g.csr.mapper.labelOf(m.New); got != want {
-					t.Fatalf("id %d labelled %d after the rebuild, want %d", m.ID, got, want)
+				k := slices.Index(arenaIDs(g.csr), m.ID)
+				f := g.csr.mapper.labelOf(m.New)
+				if k < 0 || uint32(k) < g.csr.starts[f] || uint32(k) >= g.csr.starts[f+1] {
+					t.Fatalf("id %d in slot %d after the rebuild, want the stretch of column %d, [%d, %d)", m.ID, k, f, g.csr.starts[f], g.csr.starts[f+1])
+				}
+				if g.csr.slots != nil && g.csr.slots[k].q != g.csr.mapper.quantOf(m.New) {
+					t.Fatalf("id %d's slot holds quanta %#x after the rebuild, want %#x", m.ID, g.csr.slots[k].q, g.csr.mapper.quantOf(m.New))
 				}
 			}
 			for _, workers := range []int{1, 2, 4} {

@@ -33,7 +33,7 @@ import (
 //joinlint:bce
 func appendFilterXY(seg []uint32, xy []float32, r geom.Rect, buf []uint32) []uint32 {
 	k := len(buf)
-	buf = reserve(buf, seg)
+	buf = reserve(buf, len(seg))
 	xy = xy[:2*len(seg)]
 	if vectorKernels {
 		return buf[:k+filterXY(seg, xy, r, buf[k:])]

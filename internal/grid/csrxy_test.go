@@ -95,8 +95,10 @@ func TestCSRXYMemoryAccountsForCoordinateArena(t *testing.T) {
 	xy := MustNew(CSRXY(), testBounds, len(pts))
 	xy.Build(pts)
 	// The xy variant must report at least the 8 extra bytes per entry of
-	// its coordinate arena on top of the plain layout.
-	if diff := xy.MemoryBytes() - plain.MemoryBytes(); diff < int64(8*len(pts)) {
+	// its coordinate arena on top of the plain layout without what the
+	// plain layout keeps in its place, the quanta, 4 bytes a slot.
+	ids := plain.MemoryBytes() - int64(4*cap(plain.csr.slots))
+	if diff := xy.MemoryBytes() - ids; diff < int64(8*len(pts)) {
 		t.Fatalf("xy footprint only %d bytes above plain; want >= %d", diff, 8*len(pts))
 	}
 }

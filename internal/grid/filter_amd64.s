@@ -5,9 +5,10 @@
 // The vector tier of the branchless filters (README.md, "Vector kernels").
 // Each routine is the inner loop of its Go wrapper and nothing else: the
 // same subtractions, in the same operand order, OR'd and sign-tested, with
-// the write cursor advanced by the number of clear signs. The wrappers'
-// scalar loops are the reference; a routine reads only its run and writes
-// only dst[0:len(seg)], which reserve has already made room for.
+// the write cursor advanced by the number of clear signs (filterQ compares
+// quanta first, and takes the sign test only where they tie). The
+// wrappers' scalar loops are the reference; a routine reads only its run
+// and writes only dst[0:len(seg)], which reserve has already made room for.
 //
 // A block is one opmask's worth of candidates. K1 holds the block's lanes:
 // all of them, or the low len%width of the last block, so that loads,
@@ -121,6 +122,176 @@ block:
 done:
 	VZEROUPPER
 	MOVQ AX, ret+88(FP)
+	RET
+
+// The dword lanes of two registers of eight slots each that hold the
+// sixteen slots' IDs (even) and quanta (odd): VPERMI2D's indices.
+DATA slotIDs<>+0x00(SB)/8, $0x0000000200000000
+DATA slotIDs<>+0x08(SB)/8, $0x0000000600000004
+DATA slotIDs<>+0x10(SB)/8, $0x0000000a00000008
+DATA slotIDs<>+0x18(SB)/8, $0x0000000e0000000c
+DATA slotIDs<>+0x20(SB)/8, $0x0000001200000010
+DATA slotIDs<>+0x28(SB)/8, $0x0000001600000014
+DATA slotIDs<>+0x30(SB)/8, $0x0000001a00000018
+DATA slotIDs<>+0x38(SB)/8, $0x0000001e0000001c
+GLOBL slotIDs<>(SB), RODATA|NOPTR, $64
+
+// func filterQ(seg []csrSlot, pts []geom.Point, w quantWindow, r geom.Rect, dst []uint32) int
+//
+// filterQLoop, sixteen slots a block: two loads of eight slots, whose IDs
+// and quanta two permutes gather into a register each. A slot's quanta
+// v = x | y<<16 are compared as a dword, in y against w's y quanta shifted
+// up and in x, shifted up itself (VPSLLD), against w's x quanta likewise.
+// Two chains of four compares leave in K2 the slots inside w's quanta,
+// bounds included, and in K3 those strictly inside, the hits. A block where
+// the two differ holds ties (K4), and only there are points read: the tied
+// lanes' points are gathered, eight at a time, and those that pass r's
+// sign test join the hits. Returns how many passed, or -1 without finishing
+// when a tied lane's ID may not be gathered (filterPts' bound).
+//
+// Register use: SI slots, BX pts, CX slots left, DI dst, AX the cursor;
+// Z3 the block's IDs; Z16 x0<<16, Z17 x1<<16, Z18 y0<<16, Z19
+// y0<<16|0xffff, Z20 y1<<16, Z21 y1<<16|0xffff, Z26 the ID indices, Z27 the
+// quanta's; for ties Z22 [MinX MinY] and Z23 [MaxX MaxY] in every qword,
+// Z24 the sign bits, Z25 the gather bound.
+TEXT ·filterQ(SB), NOSPLIT, $0-104
+	MOVQ seg_base+0(FP), SI
+	MOVQ seg_len+8(FP), CX
+	MOVQ dst_base+72(FP), DI
+	MOVL w_lo+48(FP), R8
+	MOVL w_hi+52(FP), R9
+	MOVL R8, R10
+	SHLL $16, R10
+	VPBROADCASTD R10, Z16
+	MOVL R9, R10
+	SHLL $16, R10
+	VPBROADCASTD R10, Z17
+	ANDL $0xffff0000, R8
+	VPBROADCASTD R8, Z18
+	ORL  $0xffff, R8
+	VPBROADCASTD R8, Z19
+	ANDL $0xffff0000, R9
+	VPBROADCASTD R9, Z20
+	ORL  $0xffff, R9
+	VPBROADCASTD R9, Z21
+	VMOVDQU64 slotIDs<>(SB), Z26
+	VPTERNLOGD $0xff, Z27, Z27, Z27
+	VPSUBD Z27, Z26, Z27 // each index plus one: the quanta
+	XORL AX, AX
+	XORL R12, R12 // the tie constants are not loaded yet
+	MOVL $0xffff, R9
+	KMOVW R9, K1
+	TESTQ CX, CX
+	JLE  done
+loop:
+	CMPQ CX, $16
+	JGE  block
+	TAIL_MASK
+block:
+	KSHIFTRW $8, K1, K2
+	VMOVDQU64.Z (SI), K1, Z0
+	VMOVDQU64.Z 64(SI), K2, Z1
+	VMOVDQA64 Z26, Z3
+	VPERMI2D Z1, Z0, Z3 // the IDs
+	VMOVDQA64 Z27, Z2
+	VPERMI2D Z1, Z0, Z2 // the quanta
+	VPSLLD $16, Z2, Z1
+	VPCMPUD $5, Z16, Z1, K1, K2 // x >= x0
+	VPCMPUD $2, Z17, Z1, K2, K2 // x <= x1
+	VPCMPUD $5, Z18, Z2, K2, K2 // y >= y0
+	VPCMPUD $2, Z21, Z2, K2, K2 // y <= y1
+	VPCMPUD $6, Z16, Z1, K1, K3 // x > x0
+	VPCMPUD $1, Z17, Z1, K3, K3 // x < x1
+	VPCMPUD $6, Z19, Z2, K3, K3 // y > y0
+	VPCMPUD $1, Z20, Z2, K3, K3 // y < y1
+	KXORW K3, K2, K4
+	KORTESTW K4, K4
+	JNZ  tie
+emit:
+	VPCOMPRESSD.Z Z3, K3, Z4
+	VMOVDQU32 Z4, K1, (DI)(AX*4)
+	KMOVW K3, R9
+	POPCNTL R9, R9
+	ADDQ R9, AX
+	ADDQ $128, SI
+	SUBQ $16, CX
+	JG   loop
+done:
+	VZEROUPPER
+	MOVQ AX, ret+96(FP)
+	RET
+bad:
+	MOVQ $-1, AX
+	JMP  done
+tie:
+	TESTQ R12, R12
+	JNZ  tied
+	MOVQ pts_base+24(FP), BX
+	MOVQ pts_len+32(FP), R10
+	MOVL $0x80000000, R11
+	CMPQ R10, R11
+	CMOVQHI R11, R10
+	VPBROADCASTD R10, Z25
+	VPBROADCASTD R11, Z24
+	VBROADCASTSS r_MinX+56(FP), Z22
+	VBROADCASTSS r_MinY+60(FP), Z2
+	VPUNPCKLDQ Z2, Z22, Z22
+	VBROADCASTSS r_MaxX+64(FP), Z23
+	VBROADCASTSS r_MaxY+68(FP), Z2
+	VPUNPCKLDQ Z2, Z23, Z23
+	MOVL $1, R12
+tied:
+	VPCMPUD $5, Z25, Z3, K4, K2 // a tied ID >= the bound
+	KORTESTW K2, K2
+	JNZ  bad
+	KMOVW K4, K5
+	VPXORQ Z1, Z1, Z1
+	VPGATHERDQ (BX)(Y3*8), K5, Z1
+	VSUBPS Z22, Z1, Z2
+	VSUBPS Z1, Z23, Z1
+	VPORD Z1, Z2, Z2
+	VPTESTNMQ Z24, Z2, K4, K5 // the low eight tied lanes that pass r
+	KORW K5, K3, K3
+	KSHIFTRW $8, K4, K6
+	KORTESTW K6, K6
+	JZ   emit
+	VEXTRACTI32X8 $1, Z3, Y0
+	KMOVW K6, K5
+	VPXORQ Z1, Z1, Z1
+	VPGATHERDQ (BX)(Y0*8), K5, Z1
+	VSUBPS Z22, Z1, Z2
+	VSUBPS Z1, Z23, Z1
+	VPORD Z1, Z2, Z2
+	VPTESTNMQ Z24, Z2, K6, K5 // the high eight
+	KSHIFTLW $8, K5, K5
+	KORW K5, K3, K3
+	JMP  emit
+
+// func copySlotIDs(seg []csrSlot, dst []uint32)
+//
+// appendIDs' loop: the IDs of eight slots an iteration, each slot's low
+// dword, narrowed out of the qword by the store (VPMOVQD) under K1.
+TEXT ·copySlotIDs(SB), NOSPLIT, $0-48
+	MOVQ seg_base+0(FP), SI
+	MOVQ seg_len+8(FP), CX
+	MOVQ dst_base+24(FP), DI
+	MOVL $0xff, R9
+	KMOVW R9, K1
+	TESTQ CX, CX
+	JLE  done
+loop:
+	CMPQ CX, $8
+	JGE  block
+	TAIL_MASK
+block:
+	VMOVDQU64.Z (SI), K1, Z0
+	VPMOVQD Z0, K1, (DI)
+	ADDQ $64, SI
+	ADDQ $32, DI
+	SUBQ $8, CX
+	JG   loop
+done:
+	VZEROUPPER
 	RET
 
 // func filterPlanes(seg, dst []uint32, n int, p0 []float32, b0 float32, p1 []float32, b1 float32, p2 []float32, b2 float32, p3 []float32, b3 float32) int

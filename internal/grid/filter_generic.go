@@ -10,8 +10,14 @@ const vectorKernels = false
 
 func filterPts([]uint32, []geom.Point, geom.Rect, []uint32) int { panic("grid: no vector tier") }
 
+func filterQ([]csrSlot, []geom.Point, quantWindow, geom.Rect, []uint32) int {
+	panic("grid: no vector tier")
+}
+
 func filterXY([]uint32, []float32, geom.Rect, []uint32) int { panic("grid: no vector tier") }
 
 func filterPlanes(_, _ []uint32, _ int, _ []float32, _ float32, _ []float32, _ float32, _ []float32, _ float32, _ []float32, _ float32) int {
 	panic("grid: no vector tier")
 }
+
+func copySlotIDs([]csrSlot, []uint32) { panic("grid: no vector tier") }

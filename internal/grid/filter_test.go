@@ -13,10 +13,10 @@ import (
 	"repro/internal/xrand"
 )
 
-// The four branchless filters, tier against tier: appendFilterPts,
-// appendFilterXY, appendMasked1 / appendMasked2 / appendMasked with the
-// vector routines of filter_amd64.s in front of their loops, and the loops
-// alone (scalarTier), which are the reference. Everything here compares
+// The five branchless filters, tier against tier: appendFilterPts,
+// appendFilterXY, appendFilterQ, appendMasked1 / appendMasked2 /
+// appendMasked with the vector routines of filter_amd64.s in front of their
+// loops, and the loops alone (scalarTier), which are the reference. Everything here compares
 // returned slices element for element.
 
 func requireVectorTier(t *testing.T) {
@@ -28,15 +28,28 @@ func requireVectorTier(t *testing.T) {
 
 // filterArena is one run's worth of candidates in every form a filter
 // reads: candidate j has ID ids[j] and four coordinates c[j], the first two
-// also its point (pts[ids[j]], and xy[2j:2j+2]), all four its plane values.
+// also its point (pts[ids[j]], xy[2j:2j+2], and in quanta slot j of the
+// CSR store st over filterSpace), all four its plane values.
 type filterArena struct {
 	ids  []uint32
 	pts  []geom.Point
 	xy   []float32
+	st   *csrStore
+	qr   geom.Rect   // the window last quantised,
+	qw   quantWindow // and its quanta
 	bg   *BoxGrid2L
 	c    [][4]float32
 	name string
 }
+
+// windowOf quantises r as Grid.QueryAppend does.
+func windowOf(m *columnMapper, r geom.Rect) quantWindow {
+	return quantWindow{m.quantOf(geom.Pt(r.MinX, r.MinY)), m.quantOf(geom.Pt(r.MaxX, r.MaxY))}
+}
+
+// filterSpace is the space the quantised filter's quanta are taken over:
+// the arenas' coordinates are drawn from [0, 100).
+var filterSpace = geom.R(0, 0, 100, 100)
 
 // newFilterArena lays n candidates out behind a permuted ID arena, every
 // slice exactly as long as its contents.
@@ -57,6 +70,11 @@ func newFilterArena(name string, n int, seed uint64, coord func(rng *xrand.Rand)
 		a.bg.mx[j], a.bg.my[j], a.bg.nx[j], a.bg.ny[j] = c[0], c[1], c[2], c[3]
 	}
 	a.bg.ids = a.ids
+	a.st = MustNew(CSR(), filterSpace, 0).csr
+	a.st.pts, a.st.slots = a.pts, make([]csrSlot, n)
+	for j, id := range a.ids {
+		a.st.slots[j] = csrSlot{id, a.st.mapper.quantOf(a.pts[id])}
+	}
 	return a
 }
 
@@ -76,6 +94,12 @@ func (a *filterArena) filters() []arenaFilter {
 		}},
 		{"appendFilterXY", 0, func(lo, hi int, r geom.Rect, buf []uint32) []uint32 {
 			return appendFilterXY(a.ids[lo:hi], a.xy[2*lo:2*hi], r, buf)
+		}},
+		{"appendFilterQ", 0, func(lo, hi int, r geom.Rect, buf []uint32) []uint32 {
+			if r != a.qr { // a query quantises its window once
+				a.qr, a.qw = r, windowOf(&a.st.mapper, r)
+			}
+			return a.st.appendFilterQ(uint32(lo), uint32(hi), a.qw, r, buf)
 		}},
 		{"appendMasked1", 1, func(lo, hi int, r geom.Rect, buf []uint32) []uint32 {
 			return a.bg.appendMasked1(uint32(lo), uint32(hi), a.bg.my, r.MinY, buf)

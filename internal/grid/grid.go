@@ -231,8 +231,10 @@ type store interface {
 	// interface call covers the whole row: a per-cell dispatch is the
 	// overhead the buffered kernel exists to kill. base is the row's first
 	// cell; xmin, xmax and xs are in the units of Grid.cols, which are
-	// cells for every layout but the CSR ones.
-	appendRow(r geom.Rect, base, xmin, xmax int, containsY, intersectsY bool, xs []float32, buf []uint32) []uint32
+	// cells for every layout but the CSR ones. qw is r in quanta, made
+	// once a query for the quantised CSR filter and zero for every other
+	// layout, which ignores it.
+	appendRow(r geom.Rect, qw quantWindow, base, xmin, xmax int, containsY, intersectsY bool, xs []float32, buf []uint32) []uint32
 	cellCount(c int) int
 	memoryBytes() int64
 	totalEntries() int
@@ -380,7 +382,7 @@ func newGrid(cfg Config, bounds geom.Rect, numPoints int, shift uint) (*Grid, er
 		// The CSR layouts have no buckets either; BS is irrelevant to them.
 		g.cols = columnsOf(g.mapper, shift)
 		g.colXs = g.cols.edges(bounds.MinX, bounds.MaxX, g.cellSize/float32(int(1)<<shift))
-		g.csr = newCSRStore(g.cells, newColumnMapper(g.mapper, g.cols), shift, numPoints, cfg.Layout == LayoutCSRXY)
+		g.csr = newCSRStore(g.cells, newColumnMapper(g.mapper, g.cols, bounds.Width()), shift, numPoints, cfg.Layout == LayoutCSRXY)
 		g.st = g.csr
 		return g, nil
 	}
@@ -497,13 +499,16 @@ func (g *Grid) Query(r geom.Rect, emit func(id uint32)) { callback.Query(g, r, e
 func (g *Grid) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 	g.queries.Inc()
 	if g.cfg.Scan == ScanFull {
-		return g.scanCellRange(r, 0, g.cfg.CPS-1, 0, g.cfg.CPS-1, buf)
+		return g.scanCellRange(r, quantWindow{}, 0, g.cfg.CPS-1, 0, g.cfg.CPS-1, buf)
 	}
-	xmin := g.cols.axisCell(r.MinX - g.bounds.MinX)
-	xmax := g.cols.axisCell(r.MaxX - g.bounds.MinX)
-	ymin := g.axisCell(r.MinY - g.bounds.MinY)
-	ymax := g.axisCell(r.MaxY - g.bounds.MinY)
-	return g.scanCellRange(r, xmin, xmax, ymin, ymax, buf)
+	dx0, dx1 := r.MinX-g.bounds.MinX, r.MaxX-g.bounds.MinX
+	dy0, dy1 := r.MinY-g.bounds.MinY, r.MaxY-g.bounds.MinY
+	var qw quantWindow
+	if st := g.csr; st != nil && st.xy == nil {
+		m := &st.mapper
+		qw = quantWindow{m.quantum(dx0) | m.quantum(dy0)<<16, m.quantum(dx1) | m.quantum(dy1)<<16}
+	}
+	return g.scanCellRange(r, qw, g.cols.axisCell(dx0), g.cols.axisCell(dx1), g.axisCell(dy0), g.axisCell(dy1), buf)
 }
 
 // scanCellRange runs lines 4-10 of Algorithm 1 over the inclusive cell
@@ -513,20 +518,27 @@ func (g *Grid) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 // place edge cells in the range that do not actually overlap r.
 //
 // The y-halves of the predicates are decided here, from the precomputed
-// edge tables, and every row goes to the store in ONE interface call, its
-// x range in the units of g.cols. No row is skipped, even one that cannot
+// edge tables, and every row goes to the store in ONE call — a direct one
+// for the CSR layouts, an interface call for the others — its x range in
+// the units of g.cols, and qw, r in quanta for the quantised CSR grid (zero
+// for every other layout). No row is skipped, even one that cannot
 // intersect r: Algorithm 1's defining cost is the full directory
 // traversal, so under ScanFull every cell gets its cell test.
 //
 //joinlint:hotpath
-func (g *Grid) scanCellRange(r geom.Rect, xmin, xmax, ymin, ymax int, buf []uint32) []uint32 {
+func (g *Grid) scanCellRange(r geom.Rect, qw quantWindow, xmin, xmax, ymin, ymax int, buf []uint32) []uint32 {
 	cps := g.cfg.CPS
 	st := g.st
+	csr, _ := st.(*csrStore) // called directly, the CSR row kernel keeps its arguments in registers
 	for cy := ymin; cy <= ymax; cy++ {
 		y0, y1 := g.ys[cy], g.ys[cy+1]
 		containsY := r.MinY <= y0 && y1 <= r.MaxY
 		intersectsY := y0 <= r.MaxY && r.MinY <= y1
-		buf = st.appendRow(r, cy*cps, xmin, xmax, containsY, intersectsY, g.colXs, buf)
+		if csr != nil {
+			buf = csr.appendRow(r, qw, cy*cps, xmin, xmax, containsY, intersectsY, g.colXs, buf)
+		} else {
+			buf = st.appendRow(r, qw, cy*cps, xmin, xmax, containsY, intersectsY, g.colXs, buf)
+		}
 	}
 	return buf
 }

@@ -348,7 +348,7 @@ func TestCSRCPSBound(t *testing.T) {
 	}
 	// The last column's label, computed as the kernels compute it.
 	rows := testMapper(MaxCSRCPS, geom.R(0, 0, MaxCSRCPS, MaxCSRCPS))
-	m := newColumnMapper(rows, columnsOf(rows, columnShift))
+	m := newColumnMapper(rows, columnsOf(rows, columnShift), MaxCSRCPS)
 	corner := []geom.Point{{X: MaxCSRCPS, Y: MaxCSRCPS}, {X: 1e30, Y: 1e30}}
 	if got := m.labelOf(corner[0]); got != math.MaxUint32 {
 		t.Errorf("last label at cps=MaxCSRCPS is %d, want %d", got, uint32(math.MaxUint32))
@@ -420,9 +420,9 @@ type cellCounter struct {
 	cells int
 }
 
-func (cc *cellCounter) appendRow(r geom.Rect, base, xmin, xmax int, containsY, intersectsY bool, xs []float32, buf []uint32) []uint32 {
+func (cc *cellCounter) appendRow(r geom.Rect, qw quantWindow, base, xmin, xmax int, containsY, intersectsY bool, xs []float32, buf []uint32) []uint32 {
 	cc.cells += xmax>>cc.shift - xmin>>cc.shift + 1
-	return cc.store.appendRow(r, base, xmin, xmax, containsY, intersectsY, xs, buf)
+	return cc.store.appendRow(r, qw, base, xmin, xmax, containsY, intersectsY, xs, buf)
 }
 
 func TestScanAlgorithmsAgree(t *testing.T) {

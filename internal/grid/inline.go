@@ -157,7 +157,7 @@ func (st *inlineStore) removeAt(c int, id uint32) bool {
 // appendRow is the whole-row kernel of the store interface: the per-cell
 // dispatch happens here as direct (inlinable) calls on the concrete store
 // instead of interface calls per cell.
-func (st *inlineStore) appendRow(r geom.Rect, base, xmin, xmax int, containsY, intersectsY bool, xs []float32, buf []uint32) []uint32 {
+func (st *inlineStore) appendRow(r geom.Rect, _ quantWindow, base, xmin, xmax int, containsY, intersectsY bool, xs []float32, buf []uint32) []uint32 {
 	x0 := xs[xmin]
 	for cx := xmin; cx <= xmax; cx++ {
 		x1 := xs[cx+1]

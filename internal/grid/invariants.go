@@ -37,10 +37,11 @@ const auditChunk = 512
 // additionally audits the arena as the build leaves it: offsets monotone
 // at every column (so a cell's columns tile its segment: both are read off
 // the same offsets), the arena beginning at slot 0 and ending at len(ids),
-// every entry's label the column of its position, every entry lying in its
-// label's stretch of the arena, and the inlined coordinate arena (CSRXY)
-// mirroring the base table slot for slot. A CSR grid proves all of that
-// first (csrStore.proven), and walks cell by cell only to name a failure.
+// every entry lying in the stretch of its position's column, and the arena
+// beside the IDs mirroring the base table slot for slot: the quanta of the
+// entry's position (CSR), or its coordinates (CSRXY). A CSR grid proves all
+// of that first (csrStore.proven), and walks cell by cell only to name a
+// failure.
 //
 // The audit keeps its scratch on the grid (see occupancy), so like Build
 // and Update it is a single-caller operation.
@@ -81,14 +82,17 @@ func (g *Grid) walk(a *occupancy) error {
 }
 
 // occupancy is the reusable scratch of CheckInvariants: the seen set, one
-// bit an ID, the cell being walked and the proof pass's labels. It lives
-// on the grid because the epoch publisher audits the shadow before every
-// publish, and a fresh seen table was n bytes per tick of a running
-// service.
+// bit an ID, the cell being walked, and the proof pass's chunk of IDs, their
+// gathered positions and those positions' labels and quanta. It lives on the
+// grid because the epoch publisher audits the shadow before every publish,
+// and a fresh seen table was n bytes per tick of a running service.
 type occupancy struct {
 	seen   []uint64
 	cell   []uint32
+	ids    [auditChunk]uint32
+	pts    [auditChunk]geom.Point
 	labels [auditChunk]uint32
+	quanta [auditChunk]uint32
 }
 
 // occupancy returns the grid's audit scratch, made on first use.
@@ -112,62 +116,63 @@ func (a *occupancy) reset(n int) []uint64 {
 
 // proven is the CSR audit's proof pass over a grid of cells cells and a
 // snapshot of n points: true when every clause of the walk holds, false
-// when one may not. After checkCSR (offsets, arena bounds, the xy mirror)
-// and the walk's size clauses, it makes three passes:
+// when one may not. After checkCSR (offsets, arena bounds, the lengths of
+// the arenas) and the walk's size clauses, it makes one pass over the arena
+// a chunk of slots at a time: it gathers the positions of the chunk's IDs,
+// maps them with the build's own kernel, and folds into one flag whether
+// each slot k lies in the stretch of its position's column, into one word
+// every difference of the slot's quanta from its position's (for the xy
+// layout, of its coordinates), and into another, through onceEach, whether
+// each ID was met before.
 //
-//   - labels: relabel the snapshot in ID order with the build's label
-//     pass and fold every difference from cellOf into one word;
-//   - stretches: walk the arena flat, and fold into one flag whether each
-//     slot k lies in the stretch of its entry's label;
-//   - once: walk it again, and fold into another whether each entry was
-//     met before, in a set of one bit an ID.
-//
-// The walk's cell clause needs no pass of its own: with the offsets
+// The walk's cell clause needs no fold of its own: with the offsets
 // monotone, the one stretch holding slot k is a column of the cell whose
 // segment holds it. n distinct IDs below n in an arena of n slots are each
 // stored exactly once.
 func (st *csrStore) proven(cells, n int, a *occupancy) bool {
-	if st.checkCSR(cells) != nil || len(st.ids) != n || len(st.pts) != n || len(st.cellOf) != n {
+	if st.checkCSR(cells) != nil || st.totalEntries() != n || len(st.pts) != n {
 		return false
 	}
-	return st.labelsCurrent(&a.labels) && inStretches(st.ids, st.cellOf, st.starts) && onceEach(st.ids, a.reset(n))
-}
-
-// labelsCurrent reports whether cellOf[i] is labelOf(pts[i]) for every
-// point, relabelling them a chunk at a time into buf.
-func (st *csrStore) labelsCurrent(buf *[auditChunk]uint32) bool {
-	var diff uint32
-	pts := st.pts
-	for lo := 0; lo < len(pts); lo += auditChunk {
-		chunk := pts[lo:min(lo+auditChunk, len(pts))]
-		want := buf[:len(chunk)]
-		labelPoints(&st.mapper, chunk, want)
-		for i, f := range st.cellOf[lo:][:len(want)] {
-			diff |= f ^ want[i]
-		}
-	}
-	return diff == 0
-}
-
-// inStretches reports whether every slot k of the arena ids holds an ID
-// below len(cellOf) whose label's stretch [starts[f], starts[f+1]) holds
-// k. Labels must be columns (labelsCurrent). Each bound is one
-// subtraction, widened, whose sign is the flag.
-func inStretches(ids, cellOf, starts []uint32) bool {
 	var flags uint64
-	for k, id := range ids {
-		if int(id) >= len(cellOf) {
-			return false
+	var diff, twice uint32
+	pts, starts, seen := st.pts, st.starts, a.reset(n)
+	for lo := 0; lo < n; lo += auditChunk {
+		ids := st.appendIDs(uint32(lo), uint32(min(lo+auditChunk, n)), a.ids[:0])
+		at, labels := a.pts[:len(ids)], a.labels[:len(ids)]
+		for j, id := range ids {
+			if int(id) >= len(pts) {
+				return false
+			}
+			at[j] = pts[id]
 		}
-		f := int(cellOf[id])
-		lo, hi := starts[f], starts[f+1]
-		flags |= (uint64(k) - uint64(lo)) | (uint64(hi) - uint64(k) - 1)
+		if st.xy == nil {
+			quanta := a.quanta[:len(ids)]
+			quantPoints(&st.mapper, at, labels, quanta)
+			for j, s := range st.slots[lo:][:len(ids)] {
+				diff |= s.q ^ quanta[j]
+			}
+		} else {
+			labelPoints(&st.mapper, at, labels)
+			xy := st.xy[2*lo:][:2*len(ids)]
+			for j, p := range at {
+				if xy[2*j] != p.X || xy[2*j+1] != p.Y {
+					return false
+				}
+			}
+		}
+		for j, f := range labels {
+			k := uint64(lo + j)
+			flags |= (k - uint64(starts[f])) | (uint64(starts[f+1]) - k - 1)
+		}
+		if !onceEach(ids, seen) {
+			twice = 1
+		}
 	}
-	return flags>>63 == 0
+	return flags>>63 == 0 && diff == 0 && twice == 0
 }
 
-// onceEach reports whether no ID occurs twice in ids, all of which have a
-// bit in seen, which is clear.
+// onceEach reports whether no ID occurs twice in ids, nor was met before:
+// all of them have a bit in seen, where each sets its own.
 func onceEach(ids []uint32, seen []uint64) bool {
 	var twice uint64
 	for _, id := range ids {
@@ -199,32 +204,41 @@ func (g *Grid) checkOccupant(seen []uint64, size int, id uint32, c int, n uint32
 }
 
 // checkEntry audits entry id as the occupancy pass meets it, the nth it
-// visits, in cell c: its label is the column of its position, that column
-// is one of c's, and — the pass walks the arena front to back, so the nth
-// visit is slot n — the slot lies in the label's stretch.
+// visits, in cell c: the column of its position is one of c's, and — the
+// pass walks the arena front to back, so the nth visit is slot n — the slot
+// lies in that column's stretch and the arena beside the IDs holds the
+// position's quanta (or coordinates) there.
 func (st *csrStore) checkEntry(id uint32, c int, n uint32) error {
-	label, want := st.cellOf[id], st.mapper.labelOf(st.pts[id])
-	if label != want || int(label>>st.shift) != c {
-		return fmt.Errorf("grid/csr: id %d at %v stored in cell %d, labelled column %d (cell %d), want column %d (cell %d)",
-			id, st.pts[id], c, label, label>>st.shift, want, want>>st.shift)
+	p := st.pts[id]
+	f := st.mapper.labelOf(p)
+	if int(f>>st.shift) != c {
+		return fmt.Errorf("grid/csr: id %d at %v stored in cell %d, want column %d (cell %d)", id, p, c, f, f>>st.shift)
 	}
-	if n < st.starts[label] || n >= st.starts[label+1] {
+	if n < st.starts[f] || n >= st.starts[f+1] {
 		return fmt.Errorf("grid/csr: id %d of column %d lies in slot %d, outside the column's [%d, %d)",
-			id, label, n, st.starts[label], st.starts[label+1])
+			id, f, n, st.starts[f], st.starts[f+1])
+	}
+	if st.xy == nil {
+		if got, want := st.slots[n].q, st.mapper.quantOf(p); got != want {
+			return fmt.Errorf("grid/csr: slot %d holds quanta %#08x, id %d at %v quantises to %#08x", n, got, id, p, want)
+		}
+	} else if st.xy[2*n] != p.X || st.xy[2*n+1] != p.Y {
+		return fmt.Errorf("grid/csr: slot %d coords (%g,%g) diverge from base table %v for id %d",
+			n, st.xy[2*n], st.xy[2*n+1], p, id)
 	}
 	return nil
 }
 
-// checkCSR audits the offsets and the coordinate arena of a CSR store of
-// cells cells.
+// checkCSR audits the offsets of a CSR store of cells cells, and the
+// length of the xy layout's coordinate arena.
 func (st *csrStore) checkCSR(cells int) error {
 	columns := cells << st.shift
 	if len(st.starts) != columns+1 {
 		return fmt.Errorf("grid/csr: %d starts for %d columns", len(st.starts), columns)
 	}
-	if st.starts[0] != 0 || int(st.starts[columns]) != len(st.ids) {
-		return fmt.Errorf("grid/csr: the arena begins at slot %d and ends at %d, want 0 and len(ids) = %d",
-			st.starts[0], st.starts[columns], len(st.ids))
+	if st.starts[0] != 0 || int(st.starts[columns]) != st.totalEntries() {
+		return fmt.Errorf("grid/csr: the arena begins at slot %d and ends at %d, want 0 and its length %d",
+			st.starts[0], st.starts[columns], st.totalEntries())
 	}
 	for f := 0; f < columns; f++ {
 		if st.starts[f] > st.starts[f+1] {
@@ -232,20 +246,8 @@ func (st *csrStore) checkCSR(cells int) error {
 				f, f>>st.shift, st.starts[f], st.starts[f+1])
 		}
 	}
-	if st.xy == nil {
-		return nil
-	}
-	if len(st.xy) != 2*len(st.ids) {
+	if st.xy != nil && len(st.xy) != 2*len(st.ids) {
 		return fmt.Errorf("grid/csr: xy arena holds %d floats for %d ids", len(st.xy), len(st.ids))
-	}
-	for k, id := range st.ids {
-		if int(id) >= len(st.pts) {
-			return fmt.Errorf("grid/csr: slot %d holds id %d beyond snapshot size %d", k, id, len(st.pts))
-		}
-		if p := st.pts[id]; st.xy[2*k] != p.X || st.xy[2*k+1] != p.Y {
-			return fmt.Errorf("grid/csr: slot %d coords (%g,%g) diverge from base table %v for id %d",
-				k, st.xy[2*k], st.xy[2*k+1], p, id)
-		}
 	}
 	return nil
 }

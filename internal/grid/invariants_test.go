@@ -115,7 +115,7 @@ var arenaCorruptions = []corruption{
 	{"arena start past slot 0", "the arena begins", func(g *Grid, f int) { g.csr.starts[0]++ }},
 	// An object moved in the base table without a rebuild.
 	{"misplaced entry", "stored in cell", func(g *Grid, f int) {
-		g.pts[g.csr.ids[g.csr.starts[f]]] = geom.Pt(testBounds.MaxX-1, testBounds.MaxY-1)
+		g.pts[g.csr.slots[g.csr.starts[f]].id] = geom.Pt(testBounds.MaxX-1, testBounds.MaxY-1)
 	}},
 }
 
@@ -125,11 +125,17 @@ var columnCorruptions = []corruption{
 	{"column offset one entry early", "outside the column", func(g *Grid, f int) { g.csr.starts[f]-- }},
 	{"column offset past the next", "not monotone", func(g *Grid, f int) { g.csr.starts[f] = g.csr.starts[f+1] + 1 }},
 	{"id swapped across columns", "outside the column", func(g *Grid, f int) {
-		ids, k := g.csr.ids, g.csr.starts[f]
-		ids[k-1], ids[k] = ids[k], ids[k-1]
+		slots, k := g.csr.slots, g.csr.starts[f]
+		slots[k-1], slots[k] = slots[k], slots[k-1]
 	}},
-	{"label of another column of the cell", "labelled column", func(g *Grid, f int) {
-		g.csr.cellOf[g.csr.ids[g.csr.starts[f]]] = uint32(f - 1)
+	// The first entry of column f moved into column f-1 of the same cell,
+	// its quanta rewritten to match: only the stretch clause sees it.
+	{"label of another column of the cell", "outside the column", func(g *Grid, f int) {
+		cs, k := g.csr, g.csr.starts[f]
+		col := f % g.cols.cps
+		p := &g.pts[cs.slots[k].id]
+		p.X = (g.colXs[col-1] + g.colXs[col]) / 2
+		cs.slots[k].q = cs.mapper.quantOf(*p)
 	}},
 }
 

@@ -4,8 +4,8 @@
 #include "textflag.h"
 
 // The vector tier of the counting sort's mapping pass (README.md, "Vector
-// kernels"): labelPts is labelPoints' loop, spanRects is spanPass' loop,
-// sixteen coordinates an instruction. Each makes the scalar mapper's
+// kernels"): labelPts is labelPoints' loop, quantPts quantPoints', spanRects
+// is spanPass' loop, sixteen coordinates an instruction. Each makes the scalar mapper's
 // subtraction and product in the same operand order (coordinate minus the
 // space's minimum, times the inverse width), then axisIndex's clamp:
 //
@@ -20,13 +20,13 @@
 // len(pts) or len(rects) objects. The Go wrappers have already cut the
 // output to that length.
 
-// CLAMP leaves in Z2 the clamped cell indices of the sixteen products in
-// Z1: Z10 holds the float32 limits n, Z12 the int32 n-1, Z14 zero.
-#define CLAMP \
-	VCMPPS $0x1e, Z14, Z1, K2; \
-	VCMPPS $0x1d, Z10, Z1, K3; \
-	VCVTTPS2DQ.Z Z1, K2, Z2; \
-	VMOVDQA32 Z12, K3, Z2
+// CLAMP leaves in out the clamped indices of the sixteen products in in:
+// flim holds the float32 limits n, ilim the int32 n-1, Z14 zero.
+#define CLAMP(in, out, flim, ilim) \
+	VCMPPS $0x1e, Z14, in, K2; \
+	VCMPPS $0x1d, flim, in, K3; \
+	VCVTTPS2DQ.Z in, K2, out; \
+	VMOVDQA32 ilim, K3, out
 
 // LIMITS takes the int32 limits in Z9 and leaves them as float32 in Z10,
 // n-1 in Z12 and zero in Z14.
@@ -36,7 +36,7 @@
 	VPADDD Z11, Z9, Z12; \
 	VPXORD Z14, Z14, Z14
 
-// func labelPts(pts []geom.Point, cellOf []uint32, m *columnMapper)
+// func labelPts(pts []geom.Point, labels []uint32, m *columnMapper)
 //
 // Eight points a block, as they lie in memory: x0 y0 x1 y1 … x7 y7, each
 // point one qword. The mapper is laid out the same way, [minX minY] and
@@ -47,7 +47,7 @@
 TEXT ·labelPts(SB), NOSPLIT, $0-56
 	MOVQ pts_base+0(FP), SI
 	MOVQ pts_len+8(FP), CX
-	MOVQ cellOf_base+24(FP), DI
+	MOVQ labels_base+24(FP), DI
 	MOVQ m+48(FP), DX
 	VPBROADCASTQ columnMapper_minX(DX), Z6
 	VBROADCASTSS columnMapper_invCol(DX), Z7
@@ -74,13 +74,74 @@ block:
 	VMOVDQU64.Z (SI), K1, Z1
 	VSUBPS Z6, Z1, Z1
 	VMULPS Z7, Z1, Z1
-	CLAMP
+	CLAMP(Z1, Z2, Z10, Z12)
 	VPSRLQ $32, Z2, Z3
 	VPMULUDQ Z9, Z3, Z3
 	VPADDD Z2, Z3, Z3
 	VPMOVQD Z3, K1, (DI)
 	ADDQ $64, SI
 	ADDQ $32, DI
+	SUBQ $8, CX
+	JG   loop
+done:
+	VZEROUPPER
+	RET
+
+// func quantPts(pts []geom.Point, labels, quanta []uint32, m *columnMapper)
+//
+// labelPts, and from the same differences p - min the quanta: times invQ
+// in both lanes of a qword, clamped to [0, quantSteps), and the qword's
+// [qx qy] packed to qx | qy<<16 in its low dword (VPSRLQ $16 moves qy to
+// bit 16 and leaves nothing of qx, which is below 1<<16; VPORD adds qx).
+TEXT ·quantPts(SB), NOSPLIT, $0-80
+	MOVQ pts_base+0(FP), SI
+	MOVQ pts_len+8(FP), CX
+	MOVQ labels_base+24(FP), DI
+	MOVQ quanta_base+48(FP), R11
+	MOVQ m+72(FP), DX
+	VPBROADCASTQ columnMapper_minX(DX), Z6
+	VBROADCASTSS columnMapper_invCol(DX), Z7
+	VBROADCASTSS columnMapper_invRow(DX), Z8
+	VPUNPCKLDQ Z8, Z7, Z7
+	VBROADCASTSS columnMapper_invQ(DX), Z15
+	MOVQ columnMapper_cols(DX), R8
+	MOVQ columnMapper_rows(DX), R9
+	VPBROADCASTD R8, Z9
+	VPBROADCASTD R9, Z8
+	VPUNPCKLDQ Z8, Z9, Z9
+	LIMITS
+	MOVL $const_quantSteps, R10
+	VPBROADCASTD R10, Z16
+	VCVTDQ2PS Z16, Z17
+	VPADDD Z11, Z16, Z18
+	MOVL $0xff, R10
+	KMOVW R10, K1
+	TESTQ CX, CX
+	JLE  done
+loop:
+	CMPQ CX, $8
+	JGE  block
+	MOVL $1, R10
+	SHLL CX, R10
+	DECL R10
+	KMOVW R10, K1
+block:
+	VMOVDQU64.Z (SI), K1, Z1
+	VSUBPS Z6, Z1, Z1
+	VMULPS Z15, Z1, Z4
+	VMULPS Z7, Z1, Z1
+	CLAMP(Z1, Z2, Z10, Z12)
+	VPSRLQ $32, Z2, Z3
+	VPMULUDQ Z9, Z3, Z3
+	VPADDD Z2, Z3, Z3
+	VPMOVQD Z3, K1, (DI)
+	CLAMP(Z4, Z5, Z17, Z18)
+	VPSRLQ $16, Z5, Z3
+	VPORD Z5, Z3, Z3
+	VPMOVQD Z3, K1, (R11)
+	ADDQ $64, SI
+	ADDQ $32, DI
+	ADDQ $32, R11
 	SUBQ $8, CX
 	JG   loop
 done:
@@ -122,7 +183,7 @@ block:
 	VMOVUPS.Z (SI), K1, Z1
 	VSUBPS Z6, Z1, Z1
 	VMULPS Z7, Z1, Z1
-	CLAMP
+	CLAMP(Z1, Z2, Z10, Z12)
 	VPSHUFD $0xd8, Z2, Z2
 	VPMOVDW Z2, K1, (DI)
 	ADDQ $64, SI

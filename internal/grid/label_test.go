@@ -9,11 +9,12 @@ import (
 	"repro/internal/geom"
 )
 
-// The counting sort's mapping pass, tier against tier: labelPoints and
-// spanPass with labelPts / spanRects (label_amd64.s) in front of their
-// loops, and the loops alone (scalarTier), every output held to the
-// definition, columnMapper.labelOf and cellMapper.spanOf, element by
-// element, and checked for writes past the objects it was given.
+// The counting sort's mapping pass, tier against tier: labelPoints,
+// quantPoints and spanPass with labelPts / quantPts / spanRects
+// (label_amd64.s) in front of their loops, and the loops alone
+// (scalarTier), every output held to the definition, columnMapper.labelOf
+// and quantOf and cellMapper.spanOf, element by element, and checked for
+// writes past the objects it was given.
 
 const (
 	labelBlock = 8 // points a labelPts block
@@ -31,26 +32,39 @@ func mapTiers(f func(tier string)) {
 }
 
 // checkLabelTiers fails t unless labelPoints writes m.labelOf(p) for every
-// point of pts, and nothing past them, on each tier.
+// point of pts, and quantPoints m.labelOf(p) and m.quantOf(p), and nothing
+// past them, on each tier.
 func checkLabelTiers(t *testing.T, what string, m *columnMapper, pts []geom.Point) {
 	t.Helper()
-	mapTiers(func(tier string) {
+	canaried := func() []uint32 {
 		out := make([]uint32, len(pts)+mapSlack)
 		for i := range out {
 			out[i] = mapCanary
 		}
-		labelPoints(m, pts, out)
+		return out
+	}
+	check := func(tier, pass, kind string, out []uint32, want func(geom.Point) uint32) {
+		t.Helper()
 		for i, p := range pts {
-			if want := m.labelOf(p); out[i] != want {
-				t.Fatalf("%s, %s tier: label of point %d of %d %v (%#x, %#x) is %d, labelOf says %d",
-					what, tier, i, len(pts), p, math.Float32bits(p.X), math.Float32bits(p.Y), out[i], want)
+			if w := want(p); out[i] != w {
+				t.Fatalf("%s, %s tier, %s: %s of point %d of %d %v (%#x, %#x) is %#x, the definition says %#x",
+					what, tier, pass, kind, i, len(pts), p, math.Float32bits(p.X), math.Float32bits(p.Y), out[i], w)
 			}
 		}
 		for i, v := range out[len(pts):] {
 			if v != mapCanary {
-				t.Fatalf("%s, %s tier: slot %d past %d points overwritten with %#x", what, tier, i, len(pts), v)
+				t.Fatalf("%s, %s tier, %s: %s slot %d past %d points overwritten with %#x", what, tier, pass, kind, i, len(pts), v)
 			}
 		}
+	}
+	mapTiers(func(tier string) {
+		labels := canaried()
+		labelPoints(m, pts, labels)
+		check(tier, "labelPoints", "label", labels, m.labelOf)
+		labels, quanta := canaried(), canaried()
+		quantPoints(m, pts, labels, quanta)
+		check(tier, "quantPoints", "label", labels, m.labelOf)
+		check(tier, "quantPoints", "quanta", quanta, m.quantOf)
 	})
 }
 
@@ -257,7 +271,7 @@ func FuzzLabelTiers(f *testing.F) {
 	f.Fuzz(func(t *testing.T, cpsPick uint16, lo, side float32, data []byte) {
 		cps, bounds := fuzzSpace(cpsPick, lo, side, MaxCSRCPS)
 		rows := testMapper(cps, bounds)
-		m := newColumnMapper(rows, columnsOf(rows, columnShift))
+		m := newColumnMapper(rows, columnsOf(rows, columnShift), bounds.Width())
 		c := floatsOf(data)
 		pts := make([]geom.Point, len(c)/2)
 		for i := range pts {

@@ -189,7 +189,7 @@ func (st *linkedStore) removeAt(c int, id uint32) bool {
 
 // appendRow is the whole-row kernel of the store interface: direct
 // per-cell calls on the concrete store, no interface dispatch.
-func (st *linkedStore) appendRow(r geom.Rect, base, xmin, xmax int, containsY, intersectsY bool, xs []float32, buf []uint32) []uint32 {
+func (st *linkedStore) appendRow(r geom.Rect, _ quantWindow, base, xmin, xmax int, containsY, intersectsY bool, xs []float32, buf []uint32) []uint32 {
 	x0 := xs[xmin]
 	for cx := xmin; cx <= xmax; cx++ {
 		x1 := xs[cx+1]
