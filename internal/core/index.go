@@ -64,8 +64,9 @@ import "repro/internal/geom"
 //     copies with != and report the NaN itself; and two indexes may
 //     disagree on whether it matches (the sign-bit filters of the append
 //     kernels admit a NaN of clear sign, Point.In does not, and the CSR
-//     grid's quantised filter, which puts NaN in the lowest quantum, drops
-//     it unless the window's lower quantum on that axis is 0 too).
+//     grid's quantised filter on the AVX-512 tier, which puts NaN in the
+//     lowest quantum, drops it unless the window's lower quantum on that
+//     axis is 0 too).
 //
 // internal/bench's TestInputContractPoints / TestInputContractBoxes
 // assert exactly this over both lineups.

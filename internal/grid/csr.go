@@ -29,10 +29,11 @@ import (
 //
 // Each slot of LayoutCSR's arena holds its entry's position in quanta
 // beside its ID (csrSlot; quantOf: 16 bits an axis over the whole space),
-// so the filter of a run reads one sequential stream and decides every slot
-// whose quanta lie strictly inside or outside the window's without touching
-// the base table; only a slot on a quantum of the window's edge is decided
-// by its exact position (appendFilterQ; README.md, "Quantised positions").
+// so the vector filter of a run reads one sequential stream and decides
+// every slot whose quanta lie strictly inside or outside the window's
+// without touching the base table; only a slot on a quantum of the
+// window's edge is decided by its exact position (appendFilterQ; README.md,
+// "Quantised positions"). The scalar tier tests every slot exactly.
 // LayoutCSRXY keeps IDs alone, and the exact coordinates in an arena of
 // their own (csrxy.go).
 //
@@ -398,7 +399,9 @@ func (st *csrStore) appendIDs(lo, hi uint32, buf []uint32) []uint32 {
 // per-cell walk (Grid.scanCellRange), and the run is filtered only when the
 // row intersects r and r's x-extent is ordered, so a NaN or inverted
 // rectangle returns what the walk returns: nothing. qw is r in quanta
-// (Grid.QueryAppend), which the filter of the quantised layout reads.
+// (Grid.QueryAppend), which the filter of the quantised layout reads. It
+// is made once a query and handed in, not made here once a row: made here,
+// it cost a query 10 to 15 ns of about 150 (BenchmarkCSRQueryKernel).
 //
 //joinlint:hotpath
 //joinlint:bce
@@ -432,23 +435,26 @@ func (st *csrStore) appendFilter(r geom.Rect, qw quantWindow, lo, hi uint32, buf
 }
 
 // appendFilterQ is the quantised layout's filter of the run slots[lo:hi],
-// w being r in quanta. A slot whose quanta lie strictly inside w's on both
-// axes is a hit and one outside them on either axis a miss, without a look
-// at its position: quantOf is monotone, so a quantum above the window's
-// lower bound proves the coordinate above r's, and so on. What is left, a
-// slot whose quantum equals a bound's and is otherwise inside, is a tie,
-// which the exact test of appendFilterPts decides against pts. At the
-// benchmark's 22 000 space a quantum is a third of a unit, and a 400-unit
-// window ties about one entry in eighteen queries. The answer is
-// appendFilterPts' answer, in the same order, for every position but NaN,
-// which quantises to 0 and is dropped by any window whose quanta start
-// above it, where the sign trick may pass it.
+// w being r in quanta (Grid.QueryAppend). A slot whose quanta lie
+// strictly inside w's on both axes is a hit and one outside them on either
+// axis a miss, without a look at its position: quantOf is monotone, so a
+// quantum above the window's lower bound proves the coordinate above r's,
+// and so on. What is left, a slot whose quantum equals a bound's and is
+// otherwise inside, is a tie, which the exact test of appendFilterPts
+// decides against pts. At the benchmark's 22 000 space a quantum is a third
+// of a unit, and a 400-unit window ties about one entry in eighteen
+// queries. The answer is appendFilterPts' answer, in the same order, for
+// every position but NaN, which quantises to 0 and is dropped by any window
+// whose quanta start above it, where the sign trick may pass it.
 //
-// filterQLoop is the reference, and the whole filter wherever vectorKernels
-// is false. Where it is true filterQ (filter_amd64.s) makes the same
-// decisions sixteen slots at a time, gathering the points of tied slots
-// alone — or returns a negative count when a tied slot holds an ID it may
-// not gather through, which leaves the run to the loop and its index panic.
+// filterQLoop is the definition, and filterQ (filter_amd64.s) makes the
+// same decisions sixteen slots at a time where vectorKernels is true,
+// gathering the points of tied slots alone — or returns a negative count
+// when a tied slot holds an ID it may not gather through, which leaves the
+// run to the loop and its index panic. Where vectorKernels is false the
+// quanta buy nothing: a scalar decision on them costs more than the sign
+// test it spares (README.md, "Quantised positions"), so that tier runs
+// filterSlotsPts, appendFilterPts' loop over the slots' IDs.
 //
 //joinlint:hotpath
 func (st *csrStore) appendFilterQ(lo, hi uint32, w quantWindow, r geom.Rect, buf []uint32) []uint32 {
@@ -459,12 +465,28 @@ func (st *csrStore) appendFilterQ(lo, hi uint32, w quantWindow, r geom.Rect, buf
 		if n := filterQ(seg, st.pts, w, r, buf[k:]); n >= 0 {
 			return buf[:k+n]
 		}
+		return filterQLoop(seg, st.pts, w, r, buf, k)
 	}
-	return filterQLoop(seg, st.pts, w, r, buf, k)
+	return filterSlotsPts(seg, st.pts, r, buf, k)
 }
 
-// filterQLoop is appendFilterQ's definition: it filters the slots of seg
-// into buf from buf[k] on and returns buf cut after the last hit. Each slot
+// filterSlotsPts is the exact sign test of appendFilterPts over the IDs of
+// seg, into buf from buf[k] on, which must have room for len(seg) IDs.
+//
+//joinlint:bce
+func filterSlotsPts(seg []csrSlot, pts []geom.Point, r geom.Rect, buf []uint32, k int) []uint32 {
+	for _, s := range seg {
+		p := pts[s.id]
+		m := math.Float32bits(p.X-r.MinX) | math.Float32bits(r.MaxX-p.X) |
+			math.Float32bits(p.Y-r.MinY) | math.Float32bits(r.MaxY-p.Y)
+		buf[k] = s.id
+		k += 1 - int(m>>31)
+	}
+	return buf[:k]
+}
+
+// filterQLoop is filterQ's definition: it filters the slots of seg into buf
+// from buf[k] on and returns buf cut after the last hit. Each slot
 // is decided without a branch but for a tie. buf must have room for
 // len(seg) IDs past k (reserve).
 //
@@ -533,7 +555,11 @@ func appendFilterPts(seg []uint32, pts []geom.Point, r geom.Rect, buf []uint32) 
 // branchless filter of a run of n candidates to overwrite and cut back. It
 // grows capacity only — at steady state a compare and a reslice, where
 // appending the run was a memmove of data about to be overwritten — and
-// when capacity is short it appends past it until there is room. (The
+// when capacity is short it appends past it until there is room: one
+// reallocation for each of append's growth steps, which a cold buffer pays
+// once and a reused one never. The one-call forms, slices.Grow and an
+// append of a make, are allocations the escape gate sees in every filter
+// that inlines reserve, and slices.Grow adds a bounds check to each. (The
 // unsigned compare is a loop bound the compiler need not check.)
 func reserve(buf []uint32, n int) []uint32 {
 	k := len(buf)

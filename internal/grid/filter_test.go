@@ -13,10 +13,11 @@ import (
 	"repro/internal/xrand"
 )
 
-// The five branchless filters, tier against tier: appendFilterPts,
-// appendFilterXY, appendFilterQ, appendMasked1 / appendMasked2 /
-// appendMasked with the vector routines of filter_amd64.s in front of their
-// loops, and the loops alone (scalarTier), which are the reference. Everything here compares
+// The branchless filters, tier against tier: appendFilterPts,
+// appendFilterXY, appendMasked1 / appendMasked2 / appendMasked with the
+// vector routines of filter_amd64.s in front of their loops, and the loops
+// alone (scalarTier), which are the reference; and filterQ against its
+// definition, filterQLoop (quantDecisions). Everything here compares
 // returned slices element for element.
 
 func requireVectorTier(t *testing.T) {
@@ -95,11 +96,11 @@ func (a *filterArena) filters() []arenaFilter {
 		{"appendFilterXY", 0, func(lo, hi int, r geom.Rect, buf []uint32) []uint32 {
 			return appendFilterXY(a.ids[lo:hi], a.xy[2*lo:2*hi], r, buf)
 		}},
-		{"appendFilterQ", 0, func(lo, hi int, r geom.Rect, buf []uint32) []uint32 {
+		{"filterQ", 0, func(lo, hi int, r geom.Rect, buf []uint32) []uint32 {
 			if r != a.qr { // a query quantises its window once
 				a.qr, a.qw = r, windowOf(&a.st.mapper, r)
 			}
-			return a.st.appendFilterQ(uint32(lo), uint32(hi), a.qw, r, buf)
+			return quantDecisions(a.st, lo, hi, a.qw, r, buf)
 		}},
 		{"appendMasked1", 1, func(lo, hi int, r geom.Rect, buf []uint32) []uint32 {
 			return a.bg.appendMasked1(uint32(lo), uint32(hi), a.bg.my, r.MinY, buf)

@@ -529,7 +529,12 @@ func (g *Grid) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 func (g *Grid) scanCellRange(r geom.Rect, qw quantWindow, xmin, xmax, ymin, ymax int, buf []uint32) []uint32 {
 	cps := g.cfg.CPS
 	st := g.st
-	csr, _ := st.(*csrStore) // called directly, the CSR row kernel keeps its arguments in registers
+	// The CSR row kernel is called directly, with no itab load and no
+	// indirect branch a row. Against the interface call alone, on a 2-vCPU
+	// AVX-512 host, point_uniform's tick_ms read 2.925 against 2.976 ms
+	// (medians of four interleaved 20 s runs; the direct call ahead in
+	// all four pairs).
+	csr, _ := st.(*csrStore)
 	for cy := ymin; cy <= ymax; cy++ {
 		y0, y1 := g.ys[cy], g.ys[cy+1]
 		containsY := r.MinY <= y0 && y1 <= r.MaxY

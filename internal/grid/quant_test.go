@@ -11,14 +11,15 @@ import (
 )
 
 // The quantised filter of LayoutCSR (appendFilterQ: filterQ on the vector
-// tier, filterQLoop on both) held to the exact filter, appendFilterPts,
-// which is what every decision it takes without the base table must agree
-// with: bit for bit, in the same order, on both tiers, for every position
-// but NaN, whose quanta prove nothing (quantOf). The cases put points and
-// window edges on, and one ulp either side of, quantum boundaries and
-// column edges, points one ulp inside the space's maximum, and windows past
-// the space or inverted; the windows of Grid.QueryAppend that are NaN never
-// reach a filter, and are held to brute force through QueryAppend.
+// tier, the exact test on the scalar one) and filterQ's definition,
+// filterQLoop, held to the exact filter, appendFilterPts, which is what
+// every decision they take without the base table must agree with: bit for
+// bit, in the same order, on both tiers, for every position but NaN, whose
+// quanta prove nothing (quantOf). The cases put points and window edges
+// on, and one ulp either side of, quantum boundaries and column edges,
+// points one ulp inside the space's maximum, and windows past the space or
+// inverted; the windows of Grid.QueryAppend that are NaN never reach a
+// filter, and are held to brute force through QueryAppend.
 
 // quantStore is a LayoutCSR store over bounds whose arena is pts in a
 // seeded order: the filter reads it as it reads a run of a built arena.
@@ -97,9 +98,20 @@ func quantCases(bounds geom.Rect, cps int, seed uint64) ([]geom.Point, []geom.Re
 	return pts, rects
 }
 
-// checkQuantRun holds appendFilterQ over slots [lo, hi) of st to the exact
-// filter of the same IDs on each tier, and wants nothing written outside
-// the slots the filter reserves past a kept prefix.
+// quantDecisions is the quantised filter of slots [lo, hi) of st on the
+// tier it runs on: filterQ, through appendFilterQ, on the vector tier, and
+// its definition, filterQLoop, on the scalar one, whose appendFilterQ takes
+// the exact test instead.
+func quantDecisions(st *csrStore, lo, hi int, w quantWindow, r geom.Rect, buf []uint32) []uint32 {
+	if vectorKernels {
+		return st.appendFilterQ(uint32(lo), uint32(hi), w, r, buf)
+	}
+	return filterQLoop(st.slots[lo:hi], st.pts, w, r, reserve(buf, hi-lo), len(buf))
+}
+
+// checkQuantRun holds appendFilterQ and quantDecisions over slots [lo, hi)
+// of st to the exact filter of the same IDs on each tier, and wants nothing
+// written outside the slots the filter reserves past a kept prefix.
 func checkQuantRun(t *testing.T, what string, st *csrStore, lo, hi int, r geom.Rect) {
 	t.Helper()
 	ids := st.appendIDs(uint32(lo), uint32(hi), nil)
@@ -107,13 +119,17 @@ func checkQuantRun(t *testing.T, what string, st *csrStore, lo, hi int, r geom.R
 	scalarTier(func() { want = appendFilterPts(ids, st.pts, r, nil) })
 	w := windowOf(&st.mapper, r)
 	mapTiers(func(tier string) {
-		buf := []uint32{filterCanary, filterCanary + 1}
-		got := st.appendFilterQ(uint32(lo), uint32(hi), w, r, buf)
-		if got[0] != filterCanary || got[1] != filterCanary+1 {
-			t.Fatalf("%s, %s tier: prefix overwritten: %#x %#x", what, tier, got[0], got[1])
-		}
-		if !slices.Equal(got[2:], want) {
-			t.Fatalf("%s, %s tier: quantised filter returned\n%v\nthe exact one\n%v", what, tier, got[2:], want)
+		for name, filter := range map[string]func(buf []uint32) []uint32{
+			"appendFilterQ":  func(buf []uint32) []uint32 { return st.appendFilterQ(uint32(lo), uint32(hi), w, r, buf) },
+			"quantDecisions": func(buf []uint32) []uint32 { return quantDecisions(st, lo, hi, w, r, buf) },
+		} {
+			got := filter([]uint32{filterCanary, filterCanary + 1})
+			if got[0] != filterCanary || got[1] != filterCanary+1 {
+				t.Fatalf("%s, %s tier, %s: prefix overwritten: %#x %#x", what, tier, name, got[0], got[1])
+			}
+			if !slices.Equal(got[2:], want) {
+				t.Fatalf("%s, %s tier: %s returned\n%v\nthe exact filter\n%v", what, tier, name, got[2:], want)
+			}
 		}
 	})
 }
@@ -179,12 +195,13 @@ func TestQuantWindowsOutsideTheContract(t *testing.T) {
 	})
 }
 
-// FuzzQuantTiers holds the quantised filter on both tiers to the exact one
-// on fuzzer-chosen spaces, windows and points (eight bytes a point), where
-// neither the window nor a point is NaN, and the tiers to each other
-// everywhere; for finite points and a finite window the answer is brute
-// force's, Point.In. (The quanta depend on the space alone: the
-// granularity picks nothing here but keeps fuzzSpace's inputs.)
+// FuzzQuantTiers holds appendFilterQ on both tiers to the exact filter on
+// fuzzer-chosen spaces, windows and points (eight bytes a point), where
+// neither the window nor a point is NaN, and filterQ to its definition,
+// filterQLoop (quantDecisions on each tier), everywhere; for finite points
+// and a finite window, none of them -0, the answer is brute force's,
+// Point.In. (The quanta depend on the space alone: the granularity picks
+// nothing here but keeps fuzzSpace's inputs.)
 func FuzzQuantTiers(f *testing.F) {
 	p := ulpOff.p
 	f.Add(ulpOff.cps, ulpOff.lo, ulpOff.side, p.X, p.Y, nudge(p.X, 400), nudge(p.Y, 1),
@@ -193,6 +210,9 @@ func FuzzQuantTiers(f *testing.F) {
 		bytesOf(float32(math.NaN()), 5, float32(math.Copysign(0, -1)), float32(math.Inf(1)), 1e30, -1e30, 22000, 0, 21999.998, 343.75, 85.9375, 100))
 	f.Add(uint16(0), float32(-5), float32(10), float32(-1), float32(-1), float32(1), float32(2),
 		bytesOf(-5, -5, 5, 5, 0, 0, 4.9999995, -5.0000005, 2.5, 2.5, 1, 2, 3, 4, 5, 6, 7, 8, -1, -1, 1, 2))
+	// A -0 on a window edge at 0, which the sign trick rejects.
+	f.Add(uint16(63), float32(-68), float32(22000), float32(-65), float32(0), float32(22000), float32(22000),
+		bytesOf(math.Float32frombits(0x30303030), float32(math.Copysign(0, -1))))
 	f.Fuzz(func(t *testing.T, cpsPick uint16, lo, side, x0, y0, x1, y1 float32, data []byte) {
 		cps, bounds := fuzzSpace(cpsPick, lo, side, MaxCSRCPS)
 		c := floatsOf(data)
@@ -203,11 +223,14 @@ func FuzzQuantTiers(f *testing.F) {
 		st := quantStore(bounds, pts, uint64(len(pts)))
 		r := geom.Rect{MinX: x0, MinY: y0, MaxX: x1, MaxY: y1}
 		w := windowOf(&st.mapper, r)
-		var tiers [][]uint32
-		mapTiers(func(string) { tiers = append(tiers, st.appendFilterQ(0, uint32(len(pts)), w, r, nil)) })
-		for _, got := range tiers[1:] {
-			if !slices.Equal(got, tiers[0]) {
-				t.Fatalf("cps=%d %v, window %v: vector tier %v, scalar tier %v", cps, bounds, r, got, tiers[0])
+		var decided, filtered [][]uint32
+		mapTiers(func(string) {
+			decided = append(decided, quantDecisions(st, 0, len(pts), w, r, nil))
+			filtered = append(filtered, st.appendFilterQ(0, uint32(len(pts)), w, r, nil))
+		})
+		for _, got := range decided[1:] {
+			if !slices.Equal(got, decided[0]) {
+				t.Fatalf("cps=%d %v, window %v: filterQ %v, filterQLoop %v", cps, bounds, r, got, decided[0])
 			}
 		}
 		isNaN := func(v float32) bool { return v != v }
@@ -215,11 +238,16 @@ func FuzzQuantTiers(f *testing.F) {
 			return
 		}
 		want := appendFilterPts(st.appendIDs(0, uint32(len(pts)), nil), pts, r, nil)
-		if !slices.Equal(tiers[0], want) {
-			t.Fatalf("cps=%d %v, window %v: quantised filter %v, exact %v", cps, bounds, r, tiers[0], want)
+		for _, got := range append(filtered, decided[0]) {
+			if !slices.Equal(got, want) {
+				t.Fatalf("cps=%d %v, window %v: quantised filter %v, exact %v", cps, bounds, r, got, want)
+			}
 		}
-		finite := func(v float32) bool { return !math.IsInf(float64(v), 0) }
-		if !finite(x0) || !finite(y0) || !finite(x1) || !finite(y1) {
+		// Brute force holds where the sign trick's contract does: finite
+		// values, and no -0, which an edge at 0 subtracts to -0 and rejects
+		// where Point.In admits it (appendFilterPts).
+		inContract := func(v float32) bool { return !math.IsInf(float64(v), 0) && !(v == 0 && math.Signbit(float64(v))) }
+		if !inContract(x0) || !inContract(y0) || !inContract(x1) || !inContract(y1) {
 			return
 		}
 		in := map[uint32]bool{}
@@ -227,7 +255,7 @@ func FuzzQuantTiers(f *testing.F) {
 			in[id] = true
 		}
 		for id, p := range pts {
-			if finite(p.X) && finite(p.Y) && p.In(r) != in[uint32(id)] {
+			if inContract(p.X) && inContract(p.Y) && p.In(r) != in[uint32(id)] {
 				t.Fatalf("cps=%d %v, window %v: point %d %v in the window: %v, filters say %v", cps, bounds, r, id, p, p.In(r), in[uint32(id)])
 			}
 		}
