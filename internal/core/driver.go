@@ -155,8 +155,8 @@ func Run(idx Index, src workload.Source, opts Options) *Result {
 // RunParallel executes the iterated join like Run but fans the snapshot
 // refresh, the build and the query phase out over the given number of
 // worker goroutines (0 selects GOMAXPROCS); see runTicks for the
-// schedule. Indexes implementing ParallelBuilder build by sharded
-// counting sort.
+// schedule. Indexes implementing ParallelBuilder (the shard router) build
+// by it; every other index, the grids among them, builds by Build.
 func RunParallel(idx Index, src workload.Source, opts Options, workers int) *Result {
 	obs.Instrument(idx, opts.Obs)
 	return runTicks(pointEngine(idx, src), opts, workers)

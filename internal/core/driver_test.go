@@ -244,8 +244,9 @@ func TestPhaseTimesTotal(t *testing.T) {
 	}
 }
 
-// counting forwards every capability the drivers discover on an index —
-// the buffered kernel and the sharded build — and counts Update calls.
+// counting forwards the buffered kernel the drivers discover on an index
+// and counts Update calls. It forwards no BuildParallel: neither grid it
+// wraps has one, so the drivers build them by Build.
 type counting[P any] struct {
 	IndexOf[P]
 	updates atomic.Int64
@@ -258,10 +259,6 @@ func (c *counting[P]) Update(id uint32, old, new P) {
 
 func (c *counting[P]) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 	return c.IndexOf.(QueryAppender).QueryAppend(r, buf)
-}
-
-func (c *counting[P]) BuildParallel(snap []P, workers int) {
-	c.IndexOf.(ParallelBuilderOf[P]).BuildParallel(snap, workers)
 }
 
 // TestDriversLeaveMaintenanceToBuild: the four stop-the-world drivers

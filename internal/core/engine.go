@@ -249,9 +249,10 @@ func cellOrderPays(nsPerQuerier []float64) bool {
 //
 //   - build: refresh the snapshot from the base table — in parallel shards
 //     when there are several workers and the snapshot is large enough to
-//     pay for the fork — and build the index over it, by the sharded
-//     counting sort of an index that has one (the CSR grids) when there
-//     are several workers;
+//     pay for the fork — and build the index over it, by the index's
+//     BuildParallel when there are several workers and it has one (the
+//     shard router's region-parallel build; no grid family has one, their
+//     sequential counting sorts beat the sharded ones at two workers);
 //   - query: one probe per querier through the kernel engine.kernel
 //     resolves, folded by a drainer per worker. One worker drains the tick
 //     inline. Several claim blocks of it through forEachBlock: the index is

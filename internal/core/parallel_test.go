@@ -32,10 +32,10 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 
 // TestRunParallelDigestMatrix is the digest-equality matrix: Run and
 // RunParallel must produce identical (Pairs, Hash) for every valid grid
-// layout × scan algorithm combination, including the CSR layout whose
-// build and query scheduling take the parallel paths (ParallelBuilder,
-// Morton-ordered scheduling). The CSR layout answers by range scan only:
-// its full-scan cell is a Validate rejection.
+// layout × scan algorithm combination, including the CSR layout, whose
+// query scheduling takes the parallel path (Morton-ordered scheduling).
+// The CSR layout answers by range scan only: its full-scan cell is a
+// Validate rejection.
 func TestRunParallelDigestMatrix(t *testing.T) {
 	cfg := testConfig()
 	trace, err := workload.Record(cfg)
@@ -82,9 +82,9 @@ func TestRunParallelDigestMatrix(t *testing.T) {
 	}
 }
 
-// TestRunParallelCSRFullWorkload runs a workload large enough for the CSR
-// grid's sharded build under four workers and compares it against the
-// sequential inline-layout reference.
+// TestRunParallelCSRFullWorkload runs a workload of 12 000 points on the
+// CSR grid under four workers and compares it against the sequential
+// inline-layout reference.
 func TestRunParallelCSRFullWorkload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large workload")

@@ -108,7 +108,7 @@ func BenchmarkCSRBuildPhases(b *testing.B) {
 	g.Build(pts)
 	count := func() {
 		clear(st.starts)
-		st.countShard(st.starts, 0, len(pts))
+		st.count()
 	}
 	count()
 	counts := slices.Clone(st.starts)
@@ -137,24 +137,10 @@ func BenchmarkCSRBuildPhases(b *testing.B) {
 	benchTiers(b, "scatter", func(b *testing.B) {
 		for b.Loop() {
 			copy(st.starts, counts)
-			st.scatter(1)
+			st.scatter()
 		}
 		perPoint(b)
 	})
-}
-
-func BenchmarkCSRBuildParallel(b *testing.B) {
-	pts := benchPoints(50000)
-	cfg := Config{Name: "csr", Layout: LayoutCSR, Scan: ScanRange, BS: 1, CPS: 64}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			g := MustNew(cfg, testBounds, len(pts))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				g.BuildParallel(pts, workers)
-			}
-		})
-	}
 }
 
 func BenchmarkCSRQuery(b *testing.B) {
@@ -357,7 +343,7 @@ func BenchmarkBoxBuildPhases(b *testing.B) {
 	cursors := slices.Clone(g.counts)
 	phase("boxcsr/scatter", func() {
 		copy(g.counts, cursors)
-		g.scatterCells(g.counts, g.spans, 0)
+		g.scatterCells(g.counts, g.spans)
 	})
 
 	g2 := MustNewBoxGrid2L(48, bounds, len(boxes))

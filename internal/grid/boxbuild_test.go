@@ -13,9 +13,8 @@ import (
 
 // The box builds count and scatter spans of at most 2×2 cells in straight
 // line code (countFlat, scatterFlat) up to the first wider span, and with
-// the loops from there. These tests hold both grids' arenas, from Build
-// and from BuildParallel at every worker count, equal as arrays to the
-// arena the loops alone build.
+// the loops from there. These tests hold both grids' arenas, from Build,
+// equal as arrays to the arena the loops alone build.
 
 // boxArena is a box grid's arena as compared: starts, then BoxGrid2L's
 // pair-major class run ends (none for BoxGrid), then the IDs.
@@ -100,37 +99,27 @@ func loopArena2L(m cellMapper, rects []geom.Rect) boxArena {
 	return boxArena{starts, ends, ids}
 }
 
-// checkBoxBuilds builds both grids over rects with Build and with
-// BuildParallel at 1, 2, 3 and 8 workers, and fails unless every arena
-// equals the loops' and every audit is nil.
+// checkBoxBuilds builds both grids over rects with Build, and fails unless
+// each arena equals the loops' and each audit is nil.
 func checkBoxBuilds(t *testing.T, name string, cps int, bounds geom.Rect, rects []geom.Rect) {
 	t.Helper()
 	m := testMapper(cps, bounds)
 	wantBox, want2L := loopArenaBox(m, rects), loopArena2L(m, rects)
-	for _, workers := range []int{0, 1, 2, 3, 8} { // 0: Build
-		bg := MustNewBoxGrid(cps, bounds, len(rects))
-		bg2 := MustNewBoxGrid2L(cps, bounds, len(rects))
-		how := "Build"
-		if workers == 0 {
-			bg.Build(rects)
-			bg2.Build(rects)
-		} else {
-			how = fmt.Sprintf("BuildParallel(%d)", workers)
-			bg.BuildParallel(rects, workers)
-			bg2.BuildParallel(rects, workers)
-		}
-		if got := (boxArena{bg.starts, nil, bg.ids}); !got.equal(wantBox) {
-			t.Fatalf("%s: boxcsr %s: %s", name, how, got.diff(wantBox))
-		}
-		if got := (boxArena{bg2.starts, bg2.ends, bg2.ids}); !got.equal(want2L) {
-			t.Fatalf("%s: boxcsr2l %s: %s", name, how, got.diff(want2L))
-		}
-		if err := bg.CheckInvariants(); err != nil {
-			t.Fatalf("%s: boxcsr %s: %v", name, how, err)
-		}
-		if err := bg2.CheckInvariants(); err != nil {
-			t.Fatalf("%s: boxcsr2l %s: %v", name, how, err)
-		}
+	bg := MustNewBoxGrid(cps, bounds, len(rects))
+	bg2 := MustNewBoxGrid2L(cps, bounds, len(rects))
+	bg.Build(rects)
+	bg2.Build(rects)
+	if got := (boxArena{bg.starts, nil, bg.ids}); !got.equal(wantBox) {
+		t.Fatalf("%s: boxcsr: %s", name, got.diff(wantBox))
+	}
+	if got := (boxArena{bg2.starts, bg2.ends, bg2.ids}); !got.equal(want2L) {
+		t.Fatalf("%s: boxcsr2l: %s", name, got.diff(want2L))
+	}
+	if err := bg.CheckInvariants(); err != nil {
+		t.Fatalf("%s: boxcsr: %v", name, err)
+	}
+	if err := bg2.CheckInvariants(); err != nil {
+		t.Fatalf("%s: boxcsr2l: %v", name, err)
 	}
 }
 
@@ -212,15 +201,15 @@ func TestBoxBuildWideSpanPlacement(t *testing.T) {
 
 // TestBoxBuildFlatCountWidths covers both count widths of the classed
 // grid, the uint16 plane up to maxUint16Boxes rects and the uint32 one
-// past it, and populations that shard, with the wide spans spread over
-// the IDs and one early in each of eight shards. Sides up to 150 against
-// 125-unit cells make every other span flat.
+// past it, with the wide spans spread over the IDs and one early in each
+// eighth of them. Sides up to 150 against 125-unit cells make every other
+// span flat.
 func TestBoxBuildFlatCountWidths(t *testing.T) {
 	bounds := geom.R(0, 0, 4000, 4000)
 	const cps = 32
 	r := xrand.New(17)
 	wides := wideRects(bounds, cps)
-	for _, n := range []int{minParallelBuild + 1, 6000, maxUint16Boxes, maxUint16Boxes + 1} {
+	for _, n := range []int{4097, 6000, maxUint16Boxes, maxUint16Boxes + 1} {
 		rects := randomBoxes(r, n, bounds, 0, 150)
 		for i, wide := range wides {
 			rects[(i+1)*n/(len(wides)+1)] = wide

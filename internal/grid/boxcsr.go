@@ -2,12 +2,10 @@ package grid
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/callback"
 	"repro/internal/geom"
 	"repro/internal/obs"
-	"repro/internal/parutil"
 )
 
 // BoxGrid is the CSR grid generalized to extended objects: a uniform
@@ -32,10 +30,14 @@ import (
 // unspecified order.
 //
 // BoxGrid is static: Build is its one maintenance, and Update is a no-op
-// (core.IndexOf allows it of a family rebuilt from the snapshot).
+// (core.IndexOf allows it of a family rebuilt from the snapshot). Build
+// runs on one core, also under core's parallel drivers: a sharded sort
+// made the same arena and did not beat it at two workers (1.1–1.6 ms
+// against 0.8–1.6 ms on the default box stream at cps=48, on a 2-vCPU
+// host).
 //
-// BoxGrid implements core.BoxIndex, core.BoxParallelBuilder,
-// core.Counter, and core.MemoryReporter.
+// BoxGrid implements core.BoxIndex, core.Counter, and
+// core.MemoryReporter.
 type BoxGrid struct {
 	cps      int
 	cells    int
@@ -45,7 +47,7 @@ type BoxGrid struct {
 	slots    spanSlots // the flat build kernels' cell neighbours
 
 	starts []uint32 // len cells+1; cell c's replicas are ids[starts[c]:starts[c+1]]
-	counts []uint32 // build scratch: per-cell counts, then scatter cursors
+	counts []uint32 // build scratch: per-cell counts, then scatter cursor by cell
 	ids    []uint32 // one contiguous arena of replicated entry IDs
 
 	boxes int         // number of indexed objects (not replicas)
@@ -55,7 +57,6 @@ type BoxGrid struct {
 	// touching float coordinates.
 	spans []cellSpan
 
-	shardCounts [][]uint32 // build scratch: per-worker count arrays
 	// queries counts query-kernel entries (nil until Instrument).
 	queries *obs.Counter
 	// replicas is CheckInvariants' per-object count (nil until first used).
@@ -136,7 +137,7 @@ func countFlat[C uint16 | uint32](counts []C, spans []cellSpan, cps int, l spanS
 }
 
 // scatterFlat is the scatter's straight-line path, countFlat's twin over
-// the absolute cursors cur: four unconditional cursor writes a span,
+// the absolute cursor array cur: four unconditional cursor writes a span,
 // placing ids id, id+1, … . An absent neighbour is redirected to the
 // span's first-cell cursor, unadvanced: it rewrites the slot just
 // written there with the same ID, so the path needs no sink slot. It
@@ -275,17 +276,17 @@ func (bg *BoxGrid) sizeArena(total uint32) {
 // Build implements core.BoxIndex: the two-pass counting sort over cell
 // spans. Pass 1 computes every object's span and counts one slot per
 // overlapped cell (countCells); the exclusive prefix sum fixes the
-// segments and turns counts into absolute cursors; pass 2 replicates
-// each ID into all its cells (scatterCells), which leaves every cursor
-// at its segment's end. Arenas are retained across builds, so
-// steady-state builds allocate nothing.
+// segments and turns each count into its cell's absolute cursor; pass 2
+// replicates each ID into all its cells (scatterCells), which leaves
+// every cursor at its segment's end. Arenas are retained across builds,
+// so steady-state builds allocate nothing.
 func (bg *BoxGrid) Build(rects []geom.Rect) {
 	bg.prepare(rects)
 	spanPass(&bg.mapper, rects, bg.spans)
 	clear(bg.counts)
 	bg.countCells(bg.counts, bg.spans)
 	bg.sizeArena(prefixCursors(bg.counts, bg.starts))
-	bg.scatterCells(bg.counts, bg.spans, 0)
+	bg.scatterCells(bg.counts, bg.spans)
 }
 
 // prefixCursors is the exclusive prefix sum of counts into starts (one
@@ -321,13 +322,13 @@ func (bg *BoxGrid) countCells(counts []uint32, spans []cellSpan) {
 	}
 }
 
-// scatterCells places IDs id, id+1, … of spans into every cell of their
-// span at the absolute cursors cur: scatterFlat while the spans are at
+// scatterCells places IDs 0, 1, … of spans into every cell of their span
+// at the absolute cursor array cur: scatterFlat while the spans are at
 // most 2×2 cells, the loops from where it stopped.
-func (bg *BoxGrid) scatterCells(cur []uint32, spans []cellSpan, id uint32) {
+func (bg *BoxGrid) scatterCells(cur []uint32, spans []cellSpan) {
 	cps := bg.cps
-	k := scatterFlat(cur, spans, cps, bg.slots, id, bg.ids)
-	id += uint32(k)
+	k := scatterFlat(cur, spans, cps, bg.slots, 0, bg.ids)
+	id := uint32(k)
 	for _, s := range spans[k:] {
 		for cy := int(s.y0); cy <= int(s.y1); cy++ {
 			base := cy * cps
@@ -339,58 +340,6 @@ func (bg *BoxGrid) scatterCells(cur []uint32, spans []cellSpan, id uint32) {
 		}
 		id++
 	}
-}
-
-// BuildParallel implements core.BoxParallelBuilder: the sharded variant
-// of Build. Workers count their contiguous chunk of rects into private
-// count arrays, the global prefix sum turns them into per-worker scatter
-// bases, and each worker replicates its chunk into its disjoint ranges,
-// each chunk taking the flat path up to its own first wide span.
-// Within a cell, entries appear in ascending ID order — exactly the
-// layout the sequential Build produces, so the arena is bit-identical.
-func (bg *BoxGrid) BuildParallel(rects []geom.Rect, workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 || len(rects) < minParallelBuild {
-		bg.Build(rects)
-		return
-	}
-	bg.prepare(rects)
-	cells := bg.cells
-	if len(bg.shardCounts) < workers {
-		bg.shardCounts = make([][]uint32, workers)
-	}
-	for w := 0; w < workers; w++ {
-		if len(bg.shardCounts[w]) < cells {
-			bg.shardCounts[w] = make([]uint32, cells)
-		} else {
-			clear(bg.shardCounts[w][:cells])
-		}
-	}
-
-	parutil.ForEachShard(len(rects), workers, func(w, lo, hi int) {
-		spanPass(&bg.mapper, rects[lo:hi], bg.spans[lo:hi])
-		bg.countCells(bg.shardCounts[w][:cells], bg.spans[lo:hi])
-	})
-
-	// Merge: global exclusive prefix sum across (cell, worker) in worker
-	// order, rewriting each shard count into that shard's scatter base.
-	var sum uint32
-	for c := 0; c < cells; c++ {
-		bg.starts[c] = sum
-		for w := 0; w < workers; w++ {
-			n := bg.shardCounts[w][c]
-			bg.shardCounts[w][c] = sum
-			sum += n
-		}
-	}
-	bg.starts[cells] = sum
-	bg.sizeArena(sum)
-
-	parutil.ForEachShard(len(rects), workers, func(w, lo, hi int) {
-		bg.scatterCells(bg.shardCounts[w][:cells], bg.spans[lo:hi], uint32(lo))
-	})
 }
 
 // Query implements core.BoxIndex: QueryAppend's result, one emit per ID.
@@ -476,10 +425,5 @@ func (bg *BoxGrid) ReplicationFactor() float64 {
 // MemoryBytes implements core.MemoryReporter: directory, arena, span
 // cache, and retained build scratch.
 func (bg *BoxGrid) MemoryBytes() int64 {
-	total := int64(len(bg.starts)+len(bg.counts)+cap(bg.ids)) * 4
-	total += int64(cap(bg.spans)) * 8
-	for _, sc := range bg.shardCounts {
-		total += int64(cap(sc)) * 4
-	}
-	return total
+	return int64(len(bg.starts)+len(bg.counts)+cap(bg.ids))*4 + int64(cap(bg.spans))*8
 }

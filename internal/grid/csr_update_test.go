@@ -15,9 +15,9 @@ import (
 	"repro/internal/xrand"
 )
 
-// updateN is the population of the update tests: above minParallelBuild,
-// so that workers > 1 really shards the builds.
-const updateN = 2 * minParallelBuild
+// updateN is the population of the update tests: sixteen of the sort's
+// chunks (sortChunk).
+const updateN = 16 * sortChunk
 
 // otherCell returns a point of the space in a different cell than p.
 func otherCell(r *xrand.Rand, g *Grid, p geom.Point) geom.Point {
@@ -159,7 +159,7 @@ func assertAnswers(t *testing.T, g *Grid, pts []geom.Point, queries []geom.Rect,
 }
 
 // TestCSRUpdateMatchesBruteForce applies every shape one Update a move, on
-// arenas built by one and by several workers. Update must leave the arena
+// an arena Build made. Update must leave the arena
 // bit for bit as the build left it, with brute force's answers over the
 // built snapshot; after the caller's refresh, the rebuild must hold a fresh
 // build's cell membership and brute force's answers over the moved table
@@ -175,38 +175,36 @@ func TestCSRUpdateMatchesBruteForce(t *testing.T) {
 			after := land(sh.pts, sh.moves)
 			fresh := MustNew(cfg, testBounds, updateN)
 			fresh.Build(after)
-			for _, workers := range []int{1, 4} {
-				ctx := fmt.Sprintf("%s/%s/workers=%d", cfg.Name, sh.name, workers)
-				snap := slices.Clone(sh.pts)
-				g := MustNew(cfg, testBounds, updateN)
-				g.BuildParallel(snap, workers)
-				built := snapshotArena(g.csr)
-				for _, m := range sh.moves {
-					g.Update(m.ID, m.Old, m.New)
-				}
-				if !built.equal(snapshotArena(g.csr)) {
-					t.Fatalf("%s: Update changed the arena", ctx)
-				}
-				if err := g.CheckInvariants(); err != nil {
-					t.Fatalf("%s: before the rebuild: %v", ctx, err)
-				}
-				assertAnswers(t, g, sh.pts, queries, ctx+" before the rebuild")
-
-				copy(snap, after) // the caller's refresh
-				g.BuildParallel(snap, workers)
-				if err := g.CheckInvariants(); err != nil {
-					t.Fatalf("%s: %v", ctx, err)
-				}
-				if g.Len() != fresh.Len() {
-					t.Fatalf("%s: Len %d, fresh build %d", ctx, g.Len(), fresh.Len())
-				}
-				for c := 0; c < g.cells; c++ {
-					if got, want := cellMembers(g.csr, c), cellMembers(fresh.csr, c); !slices.Equal(got, want) {
-						t.Fatalf("%s: cell %d holds %v, fresh build %v", ctx, c, got, want)
-					}
-				}
-				assertAnswers(t, g, after, queries, ctx)
+			ctx := fmt.Sprintf("%s/%s", cfg.Name, sh.name)
+			snap := slices.Clone(sh.pts)
+			g := MustNew(cfg, testBounds, updateN)
+			g.Build(snap)
+			built := snapshotArena(g.csr)
+			for _, m := range sh.moves {
+				g.Update(m.ID, m.Old, m.New)
 			}
+			if !built.equal(snapshotArena(g.csr)) {
+				t.Fatalf("%s: Update changed the arena", ctx)
+			}
+			if err := g.CheckInvariants(); err != nil {
+				t.Fatalf("%s: before the rebuild: %v", ctx, err)
+			}
+			assertAnswers(t, g, sh.pts, queries, ctx+" before the rebuild")
+
+			copy(snap, after) // the caller's refresh
+			g.Build(snap)
+			if err := g.CheckInvariants(); err != nil {
+				t.Fatalf("%s: %v", ctx, err)
+			}
+			if g.Len() != fresh.Len() {
+				t.Fatalf("%s: Len %d, fresh build %d", ctx, g.Len(), fresh.Len())
+			}
+			for c := 0; c < g.cells; c++ {
+				if got, want := cellMembers(g.csr, c), cellMembers(fresh.csr, c); !slices.Equal(got, want) {
+					t.Fatalf("%s: cell %d holds %v, fresh build %v", ctx, c, got, want)
+				}
+			}
+			assertAnswers(t, g, after, queries, ctx)
 		}
 	}
 }
@@ -241,9 +239,9 @@ func assertDense(t *testing.T, g *Grid, after string) {
 
 // TestCSRDenseStateTransitions walks the arena through every step that
 // would disorder a maintained one — a same-column, a column-crossing and a
-// cell-crossing Update, sequential and sharded rebuilds, a shrinking and
-// an empty rebuild — and wants it dense after each: the arena has no other
-// state.
+// cell-crossing Update, a rebuild over the moved table and one over the
+// same table again, a shrinking and an empty rebuild — and wants it dense
+// after each: the arena has no other state.
 func TestCSRDenseStateTransitions(t *testing.T) {
 	r := xrand.New(61)
 	for _, cfg := range []Config{CSR(), CSRXY()} {
@@ -285,10 +283,8 @@ func TestCSRDenseStateTransitions(t *testing.T) {
 					t.Fatalf("id %d's slot holds quanta %#x after the rebuild, want %#x", m.ID, g.csr.slots[k].q, g.csr.mapper.quantOf(m.New))
 				}
 			}
-			for _, workers := range []int{1, 2, 4} {
-				g.BuildParallel(pts, workers)
-				assertDense(t, g, fmt.Sprintf("BuildParallel(%d)", workers))
-			}
+			g.Build(pts)
+			assertDense(t, g, "a second Build of the same table")
 			g.Build(pts[:len(pts)/3])
 			assertDense(t, g, "a shrinking Build")
 			g.Build(nil)

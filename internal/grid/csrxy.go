@@ -14,10 +14,9 @@ import (
 // layout. This file replays it on the contiguous layout: the build
 // scatters x,y into a float32 arena parallel to the ID arena (slot k owns
 // xy[2k], xy[2k+1]), so a filtered run is two sequential streams — IDs
-// and coordinates — with zero random access. The sharded build writes
-// coordinates in the same disjoint ranges as the IDs, preserving the
-// bit-identical-arena guarantee, and like the plain layout the arena is
-// static: the next build is what sees a move.
+// and coordinates — with zero random access. The scatter writes each
+// entry's coordinates in the same slot as its ID, and like the plain
+// layout the arena is static: the next build is what sees a move.
 //
 // The cost is the doubled arena (12 bytes per entry instead of 4) and
 // the loss of the secondary-index property: coordinates are duplicated

@@ -43,7 +43,9 @@ func TestCSRXYMatchesCSR(t *testing.T) {
 	}
 }
 
-func TestCSRXYParallelBuildBitIdentical(t *testing.T) { testCSRBuildParallel(t, CSRXY(), 43) }
+// TestCSRXYParallelBuildBitIdentical is TestCSRParallelBuildBitIdentical
+// for the xy layout.
+func TestCSRXYParallelBuildBitIdentical(t *testing.T) { testCSRBuild(t, CSRXY(), 43) }
 
 // TestCSRXYUpdateKeepsCoordinatesCoherent drives ticks the way the
 // drivers do — 1000 moves through Update and the base table, then the

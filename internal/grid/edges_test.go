@@ -120,9 +120,11 @@ func columnProbes(bounds geom.Rect, cps, cols, stride int) (pts []geom.Point, qu
 // TestEdgeUlpNeighbourhood holds every point layout and both kernels to
 // brute force on edgeProbes, and the CSR layouts on columnProbes as well: 52,
 // 192 and 384 columns are widths float32 cannot hold exactly, like the 13,
-// 48 and 96 cells they refine.
+// 48 and 96 cells they refine. The spaces centred on 0 put an interior edge
+// at 0, where the edge table is found by bisection (cellMapper.leastOf): a
+// walk one ulp at a time took seconds a grid there.
 func TestEdgeUlpNeighbourhood(t *testing.T) {
-	for _, bounds := range []geom.Rect{geom.R(0, 0, 22000, 22000), geom.R(11000, 11000, 22000, 22000)} {
+	for _, bounds := range []geom.Rect{geom.R(0, 0, 22000, 22000), geom.R(11000, 11000, 22000, 22000), geom.R(-5, -5, 5, 5), geom.R(-1, -1, 1, 1)} {
 		for _, cps := range []int{13, 48, 64, 96, 192} {
 			pts, queries := edgeProbes(bounds, cps)
 			for _, layout := range pointLayouts {
@@ -151,7 +153,7 @@ func TestEdgeUlpNeighbourhood(t *testing.T) {
 // of the clamp included); every column edge is the least float32 of its
 // column; and every (1<<shift)th one is the cell edge, bit for bit.
 func TestColumnsRefineCells(t *testing.T) {
-	for _, bounds := range []geom.Rect{geom.R(0, 0, 22000, 22000), geom.R(11000, 11000, 22000, 22000), testBounds} {
+	for _, bounds := range []geom.Rect{geom.R(0, 0, 22000, 22000), geom.R(11000, 11000, 22000, 22000), testBounds, geom.R(-5, -5, 5, 5), geom.R(-1, -1, 1, 1)} {
 		for _, cps := range []int{1, 13, 48, 64, 96, 100, 192} {
 			for shift := uint(0); shift <= 3; shift++ {
 				g, err := newGrid(Config{Layout: LayoutCSR, Scan: ScanRange, BS: 1, CPS: cps}, bounds, 0, shift)

@@ -41,23 +41,23 @@ func randomPoints(r *xrand.Rand, n int, bounds geom.Rect) []geom.Point {
 	return pts
 }
 
-// shardedBuildInput is one population a sharded build is held to.
-type shardedBuildInput struct {
+// buildInput is one of the degenerate populations a counting-sort build
+// is held to.
+type buildInput struct {
 	name    string
 	n       int
 	oneCell bool // every object inside the first cell (and column) of the directory
 }
 
-// shardedBuildInputs straddles minParallelBuild, where the sharded builds
-// start to shard, adds the empty and single-object builds and one large
-// population, and gives each size spread over the space and crowded into
-// one cell.
-func shardedBuildInputs(large int) []shardedBuildInput {
-	var out []shardedBuildInput
-	for _, n := range []int{0, 1, minParallelBuild - 1, minParallelBuild, minParallelBuild + 1, large} {
+// buildInputs is the empty and single-object builds, three sizes that
+// straddle a whole number of the CSR sort's chunks (8·sortChunk) and one
+// large population, each spread over the space and crowded into one cell.
+func buildInputs(large int) []buildInput {
+	var out []buildInput
+	for _, n := range []int{0, 1, 8*sortChunk - 1, 8 * sortChunk, 8*sortChunk + 1, large} {
 		out = append(out,
-			shardedBuildInput{fmt.Sprintf("n=%d", n), n, false},
-			shardedBuildInput{fmt.Sprintf("n=%d/one-cell", n), n, true})
+			buildInput{fmt.Sprintf("n=%d", n), n, false},
+			buildInput{fmt.Sprintf("n=%d/one-cell", n), n, true})
 	}
 	return out
 }
@@ -65,7 +65,7 @@ func shardedBuildInputs(large int) []shardedBuildInput {
 // points draws the input in bounds; a one-cell input lies in a unit
 // square one unit in from the lower corner, inside the first cell and
 // column of every directory the tests build.
-func (in shardedBuildInput) points(rng *xrand.Rand, bounds geom.Rect) []geom.Point {
+func (in buildInput) points(rng *xrand.Rand, bounds geom.Rect) []geom.Point {
 	if in.oneCell {
 		bounds = geom.R(bounds.MinX+1, bounds.MinY+1, bounds.MinX+2, bounds.MinY+2)
 	}
@@ -74,7 +74,7 @@ func (in shardedBuildInput) points(rng *xrand.Rand, bounds geom.Rect) []geom.Poi
 
 // boxes is points for rectangles: sides up to 150 over the space, up to
 // 2 around centres in a two-unit square when crowded into one cell.
-func (in shardedBuildInput) boxes(rng *xrand.Rand, bounds geom.Rect) []geom.Rect {
+func (in buildInput) boxes(rng *xrand.Rand, bounds geom.Rect) []geom.Rect {
 	if in.oneCell {
 		return randomBoxes(rng, in.n, geom.R(bounds.MinX+2, bounds.MinY+2, bounds.MinX+4, bounds.MinY+4), 0, 2)
 	}
@@ -490,10 +490,9 @@ func queryIDs(g *Grid, r geom.Rect) []uint32 {
 	return out
 }
 
-// parallelBuildConfigs covers every bucket layout (the CSR layouts have
-// their own bit-identity tests in csr_test.go and csrxy_test.go) under
-// both scan algorithms.
-func parallelBuildConfigs() []Config {
+// bucketConfigs covers every bucket layout (the CSR layouts have their own
+// build tests in csr_test.go and csrxy_test.go) under both scan algorithms.
+func bucketConfigs() []Config {
 	return []Config{
 		{Layout: LayoutInline, Scan: ScanRange, BS: 4, CPS: 16},
 		{Layout: LayoutInline, Scan: ScanFull, BS: 20, CPS: 8},
@@ -504,44 +503,10 @@ func parallelBuildConfigs() []Config {
 	}
 }
 
-// assertBuildParallelIsBuild fails unless par, built by BuildParallel,
-// holds exactly what seq, built by Build, holds: the same Len and every
-// cell's entries in the same order.
-func assertBuildParallelIsBuild(t *testing.T, name string, par, seq *Grid) {
-	t.Helper()
-	if par.Len() != seq.Len() {
-		t.Fatalf("%s: Len %d, want %d", name, par.Len(), seq.Len())
-	}
-	var got, want []uint32
-	for c := 0; c < seq.cells; c++ {
-		got = par.st.appendCell(c, got[:0])
-		want = seq.st.appendCell(c, want[:0])
-		if !slices.Equal(got, want) {
-			t.Fatalf("%s: cell %d holds %v, Build leaves %v", name, c, got, want)
-		}
-	}
-}
-
-// TestBucketLayoutParallelBuildMatchesSequential: the bucket layouts are
-// the paper's single-threaded baselines, so BuildParallel at any worker
-// count must leave exactly what Build leaves.
-func TestBucketLayoutParallelBuildMatchesSequential(t *testing.T) {
-	bounds := geom.R(0, 0, 3000, 3000)
-	// Above minParallelBuild, where the CSR layouts shard.
-	pts := randomPoints(xrand.New(5), 6000, bounds)
-	for _, cfg := range parallelBuildConfigs() {
-		seq := MustNew(cfg, bounds, len(pts))
-		seq.Build(pts)
-		for _, workers := range []int{1, 2, 8} {
-			par := MustNew(cfg, bounds, len(pts))
-			par.BuildParallel(pts, workers)
-			assertBuildParallelIsBuild(t, cfg.DisplayName()+"/workers="+itoa(workers), par, seq)
-		}
-	}
-}
-
 // TestBucketLayoutParallelBuildThenUpdate: in-place maintenance must keep
-// working on a grid that BuildParallel left.
+// working on a grid that Build left, at every layout and scan of
+// parallelBuildConfigs. (The name is older than the grids' one build: the
+// parallel drivers build these layouts by Build.)
 func TestBucketLayoutParallelBuildThenUpdate(t *testing.T) {
 	bounds := geom.R(0, 0, 3000, 3000)
 	rng := xrand.New(17)
@@ -552,48 +517,43 @@ func TestBucketLayoutParallelBuildThenUpdate(t *testing.T) {
 		queries = append(queries, geom.Square(c, rng.Range(10, 700)))
 	}
 
-	for _, cfg := range parallelBuildConfigs() {
-		for _, workers := range []int{1, 2, 8} {
-			name := cfg.DisplayName() + "/workers=" + itoa(workers)
-			pts := slices.Clone(base)
-			par := MustNew(cfg, bounds, len(pts))
-			par.BuildParallel(pts, workers)
-			for i := 0; i < len(pts); i += 3 {
-				np := geom.Pt(rng.Range(0, 3000), rng.Range(0, 3000))
-				par.Update(uint32(i), pts[i], np)
-				pts[i] = np
+	for _, cfg := range bucketConfigs() {
+		name := cfg.DisplayName()
+		pts := slices.Clone(base)
+		g := MustNew(cfg, bounds, len(pts))
+		g.Build(pts)
+		for i := 0; i < len(pts); i += 3 {
+			np := geom.Pt(rng.Range(0, 3000), rng.Range(0, 3000))
+			g.Update(uint32(i), pts[i], np)
+			pts[i] = np
+		}
+		if err := g.CheckInvariants(); err != nil {
+			t.Fatalf("%s: after updates: %v", name, err)
+		}
+		for _, q := range queries {
+			got, want := queryIDs(g, q), bruteQuery(pts, q)
+			if len(got) != len(want) {
+				t.Fatalf("%s: after updates query %v: %d ids, want %d", name, q, len(got), len(want))
 			}
-			if err := par.CheckInvariants(); err != nil {
-				t.Fatalf("%s: after updates: %v", name, err)
-			}
-			for _, q := range queries {
-				got, want := queryIDs(par, q), bruteQuery(pts, q)
-				if len(got) != len(want) {
-					t.Fatalf("%s: after updates query %v: %d ids, want %d", name, q, len(got), len(want))
-				}
-				for _, id := range got {
-					if !want[id] {
-						t.Fatalf("%s: after updates query %v returned %d", name, q, id)
-					}
+			for _, id := range got {
+				if !want[id] {
+					t.Fatalf("%s: after updates query %v returned %d", name, q, id)
 				}
 			}
 		}
 	}
 }
 
-// TestParallelBuildSmallPopulationFallsBack: on a small population too,
-// BuildParallel must leave what Build leaves and answer a whole-space
-// query with every id.
+// TestParallelBuildSmallPopulationFallsBack: on a small population,
+// Build must answer a whole-space query with every id, at every layout and
+// scan of bucketConfigs.
 func TestParallelBuildSmallPopulationFallsBack(t *testing.T) {
 	bounds := geom.R(0, 0, 100, 100)
 	pts := randomPoints(xrand.New(3), 200, bounds)
-	for _, cfg := range parallelBuildConfigs() {
-		seq := MustNew(cfg, bounds, len(pts))
-		seq.Build(pts)
-		par := MustNew(cfg, bounds, len(pts))
-		par.BuildParallel(pts, 8)
-		assertBuildParallelIsBuild(t, cfg.DisplayName(), par, seq)
-		if got := queryIDs(par, bounds); len(got) != len(pts) {
+	for _, cfg := range bucketConfigs() {
+		g := MustNew(cfg, bounds, len(pts))
+		g.Build(pts)
+		if got := queryIDs(g, bounds); len(got) != len(pts) {
 			t.Fatalf("%s: whole-space query returned %d ids, want %d", cfg.DisplayName(), len(got), len(pts))
 		}
 	}

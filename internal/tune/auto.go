@@ -136,7 +136,10 @@ func (a *auto[P]) Build(snap []P) {
 }
 
 // BuildParallel implements core.ParallelBuilderOf, delegating to the
-// chosen structure's sharded build when it has one.
+// chosen structure's BuildParallel when it has one. None that auto picks
+// has (the CSR grid, BoxGrid2L and the box R-tree build on one core), so
+// it builds by Build; it stays because every IndexOf wrapper forwards the
+// capability (joinlint's capforward).
 func (a *auto[P]) BuildParallel(snap []P, workers int) {
 	a.ensure(snap)
 	if pb, ok := a.inner.(core.ParallelBuilderOf[P]); ok {
