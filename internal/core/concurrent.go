@@ -340,9 +340,10 @@ func finishReaders(res *ConcurrentResult, states []*readerState, oracle map[uint
 // runConcurrent builds x over its initial snapshot (epoch 0) and
 // overlaps each tick's query drain with its update batch: one updater
 // goroutine calls ApplyBatch while reader workers claim blocks of the
-// querier stream through an atomic cursor (drainTick). The index is
-// thus maintained incrementally — the service-mode regime the epoch
-// wrapper exists for — rather than rebuilt per tick. A sample of
+// querier stream through an atomic cursor (drainTick). Readers never
+// wait for maintenance — the service-mode regime the epoch wrapper
+// exists for — though the maintenance is the drivers' own: each publish
+// is one inner Build, on the wrapper's shadow copy. A sample of
 // per-query latencies is collected for the percentile series, and the
 // (epoch, digest) every query answered from is checked against the
 // publish oracle, which records the live epoch after EVERY tick,

@@ -2,8 +2,11 @@ package epoch
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"unsafe"
 
+	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/xrand"
@@ -90,6 +93,53 @@ func TestBoxApplyBatchDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestWriterHoldsNoBatch pins what the writer keeps between ticks at
+// the paper's default population (50 000 points, csr inner) and a batch
+// of half of it: the two buffers' snapshots and inner grids, validate's
+// id-indexed table, and 128 KiB of slack for everything small. A copy of
+// the published batch kept for the next tick (500 kB here) does not fit.
+func TestWriterHoldsNoBatch(t *testing.T) {
+	const n, k, ticks = 50000, 25000, 4
+	r := xrand.New(53)
+	oracle := randomPoints(r, n)
+	there := randomMoves(r, oracle, k)
+	back := make([]geom.Move, len(there))
+	for i, m := range there {
+		back[i] = geom.Move{ID: m.ID, Old: m.New, New: m.Old}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	x := NewIndex(pointFamilies(n)["csr"], Options{})
+	x.Build(oracle)
+	for tick := 0; tick < ticks; tick++ {
+		moves := there
+		if tick%2 == 1 {
+			moves = back
+		}
+		if _, err := x.ApplyBatch(moves); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	held := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	// The test's own tables were live at the first reading: keep them
+	// live through the second.
+	runtime.KeepAlive(oracle)
+	runtime.KeepAlive(there)
+	runtime.KeepAlive(back)
+
+	budget := int64(cap(x.lastOf))*4 + 128<<10
+	for _, b := range []*buffer[geom.Point]{x.live.Load(), x.shadow} {
+		budget += int64(cap(b.snap))*int64(unsafe.Sizeof(geom.Point{})) + b.idx.(core.MemoryReporter).MemoryBytes()
+	}
+	runtime.KeepAlive(x)
+	if held > budget {
+		t.Errorf("the wrapper holds %d B after %d ticks of %d moves, want at most %d B (buffers, lastOf and slack)", held, ticks, k, budget)
+	}
+}
+
 // pinSteadyTick applies two batches over the same ids, alternated, so
 // every tick moves objects for real without generating inside the
 // measured region, and wants the ticks past the warm-up to allocate
@@ -107,7 +157,7 @@ func pinSteadyTick[M any](t *testing.T, apply func([]M) (uint64, error), there, 
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 6; i++ { // carry, scratch and arenas reach their size
+	for i := 0; i < 6; i++ { // scratch and arenas reach their size
 		step()
 	}
 	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {

@@ -107,3 +107,51 @@ func BenchmarkReaderOverhead(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkApplyBatch is the writer tick alone on the paper's default
+// stream: 50 000 points, csr inner, and the stream's first update batch
+// (24 891 moves, half the population), applied there and back in turn so
+// every tick moves its objects for real. No reader runs, so quiesce is
+// free; the apply, validate and publish spans of the wrapper's own
+// instruments are reported per tick beside ns/op. README.md, "Catch-up
+// is one build", records the minima.
+func BenchmarkApplyBatch(b *testing.B) {
+	cfg := workload.DefaultUniform()
+	gen := workload.MustNewGenerator(cfg)
+	pts := gen.Positions(nil)
+	var there, back []geom.Move
+	for _, u := range gen.Updates() {
+		there = append(there, geom.Move{ID: u.ID, Old: pts[u.ID], New: u.Pos})
+		back = append(back, geom.Move{ID: u.ID, Old: u.Pos, New: pts[u.ID]})
+	}
+	x := NewIndex(func() core.Index { return grid.MustNew(grid.CSR(), cfg.Bounds(), cfg.NumPoints) }, Options{})
+	reg := obs.New()
+	x.Instrument(reg)
+	x.Build(pts)
+	tick := func(i int) {
+		moves := there
+		if i%2 == 1 {
+			moves = back
+		}
+		if _, err := x.ApplyBatch(moves); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ { // scratch and arenas reach their size
+		tick(i)
+	}
+	spans := []string{"apply", "validate", "publish"}
+	base := make([]int64, len(spans))
+	for i, s := range spans {
+		base[i] = reg.Histogram("epoch." + s + "_ns").Sum()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tick(i)
+	}
+	b.StopTimer()
+	for i, s := range spans {
+		b.ReportMetric(float64(reg.Histogram("epoch."+s+"_ns").Sum()-base[i])/float64(b.N), s+"-ns/op")
+	}
+}

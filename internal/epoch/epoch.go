@@ -30,14 +30,14 @@
 // that driver, before ApplyBatch returns. README.md, "Publication
 // protocol", has the numbers.
 //
-// Because publishing leaves the new shadow one batch behind the new
-// live, the writer carries the published batch and lands it in the
-// shadow ahead of the next tick's batch (the catch-up protocol). Carry
-// and batch are assigned into the shadow's snapshot and the inner index
-// is rebuilt once over it — the paper's per-tick rebuild, the one
-// maintenance of every driver — so readers always drain a freshly packed
-// layout, and a static family (one that ignores Update) is served like
-// any other. README.md, "Catch-up is one build", has the numbers.
+// Publishing leaves the new shadow one batch behind the new live. Every
+// attempt catches it up the same way, whatever it held before: the live
+// snapshot is copied over the shadow's, the batch is assigned into it,
+// and the inner index is rebuilt once over it — the paper's per-tick
+// rebuild, the one maintenance of every driver — so readers always drain
+// a freshly packed layout, a static family (one that ignores Update) is
+// served like any other, and the writer keeps no batch between ticks.
+// README.md, "Catch-up is one build", has the numbers.
 //
 // # Consistency digests
 //
@@ -56,13 +56,13 @@
 // failure or a contained panic (the apply/build/swap stages recover
 // panics, including parutil.WorkerPanic from parallel inner paths) puts
 // the tick into degradation: queries keep draining on the last good
-// epoch, the shadow is rebuilt from the live snapshot plus the pending
-// batches, and the publish is retried under exponential backoff capped
-// at Options.MaxBackoff for up to Options.MaxRetries attempts. Every
+// epoch, the shadow is caught up again from the live snapshot, and the
+// publish is retried under exponential backoff capped at
+// Options.MaxBackoff for up to Options.MaxRetries attempts. Every
 // degraded tick, retry, and contained panic is counted in Stats. If all
 // retries fail, ApplyBatch returns the error, the live epoch stays
-// valid and served, and the shadow is marked dirty so the next tick
-// starts from a full rebuild.
+// valid and served, and the shadow is marked dirty so the next tick's
+// first attempt fires the recovery site ("build") rather than "apply".
 package epoch
 
 import (
@@ -91,7 +91,8 @@ const (
 // no fault injection and the default retry/backoff policy.
 type Options struct {
 	// Injector, when non-nil, fires configured faults at the "apply",
-	// "build", and "swap" sites of the maintenance pipeline.
+	// "build", and "swap" sites of the maintenance pipeline: "apply" on
+	// a clean attempt's catch-up, "build" on a recovery attempt's.
 	Injector *faultutil.Injector
 	// MaxRetries is the number of publish retries after a failed
 	// attempt (default 3, so 4 attempts total).
@@ -177,11 +178,8 @@ type pub[P any, M any] struct {
 	mu     sync.Mutex
 	live   atomic.Pointer[buffer[P]]
 	shadow *buffer[P]
-	// carry is the batch published in live but not yet landed in the
-	// shadow (the catch-up protocol).
-	carry []M
-	// dirty marks the shadow unusable for incremental catch-up (a
-	// failed tick left it in an unknown state): the next apply rebuilds.
+	// dirty marks an attempt as a recovery — a retry, or the first
+	// attempt after an exhausted tick — and so picks its fault site.
 	dirty bool
 	opts  Options
 	// lastOf is validate's scratch, kept across ticks so a steady-state
@@ -229,7 +227,6 @@ func (x *pub[P, M]) Build(snap []P) {
 	b.idx.Build(b.snap)
 	a.digest, b.digest = digest, digest
 	x.shadow = b
-	x.carry = nil
 	x.dirty = false
 	x.live.Store(a)
 }
@@ -349,38 +346,18 @@ func (x *pub[P, M]) fire(site string, n int) int {
 	return n
 }
 
-// landAndBuild folds carry and the batch into the shadow snapshot by
-// plain assignment and runs one full inner build, firing the given
-// fault site once per batch. A torn fault truncates the batch: the
-// truncated suffix never reaches the snapshot, the build is coherent
-// with what did, and only the validation probes can see the tear —
-// exactly the failure it simulates.
-func (x *pub[P, M]) landAndBuild(sh *buffer[P], site string, moves []M) {
-	land := func(ms []M) {
-		for _, m := range ms {
-			id, _, to := x.geo.move(m)
-			sh.snap[id] = to
-		}
-	}
-	land(x.carry)
-	land(moves[:x.fire(site, len(moves))])
-	sh.idx.Build(sh.snap)
-}
-
-// apply catches the shadow up: it is one carry behind live, so landing
-// carry and batch in its snapshot and rebuilding reaches the state to
-// publish. The "apply" fault site fires here.
-func (x *pub[P, M]) apply(sh *buffer[P], moves []M) error {
-	return x.contained(func() { x.landAndBuild(sh, "apply", moves) })
-}
-
-// applyRebuild recovers a shadow in an unknown state: the live snapshot
-// is copied over it first, then the pending batches land as in apply.
-// The "build" fault site fires here.
-func (x *pub[P, M]) applyRebuild(sh, live *buffer[P], moves []M) error {
+// apply brings the shadow up to date whatever it held: it copies the
+// live snapshot over the shadow's, assigns the batch into it and runs
+// one full inner build, firing the given fault site once per batch. A
+// torn fault truncates the batch: the truncated suffix never reaches the
+// snapshot, the build is coherent with what did, and only the
+// validation probes can see the tear — exactly the failure it
+// simulates.
+func (x *pub[P, M]) apply(sh, live *buffer[P], site string, moves []M) error {
 	return x.contained(func() {
 		copy(sh.snap, live.snap)
-		x.landAndBuild(sh, "build", moves)
+		x.geo.land(sh.snap, moves[:x.fire(site, len(moves))])
+		sh.idx.Build(sh.snap)
 	})
 }
 
@@ -406,13 +383,10 @@ func (x *pub[P, M]) validate(sh *buffer[P], moves []M) error {
 		x.lastOf = make([]int32, len(sh.snap))
 	}
 	lastOf := x.lastOf
-	for i, m := range moves {
-		id, _, _ := x.geo.move(m)
-		if int(id) >= len(lastOf) {
-			// Only reachable past a torn apply, which never touched it.
-			return fmt.Errorf("epoch: move %d/%d names id %d, snapshot has %d", i, len(moves), id, len(sh.snap))
-		}
-		lastOf[id] = int32(i)
+	if i := x.geo.lastOf(lastOf[:len(sh.snap)], moves); i >= 0 {
+		// Only reachable past a torn apply, which never touched it.
+		id, _, _ := x.geo.move(moves[i])
+		return fmt.Errorf("epoch: move %d/%d names id %d, snapshot has %d", i, len(moves), id, len(sh.snap))
 	}
 	stride := 1
 	if len(moves) > maxProbes {
@@ -468,15 +442,13 @@ func (x *pub[P, M]) ApplyBatch(moves []M) (uint64, error) {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if !applied {
-			var err error
-			as := x.ins.reg.Enter(x.ins.apply)
+			site := "apply"
 			if x.dirty {
-				err = x.applyRebuild(sh, live, moves)
-			} else {
-				err = x.apply(sh, moves)
+				site = "build"
 			}
-			// Whatever happens next, the shadow can no longer be caught
-			// up from carry except by this tick's success.
+			as := x.ins.reg.Enter(x.ins.apply)
+			err := x.apply(sh, live, site, moves)
+			// Any further attempt before a publish is a recovery.
 			x.dirty = true
 			x.ins.reg.Exit(as)
 			if err == nil {
@@ -508,7 +480,6 @@ func (x *pub[P, M]) ApplyBatch(moves []M) (uint64, error) {
 				}
 				x.ins.reg.Exit(qs)
 				x.shadow = live
-				x.carry = append(x.carry[:0], moves...)
 				x.dirty = false
 				x.ins.publishedEpoch(failed)
 				return sh.epoch, nil

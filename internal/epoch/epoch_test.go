@@ -213,7 +213,7 @@ func TestEpochBoxMatchesBruteForce(t *testing.T) {
 }
 
 // Fresh moves per faultRound tick (1200 objects): a small share of the
-// population, and a third of it, so a failed tick's merged carry moves
+// population, and a third of it, so a failed tick's merged batch moves
 // well over half the objects.
 const (
 	smallBatch = 60
@@ -290,7 +290,8 @@ func faultRound(t *testing.T, spec string, opts Options, batch int, wantDegraded
 // publish), and the batch eventually lands. A contained panic, a torn
 // landing (the build is coherent with the truncated snapshot, so only
 // the last-move probe can refuse it) and a failed swap each degrade the
-// tick and recover through applyRebuild or a publish retry.
+// tick and recover through a recovery attempt (the "build" site) or a
+// publish retry.
 func TestFaultMatrix(t *testing.T) {
 	t.Run("apply panic recovers in-tick", func(t *testing.T) {
 		s := faultRound(t, "apply:panic*1", Options{}, smallBatch, true, false)
@@ -339,7 +340,7 @@ func TestFaultMatrix(t *testing.T) {
 
 // TestFaultMatrixBulk repeats the apply, swap and rebuild cases on
 // batches a third of the population: the same containment holds when a
-// faulted tick's carry moves most of the objects, and the counts are
+// faulted tick's merged batch moves most of the objects, and the counts are
 // exact — one contained panic and one retry per injected fault.
 func TestFaultMatrixBulk(t *testing.T) {
 	t.Run("apply panic", func(t *testing.T) {

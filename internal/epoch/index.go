@@ -35,8 +35,16 @@ type BoxIndex struct {
 // geometry P moved by M; the two values below are the whole difference
 // between Index and BoxIndex.
 type geo[P, M any] struct {
-	// move unpacks a move record.
+	// move unpacks a move record: the membership probes and the error
+	// text, never a loop over the batch.
 	move func(m M) (id uint32, old, new P)
+	// land assigns every move's new geometry into snap, in batch order.
+	land func(snap []P, moves []M)
+	// lastOf writes, for every move i of the batch, last[id] = i, so
+	// last[id] ends as the index of id's final move. It stops at the
+	// first move whose id is past the table and returns that move's
+	// index; -1 when every id fits.
+	lastOf func(last []int32, moves []M) (bad int)
 	// window is the query an object with geometry p must answer: its own
 	// extent, a point being the degenerate rectangle. The membership
 	// probes of validate are written over it, once.
@@ -47,8 +55,47 @@ type geo[P, M any] struct {
 	fold   func(d uint64, moves []M) uint64
 }
 
+// The batch hooks are written once per move type, not over move, so the
+// writer's two loops over a batch make no indirect call per move.
+
+func landPoints(snap []geom.Point, moves []geom.Move) {
+	for i := range moves {
+		snap[moves[i].ID] = moves[i].New
+	}
+}
+
+func landBoxes(snap []geom.Rect, moves []geom.BoxMove) {
+	for i := range moves {
+		snap[moves[i].ID] = moves[i].New
+	}
+}
+
+func lastOfPoints(last []int32, moves []geom.Move) int {
+	for i := range moves {
+		id := moves[i].ID
+		if int(id) >= len(last) {
+			return i
+		}
+		last[id] = int32(i)
+	}
+	return -1
+}
+
+func lastOfBoxes(last []int32, moves []geom.BoxMove) int {
+	for i := range moves {
+		id := moves[i].ID
+		if int(id) >= len(last) {
+			return i
+		}
+		last[id] = int32(i)
+	}
+	return -1
+}
+
 var pointGeo = &geo[geom.Point, geom.Move]{
 	move:   func(m geom.Move) (uint32, geom.Point, geom.Point) { return m.ID, m.Old, m.New },
+	land:   landPoints,
+	lastOf: lastOfPoints,
 	window: geom.Point.Rect,
 	digest: SnapshotDigestPoints,
 	fold:   FoldMoves,
@@ -56,6 +103,8 @@ var pointGeo = &geo[geom.Point, geom.Move]{
 
 var boxGeo = &geo[geom.Rect, geom.BoxMove]{
 	move:   func(m geom.BoxMove) (uint32, geom.Rect, geom.Rect) { return m.ID, m.Old, m.New },
+	land:   landBoxes,
+	lastOf: lastOfBoxes,
 	window: func(r geom.Rect) geom.Rect { return r },
 	digest: SnapshotDigestBoxes,
 	fold:   FoldBoxMoves,
