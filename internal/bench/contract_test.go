@@ -26,9 +26,9 @@ import (
 //     in the cells of its normalised span.
 //   - NaN: no call panics, and nothing else. A NaN poisons the MBRs of
 //     the tree families (rtree, crtree, boxrtree and whatever selects
-//     it), which then miss in-contract neighbours, and the audits of the
-//     layouts that inline coordinates (grid-csrxy, boxgrid-2l) compare
-//     their copies with != and report the NaN itself as a divergence.
+//     it), which then miss in-contract neighbours, and the audit of the
+//     layout that inlines coordinates (grid-csrxy) compares its copies
+//     with != and reports the NaN itself as a divergence.
 
 const contractSide = 1000
 

@@ -60,13 +60,14 @@ import "repro/internal/geom"
 //     the cells of its normalised span.
 //   - A NaN coordinate makes the whole build unspecified: it poisons the
 //     MBRs of the tree families, which then miss in-contract neighbours;
-//     the audits of the layouts that inline coordinates compare their
-//     copies with != and report the NaN itself; and two indexes may
-//     disagree on whether it matches (the sign-bit filters of the append
-//     kernels admit a NaN of clear sign, Point.In does not, and the CSR
-//     grid's quantised filter on the AVX-512 tier, which puts NaN in the
-//     lowest quantum, drops it unless the window's lower quantum on that
-//     axis is 0 too).
+//     the audits of the layouts that inline coordinates (the CSR point
+//     grid with inlined coordinates) compare their copies with != and
+//     report the NaN itself; and two indexes may disagree on whether it
+//     matches (the sign-bit filters of the append kernels admit a NaN of
+//     clear sign, Point.In does not, and the quantised filters, the CSR
+//     grid's on the AVX-512 tier and BoxGrid2L's on both tiers, put NaN in
+//     the lowest quantum and decide it there, reading the NaN itself only
+//     when the window's edge falls in that quantum too).
 //
 // internal/bench's TestInputContractPoints / TestInputContractBoxes
 // assert exactly this over both lineups.

@@ -322,17 +322,20 @@ func box2LAgreement(t *testing.T) {
 		bg.rects[id] = geom.R(now.MinX+500, now.MinY, now.MaxX+500, now.MaxY)
 		bg.Build(bg.rects)
 		bg.rects[id] = now
+		q := quantaOf(&bg.qm, &now)
 		for k, got := range bg.ids {
 			if got == uint32(id) {
-				bg.mx[k], bg.my[k], bg.nx[k], bg.ny[k] = now.MaxX, now.MaxY, -now.MinX, -now.MinY
+				for e, p := range bg.planes() {
+					(*p)[k] = q[e]
+				}
 			}
 		}
 	})
 	for i, name := range planeNames {
-		run("one ulp on plane "+name, func(bg *BoxGrid2L) {
+		run("one quantum on plane "+name, func(bg *BoxGrid2L) {
 			p := *bg.planes()[i]
 			k := r.Intn(len(p))
-			p[k] = math.Nextafter32(p[k], boxInf)
+			p[k]++
 		})
 		run("plane "+name+" one value short", func(bg *BoxGrid2L) {
 			p := bg.planes()[i]
@@ -371,7 +374,7 @@ func box2LAgreement(t *testing.T) {
 		edits = append(edits, boxEdit{"plane " + name, func(bg *BoxGrid2L) {
 			p := *bg.planes()[i]
 			k := r.Intn(len(p))
-			p[k] = editFloat(r, p[k])
+			p[k] = uint16(editWord(r, uint32(p[k]), quantSteps-1))
 		}})
 	}
 	for _, e := range edits {

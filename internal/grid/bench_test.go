@@ -309,7 +309,8 @@ func BenchmarkBoxBuild(b *testing.B) {
 // in ns a rect: span, the mapping pass (on the process's tier); count,
 // the histogram from zeroed scratch; prefix, the cursors; scatter, the
 // placement, which starts each iteration from a copy of the cursors; and
-// the classed grid's fill of the coordinate planes. At this granularity
+// the classed grid's fill of the planes of quanta, on the process's tier
+// and on the scalar one (fill/scalar). At this granularity
 // every span is at most 2×2 cells, so count and scatter run the flat
 // kernels throughout; BenchmarkBoxBuild's cps=256 rows are the loops.
 func BenchmarkBoxBuildPhases(b *testing.B) {
@@ -357,9 +358,10 @@ func BenchmarkBoxBuildPhases(b *testing.B) {
 	cursors = slices.Clone(g2.ends)
 	phase("boxcsr2l/scatter", func() {
 		copy(g2.ends, cursors)
-		g2.scatterClassed(g2.ends, g2.spans, 0)
+		g2.scatterClassed(g2.ends, g2.spans)
 	})
-	phase("boxcsr2l/fill", func() { g2.fillRects(boxes, 0, len(g2.ids)) })
+	phase("boxcsr2l/fill", func() { fillQuanta(&g2.qm, boxes, g2.ids, &g2.q) })
+	phase("boxcsr2l/fill/scalar", func() { scalarTier(func() { fillQuanta(&g2.qm, boxes, g2.ids, &g2.q) }) })
 }
 
 // querySwitched is the un-hoisted reference the class-dispatch
@@ -404,7 +406,7 @@ func (bg *BoxGrid2L) querySwitched(r geom.Rect, emit func(id uint32)) {
 				default:
 					class = 3
 				}
-				rc := bg.rectAt(k)
+				rc := bg.rects[bg.ids[k]]
 				switch class {
 				case 0:
 					if rc.MaxX >= loX && rc.MinX <= hiX && rc.MaxY >= loY && rc.MinY <= hiY {
@@ -484,7 +486,8 @@ func defaultBoxGrid() (*BoxGrid2L, []geom.Rect, []uint32) {
 // schedule): w=100 spans one cell on an axis more often than not (the
 // four-edge kernel), w=400 is the benchmark's window (2.16 cells an axis:
 // two- and one-plane cells, hardly an interior one), w=1600 has interior
-// cells (bulk copies).
+// cells (bulk copies). ties/query is how many candidates a query decides on
+// the base table (queryTies), over one window around every querier.
 func BenchmarkBoxQueryAppend(b *testing.B) {
 	bg, rects, queriers := defaultBoxGrid()
 	cellOf := func(id uint32) int {
@@ -505,7 +508,13 @@ func BenchmarkBoxQueryAppend(b *testing.B) {
 					buf = bg.QueryAppend(geom.Square(rects[order.ids[i%len(order.ids)]].Center(), window), buf[:0])
 					results += len(buf)
 				}
+				b.StopTimer()
+				ties := 0
+				for _, id := range order.ids {
+					ties += bg.queryTies(geom.Square(rects[id].Center(), window))
+				}
 				b.ReportMetric(float64(results)/float64(b.N), "results/query")
+				b.ReportMetric(float64(ties)/float64(len(order.ids)), "ties/query")
 			})
 		}
 	}
@@ -513,39 +522,130 @@ func BenchmarkBoxQueryAppend(b *testing.B) {
 
 // BenchmarkBoxEdgeKernels times BoxGrid2L's three window kernels over the
 // same runs — every cell's whole segment of the default box population in
-// turn, about 25 replicas — against bounds through the cell's centre, so
-// each edge passes about half of them: what a candidate costs with four,
-// two and one plane read.
+// turn, about 25 replicas — against a window from the cell's centre to the
+// next cell's, so each edge passes about half of them: what a candidate
+// costs with four, two and one plane read, on the process's tier and on
+// the scalar one (the /scalar rows), and how many candidates a run ties.
 func BenchmarkBoxEdgeKernels(b *testing.B) {
 	bg, _, _ := defaultBoxGrid()
+	windows := make([][4]edgeBound, bg.cells)
+	for c := range windows {
+		x := bg.bounds.MinX + (float32(c%bg.cps)+0.5)*bg.cellSize
+		y := bg.bounds.MinY + (float32(c/bg.cps)+0.5)*bg.cellSize
+		windows[c] = bg.windowOf(geom.Rect{MinX: x, MinY: y, MaxX: x + bg.cellSize, MaxY: y + bg.cellSize})
+	}
 	for _, k := range []struct {
 		name string
-		run  func(lo, hi uint32, x, y float32, buf []uint32) []uint32
+		run  func(lo, hi uint32, w *[4]edgeBound, buf []uint32) []uint32
+		ties func(lo, hi uint32, w *[4]edgeBound) int
 	}{
-		{"four-edge", func(lo, hi uint32, x, y float32, buf []uint32) []uint32 {
-			return bg.appendMasked(lo, hi, x, -x-bg.cellSize, y, -y-bg.cellSize, buf)
-		}},
-		{"two-plane", func(lo, hi uint32, x, y float32, buf []uint32) []uint32 {
-			return bg.appendMasked2(lo, hi, bg.mx, x, bg.my, y, buf)
-		}},
-		{"one-plane", func(lo, hi uint32, x, y float32, buf []uint32) []uint32 {
-			return bg.appendMasked1(lo, hi, bg.mx, x, buf)
-		}},
+		{"four-edge", func(lo, hi uint32, w *[4]edgeBound, buf []uint32) []uint32 {
+			return bg.appendMasked(lo, hi, w, buf)
+		}, func(lo, hi uint32, w *[4]edgeBound) int { return bg.tiesOf(lo, hi, w[:]...) }},
+		{"two-plane", func(lo, hi uint32, w *[4]edgeBound, buf []uint32) []uint32 {
+			return bg.appendMasked2(lo, hi, w[edgeMaxX], w[edgeMaxY], buf)
+		}, func(lo, hi uint32, w *[4]edgeBound) int { return bg.tiesOf(lo, hi, w[edgeMaxX], w[edgeMaxY]) }},
+		{"one-plane", func(lo, hi uint32, w *[4]edgeBound, buf []uint32) []uint32 {
+			return bg.appendMasked1(lo, hi, w[edgeMaxX], buf)
+		}, func(lo, hi uint32, w *[4]edgeBound) int { return bg.tiesOf(lo, hi, w[edgeMaxX]) }},
 	} {
-		b.Run(k.name, func(b *testing.B) {
+		loop := func(b *testing.B) {
 			var buf []uint32
-			tested := 0
+			tested, ties := 0, 0
 			for i := 0; i < b.N; i++ {
 				c := i % bg.cells
 				lo, hi := bg.starts[c], bg.ends[bg.endIdx(c, 3)]
-				x := bg.bounds.MinX + (float32(c%bg.cps)+0.5)*bg.cellSize
-				y := bg.bounds.MinY + (float32(c/bg.cps)+0.5)*bg.cellSize
-				buf = k.run(lo, hi, x, y, buf[:0])
+				buf = k.run(lo, hi, &windows[c], buf[:0])
 				tested += int(hi - lo)
 			}
+			b.StopTimer()
+			for c := range windows {
+				ties += k.ties(bg.starts[c], bg.ends[bg.endIdx(c, 3)], &windows[c])
+			}
 			b.ReportMetric(float64(tested)/float64(b.N), "tested/op")
-		})
+			b.ReportMetric(float64(ties)/float64(len(windows)), "ties/op")
+		}
+		b.Run(k.name, loop)
+		b.Run(k.name+"/scalar", func(b *testing.B) { scalarTier(func() { loop(b) }) })
 	}
+}
+
+// tiesOf counts the replicas of arena slots [lo, hi) that the quanta leave
+// to the base table under the tests bs: no plane below its bound, and one
+// on it.
+func (bg *BoxGrid2L) tiesOf(lo, hi uint32, bs ...edgeBound) int {
+	n := 0
+	for k := lo; k < hi; k++ {
+		below, on := false, false
+		for _, b := range bs {
+			d := int32(bg.q[b.e][k]) - b.q
+			below, on = below || d < 0, on || d == 0
+		}
+		if on && !below {
+			n++
+		}
+	}
+	return n
+}
+
+// queryTies counts the candidates QueryAppend decides on the base table
+// for r: it walks the runs QueryAppend's kernels filter, under the tests
+// they filter them with, and counts each run's ties (tiesOf).
+func (bg *BoxGrid2L) queryTies(r geom.Rect) int {
+	q := bg.mapper.spanOf(r)
+	w := bg.windowOf(r)
+	half := 2 * bg.cells
+	n := 0
+	if q.x0 == q.x1 || q.y0 == q.y1 {
+		for cy := int(q.y0); cy <= int(q.y1); cy++ {
+			firstRow := cy == int(q.y0)
+			ny, my := axisWindow(firstRow, cy == int(q.y1), w[edgeMinY], w[edgeMaxY])
+			for cx := int(q.x0); cx <= int(q.x1); cx++ {
+				firstCol := cx == int(q.x0)
+				nx, mx := axisWindow(firstCol, cx == int(q.x1), w[edgeMinX], w[edgeMaxX])
+				c := cy*bg.cps + cx
+				hi := bg.ends[2*c]
+				if firstCol && firstRow {
+					hi = bg.ends[half+2*c+1]
+				} else if firstCol {
+					hi = bg.ends[2*c+1]
+				}
+				n += bg.tiesOf(bg.starts[c], hi, nx, ny, mx, my)
+				if firstRow && !firstCol {
+					n += bg.tiesOf(bg.ends[2*c+1], bg.ends[half+2*c], nx, ny, mx, my)
+				}
+			}
+		}
+		return n
+	}
+	for cy := int(q.y0); cy <= int(q.y1); cy++ {
+		firstRow, lastRow := cy == int(q.y0), cy == int(q.y1)
+		var ys []edgeBound // the row's undecided y edge
+		if firstRow {
+			ys = w[edgeMaxY : edgeMaxY+1 : edgeMaxY+1]
+		} else if lastRow {
+			ys = w[edgeMinY : edgeMinY+1 : edgeMinY+1]
+		}
+		c, last := cy*bg.cps+int(q.x0), cy*bg.cps+int(q.x1)
+		hi := bg.ends[2*c+1]
+		if firstRow {
+			hi = bg.ends[half+2*c+1]
+		}
+		n += bg.tiesOf(bg.starts[c], hi, append(ys, w[edgeMaxX])...)
+		for c++; c < last; c++ {
+			if ys != nil {
+				n += bg.tiesOf(bg.starts[c], bg.ends[2*c], ys...)
+				if firstRow {
+					n += bg.tiesOf(bg.ends[2*c+1], bg.ends[half+2*c], ys...)
+				}
+			}
+		}
+		n += bg.tiesOf(bg.starts[c], bg.ends[2*c], append(ys, w[edgeMinX])...)
+		if ys != nil && firstRow {
+			n += bg.tiesOf(bg.ends[2*c+1], bg.ends[half+2*c], append(ys, w[edgeMinX])...)
+		}
+	}
+	return n
 }
 
 // BenchmarkFilterKernels prices a tested candidate of each branchless filter

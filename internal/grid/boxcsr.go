@@ -138,7 +138,7 @@ func countFlat[C uint16 | uint32](counts []C, spans []cellSpan, cps int, l spanS
 
 // scatterFlat is the scatter's straight-line path, countFlat's twin over
 // the absolute cursor array cur: four unconditional cursor writes a span,
-// placing ids id, id+1, … . An absent neighbour is redirected to the
+// placing ID i for spans[i]. An absent neighbour is redirected to the
 // span's first-cell cursor, unadvanced: it rewrites the slot just
 // written there with the same ID, so the path needs no sink slot. It
 // stops where countFlat stops and returns that index, so every run
@@ -146,12 +146,13 @@ func countFlat[C uint16 | uint32](counts []C, spans []cellSpan, cps int, l spanS
 // them.
 //
 //joinlint:bce
-func scatterFlat(cur []uint32, spans []cellSpan, cps int, l spanSlots, id uint32, ids []uint32) int {
+func scatterFlat(cur []uint32, spans []cellSpan, cps int, l spanSlots, ids []uint32) int {
 	for i, s := range spans {
 		dx, dy := uint(int(s.x1)-int(s.x0)), uint(int(s.y1)-int(s.y0))
 		if dx|dy > 1 {
 			return i
 		}
+		id := uint32(i)
 		a := (int(s.y0)*cps + int(s.x0)) << l.shift
 		dd := dx & dy
 		p := cur[a]
@@ -169,7 +170,6 @@ func scatterFlat(cur []uint32, spans []cellSpan, cps int, l spanSlots, id uint32
 		p = cur[j] + uint32(dd) - 1
 		ids[p] = id
 		cur[j] = p + 1
-		id++
 	}
 	return len(spans)
 }
@@ -327,7 +327,7 @@ func (bg *BoxGrid) countCells(counts []uint32, spans []cellSpan) {
 // most 2×2 cells, the loops from where it stopped.
 func (bg *BoxGrid) scatterCells(cur []uint32, spans []cellSpan) {
 	cps := bg.cps
-	k := scatterFlat(cur, spans, cps, bg.slots, 0, bg.ids)
+	k := scatterFlat(cur, spans, cps, bg.slots, bg.ids)
 	id := uint32(k)
 	for _, s := range spans[k:] {
 		for cy := int(s.y0); cy <= int(s.y1); cy++ {

@@ -40,10 +40,11 @@ import (
 // decided for free whenever their cell coordinates differ. In a cell
 // interior to Q (not in its first/last row/column), class A needs NO
 // comparison at all — the kernel copies IDs straight out of the
-// arena. On Q's boundary rows/columns the surviving comparisons read
-// coordinates inlined in four edge planes parallel to the ID arena (see
-// mx), each cell only the edges its place in Q leaves undecided, so the
-// base MBR table is never dereferenced. Class D keeps a two-comparison
+// arena. On Q's boundary rows/columns the surviving comparisons read the
+// edges in 16-bit quanta, inlined in four planes parallel to the ID arena
+// (see q), each cell only the edges its place in Q leaves undecided; the
+// base MBR table is read only for a replica whose quantum ties the
+// window's, to decide it exactly. Class D keeps a two-comparison
 // max-corner test in the corner cell: probe rectangles are not
 // cell-aligned, so a rect ending inside the corner cell can still miss the
 // query by less than a cell (the tile-to-tile join of the source paper can
@@ -81,11 +82,19 @@ type BoxGrid2L struct {
 	// scatter advances them to the run ends in place — no publish copy).
 	ends []uint32
 	ids  []uint32 // one contiguous arena of replicated entry IDs
-	// mx, my, nx, ny inline the coordinates, one plane per edge, parallel
-	// to ids: MaxX, MaxY, -MinX, -MinY. With the mins negated every window
-	// test is plane[k]-bound >= 0 (a min plane's bound is the negated query
-	// max): negation is exact, so (-a)-(-b) is b-a bit for bit.
-	mx, my, nx, ny []float32
+	// q inlines the edges in quanta, one plane per edge in geom.Rect's
+	// field order (edgeMinX … edgeMaxY), parallel to ids: the quantum of
+	// each edge over the whole space (qm.quantum), a min edge's
+	// complemented (quantSteps-1 minus it), so that every window test has
+	// one form, plane[k] >= bound, as with the negated mins of float
+	// planes. The map is monotone, so a quantum above the bound proves the
+	// edge past the window's and one below proves it short; only a tie
+	// reads the rect (edgeBound). That is 8 bytes a replica for the 16 of
+	// four float32 planes.
+	q [4][]uint16
+	// qm maps an edge to its quantum: minX and minY of the space, and invQ,
+	// quantSteps over its side (the quanta of LayoutCSR's slots).
+	qm columnMapper
 
 	boxes int         // number of indexed objects (not replicas)
 	rects []geom.Rect // the retained snapshot
@@ -126,6 +135,7 @@ func NewBoxGrid2L(cps int, bounds geom.Rect, numBoxes int) (*BoxGrid2L, error) {
 		invCell: 1 / bg.cellSize,
 		cps:     cps,
 	}
+	bg.qm = columnMapper{minX: bounds.MinX, minY: bounds.MinY, invQ: quantSteps / bounds.Width()}
 	// Key 2c is cell c's A, 2c+3 the B of cell c+1, and C and D sit a
 	// row up in the second plane (endIdx).
 	rest := 2*bg.cells + 2*cps
@@ -204,12 +214,17 @@ func resetCounts[C uint16 | uint32](buf []C, n int) []C {
 
 // sizeArena sizes the ID arena and the edge planes to hold total replicas.
 func (bg *BoxGrid2L) sizeArena(total uint32) {
-	if n := int(total); cap(bg.ids) < n {
+	n := int(total)
+	if cap(bg.ids) < n {
 		bg.ids = make([]uint32, n)
-		bg.mx, bg.my, bg.nx, bg.ny = make([]float32, n), make([]float32, n), make([]float32, n), make([]float32, n)
-	} else {
-		bg.ids = bg.ids[:n]
-		bg.mx, bg.my, bg.nx, bg.ny = bg.mx[:n], bg.my[:n], bg.nx[:n], bg.ny[:n]
+		for e := range bg.q {
+			bg.q[e] = make([]uint16, n)
+		}
+		return
+	}
+	bg.ids = bg.ids[:n]
+	for e := range bg.q {
+		bg.q[e] = bg.q[e][:n]
 	}
 }
 
@@ -266,23 +281,23 @@ func countClassed[C uint16 | uint32](counts []C, spans []cellSpan, cps int, l sp
 	countSpans(counts[:half:half], counts[half:], spans[k:], cps)
 }
 
-// scatterClassed places IDs id, id+1, … of spans at the absolute
-// pair-major cursor array cur: scatterFlat while the spans are at most
-// 2×2 cells, scatterSpan from the first wider one.
-func (bg *BoxGrid2L) scatterClassed(cur []uint32, spans []cellSpan, id uint32) {
-	k := scatterFlat(cur, spans, bg.cps, bg.slots, id, bg.ids)
+// scatterClassed places IDs 0, 1, … of spans at the absolute pair-major
+// cursor array cur: scatterFlat while the spans are at most 2×2 cells,
+// scatterSpan from the first wider one.
+func (bg *BoxGrid2L) scatterClassed(cur []uint32, spans []cellSpan) {
+	k := scatterFlat(cur, spans, bg.cps, bg.slots, bg.ids)
 	half := 2 * bg.cells
 	fr, rr := cur[:half:half], cur[half:]
 	for i, s := range spans[k:] {
-		scatterSpan(fr, rr, s, bg.cps, id+uint32(k+i), bg.ids)
+		scatterSpan(fr, rr, s, bg.cps, uint32(k+i), bg.ids)
 	}
 }
 
 // scatterSpan places one replica of id into every (cell, class) slot of
 // the span, advancing the absolute pair-major cursor array cur (the ends
 // array, pre-loaded with the run bases by prefixClassedCursors). Only
-// the 4-byte ID is scattered — the 16 bytes of coordinates are filled by a
-// separate streaming pass (fillRects). Fusing the rect write into this
+// the 4-byte ID is scattered — the edges are filled by a separate
+// streaming pass (fillQuanta). Fusing the rect write into this
 // walk was re-measured for the build-tax fix and lost again, 1.5-1.6x
 // slower end to end at cps=256, both naively (the random 16-byte
 // stores stride the whole multi-megabyte arena) and as a
@@ -316,18 +331,25 @@ func scatterSpan(fr, rr []uint32, s cellSpan, cps int, id uint32, ids []uint32) 
 	}
 }
 
-// fillRects inlines the coordinates of arena slots [lo, hi): four
-// sequential write streams against random reads of the base table. Build
-// fills every slot with one call. Without the bounds the function is
-// small enough to inline into Build, and inlined it read box_uniform's
-// tick_ms at 5.69 ms against 5.56 ms out of line (medians of six
-// alternating runs a side, 2-vCPU host).
-func (bg *BoxGrid2L) fillRects(rects []geom.Rect, lo, hi int) {
-	ids := bg.ids[lo:hi]
-	mx, my, nx, ny := bg.mx[lo:hi], bg.my[lo:hi], bg.nx[lo:hi], bg.ny[lo:hi]
+// fillQuanta writes slot k of the four planes q from the edges of
+// rects[ids[k]], as quantaOf maps them: four sequential write streams
+// against random reads of the base table. quantFill (label_amd64.s) does it
+// sixteen slots a block on the vector tier, gathering each edge and
+// quantising it with the spans' clamp; the loop below is its definition,
+// and the whole pass elsewhere, or when an ID is no index into rects,
+// where the loop panics as the gather may not.
+//
+//joinlint:hotpath
+//joinlint:bce
+func fillQuanta(m *columnMapper, rects []geom.Rect, ids []uint32, q *[4][]uint16) {
+	if vectorKernels && quantFill(ids, rects, q[0], q[1], q[2], q[3], m) >= 0 {
+		return
+	}
+	nx, ny, mx, my := q[edgeMinX][:len(ids)], q[edgeMinY][:len(ids)], q[edgeMaxX][:len(ids)], q[edgeMaxY][:len(ids)]
 	for k, id := range ids {
 		r := &rects[id]
-		mx[k], my[k], nx[k], ny[k] = r.MaxX, r.MaxY, -r.MinX, -r.MinY
+		nx[k], ny[k] = ^uint16(m.quantum(r.MinX-m.minX)), ^uint16(m.quantum(r.MinY-m.minY))
+		mx[k], my[k] = uint16(m.quantum(r.MaxX-m.minX)), uint16(m.quantum(r.MaxY-m.minY))
 	}
 }
 
@@ -370,9 +392,9 @@ func prefixClassedCursors[C uint16 | uint32](counts []C, starts, ends []uint32, 
 // slot per (overlapped cell, class) of it (countClassed); the
 // exclusive prefix sum over the key cell*4+class fixes both the cell
 // segments and the class sub-spans; pass 2 replicates each ID into its
-// slots (scatterClassed) while a streaming third pass inlines the
-// coordinates (measured faster than fusing the 16-byte writes into the
-// scatter — see scatterSpan). Arenas are retained but sized exactly, so a
+// slots (scatterClassed) while a streaming third pass inlines the edges
+// in quanta (fillQuanta; measured faster than fusing the edge writes into
+// the scatter — see scatterSpan). Arenas are retained but sized exactly, so a
 // replica total that sets a new maximum — every few ticks of a moving
 // stream — re-makes them.
 func (bg *BoxGrid2L) Build(rects []geom.Rect) {
@@ -394,30 +416,83 @@ func (bg *BoxGrid2L) Build(rects []geom.Rect) {
 		sum = prefixClassedCursors(bg.counts4, bg.starts, bg.ends, cells)
 	}
 	bg.sizeArena(sum)
-	bg.scatterClassed(bg.ends, bg.spans, 0)
-	bg.fillRects(rects, 0, len(bg.ids))
+	bg.scatterClassed(bg.ends, bg.spans)
+	fillQuanta(&bg.qm, rects, bg.ids, &bg.q)
 }
 
 // maxUint16Boxes is the largest population whose per-(cell, class)
 // counts provably fit the half-width count plane.
 const maxUint16Boxes = 1<<16 - 1
 
-// boxInf bounds any finite float32 coordinate; a window bound of -boxInf
-// stands in for "no test needed on this edge" (every plane value passes).
+// The edges of a rectangle in geom.Rect's field order, which is the order
+// of the planes in q.
+const (
+	edgeMinX = iota
+	edgeMinY
+	edgeMaxX
+	edgeMaxY
+)
+
+// quantaOf returns r's edges as the planes hold them, in plane order: the
+// quantum of each over the space (m.quantum of its offset from the
+// space's minimum), a min edge's complemented.
+func quantaOf(m *columnMapper, r *geom.Rect) [4]uint16 {
+	return [4]uint16{^uint16(m.quantum(r.MinX - m.minX)), ^uint16(m.quantum(r.MinY - m.minY)),
+		uint16(m.quantum(r.MaxX - m.minX)), uint16(m.quantum(r.MaxY - m.minY))}
+}
+
+// edgeOf returns edge e of r in plane form, as a float32 plane held it: a
+// max as it is, a min negated (which only flips its sign bit).
+func edgeOf(r *geom.Rect, e uint32) float32 {
+	v := [4]float32{-r.MinX, -r.MinY, r.MaxX, r.MaxY}
+	return v[e&3]
+}
+
+// edgeBound is one edge test of a window as the planes make it: a replica
+// passes where plane e's quantum is above q and fails where it is below,
+// and on a tie passes where the sign of edgeOf(rects[id], e) - b is clear.
+// That is the float32 planes' test, bit for bit (decideRun): the quantum is
+// monotone in the edge, so a quantum above (below) the bound's proves the
+// edge above (below) the bound, where the difference's sign says the same.
+type edgeBound struct {
+	q int32   // the window edge's quantum as plane e holds an edge
+	b float32 // the window edge in plane form
+	e uint32  // the plane, and the rect field a tie reads
+}
+
+// boxInf bounds any finite float32 coordinate: a float bound of -boxInf
+// passes every finite edge.
 const boxInf = math.MaxFloat32
 
-// axisWindow returns class A's window on one axis, in plane form (see
-// mx): max >= lo and -min >= nhi, each the query's edge where the cell is
-// first / last in the query span and the sentinel where it is not.
-func axisWindow(first, last bool, qmin, qmax float32) (lo, nhi float32) {
-	lo, nhi = -boxInf, -boxInf
-	if first {
-		lo = qmin
+// noBound is the test of edge e that every replica passes: a quantum bound
+// below every quantum, so nothing ties it, and -boxInf for the exact test
+// of a replica tied on another edge.
+func noBound(e uint32) edgeBound { return edgeBound{-1, -boxInf, e} }
+
+// windowOf returns r's four edge tests in plane order: MinX <= r.MaxX,
+// MinY <= r.MaxY, MaxX >= r.MinX and MaxY >= r.MinY, each in the form
+// plane >= bound. The query quantises its window once, here.
+func (bg *BoxGrid2L) windowOf(r geom.Rect) [4]edgeBound {
+	m := &bg.qm
+	return [4]edgeBound{
+		{int32(^uint16(m.quantum(r.MaxX - m.minX))), -r.MaxX, edgeMinX},
+		{int32(^uint16(m.quantum(r.MaxY - m.minY))), -r.MaxY, edgeMinY},
+		{int32(m.quantum(r.MinX - m.minX)), r.MinX, edgeMaxX},
+		{int32(m.quantum(r.MinY - m.minY)), r.MinY, edgeMaxY},
 	}
-	if last {
-		nhi = -qmax
+}
+
+// axisWindow returns class A's tests on one axis, on its min plane and
+// its max plane: the window's where the cell is last (min) or first (max)
+// in the query span, and noBound where it is not.
+func axisWindow(first, last bool, n, m edgeBound) (edgeBound, edgeBound) {
+	if !last {
+		n = noBound(n.e)
 	}
-	return lo, nhi
+	if !first {
+		m = noBound(m.e)
+	}
+	return n, m
 }
 
 // Query implements core.BoxIndex: QueryAppend's result, one emit per ID.
@@ -425,11 +500,12 @@ func (bg *BoxGrid2L) Query(r geom.Rect, emit func(id uint32)) { callback.Query(b
 
 // QueryAppend implements core.QueryAppender: visit the cells of r's span
 // and append every object whose MBR intersects r, exactly once, reading
-// only the edge planes each class's predicate names — never the base
-// table. The span comes from the same mapping as the stored class
-// partition; the per-class predicates depend on the two never diverging.
-// In cell (cx, cy) of the span, with the query's window on each axis taken
-// from its edge where the cell is first or last in the span (axisWindow):
+// only the edge planes each class's predicate names, and the base table
+// only where a quantum ties the window's (edgeBound). The span comes from
+// the same mapping as the stored class partition; the per-class
+// predicates depend on the two never diverging. In cell (cx, cy) of the
+// span, with the query's window on each axis taken from its edge where the
+// cell is first or last in the span (axisWindow):
 //
 //   - class A passes under the full window, and in a cell interior to the
 //     span (first or last on neither axis) is a guaranteed hit: its
@@ -461,19 +537,16 @@ func (bg *BoxGrid2L) Query(r geom.Rect, emit func(id uint32)) { callback.Query(b
 func (bg *BoxGrid2L) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 	bg.queries.Inc()
 	q := bg.mapper.spanOf(r)
+	w := bg.windowOf(r)
 	if q.x0 == q.x1 || q.y0 == q.y1 {
-		return bg.appendNarrow(r, q, buf)
+		return bg.appendNarrow(&w, q, buf)
 	}
 	half := 2 * bg.cells
-	loX, nhiX := r.MinX, -r.MaxX
 	for cy := int(q.y0); cy <= int(q.y1); cy++ {
 		firstRow := cy == int(q.y0)
-		var py []float32 // the row's undecided y edge; none between the first and last row
-		var by float32
-		if firstRow {
-			py, by = bg.my, r.MinY
-		} else if cy == int(q.y1) {
-			py, by = bg.ny, -r.MaxY
+		by, edgeRow := w[edgeMaxY], true // the row's undecided y edge; none between the first and last row
+		if !firstRow {
+			by, edgeRow = w[edgeMinY], cy == int(q.y1)
 		}
 		first := cy*bg.cps + int(q.x0)
 		c, last := first, first+int(q.x1-q.x0)
@@ -481,27 +554,27 @@ func (bg *BoxGrid2L) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 		if firstRow {
 			hi = bg.ends[half+2*c+1]
 		}
-		if py == nil {
-			buf = bg.appendMasked1(bg.starts[c], hi, bg.mx, loX, buf)
+		if !edgeRow {
+			buf = bg.appendMasked1(bg.starts[c], hi, w[edgeMaxX], buf)
 		} else {
-			buf = bg.appendMasked2(bg.starts[c], hi, bg.mx, loX, py, by, buf)
+			buf = bg.appendMasked2(bg.starts[c], hi, w[edgeMaxX], by, buf)
 		}
 		for c++; c < last; c++ { // middle columns: A, and C in the first row
-			if py == nil {
+			if !edgeRow {
 				buf = append(buf, bg.ids[bg.starts[c]:bg.ends[2*c]]...)
 				continue
 			}
-			buf = bg.appendMasked1(bg.starts[c], bg.ends[2*c], py, by, buf)
+			buf = bg.appendMasked1(bg.starts[c], bg.ends[2*c], by, buf)
 			if firstRow {
-				buf = bg.appendMasked1(bg.ends[2*c+1], bg.ends[half+2*c], py, by, buf)
+				buf = bg.appendMasked1(bg.ends[2*c+1], bg.ends[half+2*c], by, buf)
 			}
 		}
-		if py == nil { // last column: A, and C in the first row
-			buf = bg.appendMasked1(bg.starts[c], bg.ends[2*c], bg.nx, nhiX, buf)
+		if !edgeRow { // last column: A, and C in the first row
+			buf = bg.appendMasked1(bg.starts[c], bg.ends[2*c], w[edgeMinX], buf)
 		} else {
-			buf = bg.appendMasked2(bg.starts[c], bg.ends[2*c], bg.nx, nhiX, py, by, buf)
+			buf = bg.appendMasked2(bg.starts[c], bg.ends[2*c], w[edgeMinX], by, buf)
 			if firstRow {
-				buf = bg.appendMasked2(bg.ends[2*c+1], bg.ends[half+2*c], bg.nx, nhiX, py, by, buf)
+				buf = bg.appendMasked2(bg.ends[2*c+1], bg.ends[half+2*c], w[edgeMinX], by, buf)
 			}
 		}
 	}
@@ -513,14 +586,15 @@ func (bg *BoxGrid2L) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 // window (appendMasked).
 //
 //joinlint:hotpath
-func (bg *BoxGrid2L) appendNarrow(r geom.Rect, q cellSpan, buf []uint32) []uint32 {
+func (bg *BoxGrid2L) appendNarrow(w *[4]edgeBound, q cellSpan, buf []uint32) []uint32 {
 	half := 2 * bg.cells
 	for cy := int(q.y0); cy <= int(q.y1); cy++ {
 		firstRow := cy == int(q.y0)
-		loY, nhiY := axisWindow(firstRow, cy == int(q.y1), r.MinY, r.MaxY)
+		ny, my := axisWindow(firstRow, cy == int(q.y1), w[edgeMinY], w[edgeMaxY])
 		for cx := int(q.x0); cx <= int(q.x1); cx++ {
 			firstCol := cx == int(q.x0)
-			loX, nhiX := axisWindow(firstCol, cx == int(q.x1), r.MinX, r.MaxX)
+			nx, mx := axisWindow(firstCol, cx == int(q.x1), w[edgeMinX], w[edgeMaxX])
+			cw := [4]edgeBound{nx, ny, mx, my}
 			c := cy*bg.cps + cx
 			hi := bg.ends[2*c] // A
 			if firstCol && firstRow {
@@ -528,84 +602,179 @@ func (bg *BoxGrid2L) appendNarrow(r geom.Rect, q cellSpan, buf []uint32) []uint3
 			} else if firstCol {
 				hi = bg.ends[2*c+1] // A‖B
 			}
-			buf = bg.appendMasked(bg.starts[c], hi, loX, nhiX, loY, nhiY, buf)
+			buf = bg.appendMasked(bg.starts[c], hi, &cw, buf)
 			if firstRow && !firstCol {
-				buf = bg.appendMasked(bg.ends[2*c+1], bg.ends[half+2*c], loX, nhiX, loY, nhiY, buf) // C
+				buf = bg.appendMasked(bg.ends[2*c+1], bg.ends[half+2*c], &cw, buf) // C
 			}
 		}
 	}
 	return buf
 }
 
-// appendMasked appends every ID of arena slots [lo, hi) whose inlined rect
-// passes MaxX >= loX && -MinX >= nhiX && MaxY >= loY && -MinY >= nhiY,
-// branchlessly: each candidate is stored unconditionally and the write
-// cursor advances by the OR of the differences' IEEE sign bits (finite
-// coordinates, and a min of 0 stored as -0 subtracts like +0, so diff >=
-// 0 iff the sign bit is clear). A boundary cell's hit/miss pattern is
-// maximally unpredictable, so losing the per-element branch is worth far
-// more than the redundant stores — a move only a buffered kernel can
-// make: emitting hits only is itself such a branch.
+// appendMasked appends every ID of arena slots [lo, hi) that passes all
+// four tests of w, branchlessly: each candidate is stored unconditionally
+// and the write cursor advances by its decision. On the quanta, with x a
+// plane's quantum and b its bound, a candidate is a hit when x > b on every
+// plane, a miss when x < b on one, and a tie otherwise. The loop
+// (planesLoop4) decides the hits and counts the ties, so it has no branch
+// and no call; a run with a tie is decided again by decideRun, which reads
+// the base table. Ties are rare: a quantum of the benchmark's space is a
+// third of a unit. (A branch on the tie in the loop spilled the loop's
+// planes and bounds around the call.)
 //
-// This loop, like those of appendMasked2 and appendMasked1, is the reference
-// and the portable tier; filterPlanes (filter_amd64.s) is the same test
-// over the first n of four planes, sixteen candidates at a time.
-//
-//joinlint:hotpath
-//joinlint:bce
-func (bg *BoxGrid2L) appendMasked(lo, hi uint32, loX, nhiX, loY, nhiY float32, buf []uint32) []uint32 {
-	seg := bg.ids[lo:hi]
-	mx, nx, my, ny := bg.mx[lo:hi], bg.nx[lo:hi], bg.my[lo:hi], bg.ny[lo:hi]
-	k := len(buf)
-	buf = reserve(buf, len(seg)) // survivors overwrite in place
-	if vectorKernels {
-		return buf[:k+filterPlanes(seg, buf[k:], 4, mx, loX, nx, nhiX, my, loY, ny, nhiY)]
-	}
-	for j, id := range seg {
-		m := math.Float32bits(mx[j]-loX) | math.Float32bits(nx[j]-nhiX) |
-			math.Float32bits(my[j]-loY) | math.Float32bits(ny[j]-nhiY)
-		buf[k] = id
-		k += 1 - int(m>>31)
-	}
-	return buf[:k]
-}
-
-// appendMasked2 is appendMasked over two planes and their bounds: 12
-// bytes and two subtractions a candidate for the full window's 20 and four.
+// These loops, with those of appendMasked2 and appendMasked1, are the
+// definition and the portable tier; filterPlanes4 (filter_amd64.s), and
+// filterPlanes2 and filterPlanes1 for theirs, make the same decisions
+// sixteen candidates at a time, gathering the edges of tied candidates
+// alone — or return a negative count when a tied candidate's ID is no
+// index they may gather through, which leaves the run to the loop and
+// decideRun's index panic.
 //
 //joinlint:hotpath
 //joinlint:bce
-func (bg *BoxGrid2L) appendMasked2(lo, hi uint32, px []float32, bx float32, py []float32, by float32, buf []uint32) []uint32 {
+func (bg *BoxGrid2L) appendMasked(lo, hi uint32, w *[4]edgeBound, buf []uint32) []uint32 {
 	seg := bg.ids[lo:hi]
-	px, py = px[lo:hi], py[lo:hi]
+	nx, ny, mx, my := bg.q[edgeMinX][lo:hi], bg.q[edgeMinY][lo:hi], bg.q[edgeMaxX][lo:hi], bg.q[edgeMaxY][lo:hi]
 	k := len(buf)
 	buf = reserve(buf, len(seg))
 	if vectorKernels {
-		return buf[:k+filterPlanes(seg, buf[k:], 2, px, bx, py, by, nil, 0, nil, 0)]
+		if n := filterPlanes4(seg, buf[k:], bg.rects, nx, w[0], ny, w[1], mx, w[2], my, w[3]); n >= 0 {
+			return buf[:k+n]
+		}
 	}
-	for j, id := range seg {
-		m := math.Float32bits(px[j]-bx) | math.Float32bits(py[j]-by)
-		buf[k] = id
-		k += 1 - int(m>>31)
+	n, ties := planesLoop4(seg, nx, ny, mx, my, [4]int32{w[0].q, w[1].q, w[2].q, w[3].q}, buf, k)
+	if ties != 0 {
+		return bg.decideRun(lo, hi, w[:], buf, k)
 	}
-	return buf[:k]
+	return buf[:n]
+}
+
+// appendMasked2 is appendMasked over two planes and their bounds: 8 bytes
+// a candidate for the full window's 12.
+//
+//joinlint:hotpath
+//joinlint:bce
+func (bg *BoxGrid2L) appendMasked2(lo, hi uint32, bx, by edgeBound, buf []uint32) []uint32 {
+	seg := bg.ids[lo:hi]
+	px, py := bg.q[bx.e&3][lo:hi], bg.q[by.e&3][lo:hi]
+	k := len(buf)
+	buf = reserve(buf, len(seg))
+	if vectorKernels {
+		if n := filterPlanes2(seg, buf[k:], bg.rects, px, bx, py, by); n >= 0 {
+			return buf[:k+n]
+		}
+	}
+	n, ties := planesLoop2(seg, px, py, bx.q, by.q, buf, k)
+	if ties != 0 {
+		return bg.decideRun(lo, hi, []edgeBound{bx, by}, buf, k)
+	}
+	return buf[:n]
 }
 
 // appendMasked1 is appendMasked over one plane and its bound.
 //
 //joinlint:hotpath
 //joinlint:bce
-func (bg *BoxGrid2L) appendMasked1(lo, hi uint32, p []float32, b float32, buf []uint32) []uint32 {
+func (bg *BoxGrid2L) appendMasked1(lo, hi uint32, b edgeBound, buf []uint32) []uint32 {
 	seg := bg.ids[lo:hi]
-	p = p[lo:hi]
+	p := bg.q[b.e&3][lo:hi]
 	k := len(buf)
 	buf = reserve(buf, len(seg))
 	if vectorKernels {
-		return buf[:k+filterPlanes(seg, buf[k:], 1, p, b, nil, 0, nil, 0, nil, 0)]
+		if n := filterPlanes1(seg, buf[k:], bg.rects, p, b); n >= 0 {
+			return buf[:k+n]
+		}
 	}
+	n, ties := planesLoop1(seg, p, b.q, buf, k)
+	if ties != 0 {
+		return bg.decideRun(lo, hi, []edgeBound{b}, buf, k)
+	}
+	return buf[:n]
+}
+
+// planesLoop4 is appendMasked's loop: it stores seg's IDs into buf from
+// buf[k] on, which has room for them, advancing k past each hit of the
+// four planes' quanta against the bounds b — every b-x negative, so their
+// AND has a set sign — and returns k and the number of ties: it counts in
+// c the candidates no plane puts below its bound (the OR of the x-b has a
+// clear sign), and a tie is one of those that is not a hit. The loops are
+// functions of their own, kept out of line, so that nothing outlives them
+// but k and c: in the wrappers, the values decideRun needs after the loop
+// took the registers the loop needed, and the planes and bounds were
+// reloaded from the stack every candidate. (Tracking the ties as the OR of
+// the d-1 without the OR of the d took a register more, and was slower.)
+//
+//joinlint:bce
+//go:noinline
+func planesLoop4(seg []uint32, nx, ny, mx, my []uint16, b [4]int32, buf []uint32, k int) (int, int) {
+	nx, ny, mx, my = nx[:len(seg)], ny[:len(seg)], mx[:len(seg)], my[:len(seg)]
+	c := k
 	for j, id := range seg {
+		x0, x1, x2, x3 := int32(nx[j]), int32(ny[j]), int32(mx[j]), int32(my[j])
 		buf[k] = id
-		k += 1 - int(math.Float32bits(p[j]-b)>>31)
+		k += int(uint32((b[0]-x0)&(b[1]-x1)&(b[2]-x2)&(b[3]-x3)) >> 31)
+		c += int(uint32(^((x0 - b[0]) | (x1 - b[1]) | (x2 - b[2]) | (x3 - b[3]))) >> 31)
+	}
+	return k, c - k
+}
+
+// planesLoop2 is appendMasked2's loop, planesLoop4 over two planes.
+//
+//joinlint:bce
+//go:noinline
+func planesLoop2(seg []uint32, px, py []uint16, bx, by int32, buf []uint32, k int) (int, int) {
+	px, py = px[:len(seg)], py[:len(seg)]
+	c := k
+	for j, id := range seg {
+		x0, x1 := int32(px[j]), int32(py[j])
+		buf[k] = id
+		k += int(uint32((bx-x0)&(by-x1)) >> 31)
+		c += int(uint32(^((x0 - bx) | (x1 - by))) >> 31)
+	}
+	return k, c - k
+}
+
+// planesLoop1 is appendMasked1's loop, planesLoop4 over one plane.
+//
+//joinlint:bce
+//go:noinline
+func planesLoop1(seg []uint32, p []uint16, b int32, buf []uint32, k int) (int, int) {
+	p = p[:len(seg)]
+	c := k
+	for j, id := range seg {
+		x := int32(p[j])
+		buf[k] = id
+		k += int(uint32(b-x) >> 31)
+		c += int(uint32(^(x - b)) >> 31)
+	}
+	return k, c - k
+}
+
+// decideRun is the kernels' decision over arena slots [lo, hi) under the
+// tests bs, into buf from buf[k] on, which has room for the run: the
+// quanta decide every candidate but a tie, and a tie takes the float32
+// planes' test, bit for bit — the sign of edgeOf(rects[id], e) minus the
+// bound on every tested edge, clear on all of them. A difference of +0
+// passes, and a min of 0, which negates to -0, fails only against a bound
+// of +0, the negation of a query max of -0.
+func (bg *BoxGrid2L) decideRun(lo, hi uint32, bs []edgeBound, buf []uint32, k int) []uint32 {
+	for j, id := range bg.ids[lo:hi] {
+		var closed, open int32
+		for _, b := range bs {
+			d := int32(bg.q[b.e&3][int(lo)+j]) - b.q
+			closed, open = closed|d, open|(d-1)
+		}
+		hit := 1 - int(uint32(open)>>31)
+		if open&^closed < 0 {
+			r := &bg.rects[id]
+			var m uint32
+			for _, b := range bs {
+				m |= math.Float32bits(edgeOf(r, b.e) - b.b)
+			}
+			hit = 1 - int(m>>31)
+		}
+		buf[k] = id
+		k += hit
 	}
 	return buf[:k]
 }
@@ -646,10 +815,12 @@ func (bg *BoxGrid2L) ClassCounts() [4]int {
 }
 
 // MemoryBytes implements core.MemoryReporter: directory, ID arena and the
-// four edge planes, span cache, and retained build scratch.
+// four planes of quanta, span cache, and retained build scratch.
 func (bg *BoxGrid2L) MemoryBytes() int64 {
-	total := int64(len(bg.starts)+len(bg.ends)+cap(bg.counts4)) * 4
-	total += int64(cap(bg.ids)+cap(bg.mx)+cap(bg.my)+cap(bg.nx)+cap(bg.ny)) * 4
+	total := int64(len(bg.starts)+len(bg.ends)+cap(bg.counts4)+cap(bg.ids)) * 4
+	for _, p := range bg.q {
+		total += int64(cap(p)) * 2
+	}
 	total += int64(cap(bg.counts16)) * 2
 	total += int64(cap(bg.spans)) * 8
 	return total

@@ -102,8 +102,8 @@ func checkClassPartition(t *testing.T, bg *BoxGrid2L) {
 				if got := classAt(bg.spans[id], cx, cy); got != j {
 					t.Fatalf("cell %d: entry %d stored in class %d, classAt = %d", c, id, j, got)
 				}
-				if got := bg.rectAt(p); got != bg.rects[id] {
-					t.Fatalf("cell %d: entry %d inlined rect %v != snapshot %v", c, id, got, bg.rects[id])
+				if got, want := bg.quantaAt(p), quantaOf(&bg.qm, &bg.rects[id]); got != want {
+					t.Fatalf("cell %d: entry %d inlined quanta %v, snapshot %v maps to %v", c, id, got, bg.rects[id], want)
 				}
 				placed[id] = append(placed[id], slot{cx, cy, j})
 			}
@@ -361,6 +361,33 @@ func TestBoxGrid2LNameAndAccessors(t *testing.T) {
 	}
 }
 
+// TestBoxGrid2LMemoryIsDirectoryIDsAndQuanta pins MemoryBytes to its
+// terms: the directory (starts, cells+1, and the class run ends, 4 a cell)
+// and the count scratch (4 a cell, 16-bit up to maxUint16Boxes objects and
+// 32-bit past it), the arena of 4 bytes of ID and 4·2 of quanta a replica
+// slot (sized for 2 replicas an object, or the replicas where more), and the
+// spans, 8 bytes an object.
+func TestBoxGrid2LMemoryIsDirectoryIDsAndQuanta(t *testing.T) {
+	for _, c := range []struct {
+		n, cps  int
+		maxSide float32
+	}{{3000, 32, 60}, {3000, 32, 400}, {maxUint16Boxes + 500, 16, 12}} {
+		rects := randomBoxes(xrand.New(27), c.n, testBounds, 0, c.maxSide)
+		bg := MustNewBoxGrid2L(c.cps, testBounds, c.n)
+		bg.Build(rects)
+		cells, slots := c.cps*c.cps, max(2*c.n, bg.Replicas())
+		counts := int64(4*cells) * 2
+		if c.n > maxUint16Boxes {
+			counts = int64(4*cells) * 4
+		}
+		want := int64(cells+1+4*cells)*4 + counts + int64(slots)*(4+4*2) + int64(c.n)*8
+		if got := bg.MemoryBytes(); got != want {
+			t.Errorf("n=%d cps=%d, %d replicas: MemoryBytes = %d, want (cells+1 + 4·cells)·4 + counts %d + %d slots·12 + n·8 = %d",
+				c.n, c.cps, bg.Replicas(), got, counts, slots, want)
+		}
+	}
+}
+
 // TestBoxGrid2LWideCountFallback exercises the full-width count plane:
 // populations past the uint16 bound must build through the uint32 path
 // and stay digest-identical to the reference-point grid.
@@ -390,8 +417,9 @@ func TestBoxGrid2LWideCountFallback(t *testing.T) {
 // the brute-force oracle as exact sorted ID lists, on the inputs where that
 // choice flips: spans of 1, 2 and 3 or more cells on each axis
 // independently, windows hanging over every side of the space, a query edge
-// bit-equal to a rect edge on each of the four sides (the difference is +0
-// and must pass), rects with a min of exactly 0 (stored as -0), rects
+// bit-equal to a rect edge on each of the four sides (a tie, whose
+// difference is +0 and must pass), rects with a min of exactly 0 (a tie
+// against an edge at 0, decided on -0), rects
 // partly outside the space, exact (64) and inexact cell widths, and a
 // rebuild after cross-span moves.
 func TestBoxGrid2LEdgeKernelsProperty(t *testing.T) {
@@ -416,10 +444,16 @@ func TestBoxGrid2LEdgeKernelsProperty(t *testing.T) {
 			}
 			bg := MustNewBoxGrid2L(cps, bounds, len(rects))
 			bg.Build(rects)
+			zero := bg.windowOf(geom.Rect{}) // every window edge at +0
 			for k, id := range bg.ids {
-				// Rect 0 has a MinX and rect 1 a MinY of exactly 0.
-				if id == 0 && math.Float32bits(bg.nx[k]) != 1<<31 || id == 1 && math.Float32bits(bg.ny[k]) != 1<<31 {
-					t.Fatalf("slot %d: the zero min of rect %d is stored as %v / %v, want -0", k, id, bg.nx[k], bg.ny[k])
+				// Rect 0 has a MinX and rect 1 a MinY of exactly 0: its
+				// quantum ties a window edge at 0, and the tie reads it as -0.
+				if id > 1 {
+					continue
+				}
+				e := edgeMinX + id
+				if q, v := bg.q[e][k], edgeOf(&rects[id], e); int32(q) != zero[e].q || math.Float32bits(v) != 1<<31 {
+					t.Fatalf("slot %d: the zero min of rect %d is stored as quantum %d (an edge at 0: %d) and tied as %v, want -0", k, id, q, zero[e].q, v)
 				}
 			}
 			// Cross-span moves inside the patch, then the rebuild.

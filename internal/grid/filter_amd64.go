@@ -16,7 +16,8 @@ var vectorKernels = cpuid.AVX512
 
 // Each routine filters seg into dst[:len(seg)] and returns how many IDs
 // passed; filterPts returns -1 when an ID is not a safe index into pts, and
-// so does filterQ when one it has to read through is not.
+// so do filterQ and filterPlanes when one they have to read through (a
+// tie's) is not one into pts or rects.
 
 //go:noescape
 func filterPts(seg []uint32, pts []geom.Point, r geom.Rect, dst []uint32) int
@@ -25,7 +26,13 @@ func filterPts(seg []uint32, pts []geom.Point, r geom.Rect, dst []uint32) int
 func filterXY(seg []uint32, xy []float32, r geom.Rect, dst []uint32) int
 
 //go:noescape
-func filterPlanes(seg, dst []uint32, n int, p0 []float32, b0 float32, p1 []float32, b1 float32, p2 []float32, b2 float32, p3 []float32, b3 float32) int
+func filterPlanes1(seg, dst []uint32, rects []geom.Rect, p0 []uint16, b0 edgeBound) int
+
+//go:noescape
+func filterPlanes2(seg, dst []uint32, rects []geom.Rect, p0 []uint16, b0 edgeBound, p1 []uint16, b1 edgeBound) int
+
+//go:noescape
+func filterPlanes4(seg, dst []uint32, rects []geom.Rect, p0 []uint16, b0 edgeBound, p1 []uint16, b1 edgeBound, p2 []uint16, b2 edgeBound, p3 []uint16, b3 edgeBound) int
 
 //go:noescape
 func filterQ(seg []csrSlot, pts []geom.Point, w quantWindow, r geom.Rect, dst []uint32) int

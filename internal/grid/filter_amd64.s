@@ -294,22 +294,122 @@ done:
 	VZEROUPPER
 	RET
 
-// func filterPlanes(seg, dst []uint32, n int, p0 []float32, b0 float32, p1 []float32, b1 float32, p2 []float32, b2 float32, p3 []float32, b3 float32) int
+// func filterPlanes1(seg, dst []uint32, rects []geom.Rect, p0 []uint16, b0 edgeBound) int
+// func filterPlanes2(seg, dst []uint32, rects []geom.Rect, p0 []uint16, b0 edgeBound, p1 []uint16, b1 edgeBound) int
+// func filterPlanes4(seg, dst []uint32, rects []geom.Rect, p0 []uint16, b0 edgeBound, p1 []uint16, b1 edgeBound, p2 []uint16, b2 edgeBound, p3 []uint16, b3 edgeBound) int
 //
-// The loop of appendMasked1 / appendMasked2 / appendMasked (n = 1, 2, 4),
-// sixteen candidates a block: the OR of plane[j] - bound over the first n
-// planes, each as long as seg. R13 is the byte offset into all of them.
-TEXT ·filterPlanes(SB), NOSPLIT, $0-192
+// The loops of appendMasked1 / appendMasked2 / appendMasked, sixteen
+// candidates a block: the quanta of the n planes, widened to dwords
+// (VPMOVZXWD), less their bounds, and the least of those differences
+// (VPMINSD) compared with 0: above it on every plane is a hit, below it on
+// one a miss, and 0 a tie. The first pass takes the hits alone and keeps,
+// lane by lane, the unsigned minimum of every block's least difference,
+// which is 0 where a candidate tied (a miss's is negative, so unsigned
+// huge). A run without ties ends there. A run with one is passed again,
+// block by block, and a block with ties (K4) reads the base table: on each
+// plane the tied candidates' edges are gathered, put in plane form (a
+// min's sign bit flipped, as edgeOf negates it), and the bound subtracted;
+// the tied candidates whose n differences all have a clear sign join the
+// hits, as decideRun decides them. Returns how many passed, or -1 without
+// finishing when a tied candidate's ID may not be gathered through: at or
+// past len(rects), or past 1<<29 (the gather's dword index, id*4 plus the
+// edge, must not reach the sign bit).
+//
+// The three share planes<>: each one's arguments are a prefix of
+// filterPlanes4's (a plane's slice and its bound take 40 bytes wherever
+// they sit), so the body reads the n planes it is told of (R12) at
+// filterPlanes4's offsets and stores its result through R15.
+//
+// The compares into a mask, the widening loads and the compress share one
+// port, so a plane costs a VPSUBD and a VPMINSD beside its load, and a
+// block of the first pass one compare into a mask whatever n is.
+//
+// Register use: SI seg, DI dst, CX candidates left, AX the cursor, R13 the
+// block's first candidate, R12 n, R15 the result's slot, R8 R10 R11 BX the
+// planes, Z16-Z19 their quantum bounds, Z15 zero, Z14 the first pass's
+// minima; for the second DX rects, Z24 the sign bits, Z25 the gather
+// bound, Z5 the tied rects' first dword indices and Z6 the OR of the
+// differences.
+
+// PLANES_LEAST leaves in Z1 the least of the block's n plane differences;
+// pass names its labels.
+#define PLANES_LEAST(pass) \
+	VPMOVZXWD.Z (R8)(R13*2), K1, Z1; \
+	VPSUBD Z16, Z1, Z1; \
+	CMPQ R12, $1; \
+	JE   pass; \
+	VPMOVZXWD.Z (R10)(R13*2), K1, Z2; \
+	VPSUBD Z17, Z2, Z2; \
+	VPMINSD Z2, Z1, Z1; \
+	CMPQ R12, $2; \
+	JE   pass; \
+	VPMOVZXWD.Z (R11)(R13*2), K1, Z2; \
+	VPSUBD Z18, Z2, Z2; \
+	VPMOVZXWD.Z (BX)(R13*2), K1, Z3; \
+	VPSUBD Z19, Z3, Z3; \
+	VPMINSD Z3, Z2, Z2; \
+	VPMINSD Z2, Z1, Z1
+
+// EMIT_HITS stores the IDs in Z0 of the hits in K3 at dst[AX:], and moves
+// on to the next block.
+#define EMIT_HITS \
+	VPCOMPRESSD.Z Z0, K3, Z4; \
+	VMOVDQU32 Z4, K1, (DI)(AX*4); \
+	KMOVW K3, R9; \
+	POPCNTL R9, R9; \
+	ADDQ R9, AX; \
+	ADDQ $16, R13; \
+	SUBQ $16, CX
+
+// TIE_PLANE ORs into Z6 the differences of the tied candidates' edge e
+// (plane form) less the bound b.
+#define TIE_PLANE(e, b) \
+	MOVL e, R9; \
+	LEAQ (DX)(R9*4), R14; \
+	KMOVW K4, K5; \
+	VPGATHERDD (R14)(Z5*4), K5, Z7; \
+	SHRL $1, R9; \
+	XORL $1, R9; \
+	SHLL $31, R9; \
+	VPBROADCASTD R9, Z8; \
+	VPXORD Z8, Z7, Z7; \
+	VSUBPS.BCST b, Z7, Z7; \
+	VPORD Z7, Z6, Z6
+
+TEXT ·filterPlanes1(SB), NOSPLIT, $0-120
+	MOVQ $1, R12
+	LEAQ ret+112(FP), R15
+	JMP  planes<>(SB)
+
+TEXT ·filterPlanes2(SB), NOSPLIT, $0-160
+	MOVQ $2, R12
+	LEAQ ret+152(FP), R15
+	JMP  planes<>(SB)
+
+TEXT ·filterPlanes4(SB), NOSPLIT, $0-240
+	MOVQ $4, R12
+	LEAQ ret+232(FP), R15
+	JMP  planes<>(SB)
+
+TEXT planes<>(SB), NOSPLIT, $0
 	MOVQ seg_base+0(FP), SI
 	MOVQ seg_len+8(FP), CX
 	MOVQ dst_base+24(FP), DI
-	MOVQ n+48(FP), R12
-	MOVQ p0_base+56(FP), R8
-	MOVQ p1_base+88(FP), R10
-	MOVQ p2_base+120(FP), R11
-	MOVQ p3_base+152(FP), BX
-	MOVL $0x80000000, R9
-	VPBROADCASTD R9, Z5
+	MOVQ p0_base+72(FP), R8
+	VBROADCASTSS b0_q+96(FP), Z16
+	CMPQ R12, $1
+	JE   loaded
+	MOVQ p1_base+112(FP), R10
+	VBROADCASTSS b1_q+136(FP), Z17
+	CMPQ R12, $2
+	JE   loaded
+	MOVQ p2_base+152(FP), R11
+	VBROADCASTSS b2_q+176(FP), Z18
+	MOVQ p3_base+192(FP), BX
+	VBROADCASTSS b3_q+216(FP), Z19
+loaded:
+	VPXORD Z15, Z15, Z15
+	VPTERNLOGD $0xff, Z14, Z14, Z14
 	XORL AX, AX
 	XORL R13, R13
 	MOVL $0xFFFF, R9
@@ -321,33 +421,68 @@ loop:
 	JGE  block
 	TAIL_MASK
 block:
-	VMOVDQU32.Z (SI)(R13*1), K1, Z0
-	VMOVUPS.Z (R8)(R13*1), K1, Z1
-	VSUBPS.BCST b0+80(FP), Z1, Z1
-	CMPQ R12, $1
-	JE   test
-	VMOVUPS.Z (R10)(R13*1), K1, Z2
-	VSUBPS.BCST b1+112(FP), Z2, Z2
-	VPORD Z2, Z1, Z1
-	CMPQ R12, $2
-	JE   test
-	VMOVUPS.Z (R11)(R13*1), K1, Z2
-	VSUBPS.BCST b2+144(FP), Z2, Z2
-	VMOVUPS.Z (BX)(R13*1), K1, Z3
-	VSUBPS.BCST b3+176(FP), Z3, Z3
-	VPORD Z3, Z2, Z2
-	VPORD Z2, Z1, Z1
-test:
-	VPTESTNMD Z5, Z1, K1, K2
-	VPCOMPRESSD.Z Z0, K2, Z4
-	VMOVDQU32 Z4, K1, (DI)(AX*4)
-	KMOVW K2, R9
-	POPCNTL R9, R9
-	ADDQ R9, AX
-	ADDQ $64, R13
-	SUBQ $16, CX
+	VMOVDQU32.Z (SI)(R13*4), K1, Z0
+	PLANES_LEAST(least)
+least:
+	VPCMPD $6, Z15, Z1, K1, K3 // above on every plane
+	VPMINUD Z1, Z14, K1, Z14
+	EMIT_HITS
 	JG   loop
+	VPTESTNMD Z14, Z14, K4
+	KORTESTW K4, K4
+	JNZ  again
 done:
 	VZEROUPPER
-	MOVQ AX, ret+184(FP)
+	MOVQ AX, (R15)
 	RET
+bad:
+	MOVQ $-1, AX
+	JMP  done
+again:
+	MOVQ seg_len+8(FP), CX
+	MOVQ rects_base+48(FP), DX
+	MOVQ rects_len+56(FP), R9
+	MOVL $0x20000000, R14
+	CMPQ R9, R14
+	CMOVQHI R14, R9
+	VPBROADCASTD R9, Z25
+	MOVL $0x80000000, R9
+	VPBROADCASTD R9, Z24
+	XORL AX, AX
+	XORL R13, R13
+	MOVL $0xFFFF, R9
+	KMOVW R9, K1
+loop2:
+	CMPQ CX, $16
+	JGE  block2
+	TAIL_MASK
+block2:
+	VMOVDQU32.Z (SI)(R13*4), K1, Z0
+	PLANES_LEAST(least2)
+least2:
+	VPCMPD $6, Z15, Z1, K1, K3 // above on every plane
+	VPTESTNMD Z1, Z1, K1, K4   // on one, and below on none
+	KORTESTW K4, K4
+	JNZ  tie
+emit2:
+	EMIT_HITS
+	JG   loop2
+	JMP  done
+tie:
+	VPCMPUD $5, Z25, Z0, K4, K5 // a tied ID >= the bound
+	KORTESTW K5, K5
+	JNZ  bad
+	VPSLLD $2, Z0, Z5
+	VPXORD Z6, Z6, Z6
+	TIE_PLANE(b0_e+104(FP), b0_b+100(FP))
+	CMPQ R12, $1
+	JE   decided
+	TIE_PLANE(b1_e+144(FP), b1_b+140(FP))
+	CMPQ R12, $2
+	JE   decided
+	TIE_PLANE(b2_e+184(FP), b2_b+180(FP))
+	TIE_PLANE(b3_e+224(FP), b3_b+220(FP))
+decided:
+	VPTESTNMD Z24, Z6, K4, K5 // the tied candidates that pass
+	KORW K5, K3, K3
+	JMP  emit2

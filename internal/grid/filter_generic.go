@@ -16,7 +16,15 @@ func filterQ([]csrSlot, []geom.Point, quantWindow, geom.Rect, []uint32) int {
 
 func filterXY([]uint32, []float32, geom.Rect, []uint32) int { panic("grid: no vector tier") }
 
-func filterPlanes(_, _ []uint32, _ int, _ []float32, _ float32, _ []float32, _ float32, _ []float32, _ float32, _ []float32, _ float32) int {
+func filterPlanes1([]uint32, []uint32, []geom.Rect, []uint16, edgeBound) int {
+	panic("grid: no vector tier")
+}
+
+func filterPlanes2([]uint32, []uint32, []geom.Rect, []uint16, edgeBound, []uint16, edgeBound) int {
+	panic("grid: no vector tier")
+}
+
+func filterPlanes4(_, _ []uint32, _ []geom.Rect, _ []uint16, _ edgeBound, _ []uint16, _ edgeBound, _ []uint16, _ edgeBound, _ []uint16, _ edgeBound) int {
 	panic("grid: no vector tier")
 }
 

@@ -30,7 +30,10 @@ func requireVectorTier(t *testing.T) {
 // filterArena is one run's worth of candidates in every form a filter
 // reads: candidate j has ID ids[j] and four coordinates c[j], the first two
 // also its point (pts[ids[j]], xy[2j:2j+2], and in quanta slot j of the
-// CSR store st over filterSpace), all four its plane values.
+// CSR store st over filterSpace), all four its values in plane form, as
+// float32 planes held them (bg.rects[ids[j]] is MaxX c[0], MaxY c[1], MinX
+// -c[2] and MinY -c[3], and slot j of bg's planes its quanta over
+// planeSpace).
 type filterArena struct {
 	ids  []uint32
 	pts  []geom.Point
@@ -39,8 +42,38 @@ type filterArena struct {
 	qr   geom.Rect   // the window last quantised,
 	qw   quantWindow // and its quanta
 	bg   *BoxGrid2L
+	br   geom.Rect    // the bounds last quantised for the planes,
+	bw   [4]edgeBound // and their tests
 	c    [][4]float32
 	name string
+}
+
+// planeSpace is the space the plane kernels' quanta are taken over, which
+// holds the edges of the arenas' rects: maxes in [0, 100), mins in
+// (-100, 0].
+var planeSpace = geom.R(-100, -100, 100, 100)
+
+// planeBounds returns the tests of bounds r in plane form, as the float32
+// planes took them: MaxX >= r.MinX, MaxY >= r.MinY, -MinX >= r.MaxX and
+// -MinY >= r.MaxY, each the test of windowOf for the window whose max is
+// the negated bound. A run of filters quantises its bounds once.
+func (a *filterArena) planeBounds(r geom.Rect) *[4]edgeBound {
+	if r != a.br {
+		a.br, a.bw = r, a.bg.windowOf(geom.Rect{MinX: r.MinX, MinY: r.MinY, MaxX: -r.MaxX, MaxY: -r.MaxY})
+	}
+	return &a.bw
+}
+
+// newPlaneGrid returns a BoxGrid2L over bounds whose arena holds the
+// replicas ids of rects, filled on the scalar tier.
+func newPlaneGrid(bounds geom.Rect, rects []geom.Rect, ids []uint32) *BoxGrid2L {
+	bg := MustNewBoxGrid2L(1, bounds, 0)
+	bg.rects, bg.boxes, bg.ids = rects, len(rects), ids
+	for e := range bg.q {
+		bg.q[e] = make([]uint16, len(ids))
+	}
+	scalarTier(func() { fillQuanta(&bg.qm, rects, ids, &bg.q) })
+	return bg
 }
 
 // windowOf quantises r as Grid.QueryAppend does.
@@ -57,8 +90,8 @@ var filterSpace = geom.R(0, 0, 100, 100)
 func newFilterArena(name string, n int, seed uint64, coord func(rng *xrand.Rand) float32) *filterArena {
 	rng := xrand.New(seed)
 	a := &filterArena{name: name, ids: make([]uint32, n), pts: make([]geom.Point, n), xy: make([]float32, 2*n),
-		bg: &BoxGrid2L{mx: make([]float32, n), my: make([]float32, n), nx: make([]float32, n), ny: make([]float32, n)},
-		c:  make([][4]float32, n)}
+		c: make([][4]float32, n)}
+	rects := make([]geom.Rect, n)
 	for j := range a.ids {
 		a.ids[j] = uint32(j)
 	}
@@ -68,9 +101,9 @@ func newFilterArena(name string, n int, seed uint64, coord func(rng *xrand.Rand)
 		a.c[j] = c
 		a.pts[id] = geom.Point{X: c[0], Y: c[1]}
 		a.xy[2*j], a.xy[2*j+1] = c[0], c[1]
-		a.bg.mx[j], a.bg.my[j], a.bg.nx[j], a.bg.ny[j] = c[0], c[1], c[2], c[3]
+		rects[id] = geom.Rect{MinX: -c[2], MinY: -c[3], MaxX: c[0], MaxY: c[1]}
 	}
-	a.bg.ids = a.ids
+	a.bg = newPlaneGrid(planeSpace, rects, a.ids)
 	a.st = MustNew(CSR(), filterSpace, 0).csr
 	a.st.pts, a.st.slots = a.pts, make([]csrSlot, n)
 	for j, id := range a.ids {
@@ -103,13 +136,14 @@ func (a *filterArena) filters() []arenaFilter {
 			return quantDecisions(a.st, lo, hi, a.qw, r, buf)
 		}},
 		{"appendMasked1", 1, func(lo, hi int, r geom.Rect, buf []uint32) []uint32 {
-			return a.bg.appendMasked1(uint32(lo), uint32(hi), a.bg.my, r.MinY, buf)
+			return a.bg.appendMasked1(uint32(lo), uint32(hi), a.planeBounds(r)[edgeMaxY], buf)
 		}},
 		{"appendMasked2", 2, func(lo, hi int, r geom.Rect, buf []uint32) []uint32 {
-			return a.bg.appendMasked2(uint32(lo), uint32(hi), a.bg.nx, r.MaxX, a.bg.my, r.MinY, buf)
+			w := a.planeBounds(r)
+			return a.bg.appendMasked2(uint32(lo), uint32(hi), w[edgeMinX], w[edgeMaxY], buf)
 		}},
 		{"appendMasked", 4, func(lo, hi int, r geom.Rect, buf []uint32) []uint32 {
-			return a.bg.appendMasked(uint32(lo), uint32(hi), r.MinX, r.MaxX, r.MinY, r.MaxY, buf)
+			return a.bg.appendMasked(uint32(lo), uint32(hi), a.planeBounds(r), buf)
 		}},
 	}
 }

@@ -2,7 +2,6 @@ package grid
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/geom"
 )
@@ -314,9 +313,9 @@ func (bg *BoxGrid) CheckInvariants() error {
 // the class partition: within every cell the four class run ends satisfy
 // starts[c] <= A <= B <= C <= D = starts[c+1] (the runs partition the
 // segment), each stored replica sits in the run of its classAt, and the
-// four edge planes are as long as the ID arena and reassemble, slot by
-// slot, to the base table's rectangle. It proves all of that first
-// (proven), and walks cell by cell only to name a failure.
+// four edge planes are as long as the ID arena and hold, slot by slot, the
+// quanta of the base table's rectangle (quantaOf). It proves all of that
+// first (proven), and walks cell by cell only to name a failure.
 //
 // The audit keeps its scratch on the grid (see boxAudit), so like Build it
 // is a single-caller operation.
@@ -382,7 +381,7 @@ func (bg *BoxGrid2L) walk(a *boxAudit) error {
 					return fmt.Errorf("boxgrid2l: id %d stored in class %d run of cell %d, classAt says %d",
 						id, j, c, got)
 				}
-				if err := bg.checkSlotEdges(k, bg.rects[id]); err != nil {
+				if err := bg.checkSlotEdges(k, id); err != nil {
 					return err
 				}
 				replicas[id]++
@@ -404,12 +403,12 @@ func (bg *BoxGrid2L) walk(a *boxAudit) error {
 }
 
 // planes lists the four edge planes, for the audit to treat them alike.
-func (bg *BoxGrid2L) planes() [4]*[]float32 {
-	return [4]*[]float32{&bg.mx, &bg.my, &bg.nx, &bg.ny}
+func (bg *BoxGrid2L) planes() [4]*[]uint16 {
+	return [4]*[]uint16{&bg.q[edgeMinX], &bg.q[edgeMinY], &bg.q[edgeMaxX], &bg.q[edgeMaxY]}
 }
 
 // planeNames names the edge planes in planes() order.
-var planeNames = [4]string{"mx (MaxX)", "my (MaxY)", "nx (-MinX)", "ny (-MinY)"}
+var planeNames = [4]string{"nx (MinX)", "ny (MinY)", "mx (MaxX)", "my (MaxY)"}
 
 // replicaTable returns *buf sized for n objects: the box audits' replica
 // counts, kept on their structure between publishes. The walks clear it;
@@ -423,10 +422,12 @@ func replicaTable(buf *[]uint32, n int) []uint32 {
 }
 
 // boxAudit is BoxGrid2L's reusable audit scratch: the replica count of
-// every object, and the spans the proof pass re-derives a chunk at a time.
+// every object, and the spans and quanta the proof pass re-derives a chunk
+// at a time.
 type boxAudit struct {
 	replicas []uint32
 	spans    [auditChunk]cellSpan
+	quanta   [4][auditChunk]uint16
 }
 
 // boxAudit returns the grid's audit scratch, made on first use.
@@ -445,9 +446,9 @@ func (bg *BoxGrid2L) boxAudit() *boxAudit {
 //   - spans: re-derive the spans with the build's span pass, fold every
 //     difference from the cached ones into one word, and load each
 //     object's replica count with the cells its span needs;
-//   - edges: walk the arena flat, fold into one word whether each edge
-//     plane holds its slot's rect bit for bit, and take one off the slot's
-//     object's count;
+//   - edges: walk the arena flat, re-derive each slot's quanta with the
+//     build's fill, fold into one word whether each edge plane holds them,
+//     and take one off the slot's object's count;
 //   - classes: walk it run by run, and fold into one word whether each
 //     replica's span holds its cell and begins where its class says;
 //
@@ -465,7 +466,7 @@ func (bg *BoxGrid2L) proven(a *boxAudit) bool {
 		return false
 	}
 	replicas := replicaTable(&a.replicas, bg.boxes)
-	if !bg.spansCurrent(&a.spans, replicas) || !bg.edgesCurrent(replicas) || !bg.classesSound() {
+	if !bg.spansCurrent(&a.spans, replicas) || !bg.edgesCurrent(&a.quanta, replicas) || !bg.classesSound() {
 		return false
 	}
 	var left uint32
@@ -519,25 +520,30 @@ func spanWord(s *cellSpan) uint64 {
 }
 
 // edgesCurrent reports whether every slot the runs tile holds an id below
-// the population whose rect the four planes hold bit for bit (a min
-// plane, the negated edge: its sign bit flipped), and takes one off that
-// object's count in replicas. The directory must be sound
+// the population whose rect's quanta the four planes hold, re-deriving them
+// a chunk at a time into buf with the build's fill (fillQuanta), and takes
+// one off that object's count in replicas. The directory must be sound
 // (directorySound).
-func (bg *BoxGrid2L) edgesCurrent(replicas []uint32) bool {
-	const sign = 1 << 31
-	lo, hi := bg.starts[0], bg.starts[bg.cells]
+func (bg *BoxGrid2L) edgesCurrent(buf *[4][auditChunk]uint16, replicas []uint32) bool {
+	lo, hi := int(bg.starts[0]), int(bg.starts[bg.cells])
 	ids, rects := bg.ids[lo:hi], bg.rects
-	mx, my, nx, ny := bg.mx[lo:hi], bg.my[lo:hi], bg.nx[lo:hi], bg.ny[lo:hi]
-	mx, my, nx, ny = mx[:len(ids)], my[:len(ids)], nx[:len(ids)], ny[:len(ids)]
-	var diff uint32
-	for k, id := range ids {
-		if int(id) >= len(rects) {
-			return false
+	want := [4][]uint16{buf[0][:], buf[1][:], buf[2][:], buf[3][:]}
+	var diff uint16
+	for at := 0; at < len(ids); at += auditChunk {
+		chunk := ids[at:min(at+auditChunk, len(ids))]
+		for _, id := range chunk {
+			if int(id) >= len(rects) {
+				return false
+			}
+			replicas[id]--
 		}
-		r := &rects[id]
-		diff |= (math.Float32bits(mx[k]) ^ math.Float32bits(r.MaxX)) | (math.Float32bits(my[k]) ^ math.Float32bits(r.MaxY)) |
-			(math.Float32bits(nx[k]) ^ math.Float32bits(r.MinX) ^ sign) | (math.Float32bits(ny[k]) ^ math.Float32bits(r.MinY) ^ sign)
-		replicas[id]--
+		fillQuanta(&bg.qm, rects, chunk, &want)
+		for e, w := range want {
+			got := bg.q[e][lo+at:][:len(chunk)]
+			for k, v := range w[:len(got)] {
+				diff |= got[k] ^ v
+			}
+		}
 	}
 	return diff == 0
 }
@@ -600,20 +606,20 @@ func runGood(ids []uint32, spans []cellSpan, xLo, xHi, yLo, yHi, at uint64) uint
 	return good
 }
 
-// rectAt reassembles the rectangle inlined at arena slot k, bit for bit
-// (negation only flips the sign bit).
-func (bg *BoxGrid2L) rectAt(k uint32) geom.Rect {
-	return geom.Rect{MinX: -bg.nx[k], MinY: -bg.ny[k], MaxX: bg.mx[k], MaxY: bg.my[k]}
+// quantaAt returns the quanta of arena slot k, in plane order.
+func (bg *BoxGrid2L) quantaAt(k uint32) [4]uint16 {
+	return [4]uint16{bg.q[0][k], bg.q[1][k], bg.q[2][k], bg.q[3][k]}
 }
 
-// checkSlotEdges audits arena slot k edge by edge against the rectangle it
-// must reassemble to, bit for bit, naming the plane that diverges.
-func (bg *BoxGrid2L) checkSlotEdges(k uint32, want geom.Rect) error {
-	got := bg.rectAt(k)
-	for i, e := range [4][2]float32{{got.MaxX, want.MaxX}, {got.MaxY, want.MaxY}, {got.MinX, want.MinX}, {got.MinY, want.MinY}} {
-		if math.Float32bits(e[0]) != math.Float32bits(e[1]) {
-			return fmt.Errorf("boxgrid2l: plane %s slot %d reassembles to %v, the base table has %v",
-				planeNames[i], k, e[0], e[1])
+// checkSlotEdges audits arena slot k, which holds id, plane by plane
+// against the quanta of the base table's rect, naming the plane that
+// diverges.
+func (bg *BoxGrid2L) checkSlotEdges(k, id uint32) error {
+	got, want := bg.quantaAt(k), quantaOf(&bg.qm, &bg.rects[id])
+	for e := range got {
+		if got[e] != want[e] {
+			return fmt.Errorf("boxgrid2l: plane %s slot %d holds quantum %d, the base table's %v maps to %d",
+				planeNames[e], k, got[e], bg.rects[id], want[e])
 		}
 	}
 	return nil

@@ -2,7 +2,6 @@ package grid
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -244,10 +243,10 @@ func TestBoxGrid2LCheckInvariantsAuditsEachPlane(t *testing.T) {
 		for i, p := range bg.planes() {
 			name := strings.Fields(planeNames[i])[0]
 			was := (*p)[k]
-			(*p)[k] = math.Nextafter32(was, boxInf)
+			(*p)[k] = was ^ 1
 			err := bg.CheckInvariants()
 			if err == nil || !strings.Contains(err.Error(), "plane "+name) || !strings.Contains(err.Error(), fmt.Sprintf("slot %d ", k)) {
-				t.Fatalf("%s: one ulp on plane %s slot %d: audit said %v", stage, name, k, err)
+				t.Fatalf("%s: one quantum on plane %s slot %d: audit said %v", stage, name, k, err)
 			}
 			(*p)[k] = was
 			*p = (*p)[:len(*p)-1]

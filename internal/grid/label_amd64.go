@@ -9,7 +9,10 @@ import "repro/internal/geom"
 // writes exactly len(pts) labels (and quanta) or len(rects) spans, bit for
 // bit what m.labelOf (m.quantOf) and m.spanOf return; the wrappers,
 // labelPoints, quantPoints and spanPass, cut the output to that length
-// first.
+// first. quantFill is BoxGrid2L's fill, sixteen arena slots an iteration:
+// slot k of each plane gets quantaOf(m, &rects[ids[k]]), and it returns
+// len(ids), or -1 without finishing when an ID may not be gathered through
+// (at or past len(rects), or 1<<29); each plane is at least len(ids) long.
 
 //go:noescape
 func labelPts(pts []geom.Point, labels []uint32, m *columnMapper)
@@ -19,3 +22,6 @@ func quantPts(pts []geom.Point, labels, quanta []uint32, m *columnMapper)
 
 //go:noescape
 func spanRects(rects []geom.Rect, spans []cellSpan, m *cellMapper)
+
+//go:noescape
+func quantFill(ids []uint32, rects []geom.Rect, p0, p1, p2, p3 []uint16, m *columnMapper) int

@@ -5,9 +5,10 @@
 
 // The vector tier of the counting sort's mapping pass (README.md, "Vector
 // kernels"): labelPts is labelPoints' loop, quantPts quantPoints', spanRects
-// is spanPass' loop, sixteen coordinates an instruction. Each makes the scalar mapper's
-// subtraction and product in the same operand order (coordinate minus the
-// space's minimum, times the inverse width), then axisIndex's clamp:
+// is spanPass' loop and quantFill fillQuanta's, sixteen coordinates an
+// instruction. Each makes the scalar mapper's subtraction and product in
+// the same operand order (coordinate minus the space's minimum, times the
+// inverse width), then axisIndex's clamp:
 //
 //	f > 0   (VCMPPS GT_OQ, false for NaN)  else 0
 //	f >= n  (VCMPPS GE_OQ)                 then n-1
@@ -193,3 +194,80 @@ block:
 done:
 	VZEROUPPER
 	RET
+
+// QUANT_EDGE writes the quanta of one edge of the block's sixteen rects to
+// plane: the edge gathered at byte offset off of each rect (Z0 holds the
+// rects' first dword indices), less the axis' minimum min, times invQ,
+// clamped, and xor'd with x (0, or quantSteps-1 to complement a min edge).
+#define QUANT_EDGE(off, min, x, plane) \
+	KMOVW K1, K4; \
+	VPGATHERDD off(BX)(Z0*4), K4, Z1; \
+	VSUBPS min, Z1, Z1; \
+	VMULPS Z8, Z1, Z1; \
+	CLAMP(Z1, Z2, Z10, Z12); \
+	VPXORD x, Z2, Z2; \
+	VPMOVDW Z2, K1, (plane)(R13*2)
+
+// func quantFill(ids []uint32, rects []geom.Rect, p0, p1, p2, p3 []uint16, m *columnMapper) int
+//
+// fillQuanta's loop, sixteen arena slots a block: the four edges of the
+// slots' rects are gathered an edge at a time (VPGATHERDD at the rect's
+// first dword index, id*4, and the edge's offset) and mapped as quantaOf
+// maps them, each plane's uint16s narrowed out of the dwords by the store
+// itself (VPMOVDW) under K1. Returns len(ids), or -1 without finishing when
+// a block holds an ID at or past len(rects), or past 1<<29 (the index
+// must not reach the sign bit).
+TEXT ·quantFill(SB), NOSPLIT, $0-160
+	MOVQ ids_base+0(FP), SI
+	MOVQ ids_len+8(FP), CX
+	MOVQ rects_base+24(FP), BX
+	MOVQ rects_len+32(FP), R10
+	MOVQ p0_base+48(FP), R8
+	MOVQ p1_base+72(FP), R9
+	MOVQ p2_base+96(FP), R11
+	MOVQ p3_base+120(FP), R12
+	MOVQ m+144(FP), DX
+	MOVL $0x20000000, R13
+	CMPQ R10, R13
+	CMOVQHI R13, R10
+	VPBROADCASTD R10, Z15
+	VBROADCASTSS columnMapper_minX(DX), Z6
+	VBROADCASTSS columnMapper_minY(DX), Z7
+	VBROADCASTSS columnMapper_invQ(DX), Z8
+	MOVL $const_quantSteps, R10
+	VPBROADCASTD R10, Z9
+	LIMITS
+	VPXORD Z13, Z13, Z13
+	MOVQ CX, AX
+	XORL R13, R13
+	MOVL $0xffff, R10
+	KMOVW R10, K1
+	TESTQ CX, CX
+	JLE  done
+loop:
+	CMPQ CX, $16
+	JGE  block
+	MOVL $1, R10
+	SHLL CX, R10
+	DECL R10
+	KMOVW R10, K1
+block:
+	VMOVDQU32.Z (SI)(R13*4), K1, Z0
+	VPCMPUD $5, Z15, Z0, K1, K2 // id >= the bound
+	KORTESTW K2, K2
+	JNZ  bad
+	VPSLLD $2, Z0, Z0
+	QUANT_EDGE(0, Z6, Z12, R8)
+	QUANT_EDGE(4, Z7, Z12, R9)
+	QUANT_EDGE(8, Z6, Z13, R11)
+	QUANT_EDGE(12, Z7, Z13, R12)
+	ADDQ $16, R13
+	SUBQ $16, CX
+	JG   loop
+done:
+	VZEROUPPER
+	MOVQ AX, ret+152(FP)
+	RET
+bad:
+	MOVQ $-1, AX
+	JMP  done

@@ -16,19 +16,27 @@ import (
 // page, and returns the two writable ones: a slice that ends on the last
 // byte of either is flush against a page any access past it faults on.
 func guardedPages(t *testing.T) (in, out []byte) {
+	p := guardedRegions(t, 2)
+	return p[0], p[1]
+}
+
+// guardedRegions is guardedPages for n pages.
+func guardedRegions(t *testing.T, n int) [][]byte {
 	t.Helper()
 	page := syscall.Getpagesize()
-	mem, err := syscall.Mmap(-1, 0, 4*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	mem, err := syscall.Mmap(-1, 0, 2*n*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {
 		t.Fatalf("mmap: %v", err)
 	}
 	t.Cleanup(func() { syscall.Munmap(mem) })
-	for _, guard := range [][]byte{mem[page : 2*page], mem[3*page:]} {
-		if err := syscall.Mprotect(guard, syscall.PROT_NONE); err != nil {
+	out := make([][]byte, n)
+	for i := range out {
+		if err := syscall.Mprotect(mem[(2*i+1)*page:(2*i+2)*page], syscall.PROT_NONE); err != nil {
 			t.Fatalf("mprotect: %v", err)
 		}
+		out[i] = mem[2*i*page : (2*i+1)*page : (2*i+1)*page]
 	}
-	return mem[:page:page], mem[2*page : 3*page : 3*page]
+	return out
 }
 
 // TestLabelPtsStopsAtLen maps every run of 0 to 40 points whose last point
@@ -124,5 +132,112 @@ func TestFilterQStopsAtLen(t *testing.T) {
 				t.Fatalf("%d slots at the guard: copySlotIDs wrote %d to slot %d's place, its ID is %d", n, room[k], k, s.id)
 			}
 		}
+	}
+}
+
+// TestFilterPlanesStopsAtLen is TestFilterQStopsAtLen for the plane
+// kernels' vector routines: every run of 0 to 64 candidates ends flush
+// against a PROT_NONE page, and so do its planes, the rects it may gather
+// from and its room in dst, so a block's widening loads, its gathers and
+// its store are shown to touch nothing past the run. Every third
+// candidate's rect is the window's own, so runs hold ties and take the
+// second pass; every answer is the loops'.
+func TestFilterPlanesStopsAtLen(t *testing.T) {
+	if !vectorKernels {
+		t.Skip("vector tier absent: " + missingTier)
+	}
+	pages := guardedRegions(t, 7)
+	seg := unsafe.Slice((*uint32)(unsafe.Pointer(&pages[0][0])), len(pages[0])/4)
+	dst := unsafe.Slice((*uint32)(unsafe.Pointer(&pages[1][0])), len(pages[1])/4)
+	rects := unsafe.Slice((*geom.Rect)(unsafe.Pointer(&pages[2][0])), len(pages[2])/16)
+	var q [4][]uint16
+	for e := range q {
+		q[e] = unsafe.Slice((*uint16)(unsafe.Pointer(&pages[3+e][0])), len(pages[3+e])/2)
+	}
+	bounds := geom.R(0, 0, 22000, 22000)
+	copy(rects, randomBoxes(xrand.New(9), len(rects), bounds, 0, 250))
+	win := rects[len(rects)-1]
+	for i := len(rects) - 1; i >= 0; i -= 3 {
+		rects[i] = win
+	}
+	bg := MustNewBoxGrid2L(48, bounds, 0)
+	bg.rects, bg.boxes = rects, len(rects)
+	for _, n := range []int{len(seg), len(q[0])} {
+		if n < 64 {
+			t.Fatalf("page too small: %d slots", n)
+		}
+	}
+	for k, id := range xrand.New(10).Perm(len(rects)) {
+		seg[len(seg)-1-k%len(seg)] = uint32(id)
+	}
+	w := bg.windowOf(geom.Rect{MinX: win.MaxX, MinY: win.MaxY, MaxX: win.MinX, MaxY: win.MinY}) // ties on every edge
+	ties := 0
+	for n := 0; n <= 64; n++ {
+		run, room := seg[len(seg)-n:], dst[len(dst)-n:]
+		bg.ids = run
+		for e := range q {
+			bg.q[e] = q[e][len(q[e])-n:]
+		}
+		scalarTier(func() { fillQuanta(&bg.qm, rects, run, &bg.q) })
+		ties += bg.tiesOf(0, uint32(n), w[:]...)
+		for _, k := range planeKernels() {
+			var want []uint32
+			scalarTier(func() { want = k.run(bg, 0, uint32(n), &w, nil) })
+			var got int
+			switch len(k.tests) {
+			case 1:
+				got = filterPlanes1(run, room, rects, bg.q[k.tests[0]], w[k.tests[0]])
+			case 2:
+				x, y := k.tests[0], k.tests[1]
+				got = filterPlanes2(run, room, rects, bg.q[x], w[x], bg.q[y], w[y])
+			default:
+				got = filterPlanes4(run, room, rects, bg.q[0], w[0], bg.q[1], w[1], bg.q[2], w[2], bg.q[3], w[3])
+			}
+			if got < 0 || !slices.Equal(room[:got], want) {
+				t.Fatalf("%d candidates at the guard, %s: passed %d: %v, the loop %v", n, k.name, got, room[:max(got, 0)], want)
+			}
+		}
+	}
+	if ties == 0 {
+		t.Error("no run held a tie")
+	}
+}
+
+// TestQuantFillStopsAtLen is TestLabelPtsStopsAtLen for quantFill: every
+// run of 0 to 40 arena slots whose IDs and four planes all end flush
+// against a PROT_NONE page, and whose rects are the last of theirs, is
+// filled as quantaOf maps it.
+func TestQuantFillStopsAtLen(t *testing.T) {
+	pages := guardedRegions(t, 6)
+	ids := unsafe.Slice((*uint32)(unsafe.Pointer(&pages[0][0])), len(pages[0])/4)
+	rects := unsafe.Slice((*geom.Rect)(unsafe.Pointer(&pages[1][0])), len(pages[1])/16)
+	var q [4][]uint16
+	for e := range q {
+		q[e] = unsafe.Slice((*uint16)(unsafe.Pointer(&pages[2+e][0])), len(pages[2+e])/2)
+	}
+	bounds := geom.R(0, 0, 22000, 22000)
+	_, cases, _ := boxQuantCases(bounds, 48, 11)
+	for i := range rects {
+		rects[len(rects)-1-i] = cases[i%len(cases)]
+	}
+	m := MustNewBoxGrid2L(48, bounds, 0).qm
+	for n := 0; n <= 40; n++ {
+		run := ids[len(ids)-n:]
+		for k := range run {
+			run[k] = uint32(len(rects) - 1 - k)
+		}
+		var planes [4][]uint16
+		for e := range planes {
+			planes[e] = q[e][len(q[e])-n:]
+		}
+		mapTiers(func(tier string) {
+			fillQuanta(&m, rects, run, &planes)
+			for k, id := range run {
+				want := quantaOf(&m, &rects[id])
+				if got := [4]uint16{planes[0][k], planes[1][k], planes[2][k], planes[3][k]}; got != want {
+					t.Fatalf("%s tier, %d slots at the guard: slot %d, rect %v: %v, quantaOf %v", tier, n, k, rects[id], got, want)
+				}
+			}
+		})
 	}
 }
