@@ -48,10 +48,12 @@ import "repro/internal/geom"
 //
 //   - An object out of bounds, or at an infinite coordinate, gets
 //     unspecified results itself (the space-partitioning families clamp it
-//     into an edge cell and report it wholesale when the cell is
-//     contained, where BruteForce would not), but CheckInvariants stays
-//     nil and the in-contract objects of the same build are still
-//     reported exactly.
+//     into an edge cell, and the point grids report it wholesale with that
+//     cell's other entries when the window holds the cell: an edge cell is
+//     copied whole only when the window reaches past the space's bound on
+//     that side, where BruteForce would not report it), but
+//     CheckInvariants stays nil and the in-contract objects of the same
+//     build are still reported exactly.
 //   - An inverted MBR (MinX > MaxX or MinY > MaxY) gets unspecified
 //     results itself and, like an out-of-bounds one, leaves the audit and
 //     the in-contract objects intact. The grids hold it in no cell: an

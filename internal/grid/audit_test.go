@@ -322,7 +322,7 @@ func box2LAgreement(t *testing.T) {
 		bg.rects[id] = geom.R(now.MinX+500, now.MinY, now.MaxX+500, now.MaxY)
 		bg.Build(bg.rects)
 		bg.rects[id] = now
-		q := quantaOf(&bg.qm, &now)
+		q := quantaOf(&bg.mapper, &now)
 		for k, got := range bg.ids {
 			if got == uint32(id) {
 				for e, p := range bg.planes() {

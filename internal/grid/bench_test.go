@@ -116,12 +116,6 @@ func BenchmarkCSRBuildPhases(b *testing.B) {
 	perPoint := func(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pts)), "ns/point")
 	}
-	benchTiers(b, "label", func(b *testing.B) {
-		for b.Loop() {
-			labelPoints(&st.mapper, pts, labels)
-		}
-		perPoint(b)
-	})
 	benchTiers(b, "quant", func(b *testing.B) {
 		for b.Loop() {
 			quantPoints(&st.mapper, pts, labels, quanta)
@@ -360,8 +354,8 @@ func BenchmarkBoxBuildPhases(b *testing.B) {
 		copy(g2.ends, cursors)
 		g2.scatterClassed(g2.ends, g2.spans)
 	})
-	phase("boxcsr2l/fill", func() { fillQuanta(&g2.qm, boxes, g2.ids, &g2.q) })
-	phase("boxcsr2l/fill/scalar", func() { scalarTier(func() { fillQuanta(&g2.qm, boxes, g2.ids, &g2.q) }) })
+	phase("boxcsr2l/fill", func() { fillQuanta(&g2.mapper, boxes, g2.ids, &g2.q) })
+	phase("boxcsr2l/fill/scalar", func() { scalarTier(func() { fillQuanta(&g2.mapper, boxes, g2.ids, &g2.q) }) })
 }
 
 // querySwitched is the un-hoisted reference the class-dispatch
@@ -530,9 +524,10 @@ func BenchmarkBoxEdgeKernels(b *testing.B) {
 	bg, _, _ := defaultBoxGrid()
 	windows := make([][4]edgeBound, bg.cells)
 	for c := range windows {
-		x := bg.bounds.MinX + (float32(c%bg.cps)+0.5)*bg.cellSize
-		y := bg.bounds.MinY + (float32(c/bg.cps)+0.5)*bg.cellSize
-		windows[c] = bg.windowOf(geom.Rect{MinX: x, MinY: y, MaxX: x + bg.cellSize, MaxY: y + bg.cellSize})
+		w := bg.bounds.Width() / float32(bg.cps)
+		x := bg.bounds.MinX + (float32(c%bg.cps)+0.5)*w
+		y := bg.bounds.MinY + (float32(c/bg.cps)+0.5)*w
+		_, windows[c] = bg.windowOf(geom.Rect{MinX: x, MinY: y, MaxX: x + w, MaxY: y + w})
 	}
 	for _, k := range []struct {
 		name string
@@ -592,8 +587,7 @@ func (bg *BoxGrid2L) tiesOf(lo, hi uint32, bs ...edgeBound) int {
 // for r: it walks the runs QueryAppend's kernels filter, under the tests
 // they filter them with, and counts each run's ties (tiesOf).
 func (bg *BoxGrid2L) queryTies(r geom.Rect) int {
-	q := bg.mapper.spanOf(r)
-	w := bg.windowOf(r)
+	q, w := bg.windowOf(r)
 	half := 2 * bg.cells
 	n := 0
 	if q.x0 == q.x1 || q.y0 == q.y1 {

@@ -45,8 +45,8 @@ func (a boxArena) diff(b boxArena) string {
 
 // loopArenaBox is BoxGrid's arena over rects built by nested loops over
 // every span's cells, once to count and once to place in ID order.
-func loopArenaBox(m cellMapper, rects []geom.Rect) boxArena {
-	cps := m.cps
+func loopArenaBox(m mapper, rects []geom.Rect) boxArena {
+	cps := m.rows
 	counts := make([]uint32, cps*cps)
 	spans := make([]cellSpan, len(rects))
 	for i, r := range rects {
@@ -80,8 +80,8 @@ func loopArenaBox(m cellMapper, rects []geom.Rect) boxArena {
 
 // loopArena2L is BoxGrid2L's arena over rects built by countSpan and
 // scatterSpan alone, the loops that define the classed build.
-func loopArena2L(m cellMapper, rects []geom.Rect) boxArena {
-	cps, cells := m.cps, m.cps*m.cps
+func loopArena2L(m mapper, rects []geom.Rect) boxArena {
+	cps, cells := m.rows, m.rows*m.rows
 	half := 2 * cells
 	spans := make([]cellSpan, len(rects))
 	for i, r := range rects {

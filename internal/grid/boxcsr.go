@@ -39,12 +39,11 @@ import (
 // BoxGrid implements core.BoxIndex, core.Counter, and
 // core.MemoryReporter.
 type BoxGrid struct {
-	cps      int
-	cells    int
-	bounds   geom.Rect
-	cellSize float32
-	mapper   cellMapper
-	slots    spanSlots // the flat build kernels' cell neighbours
+	cps    int
+	cells  int
+	bounds geom.Rect
+	mapper mapper
+	slots  spanSlots // the flat build kernels' cell neighbours
 
 	starts []uint32 // len cells+1; cell c's replicas are ids[starts[c]:starts[c+1]]
 	counts []uint32 // build scratch: per-cell counts, then scatter cursor by cell
@@ -69,22 +68,29 @@ type cellSpan struct {
 	x0, x1, y0, y1 uint16
 }
 
-// spanOf maps a rectangle to its inclusive cell span, clamping extents on
-// or outside the space boundary into the outermost cells exactly like the
-// point mapping does.
-func (m cellMapper) spanOf(r geom.Rect) cellSpan {
-	return cellSpan{
-		x0: uint16(m.axisCell(r.MinX - m.minX)),
-		x1: uint16(m.axisCell(r.MaxX - m.minX)),
-		y0: uint16(m.axisCell(r.MinY - m.minY)),
-		y1: uint16(m.axisCell(r.MaxY - m.minY)),
-	}
+// span is the inclusive cell span of a rectangle whose corners, (MinX,
+// MinY) and (MaxX, MaxY), lie at the fixed-point positions (x0, y0) and
+// (x1, y1): the cells of its corners, clamped on or outside the space
+// boundary into the outermost cells exactly like the point mapping. Every
+// box path maps a rectangle so, one position pair a corner (fixedOf).
+//
+//joinlint:inline
+func (m *mapper) span(x0, y0, x1, y1 uint32) cellSpan {
+	return cellSpan{x0: uint16(index(x0, m.cols)), x1: uint16(index(x1, m.cols)),
+		y0: uint16(index(y0, m.rows)), y1: uint16(index(y1, m.rows))}
+}
+
+// spanOf maps a rectangle to its inclusive cell span.
+func (m *mapper) spanOf(r geom.Rect) cellSpan {
+	x0, y0 := m.fixedOf(geom.Point{X: r.MinX, Y: r.MinY})
+	x1, y1 := m.fixedOf(geom.Point{X: r.MaxX, Y: r.MaxY})
+	return m.span(x0, y0, x1, y1)
 }
 
 // spanPass writes m.spanOf(rects[i]) to spans[i] for every rectangle:
 // spanRects, four rectangles an instruction, on the vector tier, and the
 // loop below, its definition, everywhere else.
-func spanPass(m *cellMapper, rects []geom.Rect, spans []cellSpan) {
+func spanPass(m *mapper, rects []geom.Rect, spans []cellSpan) {
 	spans = spans[:len(rects)]
 	if vectorKernels {
 		spanRects(rects, spans, m)
@@ -210,16 +216,10 @@ func NewBoxGrid(cps int, bounds geom.Rect, numBoxes int) (*BoxGrid, error) {
 		return nil, err
 	}
 	bg := &BoxGrid{
-		cps:      cps,
-		cells:    cps * cps,
-		bounds:   bounds,
-		cellSize: bounds.Width() / float32(cps),
-	}
-	bg.mapper = cellMapper{
-		minX:    bounds.MinX,
-		minY:    bounds.MinY,
-		invCell: 1 / bg.cellSize,
-		cps:     cps,
+		cps:    cps,
+		cells:  cps * cps,
+		bounds: bounds,
+		mapper: newMapper(bounds, cps, cps),
 	}
 	bg.slots = spanSlots{b: 1, c: cps, d: cps + 1}
 	bg.starts = make([]uint32, bg.cells+1)
@@ -249,9 +249,6 @@ func (bg *BoxGrid) CPS() int { return bg.cps }
 
 // Bounds returns the indexed space.
 func (bg *BoxGrid) Bounds() geom.Rect { return bg.bounds }
-
-// spanOf maps a rectangle to its inclusive cell span.
-func (bg *BoxGrid) spanOf(r geom.Rect) cellSpan { return bg.mapper.spanOf(r) }
 
 // prepare sizes the snapshot-dependent state for a bulk build.
 func (bg *BoxGrid) prepare(rects []geom.Rect) {
@@ -353,16 +350,15 @@ func (bg *BoxGrid) Query(r geom.Rect, emit func(id uint32)) { callback.Query(bg,
 // object's span — max(query.x0, span.x0) and likewise for y — so an
 // object replicated across k visited cells passes in exactly one of
 // them, with no visited set and no float arithmetic. The geometric
-// intersection test then confirms the match: replication proves the
-// object's span touches the cell, and axisCell rounding means even a
-// cell fully covered by r can hold a replica whose rect misses r by an
-// ulp, so unlike the point grid no cell skips the filter — the contract
-// is digest-identical agreement with the brute-force oracle.
+// intersection test then confirms the match: replication proves only
+// that the object's span touches the cell, so unlike the point grid no
+// cell skips the filter — the contract is digest-identical agreement with
+// the brute-force oracle.
 func (bg *BoxGrid) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 	bg.queries.Inc()
 	// The query's span comes from the same mapping as the cached object
 	// spans — the dedup test depends on the two never diverging.
-	q := bg.spanOf(r)
+	q := bg.mapper.spanOf(r)
 	cps := bg.cps
 	for cy := int(q.y0); cy <= int(q.y1); cy++ {
 		base := cy * cps

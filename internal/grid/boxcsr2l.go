@@ -61,12 +61,13 @@ import (
 // core.MemoryReporter, and is digest-identical to BoxGrid and the
 // brute-force oracle.
 type BoxGrid2L struct {
-	cps      int
-	cells    int
-	bounds   geom.Rect
-	cellSize float32
-	mapper   cellMapper
-	slots    spanSlots // the flat build kernels' B, C and D keys
+	cps    int
+	cells  int
+	bounds geom.Rect
+	// mapper maps an edge to its fixed-point position, and that to its cell
+	// and its quantum.
+	mapper mapper
+	slots  spanSlots // the flat build kernels' B, C and D keys
 
 	starts []uint32 // len cells+1; segment capacity of c is starts[c+1]-starts[c]
 	// ends holds the exclusive end of every class run in PAIR-MAJOR
@@ -84,17 +85,14 @@ type BoxGrid2L struct {
 	ids  []uint32 // one contiguous arena of replicated entry IDs
 	// q inlines the edges in quanta, one plane per edge in geom.Rect's
 	// field order (edgeMinX … edgeMaxY), parallel to ids: the quantum of
-	// each edge over the whole space (qm.quantum), a min edge's
-	// complemented (quantSteps-1 minus it), so that every window test has
-	// one form, plane[k] >= bound, as with the negated mins of float
-	// planes. The map is monotone, so a quantum above the bound proves the
+	// each edge over the whole space (its fixed-point position >> 16), a
+	// min edge's complemented (quantSteps-1 minus it), so that every window
+	// test has one form, plane[k] >= bound, as with the negated mins of
+	// float planes. The map is monotone, so a quantum above the bound proves the
 	// edge past the window's and one below proves it short; only a tie
 	// reads the rect (edgeBound). That is 8 bytes a replica for the 16 of
 	// four float32 planes.
 	q [4][]uint16
-	// qm maps an edge to its quantum: minX and minY of the space, and invQ,
-	// quantSteps over its side (the quanta of LayoutCSR's slots).
-	qm columnMapper
 
 	boxes int         // number of indexed objects (not replicas)
 	rects []geom.Rect // the retained snapshot
@@ -124,18 +122,11 @@ func NewBoxGrid2L(cps int, bounds geom.Rect, numBoxes int) (*BoxGrid2L, error) {
 		return nil, err
 	}
 	bg := &BoxGrid2L{
-		cps:      cps,
-		cells:    cps * cps,
-		bounds:   bounds,
-		cellSize: bounds.Width() / float32(cps),
+		cps:    cps,
+		cells:  cps * cps,
+		bounds: bounds,
+		mapper: newMapper(bounds, cps, cps),
 	}
-	bg.mapper = cellMapper{
-		minX:    bounds.MinX,
-		minY:    bounds.MinY,
-		invCell: 1 / bg.cellSize,
-		cps:     cps,
-	}
-	bg.qm = columnMapper{minX: bounds.MinX, minY: bounds.MinY, invQ: quantSteps / bounds.Width()}
 	// Key 2c is cell c's A, 2c+3 the B of cell c+1, and C and D sit a
 	// row up in the second plane (endIdx).
 	rest := 2*bg.cells + 2*cps
@@ -341,15 +332,16 @@ func scatterSpan(fr, rr []uint32, s cellSpan, cps int, id uint32, ids []uint32) 
 //
 //joinlint:hotpath
 //joinlint:bce
-func fillQuanta(m *columnMapper, rects []geom.Rect, ids []uint32, q *[4][]uint16) {
+func fillQuanta(m *mapper, rects []geom.Rect, ids []uint32, q *[4][]uint16) {
 	if vectorKernels && quantFill(ids, rects, q[0], q[1], q[2], q[3], m) >= 0 {
 		return
 	}
 	nx, ny, mx, my := q[edgeMinX][:len(ids)], q[edgeMinY][:len(ids)], q[edgeMaxX][:len(ids)], q[edgeMaxY][:len(ids)]
 	for k, id := range ids {
 		r := &rects[id]
-		nx[k], ny[k] = ^uint16(m.quantum(r.MinX-m.minX)), ^uint16(m.quantum(r.MinY-m.minY))
-		mx[k], my[k] = uint16(m.quantum(r.MaxX-m.minX)), uint16(m.quantum(r.MaxY-m.minY))
+		x0, y0 := m.fixedOf(geom.Point{X: r.MinX, Y: r.MinY})
+		x1, y1 := m.fixedOf(geom.Point{X: r.MaxX, Y: r.MaxY})
+		nx[k], ny[k], mx[k], my[k] = ^uint16(x0>>16), ^uint16(y0>>16), uint16(x1>>16), uint16(y1>>16)
 	}
 }
 
@@ -417,7 +409,7 @@ func (bg *BoxGrid2L) Build(rects []geom.Rect) {
 	}
 	bg.sizeArena(sum)
 	bg.scatterClassed(bg.ends, bg.spans)
-	fillQuanta(&bg.qm, rects, bg.ids, &bg.q)
+	fillQuanta(&bg.mapper, rects, bg.ids, &bg.q)
 }
 
 // maxUint16Boxes is the largest population whose per-(cell, class)
@@ -434,11 +426,12 @@ const (
 )
 
 // quantaOf returns r's edges as the planes hold them, in plane order: the
-// quantum of each over the space (m.quantum of its offset from the
-// space's minimum), a min edge's complemented.
-func quantaOf(m *columnMapper, r *geom.Rect) [4]uint16 {
-	return [4]uint16{^uint16(m.quantum(r.MinX - m.minX)), ^uint16(m.quantum(r.MinY - m.minY)),
-		uint16(m.quantum(r.MaxX - m.minX)), uint16(m.quantum(r.MaxY - m.minY))}
+// quantum of each over the space (its fixed-point position >> 16), a min
+// edge's complemented.
+func quantaOf(m *mapper, r *geom.Rect) [4]uint16 {
+	x0, y0 := m.fixedOf(geom.Point{X: r.MinX, Y: r.MinY})
+	x1, y1 := m.fixedOf(geom.Point{X: r.MaxX, Y: r.MaxY})
+	return [4]uint16{^uint16(x0 >> 16), ^uint16(y0 >> 16), uint16(x1 >> 16), uint16(y1 >> 16)}
 }
 
 // edgeOf returns edge e of r in plane form, as a float32 plane held it: a
@@ -469,16 +462,20 @@ const boxInf = math.MaxFloat32
 // of a replica tied on another edge.
 func noBound(e uint32) edgeBound { return edgeBound{-1, -boxInf, e} }
 
-// windowOf returns r's four edge tests in plane order: MinX <= r.MaxX,
-// MinY <= r.MaxY, MaxX >= r.MinX and MaxY >= r.MinY, each in the form
-// plane >= bound. The query quantises its window once, here.
-func (bg *BoxGrid2L) windowOf(r geom.Rect) [4]edgeBound {
-	m := &bg.qm
-	return [4]edgeBound{
-		{int32(^uint16(m.quantum(r.MaxX - m.minX))), -r.MaxX, edgeMinX},
-		{int32(^uint16(m.quantum(r.MaxY - m.minY))), -r.MaxY, edgeMinY},
-		{int32(m.quantum(r.MinX - m.minX)), r.MinX, edgeMaxX},
-		{int32(m.quantum(r.MinY - m.minY)), r.MinY, edgeMaxY},
+// windowOf returns r's cell span and its four edge tests in plane order:
+// MinX <= r.MaxX, MinY <= r.MaxY, MaxX >= r.MinX and MaxY >= r.MinY, each in
+// the form plane >= bound. The query maps its window once, here: four
+// fixed-point positions, of which the span and the quanta are integer
+// functions.
+func (bg *BoxGrid2L) windowOf(r geom.Rect) (cellSpan, [4]edgeBound) {
+	m := &bg.mapper
+	x0, y0 := m.fixedOf(geom.Point{X: r.MinX, Y: r.MinY})
+	x1, y1 := m.fixedOf(geom.Point{X: r.MaxX, Y: r.MaxY})
+	return m.span(x0, y0, x1, y1), [4]edgeBound{
+		{int32(^uint16(x1 >> 16)), -r.MaxX, edgeMinX},
+		{int32(^uint16(y1 >> 16)), -r.MaxY, edgeMinY},
+		{int32(x0 >> 16), r.MinX, edgeMaxX},
+		{int32(y0 >> 16), r.MinY, edgeMaxY},
 	}
 }
 
@@ -536,8 +533,7 @@ func (bg *BoxGrid2L) Query(r geom.Rect, emit func(id uint32)) { callback.Query(b
 //joinlint:hotpath
 func (bg *BoxGrid2L) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 	bg.queries.Inc()
-	q := bg.mapper.spanOf(r)
-	w := bg.windowOf(r)
+	q, w := bg.windowOf(r)
 	if q.x0 == q.x1 || q.y0 == q.y1 {
 		return bg.appendNarrow(&w, q, buf)
 	}

@@ -102,7 +102,7 @@ func checkClassPartition(t *testing.T, bg *BoxGrid2L) {
 				if got := classAt(bg.spans[id], cx, cy); got != j {
 					t.Fatalf("cell %d: entry %d stored in class %d, classAt = %d", c, id, j, got)
 				}
-				if got, want := bg.quantaAt(p), quantaOf(&bg.qm, &bg.rects[id]); got != want {
+				if got, want := bg.quantaAt(p), quantaOf(&bg.mapper, &bg.rects[id]); got != want {
 					t.Fatalf("cell %d: entry %d inlined quanta %v, snapshot %v maps to %v", c, id, got, bg.rects[id], want)
 				}
 				placed[id] = append(placed[id], slot{cx, cy, j})
@@ -444,7 +444,7 @@ func TestBoxGrid2LEdgeKernelsProperty(t *testing.T) {
 			}
 			bg := MustNewBoxGrid2L(cps, bounds, len(rects))
 			bg.Build(rects)
-			zero := bg.windowOf(geom.Rect{}) // every window edge at +0
+			_, zero := bg.windowOf(geom.Rect{}) // every window edge at +0
 			for k, id := range bg.ids {
 				// Rect 0 has a MinX and rect 1 a MinY of exactly 0: its
 				// quantum ties a window edge at 0, and the tie reads it as -0.

@@ -163,8 +163,9 @@ func checkPlaneRun(t *testing.T, what string, bg *BoxGrid2L, k planeKernel, lo, 
 // edges from: quantum boundaries and cell edges and one ulp about them,
 // the space's edges (quantCoords), +0 and -0, and values past the space.
 func boxQuantCoords(bg *BoxGrid2L, lo, hi float32) []float32 {
-	edges := testMapper(bg.cps, bg.bounds).edges(lo, hi, bg.cellSize)
-	return append(quantCoords(&bg.qm, lo, hi, edges), 0, float32(math.Copysign(0, -1)), lo-bg.cellSize, hi+bg.cellSize)
+	cell := bg.bounds.Width() / float32(bg.cps)
+	edges := axisEdges(&bg.mapper, lo, hi, bg.cps)
+	return append(quantCoords(&bg.mapper, lo, hi, edges), 0, float32(math.Copysign(0, -1)), lo-cell, hi+cell)
 }
 
 // boxQuantCases returns rects and windows over a box grid of cps on bounds:
@@ -180,9 +181,9 @@ func boxQuantCases(bounds geom.Rect, cps int, seed uint64) (*BoxGrid2L, []geom.R
 		a, b := pick(vs), pick(vs)
 		return min(a, b), max(a, b)
 	}
-	w := bounds.Width()
+	w, cell := bounds.Width(), bounds.Width()/float32(cps)
 	rects := []geom.Rect{bounds, geom.R(bounds.MinX-w, bounds.MinY-w, bounds.MaxX+w, bounds.MaxY+w),
-		geom.R(bounds.MinX-bg.cellSize, bounds.MinY+w/3, bounds.MinX+bg.cellSize, bounds.MaxY+bg.cellSize)}
+		geom.R(bounds.MinX-cell, bounds.MinY+w/3, bounds.MinX+cell, bounds.MaxY+cell)}
 	for i := range 240 {
 		x0, x1 := span(xs)
 		y0, y1 := span(ys)
@@ -196,7 +197,7 @@ func boxQuantCases(bounds geom.Rect, cps int, seed uint64) (*BoxGrid2L, []geom.R
 	}
 	for range 40 {
 		c := geom.Pt(r.Range(bounds.MinX, bounds.MaxX), r.Range(bounds.MinY, bounds.MaxY))
-		rects = append(rects, geom.Square(c, r.Range(0, 4*bg.cellSize)))
+		rects = append(rects, geom.Square(c, r.Range(0, 4*cell)))
 	}
 	windows := []geom.Rect{bounds,
 		geom.R(bounds.MinX-w/4, bounds.MinY, bounds.MinX+w/4, bounds.MaxY), geom.R(bounds.MaxX-w/4, bounds.MinY, bounds.MaxX+w/4, bounds.MaxY),
@@ -237,7 +238,7 @@ func boxQuantArena(bg *BoxGrid2L, rects []geom.Rect, seed uint64) {
 // one, replaced by noBound: appendNarrow's windows of a cell first or last
 // on an axis alone.
 func windowTests(bg *BoxGrid2L, win geom.Rect) [][4]edgeBound {
-	w := bg.windowOf(win)
+	_, w := bg.windowOf(win)
 	out := [][4]edgeBound{w}
 	for e := range uint32(4) {
 		v := w
@@ -354,9 +355,9 @@ func TestQuantFillTiersAgree(t *testing.T) {
 				for e := range q {
 					q[e] = make([]uint16, n)
 				}
-				fillQuanta(&bg.qm, rects, run, &q)
+				fillQuanta(&bg.mapper, rects, run, &q)
 				for k, id := range run {
-					want := quantaOf(&bg.qm, &rects[id])
+					want := quantaOf(&bg.mapper, &rects[id])
 					if got := [4]uint16{q[0][k], q[1][k], q[2][k], q[3][k]}; got != want {
 						t.Fatalf("%v, %s tier, run of %d: slot %d, rect %v: quanta %v, quantaOf %v", bounds, tier, n, k, rects[id], got, want)
 					}
@@ -375,7 +376,7 @@ func FuzzBoxQuantTiers(f *testing.F) {
 	nz, nan, inf := float32(math.Copysign(0, -1)), float32(math.NaN()), float32(math.Inf(1))
 	b := geom.R(0, 0, 22000, 22000)
 	bg := MustNewBoxGrid2L(48, b, 0)
-	q1 := quantEdge(&bg.qm, 0, 777)
+	q1 := quantEdge(&bg.mapper, 0, 777)
 	// Edges on a quantum boundary and one ulp either side of it, against
 	// windows on the same three.
 	f.Add(uint16(47), float32(0), float32(22000), q1, q1, nudge(q1, 1), nudge(q1, -1),
@@ -413,9 +414,9 @@ func FuzzBoxQuantTiers(f *testing.F) {
 			for e := range q {
 				q[e] = make([]uint16, len(rects))
 			}
-			fillQuanta(&bg.qm, rects, bg.ids, &q)
+			fillQuanta(&bg.mapper, rects, bg.ids, &q)
 			for k, id := range bg.ids {
-				if got, want := [4]uint16{q[0][k], q[1][k], q[2][k], q[3][k]}, quantaOf(&bg.qm, &rects[id]); got != want {
+				if got, want := [4]uint16{q[0][k], q[1][k], q[2][k], q[3][k]}, quantaOf(&bg.mapper, &rects[id]); got != want {
 					t.Fatalf("%v, %s tier: rect %v fills %v, quantaOf %v", bounds, tier, rects[id], got, want)
 				}
 			}

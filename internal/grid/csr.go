@@ -49,8 +49,8 @@ import (
 // maintenance, and between builds the arena is exactly what the last
 // scatter left (Grid.Update is a no-op for it).
 type csrStore struct {
-	mapper columnMapper
-	shift  uint // a label's cell is label >> shift
+	mapper mapper // rows of cells, and columns to the row
+	shift  uint   // a label's cell is label >> shift
 
 	starts []uint32 // one offset per column, and the arena's end
 
@@ -78,52 +78,18 @@ type csrSlot struct{ id, q uint32 }
 // third of the gain behind, 8 add a tenth to it and double the offsets.
 const columnShift = 2
 
-// columnsOf returns m with its x axis cut 1<<shift times finer. Scaling by a
-// power of two is exact in float32, so the finer axis takes the same
-// product, rounded the same way, as m's: column>>shift IS m's cell for every
-// coordinate, to the ulp, and every (1<<shift)th column edge is a cell edge
-// (TestColumnsRefineCells). A count that is not a power of two would need
-// the cell derived from the column everywhere a Grid maps a point.
-func columnsOf(m cellMapper, shift uint) cellMapper {
-	m.invCell *= float32(int(1) << shift)
-	m.cps <<= shift
-	return m
-}
-
-// columnMapper is the CSR store's own point mapper, apart from cellMapper
-// because the box grids' span mapping is priced by that struct's width: a
-// grid's rows, its x axis in columns, and both axes in quanta. A label is
-// the row's first column plus the column of x, so label >> shift is the
-// cell.
-type columnMapper struct {
-	minX, minY     float32
-	invRow, invCol float32
-	invQ           float32 // quantSteps over the space's side
-	rows, cols     int     // directory rows, and columns to the row
-}
-
 // quantSteps is the number of quanta an axis of the space is cut into:
-// 16 bits, so that a slot's two quanta are one uint32 (quantOf).
+// 16 bits, so that a slot's two quanta are one uint32 (quantize).
 const quantSteps = 1 << 16
 
-func newColumnMapper(rows, cols cellMapper, side float32) columnMapper {
-	return columnMapper{
-		minX: rows.minX, minY: rows.minY,
-		invRow: rows.invCell, invCol: cols.invCell,
-		invQ: quantSteps / side,
-		rows: rows.cps, cols: cols.cps,
-	}
-}
-
-// axisIndex is the one clamp of every float-to-cell mapping in the package
-// (cellMapper.axisCell, columnMapper.labelOf, and the vector tier's
-// labelPts and spanRects): the index of f in [0, n), clamped in float space
-// BEFORE truncating. Converting an out-of-range float to int is
-// implementation-specific in Go (amd64 yields the minimum int), so a
-// coordinate far past the boundary would otherwise clamp to the WRONG side
-// — inverting the cell span of an MBR whose other edge is in range. NaN,
-// -0 and every negative give 0, everything at or past n gives n-1, and
-// in-range values are unaffected.
+// axisIndex is the one clamp of the package's float-to-integer map
+// (mapper.fixed, and the vector tier's quantPts and spanRects): the index
+// of f in [0, n), clamped in float space BEFORE truncating. Converting an
+// out-of-range float to int is implementation-specific in Go (amd64 yields
+// the minimum int), so a coordinate far past the boundary would otherwise
+// clamp to the WRONG side — inverting the cell span of an MBR whose other
+// edge is in range. NaN, -0 and every negative give 0, everything at or
+// past n gives n-1, and in-range values are unaffected.
 func axisIndex(f float32, n int) int {
 	if !(f > 0) { // also catches NaN
 		return 0
@@ -134,42 +100,13 @@ func axisIndex(f float32, n int) int {
 	return int(f)
 }
 
-// labelOf maps a point to its label with one product per axis, the very
-// products of the cellMappers it was made from. It is the definition the
-// build's mapping passes keep (labelPoints, quantPoints) and the whole of
-// them on the scalar tier: it costs what cellIndexFor costs only when
-// inlined, and through a pointer (the mapper has more fields than the
-// compiler keeps in registers; by value every call copied it to the stack).
-//
-//joinlint:inline
-func (m *columnMapper) labelOf(p geom.Point) uint32 {
-	return uint32(axisIndex((p.Y-m.minY)*m.invRow, m.rows)*m.cols + axisIndex((p.X-m.minX)*m.invCol, m.cols))
-}
-
-// quantOf maps a point to its quanta, x | y<<16: on each axis the offset
-// from the space's minimum — the subtraction labelOf makes — in quanta
-// (quantum). Every step is monotone, so a quantum above (below) a bound's
-// proves the coordinate above (below) the bound; only equal quanta leave
-// the order open. NaN maps to 0, as axisIndex maps it, and is the one value
-// the order does not hold for.
-//
-//joinlint:inline
-func (m *columnMapper) quantOf(p geom.Point) uint32 {
-	return m.quantum(p.X-m.minX) | m.quantum(p.Y-m.minY)<<16
-}
-
-// quantum maps an offset d from the space's minimum to its quantum: d times
-// quantSteps/side, under axisIndex's clamp to [0, quantSteps).
-//
-//joinlint:inline
-func (m *columnMapper) quantum(d float32) uint32 { return uint32(axisIndex(d*m.invQ, quantSteps)) }
-
 // quantWindow is a query window in quanta, as appendFilterQ compares them:
 // lo = quantOf(MinX, MinY), hi = quantOf(MaxX, MaxY). Grid.QueryAppend
-// makes one a query, from the corners' offsets it has at hand.
+// makes one a query, from the corners' fixed-point positions it has at
+// hand.
 type quantWindow struct{ lo, hi uint32 }
 
-func newCSRStore(cells int, mapper columnMapper, shift uint, numPoints int, withXY bool) *csrStore {
+func newCSRStore(cells int, mapper mapper, shift uint, numPoints int, withXY bool) *csrStore {
 	st := &csrStore{
 		mapper: mapper,
 		shift:  shift,
@@ -211,53 +148,43 @@ func (st *csrStore) build(pts []geom.Point) {
 const sortChunk = 512
 
 // count is the count half of the sort: label a chunk, then count it into
-// starts.
+// starts. The chunk's quanta are mapped too, by the one mapping kernel,
+// and left unread.
 //
 //joinlint:bce
 func (st *csrStore) count() {
-	var buf [sortChunk]uint32
+	var labels, quanta [sortChunk]uint32
 	sc := st.starts
 	for pts := st.pts; len(pts) > 0; {
-		labels := buf[:min(len(pts), sortChunk)]
-		labelPoints(&st.mapper, pts[:len(labels)], labels)
-		for _, f := range labels {
+		chunk := pts[:min(len(pts), sortChunk)]
+		quantPoints(&st.mapper, chunk, labels[:], quanta[:])
+		for _, f := range labels[:len(chunk)] {
 			sc[f]++
 		}
-		pts = pts[len(labels):]
+		pts = pts[len(chunk):]
 	}
 }
 
-// labelPoints writes m.labelOf(pts[i]) to labels[i] for every point:
-// labelPts, eight points an instruction, on the vector tier, and the loop
-// below, its definition, everywhere else.
-func labelPoints(m *columnMapper, pts []geom.Point, labels []uint32) {
-	labels = labels[:len(pts)]
-	if vectorKernels {
-		labelPts(pts, labels, m)
-		return
-	}
-	for i, p := range pts {
-		labels[i] = m.labelOf(p)
-	}
-}
-
-// quantPoints is labelPoints that also writes m.quantOf(pts[i]) to
-// quanta[i]: quantPts, one load of each point for both, on the vector tier.
-func quantPoints(m *columnMapper, pts []geom.Point, labels, quanta []uint32) {
+// quantPoints writes m.labelOf(pts[i]) to labels[i] and m.quantOf(pts[i])
+// to quanta[i] for every point: quantPts, eight points an instruction and
+// one product an axis for both, on the vector tier, and the loop below,
+// its definition, everywhere else.
+func quantPoints(m *mapper, pts []geom.Point, labels, quanta []uint32) {
 	labels, quanta = labels[:len(pts)], quanta[:len(pts)]
 	if vectorKernels {
 		quantPts(pts, labels, quanta, m)
 		return
 	}
 	for i, p := range pts {
-		labels[i], quanta[i] = m.labelOf(p), m.quantOf(p)
+		x, y := m.fixedOf(p)
+		labels[i], quanta[i] = m.label(x, y), quantize(x, y)
 	}
 }
 
 // scatter turns every count into the END of its range — one inclusive
 // prefix sum over the columns — and places every ID from its label: the
-// chunks from the last down, each mapped again — to labels and quanta, or
-// for the xy layout to labels alone — and placed from its last ID down,
+// chunks from the last down, each mapped again — to labels and quanta,
+// which the xy layout leaves unread — and placed from its last ID down,
 // walking each end down with it. An end so walked down arrives at the
 // range's start, so starts is left holding exactly the column offsets,
 // and no cursor array is kept beside it.
@@ -272,8 +199,8 @@ func (st *csrStore) scatter() {
 	for hi := len(pts); hi > 0; {
 		base := max(0, hi-sortChunk)
 		chunk := pts[base:hi]
+		quantPoints(&st.mapper, chunk, labels[:], quanta[:])
 		if st.xy == nil {
-			quantPoints(&st.mapper, chunk, labels[:], quanta[:])
 			slots := st.slots
 			for j := len(chunk) - 1; j >= 0; j-- {
 				f := labels[j]
@@ -282,7 +209,6 @@ func (st *csrStore) scatter() {
 				slots[k] = csrSlot{uint32(base + j), quanta[j]}
 			}
 		} else {
-			labelPoints(&st.mapper, chunk, labels[:])
 			ids, xy := st.ids, st.xy
 			for j := len(chunk) - 1; j >= 0; j-- {
 				f := labels[j]
@@ -333,39 +259,35 @@ func (st *csrStore) appendIDs(lo, hi uint32, buf []uint32) []uint32 {
 }
 
 // appendRow is the store's whole-row kernel. The grid hands a CSR store its
-// x range and edge table in columns, and the columns of a directory row
-// abut, so the window's span is a run of the ID arena that begins and ends
-// within a column of the window, and the kernel pays per row, not per cell:
-// a span with no interior worth copying is ONE branchless filter over the
-// whole run; a y-contained span of three or more columns is filter(left
-// column), one bulk copy of the interior columns, filter(right column). The
-// interior is copied only under the exact containment predicates of the
-// per-cell walk (Grid.scanCellRange), and the run is filtered only when the
-// row intersects r and r's x-extent is ordered, so a NaN or inverted
-// rectangle returns what the walk returns: nothing. qw is r in quanta
-// (Grid.QueryAppend), which the filter of the quantised layout reads. It
-// is made once a query and handed in, not made here once a row: made here,
-// it cost a query 10 to 15 ns of about 150 (BenchmarkCSRQueryKernel).
+// x range and window in columns, and the columns of a directory row abut,
+// so the window's span is a run of the ID arena that begins and ends within
+// a column of the window, and the kernel pays per row, not per cell: a span
+// with no interior worth copying is ONE branchless filter over the whole
+// run; a span of three or more columns in a row the window holds on y is
+// filter(left column), one bulk copy of the interior columns, filter(right
+// column). The interior columns lie strictly inside the window's, so the
+// window holds them (cellWindow), and an empty window, NaN or inverted,
+// touches no column and returns nothing. qw is r in quanta
+// (Grid.QueryAppend), which the filter of the quantised layout reads. It is
+// made once a query and handed in, not made here once a row: made here, it
+// cost a query 10 to 15 ns of about 150 (BenchmarkCSRQueryKernel).
 //
 //joinlint:hotpath
 //joinlint:bce
-func (st *csrStore) appendRow(r geom.Rect, qw quantWindow, base, xmin, xmax int, containsY, intersectsY bool, xs []float32, buf []uint32) []uint32 {
-	if xmin > xmax || !intersectsY {
+func (st *csrStore) appendRow(r geom.Rect, qw quantWindow, base, xmin, xmax int, x cellWindow, buf []uint32) []uint32 {
+	if xmin > xmax || x.lo > x.hi {
 		return buf
 	}
 	base <<= st.shift                         // the row's first column
 	row := st.starts[base+xmin : base+xmax+2] // the span's column offsets, and its end
 	lo, hi := row[0], row[len(row)-1]
-	if containsY && len(row) > 3 && r.MinX <= xs[xmin+1] && xs[xmax] <= r.MaxX {
+	if x.in0 <= x.in1 && len(row) > 3 {
 		in0, in1 := row[1], row[len(row)-2]
 		buf = st.appendFilter(r, qw, lo, in0, buf)
 		buf = st.appendIDs(in0, in1, buf)
 		return st.appendFilter(r, qw, in1, hi, buf)
 	}
-	if r.MinX <= r.MaxX {
-		buf = st.appendFilter(r, qw, lo, hi, buf)
-	}
-	return buf
+	return st.appendFilter(r, qw, lo, hi, buf)
 }
 
 // appendFilter test-and-appends the arena run ids[lo:hi] — a column's

@@ -33,8 +33,9 @@ func otherCell(r *xrand.Rand, g *Grid, p geom.Point) geom.Point {
 // its directory row.
 func columnRect(g *Grid, p geom.Point) geom.Rect {
 	f := int(g.csr.mapper.labelOf(p))
-	col, row := f%g.cols.cps, f/g.cols.cps
-	return geom.Rect{MinX: g.colXs[col], MinY: g.ys[row], MaxX: g.colXs[col+1], MaxY: g.ys[row+1]}
+	col, row := f%g.mapper.cols, f/g.mapper.cols
+	xs, ys := g.colEdges(), g.rowEdges()
+	return geom.Rect{MinX: xs[col], MinY: ys[row], MaxX: xs[col+1], MaxY: ys[row+1]}
 }
 
 // otherColumn returns a point in the cell of p and in another column of it.

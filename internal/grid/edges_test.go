@@ -8,10 +8,13 @@ import (
 	"repro/internal/geom"
 )
 
-// The cell walk decides "skip", "filter" and "copy whole" from the edge
-// tables while entries are placed by the multiplicative mapper; these
-// tests pin the two to each other at the only coordinates where they can
-// disagree — within a few ulps of a cell edge.
+// The cell walk decides "skip", "filter" and "copy whole" from the
+// window's cells, and entries are placed in cells by the same map
+// (mapper): these tests pin the two to each other, and to brute force, at
+// the only coordinates where a float map could disagree with them — within
+// a few ulps of a cell or column edge. An edge is the least float32 the
+// map sends to a cell, found here by bisection (leastOf); the grid itself
+// keeps no edge.
 
 var pointLayouts = []Layout{LayoutLinked, LayoutInline, LayoutInlineXY, LayoutIntrusive, LayoutCSR, LayoutCSRXY}
 
@@ -47,9 +50,77 @@ func assertKernelsMatchBrute(t *testing.T, g *Grid, pts []geom.Point, queries []
 	}
 }
 
+// floatOrder maps a float32 to an integer in the order of the float32s,
+// and orderFloat maps it back: a float's IEEE bits, but for a negative
+// float its magnitude's bits negated less one, so -0 is -1, just below
+// +0's 0.
+func floatOrder(f float32) int64 {
+	b := math.Float32bits(f)
+	if b>>31 != 0 {
+		return -int64(b&0x7fffffff) - 1
+	}
+	return int64(b)
+}
+
+func orderFloat(k int64) float32 {
+	if k < 0 {
+		return math.Float32frombits(uint32(-(k + 1)) | 1<<31)
+	}
+	return math.Float32frombits(uint32(k))
+}
+
+// leastOf is the least float32 v whose offset from min at maps to k or
+// beyond, for a monotone at that maps min to less than k and +Inf to k or
+// more: a bisection over the order of the float32s between them, about 32
+// steps wherever the boundary lies. (Where the boundary is at 0 and min is
+// not, v-min does not change across about a billion floats around it, so
+// a walk one ulp at a time takes seconds.)
+func leastOf(min float32, k int, at func(d float32) int) float32 {
+	lo, hi := floatOrder(min), floatOrder(float32(math.Inf(1)))
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if at(orderFloat(mid)-min) >= k {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return orderFloat(hi)
+}
+
+// axisEdges returns the n+1 edges of an axis of n cells (or columns) over
+// [min, max] under m: edge c is the least float32 m maps to cell c, the
+// outer ones are the space's own. Every entry of cell c lies in
+// [edges[c], edges[c+1]).
+func axisEdges(m *mapper, min, max float32, n int) []float32 {
+	e := make([]float32, n+1)
+	e[0], e[n] = min, max
+	for c := 1; c < n; c++ {
+		e[c] = leastOf(min, c, func(d float32) int { return index(m.fixed(d), n) })
+	}
+	return e
+}
+
+// colEdges, cellEdges and rowEdges are g's edges of its x units (columns
+// for the CSR layouts, cells for the others), of its cells in x, and of its
+// rows.
+func (g *Grid) colEdges() []float32 {
+	return axisEdges(&g.mapper, g.bounds.MinX, g.bounds.MaxX, g.mapper.cols)
+}
+
+func (g *Grid) cellEdges() []float32 {
+	return axisEdges(&g.mapper, g.bounds.MinX, g.bounds.MaxX, g.mapper.rows)
+}
+
+func (g *Grid) rowEdges() []float32 {
+	return axisEdges(&g.mapper, g.bounds.MinY, g.bounds.MaxY, g.mapper.rows)
+}
+
 // TestPointWithinUlpOfEdge is the reproducer: with a cell width that is
 // not float32-exact the additive edge table put this point's cell edge
-// one ulp on the wrong side of it, and the walk skipped the cell.
+// one ulp on the wrong side of it, and the walk skipped the cell. The
+// point is probed, and so is every float within 4 ulps of each edge of its
+// cell, on both axes.
 func TestPointWithinUlpOfEdge(t *testing.T) {
 	for _, tc := range []struct {
 		bounds geom.Rect
@@ -62,26 +133,41 @@ func TestPointWithinUlpOfEdge(t *testing.T) {
 			cfg := Config{Layout: layout, Scan: ScanRange, BS: RefactoredBS, CPS: tc.cps}
 			g := MustNew(cfg, tc.bounds, 1)
 			pts := []geom.Point{tc.p}
+			xs, ys := g.cellEdges(), g.rowEdges()
+			c := g.cellIndexFor(tc.p)
+			for d := -4; d <= 4; d++ {
+				for _, e := range []float32{xs[c%tc.cps], xs[c%tc.cps+1]} {
+					pts = append(pts, geom.Pt(nudge(e, d), tc.p.Y))
+				}
+				for _, e := range []float32{ys[c/tc.cps], ys[c/tc.cps+1]} {
+					pts = append(pts, geom.Pt(tc.p.X, nudge(e, d)))
+				}
+			}
 			g.Build(pts)
-			assertKernelsMatchBrute(t, g, pts, []geom.Rect{tc.p.Rect()})
+			queries := []geom.Rect{}
+			for _, p := range pts {
+				queries = append(queries, p.Rect())
+			}
+			assertKernelsMatchBrute(t, g, pts, queries)
 		}
 	}
 }
 
-// edgeProbes places a point within ±4 ulps of every interior cell edge of a
-// cps-per-side grid over bounds, on both axes, and probes each with a
-// degenerate window (the epoch validator's membership probe) and with
-// windows one cell wide on either side of it (so whole-cell copies are
-// exercised too).
-func edgeProbes(bounds geom.Rect, cps int) (pts []geom.Point, queries []geom.Rect) {
+// edgeProbes places a point within ±4 ulps of every interior cell edge of
+// g, on both axes, and probes each with a degenerate window (the epoch
+// validator's membership probe) and with windows one cell wide on either
+// side of it (so whole-cell copies are exercised too).
+func edgeProbes(g *Grid) (pts []geom.Point, queries []geom.Rect) {
+	bounds, cps := g.bounds, g.cfg.CPS
+	xs, ys := g.cellEdges(), g.rowEdges()
 	cell := bounds.Width() / float32(cps)
 	for c := 1; c < cps; c++ {
 		// Off-edge coordinate of each probe: mid-cell, varying with c.
 		mid := float32(c-1)*cell + cell/3
 		for d := -4; d <= 4; d++ {
 			pts = append(pts,
-				geom.Pt(nudge(bounds.MinX+float32(c)*cell, d), bounds.MinY+mid),
-				geom.Pt(bounds.MinX+mid, nudge(bounds.MinY+float32(c)*cell, d)))
+				geom.Pt(nudge(xs[c], d), bounds.MinY+mid),
+				geom.Pt(bounds.MinX+mid, nudge(ys[c], d)))
 		}
 	}
 	queries = make([]geom.Rect, 0, 3*len(pts))
@@ -93,19 +179,20 @@ func edgeProbes(bounds geom.Rect, cps int) (pts []geom.Point, queries []geom.Rec
 	return pts, queries
 }
 
-// columnProbes is edgeProbes for the x-columns of a CSR grid (cols of them
-// over bounds, in rows of a cps-per-side grid): a point within ±4 ulps of
-// every stride-th interior column edge, probed with a degenerate window and
-// with windows that begin, or end, on the point, reach a little over three
-// columns to the other side and contain the point's row — so the run path
-// filters the column of the probed edge, copies the ones between and
-// filters the far one.
-func columnProbes(bounds geom.Rect, cps, cols, stride int) (pts []geom.Point, queries []geom.Rect) {
+// columnProbes is edgeProbes for the x-columns of a CSR grid g: a point
+// within ±4 ulps of every stride-th interior column edge, probed with a
+// degenerate window and with windows that begin, or end, on the point,
+// reach a little over three columns to the other side and contain the
+// point's row — so the run path filters the column of the probed edge,
+// copies the ones between and filters the far one.
+func columnProbes(g *Grid, stride int) (pts []geom.Point, queries []geom.Rect) {
+	bounds, cps, cols := g.bounds, g.cfg.CPS, g.mapper.cols
+	xs := g.colEdges()
 	cell, col := bounds.Width()/float32(cps), bounds.Width()/float32(cols)
 	for c := 1; c < cols; c += stride {
 		y := bounds.MinY + float32(c%cps)*cell + cell/3
 		for d := -4; d <= 4; d++ {
-			pts = append(pts, geom.Pt(nudge(bounds.MinX+float32(c)*col, d), y))
+			pts = append(pts, geom.Pt(nudge(xs[c], d), y))
 		}
 	}
 	queries = make([]geom.Rect, 0, 3*len(pts))
@@ -121,22 +208,22 @@ func columnProbes(bounds geom.Rect, cps, cols, stride int) (pts []geom.Point, qu
 // brute force on edgeProbes, and the CSR layouts on columnProbes as well: 52,
 // 192 and 384 columns are widths float32 cannot hold exactly, like the 13,
 // 48 and 96 cells they refine. The spaces centred on 0 put an interior edge
-// at 0, where the edge table is found by bisection (cellMapper.leastOf): a
-// walk one ulp at a time took seconds a grid there.
+// at 0, where the probes' edges are found by bisection (leastOf): a walk one
+// ulp at a time took seconds a grid there.
 func TestEdgeUlpNeighbourhood(t *testing.T) {
 	for _, bounds := range []geom.Rect{geom.R(0, 0, 22000, 22000), geom.R(11000, 11000, 22000, 22000), geom.R(-5, -5, 5, 5), geom.R(-1, -1, 1, 1)} {
 		for _, cps := range []int{13, 48, 64, 96, 192} {
-			pts, queries := edgeProbes(bounds, cps)
 			for _, layout := range pointLayouts {
 				cfg := Config{Layout: layout, Scan: ScanRange, BS: RefactoredBS, CPS: cps}
 				t.Run(fmt.Sprintf("%v/cps=%d/%s", bounds, cps, layout), func(t *testing.T) {
-					g := MustNew(cfg, bounds, len(pts))
+					g := MustNew(cfg, bounds, 0)
+					pts, queries := edgeProbes(g)
 					g.Build(pts)
 					assertKernelsMatchBrute(t, g, pts, queries)
 					if g.csr == nil || cps > 96 {
 						return
 					}
-					colPts, colQueries := columnProbes(bounds, cps, g.cols.cps, 1)
+					colPts, colQueries := columnProbes(g, 1)
 					g.Build(colPts)
 					assertKernelsMatchBrute(t, g, colPts, colQueries)
 				})
@@ -146,12 +233,13 @@ func TestEdgeUlpNeighbourhood(t *testing.T) {
 }
 
 // TestColumnsRefineCells pins what lets everything outside the run path
-// ignore the columns: the column mapper and the cell mapper are one
-// function at two resolutions. At every column edge, a few ulps around it
-// and where the additive formula would have put it, column>>shift is the
-// cell the grid's own mapper names, as the store's label is (its own copy
-// of the clamp included); every column edge is the least float32 of its
-// column; and every (1<<shift)th one is the cell edge, bit for bit.
+// ignore the columns: a column is the cell at a finer resolution of the
+// same fixed-point position. At every column edge, a few ulps around it and
+// where the additive formula would have put it, column>>shift is the cell
+// the grid names, and so is the store's label>>shift; every column begins
+// at the integer ⌈f·2³²/cols⌉, and its edge is the least float32 whose
+// position reaches that integer; and every (1<<shift)th column edge is the
+// cell edge, bit for bit.
 func TestColumnsRefineCells(t *testing.T) {
 	for _, bounds := range []geom.Rect{geom.R(0, 0, 22000, 22000), geom.R(11000, 11000, 22000, 22000), testBounds, geom.R(-5, -5, 5, 5), geom.R(-1, -1, 1, 1)} {
 		for _, cps := range []int{1, 13, 48, 64, 96, 100, 192} {
@@ -160,14 +248,15 @@ func TestColumnsRefineCells(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cols := g.cols.cps
-				if cols != cps<<shift || len(g.colXs) != cols+1 || g.csr.shift != shift {
-					t.Fatalf("cps=%d shift=%d: %d columns, %d edges, store shift %d", cps, shift, cols, len(g.colXs), g.csr.shift)
+				m := &g.mapper
+				cols := m.cols
+				if cols != cps<<shift || m.rows != cps || g.csr.shift != shift || g.csr.mapper != *m {
+					t.Fatalf("cps=%d shift=%d: %d columns, %d rows, store shift %d", cps, shift, cols, m.rows, g.csr.shift)
 				}
 				agree := func(x float32) {
 					t.Helper()
-					d := x - bounds.MinX
-					if col, cell := g.cols.axisCell(d), g.axisCell(d); col>>shift != cell {
+					f := m.fixed(x - bounds.MinX)
+					if col, cell := index(f, cols), index(f, cps); col>>shift != cell {
 						t.Fatalf("%v cps=%d shift=%d: x=%v lies in column %d (cell %d) and in cell %d", bounds, cps, shift, x, col, col>>shift, cell)
 					}
 					p := geom.Pt(x, bounds.MinY+bounds.Height()/3)
@@ -180,24 +269,29 @@ func TestColumnsRefineCells(t *testing.T) {
 				for _, x := range []float32{-inf, bounds.MinX - 1e9, nudge(bounds.MinX, -1), nudge(bounds.MaxX, 1), bounds.MaxX + 1e9, inf, float32(math.NaN())} {
 					agree(x)
 				}
+				xs, cells := g.colEdges(), g.cellEdges()
 				width := bounds.Width() / float32(cols)
 				for f := 0; f <= cols; f++ {
-					e := g.colXs[f]
+					e := xs[f]
 					for d := -4; d <= 4; d++ {
 						agree(nudge(e, d))
 						agree(nudge(bounds.MinX+float32(f)*width, d))
 					}
-					if f%(1<<shift) == 0 && e != g.xs[f>>shift] {
-						t.Fatalf("%v cps=%d shift=%d: column edge %d is %v, cell edge %d is %v", bounds, cps, shift, f, e, f>>shift, g.xs[f>>shift])
+					if f%(1<<shift) == 0 && e != cells[f>>shift] {
+						t.Fatalf("%v cps=%d shift=%d: column edge %d is %v, cell edge %d is %v", bounds, cps, shift, f, e, f>>shift, cells[f>>shift])
 					}
 					if f == 0 || f == cols {
 						continue
 					}
-					if got := g.cols.axisCell(e - bounds.MinX); got != f {
-						t.Fatalf("%v cps=%d shift=%d: column edge %d = %v maps to column %d", bounds, cps, shift, f, e, got)
+					begin := uint32((uint64(f)<<32 + uint64(cols) - 1) / uint64(cols))
+					if index(begin, cols) != f || index(begin-1, cols) != f-1 {
+						t.Fatalf("cps=%d shift=%d: column %d does not begin at %d", cps, shift, f, begin)
 					}
-					if got := g.cols.axisCell(nudge(e, -1) - bounds.MinX); got != f-1 {
-						t.Fatalf("%v cps=%d shift=%d: one ulp below column edge %d = %v maps to column %d", bounds, cps, shift, f, e, got)
+					if got := m.fixed(e - bounds.MinX); got < begin {
+						t.Fatalf("%v cps=%d shift=%d: column edge %d = %v is at %d, before the column's %d", bounds, cps, shift, f, e, got, begin)
+					}
+					if got := m.fixed(nudge(e, -1) - bounds.MinX); got >= begin {
+						t.Fatalf("%v cps=%d shift=%d: one ulp below column edge %d = %v is at %d, in the column (%d)", bounds, cps, shift, f, e, got, begin)
 					}
 				}
 			}

@@ -59,7 +59,8 @@ var planeSpace = geom.R(-100, -100, 100, 100)
 // the negated bound. A run of filters quantises its bounds once.
 func (a *filterArena) planeBounds(r geom.Rect) *[4]edgeBound {
 	if r != a.br {
-		a.br, a.bw = r, a.bg.windowOf(geom.Rect{MinX: r.MinX, MinY: r.MinY, MaxX: -r.MaxX, MaxY: -r.MaxY})
+		a.br = r
+		_, a.bw = a.bg.windowOf(geom.Rect{MinX: r.MinX, MinY: r.MinY, MaxX: -r.MaxX, MaxY: -r.MaxY})
 	}
 	return &a.bw
 }
@@ -72,12 +73,12 @@ func newPlaneGrid(bounds geom.Rect, rects []geom.Rect, ids []uint32) *BoxGrid2L 
 	for e := range bg.q {
 		bg.q[e] = make([]uint16, len(ids))
 	}
-	scalarTier(func() { fillQuanta(&bg.qm, rects, ids, &bg.q) })
+	scalarTier(func() { fillQuanta(&bg.mapper, rects, ids, &bg.q) })
 	return bg
 }
 
 // windowOf quantises r as Grid.QueryAppend does.
-func windowOf(m *columnMapper, r geom.Rect) quantWindow {
+func windowOf(m *mapper, r geom.Rect) quantWindow {
 	return quantWindow{m.quantOf(geom.Pt(r.MinX, r.MinY)), m.quantOf(geom.Pt(r.MaxX, r.MaxY))}
 }
 

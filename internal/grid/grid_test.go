@@ -229,10 +229,11 @@ func TestUpdateMovesEntries(t *testing.T) {
 			for _, p := range moved {
 				counts[g.cellIndexFor(p)]++
 			}
+			xs, ys := g.cellEdges(), g.rowEdges()
 			for c, want := range counts {
 				cx := c % cfg.CPS
 				cy := c / cfg.CPS
-				probe := g.cellRect(cx, cy).Center()
+				probe := geom.Pt((xs[cx]+xs[cx+1])/2, (ys[cy]+ys[cy+1])/2)
 				if got := g.CellCount(probe); got != want {
 					t.Fatalf("cell %d count = %d, want %d", c, got, want)
 				}
@@ -347,8 +348,7 @@ func TestCSRCPSBound(t *testing.T) {
 		t.Errorf("inline layout at cps=MaxCSRCPS+1 rejected: %v", err)
 	}
 	// The last column's label, computed as the kernels compute it.
-	rows := testMapper(MaxCSRCPS, geom.R(0, 0, MaxCSRCPS, MaxCSRCPS))
-	m := newColumnMapper(rows, columnsOf(rows, columnShift), MaxCSRCPS)
+	m := newMapper(geom.R(0, 0, MaxCSRCPS, MaxCSRCPS), MaxCSRCPS, MaxCSRCPS<<columnShift)
 	corner := []geom.Point{{X: MaxCSRCPS, Y: MaxCSRCPS}, {X: 1e30, Y: 1e30}}
 	if got := m.labelOf(corner[0]); got != math.MaxUint32 {
 		t.Errorf("last label at cps=MaxCSRCPS is %d, want %d", got, uint32(math.MaxUint32))
@@ -420,9 +420,9 @@ type cellCounter struct {
 	cells int
 }
 
-func (cc *cellCounter) appendRow(r geom.Rect, qw quantWindow, base, xmin, xmax int, containsY, intersectsY bool, xs []float32, buf []uint32) []uint32 {
+func (cc *cellCounter) appendRow(r geom.Rect, qw quantWindow, base, xmin, xmax int, x cellWindow, buf []uint32) []uint32 {
 	cc.cells += xmax>>cc.shift - xmin>>cc.shift + 1
-	return cc.store.appendRow(r, qw, base, xmin, xmax, containsY, intersectsY, xs, buf)
+	return cc.store.appendRow(r, qw, base, xmin, xmax, x, buf)
 }
 
 func TestScanAlgorithmsAgree(t *testing.T) {
@@ -455,7 +455,7 @@ func TestScanAlgorithmsAgree(t *testing.T) {
 				want := cfg.CPS * cfg.CPS
 				if scan == ScanRange {
 					s := g.mapper.spanOf(q)
-					want = int(s.x1-s.x0+1) * int(s.y1-s.y0+1)
+					want = (int(s.x1)>>cc.shift - int(s.x0)>>cc.shift + 1) * int(s.y1-s.y0+1)
 				}
 				if cc.cells != want {
 					t.Fatalf("%s query %d %v: %d cells visited, want %d", cfg.DisplayName(), i, q, cc.cells, want)

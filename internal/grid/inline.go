@@ -157,17 +157,13 @@ func (st *inlineStore) removeAt(c int, id uint32) bool {
 // appendRow is the whole-row kernel of the store interface: the per-cell
 // dispatch happens here as direct (inlinable) calls on the concrete store
 // instead of interface calls per cell.
-func (st *inlineStore) appendRow(r geom.Rect, _ quantWindow, base, xmin, xmax int, containsY, intersectsY bool, xs []float32, buf []uint32) []uint32 {
-	x0 := xs[xmin]
+func (st *inlineStore) appendRow(r geom.Rect, _ quantWindow, base, xmin, xmax int, x cellWindow, buf []uint32) []uint32 {
 	for cx := xmin; cx <= xmax; cx++ {
-		x1 := xs[cx+1]
-		c := base + cx
-		if containsY && r.MinX <= x0 && x1 <= r.MaxX {
-			buf = st.appendCell(c, buf)
-		} else if intersectsY && x0 <= r.MaxX && r.MinX <= x1 {
-			buf = st.appendFilterCell(c, r, buf)
+		if x.holds(cx) {
+			buf = st.appendCell(base+cx, buf)
+		} else if x.touches(cx) {
+			buf = st.appendFilterCell(base+cx, r, buf)
 		}
-		x0 = x1
 	}
 	return buf
 }

@@ -114,17 +114,13 @@ func (st *intrusiveStore) removeAt(c int, id uint32) bool {
 
 // appendRow is the whole-row kernel of the store interface: direct
 // per-cell calls on the concrete store, no interface dispatch.
-func (st *intrusiveStore) appendRow(r geom.Rect, _ quantWindow, base, xmin, xmax int, containsY, intersectsY bool, xs []float32, buf []uint32) []uint32 {
-	x0 := xs[xmin]
+func (st *intrusiveStore) appendRow(r geom.Rect, _ quantWindow, base, xmin, xmax int, x cellWindow, buf []uint32) []uint32 {
 	for cx := xmin; cx <= xmax; cx++ {
-		x1 := xs[cx+1]
-		c := base + cx
-		if containsY && r.MinX <= x0 && x1 <= r.MaxX {
-			buf = st.appendCell(c, buf)
-		} else if intersectsY && x0 <= r.MaxX && r.MinX <= x1 {
-			buf = st.appendFilterCell(c, r, buf)
+		if x.holds(cx) {
+			buf = st.appendCell(base+cx, buf)
+		} else if x.touches(cx) {
+			buf = st.appendFilterCell(base+cx, r, buf)
 		}
-		x0 = x1
 	}
 	return buf
 }

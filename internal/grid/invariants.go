@@ -14,7 +14,7 @@ import (
 // structure. Every check is O(entries), and the publisher pays it every
 // tick, so the static layouts (CSR, BoxGrid2L) audit in two stages: a
 // proof pass, which checks every clause through the build's own mapping
-// kernels (labelPoints, spanPass) and flat passes over the arena that
+// kernels (quantPoints, spanPass) and flat passes over the arena that
 // fold the clauses into flags instead of branching on each, and, only
 // when it flags something, the per-cell walk, the reference, whose error
 // names the violation. The proof pass is held to the walk on a corpus of
@@ -144,14 +144,13 @@ func (st *csrStore) proven(cells, n int, a *occupancy) bool {
 			}
 			at[j] = pts[id]
 		}
+		quanta := a.quanta[:len(ids)]
+		quantPoints(&st.mapper, at, labels, quanta)
 		if st.xy == nil {
-			quanta := a.quanta[:len(ids)]
-			quantPoints(&st.mapper, at, labels, quanta)
 			for j, s := range st.slots[lo:][:len(ids)] {
 				diff |= s.q ^ quanta[j]
 			}
 		} else {
-			labelPoints(&st.mapper, at, labels)
 			xy := st.xy[2*lo:][:2*len(ids)]
 			for j, p := range at {
 				if xy[2*j] != p.X || xy[2*j+1] != p.Y {
@@ -209,7 +208,8 @@ func (g *Grid) checkOccupant(seen []uint64, size int, id uint32, c int, n uint32
 // position's quanta (or coordinates) there.
 func (st *csrStore) checkEntry(id uint32, c int, n uint32) error {
 	p := st.pts[id]
-	f := st.mapper.labelOf(p)
+	x, y := st.mapper.fixedOf(p)
+	f := st.mapper.label(x, y)
 	if int(f>>st.shift) != c {
 		return fmt.Errorf("grid/csr: id %d at %v stored in cell %d, want column %d (cell %d)", id, p, c, f, f>>st.shift)
 	}
@@ -218,7 +218,7 @@ func (st *csrStore) checkEntry(id uint32, c int, n uint32) error {
 			id, f, n, st.starts[f], st.starts[f+1])
 	}
 	if st.xy == nil {
-		if got, want := st.slots[n].q, st.mapper.quantOf(p); got != want {
+		if got, want := st.slots[n].q, quantize(x, y); got != want {
 			return fmt.Errorf("grid/csr: slot %d holds quanta %#08x, id %d at %v quantises to %#08x", n, got, id, p, want)
 		}
 	} else if st.xy[2*n] != p.X || st.xy[2*n+1] != p.Y {
@@ -274,9 +274,9 @@ func (bg *BoxGrid) CheckInvariants() error {
 		return fmt.Errorf("boxgrid: boxes = %d, snapshot has %d", bg.boxes, len(bg.rects))
 	}
 	for i := range bg.rects {
-		if bg.spans[i] != bg.mapper.spanOf(bg.rects[i]) {
+		if s := bg.mapper.spanOf(bg.rects[i]); bg.spans[i] != s {
 			return fmt.Errorf("boxgrid: cached span %v of object %d diverges from rect %v (span %v)",
-				bg.spans[i], i, bg.rects[i], bg.mapper.spanOf(bg.rects[i]))
+				bg.spans[i], i, bg.rects[i], s)
 		}
 	}
 	replicas := replicaTable(&bg.replicas, bg.boxes)
@@ -337,9 +337,9 @@ func (bg *BoxGrid2L) walk(a *boxAudit) error {
 		return fmt.Errorf("boxgrid2l: boxes = %d, snapshot has %d", bg.boxes, len(bg.rects))
 	}
 	for i := range bg.rects {
-		if bg.spans[i] != bg.mapper.spanOf(bg.rects[i]) {
+		if s := bg.mapper.spanOf(bg.rects[i]); bg.spans[i] != s {
 			return fmt.Errorf("boxgrid2l: cached span %v of object %d diverges from rect %v (span %v)",
-				bg.spans[i], i, bg.rects[i], bg.mapper.spanOf(bg.rects[i]))
+				bg.spans[i], i, bg.rects[i], s)
 		}
 	}
 	for i, p := range bg.planes() {
@@ -537,7 +537,7 @@ func (bg *BoxGrid2L) edgesCurrent(buf *[4][auditChunk]uint16, replicas []uint32)
 			}
 			replicas[id]--
 		}
-		fillQuanta(&bg.qm, rects, chunk, &want)
+		fillQuanta(&bg.mapper, rects, chunk, &want)
 		for e, w := range want {
 			got := bg.q[e][lo+at:][:len(chunk)]
 			for k, v := range w[:len(got)] {
@@ -615,7 +615,7 @@ func (bg *BoxGrid2L) quantaAt(k uint32) [4]uint16 {
 // against the quanta of the base table's rect, naming the plane that
 // diverges.
 func (bg *BoxGrid2L) checkSlotEdges(k, id uint32) error {
-	got, want := bg.quantaAt(k), quantaOf(&bg.qm, &bg.rects[id])
+	got, want := bg.quantaAt(k), quantaOf(&bg.mapper, &bg.rects[id])
 	for e := range got {
 		if got[e] != want[e] {
 			return fmt.Errorf("boxgrid2l: plane %s slot %d holds quantum %d, the base table's %v maps to %d",

@@ -131,9 +131,10 @@ var columnCorruptions = []corruption{
 	// its quanta rewritten to match: only the stretch clause sees it.
 	{"label of another column of the cell", "outside the column", func(g *Grid, f int) {
 		cs, k := g.csr, g.csr.starts[f]
-		col := f % g.cols.cps
+		col := f % g.mapper.cols
 		p := &g.pts[cs.slots[k].id]
-		p.X = (g.colXs[col-1] + g.colXs[col]) / 2
+		xs := g.colEdges()
+		p.X = (xs[col-1] + xs[col]) / 2
 		cs.slots[k].q = cs.mapper.quantOf(*p)
 	}},
 }

@@ -4,25 +4,30 @@
 #include "textflag.h"
 
 // The vector tier of the counting sort's mapping pass (README.md, "Vector
-// kernels"): labelPts is labelPoints' loop, quantPts quantPoints', spanRects
-// is spanPass' loop and quantFill fillQuanta's, sixteen coordinates an
-// instruction. Each makes the scalar mapper's subtraction and product in
-// the same operand order (coordinate minus the space's minimum, times the
-// inverse width), then axisIndex's clamp:
-//
-//	f > 0   (VCMPPS GT_OQ, false for NaN)  else 0
-//	f >= n  (VCMPPS GE_OQ)                 then n-1
-//	otherwise the truncation of f          (VCVTTPS2DQ)
-//
-// so NaN, -0 and every negative map to 0, everything at or past n to n-1,
-// and the conversion's out-of-range result is never kept. K1 holds the
-// block's live lanes: all of them, or those of the last block's len%width
-// objects, so that neither the load nor the store touches anything past
-// len(pts) or len(rects) objects. The Go wrappers have already cut the
-// output to that length.
+// kernels"): quantPts is quantPoints' loop, spanRects is spanPass' loop
+// and quantFill fillQuanta's, sixteen coordinates an instruction. quantPts
+// and spanRects make the scalar mapper's subtraction and product in the
+// same operand order (coordinate minus the space's minimum, times the
+// scale), then fixed's clamp, FIXED below, and derive everything else from
+// that fixed-point position in integers: a cell, row or column as the high
+// half of its VPMULUDQ product by the count, a quantum as its high 16
+// bits. K1 holds the block's live lanes: all of them, or those of the
+// last block's len%width objects, so that neither the load nor the store
+// touches anything past len(pts) or len(rects) objects. The Go wrappers
+// have already cut the output to that length.
+
+// FIXED leaves in out the fixed-point positions of the sixteen products in
+// in, axisIndex's clamp to [0, 2^32): 0 where f > 0 fails (VCMPPS GT_OQ
+// against Z14's zero, false for NaN), and otherwise the unsigned
+// truncation (VCVTTPS2UDQ), whose result for f >= 2^32, outside its range,
+// is 2^32-1: the clamp's top.
+#define FIXED(in, out) \
+	VCMPPS $0x1e, Z14, in, K2; \
+	VCVTTPS2UDQ.Z in, K2, out
 
 // CLAMP leaves in out the clamped indices of the sixteen products in in:
-// flim holds the float32 limits n, ilim the int32 n-1, Z14 zero.
+// flim holds the float32 limits n, ilim the int32 n-1, Z14 zero. The
+// conversion's out-of-range result is never kept.
 #define CLAMP(in, out, flim, ilim) \
 	VCMPPS $0x1e, Z14, in, K2; \
 	VCMPPS $0x1d, flim, in, K3; \
@@ -37,86 +42,31 @@
 	VPADDD Z11, Z9, Z12; \
 	VPXORD Z14, Z14, Z14
 
-// func labelPts(pts []geom.Point, labels []uint32, m *columnMapper)
+// func quantPts(pts []geom.Point, labels, quanta []uint32, m *mapper)
 //
 // Eight points a block, as they lie in memory: x0 y0 x1 y1 … x7 y7, each
-// point one qword. The mapper is laid out the same way, [minX minY] and
-// [invCol invRow] in every qword, so x takes the column mapping and y the
-// row mapping with no shuffle. A qword's clamped [col row] becomes
-// row*cols + col in its low dword (VPSRLQ, VPMULUDQ by cols, VPADDD; the
-// high dword is discarded), and VPMOVQD stores the eight low dwords.
-TEXT ·labelPts(SB), NOSPLIT, $0-56
-	MOVQ pts_base+0(FP), SI
-	MOVQ pts_len+8(FP), CX
-	MOVQ labels_base+24(FP), DI
-	MOVQ m+48(FP), DX
-	VPBROADCASTQ columnMapper_minX(DX), Z6
-	VBROADCASTSS columnMapper_invCol(DX), Z7
-	VBROADCASTSS columnMapper_invRow(DX), Z8
-	VPUNPCKLDQ Z8, Z7, Z7
-	MOVQ columnMapper_cols(DX), R8
-	MOVQ columnMapper_rows(DX), R9
-	VPBROADCASTD R8, Z9
-	VPBROADCASTD R9, Z8
-	VPUNPCKLDQ Z8, Z9, Z9 // [cols rows]: VPMULUDQ reads the cols
-	LIMITS
-	MOVL $0xff, R10
-	KMOVW R10, K1
-	TESTQ CX, CX
-	JLE  done
-loop:
-	CMPQ CX, $8
-	JGE  block
-	MOVL $1, R10
-	SHLL CX, R10
-	DECL R10
-	KMOVW R10, K1
-block:
-	VMOVDQU64.Z (SI), K1, Z1
-	VSUBPS Z6, Z1, Z1
-	VMULPS Z7, Z1, Z1
-	CLAMP(Z1, Z2, Z10, Z12)
-	VPSRLQ $32, Z2, Z3
-	VPMULUDQ Z9, Z3, Z3
-	VPADDD Z2, Z3, Z3
-	VPMOVQD Z3, K1, (DI)
-	ADDQ $64, SI
-	ADDQ $32, DI
-	SUBQ $8, CX
-	JG   loop
-done:
-	VZEROUPPER
-	RET
-
-// func quantPts(pts []geom.Point, labels, quanta []uint32, m *columnMapper)
-//
-// labelPts, and from the same differences p - min the quanta: times invQ
-// in both lanes of a qword, clamped to [0, quantSteps), and the qword's
-// [qx qy] packed to qx | qy<<16 in its low dword (VPSRLQ $16 moves qy to
-// bit 16 and leaves nothing of qx, which is below 1<<16; VPORD adds qx).
+// point one qword, against [minX minY] in every qword and one scale. A
+// qword's [fx fy] gives its column as the high dword of fx·cols and its
+// row as that of fy·rows (VPMULUDQ reads a qword's low dword), and the
+// label row·cols + column in its low dword, which VPMOVQD stores. The
+// quanta are the high words of fx and fy, in that order: VPSRLD $16 brings
+// them down and VPMOVDW stores the sixteen words, each point's pair as one
+// uint32, under K5, K1's lanes two words a point.
 TEXT ·quantPts(SB), NOSPLIT, $0-80
 	MOVQ pts_base+0(FP), SI
 	MOVQ pts_len+8(FP), CX
 	MOVQ labels_base+24(FP), DI
 	MOVQ quanta_base+48(FP), R11
 	MOVQ m+72(FP), DX
-	VPBROADCASTQ columnMapper_minX(DX), Z6
-	VBROADCASTSS columnMapper_invCol(DX), Z7
-	VBROADCASTSS columnMapper_invRow(DX), Z8
-	VPUNPCKLDQ Z8, Z7, Z7
-	VBROADCASTSS columnMapper_invQ(DX), Z15
-	MOVQ columnMapper_cols(DX), R8
-	MOVQ columnMapper_rows(DX), R9
-	VPBROADCASTD R8, Z9
-	VPBROADCASTD R9, Z8
-	VPUNPCKLDQ Z8, Z9, Z9
-	LIMITS
-	MOVL $const_quantSteps, R10
-	VPBROADCASTD R10, Z16
-	VCVTDQ2PS Z16, Z17
-	VPADDD Z11, Z16, Z18
+	VPBROADCASTQ mapper_minX(DX), Z6
+	VBROADCASTSS mapper_scale(DX), Z7
+	VPBROADCASTQ mapper_cols(DX), Z8
+	VPBROADCASTQ mapper_rows(DX), Z9
+	VPXORD Z14, Z14, Z14
 	MOVL $0xff, R10
 	KMOVW R10, K1
+	MOVL $0xffff, R10
+	KMOVW R10, K5
 	TESTQ CX, CX
 	JLE  done
 loop:
@@ -126,20 +76,28 @@ loop:
 	SHLL CX, R10
 	DECL R10
 	KMOVW R10, K1
+	MOVQ CX, R12
+	SHLL $1, CX
+	MOVL $1, R10
+	SHLL CX, R10
+	DECL R10
+	KMOVW R10, K5
+	MOVQ R12, CX
 block:
 	VMOVDQU64.Z (SI), K1, Z1
 	VSUBPS Z6, Z1, Z1
-	VMULPS Z15, Z1, Z4
 	VMULPS Z7, Z1, Z1
-	CLAMP(Z1, Z2, Z10, Z12)
-	VPSRLQ $32, Z2, Z3
-	VPMULUDQ Z9, Z3, Z3
-	VPADDD Z2, Z3, Z3
-	VPMOVQD Z3, K1, (DI)
-	CLAMP(Z4, Z5, Z17, Z18)
-	VPSRLQ $16, Z5, Z3
-	VPORD Z5, Z3, Z3
-	VPMOVQD Z3, K1, (R11)
+	FIXED(Z1, Z2)
+	VPMULUDQ Z8, Z2, Z3
+	VPSRLQ $32, Z3, Z3 // column
+	VPSRLQ $32, Z2, Z4
+	VPMULUDQ Z9, Z4, Z4
+	VPSRLQ $32, Z4, Z4 // row
+	VPMULUDQ Z8, Z4, Z4
+	VPADDD Z3, Z4, Z4
+	VPMOVQD Z4, K1, (DI)
+	VPSRLD $16, Z2, Z5
+	VPMOVDW Z5, K5, (R11)
 	ADDQ $64, SI
 	ADDQ $32, DI
 	ADDQ $32, R11
@@ -149,23 +107,28 @@ done:
 	VZEROUPPER
 	RET
 
-// func spanRects(rects []geom.Rect, spans []cellSpan, m *cellMapper)
+// func spanRects(rects []geom.Rect, spans []cellSpan, m *mapper)
 //
 // Four rectangles a block, MinX MinY MaxX MaxY each, against [minX minY]
-// in every qword and one inverse width: the four products of spanOf. The
-// clamped dwords of a rectangle, x0 y0 x1 y1, are put in cellSpan's order
-// x0 x1 y0 y1 (VPSHUFD $0xD8) and narrowed to uint16 by the store itself
-// (VPMOVDW), under K1's four word lanes a rectangle.
+// in every qword and one scale: the four positions of corners. An x, in an
+// even dword, has its cell in the high dword of its VPMULUDQ product by
+// cols, shifted down into the even dword; a y, shifted down to be
+// multiplied by rows, has it in the high dword, the odd one, where K4
+// blends it in. The cells of a rectangle, x0 y0 x1 y1, are put in
+// cellSpan's order x0 x1 y0 y1 (VPSHUFD $0xD8) and narrowed to uint16 by
+// the store itself (VPMOVDW), under K1's four word lanes a rectangle.
 TEXT ·spanRects(SB), NOSPLIT, $0-56
 	MOVQ rects_base+0(FP), SI
 	MOVQ rects_len+8(FP), CX
 	MOVQ spans_base+24(FP), DI
 	MOVQ m+48(FP), DX
-	VPBROADCASTQ cellMapper_minX(DX), Z6
-	VBROADCASTSS cellMapper_invCell(DX), Z7
-	MOVQ cellMapper_cps(DX), R8
-	VPBROADCASTD R8, Z9
-	LIMITS
+	VPBROADCASTQ mapper_minX(DX), Z6
+	VBROADCASTSS mapper_scale(DX), Z7
+	VPBROADCASTQ mapper_cols(DX), Z8
+	VPBROADCASTQ mapper_rows(DX), Z9
+	VPXORD Z14, Z14, Z14
+	MOVL $0xaaaa, R10
+	KMOVW R10, K4
 	MOVL $0xffff, R10
 	KMOVW R10, K1
 	TESTQ CX, CX
@@ -184,9 +147,14 @@ block:
 	VMOVUPS.Z (SI), K1, Z1
 	VSUBPS Z6, Z1, Z1
 	VMULPS Z7, Z1, Z1
-	CLAMP(Z1, Z2, Z10, Z12)
-	VPSHUFD $0xd8, Z2, Z2
-	VPMOVDW Z2, K1, (DI)
+	FIXED(Z1, Z2)
+	VPMULUDQ Z8, Z2, Z3
+	VPSRLQ $32, Z3, Z3
+	VPSRLQ $32, Z2, Z4
+	VPMULUDQ Z9, Z4, Z4
+	VMOVDQA32 Z4, K4, Z3
+	VPSHUFD $0xd8, Z3, Z3
+	VPMOVDW Z3, K1, (DI)
 	ADDQ $64, SI
 	ADDQ $32, DI
 	SUBQ $4, CX
@@ -197,8 +165,9 @@ done:
 
 // QUANT_EDGE writes the quanta of one edge of the block's sixteen rects to
 // plane: the edge gathered at byte offset off of each rect (Z0 holds the
-// rects' first dword indices), less the axis' minimum min, times invQ,
-// clamped, and xor'd with x (0, or quantSteps-1 to complement a min edge).
+// rects' first dword indices), less the axis' minimum min, times Z8's
+// 2^16 over the side, clamped, and xor'd with x (0, or quantSteps-1 to
+// complement a min edge).
 #define QUANT_EDGE(off, min, x, plane) \
 	KMOVW K1, K4; \
 	VPGATHERDD off(BX)(Z0*4), K4, Z1; \
@@ -208,7 +177,7 @@ done:
 	VPXORD x, Z2, Z2; \
 	VPMOVDW Z2, K1, (plane)(R13*2)
 
-// func quantFill(ids []uint32, rects []geom.Rect, p0, p1, p2, p3 []uint16, m *columnMapper) int
+// func quantFill(ids []uint32, rects []geom.Rect, p0, p1, p2, p3 []uint16, m *mapper) int
 //
 // fillQuanta's loop, sixteen arena slots a block: the four edges of the
 // slots' rects are gathered an edge at a time (VPGATHERDD at the rect's
@@ -231,9 +200,12 @@ TEXT ·quantFill(SB), NOSPLIT, $0-160
 	CMPQ R10, R13
 	CMOVQHI R13, R10
 	VPBROADCASTD R10, Z15
-	VBROADCASTSS columnMapper_minX(DX), Z6
-	VBROADCASTSS columnMapper_minY(DX), Z7
-	VBROADCASTSS columnMapper_invQ(DX), Z8
+	VBROADCASTSS mapper_minX(DX), Z6
+	VBROADCASTSS mapper_minY(DX), Z7
+	VBROADCASTSS mapper_scale(DX), Z8
+	MOVL $0x37800000, R10 // 2^-16: the scale times it is 2^16 over the side, exactly
+	VPBROADCASTD R10, Z9
+	VMULPS Z9, Z8, Z8
 	MOVL $const_quantSteps, R10
 	VPBROADCASTD R10, Z9
 	LIMITS

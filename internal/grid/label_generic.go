@@ -8,12 +8,10 @@ import "repro/internal/geom"
 // the mapping pass is labelOf's, quantOf's and spanOf's loops, and
 // BoxGrid2L's fill quantaOf's.
 
-func labelPts([]geom.Point, []uint32, *columnMapper) { panic("grid: no vector tier") }
+func quantPts([]geom.Point, []uint32, []uint32, *mapper) { panic("grid: no vector tier") }
 
-func quantPts([]geom.Point, []uint32, []uint32, *columnMapper) { panic("grid: no vector tier") }
+func spanRects([]geom.Rect, []cellSpan, *mapper) { panic("grid: no vector tier") }
 
-func spanRects([]geom.Rect, []cellSpan, *cellMapper) { panic("grid: no vector tier") }
-
-func quantFill([]uint32, []geom.Rect, []uint16, []uint16, []uint16, []uint16, *columnMapper) int {
+func quantFill([]uint32, []geom.Rect, []uint16, []uint16, []uint16, []uint16, *mapper) int {
 	panic("grid: no vector tier")
 }

@@ -41,9 +41,9 @@ func guardedRegions(t *testing.T, n int) [][]byte {
 
 // TestLabelPtsStopsAtLen maps every run of 0 to 40 points whose last point
 // and last label both end flush against a PROT_NONE page: a block load or
-// store one lane past len(pts) would fault, so the masked tail is shown to
-// touch nothing it was not given. quantPts runs the same, its quanta flush
-// against the page.
+// store of quantPts one lane past len(pts) would fault, so the masked tail
+// is shown to touch nothing it was not given. The runs are mapped twice,
+// the labels flush against the page and then the quanta.
 func TestLabelPtsStopsAtLen(t *testing.T) {
 	in, out := guardedPages(t)
 	pts := unsafe.Slice((*geom.Point)(unsafe.Pointer(&in[0])), len(in)/8)
@@ -56,9 +56,10 @@ func TestLabelPtsStopsAtLen(t *testing.T) {
 		run := pts[len(pts)-n:]
 		dst := labels[len(labels)-n:]
 		mapTiers(func(tier string) {
-			labelPoints(m, run, dst)
+			quanta := make([]uint32, n)
+			quantPoints(m, run, dst, quanta)
 			for i, p := range run {
-				if want := m.labelOf(p); dst[i] != want {
+				if want := m.labelOf(p); dst[i] != want || quanta[i] != m.quantOf(p) {
 					t.Fatalf("%s tier, %d points at the guard: label %d of %v is %d, labelOf says %d", tier, n, i, p, dst[i], want)
 				}
 			}
@@ -170,7 +171,7 @@ func TestFilterPlanesStopsAtLen(t *testing.T) {
 	for k, id := range xrand.New(10).Perm(len(rects)) {
 		seg[len(seg)-1-k%len(seg)] = uint32(id)
 	}
-	w := bg.windowOf(geom.Rect{MinX: win.MaxX, MinY: win.MaxY, MaxX: win.MinX, MaxY: win.MinY}) // ties on every edge
+	_, w := bg.windowOf(geom.Rect{MinX: win.MaxX, MinY: win.MaxY, MaxX: win.MinX, MaxY: win.MinY}) // ties on every edge
 	ties := 0
 	for n := 0; n <= 64; n++ {
 		run, room := seg[len(seg)-n:], dst[len(dst)-n:]
@@ -178,7 +179,7 @@ func TestFilterPlanesStopsAtLen(t *testing.T) {
 		for e := range q {
 			bg.q[e] = q[e][len(q[e])-n:]
 		}
-		scalarTier(func() { fillQuanta(&bg.qm, rects, run, &bg.q) })
+		scalarTier(func() { fillQuanta(&bg.mapper, rects, run, &bg.q) })
 		ties += bg.tiesOf(0, uint32(n), w[:]...)
 		for _, k := range planeKernels() {
 			var want []uint32
@@ -220,7 +221,7 @@ func TestQuantFillStopsAtLen(t *testing.T) {
 	for i := range rects {
 		rects[len(rects)-1-i] = cases[i%len(cases)]
 	}
-	m := MustNewBoxGrid2L(48, bounds, 0).qm
+	m := MustNewBoxGrid2L(48, bounds, 0).mapper
 	for n := 0; n <= 40; n++ {
 		run := ids[len(ids)-n:]
 		for k := range run {

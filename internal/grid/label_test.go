@@ -4,20 +4,23 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/xrand"
 )
 
-// The counting sort's mapping pass, tier against tier: labelPoints,
-// quantPoints and spanPass with labelPts / quantPts / spanRects
-// (label_amd64.s) in front of their loops, and the loops alone
-// (scalarTier), every output held to the definition, columnMapper.labelOf
-// and quantOf and cellMapper.spanOf, element by element, and checked for
-// writes past the objects it was given.
+// The counting sort's mapping pass, tier against tier: quantPoints and
+// spanPass with quantPts / spanRects (label_amd64.s) in front of their
+// loops, and the loops alone (scalarTier), every output held to the
+// definition, mapper.labelOf and quantOf and mapper.spanOf, element by
+// element, and checked for writes past the objects it was given. The
+// quanta are held to their own definition of before the one map, and the
+// index map to its monotone reach.
 
 const (
-	labelBlock = 8 // points a labelPts block
+	labelBlock = 8 // points a quantPts block
 	spanBlock  = 4 // rectangles a spanRects block
 	mapCanary  = 0xDEADBEEF
 	mapSlack   = 9 // canary slots past the objects, more than a block's worth of spans
@@ -31,10 +34,9 @@ func mapTiers(f func(tier string)) {
 	}
 }
 
-// checkLabelTiers fails t unless labelPoints writes m.labelOf(p) for every
-// point of pts, and quantPoints m.labelOf(p) and m.quantOf(p), and nothing
-// past them, on each tier.
-func checkLabelTiers(t *testing.T, what string, m *columnMapper, pts []geom.Point) {
+// checkLabelTiers fails t unless quantPoints writes m.labelOf(p) and
+// m.quantOf(p) for every point of pts, and nothing past them, on each tier.
+func checkLabelTiers(t *testing.T, what string, m *mapper, pts []geom.Point) {
 	t.Helper()
 	canaried := func() []uint32 {
 		out := make([]uint32, len(pts)+mapSlack)
@@ -58,9 +60,6 @@ func checkLabelTiers(t *testing.T, what string, m *columnMapper, pts []geom.Poin
 		}
 	}
 	mapTiers(func(tier string) {
-		labels := canaried()
-		labelPoints(m, pts, labels)
-		check(tier, "labelPoints", "label", labels, m.labelOf)
 		labels, quanta := canaried(), canaried()
 		quantPoints(m, pts, labels, quanta)
 		check(tier, "quantPoints", "label", labels, m.labelOf)
@@ -69,7 +68,7 @@ func checkLabelTiers(t *testing.T, what string, m *columnMapper, pts []geom.Poin
 }
 
 // checkSpanTiers is checkLabelTiers for spanPass against m.spanOf.
-func checkSpanTiers(t *testing.T, what string, m *cellMapper, rects []geom.Rect) {
+func checkSpanTiers(t *testing.T, what string, m *mapper, rects []geom.Rect) {
 	t.Helper()
 	canary := cellSpan{mapCanary & 0xffff, mapCanary >> 16, mapCanary & 0xffff, mapCanary >> 16}
 	mapTiers(func(tier string) {
@@ -128,10 +127,10 @@ var mapCPS = []int{1, 13, 48, 64, 96, 192}
 // y within an ulp of every row edge, each paired with a value of the other
 // axis' list, then every special against every special and against a
 // value of the space.
-func labelCases(bounds geom.Rect, cps int) (*columnMapper, []geom.Point) {
+func labelCases(bounds geom.Rect, cps int) (*mapper, []geom.Point) {
 	g := MustNew(Config{Layout: LayoutCSR, Scan: ScanRange, BS: 1, CPS: cps}, bounds, 0)
-	xs := withSpecials(ulpsAround(g.colXs), bounds.MinX, bounds.MaxX)
-	ys := withSpecials(ulpsAround(g.ys), bounds.MinY, bounds.MaxY)
+	xs := withSpecials(ulpsAround(g.colEdges()), bounds.MinX, bounds.MaxX)
+	ys := withSpecials(ulpsAround(g.rowEdges()), bounds.MinY, bounds.MaxY)
 	var pts []geom.Point
 	for i := range max(len(xs), len(ys)) {
 		pts = append(pts, geom.Pt(xs[i%len(xs)], ys[(7*i+3)%len(ys)]))
@@ -150,11 +149,10 @@ func labelCases(bounds geom.Rect, cps int) (*columnMapper, []geom.Point) {
 // edge-and-special list appears in each of a rectangle's four fields, the
 // fields drawn at different strides so that inverted, degenerate and
 // space-covering rectangles all occur.
-func spanCases(bounds geom.Rect, cps int) (*cellMapper, []geom.Rect) {
+func spanCases(bounds geom.Rect, cps int) (*mapper, []geom.Rect) {
 	m := testMapper(cps, bounds)
-	cell := bounds.Width() / float32(cps)
-	xs := withSpecials(ulpsAround(m.edges(bounds.MinX, bounds.MaxX, cell)), bounds.MinX, bounds.MaxX)
-	ys := withSpecials(ulpsAround(m.edges(bounds.MinY, bounds.MaxY, cell)), bounds.MinY, bounds.MaxY)
+	xs := withSpecials(ulpsAround(axisEdges(&m, bounds.MinX, bounds.MaxX, cps)), bounds.MinX, bounds.MaxX)
+	ys := withSpecials(ulpsAround(axisEdges(&m, bounds.MinY, bounds.MaxY, cps)), bounds.MinY, bounds.MaxY)
 	var rects []geom.Rect
 	for i := range max(len(xs), len(ys)) {
 		rects = append(rects, geom.Rect{
@@ -181,9 +179,10 @@ func sweepLengths(n, block int, check func(lo, hi int)) {
 	}
 }
 
-// TestLabelTiersAgree holds labelPts to labelOf at every tail length, on
-// every cell and column edge ±1 ulp on both axes, and on NaN, ±Inf, −0 and
-// coordinates far outside the space, at six granularities over three spaces.
+// TestLabelTiersAgree holds quantPts to labelOf and quantOf at every tail
+// length, on every cell and column edge ±1 ulp on both axes, and on NaN,
+// ±Inf, −0 and coordinates far outside the space, at six granularities over
+// three spaces.
 func TestLabelTiersAgree(t *testing.T) {
 	if !vectorKernels {
 		t.Log("scalar tier only; vector tier absent: " + missingTier)
@@ -223,6 +222,84 @@ func TestSpanTiersAtMaxBoxCPS(t *testing.T) {
 		rects = append(rects, geom.Rect{MinX: v, MinY: 0, MaxX: v, MaxY: MaxBoxCPS}, geom.Rect{MinX: -1, MinY: v, MaxX: 1e9, MaxY: v})
 	}
 	checkSpanTiers(t, "cps=MaxBoxCPS", &m, rects)
+}
+
+// TestQuantaKeepTheirDefinition pins the quanta of the one map, a
+// position's high 16 bits, to their definition from before it, written out
+// here: the offset from the space's minimum times 2^16 over the side, under
+// axisIndex's clamp to [0, 2^16). In float32, 2^32 over the side is exactly
+// 2^16 times 2^16 over it, so the two agree bit for bit; the test holds
+// them to it on uniform values, random bit patterns (NaN and ±Inf among
+// them) and one ulp either side of quantum boundaries, over the tier
+// tests' spaces and two centred on 0, for the slots' quanta (quantOf) and
+// the box planes' (quantaOf) alike.
+func TestQuantaKeepTheirDefinition(t *testing.T) {
+	r := xrand.New(61)
+	for _, bounds := range append(mapSpaces, geom.R(-5, -5, 5, 5), geom.R(-1, -1, 1, 1)) {
+		m := testMapper(64, bounds)
+		side := bounds.Width()
+		quantum := func(v, min float32) uint32 { return uint32(axisIndex((v-min)*(quantSteps/side), quantSteps)) }
+		var vals []float32
+		for range 20000 {
+			vals = append(vals, r.Range(bounds.MinX-side/8, bounds.MaxX+side/8), math.Float32frombits(r.Uint32()))
+		}
+		for j := 0; j <= quantSteps; j += 1 + r.Intn(97) {
+			e := leastOf(bounds.MinX, j, func(d float32) int { return int(quantum(d+bounds.MinX, bounds.MinX)) })
+			vals = append(vals, ulpsAround([]float32{e})...)
+		}
+		vals = append(vals, mapSpecials...)
+		for i, x := range vals {
+			y := vals[(7*i+3)%len(vals)]
+			p := geom.Pt(x, y)
+			if got, want := m.quantOf(p), quantum(x, bounds.MinX)|quantum(y, bounds.MinY)<<16; got != want {
+				t.Fatalf("%v: quanta of %v (%#x, %#x) are %#08x, the definition's %#08x",
+					bounds, p, math.Float32bits(x), math.Float32bits(y), got, want)
+			}
+			rc := geom.Rect{MinX: x, MinY: y, MaxX: y, MaxY: x}
+			want := [4]uint16{^uint16(quantum(x, bounds.MinX)), ^uint16(quantum(y, bounds.MinY)),
+				uint16(quantum(y, bounds.MinX)), uint16(quantum(x, bounds.MinY))}
+			if got := quantaOf(&m, &rc); got != want {
+				t.Fatalf("%v: plane quanta of %v are %v, the definition's %v", bounds, rc, got, want)
+			}
+		}
+	}
+}
+
+// TestIndexReachesEveryCell pins the integer half of the map at the finest
+// grids there are, MaxCSRCPS << columnShift columns and MaxBoxCPS box
+// cells: (F·n) >> 32 is monotone in F, cell c begins at the integer
+// ⌈c·2^32/n⌉ with cell c-1 just below it, and the least float32 product
+// at or past that integer still lies in cell c, so every cell is reached.
+func TestIndexReachesEveryCell(t *testing.T) {
+	r := xrand.New(67)
+	for _, n := range []int{MaxCSRCPS << columnShift, MaxBoxCPS} {
+		if index(0, n) != 0 || index(math.MaxUint32, n) != n-1 {
+			t.Fatalf("n=%d: the ends map to %d and %d", n, index(0, n), index(math.MaxUint32, n))
+		}
+		for c := 1; c < n; c++ {
+			begin := uint32((uint64(c)<<32 + uint64(n) - 1) / uint64(n))
+			if index(begin, n) != c || index(begin-1, n) != c-1 {
+				t.Fatalf("n=%d: %d maps to %d and %d to %d, want cells %d and %d", n, begin-1, index(begin-1, n), begin, index(begin, n), c-1, c)
+			}
+			f := float32(begin)
+			if uint64(f) < uint64(begin) {
+				f = nudge(f, 1)
+			}
+			if got := index(uint32(axisIndex(f, fixedSteps)), n); got != c {
+				t.Fatalf("n=%d: the least float32 %v at or past cell %d's %d lies in cell %d", n, f, c, begin, got)
+			}
+		}
+		fs := make([]uint32, 100000)
+		for i := range fs {
+			fs[i] = r.Uint32()
+		}
+		slices.Sort(fs)
+		for i := 1; i < len(fs); i++ {
+			if index(fs[i], n) < index(fs[i-1], n) {
+				t.Fatalf("n=%d: %d maps to cell %d, below %d's %d", n, fs[i], index(fs[i], n), fs[i-1], index(fs[i-1], n))
+			}
+		}
+	}
 }
 
 // fuzzSpace turns fuzzer-chosen granularity and space into a valid square:
@@ -270,8 +347,7 @@ func FuzzLabelTiers(f *testing.F) {
 	f.Add(uint16(0), float32(-5), float32(10), bytesOf(-5, -5, 5, 5, 0, 0, 4.9999995, -5.0000005, 2.5, 2.5, 1, 2, 3, 4, 5, 6, 7, 8))
 	f.Fuzz(func(t *testing.T, cpsPick uint16, lo, side float32, data []byte) {
 		cps, bounds := fuzzSpace(cpsPick, lo, side, MaxCSRCPS)
-		rows := testMapper(cps, bounds)
-		m := newColumnMapper(rows, columnsOf(rows, columnShift), bounds.Width())
+		m := newMapper(bounds, cps, cps<<columnShift)
 		c := floatsOf(data)
 		pts := make([]geom.Point, len(c)/2)
 		for i := range pts {

@@ -24,8 +24,7 @@ import (
 // quantStore is a LayoutCSR store over bounds whose arena is pts in a
 // seeded order: the filter reads it as it reads a run of a built arena.
 func quantStore(bounds geom.Rect, pts []geom.Point, seed uint64) *csrStore {
-	rows := testMapper(RefactoredCPS, bounds)
-	st := &csrStore{mapper: newColumnMapper(rows, columnsOf(rows, columnShift), bounds.Width()), shift: columnShift, pts: pts}
+	st := &csrStore{mapper: newMapper(bounds, RefactoredCPS, RefactoredCPS<<columnShift), shift: columnShift, pts: pts}
 	st.slots = make([]csrSlot, len(pts))
 	for k, id := range xrand.New(seed).Perm(len(pts)) {
 		st.slots[k] = csrSlot{uint32(id), st.mapper.quantOf(pts[id])}
@@ -34,18 +33,10 @@ func quantStore(bounds geom.Rect, pts []geom.Point, seed uint64) *csrStore {
 }
 
 // quantEdge is the least float32 of the axis starting at lo whose quantum
-// is j: the boundary between quanta j-1 and j, found as cellMapper.edges
-// finds a cell edge.
-func quantEdge(m *columnMapper, lo float32, j uint32) float32 {
-	side := float32(quantSteps) / m.invQ
-	v := lo + float32(j)*side/quantSteps
-	for m.quantum(v-lo) >= j {
-		v = nudge(v, -1)
-	}
-	for m.quantum(v-lo) < j {
-		v = nudge(v, 1)
-	}
-	return v
+// is j: the boundary between quanta j-1 and j, found as axisEdges finds a
+// cell edge.
+func quantEdge(m *mapper, lo float32, j uint32) float32 {
+	return leastOf(lo, int(j), func(d float32) int { return int(m.fixed(d) >> 16) })
 }
 
 // quantCoords are the coordinates of one axis the tests put points and
@@ -53,14 +44,14 @@ func quantEdge(m *columnMapper, lo float32, j uint32) float32 {
 // side, the same about the first inner edges of the axis (columns in x,
 // rows in y) and the boundary of their quanta, the space's edges and one
 // ulp inside them, and values past the space.
-func quantCoords(m *columnMapper, lo, hi float32, edges []float32) []float32 {
+func quantCoords(m *mapper, lo, hi float32, edges []float32) []float32 {
 	var out []float32
 	for _, j := range []uint32{1, 2, 777, quantSteps / 3, quantSteps / 2, quantSteps - 2, quantSteps - 1} {
 		out = append(out, ulpsAround([]float32{quantEdge(m, lo, j)})...)
 	}
 	inner := edges[1 : len(edges)-1]
 	for _, e := range inner[:min(3, len(inner))] {
-		out = append(out, ulpsAround([]float32{e, quantEdge(m, lo, m.quantum(e-lo))})...)
+		out = append(out, ulpsAround([]float32{e, quantEdge(m, lo, m.fixed(e-lo)>>16)})...)
 	}
 	return append(out, lo, nudge(lo, 1), nudge(hi, -1), hi, lo-1, hi+1, hi+1e6)
 }
@@ -72,8 +63,8 @@ func quantCoords(m *columnMapper, lo, hi float32, edges []float32) []float32 {
 // windows past it and inverted.
 func quantCases(bounds geom.Rect, cps int, seed uint64) ([]geom.Point, []geom.Rect) {
 	g := MustNew(Config{Layout: LayoutCSR, Scan: ScanRange, BS: 1, CPS: cps}, bounds, 0)
-	xs := quantCoords(&g.csr.mapper, bounds.MinX, bounds.MaxX, g.colXs)
-	ys := quantCoords(&g.csr.mapper, bounds.MinY, bounds.MaxY, g.ys)
+	xs := quantCoords(&g.csr.mapper, bounds.MinX, bounds.MaxX, g.colEdges())
+	ys := quantCoords(&g.csr.mapper, bounds.MinY, bounds.MaxY, g.rowEdges())
 	r := xrand.New(seed)
 	var pts []geom.Point
 	for i, x := range xs {

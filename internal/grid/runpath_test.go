@@ -20,9 +20,9 @@ import (
 // rectangles outside the input contract of a well-formed window, for which
 // the contract is "whatever Query returns".
 func kernelWindows(g *Grid) []geom.Rect {
-	cps, cols, xs, ys := g.cfg.CPS, g.cols.cps, g.xs, g.ys
+	cps, cols, xs, ys, colXs := g.cfg.CPS, g.mapper.cols, g.cellEdges(), g.rowEdges(), g.colEdges()
 	b := g.bounds
-	w := g.cellSize
+	w := b.Width() / float32(cps)
 	type extent struct{ lo, hi float32 }
 	// spans lists extents covering exactly 1, 2 and 3 of an axis' n units of
 	// width u (starting a third of the way in) and the whole axis.
@@ -36,7 +36,7 @@ func kernelWindows(g *Grid) []geom.Rect {
 		}
 	}
 	var out []geom.Rect
-	for _, x := range append(spans(g.colXs, cols, b.Width()/float32(cols)), spans(xs, cps, w)...) {
+	for _, x := range append(spans(colXs, cols, b.Width()/float32(cols)), spans(xs, cps, w)...) {
 		for _, y := range spans(ys, cps, w) {
 			out = append(out, geom.R(x.lo, y.lo, x.hi, y.hi))
 		}
@@ -56,7 +56,7 @@ func kernelWindows(g *Grid) []geom.Rect {
 		return out
 	}
 	c := cps / 2
-	for _, x := range snapped(g.colXs, cols/2+1, 1, 2, 3, 5) {
+	for _, x := range snapped(colXs, cols/2+1, 1, 2, 3, 5) {
 		for _, y := range snapped(ys, c, 1, 2) {
 			out = append(out, geom.R(x.lo, y.lo, x.hi, y.hi))
 		}
@@ -119,15 +119,16 @@ func TestCSRRunPathMatchesCellWalk(t *testing.T) {
 					g := MustNew(Config{Layout: layout, Scan: ScanRange, BS: 1, CPS: cps}, bounds, 0)
 					walk := MustNew(Config{Layout: LayoutInline, Scan: scan, BS: RefactoredBS, CPS: cps}, bounds, 0)
 					r := xrand.New(uint64(71 + cps))
-					edgePts, edgeQueries := edgeProbes(bounds, cps)
+					edgePts, edgeQueries := edgeProbes(g)
 					// About fifty of the column edges; TestEdgeUlpNeighbourhood
 					// probes every one.
-					colPts, colQueries := columnProbes(bounds, cps, g.cols.cps, 1+g.cols.cps/50)
+					colPts, colQueries := columnProbes(g, 1+g.mapper.cols/50)
 					edgePts, edgeQueries = append(edgePts, colPts...), append(edgeQueries, colQueries...)
 					windows := kernelWindows(g)
 
 					// One directory row holds the whole herd.
-					row := geom.R(bounds.MinX, g.ys[cps/2], bounds.MaxX, nudge(g.ys[cps/2+1], -1))
+					xs, ys, w := g.cellEdges(), g.rowEdges(), bounds.Width()/float32(cps)
+					row := geom.R(bounds.MinX, ys[cps/2], bounds.MaxX, nudge(ys[cps/2+1], -1))
 					populations := []struct {
 						name    string
 						pts     []geom.Point
@@ -170,7 +171,7 @@ func TestCSRRunPathMatchesCellWalk(t *testing.T) {
 					// side: Algorithm 1 walks the whole directory but must not size
 					// the buffer by it.
 					herd := populations[1].pts
-					cell := geom.Square(geom.Pt(g.xs[cps/2]+g.cellSize/2, g.ys[cps/2]+g.cellSize/2), g.cellSize/4)
+					cell := geom.Square(geom.Pt(xs[cps/2]+w/2, ys[cps/2]+w/2), w/4)
 					for _, side := range []*Grid{g, walk} {
 						side.Build(herd)
 						if buf := side.QueryAppend(cell, nil); cap(buf) > len(herd)/4 {

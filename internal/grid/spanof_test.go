@@ -6,16 +6,9 @@ import (
 	"repro/internal/geom"
 )
 
-// testMapper builds the cell mapping of a cps x cps box grid over
-// bounds, exactly as the box grid constructors do.
-func testMapper(cps int, bounds geom.Rect) cellMapper {
-	return cellMapper{
-		minX:    bounds.MinX,
-		minY:    bounds.MinY,
-		invCell: 1 / (bounds.Width() / float32(cps)),
-		cps:     cps,
-	}
-}
+// testMapper builds the mapping of a cps x cps box grid over bounds,
+// exactly as the box grid constructors do.
+func testMapper(cps int, bounds geom.Rect) mapper { return newMapper(bounds, cps, cps) }
 
 // TestSpanOfClampsOutsideSpace is the boundary regression test for the
 // uint16 span encoding: rects entirely outside the space on each side —

@@ -128,8 +128,8 @@ func TestInlineGateVerdicts(t *testing.T) {
 		t.Fatalf("InlineGate = %v, want one error naming fat", errs)
 	}
 	for msg, want := range map[string]bool{
-		"can inline cellMapper.axisCell":                          true,
-		"inlining call to cellMapper.axisCell":                    false,
+		"can inline (*mapper).fixed":                              true,
+		"inlining call to (*mapper).fixed":                        false,
 		"cannot inline (*csrStore).scatter: function too complex": false,
 	} {
 		if got := isCanInline(CompilerDiag{Message: msg}); got != want {
@@ -246,9 +246,9 @@ func TestCollectAnnotated(t *testing.T) {
 		t.Errorf("bad line range %d-%d", appendRow.StartLine, appendRow.EndLine)
 	}
 	for _, key := range []string{
-		"repro/internal/grid.(cellMapper).axisCell",
-		"repro/internal/grid.(cellMapper).cellIndexFor",
-		"repro/internal/grid.(*columnMapper).labelOf",
+		"repro/internal/grid.(*mapper).fixed",
+		"repro/internal/grid.(*mapper).fixedOf",
+		"repro/internal/grid.(*mapper).label",
 	} {
 		if f := byKey[key]; f == nil || !f.Inline {
 			t.Errorf("%s: not collected as //joinlint:inline (%+v)", key, f)

@@ -208,8 +208,8 @@ func (g *simGrid) alloc(size uint64) uint64 {
 }
 
 func (g *simGrid) axisCell(d float32) int {
-	// Clamp in float space before truncating, mirroring the real grid's
-	// cellMapper: out-of-range float -> int conversion is
+	// Clamp in float space before truncating, as the real grid's
+	// axisIndex does: out-of-range float -> int conversion is
 	// implementation-specific and would clamp far-out coordinates to the
 	// wrong side.
 	f := d * g.invCell
