@@ -741,7 +741,7 @@ func BenchmarkCSRQueryKernel(b *testing.B) {
 		g.Build(pts)
 		inCellOrder := append([]uint32(nil), queriers...)
 		sort.SliceStable(inCellOrder, func(i, j int) bool {
-			return g.cellIndexFor(pts[inCellOrder[i]]) < g.cellIndexFor(pts[inCellOrder[j]])
+			return g.mapper.cellOf(pts[inCellOrder[i]]) < g.mapper.cellOf(pts[inCellOrder[j]])
 		})
 		benchWindows(b, fmt.Sprintf("%s/id-order", cfg.Layout), g, pts, queriers)
 		benchWindows(b, fmt.Sprintf("%s/cell-order", cfg.Layout), g, pts, inCellOrder)

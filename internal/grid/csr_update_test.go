@@ -23,7 +23,7 @@ const updateN = 16 * sortChunk
 func otherCell(r *xrand.Rand, g *Grid, p geom.Point) geom.Point {
 	for {
 		q := geom.Pt(r.Range(0, 1000), r.Range(0, 1000))
-		if g.cellIndexFor(q) != g.cellIndexFor(p) {
+		if g.mapper.cellOf(q) != g.mapper.cellOf(p) {
 			return q
 		}
 	}
@@ -43,7 +43,7 @@ func otherColumn(g *Grid, p geom.Point) geom.Point {
 	cr := columnRect(g, p)
 	for _, x := range []float32{cr.MaxX + cr.Width()/2, cr.MinX - cr.Width()/2} {
 		q := geom.Pt(x, p.Y)
-		if g.cellIndexFor(q) == g.cellIndexFor(p) && g.csr.mapper.labelOf(q) != g.csr.mapper.labelOf(p) {
+		if g.mapper.cellOf(q) == g.mapper.cellOf(p) && g.csr.mapper.labelOf(q) != g.csr.mapper.labelOf(p) {
 			return q
 		}
 	}

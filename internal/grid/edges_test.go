@@ -134,7 +134,7 @@ func TestPointWithinUlpOfEdge(t *testing.T) {
 			g := MustNew(cfg, tc.bounds, 1)
 			pts := []geom.Point{tc.p}
 			xs, ys := g.cellEdges(), g.rowEdges()
-			c := g.cellIndexFor(tc.p)
+			c := g.mapper.cellOf(tc.p)
 			for d := -4; d <= 4; d++ {
 				for _, e := range []float32{xs[c%tc.cps], xs[c%tc.cps+1]} {
 					pts = append(pts, geom.Pt(nudge(e, d), tc.p.Y))
@@ -260,8 +260,8 @@ func TestColumnsRefineCells(t *testing.T) {
 						t.Fatalf("%v cps=%d shift=%d: x=%v lies in column %d (cell %d) and in cell %d", bounds, cps, shift, x, col, col>>shift, cell)
 					}
 					p := geom.Pt(x, bounds.MinY+bounds.Height()/3)
-					if label := g.csr.mapper.labelOf(p); int(label>>shift) != g.cellIndexFor(p) {
-						t.Fatalf("%v cps=%d shift=%d: %v labelled %d (cell %d), the grid says cell %d", bounds, cps, shift, p, label, label>>shift, g.cellIndexFor(p))
+					if label := g.csr.mapper.labelOf(p); int(label>>shift) != g.mapper.cellOf(p) {
+						t.Fatalf("%v cps=%d shift=%d: %v labelled %d (cell %d), the grid says cell %d", bounds, cps, shift, p, label, label>>shift, g.mapper.cellOf(p))
 					}
 				}
 				// Beyond the space both clamp, to the same side.

@@ -278,10 +278,20 @@ func newMapper(bounds geom.Rect, rows, cols int) mapper {
 }
 
 // fixed maps an offset d from the space's minimum to its fixed-point
-// position: one product, then axisIndex's clamp to [0, 2³²).
+// position: one product, then axisIndex's clamp to [0, 2³²), its two tests
+// in the order that keeps cellOf within the inliner's budget (a NaN fails
+// both and maps to 0).
 //
 //joinlint:inline
-func (m *mapper) fixed(d float32) uint32 { return uint32(axisIndex(d*m.scale, fixedSteps)) }
+func (m *mapper) fixed(d float32) uint32 {
+	if d *= m.scale; d >= fixedSteps {
+		return fixedSteps - 1
+	}
+	if d > 0 {
+		return uint32(d)
+	}
+	return 0
+}
 
 // fixedOf returns p's fixed-point position on each axis.
 //
@@ -297,10 +307,13 @@ func (m *mapper) fixedOf(p geom.Point) (x, y uint32) {
 func index(f uint32, n int) int { return int(uint64(f) * uint64(n) >> 32) }
 
 // cellOf maps a point to its cell index, clamping coordinates that fall
-// on or outside the space boundary into the outermost cells.
+// on or outside the space boundary into the outermost cells: index of each
+// axis, written out so that the bucket layouts' Build and Update inline it.
+//
+//joinlint:inline
 func (m *mapper) cellOf(p geom.Point) int {
-	x, y := m.fixedOf(p)
-	return index(y, m.rows)*m.rows + index(x, m.rows)
+	n := uint64(m.rows)
+	return int(uint64(m.fixed(p.Y-m.minY))*n>>32*n + uint64(m.fixed(p.X-m.minX))*n>>32)
 }
 
 // label maps a position (x, y) to its row's first x unit plus the unit of
@@ -471,8 +484,6 @@ func (g *Grid) Config() Config { return g.cfg }
 // Bounds returns the indexed space.
 func (g *Grid) Bounds() geom.Rect { return g.bounds }
 
-func (g *Grid) cellIndexFor(p geom.Point) int { return g.mapper.cellOf(p) }
-
 // Build implements core.Index: it clears all cells and inserts the whole
 // snapshot. Arenas and freelists are retained across builds, so steady-
 // state builds allocate nothing. The CSR layout takes its bulk
@@ -485,7 +496,7 @@ func (g *Grid) Build(pts []geom.Point) {
 	}
 	g.buckets.reset(pts)
 	for i := range pts {
-		g.buckets.insertAt(g.cellIndexFor(pts[i]), uint32(i), pts[i])
+		g.buckets.insertAt(g.mapper.cellOf(pts[i]), uint32(i), pts[i])
 	}
 }
 
@@ -500,10 +511,10 @@ func (g *Grid) Update(id uint32, old, new geom.Point) {
 	if g.csr != nil {
 		return
 	}
-	if !g.buckets.removeAt(g.cellIndexFor(old), id) {
+	if !g.buckets.removeAt(g.mapper.cellOf(old), id) {
 		unknownEntry(id, old)
 	}
-	g.buckets.insertAt(g.cellIndexFor(new), id, new)
+	g.buckets.insertAt(g.mapper.cellOf(new), id, new)
 }
 
 func unknownEntry(id uint32, at geom.Point) {
@@ -568,7 +579,7 @@ func (g *Grid) Len() int { return g.st.totalEntries() }
 // mirroring the directory counter of the original structure. Exposed for
 // tests and for the memsim instrumentation to validate against.
 func (g *Grid) CellCount(p geom.Point) int {
-	return g.st.cellCount(g.cellIndexFor(p))
+	return g.st.cellCount(g.mapper.cellOf(p))
 }
 
 // MemoryBytes implements core.MemoryReporter with the layout-dependent

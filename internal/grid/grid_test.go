@@ -227,7 +227,7 @@ func TestUpdateMovesEntries(t *testing.T) {
 			// position.
 			counts := make(map[int]int)
 			for _, p := range moved {
-				counts[g.cellIndexFor(p)]++
+				counts[g.mapper.cellOf(p)]++
 			}
 			xs, ys := g.cellEdges(), g.rowEdges()
 			for c, want := range counts {

@@ -195,7 +195,7 @@ func (g *Grid) checkOccupant(seen []uint64, size int, id uint32, c int, n uint32
 	if cs := g.csr; cs != nil {
 		return cs.checkEntry(id, c, n)
 	}
-	if want := g.cellIndexFor(g.pts[id]); want != c {
+	if want := g.mapper.cellOf(g.pts[id]); want != c {
 		return fmt.Errorf("grid: id %d at %v stored in cell %d, want %d", id, g.pts[id], c, want)
 	}
 	return nil

@@ -5,9 +5,9 @@
 
 // The vector tier of the counting sort's mapping pass (README.md, "Vector
 // kernels"): quantPts is quantPoints' loop, spanRects is spanPass' loop
-// and quantFill fillQuanta's, sixteen coordinates an instruction. quantPts
-// and spanRects make the scalar mapper's subtraction and product in the
-// same operand order (coordinate minus the space's minimum, times the
+// and quantFill fillQuanta's, sixteen coordinates an instruction. All
+// three make the scalar mapper's subtraction and product in the same
+// operand order (coordinate minus the space's minimum, times the
 // scale), then fixed's clamp, FIXED below, and derive everything else from
 // that fixed-point position in integers: a cell, row or column as the high
 // half of its VPMULUDQ product by the count, a quantum as its high 16
@@ -24,23 +24,6 @@
 #define FIXED(in, out) \
 	VCMPPS $0x1e, Z14, in, K2; \
 	VCVTTPS2UDQ.Z in, K2, out
-
-// CLAMP leaves in out the clamped indices of the sixteen products in in:
-// flim holds the float32 limits n, ilim the int32 n-1, Z14 zero. The
-// conversion's out-of-range result is never kept.
-#define CLAMP(in, out, flim, ilim) \
-	VCMPPS $0x1e, Z14, in, K2; \
-	VCMPPS $0x1d, flim, in, K3; \
-	VCVTTPS2DQ.Z in, K2, out; \
-	VMOVDQA32 ilim, K3, out
-
-// LIMITS takes the int32 limits in Z9 and leaves them as float32 in Z10,
-// n-1 in Z12 and zero in Z14.
-#define LIMITS \
-	VCVTDQ2PS Z9, Z10; \
-	VPTERNLOGD $0xff, Z11, Z11, Z11; \
-	VPADDD Z11, Z9, Z12; \
-	VPXORD Z14, Z14, Z14
 
 // func quantPts(pts []geom.Point, labels, quanta []uint32, m *mapper)
 //
@@ -165,15 +148,17 @@ done:
 
 // QUANT_EDGE writes the quanta of one edge of the block's sixteen rects to
 // plane: the edge gathered at byte offset off of each rect (Z0 holds the
-// rects' first dword indices), less the axis' minimum min, times Z8's
-// 2^16 over the side, clamped, and xor'd with x (0, or quantSteps-1 to
+// rects' first dword indices), less the axis' minimum min, times the
+// scale, mapped to its fixed-point position (FIXED), shifted down to its
+// high 16 bits and xor'd with x (Z14's zero, or Z12's quantSteps-1 to
 // complement a min edge).
 #define QUANT_EDGE(off, min, x, plane) \
 	KMOVW K1, K4; \
 	VPGATHERDD off(BX)(Z0*4), K4, Z1; \
 	VSUBPS min, Z1, Z1; \
 	VMULPS Z8, Z1, Z1; \
-	CLAMP(Z1, Z2, Z10, Z12); \
+	FIXED(Z1, Z2); \
+	VPSRLD $16, Z2, Z2; \
 	VPXORD x, Z2, Z2; \
 	VPMOVDW Z2, K1, (plane)(R13*2)
 
@@ -203,13 +188,9 @@ TEXT ·quantFill(SB), NOSPLIT, $0-160
 	VBROADCASTSS mapper_minX(DX), Z6
 	VBROADCASTSS mapper_minY(DX), Z7
 	VBROADCASTSS mapper_scale(DX), Z8
-	MOVL $0x37800000, R10 // 2^-16: the scale times it is 2^16 over the side, exactly
-	VPBROADCASTD R10, Z9
-	VMULPS Z9, Z8, Z8
-	MOVL $const_quantSteps, R10
-	VPBROADCASTD R10, Z9
-	LIMITS
-	VPXORD Z13, Z13, Z13
+	MOVL $(const_quantSteps-1), R10
+	VPBROADCASTD R10, Z12
+	VPXORD Z14, Z14, Z14
 	MOVQ CX, AX
 	XORL R13, R13
 	MOVL $0xffff, R10
@@ -231,8 +212,8 @@ block:
 	VPSLLD $2, Z0, Z0
 	QUANT_EDGE(0, Z6, Z12, R8)
 	QUANT_EDGE(4, Z7, Z12, R9)
-	QUANT_EDGE(8, Z6, Z13, R11)
-	QUANT_EDGE(12, Z7, Z13, R12)
+	QUANT_EDGE(8, Z6, Z14, R11)
+	QUANT_EDGE(12, Z7, Z14, R12)
 	ADDQ $16, R13
 	SUBQ $16, CX
 	JG   loop

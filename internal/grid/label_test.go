@@ -232,7 +232,9 @@ func TestSpanTiersAtMaxBoxCPS(t *testing.T) {
 // them to it on uniform values, random bit patterns (NaN and ±Inf among
 // them) and one ulp either side of quantum boundaries, over the tier
 // tests' spaces and two centred on 0, for the slots' quanta (quantOf) and
-// the box planes' (quantaOf) alike.
+// the box planes' (quantaOf) alike. On the same values it holds fixed,
+// whose clamp is written out to stay within cellOf's inlining budget, to
+// axisIndex's.
 func TestQuantaKeepTheirDefinition(t *testing.T) {
 	r := xrand.New(61)
 	for _, bounds := range append(mapSpaces, geom.R(-5, -5, 5, 5), geom.R(-1, -1, 1, 1)) {
@@ -251,6 +253,10 @@ func TestQuantaKeepTheirDefinition(t *testing.T) {
 		for i, x := range vals {
 			y := vals[(7*i+3)%len(vals)]
 			p := geom.Pt(x, y)
+			if d := x - bounds.MinX; m.fixed(d) != uint32(axisIndex(d*m.scale, fixedSteps)) {
+				t.Fatalf("%v: the position of %#x is %#x, axisIndex's clamp %#x",
+					bounds, math.Float32bits(x), m.fixed(d), axisIndex(d*m.scale, fixedSteps))
+			}
 			if got, want := m.quantOf(p), quantum(x, bounds.MinX)|quantum(y, bounds.MinY)<<16; got != want {
 				t.Fatalf("%v: quanta of %v (%#x, %#x) are %#08x, the definition's %#08x",
 					bounds, p, math.Float32bits(x), math.Float32bits(y), got, want)

@@ -114,11 +114,10 @@ const (
 // a functional shadow of the structure (so traversals are exact, not
 // statistical) and threads every memory touch through h.
 type simGrid struct {
-	cfg      GridSimConfig
-	h        *Hierarchy
-	bounds   geom.Rect
-	cellSize float32
-	invCell  float32
+	cfg    GridSimConfig
+	h      *Hierarchy
+	bounds geom.Rect
+	scale  float32 // 2³² over the space's side, the real grid's mapper.scale
 
 	pts       []geom.Point
 	baseAddr  uint64
@@ -176,12 +175,11 @@ type rBucket struct {
 
 func newSimGrid(cfg GridSimConfig, h *Hierarchy, bounds geom.Rect, numPoints int) *simGrid {
 	g := &simGrid{
-		cfg:      cfg,
-		h:        h,
-		bounds:   bounds,
-		cellSize: bounds.Width() / float32(cfg.CPS),
+		cfg:    cfg,
+		h:      h,
+		bounds: bounds,
+		scale:  1 << 32 / bounds.Width(),
 	}
-	g.invCell = 1 / g.cellSize
 	cells := cfg.CPS * cfg.CPS
 	g.baseAddr = g.alloc(uint64(numPoints) * pointBytes)
 	switch cfg.Kind {
@@ -207,29 +205,57 @@ func (g *simGrid) alloc(size uint64) uint64 {
 	return addr
 }
 
+// axisCell maps an offset from the space's minimum to its cell on one axis
+// as the real grid's mapper does, so that the simulated cells hold exactly
+// the real grid's entries: to the fixed-point position F, the product
+// clamped to [0, 2³²) (a NaN maps to 0), then the cell (F·cps) >> 32.
 func (g *simGrid) axisCell(d float32) int {
-	// Clamp in float space before truncating, as the real grid's
-	// axisIndex does: out-of-range float -> int conversion is
-	// implementation-specific and would clamp far-out coordinates to the
-	// wrong side.
-	f := d * g.invCell
-	if !(f > 0) {
-		return 0
+	f := uint64(0)
+	if d *= g.scale; d >= 1<<32 {
+		f = 1<<32 - 1
+	} else if d > 0 {
+		f = uint64(d)
 	}
-	if f >= float32(g.cfg.CPS) {
-		return g.cfg.CPS - 1
-	}
-	return int(f)
+	return int(f * uint64(g.cfg.CPS) >> 32)
 }
 
 func (g *simGrid) cellIndexFor(p geom.Point) int {
 	return g.axisCell(p.Y-g.bounds.MinY)*g.cfg.CPS + g.axisCell(p.X-g.bounds.MinX)
 }
 
-func (g *simGrid) cellRect(cx, cy int) geom.Rect {
-	x0 := g.bounds.MinX + float32(cx)*g.cellSize
-	y0 := g.bounds.MinY + float32(cy)*g.cellSize
-	return geom.Rect{MinX: x0, MinY: y0, MaxX: x0 + g.cellSize, MaxY: y0 + g.cellSize}
+// simAxis is a query window on one axis as the real grid's cell walk sees
+// it (grid.cellWindow): the cells [lo, hi] it touches, and the cells
+// [in0, in1] it holds whole, those strictly inside [lo, hi] and an edge
+// cell where the window reaches past the space's bound.
+type simAxis struct{ lo, hi, in0, in1 int }
+
+func (g *simGrid) axis(lo, hi, min, max float32) simAxis {
+	if !(lo <= hi) {
+		return simAxis{1, 0, 1, 0}
+	}
+	a := simAxis{lo: g.axisCell(lo - min), hi: g.axisCell(hi - min)}
+	a.in0, a.in1 = a.lo+1, a.hi-1
+	if lo <= min {
+		a.in0 = a.lo
+	}
+	if hi >= max {
+		a.in1 = a.hi
+	}
+	return a
+}
+
+// window returns r's window on each axis.
+func (g *simGrid) window(r geom.Rect) (x, y simAxis) {
+	b := g.bounds
+	return g.axis(r.MinX, r.MaxX, b.MinX, b.MaxX), g.axis(r.MinY, r.MaxY, b.MinY, b.MaxY)
+}
+
+// classify reports whether the window holds cell (cx, cy) whole, and
+// whether it touches it.
+func classify(x, y simAxis, cx, cy int) (holds, touches bool) {
+	holds = x.in0 <= cx && cx <= x.in1 && y.in0 <= cy && cy <= y.in1
+	touches = x.lo <= cx && cx <= x.hi && y.lo <= cy && cy <= y.hi
+	return holds, touches
 }
 
 func (g *simGrid) cellAddr(c int) uint64 {
@@ -506,15 +532,15 @@ func (g *simGrid) query(r geom.Rect) int {
 func (g *simGrid) queryFullScan(r geom.Rect) int {
 	found := 0
 	cps := g.cfg.CPS
+	xw, yw := g.window(r)
 	for cy := 0; cy < cps; cy++ {
 		for cx := 0; cx < cps; cx++ {
 			c := cy*cps + cx
 			g.h.Exec(insCellVisit)
 			g.h.Read(g.cellAddr(c), origCellBytes)
-			cell := g.cellRect(cx, cy)
-			if r.ContainsRect(cell) {
+			if holds, touches := classify(xw, yw, cx, cy); holds {
 				found += g.scanCellOriginal(c, nil)
-			} else if r.Intersects(cell) {
+			} else if touches {
 				found += g.scanCellOriginal(c, &r)
 			}
 		}
@@ -527,23 +553,19 @@ func (g *simGrid) queryRangeScan(r geom.Rect) int {
 	g.h.Exec(insRangeSetup)
 	found := 0
 	cps := g.cfg.CPS
-	xmin := g.axisCell(r.MinX - g.bounds.MinX)
-	xmax := g.axisCell(r.MaxX - g.bounds.MinX)
-	ymin := g.axisCell(r.MinY - g.bounds.MinY)
-	ymax := g.axisCell(r.MaxY - g.bounds.MinY)
-	for cy := ymin; cy <= ymax; cy++ {
-		for cx := xmin; cx <= xmax; cx++ {
+	xw, yw := g.window(r)
+	for cy := yw.lo; cy <= yw.hi; cy++ {
+		for cx := xw.lo; cx <= xw.hi; cx++ {
 			c := cy*cps + cx
 			g.h.Exec(insCellVisit)
 			g.h.Read(g.cellAddr(c), uint64(cellBytes(g.cfg.Kind)))
-			cell := g.cellRect(cx, cy)
 			scan := g.scanCellRefactored
 			if g.cfg.Kind == GridIntrusive {
 				scan = g.scanCellIntrusive
 			}
-			if r.ContainsRect(cell) {
+			if holds, _ := classify(xw, yw, cx, cy); holds {
 				found += scan(c, nil)
-			} else if r.Intersects(cell) {
+			} else {
 				found += scan(c, &r)
 			}
 		}

@@ -1,9 +1,11 @@
 package memsim
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/workload"
 )
@@ -82,6 +84,48 @@ func TestSimulatedJoinMatchesRealGrid(t *testing.T) {
 		}
 		if simRes.Queries != realRes.Queries || simRes.Updates != realRes.Updates {
 			t.Fatalf("%v: query/update counts diverge", c.sim.Kind)
+		}
+	}
+}
+
+// TestSimulatedCellsMatchRealGrid holds the simulator's cell map to the
+// real grid's: every point, including those within four ulps of a cell
+// edge and those on or past the space's bound, lies in a simulated cell of
+// the same occupancy as its real one. A map of its own (a per-cell product,
+// say) moves points across edges whose width is not float32-exact.
+func TestSimulatedCellsMatchRealGrid(t *testing.T) {
+	for _, b := range []geom.Rect{{MaxX: 22000, MaxY: 22000}, {MinX: -1000, MinY: -1000, MaxX: 1000, MaxY: 1000}} {
+		for _, cps := range []int{13, 48, 64} {
+			var pts []geom.Point
+			for c := 0; c <= cps; c++ {
+				v := b.MinX + float32(c)*(b.Width()/float32(cps))
+				for k := -4; k <= 4; k++ {
+					u := v
+					for i := 0; i < k; i++ {
+						u = math.Nextafter32(u, float32(math.Inf(1)))
+					}
+					for i := 0; i > k; i-- {
+						u = math.Nextafter32(u, float32(math.Inf(-1)))
+					}
+					pts = append(pts, geom.Pt(u, u), geom.Pt(u, b.MinY+b.Height()/3))
+				}
+			}
+			h, err := NewHierarchy(DefaultHierarchy())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim := newSimGrid(GridSimConfig{Kind: GridRefactored, BS: 4, CPS: cps}, h, b, len(pts))
+			counts := make([]int, cps*cps)
+			for _, p := range pts {
+				counts[sim.cellIndexFor(p)]++
+			}
+			g := grid.MustNew(grid.Config{Layout: grid.LayoutInline, Scan: grid.ScanRange, BS: 4, CPS: cps}, b, len(pts))
+			g.Build(pts)
+			for _, p := range pts {
+				if got, want := counts[sim.cellIndexFor(p)], g.CellCount(p); got != want {
+					t.Fatalf("%v cps=%d: %v lies in a simulated cell of %d entries, a real one of %d", b, cps, p, got, want)
+				}
+			}
 		}
 	}
 }
