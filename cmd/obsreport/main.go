@@ -2,9 +2,9 @@
 // a live process's /debug/obs endpoint — as human-readable reports.
 //
 // One snapshot gives the full instrument dump plus a per-tick phase
-// breakdown (the driver's build/query/update spans, the epoch
-// lifecycle spans with the bulk/replay apply-path split, and the
-// tuner's predicted-vs-observed residual when both sides are present). Two snapshots are diffed: counter and
+// breakdown (the driver's build/query/update spans, and the epoch
+// lifecycle spans with the bulk/replay apply-path split). Two snapshots
+// are diffed: counter and
 // histogram deltas describe exactly the interval between the captures,
 // which is how a steady-state rate is read off a long-running service.
 //
@@ -148,8 +148,7 @@ var phaseSets = []struct {
 }
 
 // writePhases derives the per-phase breakdown from the span histograms
-// present in the snapshot, plus the tuner residual when the prediction
-// and the observed tick are both there.
+// present in the snapshot.
 func writePhases(w io.Writer, snap *obs.Snapshot) {
 	for i, set := range phaseSets {
 		var have []string
@@ -181,24 +180,6 @@ func writePhases(w io.Writer, snap *obs.Snapshot) {
 			fmt.Fprintf(w, "  query phase probed in %s (core.tick.cell_ordered = %d)\n", order, v)
 		}
 	}
-
-	// Tuner residual: what the cost model predicted for a tick vs what
-	// the driver's spans actually measured.
-	pred, ok := snap.Gauges["tune.predicted_tick_ns"]
-	if !ok || pred <= 0 {
-		return
-	}
-	var observed float64
-	for _, p := range phaseSets[0].phases {
-		if hs, ok := snap.Histograms[p]; ok && hs.Count > 0 {
-			observed += hs.Mean
-		}
-	}
-	if observed <= 0 {
-		return
-	}
-	fmt.Fprintf(w, "\ntune residual: predicted %s vs observed %s per tick (%+.1f%%)\n",
-		ns(float64(pred)), ns(observed), (float64(pred)/observed-1)*100)
 }
 
 // writeDiff renders the interval between two snapshots of the same

@@ -14,10 +14,10 @@
 // structure it chose per step. For points it is the CSR grid at the
 // paper's tuned occupancy, so its cps follows the population and not the
 // window: a -vary qext sweep logs the same auto(csr/cps=…) at every
-// step. For boxes it samples each step's workload and picks the two-layer
-// grid or the STR R-tree and its parameter from the calibrated cost
-// model — the harness for watching that selector walk the decision
-// surface as the query window (or mix) shifts. Because auto sets its own
+// step. For boxes it is the two-layer classed grid at the box anchor's
+// occupancy (48 cells a side at 50 000 MBRs on the AVX-512 tier, 64 on
+// the Go loops), so a -vary qext sweep logs the same boxauto(boxcsr2l/
+// cps=…) at every step, in every process. Because auto sets its own
 // structural parameter, it only supports -vary qext (and -vary shards).
 //
 // Sweeps drain queries through the engines' buffered kernel by default;

@@ -17,15 +17,13 @@
 //     exactly one leaf of a bulk-loaded packing.
 //
 //   - the adaptive selector (internal/tune): samples the corridors on
-//     its first build, prices the two-layer grid and the R-tree with a
-//     calibrated cost model, and becomes whichever it predicts fastest —
-//     the example prints which one it picked and the statistics that
-//     drove the decision.
+//     its first build and becomes the two-layer grid at the granularity
+//     its rule gives the fleet's population — the example prints the
+//     pick, the statistics it saw and the rule.
 //
 // All four must find the identical pair set; the real indexes just get
 // there orders of magnitude sooner — and which of them *wins* is the
-// paper's "implementation matters" question in miniature, answered
-// per-workload by the selector.
+// paper's "implementation matters" question in miniature.
 //
 // Run with:
 //
@@ -93,13 +91,8 @@ func main() {
 	})
 	oracle := core.NewBruteForceBoxes()
 
-	// Fit the cost model before the race so frame 0 times the index,
-	// not the once-per-process calibration microbenchmarks.
-	calStart := time.Now()
-	tune.Calibrate()
-	fmt.Printf("boxjoin: %d drone corridors (%g-%g units) over %d frames, grid %dx%d, rtree fanout %d\n",
+	fmt.Printf("boxjoin: %d drone corridors (%g-%g units) over %d frames, grid %dx%d, rtree fanout %d\n\n",
 		drones, cfg.MinSide, cfg.MaxSide, frames, cps, cps, bt.Fanout())
-	fmt.Printf("cost model calibrated in %s (once per process)\n\n", time.Since(calStart).Round(time.Millisecond))
 	fmt.Printf("%8s  %12s  %12s  %12s  %12s  %10s  %s\n", "frame", "grid", "rtree", "auto", "brute force", "overlaps", "check")
 
 	var rects []geom.Rect

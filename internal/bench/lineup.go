@@ -159,7 +159,7 @@ var namedBoxTechniques = []NamedBoxTechnique{
 	},
 	{
 		Key:         "boxauto",
-		Description: "adaptive: samples the first MBR snapshot and picks the two-layer grid or the STR R-tree + tuned cps or fanout from a calibrated cost model (internal/tune)",
+		Description: "adaptive: the two-layer grid at the box rule's occupancy for the first MBR snapshot's population, cps 48 at 50k on AVX-512, 64 on the Go loops (internal/tune)",
 		Make:        tune.AutoBoxFactory,
 	},
 	{

@@ -391,22 +391,15 @@ func filterQLoop(seg []csrSlot, pts []geom.Point, w quantWindow, r geom.Rect, bu
 // bits is clear (coordinates are finite, and the generator never
 // produces -0, so x-y == -0 cannot arise for distinct operands).
 //
-// The loop below is the reference, and the whole filter wherever
-// vectorKernels is false. Where it is true filterPts (filter_amd64.s) makes
-// the same four subtractions eight candidates at a time and returns how many
-// passed — or a negative count when a block holds an ID it may not gather
-// through, which leaves the run to the loop and its index panic.
+// No kernel runs it since the CSR slots were quantised: it is the exact
+// reference the quantised filters are held to, and filterSlotsPts is its
+// loop over the slots' IDs.
 //
 //joinlint:hotpath
 //joinlint:bce
 func appendFilterPts(seg []uint32, pts []geom.Point, r geom.Rect, buf []uint32) []uint32 {
 	k := len(buf)
 	buf = reserve(buf, len(seg))
-	if vectorKernels {
-		if n := filterPts(seg, pts, r, buf[k:]); n >= 0 {
-			return buf[:k+n]
-		}
-	}
 	for _, id := range seg {
 		p := pts[id]
 		m := math.Float32bits(p.X-r.MinX) | math.Float32bits(r.MaxX-p.X) |

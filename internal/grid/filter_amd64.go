@@ -15,12 +15,8 @@ import (
 var vectorKernels = cpuid.AVX512
 
 // Each routine filters seg into dst[:len(seg)] and returns how many IDs
-// passed; filterPts returns -1 when an ID is not a safe index into pts, and
-// so do filterQ and filterPlanes when one they have to read through (a
-// tie's) is not one into pts or rects.
-
-//go:noescape
-func filterPts(seg []uint32, pts []geom.Point, r geom.Rect, dst []uint32) int
+// passed; filterQ and filterPlanes return -1 when an ID they have to read
+// through (a tie's) is not a safe index into pts or rects.
 
 //go:noescape
 func filterXY(seg []uint32, xy []float32, r geom.Rect, dst []uint32) int

@@ -18,8 +18,8 @@
 // reserved slots. (The memory-destination VPCOMPRESSD would need no K1 on
 // the store but is microcoded on AMD parts.)
 
-// Register use of the two point routines: SI ids, CX candidates left, DX the
-// coordinates, DI dst, AX the cursor; Z5 sign bits, Z6 [MinX MinY] and Z8
+// Register use of the point routine, filterXY: SI ids, CX candidates left,
+// DX the coordinates, DI dst, AX the cursor; Z5 sign bits, Z6 [MinX MinY] and Z8
 // [MaxX MaxY] in every qword — interleaved from four dword loads, because the
 // caller stored r a float at a time and a qword load across two of those
 // stores waits for both to leave the store buffer.
@@ -62,47 +62,10 @@
 	ADDQ R9, AX; \
 	ADDQ $32, SI
 
-// func filterPts(seg []uint32, pts []geom.Point, r geom.Rect, dst []uint32) int
-//
-// appendFilterPts' loop, eight candidates a block. Returns how many passed,
-// or -1 without finishing when an ID may not be gathered: at or past
-// len(pts), or past 1<<31 (the gather sign-extends its indices).
-TEXT ·filterPts(SB), NOSPLIT, $0-96
-	POINT_SETUP
-	MOVQ pts_base+24(FP), DX
-	MOVQ pts_len+32(FP), R10
-	CMPQ R10, R11
-	CMOVQHI R11, R10
-	VPBROADCASTD R10, Y7
-	TESTQ CX, CX
-	JLE  done
-loop:
-	CMPQ CX, $8
-	JGE  block
-	TAIL_MASK
-block:
-	VMOVDQU32.Z (SI), K1, Y0
-	VPCMPUD $5, Y7, Y0, K1, K2 // id >= limit
-	KORTESTW K2, K2
-	JNZ  bad
-	KMOVW K1, K3
-	VPXORQ Z1, Z1, Z1
-	VPGATHERDQ (DX)(Y0*8), K3, Z1
-	POINT_TEST
-	SUBQ $8, CX
-	JG   loop
-done:
-	VZEROUPPER
-	MOVQ AX, ret+88(FP)
-	RET
-bad:
-	MOVQ $-1, AX
-	JMP  done
-
 // func filterXY(seg []uint32, xy []float32, r geom.Rect, dst []uint32) int
 //
-// appendFilterXY's loop: filterPts with one 64-byte load of the run's own
-// coordinate stream where the gather was.
+// appendFilterXY's loop, eight candidates a block: one 64-byte load of
+// the run's own coordinate stream, and the point test.
 TEXT ·filterXY(SB), NOSPLIT, $0-96
 	POINT_SETUP
 	MOVQ xy_base+24(FP), DX
@@ -147,7 +110,8 @@ GLOBL slotIDs<>(SB), RODATA|NOPTR, $64
 // the two differ holds ties (K4), and only there are points read: the tied
 // lanes' points are gathered, eight at a time, and those that pass r's
 // sign test join the hits. Returns how many passed, or -1 without finishing
-// when a tied lane's ID may not be gathered (filterPts' bound).
+// when a tied lane's ID may not be gathered: at or past len(pts), or past
+// 1<<31 (the gather sign-extends its indices).
 //
 // Register use: SI slots, BX pts, CX slots left, DI dst, AX the cursor;
 // Z3 the block's IDs; Z16 x0<<16, Z17 x1<<16, Z18 y0<<16, Z19

@@ -8,8 +8,6 @@ import "repro/internal/geom"
 // routines below away and the filters are their Go loops.
 const vectorKernels = false
 
-func filterPts([]uint32, []geom.Point, geom.Rect, []uint32) int { panic("grid: no vector tier") }
-
 func filterQ([]csrSlot, []geom.Point, quantWindow, geom.Rect, []uint32) int {
 	panic("grid: no vector tier")
 }

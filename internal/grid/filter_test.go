@@ -13,10 +13,10 @@ import (
 	"repro/internal/xrand"
 )
 
-// The branchless filters, tier against tier: appendFilterPts,
-// appendFilterXY, appendMasked1 / appendMasked2 / appendMasked with the
-// vector routines of filter_amd64.s in front of their loops, and the loops
-// alone (scalarTier), which are the reference; and filterQ against its
+// The branchless filters, tier against tier: appendFilterXY,
+// appendMasked1 / appendMasked2 / appendMasked with the vector routines of
+// filter_amd64.s in front of their loops, and the loops alone
+// (scalarTier), which are the reference; and filterQ against its
 // definition, filterQLoop (quantDecisions). Everything here compares
 // returned slices element for element.
 
@@ -113,7 +113,7 @@ func newFilterArena(name string, n int, seed uint64, coord func(rng *xrand.Rand)
 	return a
 }
 
-// arenaFilter is one of the five entry points over candidates [lo, hi) of
+// arenaFilter is one of the entry points over candidates [lo, hi) of
 // an arena, a rectangle's four floats serving as whatever bounds it takes.
 // planes is how many one-sided plane tests it makes (0: a point window).
 type arenaFilter struct {
@@ -124,9 +124,6 @@ type arenaFilter struct {
 
 func (a *filterArena) filters() []arenaFilter {
 	return []arenaFilter{
-		{"appendFilterPts", 0, func(lo, hi int, r geom.Rect, buf []uint32) []uint32 {
-			return appendFilterPts(a.ids[lo:hi], a.pts, r, buf)
-		}},
 		{"appendFilterXY", 0, func(lo, hi int, r geom.Rect, buf []uint32) []uint32 {
 			return appendFilterXY(a.ids[lo:hi], a.xy[2*lo:2*hi], r, buf)
 		}},
@@ -291,33 +288,39 @@ func TestFilterTiersShareTheNaNContract(t *testing.T) {
 	check("vector")
 }
 
-// TestFilterRejectsForeignID: an arena ID at or past len(pts) panics with
-// the runtime's index error, on either tier and wherever it sits in the
-// run — the vector gather checks a block's IDs before it reads through
-// them. The table is cut from a longer one, so a tier that skipped the check
-// would read a live point and return instead of faulting.
+// TestFilterRejectsForeignID: a tied slot whose ID is at or past
+// len(pts) panics with the runtime's index error, on either tier and
+// wherever it sits in the run — filterQ checks a block's tied IDs before
+// it gathers through them. Every slot ties the window's lower corner, so
+// every ID is read. The table is cut from a longer one, so a tier that
+// skipped the check would read a live point and return instead of faulting.
 func TestFilterRejectsForeignID(t *testing.T) {
 	backing := make([]geom.Point, 64)
-	pts := backing[:40]
+	st := MustNew(CSR(), filterSpace, 0).csr
+	st.pts = backing[:40]
 	r := geom.Rect{MinX: -1, MinY: -1, MaxX: 1, MaxY: 1}
-	attempt := func(what string, seg []uint32) {
+	w := windowOf(&st.mapper, r)
+	attempt := func(what string) {
 		defer debug.SetPanicOnFault(debug.SetPanicOnFault(true)) // a wild read fails the test, not the process
 		defer func() {
 			err, _ := recover().(runtime.Error)
 			if err == nil || !strings.Contains(err.Error(), "index out of range") {
-				t.Errorf("%s: run %v over %d points: recovered %v, want an index panic", what, seg, len(pts), err)
+				t.Errorf("%s: slots %v over %d points: recovered %v, want an index panic", what, st.slots, len(st.pts), err)
 			}
 		}()
-		appendFilterPts(seg, pts, r, nil)
+		st.appendFilterQ(0, uint32(len(st.slots)), w, r, nil)
 	}
-	for _, n := range []int{1, 7, 8, 9, 16, 21} {
+	for _, n := range []int{1, 7, 8, 9, 16, 17, 21, 33} {
 		for at := 0; at < n; at++ {
-			for _, bad := range []uint32{uint32(len(pts)), uint32(len(pts)) + 9, 1 << 31, math.MaxUint32} {
-				seg := make([]uint32, n)
-				seg[at] = bad
-				scalarTier(func() { attempt("scalar tier", seg) })
+			for _, bad := range []uint32{uint32(len(st.pts)), uint32(len(st.pts)) + 9, 1 << 31, math.MaxUint32} {
+				st.slots = make([]csrSlot, n)
+				for i := range st.slots {
+					st.slots[i] = csrSlot{0, w.lo}
+				}
+				st.slots[at].id = bad
+				scalarTier(func() { attempt("scalar tier") })
 				if vectorKernels {
-					attempt("vector tier", seg)
+					attempt("vector tier")
 				}
 			}
 		}

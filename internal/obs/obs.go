@@ -26,7 +26,7 @@
 //
 // Instrument names are dot-separated, prefixed by the owning subsystem
 // ("core.tick.build_ns", "epoch.epochs_published", "shard.query_fanout",
-// "tune.predicted_tick_ns"). Duration-valued instruments carry an _ns
+// "tune.selections"). Duration-valued instruments carry an _ns
 // suffix. Requesting a name twice returns the same instrument, so
 // independent components (e.g. the two inner indexes of one epoch
 // wrapper) aggregate into one series by construction.

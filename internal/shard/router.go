@@ -112,10 +112,7 @@ func NewBox(p core.Params, side int) *BoxIndex {
 // shard-count ladder (p.Shards overrides).
 func AutoBoxFactory(p core.Params) core.BoxIndex { return newBoxIndex(p, p.Shards) }
 
-// newBoxIndex forces tune's calibration, which the regions' box choice
-// reads, so it runs at construction and outside any timed region.
 func newBoxIndex(p core.Params, side int) *BoxIndex {
-	tune.Calibrate()
 	return &BoxIndex{newRouter(boxGeo, p, side)}
 }
 

@@ -1,9 +1,8 @@
 // Package shard implements the region-sharded multi-index engine: the
 // space is partitioned into a side x side lattice of square regions,
 // each region owning its own independently built and tuned index
-// (family and parameters chosen per shard by internal/tune, so a skewed
-// shard can take the R-tree while uniform shards take the classed
-// grid), behind the ordinary core.Index / core.BoxIndex contracts so
+// (granularity chosen per shard by internal/tune from the region's own
+// population), behind the ordinary core.Index / core.BoxIndex contracts so
 // every driver, oracle test, and bench runs unchanged.
 //
 // # One router, two geometries

@@ -67,9 +67,9 @@ func newAuto[P any](g *autoGeo[P], p core.Params) auto[P] {
 // at the granularity of the point rule (ChoosePoint).
 type Auto struct{ auto[geom.Point] }
 
-// AutoBox is Auto for extended objects: a core.BoxIndex choosing
-// between the two-layer box grid and the STR R-tree on first Build, from
-// the calibrated cost model.
+// AutoBox is Auto for extended objects: on first Build it takes the
+// two-layer classed box grid at the granularity of the box rule
+// (ChooseBox).
 type AutoBox struct{ auto[geom.Rect] }
 
 var (
@@ -87,14 +87,9 @@ func NewAuto(p core.Params) *Auto {
 }
 
 // NewAutoBox returns an adaptive box index for the given parameters. The
-// hints in p seed the sampler with the query mix (the selection prices
-// the drivers' tick, Model.TickNs, which has no update term); zero hints
-// fall back to the defaults documented on Stats.sanitize. Construction
-// forces the once-per-process calibration, so its microbenchmarks run
-// OUTSIDE any timed region: drivers time Build, and the first Build is
-// where selection (but not calibration) happens.
+// box rule reads only the population, so it needs no calibration either;
+// the hints in p reach the sampled Stats that Choice.Explain prints.
 func NewAutoBox(p core.Params) *AutoBox {
-	Calibrate()
 	return &AutoBox{newAuto(boxAuto, p)}
 }
 
@@ -136,9 +131,9 @@ func (a *auto[P]) Build(snap []P) {
 }
 
 // BuildParallel implements core.ParallelBuilderOf, delegating to the
-// chosen structure's BuildParallel when it has one. None that auto picks
-// has (the CSR grid, BoxGrid2L and the box R-tree build on one core), so
-// it builds by Build; it stays because every IndexOf wrapper forwards the
+// chosen structure's BuildParallel when it has one. Neither that auto
+// picks has (the CSR grid and BoxGrid2L build on one core), so it builds
+// by Build; it stays because every IndexOf wrapper forwards the
 // capability (joinlint's capforward).
 func (a *auto[P]) BuildParallel(snap []P, workers int) {
 	a.ensure(snap)
@@ -153,8 +148,8 @@ func (a *auto[P]) BuildParallel(snap []P, workers int) {
 func (a *auto[P]) Query(r geom.Rect, emit func(id uint32)) { a.inner.Query(r, emit) }
 
 // QueryAppend implements core.QueryAppender, delegating to the kernel
-// resolved at selection time (every family the selector chooses among
-// has a native one; the callback adapter covers any other inner). The
+// resolved at selection time (both families the selector picks have a
+// native one; the callback adapter covers any other inner). The
 // resolution does NOT happen here: building the adapter closure per
 // query would heap-allocate on the hot path, which the escape gate
 // forbids.
@@ -197,7 +192,7 @@ func (a *auto[P]) CheckInvariants() error {
 func (a *auto[P]) Choice() (Choice, bool) { return a.choice, a.chosen }
 
 // ReplicationFactor reports the chosen structure's replication (1
-// before the first build and for replication-free structures).
+// before the first build).
 func (a *AutoBox) ReplicationFactor() float64 {
 	if r, ok := a.inner.(interface{ ReplicationFactor() float64 }); ok {
 		return r.ReplicationFactor()

@@ -1,6 +1,7 @@
 package tune
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -13,14 +14,13 @@ import (
 )
 
 // TestSelectorAlwaysValid is the acceptance-criterion property test: for
-// ANY stats — including fuzzed garbage and the degenerate corners the
-// issue names (0 objects, all-outside-space rects, NaN extents) — the
-// selectors must return parameters the target constructors accept:
-// 1 <= cps <= grid.MaxCSRCPS for the point grid, 1 <= cps <=
-// grid.MaxBoxCPS for the box grid, fanout >= 2 for the R-tree. Every
-// point choice is constructed and run through a small build and query.
+// ANY stats — including fuzzed garbage and the degenerate corners (0
+// objects, all-outside-space rects, NaN extents) — the selectors must
+// return parameters the target constructors accept: 1 <= cps <=
+// grid.MaxCSRCPS for the point grid, 1 <= cps <= grid.MaxBoxCPS for the
+// box grid. Every choice is constructed and run through a small build
+// and query.
 func TestSelectorAlwaysValid(t *testing.T) {
-	m := Calibrate()
 	r := xrand.New(42)
 	fuzzed := make([]Stats, 0, 400)
 	for i := 0; i < 400; i++ {
@@ -28,8 +28,6 @@ func TestSelectorAlwaysValid(t *testing.T) {
 			N:         int(r.Intn(2_000_001)) - 1000, // includes negatives and 0
 			Space:     geom.R(0, 0, r.Range(-10, 1e6), r.Range(-10, 1e6)),
 			MeanSide:  r.Range(-100, 1e5),
-			P95Side:   r.Range(-100, 1e5),
-			Skew:      float64(r.Range(-5, 300)),
 			QuerySide: r.Range(-100, 1e5),
 			Queriers:  float64(r.Range(-1, 2)),
 			Updaters:  float64(r.Range(-1, 2)),
@@ -47,6 +45,10 @@ func TestSelectorAlwaysValid(t *testing.T) {
 	bounds := geom.R(0, 0, 1000, 1000)
 	p := core.Params{Bounds: bounds, NumPoints: 4}
 	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(999, 999), geom.Pt(500, 500), geom.Pt(500, 501)}
+	rects := make([]geom.Rect, len(pts))
+	for i, q := range pts {
+		rects[i] = geom.Square(q, 2)
+	}
 	var buf []uint32
 	for i, s := range fuzzed {
 		pc := ChoosePoint(s)
@@ -59,16 +61,14 @@ func TestSelectorAlwaysValid(t *testing.T) {
 			t.Fatalf("case %d: %s found %d of the 2 points in the window", i, pc, len(buf))
 		}
 
-		bc := m.chooseBox(s)
-		if bc.Family == BoxRTree {
-			if bc.Fanout < 2 {
-				t.Fatalf("case %d: fanout %d < 2 (stats %+v)", i, bc.Fanout, s)
-			}
-		} else if bc.CPS < 1 || bc.CPS > grid.MaxBoxCPS {
-			t.Fatalf("case %d: box cps %d outside [1, %d] (stats %+v)", i, bc.CPS, grid.MaxBoxCPS, s)
+		bc := ChooseBox(s)
+		if bc.Family != BoxCSR2L || bc.CPS < 1 || bc.CPS > grid.MaxBoxCPS {
+			t.Fatalf("case %d: box choice %s outside boxcsr2l/cps in [1, %d] (stats %+v)", i, bc, grid.MaxBoxCPS, s)
 		}
-		if len(bc.Ranking) == 0 || bc.Ranking[0].Family != bc.Family {
-			t.Fatalf("case %d: ranking does not lead with the winner", i)
+		bidx := bc.NewBoxIndex(p)
+		bidx.Build(rects)
+		if buf = bidx.(core.QueryAppender).QueryAppend(geom.Square(pts[2], 10), buf[:0]); len(buf) != 2 {
+			t.Fatalf("case %d: %s found %d of the 2 boxes in the window", i, bc, len(buf))
 		}
 	}
 }
@@ -105,10 +105,53 @@ func TestChoosePointRule(t *testing.T) {
 	}
 }
 
+// TestChooseBoxRule pins the box rule: the two-layer classed grid at the
+// box anchor's occupancy — 50 000 MBRs at cps 48 on the AVX-512 tier and
+// 64 on the Go loops — rounded to the ladder and clamped to its ends,
+// whatever the query:update mix, the window and the MBRs' extents.
+func TestChooseBoxRule(t *testing.T) {
+	anchor := map[string]int{"avx512": 48, "generic": 64}[grid.KernelTier()]
+	boxes := workload.DefaultUniformBoxes() // the benchmark's box_uniform stream
+	gen := workload.MustNewBoxGenerator(boxes)
+	snap := gen.Rects(nil)
+	h := core.ParamsFor(boxes.Config).Hints
+	want := fmt.Sprintf("boxcsr2l/cps=%d", anchor)
+	base := SampleBoxes(snap, boxes.Bounds(), h)
+	if c := ChooseBox(base); c.String() != want {
+		t.Fatalf("box_uniform on the %s tier: %s, want %s", grid.KernelTier(), c, want)
+	}
+	for _, mix := range [][2]float64{{0, 0}, {1, 0}, {0, 1}, {1, 1}, {0.1, 0.9}, {0.9, 0.1}} {
+		for _, side := range []float32{0, 20, 400, 1600, 22_000} {
+			s := base
+			s.Queriers, s.Updaters = mix[0], mix[1]
+			s.QuerySide, s.MeanSide = side, side
+			if c := ChooseBox(s); c.String() != want {
+				t.Errorf("box_uniform at %.0f%%q/%.0f%%u, window and mean side %g: %s, want %s", mix[0]*100, mix[1]*100, side, c, want)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		n    int
+		want int
+	}{
+		{0, gridCPSLadder[0]},
+		{1 << 30, gridCPSLadder[len(gridCPSLadder)-1]},
+	} {
+		c := ChooseBox(Stats{N: tc.n})
+		if c.CPS != tc.want {
+			t.Errorf("%d boxes: %s, want cps=%d", tc.n, c, tc.want)
+		}
+		bidx := c.NewBoxIndex(core.Params{Bounds: boxes.Bounds(), NumPoints: len(snap)})
+		bidx.Build(snap)
+		if err := bidx.(core.InvariantChecker).CheckInvariants(); err != nil {
+			t.Errorf("%s over box_uniform: %v", c, err)
+		}
+	}
+}
+
 // TestSelectorChoicesConstruct builds real indexes from a handful of
 // box choices and runs a tiny cycle through them.
 func TestSelectorChoicesConstruct(t *testing.T) {
-	m := Calibrate()
 	bounds := geom.R(0, 0, 1000, 1000)
 	p := core.Params{Bounds: bounds, NumPoints: 64}
 	rects := make([]geom.Rect, 64)
@@ -121,7 +164,7 @@ func TestSelectorChoicesConstruct(t *testing.T) {
 		{N: 64, Space: bounds, QuerySide: 100, Queriers: 1, Updaters: 0},
 		{N: 64, Space: bounds, MeanSide: 30, QuerySide: 100, Queriers: 0, Updaters: 1},
 	} {
-		bc := m.chooseBox(s)
+		bc := ChooseBox(s)
 		bidx := bc.NewBoxIndex(p)
 		bidx.Build(rects)
 		bidx.Query(rects[0], func(uint32) {})
@@ -129,45 +172,19 @@ func TestSelectorChoicesConstruct(t *testing.T) {
 	}
 }
 
-func TestSelectorRespondsToMix(t *testing.T) {
-	m := Calibrate()
-	base := Stats{
-		N:         50_000,
-		Space:     geom.R(0, 0, 22_000, 22_000),
-		MeanSide:  150,
-		P95Side:   240,
-		Skew:      1,
-		QuerySide: 400,
-	}
-	queryHeavy := base
-	queryHeavy.Queriers, queryHeavy.Updaters = 0.9, 0.1
-	updateHeavy := base
-	updateHeavy.Queriers, updateHeavy.Updaters = 0.0, 1.0
-
-	cq := m.chooseBox(queryHeavy)
-	cu := m.chooseBox(updateHeavy)
-	// Directional sanity, not an exact pick: an update-only workload
-	// must never be given a finer grid than a query-heavy one (finer
-	// grids only buy query time and cost replication on every build).
-	if cq.Family != BoxRTree && cu.Family != BoxRTree && cu.CPS > cq.CPS {
-		t.Errorf("update-heavy picked finer grid (%s) than query-heavy (%s)", cu, cq)
-	}
-}
-
-// TestStopTheWorldTickIgnoresMoves pins the price of a tick: no driver
-// hands the index a move, so TickNs does not depend on the update mix.
+// TestStopTheWorldTickIgnoresMoves pins that the update mix does not
+// price in: no driver hands the index a move (the next Build is its one
+// maintenance a tick), so the same population picks the same structure
+// with nobody moving and with everyone moving.
 func TestStopTheWorldTickIgnoresMoves(t *testing.T) {
-	m := Calibrate()
-	still := Stats{N: 100_000, Space: geom.R(0, 0, 22_000, 22_000), Skew: 4, QuerySide: 100, Queriers: 0.02}
+	still := Stats{N: 100_000, Space: geom.R(0, 0, 22_000, 22_000), QuerySide: 100, Queriers: 0.02}
 	churn := still
 	churn.Updaters = 1
-	for _, f := range boxFamilies {
-		if a, b := m.TickNs(f, still, 64), m.TickNs(f, churn, 64); a != b {
-			t.Errorf("%s: TickNs %.0f with nobody moving, %.0f with everyone moving", f, a, b)
-		}
+	if a, b := ChooseBox(still), ChooseBox(churn); a.String() != b.String() {
+		t.Errorf("stop-the-world box pick moved with the update mix: %s still, %s churning", a, b)
 	}
-	if a, b := m.chooseBox(still), m.chooseBox(churn); a.String() != b.String() {
-		t.Errorf("stop-the-world pick moved with the update mix: %s still, %s churning", a, b)
+	if a, b := ChoosePoint(still), ChoosePoint(churn); a.String() != b.String() {
+		t.Errorf("stop-the-world point pick moved with the update mix: %s still, %s churning", a, b)
 	}
 }
 
@@ -178,7 +195,7 @@ func TestChoiceExplain(t *testing.T) {
 		c     Choice
 		wants []string
 	}{
-		{box, []string{"sampled:", "predicted:", "picked:", box.String()}},
+		{box, []string{"sampled:", "rule:", grid.KernelTier() + " tier", "picked:", box.String()}},
 		{point, []string{"sampled:", "rule:", "picked:", point.String()}},
 	} {
 		out := tc.c.Explain()
