@@ -207,6 +207,22 @@ func csrAgreement(t *testing.T) {
 	g.csr.slots[k+1] = g.csr.slots[k]
 	proven, err = gridAudits(g)
 	a.check("id repeated in its column", proven, err)
+	// Two slots of one column swapped, IDs and quanta: every entry stays in
+	// its column's stretch with its own quanta, and only the ascent clause
+	// sees it.
+	g = MustNew(CSR(), testBounds, len(clean["uniform"]))
+	g.Build(slices.Clone(clean["uniform"]))
+	k = twoInColumn(t, g.csr.starts)
+	g.csr.slots[k], g.csr.slots[k+1] = g.csr.slots[k+1], g.csr.slots[k]
+	proven, err = gridAudits(g)
+	a.check("two ids swapped in their column", proven, err)
+	// One ID, quanta and all, stored in a second column over another's slot.
+	g = MustNew(CSR(), testBounds, len(clean["uniform"]))
+	g.Build(slices.Clone(clean["uniform"]))
+	f := twoColumns(t, g)
+	g.csr.slots[g.csr.starts[f]] = g.csr.slots[g.csr.starts[f]-1]
+	proven, err = gridAudits(g)
+	a.check("id stored in two columns", proven, err)
 
 	pts := clean["uniform"]
 	edits := []struct {

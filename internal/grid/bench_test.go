@@ -715,7 +715,10 @@ func kernelPopulation(b *testing.B) (workload.Config, []geom.Point, []uint32) {
 }
 
 // benchWindows times QueryAppend on g, one query per iteration: a square
-// window around each querier of ids in turn, at three window sizes.
+// window around each querier of ids in turn, at three window sizes. For a
+// CSR grid it also reports, over every querier once, the directory rows a
+// query walks and the vector entries it makes (kernelEntries): counts that
+// repeat exactly, where the times wander.
 func benchWindows(b *testing.B, name string, g *Grid, pts []geom.Point, ids []uint32) {
 	for _, window := range []float32{100, 400, 1600} {
 		b.Run(fmt.Sprintf("%s/w=%g", name, window), func(b *testing.B) {
@@ -726,8 +729,48 @@ func benchWindows(b *testing.B, name string, g *Grid, pts []geom.Point, ids []ui
 				results += len(buf)
 			}
 			b.ReportMetric(float64(results)/float64(b.N), "results/query")
+			if g.csr == nil {
+				return
+			}
+			rows, entries := 0, 0
+			for _, id := range ids {
+				r, e := kernelEntries(g, geom.Square(pts[id], window))
+				rows, entries = rows+r, entries+e
+			}
+			b.ReportMetric(float64(rows)/float64(len(ids)), "rows/query")
+			b.ReportMetric(float64(entries)/float64(len(ids)), "entries/query")
 		})
 	}
+}
+
+// kernelEntries returns the directory rows QueryAppend walks for r on the
+// CSR grid g, and the assembly routines it enters on this process's tier:
+// none on the Go loops; for LayoutCSR one filterRuns a runChunk of rows
+// that hold a slot (appendRuns); for LayoutCSRXY's row path one filterXY a
+// filtered stretch, two in a split row, whose copy is a memmove.
+func kernelEntries(g *Grid, r geom.Rect) (rows, entries int) {
+	x, y, _ := queryWindow(g, r)
+	if x.lo > x.hi || y.lo > y.hi {
+		return 0, 0
+	}
+	rows = y.hi - y.lo + 1
+	if !vectorKernels {
+		return rows, 0
+	}
+	st, held := g.csr, 0
+	for cy := y.lo; cy <= y.hi; cy++ {
+		base := cy * g.cfg.CPS << st.shift
+		if st.starts[base+x.lo] < st.starts[base+x.hi+1] {
+			held++
+		}
+		if y.holds(cy) && x.in0 <= x.in1 && x.hi-x.lo > 1 {
+			entries++ // the xy layout's second filter of a split row
+		}
+	}
+	if st.xy != nil {
+		return rows, rows + entries
+	}
+	return rows, (held + runChunk - 1) / runChunk
 }
 
 // BenchmarkCSRQueryKernel times QueryAppend — the run path — on the

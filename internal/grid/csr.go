@@ -236,7 +236,8 @@ func (st *csrStore) appendCell(c int, buf []uint32) []uint32 {
 
 // appendIDs appends the IDs of the arena's slots [lo, hi): one bulk copy
 // of the xy layout's ID arena, or the IDs read out of the slots, by
-// copySlotIDs, eight an instruction, on the vector tier.
+// filterRuns, eight an instruction, on the vector tier (one run, copied
+// whole, which reads no point and no window).
 //
 //joinlint:bce
 func (st *csrStore) appendIDs(lo, hi uint32, buf []uint32) []uint32 {
@@ -249,7 +250,7 @@ func (st *csrStore) appendIDs(lo, hi uint32, buf []uint32) []uint32 {
 	out := buf[k:]
 	out = out[:len(slots)]
 	if vectorKernels {
-		copySlotIDs(slots, out)
+		filterRuns(st.slots, nil, quantWindow{}, geom.Rect{}, []csrRun{{lo, lo, hi, hi}}, out)
 		return buf
 	}
 	for j, s := range slots {
@@ -290,6 +291,88 @@ func (st *csrStore) appendRow(r geom.Rect, qw quantWindow, base, xmin, xmax int,
 	return st.appendFilter(r, qw, lo, hi, buf)
 }
 
+// csrRun is one directory row's run of a window, as appendRow decides it:
+// slots [lo, in0) filtered, [in0, in1) copied whole and [in1, hi) filtered.
+// A row with no interior worth copying is one filtered run, in0 = in1 = hi.
+type csrRun struct{ lo, in0, in1, hi uint32 }
+
+// runChunk is how many rows' runs a query hands the vector tier at a time,
+// a power of two (appendRuns indexes the list by n & (runChunk-1), which
+// needs no bounds check). A window of the benchmark's walks two or three
+// rows; one of more rows than this enters the routine once a chunk.
+const runChunk = 8
+
+// appendRuns is LayoutCSR's query kernel on the vector tier: appendRow's
+// decisions for every row of the window x, y, written into a run list on
+// the stack, and every chunk of the list filtered and copied by one call of
+// filterRuns (appendRunList). A row with no slot in its run is left out.
+// It appends what the row path appends, row after row, in the same order.
+// What it saves is the routine's fixed cost, 8 to 12 ns an entry
+// (README.md, "Vector kernels"), which the row path pays once a filtered
+// run and once a copy: 2.47 times a query at the benchmark's window, where
+// this pays it once. A CSR grid scans by range alone (Config.Validate), so
+// its rows are y's and its columns x's. Each run's three stretches are
+// sliced out of the arena before the run is listed, so offsets out of
+// order or past the arena panic here as appendRow's slicing does, and
+// filterRuns reads only slots that are there.
+//
+//joinlint:hotpath
+//joinlint:bce
+func (st *csrStore) appendRuns(r geom.Rect, qw quantWindow, cps int, x, y cellWindow, buf []uint32) []uint32 {
+	if x.lo > x.hi {
+		return buf
+	}
+	var runs [runChunk]csrRun
+	n, total := 0, 0
+	split := x.in0 <= x.in1 && x.hi-x.lo > 1 // appendRow's len(row) > 3
+	for cy := y.lo; cy <= y.hi; cy++ {
+		base := cy * cps << st.shift
+		row := st.starts[base+x.lo : base+x.hi+2]
+		lo, hi := row[0], row[len(row)-1]
+		in0, in1 := hi, hi
+		if split && y.holds(cy) {
+			in0, in1 = row[1], row[len(row)-2]
+		}
+		_, _, _ = st.slots[lo:in0], st.slots[in0:in1], st.slots[in1:hi]
+		if lo == hi {
+			continue
+		}
+		runs[n&(runChunk-1)] = csrRun{lo, in0, in1, hi}
+		n++
+		total += int(hi - lo)
+		if n == runChunk {
+			buf = st.appendRunList(runs[:], total, qw, r, buf)
+			n, total = 0, 0
+		}
+	}
+	if n > 0 {
+		buf = st.appendRunList(runs[:n], total, qw, r, buf)
+	}
+	return buf
+}
+
+// appendRunList appends the IDs of runs, each filtered, copied and filtered
+// as appendRow would, by one call of filterRuns into room that reserve
+// makes once for their total slots. When filterRuns meets a tied ID it may
+// not gather through, the runs are appended again by the row path's calls,
+// whose loop panics on that ID with the runtime's index error.
+//
+//joinlint:hotpath
+func (st *csrStore) appendRunList(runs []csrRun, total int, w quantWindow, r geom.Rect, buf []uint32) []uint32 {
+	k := len(buf)
+	buf = reserve(buf, total)
+	if n := filterRuns(st.slots, st.pts, w, r, runs, buf[k:]); n >= 0 {
+		return buf[:k+n]
+	}
+	buf = buf[:k]
+	for _, u := range runs {
+		buf = st.appendFilterQ(u.lo, u.in0, w, r, buf)
+		buf = st.appendIDs(u.in0, u.in1, buf)
+		buf = st.appendFilterQ(u.in1, u.hi, w, r, buf)
+	}
+	return buf
+}
+
 // appendFilter test-and-appends the arena run ids[lo:hi] — a column's
 // stretch or a whole row's — against whichever arena the layout keeps
 // beside the IDs.
@@ -313,13 +396,15 @@ func (st *csrStore) appendFilter(r geom.Rect, qw quantWindow, lo, hi uint32, buf
 // every position but NaN, which quantises to 0 and is dropped by any window
 // whose quanta start above it, where the sign trick may pass it.
 //
-// filterQLoop is the definition, and filterQ (filter_amd64.s) makes the
-// same decisions sixteen slots at a time where vectorKernels is true,
-// gathering the points of tied slots alone — or returns a negative count
-// when a tied slot holds an ID it may not gather through, which leaves the
-// run to the loop and its index panic. Where vectorKernels is false the
-// quanta buy nothing: a scalar decision on them costs more than the sign
-// test it spares (README.md, "Quantised positions"), so that tier runs
+// filterQLoop is the definition, and filterRuns (filter_amd64.s), handed
+// the run as a filtered one, makes the same decisions sixteen slots at a
+// time where vectorKernels is true, gathering the points of tied slots
+// alone — or returns a negative count when a tied slot holds an ID it may
+// not gather through, which leaves the run to the loop and its index panic.
+// No query of LayoutCSR comes here on that tier (appendRuns), but the run
+// list's own fallback does. Where vectorKernels is false the quanta buy
+// nothing: a scalar decision on them costs more than the sign test it
+// spares (README.md, "Quantised positions"), so that tier runs
 // filterSlotsPts, appendFilterPts' loop over the slots' IDs.
 //
 //joinlint:hotpath
@@ -328,7 +413,7 @@ func (st *csrStore) appendFilterQ(lo, hi uint32, w quantWindow, r geom.Rect, buf
 	k := len(buf)
 	buf = reserve(buf, len(seg))
 	if vectorKernels {
-		if n := filterQ(seg, st.pts, w, r, buf[k:]); n >= 0 {
+		if n := filterRuns(st.slots, st.pts, w, r, []csrRun{{lo, hi, hi, hi}}, buf[k:]); n >= 0 {
 			return buf[:k+n]
 		}
 		return filterQLoop(seg, st.pts, w, r, buf, k)

@@ -14,9 +14,10 @@ import (
 // false constant (filter_generic.go) and runs the Go loops.
 var vectorKernels = cpuid.AVX512
 
-// Each routine filters seg into dst[:len(seg)] and returns how many IDs
-// passed; filterQ and filterPlanes return -1 when an ID they have to read
-// through (a tie's) is not a safe index into pts or rects.
+// Each routine filters seg (filterRuns: the slots of its runs) into
+// dst[:len(seg)] and returns how many IDs passed; filterRuns and
+// filterPlanes return -1 when an ID they have to read through (a tie's) is
+// not a safe index into pts or rects.
 
 //go:noescape
 func filterXY(seg []uint32, xy []float32, r geom.Rect, dst []uint32) int
@@ -30,10 +31,8 @@ func filterPlanes2(seg, dst []uint32, rects []geom.Rect, p0 []uint16, b0 edgeBou
 //go:noescape
 func filterPlanes4(seg, dst []uint32, rects []geom.Rect, p0 []uint16, b0 edgeBound, p1 []uint16, b1 edgeBound, p2 []uint16, b2 edgeBound, p3 []uint16, b3 edgeBound) int
 
-//go:noescape
-func filterQ(seg []csrSlot, pts []geom.Point, w quantWindow, r geom.Rect, dst []uint32) int
-
-// copySlotIDs writes the ID of every slot of seg to dst, which is as long.
+// filterRuns filters and copies every run of runs over slots into dst,
+// which has room for all their slots, and returns how many IDs it wrote.
 //
 //go:noescape
-func copySlotIDs(seg []csrSlot, dst []uint32)
+func filterRuns(slots []csrSlot, pts []geom.Point, w quantWindow, r geom.Rect, runs []csrRun, dst []uint32) int

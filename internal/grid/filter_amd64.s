@@ -5,7 +5,7 @@
 // The vector tier of the branchless filters (README.md, "Vector kernels").
 // Each routine is the inner loop of its Go wrapper and nothing else: the
 // same subtractions, in the same operand order, OR'd and sign-tested, with
-// the write cursor advanced by the number of clear signs (filterQ compares
+// the write cursor advanced by the number of clear signs (filterRuns compares
 // quanta first, and takes the sign test only where they tie). The
 // wrappers' scalar loops are the reference; a routine reads only its run
 // and writes only dst[0:len(seg)], which reserve has already made room for.
@@ -99,29 +99,42 @@ DATA slotIDs<>+0x30(SB)/8, $0x0000001a00000018
 DATA slotIDs<>+0x38(SB)/8, $0x0000001e0000001c
 GLOBL slotIDs<>(SB), RODATA|NOPTR, $64
 
-// func filterQ(seg []csrSlot, pts []geom.Point, w quantWindow, r geom.Rect, dst []uint32) int
+// func filterRuns(slots []csrSlot, pts []geom.Point, w quantWindow, r geom.Rect, runs []csrRun, dst []uint32) int
 //
-// filterQLoop, sixteen slots a block: two loads of eight slots, whose IDs
-// and quanta two permutes gather into a register each. A slot's quanta
-// v = x | y<<16 are compared as a dword, in y against w's y quanta shifted
-// up and in x, shifted up itself (VPSLLD), against w's x quanta likewise.
-// Two chains of four compares leave in K2 the slots inside w's quanta,
-// bounds included, and in K3 those strictly inside, the hits. A block where
-// the two differ holds ties (K4), and only there are points read: the tied
-// lanes' points are gathered, eight at a time, and those that pass r's
-// sign test join the hits. Returns how many passed, or -1 without finishing
-// when a tied lane's ID may not be gathered: at or past len(pts), or past
-// 1<<31 (the gather sign-extends its indices).
+// The CSR grid's one routine: every run of runs, in order, into dst from
+// dst[0] on — filterQLoop over slots [lo, in0), their IDs copied out of
+// [in0, in1), filterQLoop over [in1, hi) — with one entry, one broadcast
+// of the window and one VZEROUPPER for them all (appendRunList; and
+// appendFilterQ and appendIDs, one run each). The cursor runs on across
+// runs and stretches, so it never exceeds the slots already read, and dst
+// has room for every slot of every run. Returns how many IDs it wrote, or
+// -1 without finishing when a tied slot's ID may not be gathered: at or
+// past len(pts), or past 1<<31 (the gather sign-extends its indices).
 //
-// Register use: SI slots, BX pts, CX slots left, DI dst, AX the cursor;
-// Z3 the block's IDs; Z16 x0<<16, Z17 x1<<16, Z18 y0<<16, Z19
-// y0<<16|0xffff, Z20 y1<<16, Z21 y1<<16|0xffff, Z26 the ID indices, Z27 the
-// quanta's; for ties Z22 [MinX MinY] and Z23 [MaxX MaxY] in every qword,
-// Z24 the sign bits, Z25 the gather bound.
-TEXT ·filterQ(SB), NOSPLIT, $0-104
-	MOVQ seg_base+0(FP), SI
-	MOVQ seg_len+8(FP), CX
-	MOVQ dst_base+72(FP), DI
+// A filtered stretch goes sixteen slots a block: two loads of eight slots,
+// whose IDs and quanta two permutes gather into a register each. A slot's
+// quanta v = x | y<<16 are compared as a dword, in y against w's y quanta
+// shifted up and in x, shifted up itself (VPSLLD), against w's x quanta
+// likewise. Two chains of four compares leave in K2 the slots inside w's
+// quanta, bounds included, and in K3 those strictly inside, the hits. A
+// block where the two differ holds ties (K4), and only there are points
+// read: the tied lanes' points are gathered, eight at a time, and those
+// that pass r's sign test join the hits. A copied stretch goes eight slots
+// a block, each slot's low dword narrowed out of the qword by the store
+// (VPMOVQD) under K1.
+//
+// Register use: R13 slots, R14 the run, DX the runs left, R8 which filter
+// of the run is running (0 the left, 1 the right), SI the stretch, CX its
+// slots left, BX pts, DI dst, AX the cursor; Z3 the block's IDs; Z16
+// x0<<16, Z17 x1<<16, Z18 y0<<16, Z19 y0<<16|0xffff, Z20 y1<<16, Z21
+// y1<<16|0xffff, Z26 the ID indices, Z27 the quanta's; for ties Z22 [MinX
+// MinY] and Z23 [MaxX MaxY] in every qword, Z24 the sign bits, Z25 the
+// gather bound, and R12 set once they are loaded.
+TEXT ·filterRuns(SB), NOSPLIT, $0-128
+	MOVQ slots_base+0(FP), R13
+	MOVQ runs_base+72(FP), R14
+	MOVQ runs_len+80(FP), DX
+	MOVQ dst_base+96(FP), DI
 	MOVL w_lo+48(FP), R8
 	MOVL w_hi+52(FP), R9
 	MOVL R8, R10
@@ -143,10 +156,20 @@ TEXT ·filterQ(SB), NOSPLIT, $0-104
 	VPSUBD Z27, Z26, Z27 // each index plus one: the quanta
 	XORL AX, AX
 	XORL R12, R12 // the tie constants are not loaded yet
+	TESTQ DX, DX
+	JLE  done
+run:
+	MOVL 0(R14), R9 // lo
+	MOVL 4(R14), CX // in0
+	XORL R8, R8
+filter:
+	SUBQ R9, CX
+	LEAQ (R13)(R9*8), SI
 	MOVL $0xffff, R9
 	KMOVW R9, K1
 	TESTQ CX, CX
-	JLE  done
+	JLE  filtered
+	PCALIGN $32
 loop:
 	CMPQ CX, $16
 	JGE  block
@@ -180,9 +203,40 @@ emit:
 	ADDQ $128, SI
 	SUBQ $16, CX
 	JG   loop
+filtered:
+	TESTQ R8, R8
+	JNZ  next
+	MOVL 4(R14), R9 // in0
+	MOVL 8(R14), CX // in1
+	SUBQ R9, CX
+	JLE  copied
+	LEAQ (R13)(R9*8), SI
+	MOVL $0xff, R9
+	KMOVW R9, K1
+copy:
+	CMPQ CX, $8
+	JGE  whole
+	TAIL_MASK
+whole:
+	VMOVDQU64.Z (SI), K1, Z0
+	VPMOVQD Z0, K1, (DI)(AX*4)
+	ADDQ $64, SI
+	ADDQ $8, AX
+	SUBQ $8, CX
+	JG   copy
+	ADDQ CX, AX // the tail block counted 8
+copied:
+	MOVL 8(R14), R9  // in1
+	MOVL 12(R14), CX // hi
+	MOVL $1, R8
+	JMP  filter
+next:
+	ADDQ $16, R14
+	DECQ DX
+	JNZ  run
 done:
 	VZEROUPPER
-	MOVQ AX, ret+96(FP)
+	MOVQ AX, ret+120(FP)
 	RET
 bad:
 	MOVQ $-1, AX
@@ -230,33 +284,6 @@ tied:
 	KSHIFTLW $8, K5, K5
 	KORW K5, K3, K3
 	JMP  emit
-
-// func copySlotIDs(seg []csrSlot, dst []uint32)
-//
-// appendIDs' loop: the IDs of eight slots an iteration, each slot's low
-// dword, narrowed out of the qword by the store (VPMOVQD) under K1.
-TEXT ·copySlotIDs(SB), NOSPLIT, $0-48
-	MOVQ seg_base+0(FP), SI
-	MOVQ seg_len+8(FP), CX
-	MOVQ dst_base+24(FP), DI
-	MOVL $0xff, R9
-	KMOVW R9, K1
-	TESTQ CX, CX
-	JLE  done
-loop:
-	CMPQ CX, $8
-	JGE  block
-	TAIL_MASK
-block:
-	VMOVDQU64.Z (SI), K1, Z0
-	VPMOVQD Z0, K1, (DI)
-	ADDQ $64, SI
-	ADDQ $32, DI
-	SUBQ $8, CX
-	JG   loop
-done:
-	VZEROUPPER
-	RET
 
 // func filterPlanes1(seg, dst []uint32, rects []geom.Rect, p0 []uint16, b0 edgeBound) int
 // func filterPlanes2(seg, dst []uint32, rects []geom.Rect, p0 []uint16, b0 edgeBound, p1 []uint16, b1 edgeBound) int
@@ -450,3 +477,4 @@ decided:
 	VPTESTNMD Z24, Z6, K4, K5 // the tied candidates that pass
 	KORW K5, K3, K3
 	JMP  emit2
+

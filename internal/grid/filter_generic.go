@@ -8,7 +8,7 @@ import "repro/internal/geom"
 // routines below away and the filters are their Go loops.
 const vectorKernels = false
 
-func filterQ([]csrSlot, []geom.Point, quantWindow, geom.Rect, []uint32) int {
+func filterRuns([]csrSlot, []geom.Point, quantWindow, geom.Rect, []csrRun, []uint32) int {
 	panic("grid: no vector tier")
 }
 
@@ -25,5 +25,3 @@ func filterPlanes2([]uint32, []uint32, []geom.Rect, []uint16, edgeBound, []uint1
 func filterPlanes4(_, _ []uint32, _ []geom.Rect, _ []uint16, _ edgeBound, _ []uint16, _ edgeBound, _ []uint16, _ edgeBound, _ []uint16, _ edgeBound) int {
 	panic("grid: no vector tier")
 }
-
-func copySlotIDs([]csrSlot, []uint32) { panic("grid: no vector tier") }

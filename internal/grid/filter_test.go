@@ -16,8 +16,8 @@ import (
 // The branchless filters, tier against tier: appendFilterXY,
 // appendMasked1 / appendMasked2 / appendMasked with the vector routines of
 // filter_amd64.s in front of their loops, and the loops alone
-// (scalarTier), which are the reference; and filterQ against its
-// definition, filterQLoop (quantDecisions). Everything here compares
+// (scalarTier), which are the reference; and filterRuns on one filtered
+// run against its definition, filterQLoop (quantDecisions). Everything here compares
 // returned slices element for element.
 
 func requireVectorTier(t *testing.T) {
@@ -127,7 +127,7 @@ func (a *filterArena) filters() []arenaFilter {
 		{"appendFilterXY", 0, func(lo, hi int, r geom.Rect, buf []uint32) []uint32 {
 			return appendFilterXY(a.ids[lo:hi], a.xy[2*lo:2*hi], r, buf)
 		}},
-		{"filterQ", 0, func(lo, hi int, r geom.Rect, buf []uint32) []uint32 {
+		{"appendFilterQ", 0, func(lo, hi int, r geom.Rect, buf []uint32) []uint32 {
 			if r != a.qr { // a query quantises its window once
 				a.qr, a.qw = r, windowOf(&a.st.mapper, r)
 			}
@@ -290,17 +290,28 @@ func TestFilterTiersShareTheNaNContract(t *testing.T) {
 
 // TestFilterRejectsForeignID: a tied slot whose ID is at or past
 // len(pts) panics with the runtime's index error, on either tier and
-// wherever it sits in the run — filterQ checks a block's tied IDs before
-// it gathers through them. Every slot ties the window's lower corner, so
-// every ID is read. The table is cut from a longer one, so a tier that
-// skipped the check would read a live point and return instead of faulting.
+// wherever it sits in the run — filterRuns checks a block's tied IDs
+// before it gathers through them — and wherever it sits in a filtered
+// stretch of any run of a run list, whose caller hands the runs to the row
+// path's calls when filterRuns refuses, and their loop panics. In a copied
+// stretch the ID is copied, unread, by the row path and the run list
+// alike. Every slot ties the window's lower corner, so every filtered
+// ID is read. The table is cut from a longer one, so a tier that skipped
+// the check would read a live point and return instead of faulting.
 func TestFilterRejectsForeignID(t *testing.T) {
 	backing := make([]geom.Point, 64)
 	st := MustNew(CSR(), filterSpace, 0).csr
 	st.pts = backing[:40]
 	r := geom.Rect{MinX: -1, MinY: -1, MaxX: 1, MaxY: 1}
 	w := windowOf(&st.mapper, r)
-	attempt := func(what string) {
+	tied := func(n, at int, bad uint32) {
+		st.slots = make([]csrSlot, n)
+		for i := range st.slots {
+			st.slots[i] = csrSlot{0, w.lo}
+		}
+		st.slots[at].id = bad
+	}
+	attempt := func(what string, query func() []uint32) {
 		defer debug.SetPanicOnFault(debug.SetPanicOnFault(true)) // a wild read fails the test, not the process
 		defer func() {
 			err, _ := recover().(runtime.Error)
@@ -308,20 +319,51 @@ func TestFilterRejectsForeignID(t *testing.T) {
 				t.Errorf("%s: slots %v over %d points: recovered %v, want an index panic", what, st.slots, len(st.pts), err)
 			}
 		}()
-		st.appendFilterQ(0, uint32(len(st.slots)), w, r, nil)
+		query()
 	}
+	foreign := []uint32{uint32(len(st.pts)), uint32(len(st.pts)) + 9, 1 << 31, math.MaxUint32}
+	whole := func() []uint32 { return st.appendFilterQ(0, uint32(len(st.slots)), w, r, nil) }
 	for _, n := range []int{1, 7, 8, 9, 16, 17, 21, 33} {
 		for at := 0; at < n; at++ {
-			for _, bad := range []uint32{uint32(len(st.pts)), uint32(len(st.pts)) + 9, 1 << 31, math.MaxUint32} {
-				st.slots = make([]csrSlot, n)
-				for i := range st.slots {
-					st.slots[i] = csrSlot{0, w.lo}
-				}
-				st.slots[at].id = bad
-				scalarTier(func() { attempt("scalar tier") })
+			for _, bad := range foreign {
+				tied(n, at, bad)
+				scalarTier(func() { attempt("scalar tier", whole) })
 				if vectorKernels {
-					attempt("vector tier")
+					attempt("vector tier", whole)
 				}
+			}
+		}
+	}
+	// The run list: a filtered run, a split row, a copied one, a filtered
+	// one past a block, and a split row whose stretches cross blocks.
+	runs := []csrRun{{0, 3, 3, 3}, {3, 5, 14, 17}, {17, 17, 30, 30}, {30, 47, 47, 47}, {47, 60, 70, 90}}
+	rowPath := func() []uint32 {
+		var buf []uint32
+		for _, u := range runs {
+			buf = st.appendFilterQ(u.lo, u.in0, w, r, buf)
+			buf = st.appendIDs(u.in0, u.in1, buf)
+			buf = st.appendFilterQ(u.in1, u.hi, w, r, buf)
+		}
+		return buf
+	}
+	runList := func() []uint32 { return st.appendRunList(runs, 90, w, r, nil) }
+	for at := 0; at < 90; at++ {
+		copied := slices.ContainsFunc(runs, func(u csrRun) bool { return u.in0 <= uint32(at) && uint32(at) < u.in1 })
+		for _, bad := range foreign {
+			tied(90, at, bad)
+			check := func(what string, query func() []uint32) {
+				if !copied {
+					attempt(what, query)
+					return
+				}
+				if got, want := query(), st.appendIDs(0, 90, nil); !slices.Equal(got, want) {
+					t.Errorf("%s: ID %d copied in slot %d: %v, want every slot's ID %v", what, bad, at, got, want)
+				}
+			}
+			scalarTier(func() { check("scalar tier, row path", rowPath) })
+			if vectorKernels {
+				check("vector tier, row path", rowPath)
+				check("vector tier, run list", runList)
 			}
 		}
 	}

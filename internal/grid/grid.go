@@ -221,9 +221,11 @@ type store interface {
 	// per-cell reader (CheckInvariants).
 	appendCell(c int, buf []uint32) []uint32
 	// appendRow is one directory row of Algorithm 1's cell body, the one
-	// query kernel: for every cell [base+xmin, base+xmax] it appends the
-	// cell's entries whole when x holds it (x.holds), test-and-appends them
-	// when x touches it (x.touches) and skips the cell otherwise. x is the
+	// query kernel (but for LayoutCSR on the vector tier, whose run list,
+	// csrStore.appendRuns, makes its decisions for a whole window): for
+	// every cell [base+xmin, base+xmax] it appends the cell's entries whole
+	// when x holds it (x.holds), test-and-appends them when x touches it
+	// (x.touches) and skips the cell otherwise. x is the
 	// window's x axis as this row sees it (cellWindow.row): it holds no
 	// cell of a row the window does not hold on y, and touches none of a
 	// row it does not touch. One interface call covers the whole row: a
@@ -538,9 +540,12 @@ func (g *Grid) Query(r geom.Rect, emit func(id uint32)) { callback.Query(g, r, e
 // rectangle lies (partly) outside the space, clamping can place edge cells
 // in the range that do not actually overlap r. Every row goes to the store
 // in ONE call — a direct one for the CSR layouts, an interface call for the
-// others. No row is skipped under ScanFull, even one that cannot intersect
-// r: Algorithm 1's defining cost is the full directory traversal, so every
-// cell gets its cell test.
+// others — except that LayoutCSR on the vector tier hands the whole window
+// to its run list (csrStore.appendRuns), one assembly entry for all its
+// rows where the row path makes one a filtered run and one a copy. No row
+// is skipped under ScanFull, even one that cannot intersect r: Algorithm
+// 1's defining cost is the full directory traversal, so every cell gets
+// its cell test.
 //
 //joinlint:hotpath
 func (g *Grid) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
@@ -562,6 +567,9 @@ func (g *Grid) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 	// (medians of four interleaved 20 s runs; the direct call ahead in
 	// all four pairs).
 	csr, _ := st.(*csrStore)
+	if csr != nil && csr.xy == nil && vectorKernels {
+		return csr.appendRuns(r, qw, cps, xw, yw, buf)
+	}
 	for cy := ymin; cy <= ymax; cy++ {
 		if csr != nil {
 			buf = csr.appendRow(r, qw, cy*cps, xmin, xmax, yw.row(cy, xw), buf)

@@ -119,22 +119,29 @@ func (a *occupancy) reset(n int) []uint64 {
 // the arenas) and the walk's size clauses, it makes one pass over the arena
 // a chunk of slots at a time: it gathers the positions of the chunk's IDs,
 // maps them with the build's own kernel, and folds into one flag whether
-// each slot k lies in the stretch of its position's column, into one word
+// each slot k lies in the stretch of its position's column and whether its
+// key, label<<32 | id, is above the previous slot's, and into one word
 // every difference of the slot's quanta from its position's (for the xy
-// layout, of its coordinates), and into another, through onceEach, whether
-// each ID was met before.
+// layout, of its coordinates).
 //
 // The walk's cell clause needs no fold of its own: with the offsets
 // monotone, the one stretch holding slot k is a column of the cell whose
-// segment holds it. n distinct IDs below n in an arena of n slots are each
-// stored exactly once.
+// segment holds it. Nor does its once clause: an ID stored twice has one
+// position, so one label, and its two slots lie in one column, where the
+// keys ascend strictly only if the IDs do (the walk's ascent clause); so
+// n ascending keys of IDs below n in an arena of n slots store each ID
+// exactly once. The stretch clause puts the labels in order, so a key
+// below its predecessor differs from it by less than 2³² and sets the
+// flag's sign; a key above it by 2⁶³ or more, a label jump of 2³¹ columns,
+// sets it too, and sends such a grid to the walk, which proves it.
 func (st *csrStore) proven(cells, n int, a *occupancy) bool {
 	if st.checkCSR(cells) != nil || st.totalEntries() != n || len(st.pts) != n {
 		return false
 	}
 	var flags uint64
-	var diff, twice uint32
-	pts, starts, seen := st.pts, st.starts, a.reset(n)
+	var diff uint32
+	prev := ^uint64(0) // the key before slot 0: every key is above it, mod 2⁶⁴
+	pts, starts := st.pts, st.starts
 	for lo := 0; lo < n; lo += auditChunk {
 		ids := st.appendIDs(uint32(lo), uint32(min(lo+auditChunk, n)), a.ids[:0])
 		at, labels := a.pts[:len(ids)], a.labels[:len(ids)]
@@ -159,26 +166,12 @@ func (st *csrStore) proven(cells, n int, a *occupancy) bool {
 			}
 		}
 		for j, f := range labels {
-			k := uint64(lo + j)
-			flags |= (k - uint64(starts[f])) | (uint64(starts[f+1]) - k - 1)
-		}
-		if !onceEach(ids, seen) {
-			twice = 1
+			k, key := uint64(lo+j), uint64(f)<<32|uint64(ids[j])
+			flags |= (k - uint64(starts[f])) | (uint64(starts[f+1]) - k - 1) | (key - prev - 1)
+			prev = key
 		}
 	}
-	return flags>>63 == 0 && diff == 0 && twice == 0
-}
-
-// onceEach reports whether no ID occurs twice in ids, nor was met before:
-// all of them have a bit in seen, where each sets its own.
-func onceEach(ids []uint32, seen []uint64) bool {
-	var twice uint64
-	for _, id := range ids {
-		w, bit := id>>6, uint64(1)<<(id&63)
-		twice |= seen[w] & bit
-		seen[w] |= bit
-	}
-	return twice == 0
+	return flags>>63 == 0 && diff == 0
 }
 
 // checkOccupant audits entry id, the nth the pass meets, as found in cell
@@ -204,8 +197,9 @@ func (g *Grid) checkOccupant(seen []uint64, size int, id uint32, c int, n uint32
 // checkEntry audits entry id as the occupancy pass meets it, the nth it
 // visits, in cell c: the column of its position is one of c's, and — the
 // pass walks the arena front to back, so the nth visit is slot n — the slot
-// lies in that column's stretch and the arena beside the IDs holds the
-// position's quanta (or coordinates) there.
+// lies in that column's stretch, above the ID of the slot before it in the
+// stretch (the build leaves a column's IDs ascending), and the arena beside
+// the IDs holds the position's quanta (or coordinates) there.
 func (st *csrStore) checkEntry(id uint32, c int, n uint32) error {
 	p := st.pts[id]
 	x, y := st.mapper.fixedOf(p)
@@ -217,6 +211,12 @@ func (st *csrStore) checkEntry(id uint32, c int, n uint32) error {
 		return fmt.Errorf("grid/csr: id %d of column %d lies in slot %d, outside the column's [%d, %d)",
 			id, f, n, st.starts[f], st.starts[f+1])
 	}
+	if n > st.starts[f] {
+		if prev := st.idAt(n - 1); prev >= id {
+			return fmt.Errorf("grid/csr: ids do not ascend in column %d (cell %d): slot %d holds id %d, slot %d id %d",
+				f, c, n-1, prev, n, id)
+		}
+	}
 	if st.xy == nil {
 		if got, want := st.slots[n].q, quantize(x, y); got != want {
 			return fmt.Errorf("grid/csr: slot %d holds quanta %#08x, id %d at %v quantises to %#08x", n, got, id, p, want)
@@ -226,6 +226,14 @@ func (st *csrStore) checkEntry(id uint32, c int, n uint32) error {
 			n, st.xy[2*n], st.xy[2*n+1], p, id)
 	}
 	return nil
+}
+
+// idAt is the ID in slot k of the arena.
+func (st *csrStore) idAt(k uint32) uint32 {
+	if st.xy != nil {
+		return st.ids[k]
+	}
+	return st.slots[k].id
 }
 
 // checkCSR audits the offsets of a CSR store of cells cells, and the

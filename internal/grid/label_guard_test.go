@@ -98,39 +98,48 @@ func TestSpanRectsStopsAtLen(t *testing.T) {
 	}
 }
 
-// TestFilterQStopsAtLen is TestLabelPtsStopsAtLen for the quantised
-// filter's vector routine: every run of 0 to 64 slots ends flush against a
-// PROT_NONE page, and so does the run's room in dst, so the two loads of a
-// block and its store are shown to touch nothing past the run. The window's
-// edges are some slots' own coordinates, so blocks with ties, and their
-// gathers, are among the runs; every answer is filterQLoop's. The same
-// runs go through copySlotIDs, the slots' IDs read out for a bulk copy.
+// TestFilterQStopsAtLen is TestLabelPtsStopsAtLen for the CSR grid's
+// routine, filterRuns: the last 0 to 64 slots of an arena that ends flush
+// against a PROT_NONE page, cut into run lists of every shape (runShapes:
+// filtered, copied whole, split, and many short runs), each list flush
+// against a page of its own and the room in dst flush against a third, so
+// the two loads of a filtered block, the load of a copied one, their
+// stores and the read of a run list are shown to touch nothing past their
+// ends. The slot holding the last point is the arena's last, and the
+// window's corner is that point, so a list whose last stretch is filtered
+// ends with a tie whose gather reads the point flush against a fourth page;
+// the edges are two slots' own coordinates, so blocks with ties in their
+// high half are among them too. Every answer is runsLoop's.
 func TestFilterQStopsAtLen(t *testing.T) {
 	if !vectorKernels {
 		t.Skip("vector tier absent: " + missingTier)
 	}
-	in, out := guardedPages(t)
-	slots := unsafe.Slice((*csrSlot)(unsafe.Pointer(&in[0])), len(in)/8)
-	dst := unsafe.Slice((*uint32)(unsafe.Pointer(&out[0])), len(out)/4)
+	pages := guardedRegions(t, 4)
+	slots := unsafe.Slice((*csrSlot)(unsafe.Pointer(&pages[0][0])), len(pages[0])/8)
+	pts := unsafe.Slice((*geom.Point)(unsafe.Pointer(&pages[1][0])), len(pages[1])/8)
+	list := unsafe.Slice((*csrRun)(unsafe.Pointer(&pages[2][0])), len(pages[2])/16)
+	dst := unsafe.Slice((*uint32)(unsafe.Pointer(&pages[3][0])), len(pages[3])/4)
 	bounds := geom.R(0, 0, 22000, 22000)
-	pts := randomPoints(xrand.New(5), len(slots), bounds)
-	st := quantStore(bounds, pts, 6)
+	copy(pts, randomPoints(xrand.New(7), len(pts), bounds))
+	st := quantStore(bounds, pts, 8)
 	copy(slots, st.slots)
-	a, b := pts[slots[len(slots)-1].id], pts[slots[len(slots)-12].id] // tied in every run, and in a block's high half
+	last := uint32(len(pts) - 1)
+	k := slices.IndexFunc(slots, func(s csrSlot) bool { return s.id == last })
+	slots[k], slots[len(slots)-1] = slots[len(slots)-1], slots[k]
+	st.slots = slots
+	a, b := pts[last], pts[slots[len(slots)-12].id]
 	r := geom.Rect{MinX: min(a.X, b.X), MinY: min(a.Y, b.Y), MaxX: max(a.X, b.X), MaxY: max(a.Y, b.Y)}
 	w := windowOf(&st.mapper, r)
-	for n := 0; n <= 64; n++ {
-		run := slots[len(slots)-n:]
-		room := dst[len(dst)-n:]
-		got := filterQ(run, pts, w, r, room)
-		want := filterQLoop(run, pts, w, r, make([]uint32, n), 0)
-		if got < 0 || !slices.Equal(room[:got], want) {
-			t.Fatalf("%d slots at the guard: filterQ passed %d: %v, filterQLoop %v", n, got, room[:max(got, 0)], want)
-		}
-		copySlotIDs(run, room)
-		for k, s := range run {
-			if room[k] != s.id {
-				t.Fatalf("%d slots at the guard: copySlotIDs wrote %d to slot %d's place, its ID is %d", n, room[k], k, s.id)
+	end := uint32(len(slots))
+	for n := uint32(0); n <= 64; n++ {
+		for shape, runs := range runShapes(end-n, end) {
+			at := list[len(list)-len(runs):]
+			copy(at, runs)
+			room := dst[len(dst)-int(n):]
+			got := filterRuns(slots, pts, w, r, at, room)
+			want := runsLoop(st, runs, w, r, nil)
+			if got < 0 || !slices.Equal(room[:got], want) {
+				t.Fatalf("%s runs of the last %d slots at the guard: filterRuns passed %d: %v, its definition %v", shape, n, got, room[:max(got, 0)], want)
 			}
 		}
 	}

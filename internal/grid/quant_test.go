@@ -10,8 +10,8 @@ import (
 	"repro/internal/xrand"
 )
 
-// The quantised filter of LayoutCSR (appendFilterQ: filterQ on the vector
-// tier, the exact test on the scalar one) and filterQ's definition,
+// The quantised filter of LayoutCSR (appendFilterQ: filterRuns on the
+// vector tier, the exact test on the scalar one) and its definition,
 // filterQLoop, held to the exact filter, appendFilterPts, which is what
 // every decision they take without the base table must agree with: bit for
 // bit, in the same order, on both tiers, for every position but NaN, whose
@@ -90,7 +90,7 @@ func quantCases(bounds geom.Rect, cps int, seed uint64) ([]geom.Point, []geom.Re
 }
 
 // quantDecisions is the quantised filter of slots [lo, hi) of st on the
-// tier it runs on: filterQ, through appendFilterQ, on the vector tier, and
+// tier it runs on: filterRuns, through appendFilterQ, on the vector tier, and
 // its definition, filterQLoop, on the scalar one, whose appendFilterQ takes
 // the exact test instead.
 func quantDecisions(st *csrStore, lo, hi int, w quantWindow, r geom.Rect, buf []uint32) []uint32 {
@@ -188,7 +188,7 @@ func TestQuantWindowsOutsideTheContract(t *testing.T) {
 
 // FuzzQuantTiers holds appendFilterQ on both tiers to the exact filter on
 // fuzzer-chosen spaces, windows and points (eight bytes a point), where
-// neither the window nor a point is NaN, and filterQ to its definition,
+// neither the window nor a point is NaN, and filterRuns to its definition,
 // filterQLoop (quantDecisions on each tier), everywhere; for finite points
 // and a finite window, none of them -0, the answer is brute force's,
 // Point.In. (The quanta depend on the space alone: the granularity picks
