@@ -73,21 +73,13 @@ func main() {
 	// grid-vs-R-tree pairing of the study — plus the adaptive selector
 	// racing as its own contender, with brute force as oracle. The
 	// self-join probes every corridor with its own MBR, so the hints
-	// describe a 100%-querier tick with corridor-sized windows; and
-	// because each frame rebuilds from scratch (motion enters through
-	// the generator, never through Update calls), the update fraction
-	// the index will see is zero.
+	// describe corridor-sized windows.
 	bg := grid.MustNewBoxGrid2L(cps, cfg.Bounds(), drones)
 	bt := rtree.MustNewBoxTree(rtree.DefaultFanout)
 	auto := tune.NewAutoBox(core.Params{
 		Bounds:    cfg.Bounds(),
 		NumPoints: drones,
-		Hints: core.WorkloadHints{
-			QuerySize: (cfg.MinSide + cfg.MaxSide) / 2,
-			Queriers:  1,
-			Updaters:  0,
-			Ticks:     frames,
-		},
+		Hints:     core.WorkloadHints{QuerySize: (cfg.MinSide + cfg.MaxSide) / 2},
 	})
 	oracle := core.NewBruteForceBoxes()
 

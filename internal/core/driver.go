@@ -124,12 +124,7 @@ func ParamsFor(cfg workload.Config) Params {
 	return Params{
 		Bounds:    cfg.Bounds(),
 		NumPoints: cfg.NumPoints,
-		Hints: WorkloadHints{
-			QuerySize: cfg.QuerySize,
-			Queriers:  cfg.Queriers,
-			Updaters:  cfg.Updaters,
-			Ticks:     cfg.Ticks,
-		},
+		Hints:     WorkloadHints{QuerySize: cfg.QuerySize},
 	}
 }
 

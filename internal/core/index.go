@@ -174,21 +174,15 @@ type InvariantChecker interface {
 	CheckInvariants() error
 }
 
-// WorkloadHints describes the observable per-tick workload mix, for
-// factories that tune or select an index from it (the `auto` technique
-// in internal/tune). All fields are hints: zero values mean "unknown"
-// and consumers must fall back to sensible defaults. Static factories
-// ignore them entirely.
+// WorkloadHints describes the observable workload, for factories that
+// tune or select an index from it (the `auto` technique in
+// internal/tune). All fields are hints: zero values mean "unknown" and
+// consumers must fall back to sensible defaults. Static factories ignore
+// them entirely.
 type WorkloadHints struct {
-	// QuerySize is the side length of the square range-query windows.
+	// QuerySize is the side length of the square range-query windows,
+	// which the shard-count ladder reads (tune.ChooseShardSide).
 	QuerySize float32
-	// Queriers and Updaters are the fractions of objects querying and
-	// updating per tick.
-	Queriers, Updaters float64
-	// Ticks is how many ticks the index will live through (the build
-	// cost is paid once per tick regardless, but a hint of 1 marks a
-	// one-shot join where update costs never materialize).
-	Ticks int
 }
 
 // Params carries the information factories need to size an index for a
@@ -198,8 +192,8 @@ type WorkloadHints struct {
 type Params struct {
 	Bounds    geom.Rect
 	NumPoints int
-	// Hints optionally describes the workload mix for adaptive
-	// factories; the zero value means "unknown".
+	// Hints optionally describes the workload for adaptive factories;
+	// the zero value means "unknown".
 	Hints WorkloadHints
 	// Shards requests a region-sharded engine's grid side (Shards x
 	// Shards regions, internal/shard). 0 lets the selector's shard-count

@@ -733,8 +733,10 @@ func benchWindows(b *testing.B, name string, g *Grid, pts []geom.Point, ids []ui
 				return
 			}
 			rows, entries := 0, 0
+			var runs []csrRun
 			for _, id := range ids {
-				r, e := kernelEntries(g, geom.Square(pts[id], window))
+				var r, e int
+				r, e, runs = kernelEntries(g, geom.Square(pts[id], window), runs[:0])
 				rows, entries = rows+r, entries+e
 			}
 			b.ReportMetric(float64(rows)/float64(len(ids)), "rows/query")
@@ -746,31 +748,32 @@ func benchWindows(b *testing.B, name string, g *Grid, pts []geom.Point, ids []ui
 // kernelEntries returns the directory rows QueryAppend walks for r on the
 // CSR grid g, and the assembly routines it enters on this process's tier:
 // none on the Go loops; for LayoutCSR one filterRuns a runChunk of rows
-// that hold a slot (appendRuns); for LayoutCSRXY's row path one filterXY a
-// filtered stretch, two in a split row, whose copy is a memmove.
-func kernelEntries(g *Grid, r geom.Rect) (rows, entries int) {
+// that hold a slot (appendRuns); for LayoutCSRXY one filterXY a non-empty
+// filtered stretch, whose copies are memmoves. It lists the walk's runs in
+// runs, which it returns for the next call, so that counting allocates
+// nothing next to the timed loop.
+func kernelEntries(g *Grid, r geom.Rect, runs []csrRun) (rows, entries int, _ []csrRun) {
 	x, y, _ := queryWindow(g, r)
 	if x.lo > x.hi || y.lo > y.hi {
-		return 0, 0
+		return 0, 0, runs
 	}
 	rows = y.hi - y.lo + 1
-	if !vectorKernels {
-		return rows, 0
+	runs, _ = csrWalk(g, r, runs)
+	switch {
+	case !vectorKernels:
+		return rows, 0, runs
+	case g.csr.xy == nil:
+		return rows, (len(runs) + runChunk - 1) / runChunk, runs
 	}
-	st, held := g.csr, 0
-	for cy := y.lo; cy <= y.hi; cy++ {
-		base := cy * g.cfg.CPS << st.shift
-		if st.starts[base+x.lo] < st.starts[base+x.hi+1] {
-			held++
+	for _, u := range runs {
+		if u.lo < u.in0 {
+			entries++
 		}
-		if y.holds(cy) && x.in0 <= x.in1 && x.hi-x.lo > 1 {
-			entries++ // the xy layout's second filter of a split row
+		if u.in1 < u.hi {
+			entries++
 		}
 	}
-	if st.xy != nil {
-		return rows, rows + entries
-	}
-	return rows, (held + runChunk - 1) / runChunk
+	return rows, entries, runs
 }
 
 // BenchmarkCSRQueryKernel times QueryAppend — the run path — on the

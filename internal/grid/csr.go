@@ -21,7 +21,7 @@ import (
 // 1<<shift columns (columnShift) and the build orders a cell's entries by
 // column, with one offset per column in starts, so column f is exactly
 // slots[starts[f]:starts[f+1]] and any span of consecutive columns is one
-// run of the arena. What the columns buy is appendRow's run path, which
+// run of the arena. What the columns buy is appendRuns' run path, which
 // ends a row's run at the columns of the window instead of the edges of its
 // cells.
 //
@@ -30,7 +30,7 @@ import (
 // so the vector filter of a run reads one sequential stream and decides
 // every slot whose quanta lie strictly inside or outside the window's
 // without touching the base table; only a slot on a quantum of the
-// window's edge is decided by its exact position (appendFilterQ; README.md,
+// window's edge is decided by its exact position (filterQLoop; README.md,
 // "Quantised positions"). The scalar tier tests every slot exactly.
 // LayoutCSRXY keeps IDs alone, and the exact coordinates in an arena of
 // their own (csrxy.go).
@@ -100,7 +100,7 @@ func axisIndex(f float32, n int) int {
 	return int(f)
 }
 
-// quantWindow is a query window in quanta, as appendFilterQ compares them:
+// quantWindow is a query window in quanta, as filterQLoop compares them:
 // lo = quantOf(MinX, MinY), hi = quantOf(MaxX, MaxY). Grid.QueryAppend
 // makes one a query, from the corners' fixed-point positions it has at
 // hand.
@@ -259,62 +259,37 @@ func (st *csrStore) appendIDs(lo, hi uint32, buf []uint32) []uint32 {
 	return buf
 }
 
-// appendRow is the store's whole-row kernel. The grid hands a CSR store its
-// x range and window in columns, and the columns of a directory row abut,
-// so the window's span is a run of the ID arena that begins and ends within
-// a column of the window, and the kernel pays per row, not per cell: a span
-// with no interior worth copying is ONE branchless filter over the whole
-// run; a span of three or more columns in a row the window holds on y is
-// filter(left column), one bulk copy of the interior columns, filter(right
-// column). The interior columns lie strictly inside the window's, so the
-// window holds them (cellWindow), and an empty window, NaN or inverted,
-// touches no column and returns nothing. qw is r in quanta
-// (Grid.QueryAppend), which the filter of the quantised layout reads. It is
-// made once a query and handed in, not made here once a row: made here, it
-// cost a query 10 to 15 ns of about 150 (BenchmarkCSRQueryKernel).
-//
-//joinlint:hotpath
-//joinlint:bce
-func (st *csrStore) appendRow(r geom.Rect, qw quantWindow, base, xmin, xmax int, x cellWindow, buf []uint32) []uint32 {
-	if xmin > xmax || x.lo > x.hi {
-		return buf
-	}
-	base <<= st.shift                         // the row's first column
-	row := st.starts[base+xmin : base+xmax+2] // the span's column offsets, and its end
-	lo, hi := row[0], row[len(row)-1]
-	if x.in0 <= x.in1 && len(row) > 3 {
-		in0, in1 := row[1], row[len(row)-2]
-		buf = st.appendFilter(r, qw, lo, in0, buf)
-		buf = st.appendIDs(in0, in1, buf)
-		return st.appendFilter(r, qw, in1, hi, buf)
-	}
-	return st.appendFilter(r, qw, lo, hi, buf)
-}
-
-// csrRun is one directory row's run of a window, as appendRow decides it:
-// slots [lo, in0) filtered, [in0, in1) copied whole and [in1, hi) filtered.
-// A row with no interior worth copying is one filtered run, in0 = in1 = hi.
+// csrRun is one directory row's run of a window: slots [lo, in0) filtered,
+// [in0, in1) copied whole and [in1, hi) filtered. A row with no interior
+// worth copying is one filtered run, in0 = in1 = hi.
 type csrRun struct{ lo, in0, in1, hi uint32 }
 
-// runChunk is how many rows' runs a query hands the vector tier at a time,
+// runChunk is how many rows' runs a query lists at a time for filterRuns,
 // a power of two (appendRuns indexes the list by n & (runChunk-1), which
-// needs no bounds check). A window of the benchmark's walks two or three
+// needs no bounds check). A window of the benchmark's walks two to six
 // rows; one of more rows than this enters the routine once a chunk.
 const runChunk = 8
 
-// appendRuns is LayoutCSR's query kernel on the vector tier: appendRow's
-// decisions for every row of the window x, y, written into a run list on
-// the stack, and every chunk of the list filtered and copied by one call of
-// filterRuns (appendRunList). A row with no slot in its run is left out.
-// It appends what the row path appends, row after row, in the same order.
-// What it saves is the routine's fixed cost, 8 to 12 ns an entry
-// (README.md, "Vector kernels"), which the row path pays once a filtered
-// run and once a copy: 2.47 times a query at the benchmark's window, where
-// this pays it once. A CSR grid scans by range alone (Config.Validate), so
-// its rows are y's and its columns x's. Each run's three stretches are
-// sliced out of the arena before the run is listed, so offsets out of
-// order or past the arena panic here as appendRow's slicing does, and
-// filterRuns reads only slots that are there.
+// appendRuns is the CSR layouts' one query kernel, on both tiers. The grid
+// hands it the window's cells on each axis, x's in columns; the columns of
+// a directory row abut, so the window's span of a row is one run of the
+// arena, and the kernel pays per row, not per cell: a span of three or
+// more columns in a row the window holds on y is filter(left column), one
+// bulk copy of the interior columns (which the window holds, cellWindow),
+// filter(right column), and any other span one filtered run. An empty
+// window, NaN or inverted, touches no column. A CSR grid scans by range
+// alone (Config.Validate), so its rows are y's and its columns x's.
+//
+// Where vectorKernels is true and the layout is LayoutCSR, the runs go into
+// a list on the stack, a chunk of which is one entry of filterRuns
+// (appendRunList); everywhere else each run is appended as the walk makes
+// it (appendRun). The list is made, and zeroed, only there: zeroed on every
+// query, its 128 bytes were a runtime.duffzero call, 8 % of csr+xy's w=100
+// profile. A listed run's stretches are sliced out of the arena first, so
+// offsets out of order or past it panic here, and filterRuns reads only
+// slots that are there. qw is r in quanta, which only filterRuns reads;
+// made once a row instead of once a query, it cost 10 to 15 ns of about
+// 150 (BenchmarkCSRQueryKernel).
 //
 //joinlint:hotpath
 //joinlint:bce
@@ -322,9 +297,12 @@ func (st *csrStore) appendRuns(r geom.Rect, qw quantWindow, cps int, x, y cellWi
 	if x.lo > x.hi {
 		return buf
 	}
-	var runs [runChunk]csrRun
-	n, total := 0, 0
-	split := x.in0 <= x.in1 && x.hi-x.lo > 1 // appendRow's len(row) > 3
+	var runs *[runChunk]csrRun // the run list, nil on the Go loops' walk
+	if vectorKernels && st.xy == nil {
+		runs = new([runChunk]csrRun)
+	}
+	n := 0
+	split := x.in0 <= x.in1 && x.hi-x.lo > 1 // three or more columns
 	for cy := y.lo; cy <= y.hi; cy++ {
 		base := cy * cps << st.shift
 		row := st.starts[base+x.lo : base+x.hi+2]
@@ -333,92 +311,87 @@ func (st *csrStore) appendRuns(r geom.Rect, qw quantWindow, cps int, x, y cellWi
 		if split && y.holds(cy) {
 			in0, in1 = row[1], row[len(row)-2]
 		}
-		_, _, _ = st.slots[lo:in0], st.slots[in0:in1], st.slots[in1:hi]
 		if lo == hi {
 			continue
 		}
-		runs[n&(runChunk-1)] = csrRun{lo, in0, in1, hi}
-		n++
-		total += int(hi - lo)
-		if n == runChunk {
-			buf = st.appendRunList(runs[:], total, qw, r, buf)
-			n, total = 0, 0
+		u := csrRun{lo, in0, in1, hi}
+		if runs == nil {
+			buf = st.appendRun(u, r, buf)
+			continue
+		}
+		_, _, _ = st.slots[lo:in0], st.slots[in0:in1], st.slots[in1:hi]
+		runs[n&(runChunk-1)] = u
+		if n++; n == runChunk {
+			buf = st.appendRunList(runs[:], qw, r, buf)
+			n = 0
 		}
 	}
 	if n > 0 {
-		buf = st.appendRunList(runs[:n], total, qw, r, buf)
+		buf = st.appendRunList(runs[:n], qw, r, buf)
 	}
 	return buf
 }
 
-// appendRunList appends the IDs of runs, each filtered, copied and filtered
-// as appendRow would, by one call of filterRuns into room that reserve
-// makes once for their total slots. When filterRuns meets a tied ID it may
-// not gather through, the runs are appended again by the row path's calls,
-// whose loop panics on that ID with the runtime's index error.
+// appendRunList appends the IDs of runs, each filtered, copied and
+// filtered: by one call of filterRuns, into room that reserve makes once
+// for their total slots, where vectorKernels is true and the layout is
+// LayoutCSR, and everywhere else run by run (appendRun). What the one call
+// saves is the routine's fixed cost, 8 to 12 ns an entry (README.md,
+// "Vector kernels"), which a call a stretch pays 2.47 times a query at the
+// benchmark's window. When filterRuns meets a tied ID it may not gather
+// through, the runs go to appendRun, whose loop panics on that ID with the
+// runtime's index error.
 //
 //joinlint:hotpath
-func (st *csrStore) appendRunList(runs []csrRun, total int, w quantWindow, r geom.Rect, buf []uint32) []uint32 {
-	k := len(buf)
-	buf = reserve(buf, total)
-	if n := filterRuns(st.slots, st.pts, w, r, runs, buf[k:]); n >= 0 {
-		return buf[:k+n]
+func (st *csrStore) appendRunList(runs []csrRun, w quantWindow, r geom.Rect, buf []uint32) []uint32 {
+	if vectorKernels && st.xy == nil {
+		total := 0
+		for _, u := range runs {
+			total += int(u.hi - u.lo)
+		}
+		k := len(buf)
+		buf = reserve(buf, total)
+		if n := filterRuns(st.slots, st.pts, w, r, runs, buf[k:]); n >= 0 {
+			return buf[:k+n]
+		}
+		buf = buf[:k]
 	}
-	buf = buf[:k]
 	for _, u := range runs {
-		buf = st.appendFilterQ(u.lo, u.in0, w, r, buf)
-		buf = st.appendIDs(u.in0, u.in1, buf)
-		buf = st.appendFilterQ(u.in1, u.hi, w, r, buf)
+		buf = st.appendRun(u, r, buf)
 	}
 	return buf
 }
 
-// appendFilter test-and-appends the arena run ids[lo:hi] — a column's
-// stretch or a whole row's — against whichever arena the layout keeps
-// beside the IDs.
-func (st *csrStore) appendFilter(r geom.Rect, qw quantWindow, lo, hi uint32, buf []uint32) []uint32 {
+// appendRun appends one run's IDs by the exact Go loop: the exact test of
+// its left stretch (appendExact), a bulk copy of its interior (appendIDs)
+// and the exact test of its right stretch. An empty stretch is skipped: a
+// 0-length filterXY entry on every unsplit row cost csr+xy's w=400 query
+// 80 → 112 ns. On the quantised layout's vector tier only filterRuns'
+// refusal comes here; off it the quanta buy nothing, a scalar decision on
+// them costing more than the sign test it spares (README.md, "Quantised
+// positions").
+//
+//joinlint:hotpath
+func (st *csrStore) appendRun(u csrRun, r geom.Rect, buf []uint32) []uint32 {
+	if u.lo != u.in0 {
+		buf = st.appendExact(u.lo, u.in0, r, buf)
+	}
+	if u.in0 != u.in1 {
+		buf = st.appendIDs(u.in0, u.in1, buf)
+	}
+	if u.in1 != u.hi {
+		buf = st.appendExact(u.in1, u.hi, r, buf)
+	}
+	return buf
+}
+
+// appendExact is the exact test of the arena's stretch [lo, hi): against
+// the base table by each slot's ID, or LayoutCSRXY's own arena.
+func (st *csrStore) appendExact(lo, hi uint32, r geom.Rect, buf []uint32) []uint32 {
 	if st.xy != nil {
 		return appendFilterXY(st.ids[lo:hi], st.xy[2*lo:2*hi], r, buf)
 	}
-	return st.appendFilterQ(lo, hi, qw, r, buf)
-}
-
-// appendFilterQ is the quantised layout's filter of the run slots[lo:hi],
-// w being r in quanta (Grid.QueryAppend). A slot whose quanta lie
-// strictly inside w's on both axes is a hit and one outside them on either
-// axis a miss, without a look at its position: quantOf is monotone, so a
-// quantum above the window's lower bound proves the coordinate above r's,
-// and so on. What is left, a slot whose quantum equals a bound's and is
-// otherwise inside, is a tie, which the exact test of appendFilterPts
-// decides against pts. At the benchmark's 22 000 space a quantum is a third
-// of a unit, and a 400-unit window ties about one entry in eighteen
-// queries. The answer is appendFilterPts' answer, in the same order, for
-// every position but NaN, which quantises to 0 and is dropped by any window
-// whose quanta start above it, where the sign trick may pass it.
-//
-// filterQLoop is the definition, and filterRuns (filter_amd64.s), handed
-// the run as a filtered one, makes the same decisions sixteen slots at a
-// time where vectorKernels is true, gathering the points of tied slots
-// alone — or returns a negative count when a tied slot holds an ID it may
-// not gather through, which leaves the run to the loop and its index panic.
-// No query of LayoutCSR comes here on that tier (appendRuns), but the run
-// list's own fallback does. Where vectorKernels is false the quanta buy
-// nothing: a scalar decision on them costs more than the sign test it
-// spares (README.md, "Quantised positions"), so that tier runs
-// filterSlotsPts, appendFilterPts' loop over the slots' IDs.
-//
-//joinlint:hotpath
-func (st *csrStore) appendFilterQ(lo, hi uint32, w quantWindow, r geom.Rect, buf []uint32) []uint32 {
-	seg := st.slots[lo:hi]
-	k := len(buf)
-	buf = reserve(buf, len(seg))
-	if vectorKernels {
-		if n := filterRuns(st.slots, st.pts, w, r, []csrRun{{lo, hi, hi, hi}}, buf[k:]); n >= 0 {
-			return buf[:k+n]
-		}
-		return filterQLoop(seg, st.pts, w, r, buf, k)
-	}
-	return filterSlotsPts(seg, st.pts, r, buf, k)
+	return filterSlotsPts(st.slots[lo:hi], st.pts, r, reserve(buf, int(hi-lo)), len(buf))
 }
 
 // filterSlotsPts is the exact sign test of appendFilterPts over the IDs of
@@ -436,10 +409,23 @@ func filterSlotsPts(seg []csrSlot, pts []geom.Point, r geom.Rect, buf []uint32, 
 	return buf[:k]
 }
 
-// filterQLoop is filterQ's definition: it filters the slots of seg into buf
-// from buf[k] on and returns buf cut after the last hit. Each slot
-// is decided without a branch but for a tie. buf must have room for
-// len(seg) IDs past k (reserve).
+// filterQLoop is the definition of filterRuns' filter (filter_amd64.s),
+// the quantised layout's: it filters the slots of seg into buf from buf[k]
+// on, w being r in quanta (Grid.QueryAppend), and returns buf cut after the
+// last hit. A slot whose quanta lie strictly inside w's on both axes is a
+// hit and one outside them on either axis a miss, without a look at its
+// position: quantOf is monotone, so a quantum above the window's lower
+// bound proves the coordinate above r's, and so on. What is left, a slot
+// whose quantum equals a bound's and is otherwise inside, is a tie, which
+// the exact test of appendFilterPts decides against pts. At the
+// benchmark's 22 000 space a quantum is a third of a unit, and a 400-unit
+// window ties about one entry in eighteen queries. The answer is
+// appendFilterPts' answer, in the same order, for every position but NaN,
+// which quantises to 0 and is dropped by any window whose quanta start
+// above it, where the sign trick may pass it. filterRuns makes the same
+// decisions sixteen slots at a time, gathering the points of tied slots
+// alone. Each slot is decided without a branch but for a tie. buf must
+// have room for len(seg) IDs past k (reserve).
 //
 //joinlint:bce
 func filterQLoop(seg []csrSlot, pts []geom.Point, w quantWindow, r geom.Rect, buf []uint32, k int) []uint32 {

@@ -127,7 +127,7 @@ func (a *filterArena) filters() []arenaFilter {
 		{"appendFilterXY", 0, func(lo, hi int, r geom.Rect, buf []uint32) []uint32 {
 			return appendFilterXY(a.ids[lo:hi], a.xy[2*lo:2*hi], r, buf)
 		}},
-		{"appendFilterQ", 0, func(lo, hi int, r geom.Rect, buf []uint32) []uint32 {
+		{"filterRuns", 0, func(lo, hi int, r geom.Rect, buf []uint32) []uint32 {
 			if r != a.qr { // a query quantises its window once
 				a.qr, a.qw = r, windowOf(&a.st.mapper, r)
 			}
@@ -292,12 +292,12 @@ func TestFilterTiersShareTheNaNContract(t *testing.T) {
 // len(pts) panics with the runtime's index error, on either tier and
 // wherever it sits in the run — filterRuns checks a block's tied IDs
 // before it gathers through them — and wherever it sits in a filtered
-// stretch of any run of a run list, whose caller hands the runs to the row
-// path's calls when filterRuns refuses, and their loop panics. In a copied
-// stretch the ID is copied, unread, by the row path and the run list
-// alike. Every slot ties the window's lower corner, so every filtered
-// ID is read. The table is cut from a longer one, so a tier that skipped
-// the check would read a live point and return instead of faulting.
+// stretch of any run of a run list, which appendRunList hands to its Go
+// loop when filterRuns refuses, and the loop panics. In
+// a copied stretch the ID is copied, unread, by the loop and by filterRuns
+// alike. Every slot ties the window's lower corner, so every filtered ID
+// is read. The table is cut from a longer one, so a tier that skipped the
+// check would read a live point and return instead of faulting.
 func TestFilterRejectsForeignID(t *testing.T) {
 	backing := make([]geom.Point, 64)
 	st := MustNew(CSR(), filterSpace, 0).csr
@@ -322,7 +322,7 @@ func TestFilterRejectsForeignID(t *testing.T) {
 		query()
 	}
 	foreign := []uint32{uint32(len(st.pts)), uint32(len(st.pts)) + 9, 1 << 31, math.MaxUint32}
-	whole := func() []uint32 { return st.appendFilterQ(0, uint32(len(st.slots)), w, r, nil) }
+	whole := func() []uint32 { return filterRun(st, 0, len(st.slots), w, r, nil) }
 	for _, n := range []int{1, 7, 8, 9, 16, 17, 21, 33} {
 		for at := 0; at < n; at++ {
 			for _, bad := range foreign {
@@ -337,16 +337,7 @@ func TestFilterRejectsForeignID(t *testing.T) {
 	// The run list: a filtered run, a split row, a copied one, a filtered
 	// one past a block, and a split row whose stretches cross blocks.
 	runs := []csrRun{{0, 3, 3, 3}, {3, 5, 14, 17}, {17, 17, 30, 30}, {30, 47, 47, 47}, {47, 60, 70, 90}}
-	rowPath := func() []uint32 {
-		var buf []uint32
-		for _, u := range runs {
-			buf = st.appendFilterQ(u.lo, u.in0, w, r, buf)
-			buf = st.appendIDs(u.in0, u.in1, buf)
-			buf = st.appendFilterQ(u.in1, u.hi, w, r, buf)
-		}
-		return buf
-	}
-	runList := func() []uint32 { return st.appendRunList(runs, 90, w, r, nil) }
+	runList := func() []uint32 { return st.appendRunList(runs, w, r, nil) }
 	for at := 0; at < 90; at++ {
 		copied := slices.ContainsFunc(runs, func(u csrRun) bool { return u.in0 <= uint32(at) && uint32(at) < u.in1 })
 		for _, bad := range foreign {
@@ -360,9 +351,8 @@ func TestFilterRejectsForeignID(t *testing.T) {
 					t.Errorf("%s: ID %d copied in slot %d: %v, want every slot's ID %v", what, bad, at, got, want)
 				}
 			}
-			scalarTier(func() { check("scalar tier, row path", rowPath) })
+			scalarTier(func() { check("scalar tier, run list", runList) })
 			if vectorKernels {
-				check("vector tier, row path", rowPath)
 				check("vector tier, run list", runList)
 			}
 		}

@@ -214,35 +214,34 @@ func (c Config) DisplayName() string {
 	return fmt.Sprintf("grid(%s,%s,bs=%d,cps=%d)", c.Layout, c.Scan, c.BS, c.CPS)
 }
 
-// store is the layout-specific backend shared by both implementations.
-// The Grid owns the geometry (cell mapping); stores only manage entries.
+// store is what every layout keeps, and what the grid reads of it outside
+// the query kernels: a cell's entries for the audit, a cell's count, and
+// the sizes. The grid owns the geometry (cell mapping); stores only manage
+// entries. A query goes to the CSR store's run list (csrStore.appendRuns)
+// or a bucket store's rows (bucketStore.appendRow).
 type store interface {
 	// appendCell appends every entry of cell c, unfiltered: the audit's
 	// per-cell reader (CheckInvariants).
 	appendCell(c int, buf []uint32) []uint32
-	// appendRow is one directory row of Algorithm 1's cell body, the one
-	// query kernel (but for LayoutCSR on the vector tier, whose run list,
-	// csrStore.appendRuns, makes its decisions for a whole window): for
-	// every cell [base+xmin, base+xmax] it appends the cell's entries whole
-	// when x holds it (x.holds), test-and-appends them when x touches it
-	// (x.touches) and skips the cell otherwise. x is the
-	// window's x axis as this row sees it (cellWindow.row): it holds no
-	// cell of a row the window does not hold on y, and touches none of a
-	// row it does not touch. One interface call covers the whole row: a
-	// per-cell dispatch is the overhead the buffered kernel exists to kill.
-	// base is the row's first cell; xmin, xmax and x are in the units of
-	// the grid's mapper's cols, which are cells for every layout but the
-	// CSR ones. qw is r in quanta, which only the quantised CSR filter reads.
-	appendRow(r geom.Rect, qw quantWindow, base, xmin, xmax int, x cellWindow, buf []uint32) []uint32
 	cellCount(c int) int
 	memoryBytes() int64
 	totalEntries() int
 }
 
 // bucketStore is a store of the paper's bucket layouts (and the intrusive
-// one), built entry by entry and maintained in place.
+// one), built entry by entry, maintained in place and queried a directory
+// row at a time.
 type bucketStore interface {
 	store
+	// appendRow is one directory row of Algorithm 1's cell body: for every
+	// cell [base+xmin, base+xmax] it appends the cell's entries whole when
+	// x holds it (x.holds), test-and-appends them when x touches it
+	// (x.touches) and skips the cell otherwise. x is the window's x axis as
+	// this row sees it (cellWindow.row): it holds no cell of a row the
+	// window does not hold on y, and touches none of a row it does not
+	// touch. One interface call covers the whole row: a per-cell dispatch
+	// is the overhead the buffered kernel exists to kill.
+	appendRow(r geom.Rect, base, xmin, xmax int, x cellWindow, buf []uint32) []uint32
 	// reset clears all cells and retains the snapshot for coordinate
 	// lookups during filtering.
 	reset(pts []geom.Point)
@@ -400,7 +399,7 @@ type Grid struct {
 	mapper mapper
 	st     store
 	// Exactly one of buckets and csr aliases st, so the dispatch in
-	// Build/Update is a nil check on csr.
+	// Build, Update and QueryAppend is a nil check on csr.
 	buckets bucketStore
 	csr     *csrStore
 	pts     []geom.Point
@@ -538,14 +537,11 @@ func (g *Grid) Query(r geom.Rect, emit func(id uint32)) { callback.Query(g, r, e
 // quantised CSR filter reads, are integer functions of those four. The
 // intersection test matters even under Algorithm 2: when the query
 // rectangle lies (partly) outside the space, clamping can place edge cells
-// in the range that do not actually overlap r. Every row goes to the store
-// in ONE call — a direct one for the CSR layouts, an interface call for the
-// others — except that LayoutCSR on the vector tier hands the whole window
-// to its run list (csrStore.appendRuns), one assembly entry for all its
-// rows where the row path makes one a filtered run and one a copy. No row
-// is skipped under ScanFull, even one that cannot intersect r: Algorithm
-// 1's defining cost is the full directory traversal, so every cell gets
-// its cell test.
+// in the range that do not actually overlap r. A CSR grid hands the whole
+// window to its run list (csrStore.appendRuns), a bucket layout each row to
+// its store in ONE call. No row is skipped under ScanFull, even one that
+// cannot intersect r: Algorithm 1's defining cost is the full directory
+// traversal, so every cell gets its cell test.
 //
 //joinlint:hotpath
 func (g *Grid) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
@@ -555,27 +551,16 @@ func (g *Grid) QueryAppend(r geom.Rect, buf []uint32) []uint32 {
 	x1, y1 := m.fixedOf(geom.Point{X: r.MaxX, Y: r.MaxY})
 	xw := axisCells(r.MinX, r.MaxX, x0, x1, m.cols, b.MinX, b.MaxX)
 	yw := axisCells(r.MinY, r.MaxY, y0, y1, m.rows, b.MinY, b.MaxY)
-	qw := quantWindow{quantize(x0, y0), quantize(x1, y1)}
+	cps := g.cfg.CPS
+	if g.csr != nil {
+		return g.csr.appendRuns(r, quantWindow{quantize(x0, y0), quantize(x1, y1)}, cps, xw, yw, buf)
+	}
 	xmin, xmax, ymin, ymax := xw.lo, xw.hi, yw.lo, yw.hi
 	if g.cfg.Scan == ScanFull {
 		xmin, xmax, ymin, ymax = 0, m.cols-1, 0, m.rows-1
 	}
-	st, cps := g.st, g.cfg.CPS
-	// The CSR row kernel is called directly, with no itab load and no
-	// indirect branch a row. Against the interface call alone, on a 2-vCPU
-	// AVX-512 host, point_uniform's tick_ms read 2.925 against 2.976 ms
-	// (medians of four interleaved 20 s runs; the direct call ahead in
-	// all four pairs).
-	csr, _ := st.(*csrStore)
-	if csr != nil && csr.xy == nil && vectorKernels {
-		return csr.appendRuns(r, qw, cps, xw, yw, buf)
-	}
 	for cy := ymin; cy <= ymax; cy++ {
-		if csr != nil {
-			buf = csr.appendRow(r, qw, cy*cps, xmin, xmax, yw.row(cy, xw), buf)
-		} else {
-			buf = st.appendRow(r, qw, cy*cps, xmin, xmax, yw.row(cy, xw), buf)
-		}
+		buf = g.buckets.appendRow(r, cy*cps, xmin, xmax, yw.row(cy, xw), buf)
 	}
 	return buf
 }

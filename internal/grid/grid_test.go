@@ -411,25 +411,27 @@ func TestMemoryGrowsWithPoints(t *testing.T) {
 	}
 }
 
-// cellCounter wraps a grid's store and counts the directory cells the
-// query kernel hands it: every cell of every row appendRow covers, each of
-// which the store puts through Algorithm 1's cell test.
+// cellCounter wraps a bucket grid's store and counts the directory cells
+// the query kernel hands it: every cell of every row appendRow covers, each
+// of which the store puts through Algorithm 1's cell test.
 type cellCounter struct {
-	store
-	shift uint // a cell is 1<<shift of appendRow's x units (columns, for CSR)
+	bucketStore
 	cells int
 }
 
-func (cc *cellCounter) appendRow(r geom.Rect, qw quantWindow, base, xmin, xmax int, x cellWindow, buf []uint32) []uint32 {
-	cc.cells += xmax>>cc.shift - xmin>>cc.shift + 1
-	return cc.store.appendRow(r, qw, base, xmin, xmax, x, buf)
+func (cc *cellCounter) appendRow(r geom.Rect, base, xmin, xmax int, x cellWindow, buf []uint32) []uint32 {
+	cc.cells += xmax - xmin + 1
+	return cc.bucketStore.appendRow(r, base, xmin, xmax, x, buf)
 }
 
 func TestScanAlgorithmsAgree(t *testing.T) {
 	// Algorithm 1 and Algorithm 2 must return identical results on the
 	// same structure — the refactoring changes cost, not semantics — and
 	// each must pay its own cost: Algorithm 1 tests all CPS² directory
-	// cells, Algorithm 2 only the cells the query's corners span.
+	// cells, Algorithm 2 only the cells the query's corners span. A bucket
+	// grid counts the cells its rows hand the store (cellCounter); a CSR
+	// grid the cells of the rows of its run list (csrWalk), which must be
+	// the list QueryAppend answers by: the same IDs in the same order.
 	r := xrand.New(23)
 	pts := randomPoints(r, 2000, testBounds)
 	queries := make([]geom.Rect, 100)
@@ -444,21 +446,31 @@ func TestScanAlgorithmsAgree(t *testing.T) {
 			}
 			g := MustNew(cfg, testBounds, len(pts))
 			g.Build(pts)
-			cc := &cellCounter{store: g.st}
-			if g.csr != nil {
-				cc.shift = columnShift
+			cc, shift := &cellCounter{bucketStore: g.buckets}, uint(0) // a cell is 1<<shift of the mapper's x units
+			if g.csr == nil {
+				g.buckets = cc
+			} else {
+				shift = columnShift
 			}
-			g.st = cc
 			for i, q := range queries {
 				cc.cells = 0
 				sameSet(t, collect(g, q), bruteQuery(pts, q), cfg.DisplayName()+" query "+itoa(i))
+				visited := cc.cells
+				if g.csr != nil {
+					runs, cells := csrWalk(g, q, nil)
+					_, _, qw := queryWindow(g, q)
+					if got, list := g.QueryAppend(q, nil), g.csr.appendRunList(runs, qw, q, nil); !slices.Equal(got, list) {
+						t.Fatalf("%s query %d %v: QueryAppend %v, the walk's run list %v", cfg.DisplayName(), i, q, got, list)
+					}
+					visited = cells
+				}
 				want := cfg.CPS * cfg.CPS
 				if scan == ScanRange {
 					s := g.mapper.spanOf(q)
-					want = (int(s.x1)>>cc.shift - int(s.x0)>>cc.shift + 1) * int(s.y1-s.y0+1)
+					want = (int(s.x1)>>shift - int(s.x0)>>shift + 1) * int(s.y1-s.y0+1)
 				}
-				if cc.cells != want {
-					t.Fatalf("%s query %d %v: %d cells visited, want %d", cfg.DisplayName(), i, q, cc.cells, want)
+				if visited != want {
+					t.Fatalf("%s query %d %v: %d cells visited, want %d", cfg.DisplayName(), i, q, visited, want)
 				}
 			}
 		}

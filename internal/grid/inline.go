@@ -154,10 +154,10 @@ func (st *inlineStore) removeAt(c int, id uint32) bool {
 	return false
 }
 
-// appendRow is the whole-row kernel of the store interface: the per-cell
+// appendRow is the whole-row kernel of the bucketStore interface: the per-cell
 // dispatch happens here as direct (inlinable) calls on the concrete store
 // instead of interface calls per cell.
-func (st *inlineStore) appendRow(r geom.Rect, _ quantWindow, base, xmin, xmax int, x cellWindow, buf []uint32) []uint32 {
+func (st *inlineStore) appendRow(r geom.Rect, base, xmin, xmax int, x cellWindow, buf []uint32) []uint32 {
 	for cx := xmin; cx <= xmax; cx++ {
 		if x.holds(cx) {
 			buf = st.appendCell(base+cx, buf)

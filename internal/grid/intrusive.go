@@ -112,9 +112,9 @@ func (st *intrusiveStore) removeAt(c int, id uint32) bool {
 	return true
 }
 
-// appendRow is the whole-row kernel of the store interface: direct
+// appendRow is the whole-row kernel of the bucketStore interface: direct
 // per-cell calls on the concrete store, no interface dispatch.
-func (st *intrusiveStore) appendRow(r geom.Rect, _ quantWindow, base, xmin, xmax int, x cellWindow, buf []uint32) []uint32 {
+func (st *intrusiveStore) appendRow(r geom.Rect, base, xmin, xmax int, x cellWindow, buf []uint32) []uint32 {
 	for cx := xmin; cx <= xmax; cx++ {
 		if x.holds(cx) {
 			buf = st.appendCell(base+cx, buf)

@@ -187,9 +187,9 @@ func (st *linkedStore) removeAt(c int, id uint32) bool {
 	return false
 }
 
-// appendRow is the whole-row kernel of the store interface: direct
+// appendRow is the whole-row kernel of the bucketStore interface: direct
 // per-cell calls on the concrete store, no interface dispatch.
-func (st *linkedStore) appendRow(r geom.Rect, _ quantWindow, base, xmin, xmax int, x cellWindow, buf []uint32) []uint32 {
+func (st *linkedStore) appendRow(r geom.Rect, base, xmin, xmax int, x cellWindow, buf []uint32) []uint32 {
 	for cx := xmin; cx <= xmax; cx++ {
 		if x.holds(cx) {
 			buf = st.appendCell(base+cx, buf)

@@ -10,8 +10,8 @@ import (
 	"repro/internal/xrand"
 )
 
-// The quantised filter of LayoutCSR (appendFilterQ: filterRuns on the
-// vector tier, the exact test on the scalar one) and its definition,
+// The quantised filter of LayoutCSR (a one-run appendRunList: filterRuns
+// on the vector tier, the exact test on the scalar one) and its definition,
 // filterQLoop, held to the exact filter, appendFilterPts, which is what
 // every decision they take without the base table must agree with: bit for
 // bit, in the same order, on both tiers, for every position but NaN, whose
@@ -89,18 +89,25 @@ func quantCases(bounds geom.Rect, cps int, seed uint64) ([]geom.Point, []geom.Re
 	return pts, rects
 }
 
+// filterRun is a query's filter of slots [lo, hi) of st on the tier it
+// runs on: a one-run list, the run filtered whole, through appendRunList —
+// filterRuns on the vector tier, the exact test on the scalar one.
+func filterRun(st *csrStore, lo, hi int, w quantWindow, r geom.Rect, buf []uint32) []uint32 {
+	return st.appendRunList([]csrRun{{uint32(lo), uint32(hi), uint32(hi), uint32(hi)}}, w, r, buf)
+}
+
 // quantDecisions is the quantised filter of slots [lo, hi) of st on the
-// tier it runs on: filterRuns, through appendFilterQ, on the vector tier, and
-// its definition, filterQLoop, on the scalar one, whose appendFilterQ takes
+// tier it runs on: filterRuns, through filterRun, on the vector tier, and
+// its definition, filterQLoop, on the scalar one, whose filterRun takes
 // the exact test instead.
 func quantDecisions(st *csrStore, lo, hi int, w quantWindow, r geom.Rect, buf []uint32) []uint32 {
 	if vectorKernels {
-		return st.appendFilterQ(uint32(lo), uint32(hi), w, r, buf)
+		return filterRun(st, lo, hi, w, r, buf)
 	}
 	return filterQLoop(st.slots[lo:hi], st.pts, w, r, reserve(buf, hi-lo), len(buf))
 }
 
-// checkQuantRun holds appendFilterQ and quantDecisions over slots [lo, hi)
+// checkQuantRun holds filterRun and quantDecisions over slots [lo, hi)
 // of st to the exact filter of the same IDs on each tier, and wants nothing
 // written outside the slots the filter reserves past a kept prefix.
 func checkQuantRun(t *testing.T, what string, st *csrStore, lo, hi int, r geom.Rect) {
@@ -111,7 +118,7 @@ func checkQuantRun(t *testing.T, what string, st *csrStore, lo, hi int, r geom.R
 	w := windowOf(&st.mapper, r)
 	mapTiers(func(tier string) {
 		for name, filter := range map[string]func(buf []uint32) []uint32{
-			"appendFilterQ":  func(buf []uint32) []uint32 { return st.appendFilterQ(uint32(lo), uint32(hi), w, r, buf) },
+			"filterRun":      func(buf []uint32) []uint32 { return filterRun(st, lo, hi, w, r, buf) },
 			"quantDecisions": func(buf []uint32) []uint32 { return quantDecisions(st, lo, hi, w, r, buf) },
 		} {
 			got := filter([]uint32{filterCanary, filterCanary + 1})
@@ -186,7 +193,7 @@ func TestQuantWindowsOutsideTheContract(t *testing.T) {
 	})
 }
 
-// FuzzQuantTiers holds appendFilterQ on both tiers to the exact filter on
+// FuzzQuantTiers holds filterRun on both tiers to the exact filter on
 // fuzzer-chosen spaces, windows and points (eight bytes a point), where
 // neither the window nor a point is NaN, and filterRuns to its definition,
 // filterQLoop (quantDecisions on each tier), everywhere; for finite points
@@ -217,7 +224,7 @@ func FuzzQuantTiers(f *testing.F) {
 		var decided, filtered [][]uint32
 		mapTiers(func(string) {
 			decided = append(decided, quantDecisions(st, 0, len(pts), w, r, nil))
-			filtered = append(filtered, st.appendFilterQ(0, uint32(len(pts)), w, r, nil))
+			filtered = append(filtered, filterRun(st, 0, len(pts), w, r, nil))
 		})
 		for _, got := range decided[1:] {
 			if !slices.Equal(got, decided[0]) {

@@ -10,10 +10,10 @@ import (
 	"repro/internal/xrand"
 )
 
-// The run list of LayoutCSR's vector tier (appendRuns, appendRunList and
-// filterRuns) against the row path it replaces there: appendRow, row by
-// row, whose filters are filterQ and filterQLoop, its definition. Every
-// comparison is exact: the same IDs in the same order.
+// The run list (appendRuns, appendRunList, and filterRuns on LayoutCSR's
+// vector tier) against a per-row reference: rowPath, row by row, whose
+// filters are the definitions of the tier's, filterQLoop and the exact
+// test. Every comparison is exact: the same IDs in the same order.
 
 // queryWindow is Grid.QueryAppend's map of r: its cells on each axis and
 // its quanta.
@@ -26,14 +26,79 @@ func queryWindow(g *Grid, r geom.Rect) (x, y cellWindow, qw quantWindow) {
 	return x, y, quantWindow{quantize(x0, y0), quantize(x1, y1)}
 }
 
-// rowPath is QueryAppend on a CSR grid by the row path: appendRow once a
-// row, on whichever tier the process runs.
+// slotIDs is the IDs of the arena's slots [lo, hi), read one at a time.
+func slotIDs(st *csrStore, lo, hi uint32) []uint32 {
+	if st.xy != nil {
+		return slices.Clone(st.ids[lo:hi])
+	}
+	var ids []uint32
+	for _, s := range st.slots[lo:hi] {
+		ids = append(ids, s.id)
+	}
+	return ids
+}
+
+// rowPath is QueryAppend on a CSR grid by rows, the way the store answered
+// before the run list: each row of the window sees x as cellWindow.row
+// makes it, a span of three or more columns the row holds is filtered,
+// copied and filtered, and any other span filtered whole. The filter is
+// the definition of the one this process's tier runs: filterQLoop for
+// LayoutCSR where vectorKernels is true, and the exact test of the base
+// table, filterSlotsPts, where it is not and (over the IDs,
+// appendFilterPts) for LayoutCSRXY, whose arena holds the same
+// coordinates.
 func rowPath(g *Grid, r geom.Rect, buf []uint32) []uint32 {
+	st := g.csr
 	x, y, qw := queryWindow(g, r)
-	for cy := y.lo; cy <= y.hi; cy++ {
-		buf = g.csr.appendRow(r, qw, cy*g.cfg.CPS, x.lo, x.hi, y.row(cy, x), buf)
+	filter := func(lo, hi uint32) {
+		switch {
+		case st.xy != nil:
+			buf = appendFilterPts(st.ids[lo:hi], st.pts, r, buf)
+		case vectorKernels:
+			buf = filterQLoop(st.slots[lo:hi], st.pts, qw, r, reserve(buf, int(hi-lo)), len(buf))
+		default:
+			buf = filterSlotsPts(st.slots[lo:hi], st.pts, r, reserve(buf, int(hi-lo)), len(buf))
+		}
+	}
+	for cy := y.lo; cy <= y.hi && x.lo <= x.hi; cy++ {
+		xr := y.row(cy, x)
+		base := cy * g.cfg.CPS << st.shift
+		row := st.starts[base+x.lo : base+x.hi+2] // the span's column offsets, and its end
+		lo, hi := row[0], row[len(row)-1]
+		if xr.in0 <= xr.in1 && len(row) > 3 {
+			in0, in1 := row[1], row[len(row)-2]
+			filter(lo, in0)
+			buf = append(buf, slotIDs(st, in0, in1)...)
+			filter(in1, hi)
+			continue
+		}
+		filter(lo, hi)
 	}
 	return buf
+}
+
+// csrWalk is appendRuns' walk of r on the CSR grid g as one list,
+// appended to runs: the run of every row the window touches that holds a
+// slot, and the directory cells those rows' columns fall in.
+func csrWalk(g *Grid, r geom.Rect, runs []csrRun) (_ []csrRun, cells int) {
+	st := g.csr
+	x, y, _ := queryWindow(g, r)
+	if x.lo > x.hi || y.lo > y.hi {
+		return runs, 0
+	}
+	for cy := y.lo; cy <= y.hi; cy++ {
+		cells += x.hi>>st.shift - x.lo>>st.shift + 1
+		base := cy * g.cfg.CPS << st.shift
+		lo, hi := st.starts[base+x.lo], st.starts[base+x.hi+1]
+		in0, in1 := hi, hi
+		if y.holds(cy) && x.in0 <= x.in1 && x.hi-x.lo > 1 {
+			in0, in1 = st.starts[base+x.lo+1], st.starts[base+x.hi]
+		}
+		if lo < hi {
+			runs = append(runs, csrRun{lo, in0, in1, hi})
+		}
+	}
+	return runs, cells
 }
 
 // runsLoop is filterRuns' definition: for each run, filterQLoop over its
@@ -102,7 +167,7 @@ func checkRunList(t *testing.T, what string, st *csrStore, runs []csrRun, w quan
 	for i := range buf[:cap(buf)] {
 		buf[:cap(buf)][i] = filterCanary + uint32(i)
 	}
-	got := st.appendRunList(runs, total, w, r, buf)
+	got := st.appendRunList(runs, w, r, buf)
 	if &got[0] != &buf[0] || got[0] != filterCanary || got[1] != filterCanary+1 {
 		t.Fatalf("%s: the prefix was moved or overwritten", what)
 	}
@@ -116,7 +181,7 @@ func checkRunList(t *testing.T, what string, st *csrStore, runs []csrRun, w quan
 	}
 }
 
-// specialPoints are the positions a run list must treat as the row path
+// specialPoints are the positions a run list must treat as the per-row reference
 // does whatever they mean: NaN and ±0 on each axis, and the infinities.
 func specialPoints() []geom.Point {
 	nan, neg0, inf := float32(math.NaN()), float32(math.Copysign(0, -1)), float32(math.Inf(1))
@@ -156,53 +221,61 @@ func TestFilterRunsMatchesItsDefinition(t *testing.T) {
 	}
 }
 
-// TestRunListMatchesRowPath answers a set of windows by QueryAppend and
-// by the row path, on each tier, and wants the same IDs in the same order
-// behind an intact prefix: CSR grids at three granularities over two
-// spaces, holding uniform points with the cell and column edge probes and
-// the special points, a herd in one row, or nothing. Among the windows
-// are the whole space and windows past it, which walk every row (up to
-// 96: twelve chunks of the run list), windows inside one row and one
-// column, inverted ones and ones with a NaN or infinite edge. Across the
-// tiers, where no point is NaN, the answers agree too.
+// TestRunListMatchesRowPath answers a set of windows by QueryAppend, by
+// the row path and by appendRunList over csrWalk's list, on each tier, and
+// wants the same IDs in the same order behind an intact prefix: both CSR
+// layouts at three granularities over two spaces, holding uniform points
+// with the cell and column edge probes and the special points, a herd in
+// one row, or nothing. Among the windows are the whole space and windows
+// past it, which walk every row (up to 96: twelve chunks of the run list),
+// windows inside one row and one column, inverted ones and ones with a NaN
+// or infinite edge. Across the tiers, where no point is NaN, the answers
+// agree too.
 func TestRunListMatchesRowPath(t *testing.T) {
 	if !vectorKernels {
 		t.Log("scalar tier only; vector tier absent: " + missingTier)
 	}
 	prefix := []uint32{0xdeadbeef, 7}
-	for _, bounds := range []geom.Rect{mapSpaces[0], mapSpaces[2]} {
-		for _, cps := range []int{13, 64, 96} {
-			g := MustNew(Config{Layout: LayoutCSR, Scan: ScanRange, BS: 1, CPS: cps}, bounds, 0)
-			r := xrand.New(uint64(cps))
-			edgePts, edgeQueries := edgeProbes(g)
-			colPts, colQueries := columnProbes(g, 1+g.mapper.cols/50)
-			_, rects := quantCases(bounds, cps, uint64(cps))
-			windows := slices.Concat(kernelWindows(g), edgeQueries, colQueries, rects)
-			ys := g.rowEdges()
-			row := geom.R(bounds.MinX, ys[cps/2], bounds.MaxX, nudge(ys[cps/2+1], -1))
-			for _, pop := range []struct {
-				name string
-				pts  []geom.Point
-			}{
-				{"uniform+edges+specials", slices.Concat(randomPoints(r, 3000, bounds), edgePts, colPts, specialPoints())},
-				{"one row", randomPoints(r, 2000, row)},
-				{"empty", nil},
-			} {
-				g.Build(pop.pts)
-				hasNaN := slices.ContainsFunc(pop.pts, func(p geom.Point) bool { return p.X != p.X || p.Y != p.Y })
-				for _, w := range windows {
-					what := fmt.Sprintf("%v cps=%d %s, window %v", bounds, cps, pop.name, w)
-					var answers [][]uint32
-					mapTiers(func(tier string) {
-						got := g.QueryAppend(w, slices.Clone(prefix))
-						want := rowPath(g, w, slices.Clone(prefix))
-						if !slices.Equal(got, want) {
-							t.Fatalf("%s, %s tier: QueryAppend\n%v\nthe row path\n%v", what, tier, got, want)
+	for _, layout := range []Layout{LayoutCSR, LayoutCSRXY} {
+		for _, bounds := range []geom.Rect{mapSpaces[0], mapSpaces[2]} {
+			for _, cps := range []int{13, 64, 96} {
+				g := MustNew(Config{Layout: layout, Scan: ScanRange, BS: 1, CPS: cps}, bounds, 0)
+				r := xrand.New(uint64(cps))
+				edgePts, edgeQueries := edgeProbes(g)
+				colPts, colQueries := columnProbes(g, 1+g.mapper.cols/50)
+				_, rects := quantCases(bounds, cps, uint64(cps))
+				windows := slices.Concat(kernelWindows(g), edgeQueries, colQueries, rects)
+				ys := g.rowEdges()
+				row := geom.R(bounds.MinX, ys[cps/2], bounds.MaxX, nudge(ys[cps/2+1], -1))
+				for _, pop := range []struct {
+					name string
+					pts  []geom.Point
+				}{
+					{"uniform+edges+specials", slices.Concat(randomPoints(r, 3000, bounds), edgePts, colPts, specialPoints())},
+					{"one row", randomPoints(r, 2000, row)},
+					{"empty", nil},
+				} {
+					g.Build(pop.pts)
+					hasNaN := slices.ContainsFunc(pop.pts, func(p geom.Point) bool { return p.X != p.X || p.Y != p.Y })
+					for _, w := range windows {
+						what := fmt.Sprintf("%s %v cps=%d %s, window %v", layout, bounds, cps, pop.name, w)
+						var answers [][]uint32
+						mapTiers(func(tier string) {
+							got := g.QueryAppend(w, slices.Clone(prefix))
+							want := rowPath(g, w, slices.Clone(prefix))
+							if !slices.Equal(got, want) {
+								t.Fatalf("%s, %s tier: QueryAppend\n%v\nthe row path\n%v", what, tier, got, want)
+							}
+							runs, _ := csrWalk(g, w, nil)
+							_, _, qw := queryWindow(g, w)
+							if list := g.csr.appendRunList(runs, qw, w, slices.Clone(prefix)); !slices.Equal(got, list) {
+								t.Fatalf("%s, %s tier: QueryAppend\n%v\nthe walk's run list\n%v", what, tier, got, list)
+							}
+							answers = append(answers, got)
+						})
+						if !hasNaN && len(answers) == 2 && !slices.Equal(answers[0], answers[1]) {
+							t.Fatalf("%s: the scalar tier\n%v\nthe vector tier\n%v", what, answers[0], answers[1])
 						}
-						answers = append(answers, got)
-					})
-					if !hasNaN && len(answers) == 2 && !slices.Equal(answers[0], answers[1]) {
-						t.Fatalf("%s: the scalar tier\n%v\nthe vector tier\n%v", what, answers[0], answers[1])
 					}
 				}
 			}
@@ -212,9 +285,9 @@ func TestRunListMatchesRowPath(t *testing.T) {
 
 // FuzzRunListTiers holds QueryAppend to the row path on each tier, and the
 // tiers to each other where no point is NaN, on fuzzer-chosen spaces,
-// granularities, windows and points (eight bytes a point); and filterRuns
-// to its definition on run lists cut from the built arena at offsets drawn
-// from the points' bytes.
+// granularities, windows and points (eight bytes a point), in both CSR
+// layouts; and filterRuns to its definition on run lists cut from the
+// built LayoutCSR arena at offsets drawn from the points' bytes.
 func FuzzRunListTiers(f *testing.F) {
 	p := ulpOff.p
 	f.Add(ulpOff.cps, ulpOff.lo, ulpOff.side, p.X, p.Y, nudge(p.X, 400), nudge(p.Y, 1),
@@ -230,20 +303,23 @@ func FuzzRunListTiers(f *testing.F) {
 		for i := range pts {
 			pts[i] = geom.Pt(c[2*i], c[2*i+1])
 		}
-		g := MustNew(Config{Layout: LayoutCSR, Scan: ScanRange, BS: 1, CPS: cps}, bounds, len(pts))
-		g.Build(pts)
-		r := geom.Rect{MinX: x0, MinY: y0, MaxX: x1, MaxY: y1}
-		var answers [][]uint32
-		mapTiers(func(tier string) {
-			got, want := g.QueryAppend(r, []uint32{7}), rowPath(g, r, []uint32{7})
-			if !slices.Equal(got, want) {
-				t.Fatalf("cps=%d %v, %s tier, window %v: QueryAppend %v, the row path %v", cps, bounds, tier, r, got, want)
-			}
-			answers = append(answers, got)
-		})
 		isNaN := func(p geom.Point) bool { return p.X != p.X || p.Y != p.Y }
-		if len(answers) == 2 && !slices.ContainsFunc(pts, isNaN) && !slices.Equal(answers[0], answers[1]) {
-			t.Fatalf("cps=%d %v, window %v: the scalar tier %v, the vector tier %v", cps, bounds, r, answers[0], answers[1])
+		r := geom.Rect{MinX: x0, MinY: y0, MaxX: x1, MaxY: y1}
+		var g *Grid
+		for _, layout := range []Layout{LayoutCSRXY, LayoutCSR} {
+			g = MustNew(Config{Layout: layout, Scan: ScanRange, BS: 1, CPS: cps}, bounds, len(pts))
+			g.Build(pts)
+			var answers [][]uint32
+			mapTiers(func(tier string) {
+				got, want := g.QueryAppend(r, []uint32{7}), rowPath(g, r, []uint32{7})
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s cps=%d %v, %s tier, window %v: QueryAppend %v, the row path %v", layout, cps, bounds, tier, r, got, want)
+				}
+				answers = append(answers, got)
+			})
+			if len(answers) == 2 && !slices.ContainsFunc(pts, isNaN) && !slices.Equal(answers[0], answers[1]) {
+				t.Fatalf("%s cps=%d %v, window %v: the scalar tier %v, the vector tier %v", layout, cps, bounds, r, answers[0], answers[1])
+			}
 		}
 		if !vectorKernels {
 			return

@@ -1,6 +1,6 @@
 package grid
 
-// The differential test of the CSR layouts' row kernel (csrStore.appendRow,
+// The differential test of the CSR layouts' query walk (csrStore.appendRuns,
 // the run path): held against the per-cell walk of the inline layout and
 // brute force on every kind of window.
 

@@ -201,7 +201,7 @@ func CollectAnnotated(dir string, patterns []string) ([]*FuncProbe, []string, er
 	return funcs, pkgs, nil
 }
 
-// funcDisplayName renders "(*Grid).QueryAppend" / "csrStore.appendRow"
+// funcDisplayName renders "(*Grid).QueryAppend" / "csrStore.appendRuns"
 // / "FoldMoves" from a declaration.
 func funcDisplayName(fn *ast.FuncDecl) string {
 	if fn.Recv == nil || len(fn.Recv.List) == 0 {

@@ -232,18 +232,18 @@ func TestCollectAnnotated(t *testing.T) {
 	for _, f := range funcs {
 		byKey[f.Key()] = f
 	}
-	appendRow := byKey["repro/internal/grid.(*csrStore).appendRow"]
-	if appendRow == nil {
-		t.Fatal("(*csrStore).appendRow not collected")
+	appendRuns := byKey["repro/internal/grid.(*csrStore).appendRuns"]
+	if appendRuns == nil {
+		t.Fatal("(*csrStore).appendRuns not collected")
 	}
-	if !appendRow.Hotpath || !appendRow.BCE {
-		t.Errorf("appendRow flags = hotpath:%v bce:%v, want both", appendRow.Hotpath, appendRow.BCE)
+	if !appendRuns.Hotpath || !appendRuns.BCE {
+		t.Errorf("appendRuns flags = hotpath:%v bce:%v, want both", appendRuns.Hotpath, appendRuns.BCE)
 	}
-	if appendRow.File != filepath.Join("internal", "grid", "csr.go") {
-		t.Errorf("appendRow.File = %q, want module-root-relative path", appendRow.File)
+	if appendRuns.File != filepath.Join("internal", "grid", "csr.go") {
+		t.Errorf("appendRuns.File = %q, want module-root-relative path", appendRuns.File)
 	}
-	if appendRow.StartLine <= 0 || appendRow.EndLine < appendRow.StartLine {
-		t.Errorf("bad line range %d-%d", appendRow.StartLine, appendRow.EndLine)
+	if appendRuns.StartLine <= 0 || appendRuns.EndLine < appendRuns.StartLine {
+		t.Errorf("bad line range %d-%d", appendRuns.StartLine, appendRuns.EndLine)
 	}
 	for _, key := range []string{
 		"repro/internal/grid.(*mapper).fixed",

@@ -111,8 +111,8 @@ func boxAnchor() int {
 
 // ChooseBox picks the box structure for the sampled workload: the
 // two-layer classed grid at the box anchor's occupancy. Like ChoosePoint
-// it reads the population alone; the extents, the window and the
-// query:update mix do not move it.
+// it reads the population alone; the extents and the window do not move
+// it.
 func ChooseBox(s Stats) Choice {
 	s = s.sanitize()
 	return Choice{Family: BoxCSR2L, CPS: atOccupancy(boxAnchor(), s.N), Stats: s}

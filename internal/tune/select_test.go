@@ -29,8 +29,6 @@ func TestSelectorAlwaysValid(t *testing.T) {
 			Space:     geom.R(0, 0, r.Range(-10, 1e6), r.Range(-10, 1e6)),
 			MeanSide:  r.Range(-100, 1e5),
 			QuerySide: r.Range(-100, 1e5),
-			Queriers:  float64(r.Range(-1, 2)),
-			Updaters:  float64(r.Range(-1, 2)),
 		})
 	}
 	nan := float32(math.NaN())
@@ -75,7 +73,7 @@ func TestSelectorAlwaysValid(t *testing.T) {
 
 // TestChoosePointRule pins the point rule: the CSR grid at the paper's
 // tuned occupancy, 50 000 points at cps 64, rounded to the ladder and
-// clamped to its ends, whatever the query:update mix.
+// clamped to its ends.
 func TestChoosePointRule(t *testing.T) {
 	churn := workload.DefaultGaussian() // the benchmark's point_churn stream
 	churn.NumPoints, churn.QuerySize, churn.Queriers, churn.Updaters = 100_000, 100, 0.02, 1
@@ -92,12 +90,8 @@ func TestChoosePointRule(t *testing.T) {
 		{"empty", workload.Config{}, "csr/cps=8"}, // the ladder's floor
 	} {
 		h := core.ParamsFor(tc.cfg).Hints
-		for _, mix := range [][2]float64{{h.Queriers, h.Updaters}, {0, 0}, {1, 0}, {0, 1}, {1, 1}, {0.3, 0.7}} {
-			h.Queriers, h.Updaters = mix[0], mix[1]
-			c := ChoosePoint(SamplePoints(make([]geom.Point, tc.cfg.NumPoints), tc.cfg.Bounds(), h))
-			if c.String() != tc.want {
-				t.Errorf("%s at %.0f%%q/%.0f%%u: %s, want %s", tc.name, mix[0]*100, mix[1]*100, c, tc.want)
-			}
+		if c := ChoosePoint(SamplePoints(make([]geom.Point, tc.cfg.NumPoints), tc.cfg.Bounds(), h)); c.String() != tc.want {
+			t.Errorf("%s: %s, want %s", tc.name, c, tc.want)
 		}
 	}
 	if c := ChoosePoint(Stats{N: 1 << 30}); c.CPS != gridCPSLadder[len(gridCPSLadder)-1] {
@@ -108,7 +102,7 @@ func TestChoosePointRule(t *testing.T) {
 // TestChooseBoxRule pins the box rule: the two-layer classed grid at the
 // box anchor's occupancy — 50 000 MBRs at cps 48 on the AVX-512 tier and
 // 64 on the Go loops — rounded to the ladder and clamped to its ends,
-// whatever the query:update mix, the window and the MBRs' extents.
+// whatever the window and the MBRs' extents.
 func TestChooseBoxRule(t *testing.T) {
 	anchor := map[string]int{"avx512": 48, "generic": 64}[grid.KernelTier()]
 	boxes := workload.DefaultUniformBoxes() // the benchmark's box_uniform stream
@@ -120,14 +114,11 @@ func TestChooseBoxRule(t *testing.T) {
 	if c := ChooseBox(base); c.String() != want {
 		t.Fatalf("box_uniform on the %s tier: %s, want %s", grid.KernelTier(), c, want)
 	}
-	for _, mix := range [][2]float64{{0, 0}, {1, 0}, {0, 1}, {1, 1}, {0.1, 0.9}, {0.9, 0.1}} {
-		for _, side := range []float32{0, 20, 400, 1600, 22_000} {
-			s := base
-			s.Queriers, s.Updaters = mix[0], mix[1]
-			s.QuerySide, s.MeanSide = side, side
-			if c := ChooseBox(s); c.String() != want {
-				t.Errorf("box_uniform at %.0f%%q/%.0f%%u, window and mean side %g: %s, want %s", mix[0]*100, mix[1]*100, side, c, want)
-			}
+	for _, side := range []float32{0, 20, 400, 1600, 22_000} {
+		s := base
+		s.QuerySide, s.MeanSide = side, side
+		if c := ChooseBox(s); c.String() != want {
+			t.Errorf("box_uniform, window and mean side %g: %s, want %s", side, c, want)
 		}
 	}
 	for _, tc := range []struct {
@@ -161,30 +152,14 @@ func TestSelectorChoicesConstruct(t *testing.T) {
 	}
 	for _, s := range []Stats{
 		{},
-		{N: 64, Space: bounds, QuerySide: 100, Queriers: 1, Updaters: 0},
-		{N: 64, Space: bounds, MeanSide: 30, QuerySide: 100, Queriers: 0, Updaters: 1},
+		{N: 64, Space: bounds, QuerySide: 100},
+		{N: 64, Space: bounds, MeanSide: 30, QuerySide: 100},
 	} {
 		bc := ChooseBox(s)
 		bidx := bc.NewBoxIndex(p)
 		bidx.Build(rects)
 		bidx.Query(rects[0], func(uint32) {})
 		bidx.Update(0, rects[0], geom.Square(geom.Pt(2, 2), 4))
-	}
-}
-
-// TestStopTheWorldTickIgnoresMoves pins that the update mix does not
-// price in: no driver hands the index a move (the next Build is its one
-// maintenance a tick), so the same population picks the same structure
-// with nobody moving and with everyone moving.
-func TestStopTheWorldTickIgnoresMoves(t *testing.T) {
-	still := Stats{N: 100_000, Space: geom.R(0, 0, 22_000, 22_000), QuerySide: 100, Queriers: 0.02}
-	churn := still
-	churn.Updaters = 1
-	if a, b := ChooseBox(still), ChooseBox(churn); a.String() != b.String() {
-		t.Errorf("stop-the-world box pick moved with the update mix: %s still, %s churning", a, b)
-	}
-	if a, b := ChoosePoint(still), ChoosePoint(churn); a.String() != b.String() {
-		t.Errorf("stop-the-world point pick moved with the update mix: %s still, %s churning", a, b)
 	}
 }
 

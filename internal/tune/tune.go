@@ -3,9 +3,8 @@
 // itself. Both choices are rules, pure functions of what the sampler saw:
 //
 //  1. a workload SAMPLER (this file) takes the population, the space and
-//     the hinted query window and query:update mix, and for a box
-//     snapshot the mean MBR side over a strided sample of it (which the
-//     shard-count ladder reads);
+//     the hinted query window, and for a box snapshot the mean MBR side
+//     over a strided sample of it (which the shard-count ladder reads);
 //  2. a SELECTOR (select.go): ChoosePoint picks the CSR point grid at the
 //     paper's tuned occupancy, 50 000 points at cps 64 (Figure 5b), and
 //     ChooseBox the two-layer classed box grid (grid.BoxGrid2L) at the
@@ -47,21 +46,16 @@ type Stats struct {
 	MeanSide float32
 	// QuerySide is the side length of the square query windows.
 	QuerySide float32
-	// Queriers and Updaters are the per-tick fractions of objects
-	// querying and updating — the query:update mix the adaptive-layout
-	// literature selects on.
-	Queriers, Updaters float64
 }
 
 // String renders the sampled statistics the way the examples print them.
 func (s Stats) String() string {
 	side := s.Space.Width()
-	return fmt.Sprintf("n=%d space=%.0f mean-side=%.0f qside=%.0f mix=%.0f%%q/%.0f%%u",
-		s.N, side, s.MeanSide, s.QuerySide, s.Queriers*100, s.Updaters*100)
+	return fmt.Sprintf("n=%d space=%.0f mean-side=%.0f qside=%.0f", s.N, side, s.MeanSide, s.QuerySide)
 }
 
 // sanitize clamps degenerate inputs — zero populations, inverted or
-// NaN extents, out-of-range mixes — so every statistic is finite and
+// NaN extents — so every statistic is finite and
 // every selected parameter is valid. It never rejects: the selector
 // must return a usable choice for ANY input.
 func (s Stats) sanitize() Stats {
@@ -91,12 +85,6 @@ func (s Stats) sanitize() Stats {
 	if s.QuerySide > side {
 		s.QuerySide = side
 	}
-	if !(s.Queriers >= 0) || s.Queriers > 1 {
-		s.Queriers = 0.5
-	}
-	if !(s.Updaters >= 0) || s.Updaters > 1 {
-		s.Updaters = 0.5
-	}
 	return s
 }
 
@@ -109,7 +97,7 @@ func SamplePoints(pts []geom.Point, bounds geom.Rect, h core.WorkloadHints) Stat
 
 // SampleBoxes extracts workload statistics from an MBR snapshot: the
 // mean side (both axes pooled) over at most sampleCap strided elements,
-// and the hint-provided query window and mix.
+// and the hint-provided query window.
 func SampleBoxes(rects []geom.Rect, bounds geom.Rect, h core.WorkloadHints) Stats {
 	s := statsFromHints(len(rects), bounds, h)
 	stride := max(1, (len(rects)+sampleCap-1)/sampleCap)
@@ -130,19 +118,7 @@ func SampleBoxes(rects []geom.Rect, bounds geom.Rect, h core.WorkloadHints) Stat
 }
 
 // statsFromHints seeds a Stats with everything that does not need the
-// snapshot pass. A fully-zero hints struct means "unknown" and falls
-// back to the framework's default 50/50 mix; explicit zeros inside an
-// otherwise-populated struct are respected (a pure-query workload
-// really has Updaters == 0).
+// snapshot pass.
 func statsFromHints(n int, bounds geom.Rect, h core.WorkloadHints) Stats {
-	if h == (core.WorkloadHints{}) {
-		h.Queriers, h.Updaters = 0.5, 0.5
-	}
-	return Stats{
-		N:         n,
-		Space:     bounds,
-		QuerySide: h.QuerySize,
-		Queriers:  h.Queriers,
-		Updaters:  h.Updaters,
-	}
+	return Stats{N: n, Space: bounds, QuerySide: h.QuerySize}
 }

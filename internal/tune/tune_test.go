@@ -17,7 +17,7 @@ func TestSampleBoxesExtentStats(t *testing.T) {
 		rects = append(rects, geom.Square(c, 10))
 	}
 	rects = append(rects, geom.Square(geom.Pt(500, 500), 200))
-	s := SampleBoxes(rects, bounds, core.WorkloadHints{QuerySize: 50, Queriers: 0.25, Updaters: 0.75})
+	s := SampleBoxes(rects, bounds, core.WorkloadHints{QuerySize: 50})
 	wantMean := float32((100*2*10 + 2*200) / 202.0)
 	if math.Abs(float64(s.MeanSide-wantMean)) > 0.5 {
 		t.Errorf("MeanSide = %g, want ~%g", s.MeanSide, wantMean)
@@ -25,8 +25,8 @@ func TestSampleBoxesExtentStats(t *testing.T) {
 	if s.N != 101 {
 		t.Errorf("N = %d, want 101", s.N)
 	}
-	if s.QuerySide != 50 || s.Queriers != 0.25 || s.Updaters != 0.75 {
-		t.Errorf("hints not carried: %+v", s)
+	if s.QuerySide != 50 {
+		t.Errorf("hint not carried: %+v", s)
 	}
 }
 
@@ -37,9 +37,6 @@ func TestSampleEmptySanitizes(t *testing.T) {
 	}
 	if !(s.QuerySide > 0) {
 		t.Errorf("QuerySide = %g, want positive default", s.QuerySide)
-	}
-	if s.Queriers != 0.5 || s.Updaters != 0.5 {
-		t.Errorf("mix defaults wrong: %+v", s)
 	}
 }
 
